@@ -93,8 +93,9 @@ impl PipelinePolicy for CoarsePolicy {
         let is_boundary = record.is_txn_last();
         self.shared.install_record(&record);
         // Expose at transaction boundaries so lag is sampled the moment a
-        // transaction applies (the expose stage still drives periodic cuts
-        // and GC; expose_progress is safe to call concurrently).
+        // transaction applies, without waiting for the expose stage to be
+        // scheduled (it still cuts once per item, and runs GC;
+        // expose_progress is safe to call concurrently).
         if is_boundary {
             self.shared.expose_progress();
         }
@@ -126,7 +127,8 @@ impl CoarseGrainReplica {
             workers: config.workers,
             queue: QueuePlan::PerWorker { capacity: 4096 },
             ingest_capacity: config.segment_channel_capacity,
-            expose_interval: config.snapshot_interval,
+            // Timestamped cursor: a cut gates nobody, so no spacing.
+            expose_interval: std::time::Duration::ZERO,
             label: granularity.name(),
         };
         Arc::new(Self {

@@ -63,9 +63,12 @@ impl BaselineShared {
     }
 
     /// Records the transaction boundaries of a segment (call from the
-    /// schedule stage, in log order) and remembers the last position seen.
+    /// schedule stage, in log order, before dispatching its records),
+    /// remembers the last position seen, and tells the GC driver which rows
+    /// the segment writes.
     pub fn note_segment(&self, segment: &Segment) {
         self.ledger.note_segment(segment);
+        self.gc.note_segment(segment);
     }
 
     /// Installs one record's write into the store (the caller is responsible
@@ -89,17 +92,19 @@ impl BaselineShared {
     /// Advances the exposed prefix to the latest transaction-aligned applied
     /// position and records lag samples for the newly exposed transactions.
     /// Safe to call from workers and the expose stage concurrently (the cut
-    /// advance is monotonic, the boundary drain serialized).
+    /// advance is monotonic, the boundary drain serialized). A caller that
+    /// finds nothing new to expose touches no lock: whoever advanced the cut
+    /// drains the boundaries it covered.
     pub fn expose_progress(&self) {
         let n = self.tracker.boundary_watermark();
         if n > self.cursor.exposed() {
             self.cursor.advance(n);
+            self.ledger.drain_exposed(self.cursor.exposed());
         }
-        self.ledger.drain_exposed(self.cursor.exposed());
     }
 
     /// Drives the GC horizon towards the exposed cut (called from the expose
-    /// stage).
+    /// stage, after the cut is published).
     pub fn collect_garbage(&self) {
         self.gc.run(self.cursor.exposed());
     }

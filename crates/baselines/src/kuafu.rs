@@ -163,7 +163,8 @@ impl PipelinePolicy for KuaFuPolicy {
         }
         self.board.mark_done(work.index);
         // Expose after every transaction so lag is sampled the moment it
-        // applies (the expose stage still drives periodic cuts and GC).
+        // applies, without waiting for the expose stage to be scheduled
+        // (which still cuts once per item, and runs GC).
         self.shared.expose_progress();
     }
 
@@ -202,7 +203,8 @@ impl KuaFuReplica {
             workers: replica_config.workers,
             queue: QueuePlan::Shared { capacity: 4096 },
             ingest_capacity: replica_config.segment_channel_capacity,
-            expose_interval: replica_config.snapshot_interval,
+            // Timestamped cursor: a cut gates nobody, so no spacing.
+            expose_interval: std::time::Duration::ZERO,
             label: "kuafu",
         };
         Arc::new(Self {

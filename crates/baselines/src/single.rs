@@ -41,8 +41,8 @@ impl PipelinePolicy for SinglePolicy {
         for record in &segment.records {
             self.shared.install_record(record);
             // Expose at every transaction boundary, so lag is sampled the
-            // moment a transaction applies rather than at the next expose
-            // tick (the expose stage still drives periodic cuts and GC).
+            // moment a transaction applies rather than when the segment
+            // ends (the expose stage cuts once more per item, and runs GC).
             if record.is_txn_last() {
                 self.shared.expose_progress();
             }
@@ -68,7 +68,8 @@ impl SingleThreadedReplica {
             workers: 1,
             queue: QueuePlan::Shared { capacity: 1024 },
             ingest_capacity: config.segment_channel_capacity,
-            expose_interval: config.snapshot_interval,
+            // Timestamped cursor: a cut gates nobody, so no spacing.
+            expose_interval: std::time::Duration::ZERO,
             label: "single-threaded",
         };
         Arc::new(Self {

@@ -131,9 +131,14 @@ pub struct ReplicaConfig {
     pub op_cost: OpCost,
     /// How the storage engine exposes snapshots (see [`SnapshotMode`]).
     pub snapshot_mode: SnapshotMode,
-    /// Approximate interval between snapshot cuts, the `I` knob of
-    /// Section 5.2. Also used by the faithful snapshotter as the period of
-    /// its advancing thread.
+    /// Minimum spacing between *whole-database* snapshot cuts, the `I` knob
+    /// of Section 5.2: such a cut closes a gate on the workers, so
+    /// consecutive cuts are held at least this far apart. It is a spacing,
+    /// not a period — cuts are driven by applied progress, the first one
+    /// after a quiet spell is taken at once, and the final drain ignores it.
+    /// Ignored by timestamped cursors (faithful C5, the sharded replica, the
+    /// baselines), whose cut is one atomic store and follows the applied
+    /// prefix with no spacing at all.
     pub snapshot_interval: Duration,
     /// Capacity (in log segments) of the channel between the log shipper and
     /// the scheduler. Bounded so that an overwhelmed replica exerts
@@ -253,7 +258,8 @@ impl ReplicaConfig {
         self
     }
 
-    /// Builder-style setter for the snapshot interval.
+    /// Builder-style setter for the minimum spacing of whole-database cuts
+    /// (see [`snapshot_interval`](Self::snapshot_interval)).
     pub fn with_snapshot_interval(mut self, interval: Duration) -> Self {
         self.snapshot_interval = interval;
         self

@@ -5,12 +5,31 @@
 //! policy: segments arrive from the log shipper (**ingest**), a single
 //! scheduler thread turns them into work items and routes them to queues
 //! (**schedule**), worker threads execute the items under the protocol's
-//! ordering constraints (**apply**), and a periodic thread advances the
+//! ordering constraints (**apply**), and one thread advances the
 //! transaction-aligned cut that read-only transactions may observe
 //! (**expose**). This module owns that machine once — the threads, the
 //! channels, the shutdown/drain protocol, the garbage-collection horizon —
 //! so each protocol only supplies a [`PipelinePolicy`]: what a work item is,
 //! how segments become items, and what "apply one item" means.
+//!
+//! ## Event-driven exposure
+//!
+//! Nothing in the runtime runs on a timer. Each pipeline has one
+//! [`ProgressSignal`]: a worker notifies it when it finishes an item (the
+//! item's watermark marks are flushed by then), the expose thread sleeps on
+//! it and calls [`PipelinePolicy::expose`] only when something moved, and
+//! the expose thread notifies it again when a cut is published. Every wait
+//! in the runtime blocks on that same signal — `finish`'s three drain waits,
+//! [`ClonedConcurrencyControl::wait_until_exposed`], and the waits a policy
+//! makes through [`PipelineSignals::wait_until`] — and shutdown, the switch
+//! to draining, and the death of a stage thread notify it too. An applied
+//! transaction therefore becomes visible one thread wake-up later, and an
+//! idle replica makes no wake-ups at all.
+//!
+//! [`PipelineOptions::expose_interval`] is the *minimum spacing* between
+//! cuts, for cursors whose cut costs the workers something (the
+//! whole-database gate of Section 5.2). Timestamped cursors set it to zero
+//! and cut on every notification.
 //!
 //! ## Batched hand-off
 //!
@@ -46,10 +65,13 @@
 //!   the wait list instead of being cloned out of its segment.
 //! * [`GcDriver`] — advances a version-garbage-collection horizon trailing
 //!   the exposed cut, so long-running workloads do not grow version chains
-//!   without bound (the expose stage drives it after every cut).
+//!   without bound. The schedule stage tells it which rows each segment
+//!   writes and the expose stage runs it after a cut is published, so a
+//!   collection trims the chains written below the new horizon and nothing
+//!   else.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,7 +79,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use c5_common::{SeqNo, Timestamp};
+use c5_common::{RowRef, SeqNo, Timestamp};
 use c5_log::{LogRecord, Segment};
 use c5_obs::{Counter, Histogram, Obs, PipelineStage, TraceEvent};
 use c5_storage::MvStore;
@@ -65,34 +87,223 @@ use c5_storage::MvStore;
 use crate::lag::LagTracker;
 use crate::replica::{ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics};
 
+/// The one thing a pipeline's threads and callers wait on: "something moved".
+///
+/// A generation counter with a condition variable behind it. [`notify`]
+/// bumps the generation and wakes every waiter; [`wait_until`] blocks until
+/// its condition holds, re-checking after every notification. State a
+/// condition reads must be published *before* the `notify` that announces
+/// it. A notifier that finds nobody parked pays one atomic increment and no
+/// system call, which is what makes notifying per work item affordable.
+///
+/// The signal also carries the pipeline's `failed` flag: once a stage thread
+/// has died ([`fail`]), every wait returns instead of waiting for progress
+/// that will never come.
+///
+/// A sharded replica shares one signal among its per-shard pipelines
+/// ([`PipelineRuntime::start_sharing`]), because the global cut — and so
+/// every shard's drain — moves on any shard's progress.
+///
+/// [`notify`]: Self::notify
+/// [`wait_until`]: Self::wait_until
+/// [`fail`]: Self::fail
+#[derive(Default)]
+pub struct ProgressSignal {
+    generation: AtomicU64,
+    /// Threads inside the blocking part of `wait_until`.
+    parked: AtomicUsize,
+    /// Wall-clock nanoseconds of the oldest worker notification the expose
+    /// stage has not consumed yet; zero when there is none.
+    pending_since: AtomicU64,
+    failed: AtomicBool,
+    lock: Mutex<()>,
+    moved: Condvar,
+}
+
+impl std::fmt::Debug for ProgressSignal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProgressSignal")
+            .field("generation", &self.generation())
+            .field("parked", &self.parked())
+            .field("failed", &self.failed())
+            .finish()
+    }
+}
+
+impl ProgressSignal {
+    /// Creates a signal at generation zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Announces that something moved: bumps the generation and wakes every
+    /// waiter. Returns the new generation.
+    ///
+    /// Ordering: the generation and the parked count are both `SeqCst`, so
+    /// either this notifier sees a waiter's increment of `parked` (and wakes
+    /// it under the lock), or that waiter's re-check of the generation sees
+    /// this bump (and does not sleep).
+    pub fn notify(&self) -> u64 {
+        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            // Taking the lock orders this wake-up after a waiter that has
+            // checked the generation but not yet parked.
+            drop(self.lock.lock());
+            self.moved.notify_all();
+        }
+        generation
+    }
+
+    /// [`notify`](Self::notify) from a worker that finished an item: also
+    /// stamps the notification's time if the expose stage has consumed the
+    /// previous one, so the stage can report how long progress waited for
+    /// its cut.
+    fn notify_progress(&self) {
+        if self.pending_since.load(Ordering::Relaxed) == 0 {
+            // Relaxed: a statistic, publishes nothing.
+            let _ = self.pending_since.compare_exchange(
+                0,
+                c5_obs::now_nanos(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
+        self.notify();
+    }
+
+    /// Takes the stamp of the oldest unconsumed worker notification.
+    fn take_pending_since(&self) -> Option<u64> {
+        match self.pending_since.swap(0, Ordering::Relaxed) {
+            0 => None,
+            at => Some(at),
+        }
+    }
+
+    /// The current generation: how many notifications there have been.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    /// Threads currently blocked in [`wait_until`](Self::wait_until)
+    /// (diagnostic).
+    pub fn parked(&self) -> usize {
+        self.parked.load(Ordering::SeqCst)
+    }
+
+    /// Marks the pipeline failed — a stage thread died — and wakes every
+    /// waiter. Irreversible.
+    pub fn fail(&self) {
+        self.failed.store(true, Ordering::SeqCst);
+        self.notify();
+    }
+
+    /// Whether a stage thread has died.
+    pub fn failed(&self) -> bool {
+        self.failed.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until `ready` holds, the pipeline fails, or `deadline` passes
+    /// (`None`: no deadline). Returns whether `ready` held. `ready` is
+    /// re-evaluated after every notification and must not block.
+    pub fn wait_until(&self, deadline: Option<Instant>, mut ready: impl FnMut() -> bool) -> bool {
+        loop {
+            let generation = self.generation.load(Ordering::SeqCst);
+            if ready() {
+                return true;
+            }
+            if self.failed() {
+                return false;
+            }
+            let timeout = match deadline {
+                None => None,
+                Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return false,
+                },
+            };
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            {
+                let mut guard = self.lock.lock();
+                // Sleep only if nothing was notified since `ready` was
+                // evaluated; see `notify` for why this cannot miss a wake-up.
+                if self.generation.load(Ordering::SeqCst) == generation {
+                    match timeout {
+                        Some(timeout) => {
+                            self.moved.wait_for(&mut guard, timeout);
+                        }
+                        None => self.moved.wait(&mut guard),
+                    }
+                }
+            }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
 /// Cross-stage signals shared by every thread of one pipeline instance.
 #[derive(Debug, Default)]
 pub struct PipelineSignals {
     shutdown: AtomicBool,
     draining: AtomicBool,
+    progress: Arc<ProgressSignal>,
 }
 
 impl PipelineSignals {
+    fn new(progress: Arc<ProgressSignal>) -> Self {
+        Self {
+            progress,
+            ..Self::default()
+        }
+    }
+
     /// Whether the runtime has asked every stage to stop. Long waits inside
-    /// [`PipelinePolicy::apply`] and [`PipelinePolicy::expose`] must poll
-    /// this and bail out.
+    /// [`PipelinePolicy::apply`] and [`PipelinePolicy::expose`] must bail out
+    /// once this is set ([`wait_until`](Self::wait_until) does).
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
     /// Whether the pipeline is draining: ingestion has ended and `finish` is
     /// waiting for the final prefix to be applied and exposed. The expose
-    /// stage ticks at full speed while this is set.
+    /// stage ignores its minimum cut spacing while this is set.
     pub fn draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
 
+    /// Whether a stage thread of this pipeline (or, for a sharded replica,
+    /// of a sibling pipeline) has died. Terminal: the applied prefix will not
+    /// advance past the work the dead thread held.
+    pub fn failed(&self) -> bool {
+        self.progress.failed()
+    }
+
+    /// The pipeline's progress signal.
+    pub fn progress(&self) -> &Arc<ProgressSignal> {
+        &self.progress
+    }
+
+    /// Blocks on the progress signal until `ready` holds. Returns whether it
+    /// did; `false` means shutdown was requested or a stage thread died
+    /// first, and the caller must abandon what it was waiting for. This is
+    /// how a policy waits for applied progress (the whole-database cut's
+    /// drain): workers notify the signal after every item.
+    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) -> bool {
+        let mut held = false;
+        self.progress.wait_until(None, || {
+            held = ready();
+            held || self.shutdown_requested()
+        });
+        held
+    }
+
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        self.progress.notify();
     }
 
     fn start_draining(&self) {
         self.draining.store(true, Ordering::Release);
+        self.progress.notify();
     }
 }
 
@@ -123,7 +334,13 @@ pub struct PipelineOptions {
     /// Capacity (in segments) of the ingest channel; bounded so a hopelessly
     /// slow replica exerts backpressure on the shipper.
     pub ingest_capacity: usize,
-    /// Interval between expose-stage cuts.
+    /// Minimum spacing between expose-stage cuts. Cuts are event-driven —
+    /// the expose stage wakes when a worker finishes an item — and this only
+    /// holds them apart. Non-zero only where a cut costs the workers
+    /// something: the whole-database cursor closes a gate on them (the
+    /// paper's `I` knob, Section 5.2). Timestamped cursors pass
+    /// `Duration::ZERO` and cut on every notification. Ignored while
+    /// draining.
     pub expose_interval: Duration,
     /// Prefix for thread names (the protocol's report name works well).
     pub label: &'static str,
@@ -222,6 +439,60 @@ impl StageObs {
     }
 }
 
+/// The expose stage's handles. `stage` records one sample per cut that
+/// *advanced* (so `stage_items_total{stage="expose"}` counts cuts),
+/// `wakeups` counts every time the stage left its wait (so wake-ups ÷ cuts
+/// says how many notifications found nothing to expose), and `wait` is the
+/// time from a worker's notification to the cut it led to being published —
+/// what an applied transaction waits to become visible.
+struct ExposeObs {
+    stage: StageObs,
+    wakeups: Arc<Counter>,
+    wait: Arc<Histogram>,
+}
+
+impl ExposeObs {
+    fn new(obs: &Arc<Obs>) -> Self {
+        Self {
+            stage: StageObs::new(obs, PipelineStage::Expose),
+            wakeups: obs.metrics.counter("expose_wakeups_total"),
+            wait: obs.metrics.histogram("stage_wait_ns{stage=\"expose\"}"),
+        }
+    }
+}
+
+/// Held by every stage thread: if the thread unwinds, marks the pipeline
+/// failed (which wakes every wait on the progress signal) and counts the
+/// death. A clean exit does nothing.
+struct DeathWatch {
+    progress: Arc<ProgressSignal>,
+    obs: Arc<Obs>,
+    deaths: Arc<Counter>,
+}
+
+impl DeathWatch {
+    fn new(signals: &PipelineSignals, obs: &Arc<Obs>) -> Self {
+        Self {
+            progress: Arc::clone(&signals.progress),
+            obs: Arc::clone(obs),
+            deaths: obs.metrics.counter("pipeline_thread_deaths_total"),
+        }
+    }
+}
+
+impl Drop for DeathWatch {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.deaths.inc();
+            self.obs.trace.record(TraceEvent::Span {
+                name: "pipeline_thread_death",
+                elapsed_ns: 0,
+            });
+            self.progress.fail();
+        }
+    }
+}
+
 /// A backup protocol's ordering policy, run by a [`PipelineRuntime`].
 ///
 /// The runtime calls [`schedule`](Self::schedule) on its single scheduler
@@ -309,14 +580,31 @@ pub struct PipelineRuntime<P: PipelinePolicy> {
     ingest_done: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     finished: AtomicBool,
+    obs: Arc<Obs>,
+    dropped_segments: Arc<Counter>,
 }
 
 impl<P: PipelinePolicy> PipelineRuntime<P> {
-    /// Starts the pipeline: spawns the scheduler, `options.workers` workers,
-    /// and the expose thread.
+    /// Starts the pipeline with a progress signal of its own: spawns the
+    /// scheduler, `options.workers` workers, and the expose thread.
     pub fn start(policy: Arc<P>, options: PipelineOptions) -> Self {
+        Self::start_sharing(policy, options, Arc::new(ProgressSignal::new()))
+    }
+
+    /// Starts the pipeline on a progress signal shared with other pipelines:
+    /// each one's expose stage and waits then wake on any of their progress.
+    /// The sharded replica needs this — its global cut, and so every shard's
+    /// drain, moves when *any* shard applies.
+    pub fn start_sharing(
+        policy: Arc<P>,
+        options: PipelineOptions,
+        progress: Arc<ProgressSignal>,
+    ) -> Self {
         assert!(options.workers > 0, "pipeline requires at least one worker");
-        let signals = Arc::new(PipelineSignals::default());
+        let signals = Arc::new(PipelineSignals::new(progress));
+        // Taken before any worker exists: whatever a worker notifies, even
+        // before the expose thread first runs, is news to the expose stage.
+        let generation_at_start = signals.progress.generation();
         let ingest_done = Arc::new(AtomicBool::new(false));
         let (ingest_tx, ingest_rx) = bounded::<(Instant, Segment)>(options.ingest_capacity);
         let mut threads = Vec::with_capacity(options.workers + 2);
@@ -331,14 +619,19 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                 let policy = Arc::clone(&policy);
                 let signals = Arc::clone(&signals);
                 let apply_obs = Arc::clone(&apply_obs);
+                let watch = DeathWatch::new(&signals, &obs);
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("{}-worker-{worker}", options.label))
                         .spawn(move || {
+                            let _watch = watch;
                             while let Ok(item) = rx.recv() {
                                 let started = Instant::now();
                                 policy.apply(worker, item, &signals);
                                 apply_obs.record(started.elapsed(), rx.len());
+                                // The item's marks are flushed: tell the
+                                // expose stage (and anyone draining).
+                                signals.progress.notify_progress();
                             }
                         })
                         .expect("spawn worker"),
@@ -370,10 +663,12 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             let ingest_obs = StageObs::new(&obs, PipelineStage::Ingest);
             let schedule_obs = StageObs::new(&obs, PipelineStage::Schedule);
             let ingest_depth = obs.metrics.gauge("ingest_queue_depth");
+            let watch = DeathWatch::new(&signals, &obs);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{}-scheduler", options.label))
                     .spawn(move || {
+                        let _watch = watch;
                         let mut sink = WorkSink::new(lane_txs);
                         while let Ok((enqueued, segment)) = ingest_rx.recv() {
                             let backlog = ingest_rx.len();
@@ -388,6 +683,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                         }
                         ingest_depth.set(0);
                         ingest_done.store(true, Ordering::Release);
+                        signals.progress.notify();
                         // Dropping the sink closes the worker queues.
                     })
                     .expect("spawn scheduler"),
@@ -398,12 +694,22 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         {
             let policy = Arc::clone(&policy);
             let signals = Arc::clone(&signals);
-            let interval = options.expose_interval;
-            let expose_obs = StageObs::new(&obs, PipelineStage::Expose);
+            let min_spacing = options.expose_interval;
+            let expose_obs = ExposeObs::new(&obs);
+            let watch = DeathWatch::new(&signals, &obs);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{}-expose", options.label))
-                    .spawn(move || expose_loop(policy, signals, interval, expose_obs))
+                    .spawn(move || {
+                        let _watch = watch;
+                        expose_loop(
+                            policy,
+                            signals,
+                            min_spacing,
+                            generation_at_start,
+                            expose_obs,
+                        )
+                    })
                     .expect("spawn expose"),
             );
         }
@@ -415,6 +721,8 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             ingest_done,
             threads: Mutex::new(threads),
             finished: AtomicBool::new(false),
+            dropped_segments: obs.metrics.counter("dropped_segments_total"),
+            obs,
         }
     }
 
@@ -423,50 +731,84 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         &self.policy
     }
 
+    /// The signals shared by this pipeline's threads (the progress signal,
+    /// the failed flag).
+    pub fn signals(&self) -> &Arc<PipelineSignals> {
+        &self.signals
+    }
+
     fn stop_threads(&self) {
         self.signals.request_shutdown();
         self.policy.interrupt();
         for handle in self.threads.lock().drain(..) {
+            // A stage thread that panicked already reported itself through
+            // its `DeathWatch`; the payload adds nothing.
             let _ = handle.join();
         }
     }
 }
 
-/// The expose stage: tick frequently so shutdown is responsive, but only cut
-/// at `interval` — except while draining, where every tick cuts so `finish`
-/// converges quickly.
+/// The expose stage: sleep on the progress signal, cut when something moved.
+///
+/// `seen` is the last generation of the signal the stage has acted on.
+/// `min_spacing` holds cuts apart for cursors whose cut gates the workers;
+/// draining and shutdown override it, and shutdown (or a dead stage thread)
+/// ends the loop after one final cut.
 fn expose_loop<P: PipelinePolicy>(
     policy: Arc<P>,
     signals: Arc<PipelineSignals>,
-    interval: Duration,
-    expose_obs: StageObs,
+    min_spacing: Duration,
+    mut seen: u64,
+    obs: ExposeObs,
 ) {
-    let tick = interval.min(Duration::from_millis(1));
-    let mut last_cut = Instant::now();
+    let progress = &signals.progress;
+    let mut last_cut: Option<Instant> = None;
     loop {
-        let shutting_down = signals.shutdown_requested();
-        if last_cut.elapsed() >= interval || signals.draining() || shutting_down {
-            // The expose stage's "queue" is the span of log positions whose
-            // boundaries are applied but not yet visible to readers.
-            let pending = policy
-                .exposure_target()
-                .as_u64()
-                .saturating_sub(policy.exposed_seq().as_u64());
-            let started = Instant::now();
-            policy.expose(&signals);
-            policy.collect_garbage();
-            expose_obs.record(started.elapsed(), pending as usize);
-            last_cut = Instant::now();
+        progress.wait_until(None, || {
+            progress.generation() != seen || signals.shutdown_requested()
+        });
+        if let Some(next) = last_cut.map(|at| at + min_spacing) {
+            progress.wait_until(Some(next), || {
+                signals.draining() || signals.shutdown_requested()
+            });
         }
-        if shutting_down {
-            // One final cut happened above; exit.
+        let stopping = signals.shutdown_requested() || progress.failed();
+        obs.wakeups.inc();
+        // Read before looking at the watermarks: progress notified from here
+        // on is not covered by this cut and must wake the stage again.
+        seen = progress.generation();
+        let notified_at = progress.take_pending_since();
+        // The expose stage's "queue" is the span of log positions whose
+        // boundaries are applied but not yet visible to readers.
+        let before = policy.exposed_seq();
+        let pending = policy
+            .exposure_target()
+            .as_u64()
+            .saturating_sub(before.as_u64());
+        let started = Instant::now();
+        policy.expose(&signals);
+        if policy.exposed_seq() > before {
+            obs.stage.record(started.elapsed(), pending as usize);
+            if let Some(notified_at) = notified_at {
+                obs.wait
+                    .record(c5_obs::now_nanos().saturating_sub(notified_at));
+            }
+            if !min_spacing.is_zero() {
+                last_cut = Some(Instant::now());
+            }
+            // Publish: wake whoever waits for this cut. If nobody else
+            // notified since `seen` was read, the bump is ours alone and
+            // must not wake this stage again.
+            let published = progress.notify();
+            if published == seen + 1 {
+                seen = published;
+            }
+        }
+        // Off the cut's critical path: the cut is already visible.
+        policy.collect_garbage();
+        if stopping {
             return;
         }
-        std::thread::sleep(if signals.draining() {
-            Duration::from_micros(100)
-        } else {
-            tick
-        });
     }
 }
 
@@ -476,11 +818,19 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
     }
 
     fn apply_segment(&self, segment: Segment) {
-        let guard = self.ingest_tx.lock();
-        if let Some(tx) = guard.as_ref() {
-            // A send error means the scheduler exited (shutdown); drop the
-            // segment in that case.
-            let _ = tx.send((Instant::now(), segment));
+        let sent = match self.ingest_tx.lock().as_ref() {
+            Some(tx) => tx.send((Instant::now(), segment)).is_ok(),
+            None => false,
+        };
+        if !sent {
+            // The replica was finished, or its scheduler is gone: the
+            // segment cannot be applied. The signature has no error to
+            // return, so make the loss visible in the sink instead.
+            self.dropped_segments.inc();
+            self.obs.trace.record(TraceEvent::Span {
+                name: "dropped_segment",
+                elapsed_ns: 0,
+            });
         }
     }
 
@@ -490,19 +840,16 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         }
         // Close the ingest channel so the scheduler (and then the workers)
         // drain and exit, then wait for every shipped write to be applied
-        // and exposed.
+        // and exposed. Each wait sleeps on the progress signal and gives up
+        // if a stage thread died: the prefix that thread held will never
+        // complete, so the pipeline seals at whatever cut it reached.
         self.ingest_tx.lock().take();
-        while !self.ingest_done.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let signals = &self.signals;
+        signals.wait_until(|| self.ingest_done.load(Ordering::Acquire));
         let target = self.policy.shipped_seq();
-        while self.policy.applied_seq() < target {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        self.signals.start_draining();
-        while self.policy.exposed_seq() < self.policy.exposure_target() {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        signals.wait_until(|| self.policy.applied_seq() >= target);
+        signals.start_draining();
+        signals.wait_until(|| self.policy.exposed_seq() >= self.policy.exposure_target());
         self.stop_threads();
     }
 
@@ -541,6 +888,14 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
 
     fn metrics(&self) -> ReplicaMetrics {
         self.policy.metrics()
+    }
+
+    fn wait_until_exposed(&self, seq: SeqNo, timeout: Duration) -> bool {
+        self.signals
+            .progress
+            .wait_until(Some(Instant::now() + timeout), || {
+                self.policy.exposed_seq() >= seq
+            })
     }
 }
 
@@ -591,6 +946,19 @@ macro_rules! delegate_replica_to_pipeline {
             }
             fn promote(&self) -> $crate::replica::Promotion {
                 self.$field.promote()
+            }
+            // The two defaulted methods are forwarded too: the runtime's
+            // `wait_until_exposed` blocks on the progress signal, where the
+            // trait default would poll.
+            fn wait_until_exposed(
+                &self,
+                seq: ::c5_common::SeqNo,
+                timeout: ::std::time::Duration,
+            ) -> bool {
+                self.$field.wait_until_exposed(seq, timeout)
+            }
+            fn freshness_commit_nanos(&self) -> ::std::option::Option<u64> {
+                self.$field.freshness_commit_nanos()
             }
         }
     };
@@ -889,13 +1257,24 @@ impl Default for RowWaitList {
 // Garbage-collection horizon.
 // ---------------------------------------------------------------------------
 
-/// Drives [`MvStore::gc`] from the expose stage: the horizon trails the
-/// exposed cut by `trail` log positions, so recently created read views
-/// (which pin the cut at creation time) keep seeing every version they can
-/// name, while versions older than the trail are reclaimed.
+/// Drives version garbage collection from the expose stage: the horizon
+/// trails the exposed cut by `trail` log positions, so recently created read
+/// views (which pin the cut at creation time) keep seeing every version they
+/// can name, while versions older than the trail are reclaimed.
 ///
-/// Scans are rate-limited: the store is only walked once the horizon has
-/// advanced by `max(1, trail / 4)` positions since the last collection.
+/// A collection costs what was *written*, not what is stored. The schedule
+/// stage hands the driver the rows of every segment
+/// ([`note_segment`](Self::note_segment)), and [`run`](Self::run) trims only
+/// the chains written at or below the new horizon
+/// ([`MvStore::gc_rows`]). That leaves the store exactly as a full
+/// [`MvStore::gc`] at the same horizon would: a chain can only hold a
+/// version to reclaim if it was written at or below the horizon since the
+/// previous collection. (Chains that already held several versions when the
+/// driver was created — none, on a preloaded or checkpoint-installed store —
+/// are trimmed the first time they are written.)
+///
+/// Collections are rate-limited: the driver only runs once the horizon has
+/// advanced by `max(1, trail / 4)` positions since the last one.
 #[derive(Debug)]
 pub struct GcDriver {
     store: Arc<MvStore>,
@@ -903,6 +1282,20 @@ pub struct GcDriver {
     step: u64,
     last_horizon: AtomicU64,
     reclaimed: AtomicU64,
+    visited_chains: AtomicU64,
+    /// Rows written above the horizon, one batch per noted segment.
+    written: Mutex<Vec<WrittenBatch>>,
+    /// Held for the duration of a collection: concurrent callers (every
+    /// shard's expose stage drives one shared driver) skip instead of queue.
+    collecting: Mutex<()>,
+}
+
+/// The `(position, row)` of every record of one segment, ascending by
+/// position, consumed from the front as the horizon passes them.
+#[derive(Debug)]
+struct WrittenBatch {
+    rows: Vec<(u64, RowRef)>,
+    next: usize,
 }
 
 impl GcDriver {
@@ -915,28 +1308,93 @@ impl GcDriver {
             step: (trail / 4).max(1),
             last_horizon: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
+            visited_chains: AtomicU64::new(0),
+            written: Mutex::new(Vec::new()),
+            collecting: Mutex::new(()),
         }
     }
 
-    /// Advances the horizon towards `exposed - trail` and collects if it
-    /// moved at least one step. Returns the number of versions reclaimed by
-    /// this call. Intended to be called from a single thread (the expose
-    /// stage).
+    /// Notes the rows `segment` writes. Call from the schedule stage before
+    /// the segment's records are dispatched, so that by the time the exposed
+    /// cut (and with it the horizon) passes a write, the driver knows its
+    /// row. Several schedulers may feed one driver (the sharded replica's
+    /// do); each must feed its own stream in order, but the streams may
+    /// interleave arbitrarily.
+    pub fn note_segment(&self, segment: &Segment) {
+        if segment.is_empty() {
+            return;
+        }
+        let rows = segment
+            .records
+            .iter()
+            .map(|record| (record.seq.as_u64(), record.write.row))
+            .collect();
+        self.written.lock().push(WrittenBatch { rows, next: 0 });
+    }
+
+    /// Removes and returns the rows written at or below `horizon` (a row
+    /// written twice appears twice; its second visit finds nothing left to
+    /// trim and a warm cache, which is cheaper than sorting to find the
+    /// duplicate). The batch list
+    /// is swapped out and scanned without the lock, so a scheduler noting
+    /// its next segment never waits for a scan.
+    fn take_written_through(&self, horizon: u64) -> Vec<RowRef> {
+        let mut batches = std::mem::take(&mut *self.written.lock());
+        let mut rows = Vec::new();
+        batches.retain_mut(|batch| {
+            let passed = batch.rows[batch.next..].partition_point(|&(seq, _)| seq <= horizon);
+            rows.extend(
+                batch.rows[batch.next..batch.next + passed]
+                    .iter()
+                    .map(|&(_, row)| row),
+            );
+            batch.next += passed;
+            batch.next < batch.rows.len()
+        });
+        // Batches are independent, so where the leftovers rejoin the list
+        // (after whatever was noted meanwhile) does not matter.
+        self.written.lock().append(&mut batches);
+        rows
+    }
+
+    /// Advances the horizon towards `exposed - trail` and, if it moved at
+    /// least one step, trims the chains written at or below it. Returns the
+    /// number of versions reclaimed by this call. Call after the cut is
+    /// published; safe to call from several threads (a caller that finds a
+    /// collection in progress returns 0).
     pub fn run(&self, exposed: SeqNo) -> u64 {
         let horizon = exposed.as_u64().saturating_sub(self.trail);
-        let last = self.last_horizon.load(Ordering::Acquire);
-        if horizon < last.saturating_add(self.step) {
+        let due = || horizon >= self.horizon().as_u64().saturating_add(self.step);
+        if !due() {
+            return 0;
+        }
+        let Some(_collecting) = self.collecting.try_lock() else {
+            return 0;
+        };
+        // Re-check: the collection that just released the lock may have
+        // covered this horizon.
+        if !due() {
             return 0;
         }
         self.last_horizon.store(horizon, Ordering::Release);
-        let reclaimed = self.store.gc(Timestamp(horizon)) as u64;
-        self.reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
-        reclaimed
+        let rows = self.take_written_through(horizon);
+        let pass = self.store.gc_rows(rows, Timestamp(horizon));
+        self.visited_chains
+            .fetch_add(pass.visited_chains as u64, Ordering::Relaxed);
+        self.reclaimed
+            .fetch_add(pass.reclaimed as u64, Ordering::Relaxed);
+        pass.reclaimed as u64
     }
 
     /// Total versions reclaimed so far.
     pub fn reclaimed(&self) -> u64 {
         self.reclaimed.load(Ordering::Relaxed)
+    }
+
+    /// Total chains visited so far: the work collections have done. Bounded
+    /// by the number of records noted, whatever the store holds.
+    pub fn visited_chains(&self) -> u64 {
+        self.visited_chains.load(Ordering::Relaxed)
     }
 
     /// The current GC horizon (no version older than this is guaranteed to
@@ -1076,22 +1534,39 @@ mod tests {
         assert_eq!(*order, (1..=total).collect::<Vec<_>>());
     }
 
+    /// One segment of single-write transactions `first..=last`, all updating
+    /// row `key`.
+    fn hot_segment(id: u64, first: u64, last: u64, key: u64) -> Segment {
+        Segment::new(
+            id,
+            (first..=last)
+                .map(|seq| record(seq, seq - 1, key))
+                .collect(),
+        )
+    }
+
+    fn install_all(store: &MvStore, segment: &Segment) {
+        for r in &segment.records {
+            store.install(
+                r.write.row,
+                Timestamp(r.seq.as_u64()),
+                r.write.kind,
+                r.write.value.clone(),
+            );
+        }
+    }
+
     #[test]
     fn gc_driver_trails_the_exposed_cut() {
         let store = Arc::new(MvStore::default());
         let row = RowRef::new(0, 1);
-        for ts in 1..=100u64 {
-            store.install(
-                row,
-                Timestamp(ts),
-                WriteKind::Update,
-                Some(Value::from_u64(ts)),
-            );
-        }
         let gc = GcDriver::new(Arc::clone(&store), 10);
+        let segment = hot_segment(0, 1, 100, 1);
+        gc.note_segment(&segment);
+        install_all(&store, &segment);
         // Horizon 90: everything older than the newest version <= 90 goes.
         let reclaimed = gc.run(SeqNo(100));
-        assert!(reclaimed > 0);
+        assert_eq!(reclaimed, 89);
         assert_eq!(gc.reclaimed(), reclaimed);
         assert_eq!(gc.horizon(), SeqNo(90));
         // Reads at or after the horizon still see the right values.
@@ -1103,12 +1578,13 @@ mod tests {
             store.read_at(row, Timestamp(100)).unwrap().as_u64(),
             Some(100)
         );
-        // No advance, no rescan.
+        // No advance, no second pass.
         assert_eq!(gc.run(SeqNo(100)), 0);
+        assert_eq!(gc.visited_chains(), 90, "one visit per write passed");
     }
 
     #[test]
-    fn gc_driver_rate_limits_rescans() {
+    fn gc_driver_rate_limits_collections() {
         let store = Arc::new(MvStore::default());
         let gc = GcDriver::new(store, 100);
         // step = 25: an advance of the horizon below that is skipped.
@@ -1116,5 +1592,416 @@ mod tests {
         assert_eq!(gc.horizon(), SeqNo::ZERO);
         gc.run(SeqNo(150)); // horizon 50 >= 25: collected (nothing to free)
         assert_eq!(gc.horizon(), SeqNo(50));
+    }
+
+    /// GC work is bounded by what was written, not by what is stored: on a
+    /// store of 100 k preloaded rows, a collection after 1 k writes visits
+    /// at most 1 k chains — and leaves the store exactly as the full sweep
+    /// leaves an identical twin.
+    #[test]
+    fn gc_visits_only_the_chains_that_were_written() {
+        const PRELOADED: u64 = 100_000;
+        const WRITTEN: u64 = 1_000;
+        let stores = [Arc::new(MvStore::default()), Arc::new(MvStore::default())];
+        for store in &stores {
+            for key in 0..PRELOADED {
+                store.install(
+                    RowRef::new(0, key),
+                    Timestamp::ZERO,
+                    WriteKind::Insert,
+                    Some(Value::from_u64(0)),
+                );
+            }
+        }
+        let [targeted, swept] = &stores;
+        let gc = GcDriver::new(Arc::clone(targeted), 0);
+        // Two updates to each of 500 rows spread over the key space.
+        let records: Vec<LogRecord> = (1..=WRITTEN)
+            .map(|seq| record(seq, 0, (seq % 500) * 199))
+            .collect();
+        for (id, chunk) in records.chunks(256).enumerate() {
+            let segment = Segment::new(id as u64, chunk.to_vec());
+            gc.note_segment(&segment);
+            install_all(targeted, &segment);
+            install_all(swept, &segment);
+        }
+
+        let reclaimed = gc.run(SeqNo(WRITTEN));
+        assert_eq!(reclaimed as usize, swept.gc(Timestamp(WRITTEN)));
+        assert!(
+            gc.visited_chains() <= WRITTEN,
+            "visited {} chains for {WRITTEN} writes",
+            gc.visited_chains()
+        );
+        assert_eq!(gc.visited_chains(), WRITTEN, "one visit per write");
+        assert_eq!(targeted.stats(), swept.stats());
+        assert_eq!(targeted.stats().versions as u64, PRELOADED);
+    }
+
+    #[test]
+    fn progress_signal_wakes_waiters_and_times_out() {
+        let signal = Arc::new(ProgressSignal::new());
+        assert_eq!(signal.notify(), 1);
+        assert_eq!(signal.generation(), 1);
+
+        // A condition that never holds times out...
+        let soon = Instant::now() + Duration::from_millis(5);
+        assert!(!signal.wait_until(Some(soon), || false));
+        // ...one that already holds returns without waiting, whatever the
+        // deadline.
+        assert!(signal.wait_until(Some(Instant::now()), || true));
+
+        // A parked waiter is woken by the notify that follows the state
+        // change, not by a timeout: it has none.
+        let flag = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (signal, flag) = (Arc::clone(&signal), Arc::clone(&flag));
+            std::thread::spawn(move || signal.wait_until(None, || flag.load(Ordering::Acquire)))
+        };
+        while signal.parked() == 0 {
+            std::thread::yield_now();
+        }
+        flag.store(true, Ordering::Release);
+        signal.notify();
+        assert!(waiter.join().unwrap());
+        assert_eq!(signal.parked(), 0);
+    }
+
+    #[test]
+    fn a_failed_signal_releases_every_wait() {
+        let signal = Arc::new(ProgressSignal::new());
+        let waiter = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || signal.wait_until(None, || false))
+        };
+        while signal.parked() == 0 {
+            std::thread::yield_now();
+        }
+        signal.fail();
+        assert!(!waiter.join().unwrap(), "the condition never held");
+        // Later waits do not block either.
+        assert!(!signal.wait_until(None, || false));
+        assert!(signal.failed());
+    }
+
+    /// A minimal in-order policy whose `apply` panics on a chosen record:
+    /// whole segments round-robin to the workers, records installed and
+    /// marked one by one, the timestamped cut following the applied
+    /// boundary.
+    struct PoisonedPolicy {
+        store: Arc<MvStore>,
+        tracker: crate::progress::WatermarkTracker,
+        cursor: crate::snapshotter::SnapshotCursor,
+        ledger: BoundaryLedger,
+        poison: SeqNo,
+        obs: Arc<Obs>,
+    }
+
+    impl PoisonedPolicy {
+        fn new(poison: SeqNo) -> Arc<Self> {
+            let store = Arc::new(MvStore::default());
+            Arc::new(Self {
+                cursor: crate::snapshotter::SnapshotCursor::timestamped(Arc::clone(&store)),
+                store,
+                tracker: crate::progress::WatermarkTracker::new(),
+                ledger: BoundaryLedger::new(),
+                poison,
+                obs: Obs::new(),
+            })
+        }
+    }
+
+    impl PipelinePolicy for PoisonedPolicy {
+        type Item = Segment;
+
+        fn name(&self) -> &'static str {
+            "poisoned"
+        }
+
+        fn schedule(&self, segment: Segment, sink: &mut WorkSink<Segment>) {
+            self.ledger.note_segment(&segment);
+            sink.send(segment);
+        }
+
+        fn apply(&self, _worker: usize, segment: Segment, _signals: &PipelineSignals) {
+            for r in &segment.records {
+                assert!(r.seq != self.poison, "poisoned record {}", r.seq);
+                self.store.install(
+                    r.write.row,
+                    Timestamp(r.seq.as_u64()),
+                    r.write.kind,
+                    r.write.value.clone(),
+                );
+                self.tracker.mark_applied(r.seq, r.is_txn_last());
+            }
+        }
+
+        fn expose(&self, _signals: &PipelineSignals) {
+            let n = self.tracker.boundary_watermark();
+            if n > self.cursor.exposed() {
+                self.cursor.advance(n);
+                self.ledger.drain_exposed(n);
+            }
+        }
+
+        fn applied_seq(&self) -> SeqNo {
+            self.tracker.applied_watermark()
+        }
+
+        fn exposure_target(&self) -> SeqNo {
+            self.tracker.boundary_watermark()
+        }
+
+        fn exposed_seq(&self) -> SeqNo {
+            self.cursor.exposed()
+        }
+
+        fn shipped_seq(&self) -> SeqNo {
+            self.ledger.shipped_seq()
+        }
+
+        fn read_view(&self) -> Box<dyn ReadView> {
+            self.cursor.read_view()
+        }
+
+        fn lag(&self) -> Arc<LagTracker> {
+            Arc::clone(self.ledger.lag())
+        }
+
+        fn metrics(&self) -> ReplicaMetrics {
+            ReplicaMetrics::default()
+        }
+
+        fn obs(&self) -> Arc<Obs> {
+            Arc::clone(&self.obs)
+        }
+
+        fn store(&self) -> &Arc<MvStore> {
+            &self.store
+        }
+    }
+
+    fn poisoned_runtime(poison: u64) -> PipelineRuntime<PoisonedPolicy> {
+        PipelineRuntime::start(
+            PoisonedPolicy::new(SeqNo(poison)),
+            PipelineOptions {
+                workers: 2,
+                queue: QueuePlan::PerWorker { capacity: 16 },
+                ingest_capacity: 16,
+                expose_interval: Duration::ZERO,
+                label: "poisoned",
+            },
+        )
+    }
+
+    /// Transactions of two writes each, `per_segment` of them to a segment:
+    /// boundaries are the even positions.
+    fn two_write_txn_segments(segments: u64, per_segment: u64) -> Vec<Segment> {
+        (0..segments)
+            .map(|id| {
+                let first_txn = id * per_segment;
+                let records = (first_txn..first_txn + per_segment)
+                    .flat_map(|txn| {
+                        (0..2u32).map(move |idx| LogRecord {
+                            txn: TxnId(txn + 1),
+                            idx_in_txn: idx,
+                            txn_len: 2,
+                            ..record(txn * 2 + 1 + u64::from(idx), 0, txn * 2 + u64::from(idx))
+                        })
+                    })
+                    .collect();
+                Segment::new(id, records)
+            })
+            .collect()
+    }
+
+    /// Runs `f` on its own thread and panics if it has not returned within
+    /// the deadline: how a test states "this must not hang".
+    fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(f());
+        });
+        outcome
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{what} did not return within its deadline"))
+    }
+
+    #[test]
+    fn a_healthy_pipeline_drains_without_a_timer() {
+        let runtime = poisoned_runtime(0);
+        let segments = two_write_txn_segments(8, 4);
+        for segment in segments {
+            runtime.apply_segment(segment);
+        }
+        // Mid-stream, with no finish() to force a cut.
+        assert!(runtime.wait_until_exposed(SeqNo(64), Duration::from_secs(30)));
+        runtime.finish();
+        assert_eq!(runtime.exposed_seq(), SeqNo(64));
+        assert!(!runtime.signals().failed());
+        let metrics = runtime.policy().obs.metrics.snapshot();
+        assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(0));
+        assert_eq!(metrics.counter("dropped_segments_total"), Some(0));
+        // Every cut that advanced was counted and timed; wake-ups that found
+        // nothing new are only counted as wake-ups.
+        let cuts = metrics
+            .counter("stage_items_total{stage=\"expose\"}")
+            .unwrap();
+        assert!((1..=8).contains(&cuts), "{cuts} cuts for 8 items");
+        assert!(metrics.counter("expose_wakeups_total").unwrap() >= cuts);
+        let waited = metrics
+            .histogram("stage_wait_ns{stage=\"expose\"}")
+            .unwrap();
+        assert!(waited.count() >= 1 && waited.count() <= cuts);
+    }
+
+    #[test]
+    fn a_dead_worker_fails_the_pipeline_instead_of_hanging_finish() {
+        // Position 21 is the first write of the third segment's first
+        // transaction; its worker dies there.
+        let runtime = Arc::new(poisoned_runtime(21));
+        for segment in two_write_txn_segments(8, 5) {
+            runtime.apply_segment(segment);
+        }
+        let finishing = Arc::clone(&runtime);
+        within_deadline("finish() with a dead worker", move || finishing.finish());
+
+        assert!(runtime.signals().failed());
+        let cut = runtime.exposed_seq();
+        assert!(
+            cut < SeqNo(21) && cut.as_u64() % 2 == 0,
+            "the cut must stay a transaction boundary below the poisoned record, got {cut}"
+        );
+        let metrics = runtime.policy().obs.metrics.snapshot();
+        assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(1));
+        // Nothing waits for the lost prefix afterwards either.
+        assert!(!runtime.wait_until_exposed(SeqNo(80), Duration::from_secs(3600)));
+        let promoting = Arc::clone(&runtime);
+        let promotion = within_deadline("promote() after a failure", move || promoting.promote());
+        assert_eq!(promotion.cut, cut);
+    }
+
+    #[test]
+    fn a_segment_fed_after_finish_is_counted_as_dropped() {
+        let runtime = poisoned_runtime(0);
+        let mut segments = two_write_txn_segments(2, 4);
+        let late = segments.pop().unwrap();
+        runtime.apply_segment(segments.pop().unwrap());
+        runtime.finish();
+        assert_eq!(runtime.exposed_seq(), SeqNo(8));
+
+        runtime.apply_segment(late);
+        let metrics = runtime.policy().obs.metrics.snapshot();
+        assert_eq!(metrics.counter("dropped_segments_total"), Some(1));
+        assert!(runtime.policy().obs.trace.merged().iter().any(|r| matches!(
+            r.event,
+            TraceEvent::Span {
+                name: "dropped_segment",
+                ..
+            }
+        )));
+        assert_eq!(runtime.exposed_seq(), SeqNo(8), "nothing was applied");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use c5_common::{RowWrite, TxnId, Value};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// For any interleaving of writes over a few rows, any number of
+        /// schedulers feeding the driver out of global order (each its own
+        /// stream in order, as the sharded replica's do), any segment size
+        /// and any trail, every collection of the row-targeted driver leaves
+        /// the store exactly as a full `MvStore::gc` at the same horizon
+        /// leaves an identical twin: the same number of versions, and the
+        /// same answer to every read at or after the horizon.
+        #[test]
+        fn row_targeted_gc_matches_the_full_sweep(
+            keys in prop::collection::vec(0u64..6, 1..120),
+            feeders in 1usize..4,
+            segment_len in 1usize..9,
+            trail in 0u64..24,
+            seed in any::<u64>(),
+        ) {
+            let targeted = Arc::new(MvStore::default());
+            let swept = MvStore::default();
+            let gc = GcDriver::new(Arc::clone(&targeted), trail);
+            let total = keys.len() as u64;
+
+            // Each feeder owns the rows that hash to it and sees their
+            // writes in log order, cut into segments.
+            let mut streams: Vec<std::collections::VecDeque<Segment>> = (0..feeders)
+                .map(|feeder| {
+                    let owned: Vec<LogRecord> = keys
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, key)| **key as usize % feeders == feeder)
+                        .map(|(i, &key)| LogRecord {
+                            txn: TxnId(i as u64 + 1),
+                            seq: SeqNo(i as u64 + 1),
+                            commit_ts: Timestamp(i as u64 + 1),
+                            commit_wall_nanos: 0,
+                            prev_seq: SeqNo::ZERO,
+                            write: RowWrite::update(RowRef::new(0, key), Value::from_u64(i as u64 + 1)),
+                            idx_in_txn: 0,
+                            txn_len: 1,
+                        })
+                        .collect();
+                    owned
+                        .chunks(segment_len)
+                        .enumerate()
+                        .map(|(id, chunk)| Segment::new(id as u64, chunk.to_vec()))
+                        .collect()
+                })
+                .collect();
+
+            let mut state = seed | 1;
+            while streams.iter().any(|s| !s.is_empty()) {
+                // Pick a feeder with work left, pseudo-randomly.
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let ready: Vec<usize> = (0..feeders).filter(|&f| !streams[f].is_empty()).collect();
+                let feeder = ready[(state >> 33) as usize % ready.len()];
+                let segment = streams[feeder].pop_front().unwrap();
+                // Schedule (note), then apply, as a pipeline does.
+                gc.note_segment(&segment);
+                for r in &segment.records {
+                    for store in [&*targeted, &swept] {
+                        store.install(r.write.row, Timestamp(r.seq.as_u64()), r.write.kind, r.write.value.clone());
+                    }
+                }
+                // The cut may reach the end of the globally applied prefix:
+                // just below the earliest record any feeder still holds.
+                let exposed = streams
+                    .iter()
+                    .filter_map(|s| s.front().and_then(Segment::first_seq))
+                    .map(|next| next.as_u64() - 1)
+                    .min()
+                    .unwrap_or(total);
+                let before = gc.horizon();
+                let reclaimed = gc.run(SeqNo(exposed));
+                let horizon = gc.horizon();
+                if horizon == before {
+                    prop_assert_eq!(reclaimed, 0);
+                    continue;
+                }
+                prop_assert_eq!(reclaimed as usize, swept.gc(Timestamp(horizon.as_u64())));
+                prop_assert_eq!(targeted.stats(), swept.stats());
+                for key in 0..6 {
+                    let row = RowRef::new(0, key);
+                    for t in horizon.as_u64()..=total + 1 {
+                        prop_assert_eq!(
+                            targeted.read_at(row, Timestamp(t)),
+                            swept.read_at(row, Timestamp(t))
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(gc.reclaimed() as usize + targeted.stats().versions, keys.len());
+        }
     }
 }

@@ -23,10 +23,14 @@
 //!   apply each transaction's writes in order, sleeping on the wait list
 //!   until each write's predecessor lands (Section 5.1's
 //!   backward-compatibility constraint);
-//! * the **expose** stage advances the exposed cut ([`crate::snapshotter`])
-//!   every `snapshot_interval`, records one replication-lag sample per
-//!   transaction as it becomes visible, and drives the version-GC horizon
-//!   trailing the cut.
+//! * the **expose** stage sleeps until a worker finishes an item, then
+//!   advances the exposed cut ([`crate::snapshotter`]) to the applied
+//!   boundary and records one replication-lag sample per transaction as it
+//!   becomes visible. The faithful cursor cuts on every such notification
+//!   (a cut is one atomic store); the whole-database cursor, whose cut gates
+//!   the workers, keeps its cuts at least `snapshot_interval` apart. After a
+//!   cut is published the stage drives the version-GC horizon trailing it,
+//!   trimming only the chains the schedule stage reported as written.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -311,8 +315,10 @@ impl PipelinePolicy for C5Policy {
 
     fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<C5Item>) {
         self.sched.lock().process_segment(&mut segment);
-        // Record transaction boundaries for lag accounting, in log order.
+        // Record transaction boundaries for lag accounting, in log order,
+        // and the written rows for the GC pass that follows the cut.
         self.ledger.note_segment(&segment);
+        self.gc.note_segment(&segment);
         match self.mode {
             C5Mode::Faithful => {
                 // Only the one-worker-per-txn snapshotter reads this counter
@@ -429,11 +435,10 @@ impl PipelinePolicy for C5Policy {
                         // nothing beyond it can be in the store, and
                         // everything up to it will be applied shortly.
                         || SeqNo(self.dispatched_boundary.load(Ordering::Acquire)),
-                        |n| {
-                            while tracker.applied_watermark() < n && !signals.shutdown_requested() {
-                                std::thread::sleep(Duration::from_micros(50));
-                            }
-                        },
+                        // Workers notify the progress signal after every
+                        // item, so this sleeps until the prefix is whole
+                        // (or gives the cut up on shutdown or a dead worker).
+                        |n| signals.wait_until(|| tracker.applied_watermark() >= n),
                     );
                     self.ledger.drain_exposed(n);
                 }
@@ -604,7 +609,13 @@ impl C5Replica {
             workers: config.workers,
             queue,
             ingest_capacity: config.segment_channel_capacity,
-            expose_interval: config.snapshot_interval,
+            expose_interval: match mode {
+                // Advancing `c` is one atomic store: cut whenever the
+                // applied prefix moves.
+                C5Mode::Faithful => Duration::ZERO,
+                // A whole-database cut gates the workers: Section 5.2's `I`.
+                C5Mode::OneWorkerPerTxn => config.snapshot_interval,
+            },
             label: mode.name(),
         };
         Arc::new(Self {
@@ -904,6 +915,137 @@ mod tests {
         );
         // The exposed state is untouched.
         assert_eq!(replica.read_view().get(row(0)).unwrap().as_u64(), Some(500));
+    }
+
+    /// A replica with a private metrics sink, so counters can be asserted
+    /// exactly.
+    fn observed_replica(mode: C5Mode, interval: Duration) -> (Arc<C5Replica>, Arc<c5_obs::Obs>) {
+        let obs = c5_obs::Obs::new();
+        let config = ReplicaConfig::default()
+            .with_workers(2)
+            .with_snapshot_interval(interval)
+            .with_obs(Arc::clone(&obs));
+        let replica = C5Replica::new(mode, Arc::new(MvStore::default()), config);
+        (replica, obs)
+    }
+
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    /// Nothing depends on a timer: with the interval set to an hour, a fed
+    /// segment is exposed mid-stream and the replica finishes.
+    #[test]
+    fn faithful_exposure_does_not_depend_on_the_interval() {
+        let (replica, _obs) = observed_replica(C5Mode::Faithful, HOUR);
+        let segments = adversarial_log(40, 2, 8);
+        let last = segments.last().unwrap().last_seq().unwrap();
+        for segment in segments {
+            replica.apply_segment(segment);
+        }
+        assert!(replica.wait_until_exposed(last, Duration::from_secs(60)));
+        replica.finish();
+        assert_eq!(replica.exposed_seq(), last);
+        assert_eq!(replica.lag().len(), 40);
+    }
+
+    /// `C5Replica::wait_until_exposed` reaches the runtime's blocking wait:
+    /// the caller parks on the progress signal (beside the idle expose
+    /// stage) and is woken by the cut's notification — with an hour-long
+    /// timeout and an hour-long interval there is nothing else to wake it.
+    #[test]
+    fn wait_until_exposed_blocks_on_the_progress_signal() {
+        let (replica, _obs) = observed_replica(C5Mode::Faithful, HOUR);
+        let segments = adversarial_log(10, 2, 8);
+        let last = segments.last().unwrap().last_seq().unwrap();
+        let progress = Arc::clone(replica.runtime.signals().progress());
+        let generation = progress.generation();
+
+        let waiter = {
+            let replica = Arc::clone(&replica);
+            std::thread::spawn(move || replica.wait_until_exposed(last, HOUR))
+        };
+        // The trait's polling default never parks on the signal; this would
+        // spin forever.
+        while progress.parked() < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(progress.generation(), generation, "idle: nothing notified");
+
+        for segment in segments {
+            replica.apply_segment(segment);
+        }
+        assert!(waiter.join().unwrap());
+        assert!(progress.generation() > generation);
+        assert!(replica.freshness_commit_nanos().is_some());
+        replica.finish();
+    }
+
+    /// The whole-database cursor's cuts gate the workers, so they stay
+    /// `snapshot_interval` apart however often progress is notified — and
+    /// the drain still gets its final cut at once. A per-write cost keeps
+    /// the workers busy for a dozen intervals, notifying after every
+    /// transaction; per-transaction dispatch keeps the scheduler (and so each
+    /// cut's target) within a queue's length of the workers, so one cut
+    /// cannot swallow the whole log.
+    #[test]
+    fn whole_database_cuts_honour_the_minimum_spacing() {
+        let interval = Duration::from_millis(20);
+        let obs = c5_obs::Obs::new();
+        let config = ReplicaConfig::default()
+            .with_workers(2)
+            .with_snapshot_interval(interval)
+            .with_dispatch_batch(1)
+            .with_op_cost(OpCost::symmetric(2_000))
+            .with_obs(Arc::clone(&obs));
+        let started = Instant::now();
+        let replica = C5Replica::new(
+            C5Mode::OneWorkerPerTxn,
+            Arc::new(MvStore::default()),
+            config,
+        );
+        let segments = adversarial_log(12_000, 2, 32);
+        let last = segments.last().unwrap().last_seq().unwrap();
+        for segment in segments {
+            replica.apply_segment(segment);
+        }
+        // Mid-stream: the last cut is an ordinary, spaced one.
+        assert!(replica.wait_until_exposed(last, Duration::from_secs(60)));
+        // (That last cut may be visible a moment before it is counted.)
+        let cuts = obs
+            .metrics
+            .counter("stage_items_total{stage=\"expose\"}")
+            .get();
+        let allowed = started.elapsed().as_millis() / interval.as_millis() + 2;
+        assert!(
+            cuts >= 1 && u128::from(cuts) <= allowed,
+            "{cuts} cuts, but the spacing allows {allowed}"
+        );
+        let notified = obs.metrics.counter("stage_items_total{stage=\"apply\"}");
+        assert!(
+            notified.get() > 100 * cuts,
+            "progress must be notified far more often than it is cut: {} vs {cuts}",
+            notified.get()
+        );
+        replica.finish();
+        assert_eq!(replica.exposed_seq(), last);
+        assert_eq!(
+            replica.read_view().get(row(0)).unwrap().as_u64(),
+            Some(12_000)
+        );
+    }
+
+    /// An idle replica sleeps: no expose wake-ups without progress.
+    #[test]
+    fn an_idle_replica_makes_no_expose_wakeups() {
+        let (replica, obs) = observed_replica(C5Mode::Faithful, Duration::from_millis(1));
+        let wakeups = obs.metrics.counter("expose_wakeups_total");
+        // Observing an absence takes a window; nothing is synchronised on it.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(wakeups.get(), 0);
+        replica.finish();
+        // Feeding a finished replica loses the segment, visibly.
+        replica.apply_segment(adversarial_log(1, 1, 8).remove(0));
+        assert_eq!(obs.metrics.counter("dropped_segments_total").get(), 1);
+        assert_eq!(replica.applied_seq(), SeqNo::ZERO);
     }
 
     #[test]

@@ -39,6 +39,18 @@
 //! pipeline, `w_1` is the applied watermark, `B` the boundary watermark, and
 //! the vector has one component equal to the exposed cut.
 //!
+//! ## One progress signal for all shards
+//!
+//! The cut is the minimum over the shards, so it can move on *any* shard's
+//! progress, and every shard's drain waits for it. All per-shard pipelines
+//! therefore share one [`ProgressSignal`]: whichever shard's worker finishes
+//! an item (or whichever scheduler notes a coverage-only sub-segment, which
+//! advances a quiet shard's watermark without any worker) wakes the expose
+//! stages, one of them advances the cut, and that publication wakes every
+//! shard's `finish` and every `wait_until_exposed` caller. A stage thread
+//! dying in one shard fails the waits of all of them — the global cut can no
+//! longer reach the end of the log.
+//!
 //! ## Hot-path disciplines
 //!
 //! The per-shard apply path follows the batched hand-off rules of
@@ -49,7 +61,7 @@
 //! record. Deferred publication is trivially safe here because nothing in a
 //! shard's pipeline waits on the shard watermark; only the cut coordinator
 //! reads it, and a coordinator that observes the watermark one sub-segment
-//! late merely takes its next cut one tick later. Segment *routing* (the
+//! late merely takes its next cut one notification later. Segment *routing* (the
 //! other per-record cost on this path) reuses scratch buffers threaded
 //! through the persistent [`TxnShardTracker`]; see [`c5_log::ship`].
 
@@ -66,8 +78,8 @@ use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 
 use crate::lag::LagTracker;
 use crate::pipeline::{
-    GcDriver, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan,
-    RowWaitList, WorkSink,
+    GcDriver, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, ProgressSignal,
+    QueuePlan, RowWaitList, WorkSink,
 };
 use crate::replica::{ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics};
 use crate::scheduler::SchedulerState;
@@ -322,16 +334,13 @@ impl CutCoordinator {
         // unit: readers must never combine components from two different
         // cut generations. (The boundary lock, held for the whole advance,
         // serializes concurrent cuts.) The per-shard `exposed` atomics are
-        // raised too — they are monotone per-shard progress probes for the
-        // drain protocol, not a consistent snapshot.
-        let mut vector_min = u64::MAX;
+        // raised too — they keep each component monotone across cuts (the
+        // vector is rebuilt from them), and are not a consistent snapshot.
         let mut vector = Vec::with_capacity(self.shards.len());
         for progress in &self.shards {
             let component = progress.frontier(cut).max(cut);
             progress.expose_and_prune(component, cut);
-            let component = progress.exposed().as_u64();
-            vector_min = vector_min.min(component);
-            vector.push(component);
+            vector.push(progress.exposed().as_u64());
         }
         {
             let mut exposed = self.exposed_state.lock();
@@ -340,9 +349,16 @@ impl CutCoordinator {
             }
         }
         self.cut.fetch_max(cut, Ordering::AcqRel);
-        self.gc.run(SeqNo(vector_min));
         self.cuts_taken.fetch_add(1, Ordering::Relaxed);
         SeqNo(cut)
+    }
+
+    /// Drives the version-GC horizon towards the published vector's minimum.
+    /// Called by the shards' expose stages after a cut is published (a
+    /// caller that finds a collection in progress skips).
+    fn collect_garbage(&self) {
+        let vector_min = self.exposed_state.lock().vector.iter().copied().min();
+        self.gc.run(SeqNo(vector_min.unwrap_or(0)));
     }
 
     /// The global cut `B`: the largest transaction boundary every shard has
@@ -440,6 +456,8 @@ struct ShardPolicy {
     store: Arc<MvStore>,
     coordinator: Arc<CutCoordinator>,
     progress: Arc<ShardProgress>,
+    /// The progress signal shared by every shard's pipeline.
+    signal: Arc<ProgressSignal>,
     /// Per-shard `prev_seq` stamping state. Rows never change shards, so a
     /// row's whole chain is stamped by one scheduler — the stamps equal what
     /// a single global scheduler would produce.
@@ -491,15 +509,20 @@ impl PipelinePolicy for ShardPolicy {
         // install a record the progress tracker has not yet expected; then
         // register owned transaction boundaries with the coordinator.
         self.progress.note_segment(&segment);
+        self.coordinator.gc.note_segment(&segment);
         for record in &segment.records {
             if record.is_txn_last() {
                 self.coordinator
                     .note_boundary(record.seq, record.commit_wall_nanos, self.shard);
             }
         }
-        // Empty sub-segments exist only to carry coverage; workers never see
-        // them.
-        if !segment.is_empty() {
+        if segment.is_empty() {
+            // Empty sub-segments exist only to carry coverage; workers never
+            // see them. The coverage alone just advanced this shard's
+            // watermark — possibly the one holding the global cut back — and
+            // no worker will announce that.
+            self.signal.notify();
+        } else {
             sink.send(segment);
         }
     }
@@ -524,6 +547,10 @@ impl PipelinePolicy for ShardPolicy {
         self.coordinator.advance();
     }
 
+    fn collect_garbage(&self) {
+        self.coordinator.collect_garbage();
+    }
+
     fn interrupt(&self) {
         self.waits.wake_all();
     }
@@ -533,14 +560,18 @@ impl PipelinePolicy for ShardPolicy {
     }
 
     fn exposure_target(&self) -> SeqNo {
-        // Once the log ends, every shard must expose through the final
-        // global boundary; each component is at least the global cut, which
-        // converges there once every shard drains.
+        // Once the log ends, the global cut must reach the final global
+        // boundary, which it does once every shard drains.
         self.coordinator.final_boundary()
     }
 
     fn exposed_seq(&self) -> SeqNo {
-        self.progress.exposed()
+        // The global cut, not this shard's vector component: it is what
+        // readers observe and what `wait_until_exposed` callers wait for, so
+        // it is what this shard's expose stage must announce when it moves —
+        // a component can stand still (a far frontier) while the cut
+        // advances beneath it.
+        self.coordinator.cut()
     }
 
     fn shipped_seq(&self) -> SeqNo {
@@ -597,6 +628,8 @@ pub struct ShardedC5Replica {
     router: ShardRouter,
     store: Arc<MvStore>,
     coordinator: Arc<CutCoordinator>,
+    /// The one progress signal every shard's pipeline runs on.
+    signal: Arc<ProgressSignal>,
     runtimes: Vec<PipelineRuntime<ShardPolicy>>,
     routed_txns: AtomicU64,
     cross_shard_txns: AtomicU64,
@@ -621,6 +654,7 @@ impl ShardedC5Replica {
             router,
             config.gc_trail,
         ));
+        let signal = Arc::new(ProgressSignal::new());
         let runtimes = (0..router.shards())
             .map(|shard| {
                 let policy = Arc::new(ShardPolicy {
@@ -628,6 +662,7 @@ impl ShardedC5Replica {
                     store: Arc::clone(&store),
                     coordinator: Arc::clone(&coordinator),
                     progress: Arc::clone(coordinator.progress(shard)),
+                    signal: Arc::clone(&signal),
                     sched: Mutex::new(SchedulerState::new()),
                     waits: RowWaitList::default(),
                     op_cost: config.op_cost,
@@ -636,15 +671,17 @@ impl ShardedC5Replica {
                     applied_txns: AtomicU64::new(0),
                     deferred_writes: AtomicU64::new(0),
                 });
-                PipelineRuntime::start(
+                PipelineRuntime::start_sharing(
                     policy,
                     PipelineOptions {
                         workers: config.workers,
                         queue: QueuePlan::PerWorker { capacity: 256 },
                         ingest_capacity: config.segment_channel_capacity,
-                        expose_interval: config.snapshot_interval,
+                        // The vector is timestamps: a cut gates nobody.
+                        expose_interval: std::time::Duration::ZERO,
                         label: "c5-sharded",
                     },
+                    Arc::clone(&signal),
                 )
             })
             .collect();
@@ -653,6 +690,7 @@ impl ShardedC5Replica {
             router,
             store,
             coordinator,
+            signal,
             runtimes,
             routed_txns: AtomicU64::new(0),
             cross_shard_txns: AtomicU64::new(0),
@@ -794,6 +832,13 @@ impl ClonedConcurrencyControl for ShardedC5Replica {
 
     fn lag(&self) -> Arc<LagTracker> {
         Arc::clone(self.coordinator.lag())
+    }
+
+    fn wait_until_exposed(&self, seq: SeqNo, timeout: std::time::Duration) -> bool {
+        self.signal
+            .wait_until(Some(std::time::Instant::now() + timeout), || {
+                self.exposed_seq() >= seq
+            })
     }
 
     fn metrics(&self) -> ReplicaMetrics {
@@ -1020,6 +1065,48 @@ mod tests {
         replica.finish();
         replica.finish();
         drop(replica);
+    }
+
+    /// Mid-stream, with no `finish()` to force a cut and an hour-long
+    /// interval: the cut follows the applied prefix on the shared progress
+    /// signal alone — including past sub-segments that carry only coverage,
+    /// which no worker ever announces — and the caller blocks on that signal.
+    #[test]
+    fn spanning_cut_is_event_driven_across_busy_and_quiet_shards() {
+        let hour = Duration::from_secs(3600);
+        let population = vec![(row(0), Value::from_u64(0))];
+        let replica = ShardedC5Replica::new(
+            preloaded(&population),
+            config(4, 1).with_snapshot_interval(hour),
+        );
+        // Every write lands in shard 0's range.
+        let entries: Vec<TxnEntry> = (1..=40u64)
+            .map(|t| {
+                TxnEntry::new(
+                    TxnId(t),
+                    Timestamp(t),
+                    vec![RowWrite::update(row(t % 16), Value::from_u64(t))],
+                )
+            })
+            .collect();
+        let segments = segments_from_entries(&entries, 8);
+        let last = segments.last().unwrap().last_seq().unwrap();
+
+        let waiter = {
+            let replica = Arc::clone(&replica);
+            std::thread::spawn(move || replica.wait_until_exposed(last, hour))
+        };
+        // Four idle expose stages plus the waiter.
+        while replica.signal.parked() < 5 {
+            std::thread::yield_now();
+        }
+        for segment in segments {
+            replica.apply_segment(segment);
+        }
+        assert!(waiter.join().unwrap());
+        assert_eq!(replica.exposed_seq(), last);
+        replica.finish();
+        assert_eq!(replica.lag().len(), 40);
     }
 
     #[test]

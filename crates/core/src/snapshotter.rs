@@ -183,10 +183,17 @@ impl SnapshotCursor {
     /// `choose_n` is called while the gate is held exclusively (no install is
     /// in flight) and must return a transaction-aligned position at or beyond
     /// every write dispatched so far; `wait_applied` must block until every
-    /// write up to the returned position has been installed.
+    /// write up to the returned position has been installed and return
+    /// `true`, or return `false` if that will not happen (shutdown, a dead
+    /// worker) — the cut is then abandoned: the gate reopens and the exposed
+    /// cut stays where it was, never on a prefix with holes in it.
     ///
-    /// Returns the new exposed cut.
-    pub fn cut(&self, choose_n: impl FnOnce() -> SeqNo, wait_applied: impl FnOnce(SeqNo)) -> SeqNo {
+    /// Returns the exposed cut (the new one, or the old one if abandoned).
+    pub fn cut(
+        &self,
+        choose_n: impl FnOnce() -> SeqNo,
+        wait_applied: impl FnOnce(SeqNo) -> bool,
+    ) -> SeqNo {
         match self {
             SnapshotCursor::Timestamped { .. } => {
                 panic!("timestamped cursors advance through advance()")
@@ -208,15 +215,16 @@ impl SnapshotCursor {
                 };
                 // 2. Wait for the prefix up to n to be fully applied. Writes
                 //    with positions <= n keep flowing; writes beyond n wait.
-                wait_applied(n);
-                // 3. Take the snapshot of the current state; by construction
-                //    it contains exactly the writes up to n.
-                let snapshot = DbSnapshot::of_current(store);
-                *current.write() = snapshot;
-                exposed.store(n.as_u64(), Ordering::Release);
+                if wait_applied(n) {
+                    // 3. Take the snapshot of the current state; by
+                    //    construction it contains exactly the writes up to n.
+                    let snapshot = DbSnapshot::of_current(store);
+                    *current.write() = snapshot;
+                    exposed.store(n.as_u64(), Ordering::Release);
+                }
                 // 4. Reopen the gate so blocked workers proceed.
                 *gate.write() = u64::MAX;
-                n
+                SeqNo(exposed.load(Ordering::Acquire))
             }
         }
     }
@@ -395,7 +403,7 @@ mod tests {
         for seq in 1..=3u64 {
             cursor.install_gated(SeqNo(seq), || install(&store, seq, seq, seq * 10));
         }
-        let n = cursor.cut(|| SeqNo(3), |_n| { /* already applied */ });
+        let n = cursor.cut(|| SeqNo(3), |_n| true /* already applied */);
         assert_eq!(n, SeqNo(3));
         assert_eq!(cursor.exposed(), SeqNo(3));
 
@@ -405,8 +413,25 @@ mod tests {
         // Writes installed after the cut are invisible until the next cut.
         cursor.install_gated(SeqNo(4), || install(&store, 4, 4, 40));
         assert_eq!(cursor.read_view().get(row(4)), None);
-        cursor.cut(|| SeqNo(4), |_n| {});
+        cursor.cut(|| SeqNo(4), |_n| true);
         assert_eq!(cursor.read_view().get(row(4)).unwrap().as_u64(), Some(40));
+    }
+
+    #[test]
+    fn an_abandoned_cut_exposes_nothing_and_reopens_the_gate() {
+        let store = Arc::new(MvStore::default());
+        let cursor = SnapshotCursor::whole_database(Arc::clone(&store));
+        cursor.install_gated(SeqNo(1), || install(&store, 1, 1, 10));
+        cursor.cut(|| SeqNo(1), |_n| true);
+
+        // Position 2 is missing when the cut at 3 gives up waiting for it.
+        cursor.install_gated(SeqNo(3), || install(&store, 3, 3, 30));
+        let n = cursor.cut(|| SeqNo(3), |_n| false);
+        assert_eq!(n, SeqNo(1), "the cut must stay on the last whole prefix");
+        assert_eq!(cursor.exposed(), SeqNo(1));
+        assert_eq!(cursor.read_view().get(row(3)), None);
+        // The gate is open again: a write past the abandoned cut installs.
+        cursor.install_gated(SeqNo(4), || install(&store, 4, 4, 40));
     }
 
     #[test]
@@ -421,7 +446,10 @@ mod tests {
         let cut_handle = std::thread::spawn(move || {
             cursor2.cut(
                 || SeqNo(1),
-                |_n| std::thread::sleep(std::time::Duration::from_millis(80)),
+                |_n| {
+                    std::thread::sleep(std::time::Duration::from_millis(80));
+                    true
+                },
             )
         });
         // Give the cut a moment to close the gate.

@@ -45,6 +45,6 @@ pub mod snapshot;
 
 pub use checkpoint::{Checkpoint, CheckpointInstaller, CheckpointWriter};
 pub use logical::{LogicalSnapshot, SnapshotStore};
-pub use mvstore::{MvStore, MvStoreConfig, MvStoreStats, VersionExport};
+pub use mvstore::{MvStore, MvStoreConfig, MvStoreStats, RowGc, VersionExport};
 pub use reference::ReferenceStore;
 pub use snapshot::DbSnapshot;
