@@ -13,14 +13,13 @@
 
 use std::sync::Arc;
 
-use c5_common::{ReplicaConfig, RowRef};
+use c5_common::{ReplicaConfig, RowRef, SeqNo};
+use c5_core::exposure::{Exposure, PrefixExposure};
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
 use c5_log::{LogRecord, Segment};
 use c5_storage::MvStore;
-
-use crate::framework::BaselineShared;
 
 /// The conflict granularity of a [`CoarseGrainReplica`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +60,11 @@ impl Granularity {
     }
 }
 
-/// The coarse-grain ordering policy: route every write to the lane owning its
+/// The coarse-grain ordering: route every write to the lane owning its
 /// conflict group.
 struct CoarsePolicy {
     granularity: Granularity,
-    shared: Arc<BaselineShared>,
+    exposure: PrefixExposure,
 }
 
 impl PipelinePolicy for CoarsePolicy {
@@ -76,7 +75,7 @@ impl PipelinePolicy for CoarsePolicy {
     }
 
     fn schedule(&self, segment: Segment, sink: &mut WorkSink<LogRecord>) {
-        self.shared.note_segment(&segment);
+        self.exposure.note_segment(&segment);
         let lanes = sink.lanes() as u128;
         for record in segment.records {
             let group = self.granularity.conflict_group(record.write.row);
@@ -89,25 +88,25 @@ impl PipelinePolicy for CoarsePolicy {
         }
     }
 
-    fn apply(&self, _worker: usize, record: LogRecord, _signals: &PipelineSignals) {
-        let is_boundary = record.is_txn_last();
-        self.shared.install_record(&record);
+    fn apply(&self, _worker: usize, record: LogRecord, signals: &PipelineSignals) {
+        self.exposure.install(&record);
         // Expose at transaction boundaries so lag is sampled the moment a
         // transaction applies, without waiting for the expose stage to be
-        // scheduled (it still cuts once per item, and runs GC;
-        // expose_progress is safe to call concurrently).
-        if is_boundary {
-            self.shared.expose_progress();
+        // scheduled (it still cuts once per item, and runs GC; `expose` is
+        // safe to call concurrently).
+        if record.is_txn_last() {
+            self.exposure.expose(signals);
         }
     }
 
-    crate::framework::baseline_policy_probes!();
+    fn exposure(&self) -> &impl Exposure {
+        &self.exposure
+    }
 }
 
 /// A replica that serializes writes within each conflict group and
 /// parallelizes across groups.
 pub struct CoarseGrainReplica {
-    granularity: Granularity,
     runtime: PipelineRuntime<CoarsePolicy>,
 }
 
@@ -115,31 +114,23 @@ impl CoarseGrainReplica {
     /// Creates and starts a coarse-grain replica with `config.workers`
     /// workers.
     pub fn new(granularity: Granularity, store: Arc<MvStore>, config: ReplicaConfig) -> Arc<Self> {
-        config
-            .validate()
-            .expect("replica configuration must be valid");
-        let shared = BaselineShared::new(store, &config);
         let policy = Arc::new(CoarsePolicy {
             granularity,
-            shared,
+            exposure: PrefixExposure::timestamped(store, &config, SeqNo::ZERO),
         });
         let options = PipelineOptions {
             workers: config.workers,
             queue: QueuePlan::PerWorker { capacity: 4096 },
             ingest_capacity: config.segment_channel_capacity,
-            // Timestamped cursor: a cut gates nobody, so no spacing.
-            expose_interval: std::time::Duration::ZERO,
-            label: granularity.name(),
         };
         Arc::new(Self {
-            granularity,
             runtime: PipelineRuntime::start(policy, options),
         })
     }
 
     /// The replica's granularity.
     pub fn granularity(&self) -> Granularity {
-        self.granularity
+        self.runtime.policy().granularity
     }
 }
 

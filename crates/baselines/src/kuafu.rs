@@ -26,14 +26,13 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use c5_common::{ReplicaConfig, RowRef};
+use c5_common::{ReplicaConfig, RowRef, SeqNo};
+use c5_core::exposure::{Exposure, PrefixExposure};
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
 use c5_log::{LogRecord, Segment};
 use c5_storage::MvStore;
-
-use crate::framework::BaselineShared;
 
 /// KuaFu-specific configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -97,10 +96,10 @@ struct DispatchState {
     pending_txn: Vec<LogRecord>,
 }
 
-/// KuaFu's ordering policy on the shared pipeline runtime.
+/// KuaFu's ordering on the shared pipeline runtime.
 struct KuaFuPolicy {
     config: KuaFuConfig,
-    shared: Arc<BaselineShared>,
+    exposure: PrefixExposure,
     board: CompletionBoard,
     /// Only the schedule stage locks this.
     dispatch: Mutex<DispatchState>,
@@ -118,7 +117,7 @@ impl PipelinePolicy for KuaFuPolicy {
     }
 
     fn schedule(&self, segment: Segment, sink: &mut WorkSink<TxnWork>) {
-        self.shared.note_segment(&segment);
+        self.exposure.note_segment(&segment);
         // Group records into whole transactions and compute, per transaction,
         // the set of earlier transactions it conflicts with.
         let mut dispatch = self.dispatch.lock();
@@ -159,25 +158,26 @@ impl PipelinePolicy for KuaFuPolicy {
             return;
         }
         for record in &work.records {
-            self.shared.install_record(record);
+            self.exposure.install(record);
         }
         self.board.mark_done(work.index);
         // Expose after every transaction so lag is sampled the moment it
         // applies, without waiting for the expose stage to be scheduled
         // (which still cuts once per item, and runs GC).
-        self.shared.expose_progress();
+        self.exposure.expose(signals);
     }
 
     fn interrupt(&self) {
         self.board.wake_all();
     }
 
-    crate::framework::baseline_policy_probes!();
+    fn exposure(&self) -> &impl Exposure {
+        &self.exposure
+    }
 }
 
 /// The KuaFu replica.
 pub struct KuaFuReplica {
-    config: KuaFuConfig,
     runtime: PipelineRuntime<KuaFuPolicy>,
 }
 
@@ -189,13 +189,9 @@ impl KuaFuReplica {
         replica_config: ReplicaConfig,
         config: KuaFuConfig,
     ) -> Arc<Self> {
-        replica_config
-            .validate()
-            .expect("replica configuration must be valid");
-        let shared = BaselineShared::new(store, &replica_config);
         let policy = Arc::new(KuaFuPolicy {
             config,
-            shared,
+            exposure: PrefixExposure::timestamped(store, &replica_config, SeqNo::ZERO),
             board: CompletionBoard::default(),
             dispatch: Mutex::new(DispatchState::default()),
         });
@@ -203,19 +199,15 @@ impl KuaFuReplica {
             workers: replica_config.workers,
             queue: QueuePlan::Shared { capacity: 4096 },
             ingest_capacity: replica_config.segment_channel_capacity,
-            // Timestamped cursor: a cut gates nobody, so no spacing.
-            expose_interval: std::time::Duration::ZERO,
-            label: "kuafu",
         };
         Arc::new(Self {
-            config,
             runtime: PipelineRuntime::start(policy, options),
         })
     }
 
     /// The KuaFu-specific configuration.
     pub fn kuafu_config(&self) -> KuaFuConfig {
-        self.config
+        self.runtime.policy().config
     }
 }
 
@@ -308,6 +300,27 @@ mod tests {
         drive_segments(replica.as_ref(), conflicting_log(50, 2));
         assert_eq!(replica.metrics().applied_txns, 50);
         assert_eq!(replica.name(), "kuafu-unconstrained");
+    }
+
+    /// Stage metrics land in the sink the configuration names, not in the
+    /// process-wide default.
+    #[test]
+    fn stage_metrics_go_to_the_configured_sink() {
+        let (used, untouched) = (c5_obs::Obs::new(), c5_obs::Obs::new());
+        let replica = KuaFuReplica::new(
+            Arc::new(MvStore::default()),
+            ReplicaConfig::default()
+                .with_workers(2)
+                .with_obs(Arc::clone(&used)),
+            KuaFuConfig::default(),
+        );
+        drive_segments(replica.as_ref(), conflicting_log(20, 1));
+        let applied = |obs: &c5_obs::Obs| {
+            let snapshot = obs.metrics.snapshot();
+            snapshot.counter("stage_items_total{stage=\"apply\"}")
+        };
+        assert_eq!(applied(&used), Some(20), "one apply item per transaction");
+        assert_eq!(applied(&untouched), None);
     }
 
     #[test]

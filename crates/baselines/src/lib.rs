@@ -19,17 +19,17 @@
 //!   with a coarser conflict key, which is exactly how this crate implements
 //!   them.
 //!
-//! Every baseline implements the same
-//! [`c5_core::ClonedConcurrencyControl`] trait as C5, exposes a
-//! transaction-aligned prefix of the log to read-only transactions, and
-//! records replication-lag samples identically, so the experiment harness
-//! treats all protocols uniformly.
+//! A baseline is only its *ordering* — a
+//! [`c5_core::pipeline::PipelinePolicy`]: how segments become work items and
+//! when a worker may install one. Everything behind it is `c5-core`'s: every
+//! baseline applies into and exposes from the same
+//! [`c5_core::exposure::PrefixExposure`] C5 uses, on the same runtime, so the
+//! experiment harness measures all protocols through the same code.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod coarse;
-pub mod framework;
 pub mod kuafu;
 pub mod single;
 

@@ -5,24 +5,22 @@
 //! monotonic prefix consistency and is trivially unable to keep up with any
 //! primary that executes writes in parallel — the protocol whose daily
 //! two-hour lag at Meta motivates the paper. On the shared pipeline runtime
-//! this is simply the degenerate policy: one worker, one shared queue, whole
-//! segments applied in order.
+//! this is simply the degenerate ordering: one worker, one shared queue,
+//! whole segments applied in order.
 
 use std::sync::Arc;
 
-use c5_common::{OpCost, ReplicaConfig};
+use c5_common::{OpCost, ReplicaConfig, SeqNo};
+use c5_core::exposure::{Exposure, PrefixExposure};
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
 use c5_log::Segment;
 use c5_storage::MvStore;
 
-use crate::framework::BaselineShared;
-
-/// The single-threaded ordering policy: whole segments, one worker, log
-/// order.
+/// The single-threaded ordering: whole segments, one worker, log order.
 struct SinglePolicy {
-    shared: Arc<BaselineShared>,
+    exposure: PrefixExposure,
 }
 
 impl PipelinePolicy for SinglePolicy {
@@ -33,23 +31,25 @@ impl PipelinePolicy for SinglePolicy {
     }
 
     fn schedule(&self, segment: Segment, sink: &mut WorkSink<Segment>) {
-        self.shared.note_segment(&segment);
+        self.exposure.note_segment(&segment);
         sink.send(segment);
     }
 
-    fn apply(&self, _worker: usize, segment: Segment, _signals: &PipelineSignals) {
+    fn apply(&self, _worker: usize, segment: Segment, signals: &PipelineSignals) {
         for record in &segment.records {
-            self.shared.install_record(record);
+            self.exposure.install(record);
             // Expose at every transaction boundary, so lag is sampled the
             // moment a transaction applies rather than when the segment
             // ends (the expose stage cuts once more per item, and runs GC).
             if record.is_txn_last() {
-                self.shared.expose_progress();
+                self.exposure.expose(signals);
             }
         }
     }
 
-    crate::framework::baseline_policy_probes!();
+    fn exposure(&self) -> &impl Exposure {
+        &self.exposure
+    }
 }
 
 /// The single-threaded replica.
@@ -62,15 +62,13 @@ impl SingleThreadedReplica {
     /// the configuration is ignored (there is exactly one worker by
     /// definition).
     pub fn new(store: Arc<MvStore>, config: ReplicaConfig) -> Arc<Self> {
-        let shared = BaselineShared::new(store, &config);
-        let policy = Arc::new(SinglePolicy { shared });
+        let policy = Arc::new(SinglePolicy {
+            exposure: PrefixExposure::timestamped(store, &config, SeqNo::ZERO),
+        });
         let options = PipelineOptions {
             workers: 1,
             queue: QueuePlan::Shared { capacity: 1024 },
             ingest_capacity: config.segment_channel_capacity,
-            // Timestamped cursor: a cut gates nobody, so no spacing.
-            expose_interval: std::time::Duration::ZERO,
-            label: "single-threaded",
         };
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),

@@ -6,9 +6,7 @@ use std::time::{Duration, Instant};
 use c5_baselines::{
     CoarseGrainReplica, Granularity, KuaFuConfig, KuaFuReplica, SingleThreadedReplica,
 };
-use c5_common::{
-    OpCost, PrimaryConfig, ReplicaConfig, RowRef, SeqNo, SnapshotMode, Timestamp, Value, WriteKind,
-};
+use c5_common::{OpCost, PrimaryConfig, ReplicaConfig, RowRef, SeqNo, Timestamp, Value, WriteKind};
 use c5_core::fleet::{
     FleetController, FleetRoutingSink, JoinReport, ReplicaLifecycle, RetireReport,
 };
@@ -74,16 +72,8 @@ impl ReplicaSpec {
         config: ReplicaConfig,
     ) -> Arc<dyn ClonedConcurrencyControl> {
         match self {
-            ReplicaSpec::C5Faithful => C5Replica::new(
-                C5Mode::Faithful,
-                store,
-                config.with_snapshot_mode(SnapshotMode::Timestamped),
-            ),
-            ReplicaSpec::C5MyRocks => C5Replica::new(
-                C5Mode::OneWorkerPerTxn,
-                store,
-                config.with_snapshot_mode(SnapshotMode::WholeDatabase),
-            ),
+            ReplicaSpec::C5Faithful => C5Replica::new(C5Mode::Faithful, store, config),
+            ReplicaSpec::C5MyRocks => C5Replica::new(C5Mode::OneWorkerPerTxn, store, config),
             ReplicaSpec::KuaFu { ignore_constraints } => KuaFuReplica::new(
                 store,
                 config,

@@ -22,23 +22,6 @@ pub enum IsolationLevel {
     Serializable,
 }
 
-/// How the backup's storage exposes snapshots to the snapshotter.
-///
-/// This models the difference between Section 4.2 / 7.2 (workers can write at
-/// explicit timestamps, so the three logical snapshots live inside the
-/// multi-version store) and Section 5.2 (MyRocks/RocksDB can only snapshot
-/// "the current state of the whole database", forcing the snapshotter to
-/// briefly block workers at every cut).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Timestamped snapshots: the faithful design (C5-Cicada).
-    Timestamped,
-    /// Whole-database snapshots taken at a prefix-consistent cut
-    /// (C5-MyRocks). Workers are blocked from committing writes past `n`
-    /// while the cut is taken.
-    WholeDatabase,
-}
-
 /// Configuration for a primary engine.
 #[derive(Debug, Clone)]
 pub struct PrimaryConfig {
@@ -80,9 +63,9 @@ impl PrimaryConfig {
 /// When a durable log or checkpoint writer calls `fsync`.
 ///
 /// The paper's protocols are described over an always-durable log; the
-/// reproduction makes the cost knob explicit. The policy only matters to
-/// components that actually write to disk (a disk-backed `LogArchive`, a
-/// checkpoint file writer); the default in-memory pipeline ignores it.
+/// reproduction makes the cost knob explicit. The components that actually
+/// write to disk (a disk-backed `LogArchive`, replica recovery) take the
+/// policy as an argument; the in-memory pipeline has no use for it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DurabilityPolicy {
     /// `fsync` after every segment (and every checkpoint file). A `kill -9`
@@ -99,16 +82,6 @@ pub enum DurabilityPolicy {
 }
 
 impl DurabilityPolicy {
-    /// Validates the policy.
-    pub fn validate(&self) -> Result<()> {
-        if matches!(self, DurabilityPolicy::EveryNSegments(0)) {
-            return Err(Error::InvalidConfig(
-                "fsync-every-n-segments needs n >= 1 (use Never to disable syncing)".into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// Whether the `count`-th segment written since the last sync (1-based)
     /// should trigger an `fsync`.
     pub fn should_sync(&self, count: u32) -> bool {
@@ -129,8 +102,6 @@ pub struct ReplicaConfig {
     pub workers: usize,
     /// Per-operation cost model (`d` is the backup-side cost).
     pub op_cost: OpCost,
-    /// How the storage engine exposes snapshots (see [`SnapshotMode`]).
-    pub snapshot_mode: SnapshotMode,
     /// Minimum spacing between *whole-database* snapshot cuts, the `I` knob
     /// of Section 5.2: such a cut closes a gate on the workers, so
     /// consecutive cuts are held at least this far apart. It is a spacing,
@@ -168,10 +139,6 @@ pub struct ReplicaConfig {
     /// which worker applies which transaction. `1` restores the original
     /// one-item-per-transaction dispatch.
     pub dispatch_batch_records: usize,
-    /// When the durable layers `fsync` (see [`DurabilityPolicy`]). Ignored
-    /// by the default in-memory pipeline; honored by a disk-backed
-    /// `LogArchive` and the checkpoint file writer.
-    pub durability: DurabilityPolicy,
     /// The observability sink the replica's pipeline records stage metrics
     /// and trace events into. Defaults to the process-wide
     /// [`Obs::global`] sink; experiments attach a fresh one per run so
@@ -184,14 +151,12 @@ impl Default for ReplicaConfig {
         Self {
             workers: 4,
             op_cost: OpCost::free(),
-            snapshot_mode: SnapshotMode::Timestamped,
             snapshot_interval: Duration::from_millis(10),
             segment_channel_capacity: 1024,
             gc_trail: 4096,
             shards: 1,
             shard_key_space: 1 << 20,
             dispatch_batch_records: 64,
-            durability: DurabilityPolicy::default(),
             obs: Arc::clone(Obs::global()),
         }
     }
@@ -233,7 +198,6 @@ impl ReplicaConfig {
                 self.shard_key_space, self.shards
             )));
         }
-        self.durability.validate()?;
         Ok(())
     }
 
@@ -249,12 +213,6 @@ impl ReplicaConfig {
     /// Builder-style setter for the number of workers.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Builder-style setter for the snapshot mode.
-    pub fn with_snapshot_mode(mut self, mode: SnapshotMode) -> Self {
-        self.snapshot_mode = mode;
         self
     }
 
@@ -293,12 +251,6 @@ impl ReplicaConfig {
     /// item in one-worker-per-transaction mode).
     pub fn with_dispatch_batch(mut self, records: usize) -> Self {
         self.dispatch_batch_records = records;
-        self
-    }
-
-    /// Builder-style setter for the durable-layer fsync policy.
-    pub fn with_durability(mut self, policy: DurabilityPolicy) -> Self {
-        self.durability = policy;
         self
     }
 
@@ -586,38 +538,23 @@ mod tests {
     }
 
     #[test]
-    fn durability_policy_validates_and_schedules_syncs() {
-        assert!(DurabilityPolicy::EverySegment.validate().is_ok());
-        assert!(DurabilityPolicy::Never.validate().is_ok());
-        assert!(DurabilityPolicy::EveryNSegments(3).validate().is_ok());
-        assert!(DurabilityPolicy::EveryNSegments(0).validate().is_err());
-        assert!(ReplicaConfig::default()
-            .with_durability(DurabilityPolicy::EveryNSegments(0))
-            .validate()
-            .is_err());
-
+    fn durability_policy_schedules_syncs() {
         assert!(DurabilityPolicy::EverySegment.should_sync(1));
         assert!(!DurabilityPolicy::Never.should_sync(1_000));
         let every3 = DurabilityPolicy::EveryNSegments(3);
         assert!(!every3.should_sync(1));
         assert!(!every3.should_sync(2));
         assert!(every3.should_sync(3));
-
-        let cfg = ReplicaConfig::default().with_durability(DurabilityPolicy::Never);
-        assert_eq!(cfg.durability, DurabilityPolicy::Never);
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn builders_set_fields() {
         let cfg = ReplicaConfig::default()
             .with_workers(8)
-            .with_snapshot_mode(SnapshotMode::WholeDatabase)
             .with_snapshot_interval(Duration::from_millis(5))
             .with_op_cost(OpCost::symmetric(10))
             .with_gc_trail(128);
         assert_eq!(cfg.workers, 8);
-        assert_eq!(cfg.snapshot_mode, SnapshotMode::WholeDatabase);
         assert_eq!(cfg.snapshot_interval, Duration::from_millis(5));
         assert_eq!(cfg.op_cost, OpCost::symmetric(10));
         assert_eq!(cfg.gc_trail, 128);

@@ -41,7 +41,6 @@ pub mod value;
 
 pub use config::{
     BenchConfig, DurabilityPolicy, IsolationLevel, PrimaryConfig, ReadConfig, ReplicaConfig,
-    SnapshotMode,
 };
 pub use cost::OpCost;
 pub use error::{Error, Result};

@@ -28,7 +28,8 @@
 //! The crate also hosts everything the baseline protocols share with C5 so
 //! that every replica in the workspace is measured identically: the
 //! [`replica::ClonedConcurrencyControl`] trait, the shared replication
-//! [`pipeline`] runtime every protocol (C5 and baseline alike) runs on, the
+//! [`pipeline`] runtime every protocol (C5 and baseline alike) runs its
+//! ordering on, the one prefix [`exposure`] they all expose through, the
 //! applied/exposed progress tracker ([`progress`]), replication-lag metrics
 //! ([`lag`]), and the monotonic-prefix-consistency checker ([`mpc`]).
 
@@ -36,6 +37,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod design_queues;
+pub mod exposure;
 pub mod fleet;
 pub mod lag;
 pub mod mpc;
@@ -47,6 +49,7 @@ pub mod scheduler;
 pub mod shard;
 pub mod snapshotter;
 
+pub use exposure::{Exposure, PrefixExposure};
 pub use fleet::{FleetController, FleetRoutingSink, JoinReport, ReplicaLifecycle, RetireReport};
 pub use lag::{LagSample, LagStats, LagTracker};
 pub use mpc::MpcChecker;

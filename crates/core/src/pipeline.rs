@@ -1,35 +1,41 @@
 //! The shared replication-pipeline runtime.
 //!
-//! Every backup protocol in this workspace — C5 in both modes and every
-//! baseline in `c5-baselines` — is the same machine with a different ordering
-//! policy: segments arrive from the log shipper (**ingest**), a single
-//! scheduler thread turns them into work items and routes them to queues
-//! (**schedule**), worker threads execute the items under the protocol's
-//! ordering constraints (**apply**), and one thread advances the
-//! transaction-aligned cut that read-only transactions may observe
-//! (**expose**). This module owns that machine once — the threads, the
-//! channels, the shutdown/drain protocol, the garbage-collection horizon —
-//! so each protocol only supplies a [`PipelinePolicy`]: what a work item is,
-//! how segments become items, and what "apply one item" means.
+//! Every backup protocol in this workspace — C5 in both modes, sharded C5,
+//! and every baseline in `c5-baselines` — is the same machine: segments
+//! arrive from the log shipper (**ingest**), a single scheduler thread turns
+//! them into work items and routes them to queues (**schedule**), worker
+//! threads execute the items under the protocol's ordering constraints
+//! (**apply**), and one thread advances the transaction-aligned cut that
+//! read-only transactions may observe (**expose**). This module owns that
+//! machine once — the threads, the channels, the shutdown/drain protocol —
+//! and splits what it runs along the paper's own line:
+//!
+//! * an **ordering**, the [`PipelinePolicy`]: what a work item is, how
+//!   segments become items, what "apply one item" means. That is all a
+//!   protocol is.
+//! * an **exposure**, the policy's [`Exposure`]: store, applied watermark,
+//!   cut and read views, lag samples, GC horizon, counters. The expose
+//!   stage, the drain protocol and the [`ClonedConcurrencyControl`] surface
+//!   talk to it directly. There are two ([`crate::exposure`]); no protocol
+//!   writes its own.
 //!
 //! ## Event-driven exposure
 //!
 //! Nothing in the runtime runs on a timer. Each pipeline has one
 //! [`ProgressSignal`]: a worker notifies it when it finishes an item (the
 //! item's watermark marks are flushed by then), the expose thread sleeps on
-//! it and calls [`PipelinePolicy::expose`] only when something moved, and
-//! the expose thread notifies it again when a cut is published. Every wait
-//! in the runtime blocks on that same signal — `finish`'s three drain waits,
-//! [`ClonedConcurrencyControl::wait_until_exposed`], and the waits a policy
-//! makes through [`PipelineSignals::wait_until`] — and shutdown, the switch
-//! to draining, and the death of a stage thread notify it too. An applied
-//! transaction therefore becomes visible one thread wake-up later, and an
-//! idle replica makes no wake-ups at all.
+//! it and calls [`Exposure::expose`] only when something moved, and the
+//! expose thread notifies it again when a cut is published. Every wait in
+//! the runtime blocks on that same signal — `finish`'s three drain waits,
+//! [`ClonedConcurrencyControl::wait_until_exposed`], and the waits an
+//! exposure makes through [`PipelineSignals::wait_until`] — and shutdown,
+//! the switch to draining, and the death of a stage thread notify it too. An
+//! applied transaction therefore becomes visible one thread wake-up later,
+//! and an idle replica makes no wake-ups at all.
 //!
-//! [`PipelineOptions::expose_interval`] is the *minimum spacing* between
-//! cuts, for cursors whose cut costs the workers something (the
-//! whole-database gate of Section 5.2). Timestamped cursors set it to zero
-//! and cut on every notification.
+//! [`Exposure::min_cut_spacing`] holds cuts apart where a cut costs the
+//! workers something (the whole-database gate of Section 5.2); every other
+//! exposure cuts on every notification.
 //!
 //! ## Batched hand-off
 //!
@@ -53,7 +59,8 @@
 //!   *order* inside a flush still matters; see
 //!   [`crate::progress::WatermarkTracker::mark_applied_batch`].
 //!
-//! Two pieces of shared policy infrastructure also live here:
+//! Two pieces of shared infrastructure also live here (beside the prefix
+//! exposure's [`BoundaryLedger`]):
 //!
 //! * [`RowWaitList`] — the event-driven realization of the per-row FIFO
 //!   queues specified in [`crate::design_queues`]. A write whose per-row
@@ -84,6 +91,7 @@ use c5_log::{LogRecord, Segment};
 use c5_obs::{Counter, Histogram, Obs, PipelineStage, TraceEvent};
 use c5_storage::MvStore;
 
+use crate::exposure::Exposure;
 use crate::lag::LagTracker;
 use crate::replica::{ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics};
 
@@ -257,8 +265,8 @@ impl PipelineSignals {
     }
 
     /// Whether the runtime has asked every stage to stop. Long waits inside
-    /// [`PipelinePolicy::apply`] and [`PipelinePolicy::expose`] must bail out
-    /// once this is set ([`wait_until`](Self::wait_until) does).
+    /// [`PipelinePolicy::apply`] and [`Exposure::expose`] must bail out once
+    /// this is set ([`wait_until`](Self::wait_until) does).
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
@@ -285,7 +293,7 @@ impl PipelineSignals {
     /// Blocks on the progress signal until `ready` holds. Returns whether it
     /// did; `false` means shutdown was requested or a stage thread died
     /// first, and the caller must abandon what it was waiting for. This is
-    /// how a policy waits for applied progress (the whole-database cut's
+    /// how an exposure waits for applied progress (the whole-database cut's
     /// drain): workers notify the signal after every item.
     pub fn wait_until(&self, mut ready: impl FnMut() -> bool) -> bool {
         let mut held = false;
@@ -334,16 +342,6 @@ pub struct PipelineOptions {
     /// Capacity (in segments) of the ingest channel; bounded so a hopelessly
     /// slow replica exerts backpressure on the shipper.
     pub ingest_capacity: usize,
-    /// Minimum spacing between expose-stage cuts. Cuts are event-driven —
-    /// the expose stage wakes when a worker finishes an item — and this only
-    /// holds them apart. Non-zero only where a cut costs the workers
-    /// something: the whole-database cursor closes a gate on them (the
-    /// paper's `I` knob, Section 5.2). Timestamped cursors pass
-    /// `Duration::ZERO` and cut on every notification. Ignored while
-    /// draining.
-    pub expose_interval: Duration,
-    /// Prefix for thread names (the protocol's report name works well).
-    pub label: &'static str,
 }
 
 /// The schedule stage's outlet: routes work items into the apply stage's
@@ -493,14 +491,12 @@ impl Drop for DeathWatch {
     }
 }
 
-/// A backup protocol's ordering policy, run by a [`PipelineRuntime`].
+/// A backup protocol's ordering, run by a [`PipelineRuntime`].
 ///
 /// The runtime calls [`schedule`](Self::schedule) on its single scheduler
-/// thread in log order, [`apply`](Self::apply) on worker threads, and
-/// [`expose`](Self::expose)/[`collect_garbage`](Self::collect_garbage) on
-/// its expose thread. All other methods are progress probes the runtime (and
-/// the shared [`ClonedConcurrencyControl`] implementation) read from any
-/// thread.
+/// thread in log order and [`apply`](Self::apply) on worker threads.
+/// Everything else the runtime needs — the cut, the probes, the store — it
+/// asks of the policy's [`exposure`](Self::exposure).
 pub trait PipelinePolicy: Send + Sync + 'static {
     /// The unit of work flowing from the schedule stage to the apply stage.
     type Item: Send + 'static;
@@ -516,53 +512,12 @@ pub trait PipelinePolicy: Send + Sync + 'static {
     /// Long waits must poll `signals` and abandon the item on shutdown.
     fn apply(&self, worker: usize, item: Self::Item, signals: &PipelineSignals);
 
-    /// Advances the exposed, transaction-aligned cut if progress allows.
-    /// Waits inside (the whole-database cut) must poll `signals`.
-    fn expose(&self, signals: &PipelineSignals);
-
-    /// Reclaims storage the exposed cut has moved past (usually by driving a
-    /// [`GcDriver`]). Called by the expose stage after every cut.
-    fn collect_garbage(&self) {}
-
     /// Wakes any worker blocked inside [`apply`](Self::apply); called once
     /// when shutdown is signalled.
     fn interrupt(&self) {}
 
-    /// Largest contiguous applied log position.
-    fn applied_seq(&self) -> SeqNo;
-
-    /// Largest position the expose stage is allowed to reach right now (the
-    /// boundary watermark). `finish` waits until the exposed cut gets here.
-    fn exposure_target(&self) -> SeqNo;
-
-    /// Largest position exposed to read-only transactions.
-    fn exposed_seq(&self) -> SeqNo;
-
-    /// Last log position handed to [`schedule`](Self::schedule) so far (the
-    /// end of the log once ingestion is done).
-    fn shipped_seq(&self) -> SeqNo;
-
-    /// A read view of the exposed state.
-    fn read_view(&self) -> Box<dyn ReadView>;
-
-    /// Replication-lag samples collected so far.
-    fn lag(&self) -> Arc<LagTracker>;
-
-    /// Progress counters.
-    fn metrics(&self) -> ReplicaMetrics;
-
-    /// The observability sink the runtime records per-stage dwell
-    /// histograms and trace events into. Policies constructed from a
-    /// `ReplicaConfig` should return the config's sink; the default is the
-    /// process-wide [`Obs::global`].
-    fn obs(&self) -> Arc<Obs> {
-        Arc::clone(Obs::global())
-    }
-
-    /// The backup's store. Promotion
-    /// ([`ClonedConcurrencyControl::promote`]) hands it to the new primary
-    /// once the pipeline is sealed; checkpoints export from it.
-    fn store(&self) -> &Arc<MvStore>;
+    /// What this ordering applies into and the runtime exposes from.
+    fn exposure(&self) -> &impl Exposure;
 }
 
 /// The shared four-stage runtime: threads, queues, and the drain/shutdown
@@ -580,7 +535,6 @@ pub struct PipelineRuntime<P: PipelinePolicy> {
     ingest_done: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     finished: AtomicBool,
-    obs: Arc<Obs>,
     dropped_segments: Arc<Counter>,
 }
 
@@ -601,6 +555,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         progress: Arc<ProgressSignal>,
     ) -> Self {
         assert!(options.workers > 0, "pipeline requires at least one worker");
+        let label = policy.name(); // names the threads
         let signals = Arc::new(PipelineSignals::new(progress));
         // Taken before any worker exists: whatever a worker notifies, even
         // before the expose thread first runs, is news to the expose stage.
@@ -609,7 +564,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         let (ingest_tx, ingest_rx) = bounded::<(Instant, Segment)>(options.ingest_capacity);
         let mut threads = Vec::with_capacity(options.workers + 2);
 
-        let obs = policy.obs();
+        let obs = Arc::clone(policy.exposure().obs());
         let apply_obs = Arc::new(StageObs::new(&obs, PipelineStage::Apply));
 
         // Apply stage.
@@ -622,7 +577,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                 let watch = DeathWatch::new(&signals, &obs);
                 threads.push(
                     std::thread::Builder::new()
-                        .name(format!("{}-worker-{worker}", options.label))
+                        .name(format!("{label}-worker-{worker}"))
                         .spawn(move || {
                             let _watch = watch;
                             while let Ok(item) = rx.recv() {
@@ -666,7 +621,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             let watch = DeathWatch::new(&signals, &obs);
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("{}-scheduler", options.label))
+                    .name(format!("{label}-scheduler"))
                     .spawn(move || {
                         let _watch = watch;
                         let mut sink = WorkSink::new(lane_txs);
@@ -694,12 +649,12 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         {
             let policy = Arc::clone(&policy);
             let signals = Arc::clone(&signals);
-            let min_spacing = options.expose_interval;
+            let min_spacing = policy.exposure().min_cut_spacing();
             let expose_obs = ExposeObs::new(&obs);
             let watch = DeathWatch::new(&signals, &obs);
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("{}-expose", options.label))
+                    .name(format!("{label}-expose"))
                     .spawn(move || {
                         let _watch = watch;
                         expose_loop(
@@ -722,7 +677,6 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             threads: Mutex::new(threads),
             finished: AtomicBool::new(false),
             dropped_segments: obs.metrics.counter("dropped_segments_total"),
-            obs,
         }
     }
 
@@ -735,6 +689,18 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
     /// the failed flag).
     pub fn signals(&self) -> &Arc<PipelineSignals> {
         &self.signals
+    }
+
+    /// Counts a segment fed to a finished replica (or one whose scheduler is
+    /// gone). `apply_segment` has no error to return, so the loss is made
+    /// visible in the sink instead.
+    pub(crate) fn note_dropped_segment(&self) {
+        self.dropped_segments.inc();
+        let obs = self.policy.exposure().obs();
+        obs.trace.record(TraceEvent::Span {
+            name: "dropped_segment",
+            elapsed_ns: 0,
+        });
     }
 
     fn stop_threads(&self) {
@@ -762,6 +728,7 @@ fn expose_loop<P: PipelinePolicy>(
     obs: ExposeObs,
 ) {
     let progress = &signals.progress;
+    let exposure = policy.exposure();
     let mut last_cut: Option<Instant> = None;
     loop {
         progress.wait_until(None, || {
@@ -780,14 +747,14 @@ fn expose_loop<P: PipelinePolicy>(
         let notified_at = progress.take_pending_since();
         // The expose stage's "queue" is the span of log positions whose
         // boundaries are applied but not yet visible to readers.
-        let before = policy.exposed_seq();
-        let pending = policy
+        let before = exposure.exposed_seq();
+        let pending = exposure
             .exposure_target()
             .as_u64()
             .saturating_sub(before.as_u64());
         let started = Instant::now();
-        policy.expose(&signals);
-        if policy.exposed_seq() > before {
+        exposure.expose(&signals);
+        if exposure.exposed_seq() > before {
             obs.stage.record(started.elapsed(), pending as usize);
             if let Some(notified_at) = notified_at {
                 obs.wait
@@ -805,7 +772,7 @@ fn expose_loop<P: PipelinePolicy>(
             }
         }
         // Off the cut's critical path: the cut is already visible.
-        policy.collect_garbage();
+        exposure.collect_garbage();
         if stopping {
             return;
         }
@@ -823,14 +790,7 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
             None => false,
         };
         if !sent {
-            // The replica was finished, or its scheduler is gone: the
-            // segment cannot be applied. The signature has no error to
-            // return, so make the loss visible in the sink instead.
-            self.dropped_segments.inc();
-            self.obs.trace.record(TraceEvent::Span {
-                name: "dropped_segment",
-                elapsed_ns: 0,
-            });
+            self.note_dropped_segment();
         }
     }
 
@@ -845,11 +805,12 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         // complete, so the pipeline seals at whatever cut it reached.
         self.ingest_tx.lock().take();
         let signals = &self.signals;
+        let exposure = self.policy.exposure();
         signals.wait_until(|| self.ingest_done.load(Ordering::Acquire));
-        let target = self.policy.shipped_seq();
-        signals.wait_until(|| self.policy.applied_seq() >= target);
+        let target = exposure.shipped_seq();
+        signals.wait_until(|| exposure.applied_seq() >= target);
         signals.start_draining();
-        signals.wait_until(|| self.policy.exposed_seq() >= self.policy.exposure_target());
+        signals.wait_until(|| exposure.exposed_seq() >= exposure.exposure_target());
         self.stop_threads();
     }
 
@@ -864,37 +825,37 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         self.finish();
         Promotion {
             protocol: self.policy.name(),
-            cut: self.policy.exposed_seq(),
+            cut: self.policy.exposure().exposed_seq(),
             drain: start.elapsed(),
-            store: Arc::clone(self.policy.store()),
+            store: Arc::clone(self.policy.exposure().store()),
         }
     }
 
     fn applied_seq(&self) -> SeqNo {
-        self.policy.applied_seq()
+        self.policy.exposure().applied_seq()
     }
 
     fn exposed_seq(&self) -> SeqNo {
-        self.policy.exposed_seq()
+        self.policy.exposure().exposed_seq()
     }
 
     fn read_view(&self) -> Box<dyn ReadView> {
-        self.policy.read_view()
+        self.policy.exposure().read_view()
     }
 
     fn lag(&self) -> Arc<LagTracker> {
-        self.policy.lag()
+        self.policy.exposure().lag()
     }
 
     fn metrics(&self) -> ReplicaMetrics {
-        self.policy.metrics()
+        self.policy.exposure().metrics()
     }
 
     fn wait_until_exposed(&self, seq: SeqNo, timeout: Duration) -> bool {
         self.signals
             .progress
             .wait_until(Some(Instant::now() + timeout), || {
-                self.policy.exposed_seq() >= seq
+                self.policy.exposure().exposed_seq() >= seq
             })
     }
 }
@@ -965,10 +926,10 @@ macro_rules! delegate_replica_to_pipeline {
 }
 
 // ---------------------------------------------------------------------------
-// Boundary / lag bookkeeping shared by every policy.
+// Boundary / lag bookkeeping.
 // ---------------------------------------------------------------------------
 
-/// Transaction-boundary ledger shared by every policy: the schedule stage
+/// Transaction-boundary ledger of the prefix exposure: the schedule stage
 /// records each transaction's last-write position and primary commit time in
 /// log order, and the expose stage drains every boundary the exposed cut has
 /// covered into one replication-lag sample per transaction. Also remembers
@@ -982,11 +943,6 @@ pub struct BoundaryLedger {
 }
 
 impl BoundaryLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a ledger resuming at `cut`: the log is considered shipped
     /// through the cut (a checkpoint covers it), so the contiguity assert
     /// expects the first live segment to start at `cut + 1`. Transactions at
@@ -1407,6 +1363,7 @@ impl GcDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exposure::PrefixExposure;
     use c5_common::{RowRef, RowWrite, TxnId, Value, WriteKind};
     use parking_lot::Mutex as PlMutex;
     use std::collections::HashSet;
@@ -1684,30 +1641,29 @@ mod tests {
         assert!(signal.failed());
     }
 
-    /// A minimal in-order policy whose `apply` panics on a chosen record:
-    /// whole segments round-robin to the workers, records installed and
-    /// marked one by one, the timestamped cut following the applied
-    /// boundary.
+    /// A minimal in-order ordering whose `apply` panics on a chosen record:
+    /// whole segments round-robin to the workers, records installed one by
+    /// one into the real prefix exposure.
     struct PoisonedPolicy {
-        store: Arc<MvStore>,
-        tracker: crate::progress::WatermarkTracker,
-        cursor: crate::snapshotter::SnapshotCursor,
-        ledger: BoundaryLedger,
+        exposure: PrefixExposure,
         poison: SeqNo,
-        obs: Arc<Obs>,
     }
 
     impl PoisonedPolicy {
         fn new(poison: SeqNo) -> Arc<Self> {
-            let store = Arc::new(MvStore::default());
+            let config = c5_common::ReplicaConfig::default().with_obs(Obs::new());
             Arc::new(Self {
-                cursor: crate::snapshotter::SnapshotCursor::timestamped(Arc::clone(&store)),
-                store,
-                tracker: crate::progress::WatermarkTracker::new(),
-                ledger: BoundaryLedger::new(),
+                exposure: PrefixExposure::timestamped(
+                    Arc::new(MvStore::default()),
+                    &config,
+                    SeqNo::ZERO,
+                ),
                 poison,
-                obs: Obs::new(),
             })
+        }
+
+        fn metrics(&self) -> c5_obs::MetricsSnapshot {
+            self.exposure.obs().metrics.snapshot()
         }
     }
 
@@ -1719,65 +1675,19 @@ mod tests {
         }
 
         fn schedule(&self, segment: Segment, sink: &mut WorkSink<Segment>) {
-            self.ledger.note_segment(&segment);
+            self.exposure.note_segment(&segment);
             sink.send(segment);
         }
 
         fn apply(&self, _worker: usize, segment: Segment, _signals: &PipelineSignals) {
             for r in &segment.records {
                 assert!(r.seq != self.poison, "poisoned record {}", r.seq);
-                self.store.install(
-                    r.write.row,
-                    Timestamp(r.seq.as_u64()),
-                    r.write.kind,
-                    r.write.value.clone(),
-                );
-                self.tracker.mark_applied(r.seq, r.is_txn_last());
+                self.exposure.install(r);
             }
         }
 
-        fn expose(&self, _signals: &PipelineSignals) {
-            let n = self.tracker.boundary_watermark();
-            if n > self.cursor.exposed() {
-                self.cursor.advance(n);
-                self.ledger.drain_exposed(n);
-            }
-        }
-
-        fn applied_seq(&self) -> SeqNo {
-            self.tracker.applied_watermark()
-        }
-
-        fn exposure_target(&self) -> SeqNo {
-            self.tracker.boundary_watermark()
-        }
-
-        fn exposed_seq(&self) -> SeqNo {
-            self.cursor.exposed()
-        }
-
-        fn shipped_seq(&self) -> SeqNo {
-            self.ledger.shipped_seq()
-        }
-
-        fn read_view(&self) -> Box<dyn ReadView> {
-            self.cursor.read_view()
-        }
-
-        fn lag(&self) -> Arc<LagTracker> {
-            Arc::clone(self.ledger.lag())
-        }
-
-        fn metrics(&self) -> ReplicaMetrics {
-            ReplicaMetrics::default()
-        }
-
-        fn obs(&self) -> Arc<Obs> {
-            Arc::clone(&self.obs)
-        }
-
-        fn store(&self) -> &Arc<MvStore> {
-            &self.store
+        fn exposure(&self) -> &impl Exposure {
+            &self.exposure
         }
     }
 
@@ -1788,8 +1698,6 @@ mod tests {
                 workers: 2,
                 queue: QueuePlan::PerWorker { capacity: 16 },
                 ingest_capacity: 16,
-                expose_interval: Duration::ZERO,
-                label: "poisoned",
             },
         )
     }
@@ -1839,7 +1747,7 @@ mod tests {
         runtime.finish();
         assert_eq!(runtime.exposed_seq(), SeqNo(64));
         assert!(!runtime.signals().failed());
-        let metrics = runtime.policy().obs.metrics.snapshot();
+        let metrics = runtime.policy().metrics();
         assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(0));
         assert_eq!(metrics.counter("dropped_segments_total"), Some(0));
         // Every cut that advanced was counted and timed; wake-ups that found
@@ -1872,7 +1780,7 @@ mod tests {
             cut < SeqNo(21) && cut.as_u64() % 2 == 0,
             "the cut must stay a transaction boundary below the poisoned record, got {cut}"
         );
-        let metrics = runtime.policy().obs.metrics.snapshot();
+        let metrics = runtime.policy().metrics();
         assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(1));
         // Nothing waits for the lost prefix afterwards either.
         assert!(!runtime.wait_until_exposed(SeqNo(80), Duration::from_secs(3600)));
@@ -1891,9 +1799,10 @@ mod tests {
         assert_eq!(runtime.exposed_seq(), SeqNo(8));
 
         runtime.apply_segment(late);
-        let metrics = runtime.policy().obs.metrics.snapshot();
+        let metrics = runtime.policy().metrics();
         assert_eq!(metrics.counter("dropped_segments_total"), Some(1));
-        assert!(runtime.policy().obs.trace.merged().iter().any(|r| matches!(
+        let trace = runtime.policy().exposure.obs().trace.merged();
+        assert!(trace.iter().any(|r| matches!(
             r.event,
             TraceEvent::Span {
                 name: "dropped_segment",

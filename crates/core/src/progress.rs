@@ -122,8 +122,12 @@ impl WatermarkTracker {
     }
 
     /// Largest sequence number up to which *all* writes have been applied.
+    /// Never below a boundary watermark read earlier (the boundary is
+    /// published first, and is itself an applied prefix), so a cut taken from
+    /// the boundary never appears ahead of what this reports as applied.
     pub fn applied_watermark(&self) -> SeqNo {
-        SeqNo(self.applied.load(Ordering::Acquire))
+        let applied = self.applied.load(Ordering::Acquire);
+        SeqNo(applied.max(self.boundary.load(Ordering::Acquire)))
     }
 
     /// Largest transaction boundary at or below the applied watermark. This
@@ -205,6 +209,13 @@ mod tests {
                         boundary >= applied,
                         "read applied {applied} but boundary {boundary}: the \
                          boundary must be published first"
+                    );
+                    // And the other way round: what was read as a boundary
+                    // (and may have been exposed) is read as applied.
+                    let applied = tracker.applied_watermark();
+                    assert!(
+                        applied >= boundary,
+                        "read boundary {boundary} but then applied {applied}"
                     );
                 }
             })

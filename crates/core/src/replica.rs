@@ -6,51 +6,47 @@
 //! checker, and the lag metrics are all written once against this trait, so
 //! every protocol is measured identically.
 //!
-//! [`C5Replica`] is the paper's protocol, expressed as an ordering policy on
-//! the shared [`crate::pipeline`] runtime:
+//! [`C5Replica`] is the paper's protocol: an *ordering* on the shared
+//! [`crate::pipeline`] runtime, over the one [`PrefixExposure`] every
+//! unsharded protocol exposes through.
 //!
-//! * the **schedule** stage stamps every record with the position of the
-//!   previous write to its row ([`crate::scheduler`]), records transaction
-//!   boundaries for the lag metrics, and dispatches work to the workers;
-//! * the **apply** stage runs `workers` threads installing row writes. In
-//!   [`C5Mode::Faithful`] workers receive whole segments round-robin and
-//!   apply each record as soon as its per-row predecessor is in place; a
+//! * The ordering is `PerRowOrdering`: the **schedule** stage stamps every
+//!   record with the position of the previous write to its row
+//!   ([`crate::scheduler`]) and dispatches work; the **apply** stage installs
+//!   a write only when its per-row predecessor is in place. In
+//!   [`C5Mode::Faithful`] workers receive whole segments round-robin and a
 //!   record whose predecessor is missing parks on the
-//!   [`crate::pipeline::RowWaitList`] and is installed by the
-//!   worker that installs the predecessor (the event-driven form of
-//!   Section 7.2's deferred-write queues). In [`C5Mode::OneWorkerPerTxn`]
-//!   workers pull whole transactions from a shared queue in commit order and
-//!   apply each transaction's writes in order, sleeping on the wait list
-//!   until each write's predecessor lands (Section 5.1's
-//!   backward-compatibility constraint);
-//! * the **expose** stage sleeps until a worker finishes an item, then
-//!   advances the exposed cut ([`crate::snapshotter`]) to the applied
-//!   boundary and records one replication-lag sample per transaction as it
-//!   becomes visible. The faithful cursor cuts on every such notification
-//!   (a cut is one atomic store); the whole-database cursor, whose cut gates
-//!   the workers, keeps its cuts at least `snapshot_interval` apart. After a
-//!   cut is published the stage drives the version-GC horizon trailing it,
-//!   trimming only the chains the schedule stage reported as written.
+//!   [`crate::pipeline::RowWaitList`], to be installed by the worker that
+//!   installs the predecessor (the event-driven form of Section 7.2's
+//!   deferred-write queues). In [`C5Mode::OneWorkerPerTxn`] workers pull
+//!   whole transactions from a shared queue in commit order and apply each
+//!   transaction's writes in order, sleeping on the wait list until each
+//!   write's predecessor lands (Section 5.1's backward-compatibility
+//!   constraint). The ordering is generic over its exposure:
+//!   [`crate::shard`] runs the faithful form, unchanged, over each shard's
+//!   slice of the log.
+//! * The exposure's cursor is chosen by the mode: timestamped for the
+//!   faithful form (a cut is one atomic store, taken whenever the applied
+//!   prefix moves), whole-database for the backward-compatible one (a cut
+//!   gates the workers, so cuts stay `snapshot_interval` apart).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use c5_common::{OpCost, ReplicaConfig, RowRef, SeqNo, TableId, Timestamp, Value};
+use c5_common::{ReplicaConfig, RowRef, SeqNo, TableId, Timestamp, Value};
 use c5_log::{LogReceiver, LogRecord, Segment};
 use c5_storage::{Checkpoint, CheckpointInstaller, CheckpointWriter, MvStore};
 
+use crate::exposure::{Exposure, PrefixExposure};
 use crate::lag::LagTracker;
 use crate::pipeline::{
-    BlockingInstall, BoundaryLedger, GcDriver, PipelineOptions, PipelinePolicy, PipelineRuntime,
-    PipelineSignals, QueuePlan, RowWaitList, WorkSink,
+    BlockingInstall, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan,
+    RowWaitList, WorkSink,
 };
-use crate::progress::WatermarkTracker;
 use crate::scheduler::SchedulerState;
-use crate::snapshotter::SnapshotCursor;
 
 /// A read-only view of the backup's exposed state, pinned at creation time.
 pub trait ReadView: Send {
@@ -219,68 +215,56 @@ impl C5Mode {
     }
 }
 
-/// Work items flowing from the schedule stage to the workers.
-enum C5Item {
-    /// A whole preprocessed segment (faithful mode). Owned: records move
-    /// from here into the store or the wait list, never cloned.
-    Segment(Segment),
-    /// A run of consecutive *whole* transactions, in commit order
-    /// (one-worker-per-transaction mode). The scheduler accumulates
-    /// transactions up to `ReplicaConfig::dispatch_batch_records` records
-    /// per item; a batch never splits a transaction and never spans a
-    /// segment, so every transaction still executes entirely on the one
-    /// worker that dequeues its batch.
-    Txns(Vec<LogRecord>),
-}
-
-/// C5's ordering policy on the shared pipeline runtime.
-struct C5Policy {
-    mode: C5Mode,
-    store: Arc<MvStore>,
-    tracker: WatermarkTracker,
-    cursor: SnapshotCursor,
+/// C5's row-granularity ordering (Sections 4.1 and 7.2), generic over the
+/// exposure it applies through: `prev_seq` stamps on the schedule side, the
+/// per-row wait list on the apply side. [`C5Replica`] runs it over the
+/// [`PrefixExposure`]; every pipeline of the sharded replica runs it over
+/// its shard's exposure.
+pub(crate) struct PerRowOrdering<E: Exposure> {
+    pub(crate) exposure: E,
     /// The per-row `prev_seq` stamping state; only the schedule stage locks
     /// it.
     sched: Mutex<SchedulerState>,
     /// Per-row dependency wait lists (Section 7.2's deferred-write queues in
     /// event-driven form).
-    waits: RowWaitList,
-    /// Version-GC horizon trailing the exposed cut.
-    gc: GcDriver,
-    /// Boundary/lag bookkeeping (shared with every other policy).
-    ledger: BoundaryLedger,
-    /// Last position of the last fully dispatched transaction.
-    dispatched_boundary: AtomicU64,
-    /// Target records per dispatched work item in one-worker-per-txn mode.
-    dispatch_batch: usize,
-    op_cost: OpCost,
-    /// The configured observability sink, handed to the pipeline runtime
-    /// for per-stage dwell metrics and trace events.
-    obs: Arc<c5_obs::Obs>,
-    applied_writes: AtomicU64,
-    applied_txns: AtomicU64,
-    deferred_writes: AtomicU64,
+    pub(crate) waits: RowWaitList,
 }
 
-impl C5Policy {
+impl<E: Exposure> PerRowOrdering<E> {
+    pub(crate) fn new(exposure: E, sched: SchedulerState) -> Self {
+        Self {
+            exposure,
+            sched: Mutex::new(sched),
+            waits: RowWaitList::default(),
+        }
+    }
+
+    /// The schedule stage's half: stamps each record with its per-row
+    /// predecessor and tells the exposure what is about to be dispatched
+    /// (transaction boundaries for lag accounting, written rows for the GC
+    /// pass that follows the cut).
+    pub(crate) fn stamp(&self, segment: &mut Segment) {
+        self.sched.lock().process_segment(segment);
+        self.exposure.note_segment(segment);
+    }
+
     /// Installs one log record's write, enforcing the per-row order: the
     /// write applies only when the row's most recent version is the one named
     /// by `prev_seq`. Returns whether it applied.
     ///
     /// An applied record's watermark mark is *buffered* into `marks` instead
     /// of published immediately; the worker flushes the buffer in one
-    /// [`WatermarkTracker::mark_applied_batch`] call when its current work
-    /// item ends. Deferring publication by at most one item is safe in both
-    /// modes: store-level install ordering (what other workers' installs and
-    /// parked records wait on) is untouched, and the snapshotter only ever
-    /// waits for marks of records whose items were dispatched *before* the
-    /// cut was chosen — items that flush unconditionally on completion,
-    /// because a dispatched item lies entirely at or below the dispatch
-    /// boundary the cut reads, so none of its installs can block on the cut
-    /// gate.
+    /// [`Exposure::mark_applied_batch`] call when its current work item ends.
+    /// Deferring publication by at most one item is safe under either
+    /// exposure: store-level install ordering (what other workers' installs
+    /// and parked records wait on) is untouched, and a cut only ever waits
+    /// for marks of records whose items were dispatched *before* it was
+    /// chosen — items that flush unconditionally on completion, because a
+    /// dispatched item lies entirely at or below the dispatch boundary the
+    /// cut reads, so none of its installs can block on the cut gate.
     fn try_install(&self, record: &LogRecord, marks: &RefCell<Vec<(SeqNo, bool)>>) -> bool {
-        let applied = self.cursor.install_gated(record.seq, || {
-            self.store.install_if_prev(
+        let applied = self.exposure.install_gated(record.seq, || {
+            self.exposure.store().install_if_prev(
                 record.write.row,
                 Timestamp(record.prev_seq.as_u64()),
                 Timestamp(record.seq.as_u64()),
@@ -289,48 +273,75 @@ impl C5Policy {
             )
         });
         if applied {
-            self.op_cost.charge_backup();
+            self.exposure.count_applied(record);
             marks.borrow_mut().push((record.seq, record.is_txn_last()));
-            self.applied_writes.fetch_add(1, Ordering::Relaxed);
-            if record.is_txn_last() {
-                self.applied_txns.fetch_add(1, Ordering::Relaxed);
-            }
         }
         applied
     }
 
-    /// Publishes a worker's buffered watermark marks.
-    fn flush_marks(&self, marks: &RefCell<Vec<(SeqNo, bool)>>) {
-        self.tracker.mark_applied_batch(&marks.borrow());
-        marks.borrow_mut().clear();
+    /// The faithful apply: installs each record of a whole (sub-)segment as
+    /// soon as its per-row predecessor is in place; otherwise the record
+    /// moves into the wait list and the worker that installs the predecessor
+    /// finishes the job. No retries, no clones. The mark buffer also collects
+    /// the marks of *parked* records this worker installs on behalf of
+    /// others while cascading a wait-list shard — they flush with the item.
+    pub(crate) fn apply_segment(&self, records: Vec<LogRecord>) {
+        let marks = RefCell::new(Vec::with_capacity(records.len()));
+        for record in records {
+            if self
+                .waits
+                .install_or_park(record, &|r| self.try_install(r, &marks))
+            {
+                self.exposure.count_deferred();
+            }
+        }
+        self.exposure.mark_applied_batch(&marks.borrow());
+    }
+
+    /// The one-worker-per-transaction apply: this worker executes each whole
+    /// transaction of the batch, write by write, sleeping on each write's
+    /// per-row predecessor until another worker installs it (Section 5.1).
+    fn apply_txns(&self, records: &[LogRecord], signals: &PipelineSignals) {
+        let marks = RefCell::new(Vec::with_capacity(records.len()));
+        for record in records {
+            match self
+                .waits
+                .install_blocking(record, &|r| self.try_install(r, &marks), &|| {
+                    signals.shutdown_requested()
+                }) {
+                BlockingInstall::Installed => {}
+                BlockingInstall::InstalledAfterWait => self.exposure.count_deferred(),
+                BlockingInstall::Aborted => break,
+            }
+        }
+        self.exposure.mark_applied_batch(&marks.borrow());
     }
 }
 
+/// C5 on the shared pipeline runtime: the per-row ordering in the mode's
+/// dispatch form, over the prefix exposure with the mode's cursor.
+struct C5Policy {
+    mode: C5Mode,
+    rows: PerRowOrdering<PrefixExposure>,
+    /// Target records per dispatched work item in one-worker-per-txn mode.
+    dispatch_batch: usize,
+}
+
 impl PipelinePolicy for C5Policy {
-    type Item = C5Item;
+    /// Owned records, which move into the store or the wait list, never
+    /// cloned: a whole preprocessed segment's (faithful mode), or a run of
+    /// consecutive *whole* transactions' in commit order, which all execute
+    /// on the one worker that dequeues the run (one-worker-per-transaction).
+    type Item = Vec<LogRecord>;
 
     fn name(&self) -> &'static str {
         self.mode.name()
     }
 
-    fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<C5Item>) {
-        self.sched.lock().process_segment(&mut segment);
-        // Record transaction boundaries for lag accounting, in log order,
-        // and the written rows for the GC pass that follows the cut.
-        self.ledger.note_segment(&segment);
-        self.gc.note_segment(&segment);
+    fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<Vec<LogRecord>>) {
+        self.rows.stamp(&mut segment);
         match self.mode {
-            C5Mode::Faithful => {
-                // Only the one-worker-per-txn snapshotter reads this counter
-                // (the faithful cursor advances via boundary_watermark), but
-                // keep it maintained with the same store-before-send ordering
-                // so it stays a safe cut bound in both modes.
-                if let Some(last) = segment.last_seq() {
-                    self.dispatched_boundary
-                        .store(last.as_u64(), Ordering::Release);
-                }
-                sink.send(C5Item::Segment(segment));
-            }
+            C5Mode::Faithful => sink.send(segment.records),
             C5Mode::OneWorkerPerTxn => {
                 // Split the segment into whole transactions and push runs of
                 // them to the shared queue in commit order, batching
@@ -340,23 +351,16 @@ impl PipelinePolicy for C5Policy {
                 // only changes how many transactions one dequeue hands a
                 // worker — each transaction still executes entirely on that
                 // worker — while cutting channel traffic by the batch factor.
+                // The whole-database cut is taken at the dispatched
+                // boundary, published before each send.
                 let mut batch: Vec<LogRecord> = Vec::new();
-                let mut batch_boundary = SeqNo::ZERO;
                 for record in segment.records {
-                    let is_last = record.is_txn_last();
-                    let seq = record.seq;
+                    let boundary = record.is_txn_last().then_some(record.seq);
                     batch.push(record);
-                    if is_last {
-                        batch_boundary = seq;
+                    if let Some(boundary) = boundary {
                         if batch.len() >= self.dispatch_batch {
-                            // Publish the boundary BEFORE the send: the
-                            // moment a batch is in the queue a worker may
-                            // install its writes, and the snapshotter's
-                            // choose_n must never pick a cut below an
-                            // already-installed write.
-                            self.dispatched_boundary
-                                .store(batch_boundary.as_u64(), Ordering::Release);
-                            sink.send(C5Item::Txns(std::mem::take(&mut batch)));
+                            self.rows.exposure.note_dispatched(boundary);
+                            sink.send(std::mem::take(&mut batch));
                             if sink.workers_gone() {
                                 return;
                             }
@@ -365,153 +369,31 @@ impl PipelinePolicy for C5Policy {
                 }
                 if let Some(last) = batch.last() {
                     debug_assert!(last.is_txn_last(), "segments never split transactions");
-                    self.dispatched_boundary
-                        .store(batch_boundary.as_u64(), Ordering::Release);
-                    sink.send(C5Item::Txns(batch));
+                    self.rows.exposure.note_dispatched(last.seq);
+                    sink.send(batch);
                 }
             }
         }
     }
 
-    fn apply(&self, _worker: usize, item: C5Item, signals: &PipelineSignals) {
-        // Watermark marks accumulate here per work item and publish in one
-        // batched call when the item completes (see `try_install` for why
-        // the deferred publication is safe). The buffer also collects the
-        // marks of *parked* records this worker installs on behalf of others
-        // while cascading a wait-list shard — they flush with the item.
-        let marks = RefCell::new(Vec::new());
-        match item {
-            C5Item::Segment(segment) => {
-                // Faithful mode: install each record as soon as its per-row
-                // predecessor is in place; otherwise the record moves into
-                // the wait list and the worker that installs the predecessor
-                // finishes the job. No retries, no clones.
-                for record in segment.records {
-                    if self
-                        .waits
-                        .install_or_park(record, &|r| self.try_install(r, &marks))
-                    {
-                        self.deferred_writes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            C5Item::Txns(records) => {
-                // One worker executes each whole transaction in the batch,
-                // write by write, sleeping on each write's per-row
-                // predecessor until another worker installs it (Section 5.1).
-                for record in &records {
-                    match self.waits.install_blocking(
-                        record,
-                        &|r| self.try_install(r, &marks),
-                        &|| signals.shutdown_requested(),
-                    ) {
-                        BlockingInstall::Installed => {}
-                        BlockingInstall::InstalledAfterWait => {
-                            self.deferred_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        BlockingInstall::Aborted => break,
-                    }
-                }
-            }
-        }
-        self.flush_marks(&marks);
-    }
-
-    fn expose(&self, signals: &PipelineSignals) {
+    fn apply(&self, _worker: usize, records: Vec<LogRecord>, signals: &PipelineSignals) {
         match self.mode {
-            C5Mode::Faithful => {
-                let n = self.tracker.boundary_watermark();
-                if n > self.cursor.exposed() {
-                    self.cursor.advance(n);
-                    self.ledger.drain_exposed(n);
-                }
-            }
-            C5Mode::OneWorkerPerTxn => {
-                let target = self.tracker.boundary_watermark();
-                if target > self.cursor.exposed() {
-                    let tracker = &self.tracker;
-                    let n = self.cursor.cut(
-                        // Choose n at the last fully dispatched transaction:
-                        // nothing beyond it can be in the store, and
-                        // everything up to it will be applied shortly.
-                        || SeqNo(self.dispatched_boundary.load(Ordering::Acquire)),
-                        // Workers notify the progress signal after every
-                        // item, so this sleeps until the prefix is whole
-                        // (or gives the cut up on shutdown or a dead worker).
-                        |n| signals.wait_until(|| tracker.applied_watermark() >= n),
-                    );
-                    self.ledger.drain_exposed(n);
-                }
-            }
+            C5Mode::Faithful => self.rows.apply_segment(records),
+            C5Mode::OneWorkerPerTxn => self.rows.apply_txns(&records, signals),
         }
-    }
-
-    fn collect_garbage(&self) {
-        self.gc.run(self.cursor.exposed());
     }
 
     fn interrupt(&self) {
-        self.waits.wake_all();
+        self.rows.waits.wake_all();
     }
 
-    fn applied_seq(&self) -> SeqNo {
-        self.tracker.applied_watermark()
-    }
-
-    fn exposure_target(&self) -> SeqNo {
-        self.tracker.boundary_watermark()
-    }
-
-    fn exposed_seq(&self) -> SeqNo {
-        self.cursor.exposed()
-    }
-
-    fn shipped_seq(&self) -> SeqNo {
-        self.ledger.shipped_seq()
-    }
-
-    fn read_view(&self) -> Box<dyn ReadView> {
-        self.cursor.read_view()
-    }
-
-    fn lag(&self) -> Arc<LagTracker> {
-        Arc::clone(self.ledger.lag())
-    }
-
-    fn metrics(&self) -> ReplicaMetrics {
-        // Mid-run snapshots are read downstream-first — exposed before
-        // applied, positions before counters — so the invariants between
-        // the fields (exposed ≤ applied; every counted transaction's
-        // writes already counted) hold in the returned struct even while
-        // workers race ahead between the loads. Acquire pairs with the
-        // workers' counter publications.
-        let exposed_seq = self.exposed_seq();
-        let applied_seq = self.applied_seq();
-        let applied_txns = self.applied_txns.load(Ordering::Acquire);
-        let applied_writes = self.applied_writes.load(Ordering::Acquire);
-        ReplicaMetrics {
-            applied_writes,
-            applied_txns,
-            applied_seq,
-            exposed_seq,
-            deferred_writes: self.deferred_writes.load(Ordering::Relaxed),
-            reclaimed_versions: self.gc.reclaimed(),
-            cross_shard_txns: 0,
-        }
-    }
-
-    fn obs(&self) -> Arc<c5_obs::Obs> {
-        Arc::clone(&self.obs)
-    }
-
-    fn store(&self) -> &Arc<MvStore> {
-        &self.store
+    fn exposure(&self) -> &impl Exposure {
+        &self.rows.exposure
     }
 }
 
 /// The C5 replica.
 pub struct C5Replica {
-    mode: C5Mode,
     config: ReplicaConfig,
     runtime: PipelineRuntime<C5Policy>,
 }
@@ -559,13 +441,11 @@ impl C5Replica {
     }
 
     /// Creates and starts a replica whose log begins at `cut + 1` over a
-    /// store already holding everything at or below `cut`. Every
-    /// prefix-tracking structure must resume in lockstep, or catch-up wedges:
-    /// the scheduler's per-row `prev_seq` map is seeded from `last_writes`
-    /// (so the first post-checkpoint write to a row names the checkpointed
-    /// chain head, not "no predecessor"), the watermark tracker and boundary
-    /// ledger treat the cut as already applied and shipped, and the snapshot
-    /// cursor starts exposed at the cut.
+    /// store already holding everything at or below `cut`. Ordering and
+    /// exposure must resume in lockstep, or catch-up wedges: the scheduler's
+    /// per-row `prev_seq` map is seeded from `last_writes` (so the first
+    /// post-checkpoint write to a row names the checkpointed chain head, not
+    /// "no predecessor"), and the exposure resumes at the cut.
     fn start(
         mode: C5Mode,
         store: Arc<MvStore>,
@@ -573,53 +453,31 @@ impl C5Replica {
         cut: SeqNo,
         last_writes: impl IntoIterator<Item = (RowRef, SeqNo)>,
     ) -> Arc<Self> {
-        config
-            .validate()
-            .expect("replica configuration must be valid");
-        let cursor = match mode {
-            C5Mode::Faithful => SnapshotCursor::timestamped_at(Arc::clone(&store), cut),
-            C5Mode::OneWorkerPerTxn => SnapshotCursor::whole_database_at(Arc::clone(&store), cut),
+        let (exposure, queue) = match mode {
+            // Segments are assigned round-robin to per-worker queues
+            // (Section 7.2).
+            C5Mode::Faithful => (
+                PrefixExposure::timestamped(store, &config, cut),
+                QueuePlan::PerWorker { capacity: 256 },
+            ),
+            // Workers pick up whole transactions from a shared queue in
+            // commit order (Section 5.1).
+            C5Mode::OneWorkerPerTxn => (
+                PrefixExposure::whole_database(store, &config, cut),
+                QueuePlan::Shared { capacity: 1024 },
+            ),
         };
         let policy = Arc::new(C5Policy {
             mode,
-            store: Arc::clone(&store),
-            tracker: WatermarkTracker::starting_at(cut),
-            cursor,
-            sched: Mutex::new(SchedulerState::with_last_writes(last_writes)),
-            waits: RowWaitList::default(),
-            gc: GcDriver::new(store, config.gc_trail),
-            ledger: BoundaryLedger::starting_at(cut),
-            dispatched_boundary: AtomicU64::new(cut.as_u64()),
+            rows: PerRowOrdering::new(exposure, SchedulerState::with_last_writes(last_writes)),
             dispatch_batch: config.dispatch_batch_records,
-            op_cost: config.op_cost,
-            obs: Arc::clone(&config.obs),
-            applied_writes: AtomicU64::new(0),
-            applied_txns: AtomicU64::new(0),
-            deferred_writes: AtomicU64::new(0),
         });
-        let queue = match mode {
-            // Segments are assigned round-robin to per-worker queues
-            // (Section 7.2).
-            C5Mode::Faithful => QueuePlan::PerWorker { capacity: 256 },
-            // Workers pick up whole transactions from a shared queue in
-            // commit order (Section 5.1).
-            C5Mode::OneWorkerPerTxn => QueuePlan::Shared { capacity: 1024 },
-        };
         let options = PipelineOptions {
             workers: config.workers,
             queue,
             ingest_capacity: config.segment_channel_capacity,
-            expose_interval: match mode {
-                // Advancing `c` is one atomic store: cut whenever the
-                // applied prefix moves.
-                C5Mode::Faithful => Duration::ZERO,
-                // A whole-database cut gates the workers: Section 5.2's `I`.
-                C5Mode::OneWorkerPerTxn => config.snapshot_interval,
-            },
-            label: mode.name(),
         };
         Arc::new(Self {
-            mode,
             config,
             runtime: PipelineRuntime::start(policy, options),
         })
@@ -632,12 +490,12 @@ impl C5Replica {
 
     /// Which of the paper's two implementations this replica runs.
     pub fn mode(&self) -> C5Mode {
-        self.mode
+        self.runtime.policy().mode
     }
 
     /// The backup's store (for test assertions).
     pub fn store(&self) -> &Arc<MvStore> {
-        &self.runtime.policy().store
+        self.runtime.policy().rows.exposure.store()
     }
 
     /// Exports a checkpoint of the currently exposed state. The cut is
@@ -654,7 +512,7 @@ impl C5Replica {
     pub fn checkpoint(&self) -> Checkpoint {
         let view = self.read_view();
         let checkpoint = CheckpointWriter::capture(self.store(), view.as_of());
-        let horizon = self.runtime.policy().gc.horizon();
+        let horizon = self.runtime.policy().rows.exposure.gc_horizon();
         assert!(
             horizon <= checkpoint.cut(),
             "GC horizon {horizon} overtook the checkpoint cut {} during the \
@@ -671,7 +529,7 @@ crate::delegate_replica_to_pipeline!(C5Replica, runtime);
 mod tests {
     use super::*;
     use crate::mpc::MpcChecker;
-    use c5_common::{RowWrite, TxnId};
+    use c5_common::{OpCost, RowWrite, TxnId};
     use c5_log::{segments_from_entries, TxnEntry};
 
     fn row(k: u64) -> RowRef {
@@ -735,7 +593,7 @@ mod tests {
         assert_eq!(replica.lag().len(), 50);
 
         // Event-driven deferral leaves nothing parked once the log drains.
-        assert_eq!(replica.runtime.policy().waits.parked(), 0);
+        assert_eq!(replica.runtime.policy().rows.waits.parked(), 0);
     }
 
     #[test]

@@ -37,7 +37,10 @@
 //!
 //! The single-shard case degenerates exactly to the paper's protocol: one
 //! pipeline, `w_1` is the applied watermark, `B` the boundary watermark, and
-//! the vector has one component equal to the exposed cut.
+//! the vector has one component equal to the exposed cut. That is a test
+//! (`tests/protocol_conformance.rs`), and holds by construction: each shard
+//! runs the very ordering `C5Replica` runs (`PerRowOrdering`), over a
+//! different [`Exposure`] — a component of the cut vector, not a prefix.
 //!
 //! ## One progress signal for all shards
 //!
@@ -53,35 +56,35 @@
 //!
 //! ## Hot-path disciplines
 //!
-//! The per-shard apply path follows the batched hand-off rules of
-//! [`crate::pipeline`]: a work item is a whole sub-segment, and workers
-//! buffer the item's applied-marks and flush them through
-//! [`ShardProgress`]'s batched mark in one lock acquisition — one
-//! publication of the shard watermark per sub-segment instead of one per
-//! record. Deferred publication is trivially safe here because nothing in a
-//! shard's pipeline waits on the shard watermark; only the cut coordinator
-//! reads it, and a coordinator that observes the watermark one sub-segment
-//! late merely takes its next cut one notification later. Segment *routing* (the
-//! other per-record cost on this path) reuses scratch buffers threaded
-//! through the persistent [`TxnShardTracker`]; see [`c5_log::ship`].
+//! The per-shard apply path is C5's faithful one (`PerRowOrdering`): a work
+//! item is a whole sub-segment, whose applied-marks flush through
+//! [`ShardProgress`]'s batched mark in one lock acquisition. Nothing in a
+//! shard's pipeline waits on the shard watermark; a coordinator that
+//! observes it one sub-segment late merely takes its next cut one
+//! notification later. Segment *routing* (the other per-record cost on this
+//! path) reuses scratch buffers threaded through the persistent
+//! [`TxnShardTracker`]; see [`c5_log::ship`].
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use c5_common::{OpCost, ReplicaConfig, SeqNo, ShardRouter, Timestamp};
+use c5_common::{OpCost, ReplicaConfig, SeqNo, ShardRouter};
 use c5_log::{route_segment_with, LogRecord, Segment, TxnShardTracker};
+use c5_obs::Obs;
 use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 
+use crate::exposure::Exposure;
 use crate::lag::LagTracker;
 use crate::pipeline::{
     GcDriver, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, ProgressSignal,
-    QueuePlan, RowWaitList, WorkSink,
+    QueuePlan, WorkSink,
 };
-use crate::replica::{ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics};
+use crate::replica::{
+    ClonedConcurrencyControl, PerRowOrdering, Promotion, ReadView, ReplicaMetrics,
+};
 use crate::scheduler::SchedulerState;
 use crate::snapshotter::ShardedReadView;
 
@@ -105,6 +108,9 @@ pub struct ShardProgress {
     covered: AtomicU64,
     /// This shard's component of the exposed cut vector (`c_s`).
     exposed: AtomicU64,
+    applied_writes: AtomicU64,
+    applied_txns: AtomicU64,
+    deferred_writes: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -158,12 +164,12 @@ impl ShardProgress {
     /// batch-sized cut in lock traffic. Workers never wait on the shard
     /// watermark (only the coordinator's cut advance reads it), so deferred
     /// publication cannot deadlock the pipeline.
-    fn mark_applied_batch(&self, seqs: &[SeqNo]) {
-        if seqs.is_empty() {
+    fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
+        if marks.is_empty() {
             return;
         }
         let mut inner = self.inner.lock();
-        for seq in seqs {
+        for (seq, _) in marks {
             inner.pending.remove(&seq.as_u64());
         }
         self.applied
@@ -246,6 +252,11 @@ pub struct CutCoordinator {
     /// Version-GC horizon trailing the cut vector's minimum.
     gc: GcDriver,
     cuts_taken: AtomicU64,
+    /// Transactions the replica routed itself whose writes spanned shards.
+    cross_shard_txns: AtomicU64,
+    op_cost: OpCost,
+    /// The configured observability sink, shared by every shard's pipeline.
+    obs: Arc<Obs>,
 }
 
 /// The atomically published exposure: the global cut and the full vector
@@ -257,14 +268,14 @@ struct ExposedState {
 }
 
 impl CutCoordinator {
-    fn new(store: Arc<MvStore>, router: ShardRouter, gc_trail: u64) -> Self {
+    fn new(store: Arc<MvStore>, router: ShardRouter, config: &ReplicaConfig) -> Self {
         let shards = (0..router.shards())
             .map(|_| Arc::new(ShardProgress::new()))
             .collect::<Vec<_>>();
         let shard_lag = (0..router.shards())
             .map(|_| Arc::new(LagTracker::new()))
             .collect();
-        let gc = GcDriver::new(Arc::clone(&store), gc_trail);
+        let gc = GcDriver::new(Arc::clone(&store), config.gc_trail);
         Self {
             store,
             router,
@@ -280,6 +291,9 @@ impl CutCoordinator {
             boundaries: Mutex::new(BTreeMap::new()),
             gc,
             cuts_taken: AtomicU64::new(0),
+            cross_shard_txns: AtomicU64::new(0),
+            op_cost: config.op_cost,
+            obs: Arc::clone(&config.obs),
         }
     }
 
@@ -419,6 +433,30 @@ impl CutCoordinator {
         self.gc.horizon()
     }
 
+    /// The replica's progress counters: the global positions, and every
+    /// shard's apply counters summed. Read in the order
+    /// [`Exposure::metrics`] requires: positions before counters, and each
+    /// shard's transactions before its writes.
+    fn metrics(&self) -> ReplicaMetrics {
+        let exposed_seq = self.cut();
+        let applied_seq = self.applied_floor();
+        let (mut applied_txns, mut applied_writes, mut deferred_writes) = (0, 0, 0);
+        for progress in &self.shards {
+            applied_txns += progress.applied_txns.load(Ordering::Acquire);
+            applied_writes += progress.applied_writes.load(Ordering::Acquire);
+            deferred_writes += progress.deferred_writes.load(Ordering::Relaxed);
+        }
+        ReplicaMetrics {
+            applied_writes,
+            applied_txns,
+            applied_seq,
+            exposed_seq,
+            deferred_writes,
+            reclaimed_versions: self.gc.reclaimed(),
+            cross_shard_txns: self.cross_shard_txns.load(Ordering::Relaxed),
+        }
+    }
+
     /// A spanning read view pinned at the current cut vector. The cut and
     /// the vector are read under one lock, so the view can never mix
     /// components from different cut generations.
@@ -445,114 +483,25 @@ impl std::fmt::Debug for CutCoordinator {
 }
 
 // ---------------------------------------------------------------------------
-// The per-shard ordering policy and the sharded replica.
+// The per-shard exposure, the per-shard policy and the sharded replica.
 // ---------------------------------------------------------------------------
 
-/// One shard's ordering policy: faithful C5 (per-row wait lists, timestamped
-/// exposure) over the shard's slice of the log, with exposure delegated to
-/// the coordinator.
-struct ShardPolicy {
+/// One shard's [`Exposure`]: its component of the cut vector. Applied
+/// progress is the shard's own ([`ShardProgress`]); the cut, its read views
+/// and the GC horizon are the coordinator's, shared by every shard.
+struct ShardExposure {
     shard: usize,
-    store: Arc<MvStore>,
     coordinator: Arc<CutCoordinator>,
     progress: Arc<ShardProgress>,
-    /// The progress signal shared by every shard's pipeline.
-    signal: Arc<ProgressSignal>,
-    /// Per-shard `prev_seq` stamping state. Rows never change shards, so a
-    /// row's whole chain is stamped by one scheduler — the stamps equal what
-    /// a single global scheduler would produce.
-    sched: Mutex<SchedulerState>,
-    waits: RowWaitList,
-    op_cost: OpCost,
-    /// The configured observability sink, shared by every shard's pipeline.
-    obs: Arc<c5_obs::Obs>,
-    applied_writes: AtomicU64,
-    applied_txns: AtomicU64,
-    deferred_writes: AtomicU64,
 }
 
-impl ShardPolicy {
-    /// Installs one record, buffering its progress mark into `marks`; the
-    /// worker publishes the whole buffer through
-    /// [`ShardProgress::mark_applied_batch`] when its current sub-segment
-    /// ends (see that method for why deferring publication is safe).
-    fn try_install(&self, record: &LogRecord, marks: &RefCell<Vec<SeqNo>>) -> bool {
-        let applied = self.store.install_if_prev(
-            record.write.row,
-            Timestamp(record.prev_seq.as_u64()),
-            Timestamp(record.seq.as_u64()),
-            record.write.kind,
-            record.write.value.clone(),
-        );
-        if applied {
-            self.op_cost.charge_backup();
-            marks.borrow_mut().push(record.seq);
-            self.applied_writes.fetch_add(1, Ordering::Relaxed);
-            if record.is_txn_last() {
-                self.applied_txns.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        applied
-    }
-}
-
-impl PipelinePolicy for ShardPolicy {
-    type Item = Segment;
-
-    fn name(&self) -> &'static str {
-        "c5-sharded"
-    }
-
-    fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<Segment>) {
-        self.sched.lock().process_segment(&mut segment);
-        // Note records (and coverage) before dispatch, so no worker can
-        // install a record the progress tracker has not yet expected; then
-        // register owned transaction boundaries with the coordinator.
-        self.progress.note_segment(&segment);
-        self.coordinator.gc.note_segment(&segment);
-        for record in &segment.records {
-            if record.is_txn_last() {
-                self.coordinator
-                    .note_boundary(record.seq, record.commit_wall_nanos, self.shard);
-            }
-        }
-        if segment.is_empty() {
-            // Empty sub-segments exist only to carry coverage; workers never
-            // see them. The coverage alone just advanced this shard's
-            // watermark — possibly the one holding the global cut back — and
-            // no worker will announce that.
-            self.signal.notify();
-        } else {
-            sink.send(segment);
-        }
-    }
-
-    fn apply(&self, _worker: usize, segment: Segment, _signals: &PipelineSignals) {
-        // Progress marks accumulate per sub-segment (including marks of
-        // parked records this worker installs while cascading a wait-list
-        // shard) and publish in one batched call at the end.
-        let marks = RefCell::new(Vec::with_capacity(segment.len()));
-        for record in segment.records {
-            if self
-                .waits
-                .install_or_park(record, &|r| self.try_install(r, &marks))
-            {
-                self.deferred_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.progress.mark_applied_batch(&marks.borrow());
-    }
-
+impl Exposure for ShardExposure {
     fn expose(&self, _signals: &PipelineSignals) {
         self.coordinator.advance();
     }
 
     fn collect_garbage(&self) {
         self.coordinator.collect_garbage();
-    }
-
-    fn interrupt(&self) {
-        self.waits.wake_all();
     }
 
     fn applied_seq(&self) -> SeqNo {
@@ -587,30 +536,98 @@ impl PipelinePolicy for ShardPolicy {
     }
 
     fn metrics(&self) -> ReplicaMetrics {
-        // Downstream-first read order, as in `C5Policy::metrics`: exposed
-        // before applied, positions before counters, so field invariants
-        // hold in a mid-run snapshot.
-        let exposed_seq = self.exposed_seq();
-        let applied_seq = self.applied_seq();
-        let applied_txns = self.applied_txns.load(Ordering::Acquire);
-        let applied_writes = self.applied_writes.load(Ordering::Acquire);
-        ReplicaMetrics {
-            applied_writes,
-            applied_txns,
-            applied_seq,
-            exposed_seq,
-            deferred_writes: self.deferred_writes.load(Ordering::Relaxed),
-            reclaimed_versions: 0, // reported once, by the coordinator
-            cross_shard_txns: 0,
-        }
+        // Shards do not report separately: the cut is global.
+        self.coordinator.metrics()
     }
 
-    fn obs(&self) -> Arc<c5_obs::Obs> {
-        Arc::clone(&self.obs)
+    fn obs(&self) -> &Arc<Obs> {
+        &self.coordinator.obs
     }
 
     fn store(&self) -> &Arc<MvStore> {
-        &self.store
+        &self.coordinator.store
+    }
+
+    fn note_segment(&self, segment: &Segment) {
+        self.progress.note_segment(segment);
+        self.coordinator.gc.note_segment(segment);
+    }
+
+    fn count_applied(&self, record: &LogRecord) {
+        self.coordinator.op_cost.charge_backup();
+        self.progress.applied_writes.fetch_add(1, Ordering::Relaxed);
+        if record.is_txn_last() {
+            // Release: pairs with the Acquire load in `metrics`.
+            self.progress.applied_txns.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    fn count_deferred(&self) {
+        self.progress
+            .deferred_writes
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
+        self.progress.mark_applied_batch(marks);
+    }
+}
+
+/// One shard's policy: C5's faithful ordering over the shard's slice of the
+/// log, plus the two things that are genuinely sharded — boundaries are
+/// registered with the coordinator (they arrive out of global order), and a
+/// sub-segment that carries only coverage is announced by the scheduler,
+/// because no worker ever sees it.
+struct ShardPolicy {
+    /// Rows never change shards, so a row's whole chain is stamped by one
+    /// scheduler — the stamps equal what a single global scheduler would
+    /// produce.
+    rows: PerRowOrdering<ShardExposure>,
+    /// The progress signal shared by every shard's pipeline.
+    signal: Arc<ProgressSignal>,
+}
+
+impl PipelinePolicy for ShardPolicy {
+    type Item = Segment;
+
+    fn name(&self) -> &'static str {
+        "c5-sharded"
+    }
+
+    fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<Segment>) {
+        // Stamps, and notes records and coverage before dispatch, so no
+        // worker can install a record the progress tracker has not yet
+        // expected; then register owned transaction boundaries.
+        self.rows.stamp(&mut segment);
+        let exposure = &self.rows.exposure;
+        for record in &segment.records {
+            if record.is_txn_last() {
+                exposure.coordinator.note_boundary(
+                    record.seq,
+                    record.commit_wall_nanos,
+                    exposure.shard,
+                );
+            }
+        }
+        if segment.is_empty() {
+            // The coverage alone just advanced this shard's watermark —
+            // possibly the one holding the global cut back.
+            self.signal.notify();
+        } else {
+            sink.send(segment);
+        }
+    }
+
+    fn apply(&self, _worker: usize, segment: Segment, _signals: &PipelineSignals) {
+        self.rows.apply_segment(segment.records);
+    }
+
+    fn interrupt(&self) {
+        self.rows.waits.wake_all();
+    }
+
+    fn exposure(&self) -> &impl Exposure {
+        &self.rows.exposure
     }
 }
 
@@ -625,14 +642,8 @@ impl PipelinePolicy for ShardPolicy {
 /// [`apply_shard_segment`](Self::apply_shard_segment).
 pub struct ShardedC5Replica {
     config: ReplicaConfig,
-    router: ShardRouter,
-    store: Arc<MvStore>,
     coordinator: Arc<CutCoordinator>,
-    /// The one progress signal every shard's pipeline runs on.
-    signal: Arc<ProgressSignal>,
     runtimes: Vec<PipelineRuntime<ShardPolicy>>,
-    routed_txns: AtomicU64,
-    cross_shard_txns: AtomicU64,
     /// Shard masks of transactions straddling segment boundaries on the
     /// self-routing [`apply_segment`](ClonedConcurrencyControl::apply_segment)
     /// path, so each is counted once, by id.
@@ -649,27 +660,18 @@ impl ShardedC5Replica {
             .validate()
             .expect("replica configuration must be valid");
         let router = config.shard_router();
-        let coordinator = Arc::new(CutCoordinator::new(
-            Arc::clone(&store),
-            router,
-            config.gc_trail,
-        ));
+        let coordinator = Arc::new(CutCoordinator::new(store, router, &config));
         let signal = Arc::new(ProgressSignal::new());
         let runtimes = (0..router.shards())
             .map(|shard| {
-                let policy = Arc::new(ShardPolicy {
+                let exposure = ShardExposure {
                     shard,
-                    store: Arc::clone(&store),
                     coordinator: Arc::clone(&coordinator),
                     progress: Arc::clone(coordinator.progress(shard)),
+                };
+                let policy = Arc::new(ShardPolicy {
+                    rows: PerRowOrdering::new(exposure, SchedulerState::new()),
                     signal: Arc::clone(&signal),
-                    sched: Mutex::new(SchedulerState::new()),
-                    waits: RowWaitList::default(),
-                    op_cost: config.op_cost,
-                    obs: Arc::clone(&config.obs),
-                    applied_writes: AtomicU64::new(0),
-                    applied_txns: AtomicU64::new(0),
-                    deferred_writes: AtomicU64::new(0),
                 });
                 PipelineRuntime::start_sharing(
                     policy,
@@ -677,9 +679,6 @@ impl ShardedC5Replica {
                         workers: config.workers,
                         queue: QueuePlan::PerWorker { capacity: 256 },
                         ingest_capacity: config.segment_channel_capacity,
-                        // The vector is timestamps: a cut gates nobody.
-                        expose_interval: std::time::Duration::ZERO,
-                        label: "c5-sharded",
                     },
                     Arc::clone(&signal),
                 )
@@ -687,13 +686,8 @@ impl ShardedC5Replica {
             .collect();
         Arc::new(Self {
             config,
-            router,
-            store,
             coordinator,
-            signal,
             runtimes,
-            routed_txns: AtomicU64::new(0),
-            cross_shard_txns: AtomicU64::new(0),
             route_state: Mutex::new(TxnShardTracker::default()),
             finished: AtomicBool::new(false),
         })
@@ -706,12 +700,12 @@ impl ShardedC5Replica {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.router.shards()
+        self.coordinator.router.shards()
     }
 
     /// The routing rule.
     pub fn router(&self) -> &ShardRouter {
-        &self.router
+        &self.coordinator.router
     }
 
     /// The cut coordinator (progress probes, the cut vector, per-shard lag).
@@ -733,7 +727,7 @@ impl ShardedC5Replica {
     /// counted on the [`apply_segment`](ClonedConcurrencyControl::apply_segment)
     /// path; pre-routed streams are counted by their sharded shipper).
     pub fn cross_shard_txns(&self) -> u64 {
-        self.cross_shard_txns.load(Ordering::Relaxed)
+        self.coordinator.cross_shard_txns.load(Ordering::Relaxed)
     }
 
     /// Feeds one pre-routed sub-segment to `shard` (the wire-level sharded
@@ -757,8 +751,8 @@ impl ShardedC5Replica {
     pub fn checkpoint(&self) -> Checkpoint {
         let view = self.coordinator.read_view();
         let checkpoint = CheckpointWriter::capture_vector(
-            &self.store,
-            &self.router,
+            &self.coordinator.store,
+            &self.coordinator.router,
             view.cut_vector(),
             view.as_of(),
         );
@@ -779,9 +773,15 @@ impl ClonedConcurrencyControl for ShardedC5Replica {
     }
 
     fn apply_segment(&self, segment: Segment) {
-        let routed = route_segment_with(segment, &self.router, &mut self.route_state.lock());
-        self.routed_txns.fetch_add(routed.txns, Ordering::Relaxed);
-        self.cross_shard_txns
+        if self.finished.load(Ordering::SeqCst) {
+            // One lost segment, counted once and routed nowhere (every
+            // shard's pipeline records into the one configured sink).
+            self.runtimes[0].note_dropped_segment();
+            return;
+        }
+        let routed = route_segment_with(segment, self.router(), &mut self.route_state.lock());
+        self.coordinator
+            .cross_shard_txns
             .fetch_add(routed.cross_shard_txns, Ordering::Relaxed);
         for (runtime, part) in self.runtimes.iter().zip(routed.parts) {
             runtime.apply_segment(part);
@@ -814,7 +814,7 @@ impl ClonedConcurrencyControl for ShardedC5Replica {
             protocol: self.name(),
             cut: self.coordinator.cut(),
             drain: start.elapsed(),
-            store: Arc::clone(&self.store),
+            store: Arc::clone(&self.coordinator.store),
         }
     }
 
@@ -835,27 +835,13 @@ impl ClonedConcurrencyControl for ShardedC5Replica {
     }
 
     fn wait_until_exposed(&self, seq: SeqNo, timeout: std::time::Duration) -> bool {
-        self.signal
-            .wait_until(Some(std::time::Instant::now() + timeout), || {
-                self.exposed_seq() >= seq
-            })
+        // Every shard's pipeline reports the global cut and waits on the one
+        // shared signal, so any of them can do the waiting.
+        self.runtimes[0].wait_until_exposed(seq, timeout)
     }
 
     fn metrics(&self) -> ReplicaMetrics {
-        let mut total = ReplicaMetrics {
-            applied_seq: self.applied_seq(),
-            exposed_seq: self.exposed_seq(),
-            reclaimed_versions: self.coordinator.reclaimed_versions(),
-            cross_shard_txns: self.cross_shard_txns.load(Ordering::Relaxed),
-            ..ReplicaMetrics::default()
-        };
-        for runtime in &self.runtimes {
-            let m = runtime.policy().metrics();
-            total.applied_writes += m.applied_writes;
-            total.applied_txns += m.applied_txns;
-            total.deferred_writes += m.deferred_writes;
-        }
-        total
+        self.coordinator.metrics()
     }
 }
 
@@ -864,7 +850,7 @@ mod tests {
     use super::*;
     use crate::mpc::MpcChecker;
     use crate::replica::drive_segments;
-    use c5_common::{RowRef, RowWrite, TxnId, Value, WriteKind};
+    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value, WriteKind};
     use c5_log::{segments_from_entries, TxnEntry};
     use std::time::Duration;
 
@@ -1067,6 +1053,26 @@ mod tests {
         drop(replica);
     }
 
+    /// Feeding a finished replica loses the segment, visibly: counted once
+    /// (not once per shard), routed nowhere, applied nowhere.
+    #[test]
+    fn a_segment_fed_after_finish_is_dropped_once_and_not_routed() {
+        let obs = c5_obs::Obs::new();
+        let (population, mut segments) = spanning_log(20);
+        let late = segments.pop().unwrap();
+        let replica = ShardedC5Replica::new(
+            preloaded(&population),
+            config(4, 1).with_obs(Arc::clone(&obs)),
+        );
+        drive_segments(replica.as_ref(), segments);
+        let before = replica.metrics();
+        assert!(before.cross_shard_txns > 0);
+
+        replica.apply_segment(late);
+        assert_eq!(obs.metrics.counter("dropped_segments_total").get(), 1);
+        assert_eq!(replica.metrics(), before, "nothing routed, nothing applied");
+    }
+
     /// Mid-stream, with no `finish()` to force a cut and an hour-long
     /// interval: the cut follows the applied prefix on the shared progress
     /// signal alone — including past sub-segments that carry only coverage,
@@ -1097,7 +1103,8 @@ mod tests {
             std::thread::spawn(move || replica.wait_until_exposed(last, hour))
         };
         // Four idle expose stages plus the waiter.
-        while replica.signal.parked() < 5 {
+        let signal = Arc::clone(replica.runtimes[0].signals().progress());
+        while signal.parked() < 5 {
             std::thread::yield_now();
         }
         for segment in segments {

@@ -75,13 +75,9 @@ impl std::fmt::Debug for SnapshotCursor {
 }
 
 impl SnapshotCursor {
-    /// Creates the faithful, timestamped cursor.
-    pub fn timestamped(store: Arc<MvStore>) -> Self {
-        Self::timestamped_at(store, SeqNo::ZERO)
-    }
-
-    /// Creates the faithful cursor resuming at `cut` (a checkpoint's cut:
-    /// the store already holds, and may expose, everything at or below it).
+    /// Creates the faithful, timestamped cursor exposed at `cut` (zero, or a
+    /// checkpoint's cut: the store already holds, and may expose, everything
+    /// at or below it).
     pub fn timestamped_at(store: Arc<MvStore>, cut: SeqNo) -> Self {
         SnapshotCursor::Timestamped {
             store,
@@ -89,14 +85,9 @@ impl SnapshotCursor {
         }
     }
 
-    /// Creates the whole-database cursor. The initial current snapshot
-    /// captures the store's preloaded state.
-    pub fn whole_database(store: Arc<MvStore>) -> Self {
-        Self::whole_database_at(store, SeqNo::ZERO)
-    }
-
-    /// Creates the whole-database cursor resuming at `cut`; the initial
-    /// snapshot captures the store's current (checkpoint-installed) state.
+    /// Creates the whole-database cursor exposed at `cut`; the initial
+    /// snapshot captures the store's current (preloaded or
+    /// checkpoint-installed) state.
     pub fn whole_database_at(store: Arc<MvStore>, cut: SeqNo) -> Self {
         let current = DbSnapshot::of_current(&store);
         SnapshotCursor::WholeDatabase {
@@ -360,7 +351,7 @@ mod tests {
     #[test]
     fn timestamped_views_only_see_the_exposed_prefix() {
         let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::timestamped(Arc::clone(&store));
+        let cursor = SnapshotCursor::timestamped_at(Arc::clone(&store), SeqNo::ZERO);
         install(&store, 1, 1, 10);
         install(&store, 2, 2, 20);
 
@@ -382,7 +373,7 @@ mod tests {
     #[test]
     fn timestamped_cut_never_regresses() {
         let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::timestamped(store);
+        let cursor = SnapshotCursor::timestamped_at(store, SeqNo::ZERO);
         cursor.advance(SeqNo(5));
         cursor.advance(SeqNo(3));
         assert_eq!(
@@ -397,7 +388,7 @@ mod tests {
     #[test]
     fn whole_database_cut_exposes_exactly_the_prefix() {
         let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::whole_database(Arc::clone(&store));
+        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO);
 
         // Install writes 1..=3 through the gate (all allowed: gate open).
         for seq in 1..=3u64 {
@@ -420,7 +411,7 @@ mod tests {
     #[test]
     fn an_abandoned_cut_exposes_nothing_and_reopens_the_gate() {
         let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::whole_database(Arc::clone(&store));
+        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO);
         cursor.install_gated(SeqNo(1), || install(&store, 1, 1, 10));
         cursor.cut(|| SeqNo(1), |_n| true);
 
@@ -437,7 +428,10 @@ mod tests {
     #[test]
     fn gate_blocks_writes_past_the_cut_until_reopened() {
         let store = Arc::new(MvStore::default());
-        let cursor = Arc::new(SnapshotCursor::whole_database(Arc::clone(&store)));
+        let cursor = Arc::new(SnapshotCursor::whole_database_at(
+            Arc::clone(&store),
+            SeqNo::ZERO,
+        ));
         cursor.install_gated(SeqNo(1), || install(&store, 1, 1, 1));
 
         // Run the cut on another thread; have it wait long enough that the
@@ -519,7 +513,7 @@ mod tests {
             WriteKind::Insert,
             Some(Value::from_u64(7)),
         );
-        let cursor = SnapshotCursor::whole_database(Arc::clone(&store));
+        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO);
         assert_eq!(cursor.read_view().get(row(7)).unwrap().as_u64(), Some(7));
         assert_eq!(cursor.exposed(), SeqNo::ZERO);
     }

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use c5_common::{
         poll_until, DurabilityPolicy, Error, IsolationLevel, Key, OpCost, Pacer, PrimaryConfig,
         ReadConfig, ReplicaConfig, Result, RowRef, RowWrite, SeqNo, SessionId, ShardRouter,
-        SnapshotMode, TableId, Timestamp, TxnId, Value, WriteKind,
+        TableId, Timestamp, TxnId, Value, WriteKind,
     };
     pub use c5_core::replica::{
         drive_from_receiver, drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl,
