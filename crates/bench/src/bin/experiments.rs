@@ -27,7 +27,7 @@
 //!   insert-only     Insert-only workload, 2PL primary, all protocols
 //!   insert-only-cicada  Insert-only workload, MVTSO primary
 //!   sched-offline   Offline scheduler throughput (Section 6.2)
-//!   bench           Emit the committed BENCH_*.json trajectory files
+//!   bench           Emit the committed BENCH_*.json scenario documents
 //!                   (--smoke for CI's reduced-iteration schema check;
 //!                   BENCH_OUT_DIR overrides the output directory)
 //!   all             Everything above except bench, in order
@@ -60,9 +60,9 @@ fn main() {
 
     if command == "bench" {
         let (config, mode) = if smoke {
-            (c5_common::BenchConfig::smoke(), "smoke")
+            (Scale::smoke(), "smoke")
         } else {
-            (c5_common::BenchConfig::fixed(), "fixed")
+            (Scale::fixed(), "fixed")
         };
         let out_dir = c5_bench::report::out_dir_for(mode);
         match c5_bench::report::run(&config, mode, &out_dir) {

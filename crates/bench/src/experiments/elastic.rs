@@ -4,14 +4,14 @@
 //! exists before the first log record ships, and a backup that dies is
 //! replaced by promoting or re-seeding offline (Section 6 recovers a
 //! *primary*, not fleet membership). This scenario measures the membership
-//! layer we add on top: a [`c5_core::FleetController`] seeds a 1→3 fan-out
+//! layer we add on top: a [`c5_core::FleetController`] seeds a 1→N fan-out
 //! through the same join protocol a live joiner uses, then — while
 //! closed-loop writers drive the primary and tokened reader sessions issue
 //! `strong`/`causal`/`bounded` reads — a brand-new replica **joins online**
-//! (live checkpoint export, install, archived-gap replay, with the live
-//! stream subscribed *before* the replay so no sequence number can fall
-//! between archive and stream) and one of the seeds **retires online**
-//! (drained of pinned reads, then detached).
+//! a third of the way through (live checkpoint export, install, archived-gap
+//! replay, with the live stream subscribed *before* the replay so no sequence
+//! number can fall between archive and stream) and the first seed **retires
+//! online** two thirds through (drained of pinned reads, then detached).
 //!
 //! Correctness is hard-asserted inside the run: the joiner is exposed at or
 //! beyond its install cut the moment it is `Serving`; no session violates
@@ -22,143 +22,46 @@
 //! per-survivor lag — the joiner's lag row only has post-join samples, so
 //! it *is* the lag-during-churn measurement.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use c5_primary::TxnFactory;
-use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
-
-use crate::harness::{fmt_tps, print_table, run_elastic_streaming, StreamingSetup};
+use crate::harness::{run_scenario, Event, Scenario};
 use crate::scale::Scale;
 
-/// Members seeded before load starts (the live 1→3 fan-out a new replica
-/// joins into).
-pub const SEED_REPLICAS: usize = 3;
-
-/// Number of reader sessions.
-pub const SESSIONS: usize = 4;
-
-/// The staleness bound `bounded` reads accept.
-pub const STALENESS_BOUND: Duration = Duration::from_millis(250);
+/// The [`reads`](super::reads) scenario on a controller-managed fleet, with
+/// a join at T/3 and a retire at 2T/3.
+pub fn scenario(scale: &Scale) -> Scenario {
+    Scenario {
+        events: vec![
+            (scale.duration / 3, Event::Join),
+            (scale.duration * 2 / 3, Event::Retire),
+        ],
+        ..super::reads::scenario(scale)
+    }
+}
 
 /// Runs the elastic-fleet scenario and prints the churn, per-class, and
 /// per-survivor tables.
 pub fn run(scale: &Scale) {
-    let mut setup =
-        StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-    setup.population = adversarial_population();
-    // Small segments bound both causal-read block time and the size of the
-    // archived gap a joiner has to close.
-    setup.segment_records = 64;
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-
-    let outcome = run_elastic_streaming(&setup, factory, SEED_REPLICAS, SESSIONS, STALENESS_BOUND);
-
-    assert!(
-        outcome.survivors_converged,
-        "every surviving member must expose the primary's full final state"
-    );
-    for class in &outcome.per_class {
-        assert!(
-            class.reads > 0,
-            "class {} served no reads",
-            class.kind.name()
-        );
-    }
-    println!(
-        "{} sessions over a churning fleet ({SEED_REPLICAS} seeds, 1 join, 1 retire): \
-         {} reads served, {} tokened writes, {} read-your-writes reads asserted fresh, \
-         {} replica switches under the monotonic floor, {} timeouts, \
-         {} routing generations",
-        outcome.sessions,
-        outcome.per_class.iter().map(|c| c.reads).sum::<u64>(),
-        outcome.session_stats.writes,
-        outcome.session_stats.ryw_reads,
-        outcome.session_stats.replica_switches,
-        outcome.session_stats.timeouts,
-        outcome.generations,
-    );
+    let outcome = run_scenario(&scenario(scale));
+    let (join, retire) = (&outcome.joins[0], &outcome.retires[0]);
     println!(
         "join: replica {} installed checkpoint cut {}, stream from {}, replayed {} archived \
          records, Serving after {:.1} ms; retire: replica {} drained in {:.1} ms at exposed \
          cut {}",
-        outcome.join.replica,
-        outcome.join.checkpoint_cut,
-        outcome.join.stream_start,
-        outcome.join.replayed_records,
-        outcome.join.join_to_serving.as_secs_f64() * 1e3,
-        outcome.retire.replica,
-        outcome.retire.drain.as_secs_f64() * 1e3,
-        outcome.retire.retired_exposed,
+        join.replica,
+        join.checkpoint_cut,
+        join.stream_start,
+        join.replayed_records,
+        join.join_to_serving.as_secs_f64() * 1e3,
+        retire.replica,
+        retire.drain.as_secs_f64() * 1e3,
+        retire.retired_exposed,
     );
-
-    let mut class_rows = Vec::new();
-    for class in &outcome.per_class {
-        let fmt_dist = |stats: &Option<c5_core::lag::LagStats>| match stats {
-            Some(s) => (format!("{:.3}", s.p50_ms), format!("{:.3}", s.p99_ms)),
-            None => ("-".into(), "-".into()),
-        };
-        let (lat_p50, lat_p99) = fmt_dist(&class.latency);
-        let (stale_p50, stale_p99) = fmt_dist(&class.staleness);
-        class_rows.push(vec![
-            class.kind.name().to_string(),
-            class.reads.to_string(),
-            fmt_tps(class.throughput(outcome.wall)),
-            class.timeouts.to_string(),
-            lat_p50,
-            lat_p99,
-            stale_p50,
-            stale_p99,
-        ]);
-    }
-    print_table(
+    super::reads::report_sessions(
         &format!(
-            "Elastic fleet (measured on this host): {SESSIONS} sessions, join at T/3, retire at 2T/3"
+            "Elastic fleet (measured on this host): {} sessions over {} seeds, join at T/3, \
+             retire at 2T/3",
+            scale.read_sessions, scale.fanout_replicas
         ),
-        &[
-            "class",
-            "reads",
-            "reads/s",
-            "timeouts",
-            "lat p50 ms",
-            "lat p99 ms",
-            "stale p50 ms",
-            "stale p99 ms",
-        ],
-        &class_rows,
-    );
-
-    let mut survivor_rows = Vec::new();
-    for (id, lag) in &outcome.survivor_lag {
-        let status = outcome.fleet.iter().find(|s| s.replica == *id);
-        let (lag_p50, lag_max) = lag
-            .as_ref()
-            .map(|l| (format!("{:.2}", l.p50_ms), format!("{:.2}", l.max_ms)))
-            .unwrap_or_else(|| ("-".into(), "-".into()));
-        survivor_rows.push(vec![
-            id.to_string(),
-            if *id == outcome.join.replica {
-                "joined mid-run".into()
-            } else {
-                "seed".into()
-            },
-            status.map(|s| s.exposed.to_string()).unwrap_or_default(),
-            status.map(|s| s.served.to_string()).unwrap_or_default(),
-            lag_p50,
-            lag_max,
-        ]);
-    }
-    print_table(
-        "Surviving members (the joiner's lag covers only its post-join life)",
-        &[
-            "replica",
-            "origin",
-            "exposed seq",
-            "reads served",
-            "lag p50 ms",
-            "lag max ms",
-        ],
-        &survivor_rows,
+        &outcome,
     );
     println!(
         "note: the joiner's install-cut coverage, read-your-writes, session monotonicity, \

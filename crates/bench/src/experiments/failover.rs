@@ -19,16 +19,15 @@
 //! Built-in assertions (also exercised by the CI smoke step): every
 //! promotion lands at or above the last cut the backup exposed before the
 //! kill; the resumed primary serves traffic; the standby catches up exactly;
-//! and C5's promotion drain stays within a small multiple of its replication
-//! lag (no unbounded drain), while protocols that fall behind pay for their
-//! whole backlog at promotion time.
+//! and C5's takeover stays within a small multiple of its replication lag
+//! (no unbounded drain), while protocols that fall behind pay for their whole
+//! backlog at promotion time.
 
 use std::sync::Arc;
 
-use c5_primary::TxnFactory;
 use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{fmt_tps, print_table, run_failover_streaming, ReplicaSpec, StreamingSetup};
+use crate::harness::{print_json_table, run_scenario, Event, ReplicaSpec, Scenario};
 use crate::scale::Scale;
 
 /// The protocols the failover sweep promotes.
@@ -41,107 +40,71 @@ pub const PROTOCOLS: [ReplicaSpec; 4] = [
     ReplicaSpec::TableGranularity,
 ];
 
+/// One backup of `spec` under the adversarial workload; the primary is killed
+/// when the load window closes and resumed for half as long again.
+pub fn scenario(scale: &Scale, spec: ReplicaSpec, standby: bool) -> Scenario {
+    let kill = Event::KillPrimary {
+        resume: scale.duration / 2,
+        standby,
+    };
+    Scenario {
+        events: vec![(scale.duration, kill)],
+        ..Scenario::new(
+            scale,
+            adversarial_population(),
+            Arc::new(AdversarialWorkload::new(4)),
+            vec![spec],
+        )
+    }
+}
+
 /// Runs the failover sweep and prints one row per promoted protocol.
 pub fn run(scale: &Scale) {
-    let resume_duration = scale.duration / 4;
     let mut rows = Vec::new();
     for spec in PROTOCOLS {
-        let mut setup =
-            StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-        setup.population = adversarial_population();
-        setup.segment_records = scale.segment_records;
-        let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
         let is_c5 = matches!(spec, ReplicaSpec::C5Faithful | ReplicaSpec::C5MyRocks);
-        let outcome = run_failover_streaming(&setup, factory, spec, resume_duration, is_c5);
-
-        println!(
-            "{}: backlog {} records at kill, promoted at cut {} — takeover \
-             {:.1} ms (final seal {:.1} ms), resumed primary committed {}",
-            outcome.protocol,
-            outcome.backlog_records(),
-            outcome.promoted_cut,
-            outcome.takeover.as_secs_f64() * 1e3,
-            outcome.promotion_drain.as_secs_f64() * 1e3,
-            outcome.resumed.committed,
-        );
-
+        let outcome = run_scenario(&scenario(scale, spec, is_c5));
+        let failover = outcome.failover.as_ref().expect("the kill fired");
         // Promotion must never land below what the backup already exposed:
         // the promoted state extends, and never rolls back, the prefix
         // read-only transactions observed before the failure.
         assert!(
-            outcome.promoted_cut >= outcome.exposed_at_kill,
-            "{}: promoted cut {} below the last exposed cut {}",
-            outcome.protocol,
-            outcome.promoted_cut,
-            outcome.exposed_at_kill
+            failover.promoted_cut >= failover.exposed_at_kill,
+            "{:?}: promoted cut {} below the last exposed cut {}",
+            spec,
+            failover.promoted_cut,
+            failover.exposed_at_kill
         );
         assert!(
-            outcome.resumed.committed > 0,
-            "{}: the promoted primary must serve traffic",
-            outcome.protocol
+            failover.resumed.committed > 0,
+            "{:?}: the promoted primary must serve traffic",
+            spec
         );
         if is_c5 {
             assert!(
-                outcome.drain_bounded_by_lag(),
-                "{}: takeover {:?} exceeds the lag bound (lag max {:?} ms) — \
+                failover.drain_bounded_by_lag(),
+                "{:?}: takeover {:?} exceeds the lag bound (lag max {:?} ms) — \
                  a keeping-up backup must not have an unbounded drain",
-                outcome.protocol,
-                outcome.takeover,
-                outcome.lag_at_kill.as_ref().map(|l| l.max_ms)
+                spec,
+                failover.takeover,
+                failover.lag_at_kill.as_ref().map(|l| l.max_ms)
             );
-            let standby = outcome.standby.as_ref().expect("C5 rows run the standby");
             assert!(
-                standby.caught_up,
-                "{}: the cold standby must converge to the promoted primary's state",
-                outcome.protocol
+                outcome.all_converged(),
+                "{:?}: the cold standby must converge to the promoted primary's state",
+                spec
             );
         }
-
-        let lag = outcome.lag_at_kill.as_ref();
-        rows.push(vec![
-            outcome.protocol.to_string(),
-            fmt_tps(outcome.primary.throughput()),
-            outcome.shipped_seq.to_string(),
-            outcome.backlog_records().to_string(),
-            lag.map(|l| format!("{:.2}", l.p50_ms))
-                .unwrap_or_else(|| "-".into()),
-            lag.map(|l| format!("{:.2}", l.p99_ms))
-                .unwrap_or_else(|| "-".into()),
-            lag.map(|l| format!("{:.2}", l.max_ms))
-                .unwrap_or_else(|| "-".into()),
-            format!("{:.1}", outcome.takeover.as_secs_f64() * 1e3),
-            format!("{:.1}", outcome.promotion_drain.as_secs_f64() * 1e3),
-            outcome.promoted_cut.to_string(),
-            outcome.resumed.committed.to_string(),
-            outcome
-                .standby
-                .as_ref()
-                .map(|s| {
-                    format!(
-                        "{} rows + {} replayed",
-                        s.checkpoint_rows, s.replayed_records
-                    )
-                })
-                .unwrap_or_else(|| "-".into()),
-        ]);
+        rows.push(outcome.to_json());
     }
-    print_table(
+    let columns = "protocol primary_tps shipped_seq backlog_records lag_at_kill_ms/p50 \
+         lag_at_kill_ms/p99 lag_at_kill_ms/max takeover_ms promotion_drain_ms \
+         promoted_cut resumed_committed standby/checkpoint_rows \
+         standby/replayed_records";
+    print_json_table(
         "Failover (measured on this host): primary killed after the run duration, \
          unshipped tail lost, backup promoted; adversarial workload",
-        &[
-            "protocol",
-            "primary txns/s",
-            "shipped",
-            "backlog",
-            "lag p50 ms",
-            "lag p99 ms",
-            "lag max ms",
-            "takeover ms",
-            "seal ms",
-            "cut",
-            "resumed txns",
-            "standby",
-        ],
         &rows,
+        columns,
     );
 }

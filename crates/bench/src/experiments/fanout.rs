@@ -3,7 +3,7 @@
 //! The paper evaluates a single backup; the deployment it motivates
 //! (Section 2.1: Meta's read-mostly tier) serves reads from *many* replicas
 //! of one primary. This scenario runs the adversarial workload on the 2PL
-//! primary while its log fans out to N independent C5 backups — one bounded
+//! primary while its log fans out to N independent backups — one bounded
 //! channel per replica, so backpressure and lag are per-replica — and
 //! reports each replica's apply wall, progress, and lag distribution. Every
 //! replica must keep up individually: C5's keep-up claim is per-clone, and
@@ -14,66 +14,44 @@
 
 use std::sync::Arc;
 
-use c5_primary::TxnFactory;
 use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{fmt_tps, print_table, run_fanout_streaming, ReplicaSpec, StreamingSetup};
+use crate::harness::{print_json_table, run_scenario, ReplicaSpec, Scenario};
 use crate::scale::Scale;
 
-/// Number of replicas the scenario fans out to.
-pub const REPLICAS: usize = 3;
+/// `scale.fanout_replicas` backups of `spec` under the adversarial workload.
+pub fn scenario(scale: &Scale, spec: ReplicaSpec) -> Scenario {
+    Scenario::new(
+        scale,
+        adversarial_population(),
+        Arc::new(AdversarialWorkload::new(4)),
+        vec![spec; scale.fanout_replicas],
+    )
+}
 
 /// Runs the fan-out scenario and prints one row per replica.
 pub fn run(scale: &Scale) {
     let mut rows = Vec::new();
     for spec in [ReplicaSpec::C5Faithful, ReplicaSpec::SingleThreaded] {
-        let mut setup =
-            StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-        setup.population = adversarial_population();
-        setup.segment_records = scale.segment_records;
-        let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(8));
-        let outcome = run_fanout_streaming(&setup, factory, spec, REPLICAS);
-
+        let outcome = run_scenario(&scenario(scale, spec));
         println!(
-            "{}: worst replica median lag {:.2} ms across {REPLICAS} replicas",
-            outcome.protocol,
-            outcome.worst_p50_ms()
+            "{}: primary {:.0} txns/s, worst replica median lag {:.2} ms across {} replicas",
+            outcome.replicas[0].protocol,
+            outcome.primary.throughput(),
+            outcome.worst_p50_ms(),
+            outcome.replicas.len()
         );
-        for replica in &outcome.replicas {
-            let (p50, max) = replica
-                .lag
-                .as_ref()
-                .map(|l| (format!("{:.2}", l.p50_ms), format!("{:.2}", l.max_ms)))
-                .unwrap_or_else(|| ("-".into(), "-".into()));
-            rows.push(vec![
-                outcome.protocol.to_string(),
-                replica.replica.to_string(),
-                fmt_tps(outcome.primary.throughput()),
-                replica.metrics.applied_txns.to_string(),
-                replica.metrics.exposed_seq.to_string(),
-                p50,
-                max,
-                format!("{:.0}ms", replica.wall.as_millis()),
-            ]);
-        }
         assert!(
             outcome.all_converged(),
-            "{}: every replica must apply the full log",
-            outcome.protocol
+            "{spec:?}: every replica must end at the primary's state"
         );
+        let doc = outcome.to_json();
+        rows.extend_from_slice(doc.at("replicas").and_then(|r| r.as_arr()).unwrap_or(&[]));
     }
-    print_table(
-        &format!("Fan-out (measured on this host): 1 primary -> {REPLICAS} replicas, adversarial workload"),
-        &[
-            "protocol",
-            "replica",
-            "primary txns/s",
-            "applied txns",
-            "exposed seq",
-            "lag p50 ms",
-            "lag max ms",
-            "apply wall",
-        ],
-        &rows,
+    let title = format!(
+        "Fan-out (measured on this host): 1 primary -> {} replicas, adversarial workload",
+        scale.fanout_replicas
     );
+    let columns = "protocol replica applied_txns exposed_seq lag_ms/p50 lag_ms/max wall_ms";
+    print_json_table(&title, &rows, columns);
 }

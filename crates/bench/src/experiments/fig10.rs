@@ -15,9 +15,7 @@ use c5_primary::TxnFactory;
 use c5_workloads::tpcc::{population, TpccMix};
 
 use crate::experiments::recorder::record_workload;
-use crate::harness::{
-    fmt_ratio, fmt_tps, print_table, run_offline_mvtso, OfflineSetup, ReplicaSpec,
-};
+use crate::harness::{fmt_ratio, fmt_tps, print_table, run_offline_mvtso, ReplicaSpec};
 use crate::scale::Scale;
 
 /// District counts swept by Figure 10.
@@ -49,37 +47,31 @@ pub fn run(scale: &Scale, ablation: bool) {
 
         // --- Measured series (real MVTSO primary; abort rates are the part
         // the model cannot show) -------------------------------------------
-        let mut setup = OfflineSetup::new(
-            scale.primary_threads,
-            scale.offline_txns_per_thread / 4,
-            scale.replica_workers,
-        );
-        setup.population = population(&cfg);
-        setup.segment_records = scale.segment_records;
         let factory: Arc<dyn TxnFactory> = Arc::new(TpccMix::half_and_half(cfg));
-        let c5_out = run_offline_mvtso(&setup, Arc::clone(&factory), ReplicaSpec::C5Faithful);
-        let kuafu_out = run_offline_mvtso(
-            &setup,
-            Arc::clone(&factory),
-            ReplicaSpec::KuaFu {
-                ignore_constraints: false,
-            },
-        );
+        let measure = |spec| {
+            run_offline_mvtso(
+                scale,
+                &population(&cfg),
+                scale.offline_txns_per_thread() / 4,
+                Arc::clone(&factory),
+                spec,
+            )
+        };
+        let c5_out = measure(ReplicaSpec::C5Faithful);
+        let kuafu_out = measure(ReplicaSpec::KuaFu {
+            ignore_constraints: false,
+        });
         let mut row = vec![
             districts.to_string(),
-            fmt_tps(c5_out.primary_throughput()),
+            fmt_tps(c5_out.primary.throughput()),
             format!("{:.0}%", c5_out.primary.abort_rate() * 100.0),
             fmt_ratio(c5_out.relative_throughput()),
             fmt_ratio(kuafu_out.relative_throughput()),
         ];
         if ablation {
-            let unconstrained = run_offline_mvtso(
-                &setup,
-                factory,
-                ReplicaSpec::KuaFu {
-                    ignore_constraints: true,
-                },
-            );
+            let unconstrained = measure(ReplicaSpec::KuaFu {
+                ignore_constraints: true,
+            });
             row.push(fmt_ratio(unconstrained.relative_throughput()));
         }
         measured_rows.push(row);

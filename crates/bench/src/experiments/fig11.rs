@@ -10,12 +10,9 @@ use std::sync::Arc;
 use c5_lagmodel::{
     simulate_backup, simulate_primary_2pl, BackupProtocol, ModelParams, ModelWorkload,
 };
-use c5_primary::TxnFactory;
 use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{
-    fmt_ratio, fmt_tps, print_table, run_offline_mvtso, OfflineSetup, ReplicaSpec,
-};
+use crate::harness::{fmt_ratio, fmt_tps, print_table, run_offline_mvtso, ReplicaSpec};
 use crate::scale::Scale;
 
 /// Inserts-per-transaction sweep of Figure 11.
@@ -42,29 +39,23 @@ pub fn run(scale: &Scale) {
         // --- Measured series ----------------------------------------------------
         // Keep the total write volume roughly constant across the sweep so the
         // quick scale stays quick.
-        let txns_per_thread = (scale.offline_txns_per_thread / (1 + n / 4)).max(50);
-        let mut setup = OfflineSetup::new(
-            scale.primary_threads,
-            txns_per_thread,
-            scale.replica_workers,
-        );
-        setup.population = adversarial_population();
-        setup.segment_records = scale.segment_records;
-        let c5_out = run_offline_mvtso(
-            &setup,
-            Arc::new(AdversarialWorkload::new(n)) as Arc<dyn TxnFactory>,
-            ReplicaSpec::C5Faithful,
-        );
-        let kuafu_out = run_offline_mvtso(
-            &setup,
-            Arc::new(AdversarialWorkload::new(n)) as Arc<dyn TxnFactory>,
-            ReplicaSpec::KuaFu {
-                ignore_constraints: false,
-            },
-        );
+        let txns_per_thread = (scale.offline_txns_per_thread() / (1 + n / 4)).max(50);
+        let measure = |spec| {
+            run_offline_mvtso(
+                scale,
+                &adversarial_population(),
+                txns_per_thread,
+                Arc::new(AdversarialWorkload::new(n)),
+                spec,
+            )
+        };
+        let c5_out = measure(ReplicaSpec::C5Faithful);
+        let kuafu_out = measure(ReplicaSpec::KuaFu {
+            ignore_constraints: false,
+        });
         measured_rows.push(vec![
             n.to_string(),
-            fmt_tps(c5_out.primary_throughput()),
+            fmt_tps(c5_out.primary.throughput()),
             format!("{:.0}%", c5_out.primary.abort_rate() * 100.0),
             fmt_ratio(c5_out.relative_throughput()),
             fmt_ratio(kuafu_out.relative_throughput()),

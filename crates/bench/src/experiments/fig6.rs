@@ -12,7 +12,7 @@ use c5_primary::TxnFactory;
 use c5_workloads::tpcc::{population, TpccMix};
 
 use crate::experiments::recorder::record_workload;
-use crate::harness::{fmt_ratio, fmt_tps, print_table, run_streaming, ReplicaSpec, StreamingSetup};
+use crate::harness::{fmt_ratio, fmt_tps, print_table, run_scenario, ReplicaSpec, Scenario};
 use crate::scale::Scale;
 
 /// Runs the experiment and prints the model and measured tables.
@@ -43,38 +43,28 @@ pub fn run(scale: &Scale) {
             ]);
 
             // --- Measured series ----------------------------------------------
-            let mut setup =
-                StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-            setup.population = population(&cfg);
-            setup.segment_records = scale.segment_records;
             let factory: Arc<dyn TxnFactory> = Arc::new(TpccMix::new(cfg, new_order_pct));
-            let c5_out = run_streaming(
-                &setup,
-                Arc::clone(&factory),
-                ReplicaSpec::C5MyRocks,
-                0,
-                0,
-                0,
-            );
-            let kuafu_out = run_streaming(
-                &setup,
-                factory,
-                ReplicaSpec::KuaFu {
-                    ignore_constraints: false,
-                },
-                0,
-                0,
-                0,
-            );
+            let measure = |spec| {
+                run_scenario(&Scenario::new(
+                    scale,
+                    population(&cfg),
+                    Arc::clone(&factory),
+                    vec![spec],
+                ))
+            };
+            let c5_out = measure(ReplicaSpec::C5MyRocks);
+            let kuafu_out = measure(ReplicaSpec::KuaFu {
+                ignore_constraints: false,
+            });
             measured_rows.push(vec![
                 workload_name.to_string(),
                 variant.to_string(),
-                fmt_tps(c5_out.primary_throughput()),
-                fmt_tps(c5_out.replica_throughput()),
+                fmt_tps(c5_out.primary.throughput()),
+                fmt_tps(c5_out.replicas[0].throughput()),
                 fmt_ratio(c5_out.relative_throughput()),
-                fmt_tps(kuafu_out.replica_throughput()),
+                fmt_tps(kuafu_out.replicas[0].throughput()),
                 fmt_ratio(kuafu_out.relative_throughput()),
-                yes_no(kuafu_out.keeps_up()),
+                yes_no(kuafu_out.keeps_up(&kuafu_out.replicas[0])),
             ]);
         }
     }

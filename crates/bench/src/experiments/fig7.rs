@@ -10,10 +10,9 @@ use std::sync::Arc;
 use c5_lagmodel::{
     simulate_backup, simulate_primary_2pl, BackupProtocol, ModelParams, ModelWorkload,
 };
-use c5_primary::TxnFactory;
-use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload, SYNTHETIC_TABLE};
+use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{fmt_ratio, fmt_tps, print_table, run_streaming, ReplicaSpec, StreamingSetup};
+use crate::harness::{fmt_ratio, fmt_tps, print_table, run_scenario, ReplicaSpec, Scenario};
 use crate::scale::Scale;
 
 /// The inserts-per-transaction sweep of the paper's Figure 7.
@@ -40,31 +39,21 @@ pub fn run(scale: &Scale) {
         ]);
 
         // --- Measured series ---------------------------------------------------
-        let mut setup =
-            StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-        setup.population = adversarial_population();
-        setup.segment_records = scale.segment_records;
-        let c5_out = run_streaming(
-            &setup,
-            Arc::new(AdversarialWorkload::new(n)) as Arc<dyn TxnFactory>,
-            ReplicaSpec::C5MyRocks,
-            0,
-            SYNTHETIC_TABLE,
-            0,
-        );
-        let kuafu_out = run_streaming(
-            &setup,
-            Arc::new(AdversarialWorkload::new(n)) as Arc<dyn TxnFactory>,
-            ReplicaSpec::KuaFu {
-                ignore_constraints: false,
-            },
-            0,
-            SYNTHETIC_TABLE,
-            0,
-        );
+        let measure = |spec| {
+            run_scenario(&Scenario::new(
+                scale,
+                adversarial_population(),
+                Arc::new(AdversarialWorkload::new(n)),
+                vec![spec],
+            ))
+        };
+        let c5_out = measure(ReplicaSpec::C5MyRocks);
+        let kuafu_out = measure(ReplicaSpec::KuaFu {
+            ignore_constraints: false,
+        });
         measured_rows.push(vec![
             n.to_string(),
-            fmt_tps(c5_out.primary_throughput()),
+            fmt_tps(c5_out.primary.throughput()),
             fmt_ratio(c5_out.relative_throughput()),
             fmt_ratio(kuafu_out.relative_throughput()),
         ]);

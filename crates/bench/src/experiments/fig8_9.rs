@@ -12,10 +12,9 @@ use std::sync::Arc;
 
 use c5_core::lag::LagStats;
 use c5_log::now_nanos;
-use c5_primary::TxnFactory;
-use c5_workloads::synthetic::{InsertOnlyWorkload, SYNTHETIC_TABLE};
+use c5_workloads::synthetic::InsertOnlyWorkload;
 
-use crate::harness::{fmt_tps, print_table, run_streaming, ReplicaSpec, StreamingSetup};
+use crate::harness::{fmt_tps, print_table, run_scenario, Readers, ReplicaSpec, Scenario};
 use crate::scale::Scale;
 
 /// The read-only client counts swept by Figures 8 and 9.
@@ -28,30 +27,26 @@ pub fn run(scale: &Scale) {
     let mut tput_rows = Vec::new();
 
     for &clients in READ_CLIENTS {
-        let mut setup =
-            StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-        setup.segment_records = scale.segment_records;
-        // Snapshots every 10 ms, as in the paper's experiment.
-        setup.snapshot_interval = std::time::Duration::from_millis(10);
-        let factory: Arc<dyn TxnFactory> = Arc::new(InsertOnlyWorkload::new(4));
-
+        // Whole-database snapshots every 10 ms (the replica default), as in
+        // the paper's experiment.
+        let scenario = Scenario {
+            readers: Readers::PointClients(clients),
+            ..Scenario::new(
+                scale,
+                Vec::new(),
+                Arc::new(InsertOnlyWorkload::new(4)),
+                vec![ReplicaSpec::C5MyRocks],
+            )
+        };
         let run_start = now_nanos();
-        let outcome = run_streaming(
-            &setup,
-            factory,
-            ReplicaSpec::C5MyRocks,
-            clients,
-            SYNTHETIC_TABLE,
-            // Point queries over a key space roughly twice the inserted rows,
-            // so some lookups miss (as the paper allows).
-            200_000,
-        );
-        let run_end = now_nanos();
+        let outcome = run_scenario(&scenario);
 
         // Figure 8: lag distribution over three consecutive observation
         // windows (the paper uses three 30-second windows of a 90-second
         // measurement; we split the run into thirds).
-        let window = (run_end.saturating_sub(run_start)) / 3;
+        // The replica's apply wall, not the call's: the runner also sets up
+        // and, afterwards, compares final states.
+        let window = outcome.replicas[0].wall.as_nanos() as u64 / 3;
         for (i, (lo, hi)) in [
             (run_start, run_start + window),
             (run_start + window, run_start + 2 * window),
@@ -60,7 +55,7 @@ pub fn run(scale: &Scale) {
         .into_iter()
         .enumerate()
         {
-            let values: Vec<f64> = outcome
+            let values: Vec<f64> = outcome.replicas[0]
                 .lag_samples
                 .iter()
                 .filter(|s| s.exposed_at_nanos >= lo && s.exposed_at_nanos < hi)
@@ -92,20 +87,20 @@ pub fn run(scale: &Scale) {
         // Figure 9: read and write throughput, plus read-latency percentiles
         // (sampled; the paper reports throughput only).
         let read_tput = outcome
-            .reads
+            .point_reads
             .as_ref()
             .map(|r| r.throughput())
             .unwrap_or(0.0);
         let (read_p50, read_p99) = outcome
-            .reads
+            .point_reads
             .as_ref()
             .and_then(|r| r.latency())
             .map(|l| (format!("{:.3}", l.p50_ms), format!("{:.3}", l.p99_ms)))
             .unwrap_or_else(|| ("-".into(), "-".into()));
         tput_rows.push(vec![
             clients.to_string(),
-            fmt_tps(outcome.primary_throughput()),
-            fmt_tps(outcome.replica_throughput()),
+            fmt_tps(outcome.primary.throughput()),
+            fmt_tps(outcome.replicas[0].throughput()),
             fmt_tps(read_tput),
             read_p50,
             read_p99,

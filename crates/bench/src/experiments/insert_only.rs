@@ -8,12 +8,10 @@
 
 use std::sync::Arc;
 
-use c5_primary::TxnFactory;
-use c5_workloads::synthetic::{InsertOnlyWorkload, SYNTHETIC_TABLE};
+use c5_workloads::synthetic::InsertOnlyWorkload;
 
 use crate::harness::{
-    fmt_ratio, fmt_tps, print_table, run_offline_mvtso, run_streaming, OfflineSetup, ReplicaSpec,
-    StreamingSetup,
+    fmt_ratio, fmt_tps, print_table, run_offline_mvtso, run_scenario, ReplicaSpec, Scenario,
 };
 use crate::scale::Scale;
 
@@ -33,17 +31,18 @@ pub const SPECS: &[ReplicaSpec] = &[
 pub fn run_myrocks(scale: &Scale) {
     let mut rows = Vec::new();
     for spec in SPECS {
-        let mut setup =
-            StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-        setup.segment_records = scale.segment_records;
-        let factory: Arc<dyn TxnFactory> = Arc::new(InsertOnlyWorkload::new(4));
-        let out = run_streaming(&setup, factory, *spec, 0, SYNTHETIC_TABLE, 0);
+        let out = run_scenario(&Scenario::new(
+            scale,
+            Vec::new(),
+            Arc::new(InsertOnlyWorkload::new(4)),
+            vec![*spec],
+        ));
         rows.push(vec![
-            spec.name().to_string(),
-            fmt_tps(out.primary_throughput()),
-            fmt_tps(out.replica_throughput()),
+            out.replicas[0].protocol.to_string(),
+            fmt_tps(out.primary.throughput()),
+            fmt_tps(out.replicas[0].throughput()),
             fmt_ratio(out.relative_throughput()),
-            if out.keeps_up() {
+            if out.keeps_up(&out.replicas[0]) {
                 "yes".into()
             } else {
                 "no".into()
@@ -67,18 +66,17 @@ pub fn run_cicada(scale: &Scale) {
             ignore_constraints: false,
         },
     ] {
-        let mut setup = OfflineSetup::new(
-            scale.primary_threads,
-            scale.offline_txns_per_thread / 4,
-            scale.replica_workers,
+        let out = run_offline_mvtso(
+            scale,
+            &[],
+            scale.offline_txns_per_thread() / 4,
+            Arc::new(InsertOnlyWorkload::new(16)),
+            *spec,
         );
-        setup.segment_records = scale.segment_records;
-        let factory: Arc<dyn TxnFactory> = Arc::new(InsertOnlyWorkload::new(16));
-        let out = run_offline_mvtso(&setup, factory, *spec);
-        let rows_per_s_primary = out.primary_throughput() * 16.0;
+        let rows_per_s_primary = out.primary.throughput() * 16.0;
         let rows_per_s_backup = out.replica_throughput() * 16.0;
         rows.push(vec![
-            spec.name().to_string(),
+            out.protocol.to_string(),
             fmt_tps(rows_per_s_primary),
             fmt_tps(rows_per_s_backup),
             fmt_ratio(out.relative_throughput()),

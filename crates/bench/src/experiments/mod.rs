@@ -14,6 +14,13 @@
 //!   move the right way); on a single-core host the *relative throughput*
 //!   columns compress towards 1.0 because no protocol can actually execute
 //!   in parallel, which is called out in EXPERIMENTS.md.
+//!
+//! The six scenarios that go beyond the paper's figures — [`fanout`],
+//! [`sharded`], [`failover`], [`reads`], [`elastic`] and [`obs`] — each
+//! export the `scenario` they run, as a [`crate::harness::Scenario`]
+//! description; `bench` runs the same descriptions at its own scale, so a
+//! sub-command's table and its `BENCH_<name>.json` are two views of one run
+//! shape.
 
 pub mod durability;
 pub mod elastic;

@@ -1,13 +1,13 @@
-//! The observability smoke: run a full-stack workload against a fresh
-//! `c5-obs` sink and dump everything it captured.
+//! The observability smoke: run a full-stack workload and dump everything
+//! its `c5-obs` sink captured.
 //!
 //! The elastic-fleet scenario is the one run that touches every
 //! instrumented subsystem at once — the four pipeline stages on every
 //! member, the log shipper's fan-out, the read router's per-class
-//! decisions, and the fleet controller's join/retire lifecycle — so this
-//! experiment drives it with a run-local [`Obs`] sink (not the process
-//! global, so the dump contains exactly this run) and then exposes the
-//! result three ways:
+//! decisions, and the fleet controller's join/retire lifecycle — and every
+//! scenario run records into a sink of its own ([`Outcome::obs`], not the
+//! process global, so the dump contains exactly this run). This experiment
+//! exposes that sink three ways:
 //!
 //! 1. Prometheus-style text ([`c5_obs::MetricsSnapshot::to_prometheus`]),
 //! 2. the snapshot as JSON ([`crate::obs_export::snapshot_json`]),
@@ -15,116 +15,97 @@
 //! 3. the merged trace timeline, counted by kind and shown head-first.
 //!
 //! The acceptance criterion of the observability layer is hard-asserted
-//! here: the `stage`, `ship`, `route`, and `lifecycle` event kinds must
-//! each appear at least once in the dumped timeline, and every pipeline
-//! stage must have recorded dwell samples.
+//! here by validating [`document`] — the body of `BENCH_obs.json` — against
+//! the bench schema: the `stage`, `ship`, `route`, and `lifecycle` event
+//! kinds must each appear at least once in the dumped timeline, and every
+//! pipeline stage must have recorded dwell samples.
+//!
+//! [`Outcome::obs`]: crate::harness::Outcome::obs
 
-use std::sync::Arc;
-use std::time::Duration;
+use c5_obs::{Obs, PipelineStage};
 
-use c5_obs::{Obs, PipelineStage, TraceEvent};
-use c5_primary::TxnFactory;
-use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
-
-use crate::harness::{print_table, run_elastic_streaming, StreamingSetup};
+use crate::harness::run_scenario;
+use crate::json::JsonValue;
 use crate::obs_export::{kind_counts, snapshot_json, timeline_json};
 use crate::scale::Scale;
 
-/// Fleet seeds, matching the elastic scenario.
-const SEED_REPLICAS: usize = 3;
-/// Reader sessions, matching the elastic scenario.
-const SESSIONS: usize = 4;
-/// Staleness bound for `bounded` reads.
-const STALENESS_BOUND: Duration = Duration::from_millis(250);
 /// Timeline rows printed before eliding the rest.
 const TIMELINE_HEAD: usize = 12;
 
-/// Runs the observability smoke and dumps the captured state.
-pub fn run(scale: &Scale) {
-    let obs = Obs::new();
-    let mut setup =
-        StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-    setup.population = adversarial_population();
-    setup.segment_records = 64;
-    setup.obs = Arc::clone(&obs);
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-
-    let outcome = run_elastic_streaming(&setup, factory, SEED_REPLICAS, SESSIONS, STALENESS_BOUND);
-    assert!(outcome.survivors_converged, "elastic run must converge");
-
+/// What a run's sink captured, as the body of `BENCH_obs.json`: the merged
+/// trace timeline counted by kind, dwell samples per pipeline stage, and the
+/// full metrics snapshot.
+pub fn document(obs: &Obs) -> JsonValue {
     let snap = obs.metrics.snapshot();
     let timeline = obs.trace.merged();
-    let dropped = obs.trace.dropped();
+    let by_kind = (kind_counts(&timeline).into_iter())
+        .map(|(kind, n)| (kind.to_string(), n.into()))
+        .collect();
+    let stage_samples = (PipelineStage::all().iter())
+        .map(|stage| {
+            let series = format!("stage_dwell_ns{{stage=\"{}\"}}", stage.name());
+            let samples = snap.histogram(&series).map_or(0, |h| h.count());
+            (stage.name().to_string(), samples.into())
+        })
+        .collect();
+    crate::json_obj! {
+        "events_total": timeline.len(),
+        "events_dropped": obs.trace.dropped(),
+        "by_kind": JsonValue::Obj(by_kind),
+        "stage_samples": JsonValue::Obj(stage_samples),
+        "snapshot": snapshot_json(&snap),
+    }
+}
+
+/// Runs the observability smoke and dumps the captured state.
+pub fn run(scale: &Scale) {
+    let outcome = run_scenario(&super::elastic::scenario(scale));
+    assert!(outcome.all_converged(), "elastic run must converge");
+    let obs = &outcome.obs;
 
     println!("== metrics: Prometheus text exposition ==");
-    print!("{}", snap.to_prometheus());
+    print!("{}", obs.metrics.snapshot().to_prometheus());
 
     println!("\n== metrics: JSON exposition (round-tripped) ==");
-    let doc = snapshot_json(&snap);
-    let text = doc.pretty();
+    let doc = document(obs);
+    let text = doc
+        .at("snapshot")
+        .expect("document has a snapshot")
+        .pretty();
     let parsed = crate::json::parse(&text).expect("snapshot JSON must re-parse");
     for section in ["counters", "gauges", "histograms"] {
-        let obj = parsed.get(section).expect("section present");
-        let len = match obj {
-            crate::json::JsonValue::Obj(entries) => entries.len(),
+        match parsed.get(section) {
+            Some(JsonValue::Obj(series)) => println!("{section}: {} series", series.len()),
             _ => panic!("{section} is not an object"),
-        };
-        println!("{section}: {len} series");
+        }
     }
     // The full document is what `experiments bench` commits as
     // BENCH_obs.json; here a size line keeps the dump readable.
     println!("snapshot JSON: {} bytes, parses clean", text.len());
 
-    println!("\n== trace: merged timeline ==");
-    let counts = kind_counts(&timeline);
-    let rows: Vec<Vec<String>> = counts
-        .iter()
-        .map(|(kind, n)| vec![kind.to_string(), n.to_string()])
-        .collect();
-    print_table(
-        &format!(
-            "{} events across {} kinds ({} overwritten by the ring bound)",
-            timeline.len(),
-            counts.iter().filter(|(_, n)| *n > 0).count(),
-            dropped
-        ),
-        &["kind", "events"],
-        &rows,
+    let merged = obs.trace.merged();
+    println!(
+        "\n== trace: merged timeline: {} events ({} overwritten by the ring bound) ==",
+        merged.len(),
+        obs.trace.dropped()
     );
-
-    let timeline_doc = timeline_json(&timeline);
-    let head = timeline_doc.as_arr().expect("timeline is an array");
-    for row in head.iter().take(TIMELINE_HEAD) {
-        let offset = row.get("offset_ns").and_then(|v| v.as_num()).unwrap_or(0.0);
-        let thread = row.get("thread").and_then(|v| v.as_str()).unwrap_or("?");
-        let kind = row.get("kind").and_then(|v| v.as_str()).unwrap_or("?");
-        println!("  +{:>12.0} ns  {thread:<20} {kind}", offset);
+    print!(
+        "{}",
+        doc.at("by_kind").expect("document counts kinds").pretty()
+    );
+    let head = timeline_json(&merged[..merged.len().min(TIMELINE_HEAD)]);
+    for row in head.as_arr().expect("timeline is an array") {
+        let offset = row.at("offset_ns").and_then(JsonValue::as_num);
+        let thread = row.at("thread").and_then(JsonValue::as_str).unwrap_or("?");
+        let kind = row.at("kind").and_then(JsonValue::as_str).unwrap_or("?");
+        println!("  +{:>12.0} ns  {thread:<20} {kind}", offset.unwrap_or(0.0));
     }
-    if head.len() > TIMELINE_HEAD {
-        println!("  … {} more events", head.len() - TIMELINE_HEAD);
+    if merged.len() > TIMELINE_HEAD {
+        println!("  … {} more events", merged.len() - TIMELINE_HEAD);
     }
 
     // The acceptance gate: every instrumented subsystem spoke.
-    for required in ["stage", "ship", "route", "lifecycle"] {
-        let n = counts
-            .iter()
-            .find(|(kind, _)| *kind == required)
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        assert!(n > 0, "no `{required}` events in the merged timeline");
-    }
-    for stage in PipelineStage::all() {
-        let sampled = timeline.iter().any(
-            |r| matches!(r.event, TraceEvent::Stage { stage: s, .. } if s.name() == stage.name()),
-        );
-        let name = format!("stage_dwell_ns{{stage=\"{}\"}}", stage.name());
-        let recorded = snap.histogram(&name).map(|h| h.count()).unwrap_or(0);
-        assert!(
-            sampled && recorded > 0,
-            "stage `{}` has no trace events or dwell samples",
-            stage.name()
-        );
-    }
+    crate::report::validate_body("obs", &doc).unwrap_or_else(|e| panic!("obs coverage: {e}"));
     println!(
         "\nobs smoke OK: stage/ship/route/lifecycle all present, \
          all four stages sampled, snapshot JSON round-trips."

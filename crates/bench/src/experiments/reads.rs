@@ -1,5 +1,5 @@
 //! Read-serving over the fan-out fleet: consistency-class sessions against
-//! 1 primary → 3 replicas.
+//! 1 primary → N replicas.
 //!
 //! The paper measures read-only clients against a *single* backup's exposed
 //! snapshot (Figures 8 and 9: lag and throughput as closed-loop point-query
@@ -16,139 +16,81 @@
 //!
 //! Correctness is asserted inside the run: a read-your-writes read never
 //! observes a state older than its token (value-checked, not just
-//! cut-checked), and a session never reads backwards across replica
-//! switches. The tables report per-class throughput, latency percentiles,
-//! block time, and observed staleness, plus per-replica load and lag.
+//! cut-checked), a session never reads backwards across replica switches,
+//! and a closing strong read covers the whole log. The tables report
+//! per-class throughput, latency percentiles, block time, and observed
+//! staleness, plus per-replica load and lag.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use c5_primary::TxnFactory;
 use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{fmt_tps, print_table, run_reads_streaming, ReplicaSpec, StreamingSetup};
+use crate::harness::{print_json_table, run_scenario, Outcome, Readers, ReplicaSpec, Scenario};
+use crate::json::JsonValue;
 use crate::scale::Scale;
 
-/// Number of replicas in the fleet.
-pub const REPLICAS: usize = 3;
+/// `scale.read_sessions` sessions over `scale.fanout_replicas` faithful C5
+/// backups, adversarial background load.
+pub fn scenario(scale: &Scale) -> Scenario {
+    Scenario {
+        readers: Readers::Sessions(scale.read_sessions),
+        ..Scenario::new(
+            scale,
+            adversarial_population(),
+            Arc::new(AdversarialWorkload::new(4)),
+            vec![ReplicaSpec::C5Faithful; scale.fanout_replicas],
+        )
+    }
+}
 
-/// Number of reader sessions.
-pub const SESSIONS: usize = 4;
-
-/// The staleness bound `bounded` reads accept.
-pub const STALENESS_BOUND: Duration = Duration::from_millis(250);
+/// Asserts what every session run must show — the fleet converged and every
+/// class served reads — and prints the per-class and per-replica tables.
+pub(crate) fn report_sessions(title: &str, outcome: &Outcome) {
+    assert!(
+        outcome.all_converged(),
+        "every serving replica must end at the primary's full final state"
+    );
+    let doc = outcome.to_json();
+    let rows = |key| doc.at(key).and_then(JsonValue::as_arr).unwrap_or(&[]);
+    for class in rows("classes") {
+        let reads = class.at("reads").and_then(JsonValue::as_num);
+        assert!(reads > Some(0.0), "a class served no reads: {class:?}");
+    }
+    let session = |key| doc.at(key).and_then(JsonValue::as_num).unwrap_or(0.0);
+    println!(
+        "{} sessions: {} reads served, {} tokened writes, {} read-your-writes reads asserted \
+         fresh, {} replica switches under the monotonic floor, {} timeouts, {} routing \
+         generations",
+        session("sessions"),
+        session("total_reads"),
+        session("session/writes"),
+        session("session/ryw_reads"),
+        session("session/replica_switches"),
+        session("session/timeouts"),
+        session("generations"),
+    );
+    let columns = "class reads reads_per_sec ro_txns blocked block_ms timeouts latency_ms/p50 \
+         latency_ms/p99 staleness_ms/p50 staleness_ms/p99";
+    print_json_table(title, rows("classes"), columns);
+    let columns = "replica joined_mid_run exposed_seq served applied_txns lag_ms/p50 lag_ms/max";
+    print_json_table(
+        "Serving members (a mid-run joiner's lag covers only its post-join life)",
+        rows("replicas"),
+        columns,
+    );
+}
 
 /// Runs the read-serving scenario and prints the per-class and per-replica
 /// tables.
 pub fn run(scale: &Scale) {
-    let mut setup =
-        StreamingSetup::new(scale.duration, scale.primary_threads, scale.replica_workers);
-    setup.population = adversarial_population();
-    // Small segments bound the time a committed token sits buffered before
-    // it ships — the dominant term of causal-read block time.
-    setup.segment_records = 64;
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-
-    let outcome = run_reads_streaming(
-        &setup,
-        factory,
-        ReplicaSpec::C5Faithful,
-        REPLICAS,
-        SESSIONS,
-        STALENESS_BOUND,
-    );
-
-    assert!(
-        outcome.all_converged(),
-        "every replica must apply the primary's full log"
-    );
-    for class in &outcome.per_class {
-        assert!(
-            class.reads > 0,
-            "class {} served no reads",
-            class.kind.name()
-        );
-    }
-    println!(
-        "{} sessions over {REPLICAS} replicas: {} reads served, {} tokened writes, \
-         {} read-your-writes reads asserted fresh, {} replica switches under the \
-         monotonic floor, {} timeouts",
-        outcome.sessions,
-        outcome.total_reads(),
-        outcome.session_stats.writes,
-        outcome.session_stats.ryw_reads,
-        outcome.session_stats.replica_switches,
-        outcome.session_stats.timeouts,
-    );
-
-    let mut class_rows = Vec::new();
-    for class in &outcome.per_class {
-        let fmt_dist = |stats: &Option<c5_core::lag::LagStats>| match stats {
-            Some(s) => (format!("{:.3}", s.p50_ms), format!("{:.3}", s.p99_ms)),
-            None => ("-".into(), "-".into()),
-        };
-        let (lat_p50, lat_p99) = fmt_dist(&class.latency);
-        let (stale_p50, stale_p99) = fmt_dist(&class.staleness);
-        class_rows.push(vec![
-            class.kind.name().to_string(),
-            class.reads.to_string(),
-            fmt_tps(class.throughput(outcome.wall)),
-            class.txns.to_string(),
-            class.blocked.to_string(),
-            format!("{:.3}", class.mean_block_ms()),
-            class.timeouts.to_string(),
-            lat_p50,
-            lat_p99,
-            stale_p50,
-            stale_p99,
-        ]);
-    }
-    print_table(
+    let outcome = run_scenario(&scenario(scale));
+    report_sessions(
         &format!(
-            "Read serving (measured on this host): {SESSIONS} sessions over 1 primary -> {REPLICAS} replicas, mixed read/write"
+            "Read serving (measured on this host): {} sessions over 1 primary -> {} replicas, \
+             mixed read/write",
+            scale.read_sessions, scale.fanout_replicas
         ),
-        &[
-            "class",
-            "reads",
-            "reads/s",
-            "ro txns",
-            "blocked",
-            "block ms",
-            "timeouts",
-            "lat p50 ms",
-            "lat p99 ms",
-            "stale p50 ms",
-            "stale p99 ms",
-        ],
-        &class_rows,
-    );
-
-    let mut replica_rows = Vec::new();
-    for (i, status) in outcome.fleet.iter().enumerate() {
-        let (lag_p50, lag_max) = outcome.replica_lag[i]
-            .as_ref()
-            .map(|l| (format!("{:.2}", l.p50_ms), format!("{:.2}", l.max_ms)))
-            .unwrap_or_else(|| ("-".into(), "-".into()));
-        replica_rows.push(vec![
-            status.replica.to_string(),
-            status.exposed.to_string(),
-            status.served.to_string(),
-            outcome.replica_metrics[i].applied_txns.to_string(),
-            lag_p50,
-            lag_max,
-        ]);
-    }
-    print_table(
-        "Per-replica routing and lag",
-        &[
-            "replica",
-            "exposed seq",
-            "reads served",
-            "applied txns",
-            "lag p50 ms",
-            "lag max ms",
-        ],
-        &replica_rows,
+        &outcome,
     );
     println!(
         "note: read-your-writes and monotonic-session guarantees are hard assertions inside \

@@ -5,7 +5,7 @@
 //! north-star is a keyspace that shards. This scenario runs the shard-span
 //! workload (two uniform updates per transaction, so roughly `1 - 1/N` of
 //! transactions cross shards at N shards) on the 2PL primary while a
-//! `ShardedC5Replica` applies the log at 1, 2, 4, and 8 shards, keeping the
+//! `ShardedC5Replica` applies the log at 1, 2, 4, … shards, keeping the
 //! total worker count as close to constant as divisibility allows
 //! (`max(1, total / shards)` workers per shard — each pipeline needs at
 //! least one worker, so shard counts above the total run more; the table's
@@ -16,105 +16,92 @@
 //!
 //! The 1-shard row is the control: it must match the unsharded faithful
 //! replica, because the cut protocol degenerates to the paper's
-//! single-log cut when the vector has one component.
+//! single-log cut when the vector has one component
+//! (`tests/protocol_conformance.rs` holds it to that).
 
 use std::sync::Arc;
 
-use c5_primary::TxnFactory;
 use c5_workloads::synthetic::{shard_span_population, ShardSpanWorkload};
 
-use crate::harness::{fmt_tps, print_table, run_sharded_streaming, StreamingSetup};
+use crate::harness::{print_json_table, run_scenario, ReplicaSpec, Scenario};
+use crate::json::JsonValue;
 use crate::scale::Scale;
 
-/// The shard counts the sweep measures.
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 /// The preloaded key space the workload updates (and the router partitions).
+/// Divides evenly into up to 64 range shards.
 pub const KEY_SPACE: u64 = 4096;
 
-/// Runs the sweep and prints one global row plus one row per shard.
-pub fn run(scale: &Scale) {
-    let total_workers = scale.replica_workers.max(1);
-    let mut rows = Vec::new();
-    for shards in SHARD_COUNTS {
-        // Keep total apply parallelism constant across the sweep.
-        let workers_per_shard = (total_workers / shards).max(1);
-        let mut setup =
-            StreamingSetup::new(scale.duration, scale.primary_threads, workers_per_shard);
-        setup.population = shard_span_population(KEY_SPACE);
-        setup.segment_records = scale.segment_records;
-        let factory: Arc<dyn TxnFactory> = Arc::new(ShardSpanWorkload::new(KEY_SPACE));
-        let outcome = run_sharded_streaming(&setup, factory, shards, KEY_SPACE);
+/// One sharded backup at `shards` shards under the shard-span workload.
+pub fn scenario(scale: &Scale, shards: usize) -> Scenario {
+    Scenario::new(
+        scale,
+        shard_span_population(KEY_SPACE),
+        Arc::new(ShardSpanWorkload::new(KEY_SPACE)),
+        vec![ReplicaSpec::C5Sharded {
+            shards,
+            key_space: KEY_SPACE,
+        }],
+    )
+}
 
-        println!(
-            "{shards} shard(s): {:.0}% cross-shard, global lag p50 {:.2} ms, worst shard p50 {:.2} ms",
-            outcome.cross_shard_share() * 100.0,
-            outcome.lag.as_ref().map(|l| l.p50_ms).unwrap_or(0.0),
-            outcome.worst_shard_p50_ms(),
-        );
-        assert!(
-            outcome.converged(),
-            "{shards} shards: the replica must apply the full log ({} of {})",
-            outcome.replica_metrics.applied_txns,
-            outcome.primary.committed
-        );
-        if shards > 1 && outcome.replica_metrics.applied_txns > 0 {
-            assert!(
-                outcome.cross_shard_share() >= 0.10,
-                "{shards} shards: the span workload must be >=10% cross-shard (got {:.1}%)",
-                outcome.cross_shard_share() * 100.0
+/// Runs the sweep up to `scale.max_sweep_shards`; returns one
+/// [`Outcome::to_json`](crate::harness::Outcome::to_json) document per shard
+/// count.
+///
+/// # Panics
+/// Panics if a replica does not converge, or if the span workload is not at
+/// least 10% cross-shard above one shard.
+pub fn sweep(scale: &Scale) -> Vec<JsonValue> {
+    (scale.sweep_shards().into_iter())
+        .map(|shards| {
+            let outcome = run_scenario(&scenario(scale, shards));
+            let doc = outcome.to_json();
+            let share = doc
+                .at("replicas/0/cross_shard_share")
+                .and_then(JsonValue::as_num);
+            println!(
+                "{shards} shard(s): primary {:.0} txns/s, {:.0}% cross-shard, lag p50 {:.2} ms, \
+                 {} cuts",
+                outcome.primary.throughput(),
+                share.unwrap_or(0.0) * 100.0,
+                outcome.worst_p50_ms(),
+                outcome.replicas[0].cuts_taken,
             );
-        }
+            assert!(
+                outcome.all_converged(),
+                "{shards} shards: the replica must end at the primary's state"
+            );
+            assert!(
+                shards == 1 || share >= Some(0.10),
+                "{shards} shards: the span workload must be >=10% cross-shard (got {share:?})"
+            );
+            doc
+        })
+        .collect()
+}
 
-        let global_lag = outcome.lag.as_ref();
-        rows.push(vec![
-            shards.to_string(),
-            "all".into(),
-            (workers_per_shard * shards).to_string(),
-            fmt_tps(outcome.primary.throughput()),
-            outcome.replica_metrics.applied_txns.to_string(),
-            format!("{:.0}%", outcome.cross_shard_share() * 100.0),
-            global_lag
-                .map(|l| format!("{:.2}", l.p50_ms))
-                .unwrap_or_else(|| "-".into()),
-            global_lag
-                .map(|l| format!("{:.2}", l.max_ms))
-                .unwrap_or_else(|| "-".into()),
-            format!("{:.0}ms", outcome.replica_wall.as_millis()),
-        ]);
-        for shard in &outcome.per_shard {
-            let lag = shard.lag.as_ref();
-            rows.push(vec![
-                shards.to_string(),
-                shard.shard.to_string(),
-                String::new(),
-                String::new(),
-                shard.owned_txns.to_string(),
-                String::new(),
-                lag.map(|l| format!("{:.2}", l.p50_ms))
-                    .unwrap_or_else(|| "-".into()),
-                lag.map(|l| format!("{:.2}", l.max_ms))
-                    .unwrap_or_else(|| "-".into()),
-                String::new(),
-            ]);
-        }
-    }
-    print_table(
-        &format!(
-            "Sharded replication (measured on this host): ~{total_workers} total workers \
-             (see column), shard-span workload over {KEY_SPACE} keys"
-        ),
-        &[
-            "shards",
-            "shard",
-            "workers",
-            "primary txns/s",
-            "txns",
-            "cross-shard",
-            "lag p50 ms",
-            "lag max ms",
-            "apply wall",
-        ],
-        &rows,
+/// Runs the sweep and prints one table of global rows and one of shard rows
+/// per shard count.
+pub fn run(scale: &Scale) {
+    let sweep = sweep(scale);
+    let title = format!(
+        "Sharded replication (measured on this host): ~{} total workers (see workers_total), \
+         shard-span workload over {KEY_SPACE} keys",
+        scale.replica_workers
     );
+    let rows: Vec<JsonValue> = (sweep.iter())
+        .filter_map(|doc| doc.at("replicas/0").cloned())
+        .collect();
+    let columns = "shards workers_total applied_txns cross_shard_share cuts_taken lag_ms/p50 \
+                   lag_ms/max wall_ms";
+    print_json_table(&title, &rows, columns);
+    for row in &rows {
+        let shards = row.at("per_shard").and_then(JsonValue::as_arr);
+        let title = format!("Per-shard lag at {} shard(s)", shards.map_or(0, <[_]>::len));
+        print_json_table(
+            &title,
+            shards.unwrap_or(&[]),
+            "shard owned_txns lag_ms/p50 lag_ms/max",
+        );
+    }
 }

@@ -1,27 +1,64 @@
-//! Shared experiment machinery.
+//! The scenario runner.
+//!
+//! Every live experiment in this crate is one shape — a 2PL primary under
+//! closed-loop load, its log shipped to some replicas, optionally readers on
+//! the replicas and something happening to the fleet mid-run — varied along a
+//! few axes. [`Scenario`] names the axes, [`run_scenario`] is the only
+//! function that builds the primary, the shipper and the replicas for a live
+//! run, and [`Outcome`] is everything any table or `BENCH_*.json` document
+//! reports about it ([`Outcome::to_json`] is the one serialiser both are
+//! taken from). The offline (Cicada-style) replay, which has no live log, is
+//! [`run_offline_mvtso`].
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use c5_baselines::{
     CoarseGrainReplica, Granularity, KuaFuConfig, KuaFuReplica, SingleThreadedReplica,
 };
-use c5_common::{OpCost, PrimaryConfig, ReplicaConfig, RowRef, SeqNo, Timestamp, Value, WriteKind};
-use c5_core::fleet::{
-    FleetController, FleetRoutingSink, JoinReport, ReplicaLifecycle, RetireReport,
+use c5_common::{
+    Error, OpCost, PrimaryConfig, ReadConfig, ReplicaConfig, RowRef, SeqNo, Timestamp, Value,
+    WriteKind,
 };
-use c5_core::lag::LagStats;
+use c5_core::fleet::{FleetController, FleetRoutingSink, JoinReport, RetireReport};
+use c5_core::lag::{LagSample, LagStats};
 use c5_core::replica::{
-    drive_from_receiver, drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl,
-    ReplicaMetrics,
+    drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, ReadView, ReplicaMetrics,
 };
-use c5_log::{LogArchive, LogShipper, StreamingLogger};
+use c5_core::ShardedC5Replica;
+use c5_log::{LogArchive, LogShipper, Segment, StreamingLogger};
 use c5_obs::Obs;
 use c5_primary::{
-    ClosedLoopDriver, MvtsoEngine, PrimaryRunStats, RunLength, TplEngine, TxnFactory,
+    ClosedLoopDriver, MvtsoEngine, PrimaryRunStats, RunLength, TplEngine, TxnCtx, TxnFactory,
 };
-use c5_storage::MvStore;
+use c5_read::{ClassStats, ConsistencyClass, ReadRouter, SessionRead};
+use c5_storage::{CheckpointWriter, MvStore};
 use c5_workloads::readonly::{run_point_read_clients, ReadRunStats};
+use c5_workloads::SYNTHETIC_TABLE;
+
+use crate::json::JsonValue;
+use crate::json_obj;
+use crate::scale::Scale;
+
+/// RNG seed of every run (clients, sessions and point-read keys derive
+/// theirs from it).
+pub const SEED: u64 = 42;
+
+/// Per-operation cost model of every live run: the paper's `e`/`d` ratio at
+/// 2 µs per primary operation.
+pub const OP_COST: OpCost = OpCost::paper_like(2_000);
+
+/// Table reader sessions write their own tokened rows to (disjoint from every
+/// workload's tables, so sessions only ever race with themselves).
+pub const SESSION_TABLE: u32 = 200;
+
+/// Staleness a `bounded` session read accepts.
+pub const STALENESS_BOUND: Duration = Duration::from_millis(100);
+
+/// Key space point-read clients draw from: roughly twice the rows an
+/// insert-only run creates, so some lookups miss (as the paper allows).
+pub const POINT_READ_KEY_SPACE: u64 = 200_000;
 
 /// Which backup protocol to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +67,15 @@ pub enum ReplicaSpec {
     C5Faithful,
     /// C5 with the MyRocks backward-compatibility constraints.
     C5MyRocks,
+    /// Faithful C5 over a key-range-sharded keyspace: one pipeline per shard
+    /// under the cross-shard cut coordinator. The configured workers are
+    /// divided among the shards, at least one each.
+    C5Sharded {
+        /// Number of key-range shards.
+        shards: usize,
+        /// Keys `[0, key_space)` are split evenly among the shards.
+        key_space: u64,
+    },
     /// KuaFu transaction granularity.
     KuaFu {
         /// Disable the transaction-granularity constraints (Section 7.3's
@@ -48,50 +94,50 @@ pub enum ReplicaSpec {
 }
 
 impl ReplicaSpec {
-    /// Protocol name for tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReplicaSpec::C5Faithful => "c5",
-            ReplicaSpec::C5MyRocks => "c5-myrocks",
-            ReplicaSpec::KuaFu {
-                ignore_constraints: false,
-            } => "kuafu",
-            ReplicaSpec::KuaFu {
-                ignore_constraints: true,
-            } => "kuafu-unconstrained",
-            ReplicaSpec::SingleThreaded => "single-threaded",
-            ReplicaSpec::TableGranularity => "table-granularity",
-            ReplicaSpec::PageGranularity { .. } => "page-granularity",
-        }
-    }
-
-    /// Builds the replica over `store` with `config`.
+    /// Builds the replica over `store` with `config`: the protocol-agnostic
+    /// handle (whose `name()` is the protocol's report name), and a sharded
+    /// replica's own, for its coordinator and per-shard lag.
     pub fn build(
         &self,
         store: Arc<MvStore>,
         config: ReplicaConfig,
-    ) -> Arc<dyn ClonedConcurrencyControl> {
-        match self {
-            ReplicaSpec::C5Faithful => C5Replica::new(C5Mode::Faithful, store, config),
-            ReplicaSpec::C5MyRocks => C5Replica::new(C5Mode::OneWorkerPerTxn, store, config),
-            ReplicaSpec::KuaFu { ignore_constraints } => KuaFuReplica::new(
-                store,
-                config,
-                KuaFuConfig {
-                    ignore_constraints: *ignore_constraints,
-                },
-            ),
-            ReplicaSpec::SingleThreaded => SingleThreadedReplica::new(store, config),
-            ReplicaSpec::TableGranularity => {
-                CoarseGrainReplica::new(Granularity::Table, store, config)
+    ) -> (
+        Arc<dyn ClonedConcurrencyControl>,
+        Option<Arc<ShardedC5Replica>>,
+    ) {
+        let replica = match *self {
+            ReplicaSpec::C5Faithful => C5Replica::new(C5Mode::Faithful, store, config) as _,
+            ReplicaSpec::C5MyRocks => C5Replica::new(C5Mode::OneWorkerPerTxn, store, config) as _,
+            ReplicaSpec::C5Sharded { shards, key_space } => {
+                let config = config
+                    .clone()
+                    .with_workers(self.workers_total(config.workers) / shards)
+                    .with_shards(shards)
+                    .with_shard_key_space(key_space);
+                let replica = ShardedC5Replica::new(store, config);
+                return (Arc::clone(&replica) as _, Some(replica));
             }
-            ReplicaSpec::PageGranularity { rows_per_page } => CoarseGrainReplica::new(
-                Granularity::Page {
-                    rows_per_page: *rows_per_page,
-                },
-                store,
-                config,
-            ),
+            ReplicaSpec::KuaFu { ignore_constraints } => {
+                KuaFuReplica::new(store, config, KuaFuConfig { ignore_constraints }) as _
+            }
+            ReplicaSpec::SingleThreaded => SingleThreadedReplica::new(store, config) as _,
+            ReplicaSpec::TableGranularity => {
+                CoarseGrainReplica::new(Granularity::Table, store, config) as _
+            }
+            ReplicaSpec::PageGranularity { rows_per_page } => {
+                CoarseGrainReplica::new(Granularity::Page { rows_per_page }, store, config) as _
+            }
+        };
+        (replica, None)
+    }
+
+    /// Apply workers the built replica runs in total, given `workers`
+    /// configured (differs only where a sharded replica rounds up to one
+    /// worker per shard).
+    pub fn workers_total(&self, workers: usize) -> usize {
+        match *self {
+            ReplicaSpec::C5Sharded { shards, .. } => (workers / shards).max(1) * shards,
+            _ => workers,
         }
     }
 }
@@ -108,486 +154,166 @@ pub fn preload(store: &MvStore, population: &[(RowRef, Value)]) {
     }
 }
 
-/// Parameters shared by the streaming (MyRocks-style) experiments.
-#[derive(Debug, Clone)]
-pub struct StreamingSetup {
-    /// Initial database population (installed on both sides).
-    pub population: Vec<(RowRef, Value)>,
-    /// Closed-loop clients driving the primary.
-    pub clients: usize,
-    /// Primary executor threads.
-    pub primary_threads: usize,
-    /// Backup workers.
-    pub replica_workers: usize,
-    /// Measurement duration.
-    pub duration: Duration,
-    /// Per-operation cost model.
-    pub op_cost: OpCost,
-    /// Snapshot interval for the backup.
-    pub snapshot_interval: Duration,
-    /// Records per shipped segment.
-    pub segment_records: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Observability sink the run's replicas, shippers, and routers record
-    /// into. Defaults to the process-global registry; experiments that dump
-    /// or diff a snapshot attach a fresh one so runs don't bleed together.
-    pub obs: Arc<Obs>,
+fn preloaded(population: &[(RowRef, Value)]) -> Arc<MvStore> {
+    let store = Arc::new(MvStore::default());
+    preload(&store, population);
+    store
 }
 
-impl StreamingSetup {
-    /// A setup with no population and paper-like defaults.
-    pub fn new(duration: Duration, threads: usize, workers: usize) -> Self {
+/// Who reads from the replicas while the log streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Readers {
+    /// Nobody.
+    None,
+    /// This many closed-loop point-query clients on the first replica's
+    /// exposed snapshot (Figures 8 and 9), drawing keys of the synthetic
+    /// table from [`POINT_READ_KEY_SPACE`].
+    PointClients(usize),
+    /// This many consistency-class sessions through a read router over the
+    /// whole fleet, each writing tokened rows on the primary and **asserting**
+    /// read-your-writes and monotonic reads on every read it makes.
+    Sessions(usize),
+}
+
+/// Something that happens to the fleet while the load runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// A brand-new replica joins online: checkpoint export from a serving
+    /// member, install, archived-gap replay, live stream — subscribed before
+    /// the replay, so no sequence number falls between archive and stream.
+    Join,
+    /// The first seed retires online: drained of pinned reads, then detached
+    /// while its peers keep serving.
+    Retire,
+    /// The primary dies: its log crashes without flushing (the unshipped
+    /// tail is lost, as under asynchronous replication), the first replica is
+    /// promoted, and a new primary resumes on the promoted store. Ends the
+    /// scenario, so it comes last and fires once the load window has closed.
+    KillPrimary {
+        /// How long the resumed primary serves the same workload.
+        resume: Duration,
+        /// Close the cycle with a cold standby: bootstrapped from a
+        /// checkpoint of the promoted state, caught up from the resumed
+        /// primary's retained log, verified row for row.
+        standby: bool,
+    },
+}
+
+/// One live experiment: a 2PL primary runs `factory`'s workload closed-loop
+/// for `scale.duration` while its log streams to `replicas`.
+#[derive(Clone)]
+pub struct Scenario {
+    /// Duration, primary threads, apply workers, segment size.
+    pub scale: Scale,
+    /// Initial database population (installed on every store).
+    pub population: Vec<(RowRef, Value)>,
+    /// The primary's workload.
+    pub factory: Arc<dyn TxnFactory>,
+    /// One backup per entry, each with its own store and channel. A lone
+    /// backup gets an unbounded channel (the keep-up experiments measure how
+    /// far it falls behind; backpressure would mask that), fleet members a
+    /// bounded one each (independent backpressure).
+    pub replicas: Vec<ReplicaSpec>,
+    /// Readers on the replicas.
+    pub readers: Readers,
+    /// Timed events, as offsets from the start of the load, ascending. Any
+    /// event makes the shipper retain the log in an archive; a `Join` or
+    /// `Retire` makes the fleet controller-managed — every member, seeds
+    /// included, then enters through [`FleetController`]'s join protocol, and
+    /// every spec must be [`ReplicaSpec::C5Faithful`].
+    pub events: Vec<(Duration, Event)>,
+}
+
+impl Scenario {
+    /// A scenario with no readers and no events.
+    pub fn new(
+        scale: &Scale,
+        population: Vec<(RowRef, Value)>,
+        factory: Arc<dyn TxnFactory>,
+        replicas: Vec<ReplicaSpec>,
+    ) -> Self {
         Self {
-            population: Vec::new(),
-            clients: threads,
-            primary_threads: threads,
-            replica_workers: workers,
-            duration,
-            op_cost: OpCost::paper_like(2_000),
-            snapshot_interval: Duration::from_millis(10),
-            segment_records: 256,
-            seed: 42,
-            obs: Arc::clone(Obs::global()),
+            scale: *scale,
+            population,
+            factory,
+            replicas,
+            readers: Readers::None,
+            events: Vec::new(),
         }
     }
 }
 
-/// Outcome of one streaming experiment.
+/// One surviving replica's part of an [`Outcome`].
 #[derive(Debug, Clone)]
-pub struct StreamingOutcome {
+pub struct ReplicaOutcome {
+    /// Index in [`Scenario::replicas`] (the routing id, for a managed fleet).
+    pub replica: usize,
     /// Protocol name.
     pub protocol: &'static str,
-    /// Primary-side statistics.
-    pub primary: PrimaryRunStats,
-    /// Time from the start of the run until the backup had applied and
-    /// exposed the entire log.
-    pub replica_wall: Duration,
-    /// Backup progress counters.
-    pub replica_metrics: ReplicaMetrics,
-    /// Replication-lag summary (if any transactions committed).
-    pub lag: Option<LagStats>,
-    /// Every raw replication-lag sample (one per committed transaction), for
-    /// experiments that bucket lag by time window (Figure 8).
-    pub lag_samples: Vec<c5_core::lag::LagSample>,
-    /// Read-only client statistics, if read clients were attached.
-    pub reads: Option<ReadRunStats>,
-}
-
-impl StreamingOutcome {
-    /// Primary throughput in transactions per second.
-    pub fn primary_throughput(&self) -> f64 {
-        self.primary.throughput()
-    }
-
-    /// Backup apply throughput in transactions per second (committed
-    /// transactions divided by the time the backup needed to fully apply
-    /// them).
-    pub fn replica_throughput(&self) -> f64 {
-        if self.replica_wall.is_zero() {
-            0.0
-        } else {
-            self.replica_metrics.applied_txns as f64 / self.replica_wall.as_secs_f64()
-        }
-    }
-
-    /// Backup throughput relative to the primary's (the paper's Figures 7
-    /// and 11 report this ratio).
-    pub fn relative_throughput(&self) -> f64 {
-        let p = self.primary_throughput();
-        if p == 0.0 {
-            0.0
-        } else {
-            self.replica_throughput() / p
-        }
-    }
-
-    /// Whether the backup kept up: it finished applying the log within a
-    /// small grace window after the primary stopped.
-    pub fn keeps_up(&self) -> bool {
-        let grace = self.primary.wall.mul_f64(0.15) + Duration::from_millis(250);
-        self.replica_wall <= self.primary.wall + grace
-    }
-}
-
-/// Runs one streaming experiment: a 2PL primary executes `factory`'s workload
-/// for `setup.duration` while the backup described by `spec` applies the log
-/// live. Optionally attaches `read_clients` closed-loop point-query clients
-/// to the backup (Figures 8 and 9); they read random keys in
-/// `[0, read_key_space)` of `read_table`.
-pub fn run_streaming(
-    setup: &StreamingSetup,
-    factory: Arc<dyn TxnFactory>,
-    spec: ReplicaSpec,
-    read_clients: usize,
-    read_table: u32,
-    read_key_space: u64,
-) -> StreamingOutcome {
-    // Primary.
-    let primary_store = Arc::new(MvStore::default());
-    preload(&primary_store, &setup.population);
-    let (shipper, receiver) = LogShipper::unbounded();
-    let shipper = shipper.with_obs(Arc::clone(&setup.obs));
-    let logger = StreamingLogger::new(setup.segment_records, shipper);
-    let primary_config = PrimaryConfig::default()
-        .with_threads(setup.primary_threads)
-        .with_op_cost(setup.op_cost);
-    let engine = Arc::new(TplEngine::new(primary_store, primary_config, logger));
-
-    // Backup.
-    let replica_store = Arc::new(MvStore::default());
-    preload(&replica_store, &setup.population);
-    let replica_config = ReplicaConfig::default()
-        .with_workers(setup.replica_workers)
-        .with_op_cost(setup.op_cost)
-        .with_snapshot_interval(setup.snapshot_interval)
-        .with_obs(Arc::clone(&setup.obs));
-    let replica = spec.build(replica_store, replica_config);
-
-    let start = Instant::now();
-    let mut replica_wall = Duration::ZERO;
-    let mut primary_stats = PrimaryRunStats::default();
-    let mut reads = None;
-
-    std::thread::scope(|scope| {
-        // Backup ingestion.
-        let replica_ref: &dyn ClonedConcurrencyControl = replica.as_ref();
-        let drive = scope.spawn(move || drive_from_receiver(replica_ref, receiver));
-
-        // Optional read-only clients against the backup.
-        let read_handle = (read_clients > 0).then(|| {
-            let replica_ref: &dyn ClonedConcurrencyControl = replica.as_ref();
-            let duration = setup.duration;
-            let seed = setup.seed;
-            scope.spawn(move || {
-                run_point_read_clients(
-                    replica_ref,
-                    read_clients,
-                    duration,
-                    read_table,
-                    read_key_space,
-                    seed,
-                )
-            })
-        });
-
-        // Primary load.
-        primary_stats = ClosedLoopDriver::with_seed(setup.seed).run_tpl(
-            &engine,
-            &factory,
-            setup.clients,
-            RunLength::Timed(setup.duration),
-        );
-        engine.close_log();
-
-        // Wait for the backup to finish applying everything.
-        drive.join().expect("replica driver");
-        replica_wall = start.elapsed();
-        if let Some(h) = read_handle {
-            reads = Some(h.join().expect("read clients"));
-        }
-    });
-
-    StreamingOutcome {
-        protocol: spec.name(),
-        primary: primary_stats,
-        replica_wall,
-        replica_metrics: replica.metrics(),
-        lag: replica.lag().stats(),
-        lag_samples: replica.lag().samples(),
-        reads,
-    }
-}
-
-/// One replica's outcome in a fan-out run.
-#[derive(Debug, Clone)]
-pub struct FanOutReplicaOutcome {
-    /// Replica index (0-based).
-    pub replica: usize,
-    /// Time from the start of the run until this replica had applied and
-    /// exposed the entire log.
+    /// Apply workers it ran in total.
+    pub workers: usize,
+    /// Time from the start of the run until it had applied and exposed the
+    /// entire log.
     pub wall: Duration,
     /// Progress counters.
     pub metrics: ReplicaMetrics,
-    /// Replication-lag summary for this replica (if any transactions
-    /// committed).
+    /// Replication-lag summary (if any transactions committed). A mid-run
+    /// joiner's samples only cover its post-join life.
     pub lag: Option<LagStats>,
-}
-
-/// Outcome of a 1 primary → N replicas fan-out experiment.
-#[derive(Debug, Clone)]
-pub struct FanOutOutcome {
-    /// Protocol name.
-    pub protocol: &'static str,
-    /// Primary-side statistics.
-    pub primary: PrimaryRunStats,
-    /// Per-replica results, indexed by replica.
-    pub replicas: Vec<FanOutReplicaOutcome>,
-}
-
-impl FanOutOutcome {
-    /// Whether every replica applied exactly the primary's committed
-    /// transactions.
-    pub fn all_converged(&self) -> bool {
-        self.replicas
-            .iter()
-            .all(|r| r.metrics.applied_txns == self.primary.committed)
-    }
-
-    /// The largest median lag across replicas, in milliseconds (the number a
-    /// load balancer would care about when routing reads).
-    pub fn worst_p50_ms(&self) -> f64 {
-        self.replicas
-            .iter()
-            .filter_map(|r| r.lag.as_ref().map(|l| l.p50_ms))
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Runs one fan-out experiment: a 2PL primary executes `factory`'s workload
-/// for `setup.duration` while its log fans out to `replicas` independent
-/// backups of the protocol described by `spec`, each with its own store and
-/// its own bounded channel (independent backpressure). Reports per-replica
-/// apply walls, progress counters, and lag distributions.
-pub fn run_fanout_streaming(
-    setup: &StreamingSetup,
-    factory: Arc<dyn TxnFactory>,
-    spec: ReplicaSpec,
-    replicas: usize,
-) -> FanOutOutcome {
-    assert!(replicas > 0, "fan-out requires at least one replica");
-    // Primary.
-    let primary_store = Arc::new(MvStore::default());
-    preload(&primary_store, &setup.population);
-    let (shipper, receivers) = LogShipper::fan_out(replicas, 1024);
-    let shipper = shipper.with_obs(Arc::clone(&setup.obs));
-    let logger = StreamingLogger::new(setup.segment_records, shipper);
-    let primary_config = PrimaryConfig::default()
-        .with_threads(setup.primary_threads)
-        .with_op_cost(setup.op_cost);
-    let engine = Arc::new(TplEngine::new(primary_store, primary_config, logger));
-
-    // Backups: one store + one replica instance each.
-    let replica_config = ReplicaConfig::default()
-        .with_workers(setup.replica_workers)
-        .with_op_cost(setup.op_cost)
-        .with_snapshot_interval(setup.snapshot_interval)
-        .with_obs(Arc::clone(&setup.obs));
-    let backups: Vec<Arc<dyn ClonedConcurrencyControl>> = (0..replicas)
-        .map(|_| {
-            let store = Arc::new(MvStore::default());
-            preload(&store, &setup.population);
-            spec.build(store, replica_config.clone())
-        })
-        .collect();
-
-    let start = Instant::now();
-    let mut primary_stats = PrimaryRunStats::default();
-    let mut walls = vec![Duration::ZERO; replicas];
-
-    std::thread::scope(|scope| {
-        // One driver thread per replica; each measures its own apply wall.
-        let drivers: Vec<_> = backups
-            .iter()
-            .zip(receivers)
-            .map(|(backup, receiver)| {
-                let backup_ref: &dyn ClonedConcurrencyControl = backup.as_ref();
-                scope.spawn(move || {
-                    drive_from_receiver(backup_ref, receiver);
-                    start.elapsed()
-                })
-            })
-            .collect();
-
-        // Primary load.
-        primary_stats = ClosedLoopDriver::with_seed(setup.seed).run_tpl(
-            &engine,
-            &factory,
-            setup.clients,
-            RunLength::Timed(setup.duration),
-        );
-        engine.close_log();
-
-        for (i, driver) in drivers.into_iter().enumerate() {
-            walls[i] = driver.join().expect("replica driver");
-        }
-    });
-
-    FanOutOutcome {
-        protocol: spec.name(),
-        primary: primary_stats,
-        replicas: backups
-            .iter()
-            .enumerate()
-            .map(|(i, backup)| FanOutReplicaOutcome {
-                replica: i,
-                wall: walls[i],
-                metrics: backup.metrics(),
-                lag: backup.lag().stats(),
-            })
-            .collect(),
-    }
-}
-
-/// One shard's outcome in a sharded streaming run.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Lag summary for transactions owned by this shard (if any committed).
-    pub lag: Option<LagStats>,
-    /// Transactions owned by (committing on) this shard.
-    pub owned_txns: usize,
-}
-
-/// Outcome of a sharded streaming experiment.
-#[derive(Debug, Clone)]
-pub struct ShardedOutcome {
-    /// Number of keyspace shards.
-    pub shards: usize,
-    /// Primary-side statistics.
-    pub primary: PrimaryRunStats,
-    /// Time from the start of the run until the replica had applied and
-    /// exposed the entire log.
-    pub replica_wall: Duration,
-    /// Global progress counters (summed across shards; `cross_shard_txns`
-    /// counts transactions spanning shards).
-    pub replica_metrics: ReplicaMetrics,
-    /// Global replication-lag summary.
-    pub lag: Option<LagStats>,
-    /// Consistent cuts the cross-shard coordinator published over the run.
-    /// A coordinator that stops advancing under load (the scaling knee the
-    /// high-shard bench sweep looks for) shows up here as a collapse in cut
-    /// frequency, not just as lag.
+    /// Every raw lag sample, for experiments that bucket lag by time window
+    /// (Figure 8).
+    pub lag_samples: Vec<LagSample>,
+    /// Reads the router served from it.
+    pub served: u64,
+    /// Whether it joined online rather than being there from the start.
+    pub joined_mid_run: bool,
+    /// Whether its exposed state at the end equals the final primary's, row
+    /// for row. (After a `KillPrimary` the final primary is the one resumed
+    /// on this replica's own store; what is compared is the cold standby.)
+    pub converged: bool,
+    /// Cuts the cross-shard coordinator published (sharded replicas): one
+    /// that stops advancing under load shows here before it shows as lag.
     pub cuts_taken: u64,
-    /// Per-shard lag, indexed by shard.
-    pub per_shard: Vec<ShardOutcome>,
+    /// Per shard: transactions owned and their lag (sharded replicas).
+    pub per_shard: Vec<(usize, Option<LagStats>)>,
 }
 
-impl ShardedOutcome {
-    /// Fraction of committed transactions whose writes spanned shards.
-    pub fn cross_shard_share(&self) -> f64 {
-        if self.replica_metrics.applied_txns == 0 {
+impl ReplicaOutcome {
+    /// Apply throughput: committed transactions over the time the replica
+    /// needed to fully apply them.
+    pub fn throughput(&self) -> f64 {
+        if self.wall.is_zero() {
             0.0
         } else {
-            self.replica_metrics.cross_shard_txns as f64 / self.replica_metrics.applied_txns as f64
+            self.metrics.applied_txns as f64 / self.wall.as_secs_f64()
         }
     }
-
-    /// Whether the replica applied exactly the primary's committed
-    /// transactions.
-    pub fn converged(&self) -> bool {
-        self.replica_metrics.applied_txns == self.primary.committed
-    }
-
-    /// The largest per-shard median lag, in milliseconds.
-    pub fn worst_shard_p50_ms(&self) -> f64 {
-        self.per_shard
-            .iter()
-            .filter_map(|s| s.lag.as_ref().map(|l| l.p50_ms))
-            .fold(0.0, f64::max)
-    }
 }
 
-/// Runs one sharded streaming experiment: a 2PL primary executes `factory`'s
-/// workload for `setup.duration` while a [`c5_core::ShardedC5Replica`] with
-/// `shards` per-partition pipelines (each `setup.replica_workers` workers)
-/// applies the log live under the cross-shard cut coordinator. Reports global
-/// and per-shard lag.
-pub fn run_sharded_streaming(
-    setup: &StreamingSetup,
-    factory: Arc<dyn TxnFactory>,
-    shards: usize,
-    shard_key_space: u64,
-) -> ShardedOutcome {
-    use c5_core::ShardedC5Replica;
-
-    // Primary.
-    let primary_store = Arc::new(MvStore::default());
-    preload(&primary_store, &setup.population);
-    let (shipper, receiver) = LogShipper::unbounded();
-    let shipper = shipper.with_obs(Arc::clone(&setup.obs));
-    let logger = StreamingLogger::new(setup.segment_records, shipper);
-    let primary_config = PrimaryConfig::default()
-        .with_threads(setup.primary_threads)
-        .with_op_cost(setup.op_cost);
-    let engine = Arc::new(TplEngine::new(primary_store, primary_config, logger));
-
-    // Sharded backup.
-    let replica_store = Arc::new(MvStore::default());
-    preload(&replica_store, &setup.population);
-    let replica_config = ReplicaConfig::default()
-        .with_workers(setup.replica_workers)
-        .with_op_cost(setup.op_cost)
-        .with_snapshot_interval(setup.snapshot_interval)
-        .with_shards(shards)
-        .with_shard_key_space(shard_key_space)
-        .with_obs(Arc::clone(&setup.obs));
-    let replica = ShardedC5Replica::new(replica_store, replica_config);
-
-    let start = Instant::now();
-    let mut replica_wall = Duration::ZERO;
-    let mut primary_stats = PrimaryRunStats::default();
-
-    std::thread::scope(|scope| {
-        let replica_ref: &dyn ClonedConcurrencyControl = replica.as_ref();
-        let drive = scope.spawn(move || drive_from_receiver(replica_ref, receiver));
-        primary_stats = ClosedLoopDriver::with_seed(setup.seed).run_tpl(
-            &engine,
-            &factory,
-            setup.clients,
-            RunLength::Timed(setup.duration),
-        );
-        engine.close_log();
-        drive.join().expect("replica driver");
-        replica_wall = start.elapsed();
-    });
-
-    ShardedOutcome {
-        shards,
-        primary: primary_stats,
-        replica_wall,
-        replica_metrics: replica.metrics(),
-        lag: replica.lag().stats(),
-        cuts_taken: replica.coordinator().cuts_taken(),
-        per_shard: (0..shards)
-            .map(|shard| {
-                let lag = replica.shard_lag(shard);
-                ShardOutcome {
-                    shard,
-                    owned_txns: lag.len(),
-                    lag: lag.stats(),
-                }
-            })
-            .collect(),
-    }
+/// What reader sessions did; every read also carried the built-in
+/// read-your-writes and monotonicity assertions.
+#[derive(Debug, Clone, Default)]
+pub struct SessionsOutcome {
+    /// Number of sessions.
+    pub sessions: usize,
+    /// Per-consistency-class read statistics, in `ClassKind::ALL` order.
+    pub per_class: Vec<ClassStats>,
+    /// Tokened writes the sessions committed on the primary.
+    pub writes: u64,
+    /// Read-your-writes reads performed and asserted fresh.
+    pub ryw_reads: u64,
+    /// Times a session's consecutive reads were served by different
+    /// replicas (the monotonic floor is asserted across every switch).
+    pub replica_switches: u64,
+    /// Reads that gave up waiting for a fresh-enough replica.
+    pub timeouts: u64,
+    /// Router generation at the end: one bump per admit, retire and detach.
+    pub generations: u64,
 }
 
-/// The cold-standby leg of a failover run: a fresh C5 replica bootstrapped
-/// from a checkpoint of the promoted store, caught up from the new primary's
-/// retained log tail.
-#[derive(Debug, Clone)]
-pub struct StandbyOutcome {
-    /// The checkpoint's cut (= the promotion cut).
-    pub checkpoint_cut: SeqNo,
-    /// Rows the checkpoint captured.
-    pub checkpoint_rows: usize,
-    /// Records replayed from the archive tail above the cut.
-    pub replayed_records: usize,
-    /// Whether the standby's exposed state equals the promoted primary's
-    /// final state (verified row for row).
-    pub caught_up: bool,
-}
-
-/// Outcome of one failover experiment: the primary is killed mid-workload
-/// (its unshipped log tail is lost), the backup is promoted, and a new
-/// primary resumes on the promoted store.
+/// What a `KillPrimary` event did.
 #[derive(Debug, Clone)]
 pub struct FailoverOutcome {
-    /// Protocol name of the promoted backup.
-    pub protocol: &'static str,
-    /// Primary-side statistics up to the kill.
-    pub primary: PrimaryRunStats,
     /// The durable log end at the kill: the last position that reached the
     /// wire (the crashed primary's buffered tail is lost and excluded).
     pub shipped_seq: SeqNo,
@@ -595,473 +321,654 @@ pub struct FailoverOutcome {
     pub applied_at_kill: SeqNo,
     /// The backup's exposed cut at the moment of the kill.
     pub exposed_at_kill: SeqNo,
-    /// Replication-lag summary at the kill (the quantity that bounds the
-    /// promotion drain).
+    /// Replication lag at the kill (the quantity that bounds the takeover).
     pub lag_at_kill: Option<LagStats>,
-    /// Lag samples recorded with reversed clock stamps (surfaced, not
-    /// masked; see `LagTracker::clock_skew_samples`).
-    pub clock_skew_samples: u64,
     /// The cut the backup was promoted at.
     pub promoted_cut: SeqNo,
-    /// Promotion latency: drain of in-flight applies + pipeline seal, as
-    /// measured inside `promote()` itself.
+    /// Drain of in-flight applies + pipeline seal, as measured inside
+    /// `promote()` itself.
     pub promotion_drain: Duration,
-    /// Full takeover latency: from the kill to the sealed cut, including
-    /// delivering and applying the wire-buffered backlog the dead primary
-    /// left behind. This is the fail-to-serving number the paper's thesis
-    /// bounds by replication lag; `promotion_drain` alone understates it for
-    /// protocols whose backlog is still queued when promotion starts.
+    /// From the kill to the sealed cut, including delivering and applying
+    /// the wire-buffered backlog the dead primary left behind: the
+    /// fail-to-serving number the paper's thesis bounds by replication lag.
     pub takeover: Duration,
-    /// Statistics of the resumed primary serving traffic on the promoted
-    /// store.
+    /// The resumed primary serving traffic on the promoted store.
     pub resumed: PrimaryRunStats,
-    /// The cold-standby leg, when requested.
-    pub standby: Option<StandbyOutcome>,
+    /// The cold standby, when requested: rows its checkpoint captured and
+    /// records it replayed from the resumed primary's archive.
+    pub standby: Option<(usize, usize)>,
 }
 
 impl FailoverOutcome {
-    /// Log records shipped but not yet applied when the primary died — the
-    /// backlog the promotion drain has to retire.
+    /// Log records shipped but not yet applied when the primary died.
     pub fn backlog_records(&self) -> u64 {
-        self.shipped_seq
-            .as_u64()
-            .saturating_sub(self.applied_at_kill.as_u64())
+        (self.shipped_seq.as_u64()).saturating_sub(self.applied_at_kill.as_u64())
     }
 
-    /// The paper's thesis, as a checkable bound: the full kill-to-sealed
-    /// takeover stays within a small multiple of the replication lag
-    /// observed at the kill (plus a scheduling-noise floor). A protocol that
-    /// cannot keep up fails this — its takeover is proportional to the whole
-    /// backlog, not the lag.
+    /// The paper's thesis, as a checkable bound: the kill-to-sealed takeover
+    /// stays within a small multiple of the replication lag observed at the
+    /// kill (plus a scheduling-noise floor). A protocol that cannot keep up
+    /// fails this — its takeover is proportional to the whole backlog.
     pub fn drain_bounded_by_lag(&self) -> bool {
-        let lag_max = self
-            .lag_at_kill
-            .as_ref()
-            .map(|l| Duration::from_secs_f64(l.max_ms.max(0.0) / 1e3))
-            .unwrap_or(Duration::ZERO);
-        self.takeover <= Duration::from_millis(500) + 4 * lag_max
+        let lag_max = (self.lag_at_kill.as_ref()).map_or(0.0, |l| l.max_ms.max(0.0) / 1e3);
+        self.takeover <= Duration::from_millis(500) + 4 * Duration::from_secs_f64(lag_max)
     }
 }
 
-/// Runs one failover experiment:
-///
-/// 1. a 2PL primary executes `factory`'s workload for `setup.duration` while
-///    the backup described by `spec` applies the log live (the shipper
-///    retains every shipped segment in a [`LogArchive`]);
-/// 2. the primary is **killed**: the log crashes without flushing, losing
-///    the buffered tail, exactly as asynchronous replication loses the
-///    unshipped suffix on a real failure;
-/// 3. the backup is **promoted** — in-flight applies drain to a clean
-///    transaction-aligned cut and the pipeline seals — and the promotion
-///    latency is measured;
-/// 4. a new primary **resumes** on the promoted store
-///    ([`StreamingLogger::resume_at`] continues sequence numbers and commit
-///    timestamps from the cut) and serves `factory` for `resume_duration`;
-/// 5. optionally (`with_standby`), a **cold standby** is bootstrapped from a
-///    checkpoint of the promoted state and caught up from the new primary's
-///    retained log tail, closing the failover cycle with a fresh backup.
-pub fn run_failover_streaming(
-    setup: &StreamingSetup,
-    factory: Arc<dyn TxnFactory>,
-    spec: ReplicaSpec,
-    resume_duration: Duration,
-    with_standby: bool,
-) -> FailoverOutcome {
-    // Primary, with log retention on the wire.
-    let primary_store = Arc::new(MvStore::default());
-    preload(&primary_store, &setup.population);
-    let archive = Arc::new(LogArchive::new());
-    let (shipper, receiver) = LogShipper::unbounded();
-    let shipper = shipper
-        .with_archive(Arc::clone(&archive))
-        .with_obs(Arc::clone(&setup.obs));
-    let logger = StreamingLogger::new(setup.segment_records, shipper);
-    let primary_config = PrimaryConfig::default()
-        .with_threads(setup.primary_threads)
-        .with_op_cost(setup.op_cost);
-    let engine = Arc::new(TplEngine::new(primary_store, primary_config, logger));
+/// Everything one scenario run reports.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// Replicas the scenario started with.
+    pub seeds: usize,
+    /// Primary-side statistics (session writes included in `committed`).
+    pub primary: PrimaryRunStats,
+    /// From the start of the load until it — and any sessions — had stopped.
+    pub wall: Duration,
+    /// Every replica serving at the end.
+    pub replicas: Vec<ReplicaOutcome>,
+    /// Point-read client statistics ([`Readers::PointClients`]).
+    pub point_reads: Option<ReadRunStats>,
+    /// Session statistics ([`Readers::Sessions`]).
+    pub sessions: Option<SessionsOutcome>,
+    /// What each `Join` did, in order.
+    pub joins: Vec<JoinReport>,
+    /// What each `Retire` did, in order.
+    pub retires: Vec<RetireReport>,
+    /// What the `KillPrimary` did.
+    pub failover: Option<FailoverOutcome>,
+    /// The run's own observability sink: every replica, the shipper, the
+    /// router and the fleet controller recorded into it and nothing else did.
+    pub obs: Arc<Obs>,
+}
 
-    // Backup.
-    let replica_store = Arc::new(MvStore::default());
-    preload(&replica_store, &setup.population);
-    let replica_config = ReplicaConfig::default()
-        .with_workers(setup.replica_workers)
-        .with_op_cost(setup.op_cost)
-        .with_snapshot_interval(setup.snapshot_interval)
-        .with_obs(Arc::clone(&setup.obs));
-    let replica = spec.build(replica_store, replica_config.clone());
+impl Outcome {
+    /// Whether every surviving replica converged to the final primary state.
+    pub fn all_converged(&self) -> bool {
+        self.replicas.iter().all(|r| r.converged)
+    }
 
-    let mut primary_stats = PrimaryRunStats::default();
-    let mut applied_at_kill = SeqNo::ZERO;
-    let mut exposed_at_kill = SeqNo::ZERO;
-    let mut kill_at = Instant::now();
+    /// The first replica's apply throughput relative to the primary's (the
+    /// paper's Figures 7 and 11 report this ratio).
+    pub fn relative_throughput(&self) -> f64 {
+        match self.primary.throughput() {
+            0.0 => 0.0,
+            primary => self.replicas[0].throughput() / primary,
+        }
+    }
 
-    std::thread::scope(|scope| {
-        // Feed the backup WITHOUT finishing it: promotion does the sealing.
-        let replica_ref: &dyn ClonedConcurrencyControl = replica.as_ref();
-        let feeder = scope.spawn(move || {
-            while let Some(segment) = receiver.recv() {
-                replica_ref.apply_segment(segment);
+    /// Whether `replica` kept up: it finished applying the log within a
+    /// small grace window after the primary stopped.
+    pub fn keeps_up(&self, replica: &ReplicaOutcome) -> bool {
+        let grace = self.primary.wall.mul_f64(0.15) + Duration::from_millis(250);
+        replica.wall <= self.primary.wall + grace
+    }
+
+    /// The largest median lag across replicas, in milliseconds (the number a
+    /// load balancer would care about when routing reads).
+    pub fn worst_p50_ms(&self) -> f64 {
+        (self.replicas.iter())
+            .filter_map(|r| r.lag.as_ref().map(|l| l.p50_ms))
+            .fold(0.0, f64::max)
+    }
+
+    /// The run as one JSON object: what every `experiments <name>` table
+    /// prints from and every `BENCH_<name>.json` document is projected from
+    /// (`report::SCHEMA` names the paths each file takes). Blocks a scenario
+    /// did not exercise are absent.
+    pub fn to_json(&self) -> JsonValue {
+        let seq = |s: SeqNo| s.as_u64();
+        let replicas = self.replicas.iter().map(|r| {
+            let per_shard = r.per_shard.iter().enumerate().map(|(shard, (owned, lag))| {
+                json_obj! { "shard": shard, "owned_txns": *owned, "lag_ms": lag.as_ref() }
+            });
+            json_obj! {
+                "replica": r.replica,
+                "protocol": r.protocol,
+                "shards": r.per_shard.len().max(1),
+                "workers_total": r.workers,
+                "wall_ms": ms(r.wall),
+                "applied_txns": r.metrics.applied_txns,
+                "exposed_seq": seq(r.metrics.exposed_seq),
+                "replica_tps": r.throughput(),
+                "keeps_up": self.keeps_up(r),
+                "cross_shard_share":
+                    r.metrics.cross_shard_txns as f64 / r.metrics.applied_txns.max(1) as f64,
+                "cuts_taken": r.cuts_taken,
+                "served": r.served,
+                "joined_mid_run": r.joined_mid_run,
+                "lag_ms": r.lag.as_ref(),
+                "per_shard": per_shard.collect::<Vec<_>>(),
             }
         });
-
-        primary_stats = ClosedLoopDriver::with_seed(setup.seed).run_tpl(
-            &engine,
-            &factory,
-            setup.clients,
-            RunLength::Timed(setup.duration),
-        );
-        // Kill the primary: snapshot the backup's progress at the moment of
-        // death, then crash the log (the buffered tail is lost). Takeover
-        // time is measured from here — it includes delivering whatever the
-        // wire still buffers, not just the final promote() drain.
-        applied_at_kill = replica.applied_seq();
-        exposed_at_kill = replica.exposed_seq();
-        kill_at = Instant::now();
-        engine.crash_log();
-        feeder.join().expect("feeder");
-    });
-
-    let shipped_seq = archive.last_seq();
-    let lag_at_kill = replica.lag().stats();
-    let clock_skew_samples = replica.lag().clock_skew_samples();
-
-    // Promote: drain to a clean cut, seal, take over the store.
-    let promotion = replica.promote();
-    let takeover = kill_at.elapsed();
-
-    // Checkpoint the promoted state before the new primary writes on top of
-    // it (capture at the cut stays correct either way — the resumed
-    // primary's versions all land above the cut — but capturing now mirrors
-    // the real sequence: checkpoint at takeover, then serve).
-    let checkpoint = with_standby
-        .then(|| c5_storage::CheckpointWriter::capture(&promotion.store, promotion.cut));
-
-    // Resume a new primary on the promoted store, its log a seamless
-    // continuation of the old one — retained only when a standby will
-    // actually replay it.
-    let resume_archive = with_standby.then(|| Arc::new(LogArchive::starting_at(promotion.cut)));
-    let (resume_shipper, resume_receiver) = LogShipper::unbounded();
-    let resume_shipper = match &resume_archive {
-        Some(archive) => resume_shipper.with_archive(Arc::clone(archive)),
-        None => resume_shipper,
-    };
-    let resume_logger =
-        StreamingLogger::resume_at(setup.segment_records, resume_shipper, promotion.cut);
-    drop(resume_receiver); // the standby catches up from the archive instead
-    let resumed_engine = Arc::new(TplEngine::new(
-        Arc::clone(&promotion.store),
-        PrimaryConfig::default()
-            .with_threads(setup.primary_threads)
-            .with_op_cost(setup.op_cost),
-        resume_logger,
-    ));
-    let resumed = ClosedLoopDriver::with_seed(setup.seed.wrapping_add(1)).run_tpl(
-        &resumed_engine,
-        &factory,
-        setup.clients,
-        RunLength::Timed(resume_duration),
-    );
-    resumed_engine.close_log();
-
-    // Cold standby: install the checkpoint, catch up from the retained tail.
-    let standby = checkpoint.map(|checkpoint| {
-        let tail = resume_archive
-            .as_ref()
-            .expect("standby runs only with a retained resume log")
-            .replay_from(checkpoint.cut())
-            .expect("nothing truncated above the checkpoint cut");
-        let replayed_records = tail.iter().map(c5_log::Segment::len).sum();
-        let standby = C5Replica::resume_from_checkpoint(
-            C5Mode::Faithful,
-            &checkpoint,
-            replica_config.clone(),
-        );
-        drive_segments(standby.as_ref(), tail);
-
-        // The standby must now expose exactly the promoted primary's state.
-        let mut expect: Vec<(RowRef, Value)> = promotion.store.scan_all_at(Timestamp::MAX);
-        let mut got: Vec<(RowRef, Value)> = standby.read_view().scan_all();
-        expect.sort_by_key(|(row, _)| *row);
-        got.sort_by_key(|(row, _)| *row);
-        StandbyOutcome {
-            checkpoint_cut: checkpoint.cut(),
-            checkpoint_rows: checkpoint.len(),
-            replayed_records,
-            caught_up: expect == got,
+        let mut doc = json_obj! {
+            "protocol": self.replicas[0].protocol,
+            "primary_tps": self.primary.throughput(),
+            "committed": self.primary.committed,
+            "wall_ms": ms(self.wall),
+            "converged": self.all_converged(),
+            "worst_p50_ms": self.worst_p50_ms(),
+            "replicas": replicas.collect::<Vec<_>>(),
+        };
+        if let Some(s) = &self.sessions {
+            let classes = s.per_class.iter().map(|class| {
+                json_obj! {
+                    "class": class.kind.name(),
+                    "reads": class.reads,
+                    "reads_per_sec": class.throughput(self.wall),
+                    "ro_txns": class.txns,
+                    "blocked": class.blocked,
+                    "block_ms": class.mean_block_ms(),
+                    "timeouts": class.timeouts,
+                    "latency_ms": class.latency.as_ref(),
+                    "staleness_ms": class.staleness.as_ref(),
+                }
+            });
+            doc.merge(json_obj! {
+                "sessions": s.sessions,
+                "staleness_bound_ms": ms(STALENESS_BOUND),
+                "total_reads": s.per_class.iter().map(|c| c.reads).sum::<u64>(),
+                "generations": s.generations,
+                "classes": classes.collect::<Vec<_>>(),
+                "session": json_obj! {
+                    "writes": s.writes,
+                    "ryw_reads": s.ryw_reads,
+                    "replica_switches": s.replica_switches,
+                    "timeouts": s.timeouts,
+                },
+            });
         }
-    });
-
-    FailoverOutcome {
-        protocol: spec.name(),
-        primary: primary_stats,
-        shipped_seq,
-        applied_at_kill,
-        exposed_at_kill,
-        lag_at_kill,
-        clock_skew_samples,
-        promoted_cut: promotion.cut,
-        promotion_drain: promotion.drain,
-        takeover,
-        resumed,
-        standby,
+        if !(self.joins.is_empty() && self.retires.is_empty()) {
+            let joins = self.joins.iter().map(|j| {
+                json_obj! {
+                    "replica": j.replica,
+                    "checkpoint_cut": seq(j.checkpoint_cut),
+                    "stream_start": seq(j.stream_start),
+                    "replayed_records": j.replayed_records,
+                    "join_to_serving_ms": ms(j.join_to_serving),
+                }
+            });
+            let retires = self.retires.iter().map(|r| {
+                json_obj! {
+                    "replica": r.replica,
+                    "drain_ms": ms(r.drain),
+                    "retired_exposed": seq(r.retired_exposed),
+                }
+            });
+            doc.merge(json_obj! {
+                "seed_replicas": self.seeds,
+                "joins": joins.collect::<Vec<_>>(),
+                "retires": retires.collect::<Vec<_>>(),
+            });
+        }
+        if let Some(f) = &self.failover {
+            doc.merge(json_obj! {
+                "shipped_seq": seq(f.shipped_seq),
+                "applied_at_kill": seq(f.applied_at_kill),
+                "backlog_records": f.backlog_records(),
+                "lag_at_kill_ms": f.lag_at_kill.as_ref(),
+                "promoted_cut": seq(f.promoted_cut),
+                "promotion_drain_ms": ms(f.promotion_drain),
+                "takeover_ms": ms(f.takeover),
+                "drain_bounded_by_lag": f.drain_bounded_by_lag(),
+                "resumed_tps": f.resumed.throughput(),
+                "resumed_committed": f.resumed.committed,
+                "standby": f.standby.map(|(rows, replayed)| {
+                    json_obj! { "checkpoint_rows": rows, "replayed_records": replayed }
+                }),
+            });
+        }
+        doc
     }
 }
 
-/// Aggregates maintained by the read-serving sessions of a reads run.
-#[derive(Debug, Clone, Default)]
-pub struct SessionAggregates {
-    /// Tokened writes the sessions committed on the primary.
-    pub writes: u64,
-    /// Read-your-writes reads performed — every one *asserted* that the
-    /// serving cut covered the session's token and that the session's own
-    /// latest write was the value read.
-    pub ryw_reads: u64,
-    /// Times a session's consecutive reads were served by different
-    /// replicas. The monotonic floor is asserted across every switch.
-    pub replica_switches: u64,
-    /// Reads that gave up waiting for a fresh-enough replica.
-    pub timeouts: u64,
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
-/// Outcome of one read-serving experiment: a primary fanning its log out to
-/// a replica fleet while consistency-class sessions read from it.
-#[derive(Debug, Clone)]
-pub struct ReadsOutcome {
-    /// Primary-side statistics (background write load + session writes).
-    pub primary: PrimaryRunStats,
-    /// Wall-clock duration of the read-serving window.
-    pub wall: Duration,
-    /// Number of reader sessions.
-    pub sessions: usize,
-    /// Per-consistency-class read statistics, in `ClassKind::ALL` order.
-    pub per_class: Vec<c5_read::ClassStats>,
-    /// Final per-replica routing snapshot.
-    pub fleet: Vec<c5_read::ReplicaStatus>,
-    /// Final per-replica progress counters.
-    pub replica_metrics: Vec<ReplicaMetrics>,
-    /// Per-replica replication-lag summaries.
-    pub replica_lag: Vec<Option<LagStats>>,
-    /// Session-side aggregates (assertions included).
-    pub session_stats: SessionAggregates,
-    /// The primary's final log position; the closing strong read was served
-    /// at or above it.
-    pub final_seq: SeqNo,
-}
-
-impl ReadsOutcome {
-    /// Whether every replica applied exactly the primary's committed
-    /// transactions.
-    pub fn all_converged(&self) -> bool {
-        self.replica_metrics
-            .iter()
-            .all(|m| m.applied_txns == self.primary.committed)
-    }
-
-    /// Total reads served across all classes.
-    pub fn total_reads(&self) -> u64 {
-        self.per_class.iter().map(|c| c.reads).sum()
+/// A lag/latency summary serialises as its nearest-rank percentiles in
+/// milliseconds (and an absent one, through `Option`, as `null`).
+impl From<&LagStats> for JsonValue {
+    fn from(l: &LagStats) -> Self {
+        json_obj! {
+            "count": l.count,
+            "min": l.min_ms,
+            "p50": l.p50_ms,
+            "p99": l.p99_ms,
+            "max": l.max_ms,
+            "mean": l.mean_ms,
+        }
     }
 }
 
-/// Table used by reader sessions for their own tokened writes (disjoint from
-/// every workload's tables, so sessions only ever race with themselves on
-/// their own keys).
-pub const SESSION_TABLE: u32 = 200;
+/// A store's or a view's rows in key order, for row-for-row comparison.
+fn sorted(mut rows: Vec<(RowRef, Value)>) -> Vec<(RowRef, Value)> {
+    rows.sort_by_key(|(row, _)| *row);
+    rows
+}
 
-/// Runs one read-serving experiment:
-///
-/// * a 2PL primary executes `factory`'s workload with closed-loop clients
-///   for `setup.duration`, its log fanning out to `replicas` independent
-///   backups of `spec` (one bounded channel each);
-/// * a [`c5_read::ReadRouter`] spans the fleet, its primary frontier wired to
-///   the engine's log position (so `Strong` reads are primary-verified);
-/// * `sessions` reader threads each run a session loop: commit a tokened
-///   write on the primary, causally read it back (**asserting**
-///   read-your-writes: the serving cut covers the token and the value is
-///   the session's own latest write), and mix in `Strong` and
-///   `BoundedStaleness(staleness_bound)` reads of random keys — asserting
-///   after every read that the session never reads backwards, across
-///   whatever replica switches the router makes;
-/// * after the log closes and the fleet drains, a final `Strong` read
-///   verifies the router serves the complete log end-to-end.
+/// Raised when [`run_scenario`]'s orchestration ends, normally or by a panic
+/// (a failed join, a violated assertion): `thread::scope` joins every thread
+/// it spawned before it lets a panic out, and the sessions loop until the
+/// flag is up and the replica drivers until the log ends — so a failure that
+/// did not do this would hang the process instead of failing it.
+struct StopOnDrop<'a> {
+    stop: &'a AtomicBool,
+    engine: &'a TplEngine,
+}
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.engine.close_log();
+    }
+}
+
+/// Runs one scenario end to end and reports it.
 ///
 /// # Panics
-/// Panics inside a session thread if read-your-writes or monotonicity is
-/// violated — the experiment's built-in correctness assertions.
-pub fn run_reads_streaming(
-    setup: &StreamingSetup,
-    factory: Arc<dyn TxnFactory>,
-    spec: ReplicaSpec,
-    replicas: usize,
-    sessions: usize,
-    staleness_bound: Duration,
-) -> ReadsOutcome {
-    use c5_read::ReadRouter;
-    use std::sync::atomic::{AtomicBool, Ordering};
+/// Panics if an event fails, if a session observes a read-your-writes or
+/// monotonicity violation, if a mid-run joiner is `Serving` below its install
+/// cut, or if the closing strong read of a session run misses the log end —
+/// the experiments' built-in correctness assertions. Every thread the run
+/// started has stopped by the time the panic leaves this function.
+pub fn run_scenario(scenario: &Scenario) -> Outcome {
+    let Scenario {
+        scale,
+        population,
+        factory,
+        replicas: specs,
+        readers,
+        events,
+    } = scenario;
+    assert!(!specs.is_empty(), "a scenario needs at least one replica");
+    let obs = Obs::new();
+    let managed = (events.iter()).any(|(_, e)| matches!(e, Event::Join | Event::Retire));
+    let kill = events.iter().find_map(|(_, e)| match *e {
+        Event::KillPrimary { resume, standby } => Some((resume, standby)),
+        _ => None,
+    });
 
-    assert!(replicas > 0 && sessions > 0);
-    // Primary with 1→N fan-out.
-    let primary_store = Arc::new(MvStore::default());
-    preload(&primary_store, &setup.population);
-    let (shipper, receivers) = LogShipper::fan_out(replicas, 1024);
-    let shipper = shipper.with_obs(Arc::clone(&setup.obs));
-    let logger = StreamingLogger::new(setup.segment_records, shipper);
+    // The primary. Its shipper starts with no subscribers; every replica
+    // subscribes below (or through the fleet controller's join protocol).
+    let primary_store = preloaded(population);
+    let archive = (!events.is_empty()).then(|| Arc::new(LogArchive::new()));
+    let mut shipper = LogShipper::fan_out(0, 0).0.with_obs(Arc::clone(&obs));
+    if let Some(archive) = &archive {
+        shipper = shipper.with_archive(Arc::clone(archive));
+    }
     let primary_config = PrimaryConfig::default()
-        .with_threads(setup.primary_threads)
-        .with_op_cost(setup.op_cost);
-    let engine = Arc::new(TplEngine::new(primary_store, primary_config, logger));
-
-    // The fleet.
-    let replica_config = ReplicaConfig::default()
-        .with_workers(setup.replica_workers)
-        .with_op_cost(setup.op_cost)
-        .with_snapshot_interval(setup.snapshot_interval)
-        .with_obs(Arc::clone(&setup.obs));
-    let backups: Vec<Arc<dyn ClonedConcurrencyControl>> = (0..replicas)
-        .map(|_| {
-            let store = Arc::new(MvStore::default());
-            preload(&store, &setup.population);
-            spec.build(store, replica_config.clone())
-        })
-        .collect();
-
-    // The router: frontier = the primary's assigned log end, so strong reads
-    // verify against what the primary has committed, not just shipped; the
-    // tail-flush hook lets a blocked read ship a committed-but-buffered
-    // token instead of waiting for its segment to fill.
-    let frontier_engine = Arc::clone(&engine);
-    let flush_engine = Arc::clone(&engine);
-    let router = Arc::new(
-        ReadRouter::new(
-            backups.clone(),
-            c5_common::ReadConfig::default()
-                .with_max_wait(Duration::from_secs(5))
-                .with_obs(Arc::clone(&setup.obs)),
-        )
-        .with_frontier(move || frontier_engine.log_last_seq())
-        .with_tail_flush(move || flush_engine.flush_log()),
+        .with_threads(scale.primary_threads)
+        .with_op_cost(OP_COST);
+    let start_primary = |store: &Arc<MvStore>, logger: StreamingLogger| {
+        Arc::new(TplEngine::new(
+            Arc::clone(store),
+            primary_config.clone(),
+            logger,
+        ))
+    };
+    let engine = start_primary(
+        &primary_store,
+        StreamingLogger::new(scale.segment_records, shipper.clone()),
     );
 
+    // The router every member is admitted to. Its frontier is the primary's
+    // assigned log end, so strong reads verify against what the primary has
+    // committed, not just shipped; the tail-flush hook lets a blocked read
+    // ship a committed-but-buffered token instead of waiting for its segment
+    // to fill.
+    let (frontier_engine, flush_engine) = (Arc::clone(&engine), Arc::clone(&engine));
+    let read_config = ReadConfig::default()
+        .with_max_wait(Duration::from_secs(5))
+        .with_obs(Arc::clone(&obs));
+    let router = Arc::new(
+        ReadRouter::new(Vec::new(), read_config)
+            .with_frontier(move || frontier_engine.log_last_seq())
+            .with_tail_flush(move || flush_engine.flush_log()),
+    );
+
+    // The fleet: controller-managed (every seed enters through the same join
+    // protocol a live joiner uses; with an empty archive there is nothing to
+    // replay, so seeds are Serving immediately) or static.
+    let replica_config = ReplicaConfig::default()
+        .with_workers(scale.replica_workers)
+        .with_op_cost(OP_COST)
+        .with_obs(Arc::clone(&obs));
+    let mut controller = None;
+    let mut members = Vec::new();
+    let mut receivers = Vec::new();
+    if managed {
+        assert!(
+            specs.iter().all(|s| *s == ReplicaSpec::C5Faithful),
+            "the fleet controller manages faithful C5 replicas only"
+        );
+        let fleet = FleetController::new(
+            shipper,
+            Arc::clone(archive.as_ref().expect("events retain the log")),
+            Arc::clone(&router) as Arc<dyn FleetRoutingSink>,
+            C5Mode::Faithful,
+            replica_config.clone(),
+        );
+        for _ in specs {
+            let seed = fleet.join_seeded(preloaded(population));
+            let id = seed.expect("seeding an idle fleet cannot fail").replica;
+            let replica: Arc<dyn ClonedConcurrencyControl> =
+                fleet.replica(id).expect("a seed is managed");
+            members.push((id, replica, None));
+        }
+        controller = Some(fleet);
+    } else {
+        for spec in specs {
+            let (replica, sharded) = spec.build(preloaded(population), replica_config.clone());
+            let id = router.admit(Arc::clone(&replica));
+            let subscription = match specs.len() {
+                1 => shipper.subscribe_unbounded(),
+                _ => shipper.subscribe(1024),
+            };
+            receivers.push(subscription.expect("an open shipper").receiver);
+            members.push((id, replica, sharded));
+        }
+    }
+    // Routing ids follow admission order, so a member's id is its index.
+    assert!(members.iter().enumerate().all(|(i, (id, ..))| i == *id));
+
+    // Whom point-read clients read from and a `KillPrimary` promotes.
+    let first = members[0].1.as_ref();
+
     let start = Instant::now();
-    let stop_readers = AtomicBool::new(false);
-    let mut primary_stats = PrimaryRunStats::default();
+    let stop = AtomicBool::new(false);
+    let session_count = match *readers {
+        Readers::Sessions(n) => n,
+        _ => 0,
+    };
+    let mut session_totals = SessionsOutcome::default();
+    let mut primary = PrimaryRunStats::default();
     let mut wall = Duration::ZERO;
-    let session_stats = parking_lot::Mutex::new(SessionAggregates::default());
+    let mut walls = Vec::new();
+    let mut point_reads = None;
+    let (mut joins, mut retires) = (Vec::new(), Vec::new());
+    // (applied, exposed, when) at the moment of the kill.
+    let mut at_kill = None;
 
     std::thread::scope(|scope| {
-        // Fleet ingestion.
-        let drivers: Vec<_> = backups
-            .iter()
-            .zip(receivers)
-            .map(|(backup, receiver)| {
-                let backup_ref: &dyn ClonedConcurrencyControl = backup.as_ref();
-                scope.spawn(move || drive_from_receiver(backup_ref, receiver))
-            })
-            .collect();
-
-        // Reader sessions.
-        let reader_handles: Vec<_> = (0..sessions)
-            .map(|s| {
-                let engine = Arc::clone(&engine);
-                let router = Arc::clone(&router);
-                let stop_readers = &stop_readers;
-                let session_stats = &session_stats;
-                let seed = setup.seed.wrapping_add(s as u64);
+        let _stop_on_unwind = StopOnDrop {
+            stop: &stop,
+            engine: &engine,
+        };
+        // One driver per static replica; each measures its own apply wall. A
+        // replica about to be promoted is fed but not finished: promotion
+        // does the sealing, and its drain is what the scenario measures.
+        let drivers: Vec<_> = (members.iter().zip(receivers))
+            .map(|((_, replica, _), receiver)| {
                 scope.spawn(move || {
-                    let local =
-                        run_session_loop(&engine, &router, s, seed, stop_readers, staleness_bound);
-                    let mut total = session_stats.lock();
-                    total.writes += local.writes;
-                    total.ryw_reads += local.ryw_reads;
-                    total.replica_switches += local.replica_switches;
-                    total.timeouts += local.timeouts;
+                    while let Some(segment) = receiver.recv() {
+                        replica.apply_segment(segment);
+                    }
+                    if kill.is_none() {
+                        replica.finish();
+                    }
+                    start.elapsed()
                 })
             })
             .collect();
+        let point_clients = match *readers {
+            Readers::PointClients(clients) => Some(scope.spawn(move || {
+                run_point_read_clients(
+                    first,
+                    clients,
+                    scale.duration,
+                    SYNTHETIC_TABLE,
+                    POINT_READ_KEY_SPACE,
+                    SEED,
+                )
+            })),
+            _ => None,
+        };
+        let sessions: Vec<_> = (0..session_count)
+            .map(|s| {
+                let (engine, router, stop) = (&engine, &router, &stop);
+                scope.spawn(move || run_session_loop(engine, router, s, stop))
+            })
+            .collect();
+        // The load runs on its own thread so this one can fire the events.
+        let mut load = Some(scope.spawn(|| {
+            ClosedLoopDriver::with_seed(SEED).run_tpl(
+                &engine,
+                factory,
+                scale.primary_threads,
+                RunLength::Timed(scale.duration),
+            )
+        }));
 
-        // Background write load on the primary.
-        primary_stats = ClosedLoopDriver::with_seed(setup.seed).run_tpl(
-            &engine,
-            &factory,
-            setup.clients,
-            RunLength::Timed(setup.duration),
-        );
+        for &(at, event) in events {
+            std::thread::sleep(at.saturating_sub(start.elapsed()));
+            let fleet = controller.as_ref();
+            match event {
+                Event::Join => {
+                    let fleet = fleet.expect("a Join makes the fleet managed");
+                    let join = fleet.join().expect("online join under load");
+                    assert!(
+                        join.checkpoint_cut <= join.stream_start,
+                        "the live stream (from {}) must cover everything past the \
+                         checkpoint cut {}",
+                        join.stream_start,
+                        join.checkpoint_cut
+                    );
+                    let joiner = fleet.replica(join.replica).expect("joiner is managed");
+                    assert!(
+                        joiner.exposed_seq() >= join.checkpoint_cut.max(join.stream_start),
+                        "a joiner flips to Serving only at or beyond its install cut"
+                    );
+                    joins.push(join);
+                }
+                Event::Retire => {
+                    let fleet = fleet.expect("a Retire makes the fleet managed");
+                    retires.push(fleet.retire(0).expect("online retire under load"));
+                }
+                Event::KillPrimary { .. } => {
+                    primary = load
+                        .take()
+                        .expect("the kill comes last")
+                        .join()
+                        .expect("load");
+                    // Takeover time is measured from here — it includes
+                    // delivering whatever the wire still buffers, not just
+                    // the final promote() drain.
+                    at_kill = Some((first.applied_seq(), first.exposed_seq(), Instant::now()));
+                    engine.crash_log();
+                }
+            }
+        }
+        if let Some(load) = load {
+            primary = load.join().expect("background load");
+        }
         // Stop the sessions. A session mid-iteration can still commit a
-        // token into a partial segment after the background load ends; its
-        // own blocked read ships it via the router's tail-flush hook.
-        stop_readers.store(true, Ordering::Relaxed);
-        for handle in reader_handles {
-            handle.join().expect("reader session");
+        // token into a partial segment after the load ends; its own blocked
+        // read ships it via the router's tail-flush hook.
+        stop.store(true, Ordering::Relaxed);
+        for session in sessions {
+            let local = session.join().expect("reader session");
+            session_totals.writes += local.writes;
+            session_totals.ryw_reads += local.ryw_reads;
+            session_totals.replica_switches += local.replica_switches;
+            session_totals.timeouts += local.timeouts;
         }
         wall = start.elapsed();
         engine.close_log();
         for driver in drivers {
-            driver.join().expect("replica driver");
+            walls.push(driver.join().expect("replica driver"));
+        }
+        if let Some(fleet) = &controller {
+            fleet.finish();
+        }
+        point_reads = point_clients.map(|clients| clients.join().expect("read clients"));
+    });
+    let drained = start.elapsed();
+
+    // Session writes ride the same engine; fold them into the committed
+    // count reported for the primary.
+    primary.committed = engine.committed();
+    let final_seq = engine.log_last_seq();
+    let mut sessions = None;
+    if session_count > 0 {
+        // The surviving fleet has the whole log; a closing strong read must
+        // see it, whoever left mid-run.
+        let closing = (router.session())
+            .read(&ConsistencyClass::Strong, RowRef::new(SESSION_TABLE, 0))
+            .expect("a drained fleet serves strong reads immediately");
+        assert!(
+            closing.as_of >= final_seq,
+            "closing strong read at {} misses the log end {final_seq}",
+            closing.as_of
+        );
+        sessions = Some(SessionsOutcome {
+            sessions: session_count,
+            per_class: router.all_class_stats(),
+            generations: router.generation(),
+            ..session_totals
+        });
+    }
+
+    // The failover leg: promote the first replica, resume a primary on its
+    // store, optionally catch a cold standby up from the resumed log.
+    let mut final_store = Arc::clone(&primary_store);
+    let mut standby_view = None;
+    let failover = kill.map(|(resume, with_standby)| {
+        let (applied_at_kill, exposed_at_kill, killed_at) = at_kill.expect("the kill fired");
+        let lag_at_kill = first.lag().stats();
+        let promotion = first.promote();
+        let takeover = killed_at.elapsed();
+        // Checkpoint the promoted state before the new primary writes on top
+        // of it (capture at the cut stays correct either way — the resumed
+        // primary's versions all land above the cut — but capturing now
+        // mirrors the real sequence: checkpoint at takeover, then serve).
+        let checkpoint =
+            with_standby.then(|| CheckpointWriter::capture(&promotion.store, promotion.cut));
+        // The resumed log is a seamless continuation of the old one (same
+        // sequence numbers and commit timestamps onward from the cut). Nobody
+        // subscribes to it; a standby replays it from its archive.
+        let resumed_archive = Arc::new(LogArchive::starting_at(promotion.cut));
+        let resumed_shipper =
+            (LogShipper::fan_out(0, 0).0).with_archive(Arc::clone(&resumed_archive));
+        let resumed_engine = start_primary(
+            &promotion.store,
+            StreamingLogger::resume_at(scale.segment_records, resumed_shipper, promotion.cut),
+        );
+        let resumed = ClosedLoopDriver::with_seed(SEED + 1).run_tpl(
+            &resumed_engine,
+            factory,
+            scale.primary_threads,
+            RunLength::Timed(resume),
+        );
+        resumed_engine.close_log();
+        final_store = Arc::clone(&promotion.store);
+        let standby = checkpoint.map(|checkpoint| {
+            let tail = resumed_archive
+                .replay_from(checkpoint.cut())
+                .expect("nothing truncated above the checkpoint cut");
+            let replayed = tail.iter().map(Segment::len).sum();
+            let standby = C5Replica::resume_from_checkpoint(
+                C5Mode::Faithful,
+                &checkpoint,
+                replica_config.clone(),
+            );
+            drive_segments(standby.as_ref(), tail);
+            standby_view = Some(standby.read_view());
+            (checkpoint.len(), replayed)
+        });
+        FailoverOutcome {
+            shipped_seq: archive.as_ref().expect("events retain the log").last_seq(),
+            applied_at_kill,
+            exposed_at_kill,
+            lag_at_kill,
+            promoted_cut: promotion.cut,
+            promotion_drain: promotion.drain,
+            takeover,
+            resumed,
+            standby,
         }
     });
 
-    // The fleet has the whole log; a closing strong read must see it.
-    let final_seq = engine.log_last_seq();
-    let closing = router
-        .session()
-        .read(
-            &c5_read::ConsistencyClass::Strong,
-            RowRef::new(SESSION_TABLE, 0),
-        )
-        .expect("a drained fleet serves strong reads immediately");
-    assert!(
-        closing.as_of >= final_seq,
-        "closing strong read at {} misses the log end {final_seq}",
-        closing.as_of
-    );
+    // Convergence by full state: every surviving replica's exposed state must
+    // equal the final primary's, row for row. (Counters cannot say this of a
+    // joiner, whose checkpoint baked in history it never applied.)
+    let expect = sorted(final_store.scan_all_at(Timestamp::MAX));
+    let converged = |view: &dyn ReadView| sorted(view.scan_all()) == expect;
+    let served = router.fleet_status();
+    // Who serves at the end: everyone who started, less the retired, plus
+    // the joiners (built like the seeds).
+    let joiners = joins.iter().map(|join| {
+        let fleet = controller.as_ref().expect("a Join makes the fleet managed");
+        let joiner: Arc<dyn ClonedConcurrencyControl> =
+            fleet.replica(join.replica).expect("joiner is managed");
+        (join.replica, joiner, None)
+    });
+    let survivors = (members.into_iter())
+        .filter(|(id, ..)| retires.iter().all(|retire| retire.replica != *id))
+        .chain(joiners);
+    let replicas = survivors
+        .map(|(id, replica, sharded)| ReplicaOutcome {
+            replica: id,
+            protocol: replica.name(),
+            workers: specs
+                .get(id)
+                .unwrap_or(&specs[0])
+                .workers_total(scale.replica_workers),
+            wall: walls.get(id).copied().unwrap_or(drained),
+            metrics: replica.metrics(),
+            lag: replica.lag().stats(),
+            lag_samples: replica.lag().samples(),
+            served: served
+                .iter()
+                .find(|s| s.replica == id)
+                .map_or(0, |s| s.served),
+            joined_mid_run: id >= specs.len(),
+            converged: match (&failover, &standby_view) {
+                (None, _) => converged(replica.read_view().as_ref()),
+                (Some(_), Some(standby)) => converged(standby.as_ref()),
+                (Some(_), None) => true,
+            },
+            cuts_taken: sharded.as_ref().map_or(0, |s| s.coordinator().cuts_taken()),
+            per_shard: sharded.map_or_else(Vec::new, |s| {
+                (0..s.cut_vector().len())
+                    .map(|shard| (s.shard_lag(shard).len(), s.shard_lag(shard).stats()))
+                    .collect()
+            }),
+        })
+        .collect();
 
-    // Session writes ride the same engine; fold them into the committed
-    // count the convergence check compares against.
-    primary_stats.committed = engine.committed();
-
-    ReadsOutcome {
-        primary: primary_stats,
+    Outcome {
+        seeds: specs.len(),
+        primary,
         wall,
+        replicas,
+        point_reads,
         sessions,
-        per_class: router.all_class_stats(),
-        fleet: router.fleet_status(),
-        replica_metrics: backups.iter().map(|b| b.metrics()).collect(),
-        replica_lag: backups.iter().map(|b| b.lag().stats()).collect(),
-        session_stats: session_stats.into_inner(),
-        final_seq,
+        joins,
+        retires,
+        failover,
+        obs,
     }
 }
 
-/// One reader session's loop, shared by the read-serving and elastic
-/// harnesses: commit a tokened write on the primary, causally read it back
-/// (**asserting** read-your-writes by cut and by value), mix in `Strong` and
-/// `BoundedStaleness(staleness_bound)` reads of random keys, and assert
-/// after every read that the session never reads backwards — across whatever
-/// replica switches (or, for the elastic harness, membership churn) the
-/// router rides through.
+/// One reader session's loop (see [`Readers::Sessions`]); returns its
+/// counters in an otherwise empty [`SessionsOutcome`].
 ///
 /// # Panics
 /// Panics if read-your-writes or monotonicity is violated.
 fn run_session_loop(
-    engine: &Arc<TplEngine>,
-    router: &Arc<c5_read::ReadRouter>,
+    engine: &TplEngine,
+    router: &Arc<ReadRouter>,
     s: usize,
-    seed: u64,
-    stop: &std::sync::atomic::AtomicBool,
-    staleness_bound: Duration,
-) -> SessionAggregates {
-    use c5_primary::TxnCtx;
-    use c5_read::ConsistencyClass;
+    stop: &AtomicBool,
+) -> SessionsOutcome {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::atomic::Ordering;
 
     let mut session = router.session();
-    let mut local = SessionAggregates::default();
+    let mut local = SessionsOutcome::default();
     let mut last_as_of = SeqNo::ZERO;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut assert_monotonic = |read: &c5_read::SessionRead| {
+    let mut rng = StdRng::seed_from_u64(SEED.wrapping_add(s as u64));
+    let mut assert_monotonic = |read: &SessionRead| {
         assert!(
             read.as_of >= last_as_of,
             "session read went backwards: {} after {last_as_of}",
@@ -1104,330 +1011,26 @@ fn run_session_loop(
                 assert_monotonic(&read);
                 local.ryw_reads += 1;
             }
-            Err(c5_common::Error::ReadTimeout { .. }) => local.timeouts += 1,
+            Err(Error::ReadTimeout { .. }) => local.timeouts += 1,
             Err(err) => panic!("session read failed: {err}"),
         }
 
         // 3. A strong or bounded-staleness read of a random key.
-        let random_row = RowRef::new(c5_workloads::SYNTHETIC_TABLE, rng.gen_range(0..100_000));
+        let random_row = RowRef::new(SYNTHETIC_TABLE, rng.gen_range(0..100_000));
         let class = if iteration % 4 == 0 {
             ConsistencyClass::Strong
         } else {
-            ConsistencyClass::BoundedStaleness(staleness_bound)
+            ConsistencyClass::BoundedStaleness(STALENESS_BOUND)
         };
         match session.read(&class, random_row) {
             Ok(read) => assert_monotonic(&read),
-            Err(c5_common::Error::ReadTimeout { .. }) => local.timeouts += 1,
+            Err(Error::ReadTimeout { .. }) => local.timeouts += 1,
             Err(err) => panic!("session read failed: {err}"),
         }
         iteration += 1;
     }
     local.replica_switches = session.replica_switches();
     local
-}
-
-/// Outcome of the elastic-fleet experiment: one online join and one online
-/// retire performed on a live fan-out under continuous tokened load.
-#[derive(Debug, Clone)]
-pub struct ElasticOutcome {
-    /// Primary-side statistics (background load plus session writes).
-    pub primary: PrimaryRunStats,
-    /// Wall-clock time of the whole churn window.
-    pub wall: Duration,
-    /// Number of reader sessions.
-    pub sessions: usize,
-    /// What the mid-run online join did.
-    pub join: JoinReport,
-    /// What the mid-run online retire did.
-    pub retire: RetireReport,
-    /// Per-consistency-class read statistics.
-    pub per_class: Vec<c5_read::ClassStats>,
-    /// Final routing snapshot of the surviving fleet.
-    pub fleet: Vec<c5_read::ReplicaStatus>,
-    /// Session-side aggregates (every read also carried the harness's
-    /// built-in RYW/monotonicity assertions).
-    pub session_stats: SessionAggregates,
-    /// Per-surviving-member lag summaries, keyed by fleet id. The joiner's
-    /// samples only cover its post-join life, so its row *is* the
-    /// lag-during-churn measurement.
-    pub survivor_lag: Vec<(usize, Option<LagStats>)>,
-    /// Whether every surviving member's exposed state equals the primary's
-    /// final state row for row (MPC convergence despite the churn).
-    pub survivors_converged: bool,
-    /// The primary's final log position.
-    pub final_seq: SeqNo,
-    /// Router generation at the end — one bump per admit, retire, and
-    /// detach, so churn is visible in the routing metadata.
-    pub generations: u64,
-}
-
-/// Runs the elastic-fleet experiment:
-///
-/// * a 2PL primary ships to a [`LogShipper`] that starts with **zero**
-///   subscribers and an archive — every member of the fleet, seeds
-///   included, enters through [`FleetController`]'s join protocol;
-/// * `seed_replicas` members are seeded before load starts; `sessions`
-///   reader threads then run the same tokened session loop as the `reads`
-///   experiment while a closed-loop workload drives the primary;
-/// * a third of the way through, a brand-new replica **joins online**
-///   (checkpoint export → install → archived-gap replay → live stream, the
-///   stream subscribed before the replay so no seq can fall in between);
-///   two thirds through, the first seed **retires online** (drain, then
-///   detach);
-/// * the harness hard-asserts the joiner is exposed at or beyond its
-///   install cut the moment it is `Serving`, that no session ever violates
-///   RYW or monotonicity across the churn, that a closing strong read
-///   covers the whole log, and that every survivor's final state equals
-///   the primary's, row for row.
-///
-/// # Panics
-/// Panics if any of the above invariants fails — these are the
-/// experiment's built-in correctness assertions.
-pub fn run_elastic_streaming(
-    setup: &StreamingSetup,
-    factory: Arc<dyn TxnFactory>,
-    seed_replicas: usize,
-    sessions: usize,
-    staleness_bound: Duration,
-) -> ElasticOutcome {
-    use c5_read::ReadRouter;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    assert!(seed_replicas > 0 && sessions > 0);
-    // Primary whose shipper starts empty: membership is entirely dynamic.
-    let primary_store = Arc::new(MvStore::default());
-    preload(&primary_store, &setup.population);
-    let archive = Arc::new(LogArchive::new());
-    let (shipper, receivers) = LogShipper::fan_out(0, 1024);
-    assert!(receivers.is_empty());
-    let shipper = shipper
-        .with_archive(Arc::clone(&archive))
-        .with_obs(Arc::clone(&setup.obs));
-    let logger = StreamingLogger::new(setup.segment_records, shipper.clone());
-    let primary_config = PrimaryConfig::default()
-        .with_threads(setup.primary_threads)
-        .with_op_cost(setup.op_cost);
-    let engine = Arc::new(TplEngine::new(
-        Arc::clone(&primary_store),
-        primary_config,
-        logger,
-    ));
-
-    // The router starts with an empty fleet; the controller admits members.
-    let frontier_engine = Arc::clone(&engine);
-    let flush_engine = Arc::clone(&engine);
-    let router = Arc::new(
-        ReadRouter::new(
-            Vec::new(),
-            c5_common::ReadConfig::default()
-                .with_max_wait(Duration::from_secs(5))
-                .with_obs(Arc::clone(&setup.obs)),
-        )
-        .with_frontier(move || frontier_engine.log_last_seq())
-        .with_tail_flush(move || flush_engine.flush_log()),
-    );
-
-    let replica_config = ReplicaConfig::default()
-        .with_workers(setup.replica_workers)
-        .with_op_cost(setup.op_cost)
-        .with_snapshot_interval(setup.snapshot_interval)
-        .with_obs(Arc::clone(&setup.obs));
-    let controller = FleetController::new(
-        shipper,
-        Arc::clone(&archive),
-        Arc::clone(&router) as Arc<dyn FleetRoutingSink>,
-        C5Mode::Faithful,
-        replica_config,
-    );
-
-    // Seed the initial fleet through the same join protocol a live joiner
-    // uses; with an empty archive there is nothing to replay, so the seeds
-    // are Serving immediately.
-    let seeds: Vec<JoinReport> = (0..seed_replicas)
-        .map(|_| {
-            let store = Arc::new(MvStore::default());
-            preload(&store, &setup.population);
-            controller
-                .join_seeded(store)
-                .expect("seeding an idle fleet cannot fail")
-        })
-        .collect();
-
-    let start = Instant::now();
-    let stop_readers = AtomicBool::new(false);
-    let mut primary_stats = PrimaryRunStats::default();
-    let mut wall = Duration::ZERO;
-    let session_stats = parking_lot::Mutex::new(SessionAggregates::default());
-    let mut join_report = None;
-    let mut retire_report = None;
-
-    std::thread::scope(|scope| {
-        // Reader sessions.
-        let reader_handles: Vec<_> = (0..sessions)
-            .map(|s| {
-                let engine = Arc::clone(&engine);
-                let router = Arc::clone(&router);
-                let stop_readers = &stop_readers;
-                let session_stats = &session_stats;
-                let seed = setup.seed.wrapping_add(s as u64);
-                scope.spawn(move || {
-                    let local =
-                        run_session_loop(&engine, &router, s, seed, stop_readers, staleness_bound);
-                    let mut total = session_stats.lock();
-                    total.writes += local.writes;
-                    total.ryw_reads += local.ryw_reads;
-                    total.replica_switches += local.replica_switches;
-                    total.timeouts += local.timeouts;
-                })
-            })
-            .collect();
-
-        // Background write load runs on its own thread so this thread can
-        // orchestrate the membership churn mid-run.
-        let load = {
-            let engine = Arc::clone(&engine);
-            let factory = Arc::clone(&factory);
-            scope.spawn(move || {
-                ClosedLoopDriver::with_seed(setup.seed).run_tpl(
-                    &engine,
-                    &factory,
-                    setup.clients,
-                    RunLength::Timed(setup.duration),
-                )
-            })
-        };
-
-        // One third in: a brand-new replica joins the live fan-out.
-        std::thread::sleep(setup.duration / 3);
-        let join = controller.join().expect("online join under load");
-        assert!(
-            join.checkpoint_cut <= join.stream_start,
-            "the live stream (from {}) must cover everything past the \
-             checkpoint cut {}",
-            join.stream_start,
-            join.checkpoint_cut
-        );
-        let joiner = controller.replica(join.replica).expect("joiner is managed");
-        assert!(
-            joiner.exposed_seq() >= join.checkpoint_cut.max(join.stream_start),
-            "a joiner flips to Serving only at or beyond its install cut"
-        );
-        join_report = Some(join);
-
-        // Two thirds in: the first seed retires online — drained, then
-        // detached, while its peers keep serving.
-        std::thread::sleep(setup.duration / 3);
-        let retire = controller
-            .retire(seeds[0].replica)
-            .expect("online retire under load");
-        retire_report = Some(retire);
-
-        primary_stats = load.join().expect("background load");
-        // Stop the sessions. A session mid-iteration can still commit a
-        // token into a partial segment after the background load ends; its
-        // own blocked read ships it via the router's tail-flush hook.
-        stop_readers.store(true, Ordering::Relaxed);
-        for handle in reader_handles {
-            handle.join().expect("reader session");
-        }
-        wall = start.elapsed();
-        engine.close_log();
-        controller.finish();
-    });
-
-    // The surviving fleet has the whole log; a closing strong read must
-    // see it even though a member left mid-run.
-    let final_seq = engine.log_last_seq();
-    let closing = router
-        .session()
-        .read(
-            &c5_read::ConsistencyClass::Strong,
-            RowRef::new(SESSION_TABLE, 0),
-        )
-        .expect("the surviving fleet serves strong reads after the churn");
-    assert!(
-        closing.as_of >= final_seq,
-        "closing strong read at {} misses the log end {final_seq}",
-        closing.as_of
-    );
-
-    // Session writes ride the same engine; fold them into the committed
-    // count reported for the primary.
-    primary_stats.committed = engine.committed();
-
-    let join = join_report.expect("join ran");
-    let retire = retire_report.expect("retire ran");
-
-    // MPC convergence by full state: every surviving member's exposed state
-    // must equal the primary's final state row for row. (The joiner's
-    // applied-txn counter can't be compared — its checkpoint baked in
-    // history it never applied — so state equality is the check.)
-    let mut expect: Vec<(RowRef, Value)> = primary_store.scan_all_at(Timestamp::MAX);
-    expect.sort_by_key(|(row, _)| *row);
-    let survivor_ids: Vec<usize> = controller
-        .members()
-        .into_iter()
-        .filter(|&(_, state)| state == ReplicaLifecycle::Serving)
-        .map(|(id, _)| id)
-        .collect();
-    let mut survivors_converged = true;
-    let mut survivor_lag = Vec::new();
-    for &id in &survivor_ids {
-        let replica = controller.replica(id).expect("serving member is managed");
-        let mut got: Vec<(RowRef, Value)> = replica.read_view().scan_all();
-        got.sort_by_key(|(row, _)| *row);
-        survivors_converged &= got == expect;
-        survivor_lag.push((id, replica.lag().stats()));
-    }
-
-    ElasticOutcome {
-        primary: primary_stats,
-        wall,
-        sessions,
-        join,
-        retire,
-        per_class: router.all_class_stats(),
-        fleet: router.fleet_status(),
-        session_stats: session_stats.into_inner(),
-        survivor_lag,
-        survivors_converged,
-        final_seq,
-        generations: router.generation(),
-    }
-}
-
-/// Parameters for the offline (Cicada-style) experiments.
-#[derive(Debug, Clone)]
-pub struct OfflineSetup {
-    /// Initial population (installed on both sides).
-    pub population: Vec<(RowRef, Value)>,
-    /// Primary client threads.
-    pub threads: usize,
-    /// Transactions submitted per thread.
-    pub txns_per_thread: u64,
-    /// Backup workers.
-    pub replica_workers: usize,
-    /// Per-operation cost model.
-    pub op_cost: OpCost,
-    /// Records per segment.
-    pub segment_records: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl OfflineSetup {
-    /// A setup with paper-like defaults and no population.
-    pub fn new(threads: usize, txns_per_thread: u64, workers: usize) -> Self {
-        Self {
-            population: Vec::new(),
-            threads,
-            txns_per_thread,
-            replica_workers: workers,
-            op_cost: OpCost::free(),
-            segment_records: 256,
-            seed: 42,
-        }
-    }
 }
 
 /// Outcome of one offline experiment.
@@ -1444,11 +1047,6 @@ pub struct OfflineOutcome {
 }
 
 impl OfflineOutcome {
-    /// Primary throughput (transactions per second).
-    pub fn primary_throughput(&self) -> f64 {
-        self.primary.throughput()
-    }
-
     /// Backup replay throughput (transactions per second).
     pub fn replica_throughput(&self) -> f64 {
         if self.replay_wall.is_zero() {
@@ -1458,96 +1056,126 @@ impl OfflineOutcome {
         }
     }
 
-    /// Backup throughput relative to the primary's.
+    /// Backup throughput relative to the primary's: at least ~1 means the
+    /// backup replays as fast as the primary executed, i.e. keeps up.
     pub fn relative_throughput(&self) -> f64 {
-        let p = self.primary_throughput();
-        if p == 0.0 {
-            0.0
-        } else {
-            self.replica_throughput() / p
+        match self.primary.throughput() {
+            0.0 => 0.0,
+            primary => self.replica_throughput() / primary,
         }
-    }
-
-    /// Whether the backup can keep up (its replay rate is at least the
-    /// primary's execution rate).
-    pub fn keeps_up(&self) -> bool {
-        self.relative_throughput() >= 0.95
     }
 }
 
-/// Runs the MVTSO primary on `factory`'s workload, coalesces its log, then
-/// replays it through the backup described by `spec` and measures the replay
-/// time. Returns the primary stats (measured without any replication load,
-/// matching Section 7.3's "Cicada without logging" upper-bound comparison)
-/// and the backup outcome.
+/// Runs the MVTSO primary over `population` on `factory`'s workload —
+/// `txns_per_thread` transactions on each of `scale.primary_threads` clients,
+/// zero simulated operation cost — and returns its statistics (measured
+/// without any replication load, matching Section 7.3's "Cicada without
+/// logging" upper-bound comparison) and its coalesced log.
+pub fn materialize_log(
+    scale: &Scale,
+    population: &[(RowRef, Value)],
+    txns_per_thread: u64,
+    factory: &Arc<dyn TxnFactory>,
+) -> (PrimaryRunStats, Vec<Segment>) {
+    let config = PrimaryConfig::default()
+        .with_threads(scale.primary_threads)
+        .with_op_cost(OpCost::free());
+    let engine = Arc::new(MvtsoEngine::new(preloaded(population), config));
+    let stats = ClosedLoopDriver::with_seed(SEED).run_mvtso(
+        &engine,
+        factory,
+        scale.primary_threads,
+        RunLength::PerClientCount(txns_per_thread),
+    );
+    (stats, engine.take_segments(scale.segment_records))
+}
+
+/// Replays `segments` as fast as it goes through a fresh `spec` backup over
+/// `population` (zero simulated operation cost, recording into `obs`);
+/// returns the backup's protocol name, the replay time and its counters.
+pub fn replay_log(
+    scale: &Scale,
+    population: &[(RowRef, Value)],
+    segments: Vec<Segment>,
+    spec: ReplicaSpec,
+    obs: Arc<Obs>,
+) -> (&'static str, Duration, ReplicaMetrics) {
+    let config = ReplicaConfig::default()
+        .with_workers(scale.replica_workers)
+        .with_op_cost(OpCost::free())
+        .with_snapshot_interval(Duration::from_millis(1))
+        .with_obs(obs);
+    let (replica, _) = spec.build(preloaded(population), config);
+    let wall = drive_segments(replica.as_ref(), segments);
+    (replica.name(), wall, replica.metrics())
+}
+
+/// The offline (Cicada-style) experiment: [`materialize_log`], then
+/// [`replay_log`] through `spec`; comparing the two times answers "does the
+/// backup keep up?".
 pub fn run_offline_mvtso(
-    setup: &OfflineSetup,
+    scale: &Scale,
+    population: &[(RowRef, Value)],
+    txns_per_thread: u64,
     factory: Arc<dyn TxnFactory>,
     spec: ReplicaSpec,
 ) -> OfflineOutcome {
-    // Primary run.
-    let primary_store = Arc::new(MvStore::default());
-    preload(&primary_store, &setup.population);
-    let primary_config = PrimaryConfig::default()
-        .with_threads(setup.threads)
-        .with_op_cost(setup.op_cost);
-    let engine = Arc::new(MvtsoEngine::new(primary_store, primary_config));
-    let primary_stats = ClosedLoopDriver::with_seed(setup.seed).run_mvtso(
-        &engine,
-        &factory,
-        setup.threads,
-        RunLength::PerClientCount(setup.txns_per_thread),
-    );
-    let segments = engine.take_segments(setup.segment_records);
-
-    // Backup replay.
-    let replica_store = Arc::new(MvStore::default());
-    preload(&replica_store, &setup.population);
-    let replica_config = ReplicaConfig::default()
-        .with_workers(setup.replica_workers)
-        .with_op_cost(setup.op_cost)
-        .with_snapshot_interval(Duration::from_millis(1));
-    let replica = spec.build(replica_store, replica_config);
-    let replay_wall = drive_segments(replica.as_ref(), segments);
-
+    let (primary, segments) = materialize_log(scale, population, txns_per_thread, &factory);
+    let (protocol, replay_wall, replica_metrics) =
+        replay_log(scale, population, segments, spec, Obs::new());
     OfflineOutcome {
-        protocol: spec.name(),
-        primary: primary_stats,
+        protocol,
+        primary,
         replay_wall,
-        replica_metrics: replica.metrics(),
+        replica_metrics,
     }
 }
 
 /// Prints a fixed-width table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let header_line: Vec<String> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{h:>width$}", width = widths[i]))
-        .collect();
-    println!("{}", header_line.join("  "));
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
+    let width = |column: usize| {
+        let cells = rows.iter().filter_map(|row| row.get(column));
+        cells
+            .map(String::len)
+            .chain([headers[column].len()])
+            .max()
+            .unwrap_or(0)
+    };
+    let widths: Vec<usize> = (0..headers.len()).map(width).collect();
+    let line = |cells: &mut dyn Iterator<Item = &str>| {
+        let cells: Vec<String> = cells
             .enumerate()
-            .map(|(i, c)| {
-                format!(
-                    "{c:>width$}",
-                    width = widths.get(i).copied().unwrap_or(c.len())
-                )
-            })
+            .map(|(i, c)| format!("{c:>w$}", w = widths.get(i).copied().unwrap_or(c.len())))
             .collect();
-        println!("{}", line.join("  "));
+        println!("{}", cells.join("  "));
+    };
+    line(&mut headers.iter().copied());
+    for row in rows {
+        line(&mut row.iter().map(String::as_str));
     }
+}
+
+/// Prints JSON objects as a table: one row per object, one column per
+/// whitespace-separated path in `columns` (`/`-separated, see
+/// [`JsonValue::at`]; the path is the header). Integers print as such, other
+/// numbers to three decimals, `null` as `-`, booleans as yes/no, a missing
+/// path as blank.
+pub fn print_json_table(title: &str, rows: &[JsonValue], columns: &str) {
+    let columns: Vec<&str> = columns.split_whitespace().collect();
+    let cell = |row: &JsonValue, path: &str| match row.at(path) {
+        Some(JsonValue::Num(n)) if *n == n.trunc() => format!("{n:.0}"),
+        Some(JsonValue::Num(n)) => format!("{n:.3}"),
+        Some(JsonValue::Str(s)) => s.clone(),
+        Some(JsonValue::Bool(b)) => if *b { "yes" } else { "no" }.into(),
+        Some(JsonValue::Null) => "-".into(),
+        _ => String::new(),
+    };
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| columns.iter().map(|path| cell(row, path)).collect())
+        .collect();
+    print_table(title, &columns, &rows);
 }
 
 /// Formats a throughput value.
@@ -1563,134 +1191,168 @@ pub fn fmt_ratio(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_workloads::synthetic::{
-        adversarial_population, AdversarialWorkload, InsertOnlyWorkload, SYNTHETIC_TABLE,
-    };
+    use crate::experiments::{elastic, failover, fanout, reads, sharded};
+    use c5_workloads::synthetic::InsertOnlyWorkload;
 
+    fn tiny() -> Scale {
+        Scale {
+            duration: Duration::from_millis(150),
+            ..Scale::smoke()
+        }
+    }
+
+    const EVERY_SPEC: [ReplicaSpec; 8] = [
+        ReplicaSpec::C5Faithful,
+        ReplicaSpec::C5MyRocks,
+        ReplicaSpec::C5Sharded {
+            shards: 2,
+            key_space: 1 << 20,
+        },
+        ReplicaSpec::KuaFu {
+            ignore_constraints: false,
+        },
+        ReplicaSpec::KuaFu {
+            ignore_constraints: true,
+        },
+        ReplicaSpec::SingleThreaded,
+        ReplicaSpec::TableGranularity,
+        ReplicaSpec::PageGranularity { rows_per_page: 16 },
+    ];
+
+    /// Every scenario description the experiments run, and every replica a
+    /// scenario can name, through the one runner: each commits, applies,
+    /// records lag and converges, and each shows what its experiment reports.
     #[test]
-    fn streaming_experiment_runs_end_to_end() {
-        let mut setup = StreamingSetup::new(Duration::from_millis(200), 2, 2);
-        setup.op_cost = OpCost::free();
-        setup.population = adversarial_population();
-        let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(2));
-        let outcome = run_streaming(
-            &setup,
-            factory,
-            ReplicaSpec::C5Faithful,
-            1,
-            SYNTHETIC_TABLE,
-            1000,
-        );
-        assert!(outcome.primary.committed > 0);
-        assert_eq!(
-            outcome.replica_metrics.applied_txns,
-            outcome.primary.committed
-        );
-        assert!(outcome.lag.is_some());
-        assert!(outcome.reads.is_some());
-        assert!(outcome.replica_throughput() > 0.0);
-        assert!(outcome.relative_throughput() > 0.0);
+    fn every_scenario_runs_end_to_end() {
+        let scale = tiny();
+        let lone = Scale {
+            fanout_replicas: 1,
+            ..scale
+        };
+        type Check = fn(&Outcome);
+        let mut table: Vec<(&str, Scenario, Check)> = vec![
+            (
+                "point reads",
+                Scenario {
+                    readers: Readers::PointClients(1),
+                    ..fanout::scenario(&lone, ReplicaSpec::C5Faithful)
+                },
+                |o| {
+                    assert!(o.point_reads.as_ref().is_some_and(|r| r.throughput() > 0.0));
+                    assert!(o.replicas[0].throughput() > 0.0 && o.relative_throughput() > 0.0);
+                },
+            ),
+            (
+                "fanout",
+                fanout::scenario(&scale, ReplicaSpec::C5Faithful),
+                |o| {
+                    assert_eq!(o.replicas.len(), 2);
+                    assert!(o.worst_p50_ms() > 0.0);
+                },
+            ),
+            ("sharded", sharded::scenario(&scale, 4), |o| {
+                let replica = &o.replicas[0];
+                assert_eq!((replica.per_shard.len(), replica.workers), (4, 4));
+                assert!(replica.cuts_taken > 0 && replica.metrics.cross_shard_txns > 0);
+                let owned: usize = replica.per_shard.iter().map(|(owned, _)| owned).sum();
+                assert_eq!(owned as u64, replica.metrics.applied_txns);
+            }),
+            (
+                "failover",
+                failover::scenario(&scale, ReplicaSpec::C5Faithful, true),
+                |o| {
+                    let failover = o.failover.as_ref().expect("the kill fired");
+                    assert!(failover.promoted_cut >= failover.exposed_at_kill);
+                    assert!(failover.shipped_seq >= failover.applied_at_kill);
+                    assert!(
+                        failover.resumed.committed > 0,
+                        "promoted primary serves traffic"
+                    );
+                    assert!(failover.standby.is_some_and(|(rows, _)| rows > 0));
+                },
+            ),
+            ("reads", reads::scenario(&scale), |o| {
+                let sessions = o.sessions.as_ref().expect("sessions ran");
+                assert!(sessions.writes > 0 && sessions.ryw_reads > 0);
+                assert_eq!(sessions.per_class.len(), 3);
+                for class in &sessions.per_class {
+                    assert!(class.reads > 0, "{} served no reads", class.kind.name());
+                }
+                assert_eq!(o.replicas.len(), 2);
+                assert_eq!(
+                    o.replicas.iter().map(|r| r.served).sum::<u64>(),
+                    sessions.per_class.iter().map(|c| c.reads).sum::<u64>(),
+                    "every read (including the closing strong read) was served by the fleet"
+                );
+            }),
+            ("elastic", elastic::scenario(&scale), |o| {
+                assert_eq!((o.joins.len(), o.retires.len(), o.seeds), (1, 1, 2));
+                let joiners = o.replicas.iter().filter(|r| r.joined_mid_run);
+                assert_eq!(
+                    joiners.map(|r| r.replica).collect::<Vec<_>>(),
+                    [o.joins[0].replica]
+                );
+                assert!(o.replicas.iter().all(|r| r.replica != o.retires[0].replica));
+                assert!(o.sessions.as_ref().is_some_and(|s| s.generations >= 4));
+            }),
+        ];
+        for spec in EVERY_SPEC {
+            let scenario = Scenario::new(
+                &scale,
+                Vec::new(),
+                Arc::new(InsertOnlyWorkload::new(2)),
+                vec![spec],
+            );
+            table.push(("one backup", scenario, |o| {
+                assert_eq!(o.replicas[0].metrics.applied_txns, o.primary.committed);
+            }));
+        }
+        for (name, scenario, check) in table {
+            let outcome = run_scenario(&scenario);
+            assert!(outcome.primary.committed > 0, "{name}: nothing committed");
+            assert!(outcome.all_converged(), "{name}: a replica diverged");
+            for replica in &outcome.replicas {
+                assert!(replica.metrics.applied_txns > 0, "{name}: nothing applied");
+                assert!(replica.lag.is_some(), "{name}: no lag recorded");
+            }
+            check(&outcome);
+        }
+    }
+
+    /// A scenario that fails mid-run must fail the process, not wedge it: the
+    /// second retire of the same seed is refused while sessions are reading,
+    /// and the panic has to come back out of `run_scenario` — which it only
+    /// can once the sessions have been told to stop.
+    #[test]
+    fn a_failing_event_ends_the_run_with_its_panic() {
+        let churn = (Duration::ZERO, Event::Retire);
+        let scenario = Scenario {
+            events: vec![churn, churn],
+            ..elastic::scenario(&tiny())
+        };
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::AssertUnwindSafe(|| drop(run_scenario(&scenario)));
+            let _ = done.send(std::panic::catch_unwind(run));
+        });
+        let panic = outcome
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a failed scenario must return, not spin")
+            .expect_err("retiring the same seed twice fails");
+        let message = panic.downcast_ref::<String>().expect("an expect() message");
+        assert!(message.contains("online retire under load"), "{message}");
     }
 
     #[test]
     fn offline_experiment_runs_end_to_end() {
-        let setup = OfflineSetup::new(2, 200, 2);
         let factory: Arc<dyn TxnFactory> = Arc::new(InsertOnlyWorkload::new(4));
-        let outcome = run_offline_mvtso(
-            &setup,
-            factory,
-            ReplicaSpec::KuaFu {
-                ignore_constraints: false,
-            },
-        );
+        let kuafu = ReplicaSpec::KuaFu {
+            ignore_constraints: false,
+        };
+        let outcome = run_offline_mvtso(&tiny(), &[], 200, factory, kuafu);
         assert_eq!(outcome.primary.committed, 400);
         assert_eq!(outcome.replica_metrics.applied_txns, 400);
         assert!(outcome.replica_throughput() > 0.0);
         assert_eq!(outcome.protocol, "kuafu");
-    }
-
-    // run_fanout_streaming is covered end-to-end by the workspace
-    // integration test `fan_out_harness_reports_per_replica_lag`
-    // (tests/mpc_consistency.rs) and by the `fanout` CI smoke step.
-
-    #[test]
-    fn reads_experiment_runs_end_to_end() {
-        let mut setup = StreamingSetup::new(Duration::from_millis(250), 2, 2);
-        setup.op_cost = OpCost::free();
-        setup.population = adversarial_population();
-        setup.segment_records = 32;
-        let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(2));
-        let outcome = run_reads_streaming(
-            &setup,
-            factory,
-            ReplicaSpec::C5Faithful,
-            2,
-            2,
-            Duration::from_millis(250),
-        );
-        // The RYW and monotonicity assertions already ran inside the session
-        // threads; check the reporting surface here.
-        assert!(outcome.all_converged());
-        assert!(outcome.session_stats.writes > 0);
-        assert!(outcome.session_stats.ryw_reads > 0);
-        assert_eq!(outcome.per_class.len(), 3);
-        for class in &outcome.per_class {
-            assert!(class.reads > 0, "{} served no reads", class.kind.name());
-        }
-        assert_eq!(outcome.fleet.len(), 2);
-        assert_eq!(
-            outcome.fleet.iter().map(|f| f.served).sum::<u64>(),
-            outcome.total_reads(),
-            "every read (including the closing strong read) was served by the fleet"
-        );
-        assert!(outcome.total_reads() > 0);
-    }
-
-    #[test]
-    fn failover_experiment_runs_end_to_end() {
-        let mut setup = StreamingSetup::new(Duration::from_millis(200), 2, 2);
-        setup.op_cost = OpCost::free();
-        setup.population = adversarial_population();
-        let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(2));
-        let outcome = run_failover_streaming(
-            &setup,
-            factory,
-            ReplicaSpec::C5Faithful,
-            Duration::from_millis(100),
-            true,
-        );
-        assert!(outcome.primary.committed > 0);
-        assert!(outcome.promoted_cut >= outcome.exposed_at_kill);
-        assert!(
-            outcome.resumed.committed > 0,
-            "promoted primary serves traffic"
-        );
-        let standby = outcome.standby.expect("standby requested");
-        assert!(standby.caught_up, "standby must match the promoted primary");
-        assert_eq!(standby.checkpoint_cut, outcome.promoted_cut);
-    }
-
-    #[test]
-    fn every_replica_spec_builds_and_applies() {
-        for spec in [
-            ReplicaSpec::C5Faithful,
-            ReplicaSpec::C5MyRocks,
-            ReplicaSpec::KuaFu {
-                ignore_constraints: false,
-            },
-            ReplicaSpec::SingleThreaded,
-            ReplicaSpec::TableGranularity,
-            ReplicaSpec::PageGranularity { rows_per_page: 16 },
-        ] {
-            let setup = OfflineSetup::new(2, 50, 2);
-            let factory: Arc<dyn TxnFactory> = Arc::new(InsertOnlyWorkload::new(2));
-            let outcome = run_offline_mvtso(&setup, factory, spec);
-            assert_eq!(
-                outcome.replica_metrics.applied_txns,
-                100,
-                "{} failed",
-                spec.name()
-            );
-        }
     }
 }

@@ -28,6 +28,60 @@ pub enum JsonValue {
     Obj(Vec<(String, JsonValue)>),
 }
 
+/// Builds a [`JsonValue::Obj`] from `"key": value` pairs, in order; each value
+/// converts through [`From`] (numbers, booleans, strings, arrays, `Option`s —
+/// `None` is `null` — and whatever else implements it).
+#[macro_export]
+macro_rules! json_obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::json::JsonValue::Obj(vec![
+            $(($key.to_string(), $crate::json::JsonValue::from($value))),*
+        ])
+    };
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Num(n)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Num(n as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Num(n as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl From<Vec<JsonValue>> for JsonValue {
+    fn from(items: Vec<JsonValue>) -> Self {
+        JsonValue::Arr(items)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(JsonValue::Null, Into::into)
+    }
+}
+
 impl JsonValue {
     /// Builds a string value.
     pub fn str(s: impl Into<String>) -> Self {
@@ -44,6 +98,23 @@ impl JsonValue {
         match self {
             JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// Follows a `/`-separated path: each part is an object key, or an index
+    /// where the value reached so far is an array (`replicas/0/lag_ms/p50`).
+    pub fn at(&self, path: &str) -> Option<&JsonValue> {
+        path.split('/').try_fold(self, |node, part| match node {
+            JsonValue::Arr(items) => items.get(part.parse::<usize>().ok()?),
+            _ => node.get(part),
+        })
+    }
+
+    /// Appends `other`'s entries to this object's (a no-op unless both are
+    /// objects).
+    pub fn merge(&mut self, other: JsonValue) {
+        if let (JsonValue::Obj(fields), JsonValue::Obj(more)) = (self, other) {
+            fields.extend(more);
         }
     }
 

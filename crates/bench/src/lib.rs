@@ -2,39 +2,41 @@
 //!
 //! The `experiments` binary (in `src/bin`) exposes one sub-command per
 //! figure/table of the paper's evaluation; the heavy lifting lives here so
-//! the Criterion benches and the integration tests can reuse it.
+//! the integration tests can reuse it.
 //!
 //! Two experiment shapes cover everything in the paper:
 //!
-//! * **Streaming** ([`harness::run_streaming`]) — the MyRocks-style setup of
+//! * **Live** ([`harness::run_scenario`]) — the MyRocks-style setup of
 //!   Section 6: a two-phase-locking primary executes a workload with
-//!   closed-loop clients while its log streams live to a backup replica;
-//!   we measure the primary's throughput, the backup's apply throughput, and
-//!   the replication-lag distribution.
+//!   closed-loop clients while its log streams to one or more backups. A
+//!   [`harness::Scenario`] says which backups, who reads from them meanwhile,
+//!   and what happens to the fleet mid-run (a join, a retire, the primary
+//!   dying); the [`harness::Outcome`] carries the primary's throughput, each
+//!   backup's apply throughput and replication-lag distribution, and whatever
+//!   the readers and events measured. Every live experiment — the figures,
+//!   `fanout`, `sharded`, `failover`, `reads`, `elastic`, `obs` — is a
+//!   scenario description plus a table over [`harness::Outcome::to_json`].
 //! * **Offline replay** ([`harness::run_offline_mvtso`]) — the Cicada-style
 //!   setup of Section 7: the MVTSO primary runs the workload (its per-thread
 //!   logs are coalesced afterwards, as in the paper's prototype), then the
 //!   backup replays the log as fast as it can; comparing the primary's
 //!   execution time with the backup's replay time answers "does it keep up?".
 //!
-//! [`scale::Scale`] switches every experiment between a quick smoke
-//! configuration (seconds, used by tests and `--quick`) and a fuller one.
+//! [`scale::Scale`] sizes every experiment: a quick configuration (seconds,
+//! the default), a fuller one (`--full`), and the two `bench` runs at.
 //!
-//! ## The committed performance trajectory
+//! ## The `BENCH_*.json` documents
 //!
-//! Beyond the figure-shaped experiments, `experiments bench` ([`report`])
-//! runs every scenario at *fixed, documented parameters*
-//! ([`c5_common::BenchConfig::fixed`]) and emits one machine-readable
-//! `BENCH_<name>.json` per scenario — apply-path ns/record, streaming
-//! throughput and lag percentiles, the shard-sweep cut-coordinator curve,
-//! failover takeover times, and per-class read latency/staleness. The
-//! emitted files are validated ([`report::validate_bench`]) and **committed
-//! at the repository root**, which turns every performance claim in the repo
-//! into a falsifiable number: a perf-flavored change is expected to move a
-//! field in a committed `BENCH_*.json`, and the diff *is* the evidence. The
-//! JSON is hand-rolled ([`json`]) because the workspace deliberately has no
-//! serialization dependency. DESIGN.md's "Performance methodology" section
-//! documents what each field measures and which paper figure it maps to.
+//! `experiments bench` ([`report`]) runs seven scenarios at *fixed,
+//! documented parameters* ([`Scale::fixed`]) and writes one machine-readable
+//! `BENCH_<name>.json` each, committed at the repository root. A document is
+//! the projection of a scenario's outcome through one declarative table
+//! ([`report::SCHEMA`]: path and rule per field), and
+//! [`report::validate_bench`] checks a document against the same table, so
+//! the field sets cannot drift from their validator. They are legacy scenario
+//! outputs: since the repo's benchmark lives in `benchmark/`, nothing gates
+//! on their numbers. The JSON is hand-rolled ([`json`]) because the workspace
+//! deliberately has no serialization dependency.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,7 +48,5 @@ pub mod obs_export;
 pub mod report;
 pub mod scale;
 
-pub use harness::{
-    FanOutOutcome, FanOutReplicaOutcome, OfflineOutcome, ReplicaSpec, StreamingOutcome,
-};
+pub use harness::{OfflineOutcome, Outcome, ReplicaSpec, Scenario};
 pub use scale::Scale;

@@ -1,123 +1,74 @@
-//! The committed benchmark suite behind the `bench` sub-command.
+//! The `bench` sub-command: seven `BENCH_<name>.json` documents, one schema.
 //!
-//! Every scenario here runs at the fixed parameters of
-//! [`BenchConfig::fixed`] and emits one machine-readable `BENCH_<name>.json`
-//! file at the repository root. The files are *committed*: they are the
-//! repo's perf trajectory, and the contract (see DESIGN.md, "Performance
-//! methodology") is that every perf-flavored PR moves a number in one of
-//! them — in both directions, visibly, diffably.
+//! Every scenario runs at [`Scale::fixed`] (CI: [`Scale::smoke`]) and its
+//! document is written to the repository root (CI: a scratch directory).
+//! These files are legacy scenario outputs kept for their field sets and
+//! their invariants; the repo's performance gate is `benchmark/` (see
+//! DESIGN.md, "Performance methodology", which also says what each file and
+//! field measures).
 //!
-//! Seven files are emitted:
-//!
-//! * `BENCH_pipeline.json` — apply-path ns/record for the faithful,
-//!   MyRocks-constrained, and 8-shard replicas replaying one pre-materialized
-//!   log (zero simulated op cost, so pipeline overhead is the entire number),
-//!   plus one live streaming run for primary throughput and replication lag.
-//!   Carries the `baseline` block recording the pre-optimization ns/record
-//!   this PR's batching work is measured against, and a `stage_ns` block
-//!   breaking the faithful replay down per pipeline stage (ingest /
-//!   schedule / apply / expose dwell summaries from an attached
-//!   [`c5_obs::Obs`] sink).
-//! * `BENCH_fanout.json` — 1 primary → N replicas, per-replica lag
-//!   percentiles (the paper's Figure 8 quantity).
-//! * `BENCH_sharded.json` — the shard sweep from 1 up to
-//!   [`BenchConfig::max_sweep_shards`]. Above 8 shards the sweep stops
-//!   dividing a fixed worker budget and grants every shard a worker — the
-//!   high-worker leg whose cut frequency (`cuts_taken`) locates the
-//!   cut-coordinator scaling knee.
-//! * `BENCH_failover.json` — kill/promote/resume: takeover ms, promotion
-//!   drain ms, backlog, and the lag-bounds-takeover check (Figure 9's
-//!   claim).
-//! * `BENCH_reads.json` — per-consistency-class read latency and staleness
-//!   percentiles over a fan-out fleet.
-//! * `BENCH_elastic.json` — membership churn on a live fleet: online
-//!   join-to-Serving time, online retire drain time, and lag-during-churn
-//!   percentiles (the joiner's lag samples only cover its post-join life).
-//! * `BENCH_obs.json` — the observability layer observing itself: the
-//!   elastic scenario re-run against a run-local [`c5_obs::Obs`] sink, with
-//!   the full metrics snapshot (JSON exposition of every counter, gauge and
-//!   histogram) plus the merged trace timeline counted by event kind — the
-//!   committed proof that every instrumented subsystem actually speaks.
-//!
-//! Each scenario validates its own emitted document against
-//! [`validate_bench`] before the file is written, so a run that produces a
-//! schema-breaking document fails loudly (CI runs this in `--smoke` mode on
-//! every push and uploads the JSON as an artifact).
+//! A document is the envelope plus the projection of a source object —
+//! normally [`Outcome::to_json`](crate::harness::Outcome::to_json) — through
+//! the rows [`SCHEMA`] lists for it, so the table *is* each file's field set;
+//! [`validate_bench`] walks the same rows to check a document (emitted or
+//! re-read), and nothing is written that fails it.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use c5_common::{BenchConfig, OpCost, PrimaryConfig, ReplicaConfig};
-use c5_core::lag::LagStats;
-use c5_core::replica::{drive_segments, ClonedConcurrencyControl};
-use c5_core::ShardedC5Replica;
-use c5_obs::{MetricsSnapshot, Obs, PipelineStage};
-use c5_primary::{ClosedLoopDriver, MvtsoEngine, RunLength, TxnFactory};
-use c5_storage::MvStore;
-use c5_workloads::synthetic::{
-    adversarial_population, shard_span_population, AdversarialWorkload, ShardSpanWorkload,
-    SYNTHETIC_TABLE,
-};
+use c5_obs::{MetricsSnapshot, Obs};
+use c5_primary::TxnFactory;
+use c5_workloads::synthetic::{shard_span_population, ShardSpanWorkload};
 
-use crate::harness::{
-    preload, run_elastic_streaming, run_failover_streaming, run_fanout_streaming,
-    run_reads_streaming, run_sharded_streaming, run_streaming, ReplicaSpec, StreamingSetup,
-};
+use crate::experiments::{elastic, failover, fanout, obs, reads, sharded};
+use crate::harness::{materialize_log, replay_log, run_scenario, ReplicaSpec, SEED};
 use crate::json::JsonValue;
-use crate::obs_export::{kind_counts, snapshot_json, stage_ns_json};
+use crate::json_obj;
+use crate::obs_export::stage_ns_json;
+use crate::scale::Scale;
 
 /// Schema version stamped into every emitted file. Bump when a field is
 /// renamed or removed (adding fields is backward compatible).
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// The key space the apply-path replay and shard sweep run over. Divides
-/// evenly into up to 64 range shards.
-pub const BENCH_KEY_SPACE: u64 = 4096;
+/// The apply-path replay targets: report name and replica.
+const APPLY_TARGETS: [(&str, ReplicaSpec); 3] = [
+    ("c5", ReplicaSpec::C5Faithful),
+    ("c5-myrocks", ReplicaSpec::C5MyRocks),
+    (
+        "c5-sharded-8",
+        ReplicaSpec::C5Sharded {
+            shards: 8,
+            key_space: sharded::KEY_SPACE,
+        },
+    ),
+];
 
-/// Shard count of the sharded apply-path replay target.
-pub const APPLY_SHARDS: usize = 8;
-
-/// Staleness bound handed to the bounded-staleness read class.
-pub const STALENESS_BOUND: Duration = Duration::from_millis(100);
-
-/// Apply-path ns/record measured at [`BenchConfig::fixed`] on the revision
+/// Apply-path ns/record measured at [`Scale::fixed`] on the revision
 /// immediately *before* the batched dispatch, batched watermark publication,
 /// and routing-buffer-reuse changes that landed together with this suite.
 /// Emitted verbatim in `BENCH_pipeline.json`'s `baseline` block so the first
 /// trajectory step (before → after) stays visible in the committed file
 /// rather than only in the git history of a number.
-pub const PRE_CHANGE_NS_PER_RECORD: &[(&str, f64)] = &[
+pub const PRE_CHANGE_NS_PER_RECORD: [(&str, f64); 3] = [
     ("c5", 1787.0),
     ("c5-myrocks", 1527.0),
     ("c5-sharded-8", 1647.0),
 ];
 
-/// One scenario: emits a complete `BENCH_<name>.json` document body.
-type Scenario = fn(&BenchConfig, &str) -> JsonValue;
-
 /// Runs the whole suite and writes `BENCH_*.json` into `out_dir`. Returns
 /// the validated file names, or the first validation/IO failure.
-pub fn run(
-    config: &BenchConfig,
-    mode: &str,
-    out_dir: &std::path::Path,
-) -> Result<Vec<String>, String> {
+pub fn run(config: &Scale, mode: &str, out_dir: &Path) -> Result<Vec<String>, String> {
     config.validate().map_err(|e| e.to_string())?;
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
     smoke_guard(mode, out_dir)?;
-    let scenarios: [(&str, Scenario); 7] = [
-        ("pipeline", pipeline_scenario),
-        ("fanout", fanout_scenario),
-        ("sharded", sharded_scenario),
-        ("failover", failover_scenario),
-        ("reads", reads_scenario),
-        ("elastic", elastic_scenario),
-        ("obs", obs_scenario),
-    ];
     let mut written = Vec::new();
-    for (name, scenario) in scenarios {
-        println!("bench: running {name} ({mode})...");
-        let doc = scenario(config, mode);
+    let mut emit = |name: &str, source: JsonValue| {
+        let mut doc = envelope(name, mode, config);
+        for (path, _) in rows_of(name) {
+            copy(&source, &mut doc, &path);
+        }
         validate_bench(name, &doc)
             .map_err(|e| format!("BENCH_{name}.json failed validation: {e}"))?;
         let file = format!("BENCH_{name}.json");
@@ -126,7 +77,28 @@ pub fn run(
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         println!("bench: wrote {}", path.display());
         written.push(file);
-    }
+        Ok::<(), String>(())
+    };
+    let run = |scenario| run_scenario(&scenario).to_json();
+    let c5 = ReplicaSpec::C5Faithful;
+    println!("bench: running the {mode} suite...");
+    emit("pipeline", pipeline_source(config, mode))?;
+    emit("fanout", run(fanout::scenario(config, c5)))?;
+    emit(
+        "sharded",
+        json_obj! {
+            "workload": "shard-span",
+            "key_space": sharded::KEY_SPACE,
+            "sweep": sharded::sweep(config),
+        },
+    )?;
+    emit("failover", run(failover::scenario(config, c5, true)))?;
+    emit("reads", run(reads::scenario(config)))?;
+    // One elastic run is both documents: what it measured, and what its sink
+    // (a run-local one, as every scenario's is) captured while it did.
+    let churn = run_scenario(&elastic::scenario(config));
+    emit("elastic", churn.to_json())?;
+    emit("obs", obs::document(&churn.obs))?;
     Ok(written)
 }
 
@@ -135,10 +107,10 @@ pub fn run(
 /// scratch directory), otherwise the repository root for `fixed` runs — and
 /// a scratch directory under the system temp dir for `smoke` runs, whose
 /// reduced-iteration numbers must never overwrite the committed
-/// full-parameter baselines at the repo root.
-pub fn out_dir_for(mode: &str) -> std::path::PathBuf {
+/// full-parameter files at the repo root.
+pub fn out_dir_for(mode: &str) -> PathBuf {
     match std::env::var_os("BENCH_OUT_DIR") {
-        Some(dir) => std::path::PathBuf::from(dir),
+        Some(dir) => PathBuf::from(dir),
         None if mode == "smoke" => {
             std::env::temp_dir().join(format!("c5-bench-smoke-{}", std::process::id()))
         }
@@ -146,16 +118,16 @@ pub fn out_dir_for(mode: &str) -> std::path::PathBuf {
     }
 }
 
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Refuses to let a smoke run write into the repository root, whatever path
 /// spelling it arrived through: the committed `BENCH_*.json` files there are
-/// full-parameter baselines, and a smoke overwrite silently rewrites the
-/// repo's perf trajectory with throwaway numbers. `out_dir` must already
-/// exist (the check canonicalizes both sides).
-fn smoke_guard(mode: &str, out_dir: &std::path::Path) -> Result<(), String> {
+/// full-parameter runs, and a smoke overwrite silently replaces them with
+/// throwaway numbers. `out_dir` must already exist (the check canonicalizes
+/// both sides).
+fn smoke_guard(mode: &str, out_dir: &Path) -> Result<(), String> {
     if mode != "smoke" {
         return Ok(());
     }
@@ -165,7 +137,7 @@ fn smoke_guard(mode: &str, out_dir: &std::path::Path) -> Result<(), String> {
     if out == root {
         return Err(format!(
             "smoke mode refuses to write into the repository root ({}): it would \
-             overwrite the committed full-parameter BENCH_*.json baselines; set \
+             overwrite the committed full-parameter BENCH_*.json files; set \
              BENCH_OUT_DIR to a scratch directory or run without --smoke",
             root.display()
         ));
@@ -173,695 +145,447 @@ fn smoke_guard(mode: &str, out_dir: &std::path::Path) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Scenarios
-// ---------------------------------------------------------------------------
+/// The source of `BENCH_pipeline.json`: the offline apply-path replays, the
+/// faithful replay's stage breakdown, one live run, the recorded baseline.
+fn pipeline_source(config: &Scale, mode: &str) -> JsonValue {
+    // One deterministic log from the shard-span workload: two uniform updates
+    // per transaction over preloaded rows, so it carries real per-row
+    // dependency chains *and* routes across every shard count.
+    let population = shard_span_population(sharded::KEY_SPACE);
+    let factory: Arc<dyn TxnFactory> = Arc::new(ShardSpanWorkload::new(sharded::KEY_SPACE));
+    let per_thread = config.offline_txns_per_thread();
+    let (_, segments) = materialize_log(config, &population, per_thread, &factory);
+    let total_records = segments.iter().map(c5_log::Segment::len).sum::<usize>() as u64;
 
-fn setup_for(config: &BenchConfig) -> StreamingSetup {
-    let mut setup = StreamingSetup::new(
-        config.duration,
-        config.primary_threads,
-        config.replica_workers,
-    );
-    setup.segment_records = config.segment_records;
-    setup.seed = config.seed;
-    setup
-}
-
-/// Materializes one deterministic log for the apply-path replay: the MVTSO
-/// primary executes the shard-span workload (two uniform updates per
-/// transaction over [`BENCH_KEY_SPACE`] preloaded rows, so the log carries
-/// real per-row dependency chains *and* routes across every shard count)
-/// with zero simulated op cost.
-fn materialize_log(
-    config: &BenchConfig,
-) -> (
-    Vec<(c5_common::RowRef, c5_common::Value)>,
-    Vec<c5_log::Segment>,
-) {
-    let population = shard_span_population(BENCH_KEY_SPACE);
-    let store = Arc::new(MvStore::default());
-    preload(&store, &population);
-    let engine = Arc::new(MvtsoEngine::new(
-        store,
-        PrimaryConfig::default()
-            .with_threads(config.primary_threads)
-            .with_op_cost(OpCost::free()),
-    ));
-    let factory: Arc<dyn TxnFactory> = Arc::new(ShardSpanWorkload::new(BENCH_KEY_SPACE));
-    let per_client = (config.apply_txns / config.primary_threads as u64).max(1);
-    ClosedLoopDriver::with_seed(config.seed).run_mvtso(
-        &engine,
-        &factory,
-        config.primary_threads,
-        RunLength::PerClientCount(per_client),
-    );
-    (population, engine.take_segments(config.segment_records))
-}
-
-fn apply_target(
-    name: &str,
-    population: &[(c5_common::RowRef, c5_common::Value)],
-    config: &BenchConfig,
-    obs: &Arc<Obs>,
-) -> Arc<dyn ClonedConcurrencyControl> {
-    let store = Arc::new(MvStore::default());
-    preload(&store, population);
-    let replica_config = ReplicaConfig::default()
-        .with_workers(config.replica_workers)
-        .with_op_cost(OpCost::free())
-        .with_snapshot_interval(Duration::from_millis(1))
-        .with_obs(Arc::clone(obs));
-    match name {
-        "c5" => ReplicaSpec::C5Faithful.build(store, replica_config),
-        "c5-myrocks" => ReplicaSpec::C5MyRocks.build(store, replica_config),
-        "c5-sharded-8" => ShardedC5Replica::new(
-            store,
-            replica_config
-                .with_workers((config.replica_workers / APPLY_SHARDS).max(1))
-                .with_shards(APPLY_SHARDS)
-                .with_shard_key_space(BENCH_KEY_SPACE),
-        ),
-        other => panic!("unknown apply target {other}"),
-    }
-}
-
-fn pipeline_scenario(config: &BenchConfig, mode: &str) -> JsonValue {
-    // Apply-path replay: same log, three replicas, best-of-N walls.
-    let (population, segments) = materialize_log(config);
-    let total_records: usize = segments.iter().map(c5_log::Segment::len).sum();
-    let replays = if mode == "fixed" { 3 } else { 1 };
-    let mut apply_rows = Vec::new();
-    // The per-stage breakdown of the faithful target's best replay; every
-    // replay runs with a fresh sink attached, so the ns/record numbers are
-    // measured *with* instrumentation — the overhead is part of the product.
+    // Same log, three replicas, best-of-N walls. Every replay runs with a
+    // fresh sink attached, so the ns/record numbers are measured *with*
+    // instrumentation — the overhead is part of the product.
+    let replays: usize = if mode == "fixed" { 3 } else { 1 };
     let mut stage_snapshot = MetricsSnapshot::default();
-    for target in ["c5", "c5-myrocks", "c5-sharded-8"] {
-        let mut best_wall = Duration::MAX;
-        let mut applied_writes = 0u64;
-        let mut applied_txns = 0u64;
+    let apply_path = APPLY_TARGETS.map(|(target, spec)| {
+        let mut best = (Duration::MAX, 0);
         for _ in 0..replays {
-            let obs = Obs::new();
-            let replica = apply_target(target, &population, config, &obs);
-            let wall = drive_segments(replica.as_ref(), segments.clone());
-            let metrics = replica.metrics();
+            let sink = Obs::new();
+            let log = segments.clone();
+            let (_, wall, metrics) = replay_log(config, &population, log, spec, Arc::clone(&sink));
             assert_eq!(
-                metrics.applied_writes, total_records as u64,
+                metrics.applied_writes, total_records,
                 "{target}: replay must apply the whole log"
             );
-            applied_writes = metrics.applied_writes;
-            applied_txns = metrics.applied_txns;
-            if wall < best_wall && target == "c5" {
-                stage_snapshot = obs.metrics.snapshot();
+            if wall < best.0 {
+                best = (wall, metrics.applied_txns);
+                if target == "c5" {
+                    stage_snapshot = sink.metrics.snapshot();
+                }
             }
-            best_wall = best_wall.min(wall);
         }
-        let ns_per_record = best_wall.as_nanos() as f64 / applied_writes.max(1) as f64;
+        let ns_per_record = best.0.as_nanos() as f64 / total_records.max(1) as f64;
         println!("  apply {target}: {ns_per_record:.0} ns/record (best of {replays})");
-        apply_rows.push(JsonValue::Obj(vec![
-            ("protocol".into(), JsonValue::str(target)),
-            ("records".into(), JsonValue::num(applied_writes as u32)),
-            ("txns".into(), JsonValue::num(applied_txns as u32)),
-            ("replays".into(), JsonValue::num(replays as u32)),
-            (
-                "best_wall_ms".into(),
-                JsonValue::Num(best_wall.as_secs_f64() * 1e3),
-            ),
-            ("ns_per_record".into(), JsonValue::Num(ns_per_record)),
-        ]));
+        json_obj! {
+            "protocol": target,
+            "records": total_records,
+            "txns": best.1,
+            "replays": replays,
+            "best_wall_ms": best.0.as_secs_f64() * 1e3,
+            "ns_per_record": ns_per_record,
+        }
+    });
+
+    // One live leg for throughput + lag under the paper-like cost model (the
+    // keep-up quantity; the replay above deliberately removes it).
+    let lone = Scale {
+        fanout_replicas: 1,
+        ..*config
+    };
+    let mut streaming = run_scenario(&fanout::scenario(&lone, ReplicaSpec::C5Faithful)).to_json();
+    streaming.merge(json_obj! { "workload": "adversarial" });
+
+    let pre_change = (PRE_CHANGE_NS_PER_RECORD.iter())
+        .map(|(k, v)| ((*k).to_string(), JsonValue::Num(*v)))
+        .collect();
+    json_obj! {
+        "apply_path": apply_path.to_vec(),
+        "stage_ns": stage_ns_json(&stage_snapshot),
+        "streaming": streaming,
+        "baseline": json_obj! {
+            "note": "apply-path ns/record at fixed parameters immediately before the \
+                     batched-dispatch/batched-watermark/buffer-reuse changes that landed \
+                     with this suite",
+            "pre_change_ns_per_record": JsonValue::Obj(pre_change),
+        },
     }
+}
 
-    // One live streaming leg for throughput + lag under the paper-like cost
-    // model (the keep-up quantity; the replay above deliberately removes it).
-    let mut setup = setup_for(config);
-    setup.population = adversarial_population();
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-    let outcome = run_streaming(
-        &setup,
-        factory,
-        ReplicaSpec::C5Faithful,
-        0,
-        SYNTHETIC_TABLE,
-        1,
-    );
-    let streaming = JsonValue::Obj(vec![
-        ("protocol".into(), JsonValue::str(outcome.protocol)),
-        ("workload".into(), JsonValue::str("adversarial")),
-        (
-            "primary_tps".into(),
-            JsonValue::Num(outcome.primary_throughput()),
-        ),
-        (
-            "committed".into(),
-            JsonValue::num(outcome.primary.committed as u32),
-        ),
-        (
-            "replica_tps".into(),
-            JsonValue::Num(outcome.replica_throughput()),
-        ),
-        ("keeps_up".into(), JsonValue::Bool(outcome.keeps_up())),
-        ("lag_ms".into(), lag_json(outcome.lag.as_ref())),
-    ]);
+fn envelope(name: &str, mode: &str, config: &Scale) -> JsonValue {
+    json_obj! {
+        "schema_version": SCHEMA_VERSION,
+        "name": name,
+        "mode": mode,
+        "config": json_obj! {
+            "duration_ms": config.duration.as_secs_f64() * 1e3,
+            "primary_threads": config.primary_threads,
+            "replica_workers": config.replica_workers,
+            "segment_records": config.segment_records,
+            "apply_txns": config.apply_txns,
+            "fanout_replicas": config.fanout_replicas,
+            "read_sessions": config.read_sessions,
+            "max_sweep_shards": config.max_sweep_shards,
+            "seed": SEED,
+        },
+    }
+}
 
-    let baseline = JsonValue::Obj(vec![
-        (
-            "note".into(),
-            JsonValue::str(
-                "apply-path ns/record at fixed parameters immediately before \
-                 the batched-dispatch/batched-watermark/buffer-reuse changes \
-                 that landed with this suite",
-            ),
-        ),
-        (
-            "pre_change_ns_per_record".into(),
-            JsonValue::Obj(
-                PRE_CHANGE_NS_PER_RECORD
+// ---------------------------------------------------------------------------
+// The schema
+// ---------------------------------------------------------------------------
+
+/// What must hold of the value(s) a [`SCHEMA`] path names. The first group
+/// is checked of each value, the second of all of a path's values together
+/// (a path through `[]` names one value per array element).
+#[derive(Debug, Clone, Copy)]
+pub enum Rule {
+    /// Present; any value (names, notes, free-form subtrees).
+    Any,
+    /// A finite number in `[lo, hi]`.
+    Num(f64, f64),
+    /// A boolean.
+    Bool,
+    /// `true`: an invariant the run must have upheld.
+    True,
+    /// An object with at least one entry.
+    NonEmptyObj,
+    /// A number at most the sibling field's.
+    AtMost(&'static str),
+    /// A percentile summary: `count >= 1`, `0 <= min <= p50 <= p99 <= max`,
+    /// `mean >= 0`.
+    Lag,
+    /// A [`Rule::Lag`], or `null` where no samples is a legitimate outcome.
+    LagOrNull,
+    /// A [`Rule::LagOrNull`] that may not be `null` if the sibling is `true`.
+    LagIf(&'static str),
+    /// A [`Rule::Lag`] that also carries a non-negative `sum` (stage dwell).
+    Dwell,
+
+    /// Exactly these strings, in this order.
+    Are(&'static [&'static str]),
+    /// At least one; non-negative numbers, strictly increasing.
+    Increasing,
+    /// Booleans, exactly one of them `true`.
+    OneTrue,
+}
+
+use Rule::{Any, Bool, Dwell, Lag, LagOrNull, True};
+const NONNEG: Rule = Rule::Num(0.0, f64::INFINITY);
+const POS: Rule = Rule::Num(f64::MIN_POSITIVE, f64::INFINITY);
+const ONE_UP: Rule = Rule::Num(1.0, f64::INFINITY);
+
+/// Every field of every `BENCH_<name>.json` after the envelope's
+/// `schema_version`, `name` and `mode`: `(documents, path, rule)` rows in file
+/// order, where `documents` is `*` for all of them or `|`-separated names.
+///
+/// A path is `.`-separated keys; `key[]` steps into every element of an
+/// array, and a last step `{a,b}` stands for one row per listed key. The
+/// emitter fills a document by copying, for each row, the value at the same
+/// path of the scenario's source object — or, where a step is written
+/// `key=source`, of `source` (a `/`-separated [`JsonValue::at`] path relative
+/// to the enclosing step's source); a row naming a subtree copies all of it.
+/// So a key is in a file if and only if a row here says so, and DESIGN.md's
+/// "Performance methodology" says what each one measures.
+#[rustfmt::skip]
+pub const SCHEMA: &[(&str, &str, Rule)] = &[
+    ("*", "config.{duration_ms,primary_threads,replica_workers,segment_records}", POS),
+    ("*", "config.{apply_txns,fanout_replicas,read_sessions,max_sweep_shards}", POS),
+    ("*", "config.seed", NONNEG),
+
+    ("pipeline", "apply_path[].protocol", Rule::Are(&["c5", "c5-myrocks", "c5-sharded-8"])),
+    ("pipeline", "apply_path[].{records,txns,replays,best_wall_ms}", POS),
+    ("pipeline", "apply_path[].ns_per_record", Rule::Num(1.0, 1e9)),
+    ("pipeline", "stage_ns.{ingest,schedule,apply,expose}", Dwell),
+    ("pipeline", "streaming.{protocol,workload}", Any),
+    ("pipeline", "streaming.{primary_tps,committed}", POS),
+    ("pipeline", "streaming.replica_tps=replicas/0/replica_tps", POS),
+    ("pipeline", "streaming.keeps_up=replicas/0/keeps_up", Bool),
+    ("pipeline", "streaming.lag_ms=replicas/0/lag_ms", Lag),
+    ("pipeline", "baseline.note", Any),
+    ("pipeline", "baseline.pre_change_ns_per_record.{c5,c5-myrocks,c5-sharded-8}", POS),
+
+    ("fanout", "protocol", Any),
+    ("fanout", "{primary_tps,committed,worst_p50_ms}", NONNEG),
+    ("fanout", "all_converged=converged", True),
+    ("fanout", "replicas[].replica", Rule::Increasing),
+    ("fanout", "replicas[].{wall_ms,applied_txns}", NONNEG),
+    ("fanout", "replicas[].lag_ms", Lag),
+
+    ("sharded", "workload", Any),
+    ("sharded", "key_space", NONNEG),
+    ("sharded", "sweep[].shards=replicas/0/shards", Rule::Increasing),
+    ("sharded", "sweep[].workers_total=replicas/0/workers_total", POS),
+    ("sharded", "sweep[].primary_tps", POS),
+    ("sharded", "sweep[].applied_txns=replicas/0/applied_txns", POS),
+    ("sharded", "sweep[].cross_shard_share=replicas/0/cross_shard_share", Rule::Num(0.0, 1.0)),
+    ("sharded", "sweep[].cuts_taken=replicas/0/cuts_taken", NONNEG),
+    ("sharded", "sweep[].replica_wall_ms=replicas/0/wall_ms", POS),
+    ("sharded", "sweep[].lag_ms=replicas/0/lag_ms", Lag),
+    ("sharded", "sweep[].converged", True),
+
+    ("failover", "protocol", Any),
+    ("failover", "{primary_tps,committed,shipped_seq}", POS),
+    ("failover", "{applied_at_kill,backlog_records}", NONNEG),
+    ("failover", "lag_at_kill_ms", LagOrNull),
+    ("failover", "promotion_drain_ms", NONNEG),
+    ("failover", "takeover_ms", POS),
+    ("failover", "drain_bounded_by_lag", Bool),
+    ("failover", "resumed_tps", NONNEG),
+    ("failover", "standby_caught_up=converged", True),
+
+    ("reads|elastic", "protocol", Any),
+    ("elastic", "seed_replicas", NONNEG),
+    ("reads|elastic", "{staleness_bound_ms,primary_tps,wall_ms,sessions}", NONNEG),
+    ("reads", "total_reads", POS),
+    ("reads", "all_converged=converged", True),
+    // Churn must be visible in the routing metadata.
+    ("elastic", "generations", POS),
+    ("elastic", "join=joins/0.{replica,checkpoint_cut,stream_start,replayed_records}", NONNEG),
+    // Above the stream start, the gap-closure invariant would have a hole.
+    ("elastic", "join=joins/0.checkpoint_cut", Rule::AtMost("stream_start")),
+    ("elastic", "join=joins/0.join_to_serving_ms", POS),
+    ("elastic", "retire=retires/0.{replica,drain_ms,retired_exposed}", NONNEG),
+    ("elastic", "survivors_converged=converged", True),
+    ("elastic", "survivors=replicas[].replica", Rule::Increasing),
+    ("elastic", "survivors=replicas[].joined_mid_run", Rule::OneTrue),
+    // The joiner's samples are all post-join: lag during churn.
+    ("elastic", "survivors=replicas[].lag_ms", Rule::LagIf("joined_mid_run")),
+    ("reads|elastic", "classes[].class", Rule::Are(&["strong", "causal", "bounded"])),
+    ("reads|elastic", "classes[].reads", POS),
+    ("reads|elastic", "classes[].{reads_per_sec,timeouts}", NONNEG),
+    ("reads|elastic", "classes[].{latency_ms,staleness_ms}", LagOrNull),
+    ("reads|elastic", "session.{writes,ryw_reads}", POS),
+    ("reads|elastic", "session.{replica_switches,timeouts}", NONNEG),
+
+    ("obs", "events_total", POS),
+    ("obs", "events_dropped", NONNEG),
+    // The acceptance gate of the observability layer: the pipeline, the
+    // shipper, the router and the fleet controller each spoke.
+    ("obs", "by_kind", Any),
+    ("obs", "by_kind.{stage,ship,route,lifecycle}", POS),
+    ("obs", "by_kind.{recovery,span}", NONNEG),
+    ("obs", "stage_samples.{ingest,schedule,apply,expose}", ONE_UP),
+    ("obs", "snapshot", Any),
+    ("obs", "snapshot.{counters,gauges,histograms}", Rule::NonEmptyObj),
+    // Series every layer must have registered.
+    ("obs", "snapshot.counters.{ship_segments_total,ship_records_total}", POS),
+    ("obs", "snapshot.histograms.ship_ns.count", ONE_UP),
+    ("obs", "snapshot.histograms.fleet_join_to_serving_ns.count", ONE_UP),
+];
+
+/// The schema rows of document `name` (`*`: the rows of every document), in
+/// file order, `{a,b}` steps expanded.
+fn rows_of(name: &str) -> impl Iterator<Item = (String, Rule)> + '_ {
+    (SCHEMA.iter())
+        .filter(move |(docs, ..)| docs.split('|').any(|doc| doc == name))
+        .flat_map(|&(_, path, rule)| {
+            let (stem, keys) = match path.split_once('{') {
+                Some((stem, keys)) => (stem, keys.trim_end_matches('}')),
+                None => ("", path),
+            };
+            keys.split(',')
+                .map(move |key| (format!("{stem}{key}"), rule))
+        })
+}
+
+/// The first step of a schema path: `(key, source, iterate, rest)`.
+fn first_step(path: &str) -> (&str, &str, bool, Option<&str>) {
+    let (step, rest) = match path.split_once('.') {
+        Some((step, rest)) => (step, Some(rest)),
+        None => (path, None),
+    };
+    let (step, iterate) = match step.strip_suffix("[]") {
+        Some(step) => (step, true),
+        None => (step, false),
+    };
+    let (key, source) = step.split_once('=').unwrap_or((step, step));
+    (key, source, iterate, rest)
+}
+
+/// Copies what `path` names from `source` into the object `out`. What is not
+/// there is not copied; [`validate_bench`] reports it.
+fn copy(source: &JsonValue, out: &mut JsonValue, path: &str) {
+    let (key, from, iterate, rest) = first_step(path);
+    let (Some(value), JsonValue::Obj(fields)) = (source.at(from), out) else {
+        return;
+    };
+    let index = fields
+        .iter()
+        .position(|(k, _)| k == key)
+        .unwrap_or_else(|| {
+            fields.push((key.to_string(), JsonValue::Null));
+            fields.len() - 1
+        });
+    let slot = &mut fields[index].1;
+    match (rest, iterate, value.as_arr()) {
+        (None, ..) => *slot = value.clone(),
+        (Some(rest), false, _) => {
+            if !matches!(slot, JsonValue::Obj(_)) {
+                *slot = json_obj! {};
+            }
+            copy(value, slot, rest);
+        }
+        (Some(rest), true, Some(items)) => {
+            if !matches!(slot, JsonValue::Arr(_)) {
+                *slot = JsonValue::Arr(items.iter().map(|_| json_obj! {}).collect());
+            }
+            let JsonValue::Arr(elements) = slot else {
+                return;
+            };
+            for (item, element) in items.iter().zip(elements) {
+                copy(item, element, rest);
+            }
+        }
+        (Some(_), true, None) => {}
+    }
+}
+
+/// One value a schema path names: where, the value, the object holding it.
+type Found<'a> = (String, &'a JsonValue, &'a JsonValue);
+
+/// Collects every value `path` names under `node`; a key missing anywhere
+/// along the way is the error.
+fn find<'a>(
+    node: &'a JsonValue,
+    path: &str,
+    at: &str,
+    found: &mut Vec<Found<'a>>,
+) -> Result<(), String> {
+    let (key, _, iterate, rest) = first_step(path);
+    let at = format!("{at}{}{key}", if at.is_empty() { "" } else { "." });
+    let value = node.get(key).ok_or_else(|| format!("missing field {at}"))?;
+    match (rest, iterate) {
+        (None, _) => found.push((at, value, node)),
+        (Some(rest), false) => find(value, rest, &at, found)?,
+        (Some(rest), true) => {
+            let items = value
+                .as_arr()
+                .ok_or_else(|| format!("{at} is not an array"))?;
+            for (i, item) in items.iter().enumerate() {
+                find(item, rest, &format!("{at}[{i}]"), found)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+fn number(at: &str, value: &JsonValue) -> Result<f64, String> {
+    match value.as_num() {
+        Some(n) if n.is_finite() => Ok(n),
+        _ => Err(format!("{at} is not a finite number")),
+    }
+}
+
+fn summary(at: &str, value: &JsonValue, with_sum: bool) -> Result<(), String> {
+    let field = |key: &str| match value.get(key) {
+        Some(v) => number(&format!("{at}.{key}"), v),
+        None => Err(format!("missing field {at}.{key}")),
+    };
+    let (count, min, p50) = (field("count")?, field("min")?, field("p50")?);
+    let (p99, max, mean) = (field("p99")?, field("max")?, field("mean")?);
+    let sum = if with_sum { field("sum")? } else { 0.0 };
+    if count < 1.0 || sum < 0.0 || mean < 0.0 {
+        return Err(format!("{at}: no samples, or a negative sum or mean"));
+    }
+    if !(0.0 <= min && min <= p50 && p50 <= p99 && p99 <= max) {
+        return Err(format!(
+            "{at}: percentiles out of order (min {min}, p50 {p50}, p99 {p99}, max {max})"
+        ));
+    }
+    Ok(())
+}
+
+impl Rule {
+    fn check(self, path: &str, found: &[Found<'_>]) -> Result<(), String> {
+        let all = |ok: bool, what: &str| ok.then_some(()).ok_or_else(|| format!("{path}: {what}"));
+        match self {
+            Rule::Are(names) => {
+                let found: Vec<_> = found.iter().map(|(_, v, _)| v.as_str()).collect();
+                let names: Vec<_> = names.iter().copied().map(Some).collect();
+                all(
+                    found == names,
+                    &format!("{found:?} where {names:?} are expected"),
+                )
+            }
+            Rule::Increasing => {
+                let numbers: Result<Vec<f64>, String> =
+                    found.iter().map(|(at, v, _)| number(at, v)).collect();
+                let n = numbers?;
+                all(
+                    n.first().is_some_and(|&n| n >= 0.0) && n.windows(2).all(|w| w[0] < w[1]),
+                    "not increasing from zero or above",
+                )
+            }
+            Rule::OneTrue => {
+                let bools = found
                     .iter()
-                    .map(|(k, v)| ((*k).to_string(), JsonValue::Num(*v)))
-                    .collect(),
-            ),
-        ),
-    ]);
-
-    let mut fields = envelope("pipeline", mode, config);
-    fields.push(("apply_path".into(), JsonValue::Arr(apply_rows)));
-    fields.push(("stage_ns".into(), stage_ns_json(&stage_snapshot)));
-    fields.push(("streaming".into(), streaming));
-    fields.push(("baseline".into(), baseline));
-    JsonValue::Obj(fields)
-}
-
-fn fanout_scenario(config: &BenchConfig, mode: &str) -> JsonValue {
-    let mut setup = setup_for(config);
-    setup.population = adversarial_population();
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-    let outcome = run_fanout_streaming(
-        &setup,
-        factory,
-        ReplicaSpec::C5Faithful,
-        config.fanout_replicas,
-    );
-    assert!(outcome.all_converged(), "fan-out replicas must converge");
-    let replicas = outcome
-        .replicas
-        .iter()
-        .map(|r| {
-            JsonValue::Obj(vec![
-                ("replica".into(), JsonValue::num(r.replica as u32)),
-                ("wall_ms".into(), JsonValue::Num(r.wall.as_secs_f64() * 1e3)),
-                (
-                    "applied_txns".into(),
-                    JsonValue::num(r.metrics.applied_txns as u32),
-                ),
-                ("lag_ms".into(), lag_json(r.lag.as_ref())),
-            ])
-        })
-        .collect();
-    let mut fields = envelope("fanout", mode, config);
-    fields.push(("protocol".into(), JsonValue::str(outcome.protocol)));
-    fields.push((
-        "primary_tps".into(),
-        JsonValue::Num(outcome.primary.throughput()),
-    ));
-    fields.push((
-        "committed".into(),
-        JsonValue::num(outcome.primary.committed as u32),
-    ));
-    fields.push((
-        "worst_p50_ms".into(),
-        JsonValue::Num(outcome.worst_p50_ms()),
-    ));
-    fields.push(("all_converged".into(), JsonValue::Bool(true)));
-    fields.push(("replicas".into(), JsonValue::Arr(replicas)));
-    JsonValue::Obj(fields)
-}
-
-fn sharded_scenario(config: &BenchConfig, mode: &str) -> JsonValue {
-    let mut sweep = Vec::new();
-    for shards in config.sweep_shards() {
-        // Constant worker budget while it divides; above that every shard
-        // still gets one worker, so the 16–64-shard leg runs with more total
-        // workers — the high-worker sweep the coordinator knee hides in.
-        let workers_per_shard = (config.replica_workers / shards).max(1);
-        let mut setup = setup_for(config);
-        setup.replica_workers = workers_per_shard;
-        setup.population = shard_span_population(BENCH_KEY_SPACE);
-        let factory: Arc<dyn TxnFactory> = Arc::new(ShardSpanWorkload::new(BENCH_KEY_SPACE));
-        let outcome = run_sharded_streaming(&setup, factory, shards, BENCH_KEY_SPACE);
-        assert!(
-            outcome.converged(),
-            "{shards} shards: replica must apply the full log"
-        );
-        println!(
-            "  {shards} shards x {workers_per_shard} workers: lag p50 {:.2} ms, {} cuts",
-            outcome.lag.as_ref().map(|l| l.p50_ms).unwrap_or(0.0),
-            outcome.cuts_taken,
-        );
-        sweep.push(JsonValue::Obj(vec![
-            ("shards".into(), JsonValue::num(shards as u32)),
-            (
-                "workers_total".into(),
-                JsonValue::num((workers_per_shard * shards) as u32),
-            ),
-            (
-                "primary_tps".into(),
-                JsonValue::Num(outcome.primary.throughput()),
-            ),
-            (
-                "applied_txns".into(),
-                JsonValue::num(outcome.replica_metrics.applied_txns as u32),
-            ),
-            (
-                "cross_shard_share".into(),
-                JsonValue::Num(outcome.cross_shard_share()),
-            ),
-            (
-                "cuts_taken".into(),
-                JsonValue::num(outcome.cuts_taken as u32),
-            ),
-            (
-                "replica_wall_ms".into(),
-                JsonValue::Num(outcome.replica_wall.as_secs_f64() * 1e3),
-            ),
-            ("lag_ms".into(), lag_json(outcome.lag.as_ref())),
-            ("converged".into(), JsonValue::Bool(true)),
-        ]));
+                    .all(|(_, v, _)| matches!(v, JsonValue::Bool(_)));
+                let set = found
+                    .iter()
+                    .filter(|(_, v, _)| **v == JsonValue::Bool(true));
+                all(
+                    bools && set.count() == 1,
+                    "expected booleans, exactly one of them true",
+                )
+            }
+            _ => found.iter().try_for_each(|f| self.check_one(f)),
+        }
     }
-    let mut fields = envelope("sharded", mode, config);
-    fields.push(("workload".into(), JsonValue::str("shard-span")));
-    fields.push(("key_space".into(), JsonValue::num(BENCH_KEY_SPACE as u32)));
-    fields.push(("sweep".into(), JsonValue::Arr(sweep)));
-    JsonValue::Obj(fields)
-}
 
-fn failover_scenario(config: &BenchConfig, mode: &str) -> JsonValue {
-    let mut setup = setup_for(config);
-    setup.population = adversarial_population();
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-    let outcome = run_failover_streaming(
-        &setup,
-        factory,
-        ReplicaSpec::C5Faithful,
-        config.duration / 2,
-        true,
-    );
-    let standby_caught_up = outcome
-        .standby
-        .as_ref()
-        .map(|s| s.caught_up)
-        .unwrap_or(false);
-    assert!(
-        standby_caught_up,
-        "standby must catch up to the promoted primary"
-    );
-    let mut fields = envelope("failover", mode, config);
-    fields.push(("protocol".into(), JsonValue::str(outcome.protocol)));
-    fields.push((
-        "primary_tps".into(),
-        JsonValue::Num(outcome.primary.throughput()),
-    ));
-    fields.push((
-        "committed".into(),
-        JsonValue::num(outcome.primary.committed as u32),
-    ));
-    fields.push((
-        "shipped_seq".into(),
-        JsonValue::Num(outcome.shipped_seq.as_u64() as f64),
-    ));
-    fields.push((
-        "applied_at_kill".into(),
-        JsonValue::Num(outcome.applied_at_kill.as_u64() as f64),
-    ));
-    fields.push((
-        "backlog_records".into(),
-        JsonValue::Num(outcome.backlog_records() as f64),
-    ));
-    fields.push((
-        "lag_at_kill_ms".into(),
-        lag_json(outcome.lag_at_kill.as_ref()),
-    ));
-    fields.push((
-        "promotion_drain_ms".into(),
-        JsonValue::Num(outcome.promotion_drain.as_secs_f64() * 1e3),
-    ));
-    fields.push((
-        "takeover_ms".into(),
-        JsonValue::Num(outcome.takeover.as_secs_f64() * 1e3),
-    ));
-    fields.push((
-        "drain_bounded_by_lag".into(),
-        JsonValue::Bool(outcome.drain_bounded_by_lag()),
-    ));
-    fields.push((
-        "resumed_tps".into(),
-        JsonValue::Num(outcome.resumed.throughput()),
-    ));
-    fields.push((
-        "standby_caught_up".into(),
-        JsonValue::Bool(standby_caught_up),
-    ));
-    JsonValue::Obj(fields)
-}
-
-fn reads_scenario(config: &BenchConfig, mode: &str) -> JsonValue {
-    let mut setup = setup_for(config);
-    setup.population = adversarial_population();
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-    let outcome = run_reads_streaming(
-        &setup,
-        factory,
-        ReplicaSpec::C5Faithful,
-        config.fanout_replicas,
-        config.read_sessions,
-        STALENESS_BOUND,
-    );
-    assert!(outcome.all_converged(), "read fleet must converge");
-    let classes = outcome
-        .per_class
-        .iter()
-        .map(|class| {
-            JsonValue::Obj(vec![
-                ("class".into(), JsonValue::str(class.kind.name())),
-                ("reads".into(), JsonValue::Num(class.reads as f64)),
-                (
-                    "reads_per_sec".into(),
-                    JsonValue::Num(class.throughput(outcome.wall)),
-                ),
-                ("timeouts".into(), JsonValue::Num(class.timeouts as f64)),
-                ("latency_ms".into(), lag_json(class.latency.as_ref())),
-                ("staleness_ms".into(), lag_json(class.staleness.as_ref())),
-            ])
-        })
-        .collect();
-    let session = JsonValue::Obj(vec![
-        (
-            "writes".into(),
-            JsonValue::Num(outcome.session_stats.writes as f64),
-        ),
-        (
-            "ryw_reads".into(),
-            JsonValue::Num(outcome.session_stats.ryw_reads as f64),
-        ),
-        (
-            "replica_switches".into(),
-            JsonValue::Num(outcome.session_stats.replica_switches as f64),
-        ),
-        (
-            "timeouts".into(),
-            JsonValue::Num(outcome.session_stats.timeouts as f64),
-        ),
-    ]);
-    let mut fields = envelope("reads", mode, config);
-    fields.push(("protocol".into(), JsonValue::str("c5")));
-    fields.push((
-        "staleness_bound_ms".into(),
-        JsonValue::Num(STALENESS_BOUND.as_secs_f64() * 1e3),
-    ));
-    fields.push((
-        "primary_tps".into(),
-        JsonValue::Num(outcome.primary.throughput()),
-    ));
-    fields.push((
-        "wall_ms".into(),
-        JsonValue::Num(outcome.wall.as_secs_f64() * 1e3),
-    ));
-    fields.push(("sessions".into(), JsonValue::num(outcome.sessions as u32)));
-    fields.push((
-        "total_reads".into(),
-        JsonValue::Num(outcome.total_reads() as f64),
-    ));
-    fields.push(("all_converged".into(), JsonValue::Bool(true)));
-    fields.push(("classes".into(), JsonValue::Arr(classes)));
-    fields.push(("session".into(), session));
-    JsonValue::Obj(fields)
-}
-
-/// Seed fleet of the elastic scenario (the live fan-out a replica joins).
-pub const ELASTIC_SEED_REPLICAS: usize = 3;
-
-fn elastic_scenario(config: &BenchConfig, mode: &str) -> JsonValue {
-    let mut setup = setup_for(config);
-    setup.population = adversarial_population();
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-    let outcome = run_elastic_streaming(
-        &setup,
-        factory,
-        ELASTIC_SEED_REPLICAS,
-        config.read_sessions,
-        STALENESS_BOUND,
-    );
-    assert!(
-        outcome.survivors_converged,
-        "surviving members must expose the primary's full final state"
-    );
-    let join = JsonValue::Obj(vec![
-        (
-            "replica".into(),
-            JsonValue::num(outcome.join.replica as u32),
-        ),
-        (
-            "checkpoint_cut".into(),
-            JsonValue::Num(outcome.join.checkpoint_cut.as_u64() as f64),
-        ),
-        (
-            "stream_start".into(),
-            JsonValue::Num(outcome.join.stream_start.as_u64() as f64),
-        ),
-        (
-            "replayed_records".into(),
-            JsonValue::Num(outcome.join.replayed_records as f64),
-        ),
-        (
-            "join_to_serving_ms".into(),
-            JsonValue::Num(outcome.join.join_to_serving.as_secs_f64() * 1e3),
-        ),
-    ]);
-    let retire = JsonValue::Obj(vec![
-        (
-            "replica".into(),
-            JsonValue::num(outcome.retire.replica as u32),
-        ),
-        (
-            "drain_ms".into(),
-            JsonValue::Num(outcome.retire.drain.as_secs_f64() * 1e3),
-        ),
-        (
-            "retired_exposed".into(),
-            JsonValue::Num(outcome.retire.retired_exposed.as_u64() as f64),
-        ),
-    ]);
-    let survivors = outcome
-        .survivor_lag
-        .iter()
-        .map(|(id, lag)| {
-            JsonValue::Obj(vec![
-                ("replica".into(), JsonValue::num(*id as u32)),
-                (
-                    "joined_mid_run".into(),
-                    JsonValue::Bool(*id == outcome.join.replica),
-                ),
-                ("lag_ms".into(), lag_json(lag.as_ref())),
-            ])
-        })
-        .collect();
-    let classes = outcome
-        .per_class
-        .iter()
-        .map(|class| {
-            JsonValue::Obj(vec![
-                ("class".into(), JsonValue::str(class.kind.name())),
-                ("reads".into(), JsonValue::Num(class.reads as f64)),
-                (
-                    "reads_per_sec".into(),
-                    JsonValue::Num(class.throughput(outcome.wall)),
-                ),
-                ("timeouts".into(), JsonValue::Num(class.timeouts as f64)),
-                ("latency_ms".into(), lag_json(class.latency.as_ref())),
-                ("staleness_ms".into(), lag_json(class.staleness.as_ref())),
-            ])
-        })
-        .collect();
-    let session = JsonValue::Obj(vec![
-        (
-            "writes".into(),
-            JsonValue::Num(outcome.session_stats.writes as f64),
-        ),
-        (
-            "ryw_reads".into(),
-            JsonValue::Num(outcome.session_stats.ryw_reads as f64),
-        ),
-        (
-            "replica_switches".into(),
-            JsonValue::Num(outcome.session_stats.replica_switches as f64),
-        ),
-        (
-            "timeouts".into(),
-            JsonValue::Num(outcome.session_stats.timeouts as f64),
-        ),
-    ]);
-    let mut fields = envelope("elastic", mode, config);
-    fields.push(("protocol".into(), JsonValue::str("c5")));
-    fields.push((
-        "seed_replicas".into(),
-        JsonValue::num(ELASTIC_SEED_REPLICAS as u32),
-    ));
-    fields.push((
-        "staleness_bound_ms".into(),
-        JsonValue::Num(STALENESS_BOUND.as_secs_f64() * 1e3),
-    ));
-    fields.push((
-        "primary_tps".into(),
-        JsonValue::Num(outcome.primary.throughput()),
-    ));
-    fields.push((
-        "wall_ms".into(),
-        JsonValue::Num(outcome.wall.as_secs_f64() * 1e3),
-    ));
-    fields.push(("sessions".into(), JsonValue::num(outcome.sessions as u32)));
-    fields.push((
-        "generations".into(),
-        JsonValue::Num(outcome.generations as f64),
-    ));
-    fields.push(("join".into(), join));
-    fields.push(("retire".into(), retire));
-    fields.push(("survivors_converged".into(), JsonValue::Bool(true)));
-    fields.push(("survivors".into(), JsonValue::Arr(survivors)));
-    fields.push(("classes".into(), JsonValue::Arr(classes)));
-    fields.push(("session".into(), session));
-    JsonValue::Obj(fields)
-}
-
-fn obs_scenario(config: &BenchConfig, mode: &str) -> JsonValue {
-    // A run-local sink: the document must contain exactly this run's
-    // telemetry, not whatever else accumulated in the process global.
-    let obs = Obs::new();
-    let mut setup = setup_for(config);
-    setup.population = adversarial_population();
-    setup.obs = Arc::clone(&obs);
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(4));
-    let outcome = run_elastic_streaming(
-        &setup,
-        factory,
-        ELASTIC_SEED_REPLICAS,
-        config.read_sessions,
-        STALENESS_BOUND,
-    );
-    assert!(
-        outcome.survivors_converged,
-        "observed elastic run must converge"
-    );
-
-    let snap = obs.metrics.snapshot();
-    let timeline = obs.trace.merged();
-    let by_kind = JsonValue::Obj(
-        kind_counts(&timeline)
-            .into_iter()
-            .map(|(kind, n)| (kind.to_string(), JsonValue::Num(n as f64)))
-            .collect(),
-    );
-    let stages = JsonValue::Obj(
-        PipelineStage::all()
-            .iter()
-            .map(|stage| {
-                let name = format!("stage_dwell_ns{{stage=\"{}\"}}", stage.name());
-                let count = snap.histogram(&name).map(|h| h.count()).unwrap_or(0);
-                (stage.name().to_string(), JsonValue::Num(count as f64))
-            })
-            .collect(),
-    );
-
-    let mut fields = envelope("obs", mode, config);
-    fields.push(("events_total".into(), JsonValue::Num(timeline.len() as f64)));
-    fields.push((
-        "events_dropped".into(),
-        JsonValue::Num(obs.trace.dropped() as f64),
-    ));
-    fields.push(("by_kind".into(), by_kind));
-    fields.push(("stage_samples".into(), stages));
-    fields.push(("snapshot".into(), snapshot_json(&snap)));
-    JsonValue::Obj(fields)
-}
-
-// ---------------------------------------------------------------------------
-// Envelope + lag helpers
-// ---------------------------------------------------------------------------
-
-fn envelope(name: &str, mode: &str, config: &BenchConfig) -> Vec<(String, JsonValue)> {
-    vec![
-        (
-            "schema_version".into(),
-            JsonValue::num(SCHEMA_VERSION as u32),
-        ),
-        ("name".into(), JsonValue::str(name)),
-        ("mode".into(), JsonValue::str(mode)),
-        (
-            "config".into(),
-            JsonValue::Obj(vec![
-                (
-                    "duration_ms".into(),
-                    JsonValue::Num(config.duration.as_secs_f64() * 1e3),
-                ),
-                (
-                    "primary_threads".into(),
-                    JsonValue::num(config.primary_threads as u32),
-                ),
-                (
-                    "replica_workers".into(),
-                    JsonValue::num(config.replica_workers as u32),
-                ),
-                (
-                    "segment_records".into(),
-                    JsonValue::num(config.segment_records as u32),
-                ),
-                (
-                    "apply_txns".into(),
-                    JsonValue::Num(config.apply_txns as f64),
-                ),
-                (
-                    "fanout_replicas".into(),
-                    JsonValue::num(config.fanout_replicas as u32),
-                ),
-                (
-                    "read_sessions".into(),
-                    JsonValue::num(config.read_sessions as u32),
-                ),
-                (
-                    "max_sweep_shards".into(),
-                    JsonValue::num(config.max_sweep_shards as u32),
-                ),
-                ("seed".into(), JsonValue::Num(config.seed as f64)),
-            ]),
-        ),
-    ]
-}
-
-/// Serializes a lag/latency summary: the nearest-rank percentiles of
-/// [`LagStats`] in milliseconds, or `null` when no samples were recorded.
-fn lag_json(stats: Option<&LagStats>) -> JsonValue {
-    match stats {
-        None => JsonValue::Null,
-        Some(l) => JsonValue::Obj(vec![
-            ("count".into(), JsonValue::Num(l.count as f64)),
-            ("min".into(), JsonValue::Num(l.min_ms)),
-            ("p50".into(), JsonValue::Num(l.p50_ms)),
-            ("p99".into(), JsonValue::Num(l.p99_ms)),
-            ("max".into(), JsonValue::Num(l.max_ms)),
-            ("mean".into(), JsonValue::Num(l.mean_ms)),
-        ]),
+    fn check_one(self, (at, value, parent): &Found<'_>) -> Result<(), String> {
+        let fail = |what: &str| Err(format!("{at} {what}"));
+        let sibling_is_true = |key: &str| parent.get(key) == Some(&JsonValue::Bool(true));
+        match (self, value) {
+            (Rule::Num(lo, hi), _) => match number(at, value)? {
+                n if n < lo || n > hi => fail(&format!("= {n} is outside [{lo}, {hi}]")),
+                _ => Ok(()),
+            },
+            (Bool, JsonValue::Bool(_)) | (True, JsonValue::Bool(true)) => Ok(()),
+            (Bool, _) => fail("is not a boolean"),
+            (True, _) => fail("must be true"),
+            (Rule::NonEmptyObj, JsonValue::Obj(entries)) if !entries.is_empty() => Ok(()),
+            (Rule::NonEmptyObj, _) => fail("is not a non-empty object"),
+            (Rule::AtMost(sibling), _) => {
+                let bound = parent
+                    .get(sibling)
+                    .ok_or_else(|| format!("{at}: no {sibling}"))?;
+                match (number(at, value)?, number(sibling, bound)?) {
+                    (n, bound) if n > bound => fail(&format!("= {n} is above {sibling} {bound}")),
+                    _ => Ok(()),
+                }
+            }
+            (LagOrNull, JsonValue::Null) => Ok(()),
+            (Rule::LagIf(sibling), JsonValue::Null) if !sibling_is_true(sibling) => Ok(()),
+            (Lag | LagOrNull | Rule::LagIf(_), _) => summary(at, value, false),
+            (Dwell, _) => summary(at, value, true),
+            (Any | Rule::Are(_) | Rule::Increasing | Rule::OneTrue, _) => Ok(()),
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Schema validation
-// ---------------------------------------------------------------------------
+/// Validates `doc` against the [`SCHEMA`] rows of document `name` alone (not
+/// the envelope): the scenario-specific body. Returns the first violation.
+pub fn validate_body(name: &str, doc: &JsonValue) -> Result<(), String> {
+    for (path, rule) in rows_of(name) {
+        let mut found = Vec::new();
+        find(doc, &path, "", &mut found)?;
+        rule.check(&path, &found)?;
+    }
+    Ok(())
+}
 
 /// Validates an emitted (or re-read) `BENCH_<name>.json` document: every
-/// documented field present, numbers finite and non-negative, percentiles
-/// ordered. Returns the first violation.
+/// field [`SCHEMA`] lists present and within its rule. Returns the first
+/// violation.
 pub fn validate_bench(name: &str, doc: &JsonValue) -> Result<(), String> {
-    let version = require_num(doc, "schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(format!("schema_version {version} != {SCHEMA_VERSION}"));
+    let version = doc.get("schema_version").and_then(JsonValue::as_num);
+    if version != Some(SCHEMA_VERSION as f64) {
+        return Err(format!("schema_version {version:?} != {SCHEMA_VERSION}"));
     }
     if doc.get("name").and_then(JsonValue::as_str) != Some(name) {
         return Err(format!("name field does not match {name}"));
@@ -870,465 +594,11 @@ pub fn validate_bench(name: &str, doc: &JsonValue) -> Result<(), String> {
         Some("fixed") | Some("smoke") => {}
         other => return Err(format!("mode must be fixed|smoke, got {other:?}")),
     }
-    let config = doc.get("config").ok_or("missing config")?;
-    for field in [
-        "duration_ms",
-        "primary_threads",
-        "replica_workers",
-        "segment_records",
-        "apply_txns",
-        "fanout_replicas",
-        "read_sessions",
-        "max_sweep_shards",
-        "seed",
-    ] {
-        let v = require_num(config, field)?;
-        if field != "seed" && v <= 0.0 {
-            return Err(format!("config.{field} must be positive, got {v}"));
-        }
+    if name == "*" || rows_of(name).next().is_none() {
+        return Err(format!("unknown scenario {name}"));
     }
-    match name {
-        "pipeline" => validate_pipeline(doc),
-        "fanout" => validate_fanout(doc),
-        "sharded" => validate_sharded(doc),
-        "failover" => validate_failover(doc),
-        "reads" => validate_reads(doc),
-        "elastic" => validate_elastic(doc),
-        "obs" => validate_obs(doc),
-        other => Err(format!("unknown scenario {other}")),
-    }
-}
-
-fn require_num(obj: &JsonValue, key: &str) -> Result<f64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("missing field {key}"))?
-        .as_num()
-        .ok_or_else(|| format!("field {key} is not a number"))?;
-    if !v.is_finite() {
-        return Err(format!("field {key} is not finite"));
-    }
-    Ok(v)
-}
-
-fn require_nonneg(obj: &JsonValue, key: &str) -> Result<f64, String> {
-    let v = require_num(obj, key)?;
-    if v < 0.0 {
-        return Err(format!("field {key} must be non-negative, got {v}"));
-    }
-    Ok(v)
-}
-
-fn require_bool(obj: &JsonValue, key: &str) -> Result<bool, String> {
-    match obj.get(key) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("field {key} is not a bool")),
-        None => Err(format!("missing field {key}")),
-    }
-}
-
-/// Validates a lag summary object: present fields, `count >= 1`, and the
-/// nearest-rank ordering `0 <= min <= p50 <= p99 <= max`.
-fn check_lag(value: &JsonValue, ctx: &str, required: bool) -> Result<(), String> {
-    if matches!(value, JsonValue::Null) {
-        if required {
-            return Err(format!("{ctx}: lag summary is null but required"));
-        }
-        return Ok(());
-    }
-    let count = require_num(value, "count").map_err(|e| format!("{ctx}: {e}"))?;
-    if count < 1.0 {
-        return Err(format!("{ctx}: lag count must be >= 1"));
-    }
-    let min = require_nonneg(value, "min").map_err(|e| format!("{ctx}: {e}"))?;
-    let p50 = require_nonneg(value, "p50").map_err(|e| format!("{ctx}: {e}"))?;
-    let p99 = require_nonneg(value, "p99").map_err(|e| format!("{ctx}: {e}"))?;
-    let max = require_nonneg(value, "max").map_err(|e| format!("{ctx}: {e}"))?;
-    require_nonneg(value, "mean").map_err(|e| format!("{ctx}: {e}"))?;
-    if !(min <= p50 && p50 <= p99 && p99 <= max) {
-        return Err(format!(
-            "{ctx}: percentiles out of order (min {min}, p50 {p50}, p99 {p99}, max {max})"
-        ));
-    }
-    Ok(())
-}
-
-fn lag_field(obj: &JsonValue, key: &str, ctx: &str, required: bool) -> Result<(), String> {
-    let value = obj
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing field {key}"))?;
-    check_lag(value, &format!("{ctx}.{key}"), required)
-}
-
-fn validate_pipeline(doc: &JsonValue) -> Result<(), String> {
-    let rows = doc
-        .get("apply_path")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing apply_path array")?;
-    if rows.len() != 3 {
-        return Err(format!(
-            "apply_path must have 3 targets, got {}",
-            rows.len()
-        ));
-    }
-    let mut seen = Vec::new();
-    for row in rows {
-        let protocol = row
-            .get("protocol")
-            .and_then(JsonValue::as_str)
-            .ok_or("apply_path row missing protocol")?;
-        seen.push(protocol.to_string());
-        for field in ["records", "txns", "replays", "best_wall_ms"] {
-            let v =
-                require_nonneg(row, field).map_err(|e| format!("apply_path[{protocol}]: {e}"))?;
-            if v <= 0.0 {
-                return Err(format!("apply_path[{protocol}].{field} must be positive"));
-            }
-        }
-        let ns = require_num(row, "ns_per_record")
-            .map_err(|e| format!("apply_path[{protocol}]: {e}"))?;
-        if !(1.0..1e9).contains(&ns) {
-            return Err(format!(
-                "apply_path[{protocol}].ns_per_record {ns} outside the sane range [1, 1e9)"
-            ));
-        }
-    }
-    for expect in ["c5", "c5-myrocks", "c5-sharded-8"] {
-        if !seen.iter().any(|s| s == expect) {
-            return Err(format!("apply_path missing target {expect}"));
-        }
-    }
-    let stage_ns = doc.get("stage_ns").ok_or("missing stage_ns block")?;
-    for stage in ["ingest", "schedule", "apply", "expose"] {
-        let block = stage_ns
-            .get(stage)
-            .ok_or_else(|| format!("stage_ns missing stage {stage}"))?;
-        if matches!(block, JsonValue::Null) {
-            return Err(format!(
-                "stage_ns.{stage} is null: the stage recorded no dwell samples"
-            ));
-        }
-        let ctx = format!("stage_ns.{stage}");
-        let count = require_nonneg(block, "count").map_err(|e| format!("{ctx}: {e}"))?;
-        if count < 1.0 {
-            return Err(format!("{ctx}: count must be >= 1"));
-        }
-        let min = require_nonneg(block, "min").map_err(|e| format!("{ctx}: {e}"))?;
-        let p50 = require_nonneg(block, "p50").map_err(|e| format!("{ctx}: {e}"))?;
-        let p99 = require_nonneg(block, "p99").map_err(|e| format!("{ctx}: {e}"))?;
-        let max = require_nonneg(block, "max").map_err(|e| format!("{ctx}: {e}"))?;
-        require_nonneg(block, "mean").map_err(|e| format!("{ctx}: {e}"))?;
-        require_nonneg(block, "sum").map_err(|e| format!("{ctx}: {e}"))?;
-        if !(min <= p50 && p50 <= p99 && p99 <= max) {
-            return Err(format!("{ctx}: dwell percentiles out of order"));
-        }
-    }
-    let streaming = doc.get("streaming").ok_or("missing streaming object")?;
-    for field in ["primary_tps", "replica_tps", "committed"] {
-        let v = require_nonneg(streaming, field).map_err(|e| format!("streaming: {e}"))?;
-        if v <= 0.0 {
-            return Err(format!("streaming.{field} must be positive"));
-        }
-    }
-    require_bool(streaming, "keeps_up").map_err(|e| format!("streaming: {e}"))?;
-    lag_field(streaming, "lag_ms", "streaming", true)?;
-    let baseline = doc.get("baseline").ok_or("missing baseline block")?;
-    let pre = baseline
-        .get("pre_change_ns_per_record")
-        .ok_or("baseline missing pre_change_ns_per_record")?;
-    for target in ["c5", "c5-myrocks", "c5-sharded-8"] {
-        let v = require_nonneg(pre, target).map_err(|e| format!("baseline: {e}"))?;
-        if v <= 0.0 {
-            return Err(format!(
-                "baseline.pre_change_ns_per_record.{target} must be positive"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn validate_fanout(doc: &JsonValue) -> Result<(), String> {
-    require_nonneg(doc, "primary_tps")?;
-    require_nonneg(doc, "committed")?;
-    require_nonneg(doc, "worst_p50_ms")?;
-    if !require_bool(doc, "all_converged")? {
-        return Err("fanout did not converge".into());
-    }
-    let replicas = doc
-        .get("replicas")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing replicas array")?;
-    if replicas.is_empty() {
-        return Err("replicas array is empty".into());
-    }
-    for (i, replica) in replicas.iter().enumerate() {
-        let ctx = format!("replicas[{i}]");
-        require_nonneg(replica, "replica").map_err(|e| format!("{ctx}: {e}"))?;
-        require_nonneg(replica, "wall_ms").map_err(|e| format!("{ctx}: {e}"))?;
-        require_nonneg(replica, "applied_txns").map_err(|e| format!("{ctx}: {e}"))?;
-        lag_field(replica, "lag_ms", &ctx, true)?;
-    }
-    Ok(())
-}
-
-fn validate_sharded(doc: &JsonValue) -> Result<(), String> {
-    require_nonneg(doc, "key_space")?;
-    let sweep = doc
-        .get("sweep")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing sweep array")?;
-    if sweep.is_empty() {
-        return Err("sweep array is empty".into());
-    }
-    let mut last_shards = 0.0;
-    for (i, point) in sweep.iter().enumerate() {
-        let ctx = format!("sweep[{i}]");
-        let shards = require_num(point, "shards").map_err(|e| format!("{ctx}: {e}"))?;
-        if shards <= last_shards {
-            return Err(format!("{ctx}: shard counts must increase"));
-        }
-        last_shards = shards;
-        for field in [
-            "workers_total",
-            "primary_tps",
-            "applied_txns",
-            "replica_wall_ms",
-        ] {
-            let v = require_nonneg(point, field).map_err(|e| format!("{ctx}: {e}"))?;
-            if v <= 0.0 {
-                return Err(format!("{ctx}.{field} must be positive"));
-            }
-        }
-        let share =
-            require_nonneg(point, "cross_shard_share").map_err(|e| format!("{ctx}: {e}"))?;
-        if share > 1.0 {
-            return Err(format!("{ctx}.cross_shard_share {share} > 1"));
-        }
-        require_nonneg(point, "cuts_taken").map_err(|e| format!("{ctx}: {e}"))?;
-        if !require_bool(point, "converged").map_err(|e| format!("{ctx}: {e}"))? {
-            return Err(format!("{ctx}: did not converge"));
-        }
-        lag_field(point, "lag_ms", &ctx, true)?;
-    }
-    Ok(())
-}
-
-fn validate_failover(doc: &JsonValue) -> Result<(), String> {
-    for field in ["primary_tps", "committed", "shipped_seq"] {
-        let v = require_nonneg(doc, field)?;
-        if v <= 0.0 {
-            return Err(format!("{field} must be positive"));
-        }
-    }
-    require_nonneg(doc, "applied_at_kill")?;
-    require_nonneg(doc, "backlog_records")?;
-    require_nonneg(doc, "promotion_drain_ms")?;
-    let takeover = require_nonneg(doc, "takeover_ms")?;
-    if takeover <= 0.0 {
-        return Err("takeover_ms must be positive".into());
-    }
-    require_nonneg(doc, "resumed_tps")?;
-    lag_field(doc, "lag_at_kill_ms", "failover", false)?;
-    require_bool(doc, "drain_bounded_by_lag")?;
-    if !require_bool(doc, "standby_caught_up")? {
-        return Err("standby did not catch up".into());
-    }
-    Ok(())
-}
-
-fn validate_reads(doc: &JsonValue) -> Result<(), String> {
-    require_nonneg(doc, "staleness_bound_ms")?;
-    require_nonneg(doc, "primary_tps")?;
-    require_nonneg(doc, "wall_ms")?;
-    require_nonneg(doc, "sessions")?;
-    let total = require_nonneg(doc, "total_reads")?;
-    if total <= 0.0 {
-        return Err("total_reads must be positive".into());
-    }
-    if !require_bool(doc, "all_converged")? {
-        return Err("reads fleet did not converge".into());
-    }
-    let classes = doc
-        .get("classes")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing classes array")?;
-    if classes.len() != 3 {
-        return Err(format!(
-            "expected 3 consistency classes, got {}",
-            classes.len()
-        ));
-    }
-    for class in classes {
-        let kind = class
-            .get("class")
-            .and_then(JsonValue::as_str)
-            .ok_or("class row missing class name")?;
-        let reads = require_nonneg(class, "reads").map_err(|e| format!("{kind}: {e}"))?;
-        if reads <= 0.0 {
-            return Err(format!("{kind}: served no reads"));
-        }
-        require_nonneg(class, "reads_per_sec").map_err(|e| format!("{kind}: {e}"))?;
-        require_nonneg(class, "timeouts").map_err(|e| format!("{kind}: {e}"))?;
-        lag_field(class, "latency_ms", kind, false)?;
-        lag_field(class, "staleness_ms", kind, false)?;
-    }
-    let session = doc.get("session").ok_or("missing session object")?;
-    for field in ["writes", "ryw_reads", "replica_switches", "timeouts"] {
-        require_nonneg(session, field).map_err(|e| format!("session: {e}"))?;
-    }
-    if require_num(session, "writes")? <= 0.0 || require_num(session, "ryw_reads")? <= 0.0 {
-        return Err("sessions performed no tokened writes/RYW reads".into());
-    }
-    Ok(())
-}
-
-fn validate_elastic(doc: &JsonValue) -> Result<(), String> {
-    require_nonneg(doc, "seed_replicas")?;
-    require_nonneg(doc, "staleness_bound_ms")?;
-    require_nonneg(doc, "primary_tps")?;
-    require_nonneg(doc, "wall_ms")?;
-    require_nonneg(doc, "sessions")?;
-    let generations = require_nonneg(doc, "generations")?;
-    if generations <= 0.0 {
-        return Err("generations must be positive: churn must be visible".into());
-    }
-    if !require_bool(doc, "survivors_converged")? {
-        return Err("surviving fleet did not converge".into());
-    }
-    let join = doc.get("join").ok_or("missing join object")?;
-    require_nonneg(join, "replica").map_err(|e| format!("join: {e}"))?;
-    let cut = require_nonneg(join, "checkpoint_cut").map_err(|e| format!("join: {e}"))?;
-    let stream = require_nonneg(join, "stream_start").map_err(|e| format!("join: {e}"))?;
-    if cut > stream {
-        return Err(format!(
-            "join: checkpoint_cut {cut} above stream_start {stream} — the gap-closure \
-             invariant would have a hole"
-        ));
-    }
-    require_nonneg(join, "replayed_records").map_err(|e| format!("join: {e}"))?;
-    let serving = require_nonneg(join, "join_to_serving_ms").map_err(|e| format!("join: {e}"))?;
-    if serving <= 0.0 {
-        return Err("join.join_to_serving_ms must be positive".into());
-    }
-    let retire = doc.get("retire").ok_or("missing retire object")?;
-    require_nonneg(retire, "replica").map_err(|e| format!("retire: {e}"))?;
-    require_nonneg(retire, "drain_ms").map_err(|e| format!("retire: {e}"))?;
-    require_nonneg(retire, "retired_exposed").map_err(|e| format!("retire: {e}"))?;
-    let survivors = doc
-        .get("survivors")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing survivors array")?;
-    if survivors.is_empty() {
-        return Err("survivors array is empty".into());
-    }
-    let mut joiner_rows = 0;
-    for (i, survivor) in survivors.iter().enumerate() {
-        let ctx = format!("survivors[{i}]");
-        require_nonneg(survivor, "replica").map_err(|e| format!("{ctx}: {e}"))?;
-        if require_bool(survivor, "joined_mid_run").map_err(|e| format!("{ctx}: {e}"))? {
-            joiner_rows += 1;
-            // The joiner's samples are all post-join: lag during churn.
-            lag_field(survivor, "lag_ms", &ctx, true)?;
-        } else {
-            lag_field(survivor, "lag_ms", &ctx, false)?;
-        }
-    }
-    if joiner_rows != 1 {
-        return Err(format!(
-            "expected exactly 1 mid-run joiner among the survivors, got {joiner_rows}"
-        ));
-    }
-    let classes = doc
-        .get("classes")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing classes array")?;
-    if classes.len() != 3 {
-        return Err(format!(
-            "expected 3 consistency classes, got {}",
-            classes.len()
-        ));
-    }
-    for class in classes {
-        let kind = class
-            .get("class")
-            .and_then(JsonValue::as_str)
-            .ok_or("class row missing class name")?;
-        let reads = require_nonneg(class, "reads").map_err(|e| format!("{kind}: {e}"))?;
-        if reads <= 0.0 {
-            return Err(format!("{kind}: served no reads"));
-        }
-        require_nonneg(class, "reads_per_sec").map_err(|e| format!("{kind}: {e}"))?;
-        require_nonneg(class, "timeouts").map_err(|e| format!("{kind}: {e}"))?;
-        lag_field(class, "latency_ms", kind, false)?;
-        lag_field(class, "staleness_ms", kind, false)?;
-    }
-    let session = doc.get("session").ok_or("missing session object")?;
-    for field in ["writes", "ryw_reads", "replica_switches", "timeouts"] {
-        require_nonneg(session, field).map_err(|e| format!("session: {e}"))?;
-    }
-    if require_num(session, "writes")? <= 0.0 || require_num(session, "ryw_reads")? <= 0.0 {
-        return Err("sessions performed no tokened writes/RYW reads".into());
-    }
-    Ok(())
-}
-
-fn validate_obs(doc: &JsonValue) -> Result<(), String> {
-    let total = require_nonneg(doc, "events_total")?;
-    if total <= 0.0 {
-        return Err("events_total must be positive".into());
-    }
-    require_nonneg(doc, "events_dropped")?;
-    let by_kind = doc.get("by_kind").ok_or("missing by_kind object")?;
-    // The acceptance gate of the observability layer: the pipeline, the
-    // shipper, the router, and the fleet controller each spoke at least once.
-    for kind in ["stage", "ship", "route", "lifecycle"] {
-        let n = require_nonneg(by_kind, kind).map_err(|e| format!("by_kind: {e}"))?;
-        if n <= 0.0 {
-            return Err(format!(
-                "by_kind.{kind} is zero: an instrumented subsystem went silent"
-            ));
-        }
-    }
-    for kind in ["recovery", "span"] {
-        require_nonneg(by_kind, kind).map_err(|e| format!("by_kind: {e}"))?;
-    }
-    let stages = doc.get("stage_samples").ok_or("missing stage_samples")?;
-    for stage in ["ingest", "schedule", "apply", "expose"] {
-        let n = require_nonneg(stages, stage).map_err(|e| format!("stage_samples: {e}"))?;
-        if n < 1.0 {
-            return Err(format!("stage_samples.{stage}: no dwell samples"));
-        }
-    }
-    let snapshot = doc.get("snapshot").ok_or("missing snapshot object")?;
-    for section in ["counters", "gauges", "histograms"] {
-        match snapshot.get(section) {
-            Some(JsonValue::Obj(entries)) if !entries.is_empty() => {}
-            Some(JsonValue::Obj(_)) => {
-                return Err(format!("snapshot.{section} is empty"));
-            }
-            _ => return Err(format!("snapshot.{section} is not an object")),
-        }
-    }
-    // Spot-check series every layer must have registered.
-    let counters = snapshot.get("counters").expect("checked above");
-    for series in ["ship_segments_total", "ship_records_total"] {
-        let v = require_nonneg(counters, series).map_err(|e| format!("snapshot.counters: {e}"))?;
-        if v <= 0.0 {
-            return Err(format!("snapshot.counters.{series} must be positive"));
-        }
-    }
-    let histograms = snapshot.get("histograms").expect("checked above");
-    for series in ["ship_ns", "fleet_join_to_serving_ns"] {
-        let h = histograms
-            .get(series)
-            .ok_or_else(|| format!("snapshot.histograms missing {series}"))?;
-        let count =
-            require_nonneg(h, "count").map_err(|e| format!("snapshot.histograms.{series}: {e}"))?;
-        if count < 1.0 {
-            return Err(format!("snapshot.histograms.{series} has no samples"));
-        }
-    }
-    Ok(())
+    validate_body("*", doc)?;
+    validate_body(name, doc)
 }
 
 #[cfg(test)]

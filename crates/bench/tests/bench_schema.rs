@@ -9,7 +9,7 @@
 
 use c5_bench::json::JsonValue;
 use c5_bench::report;
-use c5_common::BenchConfig;
+use c5_bench::Scale as BenchConfig;
 use std::time::Duration;
 
 /// A configuration small enough for a debug-build test run: tiny streaming

@@ -261,122 +261,6 @@ impl ReplicaConfig {
     }
 }
 
-/// Fixed run parameters for the committed benchmark suite (`c5-bench`'s
-/// `bench` sub-command, which emits the `BENCH_*.json` trajectory files at
-/// the repository root).
-///
-/// The whole point of the committed trajectory is cross-revision
-/// comparability, so these parameters are *data*, not knobs: every revision
-/// runs the same scenarios at [`BenchConfig::fixed`] and CI smoke-checks the
-/// schema at [`BenchConfig::smoke`]. Changing `fixed()` resets the
-/// trajectory and must be called out in the PR that does it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchConfig {
-    /// Wall-clock duration of each streaming measurement window.
-    pub duration: Duration,
-    /// Primary executor threads / closed-loop clients.
-    pub primary_threads: usize,
-    /// Backup apply workers (per pipeline; per shard for sharded runs).
-    pub replica_workers: usize,
-    /// Log records per shipped segment.
-    pub segment_records: usize,
-    /// Transactions in the pre-materialized log the apply-path replay
-    /// measures ns/record over (offline, zero simulated op cost, so the
-    /// number isolates pipeline overhead).
-    pub apply_txns: u64,
-    /// Replicas in the fan-out and read-serving scenarios.
-    pub fanout_replicas: usize,
-    /// Reader sessions in the read-serving scenario.
-    pub read_sessions: usize,
-    /// Largest shard count of the sharding sweep (the sweep doubles from 1
-    /// up to this; the high end is what locates the cut-coordinator knee).
-    pub max_sweep_shards: usize,
-    /// RNG seed shared by every scenario.
-    pub seed: u64,
-}
-
-impl BenchConfig {
-    /// The fixed parameters the committed `BENCH_*.json` baselines are
-    /// measured at.
-    pub fn fixed() -> Self {
-        Self {
-            duration: Duration::from_millis(1500),
-            primary_threads: 4,
-            replica_workers: 4,
-            segment_records: 256,
-            apply_txns: 60_000,
-            fanout_replicas: 3,
-            read_sessions: 4,
-            max_sweep_shards: 64,
-            seed: 42,
-        }
-    }
-
-    /// The reduced-iteration smoke mode CI runs on every push: same
-    /// scenarios and schema, a fraction of the duration, sweep capped low.
-    /// Numbers from this mode are for schema validation only — never commit
-    /// them as baselines.
-    pub fn smoke() -> Self {
-        Self {
-            duration: Duration::from_millis(300),
-            primary_threads: 2,
-            replica_workers: 2,
-            segment_records: 64,
-            apply_txns: 5_000,
-            fanout_replicas: 2,
-            read_sessions: 2,
-            max_sweep_shards: 16,
-            seed: 42,
-        }
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
-        if self.duration.is_zero() {
-            return Err(Error::InvalidConfig(
-                "bench duration must be non-zero".into(),
-            ));
-        }
-        if self.primary_threads == 0 || self.replica_workers == 0 {
-            return Err(Error::InvalidConfig(
-                "bench needs at least one primary thread and one worker".into(),
-            ));
-        }
-        if self.segment_records == 0 || self.apply_txns == 0 {
-            return Err(Error::InvalidConfig(
-                "bench segment size and apply transaction count must be non-zero".into(),
-            ));
-        }
-        if self.fanout_replicas == 0 || self.read_sessions == 0 {
-            return Err(Error::InvalidConfig(
-                "bench needs at least one replica and one session".into(),
-            ));
-        }
-        if !self.max_sweep_shards.is_power_of_two()
-            || self.max_sweep_shards > crate::shard::MAX_SHARDS
-        {
-            return Err(Error::InvalidConfig(format!(
-                "sweep shard count must be a power of two at most {} (got {})",
-                crate::shard::MAX_SHARDS,
-                self.max_sweep_shards
-            )));
-        }
-        Ok(())
-    }
-
-    /// The shard counts the sharding sweep visits: powers of two from 1
-    /// through `max_sweep_shards`.
-    pub fn sweep_shards(&self) -> Vec<usize> {
-        let mut shards = Vec::new();
-        let mut n = 1;
-        while n <= self.max_sweep_shards {
-            shards.push(n);
-            n *= 2;
-        }
-        shards
-    }
-}
-
 /// Configuration for the read-serving layer (`c5-read`): sessions, read-only
 /// transactions, and the freshness-aware router over a replica fleet.
 #[derive(Debug, Clone)]

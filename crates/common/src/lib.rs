@@ -39,9 +39,7 @@ pub mod pacing;
 pub mod shard;
 pub mod value;
 
-pub use config::{
-    BenchConfig, DurabilityPolicy, IsolationLevel, PrimaryConfig, ReadConfig, ReplicaConfig,
-};
+pub use config::{DurabilityPolicy, IsolationLevel, PrimaryConfig, ReadConfig, ReplicaConfig};
 pub use cost::OpCost;
 pub use error::{Error, Result};
 pub use ids::{Key, RowRef, SeqNo, SessionId, TableId, Timestamp, TxnId, WorkerId};

@@ -25,7 +25,7 @@ use c5_obs::Obs;
 use c5_storage::MvStore;
 
 use crate::lag::LagTracker;
-use crate::pipeline::{BoundaryLedger, GcDriver, PipelineSignals};
+use crate::pipeline::{BoundaryLedger, GcDriver, GcHold, PipelineSignals};
 use crate::progress::WatermarkTracker;
 use crate::replica::{ReadView, ReplicaMetrics};
 use crate::snapshotter::SnapshotCursor;
@@ -193,6 +193,12 @@ impl PrefixExposure {
     /// their cut).
     pub fn gc_horizon(&self) -> SeqNo {
         self.gc.horizon()
+    }
+
+    /// Holds version GC back while a checkpoint export scans (see
+    /// [`GcDriver::hold`]); take it before pinning the export's cut.
+    pub fn hold_gc(&self) -> GcHold<'_> {
+        self.gc.hold()
     }
 }
 

@@ -1241,9 +1241,15 @@ pub struct GcDriver {
     visited_chains: AtomicU64,
     /// Rows written above the horizon, one batch per noted segment.
     written: Mutex<Vec<WrittenBatch>>,
-    /// Held for the duration of a collection: concurrent callers (every
-    /// shard's expose stage drives one shared driver) skip instead of queue.
+    /// Held for the duration of a collection — concurrent callers (every
+    /// shard's expose stage drives one shared driver) skip instead of queue —
+    /// and for the duration of a checkpoint export ([`hold`](Self::hold)).
     collecting: Mutex<()>,
+}
+
+/// Version GC held back; released on drop (see [`GcDriver::hold`]).
+pub struct GcHold<'a> {
+    _collecting: parking_lot::MutexGuard<'a, ()>,
 }
 
 /// The `(position, row)` of every record of one segment, ascending by
@@ -1340,6 +1346,21 @@ impl GcDriver {
         self.reclaimed
             .fetch_add(pass.reclaimed as u64, Ordering::Relaxed);
         pass.reclaimed as u64
+    }
+
+    /// Holds version GC back until the returned guard drops: waits out a
+    /// collection in progress, then makes every [`run`](Self::run) skip, so
+    /// the horizon stays where it is. A checkpoint export takes this *before*
+    /// it pins its cut — the horizon never passes the exposed cut, the pinned
+    /// cut is at least the cut exposed when the hold began, and so no version
+    /// the export can name is reclaimed under it. Collections skipped
+    /// meanwhile are made up by the first `run` after the release (the
+    /// written rows stay noted). Costs the apply path nothing: only the
+    /// expose stage's `run` ever tries this lock.
+    pub fn hold(&self) -> GcHold<'_> {
+        GcHold {
+            _collecting: self.collecting.lock(),
+        }
     }
 
     /// Total versions reclaimed so far.

@@ -499,24 +499,30 @@ impl C5Replica {
     }
 
     /// Exports a checkpoint of the currently exposed state. The cut is
-    /// pinned through a read view first, so it is transaction-aligned and
-    /// stable while the export scans; applies may continue concurrently.
+    /// pinned through a read view, so it is transaction-aligned and stable
+    /// while the export scans; applies and exposure continue concurrently.
+    /// Version GC does not: it is held back from before the cut is pinned
+    /// until the scan ends ([`GcDriver::hold`](crate::pipeline::GcDriver::hold)),
+    /// because a horizon past the cut may collect the very versions the
+    /// export needs — and with event-driven exposure the cut can move by more
+    /// than `gc_trail` positions during one scan.
     ///
     /// # Panics
-    /// Panics if the version-GC horizon overtook the cut while the export
-    /// ran (possible only when `gc_trail` is smaller than the exposure the
-    /// expose stage makes during one export scan): a horizon past the cut
-    /// may have collected the very versions the export needed, so the
-    /// checkpoint cannot be trusted. The horizon is monotone, so checking it
-    /// *after* the scan proves the whole scan was safe.
+    /// Panics if the version-GC horizon is above the cut after the export.
+    /// The hold makes that impossible (the horizon is at most the cut exposed
+    /// when the hold began, which the pinned cut is at least), so this is an
+    /// invariant check, not a condition a caller can hit; the horizon is
+    /// monotone, so checking it *after* the scan covers the whole scan.
     pub fn checkpoint(&self) -> Checkpoint {
+        let exposure = &self.runtime.policy().rows.exposure;
+        let _gc_held = exposure.hold_gc();
         let view = self.read_view();
         let checkpoint = CheckpointWriter::capture(self.store(), view.as_of());
-        let horizon = self.runtime.policy().rows.exposure.gc_horizon();
+        let horizon = exposure.gc_horizon();
         assert!(
             horizon <= checkpoint.cut(),
-            "GC horizon {horizon} overtook the checkpoint cut {} during the \
-             export — raise gc_trail so the trail covers the capture window",
+            "GC horizon {horizon} overtook the checkpoint cut {} although GC \
+             was held for the export",
             checkpoint.cut()
         );
         checkpoint

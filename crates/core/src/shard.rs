@@ -79,8 +79,8 @@ use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 use crate::exposure::Exposure;
 use crate::lag::LagTracker;
 use crate::pipeline::{
-    GcDriver, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, ProgressSignal,
-    QueuePlan, WorkSink,
+    GcDriver, GcHold, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals,
+    ProgressSignal, QueuePlan, WorkSink,
 };
 use crate::replica::{
     ClonedConcurrencyControl, PerRowOrdering, Promotion, ReadView, ReplicaMetrics,
@@ -433,6 +433,12 @@ impl CutCoordinator {
         self.gc.horizon()
     }
 
+    /// Holds version GC back while a checkpoint export scans (see
+    /// [`GcDriver::hold`]); take it before pinning the export's cut.
+    pub fn hold_gc(&self) -> GcHold<'_> {
+        self.gc.hold()
+    }
+
     /// The replica's progress counters: the global positions, and every
     /// shard's apply counters summed. Read in the order
     /// [`Exposure::metrics`] requires: positions before counters, and each
@@ -742,13 +748,16 @@ impl ShardedC5Replica {
     /// pins `(cut, vector)` atomically, and each row is captured at its own
     /// shard's component — exactly the state the view exposes.
     ///
-    /// # Panics
-    /// Panics if the version-GC horizon overtook the global cut while the
-    /// export ran (see
-    /// [`C5Replica::checkpoint`](crate::replica::C5Replica::checkpoint) —
+    /// Version GC is held back for the duration of the export, exactly as in
+    /// [`C5Replica::checkpoint`](crate::replica::C5Replica::checkpoint):
     /// every vector component is at least the global cut, so a horizon at or
-    /// below the cut keeps every exported version safe).
+    /// below the cut keeps every exported version safe.
+    ///
+    /// # Panics
+    /// Panics if the version-GC horizon is above the global cut after the
+    /// export — an invariant of the hold, not a condition a caller can hit.
     pub fn checkpoint(&self) -> Checkpoint {
+        let _gc_held = self.coordinator.hold_gc();
         let view = self.coordinator.read_view();
         let checkpoint = CheckpointWriter::capture_vector(
             &self.coordinator.store,
@@ -759,8 +768,8 @@ impl ShardedC5Replica {
         let horizon = self.coordinator.gc_horizon();
         assert!(
             horizon <= checkpoint.cut(),
-            "GC horizon {horizon} overtook the checkpoint cut {} during the \
-             export — raise gc_trail so the trail covers the capture window",
+            "GC horizon {horizon} overtook the checkpoint cut {} although GC \
+             was held for the export",
             checkpoint.cut()
         );
         checkpoint

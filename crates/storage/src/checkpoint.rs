@@ -105,8 +105,9 @@ impl CheckpointWriter {
     /// version-GC horizon at or below `cut` for the duration of the capture
     /// (a horizon past the cut may collect the very versions the export
     /// needs); the replica-level helpers (`C5Replica::checkpoint`,
-    /// `ShardedC5Replica::checkpoint`) verify this after the export — the
-    /// horizon is monotone, so a post-scan check proves the scan was safe.
+    /// `ShardedC5Replica::checkpoint`) hold GC back for the export and verify
+    /// the horizon after it — it is monotone, so a post-scan check proves the
+    /// scan was safe.
     pub fn capture(store: &MvStore, cut: SeqNo) -> Checkpoint {
         let ts = Timestamp(cut.as_u64());
         Checkpoint {

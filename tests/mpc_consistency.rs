@@ -217,14 +217,16 @@ fn c5_fan_out_1_to_3_guarantees_mpc_per_replica() {
 /// bounded channel per replica, and per-replica lag in the report.
 #[test]
 fn fan_out_harness_reports_per_replica_lag() {
-    use c5_bench::harness::{run_fanout_streaming, StreamingSetup};
-    use c5_bench::ReplicaSpec;
-    use c5_repro::workloads::synthetic::adversarial_population;
+    use c5_bench::experiments::fanout;
+    use c5_bench::{ReplicaSpec, Scale};
 
-    let mut setup = StreamingSetup::new(Duration::from_millis(250), 2, 2);
-    setup.population = adversarial_population();
-    let factory: Arc<dyn TxnFactory> = Arc::new(AdversarialWorkload::new(2));
-    let outcome = run_fanout_streaming(&setup, factory, ReplicaSpec::C5Faithful, 3);
+    let scale = Scale {
+        duration: Duration::from_millis(250),
+        fanout_replicas: 3,
+        ..Scale::smoke()
+    };
+    let scenario = fanout::scenario(&scale, ReplicaSpec::C5Faithful);
+    let outcome = c5_bench::harness::run_scenario(&scenario);
 
     assert!(outcome.primary.committed > 0);
     assert_eq!(outcome.replicas.len(), 3);

@@ -223,3 +223,61 @@ fn one_shard_is_the_unsharded_replica() {
     assert_eq!(unsharded.lag().len(), sharded.lag().len());
     assert_eq!(sharded.cut_vector(), [sharded.exposed_seq()]);
 }
+
+/// Checkpoints exported back to back while `replica` applies the mixed log
+/// with `gc_trail = 0` — so every exposed position is also a GC horizon, and
+/// an export that did not hold GC back would lose the versions at its cut to
+/// the first cut published during its scan. Each checkpoint must be the
+/// serial state at its cut, and a replica resumed from it and fed the rest of
+/// the log must end at the serial final state.
+fn checkpoints_survive_zero_trail_gc<R: ClonedConcurrencyControl>(
+    replica: &R,
+    checkpoint: impl Fn(&R) -> Checkpoint + Sync,
+) {
+    let (population, segments) = mixed_log();
+    let archive = LogArchive::new();
+    segments.iter().for_each(|segment| archive.append(segment));
+
+    let mut checkpoints = Vec::new();
+    sample_while(
+        || checkpoints.push(checkpoint(replica)),
+        || drive_segments(replica, segments.clone()),
+    );
+
+    // Thin the samples to a handful spread over the run (the first and the
+    // last included) so the serial replays below stay cheap.
+    let stride = (checkpoints.len() / 8).max(1);
+    let last = checkpoints.len() - 1;
+    for (i, checkpoint) in checkpoints.iter().enumerate() {
+        if i % stride != 0 && i != last {
+            continue;
+        }
+        let resumed = C5Replica::resume_from_checkpoint(C5Mode::Faithful, checkpoint, config(1));
+        let mut checker = MpcChecker::new(&population, &segments);
+        checker
+            .verify_view(resumed.read_view().as_ref())
+            .unwrap_or_else(|e| panic!("checkpoint at {}: {e}", checkpoint.cut()));
+        let tail = archive
+            .replay_from(checkpoint.cut())
+            .expect("nothing was truncated");
+        drive_segments(resumed.as_ref(), tail);
+        assert_eq!(resumed.exposed_seq(), checker.final_seq());
+        checker
+            .verify_view(resumed.read_view().as_ref())
+            .unwrap_or_else(|e| panic!("replay from {}: {e}", checkpoint.cut()));
+    }
+}
+
+#[test]
+fn checkpoints_under_zero_trail_gc_replay_mpc_clean() {
+    let (population, _) = mixed_log();
+    for mode in [C5Mode::Faithful, C5Mode::OneWorkerPerTxn] {
+        let replica = C5Replica::new(mode, preloaded(&population), config(1).with_gc_trail(0));
+        checkpoints_survive_zero_trail_gc(replica.as_ref(), C5Replica::checkpoint);
+    }
+    for shards in [1, 4] {
+        let replica =
+            ShardedC5Replica::new(preloaded(&population), config(shards).with_gc_trail(0));
+        checkpoints_survive_zero_trail_gc(replica.as_ref(), ShardedC5Replica::checkpoint);
+    }
+}
