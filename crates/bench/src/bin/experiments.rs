@@ -30,14 +30,22 @@
 //!   bench           Emit the committed BENCH_*.json scenario documents
 //!                   (--smoke for CI's reduced-iteration schema check;
 //!                   BENCH_OUT_DIR overrides the output directory)
-//!   all             Everything above except bench, in order
+//!   pairs           Interleaved parent/change pairs of two built
+//!                   c5-benchmark binaries: --parent <bin> --change <bin>
+//!                   [--pairs 10] [--seed S] [--workload W] [--trace 0|1]
+//!                   [--seconds N]; prints the CHANGES.md comparison table
+//!   all             Everything above except bench and pairs, in order
 //! ```
 
 use c5_bench::experiments;
 use c5_bench::Scale;
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A tool with its own flags, not a scenario at a scale.
+    if args.first().is_some_and(|a| a == "pairs") {
+        return c5_bench::pairs::main(&args[1..]);
+    }
     let full = args.iter().any(|a| a == "--full");
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = if full { Scale::full() } else { Scale::quick() };
@@ -68,7 +76,7 @@ fn main() {
         match c5_bench::report::run(&config, mode, &out_dir) {
             Ok(files) => {
                 println!("bench: all {} files validated", files.len());
-                return;
+                return std::process::ExitCode::SUCCESS;
             }
             Err(err) => {
                 eprintln!("bench failed: {err}");
@@ -142,4 +150,5 @@ fn main() {
     } else {
         run_one(&command);
     }
+    std::process::ExitCode::SUCCESS
 }

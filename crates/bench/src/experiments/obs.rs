@@ -10,6 +10,9 @@
 //! exposes that sink three ways:
 //!
 //! 1. Prometheus-style text ([`c5_obs::MetricsSnapshot::to_prometheus`]),
+//!    followed by a digest of the log shipper's batching series
+//!    (`ship_segment_records`, `ship_partial_segments_total`,
+//!    `wire_queue_wait_ns`, `archive_append_ns`),
 //! 2. the snapshot as JSON ([`crate::obs_export::snapshot_json`]),
 //!    round-tripped through the workspace parser as a self-check,
 //! 3. the merged trace timeline, counted by kind and shown head-first.
@@ -65,6 +68,32 @@ pub fn run(scale: &Scale) {
 
     println!("== metrics: Prometheus text exposition ==");
     print!("{}", obs.metrics.snapshot().to_prometheus());
+
+    // The wire's natural batching, from the sink alone: how big the
+    // segments the idle rule cut were, how many left below the size bound,
+    // and what the wire thread spent queueing and archiving them.
+    println!("\n== log shipping: batch sizes and the wire thread ==");
+    let snap = obs.metrics.snapshot();
+    println!(
+        "ship_partial_segments_total {} of ship_segments_total {}",
+        snap.counter("ship_partial_segments_total").unwrap_or(0),
+        snap.counter("ship_segments_total").unwrap_or(0)
+    );
+    for series in [
+        "ship_segment_records",
+        "wire_queue_wait_ns",
+        "archive_append_ns",
+    ] {
+        let h = (snap.histogram(series)).unwrap_or_else(|| panic!("{series} is registered"));
+        println!(
+            "{series:<22} n={:<7} mean={:<10.1} p50={:<8} p99={:<8} max={}",
+            h.count(),
+            h.mean(),
+            h.percentile(0.50),
+            h.percentile(0.99),
+            h.max()
+        );
+    }
 
     println!("\n== metrics: JSON exposition (round-tripped) ==");
     let doc = document(obs);

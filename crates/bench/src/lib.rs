@@ -37,6 +37,14 @@
 //! outputs: since the repo's benchmark lives in `benchmark/`, nothing gates
 //! on their numbers. The JSON is hand-rolled ([`json`]) because the workspace
 //! deliberately has no serialization dependency.
+//!
+//! ## Comparing two commits
+//!
+//! `experiments pairs` ([`pairs`]) takes two built `c5-benchmark` binaries —
+//! the parent commit's and a change's — runs them in interleaved pairs and
+//! prints the median / quartile / pairs-won table a performance claim is
+//! judged by. It reads only what the binaries print; `benchmark/` stays the
+//! unmodified gate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,6 +53,7 @@ pub mod experiments;
 pub mod harness;
 pub mod json;
 pub mod obs_export;
+pub mod pairs;
 pub mod report;
 pub mod scale;
 

@@ -45,6 +45,16 @@ pub enum Error {
         /// The largest position truncation has dropped.
         truncated_through: SeqNo,
     },
+    /// A durable log archive could not persist a segment. The archive holds
+    /// exactly what it held before the failed append; the wire that was
+    /// feeding it ends there (`LogShipper::failure` reports this error), so
+    /// the archive stays equal to what subscribers were sent.
+    ArchiveIo {
+        /// First position of the segment that could not be persisted.
+        first: SeqNo,
+        /// The archive directory and the operating system's error.
+        message: String,
+    },
     /// A fleet-membership operation targeted a replica in the wrong
     /// lifecycle state (or one that is not a fleet member at all), or a
     /// join/retire could not complete its transition — e.g. a joiner that
@@ -111,6 +121,10 @@ impl fmt::Display for Error {
                 f,
                 "archive replay from {from} is below the truncation point {truncated_through}: \
                  the records above the requested cut are gone"
+            ),
+            Error::ArchiveIo { first, message } => write!(
+                f,
+                "durable archive failed to persist the segment starting at {first} under {message}"
             ),
             Error::Lifecycle(msg) => write!(f, "fleet lifecycle error: {msg}"),
             Error::ReadTimeout { required, freshest } => write!(

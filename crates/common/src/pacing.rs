@@ -3,10 +3,9 @@
 //! Two recurring timing patterns in this workspace used to be written with
 //! raw `thread::sleep` calls, and both misbehave under heavy load:
 //!
-//! * **Fixed-interval pacing** (a sampler taking a view every 300µs, a
-//!   shipper simulating per-segment network latency): `sleep(interval)` in a
-//!   loop drifts by the oversleep of every iteration, so on a loaded CI host
-//!   the simulated rate silently degrades. [`Pacer`] keeps an absolute
+//! * **Fixed-interval pacing** (a sampler taking a view every 300µs):
+//!   `sleep(interval)` in a loop drifts by the oversleep of every
+//!   iteration, so on a loaded CI host the intended rate silently degrades. [`Pacer`] keeps an absolute
 //!   deadline and advances it by `interval` per tick, so oversleeping one
 //!   tick does not slow down the ticks after it.
 //! * **Waiting for a condition** (a test waiting for a replica to expose a
@@ -44,9 +43,8 @@ pub fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 /// if the thread oversleeps within one interval, the next tick comes sooner,
 /// so the long-run rate stays one tick per interval. Falling more than one
 /// interval behind (an idle gap, not an oversleep) resets the schedule to a
-/// full interval from now — no burst through missed deadlines, and the
-/// "every tick costs at least close to one interval" floor that simulated
-/// wire latency depends on is preserved.
+/// full interval from now — no burst through missed deadlines, and every
+/// tick still costs at least close to one interval.
 #[derive(Debug)]
 pub struct Pacer {
     interval: Duration,
@@ -140,8 +138,7 @@ mod tests {
     #[test]
     fn pacer_imposes_a_full_interval_after_an_idle_gap() {
         // Miss many deadlines, then tick: no burst through the backlog, and
-        // the tick still pays (close to) one full interval — the per-tick
-        // latency floor simulated wire delays rely on.
+        // the tick still pays (close to) one full interval.
         let mut pacer = Pacer::new(Duration::from_millis(5));
         pacer.wait();
         std::thread::sleep(Duration::from_millis(20));

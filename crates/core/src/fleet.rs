@@ -12,14 +12,19 @@
 //! The correctness hinge is the **gap-closure invariant**: the joiner
 //! subscribes to the live stream *before* the archive replay finishes.
 //! [`c5_log::LogShipper::subscribe`] returns `starts_after` — the coverage
-//! watermark read under the same lock that advances it and appends to the
-//! archive — so the archive is guaranteed to hold every record at or below
-//! `starts_after`, the channel delivers every record above it, and no
-//! sequence number falls between the two. The replay applies exactly the
-//! archived segments covered at or below `starts_after` (segments the
-//! archive gained *after* the subscription also arrive live, and are
-//! skipped from the replay by that same filter), the driver thread applies
-//! the stream, and once the joiner's exposed cut reaches
+//! watermark, read under the same lock the wire thread advances it and
+//! snapshots the members under, and advanced only *after* the archive holds
+//! the segment — so the archive is guaranteed to hold every record at or
+//! below `starts_after`, the channel delivers every record above it, and no
+//! sequence number falls between the two. The archive can be *ahead* of
+//! `starts_after`, in two ways: segments it gained after the subscription,
+//! and the one segment the wire thread had archived but not yet announced
+//! when the subscription was taken. Both also arrive live (the member
+//! snapshot that delivers them is taken after the subscription), so the
+//! replay applies exactly the archived segments covered at or below
+//! `starts_after` and skips the rest — `starts_after` is always a shipped
+//! segment's coverage boundary, so the filter never splits one. The driver
+//! thread applies the stream, and once the joiner's exposed cut reaches
 //! `max(checkpoint cut, starts_after)` it is provably a prefix-complete
 //! clone and flips to `Serving`.
 //!
@@ -302,11 +307,12 @@ impl FleetController {
         let mut state = ReplicaLifecycle::Bootstrapping.advance(ReplicaLifecycle::CatchingUp)?;
         let stream_start = subscription.starts_after;
         // Replay exactly the archived segments the live stream will not
-        // deliver. The archive may have grown past `starts_after` between
-        // the subscription and this call; those segments arrive on the
-        // channel and are filtered out here so nothing applies twice.
-        // `starts_after` is always a shipped-segment coverage boundary, so
-        // the filter never splits a segment.
+        // deliver. The archive may be past `starts_after` — it grew since
+        // the subscription, or the wire thread had archived a segment it
+        // had not announced yet; those segments arrive on the channel and
+        // are filtered out here so nothing applies twice. `starts_after` is
+        // always a shipped-segment coverage boundary, so the filter never
+        // splits a segment.
         let mut replayed_records = 0u64;
         for segment in self.archive.replay_from(cut)? {
             if segment.covered_through() > stream_start {
@@ -619,9 +625,17 @@ mod tests {
         let shipper = shipper.with_archive(Arc::clone(&archive));
         let controller = controller_over(&shipper, &archive);
 
-        // History shipped before anyone joined: archive-only.
+        // History shipped before anyone joined: archive-only. The wire
+        // thread announces a segment before it sends it, so the probe's
+        // receipt means the watermark covers it.
+        let probe = shipper.subscribe(16).unwrap();
         let (seg1, next) = segment_at(1, SeqNo::ZERO);
         shipper.ship(seg1);
+        probe
+            .receiver
+            .recv()
+            .expect("the wire delivers the segment");
+        assert!(shipper.unsubscribe(probe.id));
 
         let report = controller
             .join_seeded(Arc::new(MvStore::default()))

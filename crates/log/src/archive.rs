@@ -122,12 +122,24 @@ impl DiskBacking {
         file.write_all(&encode_segment(segment))?;
         self.unsynced.push(path.clone());
         if self.policy.should_sync(self.unsynced.len() as u32) {
-            for pending in self.unsynced.drain(..) {
-                fs::File::open(&pending)?.sync_all()?;
+            if let Err(e) = self.sync_pending() {
+                // The segment is not retained, so it must not be synced
+                // later either; earlier unsynced files stay pending.
+                self.unsynced.pop();
+                return Err(e);
             }
-            sync_dir(&self.dir);
         }
         self.files.push_back(path);
+        Ok(())
+    }
+
+    /// Fsyncs every file written since the last sync, then the directory.
+    fn sync_pending(&mut self) -> io::Result<()> {
+        for pending in &self.unsynced {
+            fs::File::open(pending)?.sync_all()?;
+        }
+        self.unsynced.clear();
+        sync_dir(&self.dir);
         Ok(())
     }
 }
@@ -328,18 +340,24 @@ impl LogArchive {
     /// (Disk-backed archives do not persist coverage-only advances; after a
     /// reopen the watermark regresses to what the retained records show.)
     ///
+    /// Fails with [`Error::ArchiveIo`] when the disk backing cannot persist
+    /// the segment. The archive is then exactly what it was before the call —
+    /// the watermark has not moved and the segment is not retained — so the
+    /// in-memory and on-disk logs stay the same log; a file the failed write
+    /// left behind is overwritten by a retry or trimmed by the next
+    /// [`LogArchive::open`].
+    ///
     /// # Panics
     /// Panics if a non-empty segment does not directly follow the archive's
     /// watermark — an archive with a gap would silently replay a corrupt
     /// log, so a misordered producer fails loudly here (mirroring the
-    /// replica-side `BoundaryLedger` contiguity assert) — and on an I/O
-    /// failure of the disk backing, for the same reason: continuing past a
-    /// failed persist would desynchronize the in-memory and on-disk logs.
-    pub fn append(&self, segment: &Segment) {
+    /// replica-side `BoundaryLedger` contiguity assert). That is a bug in
+    /// this program, not something the environment can cause.
+    pub fn try_append(&self, segment: &Segment) -> Result<()> {
         let mut inner = self.inner.lock();
         let Some(first) = segment.first_seq() else {
             inner.last_seq = inner.last_seq.max(segment.covered_through());
-            return;
+            return Ok(());
         };
         let expected = inner.last_seq.max(inner.truncated_through);
         assert_eq!(
@@ -348,17 +366,28 @@ impl LogArchive {
             "archived segments must arrive in log order: got a segment \
              starting at {first} when the archive holds through {expected}"
         );
-        inner.last_seq = segment.covered_through();
         if let Some(disk) = inner.disk.as_mut() {
-            if let Err(e) = disk.persist_segment(segment, first) {
-                panic!(
-                    "durable archive failed to persist the segment starting at {first} \
-                     under {}: {e}",
-                    disk.dir.display()
-                );
-            }
+            disk.persist_segment(segment, first)
+                .map_err(|e| Error::ArchiveIo {
+                    first,
+                    message: format!("{}: {e}", disk.dir.display()),
+                })?;
         }
+        inner.last_seq = segment.covered_through();
         inner.segments.push_back(segment.clone());
+        Ok(())
+    }
+
+    /// [`LogArchive::try_append`] for callers with nowhere to send an error.
+    ///
+    /// # Panics
+    /// Panics where `try_append` does, and on an I/O failure of the disk
+    /// backing: continuing past a failed persist would desynchronize the
+    /// archive from whatever the caller does with the segment next.
+    pub fn append(&self, segment: &Segment) {
+        if let Err(e) = self.try_append(segment) {
+            panic!("{e}");
+        }
     }
 
     /// Drops every retained segment that lies entirely at or below `cut`
@@ -467,13 +496,10 @@ impl LogArchive {
     /// directory to another process.
     pub fn sync(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        if let Some(disk) = inner.disk.as_mut() {
-            for pending in disk.unsynced.drain(..) {
-                fs::File::open(&pending)?.sync_all()?;
-            }
-            sync_dir(&disk.dir);
+        match inner.disk.as_mut() {
+            Some(disk) => disk.sync_pending(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Number of segments currently retained.
@@ -564,6 +590,27 @@ mod tests {
         let (archive, segments) = archive_with_log();
         // Re-appending the first segment is out of order.
         archive.append(&segments[0]);
+    }
+
+    #[test]
+    fn a_failed_persist_is_a_typed_error_and_leaves_the_archive_as_it_was() {
+        let dir = scratch_dir("persist-failure");
+        let segments = test_log();
+        let archive = LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create");
+        archive
+            .try_append(&segments[0])
+            .expect("the directory exists");
+        fs::remove_dir_all(&dir).expect("pull the directory out from under it");
+
+        match archive.try_append(&segments[1]) {
+            Err(Error::ArchiveIo { first, .. }) => assert_eq!(first, SeqNo(5)),
+            other => panic!("expected ArchiveIo, got {other:?}"),
+        }
+        // Nothing moved: the failed segment is neither counted nor retained,
+        // and it is still the next one the archive expects.
+        assert_eq!(archive.last_seq(), SeqNo(4));
+        assert_eq!(archive.retained_segments(), 1);
+        assert!(archive.try_append(&segments[1]).is_err());
     }
 
     #[test]

@@ -1,5 +1,41 @@
 //! Loggers: a live streaming logger (MyRocks role) and per-thread logs with
 //! offline coalescing (Cicada role).
+//!
+//! # When the streaming logger ships
+//!
+//! [`StreamingLogger`] is the one place that decides "ship now". Every
+//! append adds a whole transaction to the open segment and then ships that
+//! segment if either
+//!
+//! * it has reached `segment_records` — the **upper bound**, and the point
+//!   where a bounded wire pushes back on committers; or
+//! * the wire is **idle** ([`LogShipper`]'s rule: at least one subscriber,
+//!   every subscriber's queue empty, and on an archived wire no archive
+//!   append queued or in flight).
+//!
+//! That is natural batching: an idle backup sees each commit one hand-off
+//! after it happened, a busy one gets whatever accumulated while it was busy
+//! (up to the bound), and there is no linger, timeout or minimum size to
+//! tune — the batch size is set by how fast the consumers drain. A shipper
+//! with no subscribers is never idle, so it cuts on size alone.
+//!
+//! The rule is evaluated only when something is appended. A primary that
+//! goes quiet while the wire is busy therefore keeps its last transactions
+//! buffered until the next append, [`StreamingLogger::flush`] (the read
+//! router's tail-flush hook) or [`StreamingLogger::close`].
+//!
+//! # Lock order and threads
+//!
+//! A committer holds its row locks, then the logger lock, and — still under
+//! the logger lock — calls [`LogShipper::ship`], because the order of
+//! segments on the wire must equal log order. What `ship` does under that
+//! lock is a channel send per subscriber (un-archived wire) or one bounded
+//! enqueue to the wire thread (archived wire); the archive write and its
+//! fsync never run on a committing thread. Sampling the log end
+//! ([`StreamingLogger::last_seq`], [`StreamingLogger::appended_txns`]) takes
+//! no lock at all.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -14,22 +50,31 @@ use crate::ship::LogShipper;
 /// The primary's executor threads call [`StreamingLogger::append`] while
 /// holding their write locks (or immediately after validation), so the append
 /// order *is* the commit order — exactly the property the backup's protocols
-/// rely on. Completed segments are pushed to the attached [`LogShipper`].
+/// rely on. Segments are cut on demand (see the [module docs](self)) and
+/// pushed to the attached [`LogShipper`].
 pub struct StreamingLogger {
     inner: Mutex<StreamingInner>,
     shipper: LogShipper,
+    /// `inner.next_seq`, mirrored so the log end can be sampled while a
+    /// committer is parked inside a backpressured `ship()` holding `inner`.
+    /// Stored (`Release`) under the lock, loaded (`Acquire`) without it: a
+    /// sampler that sees a position also sees everything the committer did
+    /// before assigning it.
+    last_seq: AtomicU64,
+    /// Transactions appended; bumped under the lock, sampled without it.
+    appended_txns: AtomicU64,
 }
 
 struct StreamingInner {
     builder: SegmentBuilder,
     next_seq: SeqNo,
     next_commit_ts: Timestamp,
-    appended_txns: u64,
 }
 
 impl StreamingLogger {
-    /// Creates a logger that packs `segment_records` records per segment and
-    /// ships them through `shipper`.
+    /// Creates a logger that packs at most `segment_records` records per
+    /// segment (a transaction larger than that still travels whole) and ships
+    /// them through `shipper`.
     pub fn new(segment_records: usize, shipper: LogShipper) -> Self {
         Self::resume_at(segment_records, shipper, SeqNo::ZERO)
     }
@@ -47,9 +92,10 @@ impl StreamingLogger {
                 builder: SegmentBuilder::new(segment_records),
                 next_seq: cut,
                 next_commit_ts: Timestamp(cut.as_u64()),
-                appended_txns: 0,
             }),
             shipper,
+            last_seq: AtomicU64::new(cut.as_u64()),
+            appended_txns: AtomicU64::new(0),
         }
     }
 
@@ -79,44 +125,68 @@ impl StreamingLogger {
         let entry = TxnEntry::new(txn, commit_ts, writes);
         let (records, next_seq) = explode_txn(&entry, inner.next_seq);
         inner.next_seq = next_seq;
-        inner.appended_txns += 1;
-        let seg = if records.is_empty() {
+        // Published before the ship, which may park on a full wire; the
+        // count first, so whoever sees the position sees its transaction
+        // counted.
+        self.appended_txns.fetch_add(1, Ordering::Release);
+        self.last_seq.store(next_seq.as_u64(), Ordering::Release);
+        let full = if records.is_empty() {
             None
         } else {
             inner.builder.push_txn(records)
         };
-        if let Some(seg) = seg {
+        // Size is the bound; below it, demand decides: an idle wire takes
+        // what there is, a busy one lets the segment keep filling.
+        let segment = match full {
+            Some(segment) => Some(segment),
+            None if inner.builder.buffered() > 0 && self.shipper.is_idle() => inner.builder.flush(),
+            None => None,
+        };
+        if let Some(segment) = segment {
             // Ship while still holding the logger lock: the order of segments
             // on the wire must equal log order, and releasing the lock first
             // would let a concurrent append overtake between building a
             // segment and shipping it (the backup's per-row `prev_seq`
             // stamping silently corrupts on reordered segments). Backpressure
             // from a bounded shipper deliberately propagates to committers.
-            self.shipper.ship(seg);
+            self.ship(&inner, segment);
         }
-        (commit_ts, inner.next_seq)
+        (commit_ts, next_seq)
     }
 
-    /// Flushes any buffered records into a final segment and ships it.
-    /// Call this when the workload ends so the backup sees every write.
+    /// Puts one cut segment on the wire. Takes the held lock's guard as the
+    /// proof that the caller is the one thread allowed to ship right now.
+    fn ship(&self, inner: &StreamingInner, segment: Segment) {
+        if segment.len() < inner.builder.target_records() {
+            self.shipper.note_partial_segment();
+        }
+        self.shipper.ship(segment);
+    }
+
+    /// Ships any buffered records as a final, undersized segment, whatever
+    /// the wire is doing. Call this when the workload ends — or when a reader
+    /// is waiting on the tail of a primary that has gone quiet — so the
+    /// backup sees every write.
     pub fn flush(&self) {
         // Hold the logger lock across the ship, for the same ordering reason
         // as `append`.
         let mut inner = self.inner.lock();
-        if let Some(seg) = inner.builder.flush() {
-            self.shipper.ship(seg);
+        if let Some(segment) = inner.builder.flush() {
+            self.ship(&inner, segment);
         }
     }
 
-    /// Number of transactions appended so far.
+    /// Number of transactions appended so far. Lock-free.
     pub fn appended_txns(&self) -> u64 {
-        self.inner.lock().appended_txns
+        self.appended_txns.load(Ordering::Acquire)
     }
 
     /// Highest write sequence number assigned so far. Includes records still
     /// buffered in the current segment, i.e. assigned but not yet shipped.
+    /// Lock-free: it returns while a committer is parked inside a
+    /// backpressured ship.
     pub fn last_seq(&self) -> SeqNo {
-        self.inner.lock().next_seq
+        SeqNo(self.last_seq.load(Ordering::Acquire))
     }
 
     /// Flushes the buffered tail and closes the shipping channel, signalling
@@ -126,12 +196,14 @@ impl StreamingLogger {
     /// the flushed tail is shipped exactly once, and no concurrent `append`
     /// or `flush` can slip another segment onto the wire after it (the
     /// replica's `BoundaryLedger` hard-asserts segment contiguity, so a
-    /// post-tail segment would fail loudly there). Idempotent — a second
-    /// close finds an empty builder and an already-closed shipper.
+    /// post-tail segment would fail loudly there). On an archived wire the
+    /// close returns once the wire thread has archived and delivered
+    /// everything shipped before it. Idempotent — a second close finds an
+    /// empty builder and an already-closed shipper.
     pub fn close(&self) {
         let mut inner = self.inner.lock();
-        if let Some(seg) = inner.builder.flush() {
-            self.shipper.ship(seg);
+        if let Some(segment) = inner.builder.flush() {
+            self.ship(&inner, segment);
         }
         self.shipper.close();
     }
@@ -139,8 +211,9 @@ impl StreamingLogger {
     /// Simulates a primary crash: closes the shipping channel *without*
     /// flushing the buffered tail. Records already assigned sequence numbers
     /// but not yet shipped are lost, exactly as an asynchronously replicated
-    /// primary loses its unshipped tail on failure. The failover experiments
-    /// use this to kill the primary mid-workload.
+    /// primary loses its unshipped tail on failure; what was shipped is still
+    /// archived and delivered, so the archive equals the wire. The failover
+    /// experiments use this to kill the primary mid-workload.
     pub fn crash(&self) {
         // Take the logger lock so no append is mid-ship while the wire
         // closes (the wire sees a clean, segment-aligned prefix).
@@ -276,34 +349,230 @@ mod tests {
     fn streaming_logger_flush_ships_partial_segment() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(100, shipper);
+        // The wire is idle, so the first commit leaves at once...
         logger.append(TxnId(1), vec![write(1, 1)]);
-        // Nothing shipped yet: segment target not reached.
-        assert_eq!(receiver.try_len(), 0);
+        assert_eq!(receiver.try_len(), 1);
+        // ...and while that segment sits undrained the wire is busy: the
+        // next commit, far below the bound, stays buffered.
+        logger.append(TxnId(2), vec![write(2, 2)]);
+        assert_eq!(receiver.try_len(), 1);
+        // A flush ships it whatever the wire is doing.
         logger.flush();
-        assert_eq!(flatten(&receiver.drain_available()).len(), 1);
+        assert_eq!(flatten(&receiver.drain_available()).len(), 2);
     }
 
     #[test]
     fn tail_shipping_is_exactly_once_across_flush_and_close() {
-        // A segment target that is never reached, so every ship is a tail
-        // ship: repeated flushes and closes must deliver each record exactly
-        // once and never produce an empty segment on the wire.
+        // A size bound that is never reached: the first commit ships on the
+        // idle rule, everything after it only as a tail. Repeated flushes
+        // and closes must deliver each record exactly once and never put an
+        // empty segment on the wire.
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(100, shipper);
         logger.append(TxnId(1), vec![write(1, 1)]);
+        logger.flush(); // already shipped: must ship nothing
+        logger.append(TxnId(2), vec![write(2, 2)]); // wire busy: buffered
         logger.flush();
         logger.flush(); // nothing buffered: must ship nothing
-        logger.append(TxnId(2), vec![write(2, 2)]);
+        logger.append(TxnId(3), vec![write(3, 3)]);
         logger.close();
         logger.close(); // idempotent: no duplicate tail, no empty segment
 
         let segments = receiver.drain();
+        assert_eq!(segments.len(), 3);
         assert!(
             segments.iter().all(|s| !s.is_empty()),
             "no empty segment may reach the wire"
         );
         let seqs: Vec<u64> = flatten(&segments).iter().map(|r| r.seq.as_u64()).collect();
-        assert_eq!(seqs, vec![1, 2], "each record ships exactly once");
+        assert_eq!(seqs, vec![1, 2, 3], "each record ships exactly once");
+    }
+
+    #[test]
+    fn idle_wire_carries_every_append_by_the_time_it_returns() {
+        let (shipper, receiver) = LogShipper::bounded(4);
+        let logger = StreamingLogger::new(256, shipper);
+        for t in 1..=50u64 {
+            logger.append(TxnId(t), vec![write(t, t), write(1_000 + t, t)]);
+            // The receiver drains each segment before the next append, so
+            // the wire is idle every time: the commit is already on it.
+            let segment = receiver.try_recv().expect("shipped when append returned");
+            assert_eq!(segment.len(), 2);
+            assert_eq!(segment.covered_through(), logger.last_seq());
+            assert!(segment.transactions_are_whole());
+        }
+        logger.close();
+        assert!(receiver.drain().is_empty());
+    }
+
+    #[test]
+    fn busy_wire_fills_segments_to_the_bound() {
+        // The receiver never drains (the shape of a log materialised for
+        // later replay): after the first ship the wire is never idle again,
+        // so every later segment is cut on size.
+        let (shipper, receiver) = LogShipper::unbounded();
+        let logger = StreamingLogger::new(8, shipper);
+        for t in 1..=41u64 {
+            logger.append(TxnId(t), vec![write(t, t), write(1_000 + t, t)]);
+        }
+        logger.close();
+        let sizes: Vec<usize> = receiver.drain().iter().map(Segment::len).collect();
+        // 82 records: the idle first commit, nine full segments, the tail.
+        assert_eq!(sizes, [vec![2], vec![8; 10]].concat());
+    }
+
+    #[test]
+    fn a_wire_without_subscribers_ships_on_size_only() {
+        let (shipper, receivers) = LogShipper::fan_out(0, 4);
+        assert!(receivers.is_empty());
+        let logger = StreamingLogger::new(4, shipper.clone());
+        for t in 1..=3u64 {
+            logger.append(TxnId(t), vec![write(t, t)]);
+            assert_eq!(shipper.shipped_through(), SeqNo::ZERO, "nobody is waiting");
+        }
+        logger.append(TxnId(4), vec![write(4, 4)]);
+        assert_eq!(shipper.shipped_through(), SeqNo(4));
+        logger.append(TxnId(5), vec![write(5, 5)]);
+        assert_eq!(shipper.shipped_through(), SeqNo(4));
+    }
+
+    #[test]
+    fn the_log_end_is_sampled_without_waiting_behind_a_parked_ship() {
+        use std::sync::Arc;
+        // One-record segments into a one-segment channel: the first append
+        // fills it, the second parks inside `ship` holding the logger lock.
+        let (shipper, receiver) = LogShipper::bounded(1);
+        let logger = Arc::new(StreamingLogger::new(1, shipper));
+        logger.append(TxnId(1), vec![write(1, 1)]);
+        let parked = {
+            let logger = Arc::clone(&logger);
+            std::thread::spawn(move || logger.append(TxnId(2), vec![write(2, 2)]))
+        };
+        // The committer publishes position 2 under the logger lock and keeps
+        // that lock until the channel has room, which only this thread can
+        // make. A frontier probe that took the lock would never return.
+        while logger.last_seq() < SeqNo(2) {
+            std::thread::yield_now();
+        }
+        assert_eq!(logger.appended_txns(), 2);
+        assert!(!parked.is_finished());
+        assert_eq!(receiver.try_len(), 1);
+        receiver.recv().unwrap();
+        parked.join().unwrap();
+        assert_eq!(receiver.recv().unwrap().covered_through(), SeqNo(2));
+    }
+
+    /// Invariants: wire order equals log order under concurrent committers,
+    /// no transaction is split across segments, and `flush`/`close` ship
+    /// each record exactly once — whatever the consumer is doing.
+    #[test]
+    fn concurrent_committers_keep_the_wire_ordered_whole_and_exactly_once() {
+        use std::sync::mpsc;
+        use std::sync::Arc;
+        const COMMITTERS: u64 = 4;
+        const TXNS: u64 = 120;
+        const BOUND: usize = 8;
+        // How many commits each consumer phase lasts: long enough for a
+        // stalled phase to fill at least one segment to the bound.
+        const PHASE: usize = 24;
+
+        let (shipper, receiver) = LogShipper::unbounded();
+        let logger = Arc::new(StreamingLogger::new(BOUND, shipper));
+        let (tick, ticks) = mpsc::channel::<()>();
+        let segments = std::thread::scope(|scope| {
+            // The consumer alternates between stalling (the wire backs up, so
+            // segments fill) and draining on every commit (the wire goes
+            // idle, so commits ship alone), switching every PHASE commits.
+            let receiver = &receiver;
+            let consumer = scope.spawn(move || {
+                let mut got = Vec::new();
+                let mut draining = false;
+                'phases: loop {
+                    for _ in 0..PHASE {
+                        if ticks.recv().is_err() {
+                            break 'phases;
+                        }
+                        if draining {
+                            got.extend(receiver.drain_available());
+                        }
+                    }
+                    draining = !draining;
+                }
+                got.extend(receiver.drain());
+                got
+            });
+            let committers: Vec<_> = (0..COMMITTERS)
+                .map(|c| {
+                    let (logger, tick) = (Arc::clone(&logger), tick.clone());
+                    scope.spawn(move || {
+                        for i in 0..TXNS {
+                            // One to three writes, a function of (c, i) only.
+                            let writes = (0..=(c + i) % 3)
+                                .map(|w| write(c * 100_000 + i * 10 + w, i))
+                                .collect();
+                            logger.append(TxnId(1 + c * TXNS + i), writes);
+                            if i % 17 == 0 {
+                                logger.flush();
+                            }
+                            tick.send(()).expect("the consumer outlives the committers");
+                        }
+                    })
+                })
+                .collect();
+            drop(tick);
+            for committer in committers {
+                committer.join().unwrap();
+            }
+            logger.close();
+            logger.close();
+            consumer.join().unwrap()
+        });
+
+        assert!(segments.iter().all(|s| !s.is_empty()));
+        assert!(segments.iter().all(Segment::transactions_are_whole));
+        // A segment closes as soon as it reaches the bound, so it overshoots
+        // by less than one transaction.
+        assert!(segments.iter().all(|s| s.len() < BOUND + 3));
+        assert!(segments.iter().any(|s| s.len() >= BOUND), "a stall fills");
+        assert!(
+            segments.iter().any(|s| s.len() < BOUND),
+            "an idle wire ships early"
+        );
+        let ids: Vec<u64> = segments.iter().map(|s| s.header.id).collect();
+        assert_eq!(ids, (0..segments.len() as u64).collect::<Vec<_>>());
+        let records = flatten(&segments);
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq.as_u64()).collect();
+        assert_eq!(seqs, (1..=logger.last_seq().as_u64()).collect::<Vec<_>>());
+        let txns = records.iter().filter(|r| r.is_txn_last()).count() as u64;
+        assert_eq!(txns, COMMITTERS * TXNS);
+        assert_eq!(logger.appended_txns(), COMMITTERS * TXNS);
+    }
+
+    /// Invariant: `crash()` leaves the archive equal to the wire — what was
+    /// shipped is archived and delivered, the buffered tail is in neither.
+    #[test]
+    fn crash_on_an_archived_wire_leaves_the_archive_equal_to_the_wire() {
+        let archive = std::sync::Arc::new(crate::archive::LogArchive::new());
+        let (shipper, receiver) = LogShipper::unbounded();
+        let shipper = shipper.with_archive(std::sync::Arc::clone(&archive));
+        let logger = StreamingLogger::new(4, shipper);
+        for t in 1..=11u64 {
+            logger.append(TxnId(t), vec![write(t, t)]);
+        }
+        logger.crash();
+        let wire: Vec<u64> = flatten(&receiver.drain())
+            .iter()
+            .map(|r| r.seq.as_u64())
+            .collect();
+        let archived: Vec<u64> = flatten(&archive.replay_from(SeqNo::ZERO).unwrap())
+            .iter()
+            .map(|r| r.seq.as_u64())
+            .collect();
+        assert_eq!(archived, wire);
+        assert_eq!(wire, (1..=wire.len() as u64).collect::<Vec<_>>());
+        assert!(wire.len() < 11, "the buffered tail is lost");
+        assert_eq!(archive.last_seq().as_u64(), wire.len() as u64);
+        assert_eq!(logger.last_seq(), SeqNo(11));
     }
 
     #[test]
@@ -339,7 +608,7 @@ mod tests {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(2, shipper);
         logger.append(TxnId(1), vec![write(1, 1), write(2, 1)]); // ships: fills a segment
-        logger.append(TxnId(2), vec![write(3, 2)]); // buffered
+        logger.append(TxnId(2), vec![write(3, 2)]); // buffered: the wire is busy
         logger.crash();
         // Only the shipped segment survives; the buffered tail is lost even
         // though its sequence numbers were assigned.

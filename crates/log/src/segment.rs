@@ -162,6 +162,11 @@ impl SegmentBuilder {
     pub fn buffered(&self) -> usize {
         self.current.len()
     }
+
+    /// The record count at which a segment closes on size.
+    pub fn target_records(&self) -> usize {
+        self.target_records
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,65 @@
 //!
 //! The paper assumes the log is delivered promptly (Section 2.4, Section 3.1
 //! assumes instantaneous delivery); the interesting dynamics are entirely in
-//! how fast a backup can *apply* it. The shipper is therefore a thin set of
-//! bounded channels with an optional artificial per-segment delay used only
-//! by tests that need to exercise slow-network behaviour.
+//! how fast a backup can *apply* it. The wire's job is therefore to add as
+//! little as it can to the time between a commit and its arrival at every
+//! subscriber — and, where the log must also be durable, to keep the
+//! archive's fsync off the committing threads.
+//!
+//! # Natural batching: the idle rule
+//!
+//! The shipper does not decide when a segment closes; the
+//! [`StreamingLogger`](crate::logger::StreamingLogger) does, by asking the
+//! shipper on every append whether it is idle. The wire is **idle** when it
+//! has at least one subscriber, every subscriber's queue is empty, and — on
+//! an archived wire — no archive append is queued or in flight. An idle wire is
+//! handed the open segment at once, however small; a busy one lets it fill
+//! to the logger's bound. Batch size therefore follows demand (what
+//! accumulated while the consumers were busy) and there is no linger,
+//! timeout or minimum-size setting. A wire with no subscribers is never
+//! idle: with nobody waiting, segments are cut on size.
+//!
+//! # What runs on which thread
+//!
+//! * **Un-archived shipper** — [`LogShipper::ship`] delivers inline, on the
+//!   calling (committing) thread: watermark advance under the registry
+//!   lock, then one channel send per subscriber outside it. No thread is
+//!   spawned.
+//! * **Archived shipper** ([`LogShipper::with_archive`]) — `ship` is one
+//!   bounded enqueue to the shipper's **wire thread**, which alone runs, per
+//!   segment and in queue order: `LogArchive::try_append` (the fsync; no
+//!   shipper or logger lock held), then the watermark advance and member
+//!   snapshot under the registry lock, then the fan-out. Whatever commits
+//!   during one fsync is the next segment — group commit, by the idle rule,
+//!   without a setting. [`LogShipper::close`] is a message on the same
+//!   queue: the thread archives and delivers everything enqueued before it,
+//!   then ends the log, and `close` returns once the thread has exited.
+//!
+//! Lock order, outermost first: a committer's row locks → the logger lock →
+//! (archived) the wire queue's own lock / (un-archived) the registry lock →
+//! a subscriber channel's lock. The wire thread takes the archive lock, the
+//! registry lock and the channel locks one at a time, never nested, and
+//! never takes the logger lock.
+//!
+//! # Invariants
+//!
+//! 1. **Wire order = log order.** The logger ships under its lock, the wire
+//!    queue is FIFO, and one thread drains it.
+//! 2. **Archive = wire.** A segment is archived if and only if it is
+//!    delivered: both happen on the wire thread, in that order, and a
+//!    segment shipped after [`LogShipper::close`] (or after the wire failed)
+//!    gets neither. A crashed primary's unshipped tail is in neither.
+//! 3. **Watermark ≤ archive.** [`LogShipper::shipped_through`] (and so
+//!    [`Subscription::starts_after`]) advances only after the archive holds
+//!    the segment. Between the two there is a window in which the archive
+//!    is *ahead* of the watermark; a joiner subscribing inside it is also
+//!    sent that segment live, so its backfill must stop at `starts_after`,
+//!    not at the archive's end (`FleetController::join` filters exactly so).
+//!
+//! An archive I/O failure ends the wire instead of killing a thread: the
+//! wire thread closes the shipper (subscribers see end-of-log after a
+//! contiguous prefix that the archive also holds), later ships are
+//! discarded, and [`LogShipper::failure`] reports the typed error.
 //!
 //! One shipper can feed **several replicas at once**
 //! ([`LogShipper::fan_out`]): each replica gets its own bounded channel, so
@@ -53,14 +109,15 @@
 //! classify transactions straddling a segment boundary as cross-shard.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, SendError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
-use c5_common::{pacing::Pacer, Error, Result, SeqNo, ShardRouter, TxnId};
+use c5_common::{Error, Result, SeqNo, ShardRouter, TxnId};
 use c5_obs::{Counter, Histogram, Obs, TraceEvent};
 
 use crate::archive::LogArchive;
@@ -121,16 +178,14 @@ impl Registry {
 #[derive(Clone)]
 pub struct LogShipper {
     registry: Arc<Mutex<Option<Registry>>>,
-    /// Simulated per-segment ship latency, paced by deadline arithmetic
-    /// (shared across clones so concurrent shippers pace one wire).
-    pace: Option<Arc<Mutex<Pacer>>>,
     /// Key-ranged routing: when set, each shipped segment is split into one
     /// sub-segment per shard instead of being replicated to every receiver.
     routing: Option<Arc<Routing>>,
-    /// Retention: when set, every segment that actually goes on the wire is
-    /// also recorded here (before routing, so the archive holds the whole
-    /// log), enabling checkpoint truncation and cold-replica replay.
-    archive: Option<Arc<LogArchive>>,
+    /// Retention: when set, every segment that goes on the wire is first
+    /// recorded in the wire's archive (before routing, so the archive holds
+    /// the whole log) by the wire's own thread, enabling checkpoint
+    /// truncation and cold-replica replay.
+    wire: Option<Arc<Wire>>,
     /// Observability: when attached, every ship records one [`TraceEvent::Ship`]
     /// plus ship timing/volume metrics. Handles are resolved once here so the
     /// per-segment hot path never takes the registry lock.
@@ -143,6 +198,83 @@ struct ShipObs {
     ship_ns: Arc<Histogram>,
     segments: Arc<Counter>,
     records: Arc<Counter>,
+    /// Records per shipped segment: the batch sizes the idle rule produced.
+    segment_records: Arc<Histogram>,
+    /// Segments the logger shipped below its size bound.
+    partial_segments: Arc<Counter>,
+    /// Wire thread only: one `LogArchive::try_append`.
+    archive_append_ns: Arc<Histogram>,
+    /// Wire thread only: enqueue by `ship` → dequeue by the wire thread.
+    wire_queue_wait_ns: Arc<Histogram>,
+    archive_failures: Arc<Counter>,
+}
+
+/// Segments an archived shipper's `ship` may queue ahead of its wire thread
+/// before it blocks. The logger ships early only when nothing is queued, so
+/// in steady state the queue holds at most one segment; the bound matters
+/// when full segments arrive faster than the archive persists them, and
+/// then it is where committers feel the disk.
+const WIRE_QUEUE_SEGMENTS: usize = 16;
+
+/// The handle side of an archived shipper's wire thread.
+struct Wire {
+    queue: Sender<WireMessage>,
+    state: Arc<WireState>,
+    /// Taken, and joined under this lock, by the first `close`: a concurrent
+    /// second close waits here until the wire has drained too.
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What the handles and the wire thread share.
+#[derive(Default)]
+struct WireState {
+    /// Segments enqueued and not yet through the archive append. Only the
+    /// idle rule reads it, as a batching hint: whatever it answers, shipping
+    /// or not shipping is correct, so `Relaxed` everywhere — it publishes
+    /// nothing.
+    pending: AtomicUsize,
+    /// The archive error that ended the wire, if one did.
+    failure: Mutex<Option<Error>>,
+    /// Runs on the wire thread between the archive append and the watermark
+    /// advance, so a test can act inside that window deterministically.
+    #[cfg(test)]
+    between_archive_and_watermark: Mutex<Option<Box<dyn FnMut() + Send>>>,
+}
+
+enum WireMessage {
+    Segment {
+        segment: Segment,
+        /// When `ship` enqueued it (observed shippers only).
+        enqueued: Option<Instant>,
+    },
+    Close,
+}
+
+impl Wire {
+    /// Ends the wire: everything enqueued before this call is archived and
+    /// delivered, then subscribers see end-of-log. Returns once the wire
+    /// thread has exited.
+    fn close(&self) {
+        // A wire that already ended (closed, or failed) has dropped its
+        // receiver; there is nothing left to tell it.
+        let _ = self.queue.send(WireMessage::Close);
+        let mut thread = self.thread.lock();
+        if let Some(handle) = thread.take() {
+            // The thread only panics on a broken invariant (a misordered
+            // producer tripping the archive's contiguity assert); that
+            // panic has already been printed, and `close` runs from `Drop`.
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Wire {
+    /// Dropping the last handle closes the wire, like closing it would: the
+    /// queued segments still reach the archive and the subscribers, and the
+    /// thread is joined rather than detached.
+    fn drop(&mut self) {
+        self.close();
+    }
 }
 
 /// Routing state of a sharded shipper.
@@ -186,9 +318,8 @@ impl LogShipper {
     fn empty() -> LogShipper {
         LogShipper {
             registry: Arc::new(Mutex::new(Some(Registry::new()))),
-            pace: None,
             routing: None,
-            archive: None,
+            wire: None,
             obs: None,
         }
     }
@@ -249,10 +380,13 @@ impl LogShipper {
     /// Attaches a new member to the fan-out over its own bounded channel of
     /// `capacity` segments, mid-stream. Returns the new receiver together
     /// with [`Subscription::starts_after`], the coverage watermark the live
-    /// stream starts above — read under the same lock `ship` advances it
-    /// under, so every record at or below it is already on the archive (when
-    /// one is attached) and every record above it will arrive on the channel:
-    /// no sequence number falls between the backfill and the live stream.
+    /// stream starts above — read under the same lock a delivery advances it
+    /// and snapshots the members under, so every record at or below it is
+    /// already on the archive (when one is attached) and every record above
+    /// it will arrive on the channel: no sequence number falls between the
+    /// backfill and the live stream. The archive may already hold records
+    /// *above* it (archived, not yet announced); those arrive on the channel
+    /// too, so a backfill stops at `starts_after`.
     ///
     /// Fails with [`Error::Shutdown`] once the shipper is closed, and with
     /// [`Error::InvalidConfig`] on a sharded shipper, whose membership *is*
@@ -353,24 +487,17 @@ impl LogShipper {
         self.registry.lock().as_ref().map_or(0, |r| r.members.len())
     }
 
-    /// Adds an artificial delay before each shipped segment. The delay is
-    /// paced by deadline arithmetic ([`Pacer`]): if the shipping thread
-    /// oversleeps one segment, the following segments' deadlines do not move,
-    /// so the simulated wire latency stays accurate under load — and a
-    /// segment shipped after an idle gap still pays the full delay.
-    pub fn with_delay(mut self, delay: Duration) -> Self {
-        self.pace = if delay.is_zero() {
-            None
-        } else {
-            Some(Arc::new(Mutex::new(Pacer::new(delay))))
-        };
-        self
-    }
-
     /// Attaches a retention archive: every segment that goes on the wire is
-    /// also recorded in `archive` (whole, before any shard routing), so a
+    /// first recorded in `archive` (whole, before any shard routing), so a
     /// checkpoint can truncate the log and a cold replica can replay its
     /// tail. Shared across clones like the wire itself.
+    ///
+    /// This starts the shipper's **wire thread** (see the module docs): from
+    /// here on [`LogShipper::ship`] enqueues, and the archive append, the
+    /// watermark advance and the fan-out run on that thread, so an fsync
+    /// never runs under a committer's locks. The thread works with the
+    /// routing and the observability sink the shipper has *now* — attach
+    /// [`LogShipper::with_obs`] first.
     ///
     /// If the archive already holds a recovered prefix (a resumed shipper),
     /// the shipped-through watermark is raised to cover it, so a subscriber's
@@ -380,24 +507,85 @@ impl LogShipper {
         if let Some(registry) = self.registry.lock().as_mut() {
             registry.shipped_through = registry.shipped_through.max(archive.last_seq());
         }
-        self.archive = Some(archive);
+        let (queue, inbox) = channel::bounded(WIRE_QUEUE_SEGMENTS);
+        let state = Arc::new(WireState::default());
+        // The thread's own handle has no wire: it delivers, it never
+        // enqueues, and it must not keep its own inbox open.
+        let deliverer = LogShipper {
+            wire: None,
+            ..self.clone()
+        };
+        let thread = {
+            let state = Arc::clone(&state);
+            std::thread::Builder::new()
+                .name("c5-wire".into())
+                .spawn(move || deliverer.run_wire(&archive, &state, &inbox))
+                .expect("spawn the wire thread")
+        };
+        self.wire = Some(Arc::new(Wire {
+            queue,
+            state,
+            thread: Mutex::new(Some(thread)),
+        }));
         self
     }
 
-    /// Attaches an observability sink: every shipped segment records one
+    /// Attaches an observability sink: every delivered segment records one
     /// [`TraceEvent::Ship`] (sequence position, record count, fan-out width,
-    /// wall time of the whole route/archive/send) plus a `ship_ns` histogram
-    /// and `ship_segments_total` / `ship_records_total` counters. Metric
+    /// wall time of the route and sends) plus a `ship_ns` histogram,
+    /// `ship_segments_total` / `ship_records_total` counters, the
+    /// `ship_segment_records` histogram of batch sizes and the
+    /// `ship_partial_segments_total` counter of segments the logger cut
+    /// below its bound; a wire thread adds `archive_append_ns`,
+    /// `wire_queue_wait_ns` and `ship_archive_failures_total`. Metric
     /// handles are resolved here, once, so the per-segment path stays off the
-    /// registry lock. Shared across clones like the wire itself.
+    /// registry lock. Shared across clones like the wire itself; attach it
+    /// before [`LogShipper::with_archive`].
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
+        let metrics = &obs.metrics;
         self.obs = Some(Arc::new(ShipObs {
-            ship_ns: obs.metrics.histogram("ship_ns"),
-            segments: obs.metrics.counter("ship_segments_total"),
-            records: obs.metrics.counter("ship_records_total"),
+            ship_ns: metrics.histogram("ship_ns"),
+            segments: metrics.counter("ship_segments_total"),
+            records: metrics.counter("ship_records_total"),
+            segment_records: metrics.histogram("ship_segment_records"),
+            partial_segments: metrics.counter("ship_partial_segments_total"),
+            archive_append_ns: metrics.histogram("archive_append_ns"),
+            wire_queue_wait_ns: metrics.histogram("wire_queue_wait_ns"),
+            archive_failures: metrics.counter("ship_archive_failures_total"),
             obs,
         }));
         self
+    }
+
+    /// The archive error that ended this shipper's wire, if one did. After
+    /// it, the shipper behaves as after [`LogShipper::close`]: subscribers
+    /// have seen end-of-log behind a contiguous prefix the archive also
+    /// holds, and `ship` discards.
+    pub fn failure(&self) -> Option<Error> {
+        self.wire.as_ref()?.state.failure.lock().clone()
+    }
+
+    /// Whether the wire would deliver a segment shipped now without it
+    /// waiting behind anything: at least one subscriber, every subscriber's
+    /// queue empty and, on an archived wire, nothing queued for or inside
+    /// the archive. The logger's ship-now rule (see the module docs).
+    pub(crate) fn is_idle(&self) -> bool {
+        if let Some(wire) = &self.wire {
+            if wire.state.pending.load(Ordering::Relaxed) != 0 {
+                return false;
+            }
+        }
+        let guard = self.registry.lock();
+        guard.as_ref().is_some_and(|registry| {
+            !registry.members.is_empty() && registry.members.iter().all(|m| m.tx.is_empty())
+        })
+    }
+
+    /// Counts one segment the logger cut below its size bound.
+    pub(crate) fn note_partial_segment(&self) {
+        if let Some(ship_obs) = &self.obs {
+            ship_obs.partial_segments.inc();
+        }
     }
 
     /// Transaction counts observed so far by a sharded shipper (`None` for
@@ -411,22 +599,93 @@ impl LogShipper {
 
     /// Ships a segment: to every replica (replicating mode), or split by key
     /// range with each shard receiving exactly its own records (sharded
-    /// mode). Blocks while any receiving channel is full. Segments shipped
-    /// after [`LogShipper::close`] or into dropped receivers are discarded (a
-    /// single dropped receiver does not affect delivery to the others).
+    /// mode). Un-archived, it delivers on the calling thread and blocks while
+    /// any receiving channel is full; archived, it enqueues to the wire
+    /// thread and blocks only while that queue is full. Segments shipped
+    /// after [`LogShipper::close`] (or after the wire failed) or into dropped
+    /// receivers are discarded (a single dropped receiver does not affect
+    /// delivery to the others).
     pub fn ship(&self, segment: Segment) {
+        let Some(wire) = &self.wire else {
+            self.deliver(segment);
+            return;
+        };
+        wire.state.pending.fetch_add(1, Ordering::Relaxed);
+        let message = WireMessage::Segment {
+            segment,
+            enqueued: self.obs.is_some().then(Instant::now),
+        };
+        if wire.queue.send(message).is_err() {
+            // The wire has ended; the segment is discarded, and deliberately
+            // not archived: the archive holds exactly the wire.
+            wire.state.pending.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The wire thread of an archived shipper: archives, then delivers, every
+    /// enqueued segment in order, until a `Close`, an archive failure, or
+    /// the last handle's drop ends the log.
+    fn run_wire(&self, archive: &LogArchive, state: &WireState, inbox: &Receiver<WireMessage>) {
+        while let Ok(WireMessage::Segment { segment, enqueued }) = inbox.recv() {
+            // No shipper or logger lock is held across the append (the
+            // fsync), and only this thread closes an archived shipper, so
+            // the wire cannot end between the append and the sends.
+            let timing = (self.obs.as_deref().zip(enqueued))
+                .map(|(ship_obs, enqueued)| (ship_obs, enqueued, Instant::now()));
+            let appended = archive.try_append(&segment);
+            if let Some((ship_obs, enqueued, dequeued)) = timing {
+                ship_obs
+                    .wire_queue_wait_ns
+                    .record_duration(dequeued.duration_since(enqueued));
+                ship_obs
+                    .archive_append_ns
+                    .record_duration(dequeued.elapsed());
+            }
+            if let Err(error) = appended {
+                if let Some(ship_obs) = &self.obs {
+                    ship_obs.archive_failures.inc();
+                    // A point event: the failed append is already in
+                    // `archive_append_ns`.
+                    ship_obs.obs.trace.record(TraceEvent::Span {
+                        name: "wire_archive_failed",
+                        elapsed_ns: 0,
+                    });
+                }
+                *state.failure.lock() = Some(error);
+                break;
+            }
+            #[cfg(test)]
+            if let Some(hook) = state.between_archive_and_watermark.lock().as_mut() {
+                hook();
+            }
+            // The archive is done with it. Counted down before the sends,
+            // so a subscriber that has received this segment finds the wire
+            // idle again if nothing else was queued meanwhile.
+            state.pending.fetch_sub(1, Ordering::Relaxed);
+            self.deliver(segment);
+        }
+        // End of log. Dropping the inbox on return wakes any `ship` parked
+        // on the full queue and makes every later one discard.
+        self.registry.lock().take();
+    }
+
+    /// Puts one segment on the wire — watermark, routing, fan-out — on the
+    /// calling thread (a committer's, or the wire thread after its archive
+    /// append), observed when a sink is attached.
+    fn deliver(&self, segment: Segment) {
         let Some(ship_obs) = &self.obs else {
-            self.ship_inner(segment);
+            self.deliver_inner(segment);
             return;
         };
         let segment_seq = segment.covered_through().0;
         let records = segment.len();
-        let started = std::time::Instant::now();
-        let subscribers = self.ship_inner(segment);
+        let started = Instant::now();
+        let subscribers = self.deliver_inner(segment);
         let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         ship_obs.ship_ns.record(elapsed_ns);
         ship_obs.segments.inc();
         ship_obs.records.add(records as u64);
+        ship_obs.segment_records.record(records as u64);
         ship_obs.obs.trace.record(TraceEvent::Ship {
             segment_seq,
             records,
@@ -435,32 +694,22 @@ impl LogShipper {
         });
     }
 
-    /// The ship itself; returns how many receivers the segment was delivered
-    /// to (0 when the shipper is closed or nobody is subscribed).
-    fn ship_inner(&self, segment: Segment) -> usize {
-        if let Some(pace) = &self.pace {
-            // Holding the lock across the wait serializes concurrent
-            // shippers, which is the point: they share one simulated wire.
-            pace.lock().wait();
-        }
-        // One critical section covers the archive append, the watermark
-        // advance, and the membership snapshot: a concurrent `subscribe`
-        // therefore observes either none of this segment (it will arrive on
-        // the new channel) or all of it (watermark advanced AND archived) —
-        // the gap-closure invariant joiners backfill against. The sends
-        // themselves happen outside the lock so a full (blocking) channel
-        // cannot deadlock against `close()` or `subscribe()`.
+    /// The delivery itself; returns how many receivers the segment was
+    /// delivered to (0 when the shipper is closed or nobody is subscribed).
+    fn deliver_inner(&self, segment: Segment) -> usize {
+        // One critical section covers the watermark advance and the
+        // membership snapshot: a concurrent `subscribe` therefore observes
+        // either none of this segment (it will arrive on the new channel) or
+        // all of it (watermark advanced, hence archived) — the gap-closure
+        // invariant joiners backfill against. The sends themselves happen
+        // outside the lock so a full (blocking) channel cannot deadlock
+        // against `close()` or `subscribe()`.
         let members = {
             let mut guard = self.registry.lock();
             let Some(registry) = guard.as_mut() else {
-                // Segments shipped into a closed shipper are discarded, and
-                // deliberately not archived: a crashed primary's unshipped
-                // tail is lost, so the archive holds exactly the wire.
+                // Segments shipped into a closed shipper are discarded.
                 return 0;
             };
-            if let Some(archive) = &self.archive {
-                archive.append(&segment);
-            }
             registry.shipped_through = registry.shipped_through.max(segment.covered_through());
             Arc::clone(&registry.members)
         };
@@ -494,9 +743,17 @@ impl LogShipper {
     }
 
     /// Closes this shipper handle. Once every clone sharing this handle is
-    /// closed (or dropped), the receivers observe end-of-log.
+    /// closed (or dropped), the receivers observe end-of-log. On an archived
+    /// shipper the close drains the wire thread first: every segment handed
+    /// to [`LogShipper::ship`] before it is archived and delivered before
+    /// end-of-log, and `close` returns only then.
     pub fn close(&self) {
-        self.registry.lock().take();
+        match &self.wire {
+            Some(wire) => wire.close(),
+            None => {
+                self.registry.lock().take();
+            }
+        }
     }
 }
 
@@ -727,17 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn delayed_shipper_still_delivers() {
-        let (tx, rx) = LogShipper::bounded(8);
-        let tx = tx.with_delay(Duration::from_millis(1));
-        tx.ship(segment(7));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(1)).unwrap().header.id,
-            7
-        );
-    }
-
-    #[test]
     fn fan_out_delivers_every_segment_to_every_replica() {
         let (tx, receivers) = LogShipper::fan_out(3, 8);
         assert_eq!(tx.replica_count(), 3);
@@ -805,17 +1051,23 @@ mod tests {
         // watermark and archive advance so a later joiner can backfill it.
         let (seg1, next) = contiguous_segment(1, SeqNo::ZERO);
         tx.ship(seg1);
-        assert_eq!(tx.shipped_through(), SeqNo(1));
-        assert_eq!(archive.last_seq(), SeqNo(1));
-        // A member joining now starts exactly above the archived prefix.
+        // A member joining now starts above whatever the wire thread has
+        // announced, and backfills exactly that from the archive; the rest
+        // arrives live. Either way it sees both positions once.
         let sub = tx.subscribe(4).unwrap();
-        assert_eq!(sub.starts_after, SeqNo(1));
+        let backfill = archive.replay_from(SeqNo::ZERO).unwrap();
         let (seg2, _) = contiguous_segment(2, next);
         tx.ship(seg2);
         tx.close();
-        let got = sub.receiver.drain();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].header.id, 2);
+        assert_eq!(tx.failure(), None);
+        assert_eq!(archive.last_seq(), SeqNo(2));
+        let seen: Vec<u64> = backfill
+            .iter()
+            .filter(|s| s.covered_through() <= sub.starts_after)
+            .chain(&sub.receiver.drain())
+            .flat_map(|s| s.records.iter().map(|r| r.seq.as_u64()))
+            .collect();
+        assert_eq!(seen, vec![1, 2]);
     }
 
     #[test]
@@ -866,6 +1118,271 @@ mod tests {
         let resumed = resumed.with_archive(archive);
         assert_eq!(resumed.shipped_through(), SeqNo(1));
         assert_eq!(resumed.subscribe(4).unwrap().starts_after, SeqNo(1));
+    }
+
+    /// `n` one-write segments, contiguous from position 1.
+    fn contiguous_log(n: u64) -> Vec<Segment> {
+        let mut next = SeqNo::ZERO;
+        (1..=n)
+            .map(|id| {
+                let (segment, after) = contiguous_segment(id, next);
+                next = after;
+                segment
+            })
+            .collect()
+    }
+
+    /// Makes `tx`'s wire thread stop after each archive append, before the
+    /// watermark moves: it signals the first channel, then waits on the
+    /// second for the test to let it go.
+    fn park_between_archive_and_watermark(
+        tx: &LogShipper,
+    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel();
+        let wire = tx.wire.as_ref().expect("an archived shipper");
+        *wire.state.between_archive_and_watermark.lock() = Some(Box::new(move || {
+            entered_tx.send(()).unwrap();
+            released.recv().unwrap();
+        }));
+        (entered, release)
+    }
+
+    fn seqs(segments: &[Segment]) -> Vec<u64> {
+        segments
+            .iter()
+            .flat_map(|s| s.records.iter().map(|r| r.seq.as_u64()))
+            .collect()
+    }
+
+    #[test]
+    fn unarchived_shipper_spawns_no_thread_and_delivers_inline() {
+        let (tx, rx) = LogShipper::bounded(4);
+        assert!(tx.wire.is_none());
+        tx.ship(segment(1));
+        // Delivered by the time `ship` returns, on this thread.
+        assert_eq!(rx.try_len(), 1);
+        assert_eq!(tx.shipped_through(), SeqNo(11));
+    }
+
+    #[test]
+    fn idle_means_subscribed_drained_and_nothing_in_the_archive_path() {
+        // No subscriber: never idle (cut on size).
+        let (tx, _) = LogShipper::fan_out(0, 4);
+        assert!(!tx.is_idle());
+        // Two subscribers: idle only while both queues are empty.
+        let (tx, receivers) = LogShipper::fan_out(2, 4);
+        assert!(tx.is_idle());
+        tx.ship(segment(1));
+        assert!(!tx.is_idle());
+        receivers[0].recv().unwrap();
+        assert!(!tx.is_idle(), "the slower subscriber still holds a segment");
+        receivers[1].recv().unwrap();
+        assert!(tx.is_idle());
+        tx.close();
+        assert!(!tx.is_idle(), "a closed wire takes nothing");
+    }
+
+    #[test]
+    fn archived_wire_is_not_idle_while_an_append_is_queued_or_in_flight() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, rx) = LogShipper::bounded(4);
+        let tx = tx.with_archive(Arc::clone(&archive));
+        let (entered, release) = park_between_archive_and_watermark(&tx);
+        assert!(tx.is_idle());
+        let mut log = contiguous_log(2).into_iter();
+        tx.ship(log.next().unwrap());
+        entered.recv().unwrap();
+        // In flight: the subscriber's queue is still empty, the wire is not.
+        assert_eq!(rx.try_len(), 0);
+        assert!(!tx.is_idle());
+        // Queued behind it: still not idle.
+        tx.ship(log.next().unwrap());
+        assert!(!tx.is_idle());
+        release.send(()).unwrap();
+        entered.recv().unwrap();
+        release.send(()).unwrap();
+        assert_eq!(seqs(&[rx.recv().unwrap(), rx.recv().unwrap()]), vec![1, 2]);
+        tx.close();
+    }
+
+    /// Invariant: `shipped_through ≤ archive.last_seq()` at every instant,
+    /// and a subscriber attaching inside the "archived, not yet announced"
+    /// window — backfilled from `replay_from(cut)` filtered at
+    /// `starts_after`, exactly as `FleetController::join` does — sees every
+    /// position exactly once.
+    #[test]
+    fn subscriber_inside_the_archived_not_announced_window_sees_each_position_once() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, _) = LogShipper::fan_out(0, 16);
+        let tx = tx.with_archive(Arc::clone(&archive));
+        let (entered, release) = park_between_archive_and_watermark(&tx);
+        let mut joiners = Vec::new();
+        for segment in contiguous_log(4) {
+            let through = segment.covered_through();
+            tx.ship(segment);
+            entered.recv().unwrap();
+            // Inside the window: the archive is ahead of the watermark.
+            assert_eq!(archive.last_seq(), through);
+            assert_eq!(tx.shipped_through(), SeqNo(through.as_u64() - 1));
+            let sub = tx.subscribe(16).unwrap();
+            assert_eq!(sub.starts_after, tx.shipped_through());
+            let backfill: Vec<Segment> = (archive.replay_from(SeqNo::ZERO).unwrap())
+                .into_iter()
+                .filter(|s| s.covered_through() <= sub.starts_after)
+                .collect();
+            joiners.push((backfill, sub.receiver));
+            release.send(()).unwrap();
+        }
+        tx.close();
+        assert_eq!(tx.shipped_through(), SeqNo::ZERO, "closed");
+        for (backfill, live) in joiners {
+            let mut seen = seqs(&backfill);
+            seen.extend(seqs(&live.drain()));
+            assert_eq!(seen, vec![1, 2, 3, 4]);
+        }
+    }
+
+    /// Invariant: `close()` delivers and archives everything handed to
+    /// `ship()` before it, and only then ends the log.
+    #[test]
+    fn close_drains_the_wire_thread_before_end_of_log() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, receivers) = LogShipper::fan_out(2, 64);
+        let tx = tx.with_archive(Arc::clone(&archive));
+        let log = contiguous_log(40);
+        for segment in log.clone() {
+            tx.ship(segment);
+        }
+        tx.close();
+        // Nothing is still in flight once `close` has returned.
+        assert_eq!(archive.retained_records(), 40);
+        assert_eq!(seqs(&archive.replay_from(SeqNo::ZERO).unwrap()), seqs(&log));
+        for rx in &receivers {
+            assert_eq!(rx.try_len(), 40);
+            assert_eq!(seqs(&rx.drain()), seqs(&log));
+        }
+        // After the close: discarded, not archived, and close is idempotent.
+        let (late, _) = contiguous_segment(41, SeqNo(40));
+        tx.ship(late);
+        tx.close();
+        assert_eq!(archive.last_seq(), SeqNo(40));
+        assert!(matches!(tx.subscribe(4), Err(Error::Shutdown(_))));
+    }
+
+    #[test]
+    fn dropping_the_last_handle_closes_an_archived_wire() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, rx) = LogShipper::bounded(8);
+        let tx = tx.with_archive(Arc::clone(&archive));
+        let tx2 = tx.clone();
+        for segment in contiguous_log(3) {
+            tx.ship(segment);
+        }
+        drop(tx);
+        drop(tx2);
+        assert_eq!(archive.last_seq(), SeqNo(3));
+        assert_eq!(seqs(&rx.drain()), vec![1, 2, 3]);
+    }
+
+    /// Invariant: at every instant a concurrent sampler observes,
+    /// `shipped_through() ≤ archive.last_seq()`.
+    #[test]
+    fn watermark_never_passes_the_archive_under_a_concurrent_sampler() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, rx) = LogShipper::unbounded();
+        let tx = tx.with_archive(Arc::clone(&archive));
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut samples = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    // Watermark first: both only grow, so reading the
+                    // archive second can only help the inequality hold if
+                    // it held when the watermark was read.
+                    let shipped = tx.shipped_through();
+                    let archived = archive.last_seq();
+                    assert!(
+                        shipped <= archived,
+                        "watermark {shipped} announced ahead of the archive at {archived}"
+                    );
+                    samples += 1;
+                }
+                samples
+            });
+            for segment in contiguous_log(2_000) {
+                tx.ship(segment);
+            }
+            // The last segment's arrival means every watermark move has
+            // happened; the sampler has run alongside all of them.
+            let mut received = 0;
+            while received < 2_000 {
+                received += rx.recv().unwrap().len();
+            }
+            done.store(true, Ordering::Release);
+            assert!(sampler.join().unwrap() > 0);
+        });
+        tx.close();
+    }
+
+    /// An archive I/O error ends the wire with a typed error and no hang:
+    /// no committing thread panics, `close()` returns, and the receiver
+    /// drains to a contiguous prefix that the archive also holds.
+    #[test]
+    fn an_archive_io_failure_fails_the_wire_not_a_thread() {
+        let dir = std::env::temp_dir().join(format!("c5-wire-failure-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let archive = Arc::new(
+            crate::archive::LogArchive::durable(&dir, c5_common::DurabilityPolicy::EverySegment)
+                .unwrap(),
+        );
+        let obs = Arc::new(c5_obs::Obs::new());
+        let (tx, rx) = LogShipper::bounded(64);
+        let tx = tx
+            .with_obs(Arc::clone(&obs))
+            .with_archive(Arc::clone(&archive));
+        let logger = Arc::new(crate::logger::StreamingLogger::new(4, tx.clone()));
+        let write = |t: u64| vec![RowWrite::insert(RowRef::new(0, t), Value::from_u64(t))];
+        // The wire thread archives a segment before it sends it, so each
+        // receipt means that commit is on disk.
+        let mut delivered = Vec::new();
+        for t in 1..=5u64 {
+            logger.append(TxnId(t), write(t));
+            delivered.push(rx.recv().unwrap());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        // Committers keep committing — far more than the wire queue holds —
+        // from several threads; none may panic or hang.
+        std::thread::scope(|scope| {
+            for c in 1..=4u64 {
+                let logger = Arc::clone(&logger);
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        logger.append(TxnId(c * 100 + i), write(c * 100 + i));
+                    }
+                });
+            }
+        });
+        logger.close();
+        assert!(
+            matches!(tx.failure(), Some(Error::ArchiveIo { first, .. }) if first > SeqNo(5)),
+            "the failure is readable and typed: {:?}",
+            tx.failure()
+        );
+        delivered.extend(rx.drain());
+        let on_wire = seqs(&delivered);
+        assert_eq!(on_wire, (1..=on_wire.len() as u64).collect::<Vec<_>>());
+        assert_eq!(seqs(&archive.replay_from(SeqNo::ZERO).unwrap()), on_wire);
+        assert!(matches!(tx.subscribe(4), Err(Error::Shutdown(_))));
+        let snap = obs.metrics.snapshot();
+        assert_eq!(snap.counter("ship_archive_failures_total"), Some(1));
+        assert!(obs.trace.merged().iter().any(|r| matches!(
+            r.event,
+            TraceEvent::Span {
+                name: "wire_archive_failed",
+                ..
+            }
+        )));
     }
 
     /// A segment of three transactions: txn A writes keys {1, 5} (cross-shard

@@ -102,7 +102,8 @@ pub enum TraceEvent {
         /// Depth of the stage's input queue observed at completion.
         queue_depth: usize,
     },
-    /// One `LogShipper::ship` call: route + archive + fan-out of a segment.
+    /// One segment's delivery by a `LogShipper`: watermark, routing and
+    /// fan-out (an archived wire's append is timed by `archive_append_ns`).
     Ship {
         /// First sequence number in the shipped segment.
         segment_seq: u64,

@@ -208,7 +208,10 @@ impl TplCtx<'_> {
         let writes = std::mem::take(&mut self.writes).into_writes();
         // Append to the log while still holding write locks: the log order of
         // conflicting writes therefore matches the lock order, which is the
-        // property the backup protocols depend on.
+        // property the backup protocols depend on. The append may hand a
+        // segment to the wire, which is a channel send or an enqueue — the
+        // durable archive's fsync runs on the shipper's wire thread, never
+        // here under the row locks.
         let (commit_ts, token) = self.engine.logger.append_tokened(self.txn, writes.clone());
         for w in &writes {
             self.engine
@@ -390,20 +393,24 @@ mod tests {
     #[test]
     fn flush_log_ships_the_buffered_tail_without_closing() {
         let (shipper, receiver) = LogShipper::unbounded();
-        // Huge segment target: nothing ships until flushed.
+        // A size bound that is never reached: segments leave on demand only.
         let logger = StreamingLogger::new(1_000, shipper);
         let store = Arc::new(MvStore::default());
         let engine = TplEngine::new(store, PrimaryConfig::default(), logger);
-        engine
-            .execute(&|ctx: &mut dyn TxnCtx| ctx.insert(row(1), Value::from_u64(1)))
-            .unwrap();
-        assert_eq!(receiver.try_len(), 0);
+        let insert = |k: u64| {
+            engine
+                .execute(&move |ctx: &mut dyn TxnCtx| ctx.insert(row(k), Value::from_u64(k)))
+                .unwrap();
+        };
+        // The first commit finds the wire idle and leaves at once; while it
+        // sits undrained the wire is busy, so the second stays buffered.
+        insert(1);
+        insert(2);
+        assert_eq!(receiver.try_len(), 1);
         engine.flush_log();
-        assert_eq!(flatten(&receiver.drain_available()).len(), 1);
+        assert_eq!(flatten(&receiver.drain_available()).len(), 2);
         // The log is still open: later commits keep flowing.
-        engine
-            .execute(&|ctx: &mut dyn TxnCtx| ctx.insert(row(2), Value::from_u64(2)))
-            .unwrap();
+        insert(3);
         engine.close_log();
         assert_eq!(flatten(&receiver.drain()).len(), 1);
     }

@@ -300,9 +300,10 @@ impl ReadRouter {
     /// Attaches a primary log-tail flush hook (e.g.
     /// `TplEngine::flush_log`), called once whenever a read must block: a
     /// causal token or strong frontier can name a committed transaction
-    /// whose records still sit in the logger's partially filled segment,
-    /// and on a write-light primary that segment would otherwise never
-    /// ship — wedging the read until its wait bound expires. One flush
+    /// whose records still sit in the logger's partially filled segment
+    /// (the wire was busy when it committed), and on a primary that has
+    /// gone quiet since, no later append comes to ship that segment —
+    /// wedging the read until its wait bound expires. One flush
     /// puts everything at or below the read's requirement on the wire
     /// (sequence numbers are assigned at append, so the requirement's
     /// records are already buffered or shipped).
@@ -727,9 +728,11 @@ mod tests {
     #[test]
     fn blocked_reads_flush_the_primary_tail_instead_of_wedging() {
         use c5_log::{LogShipper, StreamingLogger};
-        // A write-light primary: one committed transaction sits buffered in
-        // a segment that is nowhere near full, so it never ships on its
-        // own. The causal read's block-time flush must put it on the wire.
+        // A write-light primary whose backup was busy when it last
+        // committed: the first transaction left on the idle wire, the second
+        // found that segment still undrained and sits buffered below the
+        // size bound, and nothing commits after it. The causal read's
+        // block-time flush must put it on the wire.
         let (shipper, receiver) = LogShipper::unbounded();
         let logger = Arc::new(StreamingLogger::new(1_000, shipper));
         let store = Arc::new(MvStore::default());
@@ -740,6 +743,20 @@ mod tests {
                 .with_workers(2)
                 .with_snapshot_interval(Duration::from_micros(200)),
         );
+        logger.append(
+            c5_common::TxnId(1),
+            vec![RowWrite::update(row(1), Value::from_u64(6))],
+        );
+        let (_, token) = logger.append_tokened(
+            c5_common::TxnId(2),
+            vec![RowWrite::update(row(1), Value::from_u64(7))],
+        );
+        assert!(token > SeqNo::ZERO);
+        assert_eq!(
+            receiver.try_len(),
+            1,
+            "the token's segment is not on the wire"
+        );
         let driver = {
             let replica = Arc::clone(&replica);
             std::thread::spawn(move || {
@@ -748,11 +765,6 @@ mod tests {
                 }
             })
         };
-        let (_, token) = logger.append_tokened(
-            c5_common::TxnId(1),
-            vec![RowWrite::update(row(1), Value::from_u64(7))],
-        );
-        assert!(token > SeqNo::ZERO);
 
         let flush_logger = Arc::clone(&logger);
         let router = Arc::new(

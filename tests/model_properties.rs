@@ -481,11 +481,26 @@ proptest! {
 
         // A primary whose shipper starts with zero subscribers; every
         // member enters through the controller's join protocol.
+        // The archive is durable: every segment's fsync holds the wire
+        // thread for a millisecond or so, which is what makes joins land
+        // while a segment is archived but not yet announced, and while
+        // commits are batching up behind it.
+        static NEXT_DIR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "c5-churn-{}-{}",
+            std::process::id(),
+            NEXT_DIR.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
         let primary_store = preloaded();
-        let archive = Arc::new(LogArchive::new());
+        let archive = Arc::new(
+            LogArchive::durable(&dir, c5_repro::common::DurabilityPolicy::EverySegment)
+                .expect("create the durable archive"),
+        );
         let (shipper, receivers) = LogShipper::fan_out(0, 64);
         prop_assert!(receivers.is_empty());
         let shipper = shipper.with_archive(Arc::clone(&archive));
+        let wire = shipper.clone();
         // Tiny segments so churn lands mid-stream, not between segments.
         let logger = StreamingLogger::new(4, shipper.clone());
         let engine = Arc::new(TplEngine::new(
@@ -610,7 +625,6 @@ proptest! {
             engine.close_log();
             controller.finish();
         });
-
         // Every member still serving has the complete final state.
         let mut expect: Vec<(RowRef, Value)> = primary_store.scan_all_at(Timestamp::MAX);
         expect.sort_by_key(|(row, _)| *row);
@@ -627,5 +641,9 @@ proptest! {
             got.sort_by_key(|(row, _)| *row);
             prop_assert_eq!(&got, &expect, "member {} diverged from the primary", id);
         }
+        // The wire never failed, and what it archived is the whole log.
+        prop_assert_eq!(wire.failure(), None);
+        prop_assert_eq!(archive.last_seq(), engine.log_last_seq());
+        std::fs::remove_dir_all(&dir).expect("remove the archive directory");
     }
 }
