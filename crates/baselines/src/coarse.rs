@@ -121,7 +121,6 @@ impl CoarseGrainReplica {
         let options = PipelineOptions {
             workers: config.workers,
             queue: QueuePlan::PerWorker { capacity: 4096 },
-            ingest_capacity: config.segment_channel_capacity,
         };
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),

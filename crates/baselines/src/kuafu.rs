@@ -22,7 +22,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -66,7 +65,9 @@ impl CompletionBoard {
     }
 
     /// Waits until every index in `deps` is done; returns `false` if
-    /// `should_abort` fires first.
+    /// `should_abort` fires first. Sleeps on the condvar with no timeout:
+    /// whoever makes `should_abort` true must call
+    /// [`wake_all`](Self::wake_all) afterwards.
     fn wait_for(&self, deps: &[u64], should_abort: &impl Fn() -> bool) -> bool {
         if deps.is_empty() {
             return true;
@@ -79,11 +80,15 @@ impl CompletionBoard {
             if should_abort() {
                 return false;
             }
-            self.cv.wait_for(&mut done, Duration::from_millis(1));
+            self.cv.wait(&mut done);
         }
     }
 
+    /// Takes the `done` lock before notifying: a waiter holds it from its
+    /// `should_abort` check until it is asleep, so an abort raised in
+    /// between is notified after the waiter can hear it.
     fn wake_all(&self) {
+        drop(self.done.lock());
         self.cv.notify_all();
     }
 }
@@ -198,7 +203,6 @@ impl KuaFuReplica {
         let options = PipelineOptions {
             workers: replica_config.workers,
             queue: QueuePlan::Shared { capacity: 4096 },
-            ingest_capacity: replica_config.segment_channel_capacity,
         };
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),

@@ -68,7 +68,6 @@ impl SingleThreadedReplica {
         let options = PipelineOptions {
             workers: 1,
             queue: QueuePlan::Shared { capacity: 1024 },
-            ingest_capacity: config.segment_channel_capacity,
         };
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),

@@ -27,9 +27,9 @@
 //!   insert-only     Insert-only workload, 2PL primary, all protocols
 //!   insert-only-cicada  Insert-only workload, MVTSO primary
 //!   sched-offline   Offline scheduler throughput (Section 6.2)
-//!   bench           Emit the committed BENCH_*.json scenario documents
-//!                   (--smoke for CI's reduced-iteration schema check;
-//!                   BENCH_OUT_DIR overrides the output directory)
+//!   bench           Emit the BENCH_*.json scenario documents into
+//!                   BENCH_OUT_DIR, else a scratch directory (--smoke for
+//!                   CI's reduced-iteration schema check)
 //!   pairs           Interleaved parent/change pairs of two built
 //!                   c5-benchmark binaries: --parent <bin> --change <bin>
 //!                   [--pairs 10] [--seed S] [--workload W] [--trace 0|1]
@@ -72,7 +72,7 @@ fn main() -> std::process::ExitCode {
         } else {
             (Scale::fixed(), "fixed")
         };
-        let out_dir = c5_bench::report::out_dir_for(mode);
+        let out_dir = c5_bench::report::out_dir();
         match c5_bench::report::run(&config, mode, &out_dir) {
             Ok(files) => {
                 println!("bench: all {} files validated", files.len());

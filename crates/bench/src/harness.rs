@@ -662,7 +662,7 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
             let id = router.admit(Arc::clone(&replica));
             let subscription = match specs.len() {
                 1 => shipper.subscribe_unbounded(),
-                _ => shipper.subscribe(1024),
+                _ => shipper.subscribe(c5_log::SUBSCRIPTION_SEGMENTS),
             };
             receivers.push(subscription.expect("an open shipper").receiver);
             members.push((id, replica, sharded));

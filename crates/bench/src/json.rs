@@ -143,7 +143,7 @@ impl JsonValue {
     }
 
     /// Serializes the value as pretty-printed JSON with a trailing newline
-    /// (the format the committed `BENCH_*.json` files use).
+    /// (the format the `BENCH_*.json` files use).
     ///
     /// # Panics
     ///
@@ -237,7 +237,7 @@ fn write_string(out: &mut String, s: &str) {
 /// Parses a JSON document. Returns an error message with a byte offset on
 /// malformed input. Accepts exactly the subset [`JsonValue::pretty`] emits
 /// plus arbitrary whitespace, escape sequences, and scientific notation, so
-/// it can re-read committed baselines and validate CI smoke output.
+/// it can re-read emitted documents and validate CI smoke output.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),

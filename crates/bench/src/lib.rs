@@ -29,11 +29,12 @@
 //!
 //! `experiments bench` ([`report`]) runs seven scenarios at *fixed,
 //! documented parameters* ([`Scale::fixed`]) and writes one machine-readable
-//! `BENCH_<name>.json` each, committed at the repository root. A document is
-//! the projection of a scenario's outcome through one declarative table
+//! `BENCH_<name>.json` each into `BENCH_OUT_DIR` (or a scratch directory);
+//! none is committed — `crates/bench/tests/bench_key_paths.txt` pins their
+//! field sets instead. A document is the projection of a scenario's outcome through one declarative table
 //! ([`report::SCHEMA`]: path and rule per field), and
 //! [`report::validate_bench`] checks a document against the same table, so
-//! the field sets cannot drift from their validator. They are legacy scenario
+//! the field sets cannot drift from their validator. They are scenario
 //! outputs: since the repo's benchmark lives in `benchmark/`, nothing gates
 //! on their numbers. The JSON is hand-rolled ([`json`]) because the workspace
 //! deliberately has no serialization dependency.

@@ -8,8 +8,8 @@
 //! `stage_ns` block inside `BENCH_pipeline.json`.
 //!
 //! Histograms are rendered as summary statistics (count/sum/min/max/mean
-//! and the p50/p99 nearest-rank quantiles), not raw buckets: the committed
-//! BENCH files are meant to be diffed by humans, and 513 bucket counts per
+//! and the p50/p99 nearest-rank quantiles), not raw buckets: the BENCH
+//! files are meant to be read and diffed by humans, and 513 bucket counts per
 //! series would bury the signal.
 
 use c5_obs::{HistogramSnapshot, MetricsSnapshot, PipelineStage, TraceEvent, TraceRecord};
@@ -178,7 +178,7 @@ mod tests {
     fn snapshot_round_trips_through_the_parser() {
         let obs = Obs::new();
         obs.metrics.counter("ship_segments_total").add(3);
-        obs.metrics.gauge("ingest_queue_depth").set(-2);
+        obs.metrics.gauge("fleet_serving").set(-2);
         let h = obs.metrics.histogram("ship_ns");
         h.record(100);
         h.record(1_000);
@@ -193,7 +193,7 @@ mod tests {
         );
         let gauges = back.get("gauges").unwrap();
         assert_eq!(
-            gauges.get("ingest_queue_depth").and_then(|v| v.as_num()),
+            gauges.get("fleet_serving").and_then(|v| v.as_num()),
             Some(-2.0)
         );
         let hist = back.get("histograms").unwrap().get("ship_ns").unwrap();
@@ -238,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_ns_block_covers_all_four_stages() {
+    fn stage_ns_block_covers_all_three_stages() {
         let obs = Obs::new();
         obs.metrics
             .histogram("stage_dwell_ns{stage=\"apply\"}")
@@ -248,7 +248,7 @@ mod tests {
         let apply = block.get("apply").expect("apply stage present");
         assert_eq!(apply.get("count").and_then(|v| v.as_num()), Some(1.0));
         assert!(
-            matches!(block.get("ingest"), Some(JsonValue::Null)),
+            matches!(block.get("schedule"), Some(JsonValue::Null)),
             "unsampled stages surface as null, not absence"
         );
         assert!(block.get("expose").is_some());

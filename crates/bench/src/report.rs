@@ -1,8 +1,8 @@
 //! The `bench` sub-command: seven `BENCH_<name>.json` documents, one schema.
 //!
 //! Every scenario runs at [`Scale::fixed`] (CI: [`Scale::smoke`]) and its
-//! document is written to the repository root (CI: a scratch directory).
-//! These files are legacy scenario outputs kept for their field sets and
+//! document is written to `BENCH_OUT_DIR`, or to a scratch directory: none
+//! is committed. They are scenario outputs kept for their field sets and
 //! their invariants; the repo's performance gate is `benchmark/` (see
 //! DESIGN.md, "Performance methodology", which also says what each file and
 //! field measures).
@@ -45,24 +45,11 @@ const APPLY_TARGETS: [(&str, ReplicaSpec); 3] = [
     ),
 ];
 
-/// Apply-path ns/record measured at [`Scale::fixed`] on the revision
-/// immediately *before* the batched dispatch, batched watermark publication,
-/// and routing-buffer-reuse changes that landed together with this suite.
-/// Emitted verbatim in `BENCH_pipeline.json`'s `baseline` block so the first
-/// trajectory step (before → after) stays visible in the committed file
-/// rather than only in the git history of a number.
-pub const PRE_CHANGE_NS_PER_RECORD: [(&str, f64); 3] = [
-    ("c5", 1787.0),
-    ("c5-myrocks", 1527.0),
-    ("c5-sharded-8", 1647.0),
-];
-
 /// Runs the whole suite and writes `BENCH_*.json` into `out_dir`. Returns
 /// the validated file names, or the first validation/IO failure.
 pub fn run(config: &Scale, mode: &str, out_dir: &Path) -> Result<Vec<String>, String> {
     config.validate().map_err(|e| e.to_string())?;
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    smoke_guard(mode, out_dir)?;
     let mut written = Vec::new();
     let mut emit = |name: &str, source: JsonValue| {
         let mut doc = envelope(name, mode, config);
@@ -102,51 +89,19 @@ pub fn run(config: &Scale, mode: &str, out_dir: &Path) -> Result<Vec<String>, St
     Ok(written)
 }
 
-/// Resolves the directory `BENCH_*.json` files are written to: the
-/// `BENCH_OUT_DIR` environment variable if set (tests and CI point it at a
-/// scratch directory), otherwise the repository root for `fixed` runs — and
-/// a scratch directory under the system temp dir for `smoke` runs, whose
-/// reduced-iteration numbers must never overwrite the committed
-/// full-parameter files at the repo root.
-pub fn out_dir_for(mode: &str) -> PathBuf {
+/// The directory `BENCH_*.json` files are written to: the `BENCH_OUT_DIR`
+/// environment variable if set (CI points it at its artifact directory),
+/// otherwise a scratch directory under the system temp dir. Never the
+/// repository: the documents are run outputs, not committed numbers.
+pub fn out_dir() -> PathBuf {
     match std::env::var_os("BENCH_OUT_DIR") {
         Some(dir) => PathBuf::from(dir),
-        None if mode == "smoke" => {
-            std::env::temp_dir().join(format!("c5-bench-smoke-{}", std::process::id()))
-        }
-        None => repo_root(),
+        None => std::env::temp_dir().join(format!("c5-bench-{}", std::process::id())),
     }
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Refuses to let a smoke run write into the repository root, whatever path
-/// spelling it arrived through: the committed `BENCH_*.json` files there are
-/// full-parameter runs, and a smoke overwrite silently replaces them with
-/// throwaway numbers. `out_dir` must already exist (the check canonicalizes
-/// both sides).
-fn smoke_guard(mode: &str, out_dir: &Path) -> Result<(), String> {
-    if mode != "smoke" {
-        return Ok(());
-    }
-    let (Ok(out), Ok(root)) = (out_dir.canonicalize(), repo_root().canonicalize()) else {
-        return Ok(());
-    };
-    if out == root {
-        return Err(format!(
-            "smoke mode refuses to write into the repository root ({}): it would \
-             overwrite the committed full-parameter BENCH_*.json files; set \
-             BENCH_OUT_DIR to a scratch directory or run without --smoke",
-            root.display()
-        ));
-    }
-    Ok(())
 }
 
 /// The source of `BENCH_pipeline.json`: the offline apply-path replays, the
-/// faithful replay's stage breakdown, one live run, the recorded baseline.
+/// faithful replay's stage breakdown, one live run.
 fn pipeline_source(config: &Scale, mode: &str) -> JsonValue {
     // One deterministic log from the shard-span workload: two uniform updates
     // per transaction over preloaded rows, so it carries real per-row
@@ -200,19 +155,10 @@ fn pipeline_source(config: &Scale, mode: &str) -> JsonValue {
     let mut streaming = run_scenario(&fanout::scenario(&lone, ReplicaSpec::C5Faithful)).to_json();
     streaming.merge(json_obj! { "workload": "adversarial" });
 
-    let pre_change = (PRE_CHANGE_NS_PER_RECORD.iter())
-        .map(|(k, v)| ((*k).to_string(), JsonValue::Num(*v)))
-        .collect();
     json_obj! {
         "apply_path": apply_path.to_vec(),
         "stage_ns": stage_ns_json(&stage_snapshot),
         "streaming": streaming,
-        "baseline": json_obj! {
-            "note": "apply-path ns/record at fixed parameters immediately before the \
-                     batched-dispatch/batched-watermark/buffer-reuse changes that landed \
-                     with this suite",
-            "pre_change_ns_per_record": JsonValue::Obj(pre_change),
-        },
     }
 }
 
@@ -300,14 +246,12 @@ pub const SCHEMA: &[(&str, &str, Rule)] = &[
     ("pipeline", "apply_path[].protocol", Rule::Are(&["c5", "c5-myrocks", "c5-sharded-8"])),
     ("pipeline", "apply_path[].{records,txns,replays,best_wall_ms}", POS),
     ("pipeline", "apply_path[].ns_per_record", Rule::Num(1.0, 1e9)),
-    ("pipeline", "stage_ns.{ingest,schedule,apply,expose}", Dwell),
+    ("pipeline", "stage_ns.{schedule,apply,expose}", Dwell),
     ("pipeline", "streaming.{protocol,workload}", Any),
     ("pipeline", "streaming.{primary_tps,committed}", POS),
     ("pipeline", "streaming.replica_tps=replicas/0/replica_tps", POS),
     ("pipeline", "streaming.keeps_up=replicas/0/keeps_up", Bool),
     ("pipeline", "streaming.lag_ms=replicas/0/lag_ms", Lag),
-    ("pipeline", "baseline.note", Any),
-    ("pipeline", "baseline.pre_change_ns_per_record.{c5,c5-myrocks,c5-sharded-8}", POS),
 
     ("fanout", "protocol", Any),
     ("fanout", "{primary_tps,committed,worst_p50_ms}", NONNEG),
@@ -369,7 +313,7 @@ pub const SCHEMA: &[(&str, &str, Rule)] = &[
     ("obs", "by_kind", Any),
     ("obs", "by_kind.{stage,ship,route,lifecycle}", POS),
     ("obs", "by_kind.{recovery,span}", NONNEG),
-    ("obs", "stage_samples.{ingest,schedule,apply,expose}", ONE_UP),
+    ("obs", "stage_samples.{schedule,apply,expose}", ONE_UP),
     ("obs", "snapshot", Any),
     ("obs", "snapshot.{counters,gauges,histograms}", Rule::NonEmptyObj),
     // Series every layer must have registered.
@@ -599,42 +543,4 @@ pub fn validate_bench(name: &str, doc: &JsonValue) -> Result<(), String> {
     }
     validate_body("*", doc)?;
     validate_body(name, doc)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression test for the smoke-overwrites-baselines bug: `bench
-    /// --smoke` without `BENCH_OUT_DIR` used to resolve to the repository
-    /// root and clobber the committed full-parameter `BENCH_*.json` files
-    /// with reduced-iteration numbers.
-    #[test]
-    fn smoke_mode_never_defaults_to_the_repo_root() {
-        if std::env::var_os("BENCH_OUT_DIR").is_some() {
-            return; // an explicit override wins in every mode, nothing to check
-        }
-        let smoke = out_dir_for("smoke");
-        let root = repo_root();
-        assert_ne!(
-            smoke.canonicalize().ok(),
-            root.canonicalize().ok().filter(|r| r.exists()),
-            "smoke output must not land at the repo root"
-        );
-        assert!(smoke.starts_with(std::env::temp_dir()));
-        // Fixed mode still targets the committed baselines.
-        assert_eq!(out_dir_for("fixed"), root);
-    }
-
-    #[test]
-    fn smoke_guard_refuses_the_repo_root_however_spelled() {
-        // The canonical path and a dotted respelling of it are both caught.
-        let root = repo_root();
-        assert!(smoke_guard("smoke", &root).is_err());
-        assert!(smoke_guard("smoke", &root.join("crates/..")).is_err());
-        // Fixed mode writes the committed baselines there by design.
-        assert!(smoke_guard("fixed", &root).is_ok());
-        // A scratch directory is fine in smoke mode.
-        assert!(smoke_guard("smoke", &std::env::temp_dir()).is_ok());
-    }
 }

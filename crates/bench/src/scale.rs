@@ -12,10 +12,10 @@ use c5_workloads::TpccConfig;
 /// so the whole suite finishes in minutes; the *shape* of every result is
 /// already visible) or [`full`](Self::full) (the paper's trials run for 120
 /// seconds on a CloudLab cluster; this is the closest a laptop gets). The
-/// `bench` sub-command emits the committed `BENCH_*.json` files at
-/// [`fixed`](Self::fixed) — *data*, not knobs: changing it resets the
-/// trajectory and must be called out in the PR that does it — and CI checks
-/// their schema at [`smoke`](Self::smoke).
+/// `bench` sub-command emits the `BENCH_*.json` files at
+/// [`fixed`](Self::fixed) — *data*, not knobs: numbers taken at different
+/// values do not compare — and CI checks their schema at
+/// [`smoke`](Self::smoke).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Wall-clock duration of each streaming measurement window.
@@ -74,8 +74,7 @@ impl Scale {
         }
     }
 
-    /// The fixed parameters the committed `BENCH_*.json` files were measured
-    /// at.
+    /// The fixed parameters `BENCH_*.json` files are measured at.
     pub const fn fixed() -> Self {
         Self {
             apply_txns: 60_000,

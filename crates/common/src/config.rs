@@ -111,10 +111,6 @@ pub struct ReplicaConfig {
     /// baselines), whose cut is one atomic store and follows the applied
     /// prefix with no spacing at all.
     pub snapshot_interval: Duration,
-    /// Capacity (in log segments) of the channel between the log shipper and
-    /// the scheduler. Bounded so that an overwhelmed replica exerts
-    /// backpressure in benchmarks instead of buffering unboundedly.
-    pub segment_channel_capacity: usize,
     /// How far (in log positions) the version-garbage-collection horizon
     /// trails the exposed cut. Read views pin their cut at creation time, so
     /// the trail is the window within which an already-created view is
@@ -152,7 +148,6 @@ impl Default for ReplicaConfig {
             workers: 4,
             op_cost: OpCost::free(),
             snapshot_interval: Duration::from_millis(10),
-            segment_channel_capacity: 1024,
             gc_trail: 4096,
             shards: 1,
             shard_key_space: 1 << 20,
@@ -168,11 +163,6 @@ impl ReplicaConfig {
         if self.workers == 0 {
             return Err(Error::InvalidConfig(
                 "replica must have at least one worker".into(),
-            ));
-        }
-        if self.segment_channel_capacity == 0 {
-            return Err(Error::InvalidConfig(
-                "segment channel capacity must be non-zero".into(),
             ));
         }
         if self.snapshot_interval.is_zero() {
@@ -270,11 +260,6 @@ pub struct ReadConfig {
     /// strong reads, or a session's monotonic floor) before it fails with
     /// [`crate::Error::ReadTimeout`].
     pub max_wait: Duration,
-    /// One in every `latency_sample_every` reads records its latency and
-    /// observed staleness into the router's latency histograms. `1`
-    /// samples everything; larger values keep the metrics path off the hot
-    /// read path in throughput experiments.
-    pub latency_sample_every: u64,
     /// The observability sink the router records route decisions and
     /// latency histograms into. Defaults to the process-wide
     /// [`Obs::global`] sink.
@@ -285,7 +270,6 @@ impl Default for ReadConfig {
     fn default() -> Self {
         Self {
             max_wait: Duration::from_secs(2),
-            latency_sample_every: 8,
             obs: Arc::clone(Obs::global()),
         }
     }
@@ -299,23 +283,12 @@ impl ReadConfig {
                 "read max_wait must be non-zero".into(),
             ));
         }
-        if self.latency_sample_every == 0 {
-            return Err(Error::InvalidConfig(
-                "latency_sample_every must be non-zero".into(),
-            ));
-        }
         Ok(())
     }
 
     /// Builder-style setter for the blocking bound.
     pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
         self.max_wait = max_wait;
-        self
-    }
-
-    /// Builder-style setter for the latency sampling stride.
-    pub fn with_latency_sample_every(mut self, every: u64) -> Self {
-        self.latency_sample_every = every;
         self
     }
 
@@ -363,16 +336,9 @@ mod tests {
             .with_max_wait(Duration::ZERO)
             .validate()
             .is_err());
-        assert!(ReadConfig::default()
-            .with_latency_sample_every(0)
-            .validate()
-            .is_err());
-        let cfg = ReadConfig::default()
-            .with_max_wait(Duration::from_millis(50))
-            .with_latency_sample_every(1);
+        let cfg = ReadConfig::default().with_max_wait(Duration::from_millis(50));
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.max_wait, Duration::from_millis(50));
-        assert_eq!(cfg.latency_sample_every, 1);
     }
 
     #[test]

@@ -55,6 +55,16 @@ pub enum Error {
         /// The archive directory and the operating system's error.
         message: String,
     },
+    /// Crash recovery could not read durable state back: the checkpoint
+    /// directory (manifest, checkpoint file, or a damaged checkpoint that
+    /// failed validation) or the log-archive directory.
+    RecoveryIo {
+        /// Which half of the state directory failed: `"checkpoint"` or
+        /// `"log archive"`.
+        what: &'static str,
+        /// The directory and the operating system's error.
+        message: String,
+    },
     /// A fleet-membership operation targeted a replica in the wrong
     /// lifecycle state (or one that is not a fleet member at all), or a
     /// join/retire could not complete its transition — e.g. a joiner that
@@ -126,6 +136,9 @@ impl fmt::Display for Error {
                 f,
                 "durable archive failed to persist the segment starting at {first} under {message}"
             ),
+            Error::RecoveryIo { what, message } => {
+                write!(f, "recovery could not read the {what} under {message}")
+            }
             Error::Lifecycle(msg) => write!(f, "fleet lifecycle error: {msg}"),
             Error::ReadTimeout { required, freshest } => write!(
                 f,

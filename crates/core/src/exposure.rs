@@ -70,8 +70,8 @@ pub trait Exposure: Send + Sync + 'static {
     /// Replication-lag samples collected so far.
     fn lag(&self) -> Arc<LagTracker>;
 
-    /// Progress counters. Even mid-run, `exposed_seq <= applied_seq`, every
-    /// position at or below `applied_seq` is in `applied_writes`, and every
+    /// Progress counters. Even mid-run, `exposed_seq <= applied_seq <=
+    /// shipped_seq`, every position at or below `applied_seq` is in `applied_writes`, and every
     /// transaction in `applied_txns` has its final write in `applied_writes`.
     fn metrics(&self) -> ReplicaMetrics;
 
@@ -262,9 +262,10 @@ impl Exposure for PrefixExposure {
     }
 
     fn metrics(&self) -> ReplicaMetrics {
-        // Read downstream-first — exposed before applied, positions before
-        // counters, transactions before writes — so the documented
-        // invariants hold while workers race ahead between the loads. The
+        // Read downstream-first — exposed before applied before shipped,
+        // positions before counters, transactions before writes — so the
+        // documented invariants hold while workers race ahead between the
+        // loads. The
         // applied watermark's Acquire load makes visible every counter bump
         // that preceded the marks it covers; `applied_txns`' pairs with
         // `count_applied`'s Release.
@@ -277,6 +278,7 @@ impl Exposure for PrefixExposure {
             deferred_writes: self.deferred_writes.load(Ordering::Relaxed),
             reclaimed_versions: self.gc.reclaimed(),
             cross_shard_txns: 0,
+            shipped_seq: self.shipped_seq(),
         }
     }
 

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use c5_common::{poll_until, Error, ReplicaConfig, Result, SeqNo};
-use c5_log::{LogArchive, LogShipper, Subscription, SubscriptionId};
+use c5_log::{LogArchive, LogShipper, Subscription, SubscriptionId, SUBSCRIPTION_SEGMENTS};
 use c5_obs::TraceEvent;
 use c5_storage::MvStore;
 
@@ -177,7 +177,6 @@ pub struct FleetController {
     router: Arc<dyn FleetRoutingSink>,
     mode: C5Mode,
     config: ReplicaConfig,
-    channel_capacity: usize,
     catch_up_timeout: Duration,
     drain_timeout: Duration,
     members: Mutex<HashMap<usize, Member>>,
@@ -195,14 +194,12 @@ impl FleetController {
         mode: C5Mode,
         config: ReplicaConfig,
     ) -> Self {
-        let channel_capacity = config.segment_channel_capacity;
         Self {
             shipper,
             archive,
             router,
             mode,
             config,
-            channel_capacity,
             catch_up_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(10),
             members: Mutex::new(HashMap::new()),
@@ -277,7 +274,7 @@ impl FleetController {
         // Subscribe BEFORE the replay: everything at or below
         // `starts_after` is already archived, everything above it arrives
         // on this channel — the replay below closes exactly the gap.
-        let subscription = self.shipper.subscribe(self.channel_capacity)?;
+        let subscription = self.shipper.subscribe(SUBSCRIPTION_SEGMENTS)?;
         let replica =
             C5Replica::resume_from_checkpoint(self.mode, &checkpoint, self.config.clone());
         self.catch_up_and_admit(replica, subscription, cut, started)
@@ -289,7 +286,7 @@ impl FleetController {
     /// members get in before anyone is `Serving`.
     pub fn join_seeded(&self, store: Arc<MvStore>) -> Result<JoinReport> {
         let started = Instant::now();
-        let subscription = self.shipper.subscribe(self.channel_capacity)?;
+        let subscription = self.shipper.subscribe(SUBSCRIPTION_SEGMENTS)?;
         let replica = C5Replica::new(self.mode, store, self.config.clone());
         self.catch_up_and_admit(replica, subscription, SeqNo::ZERO, started)
     }

@@ -1,14 +1,19 @@
 //! The shared replication-pipeline runtime.
 //!
 //! Every backup protocol in this workspace — C5 in both modes, sharded C5,
-//! and every baseline in `c5-baselines` — is the same machine: segments
-//! arrive from the log shipper (**ingest**), a single scheduler thread turns
-//! them into work items and routes them to queues (**schedule**), worker
-//! threads execute the items under the protocol's ordering constraints
-//! (**apply**), and one thread advances the transaction-aligned cut that
-//! read-only transactions may observe (**expose**). This module owns that
-//! machine once — the threads, the channels, the shutdown/drain protocol —
-//! and splits what it runs along the paper's own line:
+//! and every baseline in `c5-baselines` — is the same machine, the paper's
+//! Figure 4: the thread that receives a segment from the log shipper *is*
+//! the scheduler — inside [`ClonedConcurrencyControl::apply_segment`] it turns
+//! the segment into work items and routes them to the worker queues
+//! (**schedule**); worker threads execute the items under the protocol's
+//! ordering constraints (**apply**); and one thread advances the
+//! transaction-aligned cut that read-only transactions may observe
+//! (**expose**). There is no stage, thread or buffer between the shipper's
+//! subscription queue and the worker queues: a full worker queue blocks the
+//! feeder, the subscription queue behind it fills, and that one queue is
+//! what the wire's idle rule and an operator look at. This module owns the
+//! machine once — the threads, the queues, the shutdown/drain protocol — and
+//! splits what it runs along the paper's own line:
 //!
 //! * an **ordering**, the [`PipelinePolicy`]: what a work item is, how
 //!   segments become items, what "apply one item" means. That is all a
@@ -26,10 +31,11 @@
 //! item's watermark marks are flushed by then), the expose thread sleeps on
 //! it and calls [`Exposure::expose`] only when something moved, and the
 //! expose thread notifies it again when a cut is published. Every wait in
-//! the runtime blocks on that same signal — `finish`'s three drain waits,
+//! the runtime blocks on that same signal — `finish`'s two drain waits,
 //! [`ClonedConcurrencyControl::wait_until_exposed`], and the waits an
 //! exposure makes through [`PipelineSignals::wait_until`] — and shutdown,
-//! the switch to draining, and the death of a stage thread notify it too. An
+//! the switch to draining, and the death of a stage thread (or of a feeder
+//! inside `schedule`) notify it too. An
 //! applied transaction therefore becomes visible one thread wake-up later,
 //! and an idle replica makes no wake-ups at all.
 //!
@@ -39,7 +45,7 @@
 //!
 //! ## Batched hand-off
 //!
-//! The scheduler→worker and worker→watermark edges are the backup's hottest
+//! The feeder→worker and worker→watermark edges are the backup's hottest
 //! path: every log record crosses both. Two disciplines keep their per-record
 //! cost amortized, and policies are expected to follow them:
 //!
@@ -47,8 +53,8 @@
 //!   a whole sub-segment, or a run of consecutive whole transactions
 //!   (`ReplicaConfig::dispatch_batch_records`) — so the queue hand-off cost
 //!   is paid once per batch, not once per record. Batches must respect the
-//!   policy's ordering unit: a batch never splits a transaction, and the
-//!   scheduler publishes any dispatch watermark *before* enqueueing the
+//!   policy's ordering unit: a batch never splits a transaction, and
+//!   `schedule` publishes any dispatch watermark *before* enqueueing the
 //!   batch, so a cut chosen from that watermark can never land mid-item.
 //! * **Publish watermarks per item, not per record.** Workers buffer the
 //!   applied-marks of one work item and flush them in a single batched
@@ -271,8 +277,8 @@ impl PipelineSignals {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Whether the pipeline is draining: ingestion has ended and `finish` is
-    /// waiting for the final prefix to be applied and exposed. The expose
+    /// Whether the pipeline is draining: the log has ended and `finish` is
+    /// waiting for the final prefix to be exposed. The expose
     /// stage ignores its minimum cut spacing while this is set.
     pub fn draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
@@ -337,15 +343,14 @@ pub enum QueuePlan {
 pub struct PipelineOptions {
     /// Number of apply-stage worker threads.
     pub workers: usize,
-    /// Queue topology between the schedule and apply stages.
+    /// Queue topology between the schedule and apply stages. The queues are
+    /// bounded: a full one blocks the feeder, which is the backpressure a
+    /// hopelessly slow replica exerts on the shipper.
     pub queue: QueuePlan,
-    /// Capacity (in segments) of the ingest channel; bounded so a hopelessly
-    /// slow replica exerts backpressure on the shipper.
-    pub ingest_capacity: usize,
 }
 
 /// The schedule stage's outlet: routes work items into the apply stage's
-/// queues. One sink lives for the lifetime of the scheduler thread, so
+/// queues. One sink lives as long as the pipeline accepts segments, so
 /// policies that route round-robin get a persistent cursor for free.
 pub struct WorkSink<T> {
     lanes: Vec<Sender<T>>,
@@ -459,9 +464,12 @@ impl ExposeObs {
     }
 }
 
-/// Held by every stage thread: if the thread unwinds, marks the pipeline
-/// failed (which wakes every wait on the progress signal) and counts the
-/// death. A clean exit does nothing.
+/// What a thread running pipeline code — a stage thread for its lifetime, a
+/// feeder while it is inside `schedule` — arms: if the thread unwinds past
+/// the [`armed`](Self::armed) guard, the pipeline is marked failed (which
+/// wakes every wait on the progress signal) and the death is counted. A
+/// clean exit does nothing.
+#[derive(Clone)]
 struct DeathWatch {
     progress: Arc<ProgressSignal>,
     obs: Arc<Obs>,
@@ -476,25 +484,33 @@ impl DeathWatch {
             deaths: obs.metrics.counter("pipeline_thread_deaths_total"),
         }
     }
+
+    fn armed(&self) -> ArmedDeathWatch<'_> {
+        ArmedDeathWatch(self)
+    }
 }
 
-impl Drop for DeathWatch {
+struct ArmedDeathWatch<'a>(&'a DeathWatch);
+
+impl Drop for ArmedDeathWatch<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.deaths.inc();
-            self.obs.trace.record(TraceEvent::Span {
+            let watch = self.0;
+            watch.deaths.inc();
+            watch.obs.trace.record(TraceEvent::Span {
                 name: "pipeline_thread_death",
                 elapsed_ns: 0,
             });
-            self.progress.fail();
+            watch.progress.fail();
         }
     }
 }
 
 /// A backup protocol's ordering, run by a [`PipelineRuntime`].
 ///
-/// The runtime calls [`schedule`](Self::schedule) on its single scheduler
-/// thread in log order and [`apply`](Self::apply) on worker threads.
+/// The runtime calls [`schedule`](Self::schedule) on the thread that feeds it
+/// — one call at a time, in log order — and [`apply`](Self::apply) on worker
+/// threads.
 /// Everything else the runtime needs — the cut, the probes, the store — it
 /// asks of the policy's [`exposure`](Self::exposure).
 pub trait PipelinePolicy: Send + Sync + 'static {
@@ -504,8 +520,11 @@ pub trait PipelinePolicy: Send + Sync + 'static {
     /// Short protocol name for reports (e.g. `"c5"`, `"kuafu"`).
     fn name(&self) -> &'static str;
 
-    /// Turns one ingested segment into work items, in log order. The policy
-    /// owns the segment: records should *move* into items, never be cloned.
+    /// Turns one segment into work items, in log order. The policy owns the
+    /// segment: records should *move* into items, never be cloned. Runs
+    /// inside `apply_segment`, so a blocking `sink` send is the feeder's
+    /// backpressure and a panic unwinds into the feeder (and fails the
+    /// pipeline).
     fn schedule(&self, segment: Segment, sink: &mut WorkSink<Self::Item>);
 
     /// Executes one work item under the protocol's ordering constraints.
@@ -520,8 +539,9 @@ pub trait PipelinePolicy: Send + Sync + 'static {
     fn exposure(&self) -> &impl Exposure;
 }
 
-/// The shared four-stage runtime: threads, queues, and the drain/shutdown
-/// protocol, generic over a [`PipelinePolicy`].
+/// The shared runtime: the feeder-run schedule stage, worker and expose
+/// threads, queues, and the drain/shutdown protocol, generic over a
+/// [`PipelinePolicy`]. `workers + 1` threads.
 ///
 /// Implements [`ClonedConcurrencyControl`] directly, so a protocol wrapper
 /// only has to construct its policy, pick [`PipelineOptions`], and delegate
@@ -529,18 +549,21 @@ pub trait PipelinePolicy: Send + Sync + 'static {
 pub struct PipelineRuntime<P: PipelinePolicy> {
     policy: Arc<P>,
     signals: Arc<PipelineSignals>,
-    // Segments travel with their enqueue instant so the scheduler can
-    // attribute ingest dwell (time spent queued behind backpressure).
-    ingest_tx: Mutex<Option<Sender<(Instant, Segment)>>>,
-    ingest_done: Arc<AtomicBool>,
+    /// The schedule stage's outlet, `None` once the log has ended (`finish`,
+    /// drop) or the workers are gone. Its lock is the schedule stage: the
+    /// feeder holding it is the scheduler, and concurrent feeders take turns
+    /// in lock order.
+    sink: Mutex<Option<WorkSink<P::Item>>>,
+    schedule_obs: StageObs,
+    watch: DeathWatch,
     threads: Mutex<Vec<JoinHandle<()>>>,
     finished: AtomicBool,
     dropped_segments: Arc<Counter>,
 }
 
 impl<P: PipelinePolicy> PipelineRuntime<P> {
-    /// Starts the pipeline with a progress signal of its own: spawns the
-    /// scheduler, `options.workers` workers, and the expose thread.
+    /// Starts the pipeline with a progress signal of its own: spawns
+    /// `options.workers` workers and the expose thread.
     pub fn start(policy: Arc<P>, options: PipelineOptions) -> Self {
         Self::start_sharing(policy, options, Arc::new(ProgressSignal::new()))
     }
@@ -560,11 +583,10 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         // Taken before any worker exists: whatever a worker notifies, even
         // before the expose thread first runs, is news to the expose stage.
         let generation_at_start = signals.progress.generation();
-        let ingest_done = Arc::new(AtomicBool::new(false));
-        let (ingest_tx, ingest_rx) = bounded::<(Instant, Segment)>(options.ingest_capacity);
-        let mut threads = Vec::with_capacity(options.workers + 2);
+        let mut threads = Vec::with_capacity(options.workers + 1);
 
         let obs = Arc::clone(policy.exposure().obs());
+        let watch = DeathWatch::new(&signals, &obs);
         let apply_obs = Arc::new(StageObs::new(&obs, PipelineStage::Apply));
 
         // Apply stage.
@@ -574,12 +596,12 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                 let policy = Arc::clone(&policy);
                 let signals = Arc::clone(&signals);
                 let apply_obs = Arc::clone(&apply_obs);
-                let watch = DeathWatch::new(&signals, &obs);
+                let watch = watch.clone();
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("{label}-worker-{worker}"))
                         .spawn(move || {
-                            let _watch = watch;
+                            let _armed = watch.armed();
                             while let Ok(item) = rx.recv() {
                                 let started = Instant::now();
                                 policy.apply(worker, item, &signals);
@@ -610,53 +632,18 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             }
         }
 
-        // Schedule stage.
-        {
-            let policy = Arc::clone(&policy);
-            let signals = Arc::clone(&signals);
-            let ingest_done = Arc::clone(&ingest_done);
-            let ingest_obs = StageObs::new(&obs, PipelineStage::Ingest);
-            let schedule_obs = StageObs::new(&obs, PipelineStage::Schedule);
-            let ingest_depth = obs.metrics.gauge("ingest_queue_depth");
-            let watch = DeathWatch::new(&signals, &obs);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("{label}-scheduler"))
-                    .spawn(move || {
-                        let _watch = watch;
-                        let mut sink = WorkSink::new(lane_txs);
-                        while let Ok((enqueued, segment)) = ingest_rx.recv() {
-                            let backlog = ingest_rx.len();
-                            ingest_depth.set(backlog as i64);
-                            ingest_obs.record(enqueued.elapsed(), backlog);
-                            let started = Instant::now();
-                            policy.schedule(segment, &mut sink);
-                            schedule_obs.record(started.elapsed(), sink.queued());
-                            if sink.workers_gone() || signals.shutdown_requested() {
-                                break;
-                            }
-                        }
-                        ingest_depth.set(0);
-                        ingest_done.store(true, Ordering::Release);
-                        signals.progress.notify();
-                        // Dropping the sink closes the worker queues.
-                    })
-                    .expect("spawn scheduler"),
-            );
-        }
-
         // Expose stage.
         {
             let policy = Arc::clone(&policy);
             let signals = Arc::clone(&signals);
             let min_spacing = policy.exposure().min_cut_spacing();
             let expose_obs = ExposeObs::new(&obs);
-            let watch = DeathWatch::new(&signals, &obs);
+            let watch = watch.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{label}-expose"))
                     .spawn(move || {
-                        let _watch = watch;
+                        let _armed = watch.armed();
                         expose_loop(
                             policy,
                             signals,
@@ -672,8 +659,9 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         Self {
             policy,
             signals,
-            ingest_tx: Mutex::new(Some(ingest_tx)),
-            ingest_done,
+            sink: Mutex::new(Some(WorkSink::new(lane_txs))),
+            schedule_obs: StageObs::new(&obs, PipelineStage::Schedule),
+            watch,
             threads: Mutex::new(threads),
             finished: AtomicBool::new(false),
             dropped_segments: obs.metrics.counter("dropped_segments_total"),
@@ -691,7 +679,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         &self.signals
     }
 
-    /// Counts a segment fed to a finished replica (or one whose scheduler is
+    /// Counts a segment fed to a finished replica (or one whose workers are
     /// gone). `apply_segment` has no error to return, so the loss is made
     /// visible in the sink instead.
     pub(crate) fn note_dropped_segment(&self) {
@@ -785,12 +773,23 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
     }
 
     fn apply_segment(&self, segment: Segment) {
-        let sent = match self.ingest_tx.lock().as_ref() {
-            Some(tx) => tx.send((Instant::now(), segment)).is_ok(),
-            None => false,
-        };
-        if !sent {
+        let mut slot = self.sink.lock();
+        // The sink leaves its slot for the duration of the call and returns
+        // only if `schedule` does: should the policy panic, unwinding drops
+        // the sink (closing the worker queues) and leaves the slot empty
+        // (later segments count as dropped), and the armed watch fails the
+        // progress signal so nothing waits for the prefix this call held.
+        let Some(mut sink) = slot.take() else {
+            drop(slot);
             self.note_dropped_segment();
+            return;
+        };
+        let _armed = self.watch.armed();
+        let started = Instant::now();
+        self.policy.schedule(segment, &mut sink);
+        self.schedule_obs.record(started.elapsed(), sink.queued());
+        if !sink.workers_gone() {
+            *slot = Some(sink);
         }
     }
 
@@ -798,15 +797,15 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Close the ingest channel so the scheduler (and then the workers)
-        // drain and exit, then wait for every shipped write to be applied
-        // and exposed. Each wait sleeps on the progress signal and gives up
-        // if a stage thread died: the prefix that thread held will never
+        // Take the sink — behind any feeder still inside `schedule` — which
+        // closes the worker queues, so the workers drain what was dispatched
+        // and exit; then wait for every shipped write to be applied and
+        // exposed. Each wait sleeps on the progress signal and gives up if a
+        // stage thread died: the prefix that thread held will never
         // complete, so the pipeline seals at whatever cut it reached.
-        self.ingest_tx.lock().take();
+        self.sink.lock().take();
         let signals = &self.signals;
         let exposure = self.policy.exposure();
-        signals.wait_until(|| self.ingest_done.load(Ordering::Acquire));
         let target = exposure.shipped_seq();
         signals.wait_until(|| exposure.applied_seq() >= target);
         signals.start_draining();
@@ -816,7 +815,7 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
 
     fn promote(&self) -> Promotion {
         // Promotion *is* the drain-and-seal protocol `finish` already runs:
-        // ingestion ends at whatever prefix has arrived, in-flight applies
+        // the log ends at whatever prefix has arrived, in-flight applies
         // drain to it, the cut advances to the last boundary in the prefix,
         // and the threads stop. What promotion adds is the measurement (the
         // drain time is the failover cost the paper's thesis bounds by
@@ -865,7 +864,7 @@ impl<P: PipelinePolicy> Drop for PipelineRuntime<P> {
         // Make sure background threads stop even if the caller forgot to
         // call finish(); without the full drain semantics, just signal
         // shutdown.
-        self.ingest_tx.lock().take();
+        self.sink.get_mut().take();
         self.stop_threads();
     }
 }
@@ -1006,8 +1005,8 @@ impl BoundaryLedger {
         }
     }
 
-    /// The last log position noted so far (the end of the log once ingestion
-    /// is done).
+    /// The last log position noted so far (the end of the log once the last
+    /// segment has been fed).
     pub fn shipped_seq(&self) -> SeqNo {
         SeqNo(self.final_seq.load(Ordering::Acquire))
     }
@@ -1662,16 +1661,53 @@ mod tests {
         assert!(signal.failed());
     }
 
-    /// A minimal in-order ordering whose `apply` panics on a chosen record:
-    /// whole segments round-robin to the workers, records installed one by
-    /// one into the real prefix exposure.
+    /// Closed, it holds worker 0 before its next item.
+    #[derive(Default)]
+    struct Gate {
+        closed: PlMutex<bool>,
+        moved: Condvar,
+    }
+
+    impl Gate {
+        fn set_closed(&self, closed: bool) {
+            *self.closed.lock() = closed;
+            self.moved.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut closed = self.closed.lock();
+            while *closed {
+                self.moved.wait(&mut closed);
+            }
+        }
+    }
+
+    /// Where a [`PoisonedPolicy`] panics: inside `apply` at a record, or
+    /// inside `schedule` at the segment holding a record.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Poison {
+        None,
+        Apply(u64),
+        Schedule(u64),
+    }
+
+    /// A minimal ordering that can be made to panic on either side of the
+    /// hand-off and whose worker 0 can be wedged behind a gate. `schedule`
+    /// stamps and dispatches one transaction at a time, round-robin, so a
+    /// feeder blocked on a full queue holds records it has not stamped yet;
+    /// `apply` installs a transaction's records into the real prefix
+    /// exposure.
     struct PoisonedPolicy {
         exposure: PrefixExposure,
-        poison: SeqNo,
+        poison: Poison,
+        gate: Gate,
+        /// The per-row stamping state, and every `(seq, prev_seq)` it
+        /// stamped, in schedule order.
+        stamped: PlMutex<(crate::scheduler::SchedulerState, Vec<(SeqNo, SeqNo)>)>,
     }
 
     impl PoisonedPolicy {
-        fn new(poison: SeqNo) -> Arc<Self> {
+        fn new(poison: Poison) -> Arc<Self> {
             let config = c5_common::ReplicaConfig::default().with_obs(Obs::new());
             Arc::new(Self {
                 exposure: PrefixExposure::timestamped(
@@ -1680,31 +1716,66 @@ mod tests {
                     SeqNo::ZERO,
                 ),
                 poison,
+                gate: Gate::default(),
+                stamped: PlMutex::default(),
             })
         }
 
         fn metrics(&self) -> c5_obs::MetricsSnapshot {
             self.exposure.obs().metrics.snapshot()
         }
+
+        fn stamps(&self) -> Vec<(SeqNo, SeqNo)> {
+            self.stamped.lock().1.clone()
+        }
     }
 
     impl PipelinePolicy for PoisonedPolicy {
-        type Item = Segment;
+        type Item = Vec<LogRecord>;
 
         fn name(&self) -> &'static str {
             "poisoned"
         }
 
-        fn schedule(&self, segment: Segment, sink: &mut WorkSink<Segment>) {
+        fn schedule(&self, segment: Segment, sink: &mut WorkSink<Vec<LogRecord>>) {
+            let poisoned = |seq| self.poison == Poison::Schedule(seq);
+            assert!(
+                !segment.records.iter().any(|r| poisoned(r.seq.as_u64())),
+                "poisoned segment {}",
+                segment.header.id
+            );
             self.exposure.note_segment(&segment);
-            sink.send(segment);
+            let mut txn = Vec::new();
+            for mut record in segment.records {
+                {
+                    let mut stamped = self.stamped.lock();
+                    stamped.0.process_record(&mut record);
+                    stamped.1.push((record.seq, record.prev_seq));
+                }
+                let last = record.is_txn_last();
+                txn.push(record);
+                if last {
+                    sink.send(std::mem::take(&mut txn));
+                }
+            }
         }
 
-        fn apply(&self, _worker: usize, segment: Segment, _signals: &PipelineSignals) {
-            for r in &segment.records {
-                assert!(r.seq != self.poison, "poisoned record {}", r.seq);
+        fn apply(&self, worker: usize, txn: Vec<LogRecord>, _signals: &PipelineSignals) {
+            if worker == 0 {
+                self.gate.pass();
+            }
+            for r in &txn {
+                assert!(
+                    self.poison != Poison::Apply(r.seq.as_u64()),
+                    "poisoned record {}",
+                    r.seq
+                );
                 self.exposure.install(r);
             }
+        }
+
+        fn interrupt(&self) {
+            self.gate.set_closed(false);
         }
 
         fn exposure(&self) -> &impl Exposure {
@@ -1712,19 +1783,27 @@ mod tests {
         }
     }
 
-    fn poisoned_runtime(poison: u64) -> PipelineRuntime<PoisonedPolicy> {
+    /// Two workers with a queue of `capacity` transactions each.
+    fn poisoned_runtime_with(
+        policy: Arc<PoisonedPolicy>,
+        capacity: usize,
+    ) -> PipelineRuntime<PoisonedPolicy> {
         PipelineRuntime::start(
-            PoisonedPolicy::new(SeqNo(poison)),
+            policy,
             PipelineOptions {
                 workers: 2,
-                queue: QueuePlan::PerWorker { capacity: 16 },
-                ingest_capacity: 16,
+                queue: QueuePlan::PerWorker { capacity },
             },
         )
     }
 
-    /// Transactions of two writes each, `per_segment` of them to a segment:
-    /// boundaries are the even positions.
+    fn poisoned_runtime(poison: Poison) -> PipelineRuntime<PoisonedPolicy> {
+        poisoned_runtime_with(PoisonedPolicy::new(poison), 16)
+    }
+
+    /// Transactions of two writes each — the first to the hot row 0, the
+    /// second to a row of the transaction's own — `per_segment` of them to a
+    /// segment: boundaries are the even positions.
     fn two_write_txn_segments(segments: u64, per_segment: u64) -> Vec<Segment> {
         (0..segments)
             .map(|id| {
@@ -1735,13 +1814,20 @@ mod tests {
                             txn: TxnId(txn + 1),
                             idx_in_txn: idx,
                             txn_len: 2,
-                            ..record(txn * 2 + 1 + u64::from(idx), 0, txn * 2 + u64::from(idx))
+                            ..record(txn * 2 + 1 + u64::from(idx), 0, u64::from(idx) * (txn + 1))
                         })
                     })
                     .collect();
                 Segment::new(id, records)
             })
             .collect()
+    }
+
+    /// Waits for a state another thread is about to reach (and, being
+    /// blocked there, will then stay in); panics if it never does.
+    fn wait_for(what: &str, ready: impl FnMut() -> bool) {
+        let reached = c5_common::pacing::poll_until(Duration::from_secs(30), ready);
+        assert!(reached, "never reached: {what}");
     }
 
     /// Runs `f` on its own thread and panics if it has not returned within
@@ -1758,7 +1844,7 @@ mod tests {
 
     #[test]
     fn a_healthy_pipeline_drains_without_a_timer() {
-        let runtime = poisoned_runtime(0);
+        let runtime = poisoned_runtime(Poison::None);
         let segments = two_write_txn_segments(8, 4);
         for segment in segments {
             runtime.apply_segment(segment);
@@ -1776,7 +1862,7 @@ mod tests {
         let cuts = metrics
             .counter("stage_items_total{stage=\"expose\"}")
             .unwrap();
-        assert!((1..=8).contains(&cuts), "{cuts} cuts for 8 items");
+        assert!((1..=32).contains(&cuts), "{cuts} cuts for 32 items");
         assert!(metrics.counter("expose_wakeups_total").unwrap() >= cuts);
         let waited = metrics
             .histogram("stage_wait_ns{stage=\"expose\"}")
@@ -1788,7 +1874,7 @@ mod tests {
     fn a_dead_worker_fails_the_pipeline_instead_of_hanging_finish() {
         // Position 21 is the first write of the third segment's first
         // transaction; its worker dies there.
-        let runtime = Arc::new(poisoned_runtime(21));
+        let runtime = Arc::new(poisoned_runtime(Poison::Apply(21)));
         for segment in two_write_txn_segments(8, 5) {
             runtime.apply_segment(segment);
         }
@@ -1810,9 +1896,179 @@ mod tests {
         assert_eq!(promotion.cut, cut);
     }
 
+    /// `schedule` runs on the feeder's thread, so a panic in it unwinds into
+    /// the feeder — and must still fail the pipeline as a dead stage thread
+    /// did: every wait returns, the death is counted, later segments are
+    /// counted as dropped.
+    #[test]
+    fn a_panic_in_schedule_fails_the_pipeline_on_the_feeders_thread() {
+        // Position 21 is in the third segment.
+        let runtime = Arc::new(poisoned_runtime(Poison::Schedule(21)));
+        let mut segments = two_write_txn_segments(8, 5);
+        let late = segments.split_off(3);
+        let feeder = {
+            let runtime = Arc::clone(&runtime);
+            std::thread::spawn(move || segments.into_iter().for_each(|s| runtime.apply_segment(s)))
+        };
+        assert!(feeder.join().is_err(), "the panic is the feeder's");
+
+        assert!(runtime.signals().failed());
+        assert!(!runtime.wait_until_exposed(SeqNo(80), Duration::from_secs(3600)));
+        let metrics = runtime.policy().metrics();
+        assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(1));
+        assert_eq!(metrics.counter("dropped_segments_total"), Some(0));
+        // The sink closed with the panic: what follows is dropped and counted.
+        for segment in late {
+            runtime.apply_segment(segment);
+        }
+        let metrics = runtime.policy().metrics();
+        assert_eq!(metrics.counter("dropped_segments_total"), Some(5));
+        assert_eq!(runtime.metrics().shipped_seq, SeqNo(20));
+
+        let finishing = Arc::clone(&runtime);
+        within_deadline("finish() after a failed schedule", move || {
+            finishing.finish()
+        });
+        let cut = runtime.exposed_seq();
+        assert!(
+            cut <= SeqNo(20) && cut.as_u64() % 2 == 0,
+            "the cut must stay a transaction boundary below the poisoned segment, got {cut}"
+        );
+        let promoting = Arc::clone(&runtime);
+        let promotion = within_deadline("promote() after a failure", move || promoting.promote());
+        assert_eq!(promotion.cut, cut);
+    }
+
+    /// The feeder is the scheduler: no thread but the workers' and the
+    /// expose stage's.
+    #[test]
+    fn a_runtime_with_w_workers_runs_w_plus_one_threads() {
+        for workers in 1..=3 {
+            for queue in [
+                QueuePlan::Shared { capacity: 4 },
+                QueuePlan::PerWorker { capacity: 4 },
+            ] {
+                let runtime = PipelineRuntime::start(
+                    PoisonedPolicy::new(Poison::None),
+                    PipelineOptions { workers, queue },
+                );
+                assert_eq!(runtime.threads.lock().len(), workers + 1);
+            }
+        }
+    }
+
+    /// Backpressure is bounded and the wire sees it: a wedged worker fills
+    /// its queue, the full queue blocks the feeder inside `apply_segment`,
+    /// and from there on segments pile up in the subscription queue — the one
+    /// buffer the shipper's idle rule looks at — and nowhere else.
+    #[test]
+    fn a_wedged_worker_backs_up_into_the_subscription_queue_and_no_further() {
+        const LANE: usize = 2;
+        const SUBSCRIPTION: usize = 4;
+        let policy = PoisonedPolicy::new(Poison::None);
+        policy.gate.set_closed(true);
+        let runtime = Arc::new(poisoned_runtime_with(policy, LANE));
+        // One transaction to a segment, so segment `i` is worker `i % 2`'s.
+        let segments = two_write_txn_segments(12, 1);
+        let (shipper, receiver) = c5_log::LogShipper::bounded(SUBSCRIPTION);
+        let feeder = {
+            let (runtime, receiver) = (Arc::clone(&runtime), receiver.clone());
+            std::thread::spawn(move || {
+                crate::replica::drive_from_receiver(runtime.as_ref(), receiver)
+            })
+        };
+
+        // Worker 0 holds segment 0 at the gate with 2 and 4 queued behind it,
+        // so the feeder blocks dispatching segment 6 (positions 13-14); 7..=10
+        // fit in the subscription queue and every `ship` returns.
+        for segment in &segments[..11] {
+            shipper.ship(segment.clone());
+        }
+        wait_for("the feeder blocked on segment 6, the queue full", || {
+            runtime.metrics().shipped_seq == SeqNo(14) && receiver.try_len() == SUBSCRIPTION
+        });
+        assert!(!shipper.is_idle(), "the wire must see the backlog");
+        let metrics = runtime.metrics();
+        assert_eq!(
+            (metrics.applied_seq, metrics.exposed_seq),
+            (SeqNo::ZERO, SeqNo::ZERO),
+            "worker 1 ran ahead, but the prefix starts with worker 0's segment"
+        );
+
+        // Released, everything drains: the queue empties (the wire is idle
+        // again), the log ends, and the feeder's `finish` returns.
+        runtime.policy().gate.set_closed(false);
+        shipper.ship(segments[11].clone());
+        wait_for("an idle wire", || shipper.is_idle());
+        shipper.close();
+        within_deadline("the feeder, once the worker is released", move || {
+            feeder.join().expect("feeder")
+        });
+        assert_eq!(runtime.exposed_seq(), SeqNo(24));
+        crate::mpc::MpcChecker::new(&[], &segments)
+            .verify_view(runtime.read_view().as_ref())
+            .expect("MPC holds");
+        let metrics = runtime.policy().metrics();
+        assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(0));
+        assert_eq!(metrics.counter("dropped_segments_total"), Some(0));
+    }
+
+    /// Two threads in `apply_segment` at once take turns in call order: the
+    /// second schedules nothing until the first — blocked mid-segment, with
+    /// records it has not stamped yet — is done. The `prev_seq` stamps are a
+    /// single feeder's.
+    #[test]
+    fn concurrent_feeders_are_serialised_in_call_order() {
+        let segments = two_write_txn_segments(6, 4);
+        let single = poisoned_runtime(Poison::None);
+        crate::replica::drive_segments(&single, segments.clone());
+        let expected = single.policy().stamps();
+        assert_eq!(expected.len(), 48);
+        assert_eq!(expected[46], (SeqNo(47), SeqNo(45)), "the hot row chains");
+
+        let policy = PoisonedPolicy::new(Poison::None);
+        policy.gate.set_closed(true);
+        let runtime = Arc::new(poisoned_runtime_with(policy, 2));
+        let mut log = segments.clone().into_iter();
+        let mut feed = |count: usize, called: Arc<AtomicBool>| {
+            let runtime = Arc::clone(&runtime);
+            let batch: Vec<Segment> = log.by_ref().take(count).collect();
+            std::thread::spawn(move || {
+                called.store(true, Ordering::SeqCst);
+                batch.into_iter().for_each(|s| runtime.apply_segment(s));
+            })
+        };
+        // Worker 0 takes the even transactions: it holds the first with the
+        // third and fifth queued, so the first feeder blocks sending the
+        // seventh — the third of segment 1, whose fourth is still unstamped.
+        let first = feed(2, Arc::default());
+        wait_for("the first feeder blocked mid-segment", || {
+            runtime.policy().stamps().len() == 14
+        });
+        let called = Arc::new(AtomicBool::new(false));
+        let second = feed(1, Arc::clone(&called));
+        wait_for("the second feeder's call", || called.load(Ordering::SeqCst));
+        assert_eq!(
+            runtime.policy().stamps().len(),
+            14,
+            "the second feeder waits"
+        );
+        runtime.policy().gate.set_closed(false);
+        for feeder in [first, second] {
+            within_deadline("a released feeder", move || feeder.join().expect("feeder"));
+        }
+        crate::replica::drive_segments(runtime.as_ref(), log.collect());
+
+        assert_eq!(runtime.policy().stamps(), expected);
+        assert_eq!(runtime.exposed_seq(), SeqNo(48));
+        crate::mpc::MpcChecker::new(&[], &segments)
+            .verify_view(runtime.read_view().as_ref())
+            .expect("MPC holds");
+    }
+
     #[test]
     fn a_segment_fed_after_finish_is_counted_as_dropped() {
-        let runtime = poisoned_runtime(0);
+        let runtime = poisoned_runtime(Poison::None);
         let mut segments = two_write_txn_segments(2, 4);
         let late = segments.pop().unwrap();
         runtime.apply_segment(segments.pop().unwrap());

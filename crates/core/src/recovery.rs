@@ -17,15 +17,14 @@
 //! recovering process agree on layout by construction. If truncation has
 //! outrun the checkpoint — the archive dropped records the checkpoint does
 //! not cover, which can only happen if the manifest publication was lost —
-//! recovery fails loudly with [`c5_common::Error::ArchiveTruncated`] instead
-//! of silently replaying a log with a hole in it.
+//! recovery fails loudly with [`Error::ArchiveTruncated`] instead of silently
+//! replaying a log with a hole in it. Every failure is a [`c5_common::Error`].
 
 use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use c5_common::{DurabilityPolicy, Error, ReplicaConfig, SeqNo};
+use c5_common::{DurabilityPolicy, Error, ReplicaConfig, Result, SeqNo};
 use c5_log::{LogArchive, Segment};
 use c5_storage::CheckpointInstaller;
 
@@ -39,35 +38,6 @@ pub fn log_dir(state_dir: &Path) -> PathBuf {
 /// The checkpoint subdirectory of a durable state directory.
 pub fn checkpoint_dir(state_dir: &Path) -> PathBuf {
     state_dir.join("checkpoint")
-}
-
-/// Why a recovery attempt failed.
-#[derive(Debug)]
-pub enum RecoveryError {
-    /// The state directory, manifest, checkpoint file, or a segment file
-    /// could not be read (or a damaged checkpoint failed validation).
-    Io(io::Error),
-    /// The archive was truncated past the checkpoint cut — the retained log
-    /// no longer reaches back to the recovered state
-    /// ([`Error::ArchiveTruncated`]).
-    Archive(Error),
-}
-
-impl fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryError::Io(e) => write!(f, "recovery could not read durable state: {e}"),
-            RecoveryError::Archive(e) => write!(f, "recovery cannot replay the log: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RecoveryError {}
-
-impl From<io::Error> for RecoveryError {
-    fn from(e: io::Error) -> Self {
-        RecoveryError::Io(e)
-    }
 }
 
 /// A replica reconstructed from durable state, plus how it got there.
@@ -102,14 +72,23 @@ impl fmt::Debug for RecoveredReplica {
 
 /// Recovers a replica from the durable state under `state_dir`: newest
 /// checkpoint, plus the archived log tail above its cut. See the module docs
-/// for the exact steps and failure semantics. The archive is reopened with
-/// `policy` governing post-recovery appends.
+/// for the exact steps. The archive is reopened with `policy` governing
+/// post-recovery appends.
+///
+/// Fails with [`Error::RecoveryIo`] when the checkpoint or archive directory
+/// cannot be read (or a damaged checkpoint fails validation), and with
+/// [`Error::ArchiveTruncated`] when the retained log no longer reaches back
+/// to the checkpoint cut.
 pub fn recover_replica(
     state_dir: &Path,
     mode: C5Mode,
     config: ReplicaConfig,
     policy: DurabilityPolicy,
-) -> Result<RecoveredReplica, RecoveryError> {
+) -> Result<RecoveredReplica> {
+    let io_error = |what: &'static str, dir: &Path, e: std::io::Error| Error::RecoveryIo {
+        what,
+        message: format!("{}: {e}", dir.display()),
+    };
     // Each recovery phase ends with a typed trace event into the config's
     // observability sink, so a recovered process can show where its
     // startup time went.
@@ -124,11 +103,14 @@ pub fn recover_replica(
             .record(elapsed_ns);
     };
 
-    let checkpoint = CheckpointInstaller::load(checkpoint_dir(state_dir))?;
+    let dir = checkpoint_dir(state_dir);
+    let checkpoint =
+        CheckpointInstaller::load(&dir).map_err(|e| io_error("checkpoint", &dir, e))?;
     trace_phase("load_checkpoint", phase_start);
 
     let phase_start = std::time::Instant::now();
-    let opened = LogArchive::open(log_dir(state_dir), policy)?;
+    let dir = log_dir(state_dir);
+    let opened = LogArchive::open(&dir, policy).map_err(|e| io_error("log archive", &dir, e))?;
     let archive = Arc::new(opened.archive);
     trace_phase("open_archive", phase_start);
 
@@ -146,7 +128,7 @@ pub fn recover_replica(
     trace_phase("install_checkpoint", phase_start);
 
     let phase_start = std::time::Instant::now();
-    let tail = archive.replay_from(cut).map_err(RecoveryError::Archive)?;
+    let tail = archive.replay_from(cut)?;
     let replayed_records = tail.iter().map(Segment::len).sum();
     let recovered_through = tail
         .last()
@@ -310,10 +292,7 @@ mod tests {
             DurabilityPolicy::EverySegment,
         )
         .expect_err("the log has a hole below the replay cut");
-        assert!(matches!(
-            err,
-            RecoveryError::Archive(Error::ArchiveTruncated { .. })
-        ));
+        assert!(matches!(err, Error::ArchiveTruncated { .. }));
 
         fs::remove_dir_all(&dir).expect("cleanup");
     }

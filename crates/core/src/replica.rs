@@ -79,6 +79,10 @@ pub struct ReplicaMetrics {
     pub applied_seq: SeqNo,
     /// Largest log position exposed to read-only transactions.
     pub exposed_seq: SeqNo,
+    /// Largest log position dispatched to the workers: `apply_segment` has
+    /// returned for every segment at or below it (for a sharded replica, on
+    /// every shard).
+    pub shipped_seq: SeqNo,
     /// Number of writes that had to wait for their per-row predecessor
     /// before executing (each such write is counted once, however long it
     /// waited).
@@ -118,7 +122,10 @@ pub trait ClonedConcurrencyControl: Send + Sync {
     /// Short protocol name for reports (e.g. `"c5"`, `"kuafu"`).
     fn name(&self) -> &'static str;
 
-    /// Feeds one log segment. May block for backpressure.
+    /// Feeds one log segment: the calling thread schedules it. Returns once
+    /// its work is dispatched to the workers (`metrics().shipped_seq` covers
+    /// it); blocks while the worker queues are full. Concurrent callers are
+    /// serialised; segments must be fed in log order.
     fn apply_segment(&self, segment: Segment);
 
     /// Signals end-of-log, waits for every shipped write to be applied and
@@ -475,7 +482,6 @@ impl C5Replica {
         let options = PipelineOptions {
             workers: config.workers,
             queue,
-            ingest_capacity: config.segment_channel_capacity,
         };
         Arc::new(Self {
             config,

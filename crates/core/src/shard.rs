@@ -447,10 +447,13 @@ impl CutCoordinator {
         let exposed_seq = self.cut();
         let applied_seq = self.applied_floor();
         let (mut applied_txns, mut applied_writes, mut deferred_writes) = (0, 0, 0);
+        // Read after the applied floor, which it bounds from above.
+        let mut shipped_seq = SeqNo(u64::MAX);
         for progress in &self.shards {
             applied_txns += progress.applied_txns.load(Ordering::Acquire);
             applied_writes += progress.applied_writes.load(Ordering::Acquire);
             deferred_writes += progress.deferred_writes.load(Ordering::Relaxed);
+            shipped_seq = shipped_seq.min(progress.covered_through());
         }
         ReplicaMetrics {
             applied_writes,
@@ -460,6 +463,7 @@ impl CutCoordinator {
             deferred_writes,
             reclaimed_versions: self.gc.reclaimed(),
             cross_shard_txns: self.cross_shard_txns.load(Ordering::Relaxed),
+            shipped_seq,
         }
     }
 
@@ -684,7 +688,6 @@ impl ShardedC5Replica {
                     PipelineOptions {
                         workers: config.workers,
                         queue: QueuePlan::PerWorker { capacity: 256 },
-                        ingest_capacity: config.segment_channel_capacity,
                     },
                     Arc::clone(&signal),
                 )
@@ -788,7 +791,11 @@ impl ClonedConcurrencyControl for ShardedC5Replica {
             self.runtimes[0].note_dropped_segment();
             return;
         }
-        let routed = route_segment_with(segment, self.router(), &mut self.route_state.lock());
+        // Held until every shard has its part: the routing lock is this
+        // replica's schedule lock, so concurrent feeders take turns here and
+        // no shard sees two segments' parts out of order.
+        let mut route_state = self.route_state.lock();
+        let routed = route_segment_with(segment, self.router(), &mut route_state);
         self.coordinator
             .cross_shard_txns
             .fetch_add(routed.cross_shard_txns, Ordering::Relaxed);

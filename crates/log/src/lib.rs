@@ -60,5 +60,5 @@ pub use record::{explode_txn, now_nanos, LogRecord, TxnEntry};
 pub use segment::{Segment, SegmentHeader};
 pub use ship::{
     route_segment, route_segment_with, LogReceiver, LogShipper, RoutedSegments, RoutingStats,
-    Subscription, SubscriptionId, TxnShardTracker,
+    Subscription, SubscriptionId, TxnShardTracker, SUBSCRIPTION_SEGMENTS,
 };

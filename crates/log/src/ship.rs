@@ -123,6 +123,13 @@ use c5_obs::{Counter, Histogram, Obs, TraceEvent};
 use crate::archive::LogArchive;
 use crate::segment::Segment;
 
+/// Segments a live subscription buffers before `ship` blocks on it: the
+/// capacity the fleet controller and the scenario harness subscribe with.
+/// It is the one `Segment` buffer between the shipper and a replica's worker
+/// queues, so it bounds how far a slow replica may fall behind before it
+/// holds the wire back.
+pub const SUBSCRIPTION_SEGMENTS: usize = 1024;
+
 /// Stable identity of one subscription in a shipper's registry, handed out
 /// by [`LogShipper::subscribe`] and accepted by [`LogShipper::unsubscribe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -568,8 +575,10 @@ impl LogShipper {
     /// Whether the wire would deliver a segment shipped now without it
     /// waiting behind anything: at least one subscriber, every subscriber's
     /// queue empty and, on an archived wire, nothing queued for or inside
-    /// the archive. The logger's ship-now rule (see the module docs).
-    pub(crate) fn is_idle(&self) -> bool {
+    /// the archive. The logger's ship-now rule (see the module docs). A
+    /// replica schedules on the thread that drains its subscription, so a
+    /// replica that cannot keep up shows here as a non-empty queue.
+    pub fn is_idle(&self) -> bool {
         if let Some(wire) = &self.wire {
             if wire.state.pending.load(Ordering::Relaxed) != 0 {
                 return false;

@@ -32,13 +32,11 @@ pub fn now_nanos() -> u64 {
         .unwrap_or(0)
 }
 
-/// The four stages of the replica pipeline, in log order.
+/// The three stages of the replica pipeline, in log order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineStage {
-    /// Segment receipt: time from enqueue into the ingest channel until the
-    /// scheduler dequeues it.
-    Ingest,
-    /// Dependency stamping and dispatch to workers.
+    /// Dependency stamping and dispatch to workers, on the thread that feeds
+    /// the replica; includes any wait for room in a full worker queue.
     Schedule,
     /// Applying one unit of work (a segment or a transaction) to the store.
     Apply,
@@ -50,17 +48,15 @@ impl PipelineStage {
     /// Lower-case stage name, used as the `stage` label on metrics.
     pub fn name(&self) -> &'static str {
         match self {
-            PipelineStage::Ingest => "ingest",
             PipelineStage::Schedule => "schedule",
             PipelineStage::Apply => "apply",
             PipelineStage::Expose => "expose",
         }
     }
 
-    /// All four stages in pipeline order.
-    pub fn all() -> [PipelineStage; 4] {
+    /// All three stages in pipeline order.
+    pub fn all() -> [PipelineStage; 3] {
         [
-            PipelineStage::Ingest,
             PipelineStage::Schedule,
             PipelineStage::Apply,
             PipelineStage::Expose,
@@ -321,7 +317,7 @@ mod tests {
     fn events_merge_into_a_sorted_timeline() {
         let recorder = TraceRecorder::new(64);
         recorder.record(TraceEvent::Stage {
-            stage: PipelineStage::Ingest,
+            stage: PipelineStage::Schedule,
             dwell_ns: 10,
             queue_depth: 2,
         });

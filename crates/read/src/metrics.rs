@@ -57,18 +57,21 @@ impl ClassMetrics {
     }
 }
 
+/// One in every `LATENCY_SAMPLE_EVERY` reads of a class records its latency
+/// and observed staleness into the class's histograms, which keeps the
+/// metrics path (a clock read, a frontier probe) off the hot read path.
+pub const LATENCY_SAMPLE_EVERY: u64 = 8;
+
 /// All classes' metrics, owned by the router.
 #[derive(Debug)]
 pub(crate) struct RouterMetrics {
     classes: [ClassMetrics; 3],
-    sample_every: u64,
 }
 
 impl RouterMetrics {
-    pub(crate) fn new(sample_every: u64, obs: &Obs) -> Self {
+    pub(crate) fn new(obs: &Obs) -> Self {
         Self {
             classes: ClassKind::ALL.map(|kind| ClassMetrics::new(obs, kind)),
-            sample_every,
         }
     }
 
@@ -100,7 +103,7 @@ impl RouterMetrics {
                 .fetch_add(blocked.as_nanos() as u64, Ordering::Relaxed);
         }
         let tick = class.sample_clock.fetch_add(1, Ordering::Relaxed);
-        if tick % self.sample_every == 0 {
+        if tick % LATENCY_SAMPLE_EVERY == 0 {
             class.latency_ns.record_duration(latency);
             if let Some(staleness) = staleness_ms() {
                 class.staleness_ns.record((staleness * 1e6) as u64);
@@ -122,7 +125,7 @@ impl RouterMetrics {
                 .fetch_add(blocked.as_nanos() as u64, Ordering::Relaxed);
         }
         let tick = class.sample_clock.fetch_add(1, Ordering::Relaxed);
-        if tick % self.sample_every == 0 {
+        if tick % LATENCY_SAMPLE_EVERY == 0 {
             class.latency_ns.record_duration(latency);
         }
     }
@@ -239,7 +242,7 @@ mod tests {
     #[test]
     fn counters_and_reservoirs_accumulate() {
         let obs = Obs::new();
-        let m = RouterMetrics::new(1, &obs);
+        let m = RouterMetrics::new(&obs);
         m.record_read(
             ClassKind::Causal,
             Duration::from_millis(2),
@@ -264,8 +267,8 @@ mod tests {
         assert_eq!(causal.txns, 1);
         assert_eq!(causal.blocked, 1);
         assert_eq!(causal.timeouts, 0);
-        let latency = causal.latency.expect("sampled everything");
-        assert_eq!(latency.count, 3);
+        let latency = causal.latency.expect("the first operation is sampled");
+        assert_eq!(latency.count, 1);
         assert_eq!(causal.staleness.expect("one staleness sample").count, 1);
         assert!(causal.throughput(Duration::from_secs(1)) > 0.0);
         assert!(causal.mean_block_ms() >= 1.0);
@@ -286,7 +289,7 @@ mod tests {
         assert_eq!(
             snap.histogram("read_latency_ns{class=\"causal\"}")
                 .map(HistogramSnapshot::count),
-            Some(3)
+            Some(1)
         );
         assert_eq!(
             snap.histogram("read_staleness_ns{class=\"causal\"}")
@@ -298,11 +301,11 @@ mod tests {
     #[test]
     fn sampling_stride_thins_the_reservoirs() {
         let obs = Obs::new();
-        let m = RouterMetrics::new(4, &obs);
+        let m = RouterMetrics::new(&obs);
         // Count how often the lazy staleness probe actually runs: only on
         // sampled ticks, never on the unsampled hot path.
         let probes = AtomicU64::new(0);
-        for _ in 0..16 {
+        for _ in 0..4 * LATENCY_SAMPLE_EVERY {
             m.record_read(
                 ClassKind::Strong,
                 Duration::from_millis(1),
@@ -316,7 +319,7 @@ mod tests {
         }
         assert_eq!(probes.load(Ordering::Relaxed), 4);
         let stats = m.stats(ClassKind::Strong);
-        assert_eq!(stats.reads, 16);
+        assert_eq!(stats.reads, 4 * LATENCY_SAMPLE_EVERY);
         assert_eq!(stats.latency.unwrap().count, 4);
     }
 

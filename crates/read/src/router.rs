@@ -184,7 +184,6 @@ impl ReadRouter {
         config: ReadConfig,
     ) -> Result<Self> {
         config.validate()?;
-        let sample_every = config.latency_sample_every;
         let obs = Arc::clone(&config.obs);
         let slots: Vec<Arc<ReplicaSlot>> = fleet
             .into_iter()
@@ -209,7 +208,7 @@ impl ReadRouter {
             frontier: None,
             tail_flush: None,
             config,
-            metrics: RouterMetrics::new(sample_every, &obs),
+            metrics: RouterMetrics::new(&obs),
             obs,
             next_session: AtomicU64::new(0),
         })

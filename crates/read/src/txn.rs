@@ -135,7 +135,7 @@ mod tests {
 
         let router = Arc::new(ReadRouter::new(
             vec![replica as Arc<dyn ClonedConcurrencyControl>],
-            ReadConfig::default().with_latency_sample_every(1),
+            ReadConfig::default(),
         ));
         let txn = router
             .read_only_txn(&ConsistencyClass::Causal(SeqNo(40)))

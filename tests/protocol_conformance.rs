@@ -181,6 +181,40 @@ fn every_protocol_honours_the_replica_contract() {
     }
 }
 
+/// The thread that feeds a replica is its scheduler: whatever the protocol,
+/// when `apply_segment` returns the segment's work is with the workers —
+/// `shipped_seq` covers it with no wait, on every shard — and nothing the
+/// replica has applied or exposed is ahead of what it was handed.
+#[test]
+fn apply_segment_is_synchronous_dispatch_for_every_protocol() {
+    let (population, segments) = mixed_log();
+    let last = segments.last().unwrap().last_seq().unwrap();
+    for (name, build) in PROTOCOLS {
+        let replica = build(preloaded(&population));
+        assert_eq!(replica.metrics().shipped_seq, SeqNo::ZERO, "{name}");
+        for segment in &segments {
+            let through = segment.last_seq().unwrap();
+            replica.apply_segment(segment.clone());
+            let m = replica.metrics();
+            assert_eq!(m.shipped_seq, through, "{name}: dispatched on return");
+            assert!(
+                m.exposed_seq <= m.applied_seq && m.applied_seq <= m.shipped_seq,
+                "{name}: exposed {} / applied {} / shipped {}",
+                m.exposed_seq,
+                m.applied_seq,
+                m.shipped_seq
+            );
+        }
+        replica.finish();
+        let m = replica.metrics();
+        assert_eq!(
+            (m.shipped_seq, m.applied_seq, m.exposed_seq),
+            (last, last, last),
+            "{name}"
+        );
+    }
+}
+
 /// DESIGN.md: "the single-shard case degenerates exactly to the paper's
 /// protocol". Same log, `C5Replica` (faithful) and `ShardedC5Replica` with one
 /// shard: the same final state, the same counts, and at every sample a
