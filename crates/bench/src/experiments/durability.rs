@@ -7,15 +7,16 @@
 //! the hidden `durability-child` sub-command) that runs a 2PL primary on the
 //! adversarial workload with its shipped log teed into a durable
 //! [`LogArchive`] (fsync per segment) and a population checkpoint published
-//! under the same state directory. Once enough segment files exist the
-//! parent SIGKILLs the child — no flush, no shutdown hook — and then:
+//! under the same state directory. Once the archive's log holds enough
+//! frames the parent SIGKILLs the child — no flush, no shutdown hook — and
+//! then:
 //!
 //! 1. recovers a replica from the persisted checkpoint plus the archived
-//!    tail ([`c5_core::recover_replica`]), tolerating a torn tail segment;
+//!    tail ([`c5_core::recover_replica`]), tolerating a torn tail frame;
 //! 2. MPC-verifies the recovered state against a serial replay of the
 //!    retained log (the child never truncates, so the archive itself is the
 //!    ground truth);
-//! 3. corrupts one byte of the newest segment file and recovers **again**,
+//! 3. corrupts one byte inside the log's last frame and recovers **again**,
 //!    asserting the damaged tail is truncated back to a transaction
 //!    boundary — never a panic, and never a state that diverges from a
 //!    prefix of the log.
@@ -26,7 +27,7 @@
 //! exposes a shorter-or-equal prefix that still passes the MPC check.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,6 +35,7 @@ use std::time::{Duration, Instant};
 use c5_common::{DurabilityPolicy, PrimaryConfig, ReplicaConfig, RowRef, SeqNo, Value};
 use c5_core::replica::{C5Mode, ClonedConcurrencyControl};
 use c5_core::{checkpoint_dir, log_dir, recover_replica, MpcChecker, RecoveredReplica};
+use c5_log::archive::{chunk_paths, scan_chunk};
 use c5_log::{LogArchive, LogShipper, StreamingLogger};
 use c5_primary::{ClosedLoopDriver, RunLength, TplEngine, TxnFactory};
 use c5_storage::{CheckpointInstaller, CheckpointWriter, MvStore};
@@ -43,8 +45,8 @@ use crate::harness::{preload, print_table};
 use crate::scale::Scale;
 
 /// Records per shipped segment in the child. Deliberately small so the child
-/// closes (and fsyncs) segment files quickly and the parent has several on
-/// disk within a fraction of a second.
+/// appends (and syncs) frames quickly and the parent finds several on disk
+/// within a fraction of a second.
 const SEGMENT_RECORDS: usize = 64;
 
 /// Runs the crash-recovery experiment and prints one row per recovery pass.
@@ -53,8 +55,8 @@ pub fn run(scale: &Scale) {
     let _ = fs::remove_dir_all(&state_dir);
     fs::create_dir_all(&state_dir).expect("create the scratch state directory");
 
-    // How many closed segment files to wait for before pulling the plug.
-    // Scaled by duration so --full kills deeper into the workload.
+    // How many archived frames to wait for before pulling the plug. Scaled
+    // by duration so --full kills deeper into the workload.
     let want_segments = if scale.duration >= Duration::from_secs(5) {
         16
     } else {
@@ -97,10 +99,9 @@ pub fn run(scale: &Scale) {
         .verify_view(recovered.replica.read_view().as_ref())
         .expect("the recovered state must equal the serial replay of the retained log");
 
-    // 4. Corrupt one byte of the newest segment file and recover again: the
+    // 4. Corrupt one byte inside the last frame and recover again: the
     // damaged tail must be truncated at a transaction boundary, not panic.
-    let tail = newest_segment(&log_dir(&state_dir));
-    flip_one_byte(&tail);
+    flip_one_byte_in_the_last_frame(&log_dir(&state_dir));
     let restarted = Instant::now();
     let rerecovered = recover_first_pass(&state_dir);
     let rerecovery_wall = restarted.elapsed();
@@ -114,8 +115,25 @@ pub fn run(scale: &Scale) {
         .verify_view(rerecovered.replica.read_view().as_ref())
         .expect("the post-corruption state must still be a prefix of the log");
 
+    // The archive's own share of a recovery, on the log as it now is.
+    let archive_files = fs::read_dir(log_dir(&state_dir)).map_or(0, |entries| entries.count());
+    let reopening = Instant::now();
+    let reopened = LogArchive::open(log_dir(&state_dir), DurabilityPolicy::EverySegment)
+        .expect("reopen the archive");
     println!(
-        "durability: child killed with {} segment files on disk; recovery replayed {} records \
+        "durability: LogArchive::open read {} segments ({} records) back from {} files in {:.2} ms",
+        reopened.recovered_segments,
+        reopened.recovered_records,
+        archive_files,
+        reopening.elapsed().as_secs_f64() * 1e3,
+    );
+    assert!(
+        archive_files <= 4,
+        "an append-only archive is a manifest and a chunk or two, not {archive_files} files"
+    );
+
+    println!(
+        "durability: child killed with at least {} frames on disk; recovery replayed {} records \
          through {} in {:.1} ms (torn tail: {}); after corrupting one tail byte, re-recovery \
          exposed {} in {:.1} ms — both passed the MPC check",
         want_segments,
@@ -173,8 +191,8 @@ pub fn run_child(state_dir: &Path) -> ! {
     preload(&store, &population);
 
     // Publish the population as a cut-zero checkpoint, then tee every shipped
-    // segment into the durable archive (fsync per segment). The parent polls
-    // for the segment files this produces.
+    // segment into the durable archive (sync per segment). The parent polls
+    // for the frames this produces.
     let checkpoint = CheckpointWriter::capture(&store, SeqNo::ZERO);
     CheckpointWriter::save(checkpoint_dir(state_dir), &checkpoint)
         .expect("publish the population checkpoint");
@@ -232,12 +250,12 @@ fn load_population(state_dir: &Path) -> Vec<(RowRef, Value)> {
         .collect()
 }
 
-/// Polls until `dir` holds at least `want` segment files, nudging the wait
-/// with a liveness check on the child.
+/// Polls until the archive under `dir` holds at least `want` valid frames,
+/// nudging the wait with a liveness check on the child.
 fn wait_for_segments(dir: &Path, want: usize, child: &mut std::process::Child) {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if segment_files(dir).len() >= want {
+        if archived_frames(dir) >= want {
             return;
         }
         if let Ok(Some(status)) = child.try_wait() {
@@ -245,41 +263,29 @@ fn wait_for_segments(dir: &Path, want: usize, child: &mut std::process::Child) {
         }
         assert!(
             Instant::now() < deadline,
-            "the child produced fewer than {want} segment files within the deadline"
+            "the child archived fewer than {want} frames within the deadline"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
 }
 
-fn segment_files(dir: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.extension().is_some_and(|ext| ext == "c5w")
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("seg-"))
-        })
-        .collect();
-    files.sort();
-    files
+/// Valid frames across the archive's chunks (zero while the directory or
+/// its first chunk does not exist yet).
+fn archived_frames(dir: &Path) -> usize {
+    let chunks = chunk_paths(dir).unwrap_or_default();
+    let scans = chunks.iter().filter_map(|chunk| scan_chunk(chunk).ok());
+    scans.map(|scan| scan.segments.len()).sum()
 }
 
-fn newest_segment(dir: &Path) -> PathBuf {
-    segment_files(dir)
-        .pop()
-        .expect("the archive retained at least one segment file")
-}
-
-/// Flips one byte near the end of `path` — inside the last frame's payload,
-/// so the frame's CRC no longer matches.
-fn flip_one_byte(path: &Path) {
-    let mut bytes = fs::read(path).expect("read the tail segment");
-    let at = bytes.len().saturating_sub(9);
+/// Flips one byte nine bytes before the end of the log's written extent —
+/// inside the last frame's payload, so its checksum no longer matches.
+fn flip_one_byte_in_the_last_frame(dir: &Path) {
+    let tail = (chunk_paths(dir).ok())
+        .and_then(|mut chunks| chunks.pop())
+        .expect("the archive has a chunk");
+    let written = scan_chunk(&tail).expect("scan the tail chunk").valid_len;
+    let mut bytes = fs::read(&tail).expect("read the tail chunk");
+    let at = usize::try_from(written).expect("a chunk fits in memory") - 9;
     bytes[at] ^= 0xFF;
-    fs::write(path, &bytes).expect("write the corrupted tail back");
+    fs::write(&tail, &bytes).expect("write the corrupted tail back");
 }

@@ -71,7 +71,8 @@ pub fn run(scale: &Scale) {
 
     // The wire's natural batching, from the sink alone: how big the
     // segments the idle rule cut were, how many left below the size bound,
-    // and what the wire thread spent queueing and archiving them.
+    // and what the wire thread spent queueing and archiving them (the
+    // sync, bytes and rotations only move over a durable archive).
     println!("\n== log shipping: batch sizes and the wire thread ==");
     let snap = obs.metrics.snapshot();
     println!(
@@ -83,6 +84,7 @@ pub fn run(scale: &Scale) {
         "ship_segment_records",
         "wire_queue_wait_ns",
         "archive_append_ns",
+        "archive_sync_ns",
     ] {
         let h = (snap.histogram(series)).unwrap_or_else(|| panic!("{series} is registered"));
         println!(
@@ -93,6 +95,11 @@ pub fn run(scale: &Scale) {
             h.percentile(0.99),
             h.max()
         );
+    }
+
+    for series in ["archive_bytes_total", "archive_rotations_total"] {
+        let n = (snap.counter(series)).unwrap_or_else(|| panic!("{series} is registered"));
+        println!("{series:<22} {n}");
     }
 
     println!("\n== metrics: JSON exposition (round-tripped) ==");

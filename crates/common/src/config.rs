@@ -60,37 +60,23 @@ impl PrimaryConfig {
     }
 }
 
-/// When a durable log or checkpoint writer calls `fsync`.
+/// Whether a durable log forces each append to the device.
 ///
 /// The paper's protocols are described over an always-durable log; the
-/// reproduction makes the cost knob explicit. The components that actually
-/// write to disk (a disk-backed `LogArchive`, replica recovery) take the
-/// policy as an argument; the in-memory pipeline has no use for it.
+/// reproduction makes the cost explicit. The components that actually write
+/// to disk (a disk-backed `LogArchive`, replica recovery) take the policy as
+/// an argument; the in-memory pipeline has no use for it. There is no
+/// "every n segments": the wire closes a segment when the backup is idle, so
+/// a segment is already whatever committed during the previous sync.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DurabilityPolicy {
-    /// `fsync` after every segment (and every checkpoint file). A `kill -9`
-    /// loses at most the segment being written when the process died.
+    /// `sync_data` after every appended segment. A `kill -9` (or a power
+    /// cut) loses at most the segment being written when the process died.
     #[default]
     EverySegment,
-    /// `fsync` after every `n` segments. A crash may lose up to `n`
-    /// OS-buffered segments; recovery still truncates to a valid
-    /// transaction-aligned prefix because segments are written in log order.
-    EveryNSegments(u32),
-    /// Never `fsync`: the OS flushes at its leisure. Survives process
-    /// crashes (the page cache persists) but not host crashes.
+    /// Never sync: the OS flushes at its leisure. Survives process crashes
+    /// (the page cache persists) but not host crashes.
     Never,
-}
-
-impl DurabilityPolicy {
-    /// Whether the `count`-th segment written since the last sync (1-based)
-    /// should trigger an `fsync`.
-    pub fn should_sync(&self, count: u32) -> bool {
-        match self {
-            DurabilityPolicy::EverySegment => true,
-            DurabilityPolicy::EveryNSegments(n) => count >= *n,
-            DurabilityPolicy::Never => false,
-        }
-    }
 }
 
 /// Configuration for a backup replica (any cloned concurrency control
@@ -385,16 +371,6 @@ mod tests {
         // The default single-shard config routes everything to shard 0.
         let single = ReplicaConfig::default().shard_router();
         assert_eq!(single.shards(), 1);
-    }
-
-    #[test]
-    fn durability_policy_schedules_syncs() {
-        assert!(DurabilityPolicy::EverySegment.should_sync(1));
-        assert!(!DurabilityPolicy::Never.should_sync(1_000));
-        let every3 = DurabilityPolicy::EveryNSegments(3);
-        assert!(!every3.should_sync(1));
-        assert!(!every3.should_sync(2));
-        assert!(every3.should_sync(3));
     }
 
     #[test]

@@ -48,9 +48,12 @@ pub enum Error {
     /// A durable log archive could not persist a segment. The archive holds
     /// exactly what it held before the failed append; the wire that was
     /// feeding it ends there (`LogShipper::failure` reports this error), so
-    /// the archive stays equal to what subscribers were sent.
+    /// the archive stays equal to what subscribers were sent. Also what
+    /// `LogArchive::truncate_through` reports when it cannot record the
+    /// truncation or unlink what it covers.
     ArchiveIo {
-        /// First position of the segment that could not be persisted.
+        /// First position of the segment that could not be persisted (for a
+        /// failed truncation, the first position still retained).
         first: SeqNo,
         /// The archive directory and the operating system's error.
         message: String,
@@ -134,7 +137,7 @@ impl fmt::Display for Error {
             ),
             Error::ArchiveIo { first, message } => write!(
                 f,
-                "durable archive failed to persist the segment starting at {first} under {message}"
+                "durable archive I/O failed at the segment starting at {first} under {message}"
             ),
             Error::RecoveryIo { what, message } => {
                 write!(f, "recovery could not read the {what} under {message}")

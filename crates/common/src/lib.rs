@@ -25,7 +25,9 @@
 //!   on hosts with very different core counts than the paper's testbed.
 //! * [`frame`] is the checksummed length-prefixed frame codec the durable
 //!   layers (disk-backed log archive, checkpoint files) build their on-disk
-//!   formats from, and [`DurabilityPolicy`] is their shared fsync knob.
+//!   formats from, [`DurabilityPolicy`] is their shared sync knob, and [`fs`]
+//!   is the file-system seam the log archive's syscalls go through, with a
+//!   double that fails any one of them.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,6 +36,7 @@ pub mod config;
 pub mod cost;
 pub mod error;
 pub mod frame;
+pub mod fs;
 pub mod ids;
 pub mod pacing;
 pub mod shard;

@@ -282,7 +282,7 @@ mod tests {
         for segment in &segments {
             archive.append(segment);
         }
-        archive.truncate_through(SeqNo(4));
+        assert_eq!(archive.truncate_through(SeqNo(4)), Ok(1));
         drop(archive);
 
         let err = recover_replica(

@@ -19,21 +19,63 @@
 //! * **in-memory** ([`LogArchive::new`]) — "durable" means "outlives the
 //!   shipping channel". This is all the in-process failover experiments need.
 //! * **disk-backed** ([`LogArchive::durable`] / [`LogArchive::open`]) — every
-//!   retained segment is additionally persisted as one [`crate::wal`]-encoded
-//!   file, fsynced per [`DurabilityPolicy`], and truncation is recorded in a
-//!   manifest written with the write-temp-then-rename discipline. After a
-//!   crash, [`LogArchive::open`] rebuilds the archive from the surviving
-//!   files, truncating — never panicking — at the first torn or corrupt
-//!   frame, and re-aligning the recovered tail to a transaction boundary.
+//!   retained segment is additionally appended to **one append-only log**,
+//!   described next.
+//!
+//! # The on-disk log
+//!
+//! The directory holds a one-frame manifest (`archive.meta`, the truncation
+//! point, written temp-then-rename) and a few **chunk** files
+//! `log-<first_seq>.c5a`, zero-padded so name order is log order. A chunk is
+//! a run of outer frames and then zeros:
+//!
+//! ```text
+//! [len: u32][crc: u32][wal::encode_segment(segment)]   one per append
+//! ...
+//! 00 00 00 00 00 00 00 00 ...                          written ahead
+//! ```
+//!
+//! An append is **one positioned write at the tail and one `sync_data`**
+//! (under [`DurabilityPolicy::EverySegment`]) on a file that is already open:
+//! no create, no reopen, no directory operation. Only creating a chunk (the
+//! first append, and each rotation at [`CHUNK_BYTES`]) and unlinking one
+//! touch the directory, and there the directory sync is checked.
+//!
+//! **Zero-ahead.** `fdatasync` is cheap only when the write landed in blocks
+//! that were already allocated *and written*: appending past the end of the
+//! file — or into `set_len`-preallocated, never-written blocks — changes the
+//! file's size or extent map, and the sync must commit the file system's
+//! journal as well. So when an append would cross the zeroed frontier, the
+//! same write carries [`ZERO_AHEAD_BYTES`] of zeros behind the frame; that
+//! one append pays for the allocation, and the next hundred or so overwrite
+//! blocks that exist. Zero-filling whole chunks up front would cost as much
+//! per chunk as a thousand appends, at creation.
+//!
+//! **Reading it back.** An all-zero header is a *valid* empty frame
+//! (`crc32(&[]) == 0`), so the scanner ([`scan_chunk`]) treats `len == 0` as
+//! end of log. It also stops at a bad checksum, a frame the file ends inside,
+//! or a segment whose first position does not continue the log. What the
+//! damaged frame still holds is decoded with [`crate::wal::decode_segment`]'s
+//! rule — the longest prefix of whole transactions — and
+//! [`LogArchive::open`] re-frames that prefix and re-zeroes everything
+//! behind it, so a second open finds nothing to repair and leaves the file
+//! byte-identical, and the remnant of a torn write can never be taken for a
+//! frame once later appends have grown the log past it. Damage in the middle
+//! of the log drops everything after it, later chunks included: recovery
+//! yields a contiguous prefix, never a log with a hole. There is no reader
+//! for the older one-file-per-segment layout (`seg-*.c5w`); a directory that
+//! holds one is refused.
 
 use std::collections::VecDeque;
-use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use c5_common::frame::{read_frames, write_frame, PayloadReader, PayloadWriter};
+use c5_common::frame::{crc32, read_frames, write_frame, PayloadReader, PayloadWriter};
+use c5_common::fs::{Fs, FsFile, StdFs};
 use c5_common::{DurabilityPolicy, Error, Result, SeqNo};
 
 use crate::segment::Segment;
@@ -44,104 +86,287 @@ const META_FILE: &str = "archive.meta";
 /// Scratch name the manifest is written to before the atomic rename.
 const META_TMP: &str = "archive.meta.tmp";
 
-fn segment_file_name(first: SeqNo) -> String {
+/// A chunk is closed, and the next one created, by the first append that
+/// would end beyond this size.
+pub const CHUNK_BYTES: u64 = 16 << 20;
+/// Zeros written behind a frame that crosses the zeroed frontier (see the
+/// module docs): at the benchmark's 1–2 KiB frames, one append in a hundred
+/// or two allocates blocks.
+pub const ZERO_AHEAD_BYTES: u64 = 256 << 10;
+/// `[len: u32][crc: u32]` in front of every encoded segment.
+const FRAME_HEADER: usize = 8;
+
+fn chunk_file_name(first: SeqNo) -> String {
     // Zero-padded so lexicographic directory order is log order.
-    format!("seg-{:020}.c5w", first.as_u64())
+    format!("log-{:020}.c5a", first.as_u64())
 }
 
-fn is_segment_file(name: &str) -> bool {
-    name.starts_with("seg-") && name.ends_with(".c5w")
+/// The first position a chunk file's name promises, if it is a chunk file.
+fn chunk_first_seq(name: &str) -> Option<SeqNo> {
+    let digits = name.strip_prefix("log-")?.strip_suffix(".c5a")?;
+    digits.parse().ok().map(SeqNo)
 }
 
-fn sorted_segment_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if entry.file_name().to_str().is_some_and(is_segment_file) {
-            files.push(entry.path());
-        }
+/// The chunk files among `names`, in log order. Fails if the directory holds
+/// the one-file-per-segment layout this archive no longer reads.
+fn chunk_files(dir: &Path, names: &[String]) -> io::Result<Vec<(SeqNo, PathBuf)>> {
+    if let Some(old) = (names.iter()).find(|n| n.starts_with("seg-") && n.ends_with(".c5w")) {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!(
+                "{} holds {old}: the one-file-per-segment archive layout is not readable",
+                dir.display()
+            ),
+        ));
     }
-    files.sort();
-    Ok(files)
+    let mut chunks: Vec<(SeqNo, PathBuf)> = (names.iter())
+        .filter_map(|name| Some((chunk_first_seq(name)?, dir.join(name))))
+        .collect();
+    chunks.sort();
+    Ok(chunks)
 }
 
-/// Best-effort directory fsync, so renames and unlinks are themselves
-/// durable on filesystems that need it.
-fn sync_dir(dir: &Path) {
-    let _ = fs::File::open(dir).and_then(|f| f.sync_all());
+/// The archive's chunk files under `dir`, in log order.
+pub fn chunk_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let chunks = chunk_files(dir, &StdFs.list(dir)?)?;
+    Ok(chunks.into_iter().map(|(_, path)| path).collect())
 }
 
-fn write_meta(dir: &Path, truncated_through: SeqNo) -> io::Result<()> {
+/// `segment` as one outer frame: `[len][crc][wal::encode_segment(segment)]`.
+fn frame_segment(segment: &Segment) -> Vec<u8> {
+    let payload = encode_segment(segment);
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    write_frame(&mut frame, &payload);
+    frame
+}
+
+/// What a chunk holds, as [`scan_chunk`] read it.
+#[derive(Debug)]
+pub struct ChunkScan {
+    /// The segments of the valid frames, in log order.
+    pub segments: Vec<Segment>,
+    /// Bytes those frames occupy from the start of the file: the written
+    /// extent. Everything at or beyond it is zeros, or damage.
+    pub valid_len: u64,
+    /// The whole transactions that could still be decoded out of the damaged
+    /// frame at `valid_len`, when they continue the log.
+    pub salvaged: Option<Segment>,
+    /// Whether anything but zeros lies at or beyond `valid_len`: a torn or
+    /// corrupt frame, a segment that does not continue the log, or stale
+    /// bytes in the zeroed tail.
+    pub damaged: bool,
+}
+
+/// Scans `bytes` as a chunk whose first segment must start at `expected`
+/// (when given) and each later one right after its predecessor's coverage.
+fn scan_frames(bytes: &[u8], mut expected: Option<SeqNo>) -> ChunkScan {
+    let mut segments = Vec::new();
+    let mut salvaged = None;
+    let mut at = 0usize;
+    while let Some(header) = bytes.get(at..at + FRAME_HEADER) {
+        let len = u32::from_le_bytes(header[..4].try_into().expect("four bytes")) as usize;
+        if len == 0 {
+            // End of log: an all-zero header would also pass as an empty
+            // frame, which no append ever writes.
+            break;
+        }
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("four bytes"));
+        let start = at + FRAME_HEADER;
+        let end = start.saturating_add(len).min(bytes.len());
+        let payload = &bytes[start..end];
+        let intact = payload.len() == len && crc32(payload) == crc;
+        let (decoded, clean) = decode_segment(payload).into_segment();
+        // Something decoded, and it is the log's next segment.
+        let Some(segment) = decoded.filter(|s| match (s.first_seq(), expected) {
+            (Some(first), Some(expected)) => first == expected,
+            (first, None) => first.is_some(),
+            (None, Some(_)) => false,
+        }) else {
+            break;
+        };
+        if !(intact && clean) {
+            salvaged = Some(segment);
+            break;
+        }
+        expected = Some(SeqNo(segment.covered_through().as_u64() + 1));
+        segments.push(segment);
+        at = end;
+    }
+    ChunkScan {
+        segments,
+        valid_len: at as u64,
+        salvaged,
+        damaged: bytes[at..].iter().any(|&b| b != 0),
+    }
+}
+
+/// Reads one chunk file: the segments of its valid frames, how far they
+/// reach, and whether anything lies beyond them. This is the reader
+/// [`LogArchive::open`] recovers with; tests and the `durability` experiment
+/// use it to find the written extent they tear and corrupt.
+pub fn scan_chunk(path: &Path) -> io::Result<ChunkScan> {
+    let expected = (path.file_name().and_then(|n| n.to_str())).and_then(chunk_first_seq);
+    Ok(scan_frames(&StdFs.read(path)?, expected))
+}
+
+fn write_meta(fs: &dyn Fs, dir: &Path, truncated_through: SeqNo) -> io::Result<()> {
     let mut payload = PayloadWriter::new();
     payload.u64(truncated_through.as_u64());
     let mut bytes = Vec::new();
     write_frame(&mut bytes, &payload.finish());
 
     let tmp = dir.join(META_TMP);
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(&bytes)?;
-    file.sync_all()?;
-    fs::rename(&tmp, dir.join(META_FILE))?;
-    sync_dir(dir);
-    Ok(())
+    let mut file = fs.create(&tmp)?;
+    file.write_all_at(&bytes, 0)?;
+    file.sync_data()?;
+    drop(file);
+    fs.rename(&tmp, &dir.join(META_FILE))?;
+    fs.sync_dir(dir)
 }
 
-/// Reads the truncation manifest; a missing or damaged manifest degrades to
-/// "nothing recorded" (the opener re-infers the floor from the files).
-fn read_meta(dir: &Path) -> SeqNo {
-    let Ok(bytes) = fs::read(dir.join(META_FILE)) else {
-        return SeqNo::ZERO;
-    };
-    let scan = read_frames(&bytes);
-    let Some(payload) = scan.frames.first() else {
-        return SeqNo::ZERO;
-    };
-    PayloadReader::new(payload)
-        .u64()
-        .map(SeqNo)
-        .unwrap_or(SeqNo::ZERO)
+/// Decodes the truncation manifest; a damaged one degrades to "nothing
+/// recorded" (the opener re-infers the floor from the first chunk's name).
+fn parse_meta(bytes: &[u8]) -> SeqNo {
+    let scan = read_frames(bytes);
+    (scan.frames.first())
+        .and_then(|payload| PayloadReader::new(payload).u64())
+        .map_or(SeqNo::ZERO, SeqNo)
+}
+
+/// One chunk file of a durable archive.
+#[derive(Debug)]
+struct Chunk {
+    path: PathBuf,
+    /// Coverage of the last segment appended to it.
+    last_seq: SeqNo,
+}
+
+/// The chunk appends go to: the last of `DiskBacking::chunks`, held open.
+#[derive(Debug)]
+struct ActiveChunk {
+    file: Box<dyn FsFile>,
+    /// Where the next frame goes: the end of the last valid frame.
+    tail: u64,
+    /// The file is written zeros from `tail` up to here, and ends here.
+    zeroed_through: u64,
+}
+
+impl ActiveChunk {
+    /// Writes `frame` at the tail — with zeros behind it if it crosses the
+    /// zeroed frontier — and syncs. The chunk moves only if both succeed, so
+    /// a retry overwrites whatever a failed attempt left. Returns the time
+    /// spent in the sync.
+    fn append(
+        &mut self,
+        frame: &mut Vec<u8>,
+        sync: bool,
+        chunk_bytes: u64,
+    ) -> io::Result<Duration> {
+        let end = self.tail + frame.len() as u64;
+        let mut zeroed_through = self.zeroed_through;
+        if end > zeroed_through {
+            zeroed_through = end + ZERO_AHEAD_BYTES.min(chunk_bytes.saturating_sub(end));
+            frame.resize((zeroed_through - self.tail) as usize, 0);
+        }
+        self.file.write_all_at(frame, self.tail)?;
+        let started = Instant::now();
+        if sync {
+            self.file.sync_data()?;
+        }
+        let synced = started.elapsed();
+        self.tail = end;
+        self.zeroed_through = zeroed_through;
+        Ok(synced)
+    }
 }
 
 /// The disk half of a durable archive.
 #[derive(Debug)]
 struct DiskBacking {
+    fs: Arc<dyn Fs>,
     dir: PathBuf,
     policy: DurabilityPolicy,
-    /// One file path per retained segment, aligned with
-    /// `ArchiveInner::segments`.
-    files: VecDeque<PathBuf>,
-    /// Files written since the last fsync batch
-    /// ([`DurabilityPolicy::EveryNSegments`] coalesces syncs).
-    unsynced: Vec<PathBuf>,
+    /// [`CHUNK_BYTES`], except in this crate's rotation tests.
+    chunk_bytes: u64,
+    /// The chunk files, in log order; appends go to the last.
+    chunks: VecDeque<Chunk>,
+    /// `None` until the first append after creation (or after an open that
+    /// found no chunk worth keeping).
+    active: Option<ActiveChunk>,
 }
 
 impl DiskBacking {
-    fn persist_segment(&mut self, segment: &Segment, first: SeqNo) -> io::Result<()> {
-        let path = self.dir.join(segment_file_name(first));
-        let mut file = fs::File::create(&path)?;
-        file.write_all(&encode_segment(segment))?;
-        self.unsynced.push(path.clone());
-        if self.policy.should_sync(self.unsynced.len() as u32) {
-            if let Err(e) = self.sync_pending() {
-                // The segment is not retained, so it must not be synced
-                // later either; earlier unsynced files stay pending.
-                self.unsynced.pop();
-                return Err(e);
+    fn persist_segment(&mut self, segment: &Segment, first: SeqNo) -> io::Result<AppendReport> {
+        let mut frame = frame_segment(segment);
+        let bytes = frame.len() as u64;
+        let sync = self.policy == DurabilityPolicy::EverySegment;
+        let last_seq = segment.covered_through();
+
+        let fits = |chunk: &ActiveChunk| chunk.tail == 0 || chunk.tail + bytes <= self.chunk_bytes;
+        let (synced, rotated) = match self.active.as_mut().filter(|chunk| fits(chunk)) {
+            Some(chunk) => {
+                let synced = chunk.append(&mut frame, sync, self.chunk_bytes)?;
+                self.chunks.back_mut().expect("the active chunk").last_seq = last_seq;
+                (synced, false)
             }
+            None => {
+                // A new chunk: the one place an append touches the
+                // directory. The archive switches to it only once its name
+                // is durable; a file a failed attempt leaves is truncated by
+                // the retry.
+                let path = self.dir.join(chunk_file_name(first));
+                let mut chunk = ActiveChunk {
+                    file: self.fs.create(&path)?,
+                    tail: 0,
+                    zeroed_through: 0,
+                };
+                let synced = chunk.append(&mut frame, sync, self.chunk_bytes)?;
+                self.fs.sync_dir(&self.dir)?;
+                self.chunks.push_back(Chunk { path, last_seq });
+                self.active = Some(chunk);
+                (synced, true)
+            }
+        };
+        Ok(AppendReport {
+            bytes,
+            sync: synced,
+            rotated,
+        })
+    }
+
+    /// Unlinks every chunk wholly at or below `through`, except the one
+    /// appends go to.
+    fn unlink_through(&mut self, through: SeqNo) -> io::Result<()> {
+        let mut unlinked = false;
+        while self.chunks.len() > 1 && self.chunks[0].last_seq <= through {
+            self.fs.remove(&self.chunks[0].path)?;
+            self.chunks.pop_front();
+            unlinked = true;
         }
-        self.files.push_back(path);
+        if unlinked {
+            self.fs.sync_dir(&self.dir)?;
+        }
         Ok(())
     }
 
-    /// Fsyncs every file written since the last sync, then the directory.
-    fn sync_pending(&mut self) -> io::Result<()> {
-        for pending in &self.unsynced {
-            fs::File::open(pending)?.sync_all()?;
+    fn error(&self, first: SeqNo, e: io::Error) -> Error {
+        Error::ArchiveIo {
+            first,
+            message: format!("{}: {e}", self.dir.display()),
         }
-        self.unsynced.clear();
-        sync_dir(&self.dir);
-        Ok(())
     }
+}
+
+/// What one [`LogArchive::try_append`] did on disk (all zero for an
+/// in-memory archive or an empty segment).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppendReport {
+    /// Bytes the segment's frame added to the log (zero-ahead not counted).
+    pub bytes: u64,
+    /// Time spent in `sync_data` alone.
+    pub sync: Duration,
+    /// Whether the append created a chunk file.
+    pub rotated: bool,
 }
 
 /// What [`LogArchive::open`] found on disk.
@@ -195,112 +420,171 @@ impl LogArchive {
         archive
     }
 
-    /// Creates a fresh disk-backed archive in `dir` (created if absent).
-    /// Every appended segment is persisted as one segment file and fsynced
-    /// according to `policy`; truncation is recorded in a manifest. Fails if
-    /// `dir` already holds segment files — recover those with
-    /// [`LogArchive::open`] instead of silently shadowing them.
+    /// Creates a fresh disk-backed archive in `dir` (created if absent):
+    /// one manifest file, one sync, one directory sync — the first chunk is
+    /// created by the first append. Every appended segment becomes one frame
+    /// of the append-only log and is synced according to `policy`;
+    /// truncation is recorded in the manifest. Fails if `dir` already holds
+    /// chunk files — recover those with [`LogArchive::open`] instead of
+    /// silently shadowing them — or the unreadable `seg-*.c5w` layout
+    /// ([`io::ErrorKind::Unsupported`]).
     pub fn durable(dir: impl AsRef<Path>, policy: DurabilityPolicy) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        if !sorted_segment_files(&dir)?.is_empty() {
+        Self::durable_on(Arc::new(StdFs), dir, policy)
+    }
+
+    /// [`LogArchive::durable`] over a given file system — the seam through
+    /// which a test makes any of the archive's syscalls fail.
+    pub fn durable_on(
+        fs: Arc<dyn Fs>,
+        dir: impl AsRef<Path>,
+        policy: DurabilityPolicy,
+    ) -> io::Result<Self> {
+        Self::create_in(fs, dir.as_ref(), policy, CHUNK_BYTES)
+    }
+
+    pub(crate) fn create_in(
+        fs: Arc<dyn Fs>,
+        dir: &Path,
+        policy: DurabilityPolicy,
+        chunk_bytes: u64,
+    ) -> io::Result<Self> {
+        fs.create_dir_all(dir)?;
+        if !chunk_files(dir, &fs.list(dir)?)?.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!(
-                    "{} already holds archived segments; open() them instead",
+                    "{} already holds an archived log; open() it instead",
                     dir.display()
                 ),
             ));
         }
-        write_meta(&dir, SeqNo::ZERO)?;
+        write_meta(fs.as_ref(), dir, SeqNo::ZERO)?;
         let archive = Self::default();
         archive.inner.lock().disk = Some(DiskBacking {
-            dir,
+            fs,
+            dir: dir.to_path_buf(),
             policy,
-            files: VecDeque::new(),
-            unsynced: Vec::new(),
+            chunk_bytes,
+            chunks: VecDeque::new(),
+            active: None,
         });
         Ok(archive)
     }
 
     /// Recovers a disk-backed archive from `dir` after a crash or restart.
     ///
-    /// Recovery walks the segment files in log order and keeps the longest
-    /// valid prefix: a torn tail (a `kill -9` mid-write), a corrupt frame, or
-    /// a sequence gap truncates the recovered log at that point — trimmed
-    /// back to a transaction boundary — and deletes the unusable remainder
-    /// from disk so a second open sees a clean archive. A missing or damaged
-    /// manifest degrades to re-inferring the truncation floor from the first
-    /// surviving file. This path never panics on damaged input.
+    /// Recovery scans the chunks in log order and keeps the longest valid
+    /// prefix: a torn tail (a `kill -9` mid-write), a corrupt frame, or a
+    /// sequence gap truncates the recovered log at that point — trimmed back
+    /// to a transaction boundary — re-zeroes the rest of that chunk and
+    /// unlinks the chunks after it, so a second open finds a clean archive
+    /// and changes nothing. A missing or damaged manifest degrades to
+    /// re-inferring the truncation floor from the first surviving chunk. This
+    /// path never panics on damaged input; it fails on an I/O error, and with
+    /// [`io::ErrorKind::Unsupported`] on the `seg-*.c5w` layout.
     pub fn open(dir: impl AsRef<Path>, policy: DurabilityPolicy) -> io::Result<DurableRecovery> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let _ = fs::remove_file(dir.join(META_TMP));
-        let meta = read_meta(&dir);
+        Self::open_on(Arc::new(StdFs), dir, policy)
+    }
 
-        let on_disk = sorted_segment_files(&dir)?;
+    /// [`LogArchive::open`] over a given file system.
+    pub fn open_on(
+        fs: Arc<dyn Fs>,
+        dir: impl AsRef<Path>,
+        policy: DurabilityPolicy,
+    ) -> io::Result<DurableRecovery> {
+        Self::open_in(fs, dir.as_ref(), policy, CHUNK_BYTES)
+    }
+
+    pub(crate) fn open_in(
+        fs: Arc<dyn Fs>,
+        dir: &Path,
+        policy: DurabilityPolicy,
+        chunk_bytes: u64,
+    ) -> io::Result<DurableRecovery> {
+        fs.create_dir_all(dir)?;
+        let names = fs.list(dir)?;
+        let on_disk = chunk_files(dir, &names)?;
+        if names.iter().any(|n| n == META_TMP) {
+            fs.remove(&dir.join(META_TMP))?;
+        }
+        let mut truncated_through = match names.iter().any(|n| n == META_FILE) {
+            true => parse_meta(&fs.read(&dir.join(META_FILE))?),
+            false => SeqNo::ZERO,
+        };
+
         let mut segments: VecDeque<Segment> = VecDeque::new();
-        let mut files: VecDeque<PathBuf> = VecDeque::new();
+        let mut chunks: VecDeque<Chunk> = VecDeque::new();
         let mut torn_tail = false;
-        let mut truncated_through = meta;
+        let mut unlinked = false;
         // The position the log is contiguous through so far.
         let mut covered: Option<SeqNo> = None;
-        let mut stop_at = on_disk.len();
+        // Tail and length of the last chunk kept.
+        let mut tail_and_len = (0, 0);
 
-        for (idx, path) in on_disk.iter().enumerate() {
-            let bytes = fs::read(path)?;
-            let (decoded, clean) = decode_segment(&bytes).into_segment();
-            let Some(segment) = decoded.filter(|s| !s.is_empty()) else {
+        for (named_first, path) in on_disk {
+            let gap = covered.is_some_and(|c| named_first.as_u64() != c.as_u64() + 1);
+            if torn_tail || gap {
+                // Past damage or a gap mid-log: nothing from here on can be
+                // replayed safely.
                 torn_tail = true;
-                stop_at = idx;
-                break;
-            };
-            let first = segment.first_seq().expect("recovered segment is non-empty");
-            match covered {
-                None => {
-                    // Records below the first surviving file are gone no
-                    // matter what the manifest says (a crash between file
-                    // deletion and the manifest write leaves the manifest
-                    // behind the truth).
-                    truncated_through =
-                        truncated_through.max(SeqNo(first.as_u64().saturating_sub(1)));
+                fs.remove(&path)?;
+                unlinked = true;
+                continue;
+            }
+            let bytes = fs.read(&path)?;
+            let mut scan = scan_frames(&bytes, Some(named_first));
+            torn_tail |= scan.damaged;
+            if scan.segments.is_empty() && scan.salvaged.is_none() {
+                // Nothing replayable in it: a rotation that never finished,
+                // or a chunk damaged from its first byte.
+                fs.remove(&path)?;
+                unlinked = true;
+                continue;
+            }
+            let (mut tail, mut len) = (scan.valid_len, bytes.len() as u64);
+            if scan.damaged {
+                // Re-frame what the damaged frame still held and zero the
+                // rest, so the damage is not there to be found again.
+                let mut patch = Vec::new();
+                if let Some(segment) = scan.salvaged.take() {
+                    patch = frame_segment(&segment);
+                    scan.segments.push(segment);
                 }
-                Some(covered) if first.as_u64() != covered.as_u64() + 1 => {
-                    // A gap mid-log: nothing past it can be replayed safely.
-                    torn_tail = true;
-                    stop_at = idx;
-                    break;
-                }
-                Some(_) => {}
+                tail += patch.len() as u64;
+                len = len.max(tail);
+                patch.resize((len - scan.valid_len) as usize, 0);
+                let mut file = fs.open(&path)?;
+                file.write_all_at(&patch, scan.valid_len)?;
+                file.sync_data()?;
             }
-            if !clean {
-                // Keep the trimmed prefix and rewrite the file so the
-                // damage does not have to be re-truncated on the next open.
-                torn_tail = true;
-                stop_at = idx + 1;
-                let tmp = dir.join(META_TMP);
-                let mut file = fs::File::create(&tmp)?;
-                file.write_all(&encode_segment(&segment))?;
-                file.sync_all()?;
-                fs::rename(&tmp, path)?;
-                sync_dir(&dir);
-                covered = Some(segment.covered_through());
-                files.push_back(path.clone());
-                segments.push_back(segment);
-                break;
+            let last = (scan.segments.last()).expect("a segment, valid or salvaged");
+            let last_seq = last.covered_through();
+            if covered.is_none() {
+                // Records below the first surviving chunk are gone no matter
+                // what the manifest says.
+                truncated_through =
+                    truncated_through.max(SeqNo(named_first.as_u64().saturating_sub(1)));
             }
-            covered = Some(segment.covered_through());
-            files.push_back(path.clone());
-            segments.push_back(segment);
+            covered = Some(last_seq);
+            chunks.push_back(Chunk { path, last_seq });
+            segments.extend(scan.segments);
+            tail_and_len = (tail, len);
         }
-
-        for path in &on_disk[stop_at.min(on_disk.len())..] {
-            if !files.iter().any(|kept| kept == path) {
-                let _ = fs::remove_file(path);
-            }
+        if unlinked {
+            fs.sync_dir(dir)?;
         }
-        if stop_at < on_disk.len() {
-            sync_dir(&dir);
+        let active = match chunks.back() {
+            Some(chunk) => Some(ActiveChunk {
+                file: fs.open(&chunk.path)?,
+                tail: tail_and_len.0,
+                zeroed_through: tail_and_len.1,
+            }),
+            None => None,
+        };
+        // Segments the manifest says a checkpoint has covered stay in their
+        // chunk until the chunk goes, but are not retained.
+        while (segments.front()).is_some_and(|s| s.last_seq() <= Some(truncated_through)) {
+            segments.pop_front();
         }
 
         let recovered_segments = segments.len();
@@ -314,10 +598,12 @@ impl LogArchive {
             inner.truncated_through = truncated_through;
             inner.last_seq = last_seq;
             inner.disk = Some(DiskBacking {
-                dir,
+                fs,
+                dir: dir.to_path_buf(),
                 policy,
-                files,
-                unsynced: Vec::new(),
+                chunk_bytes,
+                chunks,
+                active,
             });
         }
         Ok(DurableRecovery {
@@ -342,10 +628,13 @@ impl LogArchive {
     ///
     /// Fails with [`Error::ArchiveIo`] when the disk backing cannot persist
     /// the segment. The archive is then exactly what it was before the call —
-    /// the watermark has not moved and the segment is not retained — so the
-    /// in-memory and on-disk logs stay the same log; a file the failed write
-    /// left behind is overwritten by a retry or trimmed by the next
-    /// [`LogArchive::open`].
+    /// the watermark has not moved, the segment is not retained and the log's
+    /// tail is where it was — so the in-memory and on-disk logs stay the same
+    /// log; bytes the failed write left behind the tail are overwritten by a
+    /// retry or re-zeroed by the next [`LogArchive::open`]. (A failed append
+    /// is never acknowledged, but like any failed commit it may still be
+    /// found on disk after a restart, if the write landed and only the sync
+    /// failed.)
     ///
     /// # Panics
     /// Panics if a non-empty segment does not directly follow the archive's
@@ -353,11 +642,11 @@ impl LogArchive {
     /// log, so a misordered producer fails loudly here (mirroring the
     /// replica-side `BoundaryLedger` contiguity assert). That is a bug in
     /// this program, not something the environment can cause.
-    pub fn try_append(&self, segment: &Segment) -> Result<()> {
+    pub fn try_append(&self, segment: &Segment) -> Result<AppendReport> {
         let mut inner = self.inner.lock();
         let Some(first) = segment.first_seq() else {
             inner.last_seq = inner.last_seq.max(segment.covered_through());
-            return Ok(());
+            return Ok(AppendReport::default());
         };
         let expected = inner.last_seq.max(inner.truncated_through);
         assert_eq!(
@@ -366,16 +655,15 @@ impl LogArchive {
             "archived segments must arrive in log order: got a segment \
              starting at {first} when the archive holds through {expected}"
         );
-        if let Some(disk) = inner.disk.as_mut() {
-            disk.persist_segment(segment, first)
-                .map_err(|e| Error::ArchiveIo {
-                    first,
-                    message: format!("{}: {e}", disk.dir.display()),
-                })?;
-        }
+        let report = match inner.disk.as_mut() {
+            Some(disk) => {
+                (disk.persist_segment(segment, first)).map_err(|e| disk.error(first, e))?
+            }
+            None => AppendReport::default(),
+        };
         inner.last_seq = segment.covered_through();
         inner.segments.push_back(segment.clone());
-        Ok(())
+        Ok(report)
     }
 
     /// [`LogArchive::try_append`] for callers with nowhere to send an error.
@@ -393,46 +681,40 @@ impl LogArchive {
     /// Drops every retained segment that lies entirely at or below `cut`
     /// (a checkpoint at `cut` has made them redundant). A segment straddling
     /// the cut is kept whole — [`replay_from`](Self::replay_from) trims it.
-    /// A disk-backed archive also deletes the segments' files and records
-    /// the new truncation point in the manifest (write-temp-then-rename).
-    /// Returns the number of segments dropped.
+    /// A disk-backed archive first records the new truncation point in the
+    /// manifest (write-temp-then-rename), then unlinks the chunks that lie
+    /// wholly at or below it; segments in a chunk that stays are skipped by
+    /// the next open. Returns the number of segments dropped.
     ///
-    /// # Panics
-    /// Panics if a disk-backed archive cannot rewrite its manifest; a stale
-    /// manifest would let a later recovery replay records a checkpoint
-    /// already superseded.
-    pub fn truncate_through(&self, cut: SeqNo) -> usize {
-        let mut inner = self.inner.lock();
-        let mut dropped = 0;
-        while let Some(front) = inner.segments.front() {
-            match front.last_seq() {
-                Some(last) if last <= cut => {
-                    inner.truncated_through = inner.truncated_through.max(last);
-                    inner.segments.pop_front();
-                    if let Some(disk) = inner.disk.as_mut() {
-                        if let Some(path) = disk.files.pop_front() {
-                            disk.unsynced.retain(|p| p != &path);
-                            let _ = fs::remove_file(&path);
-                        }
-                    }
-                    dropped += 1;
-                }
-                _ => break,
-            }
-        }
-        if dropped > 0 {
+    /// Fails with [`Error::ArchiveIo`] (`first` is the first position still
+    /// retained) when the disk backing cannot do either. If the manifest
+    /// could not be rewritten nothing has changed; if only an unlink or the
+    /// directory sync failed the truncation is recorded and in effect, and
+    /// any later call retries the unlink.
+    pub fn truncate_through(&self, cut: SeqNo) -> Result<usize> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let dropped = (inner.segments.iter())
+            .take_while(|s| s.last_seq().is_some_and(|last| last <= cut))
+            .count();
+        let first_retained = |through: SeqNo| SeqNo(through.as_u64() + 1);
+        if let Some(last) = dropped
+            .checked_sub(1)
+            .and_then(|i| inner.segments[i].last_seq())
+        {
+            let through = last.max(inner.truncated_through);
             if let Some(disk) = inner.disk.as_ref() {
-                if let Err(e) = write_meta(&disk.dir, inner.truncated_through) {
-                    panic!(
-                        "durable archive failed to record truncation through {} \
-                         under {}: {e}",
-                        inner.truncated_through,
-                        disk.dir.display()
-                    );
-                }
+                write_meta(disk.fs.as_ref(), &disk.dir, through)
+                    .map_err(|e| disk.error(first_retained(through), e))?;
             }
+            inner.segments.drain(..dropped);
+            inner.truncated_through = through;
         }
-        dropped
+        if let Some(disk) = inner.disk.as_mut() {
+            let through = inner.truncated_through;
+            (disk.unlink_through(through)).map_err(|e| disk.error(first_retained(through), e))?;
+        }
+        Ok(dropped)
     }
 
     /// The records above `from`, packed into segments a replica can consume
@@ -491,13 +773,15 @@ impl LogArchive {
         Ok(out)
     }
 
-    /// Forces every pending segment file to disk regardless of the policy's
-    /// batching (a no-op for in-memory archives). Call before handing the
-    /// directory to another process.
+    /// One `sync_data` on the chunk appends go to, whatever the policy (a
+    /// no-op for in-memory archives): under [`DurabilityPolicy::Never`] it
+    /// forces down what that chunk holds; a chunk an earlier rotation closed
+    /// was left to the OS. Call before handing the directory to another
+    /// process.
     pub fn sync(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        match inner.disk.as_mut() {
-            Some(disk) => disk.sync_pending(),
+        match inner.disk.as_mut().and_then(|disk| disk.active.as_mut()) {
+            Some(chunk) => chunk.file.sync_data(),
             None => Ok(()),
         }
     }
@@ -532,13 +816,20 @@ mod tests {
     use super::*;
     use crate::logger::segments_from_entries;
     use crate::record::TxnEntry;
+    use c5_common::fs::FaultyFs;
     use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
+    use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Six transactions of two writes each, packed 4 records (= 2 txns) per
     /// segment: boundaries at 2, 4, 6, 8, 10, 12; segment ends at 4, 8, 12.
     fn test_log() -> Vec<Segment> {
-        let entries: Vec<TxnEntry> = (1..=6u64)
+        test_log_of(6)
+    }
+
+    /// `txns` transactions of two writes each, two transactions a segment.
+    fn test_log_of(txns: u64) -> Vec<Segment> {
+        let entries: Vec<TxnEntry> = (1..=txns)
             .map(|t| {
                 TxnEntry::new(
                     TxnId(t),
@@ -561,6 +852,15 @@ mod tests {
         }
         (archive, segments)
     }
+
+    fn seqs(segments: &[Segment]) -> Vec<u64> {
+        let records = crate::logger::flatten(segments);
+        records.iter().map(|r| r.seq.as_u64()).collect()
+    }
+
+    /// A chunk size that holds two of `test_log_of`'s ~410-byte frames and
+    /// not a third.
+    const TWO_FRAME_CHUNK: u64 = 1000;
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -592,25 +892,56 @@ mod tests {
         archive.append(&segments[0]);
     }
 
+    /// An append into the open chunk is one write and one sync; fail each in
+    /// turn (a short write or `ENOSPC`, then `EIO` from the sync).
     #[test]
     fn a_failed_persist_is_a_typed_error_and_leaves_the_archive_as_it_was() {
-        let dir = scratch_dir("persist-failure");
         let segments = test_log();
-        let archive = LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create");
-        archive
-            .try_append(&segments[0])
-            .expect("the directory exists");
-        fs::remove_dir_all(&dir).expect("pull the directory out from under it");
+        let policy = DurabilityPolicy::EverySegment;
+        let probe_dir = scratch_dir("persist-probe");
+        let probe = Arc::new(FaultyFs::new(0, None));
+        let archive = LogArchive::durable_on(probe.clone(), &probe_dir, policy).expect("create");
+        archive.try_append(&segments[0]).expect("creates the chunk");
+        let before = probe.calls();
+        let report = archive.try_append(&segments[1]).expect("appends to it");
+        assert!(!report.rotated && report.bytes > 0);
+        assert_eq!(
+            probe.calls() - before,
+            2,
+            "no create, no reopen, no directory operation"
+        );
+        fs::remove_dir_all(&probe_dir).expect("cleanup");
 
-        match archive.try_append(&segments[1]) {
-            Err(Error::ArchiveIo { first, .. }) => assert_eq!(first, SeqNo(5)),
-            other => panic!("expected ArchiveIo, got {other:?}"),
+        for fail in before..before + 2 {
+            let dir = scratch_dir("persist-failure");
+            let faulty = Arc::new(FaultyFs::new(fail, Some(fail)));
+            let archive = LogArchive::durable_on(faulty, &dir, policy).expect("create");
+            archive
+                .try_append(&segments[0])
+                .expect("not the failing call");
+            match archive.try_append(&segments[1]) {
+                Err(Error::ArchiveIo { first, .. }) => assert_eq!(first, SeqNo(5)),
+                other => panic!("expected ArchiveIo, got {other:?}"),
+            }
+            // Nothing moved: the failed segment is neither counted nor
+            // retained...
+            assert_eq!(archive.last_seq(), SeqNo(4));
+            assert_eq!(archive.retained_segments(), 1);
+            // ...and it is still the next one the archive expects: the retry
+            // overwrites whatever the failed attempt left behind the tail.
+            archive
+                .try_append(&segments[1])
+                .expect("the fault was that one call");
+            archive
+                .try_append(&segments[2])
+                .expect("and the log goes on");
+            drop(archive);
+            let recovery = LogArchive::open(&dir, policy).expect("open");
+            assert!(!recovery.torn_tail);
+            let replay = recovery.archive.replay_from(SeqNo::ZERO).unwrap();
+            assert_eq!(seqs(&replay), (1..=12).collect::<Vec<_>>());
+            fs::remove_dir_all(&dir).expect("cleanup");
         }
-        // Nothing moved: the failed segment is neither counted nor retained,
-        // and it is still the next one the archive expects.
-        assert_eq!(archive.last_seq(), SeqNo(4));
-        assert_eq!(archive.retained_segments(), 1);
-        assert!(archive.try_append(&segments[1]).is_err());
     }
 
     #[test]
@@ -651,7 +982,7 @@ mod tests {
         let (archive, _) = archive_with_log();
         // A checkpoint at 6 covers segment 0 entirely; segment 1 straddles
         // and is kept whole.
-        assert_eq!(archive.truncate_through(SeqNo(6)), 1);
+        assert_eq!(archive.truncate_through(SeqNo(6)), Ok(1));
         assert_eq!(archive.retained_segments(), 2);
         assert_eq!(archive.truncated_through(), SeqNo(4));
 
@@ -677,7 +1008,7 @@ mod tests {
         }
 
         // Truncating everything leaves appends still contiguous.
-        archive.truncate_through(SeqNo(12));
+        assert_eq!(archive.truncate_through(SeqNo(12)), Ok(2));
         assert_eq!(archive.retained_segments(), 0);
         assert_eq!(archive.replay_from(SeqNo(12)).unwrap().len(), 0);
     }
@@ -786,15 +1117,19 @@ mod tests {
         let dir = scratch_dir("truncate");
         let segments = test_log();
         {
-            let archive =
-                LogArchive::durable(&dir, DurabilityPolicy::EveryNSegments(2)).expect("create");
+            let archive = LogArchive::durable(&dir, DurabilityPolicy::Never).expect("create");
             for segment in &segments {
                 archive.append(segment);
             }
-            archive.sync().expect("flush the unsynced batch");
-            assert_eq!(archive.truncate_through(SeqNo(6)), 1);
+            archive
+                .sync()
+                .expect("force down what the policy left to the OS");
+            assert_eq!(archive.truncate_through(SeqNo(6)), Ok(1));
         }
 
+        // The one chunk stays — it also holds what is retained — and the
+        // manifest is what keeps the truncated segment from coming back.
+        assert_eq!(chunk_paths(&dir).unwrap().len(), 1);
         let recovery = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("open");
         assert!(!recovery.torn_tail);
         assert_eq!(recovery.recovered_segments, 2);
@@ -804,11 +1139,122 @@ mod tests {
             archive.replay_from(SeqNo(2)),
             Err(Error::ArchiveTruncated { .. })
         ));
-        let seqs: Vec<u64> = crate::logger::flatten(&archive.replay_from(SeqNo(6)).unwrap())
-            .iter()
-            .map(|r| r.seq.as_u64())
-            .collect();
-        assert_eq!(seqs, (7..=12).collect::<Vec<_>>());
+        assert_eq!(
+            seqs(&archive.replay_from(SeqNo(6)).unwrap()),
+            (7..=12).collect::<Vec<_>>()
+        );
+
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Writes `segments` durably under `dir` and returns the one chunk they
+    /// fit in.
+    fn persisted(dir: &Path, segments: &[Segment]) -> PathBuf {
+        let archive = LogArchive::durable(dir, DurabilityPolicy::EverySegment).expect("create");
+        for segment in segments {
+            archive.append(segment);
+        }
+        let mut chunks = chunk_paths(dir).unwrap();
+        assert_eq!(chunks.len(), 1);
+        chunks.pop().unwrap()
+    }
+
+    /// Format pin (a): `crc32(&[]) == 0`, so the zeros written ahead of the
+    /// log are, to the frame codec, an endless run of valid empty frames.
+    /// The chunk scanner must read `len == 0` as end of log.
+    #[test]
+    fn a_zero_tail_is_the_end_of_the_log_not_a_run_of_empty_frames() {
+        let dir = scratch_dir("zero-tail");
+        let segments = test_log();
+        let chunk = persisted(&dir, &segments);
+
+        let bytes = fs::read(&chunk).unwrap();
+        let scan = scan_chunk(&chunk).unwrap();
+        assert_eq!(seqs(&scan.segments), seqs(&segments));
+        assert_eq!(scan.segments.len(), segments.len());
+        assert!(!scan.damaged && scan.salvaged.is_none());
+        // The first append carried the zero stride; the other two landed in
+        // it without growing the file.
+        let first_frame = scan.valid_len / 3;
+        assert_eq!(bytes.len() as u64, first_frame + ZERO_AHEAD_BYTES);
+        let tail = &bytes[scan.valid_len as usize..];
+        assert!(tail.iter().all(|&b| b == 0));
+        // The premise: the generic frame reader takes that tail for frames.
+        let as_frames = read_frames(&tail[..64]);
+        assert!(as_frames.is_clean());
+        assert_eq!(as_frames.frames, vec![Vec::<u8>::new(); 8]);
+
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Format pin (b): a log spanning three chunks round-trips through
+    /// `open`, truncation unlinks exactly the chunks wholly at or below the
+    /// cut, and `replay_from` answers as the in-memory archive does.
+    #[test]
+    fn rotation_round_trips_and_truncation_unlinks_whole_chunks() {
+        let dir = scratch_dir("rotate");
+        let fs_: Arc<dyn Fs> = Arc::new(StdFs);
+        let policy = DurabilityPolicy::EverySegment;
+        let segments = test_log_of(12); // six segments, ending at 4, 8, .. 24
+        let reference = LogArchive::new();
+        {
+            let archive =
+                LogArchive::create_in(fs_.clone(), &dir, policy, TWO_FRAME_CHUNK).expect("create");
+            let rotated: Vec<bool> = (segments.iter())
+                .map(|s| archive.try_append(s).expect("append").rotated)
+                .collect();
+            assert_eq!(rotated, [true, false, true, false, true, false]);
+            for segment in &segments {
+                reference.append(segment);
+            }
+        }
+        let names = |dir: &Path| -> Vec<String> {
+            let paths = chunk_paths(dir).unwrap();
+            (paths.iter())
+                .map(|p| p.file_name().unwrap().to_str().unwrap().to_owned())
+                .collect()
+        };
+        assert_eq!(
+            names(&dir),
+            [SeqNo(1), SeqNo(9), SeqNo(17)].map(chunk_file_name)
+        );
+
+        let opened = LogArchive::open_in(fs_.clone(), &dir, policy, TWO_FRAME_CHUNK).expect("open");
+        assert!(!opened.torn_tail);
+        assert_eq!(opened.recovered_segments, 6);
+        let archive = opened.archive;
+        assert_eq!(archive.last_seq(), SeqNo(24));
+
+        // A cut at 14 covers segments 1..=3: the first chunk (1..=8) goes,
+        // the second (9..=16) straddles the cut and stays whole.
+        assert_eq!(archive.truncate_through(SeqNo(14)), Ok(3));
+        assert_eq!(reference.truncate_through(SeqNo(14)), Ok(3));
+        assert_eq!(names(&dir), [SeqNo(9), SeqNo(17)].map(chunk_file_name));
+        for from in [12u64, 14, 16, 20, 24] {
+            assert_eq!(
+                seqs(&archive.replay_from(SeqNo(from)).unwrap()),
+                seqs(&reference.replay_from(SeqNo(from)).unwrap()),
+                "replay from {from}"
+            );
+        }
+        assert!(matches!(
+            archive.replay_from(SeqNo(10)),
+            Err(Error::ArchiveTruncated { .. })
+        ));
+        drop(archive);
+
+        // The segment at 9..=12 is still in its chunk; the manifest keeps it
+        // out of the reopened archive, and appends go on into the last chunk.
+        let opened = LogArchive::open_in(fs_, &dir, policy, TWO_FRAME_CHUNK).expect("reopen");
+        assert_eq!(opened.recovered_segments, 3);
+        assert_eq!(opened.archive.truncated_through(), SeqNo(12));
+        assert_eq!(
+            seqs(&opened.archive.replay_from(SeqNo(12)).unwrap()),
+            (13..=24).collect::<Vec<_>>()
+        );
+        // Everything covered: the chunk appends go to is the one that stays.
+        assert_eq!(opened.archive.truncate_through(SeqNo(24)), Ok(3));
+        assert_eq!(names(&dir), [chunk_file_name(SeqNo(17))]);
 
         fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -816,66 +1262,224 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_to_a_transaction_boundary_and_never_panics() {
         let dir = scratch_dir("torn");
-        let segments = test_log();
-        {
-            let archive =
-                LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create");
-            for segment in &segments {
-                archive.append(segment);
-            }
+        let chunk = persisted(&dir, &test_log());
+        // Tear the last frame mid-record, as a kill -9 mid-write would: once
+        // as a write that stopped (zeros from there on), once as a file that
+        // ends there.
+        let written = scan_chunk(&chunk).unwrap().valid_len as usize;
+        let intact = fs::read(&chunk).unwrap();
+        for short_file in [false, true] {
+            let mut bytes = intact.clone();
+            bytes[written - 30..].fill(0);
+            bytes.truncate(if short_file {
+                written - 30
+            } else {
+                bytes.len()
+            });
+            fs::write(&chunk, &bytes).unwrap();
+
+            let recovery = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("open");
+            assert!(recovery.torn_tail);
+            let archive = recovery.archive;
+            let records = crate::logger::flatten(&archive.replay_from(SeqNo::ZERO).unwrap());
+            // The torn frame's first transaction is still whole.
+            assert_eq!(records.len(), 10);
+            assert!(records.last().unwrap().is_txn_last(), "txn-aligned tail");
+
+            // The damage was repaired in place: a second open finds none,
+            // recovers the same records and changes nothing.
+            drop(archive);
+            let repaired = fs::read(&chunk).unwrap();
+            let again = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("reopen");
+            assert!(!again.torn_tail);
+            assert_eq!(again.archive.last_seq(), SeqNo(10));
+            assert_eq!(fs::read(&chunk).unwrap(), repaired);
         }
-        // Tear the last file mid-record, as a kill -9 mid-write would.
-        let last = sorted_segment_files(&dir).unwrap().pop().unwrap();
-        let bytes = fs::read(&last).unwrap();
-        fs::write(&last, &bytes[..bytes.len() - 30]).unwrap();
 
-        let recovery = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("open");
-        assert!(recovery.torn_tail);
-        let archive = recovery.archive;
-        let records = crate::logger::flatten(&archive.replay_from(SeqNo::ZERO).unwrap());
-        assert!(records.len() < 12);
-        assert!(records.last().unwrap().is_txn_last(), "txn-aligned tail");
-        let recovered_through = records.last().unwrap().seq;
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
 
-        // The damaged file was rewritten clean: a second open finds no
-        // damage and the same records.
+    /// Format pin (c): tear, reopen, append, tear again. The remnant of the
+    /// first tear lies where later frames were written; it must never be
+    /// read as one.
+    #[test]
+    fn the_remnant_of_an_old_tear_is_never_resurrected() {
+        let dir = scratch_dir("tear-twice");
+        let policy = DurabilityPolicy::EverySegment;
+        let segments = test_log_of(12);
+        let chunk = persisted(&dir, &segments[..3]);
+
+        // First tear: the third frame (9..=12) loses its last bytes, which
+        // keeps its header and its first transaction on disk.
+        let written = scan_chunk(&chunk).unwrap().valid_len as usize;
+        let mut bytes = fs::read(&chunk).unwrap();
+        bytes[written - 30..written].fill(0);
+        fs::write(&chunk, &bytes).unwrap();
+        let archive = LogArchive::open(&dir, policy).expect("open").archive;
+        assert_eq!(archive.last_seq(), SeqNo(10));
+
+        // The log goes on from 11 with different, shorter transactions, so
+        // its frames end inside what the torn frame used to occupy.
+        let entries: Vec<TxnEntry> = (0..4u64)
+            .map(|t| {
+                let write = RowWrite::update(RowRef::new(0, 500 + t), Value::from_u64(t));
+                TxnEntry::new(TxnId(100 + t), Timestamp(100 + t), vec![write])
+            })
+            .collect();
+        let mut next = SeqNo(10);
+        for entry in &entries {
+            let (records, end) = crate::record::explode_txn(entry, next);
+            archive.append(&Segment::new(next.as_u64(), records));
+            next = end;
+        }
+        assert_eq!(archive.last_seq(), SeqNo(14));
         drop(archive);
-        let again = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("reopen");
-        assert!(!again.torn_tail);
-        assert_eq!(again.archive.last_seq(), recovered_through);
+
+        // Second tear, inside the last of those frames.
+        let written = scan_chunk(&chunk).unwrap().valid_len as usize;
+        let mut bytes = fs::read(&chunk).unwrap();
+        bytes[written - 20..written].fill(0);
+        fs::write(&chunk, &bytes).unwrap();
+
+        let second = LogArchive::open(&dir, policy).expect("second open");
+        assert!(second.torn_tail);
+        let replay = second.archive.replay_from(SeqNo::ZERO).unwrap();
+        assert_eq!(seqs(&replay), (1..=13).collect::<Vec<_>>());
+        let rows: Vec<u64> = crate::logger::flatten(&replay)[10..]
+            .iter()
+            .map(|r| r.write.row.key.as_u64())
+            .collect();
+        assert_eq!(rows, [500, 501, 502], "the new log, not the old remnant");
+        drop(second);
+
+        let after_second = fs::read(&chunk).unwrap();
+        let third = LogArchive::open(&dir, policy).expect("third open");
+        assert!(!third.torn_tail);
+        assert_eq!(third.archive.last_seq(), SeqNo(13));
+        assert_eq!(fs::read(&chunk).unwrap(), after_second, "byte-identical");
 
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
-    fn corrupt_middle_file_truncates_the_recovered_log_there() {
+    fn corruption_mid_log_truncates_the_recovered_log_there() {
         let dir = scratch_dir("corrupt");
-        let segments = test_log();
+        let policy = DurabilityPolicy::EverySegment;
+        let fs_: Arc<dyn Fs> = Arc::new(StdFs);
         {
             let archive =
-                LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create");
-            for segment in &segments {
+                LogArchive::create_in(fs_.clone(), &dir, policy, TWO_FRAME_CHUNK).expect("create");
+            for segment in &test_log_of(12) {
                 archive.append(segment);
             }
         }
-        // Flip one payload byte in the middle file (index 1 of 3).
-        let files = sorted_segment_files(&dir).unwrap();
-        let mut bytes = fs::read(&files[1]).unwrap();
-        let at = bytes.len() / 2;
+        // Flip one payload byte in the second frame of the first chunk.
+        let chunks = chunk_paths(&dir).unwrap();
+        assert_eq!(chunks.len(), 3);
+        let mut bytes = fs::read(&chunks[0]).unwrap();
+        let at = scan_chunk(&chunks[0]).unwrap().valid_len as usize * 3 / 4;
         bytes[at] ^= 0x20;
-        fs::write(&files[1], &bytes).unwrap();
+        fs::write(&chunks[0], &bytes).unwrap();
 
-        let recovery = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("open");
+        let recovery = LogArchive::open_in(fs_, &dir, policy, TWO_FRAME_CHUNK).expect("open");
         assert!(recovery.torn_tail);
         let archive = recovery.archive;
         let records = crate::logger::flatten(&archive.replay_from(SeqNo::ZERO).unwrap());
-        // Everything after the damage — including the intact third file —
-        // is discarded: a log with a hole cannot be replayed.
-        assert!(records.last().map(|r| r.seq.as_u64()).unwrap_or(0) <= 8);
-        assert!(records.last().map(|r| r.is_txn_last()).unwrap_or(true));
-        assert!(sorted_segment_files(&dir).unwrap().len() <= 2);
+        // Everything after the damage — the two intact chunks included — is
+        // discarded: a log with a hole cannot be replayed.
+        let last = records.last().expect("the first frame survives");
+        assert!((4..8).contains(&last.seq.as_u64()) && last.is_txn_last());
+        assert_eq!(chunk_paths(&dir).unwrap(), chunks[..1]);
+        // Appends go on from the recovered end, over the re-zeroed remainder.
+        let (resumed, _) = crate::record::explode_txn(
+            &TxnEntry::new(
+                TxnId(99),
+                Timestamp(99),
+                vec![RowWrite::update(RowRef::new(0, 9), Value::from_u64(9))],
+            ),
+            last.seq,
+        );
+        archive.append(&Segment::new(9, resumed));
+        drop(archive);
+        let again = LogArchive::open(&dir, policy).expect("reopen");
+        assert!(!again.torn_tail);
+        assert_eq!(again.archive.last_seq(), SeqNo(last.seq.as_u64() + 1));
 
         fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Rotation, truncation and their directory operations under the fault
+    /// double: fail each call of the scenario in turn, retry the operation
+    /// that failed (the fault is one call), and the log on disk is whole.
+    #[test]
+    fn any_one_failed_call_leaves_a_log_a_retry_completes() {
+        let policy = DurabilityPolicy::EverySegment;
+        let segments = test_log_of(12);
+        // Failed truncations out of one attempt and, if it failed, its retry:
+        // either the manifest failed (nothing changed) or only the unlink
+        // did (the truncation is in effect and any later call retries it).
+        let truncate = |archive: &LogArchive, cut: SeqNo| -> usize {
+            let failed = match archive.truncate_through(cut) {
+                Ok(_) => 0,
+                Err(e) => {
+                    assert!(matches!(e, Error::ArchiveIo { .. }));
+                    archive.truncate_through(cut).expect("the retry");
+                    1
+                }
+            };
+            assert_eq!(archive.truncated_through(), cut);
+            failed
+        };
+        let run = |faulty: Arc<FaultyFs>, dir: &Path| -> usize {
+            let mut failures = 0;
+            let archive = loop {
+                match LogArchive::create_in(faulty.clone(), dir, policy, TWO_FRAME_CHUNK) {
+                    Ok(archive) => break archive,
+                    Err(_) => failures += 1,
+                }
+            };
+            for (i, segment) in segments.iter().enumerate() {
+                let before = (archive.last_seq(), archive.retained_segments());
+                if let Err(e) = archive.try_append(segment) {
+                    assert!(
+                        matches!(e, Error::ArchiveIo { first, .. } if Some(first) == segment.first_seq())
+                    );
+                    assert_eq!((archive.last_seq(), archive.retained_segments()), before);
+                    failures += 1;
+                    archive.try_append(segment).expect("the retry");
+                }
+                if i == 3 {
+                    // Covers the first chunk (1..=8) and half the second.
+                    failures += truncate(&archive, SeqNo(12));
+                }
+            }
+            failures + truncate(&archive, SeqNo(16))
+        };
+
+        let probe_dir = scratch_dir("each-call-probe");
+        let probe = Arc::new(FaultyFs::new(0, None));
+        assert_eq!(run(probe.clone(), &probe_dir), 0);
+        let calls = probe.calls();
+        fs::remove_dir_all(&probe_dir).expect("cleanup");
+
+        for fail in 0..calls {
+            let dir = scratch_dir("each-call");
+            let failures = run(Arc::new(FaultyFs::new(fail, Some(fail))), &dir);
+            assert_eq!(failures, 1, "call {fail} failed exactly one operation");
+            let fs_: Arc<dyn Fs> = Arc::new(StdFs);
+            let opened = LogArchive::open_in(fs_, &dir, policy, TWO_FRAME_CHUNK).expect("open");
+            assert!(!opened.torn_tail, "call {fail}");
+            assert_eq!(opened.archive.truncated_through(), SeqNo(16));
+            assert_eq!(
+                seqs(&opened.archive.replay_from(SeqNo(16)).unwrap()),
+                (17..=24).collect::<Vec<_>>(),
+                "call {fail}"
+            );
+            // The straddled chunk went with the second truncation, and no
+            // failed rotation or unlink left a stray behind.
+            assert_eq!(chunk_paths(&dir).unwrap().len(), 1, "call {fail}");
+            fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     #[test]
@@ -891,6 +1495,26 @@ mod tests {
         }
         assert_eq!(archive.retained_records(), 12);
 
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Format pin (e): there is no reader for the one-file-per-segment
+    /// layout, and neither constructor pretends the directory is empty.
+    #[test]
+    fn the_old_one_file_per_segment_layout_is_refused_not_read() {
+        let dir = scratch_dir("old-layout");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("seg-00000000000000000001.c5w"), b"C5WSEG1\n").unwrap();
+        let policy = DurabilityPolicy::EverySegment;
+        let refused = [
+            LogArchive::durable(&dir, policy).map(drop),
+            LogArchive::open(&dir, policy).map(drop),
+        ];
+        for result in refused {
+            let err = result.expect_err("must not shadow or skip an old archive");
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+            assert!(err.to_string().contains("seg-00000000000000000001.c5w"));
+        }
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -38,11 +38,15 @@
 //! every segment that goes on the wire, a checkpoint truncates the archive
 //! at its cut, and a cold replica bootstraps by installing the checkpoint
 //! and replaying the retained tail from the cut. The archive can be
-//! disk-backed ([`archive::LogArchive::durable`]): segments are persisted in
-//! the checksummed on-disk format of [`wal`] and fsynced per
-//! [`c5_common::DurabilityPolicy`], and [`archive::LogArchive::open`]
-//! recovers the retained log across a real process restart, truncating a
-//! torn or corrupt tail back to a transaction boundary instead of panicking.
+//! disk-backed ([`archive::LogArchive::durable`]): one append-only log of
+//! CRC-framed segments (each frame's payload is the checksummed encoding of
+//! [`wal`]) in a few chunk files, where an append is one positioned write
+//! and — per [`c5_common::DurabilityPolicy`] — one `sync_data` into blocks
+//! that already exist, and [`archive::LogArchive::open`] recovers the
+//! retained log across a real process restart by scanning the frames,
+//! truncating a torn or corrupt tail back to a transaction boundary instead
+//! of panicking. Its syscalls go through [`c5_common::fs::Fs`], so any one of
+//! them can be made to fail.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

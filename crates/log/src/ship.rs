@@ -211,6 +211,11 @@ struct ShipObs {
     partial_segments: Arc<Counter>,
     /// Wire thread only: one `LogArchive::try_append`.
     archive_append_ns: Arc<Histogram>,
+    /// Wire thread, durable archive only: the `sync_data` inside it, the
+    /// frame bytes it added to the log, and the chunk files it created.
+    archive_sync_ns: Arc<Histogram>,
+    archive_bytes: Arc<Counter>,
+    archive_rotations: Arc<Counter>,
     /// Wire thread only: enqueue by `ship` → dequeue by the wire thread.
     wire_queue_wait_ns: Arc<Histogram>,
     archive_failures: Arc<Counter>,
@@ -544,7 +549,9 @@ impl LogShipper {
     /// `ship_segment_records` histogram of batch sizes and the
     /// `ship_partial_segments_total` counter of segments the logger cut
     /// below its bound; a wire thread adds `archive_append_ns`,
-    /// `wire_queue_wait_ns` and `ship_archive_failures_total`. Metric
+    /// `wire_queue_wait_ns` and `ship_archive_failures_total`, and over a
+    /// durable archive `archive_sync_ns` (the `sync_data` alone),
+    /// `archive_bytes_total` and `archive_rotations_total`. Metric
     /// handles are resolved here, once, so the per-segment path stays off the
     /// registry lock. Shared across clones like the wire itself; attach it
     /// before [`LogShipper::with_archive`].
@@ -557,6 +564,9 @@ impl LogShipper {
             segment_records: metrics.histogram("ship_segment_records"),
             partial_segments: metrics.counter("ship_partial_segments_total"),
             archive_append_ns: metrics.histogram("archive_append_ns"),
+            archive_sync_ns: metrics.histogram("archive_sync_ns"),
+            archive_bytes: metrics.counter("archive_bytes_total"),
+            archive_rotations: metrics.counter("archive_rotations_total"),
             wire_queue_wait_ns: metrics.histogram("wire_queue_wait_ns"),
             archive_failures: metrics.counter("ship_archive_failures_total"),
             obs,
@@ -649,6 +659,11 @@ impl LogShipper {
                 ship_obs
                     .archive_append_ns
                     .record_duration(dequeued.elapsed());
+                if let Some(report) = appended.as_ref().ok().filter(|report| report.bytes > 0) {
+                    ship_obs.archive_sync_ns.record_duration(report.sync);
+                    ship_obs.archive_bytes.add(report.bytes);
+                    ship_obs.archive_rotations.add(u64::from(report.rotated));
+                }
             }
             if let Err(error) = appended {
                 if let Some(ship_obs) = &self.obs {
@@ -1339,27 +1354,38 @@ mod tests {
     /// drains to a contiguous prefix that the archive also holds.
     #[test]
     fn an_archive_io_failure_fails_the_wire_not_a_thread() {
+        use c5_common::fs::FaultyFs;
+        let policy = c5_common::DurabilityPolicy::EverySegment;
         let dir = std::env::temp_dir().join(format!("c5-wire-failure-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let archive = Arc::new(
-            crate::archive::LogArchive::durable(&dir, c5_common::DurabilityPolicy::EverySegment)
-                .unwrap(),
-        );
+        let write = |t: u64| vec![RowWrite::insert(RowRef::new(0, t), Value::from_u64(t))];
+        // How many file-system calls creating the archive and appending the
+        // five one-commit segments below make: the sync of the sixth append
+        // is the second call after them.
+        let probe = Arc::new(FaultyFs::new(0, None));
+        let archive = crate::archive::LogArchive::durable_on(probe.clone(), &dir, policy).unwrap();
+        for t in 1..=5u64 {
+            archive.append(&contiguous_segment(t, SeqNo(t - 1)).0);
+        }
+        drop(archive);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let failing = Arc::new(FaultyFs::new(0, Some(probe.calls() + 1)));
+        let archive =
+            Arc::new(crate::archive::LogArchive::durable_on(failing, &dir, policy).unwrap());
         let obs = Arc::new(c5_obs::Obs::new());
         let (tx, rx) = LogShipper::bounded(64);
         let tx = tx
             .with_obs(Arc::clone(&obs))
             .with_archive(Arc::clone(&archive));
         let logger = Arc::new(crate::logger::StreamingLogger::new(4, tx.clone()));
-        let write = |t: u64| vec![RowWrite::insert(RowRef::new(0, t), Value::from_u64(t))];
         // The wire thread archives a segment before it sends it, so each
-        // receipt means that commit is on disk.
+        // receipt means that commit is on disk — and that the wire is idle,
+        // so the next commit ships as a segment of its own.
         let mut delivered = Vec::new();
         for t in 1..=5u64 {
             logger.append(TxnId(t), write(t));
             delivered.push(rx.recv().unwrap());
         }
-        std::fs::remove_dir_all(&dir).unwrap();
         // Committers keep committing — far more than the wire queue holds —
         // from several threads; none may panic or hang.
         std::thread::scope(|scope| {
@@ -1385,6 +1411,14 @@ mod tests {
         assert!(matches!(tx.subscribe(4), Err(Error::Shutdown(_))));
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("ship_archive_failures_total"), Some(1));
+        // The five appends that succeeded, from the sink alone: one created
+        // the chunk, each was one sync, and together they grew the log.
+        assert_eq!(snap.counter("archive_rotations_total"), Some(1));
+        assert_eq!(
+            snap.histogram("archive_sync_ns").map(|h| h.count()),
+            Some(5)
+        );
+        assert!(snap.counter("archive_bytes_total") > Some(5 * 100));
         assert!(obs.trace.merged().iter().any(|r| matches!(
             r.event,
             TraceEvent::Span {

@@ -1,9 +1,11 @@
 //! The on-disk segment format.
 //!
 //! A durable [`crate::archive::LogArchive`] persists each retained segment as
-//! one file, and recovery reads them back after a crash. The format is the
-//! smallest one that supports the corrupt-tail contract ("truncate at the
-//! first bad frame, never panic"):
+//! the payload of one outer frame in its append-only log (see
+//! [`crate::archive`] for the chunk layout around it), and recovery reads
+//! them back after a crash. The encoding of one segment is the smallest one
+//! that supports the corrupt-tail contract ("truncate at the first bad
+//! frame, never panic"):
 //!
 //! ```text
 //! +--------------------------+
@@ -30,15 +32,15 @@ use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value, WriteKind};
 use crate::record::LogRecord;
 use crate::segment::Segment;
 
-/// Magic bytes at the head of every segment file.
+/// Magic bytes at the head of every encoded segment.
 pub const WAL_MAGIC: &[u8; 8] = b"C5WSEG1\n";
 
-/// The result of decoding a segment file.
+/// The result of decoding an encoded segment.
 #[derive(Debug)]
 pub enum DecodedWal {
     /// Every byte validated and the header's cross-checks held.
     Clean(Segment),
-    /// The file was damaged (torn tail, checksum mismatch, or a header that
+    /// The bytes were damaged (torn tail, checksum mismatch, or a header that
     /// disagrees with the records). The payload is the longest valid prefix
     /// of whole transactions — `None` when not even one transaction
     /// survived.
@@ -159,7 +161,7 @@ fn trim_to_txn_boundary(records: &mut Vec<LogRecord>) {
     }
 }
 
-/// Decodes a segment file's bytes, truncating (never panicking) on damage.
+/// Decodes an encoded segment's bytes, truncating (never panicking) on damage.
 pub fn decode_segment(bytes: &[u8]) -> DecodedWal {
     if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return DecodedWal::Torn(None);
@@ -278,7 +280,7 @@ mod tests {
     fn torn_tail_trims_to_a_transaction_boundary() {
         let segment = &log_segments()[0]; // 2 txns x 3 writes
         let bytes = encode_segment(segment);
-        // Cut the file mid-way through the last transaction's frames.
+        // Cut the bytes mid-way through the last transaction's frames.
         let cut = bytes.len() - 40;
         let (recovered, clean) = decode_segment(&bytes[..cut]).into_segment();
         assert!(!clean);

@@ -1,5 +1,6 @@
 //! Property-based tests over the durable layer: random logs persisted to
-//! disk, random kill points torn into the tail file, recovery from disk.
+//! disk, random kill points torn into the log's written extent, recovery
+//! from disk.
 //!
 //! These mirror `model_properties.rs`'s in-memory
 //! `checkpoint_install_plus_replay_equals_full_replay` property, but every
@@ -10,15 +11,20 @@
 //! timestamp at or above the cut — up to the transaction boundary the torn
 //! tail was truncated back to — and its chain heads must agree so ordered
 //! apply could resume on it. A separate property flips one arbitrary byte
-//! anywhere in the archive and asserts recovery truncates instead of
-//! panicking.
+//! anywhere in the written extent (recovery truncates instead of panicking)
+//! and one in the zeros written ahead of it (recovery loses nothing). The
+//! last test goes through the file-system seam instead of damaging files
+//! afterwards: it fails every call the archive makes, one per run.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use c5_repro::common::fs::FaultyFs;
+use c5_repro::log::archive::{chunk_paths, scan_chunk};
 use c5_repro::log::LogRecord;
 use c5_repro::prelude::*;
 
@@ -93,23 +99,32 @@ fn boundaries(segments: &[Segment]) -> Vec<SeqNo> {
     out
 }
 
-/// The archive's segment files under `dir`, in log order.
-fn segment_files(dir: &std::path::Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("read the archive directory")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "c5w"))
-        .collect();
-    files.sort();
-    files
+/// The last chunk of the archive under `dir`, its bytes, and how many of
+/// them the log's frames occupy.
+fn tail_chunk(dir: &Path) -> (PathBuf, Vec<u8>, usize) {
+    let chunk = chunk_paths(dir)
+        .expect("list the archive directory")
+        .pop()
+        .expect("at least one chunk");
+    let written = scan_chunk(&chunk).expect("scan the chunk").valid_len as usize;
+    let bytes = fs::read(&chunk).expect("read the chunk");
+    (chunk, bytes, written)
+}
+
+/// `(position, write)` of every record, the projection prefixes are compared
+/// under.
+fn project(segments: &[Segment]) -> Vec<(SeqNo, RowWrite)> {
+    let records = segments.iter().flat_map(|s| &s.records);
+    records
+        .map(|r: &LogRecord| (r.seq, r.write.clone()))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random log persisted to disk, random kill point torn into the tail
-    /// file: recovering from the persisted checkpoint plus the surviving
+    /// Random log persisted to disk, random kill point torn into the log's
+    /// written extent: recovering from the persisted checkpoint plus the surviving
     /// archive equals the full in-memory replay at every timestamp from the
     /// cut up to the recovered boundary, and the chain heads agree.
     #[test]
@@ -135,13 +150,17 @@ proptest! {
         }
         drop(archive);
 
-        // The kill point: tear the tail file at a random byte offset, as a
-        // crashed process would mid-write.
-        let files = segment_files(&log_dir(&dir));
-        let tail = files.last().expect("at least one segment file");
-        let bytes = fs::read(tail).expect("read tail");
-        let keep = (tear_pick as usize) % (bytes.len() + 1);
-        fs::write(tail, &bytes[..keep]).expect("tear tail");
+        // The kill point: tear the log at a random byte offset of its
+        // written extent, as a crashed process would mid-write — the bytes
+        // from there on never reached the zeros written ahead, or (the
+        // pick's next bit) the file itself ends there.
+        let (tail, mut bytes, written) = tail_chunk(&log_dir(&dir));
+        let keep = (tear_pick as usize) % (written + 1);
+        bytes[keep..written].fill(0);
+        if (tear_pick as usize / (written + 1)) % 2 == 1 {
+            bytes.truncate(keep);
+        }
+        fs::write(&tail, &bytes).expect("tear tail");
 
         // Recover from disk only: checkpoint + surviving archive.
         let loaded = CheckpointInstaller::load(checkpoint_dir(&dir))
@@ -191,13 +210,15 @@ proptest! {
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    /// Flip one arbitrary byte anywhere in the archive: recovery truncates
-    /// at the damage (or drops the damaged suffix) and never panics, and
-    /// what it does recover is a prefix of the original records.
+    /// Flip one arbitrary byte in the zeros written ahead of the log:
+    /// recovery loses nothing. Then flip one anywhere in the written extent:
+    /// recovery truncates at the damage (or drops the damaged suffix) and
+    /// never panics, and what it does recover is a prefix of the original
+    /// records.
     #[test]
     fn one_corrupt_byte_truncates_instead_of_panicking(
         txn_specs in prop::collection::vec(prop::collection::vec((0u64..10, 0u64..1000, 0usize..8), 1..5), 1..20),
-        file_pick in any::<u64>(),
+        tail_pick in any::<u64>(),
         byte_pick in any::<u64>(),
         mask_pick in any::<u64>(),
     ) {
@@ -210,30 +231,114 @@ proptest! {
             archive.append(segment);
         }
         drop(archive);
+        let originals = project(&segments);
+        let mask = (mask_pick % 255 + 1) as u8; // a non-zero flip
+        let recover = || {
+            let opened = LogArchive::open(log_dir(&dir), DurabilityPolicy::EverySegment)
+                .expect("open survives corruption");
+            project(&opened.archive.replay_from(SeqNo::ZERO).expect("nothing truncated"))
+        };
 
-        let files = segment_files(&log_dir(&dir));
-        let target = &files[(file_pick as usize) % files.len()];
-        let mut bytes = fs::read(target).expect("read segment file");
-        let at = (byte_pick as usize) % bytes.len();
-        bytes[at] ^= (mask_pick % 255 + 1) as u8; // a non-zero flip
-        fs::write(target, &bytes).expect("write corruption");
+        let (target, mut bytes, written) = tail_chunk(&log_dir(&dir));
+        prop_assert!(written < bytes.len(), "zeros are written ahead of the log");
+        let at = written + (tail_pick as usize) % (bytes.len() - written);
+        bytes[at] ^= mask;
+        fs::write(&target, &bytes).expect("write corruption");
+        prop_assert_eq!(&recover(), &originals);
 
-        let opened = LogArchive::open(log_dir(&dir), DurabilityPolicy::EverySegment)
-            .expect("open survives corruption");
-        let project = |r: &LogRecord| (r.seq, r.write.clone());
-        let originals: Vec<_> = segments
-            .iter()
-            .flat_map(|s| s.records.iter().map(project))
-            .collect();
-        let recovered: Vec<_> = opened
-            .archive
-            .replay_from(SeqNo::ZERO)
-            .expect("nothing truncated")
-            .iter()
-            .flat_map(|s| s.records.iter().map(project))
-            .collect();
+        let (target, mut bytes, written) = tail_chunk(&log_dir(&dir));
+        bytes[(byte_pick as usize) % written] ^= mask;
+        fs::write(&target, &bytes).expect("write corruption");
+        let recovered = recover();
         prop_assert!(recovered.len() <= originals.len());
         prop_assert_eq!(&recovered[..], &originals[..recovered.len()]);
+
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// Every call the archive makes to the file system, failed in turn (a short
+/// write or `ENOSPC`, `EIO` from a sync, a rename that does not happen, ...).
+/// Whichever call fails: appending and truncating report a typed
+/// [`Error::ArchiveIo`] and leave the archive's watermark and retention
+/// where they were (creating the archive and the explicit `sync` report the
+/// `io::Error` itself); the scenario stops there, as the wire does; and a
+/// reopen on the real file system recovers a transaction-aligned prefix of
+/// the log that holds at least everything that was acknowledged.
+#[test]
+fn every_failing_call_is_a_typed_error_and_leaves_a_recoverable_prefix() {
+    let specs: Vec<Vec<(u64, u64, usize)>> = (0..12u64)
+        .map(|t| vec![(t % 5, t, 1), (5 + t % 3, t, (t % 4) as usize)])
+        .collect();
+    let segments = segments_from_entries(&entries_from_specs(&specs), 4);
+    assert_eq!(segments.len(), 6);
+    let originals = project(&segments);
+    let policy = DurabilityPolicy::EverySegment;
+
+    // Runs until the first failure; returns whether there was one and what
+    // had been acknowledged and truncated by then.
+    let scenario = |fs: Arc<FaultyFs>, dir: &Path| -> (bool, SeqNo, SeqNo) {
+        let Ok(archive) = LogArchive::durable_on(fs, dir, policy) else {
+            return (true, SeqNo::ZERO, SeqNo::ZERO);
+        };
+        let state = |a: &LogArchive| (a.last_seq(), a.retained_segments(), a.truncated_through());
+        let unchanged = |before, e: Error| {
+            assert!(matches!(e, Error::ArchiveIo { .. }), "typed: {e:?}");
+            assert_eq!(state(&archive), before, "a failed call moves nothing");
+            (true, archive.last_seq(), archive.truncated_through())
+        };
+        for (i, segment) in segments.iter().enumerate() {
+            let before = state(&archive);
+            if let Err(e) = archive.try_append(segment) {
+                return unchanged(before, e);
+            }
+            if i == 3 {
+                let before = state(&archive);
+                match archive.truncate_through(segments[1].covered_through()) {
+                    Ok(dropped) => assert_eq!(dropped, 2),
+                    Err(e) => return unchanged(before, e),
+                }
+            }
+        }
+        let failed = archive.sync().is_err();
+        (failed, archive.last_seq(), archive.truncated_through())
+    };
+
+    let probe_dir = scratch_dir("each-call-probe");
+    let probe = Arc::new(FaultyFs::new(0, None));
+    let clean = scenario(Arc::clone(&probe), &probe_dir);
+    assert_eq!(clean, (false, SeqNo(24), SeqNo(8)));
+    let calls = probe.calls();
+    assert!(calls > 20, "the scenario makes {calls} calls");
+    fs::remove_dir_all(&probe_dir).expect("cleanup");
+
+    for fail in 0..calls {
+        let dir = scratch_dir("each-call");
+        let (failed, acked, truncated) = scenario(Arc::new(FaultyFs::new(fail, Some(fail))), &dir);
+        assert!(failed, "call {fail} of {calls} failed something");
+
+        let opened = LogArchive::open(&dir, policy).expect("the real file system reopens it");
+        let archive = opened.archive;
+        assert!(
+            archive.last_seq() >= acked,
+            "call {fail}: acknowledged segments survive"
+        );
+        // The manifest may be ahead of a truncation that failed after
+        // writing it, never behind one that succeeded.
+        let floor = archive.truncated_through();
+        assert!(floor >= truncated, "call {fail}");
+        let recovered = project(&archive.replay_from(floor).expect("from the floor"));
+        let skipped = originals
+            .iter()
+            .take_while(|(seq, _)| *seq <= floor)
+            .count();
+        assert_eq!(
+            recovered[..],
+            originals[skipped..skipped + recovered.len()],
+            "call {fail}: a contiguous run of the original log"
+        );
+        let through = recovered.last().map_or(floor, |(seq, _)| *seq);
+        assert!(boundaries(&segments).contains(&through), "call {fail}");
 
         fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -7,11 +7,14 @@
 //! deferral structure (`RowWaitList`) installs every parked write exactly
 //! once, in per-row `prev_seq` order, under arbitrary delivery orders.
 
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use c5_repro::common::fs::{Fs, FsFile, StdFs};
 use c5_repro::core::pipeline::RowWaitList;
 use c5_repro::lagmodel::{
     simulate_backup, simulate_primary_2pl, BackupProtocol, LagSeries, ModelParams, ModelWorkload,
@@ -446,6 +449,61 @@ proptest! {
     }
 }
 
+/// The real file system behind a disk that feels the way one file per
+/// segment did: every `sync_data` also creates, fills and syncs a sidecar
+/// file, so it pays a file creation and a journal commit on top of the
+/// log's own overwrite-in-place sync.
+#[derive(Debug)]
+struct SlowDisk(std::path::PathBuf);
+
+#[derive(Debug)]
+struct SlowFile(Box<dyn FsFile>, std::path::PathBuf);
+
+impl SlowDisk {
+    fn slow(&self, file: Box<dyn FsFile>) -> Box<dyn FsFile> {
+        Box::new(SlowFile(file, self.0.clone()))
+    }
+}
+
+impl Fs for SlowDisk {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        StdFs.create_dir_all(dir)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        StdFs.list(dir)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        StdFs.read(path)
+    }
+    fn create(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
+        Ok(self.slow(StdFs.create(path)?))
+    }
+    fn open(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
+        Ok(self.slow(StdFs.open(path)?))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdFs.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        StdFs.remove(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        StdFs.sync_dir(dir)
+    }
+}
+
+impl FsFile for SlowFile {
+    fn write_all_at(&mut self, bytes: &[u8], offset: u64) -> io::Result<()> {
+        self.0.write_all_at(bytes, offset)
+    }
+    fn sync_data(&mut self) -> io::Result<()> {
+        self.0.sync_data()?;
+        let mut sidecar = StdFs.create(&self.1)?;
+        sidecar.write_all_at(&[0xC5; 4096], 0)?;
+        sidecar.sync_data()
+    }
+}
+
 proptest! {
     // Each case runs a live primary, a fleet controller, and two session
     // threads against random membership churn — few cases, real threads.
@@ -481,8 +539,9 @@ proptest! {
 
         // A primary whose shipper starts with zero subscribers; every
         // member enters through the controller's join protocol.
-        // The archive is durable: every segment's fsync holds the wire
-        // thread for a millisecond or so, which is what makes joins land
+        // The archive is durable, on a disk as slow as one file per segment
+        // used to make it: every append holds the wire thread for a
+        // millisecond or so of real I/O, which is what makes joins land
         // while a segment is archived but not yet announced, and while
         // commits are batching up behind it.
         static NEXT_DIR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -494,8 +553,12 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let primary_store = preloaded();
         let archive = Arc::new(
-            LogArchive::durable(&dir, c5_repro::common::DurabilityPolicy::EverySegment)
-                .expect("create the durable archive"),
+            LogArchive::durable_on(
+                Arc::new(SlowDisk(dir.join("slow-disk.sidecar"))),
+                &dir,
+                DurabilityPolicy::EverySegment,
+            )
+            .expect("create the durable archive"),
         );
         let (shipper, receivers) = LogShipper::fan_out(0, 64);
         prop_assert!(receivers.is_empty());
