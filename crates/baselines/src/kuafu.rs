@@ -208,11 +208,6 @@ impl KuaFuReplica {
             runtime: PipelineRuntime::start(policy, options),
         })
     }
-
-    /// The KuaFu-specific configuration.
-    pub fn kuafu_config(&self) -> KuaFuConfig {
-        self.runtime.policy().config
-    }
 }
 
 c5_core::delegate_replica_to_pipeline!(KuaFuReplica, runtime);

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use c5_common::{OpCost, ReplicaConfig, SeqNo};
+use c5_common::{ReplicaConfig, SeqNo};
 use c5_core::exposure::{Exposure, PrefixExposure};
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
@@ -72,11 +72,6 @@ impl SingleThreadedReplica {
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),
         })
-    }
-
-    /// Creates a replica with an explicit cost model.
-    pub fn with_cost(store: Arc<MvStore>, op_cost: OpCost) -> Arc<Self> {
-        Self::new(store, ReplicaConfig::default().with_op_cost(op_cost))
     }
 }
 

@@ -32,9 +32,6 @@ pub struct PrimaryConfig {
     pub isolation: IsolationLevel,
     /// Per-operation cost model.
     pub op_cost: OpCost,
-    /// Maximum number of times a transaction is retried after a
-    /// protocol-induced abort before the error is returned to the client.
-    pub max_retries: usize,
 }
 
 impl Default for PrimaryConfig {
@@ -43,7 +40,6 @@ impl Default for PrimaryConfig {
             threads: 4,
             isolation: IsolationLevel::ReadCommitted,
             op_cost: OpCost::free(),
-            max_retries: 64,
         }
     }
 }
@@ -113,14 +109,6 @@ pub struct ReplicaConfig {
     /// (keys at or beyond it clamp into the last shard). Only meaningful
     /// when `shards > 1`.
     pub shard_key_space: u64,
-    /// Target number of log records the scheduler hands a worker per queue
-    /// item in one-worker-per-transaction mode. The scheduler accumulates
-    /// consecutive whole transactions until the batch reaches this many
-    /// records (a single larger transaction still travels alone), which
-    /// amortizes channel and watermark-publication traffic without changing
-    /// which worker applies which transaction. `1` restores the original
-    /// one-item-per-transaction dispatch.
-    pub dispatch_batch_records: usize,
     /// The observability sink the replica's pipeline records stage metrics
     /// and trace events into. Defaults to the process-wide
     /// [`Obs::global`] sink; experiments attach a fresh one per run so
@@ -137,7 +125,6 @@ impl Default for ReplicaConfig {
             gc_trail: 4096,
             shards: 1,
             shard_key_space: 1 << 20,
-            dispatch_batch_records: 64,
             obs: Arc::clone(Obs::global()),
         }
     }
@@ -162,11 +149,6 @@ impl ReplicaConfig {
                 crate::shard::MAX_SHARDS,
                 self.shards
             )));
-        }
-        if self.dispatch_batch_records == 0 {
-            return Err(Error::InvalidConfig(
-                "dispatch batch must hold at least one record".into(),
-            ));
         }
         if !crate::shard::ShardRouter::splits_evenly(self.shards, self.shard_key_space) {
             return Err(Error::InvalidConfig(format!(
@@ -220,13 +202,6 @@ impl ReplicaConfig {
     /// Builder-style setter for the sharded key space.
     pub fn with_shard_key_space(mut self, key_space: u64) -> Self {
         self.shard_key_space = key_space;
-        self
-    }
-
-    /// Builder-style setter for the dispatch batch size (records per queue
-    /// item in one-worker-per-transaction mode).
-    pub fn with_dispatch_batch(mut self, records: usize) -> Self {
-        self.dispatch_batch_records = records;
         self
     }
 

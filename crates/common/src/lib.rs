@@ -46,6 +46,6 @@ pub use config::{DurabilityPolicy, IsolationLevel, PrimaryConfig, ReadConfig, Re
 pub use cost::OpCost;
 pub use error::{Error, Result};
 pub use ids::{Key, RowRef, SeqNo, SessionId, TableId, Timestamp, TxnId, WorkerId};
-pub use pacing::{poll_until, Pacer};
+pub use pacing::poll_until;
 pub use shard::ShardRouter;
 pub use value::{RowWrite, Value, WriteKind};

@@ -11,9 +11,10 @@
 //! `prev_seq` representation instead (Section 7.2), because dynamically
 //! allocating and managing explicit queues is exactly the scheduler
 //! bottleneck the paper warns about. This module keeps the explicit structure
-//! around for three reasons: it is the specification the embedded form is
-//! tested against, it drives the `design_vs_embedded` ablation benchmark, and
-//! it makes the Figure 4 walkthrough executable.
+//! as the specification the embedded form is tested against — the proptest
+//! `embedded_prev_seq_admits_exactly_what_the_queues_make_executable` shows
+//! both expose the same executable set at every step, the parallelism
+//! Theorem 2 is about — and it makes the Figure 4 walkthrough executable.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -239,8 +240,14 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use std::collections::{BTreeSet, HashSet};
+
     use c5_common::{RowWrite, SeqNo, Timestamp, TxnId, Value};
+    use c5_log::{explode_txn, Segment, TxnEntry};
+    use c5_storage::MvStore;
     use proptest::prelude::*;
+
+    use crate::scheduler::SchedulerState;
 
     fn record(seq: u64, key: u64) -> LogRecord {
         LogRecord {
@@ -299,6 +306,88 @@ mod proptests {
                 prop_assert_eq!(seqs, &sorted);
             }
             prop_assert_eq!(sched.completed(), keys.len() as u64);
+        }
+
+        /// The embedded form (Section 7.2) exposes exactly Figure 4's
+        /// parallelism. A log over few rows (long per-row chains,
+        /// multi-write transactions) is stamped by [`SchedulerState`] and
+        /// fed to the explicit queues, which a random grab/complete
+        /// interleaving then drains. At every step the records the queues
+        /// make executable — heads of runnable rows plus those executing —
+        /// are exactly the uncompleted records `install_if_prev` would admit:
+        /// those whose stamped `prev_seq` is zero or already installed.
+        #[test]
+        fn embedded_prev_seq_admits_exactly_what_the_queues_make_executable(
+            txns in prop::collection::vec(prop::collection::vec(0u64..4, 1..4), 1..25),
+            steps in prop::collection::vec((any::<bool>(), any::<usize>()), 0..300),
+        ) {
+            let mut next = SeqNo::ZERO;
+            let mut records = Vec::new();
+            for (i, keys) in txns.iter().enumerate() {
+                let mut seen = HashSet::new();
+                let writes = keys
+                    .iter()
+                    .filter(|k| seen.insert(**k))
+                    .map(|&k| RowWrite::update(RowRef::new(0, k), Value::from_u64(k)))
+                    .collect();
+                let entry = TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes);
+                let (recs, n) = explode_txn(&entry, next);
+                next = n;
+                records.extend(recs);
+            }
+            let mut segment = Segment::new(0, records);
+            SchedulerState::new().process_segment(&mut segment);
+            let records = segment.records;
+
+            let mut sched = RowQueueScheduler::new();
+            for record in &records {
+                sched.enqueue(record.clone());
+            }
+            // The backup's store: a record is installed at its own position,
+            // naming its predecessor's (Section 7.2).
+            let store = MvStore::default();
+            let mut completed = HashSet::new();
+            let mut in_flight: Vec<LogRecord> = Vec::new();
+            let mut steps = steps.into_iter();
+            loop {
+                let explicit: BTreeSet<SeqNo> = sched
+                    .scheduler_queue
+                    .iter()
+                    .map(|row| sched.row_queues[row].front().unwrap().record.seq)
+                    .chain(in_flight.iter().map(|r| r.seq))
+                    .collect();
+                let embedded: BTreeSet<SeqNo> = records
+                    .iter()
+                    .filter(|r| !completed.contains(&r.seq))
+                    .filter(|r| {
+                        store.latest_write_ts(r.write.row) == Timestamp(r.prev_seq.as_u64())
+                    })
+                    .map(|r| r.seq)
+                    .collect();
+                prop_assert_eq!(&explicit, &embedded);
+                if sched.is_drained() {
+                    break;
+                }
+                let (grab, pick) = steps.next().unwrap_or((false, 0));
+                if in_flight.is_empty() || grab {
+                    if let Some(w) = sched.next_work() {
+                        in_flight.push(w);
+                        continue;
+                    }
+                }
+                // Complete any in-flight write, not only the oldest.
+                let w = in_flight.swap_remove(pick % in_flight.len());
+                prop_assert!(store.install_if_prev(
+                    w.write.row,
+                    Timestamp(w.prev_seq.as_u64()),
+                    Timestamp(w.seq.as_u64()),
+                    w.write.kind,
+                    w.write.value.clone(),
+                ));
+                completed.insert(w.seq);
+                sched.complete(w.write.row);
+            }
+            prop_assert_eq!(completed.len(), records.len());
         }
     }
 }

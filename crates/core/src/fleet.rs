@@ -50,6 +50,13 @@ use c5_storage::MvStore;
 
 use crate::replica::{drive_from_receiver, C5Mode, C5Replica, ClonedConcurrencyControl};
 
+/// How long a joiner may take to catch up to its subscription point before
+/// the join fails.
+const CATCH_UP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a retire waits for pinned reads to drain.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Where a fleet member is in its life: the only legal transitions are the
 /// forward edges `Bootstrapping → CatchingUp → Serving → Draining →
 /// Retired`, plus a kill edge from any live state straight to `Retired`.
@@ -177,7 +184,7 @@ pub struct FleetController {
     router: Arc<dyn FleetRoutingSink>,
     mode: C5Mode,
     config: ReplicaConfig,
-    catch_up_timeout: Duration,
+    /// [`DRAIN_TIMEOUT`]; a field so tests can shorten it.
     drain_timeout: Duration,
     members: Mutex<HashMap<usize, Member>>,
 }
@@ -200,23 +207,9 @@ impl FleetController {
             router,
             mode,
             config,
-            catch_up_timeout: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(10),
+            drain_timeout: DRAIN_TIMEOUT,
             members: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Overrides how long a joiner may take to catch up to its
-    /// subscription point before the join fails.
-    pub fn with_catch_up_timeout(mut self, timeout: Duration) -> Self {
-        self.catch_up_timeout = timeout;
-        self
-    }
-
-    /// Overrides how long a retire waits for pinned reads to drain.
-    pub fn with_drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
-        self
     }
 
     /// Records one lifecycle transition into the configured observability
@@ -327,12 +320,11 @@ impl FleetController {
         // subscription point: from here the live stream alone keeps the
         // member a prefix-complete clone.
         let target = cut.max(stream_start);
-        if !replica.wait_until_exposed(target, self.catch_up_timeout) {
+        if !replica.wait_until_exposed(target, CATCH_UP_TIMEOUT) {
             self.shipper.unsubscribe(subscription.id);
             let _ = driver.join();
             return Err(Error::Lifecycle(format!(
-                "joiner never caught up to {target} within {:?} (exposed {})",
-                self.catch_up_timeout,
+                "joiner never caught up to {target} within {CATCH_UP_TIMEOUT:?} (exposed {})",
                 replica.exposed_seq()
             )));
         }
@@ -379,18 +371,25 @@ impl FleetController {
     /// drains the closing channel and finishes the replica), and marks it
     /// `Retired`. On a drain timeout the member is left `Draining` — still
     /// finishing its pinned reads, receiving no new ones — and the call
-    /// can be retried.
+    /// can be retried: a retry skips the `Serving → Draining` edge the
+    /// first call took and waits for the drain again.
     pub fn retire(&self, id: usize) -> Result<RetireReport> {
         let started = Instant::now();
-        {
+        let retrying = {
             let mut members = self.members.lock();
             let member = members.get_mut(&id).ok_or_else(|| {
                 Error::Lifecycle(format!("replica {id} is not a controller-managed member"))
             })?;
-            member.state = member.state.advance(ReplicaLifecycle::Draining)?;
+            let retrying = member.state == ReplicaLifecycle::Draining;
+            if !retrying {
+                member.state = member.state.advance(ReplicaLifecycle::Draining)?;
+            }
+            retrying
+        };
+        if !retrying {
+            self.trace_transition(id, ReplicaLifecycle::Serving, ReplicaLifecycle::Draining);
+            self.publish_serving_gauge();
         }
-        self.trace_transition(id, ReplicaLifecycle::Serving, ReplicaLifecycle::Draining);
-        self.publish_serving_gauge();
         self.router.retire(id)?;
         // Poll outside the members lock: pinned reads completing must not
         // contend with concurrent joins.
@@ -542,7 +541,8 @@ mod tests {
         assert!(matches!(Retired.advance(Retired), Err(Error::Lifecycle(_))));
     }
 
-    /// A minimal routing sink: a map of members, zero in-flight reads.
+    /// A minimal routing sink: a map of members, each with `pinned`
+    /// in-flight reads (zero unless a test pins some).
     #[derive(Default)]
     struct StubSink {
         state: Mutex<StubState>,
@@ -552,6 +552,7 @@ mod tests {
     struct StubState {
         next: usize,
         members: HashMap<usize, Arc<dyn ClonedConcurrencyControl>>,
+        pinned: u64,
     }
 
     impl FleetRoutingSink for StubSink {
@@ -580,11 +581,8 @@ mod tests {
         }
 
         fn in_flight_of(&self, replica: usize) -> Option<u64> {
-            self.state
-                .lock()
-                .members
-                .contains_key(&replica)
-                .then_some(0)
+            let state = self.state.lock();
+            state.members.contains_key(&replica).then_some(state.pinned)
         }
     }
 
@@ -601,18 +599,20 @@ mod tests {
         (Segment::new(id, records), next)
     }
 
-    fn controller_over(shipper: &LogShipper, archive: &Arc<LogArchive>) -> FleetController {
+    fn controller_over(
+        shipper: &LogShipper,
+        archive: &Arc<LogArchive>,
+        sink: Arc<StubSink>,
+    ) -> FleetController {
         FleetController::new(
             shipper.clone(),
             Arc::clone(archive),
-            Arc::new(StubSink::default()),
+            sink,
             C5Mode::Faithful,
             ReplicaConfig::default()
                 .with_workers(2)
                 .with_snapshot_interval(Duration::from_micros(200)),
         )
-        .with_catch_up_timeout(Duration::from_secs(10))
-        .with_drain_timeout(Duration::from_secs(10))
     }
 
     #[test]
@@ -620,7 +620,7 @@ mod tests {
         let archive = Arc::new(LogArchive::new());
         let (shipper, _) = LogShipper::fan_out(0, 16);
         let shipper = shipper.with_archive(Arc::clone(&archive));
-        let controller = controller_over(&shipper, &archive);
+        let controller = controller_over(&shipper, &archive, Arc::default());
 
         // History shipped before anyone joined: archive-only. The wire
         // thread announces a segment before it sends it, so the probe's
@@ -661,7 +661,7 @@ mod tests {
         let archive = Arc::new(LogArchive::new());
         let (shipper, _) = LogShipper::fan_out(0, 16);
         let shipper = shipper.with_archive(Arc::clone(&archive));
-        let controller = controller_over(&shipper, &archive);
+        let controller = controller_over(&shipper, &archive, Arc::default());
 
         // A join with nobody serving is a typed error.
         assert!(matches!(controller.join(), Err(Error::Lifecycle(_))));
@@ -719,5 +719,44 @@ mod tests {
 
         // A kill on an unknown id is a typed error.
         assert!(matches!(controller.kill(99), Err(Error::Lifecycle(_))));
+    }
+
+    #[test]
+    fn a_retire_that_timed_out_on_pinned_reads_can_be_retried() {
+        let archive = Arc::new(LogArchive::new());
+        let (shipper, _) = LogShipper::fan_out(0, 16);
+        let shipper = shipper.with_archive(Arc::clone(&archive));
+        let sink = Arc::new(StubSink::default());
+        let mut controller = controller_over(&shipper, &archive, Arc::clone(&sink));
+        controller.drain_timeout = Duration::from_millis(20);
+        let member = controller
+            .join_seeded(Arc::new(MvStore::default()))
+            .unwrap()
+            .replica;
+
+        // A pinned read outlives the drain timeout: the member stays
+        // Draining, still attached.
+        sink.state.lock().pinned = 1;
+        assert!(matches!(
+            controller.retire(member),
+            Err(Error::Lifecycle(_))
+        ));
+        assert_eq!(
+            controller.lifecycle(member),
+            Some(ReplicaLifecycle::Draining)
+        );
+        assert_eq!(controller.serving_count(), 0);
+
+        // Once the read finishes, the retry completes the retire.
+        sink.state.lock().pinned = 0;
+        let report = controller.retire(member).unwrap();
+        assert_eq!(report.replica, member);
+        assert_eq!(
+            controller.lifecycle(member),
+            Some(ReplicaLifecycle::Retired)
+        );
+
+        shipper.close();
+        controller.finish();
     }
 }

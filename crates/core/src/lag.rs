@@ -11,7 +11,8 @@
 //!
 //! [`LagTracker`] collects one [`LagSample`] per committed transaction and
 //! summarizes them as the paper's Figure 8 does: quartiles, minimum and
-//! maximum, optionally bucketed into fixed observation windows.
+//! maximum. A caller that wants Figure 8's per-window breakdown buckets
+//! [`LagTracker::samples`] by exposure time itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -188,36 +189,6 @@ impl LagTracker {
                 .collect(),
         )
     }
-
-    /// Summary statistics over the samples whose *exposure* time falls within
-    /// `[window_start_nanos, window_end_nanos)` — the per-window breakdown of
-    /// Figure 8 ("0–30 s", "30–60 s", "60–90 s").
-    pub fn stats_in_window(
-        &self,
-        window_start_nanos: u64,
-        window_end_nanos: u64,
-    ) -> Option<LagStats> {
-        LagStats::from_millis(
-            self.samples
-                .lock()
-                .iter()
-                .filter(|s| {
-                    s.exposed_at_nanos >= window_start_nanos
-                        && s.exposed_at_nanos < window_end_nanos
-                })
-                .map(LagSample::lag_millis)
-                .collect(),
-        )
-    }
-
-    /// Maximum lag over all samples, in milliseconds.
-    pub fn max_lag_ms(&self) -> f64 {
-        self.samples
-            .lock()
-            .iter()
-            .map(LagSample::lag_millis)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -312,12 +283,18 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
 
-        let w1 = t.stats_in_window(0, 30).unwrap();
-        assert_eq!(w1.count, 2);
-        let w2 = t.stats_in_window(30, 60).unwrap();
-        assert_eq!(w2.count, 1);
-        assert!(t.stats_in_window(100, 200).is_none());
-        assert!(t.stats().unwrap().count == 3);
-        assert!(t.max_lag_ms() >= t.stats().unwrap().p50_ms);
+        // Bucketed by exposure time, as Figure 8's windows are.
+        let window = |from: u64, to: u64| {
+            t.samples()
+                .iter()
+                .filter(|s| (from..to).contains(&s.exposed_at_nanos))
+                .count()
+        };
+        assert_eq!(window(0, 30), 2);
+        assert_eq!(window(30, 60), 1);
+        assert_eq!(window(100, 200), 0);
+        let stats = t.stats().unwrap();
+        assert_eq!(stats.count, 3);
+        assert!(stats.max_ms >= stats.p50_ms);
     }
 }

@@ -63,5 +63,5 @@ pub use replica::{
     drive_from_receiver, drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, Promotion,
     ReadView, ReplicaMetrics,
 };
-pub use scheduler::{preprocess_segment, SchedulerState, SchedulerStats};
+pub use scheduler::{SchedulerState, SchedulerStats};
 pub use shard::{CutCoordinator, ShardProgress, ShardedC5Replica};

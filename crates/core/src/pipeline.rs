@@ -50,11 +50,11 @@
 //! cost amortized, and policies are expected to follow them:
 //!
 //! * **Dispatch in batches.** A work item should carry a *run* of records —
-//!   a whole sub-segment, or a run of consecutive whole transactions
-//!   (`ReplicaConfig::dispatch_batch_records`) — so the queue hand-off cost
-//!   is paid once per batch, not once per record. Batches must respect the
-//!   policy's ordering unit: a batch never splits a transaction, and
-//!   `schedule` publishes any dispatch watermark *before* enqueueing the
+//!   a whole sub-segment, or a run of consecutive whole transactions (64
+//!   records in C5's one-worker-per-transaction mode) — so the queue
+//!   hand-off cost is paid once per batch, not once per record. Batches must
+//!   respect the policy's ordering unit: a batch never splits a transaction,
+//!   and `schedule` publishes any dispatch watermark *before* enqueueing the
 //!   batch, so a cut chosen from that watermark can never land mid-item.
 //! * **Publish watermarks per item, not per record.** Workers buffer the
 //!   applied-marks of one work item and flush them in a single batched

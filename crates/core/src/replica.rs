@@ -325,12 +325,21 @@ impl<E: Exposure> PerRowOrdering<E> {
     }
 }
 
+/// Target number of log records the scheduler hands a worker per queue item
+/// in one-worker-per-transaction mode. The scheduler accumulates consecutive
+/// whole transactions until the batch reaches this many records (a single
+/// larger transaction still travels alone), which amortizes channel and
+/// watermark-publication traffic without changing which worker applies which
+/// transaction.
+const DISPATCH_BATCH: usize = 64;
+
 /// C5 on the shared pipeline runtime: the per-row ordering in the mode's
 /// dispatch form, over the prefix exposure with the mode's cursor.
 struct C5Policy {
     mode: C5Mode,
     rows: PerRowOrdering<PrefixExposure>,
-    /// Target records per dispatched work item in one-worker-per-txn mode.
+    /// Target records per dispatched work item in one-worker-per-txn mode:
+    /// [`DISPATCH_BATCH`], or 1 (per-transaction dispatch) in tests.
     dispatch_batch: usize,
 }
 
@@ -409,7 +418,14 @@ impl C5Replica {
     /// Creates and starts a C5 replica over `store` (which should already
     /// hold the initial database population, installed at `Timestamp::ZERO`).
     pub fn new(mode: C5Mode, store: Arc<MvStore>, config: ReplicaConfig) -> Arc<Self> {
-        Self::start(mode, store, config, SeqNo::ZERO, std::iter::empty())
+        Self::start(
+            mode,
+            store,
+            config,
+            SeqNo::ZERO,
+            std::iter::empty(),
+            DISPATCH_BATCH,
+        )
     }
 
     /// Creates and starts a **cold replica resuming from a checkpoint**: the
@@ -444,6 +460,7 @@ impl C5Replica {
             config,
             checkpoint.cut(),
             checkpoint.last_writes(),
+            DISPATCH_BATCH,
         )
     }
 
@@ -452,13 +469,15 @@ impl C5Replica {
     /// exposure must resume in lockstep, or catch-up wedges: the scheduler's
     /// per-row `prev_seq` map is seeded from `last_writes` (so the first
     /// post-checkpoint write to a row names the checkpointed chain head, not
-    /// "no predecessor"), and the exposure resumes at the cut.
+    /// "no predecessor"), and the exposure resumes at the cut. Callers pass
+    /// [`DISPATCH_BATCH`]; tests pass 1 for per-transaction dispatch.
     fn start(
         mode: C5Mode,
         store: Arc<MvStore>,
         config: ReplicaConfig,
         cut: SeqNo,
         last_writes: impl IntoIterator<Item = (RowRef, SeqNo)>,
+        dispatch_batch: usize,
     ) -> Arc<Self> {
         let (exposure, queue) = match mode {
             // Segments are assigned round-robin to per-worker queues
@@ -477,7 +496,7 @@ impl C5Replica {
         let policy = Arc::new(C5Policy {
             mode,
             rows: PerRowOrdering::new(exposure, SchedulerState::with_last_writes(last_writes)),
-            dispatch_batch: config.dispatch_batch_records,
+            dispatch_batch,
         });
         let options = PipelineOptions {
             workers: config.workers,
@@ -623,7 +642,7 @@ mod tests {
         let population = vec![(row(0), Value::from_u64(0))];
         for mode in [C5Mode::Faithful, C5Mode::OneWorkerPerTxn] {
             let mut states = Vec::new();
-            for batch in [1usize, 64] {
+            for batch in [1, DISPATCH_BATCH] {
                 let store = Arc::new(MvStore::default());
                 store.install(
                     row(0),
@@ -633,9 +652,9 @@ mod tests {
                 );
                 let config = ReplicaConfig::default()
                     .with_workers(4)
-                    .with_snapshot_interval(Duration::from_millis(1))
-                    .with_dispatch_batch(batch);
-                let replica = C5Replica::new(mode, store, config);
+                    .with_snapshot_interval(Duration::from_millis(1));
+                let replica =
+                    C5Replica::start(mode, store, config, SeqNo::ZERO, std::iter::empty(), batch);
                 drive_segments(replica.as_ref(), segments.clone());
 
                 let view = replica.read_view();
@@ -863,14 +882,16 @@ mod tests {
         let config = ReplicaConfig::default()
             .with_workers(2)
             .with_snapshot_interval(interval)
-            .with_dispatch_batch(1)
             .with_op_cost(OpCost::symmetric(2_000))
             .with_obs(Arc::clone(&obs));
         let started = Instant::now();
-        let replica = C5Replica::new(
+        let replica = C5Replica::start(
             C5Mode::OneWorkerPerTxn,
             Arc::new(MvStore::default()),
             config,
+            SeqNo::ZERO,
+            std::iter::empty(),
+            1,
         );
         let segments = adversarial_log(12_000, 2, 32);
         let last = segments.last().unwrap().last_seq().unwrap();

@@ -105,16 +105,6 @@ impl SchedulerState {
     }
 }
 
-/// Convenience wrapper: preprocesses a single segment with a fresh scheduler.
-/// Only meaningful for single-segment tests; real replicas keep one
-/// [`SchedulerState`] for the whole log so cross-segment row dependencies are
-/// captured.
-pub fn preprocess_segment(segment: &mut Segment) -> SchedulerStats {
-    let mut state = SchedulerState::new();
-    state.process_segment(segment);
-    state.stats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +136,9 @@ mod tests {
     fn prev_seq_points_to_previous_write_of_same_row() {
         // txn1 writes rows 1,2 ; txn2 writes rows 2,3 ; txn3 writes row 1.
         let mut seg = make_segment(&[vec![1, 2], vec![2, 3], vec![1]]);
-        let stats = preprocess_segment(&mut seg);
+        let mut state = SchedulerState::new();
+        state.process_segment(&mut seg);
+        let stats = state.stats();
 
         assert!(seg.header.preprocessed);
         assert_eq!(stats.records, 5);
@@ -206,7 +198,7 @@ mod tests {
     #[test]
     fn repeated_writes_to_one_row_chain_linearly() {
         let mut seg = make_segment(&[vec![5], vec![5], vec![5], vec![5]]);
-        preprocess_segment(&mut seg);
+        SchedulerState::new().process_segment(&mut seg);
         let prevs: Vec<u64> = seg.records.iter().map(|r| r.prev_seq.as_u64()).collect();
         assert_eq!(prevs, vec![0, 1, 2, 3]);
     }
@@ -244,7 +236,7 @@ mod proptests {
                 records.extend(recs);
             }
             let mut seg = Segment::new(0, records);
-            preprocess_segment(&mut seg);
+            SchedulerState::new().process_segment(&mut seg);
 
             let mut last: StdHashMap<RowRef, SeqNo> = StdHashMap::new();
             for r in &seg.records {

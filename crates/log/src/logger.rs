@@ -32,8 +32,7 @@
 //! lock is a channel send per subscriber (un-archived wire) or one bounded
 //! enqueue to the wire thread (archived wire); the archive write and its
 //! fsync never run on a committing thread. Sampling the log end
-//! ([`StreamingLogger::last_seq`], [`StreamingLogger::appended_txns`]) takes
-//! no lock at all.
+//! ([`StreamingLogger::last_seq`]) takes no lock at all.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,8 +60,6 @@ pub struct StreamingLogger {
     /// sampler that sees a position also sees everything the committer did
     /// before assigning it.
     last_seq: AtomicU64,
-    /// Transactions appended; bumped under the lock, sampled without it.
-    appended_txns: AtomicU64,
 }
 
 struct StreamingInner {
@@ -95,7 +92,6 @@ impl StreamingLogger {
             }),
             shipper,
             last_seq: AtomicU64::new(cut.as_u64()),
-            appended_txns: AtomicU64::new(0),
         }
     }
 
@@ -125,10 +121,7 @@ impl StreamingLogger {
         let entry = TxnEntry::new(txn, commit_ts, writes);
         let (records, next_seq) = explode_txn(&entry, inner.next_seq);
         inner.next_seq = next_seq;
-        // Published before the ship, which may park on a full wire; the
-        // count first, so whoever sees the position sees its transaction
-        // counted.
-        self.appended_txns.fetch_add(1, Ordering::Release);
+        // Published before the ship, which may park on a full wire.
         self.last_seq.store(next_seq.as_u64(), Ordering::Release);
         let full = if records.is_empty() {
             None
@@ -174,11 +167,6 @@ impl StreamingLogger {
         if let Some(segment) = inner.builder.flush() {
             self.ship(&inner, segment);
         }
-    }
-
-    /// Number of transactions appended so far. Lock-free.
-    pub fn appended_txns(&self) -> u64 {
-        self.appended_txns.load(Ordering::Acquire)
     }
 
     /// Highest write sequence number assigned so far. Includes records still
@@ -325,7 +313,6 @@ mod tests {
         assert_eq!(records[0].txn, TxnId(1));
         assert_eq!(records[1].txn, TxnId(2));
         assert!(records[0].seq < records[1].seq);
-        assert_eq!(logger.appended_txns(), 2);
     }
 
     #[test]
@@ -454,7 +441,6 @@ mod tests {
         while logger.last_seq() < SeqNo(2) {
             std::thread::yield_now();
         }
-        assert_eq!(logger.appended_txns(), 2);
         assert!(!parked.is_finished());
         assert_eq!(receiver.try_len(), 1);
         receiver.recv().unwrap();
@@ -545,7 +531,6 @@ mod tests {
         assert_eq!(seqs, (1..=logger.last_seq().as_u64()).collect::<Vec<_>>());
         let txns = records.iter().filter(|r| r.is_txn_last()).count() as u64;
         assert_eq!(txns, COMMITTERS * TXNS);
-        assert_eq!(logger.appended_txns(), COMMITTERS * TXNS);
     }
 
     /// Invariant: `crash()` leaves the archive equal to the wire — what was
@@ -639,7 +624,6 @@ mod tests {
         logger.append(TxnId(1), vec![]);
         logger.close();
         assert!(flatten(&receiver.drain()).is_empty());
-        assert_eq!(logger.appended_txns(), 1);
         assert_eq!(logger.last_seq(), SeqNo::ZERO);
     }
 

@@ -35,10 +35,10 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use trace::{now_nanos, PipelineStage, RouteOutcome, TraceEvent, TraceRecord, TraceRecorder};
 
-/// Default per-thread trace-ring capacity for [`Obs::new`]: enough for an
-/// experiment's full timeline at per-segment granularity, ~a few hundred
-/// KiB per thread at worst.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// Per-thread trace-ring capacity of an [`Obs`]: enough for an experiment's
+/// full timeline at per-segment granularity, ~a few hundred KiB per thread
+/// at worst.
+const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// One observability sink: a metrics registry plus a trace recorder.
 ///
@@ -52,17 +52,11 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Creates a fresh sink with the default trace capacity.
+    /// Creates a fresh sink.
     pub fn new() -> Arc<Self> {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Creates a fresh sink whose per-thread trace rings hold
-    /// `capacity_per_thread` records.
-    pub fn with_trace_capacity(capacity_per_thread: usize) -> Arc<Self> {
         Arc::new(Self {
             metrics: MetricsRegistry::new(),
-            trace: TraceRecorder::new(capacity_per_thread),
+            trace: TraceRecorder::new(DEFAULT_TRACE_CAPACITY),
         })
     }
 

@@ -33,6 +33,10 @@ pub mod stats;
 pub mod tpl;
 pub mod txn;
 
+/// How many times an engine retries a transaction after a protocol-induced
+/// abort before returning the error to the client.
+const MAX_RETRIES: usize = 64;
+
 pub use driver::{ClosedLoopDriver, RunLength, TxnFactory};
 pub use lock::{LockManager, LockMode};
 pub use mvtso::MvtsoEngine;

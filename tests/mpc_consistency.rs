@@ -16,19 +16,18 @@ use c5_repro::prelude::*;
 /// any healthy run; purely a hang bound, not a pacing assumption).
 const SAMPLER_DEADLINE: Duration = Duration::from_secs(120);
 
-/// Samples `(cut, state)` pairs from a replica's read views, paced at
-/// `interval` by deadline arithmetic, until the replica exposes `final_seq`
-/// (each view is sampled *before* the check so the terminal state is always
-/// captured) or [`SAMPLER_DEADLINE`] passes. Unlike a fixed
-/// iteration-count/sleep loop, this holds under arbitrary CI load: a slow
-/// machine samples less often but the test never misses the end of the log.
+/// Samples `(cut, state)` pairs from a replica's read views, one every
+/// `interval`, until the replica exposes `final_seq` (each view is sampled
+/// *before* the check so the terminal state is always captured) or
+/// [`SAMPLER_DEADLINE`] passes. Unlike a fixed iteration-count loop, this
+/// holds under arbitrary CI load: a slow machine samples less often but the
+/// test never misses the end of the log.
 fn sample_views_until_exposed(
     replica: &dyn ClonedConcurrencyControl,
     final_seq: SeqNo,
     interval: Duration,
 ) -> Vec<(SeqNo, Vec<(RowRef, Value)>)> {
     let deadline = Instant::now() + SAMPLER_DEADLINE;
-    let mut pacer = Pacer::new(interval);
     let mut samples = Vec::new();
     loop {
         let view = replica.read_view();
@@ -37,7 +36,7 @@ fn sample_views_until_exposed(
         if cut >= final_seq || Instant::now() >= deadline {
             return samples;
         }
-        pacer.wait();
+        std::thread::sleep(interval);
     }
 }
 
@@ -269,7 +268,6 @@ fn pinned_read_only_txns_match_the_reference_replay_at_their_cut() {
         let batch_rows = batch_rows.clone();
         std::thread::spawn(move || {
             let deadline = Instant::now() + SAMPLER_DEADLINE;
-            let mut pacer = Pacer::new(Duration::from_micros(300));
             let mut results = Vec::new();
             loop {
                 let txn = router
@@ -284,7 +282,7 @@ fn pinned_read_only_txns_match_the_reference_replay_at_their_cut() {
                 if cut >= final_seq || Instant::now() >= deadline {
                     return results;
                 }
-                pacer.wait();
+                std::thread::sleep(Duration::from_micros(300));
             }
         })
     };
@@ -381,7 +379,6 @@ fn sharded_c5_guarantees_mpc_across_shards() {
         let replica = Arc::clone(&replica);
         std::thread::spawn(move || {
             let deadline = Instant::now() + SAMPLER_DEADLINE;
-            let mut pacer = Pacer::new(Duration::from_micros(200));
             let mut samples = Vec::new();
             loop {
                 let cut = replica.exposed_seq();
@@ -389,7 +386,7 @@ fn sharded_c5_guarantees_mpc_across_shards() {
                 if cut >= final_seq || Instant::now() >= deadline {
                     return samples;
                 }
-                pacer.wait();
+                std::thread::sleep(Duration::from_micros(200));
             }
         })
     };

@@ -78,12 +78,11 @@ fn tpl_to_c5_pipeline_converges_and_is_mpc_clean() {
         let replica = Arc::clone(&replica);
         let done = Arc::clone(&replication_done);
         std::thread::spawn(move || {
-            let mut pacer = Pacer::new(Duration::from_micros(200));
             let mut samples = Vec::new();
             while !done.load(Ordering::Acquire) {
                 let view = replica.read_view();
                 samples.push((view.as_of(), view.scan_all()));
-                pacer.wait();
+                std::thread::sleep(Duration::from_micros(200));
             }
             samples
         })
