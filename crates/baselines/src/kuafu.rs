@@ -20,12 +20,12 @@
 //! serves purely to show that the constraints — not implementation overhead —
 //! are what make KuaFu lag.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use c5_common::{ReplicaConfig, RowRef, SeqNo};
+use c5_common::{ReplicaConfig, RowMap, SeqNo};
 use c5_core::exposure::{Exposure, PrefixExposure};
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
@@ -96,7 +96,7 @@ impl CompletionBoard {
 /// Schedule-stage state: which transaction last wrote each row.
 #[derive(Default)]
 struct DispatchState {
-    last_writer: HashMap<RowRef, u64>,
+    last_writer: RowMap<u64>,
     next_index: u64,
     pending_txn: Vec<LogRecord>,
 }
@@ -215,7 +215,7 @@ c5_core::delegate_replica_to_pipeline!(KuaFuReplica, runtime);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
     use c5_core::replica::{drive_segments, ClonedConcurrencyControl};
     use c5_log::{segments_from_entries, TxnEntry};
 

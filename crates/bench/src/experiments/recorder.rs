@@ -8,19 +8,17 @@
 //! structure of the real workload — TPC-C's district and warehouse hot rows,
 //! the adversarial workload's shared counter, and so on.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use c5_common::{Result, RowRef, Value};
+use c5_common::{Result, RowMap, RowRef, Value};
 use c5_lagmodel::{ModelTxn, ModelWorkload};
 use c5_primary::{TxnCtx, TxnFactory};
 
 /// A single-threaded recording context: reads come from a plain map, writes
 /// are applied to it and captured in order.
 struct RecordingCtx<'a> {
-    state: &'a mut HashMap<RowRef, Value>,
+    state: &'a mut RowMap<Value>,
     writes: Vec<RowRef>,
 }
 
@@ -60,7 +58,7 @@ pub fn record_workload(
     txns: u64,
     seed: u64,
 ) -> ModelWorkload {
-    let mut state: HashMap<RowRef, Value> = population.iter().cloned().collect();
+    let mut state: RowMap<Value> = population.iter().cloned().collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(txns as usize);
     for id in 0..txns {

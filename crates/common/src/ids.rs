@@ -5,7 +5,9 @@
 //! expected, and so on — the distinctions matter in the C5 scheduler and
 //! snapshotter, where both kinds of counters are in flight at once.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Identifies a table in the database.
 ///
@@ -84,6 +86,73 @@ impl RowRef {
 impl fmt::Display for RowRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.table, self.key)
+    }
+}
+
+/// The hasher every row-keyed map and every row-to-shard placement in the
+/// workspace uses: a multiply-xorshift over a [`RowRef`]'s two fixed-width
+/// integers.
+///
+/// Each integer is folded in with one multiply, and `finish` xor-shifts the
+/// high half down and multiplies again, so every output bit depends on every
+/// bit of `(table, key)`. That is a few nanoseconds where `std`'s keyed,
+/// byte-oriented SipHash costs several times more, on a path (store, lock
+/// manager, scheduler) that hashes every write at least once.
+///
+/// It is **unkeyed on purpose**. Rows come from the primary's own workloads,
+/// not from clients choosing keys to collide, and an unkeyed hash puts a row
+/// in the same store shard on every run, so per-shard behaviour reproduces
+/// from the seed. Do not use it for keys an adversary picks.
+///
+/// Which bits go where: a map's table (`std`'s SwissTable) picks the bucket
+/// from the low bits and a 7-bit tag from the top bits; shard placement
+/// ([`RowHasher::hash_row`] `>> 32`) takes bits from 32 up, which neither
+/// uses, so the rows of one shard still spread over its map's buckets.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RowHasher(u64);
+
+/// A map keyed by [`RowRef`], hashed with [`RowHasher`].
+pub type RowMap<V> = HashMap<RowRef, V, BuildHasherDefault<RowHasher>>;
+
+impl RowHasher {
+    /// An odd constant with well-spread bits (2^64 divided by the golden
+    /// ratio).
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// The hash a [`RowMap`] computes for `row`.
+    #[inline]
+    pub fn hash_row(row: RowRef) -> u64 {
+        let mut hasher = Self::default();
+        row.hash(&mut hasher);
+        hasher.finish()
+    }
+}
+
+impl Hasher for RowHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(32) ^ n).wrapping_mul(Self::MUL);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    /// Anything wider or odder than the two integers a row is made of,
+    /// folded in 8 bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let x = (self.0 ^ (self.0 >> 32)).wrapping_mul(Self::MUL);
+        x ^ (x >> 29)
     }
 }
 
@@ -233,6 +302,47 @@ mod tests {
         assert_eq!(SeqNo(5).to_string(), "seq5");
         assert_eq!(WorkerId(5).to_string(), "w5");
         assert_eq!(SessionId(5).to_string(), "s5");
+    }
+
+    #[test]
+    fn row_hash_is_the_row_maps_hash_and_stable() {
+        use std::hash::BuildHasher;
+        let row = RowRef::new(3, 9);
+        let map_hash = BuildHasherDefault::<RowHasher>::default().hash_one(row);
+        assert_eq!(RowHasher::hash_row(row), map_hash);
+        // Unkeyed: the same value in every process and every build, so a
+        // row's store shard is a function of the row alone.
+        assert_eq!(map_hash, 0x9f62_19b0_33ef_fed4);
+    }
+
+    #[test]
+    fn row_hash_spreads_dense_keys_over_shards_and_buckets_independently() {
+        // Dense keys (how every workload numbers its rows) in two tables:
+        // bits 32..40 (the store's shard) must spread evenly, and so must
+        // the low bits (a map's bucket) *within* one shard.
+        let mut per_shard = vec![0usize; 256];
+        let mut buckets_in_shard_0 = vec![0usize; 64];
+        for table in [0u32, 7] {
+            for key in 0..(1u64 << 16) {
+                let hash = RowHasher::hash_row(RowRef::new(table, key));
+                let shard = (hash >> 32) as u8 as usize;
+                per_shard[shard] += 1;
+                if shard == 0 {
+                    buckets_in_shard_0[(hash & 63) as usize] += 1;
+                }
+            }
+        }
+        // 2^17 rows over 256 shards: 512 each on average.
+        assert!(
+            per_shard.iter().all(|&n| (384..=640).contains(&n)),
+            "{per_shard:?}"
+        );
+        // ~512 rows over 64 buckets: 8 each on average; none left empty.
+        assert!(buckets_in_shard_0.iter().all(|&n| (1..=24).contains(&n)));
+
+        let mut map: RowMap<u64> = RowMap::default();
+        map.insert(RowRef::new(1, 2), 3);
+        assert_eq!(map.get(&RowRef::new(1, 2)), Some(&3));
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! both expose the same executable set at every step, the parallelism
 //! Theorem 2 is about — and it makes the Figure 4 walkthrough executable.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 
-use c5_common::RowRef;
+use c5_common::{RowHasher, RowMap, RowRef};
 use c5_log::LogRecord;
 
 /// A write waiting in a per-row queue.
@@ -31,10 +32,10 @@ pub struct QueuedWrite {
 /// The scheduler's explicit queues.
 #[derive(Debug, Default)]
 pub struct RowQueueScheduler {
-    row_queues: HashMap<RowRef, VecDeque<QueuedWrite>>,
+    row_queues: RowMap<VecDeque<QueuedWrite>>,
     scheduler_queue: VecDeque<RowRef>,
     /// Rows whose head write is currently being executed by some worker.
-    executing: std::collections::HashSet<RowRef>,
+    executing: HashSet<RowRef, BuildHasherDefault<RowHasher>>,
     enqueued: u64,
     completed: u64,
 }
@@ -331,7 +332,7 @@ mod proptests {
                     .map(|&k| RowWrite::update(RowRef::new(0, k), Value::from_u64(k)))
                     .collect();
                 let entry = TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes);
-                let (recs, n) = explode_txn(&entry, next);
+                let (recs, n) = explode_txn(entry, next);
                 next = n;
                 records.extend(recs);
             }

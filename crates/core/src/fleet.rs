@@ -595,7 +595,7 @@ mod tests {
                 Value::from_u64(id * 100),
             )],
         );
-        let (records, next) = explode_txn(&entry, start);
+        let (records, next) = explode_txn(entry, start);
         (Segment::new(id, records), next)
     }
 

@@ -16,16 +16,14 @@
 //! that this single thread is still faster than the primary, and the
 //! benchmark `sched_offline` reproduces that measurement over this module.
 
-use std::collections::HashMap;
-
-use c5_common::{RowRef, SeqNo};
+use c5_common::{RowMap, RowRef, SeqNo};
 use c5_log::{LogRecord, Segment};
 
 /// Mutable scheduler state: the map from row to the position of its most
 /// recent write (zero for rows never written in the log so far).
 #[derive(Debug, Default)]
 pub struct SchedulerState {
-    last_write: HashMap<RowRef, SeqNo>,
+    last_write: RowMap<SeqNo>,
     processed_records: u64,
     processed_segments: u64,
     processed_txns: u64,
@@ -125,7 +123,7 @@ mod tests {
                 .map(|&k| RowWrite::update(row(k), Value::from_u64(k)))
                 .collect();
             let entry = TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes);
-            let (recs, n) = explode_txn(&entry, next);
+            let (recs, n) = explode_txn(entry, next);
             next = n;
             records.extend(recs);
         }
@@ -231,7 +229,7 @@ mod proptests {
                     .map(|&k| RowWrite::update(RowRef::new(0, k), Value::from_u64(k)))
                     .collect();
                 let entry = TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes);
-                let (recs, n) = explode_txn(&entry, next);
+                let (recs, n) = explode_txn(entry, next);
                 next = n;
                 records.extend(recs);
             }

@@ -1022,7 +1022,7 @@ mod tests {
             Timestamp(11),
             vec![RowWrite::update(RowRef::new(0, 1), Value::from_u64(1))],
         );
-        let (records, _) = crate::record::explode_txn(&entry, SeqNo(10));
+        let (records, _) = crate::record::explode_txn(entry, SeqNo(10));
         let archive = LogArchive::starting_at(SeqNo(10));
         archive.append(&Segment::new(0, records));
         let replay = archive.replay_from(SeqNo(10)).unwrap();
@@ -1105,7 +1105,7 @@ mod tests {
             Timestamp(7),
             vec![RowWrite::update(RowRef::new(0, 7), Value::from_u64(7))],
         );
-        let (records, _) = crate::record::explode_txn(&entry, SeqNo(12));
+        let (records, _) = crate::record::explode_txn(entry, SeqNo(12));
         archive.append(&Segment::new(3, records));
         assert_eq!(archive.last_seq(), SeqNo(13));
 
@@ -1327,7 +1327,7 @@ mod tests {
             })
             .collect();
         let mut next = SeqNo(10);
-        for entry in &entries {
+        for entry in entries {
             let (records, end) = crate::record::explode_txn(entry, next);
             archive.append(&Segment::new(next.as_u64(), records));
             next = end;
@@ -1392,7 +1392,7 @@ mod tests {
         assert_eq!(chunk_paths(&dir).unwrap(), chunks[..1]);
         // Appends go on from the recovered end, over the re-zeroed remainder.
         let (resumed, _) = crate::record::explode_txn(
-            &TxnEntry::new(
+            TxnEntry::new(
                 TxnId(99),
                 Timestamp(99),
                 vec![RowWrite::update(RowRef::new(0, 9), Value::from_u64(9))],

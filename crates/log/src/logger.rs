@@ -119,7 +119,7 @@ impl StreamingLogger {
         inner.next_commit_ts = inner.next_commit_ts.next();
         let commit_ts = inner.next_commit_ts;
         let entry = TxnEntry::new(txn, commit_ts, writes);
-        let (records, next_seq) = explode_txn(&entry, inner.next_seq);
+        let (records, next_seq) = explode_txn(entry, inner.next_seq);
         inner.next_seq = next_seq;
         // Published before the ship, which may park on a full wire.
         self.last_seq.store(next_seq.as_u64(), Ordering::Release);
@@ -266,7 +266,7 @@ pub fn segments_from_entries(entries: &[TxnEntry], segment_records: usize) -> Ve
         if entry.is_empty() {
             continue;
         }
-        let (records, seq) = explode_txn(entry, next_seq);
+        let (records, seq) = explode_txn(entry.clone(), next_seq);
         next_seq = seq;
         if let Some(seg) = builder.push_txn(records) {
             segments.push(seg);

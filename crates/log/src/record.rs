@@ -103,10 +103,13 @@ impl LogRecord {
 /// Expands a transaction entry into per-write log records, assigning
 /// sequence numbers starting from `next_seq`. Returns the records and the
 /// next unused sequence number.
-pub fn explode_txn(entry: &TxnEntry, mut next_seq: SeqNo) -> (Vec<LogRecord>, SeqNo) {
+///
+/// The writes move into the records; a caller that must keep the entry
+/// clones it first.
+pub fn explode_txn(entry: TxnEntry, mut next_seq: SeqNo) -> (Vec<LogRecord>, SeqNo) {
     let txn_len = entry.writes.len() as u32;
     let mut records = Vec::with_capacity(entry.writes.len());
-    for (idx, write) in entry.writes.iter().enumerate() {
+    for (idx, write) in entry.writes.into_iter().enumerate() {
         next_seq = next_seq.next();
         records.push(LogRecord {
             txn: entry.txn,
@@ -114,7 +117,7 @@ pub fn explode_txn(entry: &TxnEntry, mut next_seq: SeqNo) -> (Vec<LogRecord>, Se
             commit_ts: entry.commit_ts,
             commit_wall_nanos: entry.commit_wall_nanos,
             prev_seq: SeqNo::ZERO,
-            write: write.clone(),
+            write,
             idx_in_txn: idx as u32,
             txn_len,
         });
@@ -137,7 +140,7 @@ mod tests {
     #[test]
     fn explode_assigns_contiguous_seq_numbers() {
         let e = entry(1, 3);
-        let (records, next) = explode_txn(&e, SeqNo::ZERO);
+        let (records, next) = explode_txn(e, SeqNo::ZERO);
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].seq, SeqNo(1));
         assert_eq!(records[2].seq, SeqNo(3));
@@ -152,8 +155,8 @@ mod tests {
     fn explode_continues_from_given_seq() {
         let e1 = entry(1, 2);
         let e2 = entry(2, 2);
-        let (_, next) = explode_txn(&e1, SeqNo::ZERO);
-        let (records, next2) = explode_txn(&e2, next);
+        let (_, next) = explode_txn(e1, SeqNo::ZERO);
+        let (records, next2) = explode_txn(e2, next);
         assert_eq!(records[0].seq, SeqNo(3));
         assert_eq!(next2, SeqNo(4));
     }
@@ -162,7 +165,7 @@ mod tests {
     fn empty_txn_produces_no_records() {
         let e = TxnEntry::new(TxnId(9), Timestamp(9), vec![]);
         assert!(e.is_empty());
-        let (records, next) = explode_txn(&e, SeqNo(10));
+        let (records, next) = explode_txn(e, SeqNo(10));
         assert!(records.is_empty());
         assert_eq!(next, SeqNo(10));
     }

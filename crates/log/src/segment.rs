@@ -185,7 +185,7 @@ mod tests {
             })
             .collect();
         let entry = TxnEntry::new(TxnId(txn), Timestamp(txn), writes);
-        explode_txn(&entry, start)
+        explode_txn(entry, start)
     }
 
     #[test]

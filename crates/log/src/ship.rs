@@ -965,7 +965,7 @@ mod tests {
             Timestamp(id),
             vec![RowWrite::insert(RowRef::new(0, id), Value::from_u64(id))],
         );
-        let (records, _) = explode_txn(&entry, SeqNo(id * 10));
+        let (records, _) = explode_txn(entry, SeqNo(id * 10));
         Segment::new(id, records)
     }
 
@@ -1060,7 +1060,7 @@ mod tests {
             Timestamp(id),
             vec![RowWrite::insert(RowRef::new(0, id), Value::from_u64(id))],
         );
-        let (records, next) = explode_txn(&entry, start);
+        let (records, next) = explode_txn(entry, start);
         (Segment::new(id, records), next)
     }
 
@@ -1457,7 +1457,7 @@ mod tests {
         ];
         let mut records = Vec::new();
         let mut next = SeqNo::ZERO;
-        for entry in &entries {
+        for entry in entries {
             let (recs, n) = explode_txn(entry, next);
             next = n;
             records.extend(recs);
@@ -1497,7 +1497,7 @@ mod tests {
             Timestamp(4),
             vec![RowWrite::insert(RowRef::new(0, 7), Value::from_u64(8))],
         );
-        let (records, _) = explode_txn(&entry, SeqNo(5));
+        let (records, _) = explode_txn(entry, SeqNo(5));
         tx.ship(Segment::new(10, records));
         let stats = tx.routing_stats().expect("sharded shipper has stats");
         assert_eq!(stats.txns, 4);
@@ -1535,7 +1535,7 @@ mod tests {
                 RowWrite::insert(RowRef::new(0, 5), Value::from_u64(5)),
             ],
         );
-        let (mut records, _) = explode_txn(&entry, SeqNo::ZERO);
+        let (mut records, _) = explode_txn(entry, SeqNo::ZERO);
         let second = records.split_off(1);
         (Segment::new(0, records), Segment::new(1, second))
     }
@@ -1625,7 +1625,7 @@ mod tests {
             Timestamp(1),
             vec![RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))],
         );
-        let (records, next) = explode_txn(&entry, SeqNo::ZERO);
+        let (records, next) = explode_txn(entry, SeqNo::ZERO);
         tx.ship(Segment::new(0, records));
         tx.close();
         // A segment shipped after close never reached the wire, so the
@@ -1635,7 +1635,7 @@ mod tests {
             Timestamp(2),
             vec![RowWrite::insert(RowRef::new(0, 2), Value::from_u64(2))],
         );
-        let (records2, _) = explode_txn(&entry2, next);
+        let (records2, _) = explode_txn(entry2, next);
         tx.ship(Segment::new(1, records2));
 
         assert_eq!(rx.drain().len(), 1);

@@ -7,14 +7,12 @@
 //! timeout that resolves the (rare, workload-dependent) deadlocks the way
 //! production MySQL does — by aborting the waiter so the client retries.
 
-use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::BuildHasher;
+use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use c5_common::{Error, Result, RowRef, TxnId};
+use c5_common::{Error, Result, RowHasher, RowMap, RowRef, TxnId};
 
 /// Lock mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,14 +76,13 @@ impl LockEntry {
 }
 
 struct Shard {
-    entries: Mutex<HashMap<RowRef, LockEntry>>,
+    entries: Mutex<RowMap<LockEntry>>,
     cv: Condvar,
 }
 
 /// The lock manager.
 pub struct LockManager {
     shards: Vec<Shard>,
-    hasher: RandomState,
     wait_timeout: Duration,
 }
 
@@ -113,17 +110,18 @@ impl LockManager {
         Self {
             shards: (0..shards)
                 .map(|_| Shard {
-                    entries: Mutex::new(HashMap::new()),
+                    entries: Mutex::new(RowMap::default()),
                     cv: Condvar::new(),
                 })
                 .collect(),
-            hasher: RandomState::new(),
             wait_timeout,
         }
     }
 
+    /// The shard from bits 32 and up of the row's hash, which the shard's
+    /// map does not use (see [`RowHasher`]).
     fn shard_for(&self, row: RowRef) -> &Shard {
-        let idx = (self.hasher.hash_one(row) as usize) % self.shards.len();
+        let idx = (RowHasher::hash_row(row) >> 32) as usize % self.shards.len();
         &self.shards[idx]
     }
 

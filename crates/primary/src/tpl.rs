@@ -105,10 +105,14 @@ impl TplEngine {
     /// Loads a row directly into the store, bypassing concurrency control and
     /// the log. Used to install the initial database population (the paper's
     /// backups start from a copy of the primary's state).
+    ///
+    /// The row goes in at the pre-log timestamp, [`Timestamp::ZERO`], where
+    /// backups preload it too: the logger gives the first commit timestamp 1,
+    /// so the population alone stays readable at zero.
     pub fn load_row(&self, row: RowRef, value: Value) {
         self.store.install(
             row,
-            Timestamp::ZERO.next(),
+            Timestamp::ZERO,
             c5_common::WriteKind::Insert,
             Some(value),
         );
@@ -211,12 +215,11 @@ impl TplCtx<'_> {
         // property the backup protocols depend on. The append may hand a
         // segment to the wire, which is a channel send or an enqueue — the
         // durable archive's fsync runs on the shipper's wire thread, never
-        // here under the row locks.
+        // here under the row locks. The log gets a copy of the write list (a
+        // refcount bump per payload) and the store the originals.
         let (commit_ts, token) = self.engine.logger.append_tokened(self.txn, writes.clone());
-        for w in &writes {
-            self.engine
-                .store
-                .install(w.row, commit_ts, w.kind, w.value.clone());
+        for w in writes {
+            self.engine.store.install(w.row, commit_ts, w.kind, w.value);
         }
         self.release_everything();
         (commit_ts, token)
@@ -543,6 +546,27 @@ mod tests {
             .execute(&|ctx: &mut dyn TxnCtx| ctx.update(row(1), Value::from_u64(2)))
             .unwrap();
         assert!(start.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn loaded_rows_sit_below_the_first_commit() {
+        let (engine, _receiver) = engine_with_receiver(1);
+        engine.load_row(row(1), Value::from_u64(7));
+        let ts = engine
+            .execute(&|ctx: &mut dyn TxnCtx| ctx.update(row(1), Value::from_u64(8)))
+            .unwrap();
+        assert_eq!(ts, Timestamp(1), "the first commit");
+        let store = engine.store();
+        // The population alone, where every backup preloads it...
+        assert_eq!(
+            store.read_at(row(1), Timestamp::ZERO),
+            Some(Value::from_u64(7))
+        );
+        // ...and the first commit on top of it.
+        assert_eq!(
+            store.read_at(row(1), Timestamp(1)),
+            Some(Value::from_u64(8))
+        );
     }
 
     #[test]

@@ -11,15 +11,20 @@
 //! row at a time, so per-shard locking gives them the row-granularity
 //! parallelism the protocol is designed to exploit while keeping the
 //! implementation dependency-light.
+//!
+//! A row is hashed once per operation, with [`RowHasher`]: bits 32–39 of its
+//! hash pick the shard, and the shard's [`RowMap`] uses the low bits (bucket)
+//! and the top bits (tag) of the same hash, so the two never correlate. Each
+//! shard also keeps a per-table list of the keys it holds, appended to when
+//! a row's chain is created, so a table scan visits only that table's rows;
+//! scans sort what they collect, which is what makes their output key-sorted.
 
-use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashMap};
-use std::hash::BuildHasher;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use c5_common::{Key, RowRef, RowWrite, TableId, Timestamp, Value, WriteKind};
+use c5_common::{Key, RowHasher, RowMap, RowRef, RowWrite, TableId, Timestamp, Value, WriteKind};
 
 /// Number of shards. More shards means less lock contention between workers
 /// touching unrelated rows.
@@ -107,15 +112,15 @@ impl VersionChain {
 /// One shard's state: the row chains plus a per-table key index.
 ///
 /// The index makes table scans proportional to the *table's* rows in the
-/// shard instead of every row of every table, and — because each per-shard
-/// set is ordered — lets scans return deterministically key-sorted output.
-/// Rows are never removed (deletes install tombstones and GC always keeps a
-/// chain's newest version), so the index is insert-only and can never go
-/// stale.
+/// shard instead of every row of every table. It is append-only and in
+/// creation order: a key is pushed exactly once, when its chain is created,
+/// and chains are never removed (deletes install tombstones and GC always
+/// keeps a chain's newest version), so it can hold neither a duplicate nor
+/// a stale key. Order is the scans' job — they sort what they collect.
 #[derive(Debug, Default)]
 struct ShardState {
-    rows: HashMap<RowRef, VersionChain>,
-    tables: HashMap<TableId, BTreeSet<Key>>,
+    rows: RowMap<VersionChain>,
+    tables: HashMap<TableId, Vec<Key>>,
 }
 
 impl ShardState {
@@ -123,7 +128,7 @@ impl ShardState {
     fn chain_mut(&mut self, row: RowRef) -> &mut VersionChain {
         let ShardState { rows, tables } = self;
         rows.entry(row).or_insert_with(|| {
-            tables.entry(row.table).or_default().insert(row.key);
+            tables.entry(row.table).or_default().push(row.key);
             VersionChain::default()
         })
     }
@@ -167,7 +172,6 @@ pub struct RowGc {
 /// The sharded multi-version store.
 pub struct MvStore {
     shards: Vec<Shard>,
-    hasher: RandomState,
     /// Largest write timestamp ever installed. `DbSnapshot::of_current` uses
     /// this to model RocksDB's "snapshot of the current state".
     max_installed: AtomicU64,
@@ -191,15 +195,16 @@ impl Default for MvStore {
             shards: (0..SHARDS)
                 .map(|_| RwLock::new(ShardState::default()))
                 .collect(),
-            hasher: RandomState::new(),
             max_installed: AtomicU64::new(0),
         }
     }
 }
 
 impl MvStore {
+    /// Bits 32–39 of the row's hash: the shard's map uses other bits of the
+    /// same hash (see the [module docs](self)).
     fn shard_index(&self, row: RowRef) -> usize {
-        (self.hasher.hash_one(row) as usize) % self.shards.len()
+        (RowHasher::hash_row(row) >> 32) as usize % SHARDS
     }
 
     fn shard_for(&self, row: RowRef) -> &Shard {
