@@ -26,15 +26,14 @@
 //!                   + the merged trace timeline, assert full coverage
 //!   insert-only     Insert-only workload, 2PL primary, all protocols
 //!   insert-only-cicada  Insert-only workload, MVTSO primary
-//!   sched-offline   Offline scheduler throughput (Section 6.2)
-//!   bench           Emit the BENCH_*.json scenario documents into
-//!                   BENCH_OUT_DIR, else a scratch directory (--smoke for
-//!                   CI's reduced-iteration schema check)
+//!   sched-offline   Offline scheduler throughput (Section 6.2), then the
+//!                   whole apply path's ns/record for c5, c5-myrocks and
+//!                   c5-sharded-8 over one replayed log
 //!   pairs           Interleaved parent/change pairs of two built
 //!                   c5-benchmark binaries: --parent <bin> --change <bin>
 //!                   [--pairs 10] [--seed S] [--workload W] [--trace 0|1]
 //!                   [--seconds N]; prints the CHANGES.md comparison table
-//!   all             Everything above except bench and pairs, in order
+//!   all             Everything above except pairs, in order
 //! ```
 
 use c5_bench::experiments;
@@ -47,7 +46,6 @@ fn main() -> std::process::ExitCode {
         return c5_bench::pairs::main(&args[1..]);
     }
     let full = args.iter().any(|a| a == "--full");
-    let smoke = args.iter().any(|a| a == "--smoke");
     let scale = if full { Scale::full() } else { Scale::quick() };
     let command = args
         .iter()
@@ -64,25 +62,6 @@ fn main() -> std::process::ExitCode {
             .nth(1)
             .expect("durability-child needs a state directory argument");
         experiments::durability::run_child(std::path::Path::new(dir));
-    }
-
-    if command == "bench" {
-        let (config, mode) = if smoke {
-            (Scale::smoke(), "smoke")
-        } else {
-            (Scale::fixed(), "fixed")
-        };
-        let out_dir = c5_bench::report::out_dir();
-        match c5_bench::report::run(&config, mode, &out_dir) {
-            Ok(files) => {
-                println!("bench: all {} files validated", files.len());
-                return std::process::ExitCode::SUCCESS;
-            }
-            Err(err) => {
-                eprintln!("bench failed: {err}");
-                std::process::exit(1);
-            }
-        }
     }
 
     println!(

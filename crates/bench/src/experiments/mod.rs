@@ -18,9 +18,8 @@
 //! The six scenarios that go beyond the paper's figures — [`fanout`],
 //! [`sharded`], [`failover`], [`reads`], [`elastic`] and [`obs`] — each
 //! export the `scenario` they run, as a [`crate::harness::Scenario`]
-//! description; `bench` runs the same descriptions at its own scale, so a
-//! sub-command's table and its `BENCH_<name>.json` are two views of one run
-//! shape.
+//! description, so the harness tests run the same descriptions at a smaller
+//! scale.
 
 pub mod durability;
 pub mod elastic;

@@ -31,6 +31,9 @@ use crate::scale::Scale;
 /// Divides evenly into up to 64 range shards.
 pub const KEY_SPACE: u64 = 4096;
 
+/// Largest shard count of the sweep, which doubles from 1 up to this.
+const MAX_SWEEP_SHARDS: usize = 8;
+
 /// One sharded backup at `shards` shards under the shard-span workload.
 pub fn scenario(scale: &Scale, shards: usize) -> Scenario {
     Scenario::new(
@@ -44,15 +47,16 @@ pub fn scenario(scale: &Scale, shards: usize) -> Scenario {
     )
 }
 
-/// Runs the sweep up to `scale.max_sweep_shards`; returns one
+/// Runs the sweep; returns one
 /// [`Outcome::to_json`](crate::harness::Outcome::to_json) document per shard
 /// count.
 ///
 /// # Panics
 /// Panics if a replica does not converge, or if the span workload is not at
 /// least 10% cross-shard above one shard.
-pub fn sweep(scale: &Scale) -> Vec<JsonValue> {
-    (scale.sweep_shards().into_iter())
+fn sweep(scale: &Scale) -> Vec<JsonValue> {
+    let shard_counts = std::iter::successors(Some(1), |n| Some(n * 2));
+    (shard_counts.take_while(|&n| n <= MAX_SWEEP_SHARDS))
         .map(|shards| {
             let outcome = run_scenario(&scenario(scale, shards));
             let doc = outcome.to_json();

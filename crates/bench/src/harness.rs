@@ -5,9 +5,8 @@
 //! the replicas and something happening to the fleet mid-run — varied along a
 //! few axes. [`Scenario`] names the axes, [`run_scenario`] is the only
 //! function that builds the primary, the shipper and the replicas for a live
-//! run, and [`Outcome`] is everything any table or `BENCH_*.json` document
-//! reports about it ([`Outcome::to_json`] is the one serialiser both are
-//! taken from). The offline (Cicada-style) replay, which has no live log, is
+//! run, and [`Outcome`] is everything any table reports about it
+//! ([`Outcome::to_json`] is the one serialiser the tables are taken from). The offline (Cicada-style) replay, which has no live log, is
 //! [`run_offline_mvtso`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -412,9 +411,7 @@ impl Outcome {
     }
 
     /// The run as one JSON object: what every `experiments <name>` table
-    /// prints from and every `BENCH_<name>.json` document is projected from
-    /// (`report::SCHEMA` names the paths each file takes). Blocks a scenario
-    /// did not exercise are absent.
+    /// prints from. Blocks a scenario did not exercise are absent.
     pub fn to_json(&self) -> JsonValue {
         let seq = |s: SeqNo| s.as_u64();
         let replicas = self.replicas.iter().map(|r| {
@@ -1191,7 +1188,7 @@ pub fn fmt_ratio(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{elastic, failover, fanout, reads, sharded};
+    use crate::experiments::{elastic, failover, fanout, obs, reads, sharded};
     use c5_workloads::synthetic::InsertOnlyWorkload;
 
     fn tiny() -> Scale {
@@ -1294,6 +1291,7 @@ mod tests {
                 );
                 assert!(o.replicas.iter().all(|r| r.replica != o.retires[0].replica));
                 assert!(o.sessions.as_ref().is_some_and(|s| s.generations >= 4));
+                obs::assert_full_coverage(&o.obs);
             }),
         ];
         for spec in EVERY_SPEC {

@@ -1,12 +1,13 @@
 //! A minimal JSON value, writer, and parser.
 //!
 //! The workspace deliberately carries no third-party dependencies, so the
-//! `BENCH_*.json` trajectory files are produced (and re-validated) by this
-//! hand-rolled module instead of serde. It supports exactly what the bench
-//! schema needs: objects with ordered keys, arrays, finite numbers, strings,
-//! booleans, and null. Numbers are emitted with enough precision to
-//! round-trip the measurements; non-finite floats are rejected at write time
-//! so a broken run can never produce a file that parses as valid JSON.
+//! scenario outcomes the experiment tables print from, the `experiments obs`
+//! dump and what `experiments pairs` reads are written and parsed by this
+//! hand-rolled module instead of serde. It supports objects with ordered
+//! keys, arrays, finite numbers, strings, booleans, and null. Numbers are
+//! emitted with enough precision to round-trip the measurements; non-finite
+//! floats are rejected at write time so a broken run can never produce a
+//! document that parses as valid JSON.
 
 use std::fmt::Write as _;
 
@@ -142,8 +143,7 @@ impl JsonValue {
         }
     }
 
-    /// Serializes the value as pretty-printed JSON with a trailing newline
-    /// (the format the `BENCH_*.json` files use).
+    /// Serializes the value as pretty-printed JSON with a trailing newline.
     ///
     /// # Panics
     ///

@@ -23,21 +23,12 @@
 //!   execution time with the backup's replay time answers "does it keep up?".
 //!
 //! [`scale::Scale`] sizes every experiment: a quick configuration (seconds,
-//! the default), a fuller one (`--full`), and the two `bench` runs at.
+//! the default), a fuller one (`--full`), and a smaller one for tests.
 //!
-//! ## The `BENCH_*.json` documents
-//!
-//! `experiments bench` ([`report`]) runs seven scenarios at *fixed,
-//! documented parameters* ([`Scale::fixed`]) and writes one machine-readable
-//! `BENCH_<name>.json` each into `BENCH_OUT_DIR` (or a scratch directory);
-//! none is committed — `crates/bench/tests/bench_key_paths.txt` pins their
-//! field sets instead. A document is the projection of a scenario's outcome through one declarative table
-//! ([`report::SCHEMA`]: path and rule per field), and
-//! [`report::validate_bench`] checks a document against the same table, so
-//! the field sets cannot drift from their validator. They are scenario
-//! outputs: since the repo's benchmark lives in `benchmark/`, nothing gates
-//! on their numbers. The JSON is hand-rolled ([`json`]) because the workspace
-//! deliberately has no serialization dependency.
+//! The repo's performance gate is the `benchmark/` package, not this crate:
+//! the experiments print tables and assert what their run must have upheld.
+//! The JSON they read and print with is hand-rolled ([`json`]) because the
+//! workspace deliberately has no serialization dependency.
 //!
 //! ## Comparing two commits
 //!
@@ -55,7 +46,6 @@ pub mod harness;
 pub mod json;
 pub mod obs_export;
 pub mod pairs;
-pub mod report;
 pub mod scale;
 
 pub use harness::{OfflineOutcome, Outcome, ReplicaSpec, Scenario};

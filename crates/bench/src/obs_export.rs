@@ -4,15 +4,14 @@
 //! dependency; the workspace's hand-rolled JSON lives here in `c5-bench`
 //! ([`crate::json`]), so this module is where a [`MetricsSnapshot`] and a
 //! merged [`TraceRecord`] timeline become machine-readable documents — the
-//! `experiments obs` dump, the `BENCH_obs.json` scenario, and the
-//! `stage_ns` block inside `BENCH_pipeline.json`.
+//! `experiments obs` dump.
 //!
 //! Histograms are rendered as summary statistics (count/sum/min/max/mean
-//! and the p50/p99 nearest-rank quantiles), not raw buckets: the BENCH
-//! files are meant to be read and diffed by humans, and 513 bucket counts per
-//! series would bury the signal.
+//! and the p50/p99 nearest-rank quantiles), not raw buckets: the dump is
+//! meant to be read by humans, and 513 bucket counts per series would bury
+//! the signal.
 
-use c5_obs::{HistogramSnapshot, MetricsSnapshot, PipelineStage, TraceEvent, TraceRecord};
+use c5_obs::{HistogramSnapshot, MetricsSnapshot, TraceEvent, TraceRecord};
 
 use crate::json::JsonValue;
 
@@ -148,31 +147,10 @@ pub fn kind_counts(records: &[TraceRecord]) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// The `stage_ns` block for `BENCH_pipeline.json`: one summary object per
-/// pipeline stage, read from the `stage_dwell_ns{stage="…"}` histograms a
-/// replica's pipeline records when an [`c5_obs::Obs`] sink is attached.
-/// Stages with no samples are emitted as `null` so a validator can insist
-/// on coverage.
-pub fn stage_ns_json(snap: &MetricsSnapshot) -> JsonValue {
-    JsonValue::Obj(
-        PipelineStage::all()
-            .iter()
-            .map(|stage| {
-                let name = format!("stage_dwell_ns{{stage=\"{}\"}}", stage.name());
-                let value = match snap.histogram(&name) {
-                    Some(h) if !h.is_empty() => histogram_json(h),
-                    _ => JsonValue::Null,
-                };
-                (stage.name().to_string(), value)
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_obs::{Obs, RouteOutcome};
+    use c5_obs::{Obs, PipelineStage, RouteOutcome};
 
     #[test]
     fn snapshot_round_trips_through_the_parser() {
@@ -235,22 +213,5 @@ mod tests {
         assert!(counts.contains(&("stage", 1)));
         assert!(counts.contains(&("route", 1)));
         assert!(counts.contains(&("ship", 0)));
-    }
-
-    #[test]
-    fn stage_ns_block_covers_all_three_stages() {
-        let obs = Obs::new();
-        obs.metrics
-            .histogram("stage_dwell_ns{stage=\"apply\"}")
-            .record(500);
-
-        let block = stage_ns_json(&obs.metrics.snapshot());
-        let apply = block.get("apply").expect("apply stage present");
-        assert_eq!(apply.get("count").and_then(|v| v.as_num()), Some(1.0));
-        assert!(
-            matches!(block.get("schedule"), Some(JsonValue::Null)),
-            "unsampled stages surface as null, not absence"
-        );
-        assert!(block.get("expose").is_some());
     }
 }

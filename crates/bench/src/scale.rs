@@ -1,21 +1,17 @@
-//! Experiment sizing: one type, four constants.
+//! Experiment sizing: one type, three constants.
 
 use std::time::Duration;
 
-use c5_common::{Error, Result};
 use c5_workloads::TpccConfig;
 
 /// How big to make each experiment.
 ///
-/// Every scenario takes its sizing from one of four constants. The figure
+/// Every scenario takes its sizing from one of three constants. The
 /// experiments run at [`quick`](Self::quick) (a few seconds per data point,
 /// so the whole suite finishes in minutes; the *shape* of every result is
 /// already visible) or [`full`](Self::full) (the paper's trials run for 120
-/// seconds on a CloudLab cluster; this is the closest a laptop gets). The
-/// `bench` sub-command emits the `BENCH_*.json` files at
-/// [`fixed`](Self::fixed) — *data*, not knobs: numbers taken at different
-/// values do not compare — and CI checks their schema at
-/// [`smoke`](Self::smoke).
+/// seconds on a CloudLab cluster; this is the closest a laptop gets); tests
+/// build on [`smoke`](Self::smoke).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Wall-clock duration of each streaming measurement window.
@@ -38,9 +34,6 @@ pub struct Scale {
     pub fanout_replicas: usize,
     /// Reader sessions in the read-serving and elastic scenarios.
     pub read_sessions: usize,
-    /// Largest shard count of the sharding sweep (the sweep doubles from 1
-    /// up to this; the high end is what locates the cut-coordinator knee).
-    pub max_sweep_shards: usize,
 }
 
 impl Scale {
@@ -56,7 +49,6 @@ impl Scale {
             tpcc_customers: 100,
             fanout_replicas: 3,
             read_sessions: 4,
-            max_sweep_shards: 8,
         }
     }
 
@@ -74,18 +66,9 @@ impl Scale {
         }
     }
 
-    /// The fixed parameters `BENCH_*.json` files are measured at.
-    pub const fn fixed() -> Self {
-        Self {
-            apply_txns: 60_000,
-            max_sweep_shards: 64,
-            ..Self::quick()
-        }
-    }
-
-    /// The reduced-iteration mode CI runs `bench` in on every push: same
-    /// scenarios and schema, a fraction of the duration, sweep capped low.
-    /// Numbers from this mode are for schema validation only.
+    /// The scale the end-to-end tests run scenarios at: two threads and a
+    /// fraction of the duration, enough to exercise every path, too short
+    /// for its numbers to mean anything.
     pub const fn smoke() -> Self {
         Self {
             duration: Duration::from_millis(300),
@@ -95,48 +78,13 @@ impl Scale {
             apply_txns: 5_000,
             fanout_replicas: 2,
             read_sessions: 2,
-            max_sweep_shards: 16,
             ..Self::quick()
         }
-    }
-
-    /// Rejects a scale no scenario can run at.
-    pub fn validate(&self) -> Result<()> {
-        let positive = [
-            ("duration", !self.duration.is_zero()),
-            ("primary_threads", self.primary_threads > 0),
-            ("replica_workers", self.replica_workers > 0),
-            ("segment_records", self.segment_records > 0),
-            ("apply_txns", self.apply_txns > 0),
-            ("fanout_replicas", self.fanout_replicas > 0),
-            ("read_sessions", self.read_sessions > 0),
-        ];
-        if let Some((field, _)) = positive.iter().find(|(_, ok)| !ok) {
-            return Err(Error::InvalidConfig(format!("{field} must be non-zero")));
-        }
-        if !self.max_sweep_shards.is_power_of_two()
-            || self.max_sweep_shards > c5_common::shard::MAX_SHARDS
-        {
-            return Err(Error::InvalidConfig(format!(
-                "sweep shard count must be a power of two at most {} (got {})",
-                c5_common::shard::MAX_SHARDS,
-                self.max_sweep_shards
-            )));
-        }
-        Ok(())
     }
 
     /// Transactions each primary thread submits in an offline measurement.
     pub fn offline_txns_per_thread(&self) -> u64 {
         (self.apply_txns / self.primary_threads as u64).max(1)
-    }
-
-    /// The shard counts the sharding sweep visits: powers of two from 1
-    /// through `max_sweep_shards`.
-    pub fn sweep_shards(&self) -> Vec<usize> {
-        std::iter::successors(Some(1), |n| Some(n * 2))
-            .take_while(|&n| n <= self.max_sweep_shards)
-            .collect()
     }
 
     /// The TPC-C configuration at this scale (standard 10 districts,
@@ -158,43 +106,20 @@ mod tests {
 
     #[test]
     fn the_four_scales_are_valid_and_ordered() {
-        for scale in [
-            Scale::quick(),
-            Scale::full(),
-            Scale::fixed(),
-            Scale::smoke(),
-        ] {
-            scale.validate().expect("a built-in scale is valid");
+        for scale in [Scale::quick(), Scale::full(), Scale::smoke()] {
+            assert!(
+                !scale.duration.is_zero() && scale.apply_txns > 0,
+                "{scale:?}"
+            );
+            assert!(scale.replica_workers <= scale.primary_threads, "{scale:?}");
+            assert!(
+                scale.fanout_replicas > 0 && scale.read_sessions > 0,
+                "{scale:?}"
+            );
         }
         let (q, f) = (Scale::quick(), Scale::full());
         assert!(q.duration < f.duration);
         assert!(q.offline_txns_per_thread() < f.offline_txns_per_thread());
         assert_eq!(q.tpcc().districts_per_warehouse, 10);
-        assert_eq!(Scale::smoke().sweep_shards(), [1, 2, 4, 8, 16]);
-        assert_eq!(Scale::fixed().sweep_shards().last(), Some(&64));
-    }
-
-    #[test]
-    fn an_unrunnable_scale_is_rejected() {
-        for broken in [
-            Scale {
-                duration: Duration::ZERO,
-                ..Scale::smoke()
-            },
-            Scale {
-                replica_workers: 0,
-                ..Scale::smoke()
-            },
-            Scale {
-                max_sweep_shards: 3,
-                ..Scale::smoke()
-            },
-            Scale {
-                max_sweep_shards: 2 * c5_common::shard::MAX_SHARDS,
-                ..Scale::smoke()
-            },
-        ] {
-            assert!(broken.validate().is_err(), "{broken:?}");
-        }
     }
 }

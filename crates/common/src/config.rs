@@ -8,28 +8,11 @@ use c5_obs::Obs;
 use crate::cost::OpCost;
 use crate::error::{Error, Result};
 
-/// Isolation level used by the two-phase-locking primary.
-///
-/// The paper's MyRocks evaluation runs the primary at read committed "to
-/// stress the backup" (Section 6); the formal model assumes serializable.
-/// Both are supported: under read committed, read locks are released as soon
-/// as the read completes, which increases primary parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IsolationLevel {
-    /// Shared locks are held only for the duration of each read.
-    ReadCommitted,
-    /// Strict two-phase locking: all locks held until commit.
-    Serializable,
-}
-
 /// Configuration for a primary engine.
 #[derive(Debug, Clone)]
 pub struct PrimaryConfig {
     /// Number of executor threads (the paper's `m` cores).
     pub threads: usize,
-    /// Isolation level (2PL engine only; the MVTSO engine is always
-    /// serializable).
-    pub isolation: IsolationLevel,
     /// Per-operation cost model.
     pub op_cost: OpCost,
 }
@@ -38,7 +21,6 @@ impl Default for PrimaryConfig {
     fn default() -> Self {
         Self {
             threads: 4,
-            isolation: IsolationLevel::ReadCommitted,
             op_cost: OpCost::free(),
         }
     }
@@ -267,12 +249,6 @@ impl PrimaryConfig {
         self
     }
 
-    /// Builder-style setter for the isolation level.
-    pub fn with_isolation(mut self, isolation: IsolationLevel) -> Self {
-        self.isolation = isolation;
-        self
-    }
-
     /// Builder-style setter for the op cost.
     pub fn with_op_cost(mut self, cost: OpCost) -> Self {
         self.op_cost = cost;
@@ -362,10 +338,8 @@ mod tests {
 
         let p = PrimaryConfig::default()
             .with_threads(12)
-            .with_isolation(IsolationLevel::Serializable)
             .with_op_cost(OpCost::symmetric(7));
         assert_eq!(p.threads, 12);
-        assert_eq!(p.isolation, IsolationLevel::Serializable);
         assert_eq!(p.op_cost, OpCost::symmetric(7));
     }
 }

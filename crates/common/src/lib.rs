@@ -44,7 +44,7 @@ pub mod pacing;
 pub mod shard;
 pub mod value;
 
-pub use config::{DurabilityPolicy, IsolationLevel, PrimaryConfig, ReadConfig, ReplicaConfig};
+pub use config::{DurabilityPolicy, PrimaryConfig, ReadConfig, ReplicaConfig};
 pub use cost::OpCost;
 pub use error::{Error, Result};
 pub use ids::{

@@ -11,6 +11,9 @@
 //! * The replication log reflects the commit order: the log append happens
 //!   while the transaction still holds its write locks, so per-row log order
 //!   always equals per-row lock order.
+//! * Reads run at read committed, as the paper's MyRocks evaluation does "to
+//!   stress the backup" (Section 6): a read lock is released as soon as the
+//!   read completes.
 //!
 //! Stored procedures run through `TplCtx`; the engine retries transactions
 //! aborted by lock-wait timeouts (the stand-in for deadlock handling, as in
@@ -20,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use c5_common::{
-    error::AbortReason, Error, IsolationLevel, PrimaryConfig, Result, RowRef, RowWrite, SeqNo,
-    Timestamp, TxnId, Value,
+    error::AbortReason, Error, PrimaryConfig, Result, RowRef, RowWrite, SeqNo, Timestamp, TxnId,
+    Value,
 };
 use c5_log::StreamingLogger;
 use c5_storage::MvStore;
@@ -242,25 +245,17 @@ impl TxnCtx for TplCtx<'_> {
         if let Some(write) = self.writes.get(row) {
             return Ok(write.value.clone());
         }
-        match self.engine.config.isolation {
-            IsolationLevel::Serializable => {
-                self.lock(row, LockMode::Shared)?;
-                Ok(self.engine.store.read_latest(row))
-            }
-            IsolationLevel::ReadCommitted => {
-                // Short read locks: acquire, read, release immediately unless
-                // we already hold a (stronger) lock from an earlier write.
-                let already_held = self.held.contains(&row);
-                if !already_held {
-                    self.engine.locks.acquire(self.txn, row, LockMode::Shared)?;
-                }
-                let value = self.engine.store.read_latest(row);
-                if !already_held {
-                    self.engine.locks.release(self.txn, row);
-                }
-                Ok(value)
-            }
+        // Read committed: a short read lock — acquire, read, release at
+        // once unless an earlier write already holds a (stronger) lock.
+        let already_held = self.held.contains(&row);
+        if !already_held {
+            self.engine.locks.acquire(self.txn, row, LockMode::Shared)?;
         }
+        let value = self.engine.store.read_latest(row);
+        if !already_held {
+            self.engine.locks.release(self.txn, row);
+        }
+        Ok(value)
     }
 
     fn read_for_update(&mut self, row: RowRef) -> Result<Option<Value>> {

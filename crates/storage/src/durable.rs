@@ -51,8 +51,8 @@ fn invalid<T>(what: impl Into<String>) -> io::Result<T> {
     Err(io::Error::new(io::ErrorKind::InvalidData, what.into()))
 }
 
-fn sync_dir(dir: &Path) {
-    let _ = fs::File::open(dir).and_then(|f| f.sync_all());
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
 }
 
 fn encode_row(row: &VersionExport) -> Vec<u8> {
@@ -159,7 +159,9 @@ impl CheckpointWriter {
     /// second (write-temp-then-rename, fsynced) — so a crash anywhere leaves
     /// either the previous checkpoint or this one, never a torn hybrid.
     /// Superseded data files are then deleted best-effort. Returns the data
-    /// file's path.
+    /// file's path, or the first I/O error — including a failed sync of the
+    /// directory after the rename, without which the publication may not
+    /// survive a crash.
     pub fn save(dir: impl AsRef<Path>, checkpoint: &Checkpoint) -> io::Result<PathBuf> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
@@ -179,7 +181,7 @@ impl CheckpointWriter {
         manifest.write_all(&manifest_bytes)?;
         manifest.sync_all()?;
         fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-        sync_dir(dir);
+        sync_dir(dir)?;
 
         // The manifest no longer references older checkpoints; reclaim them.
         if let Ok(entries) = fs::read_dir(dir) {
@@ -335,6 +337,15 @@ mod tests {
             .count();
         assert_eq!(data_files, 1);
         fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn syncing_a_directory_that_is_gone_is_an_error() {
+        let dir = scratch_dir("gone");
+        fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).expect("an existing directory syncs");
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(sync_dir(&dir).is_err());
     }
 
     #[test]

@@ -82,9 +82,9 @@ pub mod prelude {
         CoarseGrainReplica, Granularity, KuaFuConfig, KuaFuReplica, SingleThreadedReplica,
     };
     pub use c5_common::{
-        poll_until, DurabilityPolicy, Error, IsolationLevel, Key, OpCost, PrimaryConfig,
-        ReadConfig, ReplicaConfig, Result, RowRef, RowWrite, SeqNo, SessionId, ShardRouter,
-        TableId, Timestamp, TxnId, Value, WriteKind,
+        poll_until, DurabilityPolicy, Error, Key, OpCost, PrimaryConfig, ReadConfig, ReplicaConfig,
+        Result, RowRef, RowWrite, SeqNo, SessionId, ShardRouter, TableId, Timestamp, TxnId, Value,
+        WriteKind,
     };
     pub use c5_core::replica::{
         drive_from_receiver, drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl,
