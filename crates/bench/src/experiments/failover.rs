@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{print_json_table, run_scenario, Event, ReplicaSpec, Scenario};
+use crate::harness::{fmt_cell, print_table, run_scenario, Event, Outcome, ReplicaSpec, Scenario};
 use crate::scale::Scale;
 
 /// The protocols the failover sweep promotes.
@@ -38,6 +38,23 @@ pub const PROTOCOLS: [ReplicaSpec; 4] = [
         ignore_constraints: false,
     },
     ReplicaSpec::TableGranularity,
+];
+
+/// The failover table's header: one row per promoted protocol.
+pub(crate) const COLUMNS: [&str; 13] = [
+    "protocol",
+    "primary_tps",
+    "shipped_seq",
+    "backlog_records",
+    "lag_at_kill_ms/p50",
+    "lag_at_kill_ms/p99",
+    "lag_at_kill_ms/max",
+    "takeover_ms",
+    "promotion_drain_ms",
+    "promoted_cut",
+    "resumed_committed",
+    "standby/checkpoint_rows",
+    "standby/replayed_records",
 ];
 
 /// One backup of `spec` under the adversarial workload; the primary is killed
@@ -58,9 +75,34 @@ pub fn scenario(scale: &Scale, spec: ReplicaSpec, standby: bool) -> Scenario {
     }
 }
 
+/// The failover row of `outcome`, in [`COLUMNS`] order.
+///
+/// # Panics
+/// Panics if `outcome` killed no primary.
+pub(crate) fn row(outcome: &Outcome) -> Vec<String> {
+    let failover = outcome.failover.as_ref().expect("the kill fired");
+    let lag = failover.lag_at_kill.as_ref();
+    let standby = failover.standby;
+    vec![
+        outcome.replicas[0].protocol.to_string(),
+        fmt_cell(outcome.primary.throughput()),
+        failover.shipped_seq.as_u64().to_string(),
+        failover.backlog_records().to_string(),
+        fmt_cell(lag.map(|l| l.p50_ms)),
+        fmt_cell(lag.map(|l| l.p99_ms)),
+        fmt_cell(lag.map(|l| l.max_ms)),
+        fmt_cell(failover.takeover.as_secs_f64() * 1e3),
+        fmt_cell(failover.promotion_drain.as_secs_f64() * 1e3),
+        failover.promoted_cut.as_u64().to_string(),
+        failover.resumed.committed.to_string(),
+        fmt_cell(standby.map(|(rows, _)| rows as f64)),
+        fmt_cell(standby.map(|(_, replayed)| replayed as f64)),
+    ]
+}
+
 /// Runs the failover sweep and prints one row per promoted protocol.
 pub fn run(scale: &Scale) {
-    let mut rows = Vec::new();
+    let mut table = Vec::new();
     for spec in PROTOCOLS {
         let is_c5 = matches!(spec, ReplicaSpec::C5Faithful | ReplicaSpec::C5MyRocks);
         let outcome = run_scenario(&scenario(scale, spec, is_c5));
@@ -95,16 +137,12 @@ pub fn run(scale: &Scale) {
                 spec
             );
         }
-        rows.push(outcome.to_json());
+        table.push(row(&outcome));
     }
-    let columns = "protocol primary_tps shipped_seq backlog_records lag_at_kill_ms/p50 \
-         lag_at_kill_ms/p99 lag_at_kill_ms/max takeover_ms promotion_drain_ms \
-         promoted_cut resumed_committed standby/checkpoint_rows \
-         standby/replayed_records";
-    print_json_table(
+    print_table(
         "Failover (measured on this host): primary killed after the run duration, \
          unshipped tail lost, backup promoted; adversarial workload",
-        &rows,
-        columns,
+        &COLUMNS,
+        &table,
     );
 }

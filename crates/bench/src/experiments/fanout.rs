@@ -16,8 +16,19 @@ use std::sync::Arc;
 
 use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{print_json_table, run_scenario, ReplicaSpec, Scenario};
+use crate::harness::{fmt_cell, print_table, run_scenario, Outcome, ReplicaSpec, Scenario};
 use crate::scale::Scale;
+
+/// The per-replica table's header.
+pub(crate) const COLUMNS: [&str; 7] = [
+    "protocol",
+    "replica",
+    "applied_txns",
+    "exposed_seq",
+    "lag_ms/p50",
+    "lag_ms/max",
+    "wall_ms",
+];
 
 /// `scale.fanout_replicas` backups of `spec` under the adversarial workload.
 pub fn scenario(scale: &Scale, spec: ReplicaSpec) -> Scenario {
@@ -29,9 +40,27 @@ pub fn scenario(scale: &Scale, spec: ReplicaSpec) -> Scenario {
     )
 }
 
+/// One row per replica of `outcome`, in [`COLUMNS`] order.
+pub(crate) fn rows(outcome: &Outcome) -> Vec<Vec<String>> {
+    (outcome.replicas.iter())
+        .map(|r| {
+            let lag = r.lag.as_ref();
+            vec![
+                r.protocol.to_string(),
+                r.replica.to_string(),
+                r.metrics.applied_txns.to_string(),
+                r.metrics.exposed_seq.as_u64().to_string(),
+                fmt_cell(lag.map(|l| l.p50_ms)),
+                fmt_cell(lag.map(|l| l.max_ms)),
+                fmt_cell(r.wall.as_secs_f64() * 1e3),
+            ]
+        })
+        .collect()
+}
+
 /// Runs the fan-out scenario and prints one row per replica.
 pub fn run(scale: &Scale) {
-    let mut rows = Vec::new();
+    let mut table = Vec::new();
     for spec in [ReplicaSpec::C5Faithful, ReplicaSpec::SingleThreaded] {
         let outcome = run_scenario(&scenario(scale, spec));
         println!(
@@ -45,13 +74,11 @@ pub fn run(scale: &Scale) {
             outcome.all_converged(),
             "{spec:?}: every replica must end at the primary's state"
         );
-        let doc = outcome.to_json();
-        rows.extend_from_slice(doc.at("replicas").and_then(|r| r.as_arr()).unwrap_or(&[]));
+        table.extend(rows(&outcome));
     }
     let title = format!(
         "Fan-out (measured on this host): 1 primary -> {} replicas, adversarial workload",
         scale.fanout_replicas
     );
-    let columns = "protocol replica applied_txns exposed_seq lag_ms/p50 lag_ms/max wall_ms";
-    print_json_table(&title, &rows, columns);
+    print_table(&title, &COLUMNS, &table);
 }

@@ -7,15 +7,13 @@
 //! decisions, and the fleet controller's join/retire lifecycle — and every
 //! scenario run records into a sink of its own ([`Outcome::obs`], not the
 //! process global, so the dump contains exactly this run). This experiment
-//! exposes that sink three ways:
+//! exposes that sink two ways:
 //!
 //! 1. Prometheus-style text ([`c5_obs::MetricsSnapshot::to_prometheus`]),
 //!    followed by a digest of the log shipper's batching series
 //!    (`ship_segment_records`, `ship_partial_segments_total`,
 //!    `wire_queue_wait_ns`, `archive_append_ns`),
-//! 2. the snapshot as JSON ([`crate::obs_export::snapshot_json`]),
-//!    round-tripped through the workspace parser as a self-check,
-//! 3. the merged trace timeline, counted by kind and shown head-first.
+//! 2. the merged trace timeline, counted by kind and shown head-first.
 //!
 //! The acceptance criterion of the observability layer is hard-asserted
 //! here ([`assert_full_coverage`]): the `stage`, `ship`, `route`, and
@@ -24,15 +22,20 @@
 //!
 //! [`Outcome::obs`]: crate::harness::Outcome::obs
 
-use c5_obs::{Obs, PipelineStage};
+use c5_obs::{Obs, PipelineStage, TraceRecord};
 
 use crate::harness::run_scenario;
-use crate::json::JsonValue;
-use crate::obs_export::{kind_counts, snapshot_json, timeline_json};
 use crate::scale::Scale;
 
 /// Timeline rows printed before eliding the rest.
 const TIMELINE_HEAD: usize = 12;
+
+/// Counts a merged timeline by event kind, in a fixed slug order.
+fn kind_counts(records: &[TraceRecord]) -> Vec<(&'static str, usize)> {
+    let kinds = ["stage", "ship", "route", "lifecycle", "recovery", "span"];
+    let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count();
+    kinds.into_iter().map(|kind| (kind, count(kind))).collect()
+}
 
 /// The acceptance gate of the observability layer, over the sink of one
 /// elastic run: the pipeline, the shipper, the router and the fleet
@@ -106,18 +109,6 @@ pub fn run(scale: &Scale) {
         println!("{series:<22} {n}");
     }
 
-    println!("\n== metrics: JSON exposition (round-tripped) ==");
-    let text = snapshot_json(&snap).pretty();
-    let parsed = crate::json::parse(&text).expect("snapshot JSON must re-parse");
-    for section in ["counters", "gauges", "histograms"] {
-        match parsed.get(section) {
-            Some(JsonValue::Obj(series)) => println!("{section}: {} series", series.len()),
-            _ => panic!("{section} is not an object"),
-        }
-    }
-    // A size line keeps the dump readable.
-    println!("snapshot JSON: {} bytes, parses clean", text.len());
-
     let merged = obs.trace.merged();
     println!(
         "\n== trace: merged timeline: {} events ({} overwritten by the ring bound) ==",
@@ -127,12 +118,10 @@ pub fn run(scale: &Scale) {
     for (kind, n) in kind_counts(&merged) {
         println!("  {kind:<10} {n}");
     }
-    let head = timeline_json(&merged[..merged.len().min(TIMELINE_HEAD)]);
-    for row in head.as_arr().expect("timeline is an array") {
-        let offset = row.at("offset_ns").and_then(JsonValue::as_num);
-        let thread = row.at("thread").and_then(JsonValue::as_str).unwrap_or("?");
-        let kind = row.at("kind").and_then(JsonValue::as_str).unwrap_or("?");
-        println!("  +{:>12.0} ns  {thread:<20} {kind}", offset.unwrap_or(0.0));
+    let epoch = merged.first().map_or(0, |r| r.at_nanos);
+    for r in merged.iter().take(TIMELINE_HEAD) {
+        let (offset, thread) = (r.at_nanos.saturating_sub(epoch), &*r.thread);
+        println!("  +{offset:>12} ns  {thread:<20} {}", r.event.kind());
     }
     if merged.len() > TIMELINE_HEAD {
         println!("  … {} more events", merged.len() - TIMELINE_HEAD);
@@ -141,6 +130,6 @@ pub fn run(scale: &Scale) {
     assert_full_coverage(obs);
     println!(
         "\nobs smoke OK: stage/ship/route/lifecycle all present, \
-         all three stages sampled, snapshot JSON round-trips."
+         all three stages sampled."
     );
 }

@@ -25,9 +25,36 @@ use std::sync::Arc;
 
 use c5_workloads::synthetic::{adversarial_population, AdversarialWorkload};
 
-use crate::harness::{print_json_table, run_scenario, Outcome, Readers, ReplicaSpec, Scenario};
-use crate::json::JsonValue;
+use crate::harness::{
+    fmt_cell, print_table, run_scenario, Outcome, Readers, ReplicaSpec, Scenario,
+};
 use crate::scale::Scale;
+
+/// The per-class table's header.
+pub(crate) const CLASS_COLUMNS: [&str; 11] = [
+    "class",
+    "reads",
+    "reads_per_sec",
+    "ro_txns",
+    "blocked",
+    "block_ms",
+    "timeouts",
+    "latency_ms/p50",
+    "latency_ms/p99",
+    "staleness_ms/p50",
+    "staleness_ms/p99",
+];
+
+/// The per-member table's header.
+pub(crate) const MEMBER_COLUMNS: [&str; 7] = [
+    "replica",
+    "joined_mid_run",
+    "exposed_seq",
+    "served",
+    "applied_txns",
+    "lag_ms/p50",
+    "lag_ms/max",
+];
 
 /// `scale.read_sessions` sessions over `scale.fanout_replicas` faithful C5
 /// backups, adversarial background load.
@@ -43,40 +70,79 @@ pub fn scenario(scale: &Scale) -> Scenario {
     }
 }
 
-/// Asserts what every session run must show — the fleet converged and every
-/// class served reads — and prints the per-class and per-replica tables.
+/// A session run's per-class rows and per-member rows, in [`CLASS_COLUMNS`]
+/// and [`MEMBER_COLUMNS`] order.
+///
+/// # Panics
+/// Panics if `outcome` ran no sessions.
+pub(crate) fn rows(outcome: &Outcome) -> (Vec<Vec<String>>, Vec<Vec<String>>) {
+    let sessions = outcome.sessions.as_ref().expect("sessions ran");
+    let classes = (sessions.per_class.iter())
+        .map(|class| {
+            let (latency, staleness) = (class.latency.as_ref(), class.staleness.as_ref());
+            vec![
+                class.kind.name().to_string(),
+                class.reads.to_string(),
+                fmt_cell(class.throughput(outcome.wall)),
+                class.txns.to_string(),
+                class.blocked.to_string(),
+                fmt_cell(class.mean_block_ms()),
+                class.timeouts.to_string(),
+                fmt_cell(latency.map(|l| l.p50_ms)),
+                fmt_cell(latency.map(|l| l.p99_ms)),
+                fmt_cell(staleness.map(|l| l.p50_ms)),
+                fmt_cell(staleness.map(|l| l.p99_ms)),
+            ]
+        })
+        .collect();
+    let members = (outcome.replicas.iter())
+        .map(|r| {
+            let lag = r.lag.as_ref();
+            vec![
+                r.replica.to_string(),
+                if r.joined_mid_run { "yes" } else { "no" }.to_string(),
+                r.metrics.exposed_seq.as_u64().to_string(),
+                r.served.to_string(),
+                r.metrics.applied_txns.to_string(),
+                fmt_cell(lag.map(|l| l.p50_ms)),
+                fmt_cell(lag.map(|l| l.max_ms)),
+            ]
+        })
+        .collect();
+    (classes, members)
+}
+
+/// Asserts what every session run must show — the fleet converged and each
+/// of the three classes served reads — and prints the per-class and
+/// per-replica tables.
 pub(crate) fn report_sessions(title: &str, outcome: &Outcome) {
     assert!(
         outcome.all_converged(),
         "every serving replica must end at the primary's full final state"
     );
-    let doc = outcome.to_json();
-    let rows = |key| doc.at(key).and_then(JsonValue::as_arr).unwrap_or(&[]);
-    for class in rows("classes") {
-        let reads = class.at("reads").and_then(JsonValue::as_num);
-        assert!(reads > Some(0.0), "a class served no reads: {class:?}");
+    let sessions = outcome.sessions.as_ref().expect("sessions ran");
+    assert_eq!(sessions.per_class.len(), 3, "one row per consistency class");
+    for class in &sessions.per_class {
+        assert!(class.reads > 0, "{} served no reads", class.kind.name());
     }
-    let session = |key| doc.at(key).and_then(JsonValue::as_num).unwrap_or(0.0);
     println!(
         "{} sessions: {} reads served, {} tokened writes, {} read-your-writes reads asserted \
          fresh, {} replica switches under the monotonic floor, {} timeouts, {} routing \
          generations",
-        session("sessions"),
-        session("total_reads"),
-        session("session/writes"),
-        session("session/ryw_reads"),
-        session("session/replica_switches"),
-        session("session/timeouts"),
-        session("generations"),
+        sessions.sessions,
+        sessions.per_class.iter().map(|c| c.reads).sum::<u64>(),
+        sessions.writes,
+        sessions.ryw_reads,
+        sessions.replica_switches,
+        sessions.timeouts,
+        sessions.generations,
     );
-    let columns = "class reads reads_per_sec ro_txns blocked block_ms timeouts latency_ms/p50 \
-         latency_ms/p99 staleness_ms/p50 staleness_ms/p99";
-    print_json_table(title, rows("classes"), columns);
-    let columns = "replica joined_mid_run exposed_seq served applied_txns lag_ms/p50 lag_ms/max";
-    print_json_table(
+    let (classes, members) = rows(outcome);
+    print_table(title, &CLASS_COLUMNS, &classes);
+    print_table(
         "Serving members (a mid-run joiner's lag covers only its post-join life)",
-        rows("replicas"),
-        columns,
+        &MEMBER_COLUMNS,
+        &members,
     );
 }
 

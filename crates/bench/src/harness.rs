@@ -5,9 +5,10 @@
 //! the replicas and something happening to the fleet mid-run — varied along a
 //! few axes. [`Scenario`] names the axes, [`run_scenario`] is the only
 //! function that builds the primary, the shipper and the replicas for a live
-//! run, and [`Outcome`] is everything any table reports about it
-//! ([`Outcome::to_json`] is the one serialiser the tables are taken from). The offline (Cicada-style) replay, which has no live log, is
-//! [`run_offline_mvtso`].
+//! run, and [`Outcome`] is everything any table reports about it: each
+//! experiment builds its rows from the typed fields and prints them with
+//! [`print_table`]. The offline (Cicada-style) replay, which has no live
+//! log, is [`run_offline_mvtso`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,8 +37,6 @@ use c5_storage::{CheckpointWriter, MvStore};
 use c5_workloads::readonly::{run_point_read_clients, ReadRunStats};
 use c5_workloads::SYNTHETIC_TABLE;
 
-use crate::json::JsonValue;
-use crate::json_obj;
 use crate::scale::Scale;
 
 /// RNG seed of every run (clients, sessions and point-read keys derive
@@ -408,132 +407,6 @@ impl Outcome {
         (self.replicas.iter())
             .filter_map(|r| r.lag.as_ref().map(|l| l.p50_ms))
             .fold(0.0, f64::max)
-    }
-
-    /// The run as one JSON object: what every `experiments <name>` table
-    /// prints from. Blocks a scenario did not exercise are absent.
-    pub fn to_json(&self) -> JsonValue {
-        let seq = |s: SeqNo| s.as_u64();
-        let replicas = self.replicas.iter().map(|r| {
-            let per_shard = r.per_shard.iter().enumerate().map(|(shard, (owned, lag))| {
-                json_obj! { "shard": shard, "owned_txns": *owned, "lag_ms": lag.as_ref() }
-            });
-            json_obj! {
-                "replica": r.replica,
-                "protocol": r.protocol,
-                "shards": r.per_shard.len().max(1),
-                "workers_total": r.workers,
-                "wall_ms": ms(r.wall),
-                "applied_txns": r.metrics.applied_txns,
-                "exposed_seq": seq(r.metrics.exposed_seq),
-                "replica_tps": r.throughput(),
-                "keeps_up": self.keeps_up(r),
-                "cross_shard_share":
-                    r.metrics.cross_shard_txns as f64 / r.metrics.applied_txns.max(1) as f64,
-                "cuts_taken": r.cuts_taken,
-                "served": r.served,
-                "joined_mid_run": r.joined_mid_run,
-                "lag_ms": r.lag.as_ref(),
-                "per_shard": per_shard.collect::<Vec<_>>(),
-            }
-        });
-        let mut doc = json_obj! {
-            "protocol": self.replicas[0].protocol,
-            "primary_tps": self.primary.throughput(),
-            "committed": self.primary.committed,
-            "wall_ms": ms(self.wall),
-            "converged": self.all_converged(),
-            "worst_p50_ms": self.worst_p50_ms(),
-            "replicas": replicas.collect::<Vec<_>>(),
-        };
-        if let Some(s) = &self.sessions {
-            let classes = s.per_class.iter().map(|class| {
-                json_obj! {
-                    "class": class.kind.name(),
-                    "reads": class.reads,
-                    "reads_per_sec": class.throughput(self.wall),
-                    "ro_txns": class.txns,
-                    "blocked": class.blocked,
-                    "block_ms": class.mean_block_ms(),
-                    "timeouts": class.timeouts,
-                    "latency_ms": class.latency.as_ref(),
-                    "staleness_ms": class.staleness.as_ref(),
-                }
-            });
-            doc.merge(json_obj! {
-                "sessions": s.sessions,
-                "staleness_bound_ms": ms(STALENESS_BOUND),
-                "total_reads": s.per_class.iter().map(|c| c.reads).sum::<u64>(),
-                "generations": s.generations,
-                "classes": classes.collect::<Vec<_>>(),
-                "session": json_obj! {
-                    "writes": s.writes,
-                    "ryw_reads": s.ryw_reads,
-                    "replica_switches": s.replica_switches,
-                    "timeouts": s.timeouts,
-                },
-            });
-        }
-        if !(self.joins.is_empty() && self.retires.is_empty()) {
-            let joins = self.joins.iter().map(|j| {
-                json_obj! {
-                    "replica": j.replica,
-                    "checkpoint_cut": seq(j.checkpoint_cut),
-                    "stream_start": seq(j.stream_start),
-                    "replayed_records": j.replayed_records,
-                    "join_to_serving_ms": ms(j.join_to_serving),
-                }
-            });
-            let retires = self.retires.iter().map(|r| {
-                json_obj! {
-                    "replica": r.replica,
-                    "drain_ms": ms(r.drain),
-                    "retired_exposed": seq(r.retired_exposed),
-                }
-            });
-            doc.merge(json_obj! {
-                "seed_replicas": self.seeds,
-                "joins": joins.collect::<Vec<_>>(),
-                "retires": retires.collect::<Vec<_>>(),
-            });
-        }
-        if let Some(f) = &self.failover {
-            doc.merge(json_obj! {
-                "shipped_seq": seq(f.shipped_seq),
-                "applied_at_kill": seq(f.applied_at_kill),
-                "backlog_records": f.backlog_records(),
-                "lag_at_kill_ms": f.lag_at_kill.as_ref(),
-                "promoted_cut": seq(f.promoted_cut),
-                "promotion_drain_ms": ms(f.promotion_drain),
-                "takeover_ms": ms(f.takeover),
-                "drain_bounded_by_lag": f.drain_bounded_by_lag(),
-                "resumed_tps": f.resumed.throughput(),
-                "resumed_committed": f.resumed.committed,
-                "standby": f.standby.map(|(rows, replayed)| {
-                    json_obj! { "checkpoint_rows": rows, "replayed_records": replayed }
-                }),
-            });
-        }
-        doc
-    }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// A lag/latency summary serialises as its nearest-rank percentiles in
-/// milliseconds (and an absent one, through `Option`, as `null`).
-impl From<&LagStats> for JsonValue {
-    fn from(l: &LagStats) -> Self {
-        json_obj! {
-            "count": l.count,
-            "min": l.min_ms,
-            "p50": l.p50_ms,
-            "p99": l.p99_ms,
-            "max": l.max_ms,
-            "mean": l.mean_ms,
-        }
     }
 }
 
@@ -1153,26 +1026,14 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Prints JSON objects as a table: one row per object, one column per
-/// whitespace-separated path in `columns` (`/`-separated, see
-/// [`JsonValue::at`]; the path is the header). Integers print as such, other
-/// numbers to three decimals, `null` as `-`, booleans as yes/no, a missing
-/// path as blank.
-pub fn print_json_table(title: &str, rows: &[JsonValue], columns: &str) {
-    let columns: Vec<&str> = columns.split_whitespace().collect();
-    let cell = |row: &JsonValue, path: &str| match row.at(path) {
-        Some(JsonValue::Num(n)) if *n == n.trunc() => format!("{n:.0}"),
-        Some(JsonValue::Num(n)) => format!("{n:.3}"),
-        Some(JsonValue::Str(s)) => s.clone(),
-        Some(JsonValue::Bool(b)) => if *b { "yes" } else { "no" }.into(),
-        Some(JsonValue::Null) => "-".into(),
-        _ => String::new(),
-    };
-    let rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|row| columns.iter().map(|path| cell(row, path)).collect())
-        .collect();
-    print_table(title, &columns, &rows);
+/// Formats a measured number as a table cell: a whole number without a
+/// fraction, any other to three decimals, an absent one as `-`.
+pub fn fmt_cell(v: impl Into<Option<f64>>) -> String {
+    match v.into() {
+        Some(v) if v == v.trunc() => format!("{v:.0}"),
+        Some(v) => format!("{v:.3}"),
+        None => "-".into(),
+    }
 }
 
 /// Formats a throughput value.
@@ -1245,6 +1106,7 @@ mod tests {
                 |o| {
                     assert_eq!(o.replicas.len(), 2);
                     assert!(o.worst_p50_ms() > 0.0);
+                    assert_cells(&fanout::COLUMNS, &fanout::rows(o));
                 },
             ),
             ("sharded", sharded::scenario(&scale, 4), |o| {
@@ -1253,6 +1115,9 @@ mod tests {
                 assert!(replica.cuts_taken > 0 && replica.metrics.cross_shard_txns > 0);
                 let owned: usize = replica.per_shard.iter().map(|(owned, _)| owned).sum();
                 assert_eq!(owned as u64, replica.metrics.applied_txns);
+                let (row, shards) = sharded::rows(o);
+                assert_cells(&sharded::COLUMNS, &[row]);
+                assert_cells(&sharded::SHARD_COLUMNS, &shards);
             }),
             (
                 "failover",
@@ -1266,6 +1131,7 @@ mod tests {
                         "promoted primary serves traffic"
                     );
                     assert!(failover.standby.is_some_and(|(rows, _)| rows > 0));
+                    assert_cells(&failover::COLUMNS, &[failover::row(o)]);
                 },
             ),
             ("reads", reads::scenario(&scale), |o| {
@@ -1281,6 +1147,7 @@ mod tests {
                     sessions.per_class.iter().map(|c| c.reads).sum::<u64>(),
                     "every read (including the closing strong read) was served by the fleet"
                 );
+                assert_session_cells(o);
             }),
             ("elastic", elastic::scenario(&scale), |o| {
                 assert_eq!((o.joins.len(), o.retires.len(), o.seeds), (1, 1, 2));
@@ -1292,6 +1159,7 @@ mod tests {
                 assert!(o.replicas.iter().all(|r| r.replica != o.retires[0].replica));
                 assert!(o.sessions.as_ref().is_some_and(|s| s.generations >= 4));
                 obs::assert_full_coverage(&o.obs);
+                assert_session_cells(o);
             }),
         ];
         for spec in EVERY_SPEC {
@@ -1315,6 +1183,22 @@ mod tests {
             }
             check(&outcome);
         }
+    }
+
+    /// A table as its experiment prints it: at least one row, one cell per
+    /// column in each, none blank.
+    fn assert_cells(columns: &[&str], rows: &[Vec<String>]) {
+        assert!(!rows.is_empty(), "no rows under {columns:?}");
+        for row in rows {
+            assert_eq!(row.len(), columns.len(), "{row:?} under {columns:?}");
+            assert!(row.iter().all(|c| !c.is_empty()), "blank cell in {row:?}");
+        }
+    }
+
+    fn assert_session_cells(o: &Outcome) {
+        let (classes, members) = reads::rows(o);
+        assert_cells(&reads::CLASS_COLUMNS, &classes);
+        assert_cells(&reads::MEMBER_COLUMNS, &members);
     }
 
     /// A scenario that fails mid-run must fail the process, not wedge it: the

@@ -1,25 +1,19 @@
-//! A minimal JSON value, writer, and parser.
+//! A minimal JSON value and parser.
 //!
-//! The workspace deliberately carries no third-party dependencies, so the
-//! scenario outcomes the experiment tables print from, the `experiments obs`
-//! dump and what `experiments pairs` reads are written and parsed by this
-//! hand-rolled module instead of serde. It supports objects with ordered
-//! keys, arrays, finite numbers, strings, booleans, and null. Numbers are
-//! emitted with enough precision to round-trip the measurements; non-finite
-//! floats are rejected at write time so a broken run can never produce a
-//! document that parses as valid JSON.
+//! The workspace deliberately carries no third-party dependencies, so what
+//! `experiments pairs` reads — `BENCHMARK.json` and the lines a
+//! `c5-benchmark` run prints — is parsed by this hand-rolled module instead
+//! of serde. It supports objects with ordered keys, arrays, numbers,
+//! strings, booleans, and null.
 
-use std::fmt::Write as _;
-
-/// A JSON value. Object keys keep insertion order so emitted files diff
-/// cleanly across revisions.
+/// A JSON value. Object keys keep the document's order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A finite number (JSON has one number type; we store f64).
+    /// A number (JSON has one number type; we store f64).
     Num(f64),
     /// A string.
     Str(String),
@@ -29,71 +23,7 @@ pub enum JsonValue {
     Obj(Vec<(String, JsonValue)>),
 }
 
-/// Builds a [`JsonValue::Obj`] from `"key": value` pairs, in order; each value
-/// converts through [`From`] (numbers, booleans, strings, arrays, `Option`s —
-/// `None` is `null` — and whatever else implements it).
-#[macro_export]
-macro_rules! json_obj {
-    ($($key:literal: $value:expr),* $(,)?) => {
-        $crate::json::JsonValue::Obj(vec![
-            $(($key.to_string(), $crate::json::JsonValue::from($value))),*
-        ])
-    };
-}
-
-impl From<f64> for JsonValue {
-    fn from(n: f64) -> Self {
-        JsonValue::Num(n)
-    }
-}
-
-impl From<u64> for JsonValue {
-    fn from(n: u64) -> Self {
-        JsonValue::Num(n as f64)
-    }
-}
-
-impl From<usize> for JsonValue {
-    fn from(n: usize) -> Self {
-        JsonValue::Num(n as f64)
-    }
-}
-
-impl From<bool> for JsonValue {
-    fn from(b: bool) -> Self {
-        JsonValue::Bool(b)
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(s: &str) -> Self {
-        JsonValue::Str(s.to_string())
-    }
-}
-
-impl From<Vec<JsonValue>> for JsonValue {
-    fn from(items: Vec<JsonValue>) -> Self {
-        JsonValue::Arr(items)
-    }
-}
-
-impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
-    fn from(value: Option<T>) -> Self {
-        value.map_or(JsonValue::Null, Into::into)
-    }
-}
-
 impl JsonValue {
-    /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Self {
-        JsonValue::Str(s.into())
-    }
-
-    /// Builds a number value from anything convertible to `f64`.
-    pub fn num(n: impl Into<f64>) -> Self {
-        JsonValue::Num(n.into())
-    }
-
     /// Looks up a key in an object (`None` for non-objects or missing keys).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -102,24 +32,7 @@ impl JsonValue {
         }
     }
 
-    /// Follows a `/`-separated path: each part is an object key, or an index
-    /// where the value reached so far is an array (`replicas/0/lag_ms/p50`).
-    pub fn at(&self, path: &str) -> Option<&JsonValue> {
-        path.split('/').try_fold(self, |node, part| match node {
-            JsonValue::Arr(items) => items.get(part.parse::<usize>().ok()?),
-            _ => node.get(part),
-        })
-    }
-
-    /// Appends `other`'s entries to this object's (a no-op unless both are
-    /// objects).
-    pub fn merge(&mut self, other: JsonValue) {
-        if let (JsonValue::Obj(fields), JsonValue::Obj(more)) = (self, other) {
-            fields.extend(more);
-        }
-    }
-
-    /// The value as a finite number, if it is one.
+    /// The value as a number, if it is one.
     pub fn as_num(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
@@ -142,102 +55,11 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Serializes the value as pretty-printed JSON with a trailing newline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any number in the tree is non-finite — a NaN lag percentile
-    /// is a bug in the measurement, not something to serialize.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => write_number(out, *n),
-            JsonValue::Str(s) => write_string(out, s),
-            JsonValue::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                newline(out, indent);
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent + 1);
-                    write_string(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                }
-                newline(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn newline(out: &mut String, indent: usize) {
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_number(out: &mut String, n: f64) {
-    assert!(n.is_finite(), "refusing to serialize non-finite number {n}");
-    if n == n.trunc() && n.abs() < 1e15 {
-        write!(out, "{}", n as i64).unwrap();
-    } else {
-        write!(out, "{n}").unwrap();
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).unwrap();
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a JSON document. Returns an error message with a byte offset on
-/// malformed input. Accepts exactly the subset [`JsonValue::pretty`] emits
-/// plus arbitrary whitespace, escape sequences, and scientific notation, so
-/// it can re-read emitted documents and validate CI smoke output.
+/// malformed input. Accepts arbitrary whitespace, escape sequences, and
+/// scientific notation.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -441,29 +263,30 @@ mod tests {
 
     #[test]
     fn round_trips_a_nested_document() {
+        let text = r#"{
+          "name": "pipeline", "count": 42, "ratio": 0.125, "ok": true,
+          "missing": null, "items": [1, 2], "empty_obj": {}, "empty_arr": []
+        }"#;
         let doc = JsonValue::Obj(vec![
-            ("name".into(), JsonValue::str("pipeline")),
-            ("count".into(), JsonValue::num(42u32)),
+            ("name".into(), JsonValue::Str("pipeline".into())),
+            ("count".into(), JsonValue::Num(42.0)),
             ("ratio".into(), JsonValue::Num(0.125)),
             ("ok".into(), JsonValue::Bool(true)),
             ("missing".into(), JsonValue::Null),
             (
                 "items".into(),
-                JsonValue::Arr(vec![JsonValue::num(1u32), JsonValue::num(2u32)]),
+                JsonValue::Arr(vec![JsonValue::Num(1.0), JsonValue::Num(2.0)]),
             ),
             ("empty_obj".into(), JsonValue::Obj(vec![])),
             ("empty_arr".into(), JsonValue::Arr(vec![])),
         ]);
-        let text = doc.pretty();
-        let back = parse(&text).unwrap();
-        assert_eq!(back, doc);
+        assert_eq!(parse(text).unwrap(), doc);
     }
 
     #[test]
     fn escapes_and_reparses_awkward_strings() {
-        let doc = JsonValue::str("a\"b\\c\nd\te\u{1}f");
-        let back = parse(&doc.pretty()).unwrap();
-        assert_eq!(back, doc);
+        let back = parse(r#""a\"b\\c\nd\te\u0001f""#).unwrap();
+        assert_eq!(back.as_str(), Some("a\"b\\c\nd\te\u{1}f"));
     }
 
     #[test]
@@ -476,23 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn integers_emit_without_fraction() {
-        assert_eq!(JsonValue::num(1500u32).pretty(), "1500\n");
-        assert_eq!(JsonValue::Num(1.25).pretty(), "1.25\n");
-    }
-
-    #[test]
     fn rejects_malformed_input() {
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn refuses_nan() {
-        JsonValue::Num(f64::NAN).pretty();
     }
 
     #[test]

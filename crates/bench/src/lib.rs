@@ -15,7 +15,8 @@
 //!   backup's apply throughput and replication-lag distribution, and whatever
 //!   the readers and events measured. Every live experiment — the figures,
 //!   `fanout`, `sharded`, `failover`, `reads`, `elastic`, `obs` — is a
-//!   scenario description plus a table over [`harness::Outcome::to_json`].
+//!   scenario description plus tables built from the outcome's typed fields
+//!   and printed by [`harness::print_table`], the one table printer.
 //! * **Offline replay** ([`harness::run_offline_mvtso`]) — the Cicada-style
 //!   setup of Section 7: the MVTSO primary runs the workload (its per-thread
 //!   logs are coalesced afterwards, as in the paper's prototype), then the
@@ -27,16 +28,15 @@
 //!
 //! The repo's performance gate is the `benchmark/` package, not this crate:
 //! the experiments print tables and assert what their run must have upheld.
-//! The JSON they read and print with is hand-rolled ([`json`]) because the
-//! workspace deliberately has no serialization dependency.
 //!
 //! ## Comparing two commits
 //!
 //! `experiments pairs` ([`pairs`]) takes two built `c5-benchmark` binaries —
 //! the parent commit's and a change's — runs them in interleaved pairs and
 //! prints the median / quartile / pairs-won table a performance claim is
-//! judged by. It reads only what the binaries print; `benchmark/` stays the
-//! unmodified gate.
+//! judged by. It reads only what the binaries print, with the hand-rolled
+//! JSON parser in [`json`] (the workspace deliberately has no serialization
+//! dependency); `benchmark/` stays the unmodified gate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,7 +44,6 @@
 pub mod experiments;
 pub mod harness;
 pub mod json;
-pub mod obs_export;
 pub mod pairs;
 pub mod scale;
 
