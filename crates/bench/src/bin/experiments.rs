@@ -22,8 +22,8 @@
 //!   failover        Kill the primary, promote the backup, resume + standby
 //!   durability      kill -9 a child process mid-workload, recover from disk
 //!   obs             Observability smoke: run the elastic scenario against a
-//!                   fresh c5-obs sink, dump Prometheus text + snapshot JSON
-//!                   + the merged trace timeline, assert full coverage
+//!                   fresh c5-obs sink, dump Prometheus text + the merged
+//!                   trace timeline, assert full coverage
 //!   insert-only     Insert-only workload, 2PL primary, all protocols
 //!   insert-only-cicada  Insert-only workload, MVTSO primary
 //!   sched-offline   Offline scheduler throughput (Section 6.2), then the

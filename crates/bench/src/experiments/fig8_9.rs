@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use c5_core::lag::LagStats;
-use c5_log::now_nanos;
+use c5_obs::HistogramSnapshot;
 use c5_workloads::synthetic::InsertOnlyWorkload;
 
 use crate::harness::{fmt_tps, print_table, run_scenario, Readers, ReplicaSpec, Scenario};
@@ -38,30 +38,17 @@ pub fn run(scale: &Scale) {
                 vec![ReplicaSpec::C5MyRocks],
             )
         };
-        let run_start = now_nanos();
         let outcome = run_scenario(&scenario);
 
         // Figure 8: lag distribution over three consecutive observation
         // windows (the paper uses three 30-second windows of a 90-second
-        // measurement; we split the run into thirds).
-        // The replica's apply wall, not the call's: the runner also sets up
-        // and, afterwards, compares final states.
-        let window = outcome.replicas[0].wall.as_nanos() as u64 / 3;
-        for (i, (lo, hi)) in [
-            (run_start, run_start + window),
-            (run_start + window, run_start + 2 * window),
-            (run_start + 2 * window, u64::MAX),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let values: Vec<f64> = outcome.replicas[0]
-                .lag_samples
-                .iter()
-                .filter(|s| s.exposed_at_nanos >= lo && s.exposed_at_nanos < hi)
-                .map(|s| s.lag_millis())
-                .collect();
-            let row = match LagStats::from_millis(values) {
+        // measurement; we split the load into thirds, the last running on
+        // until the replica has drained). A window is the difference of the
+        // runner's lag snapshots at its edges.
+        let empty = HistogramSnapshot::empty();
+        let edges = std::iter::once(&empty).chain(&outcome.lag_marks);
+        for (i, (earlier, later)) in edges.zip(&outcome.lag_marks).enumerate() {
+            let row = match LagStats::from_histogram(&later.since(earlier)) {
                 Some(stats) => vec![
                     clients.to_string(),
                     format!("window {}", i + 1),
@@ -94,7 +81,7 @@ pub fn run(scale: &Scale) {
         let (read_p50, read_p99) = outcome
             .point_reads
             .as_ref()
-            .and_then(|r| r.latency())
+            .and_then(|r| r.latency)
             .map(|l| (format!("{:.3}", l.p50_ms), format!("{:.3}", l.p99_ms)))
             .unwrap_or_else(|| ("-".into(), "-".into()));
         tput_rows.push(vec![
@@ -134,6 +121,7 @@ pub fn run(scale: &Scale) {
     );
     println!(
         "note: bounded lag is the claim under test — the max column must stay small and must not grow \
-         without bound as read-only clients are added."
+         without bound as read-only clients are added. A window's min and max are the edges of its \
+         outermost non-empty lag-histogram buckets (within 12.5 %), clamped to the run's exact min and max."
     );
 }

@@ -22,13 +22,13 @@ use c5_common::{
     WriteKind,
 };
 use c5_core::fleet::{FleetController, FleetRoutingSink, JoinReport, RetireReport};
-use c5_core::lag::{LagSample, LagStats};
+use c5_core::lag::LagStats;
 use c5_core::replica::{
     drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, ReadView, ReplicaMetrics,
 };
 use c5_core::ShardedC5Replica;
 use c5_log::{LogArchive, LogShipper, Segment, StreamingLogger};
-use c5_obs::Obs;
+use c5_obs::{HistogramSnapshot, Obs};
 use c5_primary::{
     ClosedLoopDriver, MvtsoEngine, PrimaryRunStats, RunLength, TplEngine, TxnCtx, TxnFactory,
 };
@@ -258,9 +258,6 @@ pub struct ReplicaOutcome {
     /// Replication-lag summary (if any transactions committed). A mid-run
     /// joiner's samples only cover its post-join life.
     pub lag: Option<LagStats>,
-    /// Every raw lag sample, for experiments that bucket lag by time window
-    /// (Figure 8).
-    pub lag_samples: Vec<LagSample>,
     /// Reads the router served from it.
     pub served: u64,
     /// Whether it joined online rather than being there from the start.
@@ -364,6 +361,10 @@ pub struct Outcome {
     pub wall: Duration,
     /// Every replica serving at the end.
     pub replicas: Vec<ReplicaOutcome>,
+    /// The first replica's lag histogram (nanoseconds) at one and at two
+    /// thirds of the load, then at the end of the run: Figure 8's window
+    /// edges, taken on the clock the load runs by.
+    pub lag_marks: Vec<HistogramSnapshot>,
     /// Point-read client statistics ([`Readers::PointClients`]).
     pub point_reads: Option<ReadRunStats>,
     /// Session statistics ([`Readers::Sessions`]).
@@ -555,6 +556,7 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
     let mut wall = Duration::ZERO;
     let mut walls = Vec::new();
     let mut point_reads = None;
+    let mut lag_marks = Vec::new();
     let (mut joins, mut retires) = (Vec::new(), Vec::new());
     // (applied, exposed, when) at the moment of the kill.
     let mut at_kill = None;
@@ -609,8 +611,19 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
             )
         }));
 
-        for &(at, event) in events {
+        // The events, and between them a snapshot of the first replica's
+        // lag at each third of the load.
+        let thirds = [scale.duration / 3, scale.duration * 2 / 3].map(|at| (at, None));
+        let mut timeline: Vec<_> = (events.iter().map(|&(at, event)| (at, Some(event))))
+            .chain(thirds)
+            .collect();
+        timeline.sort_by_key(|&(at, _)| at);
+        for (at, event) in timeline {
             std::thread::sleep(at.saturating_sub(start.elapsed()));
+            let Some(event) = event else {
+                lag_marks.push(first.lag().snapshot());
+                continue;
+            };
             let fleet = controller.as_ref();
             match event {
                 Event::Join => {
@@ -673,6 +686,7 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
         point_reads = point_clients.map(|clients| clients.join().expect("read clients"));
     });
     let drained = start.elapsed();
+    lag_marks.push(first.lag().snapshot());
 
     // Session writes ride the same engine; fold them into the committed
     // count reported for the primary.
@@ -786,7 +800,6 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
             wall: walls.get(id).copied().unwrap_or(drained),
             metrics: replica.metrics(),
             lag: replica.lag().stats(),
-            lag_samples: replica.lag().samples(),
             served: served
                 .iter()
                 .find(|s| s.replica == id)
@@ -811,6 +824,7 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
         primary,
         wall,
         replicas,
+        lag_marks,
         point_reads,
         sessions,
         joins,
@@ -1098,6 +1112,12 @@ mod tests {
                 |o| {
                     assert!(o.point_reads.as_ref().is_some_and(|r| r.throughput() > 0.0));
                     assert!(o.replicas[0].throughput() > 0.0 && o.relative_throughput() > 0.0);
+                    // Figure 8's window edges: two in the load, one at the end,
+                    // and the last has every transaction's lag.
+                    let marks: Vec<u64> = o.lag_marks.iter().map(|m| m.count()).collect();
+                    let ascending = marks.windows(2).all(|w| w[0] <= w[1]);
+                    assert!(marks.len() == 3 && ascending, "{marks:?}");
+                    assert_eq!(marks[2], o.primary.committed);
                 },
             ),
             (

@@ -9,53 +9,21 @@
 //! transaction's last write (for C5) or once its last write is applied (for
 //! baselines that expose the latest applied state directly).
 //!
-//! [`LagTracker`] collects one [`LagSample`] per committed transaction and
-//! summarizes them as the paper's Figure 8 does: quartiles, minimum and
-//! maximum. A caller that wants Figure 8's per-window breakdown buckets
-//! [`LagTracker::samples`] by exposure time itself.
+//! [`LagTracker`] records each committed transaction's lag into a bounded
+//! [`Histogram`] of nanoseconds: recording takes no lock, and the memory does
+//! not grow with the run. [`LagStats::from_histogram`] summarises a snapshot
+//! as the paper's Figure 8 does — quartiles, minimum and maximum — and is
+//! the one summary of every distribution the workspace reports (replication
+//! lag here, read latency and staleness in the read router). A caller that
+//! wants Figure 8's per-window breakdown snapshots the tracker at the window
+//! edges and summarises the differences ([`HistogramSnapshot::since`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use c5_obs::{Histogram, HistogramSnapshot};
 
-use c5_common::SeqNo;
-
-/// One transaction's replication-lag observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LagSample {
-    /// Sequence number of the transaction's last write.
-    pub boundary_seq: SeqNo,
-    /// Primary commit time (nanoseconds since the Unix epoch).
-    pub committed_at_nanos: u64,
-    /// Time the backup first exposed the transaction (same clock).
-    pub exposed_at_nanos: u64,
-}
-
-impl LagSample {
-    /// The replication lag in nanoseconds (clamped at zero: clock
-    /// granularity can make the two stamps appear reversed for sub-
-    /// microsecond lags).
-    pub fn lag_nanos(&self) -> u64 {
-        self.exposed_at_nanos
-            .saturating_sub(self.committed_at_nanos)
-    }
-
-    /// The replication lag in milliseconds.
-    pub fn lag_millis(&self) -> f64 {
-        self.lag_nanos() as f64 / 1e6
-    }
-
-    /// Whether the two clock stamps are reversed (the backup's exposure time
-    /// is before the primary's commit time). [`lag_nanos`](Self::lag_nanos)
-    /// clamps such samples to zero; [`LagTracker::clock_skew_samples`] counts
-    /// them so skew is surfaced instead of silently masked.
-    pub fn is_clock_skewed(&self) -> bool {
-        self.exposed_at_nanos < self.committed_at_nanos
-    }
-}
-
-/// Summary statistics over a set of lag samples (the box-and-whisker numbers
-/// of Figure 8).
+/// Summary statistics over a distribution of lags or latencies (the
+/// box-and-whisker numbers of Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LagStats {
     /// Number of samples.
@@ -78,47 +46,46 @@ pub struct LagStats {
 }
 
 impl LagStats {
-    /// Computes statistics from raw millisecond values.
+    /// Summarises a histogram of nanoseconds in milliseconds, or `None` when
+    /// it is empty.
     ///
     /// Percentiles use the checked nearest-rank rule: the p-th percentile is
     /// the smallest value with at least `⌈p·N⌉` samples at or below it.
     /// Rounding `(N-1)·p` instead misreports small windows (the p25 of four
-    /// samples lands on the second value rather than the first).
-    pub fn from_millis(mut values: Vec<f64>) -> Option<LagStats> {
-        if values.is_empty() {
+    /// samples lands on the second value rather than the first). The
+    /// histogram answers with the upper edge of the ranked sample's bucket,
+    /// so a quantile is within one bucket (≤ 12.5 %) of that value, and exact
+    /// where the bucket holds a single value. Count, min, max and mean are
+    /// exact over a snapshot of a whole histogram.
+    pub fn from_histogram(h: &HistogramSnapshot) -> Option<LagStats> {
+        if h.is_empty() {
             return None;
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("lag values are finite"));
-        let count = values.len();
-        let pct = |p: f64| -> f64 {
-            let rank = ((count as f64) * p).ceil().max(1.0) as usize;
-            values[rank.min(count) - 1]
-        };
-        let mean = values.iter().sum::<f64>() / count as f64;
+        let ms = |ns: u64| ns as f64 / 1e6;
         Some(LagStats {
-            count,
-            min_ms: values[0],
-            p25_ms: pct(0.25),
-            p50_ms: pct(0.50),
-            p75_ms: pct(0.75),
-            p99_ms: pct(0.99),
-            max_ms: values[count - 1],
-            mean_ms: mean,
+            count: h.count() as usize,
+            min_ms: ms(h.min()),
+            p25_ms: ms(h.percentile(0.25)),
+            p50_ms: ms(h.percentile(0.50)),
+            p75_ms: ms(h.percentile(0.75)),
+            p99_ms: ms(h.percentile(0.99)),
+            max_ms: ms(h.max()),
+            mean_ms: h.mean() / 1e6,
         })
     }
 }
 
-/// Collects lag samples for a replica run.
+/// Collects a replica run's replication lag.
 #[derive(Debug, Default)]
 pub struct LagTracker {
-    samples: Mutex<Vec<LagSample>>,
+    /// One lag per exposed transaction, in nanoseconds.
+    lag_ns: Histogram,
     /// Samples whose clock stamps were reversed (exposure before commit).
     /// Their lag is clamped to zero rather than discarded, but the count is
     /// surfaced so non-monotonic clocks are visible instead of masked.
     clock_skew: AtomicU64,
     /// Largest primary commit wall time (nanos) over all recorded samples —
     /// the commit time of the newest transaction the replica has exposed.
-    /// Lock-free so freshness probes stay off the sample lock.
     covered_commit: AtomicU64,
 }
 
@@ -128,21 +95,19 @@ impl LagTracker {
         Self::default()
     }
 
-    /// Records that the transaction whose last write is `boundary_seq`,
-    /// committed on the primary at `committed_at_nanos`, became visible on
-    /// the backup at `exposed_at_nanos`.
-    pub fn record(&self, boundary_seq: SeqNo, committed_at_nanos: u64, exposed_at_nanos: u64) {
-        let sample = LagSample {
-            boundary_seq,
-            committed_at_nanos,
-            exposed_at_nanos,
-        };
-        if sample.is_clock_skewed() {
+    /// Records that a transaction committed on the primary at
+    /// `committed_at_nanos` became visible on the backup at
+    /// `exposed_at_nanos` (nanoseconds since the Unix epoch, both). Reversed
+    /// stamps — clock granularity makes them possible for sub-microsecond
+    /// lags — record a lag of zero and count as clock skew. Lock-free.
+    pub fn record(&self, committed_at_nanos: u64, exposed_at_nanos: u64) {
+        if exposed_at_nanos < committed_at_nanos {
             self.clock_skew.fetch_add(1, Ordering::Relaxed);
         }
         self.covered_commit
             .fetch_max(committed_at_nanos, Ordering::Relaxed);
-        self.samples.lock().push(sample);
+        self.lag_ns
+            .record(exposed_at_nanos.saturating_sub(committed_at_nanos));
     }
 
     /// Primary commit wall time (nanoseconds since the Unix epoch) of the
@@ -166,28 +131,22 @@ impl LagTracker {
 
     /// Number of samples collected.
     pub fn len(&self) -> usize {
-        self.samples.lock().len()
+        self.lag_ns.count() as usize
     }
 
     /// Whether no samples have been collected.
     pub fn is_empty(&self) -> bool {
-        self.samples.lock().is_empty()
+        self.len() == 0
     }
 
-    /// A copy of every sample.
-    pub fn samples(&self) -> Vec<LagSample> {
-        self.samples.lock().clone()
+    /// The lag histogram as it stands now (nanoseconds).
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        self.lag_ns.snapshot()
     }
 
     /// Summary statistics over every sample.
     pub fn stats(&self) -> Option<LagStats> {
-        LagStats::from_millis(
-            self.samples
-                .lock()
-                .iter()
-                .map(LagSample::lag_millis)
-                .collect(),
-        )
+        LagStats::from_histogram(&self.snapshot())
     }
 }
 
@@ -195,36 +154,45 @@ impl LagTracker {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sample_lag_is_clamped_and_converted() {
-        let s = LagSample {
-            boundary_seq: SeqNo(1),
-            committed_at_nanos: 1_000_000,
-            exposed_at_nanos: 3_000_000,
-        };
-        assert_eq!(s.lag_nanos(), 2_000_000);
-        assert!((s.lag_millis() - 2.0).abs() < 1e-9);
+    /// `ns` nanoseconds in the milliseconds `LagStats` reports.
+    fn ms(ns: u64) -> f64 {
+        ns as f64 / 1e6
+    }
 
-        let reversed = LagSample {
-            boundary_seq: SeqNo(2),
-            committed_at_nanos: 5,
-            exposed_at_nanos: 3,
-        };
-        assert_eq!(reversed.lag_nanos(), 0);
-        assert!(reversed.is_clock_skewed());
-        assert!(!s.is_clock_skewed());
+    /// Summary of `ns`, recorded into a fresh histogram.
+    fn stats_of(ns: &[u64]) -> LagStats {
+        let h = Histogram::new();
+        ns.iter().for_each(|&v| h.record(v));
+        LagStats::from_histogram(&h.snapshot()).expect("non-empty")
     }
 
     #[test]
+    fn sample_lag_is_clamped_and_converted() {
+        let t = LagTracker::new();
+        t.record(1_000_000, 3_000_000);
+        let stats = t.stats().unwrap();
+        assert_eq!((stats.min_ms, stats.max_ms), (2.0, 2.0));
+
+        let reversed = LagTracker::new();
+        reversed.record(5, 3);
+        assert_eq!(reversed.stats().unwrap().max_ms, 0.0);
+        assert_eq!(reversed.clock_skew_samples(), 1);
+        assert_eq!(t.clock_skew_samples(), 0);
+    }
+
+    // Values below 16 ns sit in width-1 buckets, so the histogram's quantiles
+    // of them are exact and the checked rule can be pinned to the sample.
+
+    #[test]
     fn stats_compute_quartiles() {
-        let stats = LagStats::from_millis(vec![1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
+        let stats = stats_of(&[1, 2, 3, 4, 5]);
         assert_eq!(stats.count, 5);
-        assert_eq!(stats.min_ms, 1.0);
-        assert_eq!(stats.p50_ms, 3.0);
-        assert_eq!(stats.p99_ms, 5.0);
-        assert_eq!(stats.max_ms, 5.0);
-        assert!((stats.mean_ms - 3.0).abs() < 1e-9);
-        assert!(LagStats::from_millis(vec![]).is_none());
+        assert_eq!(stats.min_ms, ms(1));
+        assert_eq!(stats.p50_ms, ms(3));
+        assert_eq!(stats.p99_ms, ms(5));
+        assert_eq!(stats.max_ms, ms(5));
+        assert!((stats.mean_ms - ms(3)).abs() < 1e-15);
+        assert!(LagStats::from_histogram(&HistogramSnapshot::empty()).is_none());
     }
 
     #[test]
@@ -232,31 +200,33 @@ mod tests {
         // p25 of four samples is the smallest value with at least ⌈0.25·4⌉ = 1
         // sample at or below it — the minimum. The old rounding rule
         // (`round((N-1)·p)`) returned the second value.
-        let four = LagStats::from_millis(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(four.p25_ms, 1.0);
-        assert_eq!(four.p50_ms, 2.0);
-        assert_eq!(four.p75_ms, 3.0);
-        assert_eq!(four.p99_ms, 4.0);
+        let four = stats_of(&[1, 2, 3, 4]);
+        assert_eq!(four.p25_ms, ms(1));
+        assert_eq!(four.p50_ms, ms(2));
+        assert_eq!(four.p75_ms, ms(3));
+        assert_eq!(four.p99_ms, ms(4));
 
         // A single sample is every percentile.
-        let one = LagStats::from_millis(vec![7.0]).unwrap();
-        assert_eq!(one.p25_ms, 7.0);
-        assert_eq!(one.p50_ms, 7.0);
-        assert_eq!(one.p99_ms, 7.0);
+        let one = stats_of(&[7]);
+        assert_eq!(one.p25_ms, ms(7));
+        assert_eq!(one.p50_ms, ms(7));
+        assert_eq!(one.p99_ms, ms(7));
 
-        // On a large window p99 sits at rank ⌈0.99·200⌉ = 198.
-        let values: Vec<f64> = (1..=200).map(|v| v as f64).collect();
-        let big = LagStats::from_millis(values).unwrap();
-        assert_eq!(big.p99_ms, 198.0);
-        assert_eq!(big.p50_ms, 100.0);
+        // On a large window p99 sits at rank ⌈0.99·200⌉ = 198: here the one
+        // 2 among 197 ones below it and two 3s above it.
+        let mut values = vec![1; 197];
+        values.extend([2, 3, 3]);
+        let big = stats_of(&values);
+        assert_eq!(big.p99_ms, ms(2));
+        assert_eq!(big.p50_ms, ms(1));
     }
 
     #[test]
     fn clock_skew_samples_are_counted_not_masked() {
         let t = LagTracker::new();
-        t.record(SeqNo(1), 100, 200); // normal
-        t.record(SeqNo(2), 300, 250); // reversed stamps
-        t.record(SeqNo(3), 400, 400); // equal stamps: zero lag, not skew
+        t.record(100, 200); // normal
+        t.record(300, 250); // reversed stamps
+        t.record(400, 400); // equal stamps: zero lag, not skew
         assert_eq!(t.clock_skew_samples(), 1);
         assert_eq!(t.len(), 3);
         // The skewed sample still contributes a (clamped) zero-lag sample.
@@ -267,34 +237,68 @@ mod tests {
     fn latest_covered_commit_tracks_the_newest_commit_seen() {
         let t = LagTracker::new();
         assert_eq!(t.latest_covered_commit_nanos(), None);
-        t.record(SeqNo(1), 100, 200);
-        t.record(SeqNo(3), 400, 500);
+        t.record(100, 200);
+        t.record(400, 500);
         // Out-of-order recording must not regress the watermark.
-        t.record(SeqNo(2), 300, 350);
+        t.record(300, 350);
         assert_eq!(t.latest_covered_commit_nanos(), Some(400));
     }
 
     #[test]
     fn tracker_windows_partition_samples() {
+        // Figure 8's windows: snapshots at the window edges, summarised by
+        // their differences. Lags 10, 20 and 20 ns.
         let t = LagTracker::new();
-        t.record(SeqNo(1), 0, 10);
-        t.record(SeqNo(2), 5, 25);
-        t.record(SeqNo(3), 20, 40);
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
+        let start = t.snapshot();
+        t.record(0, 10);
+        t.record(5, 25);
+        let edge = t.snapshot();
+        t.record(20, 40);
+        let end = t.snapshot();
 
-        // Bucketed by exposure time, as Figure 8's windows are.
-        let window = |from: u64, to: u64| {
-            t.samples()
-                .iter()
-                .filter(|s| (from..to).contains(&s.exposed_at_nanos))
-                .count()
-        };
-        assert_eq!(window(0, 30), 2);
-        assert_eq!(window(30, 60), 1);
-        assert_eq!(window(100, 200), 0);
+        let first = LagStats::from_histogram(&edge.since(&start)).unwrap();
+        let second = LagStats::from_histogram(&end.since(&edge)).unwrap();
+        assert_eq!((first.count, second.count), (2, 1));
+        assert_eq!((first.min_ms, first.max_ms), (ms(10), ms(20)));
+        // 20 ns sits in the bucket [20, 21]: the window's max is that
+        // bucket's upper edge, clamped to the run's exact maximum.
+        assert_eq!((second.min_ms, second.max_ms), (ms(20), ms(20)));
+        assert!(LagStats::from_histogram(&end.since(&end)).is_none());
+        assert_eq!(t.stats().unwrap().count, 3);
+    }
+
+    #[test]
+    fn concurrent_records_are_all_counted() {
+        // Four recorders; in each, every third sample has equal stamps (zero
+        // lag) and every third reversed stamps (zero lag, counted as skew).
+        const PER_THREAD: u64 = 1_000;
+        let t = LagTracker::new();
+        std::thread::scope(|s| {
+            for thread in 0..4u64 {
+                let t = &t;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let committed = 1_000_000 * thread + 10 * i + 10;
+                        let exposed = match i % 3 {
+                            0 => committed + 500 + i,
+                            1 => committed,
+                            _ => committed - 5,
+                        };
+                        t.record(committed, exposed);
+                    }
+                });
+            }
+        });
+        assert_eq!(t.len(), 4 * PER_THREAD as usize);
+        assert_eq!(t.clock_skew_samples(), 4 * (PER_THREAD / 3));
+        assert_eq!(
+            t.latest_covered_commit_nanos(),
+            Some(3_000_000 + 10 * (PER_THREAD - 1) + 10)
+        );
         let stats = t.stats().unwrap();
-        assert_eq!(stats.count, 3);
-        assert!(stats.max_ms >= stats.p50_ms);
+        assert_eq!(stats.count, 4 * PER_THREAD as usize);
+        assert_eq!(stats.min_ms, 0.0);
+        // The largest lag is i = 999's: 500 + 999 ns.
+        assert_eq!(stats.max_ms, ms(500 + PER_THREAD - 1));
     }
 }

@@ -51,7 +51,7 @@ pub mod snapshotter;
 
 pub use exposure::{Exposure, PrefixExposure};
 pub use fleet::{FleetController, FleetRoutingSink, JoinReport, ReplicaLifecycle, RetireReport};
-pub use lag::{LagSample, LagStats, LagTracker};
+pub use lag::{LagStats, LagTracker};
 pub use mpc::MpcChecker;
 pub use pipeline::{
     BlockingInstall, GcDriver, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals,

@@ -998,7 +998,7 @@ impl BoundaryLedger {
         while let Some(&(seq, committed_at)) = boundaries.front() {
             if seq <= exposed {
                 boundaries.pop_front();
-                self.lag.record(seq, committed_at, now);
+                self.lag.record(committed_at, now);
             } else {
                 break;
             }

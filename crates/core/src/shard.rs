@@ -340,9 +340,9 @@ impl CutCoordinator {
             std::mem::replace(&mut *boundaries, above)
         };
         let now = c5_log::now_nanos();
-        for (seq, (committed_at, shard)) in newly_covered {
-            self.lag.record(SeqNo(seq), committed_at, now);
-            self.shard_lag[shard].record(SeqNo(seq), committed_at, now);
+        for (committed_at, shard) in newly_covered.into_values() {
+            self.lag.record(committed_at, now);
+            self.shard_lag[shard].record(committed_at, now);
         }
         // Compute the whole vector, then publish `(cut, vector)` as one
         // unit: readers must never combine components from two different

@@ -6,8 +6,8 @@
 //! (12.5%) everywhere. With 64 octaves the whole `u64` range — this crate
 //! records nanoseconds, so from 1 ns to ~584 years — fits in
 //! [`BUCKET_COUNT`] buckets (~4 KiB of atomics per histogram), which is what
-//! makes the histogram *bounded*: recording forever never allocates, unlike
-//! the sampled `Mutex<Vec<f64>>` reservoirs it replaces.
+//! makes the histogram *bounded*: recording forever never allocates, so a
+//! distribution kept for a whole run costs what an empty one does.
 //!
 //! Recording is lock-free — five relaxed atomic RMWs — and safe from any
 //! number of threads. `count` and `sum` are exact (each value contributes
@@ -18,9 +18,10 @@
 //! (≤ 12.5% relative) of a serial sort and *exact* whenever every sample in
 //! the ranked bucket is the same value (e.g. single-sample histograms).
 //!
-//! The nearest-rank rule is the one `LagStats::from_millis` documents —
-//! rank `⌈p·N⌉`, clamped to at least the first sample — so summaries built
-//! from these histograms are directly comparable to the lag figures.
+//! The nearest-rank rule is rank `⌈p·N⌉`, clamped to at least the first
+//! sample. It is the only percentile rule in the workspace's summaries:
+//! `c5_core::lag::LagStats::from_histogram` reads every quantile it reports
+//! from here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,22 +54,20 @@ fn bucket_index(v: u64) -> usize {
     1 + octave as usize * SUB_BUCKETS + sub as usize
 }
 
-/// Largest value that maps to bucket `index` (its inclusive upper edge).
-fn bucket_upper(index: usize) -> u64 {
+/// Smallest and largest values that map to bucket `index` (its inclusive
+/// edges).
+fn bucket_bounds(index: usize) -> (u64, u64) {
     if index == 0 {
-        return 0;
+        return (0, 0);
     }
     let linear = index - 1;
     let octave = (linear / SUB_BUCKETS) as u32;
     let sub = (linear % SUB_BUCKETS) as u64;
-    if octave < SUB_BITS {
-        (1u64 << octave) + sub
-    } else {
-        let width = 1u64 << (octave - SUB_BITS);
-        // Subtract first: the top bucket's edge is exactly `u64::MAX` and
-        // adding before subtracting would overflow.
-        (1u64 << octave) - 1 + (sub + 1) * width
-    }
+    // Octaves below SUB_BITS have width-1 buckets (see `bucket_index`).
+    let width = 1u64 << octave.saturating_sub(SUB_BITS);
+    let lower = (1u64 << octave) + sub * width;
+    // `width - 1` first: the top bucket's upper edge is exactly `u64::MAX`.
+    (lower, lower + (width - 1))
 }
 
 /// A concurrent fixed-memory histogram of `u64` observations (nanoseconds,
@@ -147,7 +146,8 @@ impl std::fmt::Debug for Histogram {
 }
 
 /// An immutable copy of a [`Histogram`]'s state: mergeable, and the unit of
-/// exposition (percentiles, Prometheus text, JSON all read from here).
+/// exposition (percentiles, Prometheus text and lag summaries all read from
+/// here).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
@@ -209,8 +209,8 @@ impl HistogramSnapshot {
 
     /// Nearest-rank percentile, `p` in `[0, 1]`: the upper edge of the
     /// bucket holding the `⌈p·N⌉`-th smallest observation (rank clamped to
-    /// at least 1, matching `LagStats::from_millis`), clamped to the exact
-    /// observed `[min, max]`. Returns 0 for an empty snapshot.
+    /// at least 1), clamped to the observed `[min, max]`. Returns 0 for an
+    /// empty snapshot.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.is_empty() {
             return 0;
@@ -220,12 +220,47 @@ impl HistogramSnapshot {
         for (index, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return bucket_upper(index).clamp(self.min, self.max);
+                return self.within_observed(bucket_bounds(index).1);
             }
         }
         // Unreachable when count equals the bucket totals; under a weakly
         // consistent mid-recording snapshot fall back to the maximum.
         self.max
+    }
+
+    /// What was recorded between `earlier` and this snapshot, both taken of
+    /// the same histogram in that order: bucket, count and sum differences
+    /// (saturating, so a weakly consistent pair cannot underflow). Min and
+    /// max are not tracked per interval, so the result's are the edges of
+    /// its outermost non-empty buckets, clamped to this snapshot's exact
+    /// `[min, max]`; its percentiles keep the one-bucket bound.
+    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let buckets: Vec<u64> = (self.buckets.iter().zip(&earlier.buckets))
+            .map(|(now, then)| now.saturating_sub(*then))
+            .collect();
+        let first = buckets.iter().position(|&n| n > 0);
+        let last = buckets.iter().rposition(|&n| n > 0);
+        let (min, max) = match (first, last) {
+            (Some(first), Some(last)) => (
+                self.within_observed(bucket_bounds(first).0),
+                self.within_observed(bucket_bounds(last).1),
+            ),
+            _ => (u64::MAX, 0),
+        };
+        HistogramSnapshot {
+            buckets,
+            count: self.count.saturating_sub(earlier.count),
+            sum: self.sum.saturating_sub(earlier.sum),
+            min,
+            max,
+        }
+    }
+
+    /// `v` clamped to the observed `[min, max]`. Not `clamp`: a snapshot
+    /// taken mid-`record` can see a count before the min/max it brings, and
+    /// `clamp` panics on min > max.
+    fn within_observed(&self, v: u64) -> u64 {
+        v.min(self.max).max(self.min)
     }
 
     /// Folds another snapshot into this one. Count, sum, min and max stay
@@ -248,8 +283,8 @@ mod tests {
 
     #[test]
     fn bucket_index_and_upper_agree() {
-        // Every probe value must land in a bucket whose upper edge is the
-        // largest value mapping back to the same bucket.
+        // Every probe value must land in a bucket whose edges are the
+        // smallest and largest values mapping back to the same bucket.
         let probes = [
             0u64,
             1,
@@ -270,18 +305,22 @@ mod tests {
         ];
         for &v in &probes {
             let idx = bucket_index(v);
-            let upper = bucket_upper(idx);
-            assert!(upper >= v, "upper {upper} < value {v}");
-            assert_eq!(
-                bucket_index(upper),
-                idx,
-                "upper edge {upper} of value {v} maps to a different bucket"
-            );
+            let (lower, upper) = bucket_bounds(idx);
+            assert!(lower <= v && v <= upper, "{v} outside [{lower}, {upper}]");
+            assert_eq!(bucket_index(lower), idx, "lower edge of {v} elsewhere");
+            assert_eq!(bucket_index(upper), idx, "upper edge of {v} elsewhere");
             if upper < u64::MAX {
                 assert_ne!(
                     bucket_index(upper + 1),
                     idx,
                     "bucket of {v} leaks past its upper edge {upper}"
+                );
+            }
+            if lower > 0 {
+                assert_ne!(
+                    bucket_index(lower - 1),
+                    idx,
+                    "bucket of {v} leaks below its lower edge {lower}"
                 );
             }
         }
@@ -290,7 +329,7 @@ mod tests {
     #[test]
     fn relative_bucket_width_is_bounded() {
         for &v in &[8u64, 100, 5_000, 1_000_000, 123_456_789_000] {
-            let upper = bucket_upper(bucket_index(v));
+            let (_, upper) = bucket_bounds(bucket_index(v));
             // upper/v ≤ 1 + 1/8 for values at or above the first full octave.
             assert!(
                 (upper as f64) <= v as f64 * (1.0 + 1.0 / SUB_BUCKETS as f64),
@@ -354,6 +393,18 @@ mod tests {
         let mut from_empty = HistogramSnapshot::empty();
         from_empty.merge(&merged);
         assert_eq!(from_empty, merged);
+    }
+
+    #[test]
+    fn a_snapshot_torn_mid_record_does_not_panic() {
+        // `snapshot` can read a record's bucket and count before its
+        // `fetch_min`/`fetch_max` land: count 1, min still `u64::MAX`, max 0.
+        let mut torn = HistogramSnapshot::empty();
+        torn.buckets[bucket_index(5)] = 1;
+        torn.count = 1;
+        torn.sum = 5;
+        torn.percentile(0.5);
+        assert_eq!(torn.since(&HistogramSnapshot::empty()).count(), 1);
     }
 
     #[test]

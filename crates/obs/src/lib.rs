@@ -19,9 +19,9 @@
 //!
 //! The crate sits *below* `c5-common` (it depends only on the
 //! `parking_lot` shim), which is what lets configs carry an `Arc<Obs>`.
-//! Exposition to Prometheus text lives here
-//! ([`MetricsSnapshot::to_prometheus`]); JSON exposition lives in
-//! `c5-bench`, which owns the workspace's hand-rolled JSON.
+//! Exposition is Prometheus text, and it lives here
+//! ([`MetricsSnapshot::to_prometheus`]); the experiments print tables from
+//! typed fields and write no JSON.
 
 #![warn(missing_docs)]
 

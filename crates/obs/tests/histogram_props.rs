@@ -1,7 +1,7 @@
 //! Property tests for the concurrent histogram: under N recording threads,
 //! the merged snapshot's count and sum are exact, min/max are exact, and
 //! every percentile lands within one bucket of a serial sort's
-//! nearest-rank answer.
+//! nearest-rank answer — also over the difference of two snapshots.
 
 use c5_obs::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
@@ -88,5 +88,36 @@ proptest! {
         }
 
         prop_assert_eq!(whole.snapshot(), merged);
+    }
+
+    /// Record `a`, snapshot, record `b`, snapshot: the second snapshot
+    /// `since` the first is `b` alone — exact in count and sum, and within
+    /// one bucket of `b`'s nearest-rank answers and extremes.
+    #[test]
+    fn since_an_earlier_snapshot_is_what_came_after(
+        a in prop::collection::vec(0u64..=10_000_000_000, 0..200),
+        b in prop::collection::vec(0u64..=10_000_000_000, 1..200),
+    ) {
+        let hist = Histogram::new();
+        a.iter().for_each(|&v| hist.record(v));
+        let earlier = hist.snapshot();
+        b.iter().for_each(|&v| hist.record(v));
+        let window = hist.snapshot().since(&earlier);
+
+        let mut sorted = b.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(window.count(), b.len() as u64);
+        prop_assert_eq!(window.sum(), b.iter().sum::<u64>());
+        prop_assert!(within_one_bucket(window.min(), sorted[0]));
+        prop_assert!(within_one_bucket(window.max(), *sorted.last().unwrap()));
+        for p in [0.25, 0.5, 0.75, 0.99] {
+            let exact = serial_percentile(&sorted, p);
+            let estimate = window.percentile(p);
+            prop_assert!(
+                within_one_bucket(estimate, exact),
+                "p{} estimate {} too far from exact {} over {} samples",
+                p, estimate, exact, sorted.len()
+            );
+        }
     }
 }

@@ -8,16 +8,16 @@
 //! `read_latency_ns{class="…"}` / `read_staleness_ns{class="…"}` — fixed
 //! bucket arrays recorded with plain atomics, so the sampled path takes no
 //! lock and memory stays bounded however long the run. Percentile summaries
-//! are reported as [`LagStats`], the same checked nearest-rank shape the
-//! replication-lag tracker uses, built from the histogram (quantiles carry
-//! the histogram's ≤12.5% bucket resolution; count/min/max/mean are exact).
+//! are [`LagStats::from_histogram`], the one summary the replication-lag
+//! tracker reports too (quantiles carry the histogram's ≤12.5% bucket
+//! resolution; count/min/max/mean are exact).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use c5_core::lag::LagStats;
-use c5_obs::{Histogram, HistogramSnapshot, Obs};
+use c5_obs::{Histogram, Obs};
 
 use crate::consistency::ClassKind;
 
@@ -165,31 +165,10 @@ impl RouterMetrics {
             blocked: class.blocked.load(Ordering::Relaxed),
             block_nanos: class.block_nanos.load(Ordering::Relaxed),
             timeouts: class.timeouts.load(Ordering::Relaxed),
-            latency: lag_stats_from(&class.latency_ns.snapshot()),
-            staleness: lag_stats_from(&class.staleness_ns.snapshot()),
+            latency: LagStats::from_histogram(&class.latency_ns.snapshot()),
+            staleness: LagStats::from_histogram(&class.staleness_ns.snapshot()),
         }
     }
-}
-
-/// [`LagStats`] over a nanosecond histogram snapshot, in milliseconds.
-/// Count, min, max, and mean are exact (the histogram tracks them outside
-/// the buckets); the quartiles and p99 carry the histogram's bucket
-/// resolution (≤12.5% relative).
-fn lag_stats_from(h: &HistogramSnapshot) -> Option<LagStats> {
-    if h.is_empty() {
-        return None;
-    }
-    let ms = |ns: u64| ns as f64 / 1e6;
-    Some(LagStats {
-        count: h.count() as usize,
-        min_ms: ms(h.min()),
-        p25_ms: ms(h.percentile(0.25)),
-        p50_ms: ms(h.percentile(0.50)),
-        p75_ms: ms(h.percentile(0.75)),
-        p99_ms: ms(h.percentile(0.99)),
-        max_ms: ms(h.max()),
-        mean_ms: h.mean() / 1e6,
-    })
 }
 
 /// A snapshot of one consistency class's read statistics.
@@ -238,6 +217,7 @@ impl ClassStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c5_obs::HistogramSnapshot;
 
     #[test]
     fn counters_and_reservoirs_accumulate() {
@@ -333,18 +313,23 @@ mod tests {
         for &ms in &samples_ms {
             h.record((ms * 1e6) as u64);
         }
-        let from_hist = lag_stats_from(&h.snapshot()).unwrap();
-        let exact = LagStats::from_millis(samples_ms).unwrap();
+        let from_hist = LagStats::from_histogram(&h.snapshot()).unwrap();
 
-        assert_eq!(from_hist.count, exact.count);
-        assert!((from_hist.min_ms - exact.min_ms).abs() < 1e-6);
-        assert!((from_hist.max_ms - exact.max_ms).abs() < 1e-6);
-        assert!((from_hist.mean_ms - exact.mean_ms).abs() < 1e-3);
+        // The checked nearest-rank rule over the sorted samples: rank ⌈p·N⌉,
+        // at least 1.
+        let n = samples_ms.len();
+        let exact = |p: f64| samples_ms[((n as f64 * p).ceil().max(1.0) as usize).min(n) - 1];
+        let mean = samples_ms.iter().sum::<f64>() / n as f64;
+
+        assert_eq!(from_hist.count, n);
+        assert!((from_hist.min_ms - samples_ms[0]).abs() < 1e-6);
+        assert!((from_hist.max_ms - samples_ms[n - 1]).abs() < 1e-6);
+        assert!((from_hist.mean_ms - mean).abs() < 1e-3);
         for (got, want) in [
-            (from_hist.p25_ms, exact.p25_ms),
-            (from_hist.p50_ms, exact.p50_ms),
-            (from_hist.p75_ms, exact.p75_ms),
-            (from_hist.p99_ms, exact.p99_ms),
+            (from_hist.p25_ms, exact(0.25)),
+            (from_hist.p50_ms, exact(0.50)),
+            (from_hist.p75_ms, exact(0.75)),
+            (from_hist.p99_ms, exact(0.99)),
         ] {
             assert!(
                 (got - want).abs() <= want * 0.125 + 1e-6,

@@ -9,13 +9,13 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use c5_common::RowRef;
 use c5_core::lag::LagStats;
 use c5_core::replica::ClonedConcurrencyControl;
+use c5_obs::Histogram;
 
 /// Every `LATENCY_SAMPLE_EVERY`th read's latency is measured and recorded,
 /// keeping the clock calls off the closed-loop hot path.
@@ -30,9 +30,9 @@ pub struct ReadRunStats {
     pub hits: u64,
     /// Wall-clock duration of the run in nanoseconds.
     pub wall_nanos: u64,
-    /// Sampled per-read latencies in milliseconds (one in every
-    /// [`LATENCY_SAMPLE_EVERY`] reads).
-    pub latency_samples_ms: Vec<f64>,
+    /// Latency percentiles over the sampled reads (one in every
+    /// [`LATENCY_SAMPLE_EVERY`]), or `None` when no read was sampled.
+    pub latency: Option<LagStats>,
 }
 
 impl ReadRunStats {
@@ -43,13 +43,6 @@ impl ReadRunStats {
         } else {
             self.reads as f64 / (self.wall_nanos as f64 / 1e9)
         }
-    }
-
-    /// Latency percentiles over the sampled reads (checked nearest-rank, the
-    /// same statistics the replication-lag figures use), or `None` when no
-    /// read was sampled.
-    pub fn latency(&self) -> Option<LagStats> {
-        LagStats::from_millis(self.latency_samples_ms.clone())
     }
 }
 
@@ -70,7 +63,7 @@ pub fn run_point_read_clients(
     }
     let reads = AtomicU64::new(0);
     let hits = AtomicU64::new(0);
-    let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::new());
+    let latency_ns = Histogram::new();
     let stop = AtomicBool::new(false);
     let start = Instant::now();
 
@@ -78,13 +71,12 @@ pub fn run_point_read_clients(
         for client in 0..clients {
             let reads = &reads;
             let hits = &hits;
-            let latencies = &latencies;
+            let latency_ns = &latency_ns;
             let stop = &stop;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(client as u64));
                 let mut local_reads = 0u64;
                 let mut local_hits = 0u64;
-                let mut local_latencies = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     let key = rng.gen_range(0..key_space.max(1));
                     // Time one in every LATENCY_SAMPLE_EVERY reads; the rest
@@ -96,7 +88,7 @@ pub fn run_point_read_clients(
                         local_hits += 1;
                     }
                     if let Some(read_start) = read_start {
-                        local_latencies.push(read_start.elapsed().as_secs_f64() * 1e3);
+                        latency_ns.record_duration(read_start.elapsed());
                     }
                     local_reads += 1;
                     // Check the clock only every few iterations to keep the
@@ -107,7 +99,6 @@ pub fn run_point_read_clients(
                 }
                 reads.fetch_add(local_reads, Ordering::Relaxed);
                 hits.fetch_add(local_hits, Ordering::Relaxed);
-                latencies.lock().append(&mut local_latencies);
             });
         }
         // A watchdog in case clients spin slower than the check interval.
@@ -123,7 +114,7 @@ pub fn run_point_read_clients(
         reads: reads.load(Ordering::Relaxed),
         hits: hits.load(Ordering::Relaxed),
         wall_nanos: start.elapsed().as_nanos() as u64,
-        latency_samples_ms: latencies.into_inner(),
+        latency: LagStats::from_histogram(&latency_ns.snapshot()),
     }
 }
 
@@ -192,7 +183,7 @@ mod tests {
         assert!(stats.throughput() > 0.0);
         // Each client times its very first read, so samples always exist and
         // the percentile summary is well-formed.
-        let latency = stats.latency().expect("latency samples were collected");
+        let latency = stats.latency.expect("latency samples were collected");
         assert!(latency.count >= 1);
         assert!(latency.p50_ms <= latency.p99_ms);
         assert!(latency.p99_ms <= latency.max_ms);

@@ -18,20 +18,9 @@ use std::sync::Arc;
 pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Self {
-        Self(Arc::from(&[][..]))
-    }
-
     /// Creates a `Bytes` by copying the given slice.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Self(Arc::from(data))
-    }
-
-    /// Creates a `Bytes` from a static slice (copies under the shim; the real
-    /// crate borrows).
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Self::copy_from_slice(data)
     }
 
     /// Number of bytes in the buffer.
@@ -47,7 +36,7 @@ impl Bytes {
 
 impl Default for Bytes {
     fn default() -> Self {
-        Self::new()
+        Self(Arc::from(&[][..]))
     }
 }
 
@@ -113,6 +102,6 @@ mod tests {
         assert_eq!(b, c);
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
-        assert!(Bytes::new().is_empty());
+        assert!(Bytes::default().is_empty());
     }
 }

@@ -92,8 +92,8 @@ pub mod prelude {
     };
     pub use c5_core::{
         checkpoint_dir, log_dir, recover_replica, CutCoordinator, FleetController,
-        FleetRoutingSink, JoinReport, LagSample, LagStats, LagTracker, MpcChecker,
-        RecoveredReplica, ReplicaLifecycle, RetireReport, ShardedC5Replica, WatermarkTracker,
+        FleetRoutingSink, JoinReport, LagStats, LagTracker, MpcChecker, RecoveredReplica,
+        ReplicaLifecycle, RetireReport, ShardedC5Replica, WatermarkTracker,
     };
     pub use c5_log::{
         coalesce, segments_from_entries, DurableRecovery, LogArchive, LogReceiver, LogShipper,
