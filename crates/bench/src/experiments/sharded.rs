@@ -1,5 +1,4 @@
-//! Sharded replication: per-partition apply under the cross-shard cut
-//! coordinator.
+//! Sharded replication: per-partition apply under one global cut.
 //!
 //! The paper's replica applies one log with one pipeline; the ROADMAP
 //! north-star is a keyspace that shards. This scenario runs the shard-span
@@ -15,9 +14,8 @@
 //! owning its final write).
 //!
 //! The 1-shard row is the control: it must match the unsharded faithful
-//! replica, because the cut protocol degenerates to the paper's
-//! single-log cut when the vector has one component
-//! (`tests/protocol_conformance.rs` holds it to that).
+//! replica, because at one shard the global cut is the paper's single-log
+//! cut (`tests/protocol_conformance.rs` holds it to that).
 
 use std::sync::Arc;
 

@@ -812,7 +812,7 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
             },
             cuts_taken: sharded.as_ref().map_or(0, |s| s.coordinator().cuts_taken()),
             per_shard: sharded.map_or_else(Vec::new, |s| {
-                (0..s.cut_vector().len())
+                (0..s.shards())
                     .map(|shard| (s.shard_lag(shard).len(), s.shard_lag(shard).stats()))
                     .collect()
             }),

@@ -10,8 +10,8 @@
 //!
 //! There are exactly two. [`PrefixExposure`] exposes a prefix of *one log*
 //! (C5 in both modes, every baseline). The sharded replica's per-shard
-//! exposure (`crate::shard`) is a component of a *cut vector*: applied
-//! positions have gaps and the cut is a minimum over shards. A
+//! exposure (`crate::shard`) shares one global cut: applied positions have
+//! gaps and the cut is a minimum over shards. A
 //! whole-database cursor is still a prefix — its cut merely gates the workers
 //! — so it is a cursor kind inside [`PrefixExposure`], not a third exposure.
 

@@ -90,9 +90,9 @@ pub struct ReplicaMetrics {
     /// Row versions reclaimed by the garbage-collection horizon trailing the
     /// exposed cut.
     pub reclaimed_versions: u64,
-    /// Transactions whose writes spanned more than one keyspace shard (zero
-    /// for unsharded replicas, and for sharded replicas fed pre-routed
-    /// streams — there the sharded shipper counts).
+    /// Transactions whose writes spanned more than one keyspace shard, as
+    /// the sharded replica's router counts them (zero for unsharded
+    /// replicas).
     pub cross_shard_txns: u64,
 }
 
@@ -434,25 +434,11 @@ impl C5Replica {
     /// [`c5_log::LogArchive::replay_from`] at the checkpoint's cut, then the
     /// live stream. This is the failover catch-up path: install, replay the
     /// retained tail, keep up.
-    ///
-    /// # Panics
-    /// Panics if the checkpoint holds versions above its cut — the signature
-    /// of a *vector* capture from a sharded replica, whose advanced shard
-    /// components this replica cannot reconcile with a whole-log replay
-    /// from the global cut (the records in `(cut, component]` would be
-    /// re-delivered against chain heads already past them and wedge).
     pub fn resume_from_checkpoint(
         mode: C5Mode,
         checkpoint: &Checkpoint,
         config: ReplicaConfig,
     ) -> Arc<Self> {
-        assert!(
-            checkpoint.max_version() <= checkpoint.cut(),
-            "checkpoint holds versions through {} but its cut is {}: a \
-             sharded vector capture cannot bootstrap an unsharded replica",
-            checkpoint.max_version(),
-            checkpoint.cut()
-        );
         let store = CheckpointInstaller::install(checkpoint);
         Self::start(
             mode,

@@ -1,15 +1,15 @@
-//! Sharded replication: per-partition apply pipelines under a cross-shard
-//! consistent-cut coordinator.
+//! Sharded replication: per-partition apply pipelines under one global cut.
 //!
 //! The paper's backup applies one log with one pipeline. At production scale
 //! the keyspace itself shards: a [`c5_common::ShardRouter`] assigns every row
-//! a shard by key range, each shard runs its **own** instance of the shared
+//! a shard by key range, the replica splits each segment it is fed into one
+//! sub-segment per shard, each shard runs its **own** instance of the shared
 //! [`crate::pipeline`] runtime (scheduler, workers, wait lists, expose
 //! thread) over its slice of the log, and a [`CutCoordinator`] reassembles
 //! the paper's headline guarantee — monotonic prefix consistency — for
 //! snapshots that span shards.
 //!
-//! ## The cut-vector protocol
+//! ## The global-cut protocol
 //!
 //! Every shard publishes a [`ShardProgress`] watermark: the largest global
 //! log position `w_s` such that every record the shard owns at or below
@@ -24,23 +24,20 @@
 //! cross-shard transactions are pinned to one side of the cut by
 //! construction, never split.
 //!
-//! From `B` the coordinator then derives the **maximal cut vector**
-//! `(c_1..c_N)`: each shard's component is the *frontier* — one position
-//! before the shard's earliest record above `B` (or the shard's coverage
-//! watermark when it owns nothing above `B`). Reading shard `s` at `c_s`
-//! observes exactly the same rows as reading it at `B`, because by
-//! construction no shard-`s` version exists in `(B, c_s]`; the vector is the
-//! proof object that each per-shard boundary is as far ahead as the global
-//! prefix permits. Snapshot reads pin the whole vector at creation
-//! ([`crate::snapshotter::ShardedReadView`]), and the version-GC horizon
-//! trails the vector's minimum.
+//! `B` is the replica's one exposed counter — the paper's `c` (Section 4.2).
+//! The coordinator publishes it through a timestamped [`SnapshotCursor`], so
+//! advancing it is one atomic store (Section 7.2), and every read view, scan
+//! and checkpoint, and the version-GC horizon, sit at `B`. Per-shard
+//! components `c_s ≥ B` would add nothing: a shard's rows read the same at
+//! any position from `B` up to one before the shard's earliest record above
+//! `B`, so a view pinned at such a vector equals a view at `B`, row for row.
 //!
 //! The single-shard case degenerates exactly to the paper's protocol: one
-//! pipeline, `w_1` is the applied watermark, `B` the boundary watermark, and
-//! the vector has one component equal to the exposed cut. That is a test
-//! (`tests/protocol_conformance.rs`), and holds by construction: each shard
-//! runs the very ordering `C5Replica` runs (`PerRowOrdering`), over a
-//! different [`Exposure`] — a component of the cut vector, not a prefix.
+//! pipeline, `w_1` is the applied watermark and `B` the boundary watermark.
+//! That is a test (`tests/protocol_conformance.rs`), and holds by
+//! construction: each shard runs the very ordering `C5Replica` runs
+//! (`PerRowOrdering`), over a different [`Exposure`] — the shared global cut
+//! rather than a prefix of its own.
 //!
 //! ## One progress signal for all shards
 //!
@@ -61,18 +58,27 @@
 //! [`ShardProgress`]'s batched mark in one lock acquisition. Nothing in a
 //! shard's pipeline waits on the shard watermark; a coordinator that
 //! observes it one sub-segment late merely takes its next cut one
-//! notification later. Segment *routing* (the other per-record cost on this
-//! path) reuses scratch buffers threaded through the persistent
-//! [`TxnShardTracker`]; see [`c5_log::ship`].
+//! notification later.
+//!
+//! Splitting a segment (`route_segment_with`, the other per-record cost on
+//! this path) runs once per segment on the feeder, so it amortizes its
+//! allocations: the per-record shard assignments and per-shard counts live
+//! in scratch buffers inside the replica's persistent `TxnShardTracker`
+//! (they grow to one segment's size once and are reused after), and each
+//! sub-segment's record buffer is allocated once, at its final size — a
+//! shard that owns nothing in a segment allocates nothing. One tracker
+//! serves the whole stream because it sees every segment in order: it also
+//! carries the open-transaction masks that classify a transaction straddling
+//! a segment boundary as cross-shard.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use c5_common::{OpCost, ReplicaConfig, SeqNo, ShardRouter};
-use c5_log::{route_segment_with, LogRecord, Segment, TxnShardTracker};
+use c5_common::{OpCost, ReplicaConfig, SeqNo, ShardRouter, TxnId};
+use c5_log::{LogRecord, Segment};
 use c5_obs::Obs;
 use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 
@@ -86,7 +92,114 @@ use crate::replica::{
     ClonedConcurrencyControl, PerRowOrdering, Promotion, ReadView, ReplicaMetrics,
 };
 use crate::scheduler::SchedulerState;
-use crate::snapshotter::ShardedReadView;
+use crate::snapshotter::SnapshotCursor;
+
+// ---------------------------------------------------------------------------
+// Splitting the log by key range.
+// ---------------------------------------------------------------------------
+
+/// The result of splitting one segment by key range: one sub-segment per
+/// shard (possibly empty, always carrying the parent's coverage watermark)
+/// plus the cross-shard transactions the split completed.
+#[derive(Debug)]
+struct RoutedSegments {
+    /// One sub-segment per shard, indexed by shard. Records *move* here from
+    /// the parent segment; nothing is cloned.
+    parts: Vec<Segment>,
+    /// Transactions whose last write is in the parent segment and whose
+    /// writes spanned more than one shard.
+    cross_shard_txns: u64,
+}
+
+/// Shard membership of transactions whose last write has not been seen yet,
+/// keyed by transaction id. Carrying this state across
+/// [`route_segment_with`] calls makes the cross-shard count *per
+/// transaction*: a transaction whose records straddle a segment boundary
+/// accumulates one mask and is judged once, at its last write — instead of
+/// being judged per segment, which either double-counts a transaction whose
+/// every fragment spans shards or misses one that only spans shards across
+/// the boundary.
+#[derive(Debug, Default)]
+struct TxnShardTracker {
+    open: HashMap<TxnId, u64>,
+    /// Routing scratch, reused across calls: the shard assignment of each
+    /// record in the segment currently being routed.
+    shard_of: Vec<u8>,
+    /// Routing scratch, reused across calls: per-shard record counts of the
+    /// segment currently being routed, so each sub-segment buffer can be
+    /// allocated exactly once at its final size (and empty shards allocate
+    /// nothing).
+    counts: Vec<u32>,
+}
+
+/// Splits a segment into per-shard sub-segments under `router`. Each record
+/// moves to the shard owning its row; within a shard, records keep their log
+/// order. Every part's `covers_through` is the parent's, so a shard that owns
+/// nothing in this segment still learns the log has moved past it. Shard
+/// masks of transactions still open at the segment boundary are carried in
+/// `tracker`, so each transaction is judged exactly once, by id, at its last
+/// write.
+fn route_segment_with(
+    segment: Segment,
+    router: &ShardRouter,
+    tracker: &mut TxnShardTracker,
+) -> RoutedSegments {
+    let covers = segment.covered_through();
+    let id = segment.header.id;
+    let mut cross_shard_txns = 0u64;
+    // First pass, by reference: route every record (shards fit in a u8 —
+    // `ShardRouter` caps at 64), count per shard, and settle the cross-shard
+    // masks. The scratch buffers persist in the tracker, so after the first
+    // segment this pass allocates nothing.
+    let TxnShardTracker {
+        open,
+        shard_of,
+        counts,
+    } = tracker;
+    shard_of.clear();
+    shard_of.reserve(segment.records.len());
+    counts.clear();
+    counts.resize(router.shards(), 0);
+    for record in &segment.records {
+        let shard = router.route(record.write.row);
+        shard_of.push(shard as u8);
+        counts[shard] += 1;
+        if record.is_txn_last() {
+            // The complete mask: fragments from earlier segments, if any,
+            // plus this final write's shard.
+            let mask = open.remove(&record.txn).unwrap_or(0) | (1u64 << shard);
+            if !mask.is_power_of_two() {
+                cross_shard_txns += 1;
+            }
+        } else {
+            *open.entry(record.txn).or_insert(0) |= 1u64 << shard;
+        }
+    }
+    // Second pass, by value: move each record into its sub-segment buffer,
+    // every buffer allocated exactly once at its final size. Shards owning
+    // nothing in this segment allocate nothing (their sub-segment only
+    // carries the coverage watermark).
+    let mut parts: Vec<Vec<LogRecord>> = counts
+        .iter()
+        .map(|&count| {
+            if count == 0 {
+                Vec::new()
+            } else {
+                Vec::with_capacity(count as usize)
+            }
+        })
+        .collect();
+    for (record, &shard) in segment.records.into_iter().zip(shard_of.iter()) {
+        parts[shard as usize].push(record);
+    }
+    RoutedSegments {
+        parts: parts
+            .into_iter()
+            .map(|records| Segment::sub_segment(id, records, covers))
+            .collect(),
+        cross_shard_txns,
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Per-shard progress.
@@ -106,8 +219,6 @@ pub struct ShardProgress {
     applied: AtomicU64,
     /// Cached coverage watermark for lock-free probes.
     covered: AtomicU64,
-    /// This shard's component of the exposed cut vector (`c_s`).
-    exposed: AtomicU64,
     applied_writes: AtomicU64,
     applied_txns: AtomicU64,
     deferred_writes: AtomicU64,
@@ -117,9 +228,6 @@ pub struct ShardProgress {
 struct ProgressInner {
     /// Owned positions noted but not yet installed.
     pending: BTreeSet<u64>,
-    /// Every owned position above the last pruned global cut (installed or
-    /// not) — the frontier query needs installed-but-unexposed positions too.
-    owned: BTreeSet<u64>,
     /// The global position the shard's stream is complete through.
     covered: u64,
 }
@@ -146,9 +254,7 @@ impl ShardProgress {
     fn note_segment(&self, segment: &Segment) {
         let mut inner = self.inner.lock();
         for record in &segment.records {
-            let seq = record.seq.as_u64();
-            inner.pending.insert(seq);
-            inner.owned.insert(seq);
+            inner.pending.insert(record.seq.as_u64());
         }
         inner.covered = inner.covered.max(segment.covered_through().as_u64());
         self.covered.store(inner.covered, Ordering::Release);
@@ -187,32 +293,6 @@ impl ShardProgress {
         SeqNo(self.covered.load(Ordering::Acquire))
     }
 
-    /// This shard's component of the exposed cut vector.
-    pub fn exposed(&self) -> SeqNo {
-        SeqNo(self.exposed.load(Ordering::Acquire))
-    }
-
-    /// The maximal per-shard boundary consistent with global cut `cut`: one
-    /// position before the shard's earliest owned record above `cut`, or the
-    /// coverage watermark when the shard owns nothing above it. Reading the
-    /// shard anywhere in `[cut, frontier]` observes identical rows.
-    fn frontier(&self, cut: u64) -> u64 {
-        let inner = self.inner.lock();
-        match inner.owned.range(cut + 1..).next() {
-            Some(&next) => next - 1,
-            None => inner.covered.max(cut),
-        }
-    }
-
-    /// Advances the exposed component (monotonic) and forgets owned
-    /// positions at or below the global cut (the frontier never looks below
-    /// it again).
-    fn expose_and_prune(&self, component: u64, cut: u64) {
-        self.exposed.fetch_max(component, Ordering::AcqRel);
-        let mut inner = self.inner.lock();
-        inner.owned = inner.owned.split_off(&(cut + 1));
-    }
-
     /// Number of owned positions noted and not yet installed (diagnostic).
     pub fn pending(&self) -> usize {
         self.inner.lock().pending.len()
@@ -234,22 +314,16 @@ pub struct CutCoordinator {
     /// Per-shard lag: a transaction's sample also lands on the shard owning
     /// its final write (where the transaction "commits" on the backup).
     shard_lag: Vec<Arc<LagTracker>>,
-    /// The global cut `B` (cheap monotone probe; see `exposed_state` for
-    /// the consistent cut + vector pair).
-    cut: AtomicU64,
-    /// The published `(cut, vector)` pair, swapped as one unit so readers
-    /// can never observe components from two different cut generations —
-    /// a torn pair would let a point read see a cross-shard transaction on
-    /// one shard at the new cut while missing it on another still at the
-    /// old one.
-    exposed_state: Mutex<ExposedState>,
+    /// The global cut `B`, and the read views pinned at it: the faithful
+    /// replica's timestamped cursor, advanced by one atomic `fetch_max`.
+    cursor: SnapshotCursor,
     /// The largest transaction boundary any shard has noted (the drain
     /// target once the log ends).
     final_boundary: AtomicU64,
     /// Transaction boundaries not yet covered by the cut:
     /// position → (primary commit wall time, owning shard).
     boundaries: Mutex<BTreeMap<u64, (u64, usize)>>,
-    /// Version-GC horizon trailing the cut vector's minimum.
+    /// Version-GC horizon trailing the global cut.
     gc: GcDriver,
     cuts_taken: AtomicU64,
     /// Transactions the replica routed itself whose writes spanned shards.
@@ -257,14 +331,6 @@ pub struct CutCoordinator {
     op_cost: OpCost,
     /// The configured observability sink, shared by every shard's pipeline.
     obs: Arc<Obs>,
-}
-
-/// The atomically published exposure: the global cut and the full vector
-/// that realizes it.
-#[derive(Debug)]
-struct ExposedState {
-    cut: u64,
-    vector: Vec<u64>,
 }
 
 impl CutCoordinator {
@@ -277,16 +343,12 @@ impl CutCoordinator {
             .collect();
         let gc = GcDriver::new(Arc::clone(&store), config.gc_trail);
         Self {
+            cursor: SnapshotCursor::timestamped_at(Arc::clone(&store), SeqNo::ZERO),
             store,
             router,
             shards,
             lag: Arc::new(LagTracker::new()),
             shard_lag,
-            cut: AtomicU64::new(0),
-            exposed_state: Mutex::new(ExposedState {
-                cut: 0,
-                vector: vec![0; router.shards()],
-            }),
             final_boundary: AtomicU64::new(0),
             boundaries: Mutex::new(BTreeMap::new()),
             gc,
@@ -320,9 +382,8 @@ impl CutCoordinator {
 
     /// Advances the cut: computes the new global cut `B` from the per-shard
     /// watermarks, drains one lag sample per newly covered transaction, and
-    /// raises every shard's vector component to its frontier. Any shard's
-    /// expose stage may call this; the boundary lock serializes cuts.
-    /// Returns the (possibly unchanged) global cut.
+    /// publishes `B`. Any shard's expose stage may call this; the boundary
+    /// lock serializes cuts. Returns the (possibly unchanged) global cut.
     pub fn advance(&self) -> SeqNo {
         let mut boundaries = self.boundaries.lock();
         let floor = self.applied_floor().as_u64();
@@ -332,7 +393,7 @@ impl CutCoordinator {
             .map(|(&b, _)| b)
             // Already-covered boundaries were drained from the map, so an
             // empty range means "no new boundary": keep the current cut.
-            .unwrap_or_else(|| self.cut.load(Ordering::Acquire));
+            .unwrap_or_else(|| self.cut().as_u64());
         // One lag sample per transaction whose boundary the cut now covers,
         // recorded globally and on the transaction's owning shard.
         let newly_covered = {
@@ -344,52 +405,22 @@ impl CutCoordinator {
             self.lag.record(committed_at, now);
             self.shard_lag[shard].record(committed_at, now);
         }
-        // Compute the whole vector, then publish `(cut, vector)` as one
-        // unit: readers must never combine components from two different
-        // cut generations. (The boundary lock, held for the whole advance,
-        // serializes concurrent cuts.) The per-shard `exposed` atomics are
-        // raised too — they keep each component monotone across cuts (the
-        // vector is rebuilt from them), and are not a consistent snapshot.
-        let mut vector = Vec::with_capacity(self.shards.len());
-        for progress in &self.shards {
-            let component = progress.frontier(cut).max(cut);
-            progress.expose_and_prune(component, cut);
-            vector.push(progress.exposed().as_u64());
-        }
-        {
-            let mut exposed = self.exposed_state.lock();
-            if cut >= exposed.cut {
-                *exposed = ExposedState { cut, vector };
-            }
-        }
-        self.cut.fetch_max(cut, Ordering::AcqRel);
+        self.cursor.advance(SeqNo(cut));
         self.cuts_taken.fetch_add(1, Ordering::Relaxed);
         SeqNo(cut)
     }
 
-    /// Drives the version-GC horizon towards the published vector's minimum.
-    /// Called by the shards' expose stages after a cut is published (a
-    /// caller that finds a collection in progress skips).
+    /// Drives the version-GC horizon towards the global cut. Called by the
+    /// shards' expose stages after a cut is published (a caller that finds
+    /// a collection in progress skips).
     fn collect_garbage(&self) {
-        let vector_min = self.exposed_state.lock().vector.iter().copied().min();
-        self.gc.run(SeqNo(vector_min.unwrap_or(0)));
+        self.gc.run(self.cut());
     }
 
     /// The global cut `B`: the largest transaction boundary every shard has
     /// fully applied. This is what spanning snapshots observe.
     pub fn cut(&self) -> SeqNo {
-        SeqNo(self.cut.load(Ordering::Acquire))
-    }
-
-    /// The current cut vector `(c_1..c_N)`, consistent with the cut it was
-    /// published with (every component is at least the global cut).
-    pub fn cut_vector(&self) -> Vec<SeqNo> {
-        self.exposed_state
-            .lock()
-            .vector
-            .iter()
-            .map(|&c| SeqNo(c))
-            .collect()
+        self.cursor.exposed()
     }
 
     /// The largest global position every shard has applied through (the
@@ -422,7 +453,7 @@ impl CutCoordinator {
         self.cuts_taken.load(Ordering::Relaxed)
     }
 
-    /// Versions reclaimed by the vector-trailing GC horizon.
+    /// Versions reclaimed by the cut-trailing GC horizon.
     pub fn reclaimed_versions(&self) -> u64 {
         self.gc.reclaimed()
     }
@@ -467,18 +498,10 @@ impl CutCoordinator {
         }
     }
 
-    /// A spanning read view pinned at the current cut vector. The cut and
-    /// the vector are read under one lock, so the view can never mix
-    /// components from different cut generations.
-    pub fn read_view(&self) -> ShardedReadView {
-        let (as_of, vector) = {
-            let exposed = self.exposed_state.lock();
-            (
-                SeqNo(exposed.cut),
-                exposed.vector.iter().map(|&c| SeqNo(c)).collect(),
-            )
-        };
-        ShardedReadView::new(Arc::clone(&self.store), self.router, vector, as_of)
+    /// A spanning read view pinned at the current global cut: every row, on
+    /// every shard, is read at `B`.
+    pub fn read_view(&self) -> Box<dyn ReadView> {
+        self.cursor.read_view()
     }
 }
 
@@ -487,7 +510,6 @@ impl std::fmt::Debug for CutCoordinator {
         f.debug_struct("CutCoordinator")
             .field("router", &self.router)
             .field("cut", &self.cut())
-            .field("vector", &self.cut_vector())
             .finish()
     }
 }
@@ -496,9 +518,9 @@ impl std::fmt::Debug for CutCoordinator {
 // The per-shard exposure, the per-shard policy and the sharded replica.
 // ---------------------------------------------------------------------------
 
-/// One shard's [`Exposure`]: its component of the cut vector. Applied
-/// progress is the shard's own ([`ShardProgress`]); the cut, its read views
-/// and the GC horizon are the coordinator's, shared by every shard.
+/// One shard's [`Exposure`]. Applied progress is the shard's own
+/// ([`ShardProgress`]); the cut, its read views and the GC horizon are the
+/// coordinator's, shared by every shard.
 struct ShardExposure {
     shard: usize,
     coordinator: Arc<CutCoordinator>,
@@ -525,11 +547,9 @@ impl Exposure for ShardExposure {
     }
 
     fn exposed_seq(&self) -> SeqNo {
-        // The global cut, not this shard's vector component: it is what
-        // readers observe and what `wait_until_exposed` callers wait for, so
-        // it is what this shard's expose stage must announce when it moves —
-        // a component can stand still (a far frontier) while the cut
-        // advances beneath it.
+        // The global cut: it is what readers observe and what
+        // `wait_until_exposed` callers wait for, so it is what this shard's
+        // expose stage must announce when it moves.
         self.coordinator.cut()
     }
 
@@ -538,7 +558,7 @@ impl Exposure for ShardExposure {
     }
 
     fn read_view(&self) -> Box<dyn ReadView> {
-        Box::new(self.coordinator.read_view())
+        self.coordinator.read_view()
     }
 
     fn lag(&self) -> Arc<LagTracker> {
@@ -646,17 +666,14 @@ impl PipelinePolicy for ShardPolicy {
 /// consistent exposed prefix.
 ///
 /// The replica accepts the whole log through
-/// [`apply_segment`](ClonedConcurrencyControl::apply_segment) and routes
-/// records itself, or pre-routed per-shard streams (from
-/// [`c5_log::LogShipper::shard_routed`]) through
-/// [`apply_shard_segment`](Self::apply_shard_segment).
+/// [`apply_segment`](ClonedConcurrencyControl::apply_segment), like every
+/// other replica, and routes records to its shards itself.
 pub struct ShardedC5Replica {
     config: ReplicaConfig,
     coordinator: Arc<CutCoordinator>,
     runtimes: Vec<PipelineRuntime<ShardPolicy>>,
-    /// Shard masks of transactions straddling segment boundaries on the
-    /// self-routing [`apply_segment`](ClonedConcurrencyControl::apply_segment)
-    /// path, so each is counted once, by id.
+    /// Shard masks of transactions straddling segment boundaries, so each
+    /// is counted once, by id, plus the router's scratch buffers.
     route_state: Mutex<TxnShardTracker>,
     finished: AtomicBool,
 }
@@ -717,14 +734,9 @@ impl ShardedC5Replica {
         &self.coordinator.router
     }
 
-    /// The cut coordinator (progress probes, the cut vector, per-shard lag).
+    /// The cut coordinator (progress probes, the global cut, per-shard lag).
     pub fn coordinator(&self) -> &Arc<CutCoordinator> {
         &self.coordinator
-    }
-
-    /// The current cut vector.
-    pub fn cut_vector(&self) -> Vec<SeqNo> {
-        self.coordinator.cut_vector()
     }
 
     /// Lag samples for transactions owned by `shard`.
@@ -732,29 +744,16 @@ impl ShardedC5Replica {
         Arc::clone(self.coordinator.shard_lag(shard))
     }
 
-    /// Transactions this replica routed whose writes spanned shards (only
-    /// counted on the [`apply_segment`](ClonedConcurrencyControl::apply_segment)
-    /// path; pre-routed streams are counted by their sharded shipper).
+    /// Transactions this replica routed whose writes spanned shards.
     pub fn cross_shard_txns(&self) -> u64 {
         self.coordinator.cross_shard_txns.load(Ordering::Relaxed)
     }
 
-    /// Feeds one pre-routed sub-segment to `shard` (the wire-level sharded
-    /// deployment: each shard's stream arrives on its own channel from
-    /// [`c5_log::LogShipper::shard_routed`]). Sub-segments must arrive in
-    /// stream order per shard.
-    pub fn apply_shard_segment(&self, shard: usize, segment: Segment) {
-        self.runtimes[shard].apply_segment(segment);
-    }
-
-    /// Exports a checkpoint at the current cut vector: the spanning view
-    /// pins `(cut, vector)` atomically, and each row is captured at its own
-    /// shard's component — exactly the state the view exposes.
+    /// Exports a checkpoint at the global cut, pinned through a read view —
+    /// exactly the state the view exposes.
     ///
     /// Version GC is held back for the duration of the export, exactly as in
-    /// [`C5Replica::checkpoint`](crate::replica::C5Replica::checkpoint):
-    /// every vector component is at least the global cut, so a horizon at or
-    /// below the cut keeps every exported version safe.
+    /// [`C5Replica::checkpoint`](crate::replica::C5Replica::checkpoint).
     ///
     /// # Panics
     /// Panics if the version-GC horizon is above the global cut after the
@@ -762,12 +761,7 @@ impl ShardedC5Replica {
     pub fn checkpoint(&self) -> Checkpoint {
         let _gc_held = self.coordinator.hold_gc();
         let view = self.coordinator.read_view();
-        let checkpoint = CheckpointWriter::capture_vector(
-            &self.coordinator.store,
-            &self.coordinator.router,
-            view.cut_vector(),
-            view.as_of(),
-        );
+        let checkpoint = CheckpointWriter::capture(&self.coordinator.store, view.as_of());
         let horizon = self.coordinator.gc_horizon();
         assert!(
             horizon <= checkpoint.cut(),
@@ -843,7 +837,7 @@ impl ClonedConcurrencyControl for ShardedC5Replica {
     }
 
     fn read_view(&self) -> Box<dyn ReadView> {
-        Box::new(self.coordinator.read_view())
+        self.coordinator.read_view()
     }
 
     fn lag(&self) -> Arc<LagTracker> {
@@ -867,7 +861,7 @@ mod tests {
     use crate::mpc::MpcChecker;
     use crate::replica::drive_segments;
     use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value, WriteKind};
-    use c5_log::{segments_from_entries, TxnEntry};
+    use c5_log::{explode_txn, segments_from_entries, TxnEntry};
     use std::time::Duration;
 
     const KEY_SPACE: u64 = 64;
@@ -949,35 +943,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_vector_components_never_trail_the_global_cut() {
-        let (population, segments) = spanning_log(200);
-        let replica = ShardedC5Replica::new(preloaded(&population), config(4, 2));
-        let sampler = {
-            let replica = Arc::clone(&replica);
-            std::thread::spawn(move || {
-                let mut samples = Vec::new();
-                for _ in 0..300 {
-                    let cut = replica.exposed_seq();
-                    let vector = replica.cut_vector();
-                    samples.push((cut, vector));
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                samples
-            })
-        };
-        drive_segments(replica.as_ref(), segments);
-        for (cut, vector) in sampler.join().unwrap() {
-            assert_eq!(vector.len(), 4);
-            for component in vector {
-                assert!(
-                    component >= cut,
-                    "vector component {component} below the global cut {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn per_shard_lag_partitions_the_global_samples() {
         let (population, segments) = spanning_log(90);
         let replica = ShardedC5Replica::new(preloaded(&population), config(4, 2));
@@ -990,41 +955,9 @@ mod tests {
     }
 
     #[test]
-    fn pre_routed_streams_converge_like_whole_segments() {
-        use c5_log::LogShipper;
-        let (population, segments) = spanning_log(80);
-        let replica = ShardedC5Replica::new(preloaded(&population), config(4, 2));
-        let (shipper, receivers) = LogShipper::shard_routed(*replica.router(), 8);
-
-        std::thread::scope(|scope| {
-            for (shard, receiver) in receivers.into_iter().enumerate() {
-                let replica = Arc::clone(&replica);
-                scope.spawn(move || {
-                    while let Some(segment) = receiver.recv() {
-                        replica.apply_shard_segment(shard, segment);
-                    }
-                });
-            }
-            for segment in segments.clone() {
-                shipper.ship(segment);
-            }
-            let stats = shipper.routing_stats().unwrap();
-            assert_eq!(stats.txns, 80);
-            assert!(stats.cross_shard_share() >= 0.1);
-            shipper.close();
-        });
-        replica.finish();
-
-        let mut checker = MpcChecker::new(&population, &segments);
-        let view = replica.read_view();
-        assert_eq!(view.as_of(), checker.final_seq());
-        checker.verify_state(view.as_of(), view.scan_all()).unwrap();
-    }
-
-    #[test]
     fn gc_horizon_trails_the_vector_minimum() {
-        // Hot rows in two different shards; with a zero trail the vector
-        // minimum (= the global cut) drives collection of both chains.
+        // Hot rows in two different shards; with a zero trail the global
+        // cut drives collection of both chains.
         let population = vec![(row(0), Value::from_u64(0)), (row(40), Value::from_u64(0))];
         let store = preloaded(&population);
         let replica = ShardedC5Replica::new(
@@ -1151,9 +1084,120 @@ mod tests {
         let last = segments.last().unwrap().last_seq().unwrap();
         drive_segments(replica.as_ref(), segments);
         assert_eq!(replica.exposed_seq(), last);
-        // The quiet shards' vector components sit at the coverage frontier.
-        for component in replica.cut_vector() {
-            assert!(component >= last);
+    }
+
+    /// A segment of three transactions: txn A writes keys {1, 5} (cross-shard
+    /// under a 2-shard router over [0, 8)), txn B writes {2} (shard 0), txn C
+    /// writes {6, 7} (shard 1).
+    fn multi_shard_segment() -> Segment {
+        let entries = vec![
+            TxnEntry::new(
+                TxnId(1),
+                Timestamp(1),
+                vec![
+                    RowWrite::insert(row(1), Value::from_u64(1)),
+                    RowWrite::insert(row(5), Value::from_u64(5)),
+                ],
+            ),
+            TxnEntry::new(
+                TxnId(2),
+                Timestamp(2),
+                vec![RowWrite::insert(row(2), Value::from_u64(2))],
+            ),
+            TxnEntry::new(
+                TxnId(3),
+                Timestamp(3),
+                vec![
+                    RowWrite::insert(row(6), Value::from_u64(6)),
+                    RowWrite::insert(row(7), Value::from_u64(7)),
+                ],
+            ),
+        ];
+        let mut records = Vec::new();
+        let mut next = SeqNo::ZERO;
+        for entry in entries {
+            let (recs, n) = explode_txn(entry, next);
+            next = n;
+            records.extend(recs);
         }
+        Segment::new(9, records)
+    }
+
+    #[test]
+    fn route_segment_moves_each_record_to_its_shard() {
+        let router = ShardRouter::new(2, 8);
+        let mut tracker = TxnShardTracker::default();
+        let routed = route_segment_with(multi_shard_segment(), &router, &mut tracker);
+        assert_eq!(routed.cross_shard_txns, 1);
+        assert_eq!(routed.parts.len(), 2);
+
+        let keys =
+            |s: &Segment| -> Vec<u64> { s.records.iter().map(|r| r.write.row.key.0).collect() };
+        assert_eq!(keys(&routed.parts[0]), vec![1, 2]);
+        assert_eq!(keys(&routed.parts[1]), vec![5, 6, 7]);
+        // Records keep their global order within a shard, and every part
+        // covers the parent's full span.
+        for part in &routed.parts {
+            assert!(part.records.windows(2).all(|w| w[0].seq < w[1].seq));
+            assert_eq!(part.covered_through(), SeqNo(5));
+            assert_eq!(part.header.id, 9);
+        }
+
+        // A segment owned wholly by shard 1 still gives shard 0 a part: an
+        // empty one, carrying the coverage.
+        let entry = TxnEntry::new(
+            TxnId(4),
+            Timestamp(4),
+            vec![RowWrite::insert(row(7), Value::from_u64(8))],
+        );
+        let (records, _) = explode_txn(entry, SeqNo(5));
+        let routed = route_segment_with(Segment::new(10, records), &router, &mut tracker);
+        assert_eq!(routed.cross_shard_txns, 0);
+        assert!(
+            routed.parts[0].is_empty(),
+            "shard 0 owns nothing in segment 10"
+        );
+        assert_eq!(routed.parts[0].covered_through(), SeqNo(6));
+        assert_eq!(routed.parts[1].len(), 1);
+    }
+
+    #[test]
+    fn txn_straddling_segments_is_counted_once_by_id() {
+        // One cross-shard transaction (keys 1 and 5 under a 2-shard router
+        // over [0, 8)) whose two records are deliberately split across two
+        // segments — the shape a segment-splitting producer would emit.
+        let entry = TxnEntry::new(
+            TxnId(1),
+            Timestamp(1),
+            vec![
+                RowWrite::insert(row(1), Value::from_u64(1)),
+                RowWrite::insert(row(5), Value::from_u64(5)),
+            ],
+        );
+        let (mut records, _) = explode_txn(entry, SeqNo::ZERO);
+        let second = records.split_off(1);
+        let router = ShardRouter::new(2, 8);
+        let mut tracker = TxnShardTracker::default();
+
+        let first = route_segment_with(Segment::new(0, records), &router, &mut tracker);
+        // No last write seen yet: nothing is counted, the mask stays open.
+        assert_eq!(first.cross_shard_txns, 0);
+        assert_eq!(tracker.open.len(), 1);
+
+        let second = route_segment_with(Segment::new(1, second), &router, &mut tracker);
+        // The final write completes the mask {shard 0, shard 1}: counted as
+        // cross-shard exactly once. Without the carried mask the second
+        // segment only sees shard 1 and the transaction would be
+        // misclassified as single-shard.
+        assert_eq!(second.cross_shard_txns, 1);
+        assert!(tracker.open.is_empty());
+        // Both records still arrive, each on its own shard.
+        let parts: Vec<usize> = first
+            .parts
+            .iter()
+            .chain(&second.parts)
+            .map(Segment::len)
+            .collect();
+        assert_eq!(parts, vec![1, 0, 0, 1]);
     }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use c5_common::{RowRef, SeqNo, ShardRouter, TableId, Timestamp, Value};
+use c5_common::{RowRef, SeqNo, TableId, Timestamp, Value};
 use c5_storage::{DbSnapshot, MvStore};
 
 use crate::replica::ReadView;
@@ -246,66 +246,6 @@ impl ReadView for TimestampedView {
     }
 }
 
-/// A spanning read view over a sharded replica, pinned at a full cut vector
-/// (see [`crate::shard`]).
-///
-/// Point reads *and* scans serve each row at its *own shard's* vector
-/// component `c_s` (scans via [`MvStore::scan_table_at_for`], so cross-shard
-/// scans are pinned at the same vector as point reads). Reading at the
-/// vector is guaranteed to agree with reading at the global cut `B` — the
-/// coordinator chooses each component as the shard's frontier, one position
-/// before the shard's earliest record above `B`, so no shard-owned version
-/// exists in `(B, c_s]` — and the vector (exposed via
-/// [`cut_vector`](Self::cut_vector)) is what tests assert that guarantee on.
-pub struct ShardedReadView {
-    store: Arc<MvStore>,
-    router: ShardRouter,
-    vector: Vec<SeqNo>,
-    as_of: SeqNo,
-}
-
-impl ShardedReadView {
-    /// Pins a view at `vector` (one component per shard) with global cut
-    /// `as_of`.
-    pub fn new(store: Arc<MvStore>, router: ShardRouter, vector: Vec<SeqNo>, as_of: SeqNo) -> Self {
-        debug_assert_eq!(vector.len(), router.shards());
-        Self {
-            store,
-            router,
-            vector,
-            as_of,
-        }
-    }
-
-    /// The per-shard cut vector this view is pinned at.
-    pub fn cut_vector(&self) -> &[SeqNo] {
-        &self.vector
-    }
-
-    /// The cut a given row is served at: its shard's vector component.
-    fn row_cut(&self, row: RowRef) -> Timestamp {
-        Timestamp(self.vector[self.router.route(row)].as_u64())
-    }
-}
-
-impl ReadView for ShardedReadView {
-    fn get(&self, row: RowRef) -> Option<Value> {
-        self.store.read_at(row, self.row_cut(row))
-    }
-
-    fn as_of(&self) -> SeqNo {
-        self.as_of
-    }
-
-    fn scan_table(&self, table: TableId) -> Vec<(RowRef, Value)> {
-        self.store.scan_table_at_for(table, |row| self.row_cut(row))
-    }
-
-    fn scan_all(&self) -> Vec<(RowRef, Value)> {
-        self.store.scan_all_at_for(|row| self.row_cut(row))
-    }
-}
-
 /// Read view over a materialized whole-database snapshot (MyRocks form).
 struct WholeDbView {
     snapshot: DbSnapshot,
@@ -465,43 +405,6 @@ mod tests {
         );
         // The post-cut snapshot excludes the blocked write.
         assert_eq!(cursor.read_view().get(row(2)), None);
-    }
-
-    #[test]
-    fn sharded_view_scans_pin_each_row_at_its_shard_component() {
-        // Two shards over keys [0, 16): shard 0 owns 0..8, shard 1 owns
-        // 8..16. Shard 1's component is ahead of shard 0's; scans must serve
-        // each row at its own component, exactly like point reads.
-        let store = Arc::new(MvStore::default());
-        let router = ShardRouter::new(2, 16);
-        install(&store, 1, 1, 10); // shard 0
-        install(&store, 2, 9, 90); // shard 1
-        install(&store, 5, 9, 95); // shard 1, above shard 0's component
-
-        let view = ShardedReadView::new(
-            Arc::clone(&store),
-            router,
-            vec![SeqNo(2), SeqNo(5)],
-            SeqNo(2),
-        );
-        assert_eq!(view.cut_vector(), &[SeqNo(2), SeqNo(5)]);
-
-        // Point reads and scans agree row for row.
-        assert_eq!(view.get(row(1)).unwrap().as_u64(), Some(10));
-        assert_eq!(view.get(row(9)).unwrap().as_u64(), Some(95));
-        let scan = view.scan_table(TableId(0));
-        assert_eq!(
-            scan,
-            vec![(row(1), Value::from_u64(10)), (row(9), Value::from_u64(95)),],
-            "scan must be key-sorted and vector-pinned"
-        );
-        assert_eq!(view.scan_all(), scan);
-
-        // A batched multi-key read observes the same pinned state.
-        let batch = view.get_many(&[row(9), row(1), row(3)]);
-        assert_eq!(batch[0].as_ref().unwrap().as_u64(), Some(95));
-        assert_eq!(batch[1].as_ref().unwrap().as_u64(), Some(10));
-        assert!(batch[2].is_none());
     }
 
     #[test]

@@ -618,7 +618,7 @@ impl LogArchive {
     ///
     /// An **empty** segment carries no replayable records and is not
     /// retained, but its coverage claim still advances the archive's
-    /// watermark: shard-routed shipping legitimately produces coverage-only
+    /// watermark: key-range routing legitimately produces coverage-only
     /// sub-segments (`covers_through` beyond an empty record slice) for
     /// shards a parent segment skipped, and the next non-empty segment for
     /// that shard starts *after* the covered gap. Skipping the empty segment

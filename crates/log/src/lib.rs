@@ -62,7 +62,4 @@ pub use archive::{DurableRecovery, LogArchive};
 pub use logger::{coalesce, flatten, segments_from_entries, StreamingLogger, ThreadLog};
 pub use record::{explode_txn, now_nanos, LogRecord, TxnEntry};
 pub use segment::{Segment, SegmentHeader};
-pub use ship::{
-    route_segment, route_segment_with, LogReceiver, LogShipper, RoutedSegments, RoutingStats,
-    Subscription, SubscriptionId, TxnShardTracker, SUBSCRIPTION_SEGMENTS,
-};
+pub use ship::{LogReceiver, LogShipper, Subscription, SubscriptionId, SUBSCRIPTION_SEGMENTS};

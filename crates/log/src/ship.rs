@@ -84,32 +84,11 @@
 //! is a valid state — segments still advance the watermark and the attached
 //! archive, exactly what an empty-then-join fleet needs.
 //!
-//! Beyond replicating the whole log, a shipper can **shard** it
-//! ([`LogShipper::shard_routed`]): a [`ShardRouter`] assigns every row a
-//! shard by key range, and each shipped segment is split into one sub-segment
-//! per shard ([`route_segment`]), delivered on that shard's own channel.
-//! Unlike fan-out, every record travels to exactly *one* receiver; a shard
-//! that owns none of a segment's rows still receives an empty sub-segment
-//! carrying the coverage watermark (`covers_through`), which is what lets a
-//! quiet shard's progress advance through the gap — the cross-shard cut
-//! coordinator in `c5-core` depends on that.
-//!
-//! ## Routing buffer reuse
-//!
-//! Splitting runs once per segment per stream on the replication hot path,
-//! so [`route_segment_with`] is written to amortize its allocations: the
-//! per-record shard assignments and per-shard counts live in scratch buffers
-//! inside the persistent [`TxnShardTracker`] both streaming call sites
-//! already thread through every call (they grow to one segment's size once
-//! and are reused forever after), and each sub-segment's record buffer is
-//! allocated exactly once at its final size — a shard that owns nothing in a
-//! segment allocates nothing. The invariant that makes the tracker reusable
-//! across calls: `route_segment_with` must see every segment of a stream in
-//! order, because the tracker also carries the open-transaction masks that
-//! classify transactions straddling a segment boundary as cross-shard.
+//! The wire always carries the whole log: a sharded replica receives it like
+//! any other subscriber and splits it by key range itself (`c5-core`'s
+//! `shard` module).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -117,7 +96,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, SendError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
-use c5_common::{Error, Result, SeqNo, ShardRouter, TxnId};
+use c5_common::{Error, Result, SeqNo};
 use c5_obs::{Counter, Histogram, Obs, TraceEvent};
 
 use crate::archive::LogArchive;
@@ -185,13 +164,9 @@ impl Registry {
 #[derive(Clone)]
 pub struct LogShipper {
     registry: Arc<Mutex<Option<Registry>>>,
-    /// Key-ranged routing: when set, each shipped segment is split into one
-    /// sub-segment per shard instead of being replicated to every receiver.
-    routing: Option<Arc<Routing>>,
     /// Retention: when set, every segment that goes on the wire is first
-    /// recorded in the wire's archive (before routing, so the archive holds
-    /// the whole log) by the wire's own thread, enabling checkpoint
-    /// truncation and cold-replica replay.
+    /// recorded in the wire's archive by the wire's own thread, enabling
+    /// checkpoint truncation and cold-replica replay.
     wire: Option<Arc<Wire>>,
     /// Observability: when attached, every ship records one [`TraceEvent::Ship`]
     /// plus ship timing/volume metrics. Handles are resolved once here so the
@@ -289,37 +264,6 @@ impl Drop for Wire {
     }
 }
 
-/// Routing state of a sharded shipper.
-struct Routing {
-    router: ShardRouter,
-    txns: AtomicU64,
-    cross_shard_txns: AtomicU64,
-    /// Shard masks of transactions whose last write has not been shipped
-    /// yet, carried across segments so a transaction straddling a segment
-    /// boundary is counted once, by id — not once per segment.
-    tracker: Mutex<TxnShardTracker>,
-}
-
-/// Transaction counts observed by a sharded shipper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoutingStats {
-    /// Transactions shipped.
-    pub txns: u64,
-    /// Transactions whose writes spanned more than one shard.
-    pub cross_shard_txns: u64,
-}
-
-impl RoutingStats {
-    /// Fraction of shipped transactions that crossed shards.
-    pub fn cross_shard_share(&self) -> f64 {
-        if self.txns == 0 {
-            0.0
-        } else {
-            self.cross_shard_txns as f64 / self.txns as f64
-        }
-    }
-}
-
 /// Receiving half of the replication channel (owned by a backup replica).
 #[derive(Clone)]
 pub struct LogReceiver {
@@ -330,7 +274,6 @@ impl LogShipper {
     fn empty() -> LogShipper {
         LogShipper {
             registry: Arc::new(Mutex::new(Some(Registry::new()))),
-            routing: None,
             wire: None,
             obs: None,
         }
@@ -400,9 +343,7 @@ impl LogShipper {
     /// *above* it (archived, not yet announced); those arrive on the channel
     /// too, so a backfill stops at `starts_after`.
     ///
-    /// Fails with [`Error::Shutdown`] once the shipper is closed, and with
-    /// [`Error::InvalidConfig`] on a sharded shipper, whose membership *is*
-    /// its shard map and stays fixed at construction.
+    /// Fails with [`Error::Shutdown`] once the shipper is closed.
     pub fn subscribe(&self, capacity: usize) -> Result<Subscription> {
         self.subscribe_with(|| channel::bounded(capacity))
     }
@@ -416,13 +357,6 @@ impl LogShipper {
         &self,
         make_channel: impl FnOnce() -> (Sender<Segment>, Receiver<Segment>),
     ) -> Result<Subscription> {
-        if self.routing.is_some() {
-            return Err(Error::InvalidConfig(
-                "a sharded shipper's membership is its shard map: each channel is one \
-                 shard, fixed at construction, not a replica that can join or leave"
-                    .into(),
-            ));
-        }
         let mut guard = self.registry.lock();
         let Some(registry) = guard.as_mut() else {
             return Err(Error::Shutdown("log shipper"));
@@ -476,39 +410,21 @@ impl LogShipper {
             .map_or(SeqNo::ZERO, |r| r.shipped_through)
     }
 
-    /// Creates a key-ranged sharded shipper: each shipped segment is split by
-    /// `router` into one sub-segment per shard and delivered on that shard's
-    /// own bounded channel. Every record travels to exactly one receiver; a
-    /// shard owning none of a segment's rows receives an empty sub-segment
-    /// whose `covers_through` still advances (quiet shards must not stall the
-    /// cross-shard cut).
-    pub fn shard_routed(router: ShardRouter, capacity: usize) -> (LogShipper, Vec<LogReceiver>) {
-        let (mut shipper, receivers) = Self::fan_out(router.shards(), capacity);
-        shipper.routing = Some(Arc::new(Routing {
-            router,
-            txns: AtomicU64::new(0),
-            cross_shard_txns: AtomicU64::new(0),
-            tracker: Mutex::new(TxnShardTracker::default()),
-        }));
-        (shipper, receivers)
-    }
-
-    /// Number of replicas this shipper feeds (zero once closed). For a
-    /// sharded shipper this is the shard count.
+    /// Number of replicas this shipper feeds (zero once closed).
     pub fn replica_count(&self) -> usize {
         self.registry.lock().as_ref().map_or(0, |r| r.members.len())
     }
 
     /// Attaches a retention archive: every segment that goes on the wire is
-    /// first recorded in `archive` (whole, before any shard routing), so a
-    /// checkpoint can truncate the log and a cold replica can replay its
-    /// tail. Shared across clones like the wire itself.
+    /// first recorded in `archive`, so a checkpoint can truncate the log and
+    /// a cold replica can replay its tail. Shared across clones like the
+    /// wire itself.
     ///
     /// This starts the shipper's **wire thread** (see the module docs): from
     /// here on [`LogShipper::ship`] enqueues, and the archive append, the
     /// watermark advance and the fan-out run on that thread, so an fsync
     /// never runs under a committer's locks. The thread works with the
-    /// routing and the observability sink the shipper has *now* — attach
+    /// observability sink the shipper has *now* — attach
     /// [`LogShipper::with_obs`] first.
     ///
     /// If the archive already holds a recovered prefix (a resumed shipper),
@@ -544,7 +460,7 @@ impl LogShipper {
 
     /// Attaches an observability sink: every delivered segment records one
     /// [`TraceEvent::Ship`] (sequence position, record count, fan-out width,
-    /// wall time of the route and sends) plus a `ship_ns` histogram,
+    /// wall time of the sends) plus a `ship_ns` histogram,
     /// `ship_segments_total` / `ship_records_total` counters, the
     /// `ship_segment_records` histogram of batch sizes and the
     /// `ship_partial_segments_total` counter of segments the logger cut
@@ -607,20 +523,10 @@ impl LogShipper {
         }
     }
 
-    /// Transaction counts observed so far by a sharded shipper (`None` for
-    /// replicating shippers).
-    pub fn routing_stats(&self) -> Option<RoutingStats> {
-        self.routing.as_ref().map(|r| RoutingStats {
-            txns: r.txns.load(Ordering::Relaxed),
-            cross_shard_txns: r.cross_shard_txns.load(Ordering::Relaxed),
-        })
-    }
-
-    /// Ships a segment: to every replica (replicating mode), or split by key
-    /// range with each shard receiving exactly its own records (sharded
-    /// mode). Un-archived, it delivers on the calling thread and blocks while
-    /// any receiving channel is full; archived, it enqueues to the wire
-    /// thread and blocks only while that queue is full. Segments shipped
+    /// Ships a segment to every replica. Un-archived, it delivers on the
+    /// calling thread and blocks while any receiving channel is full;
+    /// archived, it enqueues to the wire thread and blocks only while that
+    /// queue is full. Segments shipped
     /// after [`LogShipper::close`] (or after the wire failed) or into dropped
     /// receivers are discarded (a single dropped receiver does not affect
     /// delivery to the others).
@@ -693,7 +599,7 @@ impl LogShipper {
         self.registry.lock().take();
     }
 
-    /// Puts one segment on the wire — watermark, routing, fan-out — on the
+    /// Puts one segment on the wire — watermark, fan-out — on the
     /// calling thread (a committer's, or the wire thread after its archive
     /// append), observed when a sink is attached.
     fn deliver(&self, segment: Segment) {
@@ -737,17 +643,6 @@ impl LogShipper {
             registry.shipped_through = registry.shipped_through.max(segment.covered_through());
             Arc::clone(&registry.members)
         };
-        if let Some(routing) = &self.routing {
-            let routed = route_segment_with(segment, &routing.router, &mut routing.tracker.lock());
-            routing.txns.fetch_add(routed.txns, Ordering::Relaxed);
-            routing
-                .cross_shard_txns
-                .fetch_add(routed.cross_shard_txns, Ordering::Relaxed);
-            for (member, part) in members.iter().zip(routed.parts) {
-                let _ = member.tx.send(part);
-            }
-            return members.len();
-        }
         // Zero subscribers is a valid state: the segment stays on the
         // archive (and the watermark advanced) for members that join later.
         let Some(last) = members.len().checked_sub(1) else {
@@ -778,135 +673,6 @@ impl LogShipper {
                 self.registry.lock().take();
             }
         }
-    }
-}
-
-/// The result of splitting one segment by key range: one sub-segment per
-/// shard (possibly empty, always carrying the parent's coverage watermark)
-/// plus the transaction counts the split observed.
-#[derive(Debug)]
-pub struct RoutedSegments {
-    /// One sub-segment per shard, indexed by shard. Records *move* here from
-    /// the parent segment; nothing is cloned.
-    pub parts: Vec<Segment>,
-    /// Transactions committing in the parent segment.
-    pub txns: u64,
-    /// Of those, transactions whose writes spanned more than one shard.
-    pub cross_shard_txns: u64,
-}
-
-/// Shard membership of transactions whose last write has not been seen yet,
-/// keyed by transaction id. Carrying this state across
-/// [`route_segment_with`] calls makes the cross-shard count *per
-/// transaction*: a transaction whose records straddle a segment boundary
-/// accumulates one mask and is judged once, at its last write — instead of
-/// being judged per segment, which either double-counts a transaction whose
-/// every fragment spans shards or misses one that only spans shards across
-/// the boundary.
-#[derive(Debug, Default)]
-pub struct TxnShardTracker {
-    open: HashMap<TxnId, u64>,
-    /// Routing scratch, reused across calls: the shard assignment of each
-    /// record in the segment currently being routed. Lives here because both
-    /// streaming call sites (the sharded shipper and the sharded replica's
-    /// ingest) already thread one persistent tracker through every call, so
-    /// the buffer grows to one segment's size once and is never reallocated
-    /// again.
-    shard_of: Vec<u8>,
-    /// Routing scratch, reused across calls: per-shard record counts of the
-    /// segment currently being routed, so each sub-segment buffer can be
-    /// allocated exactly once at its final size (and empty shards allocate
-    /// nothing).
-    counts: Vec<u32>,
-}
-
-impl TxnShardTracker {
-    /// Number of transactions whose last write has not been routed yet
-    /// (diagnostic; non-zero only while a transaction straddles segments).
-    pub fn open_txns(&self) -> usize {
-        self.open.len()
-    }
-}
-
-/// Splits a segment into per-shard sub-segments under `router`. Each record
-/// moves to the shard owning its row; within a shard, records keep their log
-/// order. Every part's `covers_through` is the parent's, so a shard that owns
-/// nothing in this segment still learns the log has moved past it.
-///
-/// Convenience form of [`route_segment_with`] for producers whose segments
-/// never split transactions (the [`crate::segment::SegmentBuilder`]
-/// invariant); a stream that *can* split them must thread one
-/// [`TxnShardTracker`] through every call to keep the cross-shard count
-/// exact.
-pub fn route_segment(segment: Segment, router: &ShardRouter) -> RoutedSegments {
-    route_segment_with(segment, router, &mut TxnShardTracker::default())
-}
-
-/// [`route_segment`] with cross-segment transaction state: shard masks of
-/// transactions still open at the segment boundary are carried in `tracker`,
-/// so each transaction is counted exactly once, by id, at its last write.
-pub fn route_segment_with(
-    segment: Segment,
-    router: &ShardRouter,
-    tracker: &mut TxnShardTracker,
-) -> RoutedSegments {
-    let covers = segment.covered_through();
-    let id = segment.header.id;
-    let mut txns = 0u64;
-    let mut cross_shard_txns = 0u64;
-    // First pass, by reference: route every record (shards fit in a u8 —
-    // `ShardRouter` caps at 64), count per shard, and settle the cross-shard
-    // masks. The scratch buffers persist in the tracker, so after the first
-    // segment this pass allocates nothing.
-    let TxnShardTracker {
-        open,
-        shard_of,
-        counts,
-    } = tracker;
-    shard_of.clear();
-    shard_of.reserve(segment.records.len());
-    counts.clear();
-    counts.resize(router.shards(), 0);
-    for record in &segment.records {
-        let shard = router.route(record.write.row);
-        shard_of.push(shard as u8);
-        counts[shard] += 1;
-        if record.is_txn_last() {
-            // The complete mask: fragments from earlier segments, if any,
-            // plus this final write's shard.
-            let mask = open.remove(&record.txn).unwrap_or(0) | (1u64 << shard);
-            txns += 1;
-            if !mask.is_power_of_two() {
-                cross_shard_txns += 1;
-            }
-        } else {
-            *open.entry(record.txn).or_insert(0) |= 1u64 << shard;
-        }
-    }
-    // Second pass, by value: move each record into its sub-segment buffer,
-    // every buffer allocated exactly once at its final size. Shards owning
-    // nothing in this segment allocate nothing (their sub-segment only
-    // carries the coverage watermark).
-    let mut parts: Vec<Vec<crate::record::LogRecord>> = counts
-        .iter()
-        .map(|&count| {
-            if count == 0 {
-                Vec::new()
-            } else {
-                Vec::with_capacity(count as usize)
-            }
-        })
-        .collect();
-    for (record, &shard) in segment.records.into_iter().zip(shard_of.iter()) {
-        parts[shard as usize].push(record);
-    }
-    RoutedSegments {
-        parts: parts
-            .into_iter()
-            .map(|records| Segment::sub_segment(id, records, covers))
-            .collect(),
-        txns,
-        cross_shard_txns,
     }
 }
 
@@ -1118,13 +884,6 @@ mod tests {
         tx.close();
         assert!(matches!(tx.subscribe(4), Err(Error::Shutdown(_))));
         assert!(!tx.unsubscribe(SubscriptionId(0)));
-    }
-
-    #[test]
-    fn sharded_shipper_rejects_subscription() {
-        let router = c5_common::ShardRouter::new(2, 8);
-        let (tx, _receivers) = LogShipper::shard_routed(router, 8);
-        assert!(matches!(tx.subscribe(4), Err(Error::InvalidConfig(_))));
     }
 
     #[test]
@@ -1426,162 +1185,6 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    /// A segment of three transactions: txn A writes keys {1, 5} (cross-shard
-    /// under a 2-shard router over [0, 8)), txn B writes {2} (shard 0), txn C
-    /// writes {6, 7} (shard 1).
-    fn multi_shard_segment() -> Segment {
-        let entries = vec![
-            TxnEntry::new(
-                TxnId(1),
-                Timestamp(1),
-                vec![
-                    RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1)),
-                    RowWrite::insert(RowRef::new(0, 5), Value::from_u64(5)),
-                ],
-            ),
-            TxnEntry::new(
-                TxnId(2),
-                Timestamp(2),
-                vec![RowWrite::insert(RowRef::new(0, 2), Value::from_u64(2))],
-            ),
-            TxnEntry::new(
-                TxnId(3),
-                Timestamp(3),
-                vec![
-                    RowWrite::insert(RowRef::new(0, 6), Value::from_u64(6)),
-                    RowWrite::insert(RowRef::new(0, 7), Value::from_u64(7)),
-                ],
-            ),
-        ];
-        let mut records = Vec::new();
-        let mut next = SeqNo::ZERO;
-        for entry in entries {
-            let (recs, n) = explode_txn(entry, next);
-            next = n;
-            records.extend(recs);
-        }
-        Segment::new(9, records)
-    }
-
-    #[test]
-    fn route_segment_moves_each_record_to_its_shard() {
-        let router = c5_common::ShardRouter::new(2, 8);
-        let routed = route_segment(multi_shard_segment(), &router);
-        assert_eq!(routed.txns, 3);
-        assert_eq!(routed.cross_shard_txns, 1);
-        assert_eq!(routed.parts.len(), 2);
-
-        let keys =
-            |s: &Segment| -> Vec<u64> { s.records.iter().map(|r| r.write.row.key.0).collect() };
-        assert_eq!(keys(&routed.parts[0]), vec![1, 2]);
-        assert_eq!(keys(&routed.parts[1]), vec![5, 6, 7]);
-        // Records keep their global order within a shard, and every part
-        // covers the parent's full span.
-        for part in &routed.parts {
-            assert!(part.records.windows(2).all(|w| w[0].seq < w[1].seq));
-            assert_eq!(part.covered_through(), SeqNo(5));
-            assert_eq!(part.header.id, 9);
-        }
-    }
-
-    #[test]
-    fn sharded_shipper_delivers_disjoint_streams_with_coverage() {
-        let router = c5_common::ShardRouter::new(2, 8);
-        let (tx, receivers) = LogShipper::shard_routed(router, 8);
-        tx.ship(multi_shard_segment());
-        // A segment owned entirely by shard 1 still sends shard 0 coverage.
-        let entry = TxnEntry::new(
-            TxnId(4),
-            Timestamp(4),
-            vec![RowWrite::insert(RowRef::new(0, 7), Value::from_u64(8))],
-        );
-        let (records, _) = explode_txn(entry, SeqNo(5));
-        tx.ship(Segment::new(10, records));
-        let stats = tx.routing_stats().expect("sharded shipper has stats");
-        assert_eq!(stats.txns, 4);
-        assert_eq!(stats.cross_shard_txns, 1);
-        assert!((stats.cross_shard_share() - 0.25).abs() < 1e-9);
-        tx.close();
-
-        let shard0 = receivers[0].drain();
-        let shard1 = receivers[1].drain();
-        assert_eq!(shard0.len(), 2);
-        assert_eq!(shard1.len(), 2);
-        assert!(shard0[1].is_empty(), "shard 0 owns nothing in segment 10");
-        assert_eq!(shard0[1].covered_through(), SeqNo(6));
-        assert_eq!(shard1[1].len(), 1);
-        // No record is delivered twice across shards.
-        let total: usize = shard0.iter().chain(&shard1).map(Segment::len).sum();
-        assert_eq!(total, 6);
-    }
-
-    #[test]
-    fn replicating_shipper_reports_no_routing_stats() {
-        let (tx, _rx) = LogShipper::bounded(4);
-        assert!(tx.routing_stats().is_none());
-    }
-
-    /// One cross-shard transaction (keys 1 and 5 under a 2-shard router over
-    /// [0, 8)) whose two records are deliberately split across two segments —
-    /// the shape a segment-splitting producer would emit.
-    fn straddling_txn_segments() -> (Segment, Segment) {
-        let entry = TxnEntry::new(
-            TxnId(1),
-            Timestamp(1),
-            vec![
-                RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1)),
-                RowWrite::insert(RowRef::new(0, 5), Value::from_u64(5)),
-            ],
-        );
-        let (mut records, _) = explode_txn(entry, SeqNo::ZERO);
-        let second = records.split_off(1);
-        (Segment::new(0, records), Segment::new(1, second))
-    }
-
-    #[test]
-    fn txn_straddling_segments_is_counted_once_by_id() {
-        let router = c5_common::ShardRouter::new(2, 8);
-        let (seg1, seg2) = straddling_txn_segments();
-        let mut tracker = TxnShardTracker::default();
-
-        let first = route_segment_with(seg1, &router, &mut tracker);
-        // No last write seen yet: nothing is counted, the mask stays open.
-        assert_eq!(first.txns, 0);
-        assert_eq!(first.cross_shard_txns, 0);
-        assert_eq!(tracker.open_txns(), 1);
-
-        let second = route_segment_with(seg2, &router, &mut tracker);
-        // The final write completes the mask {shard 0, shard 1}: exactly one
-        // transaction, counted as cross-shard exactly once. Without the
-        // carried mask the second segment only sees shard 1 and the
-        // transaction would be misclassified as single-shard.
-        assert_eq!(second.txns, 1);
-        assert_eq!(second.cross_shard_txns, 1);
-        assert_eq!(tracker.open_txns(), 0);
-    }
-
-    #[test]
-    fn sharded_shipper_counts_straddling_txns_once() {
-        let router = c5_common::ShardRouter::new(2, 8);
-        let (tx, receivers) = LogShipper::shard_routed(router, 8);
-        let (seg1, seg2) = straddling_txn_segments();
-        tx.ship(seg1);
-        tx.ship(seg2);
-        let stats = tx.routing_stats().unwrap();
-        assert_eq!(stats.txns, 1);
-        assert_eq!(stats.cross_shard_txns, 1);
-        tx.close();
-        // Both records still arrive, each on its own shard (alongside the
-        // empty coverage-only sub-segments of the shard that owns nothing
-        // in a given parent segment).
-        let total: usize = receivers
-            .iter()
-            .flat_map(|r| r.drain())
-            .map(|s| s.len())
-            .sum();
-        assert_eq!(total, 2);
     }
 
     #[test]

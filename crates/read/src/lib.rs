@@ -15,8 +15,8 @@
 //!   cut covering the session's floor, waiting (bounded) or re-routing until
 //!   some replica's exposed cut covers it.
 //! * [`ReadOnlyTxn`] pins one transaction-aligned view for multi-key reads —
-//!   batched point reads and table scans all observe a single cut (a single
-//!   cut *vector* on sharded replicas, including cross-shard scans).
+//!   batched point reads and table scans all observe a single cut (the
+//!   global cut on sharded replicas, including cross-shard scans).
 //! * [`ReadRouter`] load-balances sessions across the 1→N fan-out fleet by
 //!   per-replica exposed-cut freshness and in-flight load, and reports
 //!   per-class throughput, latency percentiles, block time, and observed

@@ -3,10 +3,9 @@
 //! A [`ReadOnlyTxn`] wraps the [`ReadView`](c5_core::replica::ReadView) the
 //! router pinned for it: every
 //! point read, batched read, and scan inside the transaction observes the
-//! same transaction-aligned cut (on a sharded replica, the same cut
-//! *vector* — `ShardedReadView` pins point reads and scans at the per-shard
-//! components, so even a cross-shard scan is transactionally consistent).
-//! The transaction holds its replica's in-flight slot until dropped, so the
+//! same transaction-aligned cut (on a sharded replica, the global cut every
+//! shard's rows are read at, so even a cross-shard scan is transactionally
+//! consistent). The transaction holds its replica's in-flight slot until dropped, so the
 //! router's load balancing sees long scans as load.
 
 use std::sync::Arc;
@@ -152,10 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_txn_scans_are_pinned_at_the_cut_vector() {
+    fn sharded_txn_scans_are_pinned_at_the_global_cut() {
         // A sharded replica under a spanning workload: the transaction's
         // batched point reads and its cross-shard scan must agree row for
-        // row (both are served at the same pinned cut vector).
+        // row (both are served at the same pinned global cut).
         let store = Arc::new(MvStore::default());
         for k in 0..16u64 {
             store.install(

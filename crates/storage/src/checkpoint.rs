@@ -12,18 +12,15 @@
 //! must find the tombstone's timestamp at the head of its chain.
 //!
 //! [`CheckpointWriter`] exports a checkpoint at a cut pinned by a read view
-//! (the caller reads `view.as_of()` from an unsharded replica, or the full
-//! cut vector from a `ShardedReadView` — [`CheckpointWriter::capture_vector`]
-//! exports each row at its own shard's component, which is consistent because
-//! no shard-owned version exists between the global cut and the component).
-//! [`CheckpointInstaller`] installs one into a store. Checkpoints can also be
+//! (`view.as_of()`: the exposed cut of an unsharded replica, or the global
+//! cut of a sharded one). [`CheckpointInstaller`] installs one into a store. Checkpoints can also be
 //! persisted: [`crate::durable`] serializes exactly the [`VersionExport`]
 //! rows plus the cut into a checksummed file, published through a
 //! torn-write-safe manifest, and loads it back across a process restart.
 
 use std::sync::Arc;
 
-use c5_common::{SeqNo, ShardRouter, Timestamp, WriteKind};
+use c5_common::{SeqNo, Timestamp, WriteKind};
 
 use crate::mvstore::{MvStore, VersionExport};
 
@@ -66,21 +63,6 @@ impl Checkpoint {
         self.rows.is_empty()
     }
 
-    /// The largest version timestamp the checkpoint holds. Equal to or below
-    /// the cut for a uniform capture; a *vector* capture
-    /// ([`CheckpointWriter::capture_vector`]) may exceed the global cut on
-    /// shards whose component has advanced — such checkpoints can only
-    /// bootstrap a consumer that understands the vector, not a replica that
-    /// replays the whole log from the global cut (it would re-deliver the
-    /// records in `(cut, component]` against chain heads already past them).
-    pub fn max_version(&self) -> SeqNo {
-        self.rows
-            .iter()
-            .map(|r| SeqNo(r.write_ts.as_u64()))
-            .max()
-            .unwrap_or(SeqNo::ZERO)
-    }
-
     /// Per-row last-write positions, for seeding a resuming scheduler's
     /// `prev_seq` map: the first post-checkpoint write to a row must name the
     /// row's checkpointed version as its predecessor, not "no predecessor".
@@ -109,34 +91,9 @@ impl CheckpointWriter {
     /// the horizon after it — it is monotone, so a post-scan check proves the
     /// scan was safe.
     pub fn capture(store: &MvStore, cut: SeqNo) -> Checkpoint {
-        let ts = Timestamp(cut.as_u64());
         Checkpoint {
             cut,
-            rows: store.export_versions_at(|_| ts),
-        }
-    }
-
-    /// Captures a checkpoint of a sharded backup at a full cut vector (from
-    /// a pinned `ShardedReadView`): each row is exported at its own shard's
-    /// component, exactly as the spanning view reads it. `cut` is the global
-    /// cut the vector realizes.
-    ///
-    /// # Panics
-    /// Panics if the vector's length differs from the router's shard count.
-    pub fn capture_vector(
-        store: &MvStore,
-        router: &ShardRouter,
-        vector: &[SeqNo],
-        cut: SeqNo,
-    ) -> Checkpoint {
-        assert_eq!(
-            vector.len(),
-            router.shards(),
-            "cut vector must have one component per shard"
-        );
-        Checkpoint {
-            cut,
-            rows: store.export_versions_at(|row| Timestamp(vector[router.route(row)].as_u64())),
+            rows: store.export_versions_at(Timestamp(cut.as_u64())),
         }
     }
 }
@@ -295,51 +252,5 @@ mod tests {
         let checkpoint = CheckpointWriter::capture(&pop, SeqNo::ZERO);
         assert_eq!(checkpoint.len(), 1);
         assert_eq!(checkpoint.last_writes().count(), 0);
-    }
-
-    #[test]
-    fn capture_vector_exports_each_row_at_its_shard_component() {
-        // Two shards over [0, 8): rows 1 and 5 land in shards 0 and 1.
-        let store = Arc::new(MvStore::default());
-        store.install(
-            row(1),
-            Timestamp(1),
-            WriteKind::Insert,
-            Some(Value::from_u64(1)),
-        );
-        store.install(
-            row(5),
-            Timestamp(2),
-            WriteKind::Insert,
-            Some(Value::from_u64(2)),
-        );
-        store.install(
-            row(5),
-            Timestamp(4),
-            WriteKind::Update,
-            Some(Value::from_u64(20)),
-        );
-        let router = ShardRouter::new(2, 8);
-
-        // Global cut 2, but shard 1's component has advanced to 4.
-        let checkpoint =
-            CheckpointWriter::capture_vector(&store, &router, &[SeqNo(2), SeqNo(4)], SeqNo(2));
-        assert_eq!(checkpoint.cut(), SeqNo(2));
-        let r5 = checkpoint.rows().iter().find(|r| r.row == row(5)).unwrap();
-        assert_eq!(
-            r5.write_ts,
-            Timestamp(4),
-            "shard 1 exports at its component"
-        );
-        let r1 = checkpoint.rows().iter().find(|r| r.row == row(1)).unwrap();
-        assert_eq!(r1.write_ts, Timestamp(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "one component per shard")]
-    fn capture_vector_rejects_a_short_vector() {
-        let store = Arc::new(MvStore::default());
-        let router = ShardRouter::new(2, 8);
-        let _ = CheckpointWriter::capture_vector(&store, &router, &[SeqNo(1)], SeqNo(1));
     }
 }

@@ -115,7 +115,9 @@ pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
 /// Decodes a checkpoint data file. Unlike log recovery there is no "valid
 /// prefix" to salvage — a checkpoint is all-or-nothing (installing half the
 /// rows would fabricate a state no cut ever had) — so any damage is an
-/// error, but never a panic.
+/// error, but never a panic. A row versioned above the header's cut is
+/// damage too: no capture at that cut can hold it, and replaying the log
+/// from the cut would re-deliver writes its chain head is already past.
 pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
     if bytes.len() < CHECKPOINT_MAGIC.len() || &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
     {
@@ -140,6 +142,13 @@ pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
     let mut rows = Vec::with_capacity(count.min(1 << 20) as usize);
     for payload in frames {
         match decode_row(&payload) {
+            Some(row) if row.write_ts.as_u64() > cut => {
+                return invalid(format!(
+                    "checkpoint row {} is versioned at {} above the cut {cut}",
+                    row.row,
+                    row.write_ts.as_u64()
+                ))
+            }
             Some(row) => rows.push(row),
             None => return invalid("checkpoint row frame is malformed"),
         }
@@ -369,6 +378,22 @@ mod tests {
             .expect("published");
         assert_eq!(loaded.cut(), checkpoint.cut());
         assert!(!dir.join(MANIFEST_TMP).exists(), "scratch file cleaned up");
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_row_above_the_cut_fails_the_load() {
+        // Every frame checksums, but the row's version lies above the cut.
+        let dir = scratch_dir("above-cut");
+        let row = VersionExport {
+            row: RowRef::new(0, 1),
+            write_ts: Timestamp(5),
+            tombstone: false,
+            value: Some(Value::from_u64(5)),
+        };
+        CheckpointWriter::save(&dir, &Checkpoint::from_parts(SeqNo(2), vec![row])).expect("save");
+        let err = CheckpointInstaller::load(&dir).expect_err("a row above the cut");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -475,18 +475,6 @@ impl MvStore {
     /// deterministic, so scan results can be compared directly against a
     /// reference replay.
     pub fn scan_table_at(&self, table: TableId, ts: Timestamp) -> Vec<(RowRef, Value)> {
-        self.scan_table_at_for(table, |_| ts)
-    }
-
-    /// Key-sorted scan of `table` where every row is read at its *own* cut
-    /// (`cut_for_row`). This is the sharded-snapshot scan primitive: a
-    /// spanning read view pins a per-shard cut vector and reads each row at
-    /// its shard's component.
-    pub fn scan_table_at_for(
-        &self,
-        table: TableId,
-        cut_for_row: impl Fn(RowRef) -> Timestamp,
-    ) -> Vec<(RowRef, Value)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
@@ -496,7 +484,7 @@ impl MvStore {
             for &key in keys {
                 let row = RowRef { table, key };
                 if let Some(chain) = shard.rows.get(&row) {
-                    if let Some(v) = chain.version_at(cut_for_row(row)) {
+                    if let Some(v) = chain.version_at(ts) {
                         if !v.tombstone {
                             if let Some(val) = &v.value {
                                 out.push((row, val.clone()));
@@ -514,20 +502,11 @@ impl MvStore {
     /// `(table, key)`. Used by the monotonic-prefix-consistency checker to
     /// compare the backup's exposed state against the reference replay.
     pub fn scan_all_at(&self, ts: Timestamp) -> Vec<(RowRef, Value)> {
-        self.scan_all_at_for(|_| ts)
-    }
-
-    /// Scans all live rows, each read at its own cut (`cut_for_row`), sorted
-    /// by `(table, key)` (see [`scan_table_at_for`](Self::scan_table_at_for)).
-    pub fn scan_all_at_for(
-        &self,
-        cut_for_row: impl Fn(RowRef) -> Timestamp,
-    ) -> Vec<(RowRef, Value)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
             for (row, chain) in shard.rows.iter() {
-                if let Some(v) = chain.version_at(cut_for_row(*row)) {
+                if let Some(v) = chain.version_at(ts) {
                     if !v.tombstone {
                         if let Some(val) = &v.value {
                             out.push((*row, val.clone()));
@@ -540,27 +519,24 @@ impl MvStore {
         out
     }
 
-    /// Exports, for every row, the newest version visible at that row's cut
-    /// (`cut_for_row`), *including tombstones* and their write timestamps.
-    /// This is the checkpoint primitive: unlike [`scan_all_at`](Self::scan_all_at),
-    /// the export preserves enough of each chain head for a fresh store to
+    /// Exports, for every row, the newest version visible at `ts`,
+    /// *including tombstones* and their write timestamps. This is the
+    /// checkpoint primitive: unlike [`scan_all_at`](Self::scan_all_at), the
+    /// export preserves enough of each chain head for a fresh store to
     /// resume per-row ordered apply (`install_if_prev` checks the head's
     /// timestamp, and a deleted row's next write names the tombstone).
-    /// Rows whose first version lies above their cut are skipped.
+    /// Rows whose first version lies above `ts` are skipped.
     ///
     /// The export is per-row consistent under concurrent installs (a version
     /// at or below the cut never changes), but the caller must keep the GC
-    /// horizon at or below every row's cut for the duration — a horizon that
-    /// overtakes the cut may collect the very version the export needs.
-    pub fn export_versions_at(
-        &self,
-        cut_for_row: impl Fn(RowRef) -> Timestamp,
-    ) -> Vec<VersionExport> {
+    /// horizon at or below `ts` for the duration — a horizon that overtakes
+    /// the cut may collect the very version the export needs.
+    pub fn export_versions_at(&self, ts: Timestamp) -> Vec<VersionExport> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
             for (row, chain) in shard.rows.iter() {
-                if let Some(v) = chain.version_at(cut_for_row(*row)) {
+                if let Some(v) = chain.version_at(ts) {
                     out.push(VersionExport {
                         row: *row,
                         write_ts: v.write_ts,
@@ -876,40 +852,6 @@ mod tests {
         sorted.sort();
         assert_eq!(all, sorted, "scan_all_at must be (table, key)-sorted");
         assert_eq!(all[0].table, TableId(0), "table 0 sorts first");
-    }
-
-    #[test]
-    fn per_row_cut_scans_read_each_row_at_its_own_cut() {
-        let s = store();
-        for k in 0..4u64 {
-            s.install(
-                MvStore::row(1, k),
-                Timestamp(1),
-                WriteKind::Insert,
-                Some(Value::from_u64(0)),
-            );
-            s.install(
-                MvStore::row(1, k),
-                Timestamp(10),
-                WriteKind::Update,
-                Some(Value::from_u64(1)),
-            );
-        }
-        // Even keys read at ts 10 (see the update), odd keys at ts 1.
-        let cut = |row: RowRef| {
-            if row.key.as_u64() % 2 == 0 {
-                Timestamp(10)
-            } else {
-                Timestamp(1)
-            }
-        };
-        let scan = s.scan_table_at_for(TableId(1), cut);
-        assert_eq!(scan.len(), 4);
-        for (row, value) in &scan {
-            let expect = (row.key.as_u64() + 1) % 2;
-            assert_eq!(value.as_u64(), Some(expect), "row {row}");
-        }
-        assert_eq!(s.scan_all_at_for(cut), scan);
     }
 
     #[test]

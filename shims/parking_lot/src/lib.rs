@@ -243,11 +243,6 @@ impl Condvar {
         }
     }
 
-    /// Wakes one waiting thread.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     /// Wakes all waiting threads.
     pub fn notify_all(&self) {
         self.inner.notify_all();
@@ -291,7 +286,7 @@ mod tests {
             let (m, cv) = &*pair2;
             let mut done = m.lock();
             *done = true;
-            cv.notify_one();
+            cv.notify_all();
         });
         let (m, cv) = &*pair;
         let mut done = m.lock();

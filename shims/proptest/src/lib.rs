@@ -234,9 +234,7 @@ pub mod prop {
 
 /// The glob-importable prelude, mirroring `proptest::prelude::*`.
 pub mod prelude {
-    pub use super::{
-        any, prop, prop_assert, prop_assert_eq, prop_assert_ne, proptest, ProptestConfig, Strategy,
-    };
+    pub use super::{any, prop, prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
 }
 
 /// Asserts a condition inside a property, reporting the failing inputs.
@@ -249,12 +247,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($arg:tt)*) => { assert_eq!($($arg)*) };
-}
-
-/// Asserts inequality inside a property, reporting the failing inputs.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($arg:tt)*) => { assert_ne!($($arg)*) };
 }
 
 /// Declares property tests: each `fn name(arg in strategy, ...) { body }`

@@ -217,8 +217,8 @@ fn apply_segment_is_synchronous_dispatch_for_every_protocol() {
 
 /// DESIGN.md: "the single-shard case degenerates exactly to the paper's
 /// protocol". Same log, `C5Replica` (faithful) and `ShardedC5Replica` with one
-/// shard: the same final state, the same counts, and at every sample a
-/// one-component cut vector equal to the exposed cut.
+/// shard: the same final state, the same counts, and at every sample an
+/// MPC-clean view.
 #[test]
 fn one_shard_is_the_unsharded_replica() {
     let (population, segments) = mixed_log();
@@ -226,11 +226,12 @@ fn one_shard_is_the_unsharded_replica() {
     let sharded = ShardedC5Replica::new(preloaded(&population), config(1));
 
     drive_segments(unsharded.as_ref(), segments.clone());
+    let mut checker = MpcChecker::new(&population, &segments);
     sample_while(
         || {
-            // The view pins the cut and the vector as one unit.
-            let view = sharded.coordinator().read_view();
-            assert_eq!(view.cut_vector(), [view.as_of()]);
+            checker
+                .verify_view(sharded.read_view().as_ref())
+                .unwrap_or_else(|e| panic!("one-shard view: {e}"));
         },
         || drive_segments(sharded.as_ref(), segments.clone()),
     );
@@ -255,7 +256,6 @@ fn one_shard_is_the_unsharded_replica() {
     );
     assert_eq!(b.cross_shard_txns, 0);
     assert_eq!(unsharded.lag().len(), sharded.lag().len());
-    assert_eq!(sharded.cut_vector(), [sharded.exposed_seq()]);
 }
 
 /// Checkpoints exported back to back while `replica` applies the mixed log
