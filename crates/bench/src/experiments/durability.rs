@@ -7,7 +7,7 @@
 //! the hidden `durability-child` sub-command) that runs a 2PL primary on the
 //! adversarial workload with its shipped log teed into a durable
 //! [`LogArchive`] (fsync per segment) and a population checkpoint published
-//! under the same state directory. Once the archive's log holds enough
+//! in the same state directory. Once the archive's log holds enough
 //! frames the parent SIGKILLs the child — no flush, no shutdown hook — and
 //! then:
 //!
@@ -32,9 +32,10 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use c5_common::fs::StdFs;
 use c5_common::{DurabilityPolicy, PrimaryConfig, ReplicaConfig, RowRef, SeqNo, Value};
 use c5_core::replica::{C5Mode, ClonedConcurrencyControl};
-use c5_core::{checkpoint_dir, log_dir, recover_replica, MpcChecker, RecoveredReplica};
+use c5_core::{recover_replica, MpcChecker, RecoveredReplica};
 use c5_log::archive::{chunk_paths, scan_chunk};
 use c5_log::{LogArchive, LogShipper, StreamingLogger};
 use c5_primary::{ClosedLoopDriver, RunLength, TplEngine, TxnFactory};
@@ -72,7 +73,7 @@ pub fn run(scale: &Scale) {
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn the durability child");
-    wait_for_segments(&log_dir(&state_dir), want_segments, &mut child);
+    wait_for_segments(&state_dir, want_segments, &mut child);
     child.kill().expect("SIGKILL the child");
     child.wait().expect("reap the child");
 
@@ -101,7 +102,7 @@ pub fn run(scale: &Scale) {
 
     // 4. Corrupt one byte inside the last frame and recover again: the
     // damaged tail must be truncated at a transaction boundary, not panic.
-    flip_one_byte_in_the_last_frame(&log_dir(&state_dir));
+    flip_one_byte_in_the_last_frame(&state_dir);
     let restarted = Instant::now();
     let rerecovered = recover_first_pass(&state_dir);
     let rerecovery_wall = restarted.elapsed();
@@ -116,20 +117,20 @@ pub fn run(scale: &Scale) {
         .expect("the post-corruption state must still be a prefix of the log");
 
     // The archive's own share of a recovery, on the log as it now is.
-    let archive_files = fs::read_dir(log_dir(&state_dir)).map_or(0, |entries| entries.count());
+    let archive_files = chunk_paths(&state_dir).map_or(0, |chunks| chunks.len());
     let reopening = Instant::now();
-    let reopened = LogArchive::open(log_dir(&state_dir), DurabilityPolicy::EverySegment)
-        .expect("reopen the archive");
+    let reopened =
+        LogArchive::open(&state_dir, DurabilityPolicy::EverySegment).expect("reopen the archive");
     println!(
-        "durability: LogArchive::open read {} segments ({} records) back from {} files in {:.2} ms",
+        "durability: LogArchive::open read {} segments ({} records) back from {} chunk files in {:.2} ms",
         reopened.recovered_segments,
         reopened.recovered_records,
         archive_files,
         reopening.elapsed().as_secs_f64() * 1e3,
     );
     assert!(
-        archive_files <= 4,
-        "an append-only archive is a manifest and a chunk or two, not {archive_files} files"
+        archive_files <= 3,
+        "an append-only archive is a chunk or two, not {archive_files} chunk files"
     );
 
     println!(
@@ -194,10 +195,10 @@ pub fn run_child(state_dir: &Path) -> ! {
     // segment into the durable archive (sync per segment). The parent polls
     // for the frames this produces.
     let checkpoint = CheckpointWriter::capture(&store, SeqNo::ZERO);
-    CheckpointWriter::save(checkpoint_dir(state_dir), &checkpoint)
+    CheckpointWriter::save(&StdFs, state_dir, &checkpoint)
         .expect("publish the population checkpoint");
     let archive = Arc::new(
-        LogArchive::durable(log_dir(state_dir), DurabilityPolicy::EverySegment)
+        LogArchive::durable(state_dir, DurabilityPolicy::EverySegment)
             .expect("create the durable archive"),
     );
     let (shipper, receiver) = LogShipper::unbounded();
@@ -224,6 +225,7 @@ pub fn run_child(state_dir: &Path) -> ! {
 
 fn recover_first_pass(state_dir: &Path) -> RecoveredReplica {
     recover_replica(
+        Arc::new(StdFs),
         state_dir,
         C5Mode::Faithful,
         ReplicaConfig::default().with_workers(2),
@@ -234,8 +236,8 @@ fn recover_first_pass(state_dir: &Path) -> RecoveredReplica {
 
 /// Reconstructs the initial population from the child's cut-zero checkpoint.
 fn load_population(state_dir: &Path) -> Vec<(RowRef, Value)> {
-    let checkpoint = CheckpointInstaller::load(checkpoint_dir(state_dir))
-        .expect("read the checkpoint directory")
+    let checkpoint = CheckpointInstaller::load(&StdFs, state_dir)
+        .expect("read the state directory")
         .expect("the child published a checkpoint before the workload started");
     assert_eq!(
         checkpoint.cut(),

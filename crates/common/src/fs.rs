@@ -1,15 +1,17 @@
-//! The file-system seam under the durable log archive.
+//! The file-system seam under every durable layer.
 //!
-//! Every syscall the archive makes goes through [`Fs`] (directory and
-//! whole-file operations) and [`FsFile`] (an open file: positioned write and
-//! `sync_data`), so that each of them can be made to fail. [`StdFs`] is the
-//! real thing, a thin pass-through to `std::fs`. [`FaultyFs`] wraps it and
-//! fails exactly one call, chosen by index, the way that kind of call fails
-//! on a real machine — a short write or `ENOSPC`, `EIO` from a sync, a
-//! rename that does not happen — which is what lets a test walk a scenario
-//! failing *each call in turn* instead of damaging files afterwards. An open
-//! append-only file survives the deletion of its directory, so pulling the
-//! directory away injects nothing; this seam is the only way in.
+//! Every syscall the log archive, the checkpoint files and crash recovery
+//! make goes through [`Fs`] (directory and whole-file operations) and
+//! [`FsFile`] (an open file: positioned write and `sync_data`), so that each
+//! of them can be made to fail; [`publish`] is the one way a file is
+//! replaced atomically. [`StdFs`] is the real thing, a thin pass-through to
+//! `std::fs`. [`FaultyFs`] wraps it and fails exactly one call, chosen by
+//! index, the way that kind of call fails on a real machine — a short write
+//! or `ENOSPC`, `EIO` from a sync, a rename that does not happen — which is
+//! what lets a test walk a scenario failing *each call in turn* instead of
+//! damaging files afterwards. An open append-only file survives the deletion
+//! of its directory, so pulling the directory away injects nothing; this
+//! seam is the only way in.
 
 use std::fmt;
 use std::fs;
@@ -37,6 +39,23 @@ pub trait Fs: fmt::Debug + Send + Sync {
     fn remove(&self, path: &Path) -> io::Result<()>;
     /// Makes `dir`'s entries — creations, renames, unlinks — durable.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+}
+
+/// Publishes `bytes` as `dir/name` in one step: they are written to
+/// `<name>.tmp`, synced, renamed over `name`, and the directory is synced.
+/// A crash at any point leaves `name` either as it was or holding all of
+/// `bytes`, never torn; the scratch file it may leave is truncated by the
+/// next publication under the same name. Fails with the first error,
+/// including that of the directory sync, without which the rename may not
+/// survive a crash.
+pub fn publish(fs: &dyn Fs, dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut file = fs.create(&tmp)?;
+    file.write_all_at(bytes, 0)?;
+    file.sync_data()?;
+    drop(file);
+    fs.rename(&tmp, &dir.join(name))?;
+    fs.sync_dir(dir)
 }
 
 /// An open file of an [`Fs`].
@@ -285,6 +304,14 @@ mod tests {
         assert_eq!(StdFs.list(&dir).unwrap(), vec!["f".to_string()]);
         StdFs.sync_dir(&dir).unwrap();
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn syncing_a_directory_that_is_gone_is_an_error() {
+        let dir = scratch("gone");
+        StdFs.sync_dir(&dir).expect("an existing directory syncs");
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(StdFs.sync_dir(&dir).is_err());
     }
 
     /// Create, write, sync, rename under every failing index: the run stops

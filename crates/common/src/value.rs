@@ -18,11 +18,6 @@ use crate::ids::RowRef;
 pub struct Value(Bytes);
 
 impl Value {
-    /// Creates a value from raw bytes.
-    pub fn from_bytes(bytes: Bytes) -> Self {
-        Self(bytes)
-    }
-
     /// Creates a value from a `u64`, the encoding used by the synthetic
     /// workloads (a single integer column).
     pub fn from_u64(v: u64) -> Self {

@@ -58,7 +58,7 @@ pub use pipeline::{
     QueuePlan, RowWaitList, WorkSink,
 };
 pub use progress::WatermarkTracker;
-pub use recovery::{checkpoint_dir, log_dir, recover_replica, RecoveredReplica};
+pub use recovery::{recover_replica, RecoveredReplica};
 pub use replica::{
     drive_from_receiver, drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, Promotion,
     ReadView, ReplicaMetrics,

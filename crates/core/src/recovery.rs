@@ -3,42 +3,34 @@
 //! The paper's backup is always running, so it never needs this; a real
 //! deployment does, and the durable layers supply the two halves — `c5-storage`'s
 //! persisted checkpoints ([`CheckpointInstaller::load`]) and `c5-log`'s
-//! disk-backed archive ([`LogArchive::open`]). This module composes them into
+//! disk-backed archive ([`LogArchive::open_on`]). This module composes them into
 //! the one operation a restarted process actually wants:
 //!
-//! 1. load the newest published checkpoint (torn-write-safe manifest);
+//! 1. load the newest published checkpoint (the highest-cut `ckpt-*.c5c`);
 //! 2. reopen the durable log archive, truncating any torn or corrupt tail
 //!    back to a transaction boundary;
 //! 3. replay the retained records above the checkpoint cut into a replica
 //!    resumed from the checkpoint ([`C5Replica::resume_from_checkpoint`]).
 //!
-//! Both halves live under one state directory, in fixed subdirectories
-//! ([`log_dir`] / [`checkpoint_dir`]), so the writing process and the
-//! recovering process agree on layout by construction. If truncation has
-//! outrun the checkpoint — the archive dropped records the checkpoint does
-//! not cover, which can only happen if the manifest publication was lost —
-//! recovery fails loudly with [`Error::ArchiveTruncated`] instead of silently
-//! replaying a log with a hole in it. Every failure is a [`c5_common::Error`].
+//! Both halves live in one state directory — the archive's chunks and
+//! manifest beside the checkpoint file, each side ignoring the other's
+//! names — and every call goes through one [`Fs`], so a test can fail any of
+//! them. If truncation has outrun the checkpoint — the archive dropped
+//! records the checkpoint does not cover, which can only happen if that
+//! checkpoint was lost — recovery fails loudly with
+//! [`Error::ArchiveTruncated`] instead of silently replaying a log with a
+//! hole in it. Every failure is a [`c5_common::Error`].
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
+use c5_common::fs::Fs;
 use c5_common::{DurabilityPolicy, Error, ReplicaConfig, Result, SeqNo};
 use c5_log::{LogArchive, Segment};
 use c5_storage::CheckpointInstaller;
 
 use crate::replica::{drive_segments, C5Mode, C5Replica};
-
-/// The log-archive subdirectory of a durable state directory.
-pub fn log_dir(state_dir: &Path) -> PathBuf {
-    state_dir.join("log")
-}
-
-/// The checkpoint subdirectory of a durable state directory.
-pub fn checkpoint_dir(state_dir: &Path) -> PathBuf {
-    state_dir.join("checkpoint")
-}
 
 /// A replica reconstructed from durable state, plus how it got there.
 pub struct RecoveredReplica {
@@ -70,24 +62,25 @@ impl fmt::Debug for RecoveredReplica {
     }
 }
 
-/// Recovers a replica from the durable state under `state_dir`: newest
-/// checkpoint, plus the archived log tail above its cut. See the module docs
-/// for the exact steps. The archive is reopened with `policy` governing
-/// post-recovery appends.
+/// Recovers a replica from the durable state in `state_dir`, read through
+/// `fs`: newest checkpoint, plus the archived log tail above its cut. See
+/// the module docs for the exact steps. The archive is reopened on `fs` with
+/// `policy` governing post-recovery appends.
 ///
-/// Fails with [`Error::RecoveryIo`] when the checkpoint or archive directory
+/// Fails with [`Error::RecoveryIo`] when the checkpoint or the archive
 /// cannot be read (or a damaged checkpoint fails validation), and with
 /// [`Error::ArchiveTruncated`] when the retained log no longer reaches back
 /// to the checkpoint cut.
 pub fn recover_replica(
+    fs: Arc<dyn Fs>,
     state_dir: &Path,
     mode: C5Mode,
     config: ReplicaConfig,
     policy: DurabilityPolicy,
 ) -> Result<RecoveredReplica> {
-    let io_error = |what: &'static str, dir: &Path, e: std::io::Error| Error::RecoveryIo {
+    let io_error = |what: &'static str, e: std::io::Error| Error::RecoveryIo {
         what,
-        message: format!("{}: {e}", dir.display()),
+        message: format!("{}: {e}", state_dir.display()),
     };
     // Each recovery phase ends with a typed trace event into the config's
     // observability sink, so a recovered process can show where its
@@ -103,14 +96,13 @@ pub fn recover_replica(
             .record(elapsed_ns);
     };
 
-    let dir = checkpoint_dir(state_dir);
     let checkpoint =
-        CheckpointInstaller::load(&dir).map_err(|e| io_error("checkpoint", &dir, e))?;
+        CheckpointInstaller::load(fs.as_ref(), state_dir).map_err(|e| io_error("checkpoint", e))?;
     trace_phase("load_checkpoint", phase_start);
 
     let phase_start = std::time::Instant::now();
-    let dir = log_dir(state_dir);
-    let opened = LogArchive::open(&dir, policy).map_err(|e| io_error("log archive", &dir, e))?;
+    let opened =
+        LogArchive::open_on(fs, state_dir, policy).map_err(|e| io_error("log archive", e))?;
     let archive = Arc::new(opened.archive);
     trace_phase("open_archive", phase_start);
 
@@ -152,10 +144,12 @@ pub fn recover_replica(
 mod tests {
     use super::*;
     use crate::replica::ClonedConcurrencyControl;
-    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
+    use c5_common::fs::{FaultyFs, StdFs};
+    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value, WriteKind};
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::{CheckpointWriter, MvStore};
     use std::fs;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -186,6 +180,36 @@ mod tests {
         segments_from_entries(&entries, 4)
     }
 
+    /// Rows 0..3 at timestamp zero: the state the log starts from.
+    fn population() -> Arc<MvStore> {
+        let store = Arc::new(MvStore::default());
+        for k in 0..3u64 {
+            store.install(
+                RowRef::new(0, k),
+                Timestamp::ZERO,
+                WriteKind::Insert,
+                Some(Value::from_u64(0)),
+            );
+        }
+        store
+    }
+
+    fn recover(fs: Arc<dyn Fs>, dir: &Path) -> Result<RecoveredReplica> {
+        recover_replica(
+            fs,
+            dir,
+            C5Mode::Faithful,
+            ReplicaConfig::default().with_workers(2),
+            DurabilityPolicy::EverySegment,
+        )
+    }
+
+    fn sorted_scan(replica: &C5Replica) -> Vec<(RowRef, Value)> {
+        let mut rows = replica.read_view().scan_all();
+        rows.sort_by_key(|(row, _)| *row);
+        rows
+    }
+
     /// Persist a population checkpoint plus the full log, then recover and
     /// compare against an in-memory replica fed the same stream.
     #[test]
@@ -195,31 +219,17 @@ mod tests {
         let config = ReplicaConfig::default().with_workers(2);
 
         // The "before the crash" process: populate, checkpoint, archive.
-        let population = Arc::new(MvStore::default());
-        for k in 0..3u64 {
-            population.install(
-                RowRef::new(0, k),
-                Timestamp::ZERO,
-                c5_common::WriteKind::Insert,
-                Some(Value::from_u64(0)),
-            );
-        }
+        let population = population();
         let checkpoint = CheckpointWriter::capture(&population, SeqNo::ZERO);
-        CheckpointWriter::save(checkpoint_dir(&dir), &checkpoint).expect("save checkpoint");
-        let archive = LogArchive::durable(log_dir(&dir), DurabilityPolicy::EverySegment)
-            .expect("create archive");
+        CheckpointWriter::save(&StdFs, &dir, &checkpoint).expect("save checkpoint");
+        let archive =
+            LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create archive");
         for segment in &segments {
             archive.append(segment);
         }
         drop(archive); // no clean shutdown — recovery must not need one
 
-        let recovered = recover_replica(
-            &dir,
-            C5Mode::Faithful,
-            config.clone(),
-            DurabilityPolicy::EverySegment,
-        )
-        .expect("recover");
+        let recovered = recover(Arc::new(StdFs), &dir).expect("recover");
         assert_eq!(recovered.checkpoint_cut, SeqNo::ZERO);
         assert_eq!(recovered.replayed_records, 12);
         assert_eq!(recovered.recovered_through, SeqNo(12));
@@ -229,11 +239,7 @@ mod tests {
         // the same log.
         let reference = C5Replica::new(C5Mode::Faithful, population, config);
         drive_segments(reference.as_ref(), segments);
-        let mut expect = reference.read_view().scan_all();
-        let mut got = recovered.replica.read_view().scan_all();
-        expect.sort_by_key(|(row, _)| *row);
-        got.sort_by_key(|(row, _)| *row);
-        assert_eq!(expect, got);
+        assert_eq!(sorted_scan(&reference), sorted_scan(&recovered.replica));
 
         fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -242,20 +248,14 @@ mod tests {
     fn recovery_without_any_checkpoint_replays_from_scratch() {
         let dir = scratch_dir("cold");
         let segments = test_log();
-        let archive = LogArchive::durable(log_dir(&dir), DurabilityPolicy::EverySegment)
-            .expect("create archive");
+        let archive =
+            LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create archive");
         for segment in &segments {
             archive.append(segment);
         }
         drop(archive);
 
-        let recovered = recover_replica(
-            &dir,
-            C5Mode::Faithful,
-            ReplicaConfig::default().with_workers(2),
-            DurabilityPolicy::EverySegment,
-        )
-        .expect("recover");
+        let recovered = recover(Arc::new(StdFs), &dir).expect("recover");
         assert_eq!(recovered.checkpoint_cut, SeqNo::ZERO);
         assert_eq!(recovered.replayed_records, 12);
         // Rows 10+t only ever see one write; spot-check one.
@@ -273,27 +273,85 @@ mod tests {
         let dir = scratch_dir("hole");
         let segments = test_log();
         // Checkpoint published at cut 0, but the archive was truncated
-        // through 4 (as if a newer checkpoint's manifest write was lost).
+        // through 4 (as if a newer checkpoint had been lost).
         let store = Arc::new(MvStore::default());
         let checkpoint = CheckpointWriter::capture(&store, SeqNo::ZERO);
-        CheckpointWriter::save(checkpoint_dir(&dir), &checkpoint).expect("save");
-        let archive = LogArchive::durable(log_dir(&dir), DurabilityPolicy::EverySegment)
-            .expect("create archive");
+        CheckpointWriter::save(&StdFs, &dir, &checkpoint).expect("save");
+        let archive =
+            LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create archive");
         for segment in &segments {
             archive.append(segment);
         }
         assert_eq!(archive.truncate_through(SeqNo(4)), Ok(1));
         drop(archive);
 
-        let err = recover_replica(
-            &dir,
-            C5Mode::Faithful,
-            ReplicaConfig::default().with_workers(2),
-            DurabilityPolicy::EverySegment,
-        )
-        .expect_err("the log has a hole below the replay cut");
+        let err =
+            recover(Arc::new(StdFs), &dir).expect_err("the log has a hole below the replay cut");
         assert!(matches!(err, Error::ArchiveTruncated { .. }));
 
         fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Every call one recovery makes, failed in turn through the fault
+    /// double: each run is a typed error, never a panic, and a rerun on the
+    /// real file system recovers exactly what a clean recovery does. The
+    /// state is what a crash mid-checkpoint leaves: a checkpoint at cut 4,
+    /// the log truncated through it, and the scratch files of the next
+    /// checkpoint's and the next truncation's publications.
+    #[test]
+    fn any_one_failed_call_is_a_typed_error_and_a_rerun_recovers() {
+        let segments = test_log();
+        let persist = |dir: &Path| {
+            let store = population();
+            for r in segments.iter().flat_map(|s| &s.records) {
+                if r.seq <= SeqNo(4) {
+                    let ts = Timestamp(r.seq.as_u64());
+                    store.install(r.write.row, ts, r.write.kind, r.write.value.clone());
+                }
+            }
+            let checkpoint = CheckpointWriter::capture(&store, SeqNo(4));
+            let published = CheckpointWriter::save(&StdFs, dir, &checkpoint).expect("save");
+            let archive =
+                LogArchive::durable(dir, DurabilityPolicy::EverySegment).expect("create archive");
+            for segment in &segments {
+                archive.append(segment);
+            }
+            assert_eq!(archive.truncate_through(SeqNo(4)), Ok(1));
+            let next = published.with_file_name("ckpt-00000000000000000012.c5c.tmp");
+            fs::write(next, b"torn").unwrap();
+            fs::write(dir.join("archive.meta.tmp"), b"torn").unwrap();
+        };
+
+        let reference = C5Replica::new(
+            C5Mode::Faithful,
+            population(),
+            ReplicaConfig::default().with_workers(2),
+        );
+        drive_segments(reference.as_ref(), segments.clone());
+        let expect = sorted_scan(&reference);
+
+        let probe_dir = scratch_dir("each-call-probe");
+        persist(&probe_dir);
+        let probe = Arc::new(FaultyFs::new(0, None));
+        let clean = recover(probe.clone(), &probe_dir).expect("nothing is told to fail");
+        assert_eq!(clean.checkpoint_cut, SeqNo(4));
+        assert_eq!(sorted_scan(&clean.replica), expect);
+        let calls = probe.calls();
+        drop(clean);
+        fs::remove_dir_all(&probe_dir).expect("cleanup");
+
+        for fail in 0..calls {
+            let dir = scratch_dir("each-call");
+            persist(&dir);
+            match recover(Arc::new(FaultyFs::new(fail, Some(fail))), &dir) {
+                Err(Error::RecoveryIo { .. } | Error::ArchiveIo { .. }) => {}
+                other => panic!("call {fail} of {calls}: expected an I/O error, got {other:?}"),
+            }
+            let rerun = recover(Arc::new(StdFs), &dir).expect("the real file system recovers");
+            assert_eq!(rerun.checkpoint_cut, SeqNo(4), "call {fail}");
+            assert_eq!(sorted_scan(&rerun.replica), expect, "call {fail}");
+            drop(rerun);
+            fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 }

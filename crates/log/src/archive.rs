@@ -25,8 +25,9 @@
 //! # The on-disk log
 //!
 //! The directory holds a one-frame manifest (`archive.meta`, the truncation
-//! point, written temp-then-rename) and a few **chunk** files
-//! `log-<first_seq>.c5a`, zero-padded so name order is log order. A chunk is
+//! point, replaced by [`c5_common::fs::publish`]) and a few **chunk** files
+//! `log-<first_seq>.c5a`, zero-padded so name order is log order; any other
+//! name (a checkpoint sharing the directory) is not the archive's. A chunk is
 //! a run of outer frames and then zeros:
 //!
 //! ```text
@@ -75,7 +76,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use c5_common::frame::{crc32, read_frames, write_frame, PayloadReader, PayloadWriter};
-use c5_common::fs::{Fs, FsFile, StdFs};
+use c5_common::fs::{publish, Fs, FsFile, StdFs};
 use c5_common::{DurabilityPolicy, Error, Result, SeqNo};
 
 use crate::segment::Segment;
@@ -83,8 +84,6 @@ use crate::wal::{decode_segment, encode_segment};
 
 /// The manifest file recording the archive's truncation point.
 const META_FILE: &str = "archive.meta";
-/// Scratch name the manifest is written to before the atomic rename.
-const META_TMP: &str = "archive.meta.tmp";
 
 /// A chunk is closed, and the next one created, by the first append that
 /// would end beyond this size.
@@ -214,14 +213,7 @@ fn write_meta(fs: &dyn Fs, dir: &Path, truncated_through: SeqNo) -> io::Result<(
     payload.u64(truncated_through.as_u64());
     let mut bytes = Vec::new();
     write_frame(&mut bytes, &payload.finish());
-
-    let tmp = dir.join(META_TMP);
-    let mut file = fs.create(&tmp)?;
-    file.write_all_at(&bytes, 0)?;
-    file.sync_data()?;
-    drop(file);
-    fs.rename(&tmp, &dir.join(META_FILE))?;
-    fs.sync_dir(dir)
+    publish(fs, dir, META_FILE, &bytes)
 }
 
 /// Decodes the truncation manifest; a damaged one degrades to "nothing
@@ -504,9 +496,6 @@ impl LogArchive {
         fs.create_dir_all(dir)?;
         let names = fs.list(dir)?;
         let on_disk = chunk_files(dir, &names)?;
-        if names.iter().any(|n| n == META_TMP) {
-            fs.remove(&dir.join(META_TMP))?;
-        }
         let mut truncated_through = match names.iter().any(|n| n == META_FILE) {
             true => parse_meta(&fs.read(&dir.join(META_FILE))?),
             false => SeqNo::ZERO,
@@ -682,7 +671,7 @@ impl LogArchive {
     /// (a checkpoint at `cut` has made them redundant). A segment straddling
     /// the cut is kept whole — [`replay_from`](Self::replay_from) trims it.
     /// A disk-backed archive first records the new truncation point in the
-    /// manifest (write-temp-then-rename), then unlinks the chunks that lie
+    /// manifest ([`c5_common::fs::publish`]), then unlinks the chunks that lie
     /// wholly at or below it; segments in a chunk that stays are skipped by
     /// the next open. Returns the number of segments dropped.
     ///

@@ -13,10 +13,11 @@
 //!
 //! [`CheckpointWriter`] exports a checkpoint at a cut pinned by a read view
 //! (`view.as_of()`: the exposed cut of an unsharded replica, or the global
-//! cut of a sharded one). [`CheckpointInstaller`] installs one into a store. Checkpoints can also be
-//! persisted: [`crate::durable`] serializes exactly the [`VersionExport`]
-//! rows plus the cut into a checksummed file, published through a
-//! torn-write-safe manifest, and loads it back across a process restart.
+//! cut of a sharded one). [`CheckpointInstaller`] installs one into a fresh
+//! store. Checkpoints can also be persisted: [`crate::durable`] serializes
+//! exactly the [`VersionExport`] rows plus the cut into a checksummed file,
+//! publishes it in one rename through the `c5_common::fs` seam, and loads it
+//! back across a process restart.
 
 use std::sync::Arc;
 
@@ -106,17 +107,10 @@ impl CheckpointInstaller {
     /// Installs the checkpoint into a fresh store — the cold-replica
     /// bootstrap path. The store afterwards reads identically to the source
     /// at every timestamp from the cut up to the first replayed record.
+    /// Every row is installed at its original write timestamp, tombstones
+    /// included.
     pub fn install(checkpoint: &Checkpoint) -> Arc<MvStore> {
         let store = Arc::new(MvStore::default());
-        Self::install_into(checkpoint, &store);
-        store
-    }
-
-    /// Installs the checkpoint's rows into `store` at their original write
-    /// timestamps (tombstones included). Returns the number of rows
-    /// installed. The store should be empty — installing over existing rows
-    /// merges histories, which is never what failover wants.
-    pub fn install_into(checkpoint: &Checkpoint, store: &MvStore) -> usize {
         for row in &checkpoint.rows {
             let kind = if row.tombstone {
                 WriteKind::Delete
@@ -125,7 +119,7 @@ impl CheckpointInstaller {
             };
             store.install(row.row, row.write_ts, kind, row.value.clone());
         }
-        checkpoint.rows.len()
+        store
     }
 }
 

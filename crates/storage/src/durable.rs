@@ -1,58 +1,56 @@
-//! Durable checkpoints: the on-disk format and the torn-write-safe manifest.
+//! Durable checkpoints: the on-disk format and its publication.
 //!
 //! A checkpoint is the state half of recovery (the log half is `c5-log`'s
-//! disk-backed archive); together they let a replica be reconstructed across
-//! a real process restart. The format mirrors what
-//! [`crate::checkpoint::Checkpoint`] holds and nothing more:
+//! disk-backed archive, which shares the directory); together they let a
+//! replica be reconstructed across a real process restart. The format
+//! mirrors what [`crate::checkpoint::Checkpoint`] holds and nothing more:
 //!
 //! ```text
-//! ckpt-<cut>.c5c            CHECKPOINT (manifest)
-//! +--------------------+    +---------------------+
-//! | magic "C5CKPT1\n"  |    | one frame: the cut  |
-//! | header frame: cut, |    | whose data file is  |
-//! |   row count        |    | complete on disk    |
-//! | row frame          |    +---------------------+
+//! ckpt-<cut>.c5c
+//! +--------------------+
+//! | magic "C5CKPT1\n"  |
+//! | header frame: cut, |
+//! |   row count        |
+//! | row frame          |
 //! | ...                |
 //! +--------------------+
 //! ```
 //!
-//! Every frame is checksummed ([`c5_common::frame`]). Publication order makes
-//! a torn write harmless: the data file is written and fsynced **first**,
-//! then the manifest is written to a scratch name, fsynced, and renamed over
-//! `CHECKPOINT`. A crash at any point leaves the manifest either absent or
-//! naming a checkpoint whose data file was already complete — never a
-//! half-written one. Loading therefore trusts the manifest to pick the file,
-//! but still validates every frame of the data file and fails with a clean
-//! error (never a panic) if bit rot got to it; the recovery driver can then
-//! fall back to an older checkpoint or a cold start.
+//! Every frame is checksummed ([`c5_common::frame`]), and every byte goes
+//! through the [`Fs`] seam. The file is published with
+//! [`c5_common::fs::publish`] — written to a scratch name, synced, renamed
+//! over `ckpt-<cut>.c5c` — so a crash at any point leaves every
+//! `ckpt-*.c5c` complete, a re-save at the same cut included. Loading picks
+//! the highest cut: one directory checkpoints one log, whose cuts only grow.
+//! It still validates every frame and fails with a clean error (never a
+//! panic) if bit rot got to the file, so crash recovery reports it instead
+//! of resuming on a corrupt state.
 
-use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use c5_common::frame::{read_frames, write_frame, PayloadReader, PayloadWriter};
+use c5_common::fs::{publish, Fs};
 use c5_common::{RowRef, SeqNo, Timestamp, Value};
 
 use crate::checkpoint::{Checkpoint, CheckpointInstaller, CheckpointWriter};
 use crate::mvstore::VersionExport;
 
-/// Magic bytes at the head of a checkpoint data file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"C5CKPT1\n";
+/// Magic bytes at the head of a checkpoint file.
+const CHECKPOINT_MAGIC: &[u8; 8] = b"C5CKPT1\n";
 
-/// The manifest naming the current complete checkpoint.
-pub const MANIFEST_FILE: &str = "CHECKPOINT";
-const MANIFEST_TMP: &str = "CHECKPOINT.tmp";
-
-fn data_file_name(cut: SeqNo) -> String {
+fn checkpoint_file_name(cut: SeqNo) -> String {
     format!("ckpt-{:020}.c5c", cut.as_u64())
+}
+
+/// The cut a checkpoint file's name promises, if it is a checkpoint file.
+fn checkpoint_cut(name: &str) -> Option<SeqNo> {
+    let digits = name.strip_prefix("ckpt-")?.strip_suffix(".c5c")?;
+    digits.parse().ok().map(SeqNo)
 }
 
 fn invalid<T>(what: impl Into<String>) -> io::Result<T> {
     Err(io::Error::new(io::ErrorKind::InvalidData, what.into()))
-}
-
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    fs::File::open(dir)?.sync_all()
 }
 
 fn encode_row(row: &VersionExport) -> Vec<u8> {
@@ -97,8 +95,8 @@ fn decode_row(payload: &[u8]) -> Option<VersionExport> {
     })
 }
 
-/// Encodes a checkpoint into its data-file bytes.
-pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
+/// Encodes a checkpoint into its file's bytes.
+fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + checkpoint.len() * 48);
     out.extend_from_slice(CHECKPOINT_MAGIC);
     let mut header = PayloadWriter::new();
@@ -112,13 +110,13 @@ pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
     out
 }
 
-/// Decodes a checkpoint data file. Unlike log recovery there is no "valid
+/// Decodes a checkpoint file. Unlike log recovery there is no "valid
 /// prefix" to salvage — a checkpoint is all-or-nothing (installing half the
 /// rows would fabricate a state no cut ever had) — so any damage is an
 /// error, but never a panic. A row versioned above the header's cut is
 /// damage too: no capture at that cut can hold it, and replaying the log
 /// from the cut would re-deliver writes its chain head is already past.
-pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
+fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
     if bytes.len() < CHECKPOINT_MAGIC.len() || &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
     {
         return invalid("checkpoint file lacks the C5CKPT1 magic");
@@ -163,75 +161,58 @@ pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
 }
 
 impl CheckpointWriter {
-    /// Persists `checkpoint` under `dir` (created if absent) and publishes it
-    /// through the manifest: data file first (written and fsynced), manifest
-    /// second (write-temp-then-rename, fsynced) — so a crash anywhere leaves
-    /// either the previous checkpoint or this one, never a torn hybrid.
-    /// Superseded data files are then deleted best-effort. Returns the data
-    /// file's path, or the first I/O error — including a failed sync of the
-    /// directory after the rename, without which the publication may not
-    /// survive a crash.
-    pub fn save(dir: impl AsRef<Path>, checkpoint: &Checkpoint) -> io::Result<PathBuf> {
+    /// Persists `checkpoint` under `dir` (created if absent) as
+    /// `ckpt-<cut>.c5c`, published in one step ([`c5_common::fs::publish`]),
+    /// so a crash anywhere leaves either the previous checkpoint or this
+    /// one, never a torn file. The checkpoint files it supersedes are then
+    /// deleted. Returns the file's path, or the first I/O error; after an
+    /// error the save can simply be retried.
+    pub fn save(
+        fs: &dyn Fs,
+        dir: impl AsRef<Path>,
+        checkpoint: &Checkpoint,
+    ) -> io::Result<PathBuf> {
         let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-
-        let data_name = data_file_name(checkpoint.cut());
-        let data_path = dir.join(&data_name);
-        let mut data = fs::File::create(&data_path)?;
-        data.write_all(&encode_checkpoint(checkpoint))?;
-        data.sync_all()?;
-
-        let mut manifest_bytes = Vec::new();
-        let mut payload = PayloadWriter::new();
-        payload.u64(checkpoint.cut().as_u64());
-        write_frame(&mut manifest_bytes, &payload.finish());
-        let tmp = dir.join(MANIFEST_TMP);
-        let mut manifest = fs::File::create(&tmp)?;
-        manifest.write_all(&manifest_bytes)?;
-        manifest.sync_all()?;
-        fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-        sync_dir(dir)?;
-
-        // The manifest no longer references older checkpoints; reclaim them.
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if name.starts_with("ckpt-") && name.ends_with(".c5c") && name != data_name {
-                    let _ = fs::remove_file(entry.path());
-                }
+        fs.create_dir_all(dir)?;
+        let name = checkpoint_file_name(checkpoint.cut());
+        publish(fs, dir, &name, &encode_checkpoint(checkpoint))?;
+        for old in fs.list(dir)? {
+            if old != name && checkpoint_cut(&old).is_some() {
+                fs.remove(&dir.join(old))?;
             }
         }
-        Ok(data_path)
+        Ok(dir.join(name))
     }
 }
 
 impl CheckpointInstaller {
-    /// Loads the checkpoint the manifest under `dir` names. Returns
-    /// `Ok(None)` when no checkpoint has ever been published there, and an
-    /// error (never a panic) when the manifest or data file is damaged.
-    pub fn load(dir: impl AsRef<Path>) -> io::Result<Option<Checkpoint>> {
+    /// Loads the highest-cut checkpoint under `dir`, first removing the
+    /// scratch files of publications a crash cut short. Returns `Ok(None)`
+    /// when there is none (or no `dir`), and an error (never a panic) when
+    /// the file is damaged or its header's cut is not the one its name
+    /// promises.
+    pub fn load(fs: &dyn Fs, dir: impl AsRef<Path>) -> io::Result<Option<Checkpoint>> {
         let dir = dir.as_ref();
-        let _ = fs::remove_file(dir.join(MANIFEST_TMP));
-        let manifest_bytes = match fs::read(dir.join(MANIFEST_FILE)) {
-            Ok(bytes) => bytes,
+        let names = match fs.list(dir) {
+            Ok(names) => names,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let scan = read_frames(&manifest_bytes);
-        let Some(payload) = scan.frames.first() else {
-            return invalid("checkpoint manifest is damaged");
+        let mut newest = None;
+        for name in names {
+            if name.starts_with("ckpt-") && name.ends_with(".tmp") {
+                fs.remove(&dir.join(name))?;
+            } else {
+                newest = newest.max(checkpoint_cut(&name));
+            }
+        }
+        let Some(cut) = newest else {
+            return Ok(None);
         };
-        let Some(cut) = PayloadReader::new(payload).u64() else {
-            return invalid("checkpoint manifest frame is short");
-        };
-        let bytes = fs::read(dir.join(data_file_name(SeqNo(cut))))?;
-        let checkpoint = decode_checkpoint(&bytes)?;
-        if checkpoint.cut().as_u64() != cut {
-            return invalid(format!(
-                "manifest names cut {cut} but the data file holds cut {}",
-                checkpoint.cut()
-            ));
+        let name = checkpoint_file_name(cut);
+        let checkpoint = decode_checkpoint(&fs.read(&dir.join(&name))?)?;
+        if checkpoint.cut() != cut {
+            return invalid(format!("{name} holds cut {}", checkpoint.cut()));
         }
         Ok(Some(checkpoint))
     }
@@ -241,7 +222,9 @@ impl CheckpointInstaller {
 mod tests {
     use super::*;
     use crate::mvstore::MvStore;
+    use c5_common::fs::{FaultyFs, StdFs};
     use c5_common::WriteKind;
+    use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -255,6 +238,13 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The names under `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names = StdFs.list(dir).unwrap();
+        names.sort();
+        names
     }
 
     fn sample_checkpoint() -> Checkpoint {
@@ -281,6 +271,22 @@ mod tests {
         CheckpointWriter::capture(&store, SeqNo(3))
     }
 
+    /// A one-row checkpoint at cut 5.
+    fn later_checkpoint() -> Checkpoint {
+        let store = Arc::new(MvStore::default());
+        store.install(
+            RowRef::new(0, 9),
+            Timestamp(5),
+            WriteKind::Insert,
+            Some(Value::from_u64(5)),
+        );
+        CheckpointWriter::capture(&store, SeqNo(5))
+    }
+
+    fn same(a: &Checkpoint, b: &Checkpoint) -> bool {
+        a.cut() == b.cut() && a.rows() == b.rows()
+    }
+
     #[test]
     fn checkpoint_round_trips_through_bytes() {
         let checkpoint = sample_checkpoint();
@@ -293,8 +299,8 @@ mod tests {
     fn save_then_load_reproduces_the_checkpoint_exactly() {
         let dir = scratch_dir("roundtrip");
         let checkpoint = sample_checkpoint();
-        CheckpointWriter::save(&dir, &checkpoint).expect("save");
-        let loaded = CheckpointInstaller::load(&dir)
+        CheckpointWriter::save(&StdFs, &dir, &checkpoint).expect("save");
+        let loaded = CheckpointInstaller::load(&StdFs, &dir)
             .expect("load")
             .expect("published");
         assert_eq!(loaded.cut(), checkpoint.cut());
@@ -317,67 +323,94 @@ mod tests {
     #[test]
     fn a_new_save_supersedes_the_old_one_atomically() {
         let dir = scratch_dir("supersede");
-        let old = sample_checkpoint();
-        CheckpointWriter::save(&dir, &old).expect("save old");
+        CheckpointWriter::save(&StdFs, &dir, &sample_checkpoint()).expect("save old");
+        CheckpointWriter::save(&StdFs, &dir, &later_checkpoint()).expect("save new");
 
-        let store = Arc::new(MvStore::default());
-        store.install(
-            RowRef::new(0, 9),
-            Timestamp(5),
-            WriteKind::Insert,
-            Some(Value::from_u64(5)),
-        );
-        let new = CheckpointWriter::capture(&store, SeqNo(5));
-        CheckpointWriter::save(&dir, &new).expect("save new");
-
-        let loaded = CheckpointInstaller::load(&dir)
+        let loaded = CheckpointInstaller::load(&StdFs, &dir)
             .expect("load")
             .expect("published");
         assert_eq!(loaded.cut(), SeqNo(5));
-        // The superseded data file was reclaimed.
-        let data_files = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with("ckpt-"))
-            })
-            .count();
-        assert_eq!(data_files, 1);
+        // The superseded file was reclaimed, and no scratch file is left.
+        assert_eq!(names(&dir), [checkpoint_file_name(SeqNo(5))]);
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// Publication under the fault double: save at cut 3, at cut 5, and at
+    /// cut 5 again, failing each call of that scenario in turn. Exactly one
+    /// save fails, and its retry completes. Until the retry, `load` returns
+    /// a whole published checkpoint — the previous one, or this one if the
+    /// failing call came after its rename — and never an error; a re-save
+    /// at an unchanged cut is no exception.
     #[test]
-    fn syncing_a_directory_that_is_gone_is_an_error() {
-        let dir = scratch_dir("gone");
-        fs::create_dir_all(&dir).unwrap();
-        sync_dir(&dir).expect("an existing directory syncs");
-        fs::remove_dir_all(&dir).unwrap();
-        assert!(sync_dir(&dir).is_err());
+    fn any_one_failed_call_fails_one_save_and_its_retry_completes() {
+        let (first, second) = (sample_checkpoint(), later_checkpoint());
+        let saves = [&first, &second, &second];
+        let run = |faulty: &FaultyFs, dir: &Path| -> usize {
+            let mut failures = 0;
+            let mut published: Option<&Checkpoint> = None;
+            for &checkpoint in &saves {
+                if CheckpointWriter::save(faulty, dir, checkpoint).is_err() {
+                    failures += 1;
+                    match CheckpointInstaller::load(&StdFs, dir).expect("never an error") {
+                        None => assert!(published.is_none()),
+                        Some(loaded) => assert!(
+                            same(&loaded, checkpoint)
+                                || published.is_some_and(|p| same(&loaded, p))
+                        ),
+                    }
+                    CheckpointWriter::save(faulty, dir, checkpoint).expect("the retry");
+                }
+                assert_eq!(names(dir), [checkpoint_file_name(checkpoint.cut())]);
+                published = Some(checkpoint);
+            }
+            failures
+        };
+
+        let probe_dir = scratch_dir("each-call-probe");
+        let probe = FaultyFs::new(0, None);
+        assert_eq!(run(&probe, &probe_dir), 0);
+        let calls = probe.calls();
+        fs::remove_dir_all(&probe_dir).expect("cleanup");
+
+        for fail in 0..calls {
+            let dir = scratch_dir("each-call");
+            let failures = run(&FaultyFs::new(fail, Some(fail)), &dir);
+            assert_eq!(failures, 1, "call {fail} failed exactly one save");
+            let loaded = CheckpointInstaller::load(&StdFs, &dir)
+                .expect("load")
+                .expect("published");
+            assert!(same(&loaded, &second), "call {fail}");
+            fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     #[test]
-    fn missing_manifest_means_no_checkpoint() {
+    fn no_checkpoint_file_means_no_checkpoint() {
         let dir = scratch_dir("missing");
+        assert!(CheckpointInstaller::load(&StdFs, &dir)
+            .expect("a missing directory")
+            .is_none());
         fs::create_dir_all(&dir).unwrap();
-        assert!(CheckpointInstaller::load(&dir).expect("load").is_none());
+        assert!(CheckpointInstaller::load(&StdFs, &dir)
+            .expect("an empty directory")
+            .is_none());
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
-    fn a_leftover_manifest_scratch_file_is_ignored() {
-        // A crash between writing CHECKPOINT.tmp and the rename leaves the
-        // scratch file behind; the previous checkpoint must still load.
+    fn a_leftover_checkpoint_scratch_file_is_ignored() {
+        // A crash before a publication's rename leaves its scratch file
+        // behind; the previous checkpoint must still load.
         let dir = scratch_dir("scratch");
         let checkpoint = sample_checkpoint();
-        CheckpointWriter::save(&dir, &checkpoint).expect("save");
-        fs::write(dir.join(MANIFEST_TMP), b"torn garbage").unwrap();
-        let loaded = CheckpointInstaller::load(&dir)
+        CheckpointWriter::save(&StdFs, &dir, &checkpoint).expect("save");
+        let scratch = dir.join(format!("{}.tmp", checkpoint_file_name(SeqNo(5))));
+        fs::write(&scratch, b"torn garbage").unwrap();
+        let loaded = CheckpointInstaller::load(&StdFs, &dir)
             .expect("load")
             .expect("published");
         assert_eq!(loaded.cut(), checkpoint.cut());
-        assert!(!dir.join(MANIFEST_TMP).exists(), "scratch file cleaned up");
+        assert!(!scratch.exists(), "scratch file cleaned up");
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -391,8 +424,9 @@ mod tests {
             tombstone: false,
             value: Some(Value::from_u64(5)),
         };
-        CheckpointWriter::save(&dir, &Checkpoint::from_parts(SeqNo(2), vec![row])).expect("save");
-        let err = CheckpointInstaller::load(&dir).expect_err("a row above the cut");
+        let checkpoint = Checkpoint::from_parts(SeqNo(2), vec![row]);
+        CheckpointWriter::save(&StdFs, &dir, &checkpoint).expect("save");
+        let err = CheckpointInstaller::load(&StdFs, &dir).expect_err("a row above the cut");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -401,12 +435,12 @@ mod tests {
     fn damage_is_an_error_never_a_panic() {
         let dir = scratch_dir("damage");
         let checkpoint = sample_checkpoint();
-        let data_path = CheckpointWriter::save(&dir, &checkpoint).expect("save");
+        let data_path = CheckpointWriter::save(&StdFs, &dir, &checkpoint).expect("save");
 
-        // Truncated data file.
+        // Truncated file.
         let clean = fs::read(&data_path).unwrap();
         fs::write(&data_path, &clean[..clean.len() - 5]).unwrap();
-        let err = CheckpointInstaller::load(&dir).expect_err("torn data file");
+        let err = CheckpointInstaller::load(&StdFs, &dir).expect_err("torn file");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Every single-byte corruption either errors cleanly or (for bytes
@@ -418,10 +452,10 @@ mod tests {
             let _ = decode_checkpoint(&bytes);
         }
 
-        // A damaged manifest errors too.
-        fs::write(&data_path, &clean).unwrap();
-        fs::write(dir.join(MANIFEST_FILE), b"xx").unwrap();
-        let err = CheckpointInstaller::load(&dir).expect_err("torn manifest");
+        // An intact file under a name that promises another cut.
+        fs::remove_file(&data_path).unwrap();
+        fs::write(dir.join(checkpoint_file_name(SeqNo(7))), &clean).unwrap();
+        let err = CheckpointInstaller::load(&StdFs, &dir).expect_err("name and header disagree");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         fs::remove_dir_all(&dir).expect("cleanup");

@@ -26,10 +26,10 @@
 //! can resume on top), and a [`checkpoint::CheckpointInstaller`] installs
 //! one into a fresh store for a cold replica to catch up from the log tail.
 //! [`durable`] persists checkpoints across real process restarts: the
-//! writer's `save` serializes the rows into a checksummed data file and
-//! publishes it through a write-temp-then-rename manifest, and the
-//! installer's `load` reads it back, failing cleanly (never panicking) on a
-//! torn or corrupted file.
+//! writer's `save` serializes the rows into a checksummed file and publishes
+//! it in one rename (`c5_common::fs::publish`), and the installer's `load`
+//! reads the newest one back, failing cleanly (never panicking) on a
+//! corrupted file.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -90,12 +90,6 @@ impl TpccConfig {
         self.districts_per_warehouse = districts.clamp(1, 10);
         self
     }
-
-    /// Builder-style setter for the warehouse count.
-    pub fn with_warehouses(mut self, warehouses: u64) -> Self {
-        self.warehouses = warehouses.max(1);
-        self
-    }
 }
 
 // --- Key encoding -----------------------------------------------------------

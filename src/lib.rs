@@ -91,9 +91,9 @@ pub mod prelude {
         Promotion, ReadView, ReplicaMetrics,
     };
     pub use c5_core::{
-        checkpoint_dir, log_dir, recover_replica, CutCoordinator, FleetController,
-        FleetRoutingSink, JoinReport, LagStats, LagTracker, MpcChecker, RecoveredReplica,
-        ReplicaLifecycle, RetireReport, ShardedC5Replica, WatermarkTracker,
+        recover_replica, CutCoordinator, FleetController, FleetRoutingSink, JoinReport, LagStats,
+        LagTracker, MpcChecker, RecoveredReplica, ReplicaLifecycle, RetireReport, ShardedC5Replica,
+        WatermarkTracker,
     };
     pub use c5_log::{
         coalesce, segments_from_entries, DurableRecovery, LogArchive, LogReceiver, LogShipper,

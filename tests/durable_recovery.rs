@@ -4,13 +4,15 @@
 //!
 //! These mirror `model_properties.rs`'s in-memory
 //! `checkpoint_install_plus_replay_equals_full_replay` property, but every
-//! byte makes a round trip through real files: the checkpoint through
-//! `CheckpointWriter::save` / `CheckpointInstaller::load`, the log through a
-//! durable `LogArchive` and `LogArchive::open`. The recovered store must
-//! answer every read identically to the full in-memory replay at every
-//! timestamp at or above the cut — up to the transaction boundary the torn
-//! tail was truncated back to — and its chain heads must agree so ordered
-//! apply could resume on it. A separate property flips one arbitrary byte
+//! byte makes a round trip through real files in one state directory: the
+//! checkpoint through `CheckpointWriter::save` / `CheckpointInstaller::load`,
+//! the log through a durable `LogArchive` and `LogArchive::open`. The
+//! recovered store must answer every read identically to the full in-memory
+//! replay at every timestamp at or above the cut — up to the transaction
+//! boundary the torn tail was truncated back to — and its chain heads must
+//! agree so ordered apply could resume on it, whatever torn scratch file a
+//! later checkpoint's publication left beside the published one. A separate
+//! property flips one arbitrary byte
 //! anywhere in the written extent (recovery truncates instead of panicking)
 //! and one in the zeros written ahead of it (recovery loses nothing). The
 //! last test goes through the file-system seam instead of damaging files
@@ -23,7 +25,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use c5_repro::common::fs::FaultyFs;
+use c5_repro::common::fs::{FaultyFs, StdFs};
 use c5_repro::log::archive::{chunk_paths, scan_chunk};
 use c5_repro::log::LogRecord;
 use c5_repro::prelude::*;
@@ -124,14 +126,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random log persisted to disk, random kill point torn into the log's
-    /// written extent: recovering from the persisted checkpoint plus the surviving
-    /// archive equals the full in-memory replay at every timestamp from the
-    /// cut up to the recovered boundary, and the chain heads agree.
+    /// written extent, and a later checkpoint's publication cut short at a
+    /// random length: recovering from the published checkpoint plus the
+    /// surviving archive equals the full in-memory replay at every timestamp
+    /// from the cut up to the recovered boundary, and the chain heads agree.
     #[test]
     fn recovery_from_disk_equals_full_replay_up_to_the_torn_boundary(
         txn_specs in prop::collection::vec(prop::collection::vec((0u64..10, 0u64..1000, 0usize..8), 1..5), 1..40),
         cut_pick in any::<u64>(),
         tear_pick in any::<u64>(),
+        scratch_pick in any::<u64>(),
     ) {
         let dir = scratch_dir("kill");
         let entries = entries_from_specs(&txn_specs);
@@ -142,19 +146,31 @@ proptest! {
 
         // Persist: checkpoint at the cut, every segment archived durably.
         let checkpoint = CheckpointWriter::capture(&full, cut);
-        CheckpointWriter::save(checkpoint_dir(&dir), &checkpoint).expect("save checkpoint");
-        let archive = LogArchive::durable(log_dir(&dir), DurabilityPolicy::EverySegment)
+        CheckpointWriter::save(&StdFs, &dir, &checkpoint).expect("save checkpoint");
+        let archive = LogArchive::durable(&dir, DurabilityPolicy::EverySegment)
             .expect("create archive");
         for segment in &segments {
             archive.append(segment);
         }
         drop(archive);
 
+        // A checkpoint at the log's end was being published when the crash
+        // came: its scratch file holds a prefix of its bytes.
+        let next_dir = scratch_dir("next");
+        let end = *bounds.last().expect("zero at least");
+        let next = CheckpointWriter::save(&StdFs, &next_dir, &CheckpointWriter::capture(&full, end))
+            .expect("save the later checkpoint elsewhere");
+        let next_bytes = fs::read(&next).expect("read it back");
+        let scratch = dir.join(format!("{}.tmp", next.file_name().unwrap().to_str().unwrap()));
+        fs::write(&scratch, &next_bytes[..(scratch_pick as usize) % next_bytes.len()])
+            .expect("leave a torn scratch file");
+        fs::remove_dir_all(&next_dir).expect("cleanup");
+
         // The kill point: tear the log at a random byte offset of its
         // written extent, as a crashed process would mid-write — the bytes
         // from there on never reached the zeros written ahead, or (the
         // pick's next bit) the file itself ends there.
-        let (tail, mut bytes, written) = tail_chunk(&log_dir(&dir));
+        let (tail, mut bytes, written) = tail_chunk(&dir);
         let keep = (tear_pick as usize) % (written + 1);
         bytes[keep..written].fill(0);
         if (tear_pick as usize / (written + 1)) % 2 == 1 {
@@ -163,11 +179,12 @@ proptest! {
         fs::write(&tail, &bytes).expect("tear tail");
 
         // Recover from disk only: checkpoint + surviving archive.
-        let loaded = CheckpointInstaller::load(checkpoint_dir(&dir))
-            .expect("read checkpoint dir")
+        let loaded = CheckpointInstaller::load(&StdFs, &dir)
+            .expect("read the state directory")
             .expect("checkpoint was published");
         prop_assert_eq!(loaded.cut(), cut);
-        let opened = LogArchive::open(log_dir(&dir), DurabilityPolicy::EverySegment)
+        prop_assert!(!scratch.exists(), "the torn scratch file is removed");
+        let opened = LogArchive::open(&dir, DurabilityPolicy::EverySegment)
             .expect("open survives a torn tail");
         let restored = CheckpointInstaller::install(&loaded);
         let mut recovered_through = cut;
@@ -225,7 +242,7 @@ proptest! {
         let dir = scratch_dir("flip");
         let entries = entries_from_specs(&txn_specs);
         let segments = segments_from_entries(&entries, 8);
-        let archive = LogArchive::durable(log_dir(&dir), DurabilityPolicy::EverySegment)
+        let archive = LogArchive::durable(&dir, DurabilityPolicy::EverySegment)
             .expect("create archive");
         for segment in &segments {
             archive.append(segment);
@@ -234,19 +251,19 @@ proptest! {
         let originals = project(&segments);
         let mask = (mask_pick % 255 + 1) as u8; // a non-zero flip
         let recover = || {
-            let opened = LogArchive::open(log_dir(&dir), DurabilityPolicy::EverySegment)
+            let opened = LogArchive::open(&dir, DurabilityPolicy::EverySegment)
                 .expect("open survives corruption");
             project(&opened.archive.replay_from(SeqNo::ZERO).expect("nothing truncated"))
         };
 
-        let (target, mut bytes, written) = tail_chunk(&log_dir(&dir));
+        let (target, mut bytes, written) = tail_chunk(&dir);
         prop_assert!(written < bytes.len(), "zeros are written ahead of the log");
         let at = written + (tail_pick as usize) % (bytes.len() - written);
         bytes[at] ^= mask;
         fs::write(&target, &bytes).expect("write corruption");
         prop_assert_eq!(&recover(), &originals);
 
-        let (target, mut bytes, written) = tail_chunk(&log_dir(&dir));
+        let (target, mut bytes, written) = tail_chunk(&dir);
         bytes[(byte_pick as usize) % written] ^= mask;
         fs::write(&target, &bytes).expect("write corruption");
         let recovered = recover();
