@@ -23,9 +23,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use c5_common::{ReplicaConfig, RowMap, SeqNo};
+use c5_common::{ProgressSignal, ReplicaConfig, RowMap, SeqNo};
 use c5_core::exposure::{Exposure, PrefixExposure};
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
@@ -51,45 +51,65 @@ struct TxnWork {
     records: Vec<LogRecord>,
 }
 
-/// Tracks which transaction indices have finished applying.
+/// Tracks which transaction indices have finished applying. Indices are
+/// dense and start at 1, so the board keeps the contiguous prefix of done
+/// indices as one number and only the done indices above it as a set: its
+/// size is bounded by how far the workers run ahead of the oldest
+/// unfinished transaction, not by how many transactions have ever applied.
 #[derive(Default)]
 struct CompletionBoard {
-    done: Mutex<HashSet<u64>>,
-    cv: Condvar,
+    done: Mutex<DoneSet>,
+    /// Notified after every index marked done, and on abort.
+    finished: ProgressSignal,
+}
+
+#[derive(Default)]
+struct DoneSet {
+    /// Every index `<= through` is done.
+    through: u64,
+    /// Done indices above `through`.
+    above: HashSet<u64>,
+}
+
+impl DoneSet {
+    fn contains(&self, index: u64) -> bool {
+        index <= self.through || self.above.contains(&index)
+    }
+
+    fn insert(&mut self, index: u64) {
+        if index != self.through + 1 {
+            self.above.insert(index);
+            return;
+        }
+        self.through = index;
+        while self.above.remove(&(self.through + 1)) {
+            self.through += 1;
+        }
+    }
 }
 
 impl CompletionBoard {
     fn mark_done(&self, index: u64) {
         self.done.lock().insert(index);
-        self.cv.notify_all();
+        self.finished.notify();
     }
 
     /// Waits until every index in `deps` is done; returns `false` if
-    /// `should_abort` fires first. Sleeps on the condvar with no timeout:
-    /// whoever makes `should_abort` true must call
+    /// `should_abort` fires first. Sleeps on the board's signal with no
+    /// timeout: whoever makes `should_abort` true must call
     /// [`wake_all`](Self::wake_all) afterwards.
     fn wait_for(&self, deps: &[u64], should_abort: &impl Fn() -> bool) -> bool {
-        if deps.is_empty() {
-            return true;
-        }
-        let mut done = self.done.lock();
-        loop {
-            if deps.iter().all(|d| done.contains(d)) {
-                return true;
-            }
-            if should_abort() {
-                return false;
-            }
-            self.cv.wait(&mut done);
-        }
+        let mut ready = false;
+        self.finished.wait_until(None, || {
+            let done = self.done.lock();
+            ready = deps.iter().all(|&d| done.contains(d));
+            ready || should_abort()
+        });
+        ready
     }
 
-    /// Takes the `done` lock before notifying: a waiter holds it from its
-    /// `should_abort` check until it is asleep, so an abort raised in
-    /// between is notified after the waiter can hear it.
     fn wake_all(&self) {
-        drop(self.done.lock());
-        self.cv.notify_all();
+        self.finished.notify();
     }
 }
 
@@ -286,6 +306,26 @@ mod tests {
         let metrics = replica.metrics();
         assert_eq!(metrics.applied_txns, 200);
         assert_eq!(metrics.applied_writes, 200);
+    }
+
+    /// The board forgets finished transactions: once everything has
+    /// applied, only the contiguous prefix is left.
+    #[test]
+    fn the_completion_board_keeps_only_the_done_indices_above_the_prefix() {
+        let (_store, replica) = replica(4, KuaFuConfig::default());
+        let entries: Vec<TxnEntry> = (1..=10_000u64)
+            .map(|t| {
+                TxnEntry::new(
+                    TxnId(t),
+                    Timestamp(t),
+                    vec![RowWrite::update(row(t % 64), Value::from_u64(t))],
+                )
+            })
+            .collect();
+        drive_segments(replica.as_ref(), segments_from_entries(&entries, 64));
+        let done = replica.runtime.policy().board.done.lock();
+        assert_eq!(done.through, 10_000);
+        assert!(done.above.is_empty(), "{} indices kept", done.above.len());
     }
 
     #[test]

@@ -30,6 +30,10 @@
 //!   formats from, [`DurabilityPolicy`] is their shared sync knob, and [`fs`]
 //!   is the file-system seam the log archive's syscalls go through, with a
 //!   double that fails any one of them.
+//! * [`ProgressSignal`] ([`signal`]) is the one way a thread waits for
+//!   another's progress: an eventcount every waiter blocks on with its own
+//!   condition, notified by whoever changed the state. Nothing waits on a
+//!   timer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -40,8 +44,8 @@ pub mod error;
 pub mod frame;
 pub mod fs;
 pub mod ids;
-pub mod pacing;
 pub mod shard;
+pub mod signal;
 pub mod value;
 
 pub use config::{DurabilityPolicy, PrimaryConfig, ReadConfig, ReplicaConfig};
@@ -50,6 +54,6 @@ pub use error::{Error, Result};
 pub use ids::{
     Key, RowHasher, RowMap, RowRef, SeqNo, SessionId, TableId, Timestamp, TxnId, WorkerId,
 };
-pub use pacing::poll_until;
 pub use shard::ShardRouter;
+pub use signal::ProgressSignal;
 pub use value::{RowWrite, Value, WriteKind};

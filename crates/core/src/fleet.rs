@@ -43,12 +43,14 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use c5_common::{poll_until, Error, ReplicaConfig, Result, SeqNo};
+use c5_common::{Error, ReplicaConfig, Result, SeqNo};
 use c5_log::{LogArchive, LogShipper, Subscription, SubscriptionId, SUBSCRIPTION_SEGMENTS};
 use c5_obs::TraceEvent;
 use c5_storage::MvStore;
 
-use crate::replica::{drive_from_receiver, C5Mode, C5Replica, ClonedConcurrencyControl};
+use crate::replica::{
+    drive_from_receiver, C5Mode, C5Replica, ClonedConcurrencyControl, FLEET_PROGRESS,
+};
 
 /// How long a joiner may take to catch up to its subscription point before
 /// the join fails.
@@ -130,7 +132,9 @@ pub trait FleetRoutingSink: Send + Sync {
     fn retire(&self, replica: usize) -> Result<()>;
     /// Removes a member and returns its replica handle.
     fn detach(&self, replica: usize) -> Result<Arc<dyn ClonedConcurrencyControl>>;
-    /// Reads currently pinned to a member (`None` once detached).
+    /// Reads currently pinned to a member (`None` once detached). A sink
+    /// whose draining member's count reaches zero notifies
+    /// [`FLEET_PROGRESS`], which the retire drain sleeps on.
     fn in_flight_of(&self, replica: usize) -> Option<u64>;
 }
 
@@ -391,11 +395,12 @@ impl FleetController {
             self.publish_serving_gauge();
         }
         self.router.retire(id)?;
-        // Poll outside the members lock: pinned reads completing must not
-        // contend with concurrent joins.
-        let drained = poll_until(self.drain_timeout, || {
-            self.router.in_flight_of(id) == Some(0)
-        });
+        // Wait outside the members lock: pinned reads completing must not
+        // contend with concurrent joins. The lease that takes a draining
+        // member's in-flight count to zero notifies `FLEET_PROGRESS`.
+        let deadline = Instant::now() + self.drain_timeout;
+        let drained =
+            FLEET_PROGRESS.wait_until(Some(deadline), || self.router.in_flight_of(id) == Some(0));
         if !drained {
             return Err(Error::Lifecycle(format!(
                 "replica {id} still has reads in flight after {:?}; retry the retire",

@@ -61,7 +61,7 @@ pub use progress::WatermarkTracker;
 pub use recovery::{recover_replica, RecoveredReplica};
 pub use replica::{
     drive_from_receiver, drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, Promotion,
-    ReadView, ReplicaMetrics,
+    ReadView, ReplicaMetrics, FLEET_PROGRESS,
 };
 pub use scheduler::{SchedulerState, SchedulerStats};
 pub use shard::{CutCoordinator, ShardProgress, ShardedC5Replica};

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use c5_common::{ReplicaConfig, RowRef, SeqNo, TableId, Timestamp, Value};
+use c5_common::{ProgressSignal, ReplicaConfig, RowRef, SeqNo, TableId, Timestamp, Value};
 use c5_log::{LogReceiver, LogRecord, Segment};
 use c5_storage::{Checkpoint, CheckpointInstaller, CheckpointWriter, MvStore};
 
@@ -116,6 +116,19 @@ pub struct Promotion {
     pub store: Arc<MvStore>,
 }
 
+/// The process-wide signal for waits on fleet-level progress: notified by
+/// every [`SnapshotCursor`](crate::snapshotter::SnapshotCursor) that moves an
+/// exposed cut or reopens its gate, by the read router on every membership
+/// change, and by the lease that takes a draining member's reads to zero.
+///
+/// One signal for the process, not one per fleet, because a shared
+/// eventcount needs no registration: a wrapper that forwards only the
+/// trait's required methods still wakes its readers through the cursor of
+/// the replica it wraps. Each waiter re-checks its own condition, so an
+/// unrelated notification costs a parked waiter one re-evaluation. Nothing
+/// ever calls [`ProgressSignal::fail`] on it.
+pub static FLEET_PROGRESS: ProgressSignal = ProgressSignal::new();
+
 /// The interface shared by C5 and every baseline cloned concurrency control
 /// protocol.
 pub trait ClonedConcurrencyControl: Send + Sync {
@@ -157,9 +170,10 @@ pub trait ClonedConcurrencyControl: Send + Sync {
     fn metrics(&self) -> ReplicaMetrics;
 
     /// Blocks until the exposed cut reaches `seq` or the timeout expires;
-    /// returns whether it did.
+    /// returns whether it did. The default sleeps on [`FLEET_PROGRESS`],
+    /// which every exposed cut notifies.
     fn wait_until_exposed(&self, seq: SeqNo, timeout: Duration) -> bool {
-        c5_common::pacing::poll_until(timeout, || self.exposed_seq() >= seq)
+        FLEET_PROGRESS.wait_until(Some(Instant::now() + timeout), || self.exposed_seq() >= seq)
     }
 
     /// Primary commit wall time (nanoseconds since the Unix epoch) of the
@@ -838,8 +852,8 @@ mod tests {
             let replica = Arc::clone(&replica);
             std::thread::spawn(move || replica.wait_until_exposed(last, HOUR))
         };
-        // The trait's polling default never parks on the signal; this would
-        // spin forever.
+        // The trait's default sleeps on `FLEET_PROGRESS`, not on this
+        // signal; this would spin forever.
         while progress.parked() < 2 {
             std::thread::yield_now();
         }

@@ -77,7 +77,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use c5_common::{OpCost, ReplicaConfig, SeqNo, ShardRouter, TxnId};
+use c5_common::{OpCost, ProgressSignal, ReplicaConfig, SeqNo, ShardRouter, TxnId};
 use c5_log::{LogRecord, Segment};
 use c5_obs::Obs;
 use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
@@ -85,8 +85,8 @@ use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 use crate::exposure::Exposure;
 use crate::lag::LagTracker;
 use crate::pipeline::{
-    GcDriver, GcHold, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals,
-    ProgressSignal, QueuePlan, WorkSink,
+    GcDriver, GcHold, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan,
+    WorkSink,
 };
 use crate::replica::{
     ClonedConcurrencyControl, PerRowOrdering, Promotion, ReadView, ReplicaMetrics,

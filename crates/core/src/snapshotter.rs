@@ -23,6 +23,9 @@
 //! The gate that holds workers back is a reader-writer lock: workers hold it
 //! shared for the instant it takes to install one write, the snapshotter
 //! takes it exclusively only to move the cut.
+//!
+//! Every exposed cut changes here, so the cursor is what announces a moved
+//! cut, and a reopened gate, on [`FLEET_PROGRESS`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +35,7 @@ use parking_lot::RwLock;
 use c5_common::{RowRef, SeqNo, TableId, Timestamp, Value};
 use c5_storage::{DbSnapshot, MvStore};
 
-use crate::replica::ReadView;
+use crate::replica::{ReadView, FLEET_PROGRESS};
 
 /// The exposed-state cursor: what read-only transactions may observe.
 pub enum SnapshotCursor {
@@ -131,14 +134,16 @@ impl SnapshotCursor {
     ///
     /// The cut is monotonic by construction: an `n` below the current cut is
     /// ignored, so concurrent advancers can never move the exposed prefix
-    /// backwards.
+    /// backwards. A cut that moved is announced on [`FLEET_PROGRESS`].
     ///
     /// # Panics
     /// Panics if called on a whole-database cursor.
     pub fn advance(&self, n: SeqNo) {
         match self {
             SnapshotCursor::Timestamped { exposed, .. } => {
-                exposed.fetch_max(n.as_u64(), Ordering::Release);
+                if exposed.fetch_max(n.as_u64(), Ordering::Release) < n.as_u64() {
+                    FLEET_PROGRESS.notify();
+                }
             }
             SnapshotCursor::WholeDatabase { .. } => {
                 panic!("whole-database cursors advance through cut()")
@@ -149,8 +154,10 @@ impl SnapshotCursor {
     /// Executes one write installation under the gate (whole-database form).
     /// The closure runs while the gate is held shared, so a concurrent cut
     /// cannot slice the database between this write and the cut's chosen
-    /// boundary. For the timestamped form the closure simply runs — the
-    /// faithful design never blocks workers.
+    /// boundary. A write past a cut in flight sleeps on [`FLEET_PROGRESS`]
+    /// until [`cut`](Self::cut) reopens the gate and notifies it. For the
+    /// timestamped form the closure simply runs — the faithful design never
+    /// blocks workers.
     pub fn install_gated<R>(&self, seq: SeqNo, install: impl FnOnce() -> R) -> R {
         match self {
             SnapshotCursor::Timestamped { .. } => install(),
@@ -162,9 +169,9 @@ impl SnapshotCursor {
                     return out;
                 }
                 drop(g);
-                // The snapshotter holds writes past the cut back only for the
-                // duration of a snapshot; yield briefly and retry.
-                std::thread::sleep(std::time::Duration::from_micros(20));
+                // Another cut may close the gate again before this write
+                // takes it shared: hence the loop.
+                FLEET_PROGRESS.wait_until(None, || seq.as_u64() <= *gate.read());
             },
         }
     }
@@ -213,8 +220,10 @@ impl SnapshotCursor {
                     *current.write() = snapshot;
                     exposed.store(n.as_u64(), Ordering::Release);
                 }
-                // 4. Reopen the gate so blocked workers proceed.
+                // 4. Reopen the gate so blocked workers proceed, and wake
+                //    them (and whoever waits for the cut).
                 *gate.write() = u64::MAX;
+                FLEET_PROGRESS.notify();
                 SeqNo(exposed.load(Ordering::Acquire))
             }
         }

@@ -91,7 +91,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, SendError, Sender, TryRecvError};
 use parking_lot::Mutex;
@@ -688,11 +688,6 @@ impl LogReceiver {
             Ok(seg) => Some(seg),
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
-    }
-
-    /// Blocks with a timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Segment> {
-        self.rx.recv_timeout(timeout).ok()
     }
 
     /// Number of segments currently queued.

@@ -4,12 +4,13 @@
 //! [`ClonedConcurrencyControl`] — C5 in either mode, a sharded replica, or a
 //! baseline) and serves each read from the replica that can satisfy the
 //! read's [`ConsistencyClass`] with the least in-flight load. When no
-//! replica is fresh enough yet, the read *blocks, bounded*
-//! ([`c5_common::poll_until`]) — re-evaluating the whole fleet each poll, so
-//! a read waiting on replica A is served by replica B the moment B's cut
-//! covers the requirement (the "wait or re-route" rule). A read that cannot
-//! be served within [`c5_common::ReadConfig::max_wait`] fails with
-//! [`Error::ReadTimeout`] instead of wedging the client.
+//! replica is fresh enough yet, the read *blocks, bounded*, on
+//! [`FLEET_PROGRESS`] — the process-wide signal every exposed cut and every
+//! membership change notifies — re-evaluating the whole fleet on each
+//! notification, so a read waiting on replica A is served by replica B the
+//! moment B's cut covers the requirement (the "wait or re-route" rule). A
+//! read that cannot be served within [`c5_common::ReadConfig::max_wait`]
+//! fails with [`Error::ReadTimeout`] instead of wedging the client.
 //!
 //! The freshness estimate is deliberately conservative and observable: a
 //! replica whose exposed cut covers the primary's log frontier is fresh
@@ -25,10 +26,10 @@
 //! already pinned to it; [`ReadRouter::detach`] removes it once drained.
 //! The member list and a monotonically increasing *generation* are
 //! published atomically (one lock), and every blocked read re-snapshots the
-//! fleet on each poll, so a session's monotonic/read-your-writes floors
-//! survive membership churn: replica ids are stable (never reused), floors
-//! are positions in the one shared log, and whichever member serves next
-//! must still cover them.
+//! fleet on each notification, so a session's monotonic/read-your-writes
+//! floors survive membership churn: replica ids are stable (never reused),
+//! floors are positions in the one shared log, and whichever member serves
+//! next must still cover them.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,9 +37,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use c5_common::{poll_until, Error, ReadConfig, Result, SeqNo, SessionId};
+use c5_common::{Error, ReadConfig, Result, SeqNo, SessionId};
 use c5_core::fleet::FleetRoutingSink;
-use c5_core::replica::{ClonedConcurrencyControl, ReadView};
+use c5_core::replica::{ClonedConcurrencyControl, ReadView, FLEET_PROGRESS};
 use c5_log::now_nanos;
 use c5_obs::{Obs, RouteOutcome, TraceEvent};
 
@@ -71,7 +72,7 @@ struct ReplicaSlot {
     id: usize,
     replica: Arc<dyn ClonedConcurrencyControl>,
     /// Reads (and open read-only transactions) currently pinned here.
-    in_flight: Arc<AtomicU64>,
+    in_flight: AtomicU64,
     /// Reads ever served here (load-balance accounting).
     served: AtomicU64,
     /// A retiring member: no longer eligible for new routes and excluded
@@ -80,8 +81,18 @@ struct ReplicaSlot {
 }
 
 impl ReplicaSlot {
+    fn new(id: usize, replica: Arc<dyn ClonedConcurrencyControl>) -> Self {
+        Self {
+            id,
+            replica,
+            in_flight: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+        }
+    }
+
     fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Relaxed)
+        self.draining.load(Ordering::SeqCst)
     }
 }
 
@@ -156,12 +167,21 @@ pub(crate) struct Pinned {
 
 /// Decrements a replica's in-flight counter on drop.
 pub(crate) struct Lease {
-    in_flight: Arc<AtomicU64>,
+    slot: Arc<ReplicaSlot>,
 }
 
 impl Drop for Lease {
+    /// The last lease of a draining member wakes the retire drain. Both
+    /// sides are `SeqCst`: the retirer stores `draining` and then reads the
+    /// count, this drop decrements the count and then reads `draining`, so
+    /// in the one total order either this load sees `draining` (and
+    /// notifies), or the retirer's read of the count comes after the
+    /// decrement (and sees zero).
     fn drop(&mut self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let left = self.slot.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
+        if left == 0 && self.slot.is_draining() {
+            FLEET_PROGRESS.notify();
+        }
     }
 }
 
@@ -188,15 +208,7 @@ impl ReadRouter {
         let slots: Vec<Arc<ReplicaSlot>> = fleet
             .into_iter()
             .enumerate()
-            .map(|(id, replica)| {
-                Arc::new(ReplicaSlot {
-                    id,
-                    replica,
-                    in_flight: Arc::new(AtomicU64::new(0)),
-                    served: AtomicU64::new(0),
-                    draining: AtomicBool::new(false),
-                })
-            })
+            .map(|(id, replica)| Arc::new(ReplicaSlot::new(id, replica)))
             .collect();
         let next_id = slots.len();
         Ok(Self {
@@ -216,21 +228,18 @@ impl ReadRouter {
 
     /// Admits a new member to the fleet and returns its stable id. The
     /// member is immediately eligible for routes whose requirements its
-    /// exposed cut covers; blocked reads pick it up on their next poll.
+    /// exposed cut covers; blocked reads, woken by the admission, pick it up
+    /// at once.
     pub fn admit(&self, replica: Arc<dyn ClonedConcurrencyControl>) -> usize {
         let mut fleet = self.fleet.lock();
         let id = fleet.next_id;
         fleet.next_id += 1;
         let mut slots: Vec<Arc<ReplicaSlot>> = fleet.slots.iter().cloned().collect();
-        slots.push(Arc::new(ReplicaSlot {
-            id,
-            replica,
-            in_flight: Arc::new(AtomicU64::new(0)),
-            served: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-        }));
+        slots.push(Arc::new(ReplicaSlot::new(id, replica)));
         fleet.slots = Arc::new(slots);
         fleet.generation += 1;
+        drop(fleet);
+        FLEET_PROGRESS.notify();
         id
     }
 
@@ -247,8 +256,13 @@ impl ReadRouter {
                 "replica {id} is not a fleet member; cannot retire it"
             )));
         };
-        slot.draining.store(true, Ordering::Relaxed);
+        // `SeqCst`: see `Lease::drop`.
+        slot.draining.store(true, Ordering::SeqCst);
         fleet.generation += 1;
+        drop(fleet);
+        // The staleness reference just lost a member: a bounded read may be
+        // eligible elsewhere now.
+        FLEET_PROGRESS.notify();
         Ok(())
     }
 
@@ -265,6 +279,8 @@ impl ReadRouter {
         };
         fleet.slots = Arc::new(fleet.slots.iter().filter(|s| s.id != id).cloned().collect());
         fleet.generation += 1;
+        drop(fleet);
+        FLEET_PROGRESS.notify();
         Ok(Arc::clone(&slot.replica))
     }
 
@@ -274,7 +290,7 @@ impl ReadRouter {
         self.snapshot()
             .iter()
             .find(|s| s.id == id)
-            .map(|s| s.in_flight.load(Ordering::Relaxed))
+            .map(|s| s.in_flight.load(Ordering::SeqCst))
     }
 
     /// The fleet generation: bumped (under the same lock that publishes the
@@ -437,7 +453,7 @@ impl ReadRouter {
     /// exposed and (optionally) staleness within `bound_nanos`: least
     /// in-flight load wins, freshest exposed cut breaks ties. Draining
     /// members receive no new routes. Operates on a fresh snapshot, so a
-    /// blocked read polling this picks up admissions mid-wait.
+    /// blocked read re-evaluating this picks up admissions mid-wait.
     fn eligible(&self, required: SeqNo, bound_nanos: Option<u64>) -> Option<Arc<ReplicaSlot>> {
         let slots = self.snapshot();
         let reference = bound_nanos.map(|_| self.staleness_reference(&slots));
@@ -471,9 +487,9 @@ impl ReadRouter {
 
     /// Pins a read view satisfying `class` on top of the session floor
     /// `floor` (the monotonic-reads / read-your-writes minimum; `SeqNo::ZERO`
-    /// for sessionless reads). Blocks bounded; the fleet is re-evaluated on
-    /// every poll, so the read re-routes to whichever replica becomes
-    /// eligible first.
+    /// for sessionless reads). Blocks bounded on [`FLEET_PROGRESS`]; the
+    /// fleet is re-evaluated on every notification, so the read re-routes
+    /// to whichever replica becomes eligible first.
     pub(crate) fn pin(&self, class: &ConsistencyClass, floor: SeqNo) -> Result<Pinned> {
         let required = match class {
             ConsistencyClass::Strong => {
@@ -503,7 +519,7 @@ impl ReadRouter {
             if let Some(flush) = &self.tail_flush {
                 flush();
             }
-            poll_until(self.config.max_wait, || {
+            FLEET_PROGRESS.wait_until(Some(wait_start + self.config.max_wait), || {
                 chosen = self.eligible(required, bound_nanos);
                 chosen.is_some()
             });
@@ -529,7 +545,7 @@ impl ReadRouter {
         // still covers `required` (cuts only advance), and the lease keeps
         // the member's in-flight count honest so a graceful retire waits
         // for this read too.
-        slot.in_flight.fetch_add(1, Ordering::Relaxed);
+        slot.in_flight.fetch_add(1, Ordering::SeqCst);
         slot.served.fetch_add(1, Ordering::Relaxed);
         let view = slot.replica.read_view();
         debug_assert!(view.as_of() >= required);
@@ -543,9 +559,7 @@ impl ReadRouter {
             view,
             replica: slot.id,
             blocked,
-            _lease: Lease {
-                in_flight: Arc::clone(&slot.in_flight),
-            },
+            _lease: Lease { slot },
         })
     }
 }
@@ -981,6 +995,91 @@ mod tests {
         assert_eq!(status[0].in_flight, 0);
         assert_eq!(status[1].in_flight, 0);
         assert_eq!(status[0].served + status[1].served, 2);
+    }
+
+    /// Forwards only the trait's required methods, as a fault-injecting or
+    /// instrumenting wrapper would: it registers nothing anywhere, so its
+    /// readers can only be woken through the signal its wrapped replica's
+    /// cursor notifies.
+    struct PassThrough(Arc<C5Replica>);
+
+    impl ClonedConcurrencyControl for PassThrough {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn apply_segment(&self, segment: Segment) {
+            self.0.apply_segment(segment);
+        }
+        fn finish(&self) {
+            self.0.finish();
+        }
+        fn promote(&self) -> c5_core::Promotion {
+            self.0.promote()
+        }
+        fn applied_seq(&self) -> SeqNo {
+            self.0.applied_seq()
+        }
+        fn exposed_seq(&self) -> SeqNo {
+            self.0.exposed_seq()
+        }
+        fn read_view(&self) -> Box<dyn ReadView> {
+            self.0.read_view()
+        }
+        fn lag(&self) -> Arc<c5_core::LagTracker> {
+            self.0.lag()
+        }
+        fn metrics(&self) -> c5_core::ReplicaMetrics {
+            self.0.metrics()
+        }
+    }
+
+    #[test]
+    fn a_read_blocked_on_a_pass_through_wrapper_is_served_when_its_replica_exposes() {
+        let replica = C5Replica::new(
+            C5Mode::Faithful,
+            Arc::new(MvStore::default()),
+            ReplicaConfig::default().with_workers(2),
+        );
+        let wrapper = Arc::new(PassThrough(Arc::clone(&replica)));
+        // Both waits re-check once more at their deadline, so a missed
+        // wake-up would show as a wait as long as the bound, not as a
+        // failure: the assertions below bound the waits well inside it.
+        let bound = Duration::from_secs(10);
+        let router = Arc::new(ReadRouter::new(
+            vec![Arc::clone(&wrapper) as _],
+            ReadConfig::default().with_max_wait(bound),
+        ));
+        let token = SeqNo(20);
+        // The trait's default wait, through the wrapper, from before
+        // anything is exposed.
+        let waiter = {
+            let wrapper = Arc::clone(&wrapper);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                (wrapper.wait_until_exposed(token, bound), started.elapsed())
+            })
+        };
+        let feeder = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            for segment in log(1..=20) {
+                replica.apply_segment(segment);
+            }
+        });
+        let read = router
+            .session()
+            .read(&ConsistencyClass::Causal(token), row(4))
+            .expect("the wrapped replica's cut wakes the blocked read");
+        assert!(read.as_of >= token);
+        assert!(read.blocked > Duration::ZERO, "the read had to block");
+        assert!(
+            read.blocked < bound / 2,
+            "woken by the deadline, not the cut"
+        );
+        let (exposed, waited) = waiter.join().unwrap();
+        assert!(exposed, "the default wait saw the cut");
+        assert!(waited < bound / 2, "woken by the deadline, not the cut");
+        feeder.join().unwrap();
+        wrapper.finish();
     }
 
     #[test]

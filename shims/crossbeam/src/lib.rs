@@ -16,7 +16,6 @@ pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::{Arc, Condvar, Mutex, PoisonError};
-    use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -67,15 +66,6 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub enum RecvTimeoutError {
-        /// No message arrived before the timeout elapsed.
-        Timeout,
-        /// The channel is empty and all senders are gone.
-        Disconnected,
-    }
-
     impl<T> fmt::Debug for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.write_str("SendError(..)")
@@ -105,21 +95,9 @@ pub mod channel {
         }
     }
 
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => f.write_str("timed out waiting on receive"),
-                RecvTimeoutError::Disconnected => {
-                    f.write_str("receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
     impl<T> std::error::Error for SendError<T> {}
     impl std::error::Error for RecvError {}
     impl std::error::Error for TryRecvError {}
-    impl std::error::Error for RecvTimeoutError {}
 
     fn new_chan<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
@@ -239,31 +217,6 @@ pub mod channel {
                 Err(TryRecvError::Disconnected)
             } else {
                 Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Receives a message, giving up after `timeout`.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut state = self.chan.lock();
-            loop {
-                if let Some(v) = state.queue.pop_front() {
-                    self.chan.not_full.notify_one();
-                    return Ok(v);
-                }
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (s, _timed_out) = self
-                    .chan
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = s;
             }
         }
 
@@ -390,10 +343,6 @@ pub mod channel {
 
             let (tx, rx) = unbounded::<i32>();
             assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(5)),
-                Err(RecvTimeoutError::Timeout)
-            );
             drop(rx);
             assert_eq!(tx.send(9), Err(SendError(9)));
         }

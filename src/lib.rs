@@ -82,8 +82,8 @@ pub mod prelude {
         CoarseGrainReplica, Granularity, KuaFuConfig, KuaFuReplica, SingleThreadedReplica,
     };
     pub use c5_common::{
-        poll_until, DurabilityPolicy, Error, Key, OpCost, PrimaryConfig, ReadConfig, ReplicaConfig,
-        Result, RowRef, RowWrite, SeqNo, SessionId, ShardRouter, TableId, Timestamp, TxnId, Value,
+        DurabilityPolicy, Error, Key, OpCost, PrimaryConfig, ReadConfig, ReplicaConfig, Result,
+        RowRef, RowWrite, SeqNo, SessionId, ShardRouter, TableId, Timestamp, TxnId, Value,
         WriteKind,
     };
     pub use c5_core::replica::{
