@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use c5_common::{ReplicaConfig, RowRef, SeqNo};
-use c5_core::exposure::{Exposure, PrefixExposure};
+use c5_core::exposure::PrefixExposure;
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
@@ -99,7 +99,7 @@ impl PipelinePolicy for CoarsePolicy {
         }
     }
 
-    fn exposure(&self) -> &impl Exposure {
+    fn exposure(&self) -> &PrefixExposure {
         &self.exposure
     }
 }

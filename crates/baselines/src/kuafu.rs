@@ -26,7 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use c5_common::{ProgressSignal, ReplicaConfig, RowMap, SeqNo};
-use c5_core::exposure::{Exposure, PrefixExposure};
+use c5_core::exposure::PrefixExposure;
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
@@ -196,7 +196,7 @@ impl PipelinePolicy for KuaFuPolicy {
         self.board.wake_all();
     }
 
-    fn exposure(&self) -> &impl Exposure {
+    fn exposure(&self) -> &PrefixExposure {
         &self.exposure
     }
 }

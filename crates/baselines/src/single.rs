@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use c5_common::{ReplicaConfig, SeqNo};
-use c5_core::exposure::{Exposure, PrefixExposure};
+use c5_core::exposure::PrefixExposure;
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
@@ -47,7 +47,7 @@ impl PipelinePolicy for SinglePolicy {
         }
     }
 
-    fn exposure(&self) -> &impl Exposure {
+    fn exposure(&self) -> &PrefixExposure {
         &self.exposure
     }
 }

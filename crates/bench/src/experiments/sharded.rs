@@ -1,4 +1,4 @@
-//! Sharded replication: per-partition apply under one global cut.
+//! Sharded replication: key-range lane groups under one global cut.
 //!
 //! The paper's replica applies one log with one pipeline; the ROADMAP
 //! north-star is a keyspace that shards. This scenario runs the shard-span
@@ -6,16 +6,15 @@
 //! transactions cross shards at N shards) on the 2PL primary while a
 //! `ShardedC5Replica` applies the log at 1, 2, 4, … shards, keeping the
 //! total worker count as close to constant as divisibility allows
-//! (`max(1, total / shards)` workers per shard — each pipeline needs at
-//! least one worker, so shard counts above the total run more; the table's
+//! (`max(1, total / shards)` workers per shard — each shard needs at least
+//! one worker lane, so shard counts above the total run more; the table's
 //! `workers_total` column reports the actual number so rows stay comparable).
-//! Reported per shard count: primary throughput, the cross-shard share,
-//! global lag, and per-shard lag (a transaction's sample lands on the shard
-//! owning its final write).
+//! Reported per shard count: primary throughput, the cross-shard share, the
+//! cuts the replica published (its sink's expose-stage item count) and lag.
 //!
 //! The 1-shard row is the control: it must match the unsharded faithful
-//! replica, because at one shard the global cut is the paper's single-log
-//! cut (`tests/protocol_conformance.rs` holds it to that).
+//! replica, because at one shard the sharded replica is the faithful one
+//! (`tests/protocol_conformance.rs` holds it to that).
 
 use std::sync::Arc;
 
@@ -45,9 +44,6 @@ pub(crate) const COLUMNS: [&str; 8] = [
     "wall_ms",
 ];
 
-/// The per-shard table's header.
-pub(crate) const SHARD_COLUMNS: [&str; 4] = ["shard", "owned_txns", "lag_ms/p50", "lag_ms/max"];
-
 /// One sharded backup at `shards` shards under the shard-span workload.
 pub fn scenario(scale: &Scale, shards: usize) -> Scenario {
     Scenario::new(
@@ -66,40 +62,36 @@ fn cross_shard_share(replica: &ReplicaOutcome) -> f64 {
     replica.metrics.cross_shard_txns as f64 / replica.metrics.applied_txns.max(1) as f64
 }
 
-/// The sharded backup's sweep row and its per-shard rows, in [`COLUMNS`] and
-/// [`SHARD_COLUMNS`] order.
-pub(crate) fn rows(outcome: &Outcome) -> (Vec<String>, Vec<Vec<String>>) {
+/// Cuts the scenario's one replica published: the expose stage's item count
+/// in the run's sink.
+pub(crate) fn cuts_taken(outcome: &Outcome) -> u64 {
+    (outcome.obs.metrics)
+        .counter("stage_items_total{stage=\"expose\"}")
+        .get()
+}
+
+/// The sharded backup's sweep row at `shards` shards, in [`COLUMNS`] order.
+pub(crate) fn row(shards: usize, outcome: &Outcome) -> Vec<String> {
     let replica = &outcome.replicas[0];
     let lag = replica.lag.as_ref();
-    let row = vec![
-        replica.per_shard.len().max(1).to_string(),
+    vec![
+        shards.to_string(),
         replica.workers.to_string(),
         replica.metrics.applied_txns.to_string(),
         fmt_cell(cross_shard_share(replica)),
-        replica.cuts_taken.to_string(),
+        cuts_taken(outcome).to_string(),
         fmt_cell(lag.map(|l| l.p50_ms)),
         fmt_cell(lag.map(|l| l.max_ms)),
         fmt_cell(replica.wall.as_secs_f64() * 1e3),
-    ];
-    let shards = (replica.per_shard.iter().enumerate())
-        .map(|(shard, (owned, lag))| {
-            vec![
-                shard.to_string(),
-                owned.to_string(),
-                fmt_cell(lag.as_ref().map(|l| l.p50_ms)),
-                fmt_cell(lag.as_ref().map(|l| l.max_ms)),
-            ]
-        })
-        .collect();
-    (row, shards)
+    ]
 }
 
-/// Runs the sweep; returns one outcome per shard count.
+/// Runs the sweep; returns one table row per shard count.
 ///
 /// # Panics
 /// Panics if a replica does not converge, or if the span workload is not at
 /// least 10% cross-shard above one shard.
-fn sweep(scale: &Scale) -> Vec<Outcome> {
+fn sweep(scale: &Scale) -> Vec<Vec<String>> {
     let shard_counts = std::iter::successors(Some(1), |n| Some(n * 2));
     (shard_counts.take_while(|&n| n <= MAX_SWEEP_SHARDS))
         .map(|shards| {
@@ -111,7 +103,7 @@ fn sweep(scale: &Scale) -> Vec<Outcome> {
                 outcome.primary.throughput(),
                 share * 100.0,
                 outcome.worst_p50_ms(),
-                outcome.replicas[0].cuts_taken,
+                cuts_taken(&outcome),
             );
             assert!(
                 outcome.all_converged(),
@@ -121,23 +113,18 @@ fn sweep(scale: &Scale) -> Vec<Outcome> {
                 shards == 1 || share >= 0.10,
                 "{shards} shards: the span workload must be >=10% cross-shard (got {share})"
             );
-            outcome
+            row(shards, &outcome)
         })
         .collect()
 }
 
-/// Runs the sweep and prints one table of global rows and one of shard rows
-/// per shard count.
+/// Runs the sweep and prints its table.
 pub fn run(scale: &Scale) {
-    let (table, per_shard): (Vec<_>, Vec<_>) = sweep(scale).iter().map(rows).unzip();
+    let table = sweep(scale);
     let title = format!(
         "Sharded replication (measured on this host): ~{} total workers (see workers_total), \
          shard-span workload over {KEY_SPACE} keys",
         scale.replica_workers
     );
     print_table(&title, &COLUMNS, &table);
-    for shards in per_shard {
-        let title = format!("Per-shard lag at {} shard(s)", shards.len());
-        print_table(&title, &SHARD_COLUMNS, &shards);
-    }
 }

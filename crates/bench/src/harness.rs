@@ -65,9 +65,9 @@ pub enum ReplicaSpec {
     C5Faithful,
     /// C5 with the MyRocks backward-compatibility constraints.
     C5MyRocks,
-    /// Faithful C5 over a key-range-sharded keyspace: one pipeline per shard
-    /// under the cross-shard cut coordinator. The configured workers are
-    /// divided among the shards, at least one each.
+    /// Faithful C5 over a key-range-sharded keyspace: one pipeline whose
+    /// worker lanes are grouped by shard. The configured workers are divided
+    /// among the shards, at least one each.
     C5Sharded {
         /// Number of key-range shards.
         shards: usize,
@@ -92,18 +92,14 @@ pub enum ReplicaSpec {
 }
 
 impl ReplicaSpec {
-    /// Builds the replica over `store` with `config`: the protocol-agnostic
-    /// handle (whose `name()` is the protocol's report name), and a sharded
-    /// replica's own, for its coordinator and per-shard lag.
+    /// Builds the replica over `store` with `config` (its `name()` is the
+    /// protocol's report name).
     pub fn build(
         &self,
         store: Arc<MvStore>,
         config: ReplicaConfig,
-    ) -> (
-        Arc<dyn ClonedConcurrencyControl>,
-        Option<Arc<ShardedC5Replica>>,
-    ) {
-        let replica = match *self {
+    ) -> Arc<dyn ClonedConcurrencyControl> {
+        match *self {
             ReplicaSpec::C5Faithful => C5Replica::new(C5Mode::Faithful, store, config) as _,
             ReplicaSpec::C5MyRocks => C5Replica::new(C5Mode::OneWorkerPerTxn, store, config) as _,
             ReplicaSpec::C5Sharded { shards, key_space } => {
@@ -112,8 +108,7 @@ impl ReplicaSpec {
                     .with_workers(self.workers_total(config.workers) / shards)
                     .with_shards(shards)
                     .with_shard_key_space(key_space);
-                let replica = ShardedC5Replica::new(store, config);
-                return (Arc::clone(&replica) as _, Some(replica));
+                ShardedC5Replica::new(store, config) as _
             }
             ReplicaSpec::KuaFu { ignore_constraints } => {
                 KuaFuReplica::new(store, config, KuaFuConfig { ignore_constraints }) as _
@@ -125,8 +120,7 @@ impl ReplicaSpec {
             ReplicaSpec::PageGranularity { rows_per_page } => {
                 CoarseGrainReplica::new(Granularity::Page { rows_per_page }, store, config) as _
             }
-        };
-        (replica, None)
+        }
     }
 
     /// Apply workers the built replica runs in total, given `workers`
@@ -266,11 +260,6 @@ pub struct ReplicaOutcome {
     /// for row. (After a `KillPrimary` the final primary is the one resumed
     /// on this replica's own store; what is compared is the cold standby.)
     pub converged: bool,
-    /// Cuts the cross-shard coordinator published (sharded replicas): one
-    /// that stops advancing under load shows here before it shows as lag.
-    pub cuts_taken: u64,
-    /// Per shard: transactions owned and their lag (sharded replicas).
-    pub per_shard: Vec<(usize, Option<LagStats>)>,
 }
 
 impl ReplicaOutcome {
@@ -524,23 +513,23 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
             let id = seed.expect("seeding an idle fleet cannot fail").replica;
             let replica: Arc<dyn ClonedConcurrencyControl> =
                 fleet.replica(id).expect("a seed is managed");
-            members.push((id, replica, None));
+            members.push((id, replica));
         }
         controller = Some(fleet);
     } else {
         for spec in specs {
-            let (replica, sharded) = spec.build(preloaded(population), replica_config.clone());
+            let replica = spec.build(preloaded(population), replica_config.clone());
             let id = router.admit(Arc::clone(&replica));
             let subscription = match specs.len() {
                 1 => shipper.subscribe_unbounded(),
                 _ => shipper.subscribe(c5_log::SUBSCRIPTION_SEGMENTS),
             };
             receivers.push(subscription.expect("an open shipper").receiver);
-            members.push((id, replica, sharded));
+            members.push((id, replica));
         }
     }
     // Routing ids follow admission order, so a member's id is its index.
-    assert!(members.iter().enumerate().all(|(i, (id, ..))| i == *id));
+    assert!(members.iter().enumerate().all(|(i, (id, _))| i == *id));
 
     // Whom point-read clients read from and a `KillPrimary` promotes.
     let first = members[0].1.as_ref();
@@ -570,7 +559,7 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
         // replica about to be promoted is fed but not finished: promotion
         // does the sealing, and its drain is what the scenario measures.
         let drivers: Vec<_> = (members.iter().zip(receivers))
-            .map(|((_, replica, _), receiver)| {
+            .map(|((_, replica), receiver)| {
                 scope.spawn(move || {
                     while let Some(segment) = receiver.recv() {
                         replica.apply_segment(segment);
@@ -784,13 +773,13 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
         let fleet = controller.as_ref().expect("a Join makes the fleet managed");
         let joiner: Arc<dyn ClonedConcurrencyControl> =
             fleet.replica(join.replica).expect("joiner is managed");
-        (join.replica, joiner, None)
+        (join.replica, joiner)
     });
     let survivors = (members.into_iter())
-        .filter(|(id, ..)| retires.iter().all(|retire| retire.replica != *id))
+        .filter(|(id, _)| retires.iter().all(|retire| retire.replica != *id))
         .chain(joiners);
     let replicas = survivors
-        .map(|(id, replica, sharded)| ReplicaOutcome {
+        .map(|(id, replica)| ReplicaOutcome {
             replica: id,
             protocol: replica.name(),
             workers: specs
@@ -810,12 +799,6 @@ pub fn run_scenario(scenario: &Scenario) -> Outcome {
                 (Some(_), Some(standby)) => converged(standby.as_ref()),
                 (Some(_), None) => true,
             },
-            cuts_taken: sharded.as_ref().map_or(0, |s| s.coordinator().cuts_taken()),
-            per_shard: sharded.map_or_else(Vec::new, |s| {
-                (0..s.shards())
-                    .map(|shard| (s.shard_lag(shard).len(), s.shard_lag(shard).stats()))
-                    .collect()
-            }),
         })
         .collect();
 
@@ -989,7 +972,7 @@ pub fn replay_log(
         .with_op_cost(OpCost::free())
         .with_snapshot_interval(Duration::from_millis(1))
         .with_obs(obs);
-    let (replica, _) = spec.build(preloaded(population), config);
+    let replica = spec.build(preloaded(population), config);
     let wall = drive_segments(replica.as_ref(), segments);
     (replica.name(), wall, replica.metrics())
 }
@@ -1131,13 +1114,9 @@ mod tests {
             ),
             ("sharded", sharded::scenario(&scale, 4), |o| {
                 let replica = &o.replicas[0];
-                assert_eq!((replica.per_shard.len(), replica.workers), (4, 4));
-                assert!(replica.cuts_taken > 0 && replica.metrics.cross_shard_txns > 0);
-                let owned: usize = replica.per_shard.iter().map(|(owned, _)| owned).sum();
-                assert_eq!(owned as u64, replica.metrics.applied_txns);
-                let (row, shards) = sharded::rows(o);
-                assert_cells(&sharded::COLUMNS, &[row]);
-                assert_cells(&sharded::SHARD_COLUMNS, &shards);
+                assert_eq!(replica.workers, 4);
+                assert!(sharded::cuts_taken(o) > 0 && replica.metrics.cross_shard_txns > 0);
+                assert_cells(&sharded::COLUMNS, &[sharded::row(4, o)]);
             }),
             (
                 "failover",

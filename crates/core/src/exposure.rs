@@ -5,15 +5,22 @@
 //! [`PipelinePolicy`](crate::pipeline::PipelinePolicy) says. A snapshotter
 //! *exposes* a transaction-aligned prefix of what was applied (Sections 4.2,
 //! 5.2), and that part — store, applied watermark, cut and read views, lag
-//! samples, GC horizon, counters — is the same whatever the ordering. An
-//! [`Exposure`] is that part; the pipeline runtime drives it directly.
+//! samples, GC horizon, counters — is the same whatever the ordering. A
+//! [`PrefixExposure`] is that part; the pipeline runtime drives it directly.
 //!
-//! There are exactly two. [`PrefixExposure`] exposes a prefix of *one log*
-//! (C5 in both modes, every baseline). The sharded replica's per-shard
-//! exposure (`crate::shard`) shares one global cut: applied positions have
-//! gaps and the cut is a minimum over shards. A
-//! whole-database cursor is still a prefix — its cut merely gates the workers
-//! — so it is a cursor kind inside [`PrefixExposure`], not a third exposure.
+//! There is exactly one. It exposes a prefix of *one log*: C5 in both modes,
+//! the sharded replica (whose shards are lane groups of one pipeline over
+//! the whole log) and every baseline. A whole-database cursor is still a
+//! prefix — its cut merely gates the workers — so it is a cursor kind inside
+//! [`PrefixExposure`], not a second exposure.
+//!
+//! The runtime's expose stage calls [`expose`](PrefixExposure::expose) and
+//! [`collect_garbage`](PrefixExposure::collect_garbage) on its own thread;
+//! the probes are read from any thread; an ordering applies through
+//! [`note_segment`](PrefixExposure::note_segment),
+//! [`install_gated`](PrefixExposure::install_gated),
+//! [`count_applied`](PrefixExposure::count_applied) and
+//! [`mark_applied_batch`](PrefixExposure::mark_applied_batch).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,87 +29,15 @@ use std::time::Duration;
 use c5_common::{OpCost, ReplicaConfig, SeqNo, Timestamp};
 use c5_log::{LogRecord, Segment};
 use c5_obs::Obs;
-use c5_storage::MvStore;
+use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 
 use crate::lag::LagTracker;
-use crate::pipeline::{BoundaryLedger, GcDriver, GcHold, PipelineSignals};
+use crate::pipeline::{BoundaryLedger, GcDriver, PipelineSignals};
 use crate::progress::WatermarkTracker;
 use crate::replica::{ReadView, ReplicaMetrics};
 use crate::snapshotter::SnapshotCursor;
 
-/// What a backup applies into and exposes from, whatever its ordering.
-///
-/// The methods down to [`store`](Self::store) are the runtime's: the expose
-/// stage calls the first two on its own thread, the rest are probes read
-/// from any thread. The remainder is what an ordering generic over its
-/// exposure (C5's per-row ordering) applies through.
-pub trait Exposure: Send + Sync + 'static {
-    /// Advances the exposed, transaction-aligned cut if progress allows, and
-    /// records one lag sample per transaction it newly covers. Workers may
-    /// call it too. Waits inside (a whole-database cut) sleep on `signals`.
-    fn expose(&self, signals: &PipelineSignals);
-
-    /// Reclaims versions the exposed cut has moved past; runs after a cut.
-    fn collect_garbage(&self);
-
-    /// Minimum spacing between cuts: non-zero only where a cut costs the
-    /// workers something. Ignored while draining.
-    fn min_cut_spacing(&self) -> Duration {
-        Duration::ZERO
-    }
-
-    /// Largest position through which everything this pipeline was given has
-    /// been applied.
-    fn applied_seq(&self) -> SeqNo;
-
-    /// Largest position the cut may reach right now; `finish` waits for it.
-    fn exposure_target(&self) -> SeqNo;
-
-    /// Largest position exposed to read-only transactions.
-    fn exposed_seq(&self) -> SeqNo;
-
-    /// Last position handed to the schedule stage so far.
-    fn shipped_seq(&self) -> SeqNo;
-
-    /// A read view pinned at the exposed cut.
-    fn read_view(&self) -> Box<dyn ReadView>;
-
-    /// Replication-lag samples collected so far.
-    fn lag(&self) -> Arc<LagTracker>;
-
-    /// Progress counters. Even mid-run, `exposed_seq <= applied_seq <=
-    /// shipped_seq`, every position at or below `applied_seq` is in `applied_writes`, and every
-    /// transaction in `applied_txns` has its final write in `applied_writes`.
-    fn metrics(&self) -> ReplicaMetrics;
-
-    /// The configured sink; the runtime records its stage metrics here.
-    fn obs(&self) -> &Arc<Obs>;
-
-    /// The backup's store (promotion hands it over; checkpoints export it).
-    fn store(&self) -> &Arc<MvStore>;
-
-    /// Notes a segment about to be dispatched (boundaries, last position,
-    /// written rows). Call in log order, before any of it can be installed.
-    fn note_segment(&self, segment: &Segment);
-
-    /// Runs one install attempt at `seq` under whatever must be held while a
-    /// write lands (the whole-database cursor's gate; nothing otherwise).
-    fn install_gated<R>(&self, _seq: SeqNo, install: impl FnOnce() -> R) -> R {
-        install()
-    }
-
-    /// Accounts for one installed record: operation cost and counters. Its
-    /// watermark mark is the ordering's to buffer and flush.
-    fn count_applied(&self, record: &LogRecord);
-
-    /// Accounts for one write that waited for its per-row predecessor.
-    fn count_deferred(&self);
-
-    /// Publishes the `(position, is boundary)` marks of one finished item.
-    fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]);
-}
-
-/// The exposure of a prefix of one log, shared by C5 and every baseline:
+/// The exposure of a prefix of one log, shared by every protocol:
 /// everything behind the ordering, written once. Building one validates the
 /// replica configuration it is built from, and panics if it is invalid.
 pub struct PrefixExposure {
@@ -168,42 +103,10 @@ impl PrefixExposure {
         }
     }
 
-    /// Installs one record unconditionally and marks it applied: for
-    /// orderings that only dispatch a write once it may run (the baselines).
-    pub fn install(&self, record: &LogRecord) {
-        self.store.install(
-            record.write.row,
-            Timestamp(record.seq.as_u64()),
-            record.write.kind,
-            record.write.value.clone(),
-        );
-        self.count_applied(record);
-        self.tracker.mark_applied(record.seq, record.is_txn_last());
-    }
-
-    /// Publishes the dispatched boundary. Call *before* enqueueing the item
-    /// that ends there: once queued, a worker may install its writes, and a
-    /// cut must never be chosen below an installed write.
-    pub fn note_dispatched(&self, boundary: SeqNo) {
-        self.dispatched_boundary
-            .store(boundary.as_u64(), Ordering::Release);
-    }
-
-    /// The version-GC horizon (checkpoint exports verify it never overtook
-    /// their cut).
-    pub fn gc_horizon(&self) -> SeqNo {
-        self.gc.horizon()
-    }
-
-    /// Holds version GC back while a checkpoint export scans (see
-    /// [`GcDriver::hold`]); take it before pinning the export's cut.
-    pub fn hold_gc(&self) -> GcHold<'_> {
-        self.gc.hold()
-    }
-}
-
-impl Exposure for PrefixExposure {
-    fn expose(&self, signals: &PipelineSignals) {
+    /// Advances the exposed, transaction-aligned cut if progress allows, and
+    /// records one lag sample per transaction it newly covers. Workers may
+    /// call it too. Waits inside (a whole-database cut) sleep on `signals`.
+    pub fn expose(&self, signals: &PipelineSignals) {
         let target = self.tracker.boundary_watermark();
         if target <= self.cursor.exposed() {
             // Nothing new: touch no lock. Whoever advanced the cut drains
@@ -229,39 +132,54 @@ impl Exposure for PrefixExposure {
         self.ledger.drain_exposed(n);
     }
 
-    fn collect_garbage(&self) {
+    /// Reclaims versions the exposed cut has moved past; runs after a cut.
+    pub fn collect_garbage(&self) {
         self.gc.run(self.cursor.exposed());
     }
 
-    fn min_cut_spacing(&self) -> Duration {
+    /// Minimum spacing between cuts: non-zero only where a cut costs the
+    /// workers something (the whole-database cursor). Ignored while draining.
+    pub fn min_cut_spacing(&self) -> Duration {
         self.cut_spacing
     }
 
-    fn applied_seq(&self) -> SeqNo {
+    /// Largest position through which everything this pipeline was given has
+    /// been applied.
+    pub fn applied_seq(&self) -> SeqNo {
         self.tracker.applied_watermark()
     }
 
-    fn exposure_target(&self) -> SeqNo {
+    /// Largest position the cut may reach right now; `finish` waits for it.
+    pub fn exposure_target(&self) -> SeqNo {
         self.tracker.boundary_watermark()
     }
 
-    fn exposed_seq(&self) -> SeqNo {
+    /// Largest position exposed to read-only transactions.
+    pub fn exposed_seq(&self) -> SeqNo {
         self.cursor.exposed()
     }
 
-    fn shipped_seq(&self) -> SeqNo {
+    /// Last position handed to the schedule stage so far.
+    pub fn shipped_seq(&self) -> SeqNo {
         self.ledger.shipped_seq()
     }
 
-    fn read_view(&self) -> Box<dyn ReadView> {
+    /// A read view pinned at the exposed cut.
+    pub fn read_view(&self) -> Box<dyn ReadView> {
         self.cursor.read_view()
     }
 
-    fn lag(&self) -> Arc<LagTracker> {
+    /// Replication-lag samples collected so far.
+    pub fn lag(&self) -> Arc<LagTracker> {
         Arc::clone(self.ledger.lag())
     }
 
-    fn metrics(&self) -> ReplicaMetrics {
+    /// Progress counters. Even mid-run, `exposed_seq <= applied_seq <=
+    /// shipped_seq`, every position at or below `applied_seq` is in
+    /// `applied_writes`, and every transaction in `applied_txns` has its
+    /// final write in `applied_writes`. `cross_shard_txns` is zero: the
+    /// sharded replica fills it in from its router.
+    pub fn metrics(&self) -> ReplicaMetrics {
         // Read downstream-first — exposed before applied before shipped,
         // positions before counters, transactions before writes — so the
         // documented invariants hold while workers race ahead between the
@@ -282,24 +200,49 @@ impl Exposure for PrefixExposure {
         }
     }
 
-    fn obs(&self) -> &Arc<Obs> {
+    /// The configured sink; the runtime records its stage metrics here.
+    pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
 
-    fn store(&self) -> &Arc<MvStore> {
+    /// The backup's store (promotion hands it over; checkpoints export it).
+    pub fn store(&self) -> &Arc<MvStore> {
         &self.store
     }
 
-    fn note_segment(&self, segment: &Segment) {
+    /// Notes a segment about to be dispatched (boundaries, last position,
+    /// written rows). Call in log order, before any of it can be installed.
+    ///
+    /// # Panics
+    /// Panics if the segment does not directly follow the last one noted
+    /// (see [`BoundaryLedger::note_segment`]).
+    pub fn note_segment(&self, segment: &Segment) {
         self.ledger.note_segment(segment);
         self.gc.note_segment(segment);
     }
 
-    fn install_gated<R>(&self, seq: SeqNo, install: impl FnOnce() -> R) -> R {
+    /// Runs one install attempt at `seq` under whatever must be held while a
+    /// write lands (the whole-database cursor's gate; nothing otherwise).
+    pub fn install_gated<R>(&self, seq: SeqNo, install: impl FnOnce() -> R) -> R {
         self.cursor.install_gated(seq, install)
     }
 
-    fn count_applied(&self, record: &LogRecord) {
+    /// Installs one record unconditionally and marks it applied: for
+    /// orderings that only dispatch a write once it may run (the baselines).
+    pub fn install(&self, record: &LogRecord) {
+        self.store.install(
+            record.write.row,
+            Timestamp(record.seq.as_u64()),
+            record.write.kind,
+            record.write.value.clone(),
+        );
+        self.count_applied(record);
+        self.tracker.mark_applied(record.seq, record.is_txn_last());
+    }
+
+    /// Accounts for one installed record: operation cost and counters. Its
+    /// watermark mark is the ordering's to buffer and flush.
+    pub fn count_applied(&self, record: &LogRecord) {
         self.op_cost.charge_backup();
         self.applied_writes.fetch_add(1, Ordering::Relaxed);
         if record.is_txn_last() {
@@ -309,12 +252,51 @@ impl Exposure for PrefixExposure {
         }
     }
 
-    fn count_deferred(&self) {
+    /// Accounts for one write that waited for its per-row predecessor.
+    pub fn count_deferred(&self) {
         self.deferred_writes.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
+    /// Publishes the `(position, is boundary)` marks of one finished item.
+    pub fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
         self.tracker.mark_applied_batch(marks);
+    }
+
+    /// Publishes the dispatched boundary. Call *before* enqueueing the item
+    /// that ends there: once queued, a worker may install its writes, and a
+    /// cut must never be chosen below an installed write.
+    pub fn note_dispatched(&self, boundary: SeqNo) {
+        self.dispatched_boundary
+            .store(boundary.as_u64(), Ordering::Release);
+    }
+
+    /// Exports a checkpoint of the currently exposed state. The cut is
+    /// pinned through a read view, so it is transaction-aligned and stable
+    /// while the export scans; applies and exposure continue concurrently.
+    /// Version GC does not: it is held back from before the cut is pinned
+    /// until the scan ends ([`GcDriver::hold`]), because a horizon past the
+    /// cut may collect the very versions the export needs — and with
+    /// event-driven exposure the cut can move by more than `gc_trail`
+    /// positions during one scan.
+    ///
+    /// # Panics
+    /// Panics if the version-GC horizon is above the cut after the export.
+    /// The hold makes that impossible (the horizon is at most the cut exposed
+    /// when the hold began, which the pinned cut is at least), so this is an
+    /// invariant check, not a condition a caller can hit; the horizon is
+    /// monotone, so checking it *after* the scan covers the whole scan.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let _gc_held = self.gc.hold();
+        let view = self.read_view();
+        let checkpoint = CheckpointWriter::capture(&self.store, view.as_of());
+        let horizon = self.gc.horizon();
+        assert!(
+            horizon <= checkpoint.cut(),
+            "GC horizon {horizon} overtook the checkpoint cut {} although GC \
+             was held for the export",
+            checkpoint.cut()
+        );
+        checkpoint
     }
 }
 

@@ -49,7 +49,7 @@ pub mod scheduler;
 pub mod shard;
 pub mod snapshotter;
 
-pub use exposure::{Exposure, PrefixExposure};
+pub use exposure::PrefixExposure;
 pub use fleet::{FleetController, FleetRoutingSink, JoinReport, ReplicaLifecycle, RetireReport};
 pub use lag::{LagStats, LagTracker};
 pub use mpc::MpcChecker;
@@ -64,4 +64,4 @@ pub use replica::{
     ReadView, ReplicaMetrics, FLEET_PROGRESS,
 };
 pub use scheduler::{SchedulerState, SchedulerStats};
-pub use shard::{CutCoordinator, ShardProgress, ShardedC5Replica};
+pub use shard::ShardedC5Replica;

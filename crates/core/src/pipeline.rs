@@ -18,19 +18,19 @@
 //! * an **ordering**, the [`PipelinePolicy`]: what a work item is, how
 //!   segments become items, what "apply one item" means. That is all a
 //!   protocol is.
-//! * an **exposure**, the policy's [`Exposure`]: store, applied watermark,
-//!   cut and read views, lag samples, GC horizon, counters. The expose
-//!   stage, the drain protocol and the [`ClonedConcurrencyControl`] surface
-//!   talk to it directly. There are two ([`crate::exposure`]); no protocol
-//!   writes its own.
+//! * an **exposure**, the policy's [`PrefixExposure`]: store, applied
+//!   watermark, cut and read views, lag samples, GC horizon, counters. The
+//!   expose stage, the drain protocol and the [`ClonedConcurrencyControl`]
+//!   surface talk to it directly. There is one ([`crate::exposure`]); no
+//!   protocol writes its own.
 //!
 //! ## Event-driven exposure
 //!
 //! Nothing in the runtime runs on a timer. Each pipeline has one
 //! [`ProgressSignal`]: a worker notifies it when it finishes an item (the
 //! item's watermark marks are flushed by then), the expose thread sleeps on
-//! it and calls [`Exposure::expose`] only when something moved, and the
-//! expose thread notifies it again when a cut is published. Every wait in
+//! it and calls [`PrefixExposure::expose`] only when something moved, and
+//! the expose thread notifies it again when a cut is published. Every wait in
 //! the runtime blocks on that same signal — `finish`'s two drain waits,
 //! [`ClonedConcurrencyControl::wait_until_exposed`], and the waits an
 //! exposure makes through [`PipelineSignals::wait_until`] — and shutdown,
@@ -44,9 +44,9 @@
 //! whole-database gate on [`crate::replica::FLEET_PROGRESS`], which every
 //! published cut also notifies.
 //!
-//! [`Exposure::min_cut_spacing`] holds cuts apart where a cut costs the
-//! workers something (the whole-database gate of Section 5.2); every other
-//! exposure cuts on every notification.
+//! [`PrefixExposure::min_cut_spacing`] holds cuts apart where a cut costs the
+//! workers something (the whole-database gate of Section 5.2); the
+//! timestamped cursor cuts on every notification.
 //!
 //! ## Batched hand-off
 //!
@@ -55,11 +55,12 @@
 //! cost amortized, and policies are expected to follow them:
 //!
 //! * **Dispatch in batches.** A work item should carry a *run* of records —
-//!   a whole sub-segment, or a run of consecutive whole transactions (64
-//!   records in C5's one-worker-per-transaction mode) — so the queue
-//!   hand-off cost is paid once per batch, not once per record. Batches must
-//!   respect the policy's ordering unit: a batch never splits a transaction,
-//!   and `schedule` publishes any dispatch watermark *before* enqueueing the
+//!   a whole segment, one shard's part of one, or a run of consecutive whole
+//!   transactions (64 records in C5's one-worker-per-transaction mode) — so
+//!   the queue hand-off cost is paid once per batch, not once per record.
+//!   Batches must respect the policy's ordering unit — a
+//!   one-worker-per-transaction batch never splits a transaction — and
+//!   `schedule` publishes any dispatch watermark *before* enqueueing the
 //!   batch, so a cut chosen from that watermark can never land mid-item.
 //! * **Publish watermarks per item, not per record.** Workers buffer the
 //!   applied-marks of one work item and flush them in a single batched
@@ -102,7 +103,7 @@ use c5_log::{LogRecord, Segment};
 use c5_obs::{Counter, Histogram, Obs, PipelineStage, TraceEvent};
 use c5_storage::MvStore;
 
-use crate::exposure::Exposure;
+use crate::exposure::PrefixExposure;
 use crate::lag::LagTracker;
 use crate::replica::{ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics};
 
@@ -118,16 +119,9 @@ pub struct PipelineSignals {
 }
 
 impl PipelineSignals {
-    fn new(progress: Arc<ProgressSignal>) -> Self {
-        Self {
-            progress,
-            ..Self::default()
-        }
-    }
-
     /// Whether the runtime has asked every stage to stop. Long waits inside
-    /// [`PipelinePolicy::apply`] and [`Exposure::expose`] must bail out once
-    /// this is set ([`wait_until`](Self::wait_until) does).
+    /// [`PipelinePolicy::apply`] and [`PrefixExposure::expose`] must bail
+    /// out once this is set ([`wait_until`](Self::wait_until) does).
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
@@ -139,9 +133,8 @@ impl PipelineSignals {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Whether a stage thread of this pipeline (or, for a sharded replica,
-    /// of a sibling pipeline) has died. Terminal: the applied prefix will not
-    /// advance past the work the dead thread held.
+    /// Whether a stage thread of this pipeline has died. Terminal: the
+    /// applied prefix will not advance past the work the dead thread held.
     pub fn failed(&self) -> bool {
         self.progress.failed()
     }
@@ -417,7 +410,7 @@ pub trait PipelinePolicy: Send + Sync + 'static {
     fn interrupt(&self) {}
 
     /// What this ordering applies into and the runtime exposes from.
-    fn exposure(&self) -> &impl Exposure;
+    fn exposure(&self) -> &PrefixExposure;
 }
 
 /// The shared runtime: the feeder-run schedule stage, worker and expose
@@ -443,24 +436,12 @@ pub struct PipelineRuntime<P: PipelinePolicy> {
 }
 
 impl<P: PipelinePolicy> PipelineRuntime<P> {
-    /// Starts the pipeline with a progress signal of its own: spawns
-    /// `options.workers` workers and the expose thread.
+    /// Starts the pipeline: spawns `options.workers` workers and the expose
+    /// thread.
     pub fn start(policy: Arc<P>, options: PipelineOptions) -> Self {
-        Self::start_sharing(policy, options, Arc::new(ProgressSignal::new()))
-    }
-
-    /// Starts the pipeline on a progress signal shared with other pipelines:
-    /// each one's expose stage and waits then wake on any of their progress.
-    /// The sharded replica needs this — its global cut, and so every shard's
-    /// drain, moves when *any* shard applies.
-    pub fn start_sharing(
-        policy: Arc<P>,
-        options: PipelineOptions,
-        progress: Arc<ProgressSignal>,
-    ) -> Self {
         assert!(options.workers > 0, "pipeline requires at least one worker");
         let label = policy.name(); // names the threads
-        let signals = Arc::new(PipelineSignals::new(progress));
+        let signals = Arc::new(PipelineSignals::default());
         // Taken before any worker exists: whatever a worker notifies, even
         // before the expose thread first runs, is news to the expose stage.
         let generation_at_start = signals.progress.generation();
@@ -558,6 +539,12 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
     /// the failed flag).
     pub fn signals(&self) -> &Arc<PipelineSignals> {
         &self.signals
+    }
+
+    /// Stage threads still running: the workers and the expose thread.
+    #[cfg(test)]
+    pub(crate) fn thread_count(&self) -> usize {
+        self.threads.lock().len()
     }
 
     /// Counts a segment fed to a finished replica (or one whose workers are
@@ -1127,9 +1114,9 @@ pub struct GcDriver {
     visited_chains: AtomicU64,
     /// Rows written above the horizon, one batch per noted segment.
     written: Mutex<Vec<WrittenBatch>>,
-    /// Held for the duration of a collection — concurrent callers (every
-    /// shard's expose stage drives one shared driver) skip instead of queue —
-    /// and for the duration of a checkpoint export ([`hold`](Self::hold)).
+    /// Held for the duration of a collection — a concurrent caller skips
+    /// instead of queueing — and for the duration of a checkpoint export
+    /// ([`hold`](Self::hold)).
     collecting: Mutex<()>,
 }
 
@@ -1165,9 +1152,8 @@ impl GcDriver {
     /// Notes the rows `segment` writes. Call from the schedule stage before
     /// the segment's records are dispatched, so that by the time the exposed
     /// cut (and with it the horizon) passes a write, the driver knows its
-    /// row. Several schedulers may feed one driver (the sharded replica's
-    /// do); each must feed its own stream in order, but the streams may
-    /// interleave arbitrarily.
+    /// row. The one schedule stage feeds it in log order; the collection
+    /// does not rely on that order (noted batches are independent).
     pub fn note_segment(&self, segment: &Segment) {
         if segment.is_empty() {
             return;
@@ -1270,7 +1256,6 @@ impl GcDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exposure::PrefixExposure;
     use c5_common::{RowRef, RowWrite, TxnId, Value, WriteKind};
     use parking_lot::{Condvar, Mutex as PlMutex};
     use std::collections::HashSet;
@@ -1654,7 +1639,7 @@ mod tests {
             self.gate.set_closed(false);
         }
 
-        fn exposure(&self) -> &impl Exposure {
+        fn exposure(&self) -> &PrefixExposure {
             &self.exposure
         }
     }
@@ -1831,7 +1816,7 @@ mod tests {
                     PoisonedPolicy::new(Poison::None),
                     PipelineOptions { workers, queue },
                 );
-                assert_eq!(runtime.threads.lock().len(), workers + 1);
+                assert_eq!(runtime.thread_count(), workers + 1);
             }
         }
     }
@@ -1977,12 +1962,12 @@ mod proptests {
 
     proptest! {
         /// For any interleaving of writes over a few rows, any number of
-        /// schedulers feeding the driver out of global order (each its own
-        /// stream in order, as the sharded replica's do), any segment size
-        /// and any trail, every collection of the row-targeted driver leaves
-        /// the store exactly as a full `MvStore::gc` at the same horizon
-        /// leaves an identical twin: the same number of versions, and the
-        /// same answer to every read at or after the horizon.
+        /// feeders noting segments out of global order (each its own stream
+        /// in order), any segment size and any trail, every collection of the
+        /// row-targeted driver leaves the store exactly as a full
+        /// `MvStore::gc` at the same horizon leaves an identical twin: the
+        /// same number of versions, and the same answer to every read at or
+        /// after the horizon.
         #[test]
         fn row_targeted_gc_matches_the_full_sweep(
             keys in prop::collection::vec(0u64..6, 1..120),

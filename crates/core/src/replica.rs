@@ -8,7 +8,7 @@
 //!
 //! [`C5Replica`] is the paper's protocol: an *ordering* on the shared
 //! [`crate::pipeline`] runtime, over the one [`PrefixExposure`] every
-//! unsharded protocol exposes through.
+//! protocol exposes through.
 //!
 //! * The ordering is `PerRowOrdering`: the **schedule** stage stamps every
 //!   record with the position of the previous write to its row
@@ -22,9 +22,8 @@
 //!   whole transactions from a shared queue in commit order and apply each
 //!   transaction's writes in order, sleeping on the wait list until each
 //!   write's predecessor lands (Section 5.1's backward-compatibility
-//!   constraint). The ordering is generic over its exposure:
-//!   [`crate::shard`] runs the faithful form, unchanged, over each shard's
-//!   slice of the log.
+//!   constraint). [`crate::shard`] runs the faithful form, unchanged, with
+//!   a key-range choice of worker in place of round-robin.
 //! * The exposure's cursor is chosen by the mode: timestamped for the
 //!   faithful form (a cut is one atomic store, taken whenever the applied
 //!   prefix moves), whole-database for the backward-compatible one (a cut
@@ -38,9 +37,9 @@ use parking_lot::Mutex;
 
 use c5_common::{ProgressSignal, ReplicaConfig, RowRef, SeqNo, TableId, Timestamp, Value};
 use c5_log::{LogReceiver, LogRecord, Segment};
-use c5_storage::{Checkpoint, CheckpointInstaller, CheckpointWriter, MvStore};
+use c5_storage::{Checkpoint, CheckpointInstaller, MvStore};
 
-use crate::exposure::{Exposure, PrefixExposure};
+use crate::exposure::PrefixExposure;
 use crate::lag::LagTracker;
 use crate::pipeline::{
     BlockingInstall, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan,
@@ -80,8 +79,7 @@ pub struct ReplicaMetrics {
     /// Largest log position exposed to read-only transactions.
     pub exposed_seq: SeqNo,
     /// Largest log position dispatched to the workers: `apply_segment` has
-    /// returned for every segment at or below it (for a sharded replica, on
-    /// every shard).
+    /// returned for every segment at or below it.
     pub shipped_seq: SeqNo,
     /// Number of writes that had to wait for their per-row predecessor
     /// before executing (each such write is counted once, however long it
@@ -236,13 +234,12 @@ impl C5Mode {
     }
 }
 
-/// C5's row-granularity ordering (Sections 4.1 and 7.2), generic over the
-/// exposure it applies through: `prev_seq` stamps on the schedule side, the
-/// per-row wait list on the apply side. [`C5Replica`] runs it over the
-/// [`PrefixExposure`]; every pipeline of the sharded replica runs it over
-/// its shard's exposure.
-pub(crate) struct PerRowOrdering<E: Exposure> {
-    pub(crate) exposure: E,
+/// C5's row-granularity ordering (Sections 4.1 and 7.2) over the exposure
+/// it applies through: `prev_seq` stamps on the schedule side, the per-row
+/// wait list on the apply side. [`C5Replica`] and the sharded replica both
+/// run it.
+pub(crate) struct PerRowOrdering {
+    pub(crate) exposure: PrefixExposure,
     /// The per-row `prev_seq` stamping state; only the schedule stage locks
     /// it.
     sched: Mutex<SchedulerState>,
@@ -251,8 +248,8 @@ pub(crate) struct PerRowOrdering<E: Exposure> {
     pub(crate) waits: RowWaitList,
 }
 
-impl<E: Exposure> PerRowOrdering<E> {
-    pub(crate) fn new(exposure: E, sched: SchedulerState) -> Self {
+impl PerRowOrdering {
+    pub(crate) fn new(exposure: PrefixExposure, sched: SchedulerState) -> Self {
         Self {
             exposure,
             sched: Mutex::new(sched),
@@ -275,9 +272,9 @@ impl<E: Exposure> PerRowOrdering<E> {
     ///
     /// An applied record's watermark mark is *buffered* into `marks` instead
     /// of published immediately; the worker flushes the buffer in one
-    /// [`Exposure::mark_applied_batch`] call when its current work item ends.
-    /// Deferring publication by at most one item is safe under either
-    /// exposure: store-level install ordering (what other workers' installs
+    /// [`PrefixExposure::mark_applied_batch`] call when its current work item
+    /// ends. Deferring publication by at most one item is safe under either
+    /// cursor: store-level install ordering (what other workers' installs
     /// and parked records wait on) is untouched, and a cut only ever waits
     /// for marks of records whose items were dispatched *before* it was
     /// chosen — items that flush unconditionally on completion, because a
@@ -300,7 +297,7 @@ impl<E: Exposure> PerRowOrdering<E> {
         applied
     }
 
-    /// The faithful apply: installs each record of a whole (sub-)segment as
+    /// The faithful apply: installs each record of a dispatched run as
     /// soon as its per-row predecessor is in place; otherwise the record
     /// moves into the wait list and the worker that installs the predecessor
     /// finishes the job. No retries, no clones. The mark buffer also collects
@@ -351,7 +348,7 @@ const DISPATCH_BATCH: usize = 64;
 /// dispatch form, over the prefix exposure with the mode's cursor.
 struct C5Policy {
     mode: C5Mode,
-    rows: PerRowOrdering<PrefixExposure>,
+    rows: PerRowOrdering,
     /// Target records per dispatched work item in one-worker-per-txn mode:
     /// [`DISPATCH_BATCH`], or 1 (per-transaction dispatch) in tests.
     dispatch_batch: usize,
@@ -417,7 +414,7 @@ impl PipelinePolicy for C5Policy {
         self.rows.waits.wake_all();
     }
 
-    fn exposure(&self) -> &impl Exposure {
+    fn exposure(&self) -> &PrefixExposure {
         &self.rows.exposure
     }
 }
@@ -523,34 +520,10 @@ impl C5Replica {
         self.runtime.policy().rows.exposure.store()
     }
 
-    /// Exports a checkpoint of the currently exposed state. The cut is
-    /// pinned through a read view, so it is transaction-aligned and stable
-    /// while the export scans; applies and exposure continue concurrently.
-    /// Version GC does not: it is held back from before the cut is pinned
-    /// until the scan ends ([`GcDriver::hold`](crate::pipeline::GcDriver::hold)),
-    /// because a horizon past the cut may collect the very versions the
-    /// export needs — and with event-driven exposure the cut can move by more
-    /// than `gc_trail` positions during one scan.
-    ///
-    /// # Panics
-    /// Panics if the version-GC horizon is above the cut after the export.
-    /// The hold makes that impossible (the horizon is at most the cut exposed
-    /// when the hold began, which the pinned cut is at least), so this is an
-    /// invariant check, not a condition a caller can hit; the horizon is
-    /// monotone, so checking it *after* the scan covers the whole scan.
+    /// Exports a checkpoint of the currently exposed state, with version GC
+    /// held back for the export (see [`PrefixExposure::checkpoint`]).
     pub fn checkpoint(&self) -> Checkpoint {
-        let exposure = &self.runtime.policy().rows.exposure;
-        let _gc_held = exposure.hold_gc();
-        let view = self.read_view();
-        let checkpoint = CheckpointWriter::capture(self.store(), view.as_of());
-        let horizon = exposure.gc_horizon();
-        assert!(
-            horizon <= checkpoint.cut(),
-            "GC horizon {horizon} overtook the checkpoint cut {} although GC \
-             was held for the export",
-            checkpoint.cut()
-        );
-        checkpoint
+        self.runtime.policy().rows.exposure.checkpoint()
     }
 }
 

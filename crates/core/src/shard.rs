@@ -1,113 +1,83 @@
-//! Sharded replication: per-partition apply pipelines under one global cut.
+//! Sharded replication: key-range lane groups under one pipeline.
 //!
-//! The paper's backup applies one log with one pipeline. At production scale
-//! the keyspace itself shards: a [`c5_common::ShardRouter`] assigns every row
-//! a shard by key range, the replica splits each segment it is fed into one
-//! sub-segment per shard, each shard runs its **own** instance of the shared
-//! [`crate::pipeline`] runtime (scheduler, workers, wait lists, expose
-//! thread) over its slice of the log, and a [`CutCoordinator`] reassembles
-//! the paper's headline guarantee — monotonic prefix consistency — for
-//! snapshots that span shards.
+//! The paper's backup applies one log with one pipeline: one scheduler,
+//! workers fed segments round-robin, and one snapshotter that publishes one
+//! counter (C5-Cicada, Section 7.2). At production scale the keyspace itself
+//! shards: a [`c5_common::ShardRouter`] assigns every row a shard by key
+//! range. [`ShardedC5Replica`] is still that one pipeline — the shared
+//! [`crate::pipeline`] runtime over the one [`PrefixExposure`] — but its
+//! `shards × workers` worker lanes are grouped by shard: the key range picks
+//! the lane group, round-robin picks the lane inside it.
 //!
-//! ## The global-cut protocol
+//! ## Why it is the same protocol
 //!
-//! Every shard publishes a [`ShardProgress`] watermark: the largest global
-//! log position `w_s` such that every record the shard owns at or below
-//! `w_s` has been installed. Quiet shards advance through gaps because each
-//! per-shard sub-segment carries the parent segment's coverage watermark
-//! (`covers_through`), so "I own nothing up to 1000" is itself progress.
+//! The schedule stage is `C5Replica`'s faithful one: it stamps the whole
+//! segment with per-row predecessors (which also notes the segment, in log
+//! order, with the exposure) and only then splits the stamped records by
+//! shard. A row never changes shards, so its whole chain is applied inside
+//! one lane group; with one worker per shard no chain crosses lanes and no
+//! write ever waits for its predecessor.
 //!
-//! The coordinator picks the **global cut** `B` = the largest transaction
-//! boundary at or below `min_s w_s`. Because `B` is a boundary of the global
-//! log and a transaction's writes occupy a contiguous run of positions,
-//! every transaction falls entirely at or below `B` or entirely above it —
-//! cross-shard transactions are pinned to one side of the cut by
-//! construction, never split.
+//! The exposure is `C5Replica`'s too. One pipeline applies every record of
+//! the global log, so its applied prefix is the contiguous prefix a
+//! [`WatermarkTracker`](crate::progress::WatermarkTracker) tracks, and the
+//! cut — the paper's `c`, one atomic store — is the largest transaction
+//! boundary inside it: the largest global boundary at or below every
+//! shard's applied watermark. A transaction's writes occupy a contiguous run
+//! of positions, so a cross-shard transaction falls wholly on one side of
+//! every cut. Every read view, scan and checkpoint, and the version-GC
+//! horizon, sit at that one cut; per-shard cuts would add nothing (see
+//! DESIGN.md, "Why not one cut per shard").
 //!
-//! `B` is the replica's one exposed counter — the paper's `c` (Section 4.2).
-//! The coordinator publishes it through a timestamped [`SnapshotCursor`], so
-//! advancing it is one atomic store (Section 7.2), and every read view, scan
-//! and checkpoint, and the version-GC horizon, sit at `B`. Per-shard
-//! components `c_s ≥ B` would add nothing: a shard's rows read the same at
-//! any position from `B` up to one before the shard's earliest record above
-//! `B`, so a view pinned at such a vector equals a view at `B`, row for row.
+//! At one shard the replica *is* the faithful unsharded one — one lane
+//! group, round-robin over all its workers — and
+//! `tests/protocol_conformance.rs` holds it to that.
 //!
-//! The single-shard case degenerates exactly to the paper's protocol: one
-//! pipeline, `w_1` is the applied watermark and `B` the boundary watermark.
-//! That is a test (`tests/protocol_conformance.rs`), and holds by
-//! construction: each shard runs the very ordering `C5Replica` runs
-//! (`PerRowOrdering`), over a different [`Exposure`] — the shared global cut
-//! rather than a prefix of its own.
+//! ## Splitting a segment
 //!
-//! ## One progress signal for all shards
-//!
-//! The cut is the minimum over the shards, so it can move on *any* shard's
-//! progress, and every shard's drain waits for it. All per-shard pipelines
-//! therefore share one [`ProgressSignal`]: whichever shard's worker finishes
-//! an item (or whichever scheduler notes a coverage-only sub-segment, which
-//! advances a quiet shard's watermark without any worker) wakes the expose
-//! stages, one of them advances the cut, and that publication wakes every
-//! shard's `finish` and every `wait_until_exposed` caller. A stage thread
-//! dying in one shard fails the waits of all of them — the global cut can no
-//! longer reach the end of the log.
-//!
-//! ## Hot-path disciplines
-//!
-//! The per-shard apply path is C5's faithful one (`PerRowOrdering`): a work
-//! item is a whole sub-segment, whose applied-marks flush through
-//! [`ShardProgress`]'s batched mark in one lock acquisition. Nothing in a
-//! shard's pipeline waits on the shard watermark; a coordinator that
-//! observes it one sub-segment late merely takes its next cut one
-//! notification later.
-//!
-//! Splitting a segment (`route_segment_with`, the other per-record cost on
-//! this path) runs once per segment on the feeder, so it amortizes its
-//! allocations: the per-record shard assignments and per-shard counts live
-//! in scratch buffers inside the replica's persistent `TxnShardTracker`
-//! (they grow to one segment's size once and are reused after), and each
-//! sub-segment's record buffer is allocated once, at its final size — a
-//! shard that owns nothing in a segment allocates nothing. One tracker
-//! serves the whole stream because it sees every segment in order: it also
-//! carries the open-transaction masks that classify a transaction straddling
-//! a segment boundary as cross-shard.
+//! The split (`route_segment_with`, the one per-record cost this path adds)
+//! runs once per segment on the feeder, so it amortizes its allocations: the
+//! per-record shard assignments and per-shard counts live in scratch buffers
+//! inside the policy's persistent `TxnShardTracker` (they grow to one
+//! segment's size once and are reused after), and each shard's run of
+//! records is allocated once, at its final size — a shard that owns nothing
+//! in a segment allocates nothing and is sent nothing. One tracker serves
+//! the whole stream because it sees every segment in order: it also carries
+//! the open-transaction masks that classify a transaction straddling a
+//! segment boundary as cross-shard.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use c5_common::{OpCost, ProgressSignal, ReplicaConfig, SeqNo, ShardRouter, TxnId};
+use c5_common::{ReplicaConfig, SeqNo, ShardRouter, TxnId};
 use c5_log::{LogRecord, Segment};
-use c5_obs::Obs;
-use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
+use c5_storage::{Checkpoint, MvStore};
 
-use crate::exposure::Exposure;
+use crate::exposure::PrefixExposure;
 use crate::lag::LagTracker;
 use crate::pipeline::{
-    GcDriver, GcHold, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan,
-    WorkSink,
+    PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
 use crate::replica::{
     ClonedConcurrencyControl, PerRowOrdering, Promotion, ReadView, ReplicaMetrics,
 };
 use crate::scheduler::SchedulerState;
-use crate::snapshotter::SnapshotCursor;
 
 // ---------------------------------------------------------------------------
 // Splitting the log by key range.
 // ---------------------------------------------------------------------------
 
-/// The result of splitting one segment by key range: one sub-segment per
-/// shard (possibly empty, always carrying the parent's coverage watermark)
-/// plus the cross-shard transactions the split completed.
+/// The result of splitting one segment's records by key range.
 #[derive(Debug)]
-struct RoutedSegments {
-    /// One sub-segment per shard, indexed by shard. Records *move* here from
-    /// the parent segment; nothing is cloned.
-    parts: Vec<Segment>,
-    /// Transactions whose last write is in the parent segment and whose
-    /// writes spanned more than one shard.
+struct RoutedRecords {
+    /// One run of records per shard, indexed by shard, in log order. Records
+    /// *move* here from the segment; nothing is cloned.
+    parts: Vec<Vec<LogRecord>>,
+    /// Transactions whose last write is in the segment and whose writes
+    /// spanned more than one shard.
     cross_shard_txns: u64,
 }
 
@@ -126,26 +96,22 @@ struct TxnShardTracker {
     /// record in the segment currently being routed.
     shard_of: Vec<u8>,
     /// Routing scratch, reused across calls: per-shard record counts of the
-    /// segment currently being routed, so each sub-segment buffer can be
+    /// segment currently being routed, so each shard's buffer can be
     /// allocated exactly once at its final size (and empty shards allocate
     /// nothing).
     counts: Vec<u32>,
 }
 
-/// Splits a segment into per-shard sub-segments under `router`. Each record
+/// Splits one segment's records by key range under `router`. Each record
 /// moves to the shard owning its row; within a shard, records keep their log
-/// order. Every part's `covers_through` is the parent's, so a shard that owns
-/// nothing in this segment still learns the log has moved past it. Shard
-/// masks of transactions still open at the segment boundary are carried in
-/// `tracker`, so each transaction is judged exactly once, by id, at its last
-/// write.
+/// order. Shard masks of transactions still open at the segment boundary are
+/// carried in `tracker`, so each transaction is judged exactly once, by id,
+/// at its last write.
 fn route_segment_with(
-    segment: Segment,
+    records: Vec<LogRecord>,
     router: &ShardRouter,
     tracker: &mut TxnShardTracker,
-) -> RoutedSegments {
-    let covers = segment.covered_through();
-    let id = segment.header.id;
+) -> RoutedRecords {
     let mut cross_shard_txns = 0u64;
     // First pass, by reference: route every record (shards fit in a u8 —
     // `ShardRouter` caps at 64), count per shard, and settle the cross-shard
@@ -157,10 +123,10 @@ fn route_segment_with(
         counts,
     } = tracker;
     shard_of.clear();
-    shard_of.reserve(segment.records.len());
+    shard_of.reserve(records.len());
     counts.clear();
     counts.resize(router.shards(), 0);
-    for record in &segment.records {
+    for record in &records {
         let shard = router.route(record.write.row);
         shard_of.push(shard as u8);
         counts[shard] += 1;
@@ -175,10 +141,9 @@ fn route_segment_with(
             *open.entry(record.txn).or_insert(0) |= 1u64 << shard;
         }
     }
-    // Second pass, by value: move each record into its sub-segment buffer,
-    // every buffer allocated exactly once at its final size. Shards owning
-    // nothing in this segment allocate nothing (their sub-segment only
-    // carries the coverage watermark).
+    // Second pass, by value: move each record into its shard's buffer, every
+    // buffer allocated exactly once at its final size. Shards owning nothing
+    // in this segment allocate nothing.
     let mut parts: Vec<Vec<LogRecord>> = counts
         .iter()
         .map(|&count| {
@@ -189,533 +154,114 @@ fn route_segment_with(
             }
         })
         .collect();
-    for (record, &shard) in segment.records.into_iter().zip(shard_of.iter()) {
+    for (record, &shard) in records.into_iter().zip(shard_of.iter()) {
         parts[shard as usize].push(record);
     }
-    RoutedSegments {
-        parts: parts
-            .into_iter()
-            .map(|records| Segment::sub_segment(id, records, covers))
-            .collect(),
+    RoutedRecords {
+        parts,
         cross_shard_txns,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard progress.
+// The sharded policy and replica.
 // ---------------------------------------------------------------------------
 
-/// One shard's view of its slice of the log, in *global* log positions.
-///
-/// The shard's scheduler notes every owned record (and the coverage
-/// watermark) before dispatching it; workers mark records as they install.
-/// Unlike [`crate::progress::WatermarkTracker`], the owned positions are not
-/// contiguous — the watermark advances through gaps the coverage proves are
-/// not the shard's to wait for.
-#[derive(Debug, Default)]
-pub struct ShardProgress {
-    inner: Mutex<ProgressInner>,
-    /// Cached `applied_through` for lock-free probes.
-    applied: AtomicU64,
-    /// Cached coverage watermark for lock-free probes.
-    covered: AtomicU64,
-    applied_writes: AtomicU64,
-    applied_txns: AtomicU64,
-    deferred_writes: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct ProgressInner {
-    /// Owned positions noted but not yet installed.
-    pending: BTreeSet<u64>,
-    /// The global position the shard's stream is complete through.
-    covered: u64,
-}
-
-impl ProgressInner {
-    fn applied_through(&self) -> u64 {
-        match self.pending.iter().next() {
-            Some(&first) => first - 1,
-            None => self.covered,
-        }
-    }
-}
-
-impl ShardProgress {
-    /// Creates empty progress.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Notes one sub-segment's records and coverage. Must be called by the
-    /// shard's scheduler, in stream order, *before* the records are
-    /// dispatched to workers (so no record can be marked applied before it
-    /// is expected).
-    fn note_segment(&self, segment: &Segment) {
-        let mut inner = self.inner.lock();
-        for record in &segment.records {
-            inner.pending.insert(record.seq.as_u64());
-        }
-        inner.covered = inner.covered.max(segment.covered_through().as_u64());
-        self.covered.store(inner.covered, Ordering::Release);
-        self.applied
-            .store(inner.applied_through(), Ordering::Release);
-    }
-
-    /// Marks a batch of owned records as installed under one lock
-    /// acquisition and one publication of the cached watermark. Equivalent
-    /// to marking each record individually — the watermark just becomes
-    /// visible once, after the batch — so a worker that buffers the marks of
-    /// one work item trades publication latency (bounded by one item) for a
-    /// batch-sized cut in lock traffic. Workers never wait on the shard
-    /// watermark (only the coordinator's cut advance reads it), so deferred
-    /// publication cannot deadlock the pipeline.
-    fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
-        if marks.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        for (seq, _) in marks {
-            inner.pending.remove(&seq.as_u64());
-        }
-        self.applied
-            .store(inner.applied_through(), Ordering::Release);
-    }
-
-    /// The largest global position `w` such that every record this shard
-    /// owns at or below `w` has been installed.
-    pub fn applied_through(&self) -> SeqNo {
-        SeqNo(self.applied.load(Ordering::Acquire))
-    }
-
-    /// The global position the shard's stream is complete through.
-    pub fn covered_through(&self) -> SeqNo {
-        SeqNo(self.covered.load(Ordering::Acquire))
-    }
-
-    /// Number of owned positions noted and not yet installed (diagnostic).
-    pub fn pending(&self) -> usize {
-        self.inner.lock().pending.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The cross-shard consistent-cut coordinator.
-// ---------------------------------------------------------------------------
-
-/// Assembles a globally consistent, transaction-aligned exposed prefix from
-/// per-shard progress (see the module docs for the protocol).
-pub struct CutCoordinator {
-    store: Arc<MvStore>,
+/// C5's faithful ordering with a key-range schedule: the segment is stamped
+/// and noted whole, then each shard's run of records goes to one of that
+/// shard's lanes, round-robin within the shard.
+struct ShardedPolicy {
+    rows: PerRowOrdering,
     router: ShardRouter,
-    shards: Vec<Arc<ShardProgress>>,
-    /// Global replication-lag samples, one per transaction.
-    lag: Arc<LagTracker>,
-    /// Per-shard lag: a transaction's sample also lands on the shard owning
-    /// its final write (where the transaction "commits" on the backup).
-    shard_lag: Vec<Arc<LagTracker>>,
-    /// The global cut `B`, and the read views pinned at it: the faithful
-    /// replica's timestamped cursor, advanced by one atomic `fetch_max`.
-    cursor: SnapshotCursor,
-    /// The largest transaction boundary any shard has noted (the drain
-    /// target once the log ends).
-    final_boundary: AtomicU64,
-    /// Transaction boundaries not yet covered by the cut:
-    /// position → (primary commit wall time, owning shard).
-    boundaries: Mutex<BTreeMap<u64, (u64, usize)>>,
-    /// Version-GC horizon trailing the global cut.
-    gc: GcDriver,
-    cuts_taken: AtomicU64,
-    /// Transactions the replica routed itself whose writes spanned shards.
+    /// Lanes per shard: the configured workers. Shard `s` owns lanes
+    /// `s * workers .. (s + 1) * workers`.
+    workers: usize,
+    /// The split's carried masks and scratch buffers, and each shard's
+    /// round-robin cursor over its lanes. Only `schedule` locks it, and the
+    /// runtime runs one `schedule` at a time.
+    route: Mutex<(TxnShardTracker, Vec<usize>)>,
+    /// Transactions the split found spanning shards.
     cross_shard_txns: AtomicU64,
-    op_cost: OpCost,
-    /// The configured observability sink, shared by every shard's pipeline.
-    obs: Arc<Obs>,
 }
 
-impl CutCoordinator {
-    fn new(store: Arc<MvStore>, router: ShardRouter, config: &ReplicaConfig) -> Self {
-        let shards = (0..router.shards())
-            .map(|_| Arc::new(ShardProgress::new()))
-            .collect::<Vec<_>>();
-        let shard_lag = (0..router.shards())
-            .map(|_| Arc::new(LagTracker::new()))
-            .collect();
-        let gc = GcDriver::new(Arc::clone(&store), config.gc_trail);
-        Self {
-            cursor: SnapshotCursor::timestamped_at(Arc::clone(&store), SeqNo::ZERO),
-            store,
-            router,
-            shards,
-            lag: Arc::new(LagTracker::new()),
-            shard_lag,
-            final_boundary: AtomicU64::new(0),
-            boundaries: Mutex::new(BTreeMap::new()),
-            gc,
-            cuts_taken: AtomicU64::new(0),
-            cross_shard_txns: AtomicU64::new(0),
-            op_cost: config.op_cost,
-            obs: Arc::clone(&config.obs),
-        }
-    }
-
-    /// The routing rule this coordinator's shards partition by.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// One shard's progress handle.
-    pub fn progress(&self, shard: usize) -> &Arc<ShardProgress> {
-        &self.shards[shard]
-    }
-
-    /// Registers a transaction boundary (called by the owning shard's
-    /// scheduler; boundaries from different shards may arrive out of global
-    /// order, the map re-orders them).
-    fn note_boundary(&self, seq: SeqNo, commit_wall_nanos: u64, shard: usize) {
-        self.boundaries
-            .lock()
-            .insert(seq.as_u64(), (commit_wall_nanos, shard));
-        self.final_boundary
-            .fetch_max(seq.as_u64(), Ordering::AcqRel);
-    }
-
-    /// Advances the cut: computes the new global cut `B` from the per-shard
-    /// watermarks, drains one lag sample per newly covered transaction, and
-    /// publishes `B`. Any shard's expose stage may call this; the boundary
-    /// lock serializes cuts. Returns the (possibly unchanged) global cut.
-    pub fn advance(&self) -> SeqNo {
-        let mut boundaries = self.boundaries.lock();
-        let floor = self.applied_floor().as_u64();
-        let cut = boundaries
-            .range(..=floor)
-            .next_back()
-            .map(|(&b, _)| b)
-            // Already-covered boundaries were drained from the map, so an
-            // empty range means "no new boundary": keep the current cut.
-            .unwrap_or_else(|| self.cut().as_u64());
-        // One lag sample per transaction whose boundary the cut now covers,
-        // recorded globally and on the transaction's owning shard.
-        let newly_covered = {
-            let above = boundaries.split_off(&(cut + 1));
-            std::mem::replace(&mut *boundaries, above)
-        };
-        let now = c5_log::now_nanos();
-        for (committed_at, shard) in newly_covered.into_values() {
-            self.lag.record(committed_at, now);
-            self.shard_lag[shard].record(committed_at, now);
-        }
-        self.cursor.advance(SeqNo(cut));
-        self.cuts_taken.fetch_add(1, Ordering::Relaxed);
-        SeqNo(cut)
-    }
-
-    /// Drives the version-GC horizon towards the global cut. Called by the
-    /// shards' expose stages after a cut is published (a caller that finds
-    /// a collection in progress skips).
-    fn collect_garbage(&self) {
-        self.gc.run(self.cut());
-    }
-
-    /// The global cut `B`: the largest transaction boundary every shard has
-    /// fully applied. This is what spanning snapshots observe.
-    pub fn cut(&self) -> SeqNo {
-        self.cursor.exposed()
-    }
-
-    /// The largest global position every shard has applied through (the
-    /// contiguous applied prefix of the global log).
-    pub fn applied_floor(&self) -> SeqNo {
-        self.shards
-            .iter()
-            .map(|p| p.applied_through())
-            .min()
-            .expect("a coordinator always has at least one shard")
-    }
-
-    /// The largest transaction boundary any shard has noted so far.
-    pub fn final_boundary(&self) -> SeqNo {
-        SeqNo(self.final_boundary.load(Ordering::Acquire))
-    }
-
-    /// Global replication-lag samples (one per transaction).
-    pub fn lag(&self) -> &Arc<LagTracker> {
-        &self.lag
-    }
-
-    /// Lag samples for transactions owned by `shard`.
-    pub fn shard_lag(&self, shard: usize) -> &Arc<LagTracker> {
-        &self.shard_lag[shard]
-    }
-
-    /// Number of cut advances performed (diagnostic).
-    pub fn cuts_taken(&self) -> u64 {
-        self.cuts_taken.load(Ordering::Relaxed)
-    }
-
-    /// Versions reclaimed by the cut-trailing GC horizon.
-    pub fn reclaimed_versions(&self) -> u64 {
-        self.gc.reclaimed()
-    }
-
-    /// The current version-GC horizon (checkpoint exports verify it never
-    /// overtook their cut).
-    pub fn gc_horizon(&self) -> SeqNo {
-        self.gc.horizon()
-    }
-
-    /// Holds version GC back while a checkpoint export scans (see
-    /// [`GcDriver::hold`]); take it before pinning the export's cut.
-    pub fn hold_gc(&self) -> GcHold<'_> {
-        self.gc.hold()
-    }
-
-    /// The replica's progress counters: the global positions, and every
-    /// shard's apply counters summed. Read in the order
-    /// [`Exposure::metrics`] requires: positions before counters, and each
-    /// shard's transactions before its writes.
-    fn metrics(&self) -> ReplicaMetrics {
-        let exposed_seq = self.cut();
-        let applied_seq = self.applied_floor();
-        let (mut applied_txns, mut applied_writes, mut deferred_writes) = (0, 0, 0);
-        // Read after the applied floor, which it bounds from above.
-        let mut shipped_seq = SeqNo(u64::MAX);
-        for progress in &self.shards {
-            applied_txns += progress.applied_txns.load(Ordering::Acquire);
-            applied_writes += progress.applied_writes.load(Ordering::Acquire);
-            deferred_writes += progress.deferred_writes.load(Ordering::Relaxed);
-            shipped_seq = shipped_seq.min(progress.covered_through());
-        }
-        ReplicaMetrics {
-            applied_writes,
-            applied_txns,
-            applied_seq,
-            exposed_seq,
-            deferred_writes,
-            reclaimed_versions: self.gc.reclaimed(),
-            cross_shard_txns: self.cross_shard_txns.load(Ordering::Relaxed),
-            shipped_seq,
-        }
-    }
-
-    /// A spanning read view pinned at the current global cut: every row, on
-    /// every shard, is read at `B`.
-    pub fn read_view(&self) -> Box<dyn ReadView> {
-        self.cursor.read_view()
-    }
-}
-
-impl std::fmt::Debug for CutCoordinator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CutCoordinator")
-            .field("router", &self.router)
-            .field("cut", &self.cut())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The per-shard exposure, the per-shard policy and the sharded replica.
-// ---------------------------------------------------------------------------
-
-/// One shard's [`Exposure`]. Applied progress is the shard's own
-/// ([`ShardProgress`]); the cut, its read views and the GC horizon are the
-/// coordinator's, shared by every shard.
-struct ShardExposure {
-    shard: usize,
-    coordinator: Arc<CutCoordinator>,
-    progress: Arc<ShardProgress>,
-}
-
-impl Exposure for ShardExposure {
-    fn expose(&self, _signals: &PipelineSignals) {
-        self.coordinator.advance();
-    }
-
-    fn collect_garbage(&self) {
-        self.coordinator.collect_garbage();
-    }
-
-    fn applied_seq(&self) -> SeqNo {
-        self.progress.applied_through()
-    }
-
-    fn exposure_target(&self) -> SeqNo {
-        // Once the log ends, the global cut must reach the final global
-        // boundary, which it does once every shard drains.
-        self.coordinator.final_boundary()
-    }
-
-    fn exposed_seq(&self) -> SeqNo {
-        // The global cut: it is what readers observe and what
-        // `wait_until_exposed` callers wait for, so it is what this shard's
-        // expose stage must announce when it moves.
-        self.coordinator.cut()
-    }
-
-    fn shipped_seq(&self) -> SeqNo {
-        self.progress.covered_through()
-    }
-
-    fn read_view(&self) -> Box<dyn ReadView> {
-        self.coordinator.read_view()
-    }
-
-    fn lag(&self) -> Arc<LagTracker> {
-        Arc::clone(self.coordinator.shard_lag(self.shard))
-    }
-
-    fn metrics(&self) -> ReplicaMetrics {
-        // Shards do not report separately: the cut is global.
-        self.coordinator.metrics()
-    }
-
-    fn obs(&self) -> &Arc<Obs> {
-        &self.coordinator.obs
-    }
-
-    fn store(&self) -> &Arc<MvStore> {
-        &self.coordinator.store
-    }
-
-    fn note_segment(&self, segment: &Segment) {
-        self.progress.note_segment(segment);
-        self.coordinator.gc.note_segment(segment);
-    }
-
-    fn count_applied(&self, record: &LogRecord) {
-        self.coordinator.op_cost.charge_backup();
-        self.progress.applied_writes.fetch_add(1, Ordering::Relaxed);
-        if record.is_txn_last() {
-            // Release: pairs with the Acquire load in `metrics`.
-            self.progress.applied_txns.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    fn count_deferred(&self) {
-        self.progress
-            .deferred_writes
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
-        self.progress.mark_applied_batch(marks);
-    }
-}
-
-/// One shard's policy: C5's faithful ordering over the shard's slice of the
-/// log, plus the two things that are genuinely sharded — boundaries are
-/// registered with the coordinator (they arrive out of global order), and a
-/// sub-segment that carries only coverage is announced by the scheduler,
-/// because no worker ever sees it.
-struct ShardPolicy {
-    /// Rows never change shards, so a row's whole chain is stamped by one
-    /// scheduler — the stamps equal what a single global scheduler would
-    /// produce.
-    rows: PerRowOrdering<ShardExposure>,
-    /// The progress signal shared by every shard's pipeline.
-    signal: Arc<ProgressSignal>,
-}
-
-impl PipelinePolicy for ShardPolicy {
-    type Item = Segment;
+impl PipelinePolicy for ShardedPolicy {
+    /// One shard's run of one segment's records, in log order.
+    type Item = Vec<LogRecord>;
 
     fn name(&self) -> &'static str {
         "c5-sharded"
     }
 
-    fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<Segment>) {
-        // Stamps, and notes records and coverage before dispatch, so no
-        // worker can install a record the progress tracker has not yet
-        // expected; then register owned transaction boundaries.
+    fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<Vec<LogRecord>>) {
+        // Stamped and noted whole, in log order, before any record is
+        // dispatched: a segment out of order fails here, as it does on the
+        // unsharded replica.
         self.rows.stamp(&mut segment);
-        let exposure = &self.rows.exposure;
-        for record in &segment.records {
-            if record.is_txn_last() {
-                exposure.coordinator.note_boundary(
-                    record.seq,
-                    record.commit_wall_nanos,
-                    exposure.shard,
-                );
+        let mut route = self.route.lock();
+        let (tracker, next_lane) = &mut *route;
+        let routed = route_segment_with(segment.records, &self.router, tracker);
+        self.cross_shard_txns
+            .fetch_add(routed.cross_shard_txns, Ordering::Relaxed);
+        for (shard, records) in routed.parts.into_iter().enumerate() {
+            if records.is_empty() {
+                continue;
             }
-        }
-        if segment.is_empty() {
-            // The coverage alone just advanced this shard's watermark —
-            // possibly the one holding the global cut back.
-            self.signal.notify();
-        } else {
-            sink.send(segment);
+            let lane = shard * self.workers + next_lane[shard] % self.workers;
+            next_lane[shard] = next_lane[shard].wrapping_add(1);
+            sink.send_to(lane, records);
+            if sink.workers_gone() {
+                return;
+            }
         }
     }
 
-    fn apply(&self, _worker: usize, segment: Segment, _signals: &PipelineSignals) {
-        self.rows.apply_segment(segment.records);
+    fn apply(&self, _worker: usize, records: Vec<LogRecord>, _signals: &PipelineSignals) {
+        self.rows.apply_segment(records);
     }
 
     fn interrupt(&self) {
         self.rows.waits.wake_all();
     }
 
-    fn exposure(&self) -> &impl Exposure {
+    fn exposure(&self) -> &PrefixExposure {
         &self.rows.exposure
     }
 }
 
-/// A horizontally sharded C5 replica: `config.shards` faithful apply
-/// pipelines over one multi-version store, coordinated into a globally
-/// consistent exposed prefix.
+/// A horizontally sharded C5 replica: one faithful pipeline over one
+/// multi-version store, whose `config.shards × config.workers` worker lanes
+/// are grouped by key range.
 ///
 /// The replica accepts the whole log through
 /// [`apply_segment`](ClonedConcurrencyControl::apply_segment), like every
-/// other replica, and routes records to its shards itself.
+/// other replica, and routes records to its shards' lanes itself.
 pub struct ShardedC5Replica {
     config: ReplicaConfig,
-    coordinator: Arc<CutCoordinator>,
-    runtimes: Vec<PipelineRuntime<ShardPolicy>>,
-    /// Shard masks of transactions straddling segment boundaries, so each
-    /// is counted once, by id, plus the router's scratch buffers.
-    route_state: Mutex<TxnShardTracker>,
-    finished: AtomicBool,
+    runtime: PipelineRuntime<ShardedPolicy>,
 }
 
 impl ShardedC5Replica {
     /// Creates and starts a sharded replica over `store` (which should
     /// already hold the initial population, installed at `Timestamp::ZERO`).
-    /// Each of the `config.shards` pipelines runs `config.workers` workers.
+    /// Each of the `config.shards` shards gets `config.workers` workers.
     pub fn new(store: Arc<MvStore>, config: ReplicaConfig) -> Arc<Self> {
-        config
-            .validate()
-            .expect("replica configuration must be valid");
+        // Validates the configuration before the router is built from it.
+        let exposure = PrefixExposure::timestamped(store, &config, SeqNo::ZERO);
         let router = config.shard_router();
-        let coordinator = Arc::new(CutCoordinator::new(store, router, &config));
-        let signal = Arc::new(ProgressSignal::new());
-        let runtimes = (0..router.shards())
-            .map(|shard| {
-                let exposure = ShardExposure {
-                    shard,
-                    coordinator: Arc::clone(&coordinator),
-                    progress: Arc::clone(coordinator.progress(shard)),
-                };
-                let policy = Arc::new(ShardPolicy {
-                    rows: PerRowOrdering::new(exposure, SchedulerState::new()),
-                    signal: Arc::clone(&signal),
-                });
-                PipelineRuntime::start_sharing(
-                    policy,
-                    PipelineOptions {
-                        workers: config.workers,
-                        queue: QueuePlan::PerWorker { capacity: 256 },
-                    },
-                    Arc::clone(&signal),
-                )
-            })
-            .collect();
+        let policy = Arc::new(ShardedPolicy {
+            rows: PerRowOrdering::new(exposure, SchedulerState::new()),
+            router,
+            workers: config.workers,
+            route: Mutex::new((TxnShardTracker::default(), vec![0; router.shards()])),
+            cross_shard_txns: AtomicU64::new(0),
+        });
+        let options = PipelineOptions {
+            workers: router.shards() * config.workers,
+            queue: QueuePlan::PerWorker { capacity: 256 },
+        };
         Arc::new(Self {
             config,
-            coordinator,
-            runtimes,
-            route_state: Mutex::new(TxnShardTracker::default()),
-            finished: AtomicBool::new(false),
+            runtime: PipelineRuntime::start(policy, options),
         })
     }
 
@@ -726,132 +272,73 @@ impl ShardedC5Replica {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.coordinator.router.shards()
+        self.router().shards()
     }
 
     /// The routing rule.
     pub fn router(&self) -> &ShardRouter {
-        &self.coordinator.router
-    }
-
-    /// The cut coordinator (progress probes, the global cut, per-shard lag).
-    pub fn coordinator(&self) -> &Arc<CutCoordinator> {
-        &self.coordinator
-    }
-
-    /// Lag samples for transactions owned by `shard`.
-    pub fn shard_lag(&self, shard: usize) -> Arc<LagTracker> {
-        Arc::clone(self.coordinator.shard_lag(shard))
+        &self.runtime.policy().router
     }
 
     /// Transactions this replica routed whose writes spanned shards.
     pub fn cross_shard_txns(&self) -> u64 {
-        self.coordinator.cross_shard_txns.load(Ordering::Relaxed)
+        self.runtime
+            .policy()
+            .cross_shard_txns
+            .load(Ordering::Relaxed)
     }
 
-    /// Exports a checkpoint at the global cut, pinned through a read view —
-    /// exactly the state the view exposes.
-    ///
-    /// Version GC is held back for the duration of the export, exactly as in
-    /// [`C5Replica::checkpoint`](crate::replica::C5Replica::checkpoint).
-    ///
-    /// # Panics
-    /// Panics if the version-GC horizon is above the global cut after the
-    /// export — an invariant of the hold, not a condition a caller can hit.
+    /// Exports a checkpoint at the cut, with version GC held back for the
+    /// export (see [`PrefixExposure::checkpoint`]).
     pub fn checkpoint(&self) -> Checkpoint {
-        let _gc_held = self.coordinator.hold_gc();
-        let view = self.coordinator.read_view();
-        let checkpoint = CheckpointWriter::capture(&self.coordinator.store, view.as_of());
-        let horizon = self.coordinator.gc_horizon();
-        assert!(
-            horizon <= checkpoint.cut(),
-            "GC horizon {horizon} overtook the checkpoint cut {} although GC \
-             was held for the export",
-            checkpoint.cut()
-        );
-        checkpoint
+        self.runtime.policy().rows.exposure.checkpoint()
     }
 }
 
+/// The runtime's surface, with the router's cross-shard count in
+/// `metrics`.
 impl ClonedConcurrencyControl for ShardedC5Replica {
     fn name(&self) -> &'static str {
-        "c5-sharded"
+        self.runtime.name()
     }
 
     fn apply_segment(&self, segment: Segment) {
-        if self.finished.load(Ordering::SeqCst) {
-            // One lost segment, counted once and routed nowhere (every
-            // shard's pipeline records into the one configured sink).
-            self.runtimes[0].note_dropped_segment();
-            return;
-        }
-        // Held until every shard has its part: the routing lock is this
-        // replica's schedule lock, so concurrent feeders take turns here and
-        // no shard sees two segments' parts out of order.
-        let mut route_state = self.route_state.lock();
-        let routed = route_segment_with(segment, self.router(), &mut route_state);
-        self.coordinator
-            .cross_shard_txns
-            .fetch_add(routed.cross_shard_txns, Ordering::Relaxed);
-        for (runtime, part) in self.runtimes.iter().zip(routed.parts) {
-            runtime.apply_segment(part);
-        }
+        self.runtime.apply_segment(segment)
     }
 
     fn finish(&self) {
-        if self.finished.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Shards must drain together: each one's final exposure waits on the
-        // global cut, which only reaches the final boundary once *every*
-        // shard has applied its slice.
-        std::thread::scope(|scope| {
-            for runtime in &self.runtimes {
-                scope.spawn(|| runtime.finish());
-            }
-        });
+        self.runtime.finish()
     }
 
     fn promote(&self) -> Promotion {
-        // The parallel drain seals every shard at one global cut (each
-        // shard's final exposure waits on the coordinator's cut converging
-        // to the final boundary), so the handover is exactly as clean as the
-        // single-pipeline case: one transaction-aligned prefix, nothing
-        // above it in the store.
-        let start = std::time::Instant::now();
-        self.finish();
-        Promotion {
-            protocol: self.name(),
-            cut: self.coordinator.cut(),
-            drain: start.elapsed(),
-            store: Arc::clone(&self.coordinator.store),
-        }
+        self.runtime.promote()
     }
 
     fn applied_seq(&self) -> SeqNo {
-        self.coordinator.applied_floor()
+        self.runtime.applied_seq()
     }
 
     fn exposed_seq(&self) -> SeqNo {
-        self.coordinator.cut()
+        self.runtime.exposed_seq()
     }
 
     fn read_view(&self) -> Box<dyn ReadView> {
-        self.coordinator.read_view()
+        self.runtime.read_view()
     }
 
     fn lag(&self) -> Arc<LagTracker> {
-        Arc::clone(self.coordinator.lag())
-    }
-
-    fn wait_until_exposed(&self, seq: SeqNo, timeout: std::time::Duration) -> bool {
-        // Every shard's pipeline reports the global cut and waits on the one
-        // shared signal, so any of them can do the waiting.
-        self.runtimes[0].wait_until_exposed(seq, timeout)
+        self.runtime.lag()
     }
 
     fn metrics(&self) -> ReplicaMetrics {
-        self.coordinator.metrics()
+        ReplicaMetrics {
+            cross_shard_txns: self.cross_shard_txns(),
+            ..self.runtime.metrics()
+        }
+    }
+
+    fn wait_until_exposed(&self, seq: SeqNo, timeout: std::time::Duration) -> bool {
+        self.runtime.wait_until_exposed(seq, timeout)
     }
 }
 
@@ -942,22 +429,69 @@ mod tests {
         }
     }
 
+    /// Shards are lane groups of one pipeline: S shards of W workers run
+    /// S·W workers and one expose thread.
     #[test]
-    fn per_shard_lag_partitions_the_global_samples() {
-        let (population, segments) = spanning_log(90);
-        let replica = ShardedC5Replica::new(preloaded(&population), config(4, 2));
-        drive_segments(replica.as_ref(), segments);
-        let per_shard: usize = (0..replica.shards())
-            .map(|s| replica.shard_lag(s).len())
-            .sum();
-        assert_eq!(replica.lag().len(), 90);
-        assert_eq!(per_shard, 90, "each txn lands on exactly one owning shard");
+    fn s_shards_of_w_workers_run_s_times_w_plus_one_threads() {
+        for (shards, workers) in [(1, 1), (1, 3), (2, 2), (4, 1), (4, 2)] {
+            let replica = ShardedC5Replica::new(preloaded(&[]), config(shards, workers));
+            assert_eq!(
+                replica.runtime.thread_count(),
+                shards * workers + 1,
+                "{shards} shards of {workers} workers"
+            );
+        }
+    }
+
+    /// The reason to shard by key range: a row's chain stays inside its
+    /// shard's lanes, so with one worker per shard no write ever waits for
+    /// its per-row predecessor.
+    #[test]
+    fn one_worker_per_shard_defers_no_write() {
+        for shards in [2, 4] {
+            let (population, segments) = spanning_log(120);
+            let replica = ShardedC5Replica::new(preloaded(&population), config(shards, 1));
+            drive_segments(replica.as_ref(), segments);
+            let metrics = replica.metrics();
+            assert_eq!(metrics.applied_txns, 120, "{shards} shards");
+            assert_eq!(metrics.deferred_writes, 0, "{shards} shards");
+        }
+    }
+
+    /// The log must arrive in order. A segment that skips positions, or
+    /// repeats some, stops the replica loudly at the schedule stage — the
+    /// unsharded replica's check — and the cut never passes the hole.
+    #[test]
+    fn a_gapped_or_repeated_segment_panics_and_the_cut_stays_below_it() {
+        let (population, segments) = spanning_log(30);
+        let fed = segments[1].last_seq().unwrap();
+        // Segment 3 skips segment 2's positions; segment 1 repeats itself.
+        for bad in [segments[3].clone(), segments[1].clone()] {
+            let replica = ShardedC5Replica::new(preloaded(&population), config(2, 1));
+            for segment in &segments[..2] {
+                replica.apply_segment(segment.clone());
+            }
+            assert!(replica.wait_until_exposed(fed, Duration::from_secs(30)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                replica.apply_segment(bad)
+            }));
+            replica.finish();
+            assert_eq!(replica.exposed_seq(), fed, "the cut passed the hole");
+            let message = outcome
+                .expect_err("an out-of-order segment must panic")
+                .downcast::<String>()
+                .map_or_else(|_| String::new(), |message| *message);
+            assert!(
+                message.contains("segments must arrive in log order"),
+                "{message}"
+            );
+        }
     }
 
     #[test]
     fn gc_horizon_trails_the_vector_minimum() {
-        // Hot rows in two different shards; with a zero trail the global
-        // cut drives collection of both chains.
+        // Hot rows in two different shards; with a zero trail the one cut
+        // drives collection of both chains.
         let population = vec![(row(0), Value::from_u64(0)), (row(40), Value::from_u64(0))];
         let store = preloaded(&population);
         let replica = ShardedC5Replica::new(
@@ -1002,8 +536,8 @@ mod tests {
         drop(replica);
     }
 
-    /// Feeding a finished replica loses the segment, visibly: counted once
-    /// (not once per shard), routed nowhere, applied nowhere.
+    /// Feeding a finished replica loses the segment, visibly: counted once,
+    /// routed nowhere, applied nowhere.
     #[test]
     fn a_segment_fed_after_finish_is_dropped_once_and_not_routed() {
         let obs = c5_obs::Obs::new();
@@ -1023,9 +557,9 @@ mod tests {
     }
 
     /// Mid-stream, with no `finish()` to force a cut and an hour-long
-    /// interval: the cut follows the applied prefix on the shared progress
-    /// signal alone — including past sub-segments that carry only coverage,
-    /// which no worker ever announces — and the caller blocks on that signal.
+    /// interval: the cut follows the applied prefix on the progress signal
+    /// alone — while three of four shards own nothing — and the caller
+    /// blocks on that signal.
     #[test]
     fn spanning_cut_is_event_driven_across_busy_and_quiet_shards() {
         let hour = Duration::from_secs(3600);
@@ -1051,9 +585,9 @@ mod tests {
             let replica = Arc::clone(&replica);
             std::thread::spawn(move || replica.wait_until_exposed(last, hour))
         };
-        // Four idle expose stages plus the waiter.
-        let signal = Arc::clone(replica.runtimes[0].signals().progress());
-        while signal.parked() < 5 {
+        // The one idle expose stage plus the waiter.
+        let signal = Arc::clone(replica.runtime.signals().progress());
+        while signal.parked() < 2 {
             std::thread::yield_now();
         }
         for segment in segments {
@@ -1067,8 +601,8 @@ mod tests {
 
     #[test]
     fn quiet_shards_do_not_stall_the_cut() {
-        // Every write lands in shard 0's range; shards 1..3 see only
-        // coverage, yet the cut must still reach the end of the log.
+        // Every write lands in shard 0's range; shards 1..3 are sent
+        // nothing, yet the cut must still reach the end of the log.
         let population = vec![(row(0), Value::from_u64(0))];
         let replica = ShardedC5Replica::new(preloaded(&population), config(4, 1));
         let entries: Vec<TxnEntry> = (1..=50u64)
@@ -1086,10 +620,10 @@ mod tests {
         assert_eq!(replica.exposed_seq(), last);
     }
 
-    /// A segment of three transactions: txn A writes keys {1, 5} (cross-shard
-    /// under a 2-shard router over [0, 8)), txn B writes {2} (shard 0), txn C
-    /// writes {6, 7} (shard 1).
-    fn multi_shard_segment() -> Segment {
+    /// The records of three transactions: txn A writes keys {1, 5}
+    /// (cross-shard under a 2-shard router over [0, 8)), txn B writes {2}
+    /// (shard 0), txn C writes {6, 7} (shard 1).
+    fn multi_shard_records() -> Vec<LogRecord> {
         let entries = vec![
             TxnEntry::new(
                 TxnId(1),
@@ -1120,44 +654,36 @@ mod tests {
             next = n;
             records.extend(recs);
         }
-        Segment::new(9, records)
+        records
     }
 
     #[test]
     fn route_segment_moves_each_record_to_its_shard() {
         let router = ShardRouter::new(2, 8);
         let mut tracker = TxnShardTracker::default();
-        let routed = route_segment_with(multi_shard_segment(), &router, &mut tracker);
+        let routed = route_segment_with(multi_shard_records(), &router, &mut tracker);
         assert_eq!(routed.cross_shard_txns, 1);
         assert_eq!(routed.parts.len(), 2);
 
         let keys =
-            |s: &Segment| -> Vec<u64> { s.records.iter().map(|r| r.write.row.key.0).collect() };
+            |part: &[LogRecord]| -> Vec<u64> { part.iter().map(|r| r.write.row.key.0).collect() };
         assert_eq!(keys(&routed.parts[0]), vec![1, 2]);
         assert_eq!(keys(&routed.parts[1]), vec![5, 6, 7]);
-        // Records keep their global order within a shard, and every part
-        // covers the parent's full span.
+        // Records keep their global order within a shard.
         for part in &routed.parts {
-            assert!(part.records.windows(2).all(|w| w[0].seq < w[1].seq));
-            assert_eq!(part.covered_through(), SeqNo(5));
-            assert_eq!(part.header.id, 9);
+            assert!(part.windows(2).all(|w| w[0].seq < w[1].seq));
         }
 
-        // A segment owned wholly by shard 1 still gives shard 0 a part: an
-        // empty one, carrying the coverage.
+        // A segment owned wholly by shard 1 leaves shard 0 an empty run.
         let entry = TxnEntry::new(
             TxnId(4),
             Timestamp(4),
             vec![RowWrite::insert(row(7), Value::from_u64(8))],
         );
         let (records, _) = explode_txn(entry, SeqNo(5));
-        let routed = route_segment_with(Segment::new(10, records), &router, &mut tracker);
+        let routed = route_segment_with(records, &router, &mut tracker);
         assert_eq!(routed.cross_shard_txns, 0);
-        assert!(
-            routed.parts[0].is_empty(),
-            "shard 0 owns nothing in segment 10"
-        );
-        assert_eq!(routed.parts[0].covered_through(), SeqNo(6));
+        assert!(routed.parts[0].is_empty(), "shard 0 owns nothing here");
         assert_eq!(routed.parts[1].len(), 1);
     }
 
@@ -1179,12 +705,12 @@ mod tests {
         let router = ShardRouter::new(2, 8);
         let mut tracker = TxnShardTracker::default();
 
-        let first = route_segment_with(Segment::new(0, records), &router, &mut tracker);
+        let first = route_segment_with(records, &router, &mut tracker);
         // No last write seen yet: nothing is counted, the mask stays open.
         assert_eq!(first.cross_shard_txns, 0);
         assert_eq!(tracker.open.len(), 1);
 
-        let second = route_segment_with(Segment::new(1, second), &router, &mut tracker);
+        let second = route_segment_with(second, &router, &mut tracker);
         // The final write completes the mask {shard 0, shard 1}: counted as
         // cross-shard exactly once. Without the carried mask the second
         // segment only sees shard 1 and the transaction would be
@@ -1196,7 +722,7 @@ mod tests {
             .parts
             .iter()
             .chain(&second.parts)
-            .map(Segment::len)
+            .map(Vec::len)
             .collect();
         assert_eq!(parts, vec![1, 0, 0, 1]);
     }

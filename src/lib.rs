@@ -91,8 +91,8 @@ pub mod prelude {
         Promotion, ReadView, ReplicaMetrics,
     };
     pub use c5_core::{
-        recover_replica, CutCoordinator, FleetController, FleetRoutingSink, JoinReport, LagStats,
-        LagTracker, MpcChecker, RecoveredReplica, ReplicaLifecycle, RetireReport, ShardedC5Replica,
+        recover_replica, FleetController, FleetRoutingSink, JoinReport, LagStats, LagTracker,
+        MpcChecker, RecoveredReplica, ReplicaLifecycle, RetireReport, ShardedC5Replica,
         WatermarkTracker,
     };
     pub use c5_log::{
