@@ -18,7 +18,7 @@
 //!   fanout          1 primary -> 3 replicas log fan-out, per-replica lag
 //!   reads           Consistency-class sessions over the fan-out fleet
 //!   elastic         Online join + online retire on a live fleet under load
-//!   sharded         Keyspace sharding sweep (1/2/4/8 shards), per-shard lag
+//!   sharded         Keyspace sharding sweep (1/2/4/8 shards), one cut each
 //!   failover        Kill the primary, promote the backup, resume + standby
 //!   durability      kill -9 a child process mid-workload, recover from disk
 //!   obs             Observability smoke: run the elastic scenario against a
@@ -28,7 +28,7 @@
 //!   insert-only-cicada  Insert-only workload, MVTSO primary
 //!   sched-offline   Offline scheduler throughput (Section 6.2), then the
 //!                   whole apply path's ns/record for c5, c5-myrocks and
-//!                   c5-sharded-8 over one replayed log
+//!                   c5 at 8 shards (c5-sharded-8) over one replayed log
 //!   pairs           Interleaved parent/change pairs of two built
 //!                   c5-benchmark binaries: --parent <bin> --change <bin>
 //!                   [--pairs 10] [--seed S] [--workload W] [--trace 0|1]

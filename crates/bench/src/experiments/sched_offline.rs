@@ -10,11 +10,11 @@
 //! The second table times everything after the wire instead: one
 //! MVTSO-materialised shard-span log replayed as fast as it goes through
 //! the faithful pipeline (`c5`), one-worker-per-transaction mode
-//! (`c5-myrocks`) and an 8-shard replica (`c5-sharded-8`). Zero simulated
-//! operation cost, so ns/record is pipeline overhead — dispatch, wait list,
-//! watermark, store install, allocation — measured with a fresh `c5-obs`
-//! sink attached, as every replica runs. It is the only place `c5-myrocks`
-//! and the sharded replica are timed.
+//! (`c5-myrocks`) and the faithful pipeline at 8 shards (`c5-sharded-8`).
+//! Zero simulated operation cost, so ns/record is pipeline overhead —
+//! dispatch, wait list, watermark, store install, allocation — measured with
+//! a fresh `c5-obs` sink attached, as every replica runs. It is the only place `c5-myrocks`
+//! and a sharded replica are timed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,7 +36,7 @@ const REPLAYS: usize = 3;
 
 /// Transactions in the apply-path log, the same at every scale so ns/record
 /// compares across runs: a log of another length spreads the fixed cost of
-/// `finish()` (eight shard pipelines' worth on `c5-sharded-8`) differently.
+/// `finish()` (one drain of one pipeline, at any shard count) differently.
 const APPLY_PATH_TXNS: u64 = 60_000;
 
 /// The apply-path replay targets: report name and replica.

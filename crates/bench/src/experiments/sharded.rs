@@ -4,17 +4,14 @@
 //! north-star is a keyspace that shards. This scenario runs the shard-span
 //! workload (two uniform updates per transaction, so roughly `1 - 1/N` of
 //! transactions cross shards at N shards) on the 2PL primary while a
-//! `ShardedC5Replica` applies the log at 1, 2, 4, … shards, keeping the
+//! faithful `C5Replica` applies the log at 1, 2, 4, … shards, keeping the
 //! total worker count as close to constant as divisibility allows
 //! (`max(1, total / shards)` workers per shard — each shard needs at least
 //! one worker lane, so shard counts above the total run more; the table's
 //! `workers_total` column reports the actual number so rows stay comparable).
 //! Reported per shard count: primary throughput, the cross-shard share, the
 //! cuts the replica published (its sink's expose-stage item count) and lag.
-//!
-//! The 1-shard row is the control: it must match the unsharded faithful
-//! replica, because at one shard the sharded replica is the faithful one
-//! (`tests/protocol_conformance.rs` holds it to that).
+//! The 1-shard row is the unsharded faithful replica itself.
 
 use std::sync::Arc;
 

@@ -26,7 +26,6 @@ use c5_core::lag::LagStats;
 use c5_core::replica::{
     drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, ReadView, ReplicaMetrics,
 };
-use c5_core::ShardedC5Replica;
 use c5_log::{LogArchive, LogShipper, Segment, StreamingLogger};
 use c5_obs::{HistogramSnapshot, Obs};
 use c5_primary::{
@@ -108,7 +107,7 @@ impl ReplicaSpec {
                     .with_workers(self.workers_total(config.workers) / shards)
                     .with_shards(shards)
                     .with_shard_key_space(key_space);
-                ShardedC5Replica::new(store, config) as _
+                C5Replica::new(C5Mode::Faithful, store, config) as _
             }
             ReplicaSpec::KuaFu { ignore_constraints } => {
                 KuaFuReplica::new(store, config, KuaFuConfig { ignore_constraints }) as _

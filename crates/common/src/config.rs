@@ -71,7 +71,7 @@ pub struct ReplicaConfig {
     /// consecutive cuts are held at least this far apart. It is a spacing,
     /// not a period — cuts are driven by applied progress, the first one
     /// after a quiet spell is taken at once, and the final drain ignores it.
-    /// Ignored by timestamped cursors (faithful C5, the sharded replica, the
+    /// Ignored by timestamped cursors (faithful C5 at any shard count, the
     /// baselines), whose cut is one atomic store and follows the applied
     /// prefix with no spacing at all.
     pub snapshot_interval: Duration,
@@ -82,14 +82,16 @@ pub struct ReplicaConfig {
     /// than `exposed - gc_trail` are reclaimed by the expose stage. Zero
     /// collects right up to the cut.
     pub gc_trail: u64,
-    /// Number of keyspace shards a sharded replica partitions the log into.
-    /// Each shard runs its own apply pipeline (`workers` threads each); a
-    /// cross-shard cut coordinator reassembles a globally consistent exposed
-    /// prefix. `1` (the default) is the paper's unsharded replica.
+    /// Number of keyspace shards of a faithful C5 replica: it runs `shards ×
+    /// workers` worker lanes of its one pipeline, and each shard's records
+    /// of a segment go to one of that shard's `workers` lanes. There is one
+    /// cut whatever the count. `1` (the default) is the paper's unsharded
+    /// replica; one-worker-per-transaction C5 requires it, and the baselines
+    /// ignore it.
     pub shards: usize,
     /// The key space the shard router partitions into contiguous ranges
-    /// (keys at or beyond it clamp into the last shard). Only meaningful
-    /// when `shards > 1`.
+    /// (keys at or beyond it clamp into the last shard). Read by faithful C5
+    /// when `shards > 1`; the baselines ignore it.
     pub shard_key_space: u64,
     /// The observability sink the replica's pipeline records stage metrics
     /// and trace events into. Defaults to the process-wide

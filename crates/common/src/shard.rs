@@ -1,19 +1,16 @@
 //! Key-range partitioning of the keyspace into shards.
 //!
 //! The paper replicates one log into one backup; at production scale the
-//! keyspace itself must shard, with each shard owning a contiguous key range
-//! and its own slice of the log. [`ShardRouter`] is the single routing rule
-//! every layer shares: the log shipper uses it to split segments into
-//! per-shard streams, the sharded replica uses it to direct writes to the
-//! right apply pipeline, and read views use it to pick the shard cut a row
-//! is served under. Keeping the rule in one value (rather than re-deriving
-//! it per layer) is what makes "the same row always lands on the same shard"
-//! an invariant instead of a convention.
+//! keyspace itself shards, each shard owning a contiguous key range.
+//! [`ShardRouter`] is the routing rule: a sharded faithful C5 replica uses it
+//! to pick the lane group each record of a segment is applied by. Keeping
+//! the rule in one value is what makes "the same row always lands on the same shard" an
+//! invariant instead of a convention.
 //!
 //! The rule is deliberately simple — contiguous equal-width key ranges over
 //! `[0, key_space)`, with keys at or beyond `key_space` clamped into the last
-//! shard — because the cut coordinator's correctness only needs *stability*
-//! (a row's shard never changes mid-run), not balance. Workloads whose keys
+//! shard — because correctness only needs *stability* (a row's shard never
+//! changes mid-run, so its chain stays in one lane group), not balance. Workloads whose keys
 //! exceed the configured key space still run correctly; they just load the
 //! last shard more heavily.
 
@@ -23,8 +20,7 @@ use crate::ids::RowRef;
 
 /// Maximum number of shards a router supports. Cross-shard transaction
 /// tracking uses a 64-bit shard bitmask, which is far beyond any sensible
-/// per-process shard count (each shard runs its own scheduler, worker pool,
-/// and expose thread).
+/// per-process shard count (each shard runs at least one worker thread).
 pub const MAX_SHARDS: usize = 64;
 
 /// Routes rows to shards by contiguous key range.

@@ -9,8 +9,8 @@
 //! [`PrefixExposure`] is that part; the pipeline runtime drives it directly.
 //!
 //! There is exactly one. It exposes a prefix of *one log*: C5 in both modes,
-//! the sharded replica (whose shards are lane groups of one pipeline over
-//! the whole log) and every baseline. A whole-database cursor is still a
+//! at any shard count (shards are lane groups of one pipeline over the whole
+//! log), and every baseline. A whole-database cursor is still a
 //! prefix — its cut merely gates the workers — so it is a cursor kind inside
 //! [`PrefixExposure`], not a second exposure.
 //!
@@ -56,6 +56,7 @@ pub struct PrefixExposure {
     applied_writes: AtomicU64,
     applied_txns: AtomicU64,
     deferred_writes: AtomicU64,
+    cross_shard_txns: AtomicU64,
 }
 
 impl PrefixExposure {
@@ -100,6 +101,7 @@ impl PrefixExposure {
             applied_writes: AtomicU64::new(0),
             applied_txns: AtomicU64::new(0),
             deferred_writes: AtomicU64::new(0),
+            cross_shard_txns: AtomicU64::new(0),
         }
     }
 
@@ -177,8 +179,8 @@ impl PrefixExposure {
     /// Progress counters. Even mid-run, `exposed_seq <= applied_seq <=
     /// shipped_seq`, every position at or below `applied_seq` is in
     /// `applied_writes`, and every transaction in `applied_txns` has its
-    /// final write in `applied_writes`. `cross_shard_txns` is zero: the
-    /// sharded replica fills it in from its router.
+    /// final write in `applied_writes`. `cross_shard_txns` is zero unless
+    /// the ordering splits the log by key range.
     pub fn metrics(&self) -> ReplicaMetrics {
         // Read downstream-first — exposed before applied before shipped,
         // positions before counters, transactions before writes — so the
@@ -195,7 +197,7 @@ impl PrefixExposure {
             applied_writes: self.applied_writes.load(Ordering::Acquire),
             deferred_writes: self.deferred_writes.load(Ordering::Relaxed),
             reclaimed_versions: self.gc.reclaimed(),
-            cross_shard_txns: 0,
+            cross_shard_txns: self.cross_shard_txns.load(Ordering::Relaxed),
             shipped_seq: self.shipped_seq(),
         }
     }
@@ -255,6 +257,12 @@ impl PrefixExposure {
     /// Accounts for one write that waited for its per-row predecessor.
     pub fn count_deferred(&self) {
         self.deferred_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Accounts for `n` transactions whose writes the key-range split found
+    /// spanning shards.
+    pub fn count_cross_shard(&self, n: u64) {
+        self.cross_shard_txns.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Publishes the `(position, is boundary)` marks of one finished item.

@@ -46,7 +46,7 @@ pub mod progress;
 pub mod recovery;
 pub mod replica;
 pub mod scheduler;
-pub mod shard;
+mod shard;
 pub mod snapshotter;
 
 pub use exposure::PrefixExposure;
@@ -64,4 +64,3 @@ pub use replica::{
     ReadView, ReplicaMetrics, FLEET_PROGRESS,
 };
 pub use scheduler::{SchedulerState, SchedulerStats};
-pub use shard::ShardedC5Replica;

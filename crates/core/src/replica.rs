@@ -10,7 +10,7 @@
 //! [`crate::pipeline`] runtime, over the one [`PrefixExposure`] every
 //! protocol exposes through.
 //!
-//! * The ordering is `PerRowOrdering`: the **schedule** stage stamps every
+//! * The ordering is per-row: the **schedule** stage stamps every
 //!   record with the position of the previous write to its row
 //!   ([`crate::scheduler`]) and dispatches work; the **apply** stage installs
 //!   a write only when its per-row predecessor is in place. In
@@ -22,8 +22,10 @@
 //!   whole transactions from a shared queue in commit order and apply each
 //!   transaction's writes in order, sleeping on the wait list until each
 //!   write's predecessor lands (Section 5.1's backward-compatibility
-//!   constraint). [`crate::shard`] runs the faithful form, unchanged, with
-//!   a key-range choice of worker in place of round-robin.
+//!   constraint). With `config.shards > 1` the faithful form groups its
+//!   `shards × workers` lanes by key range: the stamped segment is split by
+//!   shard and each shard's run goes round-robin to one of that shard's
+//!   lanes (`shard.rs`).
 //! * The exposure's cursor is chosen by the mode: timestamped for the
 //!   faithful form (a cut is one atomic store, taken whenever the applied
 //!   prefix moves), whole-database for the backward-compatible one (a cut
@@ -35,7 +37,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use c5_common::{ProgressSignal, ReplicaConfig, RowRef, SeqNo, TableId, Timestamp, Value};
+use c5_common::{
+    ProgressSignal, ReplicaConfig, RowRef, SeqNo, ShardRouter, TableId, Timestamp, Value,
+};
 use c5_log::{LogReceiver, LogRecord, Segment};
 use c5_storage::{Checkpoint, CheckpointInstaller, MvStore};
 
@@ -46,6 +50,7 @@ use crate::pipeline::{
     RowWaitList, WorkSink,
 };
 use crate::scheduler::SchedulerState;
+use crate::shard::{route_segment_with, TxnShardTracker};
 
 /// A read-only view of the backup's exposed state, pinned at creation time.
 pub trait ReadView: Send {
@@ -89,8 +94,8 @@ pub struct ReplicaMetrics {
     /// exposed cut.
     pub reclaimed_versions: u64,
     /// Transactions whose writes spanned more than one keyspace shard, as
-    /// the sharded replica's router counts them (zero for unsharded
-    /// replicas).
+    /// a sharded C5 replica's key-range split counts them (zero at one
+    /// shard and for the baselines).
     pub cross_shard_txns: u64,
 }
 
@@ -234,34 +239,46 @@ impl C5Mode {
     }
 }
 
-/// C5's row-granularity ordering (Sections 4.1 and 7.2) over the exposure
-/// it applies through: `prev_seq` stamps on the schedule side, the per-row
-/// wait list on the apply side. [`C5Replica`] and the sharded replica both
-/// run it.
-pub(crate) struct PerRowOrdering {
-    pub(crate) exposure: PrefixExposure,
+/// Target number of log records the scheduler hands a worker per queue item
+/// in one-worker-per-transaction mode. The scheduler accumulates consecutive
+/// whole transactions until the batch reaches this many records (a single
+/// larger transaction still travels alone), which amortizes channel and
+/// watermark-publication traffic without changing which worker applies which
+/// transaction.
+const DISPATCH_BATCH: usize = 64;
+
+/// C5 on the shared pipeline runtime: the row-granularity ordering
+/// (Sections 4.1 and 7.2) — `prev_seq` stamps on the schedule side, the
+/// per-row wait list on the apply side — in the mode's dispatch form, over
+/// the prefix exposure with the mode's cursor.
+pub(crate) struct C5Policy {
+    mode: C5Mode,
+    exposure: PrefixExposure,
     /// The per-row `prev_seq` stamping state; only the schedule stage locks
     /// it.
     sched: Mutex<SchedulerState>,
     /// Per-row dependency wait lists (Section 7.2's deferred-write queues in
     /// event-driven form).
-    pub(crate) waits: RowWaitList,
+    waits: RowWaitList,
+    /// Target records per dispatched work item in one-worker-per-txn mode:
+    /// [`DISPATCH_BATCH`], or 1 (per-transaction dispatch) in tests.
+    dispatch_batch: usize,
+    /// The faithful form's lane groups: shard `s` owns lanes
+    /// `s * workers .. (s + 1) * workers`.
+    router: ShardRouter,
+    workers: usize,
+    /// Above one shard, the split's carried masks and scratch buffers, and
+    /// each shard's round-robin cursor over its lanes. Only `schedule` locks
+    /// it, and the runtime runs one `schedule` at a time.
+    route: Mutex<(TxnShardTracker, Vec<usize>)>,
 }
 
-impl PerRowOrdering {
-    pub(crate) fn new(exposure: PrefixExposure, sched: SchedulerState) -> Self {
-        Self {
-            exposure,
-            sched: Mutex::new(sched),
-            waits: RowWaitList::default(),
-        }
-    }
-
-    /// The schedule stage's half: stamps each record with its per-row
-    /// predecessor and tells the exposure what is about to be dispatched
-    /// (transaction boundaries for lag accounting, written rows for the GC
-    /// pass that follows the cut).
-    pub(crate) fn stamp(&self, segment: &mut Segment) {
+impl C5Policy {
+    /// The schedule stage's first step in every form: stamps each record
+    /// with its per-row predecessor and tells the exposure what is about to
+    /// be dispatched (transaction boundaries for lag accounting, written rows
+    /// for the GC pass that follows the cut).
+    fn stamp(&self, segment: &mut Segment) {
         self.sched.lock().process_segment(segment);
         self.exposure.note_segment(segment);
     }
@@ -303,7 +320,7 @@ impl PerRowOrdering {
     /// finishes the job. No retries, no clones. The mark buffer also collects
     /// the marks of *parked* records this worker installs on behalf of
     /// others while cascading a wait-list shard — they flush with the item.
-    pub(crate) fn apply_segment(&self, records: Vec<LogRecord>) {
+    fn apply_segment(&self, records: Vec<LogRecord>) {
         let marks = RefCell::new(Vec::with_capacity(records.len()));
         for record in records {
             if self
@@ -336,24 +353,6 @@ impl PerRowOrdering {
     }
 }
 
-/// Target number of log records the scheduler hands a worker per queue item
-/// in one-worker-per-transaction mode. The scheduler accumulates consecutive
-/// whole transactions until the batch reaches this many records (a single
-/// larger transaction still travels alone), which amortizes channel and
-/// watermark-publication traffic without changing which worker applies which
-/// transaction.
-const DISPATCH_BATCH: usize = 64;
-
-/// C5 on the shared pipeline runtime: the per-row ordering in the mode's
-/// dispatch form, over the prefix exposure with the mode's cursor.
-struct C5Policy {
-    mode: C5Mode,
-    rows: PerRowOrdering,
-    /// Target records per dispatched work item in one-worker-per-txn mode:
-    /// [`DISPATCH_BATCH`], or 1 (per-transaction dispatch) in tests.
-    dispatch_batch: usize,
-}
-
 impl PipelinePolicy for C5Policy {
     /// Owned records, which move into the store or the wait list, never
     /// cloned: a whole preprocessed segment's (faithful mode), or a run of
@@ -366,9 +365,28 @@ impl PipelinePolicy for C5Policy {
     }
 
     fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<Vec<LogRecord>>) {
-        self.rows.stamp(&mut segment);
+        // Stamped and noted whole, in log order, before any record is
+        // dispatched: a segment out of order fails here, at any shard count.
+        self.stamp(&mut segment);
         match self.mode {
-            C5Mode::Faithful => sink.send(segment.records),
+            C5Mode::Faithful if self.router.shards() == 1 => sink.send(segment.records),
+            C5Mode::Faithful => {
+                let mut route = self.route.lock();
+                let (tracker, next_lane) = &mut *route;
+                let routed = route_segment_with(segment.records, &self.router, tracker);
+                self.exposure.count_cross_shard(routed.cross_shard_txns);
+                for (shard, records) in routed.parts.into_iter().enumerate() {
+                    if records.is_empty() {
+                        continue;
+                    }
+                    let lane = shard * self.workers + next_lane[shard] % self.workers;
+                    next_lane[shard] = next_lane[shard].wrapping_add(1);
+                    sink.send_to(lane, records);
+                    if sink.workers_gone() {
+                        return;
+                    }
+                }
+            }
             C5Mode::OneWorkerPerTxn => {
                 // Split the segment into whole transactions and push runs of
                 // them to the shared queue in commit order, batching
@@ -386,7 +404,7 @@ impl PipelinePolicy for C5Policy {
                     batch.push(record);
                     if let Some(boundary) = boundary {
                         if batch.len() >= self.dispatch_batch {
-                            self.rows.exposure.note_dispatched(boundary);
+                            self.exposure.note_dispatched(boundary);
                             sink.send(std::mem::take(&mut batch));
                             if sink.workers_gone() {
                                 return;
@@ -396,7 +414,7 @@ impl PipelinePolicy for C5Policy {
                 }
                 if let Some(last) = batch.last() {
                     debug_assert!(last.is_txn_last(), "segments never split transactions");
-                    self.rows.exposure.note_dispatched(last.seq);
+                    self.exposure.note_dispatched(last.seq);
                     sink.send(batch);
                 }
             }
@@ -405,29 +423,37 @@ impl PipelinePolicy for C5Policy {
 
     fn apply(&self, _worker: usize, records: Vec<LogRecord>, signals: &PipelineSignals) {
         match self.mode {
-            C5Mode::Faithful => self.rows.apply_segment(records),
-            C5Mode::OneWorkerPerTxn => self.rows.apply_txns(&records, signals),
+            C5Mode::Faithful => self.apply_segment(records),
+            C5Mode::OneWorkerPerTxn => self.apply_txns(&records, signals),
         }
     }
 
     fn interrupt(&self) {
-        self.rows.waits.wake_all();
+        self.waits.wake_all();
     }
 
     fn exposure(&self) -> &PrefixExposure {
-        &self.rows.exposure
+        &self.exposure
     }
 }
 
-/// The C5 replica.
+/// The C5 replica. In [`C5Mode::Faithful`] it runs `config.shards ×
+/// config.workers` worker lanes, grouped by key range when `config.shards >
+/// 1`; one shard is the paper's unsharded replica.
 pub struct C5Replica {
     config: ReplicaConfig,
-    runtime: PipelineRuntime<C5Policy>,
+    pub(crate) runtime: PipelineRuntime<C5Policy>,
 }
 
 impl C5Replica {
     /// Creates and starts a C5 replica over `store` (which should already
     /// hold the initial database population, installed at `Timestamp::ZERO`).
+    ///
+    /// # Panics
+    /// Panics if `config` is invalid, or if `mode` is
+    /// [`C5Mode::OneWorkerPerTxn`] and `config.shards > 1`: that mode hands
+    /// whole transactions to one shared queue in commit order, so it has no
+    /// lanes to group by key range.
     pub fn new(mode: C5Mode, store: Arc<MvStore>, config: ReplicaConfig) -> Arc<Self> {
         Self::start(
             mode,
@@ -445,6 +471,9 @@ impl C5Replica {
     /// [`c5_log::LogArchive::replay_from`] at the checkpoint's cut, then the
     /// live stream. This is the failover catch-up path: install, replay the
     /// retained tail, keep up.
+    ///
+    /// # Panics
+    /// As [`new`](Self::new).
     pub fn resume_from_checkpoint(
         mode: C5Mode,
         checkpoint: &Checkpoint,
@@ -478,7 +507,7 @@ impl C5Replica {
     ) -> Arc<Self> {
         let (exposure, queue) = match mode {
             // Segments are assigned round-robin to per-worker queues
-            // (Section 7.2).
+            // (Section 7.2), within a shard's lane group.
             C5Mode::Faithful => (
                 PrefixExposure::timestamped(store, &config, cut),
                 QueuePlan::PerWorker { capacity: 256 },
@@ -490,13 +519,26 @@ impl C5Replica {
                 QueuePlan::Shared { capacity: 1024 },
             ),
         };
+        assert!(
+            mode == C5Mode::Faithful || config.shards == 1,
+            "C5Mode::OneWorkerPerTxn cannot shard: it dispatches whole \
+             transactions to one shared queue (config.shards = {})",
+            config.shards
+        );
+        // Built after the exposure has validated the configuration.
+        let router = config.shard_router();
         let policy = Arc::new(C5Policy {
             mode,
-            rows: PerRowOrdering::new(exposure, SchedulerState::with_last_writes(last_writes)),
+            exposure,
+            sched: Mutex::new(SchedulerState::with_last_writes(last_writes)),
+            waits: RowWaitList::default(),
             dispatch_batch,
+            router,
+            workers: config.workers,
+            route: Mutex::new((TxnShardTracker::default(), vec![0; router.shards()])),
         });
         let options = PipelineOptions {
-            workers: config.workers,
+            workers: router.shards() * config.workers,
             queue,
         };
         Arc::new(Self {
@@ -517,13 +559,13 @@ impl C5Replica {
 
     /// The backup's store (for test assertions).
     pub fn store(&self) -> &Arc<MvStore> {
-        self.runtime.policy().rows.exposure.store()
+        self.runtime.policy().exposure.store()
     }
 
     /// Exports a checkpoint of the currently exposed state, with version GC
     /// held back for the export (see [`PrefixExposure::checkpoint`]).
     pub fn checkpoint(&self) -> Checkpoint {
-        self.runtime.policy().rows.exposure.checkpoint()
+        self.runtime.policy().exposure.checkpoint()
     }
 }
 
@@ -597,7 +639,7 @@ mod tests {
         assert_eq!(replica.lag().len(), 50);
 
         // Event-driven deferral leaves nothing parked once the log drains.
-        assert_eq!(replica.runtime.policy().rows.waits.parked(), 0);
+        assert_eq!(replica.runtime.policy().waits.parked(), 0);
     }
 
     #[test]

@@ -1,45 +1,18 @@
-//! Sharded replication: key-range lane groups under one pipeline.
+//! Splitting a segment by key range: the lane choice of a sharded replica.
 //!
-//! The paper's backup applies one log with one pipeline: one scheduler,
-//! workers fed segments round-robin, and one snapshotter that publishes one
-//! counter (C5-Cicada, Section 7.2). At production scale the keyspace itself
-//! shards: a [`c5_common::ShardRouter`] assigns every row a shard by key
-//! range. [`ShardedC5Replica`] is still that one pipeline — the shared
-//! [`crate::pipeline`] runtime over the one [`PrefixExposure`] — but its
-//! `shards × workers` worker lanes are grouped by shard: the key range picks
-//! the lane group, round-robin picks the lane inside it.
+//! A faithful [`C5Replica`](crate::replica::C5Replica) with `config.shards >
+//! 1` runs `shards × workers` worker lanes, grouped by the key range of a
+//! [`c5_common::ShardRouter`]: after the schedule stage stamps a segment
+//! whole, [`route_segment_with`] moves each record to the shard owning its
+//! row, and each shard's run goes to one of that shard's lanes. A row never
+//! changes shards, so its chain stays inside one lane group. Ordering,
+//! exposure and the one cut are the unsharded replica's (see DESIGN.md,
+//! "Keyspace sharding").
 //!
-//! ## Why it is the same protocol
-//!
-//! The schedule stage is `C5Replica`'s faithful one: it stamps the whole
-//! segment with per-row predecessors (which also notes the segment, in log
-//! order, with the exposure) and only then splits the stamped records by
-//! shard. A row never changes shards, so its whole chain is applied inside
-//! one lane group; with one worker per shard no chain crosses lanes and no
-//! write ever waits for its predecessor.
-//!
-//! The exposure is `C5Replica`'s too. One pipeline applies every record of
-//! the global log, so its applied prefix is the contiguous prefix a
-//! [`WatermarkTracker`](crate::progress::WatermarkTracker) tracks, and the
-//! cut — the paper's `c`, one atomic store — is the largest transaction
-//! boundary inside it: the largest global boundary at or below every
-//! shard's applied watermark. A transaction's writes occupy a contiguous run
-//! of positions, so a cross-shard transaction falls wholly on one side of
-//! every cut. Every read view, scan and checkpoint, and the version-GC
-//! horizon, sit at that one cut; per-shard cuts would add nothing (see
-//! DESIGN.md, "Why not one cut per shard").
-//!
-//! At one shard the replica *is* the faithful unsharded one — one lane
-//! group, round-robin over all its workers — and
-//! `tests/protocol_conformance.rs` holds it to that.
-//!
-//! ## Splitting a segment
-//!
-//! The split (`route_segment_with`, the one per-record cost this path adds)
-//! runs once per segment on the feeder, so it amortizes its allocations: the
-//! per-record shard assignments and per-shard counts live in scratch buffers
-//! inside the policy's persistent `TxnShardTracker` (they grow to one
-//! segment's size once and are reused after), and each shard's run of
+//! The split runs once per segment on the feeder, so it amortizes its
+//! allocations: the per-record shard assignments and per-shard counts live
+//! in scratch buffers inside a persistent [`TxnShardTracker`] (they grow to
+//! one segment's size once and are reused after), and each shard's run of
 //! records is allocated once, at its final size — a shard that owns nothing
 //! in a segment allocates nothing and is sent nothing. One tracker serves
 //! the whole stream because it sees every segment in order: it also carries
@@ -47,38 +20,19 @@
 //! segment boundary as cross-shard.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use c5_common::{ReplicaConfig, SeqNo, ShardRouter, TxnId};
-use c5_log::{LogRecord, Segment};
-use c5_storage::{Checkpoint, MvStore};
-
-use crate::exposure::PrefixExposure;
-use crate::lag::LagTracker;
-use crate::pipeline::{
-    PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
-};
-use crate::replica::{
-    ClonedConcurrencyControl, PerRowOrdering, Promotion, ReadView, ReplicaMetrics,
-};
-use crate::scheduler::SchedulerState;
-
-// ---------------------------------------------------------------------------
-// Splitting the log by key range.
-// ---------------------------------------------------------------------------
+use c5_common::{ShardRouter, TxnId};
+use c5_log::LogRecord;
 
 /// The result of splitting one segment's records by key range.
 #[derive(Debug)]
-struct RoutedRecords {
+pub(crate) struct RoutedRecords {
     /// One run of records per shard, indexed by shard, in log order. Records
     /// *move* here from the segment; nothing is cloned.
-    parts: Vec<Vec<LogRecord>>,
+    pub(crate) parts: Vec<Vec<LogRecord>>,
     /// Transactions whose last write is in the segment and whose writes
     /// spanned more than one shard.
-    cross_shard_txns: u64,
+    pub(crate) cross_shard_txns: u64,
 }
 
 /// Shard membership of transactions whose last write has not been seen yet,
@@ -90,7 +44,7 @@ struct RoutedRecords {
 /// every fragment spans shards or misses one that only spans shards across
 /// the boundary.
 #[derive(Debug, Default)]
-struct TxnShardTracker {
+pub(crate) struct TxnShardTracker {
     open: HashMap<TxnId, u64>,
     /// Routing scratch, reused across calls: the shard assignment of each
     /// record in the segment currently being routed.
@@ -107,7 +61,7 @@ struct TxnShardTracker {
 /// order. Shard masks of transactions still open at the segment boundary are
 /// carried in `tracker`, so each transaction is judged exactly once, by id,
 /// at its last write.
-fn route_segment_with(
+pub(crate) fn route_segment_with(
     records: Vec<LogRecord>,
     router: &ShardRouter,
     tracker: &mut TxnShardTracker,
@@ -163,192 +117,15 @@ fn route_segment_with(
     }
 }
 
-// ---------------------------------------------------------------------------
-// The sharded policy and replica.
-// ---------------------------------------------------------------------------
-
-/// C5's faithful ordering with a key-range schedule: the segment is stamped
-/// and noted whole, then each shard's run of records goes to one of that
-/// shard's lanes, round-robin within the shard.
-struct ShardedPolicy {
-    rows: PerRowOrdering,
-    router: ShardRouter,
-    /// Lanes per shard: the configured workers. Shard `s` owns lanes
-    /// `s * workers .. (s + 1) * workers`.
-    workers: usize,
-    /// The split's carried masks and scratch buffers, and each shard's
-    /// round-robin cursor over its lanes. Only `schedule` locks it, and the
-    /// runtime runs one `schedule` at a time.
-    route: Mutex<(TxnShardTracker, Vec<usize>)>,
-    /// Transactions the split found spanning shards.
-    cross_shard_txns: AtomicU64,
-}
-
-impl PipelinePolicy for ShardedPolicy {
-    /// One shard's run of one segment's records, in log order.
-    type Item = Vec<LogRecord>;
-
-    fn name(&self) -> &'static str {
-        "c5-sharded"
-    }
-
-    fn schedule(&self, mut segment: Segment, sink: &mut WorkSink<Vec<LogRecord>>) {
-        // Stamped and noted whole, in log order, before any record is
-        // dispatched: a segment out of order fails here, as it does on the
-        // unsharded replica.
-        self.rows.stamp(&mut segment);
-        let mut route = self.route.lock();
-        let (tracker, next_lane) = &mut *route;
-        let routed = route_segment_with(segment.records, &self.router, tracker);
-        self.cross_shard_txns
-            .fetch_add(routed.cross_shard_txns, Ordering::Relaxed);
-        for (shard, records) in routed.parts.into_iter().enumerate() {
-            if records.is_empty() {
-                continue;
-            }
-            let lane = shard * self.workers + next_lane[shard] % self.workers;
-            next_lane[shard] = next_lane[shard].wrapping_add(1);
-            sink.send_to(lane, records);
-            if sink.workers_gone() {
-                return;
-            }
-        }
-    }
-
-    fn apply(&self, _worker: usize, records: Vec<LogRecord>, _signals: &PipelineSignals) {
-        self.rows.apply_segment(records);
-    }
-
-    fn interrupt(&self) {
-        self.rows.waits.wake_all();
-    }
-
-    fn exposure(&self) -> &PrefixExposure {
-        &self.rows.exposure
-    }
-}
-
-/// A horizontally sharded C5 replica: one faithful pipeline over one
-/// multi-version store, whose `config.shards × config.workers` worker lanes
-/// are grouped by key range.
-///
-/// The replica accepts the whole log through
-/// [`apply_segment`](ClonedConcurrencyControl::apply_segment), like every
-/// other replica, and routes records to its shards' lanes itself.
-pub struct ShardedC5Replica {
-    config: ReplicaConfig,
-    runtime: PipelineRuntime<ShardedPolicy>,
-}
-
-impl ShardedC5Replica {
-    /// Creates and starts a sharded replica over `store` (which should
-    /// already hold the initial population, installed at `Timestamp::ZERO`).
-    /// Each of the `config.shards` shards gets `config.workers` workers.
-    pub fn new(store: Arc<MvStore>, config: ReplicaConfig) -> Arc<Self> {
-        // Validates the configuration before the router is built from it.
-        let exposure = PrefixExposure::timestamped(store, &config, SeqNo::ZERO);
-        let router = config.shard_router();
-        let policy = Arc::new(ShardedPolicy {
-            rows: PerRowOrdering::new(exposure, SchedulerState::new()),
-            router,
-            workers: config.workers,
-            route: Mutex::new((TxnShardTracker::default(), vec![0; router.shards()])),
-            cross_shard_txns: AtomicU64::new(0),
-        });
-        let options = PipelineOptions {
-            workers: router.shards() * config.workers,
-            queue: QueuePlan::PerWorker { capacity: 256 },
-        };
-        Arc::new(Self {
-            config,
-            runtime: PipelineRuntime::start(policy, options),
-        })
-    }
-
-    /// The replica's configuration.
-    pub fn config(&self) -> &ReplicaConfig {
-        &self.config
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.router().shards()
-    }
-
-    /// The routing rule.
-    pub fn router(&self) -> &ShardRouter {
-        &self.runtime.policy().router
-    }
-
-    /// Transactions this replica routed whose writes spanned shards.
-    pub fn cross_shard_txns(&self) -> u64 {
-        self.runtime
-            .policy()
-            .cross_shard_txns
-            .load(Ordering::Relaxed)
-    }
-
-    /// Exports a checkpoint at the cut, with version GC held back for the
-    /// export (see [`PrefixExposure::checkpoint`]).
-    pub fn checkpoint(&self) -> Checkpoint {
-        self.runtime.policy().rows.exposure.checkpoint()
-    }
-}
-
-/// The runtime's surface, with the router's cross-shard count in
-/// `metrics`.
-impl ClonedConcurrencyControl for ShardedC5Replica {
-    fn name(&self) -> &'static str {
-        self.runtime.name()
-    }
-
-    fn apply_segment(&self, segment: Segment) {
-        self.runtime.apply_segment(segment)
-    }
-
-    fn finish(&self) {
-        self.runtime.finish()
-    }
-
-    fn promote(&self) -> Promotion {
-        self.runtime.promote()
-    }
-
-    fn applied_seq(&self) -> SeqNo {
-        self.runtime.applied_seq()
-    }
-
-    fn exposed_seq(&self) -> SeqNo {
-        self.runtime.exposed_seq()
-    }
-
-    fn read_view(&self) -> Box<dyn ReadView> {
-        self.runtime.read_view()
-    }
-
-    fn lag(&self) -> Arc<LagTracker> {
-        self.runtime.lag()
-    }
-
-    fn metrics(&self) -> ReplicaMetrics {
-        ReplicaMetrics {
-            cross_shard_txns: self.cross_shard_txns(),
-            ..self.runtime.metrics()
-        }
-    }
-
-    fn wait_until_exposed(&self, seq: SeqNo, timeout: std::time::Duration) -> bool {
-        self.runtime.wait_until_exposed(seq, timeout)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mpc::MpcChecker;
-    use crate::replica::drive_segments;
-    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value, WriteKind};
-    use c5_log::{explode_txn, segments_from_entries, TxnEntry};
+    use crate::replica::{drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl};
+    use c5_common::{ReplicaConfig, RowRef, RowWrite, SeqNo, Timestamp, Value, WriteKind};
+    use c5_log::{explode_txn, segments_from_entries, Segment, TxnEntry};
+    use c5_storage::MvStore;
+    use std::sync::Arc;
     use std::time::Duration;
 
     const KEY_SPACE: u64 = 64;
@@ -405,7 +182,8 @@ mod tests {
     fn sharded_replica_converges_and_is_mpc_clean() {
         for shards in [1, 2, 4] {
             let (population, segments) = spanning_log(120);
-            let replica = ShardedC5Replica::new(preloaded(&population), config(shards, 2));
+            let replica =
+                C5Replica::new(C5Mode::Faithful, preloaded(&population), config(shards, 2));
             let mut checker = MpcChecker::new(&population, &segments);
             let last = segments.last().unwrap().last_seq().unwrap();
 
@@ -434,7 +212,7 @@ mod tests {
     #[test]
     fn s_shards_of_w_workers_run_s_times_w_plus_one_threads() {
         for (shards, workers) in [(1, 1), (1, 3), (2, 2), (4, 1), (4, 2)] {
-            let replica = ShardedC5Replica::new(preloaded(&[]), config(shards, workers));
+            let replica = C5Replica::new(C5Mode::Faithful, preloaded(&[]), config(shards, workers));
             assert_eq!(
                 replica.runtime.thread_count(),
                 shards * workers + 1,
@@ -450,7 +228,8 @@ mod tests {
     fn one_worker_per_shard_defers_no_write() {
         for shards in [2, 4] {
             let (population, segments) = spanning_log(120);
-            let replica = ShardedC5Replica::new(preloaded(&population), config(shards, 1));
+            let replica =
+                C5Replica::new(C5Mode::Faithful, preloaded(&population), config(shards, 1));
             drive_segments(replica.as_ref(), segments);
             let metrics = replica.metrics();
             assert_eq!(metrics.applied_txns, 120, "{shards} shards");
@@ -459,15 +238,23 @@ mod tests {
     }
 
     /// The log must arrive in order. A segment that skips positions, or
-    /// repeats some, stops the replica loudly at the schedule stage — the
-    /// unsharded replica's check — and the cut never passes the hole.
+    /// repeats some, stops the replica loudly at the schedule stage's stamp,
+    /// which every C5 form shares, and the cut never passes the hole.
     #[test]
     fn a_gapped_or_repeated_segment_panics_and_the_cut_stays_below_it() {
         let (population, segments) = spanning_log(30);
         let fed = segments[1].last_seq().unwrap();
+        let forms = [
+            (C5Mode::Faithful, 1),
+            (C5Mode::Faithful, 2),
+            (C5Mode::OneWorkerPerTxn, 1),
+        ];
         // Segment 3 skips segment 2's positions; segment 1 repeats itself.
-        for bad in [segments[3].clone(), segments[1].clone()] {
-            let replica = ShardedC5Replica::new(preloaded(&population), config(2, 1));
+        for ((mode, shards), bad) in forms
+            .into_iter()
+            .flat_map(|form| [(form, segments[3].clone()), (form, segments[1].clone())])
+        {
+            let replica = C5Replica::new(mode, preloaded(&population), config(shards, 1));
             for segment in &segments[..2] {
                 replica.apply_segment(segment.clone());
             }
@@ -476,16 +263,28 @@ mod tests {
                 replica.apply_segment(bad)
             }));
             replica.finish();
-            assert_eq!(replica.exposed_seq(), fed, "the cut passed the hole");
+            assert_eq!(
+                replica.exposed_seq(),
+                fed,
+                "{mode:?} at {shards} shards: the cut passed the hole"
+            );
             let message = outcome
                 .expect_err("an out-of-order segment must panic")
                 .downcast::<String>()
                 .map_or_else(|_| String::new(), |message| *message);
             assert!(
                 message.contains("segments must arrive in log order"),
-                "{message}"
+                "{mode:?} at {shards} shards: {message}"
             );
         }
+    }
+
+    /// One-worker-per-transaction mode hands whole transactions to one
+    /// shared queue, so it has no lanes to group by key range.
+    #[test]
+    #[should_panic(expected = "C5Mode::OneWorkerPerTxn cannot shard")]
+    fn one_worker_per_txn_refuses_to_shard() {
+        C5Replica::new(C5Mode::OneWorkerPerTxn, preloaded(&[]), config(4, 1));
     }
 
     #[test]
@@ -494,7 +293,8 @@ mod tests {
         // drives collection of both chains.
         let population = vec![(row(0), Value::from_u64(0)), (row(40), Value::from_u64(0))];
         let store = preloaded(&population);
-        let replica = ShardedC5Replica::new(
+        let replica = C5Replica::new(
+            C5Mode::Faithful,
             Arc::clone(&store),
             config(2, 2)
                 .with_gc_trail(0)
@@ -529,7 +329,7 @@ mod tests {
     #[test]
     fn finish_is_idempotent_and_drop_is_safe() {
         let (population, segments) = spanning_log(10);
-        let replica = ShardedC5Replica::new(preloaded(&population), config(4, 1));
+        let replica = C5Replica::new(C5Mode::Faithful, preloaded(&population), config(4, 1));
         drive_segments(replica.as_ref(), segments);
         replica.finish();
         replica.finish();
@@ -543,7 +343,8 @@ mod tests {
         let obs = c5_obs::Obs::new();
         let (population, mut segments) = spanning_log(20);
         let late = segments.pop().unwrap();
-        let replica = ShardedC5Replica::new(
+        let replica = C5Replica::new(
+            C5Mode::Faithful,
             preloaded(&population),
             config(4, 1).with_obs(Arc::clone(&obs)),
         );
@@ -564,7 +365,8 @@ mod tests {
     fn spanning_cut_is_event_driven_across_busy_and_quiet_shards() {
         let hour = Duration::from_secs(3600);
         let population = vec![(row(0), Value::from_u64(0))];
-        let replica = ShardedC5Replica::new(
+        let replica = C5Replica::new(
+            C5Mode::Faithful,
             preloaded(&population),
             config(4, 1).with_snapshot_interval(hour),
         );
@@ -604,7 +406,7 @@ mod tests {
         // Every write lands in shard 0's range; shards 1..3 are sent
         // nothing, yet the cut must still reach the end of the log.
         let population = vec![(row(0), Value::from_u64(0))];
-        let replica = ShardedC5Replica::new(preloaded(&population), config(4, 1));
+        let replica = C5Replica::new(C5Mode::Faithful, preloaded(&population), config(4, 1));
         let entries: Vec<TxnEntry> = (1..=50u64)
             .map(|t| {
                 TxnEntry::new(

@@ -96,7 +96,6 @@ mod tests {
     use crate::consistency::ConsistencyClass;
     use c5_common::{ReadConfig, ReplicaConfig, RowWrite, Timestamp, TxnId, WriteKind};
     use c5_core::replica::{drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl};
-    use c5_core::ShardedC5Replica;
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::MvStore;
 
@@ -164,7 +163,8 @@ mod tests {
                 Some(Value::from_u64(0)),
             );
         }
-        let replica = ShardedC5Replica::new(
+        let replica = C5Replica::new(
+            C5Mode::Faithful,
             Arc::clone(&store),
             ReplicaConfig::default()
                 .with_workers(2)

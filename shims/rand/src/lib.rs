@@ -2,8 +2,8 @@
 //! (0.8-flavoured API).
 //!
 //! Provides exactly what the workspace uses: [`rngs::StdRng`] seeded via
-//! [`SeedableRng::seed_from_u64`], and [`Rng::gen_range`] over integer range
-//! and inclusive-range bounds. The generator is xoshiro256++ seeded through
+//! [`SeedableRng::seed_from_u64`], [`Rng::gen_range`] over `u32`, `u64` and
+//! `usize` ranges and inclusive ranges, and [`Rng::gen_bool`]. The generator is xoshiro256++ seeded through
 //! SplitMix64 — statistically strong for workload generation, deterministic
 //! for reproducible experiments, and **not** cryptographically secure (the
 //! real `StdRng` is ChaCha-based; nothing in this workspace relies on that).
@@ -15,19 +15,6 @@
 pub trait RngCore {
     /// Returns the next random `u64`.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next random `u32`.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// An RNG that can be deterministically seeded.
@@ -126,15 +113,7 @@ macro_rules! impl_sample_uniform_int {
     )*};
 }
 
-impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl SampleUniform for f64 {
-    fn sample_between<R: RngCore>(rng: &mut R, low: Self, high: Self, _inclusive: bool) -> Self {
-        assert!(low < high, "gen_range: empty range");
-        let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        low + unit * (high - low)
-    }
-}
+impl_sample_uniform_int!(u32, u64, usize);
 
 impl<T: SampleUniform> SampleRange<T> for std::ops::Range<T> {
     fn sample_single<R: RngCore>(self, rng: &mut R) -> T {
@@ -217,7 +196,7 @@ mod tests {
         for _ in 0..10_000 {
             let v = rng.gen_range(10u32..20);
             assert!((10..20).contains(&v));
-            let w = rng.gen_range(1i64..=5);
+            let w = rng.gen_range(1u64..=5);
             assert!((1..=5).contains(&w));
             let u = rng.gen_range(0usize..3);
             assert!(u < 3);

@@ -92,8 +92,7 @@ pub mod prelude {
     };
     pub use c5_core::{
         recover_replica, FleetController, FleetRoutingSink, JoinReport, LagStats, LagTracker,
-        MpcChecker, RecoveredReplica, ReplicaLifecycle, RetireReport, ShardedC5Replica,
-        WatermarkTracker,
+        MpcChecker, RecoveredReplica, ReplicaLifecycle, RetireReport, WatermarkTracker,
     };
     pub use c5_log::{
         coalesce, segments_from_entries, DurableRecovery, LogArchive, LogReceiver, LogShipper,

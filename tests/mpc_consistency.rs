@@ -353,7 +353,8 @@ fn sharded_c5_guarantees_mpc_across_shards() {
             Some(value.clone()),
         );
     }
-    let replica = ShardedC5Replica::new(
+    let replica = C5Replica::new(
+        C5Mode::Faithful,
         store,
         ReplicaConfig::default()
             .with_workers(2)
@@ -621,7 +622,8 @@ fn sharded_promotion_seals_at_the_global_cut() {
             Some(value.clone()),
         );
     }
-    let replica = ShardedC5Replica::new(
+    let replica = C5Replica::new(
+        C5Mode::Faithful,
         store,
         ReplicaConfig::default()
             .with_workers(2)

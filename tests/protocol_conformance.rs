@@ -1,13 +1,11 @@
 //! One table, every protocol: what a replica must do whatever its ordering.
 //!
 //! A protocol in this workspace is only its *ordering* (a `PipelinePolicy`);
-//! the store, the cut, the lag samples and the counters behind it are one of
-//! two *exposures*, written once each. These tests pin that seam from the
-//! outside. The first drives the same mixed log — a hot-row chain through
-//! every transaction, multi-write transactions, inserts and deletes —
-//! through every protocol and asserts the same observable contract of each.
-//! The second checks the claim DESIGN.md makes of the sharded replica: at one
-//! shard it is observably `C5Replica`.
+//! the store, the cut, the lag samples and the counters behind it are the
+//! one *exposure*, written once. These tests pin that seam from the outside:
+//! they drive the same mixed log — a hot-row chain through every
+//! transaction, multi-write transactions, inserts and deletes — through
+//! every protocol and assert the same observable contract of each.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,14 +57,13 @@ fn config(shards: usize) -> ReplicaConfig {
 
 type Build = fn(Arc<MvStore>) -> Arc<dyn ClonedConcurrencyControl>;
 
-/// Every protocol, by report name (sharded C5 at two shard counts).
-const PROTOCOLS: [(&str, Build); 9] = [
+/// Every protocol, by report name (faithful C5 at one and at four shards).
+const PROTOCOLS: [(&str, Build); 8] = [
     ("c5", |s| C5Replica::new(C5Mode::Faithful, s, config(1))),
+    ("c5", |s| C5Replica::new(C5Mode::Faithful, s, config(4))),
     ("c5-myrocks", |s| {
         C5Replica::new(C5Mode::OneWorkerPerTxn, s, config(1))
     }),
-    ("c5-sharded", |s| ShardedC5Replica::new(s, config(1))),
-    ("c5-sharded", |s| ShardedC5Replica::new(s, config(4))),
     ("kuafu", |s| {
         KuaFuReplica::new(s, config(1), KuaFuConfig::default())
     }),
@@ -215,66 +212,21 @@ fn apply_segment_is_synchronous_dispatch_for_every_protocol() {
     }
 }
 
-/// DESIGN.md: "the single-shard case degenerates exactly to the paper's
-/// protocol". Same log, `C5Replica` (faithful) and `ShardedC5Replica` with one
-/// shard: the same final state, the same counts, and at every sample an
-/// MPC-clean view.
-#[test]
-fn one_shard_is_the_unsharded_replica() {
-    let (population, segments) = mixed_log();
-    let unsharded = C5Replica::new(C5Mode::Faithful, preloaded(&population), config(1));
-    let sharded = ShardedC5Replica::new(preloaded(&population), config(1));
-
-    drive_segments(unsharded.as_ref(), segments.clone());
-    let mut checker = MpcChecker::new(&population, &segments);
-    sample_while(
-        || {
-            checker
-                .verify_view(sharded.read_view().as_ref())
-                .unwrap_or_else(|e| panic!("one-shard view: {e}"));
-        },
-        || drive_segments(sharded.as_ref(), segments.clone()),
-    );
-
-    let (a, b) = (unsharded.read_view(), sharded.read_view());
-    assert_eq!(a.as_of(), b.as_of());
-    assert_eq!(a.scan_all(), b.scan_all());
-    let (a, b) = (unsharded.metrics(), sharded.metrics());
-    assert_eq!(
-        (
-            a.applied_writes,
-            a.applied_txns,
-            a.applied_seq,
-            a.exposed_seq
-        ),
-        (
-            b.applied_writes,
-            b.applied_txns,
-            b.applied_seq,
-            b.exposed_seq
-        ),
-    );
-    assert_eq!(b.cross_shard_txns, 0);
-    assert_eq!(unsharded.lag().len(), sharded.lag().len());
-}
-
 /// Checkpoints exported back to back while `replica` applies the mixed log
 /// with `gc_trail = 0` — so every exposed position is also a GC horizon, and
 /// an export that did not hold GC back would lose the versions at its cut to
 /// the first cut published during its scan. Each checkpoint must be the
-/// serial state at its cut, and a replica resumed from it and fed the rest of
-/// the log must end at the serial final state.
-fn checkpoints_survive_zero_trail_gc<R: ClonedConcurrencyControl>(
-    replica: &R,
-    checkpoint: impl Fn(&R) -> Checkpoint + Sync,
-) {
+/// serial state at its cut, and a faithful replica with `replica`'s shard
+/// count, resumed from it and fed the rest of the log, must end at the
+/// serial final state.
+fn checkpoints_survive_zero_trail_gc(replica: &C5Replica) {
     let (population, segments) = mixed_log();
     let archive = LogArchive::new();
     segments.iter().for_each(|segment| archive.append(segment));
 
     let mut checkpoints = Vec::new();
     sample_while(
-        || checkpoints.push(checkpoint(replica)),
+        || checkpoints.push(replica.checkpoint()),
         || drive_segments(replica, segments.clone()),
     );
 
@@ -286,7 +238,11 @@ fn checkpoints_survive_zero_trail_gc<R: ClonedConcurrencyControl>(
         if i % stride != 0 && i != last {
             continue;
         }
-        let resumed = C5Replica::resume_from_checkpoint(C5Mode::Faithful, checkpoint, config(1));
+        let resumed = C5Replica::resume_from_checkpoint(
+            C5Mode::Faithful,
+            checkpoint,
+            config(replica.config().shards),
+        );
         let mut checker = MpcChecker::new(&population, &segments);
         checker
             .verify_view(resumed.read_view().as_ref())
@@ -305,13 +261,16 @@ fn checkpoints_survive_zero_trail_gc<R: ClonedConcurrencyControl>(
 #[test]
 fn checkpoints_under_zero_trail_gc_replay_mpc_clean() {
     let (population, _) = mixed_log();
-    for mode in [C5Mode::Faithful, C5Mode::OneWorkerPerTxn] {
-        let replica = C5Replica::new(mode, preloaded(&population), config(1).with_gc_trail(0));
-        checkpoints_survive_zero_trail_gc(replica.as_ref(), C5Replica::checkpoint);
-    }
-    for shards in [1, 4] {
-        let replica =
-            ShardedC5Replica::new(preloaded(&population), config(shards).with_gc_trail(0));
-        checkpoints_survive_zero_trail_gc(replica.as_ref(), ShardedC5Replica::checkpoint);
+    for (mode, shards) in [
+        (C5Mode::Faithful, 1),
+        (C5Mode::OneWorkerPerTxn, 1),
+        (C5Mode::Faithful, 4),
+    ] {
+        let replica = C5Replica::new(
+            mode,
+            preloaded(&population),
+            config(shards).with_gc_trail(0),
+        );
+        checkpoints_survive_zero_trail_gc(&replica);
     }
 }
