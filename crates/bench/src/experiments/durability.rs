@@ -247,8 +247,7 @@ fn load_population(state_dir: &Path) -> Vec<(RowRef, Value)> {
     checkpoint
         .rows()
         .iter()
-        .filter(|row| !row.tombstone)
-        .map(|row| (row.row, row.value.clone().expect("live rows carry a value")))
+        .filter_map(|row| Some((row.row, row.value.clone()?)))
         .collect()
 }
 

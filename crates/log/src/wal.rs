@@ -106,7 +106,9 @@ fn decode_record(payload: &[u8]) -> Option<LogRecord> {
         1 => Some(Value::from(r.bytes()?)),
         _ => return None,
     };
-    if !r.is_exhausted() {
+    // A delete is exactly a write without a value: a frame that says
+    // otherwise is damage.
+    if !r.is_exhausted() || kind.carries_value() != value.is_some() {
         return None;
     }
     Some(LogRecord {
@@ -332,6 +334,19 @@ mod tests {
         assert!(!clean);
         let seg = recovered.expect("first txn survives");
         assert!(seg.transactions_are_whole());
+    }
+
+    #[test]
+    fn a_write_whose_kind_and_value_disagree_is_damage() {
+        // Txn 2's update without a value, then its delete with one.
+        for (idx, value) in [(3, None), (4, Some(Value::from_u64(9)))] {
+            let mut segment = log_segments()[0].clone();
+            segment.records[idx].write.value = value;
+            let (recovered, clean) = decode_segment(&encode_segment(&segment)).into_segment();
+            assert!(!clean);
+            let recovered = recovered.expect("the first transaction survives");
+            assert_eq!(recovered.len(), 3, "trimmed back to txn 1's boundary");
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! [`MvtsoEngine`] reproduces that protocol over [`c5_storage::MvStore`]:
 //!
-//! * `read` records the reader's timestamp on the row, then reads the newest
-//!   version at or below its timestamp.
+//! * `read` raises the row's read timestamp to the reader's timestamp, then
+//!   reads the newest version at or below it. An insert's existence check
+//!   is such a read.
 //! * Writes are buffered in the transaction's write set.
 //! * Commit validates every buffered write: the write is admissible only if
 //!   no newer version exists and no transaction with a later timestamp has
@@ -23,10 +24,11 @@
 //! ordered log once the workload finishes; the replica is then driven from
 //! the coalesced segments.
 //!
-//! Validation and installation happen atomically for the whole write set via
-//! [`MvStore::install_all_validated`], which stands in for Cicada's
-//! pending-version machinery: it closes the race between validating a write
-//! and installing it, so read-modify-write transactions never lose updates.
+//! The read timestamps and the admission rule are the engine's own (the
+//! store holds only versions). Commit validates and installs the whole write
+//! set under its read-timestamp shard locks, a short critical section that
+//! stands in for Cicada's pending versions: no read-modify-write transaction
+//! loses an update, and no reader sees half a write set.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,8 +36,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use c5_common::{
-    error::AbortReason, Error, PrimaryConfig, Result, RowRef, RowWrite, SeqNo, Timestamp, TxnId,
-    Value,
+    error::AbortReason, Error, PrimaryConfig, Result, RowHasher, RowMap, RowRef, RowWrite, SeqNo,
+    Timestamp, TxnId, Value, WriteKind,
 };
 use c5_log::{coalesce, Segment, ThreadLog, TxnEntry};
 use c5_storage::MvStore;
@@ -43,9 +45,23 @@ use c5_storage::MvStore;
 use crate::clock::ClockSet;
 use crate::txn::{StoredProcedure, TxnCtx, WriteSet};
 
+/// Number of read-timestamp shards.
+const READ_TS_SHARDS: usize = 256;
+
+/// The read-timestamp shard of `row`: bits 32 and up of its hash, which the
+/// shard's map does not use (see [`RowHasher`]).
+fn read_ts_shard(row: RowRef) -> usize {
+    (RowHasher::hash_row(row) >> 32) as usize % READ_TS_SHARDS
+}
+
 /// The MVTSO engine.
 pub struct MvtsoEngine {
     store: Arc<MvStore>,
+    /// Each row's read timestamp: the largest timestamp of any transaction
+    /// that read it (Cicada's per-version read timestamp collapsed to
+    /// per-row, a conservative over-approximation that never admits an
+    /// invalid schedule). A row never read has none, which admits any write.
+    read_ts: Vec<Mutex<RowMap<Timestamp>>>,
     clocks: ClockSet,
     config: PrimaryConfig,
     next_txn: AtomicU64,
@@ -60,6 +76,9 @@ impl MvtsoEngine {
         let threads = config.threads.max(1);
         Self {
             store,
+            read_ts: (0..READ_TS_SHARDS)
+                .map(|_| Mutex::new(RowMap::default()))
+                .collect(),
             clocks: ClockSet::new(threads),
             config,
             next_txn: AtomicU64::new(0),
@@ -104,7 +123,7 @@ impl MvtsoEngine {
     /// concurrency control and logging.
     pub fn load_row(&self, row: RowRef, value: Value) {
         self.store
-            .install(row, Timestamp(1), c5_common::WriteKind::Insert, Some(value));
+            .install(row, Timestamp(1), WriteKind::Insert, Some(value));
         self.clocks.observe(Timestamp(1 << 8));
     }
 
@@ -148,6 +167,36 @@ impl MvtsoEngine {
         self.commit(thread, txn, ts, ctx.writes)
     }
 
+    /// Reads `row` at `ts` for a transaction, first raising the row's read
+    /// timestamp to `ts` (and releasing its shard lock), so that a writer
+    /// with a smaller timestamp fails validation rather than invalidate this
+    /// read after the fact.
+    fn read_at(&self, row: RowRef, ts: Timestamp) -> Option<Value> {
+        {
+            let mut shard = self.read_ts[read_ts_shard(row)].lock();
+            let read_ts = shard.entry(row).or_insert(ts);
+            *read_ts = (*read_ts).max(ts);
+        }
+        self.store.read_at(row, ts)
+    }
+
+    /// Admits the whole write set at `ts` under MVTSO, or none of it.
+    ///
+    /// The write set's read-timestamp shards are locked in ascending index
+    /// order, deduplicated (so two committers never deadlock), and held
+    /// while every write is validated — no transaction with a later
+    /// timestamp read the row (`read_ts(row) <= ts`) and no newer version
+    /// exists (`latest_write_ts(row) < ts`) — and, if all pass, installed.
+    /// Lock order is read-timestamp shard, then store shard; a reader takes
+    /// one and releases it before taking the other. That makes admission
+    /// atomic against every other MVTSO transaction:
+    ///
+    /// * two writers of one row serialise on that row's shard lock, so
+    ///   neither validates against a chain the other is changing;
+    /// * a reader who raised the read timestamp first makes an
+    ///   earlier-timestamped committer abort;
+    /// * a reader arriving mid-commit waits on the shard lock until the
+    ///   whole write set is in, then reads it.
     fn commit(
         &self,
         thread: usize,
@@ -156,19 +205,33 @@ impl MvtsoEngine {
         writes: WriteSet,
     ) -> Result<Timestamp> {
         let writes = writes.into_writes();
-        // Validate and install atomically: either every write is admissible
-        // at `ts` and all versions appear, or nothing does and we abort.
-        if !self.store.install_all_validated(&writes, ts) {
+        if writes.is_empty() {
+            return Ok(ts);
+        }
+        let mut shards: Vec<usize> = writes.iter().map(|w| read_ts_shard(w.row)).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        let held: Vec<_> = shards.iter().map(|&i| self.read_ts[i].lock()).collect();
+        let read_ts = |row: RowRef| {
+            let shard = &held[shards.partition_point(|&i| i < read_ts_shard(row))];
+            shard.get(&row).copied().unwrap_or(Timestamp::ZERO)
+        };
+        let admitted = writes
+            .iter()
+            .all(|w| read_ts(w.row) <= ts && self.store.latest_write_ts(w.row) < ts);
+        if !admitted {
             return Err(Error::TxnAborted {
                 txn,
                 reason: AbortReason::ValidationFailed,
             });
         }
-        if !writes.is_empty() {
-            self.thread_logs[thread]
-                .lock()
-                .append(TxnEntry::new(txn, ts, writes));
+        for w in &writes {
+            self.store.install(w.row, ts, w.kind, w.value.clone());
         }
+        drop(held);
+        self.thread_logs[thread]
+            .lock()
+            .append(TxnEntry::new(txn, ts, writes));
         Ok(ts)
     }
 
@@ -214,21 +277,18 @@ impl TxnCtx for MvtsoCtx<'_> {
         if let Some(write) = self.writes.get(row) {
             return Ok(write.value.clone());
         }
-        // Record the read before performing it so that a concurrent writer
-        // with a smaller timestamp fails validation rather than invalidating
-        // this read after the fact.
-        self.engine.store.observe_read(row, self.ts);
-        Ok(self.engine.store.read_at(row, self.ts))
+        Ok(self.engine.read_at(row, self.ts))
     }
 
     fn insert(&mut self, row: RowRef, value: Value) -> Result<()> {
         self.charge();
-        let exists = self.engine.store.exists_at(row, self.ts)
+        // The existence check is a read: a transaction with a smaller
+        // timestamp that inserts the row after it must fail validation.
+        let exists = self.engine.read_at(row, self.ts).is_some()
             || self
                 .writes
                 .get(row)
-                .map(|w| w.kind != c5_common::WriteKind::Delete)
-                .unwrap_or(false);
+                .is_some_and(|w| w.kind != WriteKind::Delete);
         if exists {
             return Err(Error::DuplicateRow(row));
         }
@@ -262,6 +322,139 @@ mod tests {
 
     fn row(k: u64) -> RowRef {
         RowRef::new(0, k)
+    }
+
+    /// Commits `writes` at `ts`, bypassing the clocks: the admission rule at
+    /// chosen timestamps.
+    fn commit_at(e: &MvtsoEngine, ts: u64, writes: &[RowWrite]) -> bool {
+        let mut set = WriteSet::new();
+        for w in writes {
+            set.push(w.clone());
+        }
+        e.commit(0, TxnId(ts), Timestamp(ts), set).is_ok()
+    }
+
+    #[test]
+    fn mvtso_validation_rules() {
+        let e = engine(1);
+        let row = row(3);
+        e.store().install(
+            row,
+            Timestamp(10),
+            WriteKind::Insert,
+            Some(Value::from_u64(0)),
+        );
+        e.read_at(row, Timestamp(15));
+        let write = |v| [RowWrite::update(row, Value::from_u64(v))];
+
+        // A write below the read timestamp must be rejected.
+        assert!(!commit_at(&e, 12, &write(12)));
+        // A write below the latest write timestamp must be rejected.
+        assert!(!commit_at(&e, 9, &write(9)));
+        assert_eq!(e.store().read_latest(row).unwrap().as_u64(), Some(0));
+        // A write above both is fine.
+        assert!(commit_at(&e, 16, &write(16)));
+        assert_eq!(e.store().read_latest(row).unwrap().as_u64(), Some(16));
+    }
+
+    #[test]
+    fn commit_is_all_or_nothing() {
+        let e = engine(1);
+        let (a, b) = (row(1), row(2));
+        for r in [a, b] {
+            e.store().install(
+                r,
+                Timestamp(10),
+                WriteKind::Insert,
+                Some(Value::from_u64(0)),
+            );
+        }
+        // A later reader on row b blocks a commit at ts 15.
+        e.read_at(b, Timestamp(20));
+
+        let writes = [
+            RowWrite::update(a, Value::from_u64(1)),
+            RowWrite::update(b, Value::from_u64(1)),
+        ];
+        assert!(!commit_at(&e, 15, &writes));
+        // Neither row was touched.
+        assert_eq!(e.store().read_latest(a).unwrap().as_u64(), Some(0));
+        assert_eq!(e.store().read_latest(b).unwrap().as_u64(), Some(0));
+
+        // At a timestamp above the read, the commit goes through atomically.
+        assert!(commit_at(&e, 25, &writes));
+        assert_eq!(e.store().read_latest(a).unwrap().as_u64(), Some(1));
+        assert_eq!(e.store().read_latest(b).unwrap().as_u64(), Some(1));
+        assert_eq!(e.store().max_installed_ts(), Timestamp(25));
+    }
+
+    #[test]
+    fn an_empty_write_set_commits_without_a_trace() {
+        let e = engine(1);
+        assert!(commit_at(&e, 5, &[]));
+        assert_eq!(e.store().max_installed_ts(), Timestamp::ZERO);
+        assert!(e.take_segments(4).is_empty());
+    }
+
+    /// Two transactions insert one row. The later-timestamped one checks
+    /// that the row is absent first; the earlier one then inserts it and
+    /// commits. No serial order lets both inserts succeed: the check was a
+    /// read, so exactly one insert commits and the other finds the row.
+    #[test]
+    fn two_inserts_of_one_row_never_both_commit() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc::channel;
+
+        let e = engine(2);
+        let (started_tx, started_rx) = channel();
+        let (checked_tx, checked_rx) = channel();
+        let (done_tx, done_rx) = channel();
+        let (started_rx, checked_rx, done_rx) = (
+            Mutex::new(started_rx),
+            Mutex::new(checked_rx),
+            Mutex::new(done_rx),
+        );
+        // Only a first attempt rendezvouses: a retry runs straight through.
+        let (early_first, late_first) = (AtomicBool::new(true), AtomicBool::new(true));
+        let (early, late) = std::thread::scope(|s| {
+            let early = s.spawn(|| {
+                // Draws its timestamp before the late transaction starts.
+                let out = e.execute_on(0, &|ctx: &mut dyn TxnCtx| {
+                    if early_first.swap(false, Ordering::Relaxed) {
+                        started_tx.send(()).unwrap();
+                        checked_rx.lock().recv().unwrap();
+                    }
+                    ctx.insert(row(5), Value::from_u64(1))
+                });
+                done_tx.send(()).unwrap();
+                out
+            });
+            let late = s.spawn(|| {
+                started_rx.lock().recv().unwrap();
+                e.execute_on(1, &|ctx: &mut dyn TxnCtx| {
+                    ctx.insert(row(5), Value::from_u64(2))?;
+                    if late_first.swap(false, Ordering::Relaxed) {
+                        checked_tx.send(()).unwrap();
+                        done_rx.lock().recv().unwrap();
+                    }
+                    Ok(())
+                })
+            });
+            (early.join().unwrap(), late.join().unwrap())
+        });
+        let outcomes = [&early, &late];
+        assert_eq!(
+            outcomes.iter().filter(|o| o.is_ok()).count(),
+            1,
+            "exactly one insert commits: {outcomes:?}"
+        );
+        assert!(
+            outcomes
+                .iter()
+                .any(|o| matches!(o, Err(Error::DuplicateRow(r)) if *r == row(5))),
+            "the other finds the row: {outcomes:?}"
+        );
+        assert_eq!(flatten(&e.take_segments(4)).len(), 1);
     }
 
     #[test]
@@ -398,7 +591,7 @@ mod tests {
         store.install(
             row(1),
             Timestamp(40),
-            c5_common::WriteKind::Insert,
+            WriteKind::Insert,
             Some(Value::from_u64(40)),
         );
         let e = MvtsoEngine::resume_at(

@@ -8,8 +8,9 @@
 //! only when the row's chain head carries exactly the timestamp the log
 //! record names as its predecessor. A checkpoint therefore preserves, for
 //! every row, the newest version at the cut *with its write timestamp*, and
-//! it keeps tombstones: a row deleted before the cut and re-inserted after it
-//! must find the tombstone's timestamp at the head of its chain.
+//! it keeps deletes (a version without a value): a row deleted before the
+//! cut and re-inserted after it must find the delete's timestamp at the head
+//! of its chain.
 //!
 //! [`CheckpointWriter`] exports a checkpoint at a cut pinned by a read view
 //! (`view.as_of()`: the exposed cut of an unsharded replica, or the global
@@ -26,7 +27,7 @@ use c5_common::{SeqNo, Timestamp, WriteKind};
 use crate::mvstore::{MvStore, VersionExport};
 
 /// A consistent snapshot of a backup's store at a transaction-aligned cut:
-/// every row's newest version at the cut, with timestamps and tombstones
+/// every row's newest version at the cut, with timestamps and deletes
 /// preserved so ordered apply can resume on top of it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
@@ -107,15 +108,14 @@ impl CheckpointInstaller {
     /// Installs the checkpoint into a fresh store — the cold-replica
     /// bootstrap path. The store afterwards reads identically to the source
     /// at every timestamp from the cut up to the first replayed record.
-    /// Every row is installed at its original write timestamp, tombstones
+    /// Every row is installed at its original write timestamp, deletes
     /// included.
     pub fn install(checkpoint: &Checkpoint) -> Arc<MvStore> {
         let store = Arc::new(MvStore::default());
         for row in &checkpoint.rows {
-            let kind = if row.tombstone {
-                WriteKind::Delete
-            } else {
-                WriteKind::Insert
+            let kind = match row.value {
+                Some(_) => WriteKind::Insert,
+                None => WriteKind::Delete,
             };
             store.install(row.row, row.write_ts, kind, row.value.clone());
         }
@@ -175,13 +175,13 @@ mod tests {
         let store = seeded_store();
         let checkpoint = CheckpointWriter::capture(&store, SeqNo(2));
         assert_eq!(checkpoint.cut(), SeqNo(2));
-        // Row 3 does not exist at the cut; rows 1 and 2 do (2 as a tombstone).
+        // Row 3 does not exist at the cut; rows 1 and 2 do (2 as a delete).
         assert_eq!(checkpoint.len(), 2);
         let r1 = checkpoint.rows().iter().find(|r| r.row == row(1)).unwrap();
         assert_eq!(r1.write_ts, Timestamp(1));
         assert_eq!(r1.value.as_ref().unwrap().as_u64(), Some(10));
         let r2 = checkpoint.rows().iter().find(|r| r.row == row(2)).unwrap();
-        assert!(r2.tombstone);
+        assert_eq!(r2.value, None);
         assert_eq!(r2.write_ts, Timestamp(2));
     }
 
@@ -215,7 +215,7 @@ mod tests {
             WriteKind::Update,
             Some(Value::from_u64(30))
         ));
-        // A re-insert after the delete names the tombstone.
+        // A re-insert after the delete names the delete.
         assert!(fresh.install_if_prev(
             row(2),
             Timestamp(2),

@@ -58,7 +58,7 @@ fn encode_row(row: &VersionExport) -> Vec<u8> {
     w.u32(row.row.table.as_u32())
         .u64(row.row.key.as_u64())
         .u64(row.write_ts.as_u64())
-        .u8(row.tombstone as u8);
+        .u8(u8::from(row.value.is_none()));
     match &row.value {
         Some(value) => {
             w.u8(1).bytes(value.as_bytes());
@@ -70,27 +70,37 @@ fn encode_row(row: &VersionExport) -> Vec<u8> {
     w.finish()
 }
 
-fn decode_row(payload: &[u8]) -> Option<VersionExport> {
+/// Decodes a row frame. Its delete byte is redundant with its value flag (a
+/// delete is a version without a value), and a frame where they disagree is
+/// an error like any other malformed frame.
+fn decode_row(payload: &[u8]) -> io::Result<VersionExport> {
+    let malformed = || invalid("checkpoint row frame is malformed");
     let mut r = PayloadReader::new(payload);
-    let row = RowRef::new(r.u32()?, r.u64()?);
-    let write_ts = Timestamp(r.u64()?);
-    let tombstone = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
+    let (Some(table), Some(key), Some(write_ts), Some(deleted), Some(has_value)) =
+        (r.u32(), r.u64(), r.u64(), r.u8(), r.u8())
+    else {
+        return malformed();
     };
-    let value = match r.u8()? {
+    let value = match has_value {
         0 => None,
-        1 => Some(Value::from(r.bytes()?)),
-        _ => return None,
+        1 => match r.bytes() {
+            Some(bytes) => Some(Value::from(bytes)),
+            None => return malformed(),
+        },
+        _ => return malformed(),
     };
     if !r.is_exhausted() {
-        return None;
+        return malformed();
     }
-    Some(VersionExport {
+    let row = RowRef::new(table, key);
+    if deleted != u8::from(value.is_none()) {
+        return invalid(format!(
+            "checkpoint row {row} has delete flag {deleted} and value flag {has_value}"
+        ));
+    }
+    Ok(VersionExport {
         row,
-        write_ts,
-        tombstone,
+        write_ts: Timestamp(write_ts),
         value,
     })
 }
@@ -139,17 +149,15 @@ fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
     };
     let mut rows = Vec::with_capacity(count.min(1 << 20) as usize);
     for payload in frames {
-        match decode_row(&payload) {
-            Some(row) if row.write_ts.as_u64() > cut => {
-                return invalid(format!(
-                    "checkpoint row {} is versioned at {} above the cut {cut}",
-                    row.row,
-                    row.write_ts.as_u64()
-                ))
-            }
-            Some(row) => rows.push(row),
-            None => return invalid("checkpoint row frame is malformed"),
+        let row = decode_row(&payload)?;
+        if row.write_ts.as_u64() > cut {
+            return invalid(format!(
+                "checkpoint row {} is versioned at {} above the cut {cut}",
+                row.row,
+                row.write_ts.as_u64()
+            ));
         }
+        rows.push(row);
     }
     if rows.len() as u64 != count {
         return invalid(format!(
@@ -307,7 +315,7 @@ mod tests {
         assert_eq!(loaded.rows(), checkpoint.rows());
 
         // Installing the loaded checkpoint resumes ordered apply, exactly
-        // like the in-memory one: the tombstone's timestamp is at the head
+        // like the in-memory one: the delete's timestamp is at the head
         // of row t1/k2's chain.
         let store = CheckpointInstaller::install(&loaded);
         assert!(store.install_if_prev(
@@ -421,7 +429,6 @@ mod tests {
         let row = VersionExport {
             row: RowRef::new(0, 1),
             write_ts: Timestamp(5),
-            tombstone: false,
             value: Some(Value::from_u64(5)),
         };
         let checkpoint = Checkpoint::from_parts(SeqNo(2), vec![row]);
@@ -429,6 +436,28 @@ mod tests {
         let err = CheckpointInstaller::load(&StdFs, &dir).expect_err("a row above the cut");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_delete_flag_that_disagrees_with_the_value_is_an_error() {
+        // A delete carrying a value, and a write without one: every frame
+        // checksums, but the row contradicts itself.
+        for (deleted, value) in [(1u8, Some(Value::from_u64(5))), (0, None)] {
+            let mut bytes = CHECKPOINT_MAGIC.to_vec();
+            let mut header = PayloadWriter::new();
+            header.u64(2).u64(1);
+            write_frame(&mut bytes, &header.finish());
+            let mut row = PayloadWriter::new();
+            row.u32(0).u64(1).u64(1).u8(deleted);
+            match &value {
+                Some(value) => row.u8(1).bytes(value.as_bytes()),
+                None => row.u8(0),
+            };
+            write_frame(&mut bytes, &row.finish());
+            let err = decode_checkpoint(&bytes).expect_err("flag and value disagree");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("delete flag"), "{err}");
+        }
     }
 
     #[test]

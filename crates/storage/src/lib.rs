@@ -13,8 +13,12 @@
 //!   as of an arbitrary point, which is why C5-MyRocks must briefly block its
 //!   workers when it takes a cut.
 //!
-//! [`MvStore`] is the multi-version engine (the Cicada role). It also
-//! supports the restricted MyRocks-style usage through
+//! [`MvStore`] is the multi-version engine (the Cicada role). It holds
+//! versions and nothing else: every chain has a head, a delete is a version
+//! without a value, and concurrency control (the MVTSO primary's read
+//! timestamps and admission rule, the 2PL primary's locks) lives in the
+//! primary that uses it. It also supports the restricted MyRocks-style
+//! usage through
 //! [`snapshot::DbSnapshot`], which can only capture the *currently committed*
 //! state. [`reference::ReferenceStore`] is a deliberately simple
 //! single-threaded store used by the monotonic-prefix-consistency checker and
@@ -22,7 +26,7 @@
 
 //! For failover, [`checkpoint`] adds transplantable snapshots: a
 //! [`checkpoint::CheckpointWriter`] exports every row's newest version at a
-//! pinned cut (timestamps and tombstones preserved, so per-row ordered apply
+//! pinned cut (timestamps and deletes preserved, so per-row ordered apply
 //! can resume on top), and a [`checkpoint::CheckpointInstaller`] installs
 //! one into a fresh store for a cold replica to catch up from the log tail.
 //! [`durable`] persists checkpoints across real process restarts: the

@@ -2,9 +2,10 @@
 //!
 //! A [`MvStore`] maps [`RowRef`]s to version chains. Each version carries a
 //! write timestamp; a read at timestamp `t` observes the newest version whose
-//! write timestamp is `<= t`. Chains also carry a read timestamp (the largest
-//! timestamp of any transaction that has read the row), which the MVTSO
-//! primary uses for commit validation, exactly as Cicada does (Section 7.1).
+//! write timestamp is `<= t`. The store holds versions and nothing else: a
+//! primary's concurrency control (the MVTSO engine's read timestamps, the 2PL
+//! engine's locks) lives in that primary, and a backup's per-row order check
+//! is [`MvStore::install_if_prev`]'s comparison with the chain head.
 //!
 //! The store is sharded: rows are spread over a fixed number of shards, each
 //! protected by a `parking_lot::RwLock`. The C5 workers only ever touch one
@@ -19,12 +20,13 @@
 //! a row's chain is created, so a table scan visits only that table's rows;
 //! scans sort what they collect, which is what makes their output key-sorted.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use c5_common::{Key, RowHasher, RowMap, RowRef, RowWrite, TableId, Timestamp, Value, WriteKind};
+use c5_common::{Key, RowHasher, RowMap, RowRef, TableId, Timestamp, Value, WriteKind};
 
 /// Number of shards. More shards means less lock contention between workers
 /// touching unrelated rows.
@@ -35,55 +37,41 @@ const SHARDS: usize = 256;
 struct Version {
     /// Commit timestamp of the transaction that produced this version.
     write_ts: Timestamp,
-    /// `true` if this version is a delete marker.
-    tombstone: bool,
-    /// Payload (`None` for tombstones).
+    /// The payload; `None` is a delete marker.
     value: Option<Value>,
 }
 
 /// A row's versions: the newest inline in the map slot, older ones beside it.
 ///
-/// Most rows only ever have one version, so keeping the head inline means
-/// creating a row allocates nothing, and the common read and
+/// A chain exists only once its first version is installed, so it always has
+/// a head. Most rows only ever have one version, so keeping the head inline
+/// means creating a row allocates nothing, and the common read and
 /// `install_if_prev`'s `prev == head` check touch only the slot the hash
 /// lookup already fetched. Three words of `older` cost nothing until a
 /// second version arrives.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct VersionChain {
-    /// The version with the largest write timestamp. `None` only for a chain
-    /// that an MVTSO read created before any write.
-    head: Option<Version>,
+    /// The version with the largest write timestamp.
+    head: Version,
     /// Every other version, ordered by ascending write timestamp, none
-    /// newer than `head`. Empty whenever `head` is `None`.
+    /// newer than `head`.
     older: Vec<Version>,
-    /// Largest timestamp of any read of this row (Cicada's per-version read
-    /// timestamp, collapsed to per-row, which is a conservative
-    /// over-approximation that never admits an invalid schedule).
-    read_ts: Timestamp,
 }
 
 impl VersionChain {
-    /// Latest write timestamp in the chain, or `Timestamp::ZERO` if empty.
-    fn latest_ts(&self) -> Timestamp {
-        self.head
-            .as_ref()
-            .map(|v| v.write_ts)
-            .unwrap_or(Timestamp::ZERO)
-    }
-
     /// Returns the newest version with `write_ts <= ts`.
     fn version_at(&self, ts: Timestamp) -> Option<&Version> {
-        match &self.head {
-            Some(head) if head.write_ts <= ts => Some(head),
-            // Search from the end because reads overwhelmingly target recent
-            // versions.
-            _ => self.older.iter().rev().find(|v| v.write_ts <= ts),
+        if self.head.write_ts <= ts {
+            return Some(&self.head);
         }
+        // Search from the end because reads overwhelmingly target recent
+        // versions.
+        self.older.iter().rev().find(|v| v.write_ts <= ts)
     }
 
     /// Number of versions held.
     fn len(&self) -> usize {
-        self.older.len() + usize::from(self.head.is_some())
+        self.older.len() + 1
     }
 
     /// Inserts a version, keeping the ascending order; a version whose
@@ -93,15 +81,13 @@ impl VersionChain {
     /// installs are still handled correctly because the MVTSO primary may
     /// commit transactions whose timestamps interleave across threads.
     fn insert(&mut self, version: Version) {
-        match &mut self.head {
-            Some(head) if head.write_ts > version.write_ts => {
-                let pos = self
-                    .older
-                    .partition_point(|v| v.write_ts <= version.write_ts);
-                self.older.insert(pos, version);
-            }
-            Some(head) => self.older.push(std::mem::replace(head, version)),
-            None => self.head = Some(version),
+        if self.head.write_ts > version.write_ts {
+            let pos = self
+                .older
+                .partition_point(|v| v.write_ts <= version.write_ts);
+            self.older.insert(pos, version);
+        } else {
+            self.older.push(std::mem::replace(&mut self.head, version));
         }
     }
 
@@ -110,13 +96,12 @@ impl VersionChain {
     /// `write_ts <= horizon`. They all sit in `older`, so the head always
     /// stays.
     fn reclaimable(&self, horizon: Timestamp) -> usize {
-        match &self.head {
-            Some(head) if head.write_ts <= horizon => self.older.len(),
-            _ => self
-                .older
-                .partition_point(|v| v.write_ts <= horizon)
-                .saturating_sub(1),
+        if self.head.write_ts <= horizon {
+            return self.older.len();
         }
+        self.older
+            .partition_point(|v| v.write_ts <= horizon)
+            .saturating_sub(1)
     }
 
     /// Drops the versions [`reclaimable`](Self::reclaimable) at `horizon`.
@@ -135,25 +120,15 @@ impl VersionChain {
 ///
 /// The index makes table scans proportional to the *table's* rows in the
 /// shard instead of every row of every table. It is append-only and in
-/// creation order: a key is pushed exactly once, when its chain is created,
-/// and chains are never removed (deletes install tombstones and GC always
-/// keeps a chain's newest version), so it can hold neither a duplicate nor
-/// a stale key. Order is the scans' job — they sort what they collect.
+/// creation order: a key is pushed exactly once, when its chain is created
+/// by its first version, and chains are never removed (a delete installs a
+/// version without a value and GC always keeps a chain's newest version), so
+/// it can hold neither a duplicate nor a stale key. Order is the scans' job
+/// — they sort what they collect.
 #[derive(Debug, Default)]
 struct ShardState {
     rows: RowMap<VersionChain>,
     tables: HashMap<TableId, Vec<Key>>,
-}
-
-impl ShardState {
-    /// The row's chain, created (and indexed) on first touch.
-    fn chain_mut(&mut self, row: RowRef) -> &mut VersionChain {
-        let ShardState { rows, tables } = self;
-        rows.entry(row).or_insert_with(|| {
-            tables.entry(row.table).or_default().push(row.key);
-            VersionChain::default()
-        })
-    }
 }
 
 type Shard = RwLock<ShardState>;
@@ -166,18 +141,15 @@ pub struct VersionExport {
     pub row: RowRef,
     /// The version's commit timestamp (a log position on a backup).
     pub write_ts: Timestamp,
-    /// Whether the version is a delete marker.
-    pub tombstone: bool,
-    /// The payload (`None` for tombstones).
+    /// The payload; `None` is a delete marker.
     pub value: Option<Value>,
 }
 
 /// Aggregate statistics about a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MvStoreStats {
-    /// Number of distinct rows (live or deleted) written at least once. A
-    /// chain that only an MVTSO read created holds no version and is not
-    /// counted.
+    /// Number of distinct rows (live or deleted) written at least once: one
+    /// per chain, since a chain exists only once a version is installed.
     pub rows: usize,
     /// Total number of versions retained across all chains.
     pub versions: usize,
@@ -249,23 +221,12 @@ impl MvStore {
     /// deleted there.
     pub fn read_at(&self, row: RowRef, ts: Timestamp) -> Option<Value> {
         let shard = self.shard_for(row).read();
-        let chain = shard.rows.get(&row)?;
-        let version = chain.version_at(ts)?;
-        if version.tombstone {
-            None
-        } else {
-            version.value.clone()
-        }
+        shard.rows.get(&row)?.version_at(ts)?.value.clone()
     }
 
     /// Reads the newest committed version of `row`.
     pub fn read_latest(&self, row: RowRef) -> Option<Value> {
         self.read_at(row, Timestamp::MAX)
-    }
-
-    /// Whether the row exists (non-tombstone) at timestamp `ts`.
-    pub fn exists_at(&self, row: RowRef, ts: Timestamp) -> bool {
-        self.read_at(row, ts).is_some()
     }
 
     /// Latest write timestamp of `row`, or `Timestamp::ZERO` if the row has
@@ -276,18 +237,7 @@ impl MvStore {
         shard
             .rows
             .get(&row)
-            .map(|c| c.latest_ts())
-            .unwrap_or(Timestamp::ZERO)
-    }
-
-    /// Records that a transaction with timestamp `ts` read `row`, raising the
-    /// row's read timestamp if necessary.
-    pub fn observe_read(&self, row: RowRef, ts: Timestamp) {
-        let mut shard = self.shard_for(row).write();
-        let chain = shard.chain_mut(row);
-        if chain.read_ts < ts {
-            chain.read_ts = ts;
-        }
+            .map_or(Timestamp::ZERO, |c| c.head.write_ts)
     }
 
     /// Installs a version of `row` at timestamp `ts`. This is the primitive
@@ -295,22 +245,16 @@ impl MvStore {
     /// never fails (the log is authoritative — if it says the row was
     /// written, the backup must apply it).
     pub fn install(&self, row: RowRef, ts: Timestamp, kind: WriteKind, value: Option<Value>) {
-        let mut shard = self.shard_for(row).write();
-        let chain = shard.chain_mut(row);
-        chain.insert(Version {
-            write_ts: ts,
-            tombstone: kind == WriteKind::Delete,
-            value,
-        });
-        drop(shard);
-        self.bump_max_installed(ts);
+        self.install_if(row, ts, kind, value, |_| true);
     }
 
     /// Installs a version only if the row's current latest write timestamp
-    /// equals `prev_ts`. Returns `true` if installed. This is the atomic
-    /// "is this write safe to execute" check-and-install used by C5-Cicada's
-    /// workers: a write is safe when the version at the head of the chain is
-    /// the one named by the log record's `prev_timestamp` (Section 7.2).
+    /// equals `prev_ts` (`Timestamp::ZERO` for a row never written). Returns
+    /// `true` if installed; a refused write leaves the store as it was, and
+    /// creates no chain for a row never written. This is the atomic "is this
+    /// write safe to execute" check-and-install used by C5-Cicada's workers:
+    /// a write is safe when the version at the head of the chain is the one
+    /// named by the log record's `prev_timestamp` (Section 7.2).
     pub fn install_if_prev(
         &self,
         row: RowRef,
@@ -319,77 +263,49 @@ impl MvStore {
         kind: WriteKind,
         value: Option<Value>,
     ) -> bool {
-        let mut shard = self.shard_for(row).write();
-        let chain = shard.chain_mut(row);
-        if chain.latest_ts() != prev_ts {
-            return false;
-        }
-        chain.insert(Version {
-            write_ts: ts,
-            tombstone: kind == WriteKind::Delete,
-            value,
-        });
-        drop(shard);
-        self.bump_max_installed(ts);
-        true
+        self.install_if(row, ts, kind, value, |latest| latest == prev_ts)
     }
 
-    /// Atomically validates and installs a whole transaction's writes at
-    /// timestamp `ts`.
-    ///
-    /// Every written row must satisfy the MVTSO admission rule (no later
-    /// version installed, no later read recorded); if any row fails, nothing
-    /// is installed and `false` is returned. The shard locks of all touched
-    /// rows are held for the duration, which closes the window between
-    /// validation and installation that a validate-then-install sequence
-    /// would leave open (it is the moral equivalent of Cicada's pending
-    /// versions, collapsed into a short critical section).
-    pub fn install_all_validated(&self, writes: &[RowWrite], ts: Timestamp) -> bool {
-        if writes.is_empty() {
-            return true;
-        }
-        // Acquire the (deduplicated) shard locks in ascending index order to
-        // avoid deadlock against concurrent committers.
-        let mut shard_order: Vec<usize> = writes.iter().map(|w| self.shard_index(w.row)).collect();
-        shard_order.sort_unstable();
-        shard_order.dedup();
-        let mut guards: Vec<(usize, parking_lot::RwLockWriteGuard<'_, ShardState>)> =
-            Vec::with_capacity(shard_order.len());
-        for idx in shard_order {
-            guards.push((idx, self.shards[idx].write()));
-        }
-        let guard_for =
-            |guards: &mut Vec<(usize, parking_lot::RwLockWriteGuard<'_, ShardState>)>,
-             idx: usize|
-             -> usize {
-                guards
-                    .iter()
-                    .position(|(i, _)| *i == idx)
-                    .expect("shard guard acquired above")
-            };
-
-        // Validate every write first.
-        for w in writes {
-            let idx = self.shard_index(w.row);
-            let pos = guard_for(&mut guards, idx);
-            if let Some(chain) = guards[pos].1.rows.get(&w.row) {
-                if !(chain.latest_ts() < ts && chain.read_ts <= ts) {
+    /// The one install path: installs a version of `row` at `ts` if `admit`
+    /// accepts the row's latest write timestamp (`Timestamp::ZERO` for a row
+    /// never written). A row's first version creates (and indexes) its
+    /// chain; a refused version creates nothing. A write of `kind` carries a
+    /// value exactly when it is not a delete, so the version keeps only the
+    /// value.
+    fn install_if(
+        &self,
+        row: RowRef,
+        ts: Timestamp,
+        kind: WriteKind,
+        value: Option<Value>,
+        admit: impl FnOnce(Timestamp) -> bool,
+    ) -> bool {
+        debug_assert!(kind.carries_value() == value.is_some());
+        let version = Version {
+            write_ts: ts,
+            value,
+        };
+        let mut shard = self.shard_for(row).write();
+        let ShardState { rows, tables } = &mut *shard;
+        match rows.entry(row) {
+            Entry::Occupied(mut chain) => {
+                if !admit(chain.get().head.write_ts) {
                     return false;
                 }
+                chain.get_mut().insert(version);
+            }
+            Entry::Vacant(slot) => {
+                if !admit(Timestamp::ZERO) {
+                    return false;
+                }
+                tables.entry(row.table).or_default().push(row.key);
+                slot.insert(VersionChain {
+                    head: version,
+                    older: Vec::new(),
+                });
             }
         }
-        // Install.
-        for w in writes {
-            let idx = self.shard_index(w.row);
-            let pos = guard_for(&mut guards, idx);
-            let chain = guards[pos].1.chain_mut(w.row);
-            chain.insert(Version {
-                write_ts: ts,
-                tombstone: w.kind == WriteKind::Delete,
-                value: w.value.clone(),
-            });
-        }
-        drop(guards);
+        drop(shard);
         self.bump_max_installed(ts);
         true
     }
@@ -470,28 +386,6 @@ impl MvStore {
         outcome
     }
 
-    /// Number of live rows in `table` visible at timestamp `ts`. Uses the
-    /// per-table index, so only the table's own rows are examined.
-    pub fn table_row_count_at(&self, table: TableId, ts: Timestamp) -> usize {
-        let mut count = 0;
-        for shard in &self.shards {
-            let shard = shard.read();
-            let Some(keys) = shard.tables.get(&table) else {
-                continue;
-            };
-            for &key in keys {
-                if let Some(chain) = shard.rows.get(&RowRef { table, key }) {
-                    if let Some(v) = chain.version_at(ts) {
-                        if !v.tombstone {
-                            count += 1;
-                        }
-                    }
-                }
-            }
-        }
-        count
-    }
-
     /// Key-sorted scan of all live rows of `table` visible at `ts`.
     ///
     /// The per-table index restricts the scan to the table's own rows (a
@@ -507,14 +401,9 @@ impl MvStore {
             };
             for &key in keys {
                 let row = RowRef { table, key };
-                if let Some(chain) = shard.rows.get(&row) {
-                    if let Some(v) = chain.version_at(ts) {
-                        if !v.tombstone {
-                            if let Some(val) = &v.value {
-                                out.push((row, val.clone()));
-                            }
-                        }
-                    }
+                let chain = &shard.rows[&row];
+                if let Some(value) = chain.version_at(ts).and_then(|v| v.value.as_ref()) {
+                    out.push((row, value.clone()));
                 }
             }
         }
@@ -530,12 +419,8 @@ impl MvStore {
         for shard in &self.shards {
             let shard = shard.read();
             for (row, chain) in shard.rows.iter() {
-                if let Some(v) = chain.version_at(ts) {
-                    if !v.tombstone {
-                        if let Some(val) = &v.value {
-                            out.push((*row, val.clone()));
-                        }
-                    }
+                if let Some(value) = chain.version_at(ts).and_then(|v| v.value.as_ref()) {
+                    out.push((*row, value.clone()));
                 }
             }
         }
@@ -544,11 +429,11 @@ impl MvStore {
     }
 
     /// Exports, for every row, the newest version visible at `ts`,
-    /// *including tombstones* and their write timestamps. This is the
+    /// *including deletes* and their write timestamps. This is the
     /// checkpoint primitive: unlike [`scan_all_at`](Self::scan_all_at), the
     /// export preserves enough of each chain head for a fresh store to
     /// resume per-row ordered apply (`install_if_prev` checks the head's
-    /// timestamp, and a deleted row's next write names the tombstone).
+    /// timestamp, and a deleted row's next write names the delete).
     /// Rows whose first version lies above `ts` are skipped.
     ///
     /// The export is per-row consistent under concurrent installs (a version
@@ -564,7 +449,6 @@ impl MvStore {
                     out.push(VersionExport {
                         row: *row,
                         write_ts: v.write_ts,
-                        tombstone: v.tombstone,
                         value: v.value.clone(),
                     });
                 }
@@ -579,20 +463,10 @@ impl MvStore {
         let mut versions = 0;
         for shard in &self.shards {
             let shard = shard.read();
-            for chain in shard.rows.values() {
-                rows += usize::from(chain.head.is_some());
-                versions += chain.len();
-            }
+            rows += shard.rows.len();
+            versions += shard.rows.values().map(VersionChain::len).sum::<usize>();
         }
         MvStoreStats { rows, versions }
-    }
-
-    /// Convenience constructor of a [`RowRef`].
-    pub fn row(table: u32, key: u64) -> RowRef {
-        RowRef {
-            table: TableId(table),
-            key: Key(key),
-        }
     }
 }
 
@@ -608,7 +482,7 @@ mod tests {
     #[test]
     fn read_at_sees_timestamp_ordered_history() {
         let s = store();
-        let row = MvStore::row(1, 1);
+        let row = RowRef::new(1, 1);
         s.install(
             row,
             Timestamp(10),
@@ -637,7 +511,7 @@ mod tests {
     #[test]
     fn delete_produces_tombstone_visibility() {
         let s = store();
-        let row = MvStore::row(1, 7);
+        let row = RowRef::new(1, 7);
         s.install(
             row,
             Timestamp(1),
@@ -645,15 +519,15 @@ mod tests {
             Some(Value::from_u64(9)),
         );
         s.install(row, Timestamp(2), WriteKind::Delete, None);
-        assert!(s.exists_at(row, Timestamp(1)));
-        assert!(!s.exists_at(row, Timestamp(2)));
+        assert!(s.read_at(row, Timestamp(1)).is_some());
+        assert!(s.read_at(row, Timestamp(2)).is_none());
         assert_eq!(s.read_latest(row), None);
     }
 
     #[test]
     fn out_of_order_install_is_sorted() {
         let s = store();
-        let row = MvStore::row(1, 1);
+        let row = RowRef::new(1, 1);
         s.install(
             row,
             Timestamp(20),
@@ -673,7 +547,7 @@ mod tests {
     #[test]
     fn install_if_prev_enforces_per_row_order() {
         let s = store();
-        let row = MvStore::row(1, 1);
+        let row = RowRef::new(1, 1);
         // prev_ts = 0 means "first write to the row".
         assert!(s.install_if_prev(
             row,
@@ -710,40 +584,17 @@ mod tests {
     }
 
     #[test]
-    fn mvtso_validation_rules() {
-        let s = store();
-        let row = MvStore::row(1, 3);
-        s.install(
-            row,
-            Timestamp(10),
-            WriteKind::Insert,
-            Some(Value::from_u64(0)),
-        );
-        s.observe_read(row, Timestamp(15));
-        let write = |v| [RowWrite::update(row, Value::from_u64(v))];
-
-        // A write below the read timestamp must be rejected.
-        assert!(!s.install_all_validated(&write(12), Timestamp(12)));
-        // A write below the latest write timestamp must be rejected.
-        assert!(!s.install_all_validated(&write(9), Timestamp(9)));
-        assert_eq!(s.read_latest(row).unwrap().as_u64(), Some(0));
-        // A write above both is fine.
-        assert!(s.install_all_validated(&write(16), Timestamp(16)));
-        assert_eq!(s.read_latest(row).unwrap().as_u64(), Some(16));
-    }
-
-    #[test]
     fn max_installed_tracks_highest_timestamp() {
         let s = store();
         assert_eq!(s.max_installed_ts(), Timestamp::ZERO);
         s.install(
-            MvStore::row(1, 1),
+            RowRef::new(1, 1),
             Timestamp(5),
             WriteKind::Insert,
             Some(Value::from_u64(1)),
         );
         s.install(
-            MvStore::row(1, 2),
+            RowRef::new(1, 2),
             Timestamp(3),
             WriteKind::Insert,
             Some(Value::from_u64(1)),
@@ -754,7 +605,7 @@ mod tests {
     #[test]
     fn gc_keeps_visibility_at_horizon() {
         let s = store();
-        let row = MvStore::row(1, 1);
+        let row = RowRef::new(1, 1);
         for ts in 1..=10u64 {
             s.install(
                 row,
@@ -775,7 +626,7 @@ mod tests {
     #[test]
     fn gc_rows_trims_the_named_chains_and_no_others() {
         let s = store();
-        let (hot, cold) = (MvStore::row(1, 1), MvStore::row(1, 2));
+        let (hot, cold) = (RowRef::new(1, 1), RowRef::new(1, 2));
         for ts in 1..=10u64 {
             for row in [hot, cold] {
                 s.install(
@@ -787,7 +638,7 @@ mod tests {
             }
         }
         // A row that does not exist is skipped, not created.
-        let pass = s.gc_rows([hot, MvStore::row(9, 9)], Timestamp(8));
+        let pass = s.gc_rows([hot, RowRef::new(9, 9)], Timestamp(8));
         assert_eq!(
             pass,
             RowGc {
@@ -815,30 +666,27 @@ mod tests {
     fn table_scans_filter_by_table_and_timestamp() {
         let s = store();
         s.install(
-            MvStore::row(1, 1),
+            RowRef::new(1, 1),
             Timestamp(1),
             WriteKind::Insert,
             Some(Value::from_u64(1)),
         );
         s.install(
-            MvStore::row(1, 2),
+            RowRef::new(1, 2),
             Timestamp(5),
             WriteKind::Insert,
             Some(Value::from_u64(2)),
         );
         s.install(
-            MvStore::row(2, 3),
+            RowRef::new(2, 3),
             Timestamp(1),
             WriteKind::Insert,
             Some(Value::from_u64(3)),
         );
 
-        assert_eq!(s.table_row_count_at(TableId(1), Timestamp(1)), 1);
-        assert_eq!(s.table_row_count_at(TableId(1), Timestamp(5)), 2);
-        assert_eq!(s.table_row_count_at(TableId(2), Timestamp(10)), 1);
-
-        let scan = s.scan_table_at(TableId(1), Timestamp(10));
-        assert_eq!(scan.len(), 2);
+        assert_eq!(s.scan_table_at(TableId(1), Timestamp(1)).len(), 1);
+        assert_eq!(s.scan_table_at(TableId(1), Timestamp(5)).len(), 2);
+        assert_eq!(s.scan_table_at(TableId(2), Timestamp(10)).len(), 1);
         let all = s.scan_all_at(Timestamp(10));
         assert_eq!(all.len(), 3);
     }
@@ -850,14 +698,14 @@ mod tests {
         // back sorted regardless of hash-shard placement.
         for &k in &[9u64, 2, 7, 1, 5, 3] {
             s.install(
-                MvStore::row(1, k),
+                RowRef::new(1, k),
                 Timestamp(1),
                 WriteKind::Insert,
                 Some(Value::from_u64(k)),
             );
         }
         s.install(
-            MvStore::row(0, 4),
+            RowRef::new(0, 4),
             Timestamp(1),
             WriteKind::Insert,
             Some(Value::from_u64(4)),
@@ -884,7 +732,7 @@ mod tests {
     #[test]
     fn stats_count_rows_and_versions() {
         let s = store();
-        let row = MvStore::row(1, 1);
+        let row = RowRef::new(1, 1);
         s.install(
             row,
             Timestamp(1),
@@ -898,7 +746,7 @@ mod tests {
             Some(Value::from_u64(2)),
         );
         s.install(
-            MvStore::row(1, 2),
+            RowRef::new(1, 2),
             Timestamp(1),
             WriteKind::Insert,
             Some(Value::from_u64(1)),
@@ -913,11 +761,18 @@ mod tests {
     }
 
     #[test]
-    fn a_chain_created_by_a_read_is_not_a_row() {
+    fn a_refused_first_write_creates_no_row() {
         let s = store();
-        // An MVTSO read of a row nobody wrote records its read timestamp in
-        // a chain that holds no version.
-        s.observe_read(MvStore::row(1, 1), Timestamp(5));
+        let row = RowRef::new(1, 1);
+        // A write naming a predecessor the row never had is refused, and
+        // leaves no trace: no chain, no table-index key.
+        assert!(!s.install_if_prev(
+            row,
+            Timestamp(3),
+            Timestamp(5),
+            WriteKind::Update,
+            Some(Value::from_u64(5))
+        ));
         assert_eq!(
             s.stats(),
             MvStoreStats {
@@ -925,24 +780,24 @@ mod tests {
                 versions: 0
             }
         );
-        assert_eq!(s.latest_write_ts(MvStore::row(1, 1)), Timestamp::ZERO);
-        assert_eq!(s.read_latest(MvStore::row(1, 1)), None);
+        assert!(s.scan_table_at(TableId(1), Timestamp::MAX).is_empty());
+        assert_eq!(s.latest_write_ts(row), Timestamp::ZERO);
     }
 
     /// The chain sits in every row's map slot beside its 16-byte key, so its
-    /// size is the store's per-row cost: a 32-byte head, a 24-byte side
-    /// vector and an 8-byte read timestamp. A wider version or value type
-    /// shows here first.
+    /// size is the store's per-row cost: a 24-byte head (timestamp and the
+    /// value, whose absence is a delete) and a 24-byte side vector, a 64-byte
+    /// slot in all. A wider version or value type shows here first.
     #[test]
-    fn a_chain_is_at_most_64_bytes() {
-        assert!(std::mem::size_of::<VersionChain>() <= 64);
+    fn a_chain_is_at_most_48_bytes() {
+        assert!(std::mem::size_of::<VersionChain>() <= 48);
     }
 
     /// A chain as one ascending vector, the reference the inline-head layout
     /// is checked against: a version goes after every version at or below
     /// its timestamp, a read takes the last version at or below its
     /// timestamp, and GC keeps the newest version at or below the horizon
-    /// and everything after it. `None` is a tombstone.
+    /// and everything after it. `None` is a delete.
     #[derive(Default)]
     struct ModelChain(Vec<(Timestamp, Option<u64>)>);
 
@@ -974,20 +829,22 @@ mod tests {
 
         /// Random installs (timestamps in any order, deletes, equal
         /// timestamps), `install_if_prev` with a right or a wrong
-        /// predecessor, MVTSO reads, and `gc`/`gc_rows` at random horizons,
-        /// on three rows: after every step the store reads, heads, counts
-        /// and reclaims exactly what the one-vector model does.
+        /// predecessor, and `gc`/`gc_rows` at random horizons, on three
+        /// rows: after every step the store reads, heads, counts and
+        /// reclaims exactly what the one-vector model does. Its row count is
+        /// the rows the model wrote, so a refused `install_if_prev` on a row
+        /// never written creates nothing.
         #[test]
         fn chains_behave_as_one_ascending_vector(
             ops in prop::collection::vec(
-                (0..MODEL_ROWS, 0u8..7, 1..MODEL_MAX_TS, 0..MODEL_MAX_TS),
+                (0..MODEL_ROWS, 0u8..6, 1..MODEL_MAX_TS, 0..MODEL_MAX_TS),
                 1..48,
             ),
         ) {
             let s = store();
             let mut model: Vec<ModelChain> =
                 (0..MODEL_ROWS).map(|_| ModelChain::default()).collect();
-            let row = |r: u64| MvStore::row(1, r);
+            let row = |r: u64| RowRef::new(1, r);
             for &(r, op, ts, h) in &ops {
                 let (ts, horizon) = (Timestamp(ts), Timestamp(h));
                 let chain = &mut model[r as usize];
@@ -1012,8 +869,7 @@ mod tests {
                             chain.insert(ts, Some(ts.as_u64()));
                         }
                     }
-                    4 => s.observe_read(row(r), ts),
-                    5 => {
+                    4 => {
                         let expect: usize = model.iter_mut().map(|c| c.gc(horizon)).sum();
                         prop_assert_eq!(s.gc(horizon), expect);
                     }
@@ -1041,48 +897,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn install_all_validated_is_all_or_nothing() {
-        let s = store();
-        let a = MvStore::row(1, 1);
-        let b = MvStore::row(1, 2);
-        s.install(
-            a,
-            Timestamp(10),
-            WriteKind::Insert,
-            Some(Value::from_u64(0)),
-        );
-        s.install(
-            b,
-            Timestamp(10),
-            WriteKind::Insert,
-            Some(Value::from_u64(0)),
-        );
-        // A later reader on row b blocks a commit at ts 15.
-        s.observe_read(b, Timestamp(20));
-
-        let writes = vec![
-            RowWrite::update(a, Value::from_u64(1)),
-            RowWrite::update(b, Value::from_u64(1)),
-        ];
-        assert!(!s.install_all_validated(&writes, Timestamp(15)));
-        // Neither row was touched.
-        assert_eq!(s.read_latest(a).unwrap().as_u64(), Some(0));
-        assert_eq!(s.read_latest(b).unwrap().as_u64(), Some(0));
-
-        // At a timestamp above the read, the commit goes through atomically.
-        assert!(s.install_all_validated(&writes, Timestamp(25)));
-        assert_eq!(s.read_latest(a).unwrap().as_u64(), Some(1));
-        assert_eq!(s.read_latest(b).unwrap().as_u64(), Some(1));
-        assert_eq!(s.max_installed_ts(), Timestamp(25));
-    }
-
-    #[test]
-    fn install_all_validated_empty_write_set_is_trivially_true() {
-        let s = store();
-        assert!(s.install_all_validated(&[], Timestamp(5)));
-        assert_eq!(s.max_installed_ts(), Timestamp::ZERO);
     }
 }

@@ -55,16 +55,6 @@ impl DbSnapshot {
         self.store.read_at(row, self.as_of)
     }
 
-    /// Whether a row exists (live) in the snapshot.
-    pub fn exists(&self, row: RowRef) -> bool {
-        self.store.exists_at(row, self.as_of)
-    }
-
-    /// Number of live rows of a table in the snapshot.
-    pub fn table_row_count(&self, table: TableId) -> usize {
-        self.store.table_row_count_at(table, self.as_of)
-    }
-
     /// Key-sorted scan of a table as of the snapshot.
     pub fn scan_table(&self, table: TableId) -> Vec<(RowRef, Value)> {
         self.store.scan_table_at(table, self.as_of)
@@ -85,7 +75,7 @@ mod tests {
     #[test]
     fn snapshot_is_immutable_under_later_writes() {
         let store = Arc::new(MvStore::default());
-        let row = MvStore::row(1, 1);
+        let row = RowRef::new(1, 1);
         store.install(
             row,
             Timestamp(1),
@@ -115,24 +105,23 @@ mod tests {
     fn snapshot_scans_respect_the_cut() {
         let store = Arc::new(MvStore::default());
         store.install(
-            MvStore::row(1, 1),
+            RowRef::new(1, 1),
             Timestamp(1),
             WriteKind::Insert,
             Some(Value::from_u64(1)),
         );
         let snap = DbSnapshot::of_current(&store);
         store.install(
-            MvStore::row(1, 2),
+            RowRef::new(1, 2),
             Timestamp(2),
             WriteKind::Insert,
             Some(Value::from_u64(2)),
         );
 
-        assert_eq!(snap.table_row_count(TableId(1)), 1);
         assert_eq!(snap.scan_table(TableId(1)).len(), 1);
         assert_eq!(snap.scan_all().len(), 1);
-        assert!(snap.exists(MvStore::row(1, 1)));
-        assert!(!snap.exists(MvStore::row(1, 2)));
+        assert!(snap.read(RowRef::new(1, 1)).is_some());
+        assert!(snap.read(RowRef::new(1, 2)).is_none());
     }
 
     #[test]
