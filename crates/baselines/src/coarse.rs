@@ -88,15 +88,8 @@ impl PipelinePolicy for CoarsePolicy {
         }
     }
 
-    fn apply(&self, _worker: usize, record: LogRecord, signals: &PipelineSignals) {
+    fn apply(&self, _worker: usize, record: LogRecord, _signals: &PipelineSignals) {
         self.exposure.install(&record);
-        // Expose at transaction boundaries so lag is sampled the moment a
-        // transaction applies, without waiting for the expose stage to be
-        // scheduled (it still cuts once per item, and runs GC; `expose` is
-        // safe to call concurrently).
-        if record.is_txn_last() {
-            self.exposure.expose(signals);
-        }
     }
 
     fn exposure(&self) -> &PrefixExposure {

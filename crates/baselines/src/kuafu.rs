@@ -186,10 +186,6 @@ impl PipelinePolicy for KuaFuPolicy {
             self.exposure.install(record);
         }
         self.board.mark_done(work.index);
-        // Expose after every transaction so lag is sampled the moment it
-        // applies, without waiting for the expose stage to be scheduled
-        // (which still cuts once per item, and runs GC).
-        self.exposure.expose(signals);
     }
 
     fn interrupt(&self) {

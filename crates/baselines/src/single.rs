@@ -40,7 +40,7 @@ impl PipelinePolicy for SinglePolicy {
             self.exposure.install(record);
             // Expose at every transaction boundary, so lag is sampled the
             // moment a transaction applies rather than when the segment
-            // ends (the expose stage cuts once more per item, and runs GC).
+            // ends (the runtime exposes once more per item, and runs GC).
             if record.is_txn_last() {
                 self.exposure.expose(signals);
             }

@@ -79,8 +79,9 @@ pub struct ReplicaConfig {
     /// trails the exposed cut. Read views pin their cut at creation time, so
     /// the trail is the window within which an already-created view is
     /// guaranteed to keep seeing every version it can name; versions older
-    /// than `exposed - gc_trail` are reclaimed by the expose stage. Zero
-    /// collects right up to the cut.
+    /// than `exposed - gc_trail` are reclaimed by whoever publishes a cut,
+    /// after publishing it (a worker, or the whole-database cursor's expose
+    /// thread). Zero collects right up to the cut.
     pub gc_trail: u64,
     /// Number of keyspace shards of a faithful C5 replica: it runs `shards ×
     /// workers` worker lanes of its one pipeline, and each shard's records

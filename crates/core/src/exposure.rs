@@ -14,9 +14,13 @@
 //! prefix — its cut merely gates the workers — so it is a cursor kind inside
 //! [`PrefixExposure`], not a second exposure.
 //!
-//! The runtime's expose stage calls [`expose`](PrefixExposure::expose) and
-//! [`collect_garbage`](PrefixExposure::collect_garbage) on its own thread;
-//! the probes are read from any thread; an ordering applies through
+//! The runtime calls [`expose`](PrefixExposure::expose) and
+//! [`collect_garbage`](PrefixExposure::collect_garbage) after every applied
+//! item: on the worker that flushed its marks for a timestamped cut (one
+//! `fetch_max`; the racing worker whose marks completed a prefix reads the
+//! boundary it produced, so no cut is lost), on an expose thread for a cut
+//! that [waits for applies](PrefixExposure::cut_waits_for_applies). The
+//! probes are read from any thread; an ordering applies through
 //! [`note_segment`](PrefixExposure::note_segment),
 //! [`install_gated`](PrefixExposure::install_gated),
 //! [`count_applied`](PrefixExposure::count_applied) and
@@ -24,15 +28,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use c5_common::{OpCost, ReplicaConfig, SeqNo, Timestamp};
 use c5_log::{LogRecord, Segment};
-use c5_obs::Obs;
+use c5_obs::{Obs, PipelineStage};
 use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 
 use crate::lag::LagTracker;
-use crate::pipeline::{BoundaryLedger, GcDriver, PipelineSignals};
+use crate::pipeline::{BoundaryLedger, GcDriver, PipelineSignals, StageObs};
 use crate::progress::WatermarkTracker;
 use crate::replica::{ReadView, ReplicaMetrics};
 use crate::snapshotter::SnapshotCursor;
@@ -53,6 +57,8 @@ pub struct PrefixExposure {
     cut_spacing: Duration,
     op_cost: OpCost,
     obs: Arc<Obs>,
+    /// One sample per cut that advanced, whichever thread took it.
+    expose_stage: StageObs,
     applied_writes: AtomicU64,
     applied_txns: AtomicU64,
     deferred_writes: AtomicU64,
@@ -98,6 +104,7 @@ impl PrefixExposure {
             cut_spacing,
             op_cost: config.op_cost,
             obs: Arc::clone(&config.obs),
+            expose_stage: StageObs::new(&config.obs, PipelineStage::Expose),
             applied_writes: AtomicU64::new(0),
             applied_txns: AtomicU64::new(0),
             deferred_writes: AtomicU64::new(0),
@@ -105,19 +112,27 @@ impl PrefixExposure {
         }
     }
 
-    /// Advances the exposed, transaction-aligned cut if progress allows, and
-    /// records one lag sample per transaction it newly covers. Workers may
-    /// call it too. Waits inside (a whole-database cut) sleep on `signals`.
-    pub fn expose(&self, signals: &PipelineSignals) {
+    /// Advances the exposed, transaction-aligned cut if progress allows,
+    /// records one lag sample per transaction it newly covers, and returns
+    /// whether this call moved the cut (such a cut is counted and timed as
+    /// one `expose` stage item). Safe to call from several threads at once on
+    /// a timestamped cursor. Waits inside (a whole-database cut) sleep on
+    /// `signals`.
+    pub fn expose(&self, signals: &PipelineSignals) -> bool {
         let target = self.tracker.boundary_watermark();
-        if target <= self.cursor.exposed() {
+        let before = self.cursor.exposed();
+        if target <= before {
             // Nothing new: touch no lock. Whoever advanced the cut drains
             // the boundaries it covered.
-            return;
+            return false;
         }
+        let started = Instant::now();
         let n = match self.cursor {
             SnapshotCursor::Timestamped { .. } => {
-                self.cursor.advance(target);
+                if !self.cursor.advance(target) {
+                    // A racing caller got there first, and drains.
+                    return false;
+                }
                 target
             }
             SnapshotCursor::WholeDatabase { .. } => self.cursor.cut(
@@ -131,7 +146,24 @@ impl PrefixExposure {
                 |n| signals.wait_until(|| self.tracker.applied_watermark() >= n),
             ),
         };
+        if n <= before {
+            // An abandoned whole-database cut.
+            return false;
+        }
         self.ledger.drain_exposed(n);
+        // The stage's "queue" is the span of positions whose boundaries were
+        // applied but not yet visible to readers.
+        let pending = (target.as_u64() - before.as_u64()) as usize;
+        self.expose_stage.record(started.elapsed(), pending);
+        true
+    }
+
+    /// Whether taking a cut waits for other workers' applies: true for the
+    /// whole-database cursor, whose cut closes the gate and drains the
+    /// prefix (Section 5.2), so it cannot be taken on a worker. A
+    /// timestamped cut never waits.
+    pub fn cut_waits_for_applies(&self) -> bool {
+        matches!(self.cursor, SnapshotCursor::WholeDatabase { .. })
     }
 
     /// Reclaims versions the exposed cut has moved past; runs after a cut.
@@ -426,5 +458,112 @@ mod tests {
         assert_eq!(whole.lag().len(), 2);
         let view = whole.read_view();
         assert_eq!(view.get(RowRef::new(0, 1)).unwrap().as_u64(), Some(10));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::shard::{route_segment_with, TxnShardTracker};
+    use c5_common::{RowRef, RowWrite, ShardRouter, TxnId, Value};
+    use c5_log::{segments_from_entries, TxnEntry};
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// Rows `0..KEYS` of table 0; at two shards each owns half of them.
+    const KEYS: u64 = 16;
+
+    proptest! {
+        /// Exposure where the prefix moves, stepped on one thread. A random
+        /// log is dealt to 1–4 simulated lanes the way faithful C5 deals it
+        /// (whole segments round-robin, or each segment's key-range parts to
+        /// their shard's lanes at two shards). Each step, a PRNG picks the
+        /// feeder (note the next segment, dispatch its items) or a lane
+        /// with work; a lane marks its head item applied and then exposes,
+        /// as a worker does after every item. After every step the cut is
+        /// the applied boundary watermark, never ahead of the applied
+        /// prefix, a transaction boundary, never lower than before, and
+        /// every boundary it covers has exactly one lag sample.
+        #[test]
+        fn a_cut_exposed_after_every_item_is_the_applied_boundary(
+            txn_lens in prop::collection::vec(1u64..5, 1..48),
+            segment_records in 1usize..9,
+            lanes in 1usize..5,
+            sharded in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let entries: Vec<TxnEntry> = txn_lens
+                .iter()
+                .enumerate()
+                .map(|(t, &len)| {
+                    let t = t as u64 + 1;
+                    let writes = (0..len)
+                        .map(|w| RowWrite::update(RowRef::new(0, (t * 7 + w * 3) % KEYS), Value::from_u64(t)))
+                        .collect();
+                    TxnEntry::new(TxnId(t), Timestamp(t), writes)
+                })
+                .collect();
+            let mut segments: VecDeque<Segment> = segments_from_entries(&entries, segment_records).into();
+            let boundaries: Vec<SeqNo> = segments
+                .iter()
+                .flat_map(|s| s.records.iter().filter(|r| r.is_txn_last()).map(|r| r.seq))
+                .collect();
+            let last = *boundaries.last().unwrap();
+            let (router, per_shard) = if sharded {
+                (ShardRouter::new(2, KEYS), lanes.div_ceil(2))
+            } else {
+                (ShardRouter::single(), lanes)
+            };
+            let mut tracker = TxnShardTracker::default();
+            let mut next_lane = vec![0usize; router.shards()];
+            let mut queues: Vec<VecDeque<Vec<LogRecord>>> = vec![VecDeque::new(); router.shards() * per_shard];
+
+            let exposure = PrefixExposure::timestamped(Arc::new(MvStore::default()), &ReplicaConfig::default(), SeqNo::ZERO);
+            let signals = PipelineSignals::default();
+            let mut state = seed | 1;
+            let mut cut = SeqNo::ZERO;
+            loop {
+                // The feeder, if it has segments left, then every lane with work.
+                let ready: Vec<Option<usize>> = (!segments.is_empty())
+                    .then_some(None)
+                    .into_iter()
+                    .chain((0..queues.len()).filter(|&l| !queues[l].is_empty()).map(Some))
+                    .collect();
+                if ready.is_empty() {
+                    break;
+                }
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match ready[(state >> 33) as usize % ready.len()] {
+                    None => {
+                        let segment = segments.pop_front().unwrap();
+                        exposure.note_segment(&segment);
+                        let routed = route_segment_with(segment.records, &router, &mut tracker);
+                        for (shard, part) in routed.parts.into_iter().enumerate() {
+                            if !part.is_empty() {
+                                queues[shard * per_shard + next_lane[shard] % per_shard].push_back(part);
+                                next_lane[shard] += 1;
+                            }
+                        }
+                    }
+                    Some(lane) => {
+                        let item = queues[lane].pop_front().unwrap();
+                        let marks: Vec<(SeqNo, bool)> = item.iter().map(|r| (r.seq, r.is_txn_last())).collect();
+                        exposure.mark_applied_batch(&marks);
+                        exposure.expose(&signals);
+                    }
+                }
+                let exposed = exposure.exposed_seq();
+                prop_assert!(exposed <= exposure.applied_seq(), "cut {} ahead of applied {}", exposed, exposure.applied_seq());
+                prop_assert!(exposed == SeqNo::ZERO || boundaries.binary_search(&exposed).is_ok(), "cut {} is not a boundary", exposed);
+                prop_assert!(exposed >= cut, "cut moved back from {} to {}", cut, exposed);
+                prop_assert_eq!(exposed, exposure.exposure_target());
+                let covered = boundaries.partition_point(|&b| b <= exposed);
+                prop_assert_eq!(exposure.lag().len(), covered);
+                cut = exposed;
+            }
+            prop_assert_eq!(cut, last);
+        }
     }
 }

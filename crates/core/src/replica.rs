@@ -780,7 +780,7 @@ mod tests {
     #[test]
     fn gc_horizon_reclaims_versions_behind_the_exposed_cut() {
         // A log of updates to one hot row grows a long version chain; with a
-        // zero trail the expose stage reclaims everything behind the cut.
+        // zero trail the GC after each cut reclaims everything behind it.
         let store = Arc::new(MvStore::default());
         store.install(
             row(0),
@@ -852,8 +852,9 @@ mod tests {
     }
 
     /// `C5Replica::wait_until_exposed` reaches the runtime's blocking wait:
-    /// the caller parks on the progress signal (beside the idle expose
-    /// stage) and is woken by the cut's notification — with an hour-long
+    /// the caller parks on the progress signal (the only thread asleep on
+    /// it: the faithful replica has no expose thread) and is woken by the
+    /// notification of the worker that took the cut — with an hour-long
     /// timeout and an hour-long interval there is nothing else to wake it.
     #[test]
     fn wait_until_exposed_blocks_on_the_progress_signal() {
@@ -869,7 +870,7 @@ mod tests {
         };
         // The trait's default sleeps on `FLEET_PROGRESS`, not on this
         // signal; this would spin forever.
-        while progress.parked() < 2 {
+        while progress.parked() < 1 {
             std::thread::yield_now();
         }
         assert_eq!(progress.generation(), generation, "idle: nothing notified");
@@ -939,10 +940,11 @@ mod tests {
         );
     }
 
-    /// An idle replica sleeps: no expose wake-ups without progress.
+    /// An idle replica sleeps: no expose wake-ups without progress. (The
+    /// whole-database cursor is the one with an expose thread to wake.)
     #[test]
     fn an_idle_replica_makes_no_expose_wakeups() {
-        let (replica, obs) = observed_replica(C5Mode::Faithful, Duration::from_millis(1));
+        let (replica, obs) = observed_replica(C5Mode::OneWorkerPerTxn, Duration::from_millis(1));
         let wakeups = obs.metrics.counter("expose_wakeups_total");
         // Observing an absence takes a window; nothing is synchronised on it.
         std::thread::sleep(Duration::from_millis(50));

@@ -207,15 +207,15 @@ mod tests {
         }
     }
 
-    /// Shards are lane groups of one pipeline: S shards of W workers run
-    /// S·W workers and one expose thread.
+    /// Shards are lane groups of one pipeline whose workers take the one
+    /// timestamped cut themselves: S shards of W workers run S·W threads.
     #[test]
-    fn s_shards_of_w_workers_run_s_times_w_plus_one_threads() {
+    fn s_shards_of_w_workers_run_s_times_w_threads() {
         for (shards, workers) in [(1, 1), (1, 3), (2, 2), (4, 1), (4, 2)] {
             let replica = C5Replica::new(C5Mode::Faithful, preloaded(&[]), config(shards, workers));
             assert_eq!(
                 replica.runtime.thread_count(),
-                shards * workers + 1,
+                shards * workers,
                 "{shards} shards of {workers} workers"
             );
         }
@@ -387,9 +387,9 @@ mod tests {
             let replica = Arc::clone(&replica);
             std::thread::spawn(move || replica.wait_until_exposed(last, hour))
         };
-        // The one idle expose stage plus the waiter.
+        // The waiter, alone: the workers take the cut themselves.
         let signal = Arc::clone(replica.runtime.signals().progress());
-        while signal.parked() < 2 {
+        while signal.parked() < 1 {
             std::thread::yield_now();
         }
         for segment in segments {

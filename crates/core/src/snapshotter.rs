@@ -134,16 +134,19 @@ impl SnapshotCursor {
     ///
     /// The cut is monotonic by construction: an `n` below the current cut is
     /// ignored, so concurrent advancers can never move the exposed prefix
-    /// backwards. A cut that moved is announced on [`FLEET_PROGRESS`].
+    /// backwards. Returns whether this call moved the cut; a cut that moved
+    /// is announced on [`FLEET_PROGRESS`].
     ///
     /// # Panics
     /// Panics if called on a whole-database cursor.
-    pub fn advance(&self, n: SeqNo) {
+    pub fn advance(&self, n: SeqNo) -> bool {
         match self {
             SnapshotCursor::Timestamped { exposed, .. } => {
-                if exposed.fetch_max(n.as_u64(), Ordering::Release) < n.as_u64() {
+                let moved = exposed.fetch_max(n.as_u64(), Ordering::Release) < n.as_u64();
+                if moved {
                     FLEET_PROGRESS.notify();
                 }
+                moved
             }
             SnapshotCursor::WholeDatabase { .. } => {
                 panic!("whole-database cursors advance through cut()")
@@ -323,14 +326,14 @@ mod tests {
     fn timestamped_cut_never_regresses() {
         let store = Arc::new(MvStore::default());
         let cursor = SnapshotCursor::timestamped_at(store, SeqNo::ZERO);
-        cursor.advance(SeqNo(5));
-        cursor.advance(SeqNo(3));
+        assert!(cursor.advance(SeqNo(5)));
+        assert!(!cursor.advance(SeqNo(3)), "a lower advance moves nothing");
         assert_eq!(
             cursor.exposed(),
             SeqNo(5),
             "a lower advance must be ignored"
         );
-        cursor.advance(SeqNo(8));
+        assert!(cursor.advance(SeqNo(8)));
         assert_eq!(cursor.exposed(), SeqNo(8));
     }
 
