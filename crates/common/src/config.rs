@@ -78,10 +78,14 @@ pub struct ReplicaConfig {
     /// How far (in log positions) the version-garbage-collection horizon
     /// trails the exposed cut. Read views pin their cut at creation time, so
     /// the trail is the window within which an already-created view is
-    /// guaranteed to keep seeing every version it can name; versions older
-    /// than `exposed - gc_trail` are reclaimed by whoever publishes a cut,
-    /// after publishing it (a worker, or the whole-database cursor's expose
-    /// thread). Zero collects right up to the cut.
+    /// guaranteed to keep seeing every version it can name: no horizon is
+    /// ever above `exposed - gc_trail`. Whoever moves the cut raises the
+    /// store's horizon, and each install trims its own row's chain to it.
+    /// A row that is not written again keeps what it held at its last
+    /// install: one version at or below that install's horizon plus its
+    /// writes above it, so at most one version per row more than a full
+    /// `MvStore::gc` at the horizon would leave, never growth with history.
+    /// Zero collects right up to the cut.
     pub gc_trail: u64,
     /// Number of keyspace shards of a faithful C5 replica: it runs `shards ×
     /// workers` worker lanes of its one pipeline, and each shard's records

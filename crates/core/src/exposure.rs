@@ -14,21 +14,24 @@
 //! prefix — its cut merely gates the workers — so it is a cursor kind inside
 //! [`PrefixExposure`], not a second exposure.
 //!
-//! The runtime calls [`expose`](PrefixExposure::expose) and
-//! [`collect_garbage`](PrefixExposure::collect_garbage) after every applied
+//! The runtime calls [`expose`](PrefixExposure::expose) after every applied
 //! item: on the worker that flushed its marks for a timestamped cut (one
 //! `fetch_max`; the racing worker whose marks completed a prefix reads the
 //! boundary it produced, so no cut is lost), on an expose thread for a cut
-//! that [waits for applies](PrefixExposure::cut_waits_for_applies). The
-//! probes are read from any thread; an ordering applies through
+//! that [waits for applies](PrefixExposure::cut_waits_for_applies). A cut
+//! that moves raises the store's GC horizon to `exposed - gc_trail`, and the
+//! installs that follow trim their own chains to it; there is no GC pass.
+//! The probes are read from any thread; an ordering applies through
 //! [`note_segment`](PrefixExposure::note_segment),
 //! [`install_gated`](PrefixExposure::install_gated),
 //! [`count_applied`](PrefixExposure::count_applied) and
 //! [`mark_applied_batch`](PrefixExposure::mark_applied_batch).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use c5_common::{OpCost, ReplicaConfig, SeqNo, Timestamp};
 use c5_log::{LogRecord, Segment};
@@ -36,7 +39,7 @@ use c5_obs::{Obs, PipelineStage};
 use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 
 use crate::lag::LagTracker;
-use crate::pipeline::{BoundaryLedger, GcDriver, PipelineSignals, StageObs};
+use crate::pipeline::{BoundaryLedger, PipelineSignals, StageObs};
 use crate::progress::WatermarkTracker;
 use crate::replica::{ReadView, ReplicaMetrics};
 use crate::snapshotter::SnapshotCursor;
@@ -49,7 +52,12 @@ pub struct PrefixExposure {
     tracker: WatermarkTracker,
     cursor: SnapshotCursor,
     ledger: BoundaryLedger,
-    gc: GcDriver,
+    gc_trail: u64,
+    /// Checkpoint exports in progress; only exports take this lock.
+    exports: Mutex<usize>,
+    /// While an export runs, the cut the first of the running exports
+    /// pinned: no GC horizon is published above it. `u64::MAX` otherwise.
+    horizon_cap: AtomicU64,
     /// Where a whole-database cut is taken: the last position of the last
     /// fully dispatched transaction. (The timestamped cut follows the
     /// applied boundary instead.)
@@ -98,7 +106,9 @@ impl PrefixExposure {
             tracker: WatermarkTracker::starting_at(cut),
             cursor,
             ledger: BoundaryLedger::starting_at(cut),
-            gc: GcDriver::new(Arc::clone(&store), config.gc_trail),
+            gc_trail: config.gc_trail,
+            exports: Mutex::new(0),
+            horizon_cap: AtomicU64::new(u64::MAX),
             store,
             dispatched_boundary: AtomicU64::new(cut.as_u64()),
             cut_spacing,
@@ -113,7 +123,8 @@ impl PrefixExposure {
     }
 
     /// Advances the exposed, transaction-aligned cut if progress allows,
-    /// records one lag sample per transaction it newly covers, and returns
+    /// records one lag sample per transaction it newly covers, raises the
+    /// store's GC horizon behind the new cut, and returns
     /// whether this call moved the cut (such a cut is counted and timed as
     /// one `expose` stage item). Safe to call from several threads at once on
     /// a timestamped cursor. Waits inside (a whole-database cut) sleep on
@@ -151,6 +162,7 @@ impl PrefixExposure {
             return false;
         }
         self.ledger.drain_exposed(n);
+        self.publish_gc_horizon(n);
         // The stage's "queue" is the span of positions whose boundaries were
         // applied but not yet visible to readers.
         let pending = (target.as_u64() - before.as_u64()) as usize;
@@ -166,9 +178,17 @@ impl PrefixExposure {
         matches!(self.cursor, SnapshotCursor::WholeDatabase { .. })
     }
 
-    /// Reclaims versions the exposed cut has moved past; runs after a cut.
-    pub fn collect_garbage(&self) {
-        self.gc.run(self.cursor.exposed());
+    /// Raises the store's GC horizon to `exposed - gc_trail`, or to the cap
+    /// while a checkpoint export runs. Call once the cut has reached
+    /// `exposed`, so no horizon is ever above the exposed cut less the trail.
+    fn publish_gc_horizon(&self, exposed: SeqNo) {
+        // Pairs with the fence in `cap_gc_horizon`: either this load sees
+        // that export's cap, or the export's view reads the cut already at
+        // `exposed` or later, at or above this horizon.
+        fence(Ordering::SeqCst);
+        let cap = self.horizon_cap.load(Ordering::Relaxed);
+        let horizon = exposed.as_u64().saturating_sub(self.gc_trail).min(cap);
+        self.store.raise_gc_horizon(Timestamp(horizon));
     }
 
     /// Minimum spacing between cuts: non-zero only where a cut costs the
@@ -228,7 +248,6 @@ impl PrefixExposure {
             applied_txns: self.applied_txns.load(Ordering::Acquire),
             applied_writes: self.applied_writes.load(Ordering::Acquire),
             deferred_writes: self.deferred_writes.load(Ordering::Relaxed),
-            reclaimed_versions: self.gc.reclaimed(),
             cross_shard_txns: self.cross_shard_txns.load(Ordering::Relaxed),
             shipped_seq: self.shipped_seq(),
         }
@@ -244,15 +263,14 @@ impl PrefixExposure {
         &self.store
     }
 
-    /// Notes a segment about to be dispatched (boundaries, last position,
-    /// written rows). Call in log order, before any of it can be installed.
+    /// Notes a segment about to be dispatched (boundaries, last position).
+    /// Call in log order, before any of it can be installed.
     ///
     /// # Panics
     /// Panics if the segment does not directly follow the last one noted
     /// (see [`BoundaryLedger::note_segment`]).
     pub fn note_segment(&self, segment: &Segment) {
         self.ledger.note_segment(segment);
-        self.gc.note_segment(segment);
     }
 
     /// Runs one install attempt at `seq` under whatever must be held while a
@@ -313,30 +331,66 @@ impl PrefixExposure {
     /// Exports a checkpoint of the currently exposed state. The cut is
     /// pinned through a read view, so it is transaction-aligned and stable
     /// while the export scans; applies and exposure continue concurrently.
-    /// Version GC does not: it is held back from before the cut is pinned
-    /// until the scan ends ([`GcDriver::hold`]), because a horizon past the
-    /// cut may collect the very versions the export needs — and with
-    /// event-driven exposure the cut can move by more than `gc_trail`
-    /// positions during one scan.
+    /// The GC horizon is capped at or below the pinned cut until the scan
+    /// ends, because a horizon past the cut may trim the very versions the
+    /// export needs, and the cut can move by more than `gc_trail` positions
+    /// during one scan. Several exports may run at once.
     ///
     /// # Panics
-    /// Panics if the version-GC horizon is above the cut after the export.
-    /// The hold makes that impossible (the horizon is at most the cut exposed
-    /// when the hold began, which the pinned cut is at least), so this is an
-    /// invariant check, not a condition a caller can hit; the horizon is
-    /// monotone, so checking it *after* the scan covers the whole scan.
+    /// Panics if the GC horizon is above the cut after the export. The cap
+    /// makes that impossible, so this is an invariant check, not a
+    /// condition a caller can hit; the horizon is monotone, so checking it
+    /// *after* the scan covers the whole scan.
     pub fn checkpoint(&self) -> Checkpoint {
-        let _gc_held = self.gc.hold();
+        let _capped = self.cap_gc_horizon();
         let view = self.read_view();
         let checkpoint = CheckpointWriter::capture(&self.store, view.as_of());
-        let horizon = self.gc.horizon();
+        let horizon = self.store.gc_horizon().as_u64();
         assert!(
-            horizon <= checkpoint.cut(),
-            "GC horizon {horizon} overtook the checkpoint cut {} although GC \
-             was held for the export",
+            horizon <= checkpoint.cut().as_u64(),
+            "GC horizon {horizon} overtook the checkpoint cut {} although the \
+             export capped it",
             checkpoint.cut()
         );
         checkpoint
+    }
+
+    /// Caps the published GC horizon until the returned guard drops and no
+    /// other export holds a cap. Take it *before* pinning the export's view.
+    ///
+    /// Why the pinned cut stays at or above every horizon published meanwhile:
+    /// the cap is the exposed cut read here, and views only pin later cuts.
+    /// A horizon published after the cap is in place is at most the cap. A
+    /// cut whose publisher read the horizon cap before it was set advanced
+    /// the cursor before that read; the SeqCst fences here and in
+    /// [`publish_gc_horizon`](Self::publish_gc_horizon) then make the view
+    /// pinned after this call read that cut or a later one, and its horizon
+    /// trails that cut. Concurrent exports share the first one's cap, which
+    /// is at or below each later one's cut.
+    fn cap_gc_horizon(&self) -> GcCap<'_> {
+        let mut exports = self.exports.lock();
+        if *exports == 0 {
+            self.horizon_cap
+                .store(self.cursor.exposed().as_u64(), Ordering::Relaxed);
+        }
+        *exports += 1;
+        drop(exports);
+        fence(Ordering::SeqCst);
+        GcCap(self)
+    }
+}
+
+/// A checkpoint export's cap on the GC horizon; the last one to drop lifts
+/// it (see [`PrefixExposure::cap_gc_horizon`]).
+struct GcCap<'a>(&'a PrefixExposure);
+
+impl Drop for GcCap<'_> {
+    fn drop(&mut self) {
+        let mut exports = self.0.exports.lock();
+        *exports -= 1;
+        if *exports == 0 {
+            self.0.horizon_cap.store(u64::MAX, Ordering::Relaxed);
+        }
     }
 }
 
@@ -419,15 +473,18 @@ mod tests {
                 )
             })
             .collect();
+        // Each segment installed, then exposed, as a worker does.
         for seg in segments_from_entries(&entries, 16) {
             exposure.note_segment(&seg);
             for record in &seg.records {
                 exposure.install(record);
             }
+            exposure.expose(&signals);
         }
-        exposure.expose(&signals);
-        exposure.collect_garbage();
-        assert!(exposure.metrics().reclaimed_versions > 0);
+        assert_eq!(exposure.store().gc_horizon(), Timestamp(64));
+        // The last segment's installs ran under horizon 48: the chain keeps
+        // the version visible there and the 16 written above it.
+        assert_eq!(exposure.store().stats().versions, 17);
         // The exposed read is unaffected.
         let view = exposure.read_view();
         assert_eq!(view.get(RowRef::new(0, 1)).unwrap().as_u64(), Some(64));
@@ -467,8 +524,9 @@ mod proptests {
     use crate::shard::{route_segment_with, TxnShardTracker};
     use c5_common::{RowRef, RowWrite, ShardRouter, TxnId, Value};
     use c5_log::{segments_from_entries, TxnEntry};
+    use c5_storage::ReferenceStore;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
 
     /// Rows `0..KEYS` of table 0; at two shards each owns half of them.
     const KEYS: u64 = 16;
@@ -478,18 +536,23 @@ mod proptests {
         /// log is dealt to 1–4 simulated lanes the way faithful C5 deals it
         /// (whole segments round-robin, or each segment's key-range parts to
         /// their shard's lanes at two shards). Each step, a PRNG picks the
-        /// feeder (note the next segment, dispatch its items) or a lane
-        /// with work; a lane marks its head item applied and then exposes,
-        /// as a worker does after every item. After every step the cut is
-        /// the applied boundary watermark, never ahead of the applied
+        /// feeder (note the next segment, dispatch its items), a lane with
+        /// work, or a reader; a lane installs its head item, marks it
+        /// applied and then exposes, as a worker does after every item, and
+        /// a reader takes a read view and keeps it. After every step the cut
+        /// is the applied boundary watermark, never ahead of the applied
         /// prefix, a transaction boundary, never lower than before, and
-        /// every boundary it covers has exactly one lag sample.
+        /// every boundary it covers has exactly one lag sample; and every
+        /// kept view at or above the store's GC horizon, or within
+        /// `gc_trail` of the cut, reads exactly the reference replay at its
+        /// cut, however the installs trimmed.
         #[test]
         fn a_cut_exposed_after_every_item_is_the_applied_boundary(
             txn_lens in prop::collection::vec(1u64..5, 1..48),
             segment_records in 1usize..9,
             lanes in 1usize..5,
             sharded in any::<bool>(),
+            gc_trail in 0u64..8,
             seed in any::<u64>(),
         ) {
             let entries: Vec<TxnEntry> = txn_lens
@@ -509,6 +572,15 @@ mod proptests {
                 .flat_map(|s| s.records.iter().filter(|r| r.is_txn_last()).map(|r| r.seq))
                 .collect();
             let last = *boundaries.last().unwrap();
+            // The reference state at every cut a view can pin.
+            let mut reference = ReferenceStore::new();
+            let mut states = BTreeMap::from([(SeqNo::ZERO, reference.snapshot())]);
+            for record in segments.iter().flat_map(|s| &s.records) {
+                reference.apply(&record.write);
+                if record.is_txn_last() {
+                    states.insert(record.seq, reference.snapshot());
+                }
+            }
             let (router, per_shard) = if sharded {
                 (ShardRouter::new(2, KEYS), lanes.div_ceil(2))
             } else {
@@ -518,25 +590,32 @@ mod proptests {
             let mut next_lane = vec![0usize; router.shards()];
             let mut queues: Vec<VecDeque<Vec<LogRecord>>> = vec![VecDeque::new(); router.shards() * per_shard];
 
-            let exposure = PrefixExposure::timestamped(Arc::new(MvStore::default()), &ReplicaConfig::default(), SeqNo::ZERO);
+            let config = ReplicaConfig::default().with_gc_trail(gc_trail);
+            let exposure = PrefixExposure::timestamped(Arc::new(MvStore::default()), &config, SeqNo::ZERO);
+            let store = Arc::clone(exposure.store());
             let signals = PipelineSignals::default();
+            let mut views: Vec<Box<dyn ReadView>> = Vec::new();
             let mut state = seed | 1;
             let mut cut = SeqNo::ZERO;
+            enum Step { Feed, Lane(usize), Read }
             loop {
-                // The feeder, if it has segments left, then every lane with work.
-                let ready: Vec<Option<usize>> = (!segments.is_empty())
-                    .then_some(None)
+                // The feeder, if it has segments left, then every lane with
+                // work, then a reader while there is work left.
+                let mut ready: Vec<Step> = (!segments.is_empty())
+                    .then_some(Step::Feed)
                     .into_iter()
-                    .chain((0..queues.len()).filter(|&l| !queues[l].is_empty()).map(Some))
+                    .chain((0..queues.len()).filter(|&l| !queues[l].is_empty()).map(Step::Lane))
                     .collect();
                 if ready.is_empty() {
                     break;
                 }
+                ready.push(Step::Read);
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 match ready[(state >> 33) as usize % ready.len()] {
-                    None => {
+                    Step::Read => views.push(exposure.read_view()),
+                    Step::Feed => {
                         let segment = segments.pop_front().unwrap();
                         exposure.note_segment(&segment);
                         let routed = route_segment_with(segment.records, &router, &mut tracker);
@@ -547,8 +626,11 @@ mod proptests {
                             }
                         }
                     }
-                    Some(lane) => {
+                    Step::Lane(lane) => {
                         let item = queues[lane].pop_front().unwrap();
+                        for r in &item {
+                            store.install(r.write.row, Timestamp(r.seq.as_u64()), r.write.kind, r.write.value.clone());
+                        }
                         let marks: Vec<(SeqNo, bool)> = item.iter().map(|r| (r.seq, r.is_txn_last())).collect();
                         exposure.mark_applied_batch(&marks);
                         exposure.expose(&signals);
@@ -562,6 +644,23 @@ mod proptests {
                 let covered = boundaries.partition_point(|&b| b <= exposed);
                 prop_assert_eq!(exposure.lag().len(), covered);
                 cut = exposed;
+                // A view within the trail must read its cut exactly (that is
+                // the trail's promise), and so must any at or above the
+                // horizon (the trimming rule's). The two sets are one unless
+                // the horizon runs ahead of the trail. A view in neither
+                // never will be again, so it is dropped.
+                let horizon = store.gc_horizon().as_u64();
+                views.retain(|v| {
+                    let at = v.as_of().as_u64();
+                    at >= horizon || at + gc_trail >= exposed.as_u64()
+                });
+                for view in &views {
+                    let expect = &states[&view.as_of()];
+                    for key in 0..KEYS {
+                        let row = RowRef::new(0, key);
+                        prop_assert_eq!(view.get(row).as_ref(), expect.get(&row), "view at {} row {}", view.as_of(), key);
+                    }
+                }
             }
             prop_assert_eq!(cut, last);
         }

@@ -54,8 +54,8 @@ pub use fleet::{FleetController, FleetRoutingSink, JoinReport, ReplicaLifecycle,
 pub use lag::{LagStats, LagTracker};
 pub use mpc::MpcChecker;
 pub use pipeline::{
-    BlockingInstall, GcDriver, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals,
-    QueuePlan, RowWaitList, WorkSink,
+    BlockingInstall, PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan,
+    RowWaitList, WorkSink,
 };
 pub use progress::WatermarkTracker;
 pub use recovery::{recover_replica, RecoveredReplica};

@@ -33,7 +33,7 @@
 //! itself, one `fetch_max` (Section 7.2): the worker whose marks extended
 //! the prefix publishes it in place, so an applied transaction is visible
 //! as soon as its last item's marks are, with no hand-off. Then the worker
-//! notifies the pipeline's one [`ProgressSignal`] and runs version GC.
+//! notifies the pipeline's one [`ProgressSignal`].
 //! A whole-database cut (Section 5.2) closes the gate and waits for other
 //! workers' applies, so it cannot run on a worker: that cursor alone gets
 //! an expose thread, which sleeps on the signal, cuts when something moved
@@ -75,23 +75,17 @@
 //!   *order* inside a flush still matters; see
 //!   [`crate::progress::WatermarkTracker::mark_applied_batch`].
 //!
-//! Two pieces of shared infrastructure also live here (beside the prefix
-//! exposure's [`BoundaryLedger`]):
-//!
-//! * [`RowWaitList`] — the event-driven realization of the per-row FIFO
-//!   queues specified in [`crate::design_queues`]. A write whose per-row
-//!   predecessor has not been installed parks on that predecessor's log
-//!   position; the worker that installs the predecessor wakes it (and
-//!   installs it, cascading down the row's chain). This replaces the
-//!   busy-retry deferral loop the replica used to run: a deferred write costs
-//!   one hash-map insert instead of unbounded re-checks, and it moves into
-//!   the wait list instead of being cloned out of its segment.
-//! * [`GcDriver`] — advances a version-garbage-collection horizon trailing
-//!   the exposed cut, so long-running workloads do not grow version chains
-//!   without bound. The schedule stage tells it which rows each segment
-//!   writes and whoever publishes a cut runs it afterwards, so a
-//!   collection trims the chains written below the new horizon and nothing
-//!   else.
+//! Beside the prefix exposure's [`BoundaryLedger`], one piece of shared
+//! infrastructure also lives here: [`RowWaitList`], the event-driven
+//! realization of the per-row FIFO queues specified in
+//! [`crate::design_queues`]. A write whose per-row predecessor has not been
+//! installed parks on that predecessor's log position; the worker that
+//! installs the predecessor wakes it (and installs it, cascading down the
+//! row's chain). This replaces the busy-retry deferral loop the replica used
+//! to run: a deferred write costs one hash-map insert instead of unbounded
+//! re-checks, and it moves into the wait list instead of being cloned out of
+//! its segment. Version GC is not here: installs trim their own chains (see
+//! [`c5_storage::mvstore`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -102,10 +96,9 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use c5_common::{ProgressSignal, RowRef, SeqNo, Timestamp};
+use c5_common::{ProgressSignal, SeqNo};
 use c5_log::{LogRecord, Segment};
 use c5_obs::{Counter, Histogram, Obs, PipelineStage, TraceEvent};
-use c5_storage::MvStore;
 
 use crate::exposure::PrefixExposure;
 use crate::lag::LagTracker;
@@ -427,15 +420,11 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                                 apply_obs.record(started.elapsed(), rx.len());
                                 // The item's marks are flushed: publish the
                                 // cut they extended (or leave it to the
-                                // expose thread), wake whoever waits, then
-                                // collect off the cut's critical path.
+                                // expose thread), then wake whoever waits.
                                 if !expose_thread {
                                     exposure.expose(&signals);
                                 }
                                 signals.progress.notify();
-                                if !expose_thread {
-                                    exposure.collect_garbage();
-                                }
                             }
                         })
                         .expect("spawn worker"),
@@ -572,8 +561,6 @@ fn expose_loop<P: PipelinePolicy>(
                 seen = published;
             }
         }
-        // Off the cut's critical path: the cut is already visible.
-        exposure.collect_garbage();
         if stopping {
             return;
         }
@@ -1060,183 +1047,11 @@ impl Default for RowWaitList {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Garbage-collection horizon.
-// ---------------------------------------------------------------------------
-
-/// Drives version garbage collection after each published cut (on the worker
-/// that published it, or the whole-database cursor's expose thread): the
-/// horizon trails the exposed cut by `trail` log positions, so recently created read
-/// views (which pin the cut at creation time) keep seeing every version they
-/// can name, while versions older than the trail are reclaimed.
-///
-/// A collection costs what was *written*, not what is stored. The schedule
-/// stage hands the driver the rows of every segment
-/// ([`note_segment`](Self::note_segment)), and [`run`](Self::run) trims only
-/// the chains written at or below the new horizon
-/// ([`MvStore::gc_rows`]). That leaves the store exactly as a full
-/// [`MvStore::gc`] at the same horizon would: a chain can only hold a
-/// version to reclaim if it was written at or below the horizon since the
-/// previous collection. (Chains that already held several versions when the
-/// driver was created — none, on a preloaded or checkpoint-installed store —
-/// are trimmed the first time they are written.)
-///
-/// Collections are rate-limited: the driver only runs once the horizon has
-/// advanced by `max(1, trail / 4)` positions since the last one.
-#[derive(Debug)]
-pub struct GcDriver {
-    store: Arc<MvStore>,
-    trail: u64,
-    step: u64,
-    last_horizon: AtomicU64,
-    reclaimed: AtomicU64,
-    visited_chains: AtomicU64,
-    /// Rows written above the horizon, one batch per noted segment.
-    written: Mutex<Vec<WrittenBatch>>,
-    /// Held for the duration of a collection — a concurrent caller skips
-    /// instead of queueing — and for the duration of a checkpoint export
-    /// ([`hold`](Self::hold)).
-    collecting: Mutex<()>,
-}
-
-/// Version GC held back; released on drop (see [`GcDriver::hold`]).
-pub struct GcHold<'a> {
-    _collecting: parking_lot::MutexGuard<'a, ()>,
-}
-
-/// The `(position, row)` of every record of one segment, ascending by
-/// position, consumed from the front as the horizon passes them.
-#[derive(Debug)]
-struct WrittenBatch {
-    rows: Vec<(u64, RowRef)>,
-    next: usize,
-}
-
-impl GcDriver {
-    /// Creates a driver over `store` whose horizon trails the exposed cut by
-    /// `trail` positions.
-    pub fn new(store: Arc<MvStore>, trail: u64) -> Self {
-        Self {
-            store,
-            trail,
-            step: (trail / 4).max(1),
-            last_horizon: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
-            visited_chains: AtomicU64::new(0),
-            written: Mutex::new(Vec::new()),
-            collecting: Mutex::new(()),
-        }
-    }
-
-    /// Notes the rows `segment` writes. Call from the schedule stage before
-    /// the segment's records are dispatched, so that by the time the exposed
-    /// cut (and with it the horizon) passes a write, the driver knows its
-    /// row. The one schedule stage feeds it in log order; the collection
-    /// does not rely on that order (noted batches are independent).
-    pub fn note_segment(&self, segment: &Segment) {
-        if segment.is_empty() {
-            return;
-        }
-        let rows = segment
-            .records
-            .iter()
-            .map(|record| (record.seq.as_u64(), record.write.row))
-            .collect();
-        self.written.lock().push(WrittenBatch { rows, next: 0 });
-    }
-
-    /// Removes and returns the rows written at or below `horizon` (a row
-    /// written twice appears twice; its second visit finds nothing left to
-    /// trim and a warm cache, which is cheaper than sorting to find the
-    /// duplicate). The batch list
-    /// is swapped out and scanned without the lock, so a scheduler noting
-    /// its next segment never waits for a scan.
-    fn take_written_through(&self, horizon: u64) -> Vec<RowRef> {
-        let mut batches = std::mem::take(&mut *self.written.lock());
-        let mut rows = Vec::new();
-        batches.retain_mut(|batch| {
-            let passed = batch.rows[batch.next..].partition_point(|&(seq, _)| seq <= horizon);
-            rows.extend(
-                batch.rows[batch.next..batch.next + passed]
-                    .iter()
-                    .map(|&(_, row)| row),
-            );
-            batch.next += passed;
-            batch.next < batch.rows.len()
-        });
-        // Batches are independent, so where the leftovers rejoin the list
-        // (after whatever was noted meanwhile) does not matter.
-        self.written.lock().append(&mut batches);
-        rows
-    }
-
-    /// Advances the horizon towards `exposed - trail` and, if it moved at
-    /// least one step, trims the chains written at or below it. Returns the
-    /// number of versions reclaimed by this call. Call after the cut is
-    /// published; safe to call from several threads (a caller that finds a
-    /// collection in progress returns 0).
-    pub fn run(&self, exposed: SeqNo) -> u64 {
-        let horizon = exposed.as_u64().saturating_sub(self.trail);
-        let due = || horizon >= self.horizon().as_u64().saturating_add(self.step);
-        if !due() {
-            return 0;
-        }
-        let Some(_collecting) = self.collecting.try_lock() else {
-            return 0;
-        };
-        // Re-check: the collection that just released the lock may have
-        // covered this horizon.
-        if !due() {
-            return 0;
-        }
-        self.last_horizon.store(horizon, Ordering::Release);
-        let rows = self.take_written_through(horizon);
-        let pass = self.store.gc_rows(rows, Timestamp(horizon));
-        self.visited_chains
-            .fetch_add(pass.visited_chains as u64, Ordering::Relaxed);
-        self.reclaimed
-            .fetch_add(pass.reclaimed as u64, Ordering::Relaxed);
-        pass.reclaimed as u64
-    }
-
-    /// Holds version GC back until the returned guard drops: waits out a
-    /// collection in progress, then makes every [`run`](Self::run) skip, so
-    /// the horizon stays where it is. A checkpoint export takes this *before*
-    /// it pins its cut — the horizon never passes the exposed cut, the pinned
-    /// cut is at least the cut exposed when the hold began, and so no version
-    /// the export can name is reclaimed under it. Collections skipped
-    /// meanwhile are made up by the first `run` after the release (the
-    /// written rows stay noted). Never blocks the apply path: the workers
-    /// that publish cuts only ever `try_lock` it in [`run`](Self::run), and
-    /// skip the collection while it is held.
-    pub fn hold(&self) -> GcHold<'_> {
-        GcHold {
-            _collecting: self.collecting.lock(),
-        }
-    }
-
-    /// Total versions reclaimed so far.
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed.load(Ordering::Relaxed)
-    }
-
-    /// Total chains visited so far: the work collections have done. Bounded
-    /// by the number of records noted, whatever the store holds.
-    pub fn visited_chains(&self) -> u64 {
-        self.visited_chains.load(Ordering::Relaxed)
-    }
-
-    /// The current GC horizon (no version older than this is guaranteed to
-    /// survive; reads at or after it are unaffected).
-    pub fn horizon(&self) -> SeqNo {
-        SeqNo(self.last_horizon.load(Ordering::Acquire))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowRef, RowWrite, TxnId, Value, WriteKind};
+    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
+    use c5_storage::MvStore;
     use parking_lot::{Condvar, Mutex as PlMutex};
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
@@ -1469,110 +1284,6 @@ mod tests {
             order.sort_unstable();
             assert_eq!(order, (1..=total).collect::<Vec<_>>(), "seed {seed}");
         }
-    }
-
-    /// One segment of single-write transactions `first..=last`, all updating
-    /// row `key`.
-    fn hot_segment(id: u64, first: u64, last: u64, key: u64) -> Segment {
-        Segment::new(
-            id,
-            (first..=last)
-                .map(|seq| record(seq, seq - 1, key))
-                .collect(),
-        )
-    }
-
-    fn install_all(store: &MvStore, segment: &Segment) {
-        for r in &segment.records {
-            store.install(
-                r.write.row,
-                Timestamp(r.seq.as_u64()),
-                r.write.kind,
-                r.write.value.clone(),
-            );
-        }
-    }
-
-    #[test]
-    fn gc_driver_trails_the_exposed_cut() {
-        let store = Arc::new(MvStore::default());
-        let row = RowRef::new(0, 1);
-        let gc = GcDriver::new(Arc::clone(&store), 10);
-        let segment = hot_segment(0, 1, 100, 1);
-        gc.note_segment(&segment);
-        install_all(&store, &segment);
-        // Horizon 90: everything older than the newest version <= 90 goes.
-        let reclaimed = gc.run(SeqNo(100));
-        assert_eq!(reclaimed, 89);
-        assert_eq!(gc.reclaimed(), reclaimed);
-        assert_eq!(gc.horizon(), SeqNo(90));
-        // Reads at or after the horizon still see the right values.
-        assert_eq!(
-            store.read_at(row, Timestamp(90)).unwrap().as_u64(),
-            Some(90)
-        );
-        assert_eq!(
-            store.read_at(row, Timestamp(100)).unwrap().as_u64(),
-            Some(100)
-        );
-        // No advance, no second pass.
-        assert_eq!(gc.run(SeqNo(100)), 0);
-        assert_eq!(gc.visited_chains(), 90, "one visit per write passed");
-    }
-
-    #[test]
-    fn gc_driver_rate_limits_collections() {
-        let store = Arc::new(MvStore::default());
-        let gc = GcDriver::new(store, 100);
-        // step = 25: an advance of the horizon below that is skipped.
-        assert_eq!(gc.run(SeqNo(110)), 0); // horizon 10 < 0 + 25
-        assert_eq!(gc.horizon(), SeqNo::ZERO);
-        gc.run(SeqNo(150)); // horizon 50 >= 25: collected (nothing to free)
-        assert_eq!(gc.horizon(), SeqNo(50));
-    }
-
-    /// GC work is bounded by what was written, not by what is stored: on a
-    /// store of 100 k preloaded rows, a collection after 1 k writes visits
-    /// at most 1 k chains — and leaves the store exactly as the full sweep
-    /// leaves an identical twin.
-    #[test]
-    fn gc_visits_only_the_chains_that_were_written() {
-        const PRELOADED: u64 = 100_000;
-        const WRITTEN: u64 = 1_000;
-        let stores = [Arc::new(MvStore::default()), Arc::new(MvStore::default())];
-        for store in &stores {
-            for key in 0..PRELOADED {
-                store.install(
-                    RowRef::new(0, key),
-                    Timestamp::ZERO,
-                    WriteKind::Insert,
-                    Some(Value::from_u64(0)),
-                );
-            }
-        }
-        let [targeted, swept] = &stores;
-        let gc = GcDriver::new(Arc::clone(targeted), 0);
-        // Two updates to each of 500 rows spread over the key space.
-        let records: Vec<LogRecord> = (1..=WRITTEN)
-            .map(|seq| record(seq, 0, (seq % 500) * 199))
-            .collect();
-        for (id, chunk) in records.chunks(256).enumerate() {
-            let segment = Segment::new(id as u64, chunk.to_vec());
-            gc.note_segment(&segment);
-            install_all(targeted, &segment);
-            install_all(swept, &segment);
-        }
-
-        let reclaimed = gc.run(SeqNo(WRITTEN));
-        assert_eq!(reclaimed as usize, swept.gc(Timestamp(WRITTEN)));
-        assert!(
-            gc.visited_chains() <= WRITTEN,
-            "visited {} chains for {WRITTEN} writes",
-            gc.visited_chains()
-        );
-        assert_eq!(gc.visited_chains(), WRITTEN, "one visit per write");
-        assert_eq!(targeted.stats(), swept.stats());
-        assert_eq!(targeted.stats().versions as u64, PRELOADED);
     }
 
     /// Closed, it holds worker 0 before its next item.
@@ -2029,107 +1740,5 @@ mod tests {
             }
         )));
         assert_eq!(runtime.exposed_seq(), SeqNo(8), "nothing was applied");
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use c5_common::{RowWrite, TxnId, Value};
-    use proptest::prelude::*;
-
-    proptest! {
-        /// For any interleaving of writes over a few rows, any number of
-        /// feeders noting segments out of global order (each its own stream
-        /// in order), any segment size and any trail, every collection of the
-        /// row-targeted driver leaves the store exactly as a full
-        /// `MvStore::gc` at the same horizon leaves an identical twin: the
-        /// same number of versions, and the same answer to every read at or
-        /// after the horizon.
-        #[test]
-        fn row_targeted_gc_matches_the_full_sweep(
-            keys in prop::collection::vec(0u64..6, 1..120),
-            feeders in 1usize..4,
-            segment_len in 1usize..9,
-            trail in 0u64..24,
-            seed in any::<u64>(),
-        ) {
-            let targeted = Arc::new(MvStore::default());
-            let swept = MvStore::default();
-            let gc = GcDriver::new(Arc::clone(&targeted), trail);
-            let total = keys.len() as u64;
-
-            // Each feeder owns the rows that hash to it and sees their
-            // writes in log order, cut into segments.
-            let mut streams: Vec<std::collections::VecDeque<Segment>> = (0..feeders)
-                .map(|feeder| {
-                    let owned: Vec<LogRecord> = keys
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, key)| **key as usize % feeders == feeder)
-                        .map(|(i, &key)| LogRecord {
-                            txn: TxnId(i as u64 + 1),
-                            seq: SeqNo(i as u64 + 1),
-                            commit_ts: Timestamp(i as u64 + 1),
-                            commit_wall_nanos: 0,
-                            prev_seq: SeqNo::ZERO,
-                            write: RowWrite::update(RowRef::new(0, key), Value::from_u64(i as u64 + 1)),
-                            idx_in_txn: 0,
-                            txn_len: 1,
-                        })
-                        .collect();
-                    owned
-                        .chunks(segment_len)
-                        .enumerate()
-                        .map(|(id, chunk)| Segment::new(id as u64, chunk.to_vec()))
-                        .collect()
-                })
-                .collect();
-
-            let mut state = seed | 1;
-            while streams.iter().any(|s| !s.is_empty()) {
-                // Pick a feeder with work left, pseudo-randomly.
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let ready: Vec<usize> = (0..feeders).filter(|&f| !streams[f].is_empty()).collect();
-                let feeder = ready[(state >> 33) as usize % ready.len()];
-                let segment = streams[feeder].pop_front().unwrap();
-                // Schedule (note), then apply, as a pipeline does.
-                gc.note_segment(&segment);
-                for r in &segment.records {
-                    for store in [&*targeted, &swept] {
-                        store.install(r.write.row, Timestamp(r.seq.as_u64()), r.write.kind, r.write.value.clone());
-                    }
-                }
-                // The cut may reach the end of the globally applied prefix:
-                // just below the earliest record any feeder still holds.
-                let exposed = streams
-                    .iter()
-                    .filter_map(|s| s.front().and_then(Segment::first_seq))
-                    .map(|next| next.as_u64() - 1)
-                    .min()
-                    .unwrap_or(total);
-                let before = gc.horizon();
-                let reclaimed = gc.run(SeqNo(exposed));
-                let horizon = gc.horizon();
-                if horizon == before {
-                    prop_assert_eq!(reclaimed, 0);
-                    continue;
-                }
-                prop_assert_eq!(reclaimed as usize, swept.gc(Timestamp(horizon.as_u64())));
-                prop_assert_eq!(targeted.stats(), swept.stats());
-                for key in 0..6 {
-                    let row = RowRef::new(0, key);
-                    for t in horizon.as_u64()..=total + 1 {
-                        prop_assert_eq!(
-                            targeted.read_at(row, Timestamp(t)),
-                            swept.read_at(row, Timestamp(t))
-                        );
-                    }
-                }
-            }
-            prop_assert_eq!(gc.reclaimed() as usize + targeted.stats().versions, keys.len());
-        }
     }
 }

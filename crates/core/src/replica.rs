@@ -90,9 +90,6 @@ pub struct ReplicaMetrics {
     /// before executing (each such write is counted once, however long it
     /// waited).
     pub deferred_writes: u64,
-    /// Row versions reclaimed by the garbage-collection horizon trailing the
-    /// exposed cut.
-    pub reclaimed_versions: u64,
     /// Transactions whose writes spanned more than one keyspace shard, as
     /// a sharded C5 replica's key-range split counts them (zero at one
     /// shard and for the baselines).
@@ -276,8 +273,7 @@ pub(crate) struct C5Policy {
 impl C5Policy {
     /// The schedule stage's first step in every form: stamps each record
     /// with its per-row predecessor and tells the exposure what is about to
-    /// be dispatched (transaction boundaries for lag accounting, written rows
-    /// for the GC pass that follows the cut).
+    /// be dispatched (transaction boundaries, for lag accounting).
     fn stamp(&self, segment: &mut Segment) {
         self.sched.lock().process_segment(segment);
         self.exposure.note_segment(segment);
@@ -562,8 +558,9 @@ impl C5Replica {
         self.runtime.policy().exposure.store()
     }
 
-    /// Exports a checkpoint of the currently exposed state, with version GC
-    /// held back for the export (see [`PrefixExposure::checkpoint`]).
+    /// Exports a checkpoint of the currently exposed state, with the GC
+    /// horizon capped at its cut for the export (see
+    /// [`PrefixExposure::checkpoint`]).
     pub fn checkpoint(&self) -> Checkpoint {
         self.runtime.policy().exposure.checkpoint()
     }
@@ -779,8 +776,8 @@ mod tests {
 
     #[test]
     fn gc_horizon_reclaims_versions_behind_the_exposed_cut() {
-        // A log of updates to one hot row grows a long version chain; with a
-        // zero trail the GC after each cut reclaims everything behind it.
+        // A log of updates to one hot row would grow a long version chain;
+        // with a zero trail every install trims it to the cut exposed so far.
         let store = Arc::new(MvStore::default());
         store.install(
             row(0),
@@ -805,20 +802,20 @@ mod tests {
             .collect();
         drive_segments(replica.as_ref(), segments_from_entries(&entries, 16));
 
-        let metrics = replica.metrics();
-        assert_eq!(metrics.applied_txns, 500);
-        assert!(
-            metrics.reclaimed_versions > 0,
-            "the hot row's chain must have been collected"
-        );
-        // The chain is bounded: everything behind the final horizon is gone.
-        assert!(
-            store.stats().versions < 500,
-            "version chains must not grow without bound (got {})",
-            store.stats().versions
-        );
+        assert_eq!(replica.metrics().applied_txns, 500);
         // The exposed state is untouched.
         assert_eq!(replica.read_view().get(row(0)).unwrap().as_u64(), Some(500));
+        // How much the chain kept depends on how far the cut trailed each
+        // install; that the horizon reached the final cut does not, and the
+        // row's next write trims its chain to the version visible there.
+        assert_eq!(store.gc_horizon(), Timestamp(500));
+        store.install(
+            row(0),
+            Timestamp(501),
+            c5_common::WriteKind::Update,
+            Some(Value::from_u64(501)),
+        );
+        assert_eq!(store.stats().versions, 2);
     }
 
     /// A replica with a private metrics sink, so counters can be asserted

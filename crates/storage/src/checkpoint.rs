@@ -89,9 +89,9 @@ impl CheckpointWriter {
     /// version-GC horizon at or below `cut` for the duration of the capture
     /// (a horizon past the cut may collect the very versions the export
     /// needs); the replica-level helper (`PrefixExposure::checkpoint`, behind
-    /// `C5Replica::checkpoint`) holds GC back for the export and verifies the
-    /// horizon after it — it is monotone, so a post-scan check proves the
-    /// scan was safe.
+    /// `C5Replica::checkpoint`) caps the horizon for the export and checks
+    /// it afterwards — it is monotone, so a post-scan check proves the scan
+    /// was safe.
     pub fn capture(store: &MvStore, cut: SeqNo) -> Checkpoint {
         Checkpoint {
             cut,

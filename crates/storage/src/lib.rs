@@ -45,6 +45,6 @@ pub mod reference;
 pub mod snapshot;
 
 pub use checkpoint::{Checkpoint, CheckpointInstaller, CheckpointWriter};
-pub use mvstore::{MvStore, MvStoreStats, RowGc, VersionExport};
+pub use mvstore::{MvStore, MvStoreStats, VersionExport};
 pub use reference::ReferenceStore;
 pub use snapshot::DbSnapshot;

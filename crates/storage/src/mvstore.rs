@@ -19,6 +19,15 @@
 //! shard also keeps a per-table list of the keys it holds, appended to when
 //! a row's chain is created, so a table scan visits only that table's rows;
 //! scans sort what they collect, which is what makes their output key-sorted.
+//!
+//! Version garbage is collected where it is written. The store holds one GC
+//! horizon, raised by whoever exposes a prefix of the installs
+//! ([`raise_gc_horizon`](MvStore::raise_gc_horizon)); every install trims
+//! its own chain to that horizon while it holds the row's shard lock, so a
+//! chain never outgrows the writes above the horizon at its last install
+//! plus one version at or below it. The horizon starts at zero, which never
+//! trims: a store nobody raises it on (a primary's) keeps every version.
+//! [`gc`](MvStore::gc) is the full vacuum, for rows not written again.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -155,22 +164,16 @@ pub struct MvStoreStats {
     pub versions: usize,
 }
 
-/// What one [`MvStore::gc_rows`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowGc {
-    /// Chains looked at: one per named row that exists (a row named twice is
-    /// looked at twice). Never more than the rows named.
-    pub visited_chains: usize,
-    /// Versions reclaimed.
-    pub reclaimed: usize,
-}
-
 /// The sharded multi-version store.
 pub struct MvStore {
     shards: Vec<Shard>,
     /// Largest write timestamp ever installed. `DbSnapshot::of_current` uses
     /// this to model RocksDB's "snapshot of the current state".
     max_installed: AtomicU64,
+    /// The GC horizon installs trim to; zero trims nothing (see the
+    /// [module docs](self)). It guards no other data: a stale load is a
+    /// lower horizon, which only trims less.
+    gc_horizon: AtomicU64,
 }
 
 impl std::fmt::Debug for MvStore {
@@ -192,6 +195,7 @@ impl Default for MvStore {
                 .map(|_| RwLock::new(ShardState::default()))
                 .collect(),
             max_installed: AtomicU64::new(0),
+            gc_horizon: AtomicU64::new(0),
         }
     }
 }
@@ -214,6 +218,20 @@ impl MvStore {
     /// Largest write timestamp installed so far.
     pub fn max_installed_ts(&self) -> Timestamp {
         Timestamp(self.max_installed.load(Ordering::Acquire))
+    }
+
+    /// Raises the GC horizon to `horizon` (never lowers it). From then on an
+    /// install trims its row's chain to the horizon: nothing a read at or
+    /// after it can observe goes. Whoever raises it promises that no reader
+    /// will read below it.
+    pub fn raise_gc_horizon(&self, horizon: Timestamp) {
+        self.gc_horizon
+            .fetch_max(horizon.as_u64(), Ordering::Release);
+    }
+
+    /// The GC horizon installs trim to (zero: none).
+    pub fn gc_horizon(&self) -> Timestamp {
+        Timestamp(self.gc_horizon.load(Ordering::Acquire))
     }
 
     /// Reads the newest version of `row` visible at timestamp `ts`.
@@ -271,7 +289,9 @@ impl MvStore {
     /// never written). A row's first version creates (and indexes) its
     /// chain; a refused version creates nothing. A write of `kind` carries a
     /// value exactly when it is not a delete, so the version keeps only the
-    /// value.
+    /// value. An installed version trims its chain to the GC horizon (see the
+    /// [module docs](self)); what it trims is freed after the shard lock is
+    /// released, so freeing never holds up another install.
     fn install_if(
         &self,
         row: RowRef,
@@ -285,14 +305,23 @@ impl MvStore {
             write_ts: ts,
             value,
         };
+        // Loaded before the lock: a stale horizon is a lower one, which only
+        // trims less.
+        let horizon = self.gc_horizon();
         let mut shard = self.shard_for(row).write();
         let ShardState { rows, tables } = &mut *shard;
+        let mut garbage = Vec::new();
         match rows.entry(row) {
-            Entry::Occupied(mut chain) => {
+            Entry::Occupied(chain) => {
                 if !admit(chain.get().head.write_ts) {
                     return false;
                 }
-                chain.get_mut().insert(version);
+                let chain = chain.into_mut();
+                chain.insert(version);
+                if horizon > Timestamp::ZERO {
+                    let reclaimable = chain.reclaimable(horizon);
+                    garbage.extend(chain.older.drain(..reclaimable));
+                }
             }
             Entry::Vacant(slot) => {
                 if !admit(Timestamp::ZERO) {
@@ -306,16 +335,15 @@ impl MvStore {
             }
         }
         drop(shard);
+        drop(garbage);
         self.bump_max_installed(ts);
         true
     }
 
     /// Garbage-collects versions that are no longer visible to any reader at
-    /// or after `horizon`. Returns the number of versions reclaimed.
-    ///
-    /// Sweeps every chain in the store; a caller that knows which rows were
-    /// written since its last collection should use
-    /// [`gc_rows`](Self::gc_rows) instead.
+    /// or after `horizon`, in every chain: the vacuum for rows that are not
+    /// written again (installs trim the rest). Returns the number of
+    /// versions reclaimed.
     pub fn gc(&self, horizon: Timestamp) -> usize {
         let mut reclaimed = 0;
         for shard in &self.shards {
@@ -325,65 +353,6 @@ impl MvStore {
             }
         }
         reclaimed
-    }
-
-    /// Row-targeted [`gc`](Self::gc): trims only the chains of `rows`, so the
-    /// cost is proportional to the rows named, not to the rows stored.
-    ///
-    /// A chain has something to reclaim at `horizon` only if it was written
-    /// at or below `horizon` since it was last trimmed. A caller that feeds
-    /// every row written in `(previous horizon, horizon]` therefore leaves
-    /// the store exactly as a full `gc(horizon)` would.
-    ///
-    /// The rows are bucketed by shard first and visited one lock acquisition
-    /// per shard touched: besides saving lock traffic, a run of look-ups with
-    /// no atomic between them lets their cache misses overlap, which is most
-    /// of a visit's cost on a store larger than the cache. The reclaimed
-    /// versions are dropped after the shard's lock is released, so freeing
-    /// them never holds up an install.
-    pub fn gc_rows(&self, rows: impl IntoIterator<Item = RowRef>, horizon: Timestamp) -> RowGc {
-        // Counting sort by shard: one hash per row and no comparisons. (A
-        // comparison sort on the shard index costs a third more per visit at
-        // the ~1 k-row batches the pipeline feeds, which a saturated replay
-        // shows as throughput.)
-        let rows: Vec<(usize, RowRef)> = rows
-            .into_iter()
-            .map(|row| (self.shard_index(row), row))
-            .collect();
-        let mut ends = vec![0usize; self.shards.len() + 1];
-        for &(shard, _) in &rows {
-            ends[shard + 1] += 1;
-        }
-        for shard in 0..self.shards.len() {
-            ends[shard + 1] += ends[shard];
-        }
-        let mut next = ends.clone();
-        let mut by_shard = vec![RowRef::new(0, 0); rows.len()];
-        for &(shard, row) in &rows {
-            by_shard[next[shard]] = row;
-            next[shard] += 1;
-        }
-
-        let mut outcome = RowGc::default();
-        let mut garbage = Vec::new();
-        for (shard, bounds) in self.shards.iter().zip(ends.windows(2)) {
-            let group = &by_shard[bounds[0]..bounds[1]];
-            if group.is_empty() {
-                continue;
-            }
-            let mut guard = shard.write();
-            for row in group {
-                if let Some(chain) = guard.rows.get_mut(row) {
-                    outcome.visited_chains += 1;
-                    let reclaimable = chain.reclaimable(horizon);
-                    garbage.extend(chain.older.drain(..reclaimable));
-                }
-            }
-            drop(guard);
-            outcome.reclaimed += garbage.len();
-            garbage.clear();
-        }
-        outcome
     }
 
     /// Key-sorted scan of all live rows of `table` visible at `ts`.
@@ -624,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_rows_trims_the_named_chains_and_no_others() {
+    fn an_install_trims_its_own_chain_to_the_horizon() {
         let s = store();
         let (hot, cold) = (RowRef::new(1, 1), RowRef::new(1, 2));
         for ts in 1..=10u64 {
@@ -637,29 +606,24 @@ mod tests {
                 );
             }
         }
-        // A row that does not exist is skipped, not created.
-        let pass = s.gc_rows([hot, RowRef::new(9, 9)], Timestamp(8));
-        assert_eq!(
-            pass,
-            RowGc {
-                visited_chains: 1,
-                reclaimed: 7
-            }
+        // Zero, the default, trims nothing.
+        assert_eq!(s.stats().versions, 20);
+        s.raise_gc_horizon(Timestamp(8));
+        s.raise_gc_horizon(Timestamp(3));
+        assert_eq!(s.gc_horizon(), Timestamp(8), "the horizon never falls");
+        s.install(
+            hot,
+            Timestamp(11),
+            WriteKind::Update,
+            Some(Value::from_u64(11)),
         );
-        assert_eq!(
-            s.stats(),
-            MvStoreStats {
-                rows: 2,
-                versions: 13
-            }
-        );
+        // The hot chain keeps 8 (visible at the horizon), 9, 10 and 11; the
+        // cold chain was not written, so it keeps everything.
+        assert_eq!(s.stats().versions, 4 + 10);
         assert_eq!(s.read_at(hot, Timestamp(8)).unwrap().as_u64(), Some(8));
-        assert_eq!(s.read_at(hot, Timestamp(10)).unwrap().as_u64(), Some(10));
-        // The unnamed chain is untouched: reads below the horizon still work.
         assert_eq!(s.read_at(cold, Timestamp(3)).unwrap().as_u64(), Some(3));
-        // Naming it reaches what the full sweep reaches.
-        assert_eq!(s.gc_rows([cold], Timestamp(8)).reclaimed, 7);
-        assert_eq!(s.gc(Timestamp(8)), 0);
+        // The vacuum reaches the rest.
+        assert_eq!(s.gc(Timestamp(8)), 7);
     }
 
     #[test]
@@ -797,14 +761,18 @@ mod tests {
     /// is checked against: a version goes after every version at or below
     /// its timestamp, a read takes the last version at or below its
     /// timestamp, and GC keeps the newest version at or below the horizon
-    /// and everything after it. `None` is a delete.
+    /// and everything after it. `None` is a delete. An insert under a
+    /// non-zero horizon is followed by GC at it.
     #[derive(Default)]
     struct ModelChain(Vec<(Timestamp, Option<u64>)>);
 
     impl ModelChain {
-        fn insert(&mut self, ts: Timestamp, value: Option<u64>) {
+        fn insert(&mut self, ts: Timestamp, value: Option<u64>, horizon: Timestamp) {
             let pos = self.0.partition_point(|v| v.0 <= ts);
             self.0.insert(pos, (ts, value));
+            if horizon > Timestamp::ZERO {
+                self.gc(horizon);
+            }
         }
 
         fn read_at(&self, ts: Timestamp) -> Option<u64> {
@@ -829,9 +797,10 @@ mod tests {
 
         /// Random installs (timestamps in any order, deletes, equal
         /// timestamps), `install_if_prev` with a right or a wrong
-        /// predecessor, and `gc`/`gc_rows` at random horizons, on three
-        /// rows: after every step the store reads, heads, counts and
-        /// reclaims exactly what the one-vector model does. Its row count is
+        /// predecessor, `gc` at random horizons, and raises of the store's
+        /// GC horizon, on three rows: after every step the store reads,
+        /// heads, counts and reclaims exactly what the one-vector model does,
+        /// installs trimming as the model's GC does. Its row count is
         /// the rows the model wrote, so a refused `install_if_prev` on a row
         /// never written creates nothing.
         #[test]
@@ -845,6 +814,7 @@ mod tests {
             let mut model: Vec<ModelChain> =
                 (0..MODEL_ROWS).map(|_| ModelChain::default()).collect();
             let row = |r: u64| RowRef::new(1, r);
+            let mut raised = Timestamp::ZERO;
             for &(r, op, ts, h) in &ops {
                 let (ts, horizon) = (Timestamp(ts), Timestamp(h));
                 let chain = &mut model[r as usize];
@@ -852,11 +822,11 @@ mod tests {
                     0 | 1 => {
                         let kind = if op == 0 { WriteKind::Insert } else { WriteKind::Update };
                         s.install(row(r), ts, kind, Some(Value::from_u64(ts.as_u64())));
-                        chain.insert(ts, Some(ts.as_u64()));
+                        chain.insert(ts, Some(ts.as_u64()), raised);
                     }
                     2 => {
                         s.install(row(r), ts, WriteKind::Delete, None);
-                        chain.insert(ts, None);
+                        chain.insert(ts, None, raised);
                     }
                     3 => {
                         let prev = if h & 1 == 0 { chain.latest() } else { horizon };
@@ -866,7 +836,7 @@ mod tests {
                             s.install_if_prev(row(r), prev, ts, WriteKind::Update, value);
                         prop_assert_eq!(installed, expect);
                         if expect {
-                            chain.insert(ts, Some(ts.as_u64()));
+                            chain.insert(ts, Some(ts.as_u64()), raised);
                         }
                     }
                     4 => {
@@ -874,10 +844,8 @@ mod tests {
                         prop_assert_eq!(s.gc(horizon), expect);
                     }
                     _ => {
-                        // Name this row and the one after it.
-                        let other = (r + 1) % MODEL_ROWS;
-                        let expect = chain.gc(horizon) + model[other as usize].gc(horizon);
-                        prop_assert_eq!(s.gc_rows([row(r), row(other)], horizon).reclaimed, expect);
+                        s.raise_gc_horizon(horizon);
+                        raised = raised.max(horizon);
                     }
                 }
                 for (r, chain) in model.iter().enumerate() {
@@ -895,6 +863,45 @@ mod tests {
                         versions: model.iter().map(|c| c.0.len()).sum(),
                     }
                 );
+            }
+        }
+
+        /// Installs trimming to a rising horizon, against a twin that never
+        /// trims. Random writes to four rows, at timestamps in any order,
+        /// interleaved with raises of the horizon: after every step, every
+        /// read at or after the current horizon answers as the twin's does,
+        /// and every chain holds at most one version at or below the horizon
+        /// its last install ran under (what a row not written again keeps).
+        #[test]
+        fn install_time_trimming_reads_as_a_never_trimmed_twin(
+            ops in prop::collection::vec((0u64..4, 1..MODEL_MAX_TS, any::<bool>()), 1..64),
+        ) {
+            let (trimmed, twin) = (store(), store());
+            let row = |r: u64| RowRef::new(1, r);
+            let mut last_install_horizon = [Timestamp::ZERO; 4];
+            for &(r, ts, raise) in &ops {
+                if raise {
+                    trimmed.raise_gc_horizon(Timestamp(ts));
+                    continue;
+                }
+                let value = Some(Value::from_u64(ts));
+                for s in [&trimmed, &twin] {
+                    s.install(row(r), Timestamp(ts), WriteKind::Update, value.clone());
+                }
+                last_install_horizon[r as usize] = trimmed.gc_horizon();
+                let horizon = trimmed.gc_horizon();
+                for r in 0..4 {
+                    for t in (horizon.as_u64()..=MODEL_MAX_TS).map(Timestamp) {
+                        prop_assert_eq!(trimmed.read_at(row(r), t), twin.read_at(row(r), t));
+                    }
+                    let shard = trimmed.shard_for(row(r)).read();
+                    if let Some(chain) = shard.rows.get(&row(r)) {
+                        let at_or_below = chain.older.iter().chain([&chain.head])
+                            .filter(|v| v.write_ts <= last_install_horizon[r as usize])
+                            .count();
+                        prop_assert!(at_or_below <= 1, "row {} keeps {} versions at or below its install horizon", r, at_or_below);
+                    }
+                }
             }
         }
     }

@@ -214,8 +214,8 @@ fn apply_segment_is_synchronous_dispatch_for_every_protocol() {
 
 /// Checkpoints exported back to back while `replica` applies the mixed log
 /// with `gc_trail = 0` — so every exposed position is also a GC horizon, and
-/// an export that did not hold GC back would lose the versions at its cut to
-/// the first cut published during its scan. Each checkpoint must be the
+/// an export that did not cap the horizon would lose the versions at its cut
+/// to the installs after the first cut published during its scan. Each checkpoint must be the
 /// serial state at its cut, and a faithful replica with `replica`'s shard
 /// count, resumed from it and fed the rest of the log, must end at the
 /// serial final state.
