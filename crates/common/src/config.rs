@@ -67,10 +67,12 @@ pub struct ReplicaConfig {
     /// Per-operation cost model (`d` is the backup-side cost).
     pub op_cost: OpCost,
     /// Minimum spacing between *whole-database* snapshot cuts, the `I` knob
-    /// of Section 5.2: such a cut closes a gate on the workers, so
-    /// consecutive cuts are held at least this far apart. It is a spacing,
-    /// not a period — cuts are driven by applied progress, the first one
-    /// after a quiet spell is taken at once, and the final drain ignores it.
+    /// of Section 5.2: such a cut closes a gate on the workers, so a cut
+    /// closes at least this long after the last one completed. It is a
+    /// spacing, not a period — cuts are driven by applied progress, the
+    /// first one after a quiet spell is taken at once, and so is one whose
+    /// prefix is already whole (everything dispatched applied), which holds
+    /// no writer back.
     /// Ignored by timestamped cursors (faithful C5 at any shard count, the
     /// baselines), whose cut is one atomic store and follows the applied
     /// prefix with no spacing at all.

@@ -14,22 +14,29 @@
 //! prefix — its cut merely gates the workers — so it is a cursor kind inside
 //! [`PrefixExposure`], not a second exposure.
 //!
-//! The runtime calls [`expose`](PrefixExposure::expose) after every applied
-//! item: on the worker that flushed its marks for a timestamped cut (one
-//! `fetch_max`; the racing worker whose marks completed a prefix reads the
-//! boundary it produced, so no cut is lost), on an expose thread for a cut
-//! that [waits for applies](PrefixExposure::cut_waits_for_applies). A cut
-//! that moves raises the store's GC horizon to `exposed - gc_trail`, and the
-//! installs that follow trim their own chains to it; there is no GC pass.
+//! The runtime calls [`expose`](PrefixExposure::expose) on the worker that
+//! finished an item, after its marks are flushed, and once more on shutdown
+//! or a stage thread's death, which abandons a pending whole-database cut;
+//! it is the one entry point for both cursors, and it never waits. A
+//! timestamped cut is one `fetch_max` (the racing worker whose marks
+//! completed a prefix reads the boundary it produced, so no cut is lost).
+//! A whole-database cut takes two
+//! such calls: one closes the gate at the dispatched boundary once the
+//! spacing has passed, and the call that finds the prefix up to it applied
+//! completes it; a call that finds the prefix already whole does both at
+//! once. A cut that moves raises the store's GC horizon to
+//! `exposed - gc_trail`, and the installs that follow trim their own chains
+//! to it; there is no GC pass.
 //! The probes are read from any thread; an ordering applies through
 //! [`note_segment`](PrefixExposure::note_segment),
+//! [`note_dispatched`](PrefixExposure::note_dispatched),
 //! [`install_gated`](PrefixExposure::install_gated),
 //! [`count_applied`](PrefixExposure::count_applied) and
 //! [`mark_applied_batch`](PrefixExposure::mark_applied_batch).
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -62,7 +69,6 @@ pub struct PrefixExposure {
     /// fully dispatched transaction. (The timestamped cut follows the
     /// applied boundary instead.)
     dispatched_boundary: AtomicU64,
-    cut_spacing: Duration,
     op_cost: OpCost,
     obs: Arc<Obs>,
     /// One sample per cut that advanced, whichever thread took it.
@@ -79,25 +85,22 @@ impl PrefixExposure {
     /// Advancing this cut is one atomic store, so cuts are not spaced.
     pub fn timestamped(store: Arc<MvStore>, config: &ReplicaConfig, cut: SeqNo) -> Self {
         let cursor = SnapshotCursor::timestamped_at(Arc::clone(&store), cut);
-        Self::new(cursor, store, config, Duration::ZERO)
+        Self::new(cursor, store, config)
     }
 
     /// With the whole-database cursor (Section 5.2): cuts are taken at the
     /// [dispatched boundary](Self::note_dispatched) and gate the workers, so
-    /// they stay `config.snapshot_interval` (the paper's `I`) apart.
+    /// they stay `config.snapshot_interval` (the paper's `I`) apart unless
+    /// the prefix is already whole.
     pub fn whole_database(store: Arc<MvStore>, config: &ReplicaConfig, cut: SeqNo) -> Self {
-        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), cut);
-        Self::new(cursor, store, config, config.snapshot_interval)
+        let cursor =
+            SnapshotCursor::whole_database_at(Arc::clone(&store), cut, config.snapshot_interval);
+        Self::new(cursor, store, config)
     }
 
     /// Everything resumes in lockstep at the cut the cursor starts exposed
     /// at (already applied, already shipped), or catch-up wedges.
-    fn new(
-        cursor: SnapshotCursor,
-        store: Arc<MvStore>,
-        config: &ReplicaConfig,
-        cut_spacing: Duration,
-    ) -> Self {
+    fn new(cursor: SnapshotCursor, store: Arc<MvStore>, config: &ReplicaConfig) -> Self {
         config
             .validate()
             .expect("replica configuration must be valid");
@@ -111,7 +114,6 @@ impl PrefixExposure {
             horizon_cap: AtomicU64::new(u64::MAX),
             store,
             dispatched_boundary: AtomicU64::new(cut.as_u64()),
-            cut_spacing,
             op_cost: config.op_cost,
             obs: Arc::clone(&config.obs),
             expose_stage: StageObs::new(&config.obs, PipelineStage::Expose),
@@ -124,12 +126,21 @@ impl PrefixExposure {
 
     /// Advances the exposed, transaction-aligned cut if progress allows,
     /// records one lag sample per transaction it newly covers, raises the
-    /// store's GC horizon behind the new cut, and returns
-    /// whether this call moved the cut (such a cut is counted and timed as
-    /// one `expose` stage item). Safe to call from several threads at once on
-    /// a timestamped cursor. Waits inside (a whole-database cut) sleep on
-    /// `signals`.
+    /// store's GC horizon behind the new cut, and returns whether this call
+    /// moved the cut (such a cut is counted and timed as one `expose` stage
+    /// item). Never waits for progress; safe to call from several threads at
+    /// once.
+    ///
+    /// On a whole-database cursor a call closes the gate at the dispatched
+    /// boundary when a cut is due, and completes the pending cut once the
+    /// applied prefix has reached it. Once shutdown is requested or a stage
+    /// thread has died it only abandons a pending cut — the prefix may never
+    /// be whole, and writers held at the gate must be free to exit — and no
+    /// gate closes again.
     pub fn expose(&self, signals: &PipelineSignals) -> bool {
+        if let SnapshotCursor::WholeDatabase { .. } = self.cursor {
+            return self.step_whole_database_cut(signals);
+        }
         let target = self.tracker.boundary_watermark();
         let before = self.cursor.exposed();
         if target <= before {
@@ -138,44 +149,53 @@ impl PrefixExposure {
             return false;
         }
         let started = Instant::now();
-        let n = match self.cursor {
-            SnapshotCursor::Timestamped { .. } => {
-                if !self.cursor.advance(target) {
-                    // A racing caller got there first, and drains.
-                    return false;
-                }
-                target
-            }
-            SnapshotCursor::WholeDatabase { .. } => self.cursor.cut(
-                // Choose n at the last fully dispatched transaction: nothing
-                // beyond it can be in the store, and everything up to it
-                // will be applied shortly.
-                || SeqNo(self.dispatched_boundary.load(Ordering::Acquire)),
-                // Workers notify the progress signal after every item, so
-                // this sleeps until the prefix is whole (or gives the cut up
-                // on shutdown or a dead worker).
-                |n| signals.wait_until(|| self.tracker.applied_watermark() >= n),
-            ),
-        };
-        if n <= before {
-            // An abandoned whole-database cut.
+        // A racing caller that got there first drains instead.
+        self.cursor.advance(target) && self.exposed_to(before, target, started)
+    }
+
+    fn step_whole_database_cut(&self, signals: &PipelineSignals) -> bool {
+        let stopping = || signals.shutdown_requested() || signals.failed();
+        if stopping() {
+            self.cursor.abandon();
             return false;
         }
+        // A cut another caller closed completes first, so that one due now
+        // can close behind it.
+        let moved = self.complete_cut();
+        // Applied before dispatched: a stale dispatched boundary would make
+        // the prefix look whole when it is not.
+        let applied = self.tracker.applied_watermark();
+        let dispatched = || SeqNo(self.dispatched_boundary.load(Ordering::Acquire));
+        if dispatched() > self.cursor.exposed() {
+            // Chosen under the closed gate, where no install is in flight:
+            // nothing past the dispatched boundary read there is in the store.
+            self.cursor
+                .close(applied >= dispatched(), || (!stopping()).then(dispatched));
+        }
+        self.complete_cut() || moved
+    }
+
+    /// Completes the pending whole-database cut if the applied prefix has
+    /// reached it.
+    fn complete_cut(&self) -> bool {
+        match self.cursor.pending_cut() {
+            Some(n) if n <= self.tracker.applied_watermark() => {
+                let (before, started) = (self.cursor.exposed(), Instant::now());
+                self.cursor.complete(n) && self.exposed_to(before, n, started)
+            }
+            _ => false,
+        }
+    }
+
+    /// Accounts for a cut this caller moved from `before` to `n`.
+    fn exposed_to(&self, before: SeqNo, n: SeqNo, started: Instant) -> bool {
         self.ledger.drain_exposed(n);
         self.publish_gc_horizon(n);
         // The stage's "queue" is the span of positions whose boundaries were
         // applied but not yet visible to readers.
-        let pending = (target.as_u64() - before.as_u64()) as usize;
+        let pending = (n.as_u64() - before.as_u64()) as usize;
         self.expose_stage.record(started.elapsed(), pending);
         true
-    }
-
-    /// Whether taking a cut waits for other workers' applies: true for the
-    /// whole-database cursor, whose cut closes the gate and drains the
-    /// prefix (Section 5.2), so it cannot be taken on a worker. A
-    /// timestamped cut never waits.
-    pub fn cut_waits_for_applies(&self) -> bool {
-        matches!(self.cursor, SnapshotCursor::WholeDatabase { .. })
     }
 
     /// Raises the store's GC horizon to `exposed - gc_trail`, or to the cap
@@ -189,12 +209,6 @@ impl PrefixExposure {
         let cap = self.horizon_cap.load(Ordering::Relaxed);
         let horizon = exposed.as_u64().saturating_sub(self.gc_trail).min(cap);
         self.store.raise_gc_horizon(Timestamp(horizon));
-    }
-
-    /// Minimum spacing between cuts: non-zero only where a cut costs the
-    /// workers something (the whole-database cursor). Ignored while draining.
-    pub fn min_cut_spacing(&self) -> Duration {
-        self.cut_spacing
     }
 
     /// Largest position through which everything this pipeline was given has
@@ -490,27 +504,33 @@ mod tests {
         assert_eq!(view.get(RowRef::new(0, 1)).unwrap().as_u64(), Some(64));
     }
 
-    /// The cursor kind decides how a cut is taken and what it costs: the
-    /// whole-database cursor cuts at the dispatched boundary, spaced by the
-    /// configured interval; the timestamped one follows the applied
-    /// boundary with no spacing.
+    /// The cursor kind decides how a cut is taken: the whole-database cursor
+    /// closes its cut at the dispatched boundary and completes it once that
+    /// prefix is applied; the timestamped one follows the applied boundary.
     #[test]
     fn the_cursor_kind_decides_the_cut_and_its_spacing() {
-        let config = ReplicaConfig::default().with_snapshot_interval(Duration::from_millis(7));
-        let store = Arc::new(MvStore::default());
-        let whole = PrefixExposure::whole_database(Arc::clone(&store), &config, SeqNo::ZERO);
-        let stamped = PrefixExposure::timestamped(store, &config, SeqNo::ZERO);
-        assert_eq!(whole.min_cut_spacing(), Duration::from_millis(7));
-        assert_eq!(stamped.min_cut_spacing(), Duration::ZERO);
+        let config =
+            ReplicaConfig::default().with_snapshot_interval(std::time::Duration::from_millis(7));
+        let whole =
+            PrefixExposure::whole_database(Arc::new(MvStore::default()), &config, SeqNo::ZERO);
+        let stamped =
+            PrefixExposure::timestamped(Arc::new(MvStore::default()), &config, SeqNo::ZERO);
 
         let signals = PipelineSignals::default();
         let seg = segment();
-        whole.note_segment(&seg);
-        whole.note_dispatched(SeqNo(3));
-        for record in &seg.records {
-            whole.install_gated(record.seq, || whole.install(record));
+        let install = |exposure: &PrefixExposure, record: &LogRecord| {
+            exposure.install_gated(record.seq, || exposure.install(record));
+            exposure.expose(&signals);
+        };
+        // Both transactions dispatched, only the first applied.
+        for exposure in [&whole, &stamped] {
+            exposure.note_segment(&seg);
+            exposure.note_dispatched(SeqNo(3));
+            seg.records[..2].iter().for_each(|r| install(exposure, r));
         }
-        whole.expose(&signals);
+        assert_eq!(stamped.exposed_seq(), SeqNo(2));
+        assert_eq!(whole.exposed_seq(), SeqNo::ZERO, "the cut at 3 is pending");
+        install(&whole, &seg.records[2]);
         assert_eq!(whole.exposed_seq(), SeqNo(3));
         assert_eq!(whole.lag().len(), 2);
         let view = whole.read_view();
@@ -527,6 +547,7 @@ mod proptests {
     use c5_storage::ReferenceStore;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, VecDeque};
+    use std::time::Duration;
 
     /// Rows `0..KEYS` of table 0; at two shards each owns half of them.
     const KEYS: u64 = 16;
@@ -655,6 +676,177 @@ mod proptests {
                     at >= horizon || at + gc_trail >= exposed.as_u64()
                 });
                 for view in &views {
+                    let expect = &states[&view.as_of()];
+                    for key in 0..KEYS {
+                        let row = RowRef::new(0, key);
+                        prop_assert_eq!(view.get(row).as_ref(), expect.get(&row), "view at {} row {}", view.as_of(), key);
+                    }
+                }
+            }
+            prop_assert_eq!(cut, last);
+        }
+
+        /// The whole-database cut, stepped one write at a time. A random log
+        /// is dealt the way C5-MyRocks deals it: runs of whole transactions
+        /// through one shared queue, each run's dispatched boundary
+        /// published before it is queued. Each step, a PRNG picks the feeder
+        /// (stamp and note the next segment, queue its runs), an idle lane
+        /// taking the queue's head, a lane installing its run's next write,
+        /// or a reader. A write may run only once its per-row predecessor is
+        /// installed and while it is not past a pending cut; the write that
+        /// ends a run flushes the run's marks and exposes, as a worker does.
+        /// After every step the cut is at most the applied prefix, on a
+        /// transaction boundary and never lower than before; a fresh view,
+        /// and every kept view the GC horizon (at a trail drawn as above)
+        /// still covers, read exactly the reference replay at their cut;
+        /// and unless no lane holds work, some lane can move: all runnable
+        /// work gated behind a cut that cannot complete is a deadlock. Once
+        /// every lane is empty, the cut is the log's last boundary, with the
+        /// spacing at 1 ns and at an hour alike.
+        #[test]
+        fn a_whole_database_cut_closes_at_the_dispatched_boundary_and_always_completes(
+            txn_lens in prop::collection::vec(1u64..5, 1..48),
+            segment_records in 1usize..9,
+            run_records in 1usize..9,
+            lanes in 1usize..5,
+            hourly in any::<bool>(),
+            gc_trail in 0u64..8,
+            seed in any::<u64>(),
+        ) {
+            let entries: Vec<TxnEntry> = txn_lens
+                .iter()
+                .enumerate()
+                .map(|(t, &len)| {
+                    let t = t as u64 + 1;
+                    let writes = (0..len)
+                        .map(|w| RowWrite::update(RowRef::new(0, (t * 7 + w * 3) % KEYS), Value::from_u64(t)))
+                        .collect();
+                    TxnEntry::new(TxnId(t), Timestamp(t), writes)
+                })
+                .collect();
+            let mut segments: VecDeque<Segment> = segments_from_entries(&entries, segment_records).into();
+            let boundaries: Vec<SeqNo> = segments
+                .iter()
+                .flat_map(|s| s.records.iter().filter(|r| r.is_txn_last()).map(|r| r.seq))
+                .collect();
+            let last = *boundaries.last().unwrap();
+            let mut reference = ReferenceStore::new();
+            let mut states = BTreeMap::from([(SeqNo::ZERO, reference.snapshot())]);
+            for record in segments.iter().flat_map(|s| &s.records) {
+                reference.apply(&record.write);
+                if record.is_txn_last() {
+                    states.insert(record.seq, reference.snapshot());
+                }
+            }
+
+            let spacing = if hourly { Duration::from_secs(3600) } else { Duration::from_nanos(1) };
+            let config = ReplicaConfig::default()
+                .with_snapshot_interval(spacing)
+                .with_gc_trail(gc_trail);
+            let exposure = PrefixExposure::whole_database(Arc::new(MvStore::default()), &config, SeqNo::ZERO);
+            let store = Arc::clone(exposure.store());
+            let signals = PipelineSignals::default();
+            let mut stamps = crate::scheduler::SchedulerState::new();
+            let mut queue: VecDeque<Vec<LogRecord>> = VecDeque::new();
+            // Each lane's run, with how far it got.
+            let mut held: Vec<Option<(Vec<LogRecord>, usize)>> = vec![None; lanes];
+            let mut installed = std::collections::HashSet::from([SeqNo::ZERO]);
+            let mut views: Vec<Box<dyn ReadView>> = Vec::new();
+            let mut state = seed | 1;
+            let mut cut = SeqNo::ZERO;
+            enum Step { Feed, Take(usize), Write(usize), Read }
+            loop {
+                let pending = exposure.cursor.pending_cut();
+                let runnable = |r: &LogRecord| {
+                    installed.contains(&r.prev_seq) && pending.map_or(true, |n| r.seq <= n)
+                };
+                let moves: Vec<Step> = (0..lanes)
+                    .filter_map(|l| match &held[l] {
+                        None => (!queue.is_empty()).then_some(Step::Take(l)),
+                        Some((run, next)) => runnable(&run[*next]).then_some(Step::Write(l)),
+                    })
+                    .collect();
+                let working = held.iter().any(Option::is_some);
+                prop_assert!(
+                    !moves.is_empty() || !working,
+                    "deadlock: every held write is gated or waits, pending cut {:?}, applied {}",
+                    pending, exposure.applied_seq()
+                );
+                let mut ready = moves;
+                if !segments.is_empty() {
+                    ready.push(Step::Feed);
+                }
+                if ready.is_empty() {
+                    break;
+                }
+                ready.push(Step::Read);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match ready[(state >> 33) as usize % ready.len()] {
+                    Step::Read => {
+                        // Views at one cut share one snapshot: keep one.
+                        let view = exposure.read_view();
+                        if views.last().map_or(true, |v| v.as_of() != view.as_of()) {
+                            views.push(view);
+                        }
+                    }
+                    Step::Feed => {
+                        let mut segment = segments.pop_front().unwrap();
+                        stamps.process_segment(&mut segment);
+                        exposure.note_segment(&segment);
+                        let mut run = Vec::new();
+                        for record in segment.records {
+                            let boundary = record.is_txn_last().then_some(record.seq);
+                            run.push(record);
+                            if let Some(boundary) = boundary {
+                                if run.len() >= run_records {
+                                    exposure.note_dispatched(boundary);
+                                    queue.push_back(std::mem::take(&mut run));
+                                }
+                            }
+                        }
+                        if let Some(boundary) = run.last().map(|r| r.seq) {
+                            exposure.note_dispatched(boundary);
+                            queue.push_back(run);
+                        }
+                    }
+                    Step::Take(lane) => held[lane] = Some((queue.pop_front().unwrap(), 0)),
+                    Step::Write(lane) => {
+                        let (run, next) = held[lane].as_mut().unwrap();
+                        let r = &run[*next];
+                        let ok = exposure.install_gated(r.seq, || {
+                            store.install_if_prev(
+                                r.write.row,
+                                Timestamp(r.prev_seq.as_u64()),
+                                Timestamp(r.seq.as_u64()),
+                                r.write.kind,
+                                r.write.value.clone(),
+                            )
+                        });
+                        prop_assert!(ok, "write {} found its predecessor {} missing", r.seq, r.prev_seq);
+                        installed.insert(r.seq);
+                        *next += 1;
+                        if *next == run.len() {
+                            let marks: Vec<(SeqNo, bool)> = run.iter().map(|r| (r.seq, r.is_txn_last())).collect();
+                            exposure.mark_applied_batch(&marks);
+                            held[lane] = None;
+                            exposure.expose(&signals);
+                        }
+                    }
+                }
+                let exposed = exposure.exposed_seq();
+                prop_assert!(exposed <= exposure.applied_seq(), "cut {} ahead of applied {}", exposed, exposure.applied_seq());
+                prop_assert!(exposed == SeqNo::ZERO || boundaries.binary_search(&exposed).is_ok(), "cut {} is not a boundary", exposed);
+                prop_assert!(exposed >= cut, "cut moved back from {} to {}", cut, exposed);
+                prop_assert_eq!(exposure.lag().len(), boundaries.partition_point(|&b| b <= exposed));
+                cut = exposed;
+                let horizon = store.gc_horizon().as_u64();
+                views.retain(|v| {
+                    let at = v.as_of().as_u64();
+                    at >= horizon || at + gc_trail >= exposed.as_u64()
+                });
+                for view in views.iter().chain([&exposure.read_view()]) {
                     let expect = &states[&view.as_of()];
                     for key in 0..KEYS {
                         let row = RowRef::new(0, key);

@@ -8,8 +8,7 @@
 //! (**schedule**); worker threads execute the items under the protocol's
 //! ordering constraints (**apply**); and the transaction-aligned cut that
 //! read-only transactions may observe advances (**expose**) on the worker
-//! that extended the applied prefix, or, for the whole-database cursor, on
-//! an expose thread. There is no stage, thread or buffer between the
+//! that finished an item. There is no stage, thread or buffer between the
 //! shipper's subscription queue and the worker queues: a full worker queue
 //! blocks the feeder, the subscription queue behind it fills, and that one
 //! queue is what the wire's idle rule and an operator look at. This module owns the
@@ -27,24 +26,22 @@
 //!
 //! ## Event-driven exposure
 //!
-//! Nothing in the runtime runs on a timer. When a worker finishes an item
-//! (its watermark marks are flushed by then) it calls
-//! [`PrefixExposure::expose`]. On a timestamped cursor that is the cut
-//! itself, one `fetch_max` (Section 7.2): the worker whose marks extended
-//! the prefix publishes it in place, so an applied transaction is visible
-//! as soon as its last item's marks are, with no hand-off. Then the worker
-//! notifies the pipeline's one [`ProgressSignal`].
-//! A whole-database cut (Section 5.2) closes the gate and waits for other
-//! workers' applies, so it cannot run on a worker: that cursor alone gets
-//! an expose thread, which sleeps on the signal, cuts when something moved
-//! (held [`PrefixExposure::min_cut_spacing`] apart), and notifies the
-//! signal again once the cut is published. Every wait in the runtime blocks
-//! on that same signal — `finish`'s two drain waits,
-//! [`ClonedConcurrencyControl::wait_until_exposed`], and the waits an
-//! exposure makes through [`PipelineSignals::wait_until`] — and shutdown,
-//! the switch to draining, and the death of a stage thread (or of a feeder
-//! inside `schedule`) notify it too. An idle replica makes no wake-ups at
-//! all.
+//! Nothing in the runtime runs on a timer, and no thread but the workers
+//! exposes. When a worker finishes an item (its watermark marks are flushed
+//! by then) it calls [`PrefixExposure::expose`], which never waits. On a
+//! timestamped cursor that is the cut itself, one `fetch_max` (Section
+//! 7.2): the worker whose marks extended the prefix publishes it in place,
+//! so an applied transaction is visible as soon as its last item's marks
+//! are, with no hand-off. A whole-database cut (Section 5.2) is two such
+//! steps: a worker that finds a cut due (the spacing passed, or the prefix
+//! already whole) closes the gate at the dispatched boundary, and the worker
+//! whose marks carry the applied prefix to it snapshots, publishes and
+//! reopens. Then the worker notifies the pipeline's one [`ProgressSignal`].
+//! Every wait in the runtime blocks on that signal — `finish`'s drain wait
+//! and [`ClonedConcurrencyControl::wait_until_exposed`] — and shutdown and
+//! the death of a stage thread (or of a feeder inside `schedule`) notify it
+//! too; both also abandon a pending whole-database cut, so no writer stays
+//! held at its gate. An idle replica makes no wake-ups at all.
 //!
 //! The waits below the pipeline use the same primitive: a blocking install
 //! sleeps on its wait-list shard's signal, and a write held at the
@@ -67,11 +64,11 @@
 //!   batch, so a cut chosen from that watermark can never land mid-item.
 //! * **Publish watermarks per item, not per record.** Workers buffer the
 //!   applied-marks of one work item and flush them in a single batched
-//!   watermark update when the item completes. This is safe because workers
-//!   never *wait* on a watermark — a worker's own cut reads one and moves
-//!   on; only the whole-database cut waits, on the expose thread, and only
-//!   for records of items that were dispatched before its target was
-//!   chosen, all of which flush when those items finish. The publication
+//!   watermark update when the item completes. This is safe because nothing
+//!   *waits* on a watermark — a worker's cut reads one and moves on; a
+//!   pending whole-database cut holds writers past it at the gate, but it
+//!   covers only items dispatched before it closed, none of which can block
+//!   on that gate, and each flushes when it finishes. The publication
 //!   *order* inside a flush still matters; see
 //!   [`crate::progress::WatermarkTracker::mark_applied_batch`].
 //!
@@ -108,23 +105,14 @@ use crate::replica::{ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetri
 #[derive(Debug, Default)]
 pub struct PipelineSignals {
     shutdown: AtomicBool,
-    draining: AtomicBool,
     progress: Arc<ProgressSignal>,
 }
 
 impl PipelineSignals {
     /// Whether the runtime has asked every stage to stop. Long waits inside
-    /// [`PipelinePolicy::apply`] and [`PrefixExposure::expose`] must bail
-    /// out once this is set ([`wait_until`](Self::wait_until) does).
+    /// [`PipelinePolicy::apply`] must bail out once this is set.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Whether the pipeline is draining: the log has ended and `finish` is
-    /// waiting for the final prefix to be exposed. The expose
-    /// thread ignores its minimum cut spacing while this is set.
-    pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
     }
 
     /// Whether a stage thread of this pipeline has died. Terminal: the
@@ -138,27 +126,16 @@ impl PipelineSignals {
         &self.progress
     }
 
-    /// Blocks on the progress signal until `ready` holds. Returns whether it
-    /// did; `false` means shutdown was requested or a stage thread died
-    /// first, and the caller must abandon what it was waiting for. This is
-    /// how an exposure waits for applied progress (the whole-database cut's
-    /// drain): workers notify the signal after every item.
-    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) -> bool {
-        let mut held = false;
-        self.progress.wait_until(None, || {
-            held = ready();
-            held || self.shutdown_requested()
-        });
-        held
+    /// Blocks on the progress signal until `ready` holds, shutdown is
+    /// requested or a stage thread dies (`finish`'s drain: workers notify
+    /// the signal after every item).
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        self.progress
+            .wait_until(None, || ready() || self.shutdown_requested());
     }
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        self.progress.notify();
-    }
-
-    fn start_draining(&self) {
-        self.draining.store(true, Ordering::Release);
         self.progress.notify();
     }
 }
@@ -287,41 +264,37 @@ impl StageObs {
 /// What a thread running pipeline code — a stage thread for its lifetime, a
 /// feeder while it is inside `schedule` — arms: if the thread unwinds past
 /// the [`armed`](Self::armed) guard, the pipeline is marked failed (which
-/// wakes every wait on the progress signal) and the death is counted. A
-/// clean exit does nothing.
-#[derive(Clone)]
-struct DeathWatch {
-    progress: Arc<ProgressSignal>,
-    obs: Arc<Obs>,
+/// wakes every wait on the progress signal), a pending whole-database cut is
+/// abandoned (the dead thread may have held part of its prefix, and writers
+/// held at its gate must be free to exit), and the death is counted. A clean
+/// exit does nothing.
+struct DeathWatch<P: PipelinePolicy> {
+    policy: Arc<P>,
+    signals: Arc<PipelineSignals>,
     deaths: Arc<Counter>,
 }
 
-impl DeathWatch {
-    fn new(signals: &PipelineSignals, obs: &Arc<Obs>) -> Self {
-        Self {
-            progress: Arc::clone(&signals.progress),
-            obs: Arc::clone(obs),
-            deaths: obs.metrics.counter("pipeline_thread_deaths_total"),
-        }
-    }
-
-    fn armed(&self) -> ArmedDeathWatch<'_> {
+impl<P: PipelinePolicy> DeathWatch<P> {
+    fn armed(&self) -> ArmedDeathWatch<'_, P> {
         ArmedDeathWatch(self)
     }
 }
 
-struct ArmedDeathWatch<'a>(&'a DeathWatch);
+struct ArmedDeathWatch<'a, P: PipelinePolicy>(&'a DeathWatch<P>);
 
-impl Drop for ArmedDeathWatch<'_> {
+impl<P: PipelinePolicy> Drop for ArmedDeathWatch<'_, P> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             let watch = self.0;
+            let exposure = watch.policy.exposure();
             watch.deaths.inc();
-            watch.obs.trace.record(TraceEvent::Span {
+            exposure.obs().trace.record(TraceEvent::Span {
                 name: "pipeline_thread_death",
                 elapsed_ns: 0,
             });
-            watch.progress.fail();
+            watch.signals.progress.fail();
+            // Failed first: from here on no gate closes.
+            exposure.expose(&watch.signals);
         }
     }
 }
@@ -360,10 +333,9 @@ pub trait PipelinePolicy: Send + Sync + 'static {
     fn exposure(&self) -> &PrefixExposure;
 }
 
-/// The shared runtime: the feeder-run schedule stage, worker threads (and,
-/// for the whole-database cursor, an expose thread), queues, and the
-/// drain/shutdown protocol, generic over a [`PipelinePolicy`]. `workers`
-/// threads on a timestamped cursor, `workers + 1` on a whole-database one.
+/// The shared runtime: the feeder-run schedule stage, `workers` worker
+/// threads and nothing else, queues, and the drain/shutdown protocol,
+/// generic over a [`PipelinePolicy`].
 ///
 /// Implements [`ClonedConcurrencyControl`] directly, so a protocol wrapper
 /// only has to construct its policy, pick [`PipelineOptions`], and delegate
@@ -377,27 +349,26 @@ pub struct PipelineRuntime<P: PipelinePolicy> {
     /// in lock order.
     sink: Mutex<Option<WorkSink<P::Item>>>,
     schedule_obs: StageObs,
-    watch: DeathWatch,
+    watch: Arc<DeathWatch<P>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     finished: AtomicBool,
     dropped_segments: Arc<Counter>,
 }
 
 impl<P: PipelinePolicy> PipelineRuntime<P> {
-    /// Starts the pipeline: spawns `options.workers` workers, and the expose
-    /// thread if the exposure's cut waits for applies.
+    /// Starts the pipeline: spawns `options.workers` workers.
     pub fn start(policy: Arc<P>, options: PipelineOptions) -> Self {
         assert!(options.workers > 0, "pipeline requires at least one worker");
         let label = policy.name(); // names the threads
         let signals = Arc::new(PipelineSignals::default());
-        // Taken before any worker exists: whatever a worker notifies, even
-        // before the expose thread first runs, is news to the expose thread.
-        let generation_at_start = signals.progress.generation();
-        let mut threads = Vec::with_capacity(options.workers + 1);
-        let expose_thread = policy.exposure().cut_waits_for_applies();
+        let mut threads = Vec::with_capacity(options.workers);
 
         let obs = Arc::clone(policy.exposure().obs());
-        let watch = DeathWatch::new(&signals, &obs);
+        let watch = Arc::new(DeathWatch {
+            policy: Arc::clone(&policy),
+            signals: Arc::clone(&signals),
+            deaths: obs.metrics.counter("pipeline_thread_deaths_total"),
+        });
         let apply_obs = Arc::new(StageObs::new(&obs, PipelineStage::Apply));
 
         // Apply stage.
@@ -407,7 +378,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                 let policy = Arc::clone(&policy);
                 let signals = Arc::clone(&signals);
                 let apply_obs = Arc::clone(&apply_obs);
-                let watch = watch.clone();
+                let watch = Arc::clone(&watch);
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("{label}-worker-{worker}"))
@@ -418,12 +389,9 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                                 let started = Instant::now();
                                 policy.apply(worker, item, &signals);
                                 apply_obs.record(started.elapsed(), rx.len());
-                                // The item's marks are flushed: publish the
-                                // cut they extended (or leave it to the
-                                // expose thread), then wake whoever waits.
-                                if !expose_thread {
-                                    exposure.expose(&signals);
-                                }
+                                // The item's marks are flushed: move the cut
+                                // they let move, then wake whoever waits.
+                                exposure.expose(&signals);
                                 signals.progress.notify();
                             }
                         })
@@ -446,22 +414,6 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                     }
                 }
             }
-        }
-
-        if expose_thread {
-            let policy = Arc::clone(&policy);
-            let signals = Arc::clone(&signals);
-            let wakeups = obs.metrics.counter("expose_wakeups_total");
-            let watch = watch.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("{label}-expose"))
-                    .spawn(move || {
-                        let _armed = watch.armed();
-                        expose_loop(policy, signals, generation_at_start, wakeups)
-                    })
-                    .expect("spawn expose"),
-            );
         }
 
         Self {
@@ -487,8 +439,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         &self.signals
     }
 
-    /// Stage threads still running: the workers, and the expose thread if
-    /// there is one.
+    /// Stage threads still running: the workers.
     #[cfg(test)]
     pub(crate) fn thread_count(&self) -> usize {
         self.threads.lock().len()
@@ -508,61 +459,14 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
 
     fn stop_threads(&self) {
         self.signals.request_shutdown();
+        // Shutdown first: this abandons a pending whole-database cut, and no
+        // gate closes again, so writers held at one can exit.
+        self.policy.exposure().expose(&self.signals);
         self.policy.interrupt();
         for handle in self.threads.lock().drain(..) {
             // A stage thread that panicked already reported itself through
             // its `DeathWatch`; the payload adds nothing.
             let _ = handle.join();
-        }
-    }
-}
-
-/// The whole-database cursor's expose thread: sleep on the progress signal,
-/// cut when something moved.
-///
-/// `seen` is the last generation of the signal the thread has acted on;
-/// `wakeups` counts every time the thread leaves its wait (so wake-ups ÷
-/// `stage_items_total{stage="expose"}` says how many found nothing to
-/// expose).
-/// The exposure's minimum cut spacing holds cuts apart, because each one
-/// gates the workers; draining and shutdown override it, and shutdown (or a
-/// dead stage thread) ends the loop after one final cut.
-fn expose_loop<P: PipelinePolicy>(
-    policy: Arc<P>,
-    signals: Arc<PipelineSignals>,
-    mut seen: u64,
-    wakeups: Arc<Counter>,
-) {
-    let progress = &signals.progress;
-    let exposure = policy.exposure();
-    let min_spacing = exposure.min_cut_spacing();
-    let mut last_cut: Option<Instant> = None;
-    loop {
-        progress.wait_until(None, || {
-            progress.generation() != seen || signals.shutdown_requested()
-        });
-        if let Some(next) = last_cut.map(|at| at + min_spacing) {
-            progress.wait_until(Some(next), || {
-                signals.draining() || signals.shutdown_requested()
-            });
-        }
-        let stopping = signals.shutdown_requested() || progress.failed();
-        wakeups.inc();
-        // Read before looking at the watermarks: progress notified from here
-        // on is not covered by this cut and must wake the thread again.
-        seen = progress.generation();
-        if exposure.expose(&signals) {
-            last_cut = Some(Instant::now());
-            // Publish: wake whoever waits for this cut. If nobody else
-            // notified since `seen` was read, the bump is ours alone and
-            // must not wake this thread again.
-            let published = progress.notify();
-            if published == seen + 1 {
-                seen = published;
-            }
-        }
-        if stopping {
-            return;
         }
     }
 }
@@ -600,16 +504,16 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         // Take the sink — behind any feeder still inside `schedule` — which
         // closes the worker queues, so the workers drain what was dispatched
         // and exit; then wait for every shipped write to be applied and
-        // exposed. Each wait sleeps on the progress signal and gives up if a
-        // stage thread died: the prefix that thread held will never
+        // exposed (the worker that completes the prefix cuts it at once,
+        // spaced or not). The wait sleeps on the progress signal and gives
+        // up if a stage thread died: the prefix that thread held will never
         // complete, so the pipeline seals at whatever cut it reached.
         self.sink.lock().take();
-        let signals = &self.signals;
         let exposure = self.policy.exposure();
         let target = exposure.shipped_seq();
-        signals.wait_until(|| exposure.applied_seq() >= target);
-        signals.start_draining();
-        signals.wait_until(|| exposure.exposed_seq() >= exposure.exposure_target());
+        self.signals.wait_until(|| {
+            exposure.applied_seq() >= target && exposure.exposed_seq() >= exposure.exposure_target()
+        });
         self.stop_threads();
     }
 
@@ -791,8 +695,8 @@ impl BoundaryLedger {
     }
 
     /// Records one lag sample for every transaction boundary now covered by
-    /// the exposed cut. Safe to call concurrently (workers and the expose
-    /// stage may both drive it).
+    /// the exposed cut. Safe to call concurrently (every worker that moves a
+    /// cut drives it).
     pub fn drain_exposed(&self, exposed: SeqNo) {
         let now = c5_log::now_nanos();
         let mut boundaries = self.boundaries.lock();
@@ -1286,7 +1190,7 @@ mod tests {
         }
     }
 
-    /// Closed, it holds worker 0 before its next item.
+    /// Closed, it holds its worker before the worker's next item.
     #[derive(Default)]
     struct Gate {
         closed: PlMutex<bool>,
@@ -1317,15 +1221,16 @@ mod tests {
     }
 
     /// A minimal ordering that can be made to panic on either side of the
-    /// hand-off and whose worker 0 can be wedged behind a gate. `schedule`
-    /// stamps and dispatches one transaction at a time, round-robin, so a
-    /// feeder blocked on a full queue holds records it has not stamped yet;
-    /// `apply` installs a transaction's records into the real prefix
-    /// exposure.
+    /// hand-off and whose workers 0 and 1 can each be wedged behind a gate.
+    /// `schedule` stamps and dispatches one transaction at a time,
+    /// round-robin, publishing the dispatched boundary first, so a feeder
+    /// blocked on a full queue holds records it has not stamped yet; `apply`
+    /// installs a transaction's records into the real prefix exposure,
+    /// through its gate.
     struct PoisonedPolicy {
         exposure: PrefixExposure,
         poison: Poison,
-        gate: Gate,
+        gates: [Gate; 2],
         /// The per-row stamping state, and every `(seq, prev_seq)` it
         /// stamped, in schedule order.
         stamped: PlMutex<(crate::scheduler::SchedulerState, Vec<(SeqNo, SeqNo)>)>,
@@ -1344,7 +1249,7 @@ mod tests {
             Arc::new(Self {
                 exposure: cursor(Arc::new(MvStore::default()), &config, SeqNo::ZERO),
                 poison,
-                gate: Gate::default(),
+                gates: Default::default(),
                 stamped: PlMutex::default(),
             })
         }
@@ -1380,17 +1285,18 @@ mod tests {
                     stamped.0.process_record(&mut record);
                     stamped.1.push((record.seq, record.prev_seq));
                 }
-                let last = record.is_txn_last();
+                let boundary = record.is_txn_last().then_some(record.seq);
                 txn.push(record);
-                if last {
+                if let Some(boundary) = boundary {
+                    self.exposure.note_dispatched(boundary);
                     sink.send(std::mem::take(&mut txn));
                 }
             }
         }
 
         fn apply(&self, worker: usize, txn: Vec<LogRecord>, _signals: &PipelineSignals) {
-            if worker == 0 {
-                self.gate.pass();
+            if let Some(gate) = self.gates.get(worker) {
+                gate.pass();
             }
             for r in &txn {
                 assert!(
@@ -1398,12 +1304,13 @@ mod tests {
                     "poisoned record {}",
                     r.seq
                 );
-                self.exposure.install(r);
+                self.exposure
+                    .install_gated(r.seq, || self.exposure.install(r));
             }
         }
 
         fn interrupt(&self) {
-            self.gate.set_closed(false);
+            self.gates.iter().for_each(|gate| gate.set_closed(false));
         }
 
         fn exposure(&self) -> &PrefixExposure {
@@ -1489,8 +1396,7 @@ mod tests {
         assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(0));
         assert_eq!(metrics.counter("dropped_segments_total"), Some(0));
         // The workers took every cut, and each one that advanced was
-        // counted, timed and traced as an expose stage item; there is no
-        // expose thread to wake.
+        // counted, timed and traced as an expose stage item.
         let cuts = metrics
             .counter("stage_items_total{stage=\"expose\"}")
             .unwrap();
@@ -1513,33 +1419,58 @@ mod tests {
             })
             .count();
         assert_eq!(traced_cuts as u64, cuts);
-        assert_eq!(metrics.counter("expose_wakeups_total"), None);
     }
 
+    /// Worker 0 dies at position 21 while a cut is pending at 30 on the
+    /// whole-database cursor, with worker 1 held at its gate by a write past
+    /// 30; `finish` must abandon that cut to join worker 1. The timestamped
+    /// cursor runs the same steps with no gate.
     #[test]
     fn a_dead_worker_fails_the_pipeline_instead_of_hanging_finish() {
-        // Position 21 is the first write of the third segment's first
-        // transaction; its worker dies there.
-        let runtime = Arc::new(poisoned_runtime(Poison::Apply(21)));
-        for segment in two_write_txn_segments(8, 5) {
-            runtime.apply_segment(segment);
-        }
-        let finishing = Arc::clone(&runtime);
-        within_deadline("finish() with a dead worker", move || finishing.finish());
+        let cursors: [Cursor; 2] = [PrefixExposure::timestamped, PrefixExposure::whole_database];
+        for cursor in cursors {
+            let policy = PoisonedPolicy::with_cursor(Poison::Apply(21), cursor);
+            policy.gates.iter().for_each(|gate| gate.set_closed(true));
+            let runtime = Arc::new(poisoned_runtime_with(policy, 32));
+            let mut segments = two_write_txn_segments(8, 5);
+            let late = segments.split_off(3);
+            // Worker 0 takes the even transactions, worker 1 the odd ones.
+            // Released alone, worker 1 applies its transactions through
+            // position 30, and on its first item the (unspaced) first
+            // whole-database cut closes at the dispatched boundary, 30.
+            for segment in segments {
+                runtime.apply_segment(segment);
+            }
+            runtime.policy().gates[1].set_closed(false);
+            wait_for("worker 1 through position 30", || {
+                runtime.metrics().shipped_seq == SeqNo(30)
+                    && runtime.policy().exposure.metrics().applied_writes == 14
+            });
+            // Its next write, 31, is past the pending cut; worker 0's first
+            // transaction, which the cut waits for, only runs once released,
+            // and its worker dies at 21.
+            for segment in late {
+                runtime.apply_segment(segment);
+            }
+            runtime.policy().gates[0].set_closed(false);
+            let finishing = Arc::clone(&runtime);
+            within_deadline("finish() with a dead worker", move || finishing.finish());
 
-        assert!(runtime.signals().failed());
-        let cut = runtime.exposed_seq();
-        assert!(
-            cut < SeqNo(21) && cut.as_u64() % 2 == 0,
-            "the cut must stay a transaction boundary below the poisoned record, got {cut}"
-        );
-        let metrics = runtime.policy().metrics();
-        assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(1));
-        // Nothing waits for the lost prefix afterwards either.
-        assert!(!runtime.wait_until_exposed(SeqNo(80), Duration::from_secs(3600)));
-        let promoting = Arc::clone(&runtime);
-        let promotion = within_deadline("promote() after a failure", move || promoting.promote());
-        assert_eq!(promotion.cut, cut);
+            assert!(runtime.signals().failed());
+            let cut = runtime.exposed_seq();
+            assert!(
+                cut < SeqNo(21) && cut.as_u64() % 2 == 0,
+                "the cut must stay a transaction boundary below the poisoned record, got {cut}"
+            );
+            let metrics = runtime.policy().metrics();
+            assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(1));
+            // Nothing waits for the lost prefix afterwards either.
+            assert!(!runtime.wait_until_exposed(SeqNo(80), Duration::from_secs(3600)));
+            let promoting = Arc::clone(&runtime);
+            let promotion =
+                within_deadline("promote() after a failure", move || promoting.promote());
+            assert_eq!(promotion.cut, cut);
+        }
     }
 
     /// `schedule` runs on the feeder's thread, so a panic in it unwinds into
@@ -1585,16 +1516,12 @@ mod tests {
         assert_eq!(promotion.cut, cut);
     }
 
-    /// The feeder is the scheduler and a timestamped cut is taken by the
-    /// workers: no thread but theirs. Only the whole-database cursor, whose
-    /// cut waits for the workers' applies, adds an expose thread.
+    /// The feeder is the scheduler and every cut is taken by the workers:
+    /// no thread but theirs, whichever cursor the exposure has.
     #[test]
-    fn a_runtime_adds_an_expose_thread_to_its_workers_only_for_whole_database_cuts() {
-        let cursors: [(Cursor, usize); 2] = [
-            (PrefixExposure::timestamped, 0),
-            (PrefixExposure::whole_database, 1),
-        ];
-        for (cursor, expose_threads) in cursors {
+    fn a_runtime_runs_its_workers_and_no_other_thread_whatever_its_cursor() {
+        let cursors: [Cursor; 2] = [PrefixExposure::timestamped, PrefixExposure::whole_database];
+        for cursor in cursors {
             for workers in 1..=3 {
                 for queue in [
                     QueuePlan::Shared { capacity: 4 },
@@ -1604,7 +1531,7 @@ mod tests {
                         PoisonedPolicy::with_cursor(Poison::None, cursor),
                         PipelineOptions { workers, queue },
                     );
-                    assert_eq!(runtime.thread_count(), workers + expose_threads);
+                    assert_eq!(runtime.thread_count(), workers);
                 }
             }
         }
@@ -1619,7 +1546,7 @@ mod tests {
         const LANE: usize = 2;
         const SUBSCRIPTION: usize = 4;
         let policy = PoisonedPolicy::new(Poison::None);
-        policy.gate.set_closed(true);
+        policy.gates[0].set_closed(true);
         let runtime = Arc::new(poisoned_runtime_with(policy, LANE));
         // One transaction to a segment, so segment `i` is worker `i % 2`'s.
         let segments = two_write_txn_segments(12, 1);
@@ -1650,7 +1577,7 @@ mod tests {
 
         // Released, everything drains: the queue empties (the wire is idle
         // again), the log ends, and the feeder's `finish` returns.
-        runtime.policy().gate.set_closed(false);
+        runtime.policy().gates[0].set_closed(false);
         shipper.ship(segments[11].clone());
         wait_for("an idle wire", || shipper.is_idle());
         shipper.close();
@@ -1680,7 +1607,7 @@ mod tests {
         assert_eq!(expected[46], (SeqNo(47), SeqNo(45)), "the hot row chains");
 
         let policy = PoisonedPolicy::new(Poison::None);
-        policy.gate.set_closed(true);
+        policy.gates[0].set_closed(true);
         let runtime = Arc::new(poisoned_runtime_with(policy, 2));
         let mut log = segments.clone().into_iter();
         let mut feed = |count: usize, called: Arc<AtomicBool>| {
@@ -1706,7 +1633,7 @@ mod tests {
             14,
             "the second feeder waits"
         );
-        runtime.policy().gate.set_closed(false);
+        runtime.policy().gates[0].set_closed(false);
         for feeder in [first, second] {
             within_deadline("a released feeder", move || feeder.join().expect("feeder"));
         }

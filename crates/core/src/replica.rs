@@ -29,7 +29,8 @@
 //! * The exposure's cursor is chosen by the mode: timestamped for the
 //!   faithful form (a cut is one atomic store, taken whenever the applied
 //!   prefix moves), whole-database for the backward-compatible one (a cut
-//!   gates the workers, so cuts stay `snapshot_interval` apart).
+//!   gates the workers, so cuts stay `snapshot_interval` apart unless the
+//!   prefix is already whole).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -288,11 +289,12 @@ impl C5Policy {
     /// [`PrefixExposure::mark_applied_batch`] call when its current work item
     /// ends. Deferring publication by at most one item is safe under either
     /// cursor: store-level install ordering (what other workers' installs
-    /// and parked records wait on) is untouched, and a cut only ever waits
-    /// for marks of records whose items were dispatched *before* it was
-    /// chosen — items that flush unconditionally on completion, because a
-    /// dispatched item lies entirely at or below the dispatch boundary the
-    /// cut reads, so none of its installs can block on the cut gate.
+    /// and parked records wait on) is untouched, and a pending
+    /// whole-database cut only completes on marks of records whose items
+    /// were dispatched *before* it closed — items that flush unconditionally
+    /// on completion, because a dispatched item lies entirely at or below
+    /// the dispatch boundary the cut closed at, so none of its installs can
+    /// block on the cut's gate.
     fn try_install(&self, record: &LogRecord, marks: &RefCell<Vec<(SeqNo, bool)>>) -> bool {
         let applied = self.exposure.install_gated(record.seq, || {
             self.exposure.store().install_if_prev(
@@ -850,7 +852,7 @@ mod tests {
 
     /// `C5Replica::wait_until_exposed` reaches the runtime's blocking wait:
     /// the caller parks on the progress signal (the only thread asleep on
-    /// it: the faithful replica has no expose thread) and is woken by the
+    /// it: a replica has no thread but its workers) and is woken by the
     /// notification of the worker that took the cut — with an hour-long
     /// timeout and an hour-long interval there is nothing else to wake it.
     #[test]
@@ -883,7 +885,7 @@ mod tests {
 
     /// The whole-database cursor's cuts gate the workers, so they stay
     /// `snapshot_interval` apart however often progress is notified — and
-    /// the drain still gets its final cut at once. A per-write cost keeps
+    /// the prefix, once whole, is still cut at once. A per-write cost keeps
     /// the workers busy for a dozen intervals, notifying after every
     /// transaction; per-transaction dispatch keeps the scheduler (and so each
     /// cut's target) within a queue's length of the workers, so one cut
@@ -937,16 +939,19 @@ mod tests {
         );
     }
 
-    /// An idle replica sleeps: no expose wake-ups without progress. (The
-    /// whole-database cursor is the one with an expose thread to wake.)
+    /// An idle replica takes no cut: only a worker that finished an item
+    /// takes one, so however many spacings pass, and when it finishes, a
+    /// replica with nothing applied exposes nothing.
     #[test]
-    fn an_idle_replica_makes_no_expose_wakeups() {
+    fn an_idle_replica_takes_no_cut() {
         let (replica, obs) = observed_replica(C5Mode::OneWorkerPerTxn, Duration::from_millis(1));
-        let wakeups = obs.metrics.counter("expose_wakeups_total");
+        let cuts = obs.metrics.counter("stage_items_total{stage=\"expose\"}");
         // Observing an absence takes a window; nothing is synchronised on it.
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(wakeups.get(), 0);
+        assert_eq!(cuts.get(), 0);
+        assert_eq!(replica.exposed_seq(), SeqNo::ZERO);
         replica.finish();
+        assert_eq!(cuts.get(), 0);
         // Feeding a finished replica loses the segment, visibly.
         replica.apply_segment(adversarial_log(1, 1, 8).remove(0));
         assert_eq!(obs.metrics.counter("dropped_segments_total").get(), 1);

@@ -17,18 +17,21 @@
 //!
 //! Section 5.2's backward-compatible form ([`SnapshotCursor::WholeDatabase`])
 //! has to live with a storage engine that can only snapshot "the current
-//! state": advancing requires choosing a cut `n` at or beyond everything
-//! installed so far, briefly holding back writes past `n`, waiting for the
-//! prefix up to `n` to finish, and materializing a whole-database snapshot.
-//! The gate that holds workers back is a reader-writer lock: workers hold it
-//! shared for the instant it takes to install one write, the snapshotter
-//! takes it exclusively only to move the cut.
+//! state". A cut takes two steps, neither of which waits:
+//! [`close`](SnapshotCursor::close) the gate at a cut `n` at or beyond
+//! everything installed so far, holding back writes past `n`; and, once the
+//! prefix up to `n` is applied, [`complete`](SnapshotCursor::complete) it:
+//! materialize a whole-database snapshot, publish `n` and reopen the gate.
+//! The gate is a reader-writer lock: workers hold it shared for the instant
+//! it takes to install one write, and the cursor takes it exclusively only
+//! to close, complete or [`abandon`](SnapshotCursor::abandon) a cut.
 //!
 //! Every exposed cut changes here, so the cursor is what announces a moved
 //! cut, and a reopened gate, on [`FLEET_PROGRESS`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
@@ -54,26 +57,37 @@ pub enum SnapshotCursor {
         store: Arc<MvStore>,
         /// The exposed cut `c`.
         exposed: AtomicU64,
-        /// Gate holding back writes with positions greater than the cut
-        /// while a snapshot is being taken. `u64::MAX` means open.
-        gate: RwLock<u64>,
+        /// Holds back writes past a pending cut.
+        gate: RwLock<Gate>,
         /// The snapshot currently serving read-only transactions.
         current: RwLock<DbSnapshot>,
+        /// Minimum time from one completed cut to the next close: the
+        /// paper's `I`.
+        spacing: Duration,
     },
 }
 
+/// A whole-database cursor's gate.
+#[derive(Debug)]
+pub struct Gate {
+    /// The pending cut, past which writes wait; [`OPEN`] if there is none.
+    at: u64,
+    /// When the last cut completed.
+    last_cut: Option<Instant>,
+}
+
+/// The gate position of a cursor with no cut pending.
+const OPEN: u64 = u64::MAX;
+
 impl std::fmt::Debug for SnapshotCursor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotCursor::Timestamped { .. } => f
-                .debug_struct("SnapshotCursor::Timestamped")
-                .field("exposed", &self.exposed())
-                .finish(),
-            SnapshotCursor::WholeDatabase { .. } => f
-                .debug_struct("SnapshotCursor::WholeDatabase")
-                .field("exposed", &self.exposed())
-                .finish(),
-        }
+        let kind = match self {
+            SnapshotCursor::Timestamped { .. } => "SnapshotCursor::Timestamped",
+            SnapshotCursor::WholeDatabase { .. } => "SnapshotCursor::WholeDatabase",
+        };
+        f.debug_struct(kind)
+            .field("exposed", &self.exposed())
+            .finish()
     }
 }
 
@@ -88,16 +102,22 @@ impl SnapshotCursor {
         }
     }
 
-    /// Creates the whole-database cursor exposed at `cut`; the initial
-    /// snapshot captures the store's current (preloaded or
-    /// checkpoint-installed) state.
-    pub fn whole_database_at(store: Arc<MvStore>, cut: SeqNo) -> Self {
+    /// Creates the whole-database cursor exposed at `cut`, whose cuts close
+    /// at least `spacing` after the last one completed (unless the prefix is
+    /// already whole, see [`close`](Self::close)); the initial snapshot
+    /// captures the store's current (preloaded or checkpoint-installed)
+    /// state.
+    pub fn whole_database_at(store: Arc<MvStore>, cut: SeqNo, spacing: Duration) -> Self {
         let current = DbSnapshot::of_current(&store);
         SnapshotCursor::WholeDatabase {
             store,
             exposed: AtomicU64::new(cut.as_u64()),
-            gate: RwLock::new(u64::MAX),
+            gate: RwLock::new(Gate {
+                at: OPEN,
+                last_cut: None,
+            }),
             current: RwLock::new(current),
+            spacing,
         }
     }
 
@@ -130,7 +150,8 @@ impl SnapshotCursor {
     }
 
     /// Advances the exposed cut to `n` (faithful form only; the
-    /// whole-database form advances through [`SnapshotCursor::cut`]).
+    /// whole-database form advances through [`close`](Self::close) and
+    /// [`complete`](Self::complete)).
     ///
     /// The cut is monotonic by construction: an `n` below the current cut is
     /// ignored, so concurrent advancers can never move the exposed prefix
@@ -149,24 +170,24 @@ impl SnapshotCursor {
                 moved
             }
             SnapshotCursor::WholeDatabase { .. } => {
-                panic!("whole-database cursors advance through cut()")
+                panic!("whole-database cursors advance through close() and complete()")
             }
         }
     }
 
     /// Executes one write installation under the gate (whole-database form).
-    /// The closure runs while the gate is held shared, so a concurrent cut
+    /// The closure runs while the gate is held shared, so a concurrent close
     /// cannot slice the database between this write and the cut's chosen
-    /// boundary. A write past a cut in flight sleeps on [`FLEET_PROGRESS`]
-    /// until [`cut`](Self::cut) reopens the gate and notifies it. For the
-    /// timestamped form the closure simply runs — the faithful design never
-    /// blocks workers.
+    /// boundary. A write past a pending cut sleeps on [`FLEET_PROGRESS`]
+    /// until [`complete`](Self::complete) or [`abandon`](Self::abandon)
+    /// reopens the gate and notifies it. For the timestamped form the
+    /// closure simply runs — the faithful design never blocks workers.
     pub fn install_gated<R>(&self, seq: SeqNo, install: impl FnOnce() -> R) -> R {
         match self {
             SnapshotCursor::Timestamped { .. } => install(),
             SnapshotCursor::WholeDatabase { gate, .. } => loop {
                 let g = gate.read();
-                if seq.as_u64() <= *g {
+                if seq.as_u64() <= g.at {
                     let out = install();
                     drop(g);
                     return out;
@@ -174,60 +195,103 @@ impl SnapshotCursor {
                 drop(g);
                 // Another cut may close the gate again before this write
                 // takes it shared: hence the loop.
-                FLEET_PROGRESS.wait_until(None, || seq.as_u64() <= *gate.read());
+                FLEET_PROGRESS.wait_until(None, || seq.as_u64() <= gate.read().at);
             },
         }
     }
 
-    /// Performs a whole-database cut (Section 5.2).
+    /// The cut a whole-database gate is closed at, if one is pending.
     ///
-    /// `choose_n` is called while the gate is held exclusively (no install is
-    /// in flight) and must return a transaction-aligned position at or beyond
-    /// every write dispatched so far; `wait_applied` must block until every
-    /// write up to the returned position has been installed and return
-    /// `true`, or return `false` if that will not happen (shutdown, a dead
-    /// worker) — the cut is then abandoned: the gate reopens and the exposed
-    /// cut stays where it was, never on a prefix with holes in it.
+    /// # Panics
+    /// Panics if called on a timestamped cursor.
+    pub fn pending_cut(&self) -> Option<SeqNo> {
+        let at = self.gate().0.read().at;
+        (at != OPEN).then_some(SeqNo(at))
+    }
+
+    /// Closes the gate of a whole-database cut (Section 5.2's first step) at
+    /// the position `choose_n` returns, if no cut is pending and either the
+    /// spacing has passed since the last cut completed or the prefix is
+    /// already `whole` (everything dispatched is applied, so the cut holds
+    /// no writer back). Returns whether it closed.
     ///
-    /// Returns the exposed cut (the new one, or the old one if abandoned).
-    pub fn cut(
-        &self,
-        choose_n: impl FnOnce() -> SeqNo,
-        wait_applied: impl FnOnce(SeqNo) -> bool,
-    ) -> SeqNo {
+    /// `choose_n` runs with the gate held exclusively — no install is in
+    /// flight — and must return a transaction-aligned position at or beyond
+    /// every write dispatched so far, so nothing past it can already be in
+    /// the store; or `None` to leave the gate open.
+    ///
+    /// # Panics
+    /// Panics if called on a timestamped cursor.
+    pub fn close(&self, whole: bool, choose_n: impl FnOnce() -> Option<SeqNo>) -> bool {
+        let (gate, spacing) = self.gate();
+        let due = |g: &Gate| {
+            g.at == OPEN && (whole || g.last_cut.map_or(true, |at| at.elapsed() >= spacing))
+        };
+        // Most calls find a cut pending or not yet due: a shared look first.
+        if !due(&gate.read()) {
+            return false;
+        }
+        let mut g = gate.write();
+        let Some(n) = due(&g).then(choose_n).flatten() else {
+            return false;
+        };
+        g.at = n.as_u64();
+        true
+    }
+
+    /// Completes the cut pending at `n`, whose prefix the caller has seen
+    /// applied: takes the snapshot of the current state — by construction
+    /// exactly the writes up to `n` — publishes `n` and reopens the gate,
+    /// waking blocked writers and whoever waits for the cut. Returns whether
+    /// it did; `false` means the cut is no longer pending (another caller
+    /// completed it), so each closed cut completes exactly once.
+    ///
+    /// # Panics
+    /// Panics if called on a timestamped cursor.
+    pub fn complete(&self, n: SeqNo) -> bool {
+        let SnapshotCursor::WholeDatabase {
+            store,
+            exposed,
+            gate,
+            current,
+            ..
+        } = self
+        else {
+            panic!("timestamped cursors advance through advance()")
+        };
+        let mut g = gate.write();
+        if g.at != n.as_u64() {
+            return false;
+        }
+        *current.write() = DbSnapshot::of_current(store);
+        exposed.store(n.as_u64(), Ordering::Release);
+        g.at = OPEN;
+        g.last_cut = Some(Instant::now());
+        drop(g);
+        FLEET_PROGRESS.notify();
+        true
+    }
+
+    /// Abandons a pending whole-database cut (shutdown, a dead stage
+    /// thread): reopens the gate so blocked writers proceed, and leaves the
+    /// exposed cut where it was, never on a prefix with holes in it.
+    ///
+    /// # Panics
+    /// Panics if called on a timestamped cursor.
+    pub fn abandon(&self) {
+        let mut g = self.gate().0.write();
+        if g.at != OPEN {
+            g.at = OPEN;
+            drop(g);
+            FLEET_PROGRESS.notify();
+        }
+    }
+
+    fn gate(&self) -> (&RwLock<Gate>, Duration) {
         match self {
+            SnapshotCursor::WholeDatabase { gate, spacing, .. } => (gate, *spacing),
             SnapshotCursor::Timestamped { .. } => {
-                panic!("timestamped cursors advance through advance()")
-            }
-            SnapshotCursor::WholeDatabase {
-                store,
-                exposed,
-                gate,
-                current,
-            } => {
-                // 1. Close the gate at n. Holding the write lock guarantees no
-                //    install is in flight while n is chosen, so nothing beyond
-                //    n can already be in the store.
-                let n = {
-                    let mut g = gate.write();
-                    let n = choose_n();
-                    *g = n.as_u64();
-                    n
-                };
-                // 2. Wait for the prefix up to n to be fully applied. Writes
-                //    with positions <= n keep flowing; writes beyond n wait.
-                if wait_applied(n) {
-                    // 3. Take the snapshot of the current state; by
-                    //    construction it contains exactly the writes up to n.
-                    let snapshot = DbSnapshot::of_current(store);
-                    *current.write() = snapshot;
-                    exposed.store(n.as_u64(), Ordering::Release);
-                }
-                // 4. Reopen the gate so blocked workers proceed, and wake
-                //    them (and whoever waits for the cut).
-                *gate.write() = u64::MAX;
-                FLEET_PROGRESS.notify();
-                SeqNo(exposed.load(Ordering::Acquire))
+                panic!("a timestamped cursor has no gate")
             }
         }
     }
@@ -337,41 +401,74 @@ mod tests {
         assert_eq!(cursor.exposed(), SeqNo(8));
     }
 
+    fn whole_database(store: &Arc<MvStore>) -> SnapshotCursor {
+        SnapshotCursor::whole_database_at(Arc::clone(store), SeqNo::ZERO, Duration::ZERO)
+    }
+
     #[test]
     fn whole_database_cut_exposes_exactly_the_prefix() {
         let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO);
+        let hour = Duration::from_secs(3600);
+        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO, hour);
 
         // Install writes 1..=3 through the gate (all allowed: gate open).
         for seq in 1..=3u64 {
             cursor.install_gated(SeqNo(seq), || install(&store, seq, seq, seq * 10));
         }
-        let n = cursor.cut(|| SeqNo(3), |_n| true /* already applied */);
-        assert_eq!(n, SeqNo(3));
+        assert!(
+            cursor.close(false, || Some(SeqNo(3))),
+            "the first cut is due"
+        );
+        assert_eq!(cursor.pending_cut(), Some(SeqNo(3)));
+        assert!(!cursor.close(true, || Some(SeqNo(5))), "one cut at a time");
+        assert_eq!(cursor.exposed(), SeqNo::ZERO, "closing exposes nothing");
+        assert!(cursor.complete(SeqNo(3)));
+        assert!(!cursor.complete(SeqNo(3)), "a cut completes once");
+        assert_eq!(cursor.pending_cut(), None);
         assert_eq!(cursor.exposed(), SeqNo(3));
 
         let view = cursor.read_view();
         assert_eq!(view.get(row(3)).unwrap().as_u64(), Some(30));
 
-        // Writes installed after the cut are invisible until the next cut.
+        // Writes installed after the cut are invisible until the next cut,
+        // which is spaced an hour after this one unless its prefix is whole.
         cursor.install_gated(SeqNo(4), || install(&store, 4, 4, 40));
         assert_eq!(cursor.read_view().get(row(4)), None);
-        cursor.cut(|| SeqNo(4), |_n| true);
+        assert!(
+            !cursor.close(false, || Some(SeqNo(4))),
+            "an hour has not passed"
+        );
+        assert!(cursor.close(true, || Some(SeqNo(4))));
+        assert!(cursor.complete(SeqNo(4)));
         assert_eq!(cursor.read_view().get(row(4)).unwrap().as_u64(), Some(40));
     }
 
     #[test]
     fn an_abandoned_cut_exposes_nothing_and_reopens_the_gate() {
         let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO);
+        let cursor = whole_database(&store);
         cursor.install_gated(SeqNo(1), || install(&store, 1, 1, 10));
-        cursor.cut(|| SeqNo(1), |_n| true);
+        assert!(cursor.close(true, || Some(SeqNo(1))));
+        assert!(cursor.complete(SeqNo(1)));
 
-        // Position 2 is missing when the cut at 3 gives up waiting for it.
+        // Position 2 is missing when the cut at 3 is given up.
         cursor.install_gated(SeqNo(3), || install(&store, 3, 3, 30));
-        let n = cursor.cut(|| SeqNo(3), |_n| false);
-        assert_eq!(n, SeqNo(1), "the cut must stay on the last whole prefix");
-        assert_eq!(cursor.exposed(), SeqNo(1));
+        assert!(cursor.close(false, || Some(SeqNo(3))));
+        cursor.abandon();
+        assert_eq!(cursor.pending_cut(), None);
+        assert!(
+            !cursor.close(true, || None),
+            "a chooser that says stop closes nothing"
+        );
+        assert!(
+            !cursor.complete(SeqNo(3)),
+            "an abandoned cut never completes"
+        );
+        assert_eq!(
+            cursor.exposed(),
+            SeqNo(1),
+            "the cut stays on the last whole prefix"
+        );
         assert_eq!(cursor.read_view().get(row(3)), None);
         // The gate is open again: a write past the abandoned cut installs.
         cursor.install_gated(SeqNo(4), || install(&store, 4, 4, 40));
@@ -380,42 +477,29 @@ mod tests {
     #[test]
     fn gate_blocks_writes_past_the_cut_until_reopened() {
         let store = Arc::new(MvStore::default());
-        let cursor = Arc::new(SnapshotCursor::whole_database_at(
-            Arc::clone(&store),
-            SeqNo::ZERO,
-        ));
+        let cursor = Arc::new(whole_database(&store));
         cursor.install_gated(SeqNo(1), || install(&store, 1, 1, 1));
+        assert!(cursor.close(true, || Some(SeqNo(1))));
 
-        // Run the cut on another thread; have it wait long enough that the
-        // gated install below observably blocks.
-        let cursor2 = Arc::clone(&cursor);
-        let cut_handle = std::thread::spawn(move || {
-            cursor2.cut(
-                || SeqNo(1),
-                |_n| {
-                    std::thread::sleep(std::time::Duration::from_millis(80));
-                    true
-                },
-            )
-        });
-        // Give the cut a moment to close the gate.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-
-        let store2 = Arc::clone(&store);
-        let cursor3 = Arc::clone(&cursor);
-        let start = std::time::Instant::now();
-        let install_handle = std::thread::spawn(move || {
-            cursor3.install_gated(SeqNo(2), || install(&store2, 2, 2, 2));
-            start.elapsed()
-        });
-
-        assert_eq!(cut_handle.join().unwrap(), SeqNo(1));
-        let blocked_for = install_handle.join().unwrap();
-        assert!(
-            blocked_for >= std::time::Duration::from_millis(30),
-            "the write past the cut should have been held back, waited {blocked_for:?}"
+        let installer = {
+            let (store, cursor) = (Arc::clone(&store), Arc::clone(&cursor));
+            std::thread::spawn(move || cursor.install_gated(SeqNo(2), || install(&store, 2, 2, 2)))
+        };
+        // The installer sleeps on the fleet signal until the gate reopens.
+        // (Another test's waiter may count here too; the gate holds either
+        // way.)
+        while FLEET_PROGRESS.parked() < 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            store.read_latest(row(2)),
+            None,
+            "position 2 is past the cut"
         );
-        // The post-cut snapshot excludes the blocked write.
+        assert!(cursor.complete(SeqNo(1)));
+        installer.join().unwrap();
+        assert_eq!(store.read_latest(row(2)).unwrap().as_u64(), Some(2));
+        // The snapshot was taken before the held-back write.
         assert_eq!(cursor.read_view().get(row(2)), None);
     }
 
@@ -428,7 +512,7 @@ mod tests {
             WriteKind::Insert,
             Some(Value::from_u64(7)),
         );
-        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO);
+        let cursor = whole_database(&store);
         assert_eq!(cursor.read_view().get(row(7)).unwrap().as_u64(), Some(7));
         assert_eq!(cursor.exposed(), SeqNo::ZERO);
     }
