@@ -118,7 +118,6 @@ impl CompletionBoard {
 struct DispatchState {
     last_writer: RowMap<u64>,
     next_index: u64,
-    pending_txn: Vec<LogRecord>,
 }
 
 /// KuaFu's ordering on the shared pipeline runtime.
@@ -143,14 +142,16 @@ impl PipelinePolicy for KuaFuPolicy {
 
     fn schedule(&self, segment: Segment, sink: &mut WorkSink<TxnWork>) {
         self.exposure.note_segment(&segment);
-        // Group records into whole transactions and compute, per transaction,
-        // the set of earlier transactions it conflicts with.
+        // Group records into whole transactions (a segment holds only whole
+        // ones) and compute, per transaction, the set of earlier transactions
+        // it conflicts with.
         let mut dispatch = self.dispatch.lock();
+        let mut txn = Vec::new();
         for record in segment.records {
             let is_last = record.is_txn_last();
-            dispatch.pending_txn.push(record);
+            txn.push(record);
             if is_last {
-                let records = std::mem::take(&mut dispatch.pending_txn);
+                let records = std::mem::take(&mut txn);
                 dispatch.next_index += 1;
                 let index = dispatch.next_index;
                 let mut deps: Vec<u64> = Vec::new();

@@ -73,7 +73,7 @@ pub struct ReplicaConfig {
     /// first one after a quiet spell is taken at once, and so is one whose
     /// prefix is already whole (everything dispatched applied), which holds
     /// no writer back.
-    /// Ignored by timestamped cursors (faithful C5 at any shard count, the
+    /// Ignored by the faithful form (faithful C5 at any shard count, the
     /// baselines), whose cut is one atomic store and follows the applied
     /// prefix with no spacing at all.
     pub snapshot_interval: Duration,

@@ -1,7 +1,11 @@
 //! The workspace's one wait primitive: an eventcount. A deadline only bounds
-//! how long a waiter is willing to wait; it never paces a re-check.
+//! how long a waiter is willing to wait; it never paces a re-check. A signal
+//! knows nothing of what its waiters wait for: a waiter that must give up
+//! when the progress it waits for can never come (a dead thread, a
+//! shutdown) reads that from a flag in its own condition, which whoever
+//! sets the flag then announces with a [`ProgressSignal::notify`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -16,19 +20,13 @@ use std::time::Instant;
 /// notifying per work item (or per install) affordable. Unrelated waiters
 /// may share a signal: each re-checks its own condition.
 ///
-/// The signal also carries a `failed` flag: once the thread that would have
-/// made progress has died ([`fail`]), every wait returns instead of waiting
-/// for progress that will never come.
-///
 /// [`notify`]: Self::notify
 /// [`wait_until`]: Self::wait_until
-/// [`fail`]: Self::fail
 #[derive(Debug, Default)]
 pub struct ProgressSignal {
     generation: AtomicU64,
     /// Threads inside the blocking part of `wait_until`.
     parked: AtomicUsize,
-    failed: AtomicBool,
     lock: Mutex<()>,
     moved: Condvar,
 }
@@ -39,7 +37,6 @@ impl ProgressSignal {
         Self {
             generation: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
-            failed: AtomicBool::new(false),
             lock: Mutex::new(()),
             moved: Condvar::new(),
         }
@@ -74,20 +71,8 @@ impl ProgressSignal {
         self.parked.load(Ordering::SeqCst)
     }
 
-    /// Marks the signal failed — the progress it announces will never come —
-    /// and wakes every waiter. Irreversible.
-    pub fn fail(&self) {
-        self.failed.store(true, Ordering::SeqCst);
-        self.notify();
-    }
-
-    /// Whether [`fail`](Self::fail) has been called.
-    pub fn failed(&self) -> bool {
-        self.failed.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until `ready` holds, the signal fails, or `deadline` passes
-    /// (`None`: no deadline). Returns whether `ready` held.
+    /// Blocks until `ready` holds or `deadline` passes (`None`: no
+    /// deadline). Returns whether `ready` held.
     ///
     /// The generation is read *before* each evaluation of `ready`, and the
     /// waiter sleeps only if it has not moved since — the eventcount rule,
@@ -99,9 +84,6 @@ impl ProgressSignal {
             let generation = self.generation.load(Ordering::SeqCst);
             if ready() {
                 return true;
-            }
-            if self.failed() {
-                return false;
             }
             let timeout = match deadline {
                 None => None,
@@ -132,6 +114,7 @@ impl ProgressSignal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -162,22 +145,5 @@ mod tests {
         signal.notify();
         assert!(waiter.join().unwrap());
         assert_eq!(signal.parked(), 0);
-    }
-
-    #[test]
-    fn a_failed_signal_releases_every_wait() {
-        let signal = Arc::new(ProgressSignal::new());
-        let waiter = {
-            let signal = Arc::clone(&signal);
-            std::thread::spawn(move || signal.wait_until(None, || false))
-        };
-        while signal.parked() == 0 {
-            std::thread::yield_now();
-        }
-        signal.fail();
-        assert!(!waiter.join().unwrap(), "the condition never held");
-        // Later waits do not block either.
-        assert!(!signal.wait_until(None, || false));
-        assert!(signal.failed());
     }
 }

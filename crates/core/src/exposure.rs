@@ -10,23 +10,28 @@
 //!
 //! There is exactly one. It exposes a prefix of *one log*: C5 in both modes,
 //! at any shard count (shards are lane groups of one pipeline over the whole
-//! log), and every baseline. A whole-database cursor is still a
-//! prefix — its cut merely gates the workers — so it is a cursor kind inside
-//! [`PrefixExposure`], not a second exposure.
+//! log), and every baseline. It holds the one exposed cut `c`, an atomic
+//! position, in both of the paper's forms. The backward-compatible form
+//! (Section 5.2) adds a [`WholeDatabaseGate`] beside it, which holds writers
+//! back while a cut is taken and remembers the engine's snapshot of it; the
+//! faithful form has none, and reads the store at the cut itself.
 //!
 //! The runtime calls [`expose`](PrefixExposure::expose) on the worker that
 //! finished an item, after its marks are flushed, and once more on shutdown
-//! or a stage thread's death, which abandons a pending whole-database cut;
-//! it is the one entry point for both cursors, and it never waits. A
-//! timestamped cut is one `fetch_max` (the racing worker whose marks
-//! completed a prefix reads the boundary it produced, so no cut is lost).
-//! A whole-database cut takes two
-//! such calls: one closes the gate at the dispatched boundary once the
-//! spacing has passed, and the call that finds the prefix up to it applied
-//! completes it; a call that finds the prefix already whole does both at
-//! once. A cut that moves raises the store's GC horizon to
-//! `exposed - gc_trail`, and the installs that follow trim their own chains
-//! to it; there is no GC pass.
+//! or a stage thread's death, which abandons a pending gated cut; it is the
+//! one entry point for both forms, and it never waits. A faithful cut is one
+//! `fetch_max` (the racing worker whose marks completed a prefix reads the
+//! boundary it produced, so no cut is lost). A gated cut takes two such
+//! calls: one closes the gate at the dispatched boundary once the spacing
+//! has passed, and the call that finds the prefix up to it applied completes
+//! it; a call that finds the prefix already whole does both at once.
+//!
+//! Whichever form moved it, a cut is accounted in one place: its lag samples
+//! are drained, the store's GC horizon is raised to `exposed - gc_trail`
+//! (the installs that follow trim their own chains to it; there is no GC
+//! pass), and then the cut is announced on [`FLEET_PROGRESS`], exactly once
+//! per move. Every wait for a cut sleeps on that signal.
+//!
 //! The probes are read from any thread; an ordering applies through
 //! [`note_segment`](PrefixExposure::note_segment),
 //! [`note_dispatched`](PrefixExposure::note_dispatched),
@@ -48,8 +53,8 @@ use c5_storage::{Checkpoint, CheckpointWriter, MvStore};
 use crate::lag::LagTracker;
 use crate::pipeline::{BoundaryLedger, PipelineSignals, StageObs};
 use crate::progress::WatermarkTracker;
-use crate::replica::{ReadView, ReplicaMetrics};
-use crate::snapshotter::SnapshotCursor;
+use crate::replica::{ReadView, ReplicaMetrics, FLEET_PROGRESS};
+use crate::snapshotter::{StoreView, WholeDatabaseGate};
 
 /// The exposure of a prefix of one log, shared by every protocol:
 /// everything behind the ordering, written once. Building one validates the
@@ -57,7 +62,11 @@ use crate::snapshotter::SnapshotCursor;
 pub struct PrefixExposure {
     store: Arc<MvStore>,
     tracker: WatermarkTracker,
-    cursor: SnapshotCursor,
+    /// The exposed cut `c`: everything at or below it is visible to
+    /// read-only transactions. It only moves forward.
+    exposed: AtomicU64,
+    /// The backward-compatible form's gate; `None` in the faithful form.
+    gate: Option<WholeDatabaseGate>,
     ledger: BoundaryLedger,
     gc_trail: u64,
     /// Checkpoint exports in progress; only exports take this lock.
@@ -65,9 +74,9 @@ pub struct PrefixExposure {
     /// While an export runs, the cut the first of the running exports
     /// pinned: no GC horizon is published above it. `u64::MAX` otherwise.
     horizon_cap: AtomicU64,
-    /// Where a whole-database cut is taken: the last position of the last
-    /// fully dispatched transaction. (The timestamped cut follows the
-    /// applied boundary instead.)
+    /// Where a gated cut is taken: the last position of the last fully
+    /// dispatched transaction. (The faithful cut follows the applied
+    /// boundary instead.)
     dispatched_boundary: AtomicU64,
     op_cost: OpCost,
     obs: Arc<Obs>,
@@ -80,34 +89,37 @@ pub struct PrefixExposure {
 }
 
 impl PrefixExposure {
-    /// With the faithful, timestamped cursor (Section 7.2), over a store
-    /// holding everything at or below `cut`; the log resumes at `cut + 1`.
-    /// Advancing this cut is one atomic store, so cuts are not spaced.
+    /// The faithful form (Section 7.2), over a store holding everything at
+    /// or below `cut`; the log resumes at `cut + 1`. Advancing this cut is
+    /// one atomic store, so cuts are not spaced.
     pub fn timestamped(store: Arc<MvStore>, config: &ReplicaConfig, cut: SeqNo) -> Self {
-        let cursor = SnapshotCursor::timestamped_at(Arc::clone(&store), cut);
-        Self::new(cursor, store, config)
+        Self::new(None, store, config, cut)
     }
 
-    /// With the whole-database cursor (Section 5.2): cuts are taken at the
+    /// The whole-database form (Section 5.2): cuts are taken at the
     /// [dispatched boundary](Self::note_dispatched) and gate the workers, so
     /// they stay `config.snapshot_interval` (the paper's `I`) apart unless
     /// the prefix is already whole.
     pub fn whole_database(store: Arc<MvStore>, config: &ReplicaConfig, cut: SeqNo) -> Self {
-        let cursor =
-            SnapshotCursor::whole_database_at(Arc::clone(&store), cut, config.snapshot_interval);
-        Self::new(cursor, store, config)
+        let gate = WholeDatabaseGate::new(&store, config.snapshot_interval);
+        Self::new(Some(gate), store, config, cut)
     }
 
-    /// Everything resumes in lockstep at the cut the cursor starts exposed
-    /// at (already applied, already shipped), or catch-up wedges.
-    fn new(cursor: SnapshotCursor, store: Arc<MvStore>, config: &ReplicaConfig) -> Self {
+    /// Everything resumes in lockstep at `cut` (already applied, already
+    /// shipped, already exposed), or catch-up wedges.
+    fn new(
+        gate: Option<WholeDatabaseGate>,
+        store: Arc<MvStore>,
+        config: &ReplicaConfig,
+        cut: SeqNo,
+    ) -> Self {
         config
             .validate()
             .expect("replica configuration must be valid");
-        let cut = cursor.exposed();
         Self {
             tracker: WatermarkTracker::starting_at(cut),
-            cursor,
+            exposed: AtomicU64::new(cut.as_u64()),
+            gate,
             ledger: BoundaryLedger::starting_at(cut),
             gc_trail: config.gc_trail,
             exports: Mutex::new(0),
@@ -126,68 +138,73 @@ impl PrefixExposure {
 
     /// Advances the exposed, transaction-aligned cut if progress allows,
     /// records one lag sample per transaction it newly covers, raises the
-    /// store's GC horizon behind the new cut, and returns whether this call
-    /// moved the cut (such a cut is counted and timed as one `expose` stage
-    /// item). Never waits for progress; safe to call from several threads at
-    /// once.
+    /// store's GC horizon behind the new cut, announces it on
+    /// [`FLEET_PROGRESS`], and returns whether this call moved the cut (such
+    /// a cut is counted and timed as one `expose` stage item). Never waits
+    /// for progress; safe to call from several threads at once.
     ///
-    /// On a whole-database cursor a call closes the gate at the dispatched
-    /// boundary when a cut is due, and completes the pending cut once the
-    /// applied prefix has reached it. Once shutdown is requested or a stage
-    /// thread has died it only abandons a pending cut — the prefix may never
-    /// be whole, and writers held at the gate must be free to exit — and no
+    /// In the gated form a call closes the gate at the dispatched boundary
+    /// when a cut is due, and completes the pending cut once the applied
+    /// prefix has reached it. Once shutdown is requested or a stage thread
+    /// has died it only abandons a pending cut — the prefix may never be
+    /// whole, and writers held at the gate must be free to exit — and no
     /// gate closes again.
     pub fn expose(&self, signals: &PipelineSignals) -> bool {
-        if let SnapshotCursor::WholeDatabase { .. } = self.cursor {
-            return self.step_whole_database_cut(signals);
+        match &self.gate {
+            None => self.advance(self.tracker.boundary_watermark()),
+            Some(gate) => self.step_gated_cut(gate, signals),
         }
-        let target = self.tracker.boundary_watermark();
-        let before = self.cursor.exposed();
-        if target <= before {
+    }
+
+    /// Moves the faithful cut up to `target`, unless it is there already.
+    fn advance(&self, target: SeqNo) -> bool {
+        if target <= self.exposed_seq() {
             // Nothing new: touch no lock. Whoever advanced the cut drains
             // the boundaries it covered.
             return false;
         }
         let started = Instant::now();
-        // A racing caller that got there first drains instead.
-        self.cursor.advance(target) && self.exposed_to(before, target, started)
+        // Monotonic by construction: a racing caller with a stale, lower
+        // target moves nothing, and whoever got there first drains.
+        let before = self.exposed.fetch_max(target.as_u64(), Ordering::Release);
+        before < target.as_u64() && self.exposed_to(SeqNo(before), target, started)
     }
 
-    fn step_whole_database_cut(&self, signals: &PipelineSignals) -> bool {
+    fn step_gated_cut(&self, gate: &WholeDatabaseGate, signals: &PipelineSignals) -> bool {
         let stopping = || signals.shutdown_requested() || signals.failed();
         if stopping() {
-            self.cursor.abandon();
+            gate.abandon();
             return false;
         }
         // A cut another caller closed completes first, so that one due now
         // can close behind it.
-        let moved = self.complete_cut();
+        let moved = self.complete_cut(gate);
         // Applied before dispatched: a stale dispatched boundary would make
         // the prefix look whole when it is not.
         let applied = self.tracker.applied_watermark();
         let dispatched = || SeqNo(self.dispatched_boundary.load(Ordering::Acquire));
-        if dispatched() > self.cursor.exposed() {
+        if dispatched() > self.exposed_seq() {
             // Chosen under the closed gate, where no install is in flight:
             // nothing past the dispatched boundary read there is in the store.
-            self.cursor
-                .close(applied >= dispatched(), || (!stopping()).then(dispatched));
+            gate.close(applied >= dispatched(), || (!stopping()).then(dispatched));
         }
-        self.complete_cut() || moved
+        self.complete_cut(gate) || moved
     }
 
-    /// Completes the pending whole-database cut if the applied prefix has
-    /// reached it.
-    fn complete_cut(&self) -> bool {
-        match self.cursor.pending_cut() {
+    /// Completes the pending gated cut if the applied prefix has reached it.
+    fn complete_cut(&self, gate: &WholeDatabaseGate) -> bool {
+        match gate.pending_cut() {
             Some(n) if n <= self.tracker.applied_watermark() => {
-                let (before, started) = (self.cursor.exposed(), Instant::now());
-                self.cursor.complete(n) && self.exposed_to(before, n, started)
+                let (before, started) = (self.exposed_seq(), Instant::now());
+                gate.complete(n, &self.store, &self.exposed) && self.exposed_to(before, n, started)
             }
             _ => false,
         }
     }
 
-    /// Accounts for a cut this caller moved from `before` to `n`.
+    /// Accounts for a cut this caller moved from `before` to `n`, then
+    /// announces it: a waiter woken for the cut finds its lag samples and
+    /// its GC horizon in place.
     fn exposed_to(&self, before: SeqNo, n: SeqNo, started: Instant) -> bool {
         self.ledger.drain_exposed(n);
         self.publish_gc_horizon(n);
@@ -195,6 +212,7 @@ impl PrefixExposure {
         // applied but not yet visible to readers.
         let pending = (n.as_u64() - before.as_u64()) as usize;
         self.expose_stage.record(started.elapsed(), pending);
+        FLEET_PROGRESS.notify();
         true
     }
 
@@ -224,7 +242,7 @@ impl PrefixExposure {
 
     /// Largest position exposed to read-only transactions.
     pub fn exposed_seq(&self) -> SeqNo {
-        self.cursor.exposed()
+        SeqNo(self.exposed.load(Ordering::Acquire))
     }
 
     /// Last position handed to the schedule stage so far.
@@ -234,7 +252,10 @@ impl PrefixExposure {
 
     /// A read view pinned at the exposed cut.
     pub fn read_view(&self) -> Box<dyn ReadView> {
-        self.cursor.read_view()
+        Box::new(match &self.gate {
+            None => StoreView::at_cut(&self.store, self.exposed_seq()),
+            Some(gate) => gate.view(&self.store, &self.exposed),
+        })
     }
 
     /// Replication-lag samples collected so far.
@@ -281,16 +302,19 @@ impl PrefixExposure {
     /// Call in log order, before any of it can be installed.
     ///
     /// # Panics
-    /// Panics if the segment does not directly follow the last one noted
-    /// (see [`BoundaryLedger::note_segment`]).
+    /// Panics if the segment does not directly follow the last one noted, or
+    /// splits a transaction (see [`BoundaryLedger::note_segment`]).
     pub fn note_segment(&self, segment: &Segment) {
         self.ledger.note_segment(segment);
     }
 
     /// Runs one install attempt at `seq` under whatever must be held while a
-    /// write lands (the whole-database cursor's gate; nothing otherwise).
+    /// write lands (the whole-database gate; nothing in the faithful form).
     pub fn install_gated<R>(&self, seq: SeqNo, install: impl FnOnce() -> R) -> R {
-        self.cursor.install_gated(seq, install)
+        match &self.gate {
+            None => install(),
+            Some(gate) => gate.install_gated(seq, install),
+        }
     }
 
     /// Installs one record unconditionally and marks it applied: for
@@ -376,7 +400,7 @@ impl PrefixExposure {
     /// the cap is the exposed cut read here, and views only pin later cuts.
     /// A horizon published after the cap is in place is at most the cap. A
     /// cut whose publisher read the horizon cap before it was set advanced
-    /// the cursor before that read; the SeqCst fences here and in
+    /// the cut before that read; the SeqCst fences here and in
     /// [`publish_gc_horizon`](Self::publish_gc_horizon) then make the view
     /// pinned after this call read that cut or a later one, and its horizon
     /// trails that cut. Concurrent exports share the first one's cap, which
@@ -385,7 +409,7 @@ impl PrefixExposure {
         let mut exports = self.exports.lock();
         if *exports == 0 {
             self.horizon_cap
-                .store(self.cursor.exposed().as_u64(), Ordering::Relaxed);
+                .store(self.exposed_seq().as_u64(), Ordering::Relaxed);
         }
         *exports += 1;
         drop(exports);
@@ -475,6 +499,20 @@ mod tests {
     }
 
     #[test]
+    fn timestamped_cut_never_regresses() {
+        let (exposure, _) = exposure(&ReplicaConfig::default());
+        assert!(exposure.advance(SeqNo(5)));
+        assert!(!exposure.advance(SeqNo(3)), "a lower advance moves nothing");
+        assert_eq!(
+            exposure.exposed_seq(),
+            SeqNo(5),
+            "a lower advance must be ignored"
+        );
+        assert!(exposure.advance(SeqNo(8)));
+        assert_eq!(exposure.exposed_seq(), SeqNo(8));
+    }
+
+    #[test]
     fn gc_reclaims_versions_behind_the_cut() {
         let (exposure, signals) = exposure(&ReplicaConfig::default().with_gc_trail(0));
         // One hot row updated by every transaction.
@@ -504,9 +542,9 @@ mod tests {
         assert_eq!(view.get(RowRef::new(0, 1)).unwrap().as_u64(), Some(64));
     }
 
-    /// The cursor kind decides how a cut is taken: the whole-database cursor
-    /// closes its cut at the dispatched boundary and completes it once that
-    /// prefix is applied; the timestamped one follows the applied boundary.
+    /// The form decides how a cut is taken: the gated form closes its cut at
+    /// the dispatched boundary and completes it once that prefix is applied;
+    /// the faithful one follows the applied boundary.
     #[test]
     fn the_cursor_kind_decides_the_cut_and_its_spacing() {
         let config =
@@ -541,7 +579,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::shard::{route_segment_with, TxnShardTracker};
+    use crate::shard::{route_segment_with, RouteScratch};
     use c5_common::{RowRef, RowWrite, ShardRouter, TxnId, Value};
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::ReferenceStore;
@@ -607,7 +645,7 @@ mod proptests {
             } else {
                 (ShardRouter::single(), lanes)
             };
-            let mut tracker = TxnShardTracker::default();
+            let mut scratch = RouteScratch::default();
             let mut next_lane = vec![0usize; router.shards()];
             let mut queues: Vec<VecDeque<Vec<LogRecord>>> = vec![VecDeque::new(); router.shards() * per_shard];
 
@@ -639,7 +677,7 @@ mod proptests {
                     Step::Feed => {
                         let segment = segments.pop_front().unwrap();
                         exposure.note_segment(&segment);
-                        let routed = route_segment_with(segment.records, &router, &mut tracker);
+                        let routed = route_segment_with(segment.records, &router, &mut scratch);
                         for (shard, part) in routed.parts.into_iter().enumerate() {
                             if !part.is_empty() {
                                 queues[shard * per_shard + next_lane[shard] % per_shard].push_back(part);
@@ -756,7 +794,7 @@ mod proptests {
             let mut cut = SeqNo::ZERO;
             enum Step { Feed, Take(usize), Write(usize), Read }
             loop {
-                let pending = exposure.cursor.pending_cut();
+                let pending = exposure.gate.as_ref().unwrap().pending_cut();
                 let runnable = |r: &LogRecord| {
                     installed.contains(&r.prev_seq) && pending.map_or(true, |n| r.seq <= n)
                 };

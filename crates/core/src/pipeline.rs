@@ -28,25 +28,26 @@
 //!
 //! Nothing in the runtime runs on a timer, and no thread but the workers
 //! exposes. When a worker finishes an item (its watermark marks are flushed
-//! by then) it calls [`PrefixExposure::expose`], which never waits. On a
-//! timestamped cursor that is the cut itself, one `fetch_max` (Section
-//! 7.2): the worker whose marks extended the prefix publishes it in place,
-//! so an applied transaction is visible as soon as its last item's marks
-//! are, with no hand-off. A whole-database cut (Section 5.2) is two such
-//! steps: a worker that finds a cut due (the spacing passed, or the prefix
-//! already whole) closes the gate at the dispatched boundary, and the worker
-//! whose marks carry the applied prefix to it snapshots, publishes and
-//! reopens. Then the worker notifies the pipeline's one [`ProgressSignal`].
-//! Every wait in the runtime blocks on that signal — `finish`'s drain wait
-//! and [`ClonedConcurrencyControl::wait_until_exposed`] — and shutdown and
-//! the death of a stage thread (or of a feeder inside `schedule`) notify it
-//! too; both also abandon a pending whole-database cut, so no writer stays
-//! held at its gate. An idle replica makes no wake-ups at all.
+//! by then) it calls [`PrefixExposure::expose`], which never waits. In the
+//! faithful form that is the cut itself, one `fetch_max` (Section 7.2): the
+//! worker whose marks extended the prefix publishes it in place, so an
+//! applied transaction is visible as soon as its last item's marks are,
+//! with no hand-off. A whole-database cut (Section 5.2) is two such steps: a
+//! worker that finds a cut due (the spacing passed, or the prefix already
+//! whole) closes the gate at the dispatched boundary, and the worker whose
+//! marks carry the applied prefix to it snapshots, publishes and reopens.
+//! Either way, the exposure announces a cut that moved on
+//! [`FLEET_PROGRESS`], once, after its lag samples and GC horizon are in
+//! place; a worker whose item moved no cut notifies nobody.
 //!
-//! The waits below the pipeline use the same primitive: a blocking install
-//! sleeps on its wait-list shard's signal, and a write held at the
-//! whole-database gate on [`crate::replica::FLEET_PROGRESS`], which every
-//! published cut also notifies.
+//! There is one way to wait for a cut: sleep on [`FLEET_PROGRESS`]. `finish`'s
+//! drain wait and [`ClonedConcurrencyControl::wait_until_exposed`] do, as do
+//! the read router and a write held at the whole-database gate. Shutdown and
+//! the death of a stage thread (or of a feeder inside `schedule`) set their
+//! flag in [`PipelineSignals`] and notify it too; both also abandon a pending
+//! whole-database cut, so no writer stays held at its gate. An idle replica
+//! makes no wake-ups at all. The one wait below the pipeline that sleeps
+//! elsewhere is a blocking install, on its wait-list shard's signal.
 //!
 //! ## Batched hand-off
 //!
@@ -99,13 +100,17 @@ use c5_obs::{Counter, Histogram, Obs, PipelineStage, TraceEvent};
 
 use crate::exposure::PrefixExposure;
 use crate::lag::LagTracker;
-use crate::replica::{ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics};
+use crate::replica::{
+    ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics, FLEET_PROGRESS,
+};
 
-/// Cross-stage signals shared by every thread of one pipeline instance.
+/// Cross-stage flags shared by every thread of one pipeline instance. Each
+/// is set once and announced on [`FLEET_PROGRESS`], which every wait for
+/// this pipeline's progress sleeps on.
 #[derive(Debug, Default)]
 pub struct PipelineSignals {
     shutdown: AtomicBool,
-    progress: Arc<ProgressSignal>,
+    failed: AtomicBool,
 }
 
 impl PipelineSignals {
@@ -116,27 +121,20 @@ impl PipelineSignals {
     }
 
     /// Whether a stage thread of this pipeline has died. Terminal: the
-    /// applied prefix will not advance past the work the dead thread held.
+    /// applied prefix will not advance past the work the dead thread held,
+    /// so no wait for it goes on waiting.
     pub fn failed(&self) -> bool {
-        self.progress.failed()
+        self.failed.load(Ordering::Acquire)
     }
 
-    /// The pipeline's progress signal.
-    pub fn progress(&self) -> &Arc<ProgressSignal> {
-        &self.progress
-    }
-
-    /// Blocks on the progress signal until `ready` holds, shutdown is
-    /// requested or a stage thread dies (`finish`'s drain: workers notify
-    /// the signal after every item).
-    fn wait_until(&self, ready: impl Fn() -> bool) {
-        self.progress
-            .wait_until(None, || ready() || self.shutdown_requested());
+    fn fail(&self) {
+        self.failed.store(true, Ordering::Release);
+        FLEET_PROGRESS.notify();
     }
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        self.progress.notify();
+        FLEET_PROGRESS.notify();
     }
 }
 
@@ -264,7 +262,7 @@ impl StageObs {
 /// What a thread running pipeline code — a stage thread for its lifetime, a
 /// feeder while it is inside `schedule` — arms: if the thread unwinds past
 /// the [`armed`](Self::armed) guard, the pipeline is marked failed (which
-/// wakes every wait on the progress signal), a pending whole-database cut is
+/// wakes every wait for its cut), a pending whole-database cut is
 /// abandoned (the dead thread may have held part of its prefix, and writers
 /// held at its gate must be free to exit), and the death is counted. A clean
 /// exit does nothing.
@@ -292,7 +290,7 @@ impl<P: PipelinePolicy> Drop for ArmedDeathWatch<'_, P> {
                 name: "pipeline_thread_death",
                 elapsed_ns: 0,
             });
-            watch.signals.progress.fail();
+            watch.signals.fail();
             // Failed first: from here on no gate closes.
             exposure.expose(&watch.signals);
         }
@@ -390,9 +388,8 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
                                 policy.apply(worker, item, &signals);
                                 apply_obs.record(started.elapsed(), rx.len());
                                 // The item's marks are flushed: move the cut
-                                // they let move, then wake whoever waits.
+                                // they let move (which announces it).
                                 exposure.expose(&signals);
-                                signals.progress.notify();
                             }
                         })
                         .expect("spawn worker"),
@@ -433,8 +430,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         &self.policy
     }
 
-    /// The signals shared by this pipeline's threads (the progress signal,
-    /// the failed flag).
+    /// The flags shared by this pipeline's threads (shutdown, failed).
     pub fn signals(&self) -> &Arc<PipelineSignals> {
         &self.signals
     }
@@ -482,7 +478,7 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         // only if `schedule` does: should the policy panic, unwinding drops
         // the sink (closing the worker queues) and leaves the slot empty
         // (later segments count as dropped), and the armed watch fails the
-        // progress signal so nothing waits for the prefix this call held.
+        // pipeline so nothing waits for the prefix this call held.
         let Some(mut sink) = slot.take() else {
             drop(slot);
             self.note_dropped_segment();
@@ -505,14 +501,17 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         // closes the worker queues, so the workers drain what was dispatched
         // and exit; then wait for every shipped write to be applied and
         // exposed (the worker that completes the prefix cuts it at once,
-        // spaced or not). The wait sleeps on the progress signal and gives
-        // up if a stage thread died: the prefix that thread held will never
-        // complete, so the pipeline seals at whatever cut it reached.
+        // spaced or not, and announces it). The wait gives up if a stage
+        // thread died: the prefix that thread held will never complete, so
+        // the pipeline seals at whatever cut it reached.
         self.sink.lock().take();
         let exposure = self.policy.exposure();
         let target = exposure.shipped_seq();
-        self.signals.wait_until(|| {
-            exposure.applied_seq() >= target && exposure.exposed_seq() >= exposure.exposure_target()
+        let signals = &self.signals;
+        FLEET_PROGRESS.wait_until(None, || {
+            let drained = exposure.applied_seq() >= target
+                && exposure.exposed_seq() >= exposure.exposure_target();
+            drained || signals.shutdown_requested() || signals.failed()
         });
         self.stop_threads();
     }
@@ -554,12 +553,14 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         self.policy.exposure().metrics()
     }
 
+    /// The trait's wait, which also returns at once when a stage thread has
+    /// died: the cut may never get there.
     fn wait_until_exposed(&self, seq: SeqNo, timeout: Duration) -> bool {
-        self.signals
-            .progress
-            .wait_until(Some(Instant::now() + timeout), || {
-                self.policy.exposure().exposed_seq() >= seq
-            })
+        let exposed = || self.policy.exposure().exposed_seq() >= seq;
+        FLEET_PROGRESS.wait_until(Some(Instant::now() + timeout), || {
+            exposed() || self.signals.failed()
+        });
+        exposed()
     }
 }
 
@@ -612,9 +613,8 @@ macro_rules! delegate_replica_to_pipeline {
                 self.$field.promote()
             }
             // The two defaulted methods are forwarded too: the runtime's
-            // `wait_until_exposed` blocks on the pipeline's own progress
-            // signal, which also returns at once when a stage thread dies;
-            // the trait default sleeps on the process-wide one.
+            // `wait_until_exposed` also returns at once when a stage thread
+            // dies.
             fn wait_until_exposed(
                 &self,
                 seq: ::c5_common::SeqNo,
@@ -667,12 +667,14 @@ impl BoundaryLedger {
     /// stage, in log order) and remembers the last position seen.
     ///
     /// # Panics
-    /// Panics if the segment does not directly follow the last one noted.
-    /// Every policy depends on log order — the per-row `prev_seq` stamps,
-    /// the boundary queue, the dispatch order — and a reordered segment
-    /// corrupts them silently (the symptom is a replica that wedges much
-    /// later, with rows whose version chains skip writes). Failing loudly at
-    /// the first misordered segment names the real culprit: the producer.
+    /// Panics if the segment does not directly follow the last one noted,
+    /// or if it splits a transaction. Every policy depends on log order —
+    /// the per-row `prev_seq` stamps, the boundary queue, the dispatch order
+    /// — and a reordered segment corrupts them silently (the symptom is a
+    /// replica that wedges much later, with rows whose version chains skip
+    /// writes). Every policy also takes a segment's transactions to be whole
+    /// in it (Section 7.1), as every producer writes them. Failing loudly at
+    /// the first such segment names the real culprit: the producer.
     pub fn note_segment(&self, segment: &Segment) {
         if let Some(first) = segment.first_seq() {
             let shipped = self.shipped_seq();
@@ -683,6 +685,11 @@ impl BoundaryLedger {
                  {first} when the log was shipped through {shipped}"
             );
         }
+        assert!(
+            segment.transactions_are_whole(),
+            "segments must hold whole transactions: segment {} splits one",
+            segment.header.id
+        );
         let mut boundaries = self.boundaries.lock();
         for record in &segment.records {
             if record.is_txn_last() {
@@ -1034,7 +1041,8 @@ mod tests {
                 waits.install_blocking(&record(2, 1, 7), &|r| store.try_install(r), &|| false)
             })
         };
-        std::thread::sleep(Duration::from_millis(10));
+        let signal = &waits.shard(SeqNo(1)).installed;
+        wait_for("the successor asleep", || signal.parked() >= 1);
         assert!(!waiter.is_finished(), "the successor must wait");
 
         assert!(!waits.install_or_park(record(1, 0, 7), &|r| store.try_install(r)));
@@ -1043,8 +1051,8 @@ mod tests {
     }
 
     /// A blocking waiter sleeps until its predecessor's install is
-    /// announced: held back for 20 ms, the predecessor costs the waiter one
-    /// failed attempt before the sleep, not a re-check per timer tick.
+    /// announced: asleep on the predecessor's shard signal, it has made one
+    /// failed attempt, and it makes no other until that install is.
     #[test]
     fn blocking_install_sleeps_until_the_predecessor_lands() {
         let store = Arc::new(ModelStore::default());
@@ -1064,11 +1072,12 @@ mod tests {
                 waits.install_blocking(&record(2, 1, 7), &try_install, &|| false)
             })
         };
-        std::thread::sleep(Duration::from_millis(20));
-        let before_predecessor = attempts.load(Ordering::SeqCst);
-        assert!(
-            (1..=2).contains(&before_predecessor),
-            "{before_predecessor} attempts while the predecessor was held back"
+        let signal = &waits.shard(SeqNo(1)).installed;
+        wait_for("the waiter asleep", || signal.parked() >= 1);
+        assert_eq!(
+            attempts.load(Ordering::SeqCst),
+            1,
+            "attempts while the predecessor was held back"
         );
 
         assert!(!waits.install_or_park(record(1, 0, 7), &|r| store.try_install(r)));
@@ -1236,7 +1245,8 @@ mod tests {
         stamped: PlMutex<(crate::scheduler::SchedulerState, Vec<(SeqNo, SeqNo)>)>,
     }
 
-    /// How a [`PoisonedPolicy`]'s exposure is built: which cursor it has.
+    /// How a [`PoisonedPolicy`]'s exposure is built: with a whole-database
+    /// gate or without.
     type Cursor = fn(Arc<MvStore>, &c5_common::ReplicaConfig, SeqNo) -> PrefixExposure;
 
     impl PoisonedPolicy {
@@ -1421,10 +1431,10 @@ mod tests {
         assert_eq!(traced_cuts as u64, cuts);
     }
 
-    /// Worker 0 dies at position 21 while a cut is pending at 30 on the
-    /// whole-database cursor, with worker 1 held at its gate by a write past
-    /// 30; `finish` must abandon that cut to join worker 1. The timestamped
-    /// cursor runs the same steps with no gate.
+    /// Worker 0 dies at position 21 while a cut is pending at 30 behind the
+    /// whole-database gate, with worker 1 held at it by a write past 30;
+    /// `finish` must abandon that cut to join worker 1. The faithful form
+    /// runs the same steps with no gate.
     #[test]
     fn a_dead_worker_fails_the_pipeline_instead_of_hanging_finish() {
         let cursors: [Cursor; 2] = [PrefixExposure::timestamped, PrefixExposure::whole_database];
@@ -1517,7 +1527,7 @@ mod tests {
     }
 
     /// The feeder is the scheduler and every cut is taken by the workers:
-    /// no thread but theirs, whichever cursor the exposure has.
+    /// no thread but theirs, whichever form the exposure has.
     #[test]
     fn a_runtime_runs_its_workers_and_no_other_thread_whatever_its_cursor() {
         let cursors: [Cursor; 2] = [PrefixExposure::timestamped, PrefixExposure::whole_database];

@@ -26,11 +26,11 @@
 //!   `shards × workers` lanes by key range: the stamped segment is split by
 //!   shard and each shard's run goes round-robin to one of that shard's
 //!   lanes (`shard.rs`).
-//! * The exposure's cursor is chosen by the mode: timestamped for the
-//!   faithful form (a cut is one atomic store, taken whenever the applied
-//!   prefix moves), whole-database for the backward-compatible one (a cut
-//!   gates the workers, so cuts stay `snapshot_interval` apart unless the
-//!   prefix is already whole).
+//! * The mode chooses the exposure's form: no gate for the faithful one (a
+//!   cut is one atomic store, taken whenever the applied prefix moves), a
+//!   whole-database gate for the backward-compatible one (a cut gates the
+//!   workers, so cuts stay `snapshot_interval` apart unless the prefix is
+//!   already whole).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ use crate::pipeline::{
     RowWaitList, WorkSink,
 };
 use crate::scheduler::SchedulerState;
-use crate::shard::{route_segment_with, TxnShardTracker};
+use crate::shard::{route_segment_with, RouteScratch};
 
 /// A read-only view of the backup's exposed state, pinned at creation time.
 pub trait ReadView: Send {
@@ -84,8 +84,11 @@ pub struct ReplicaMetrics {
     pub applied_seq: SeqNo,
     /// Largest log position exposed to read-only transactions.
     pub exposed_seq: SeqNo,
-    /// Largest log position dispatched to the workers: `apply_segment` has
-    /// returned for every segment at or below it.
+    /// Last log position handed to the schedule stage. `apply_segment`
+    /// raises it when it notes a segment, before any of the segment's items
+    /// are sent, so positions at or below it may still be in the feeder's
+    /// hands (a send blocks while a lane is full), queued or applying. Every
+    /// one of them will be applied unless the pipeline fails.
     pub shipped_seq: SeqNo,
     /// Number of writes that had to wait for their per-row predecessor
     /// before executing (each such write is counted once, however long it
@@ -117,17 +120,19 @@ pub struct Promotion {
     pub store: Arc<MvStore>,
 }
 
-/// The process-wide signal for waits on fleet-level progress: notified by
-/// every [`SnapshotCursor`](crate::snapshotter::SnapshotCursor) that moves an
-/// exposed cut or reopens its gate, by the read router on every membership
-/// change, and by the lease that takes a draining member's reads to zero.
+/// The process-wide signal every wait for a cut sleeps on: `finish`'s
+/// drain, [`ClonedConcurrencyControl::wait_until_exposed`], blocked reads,
+/// and writes held at a whole-database gate. It is notified once for every
+/// exposed cut that moves (after its lag samples and GC horizon are in
+/// place), for a gate reopened without a cut, for a pipeline's shutdown or
+/// dead stage thread, by the read router on every membership change, and by
+/// the lease that takes a draining member's reads to zero.
 ///
-/// One signal for the process, not one per fleet, because a shared
-/// eventcount needs no registration: a wrapper that forwards only the
-/// trait's required methods still wakes its readers through the cursor of
+/// One signal for the process, not one per pipeline or fleet, because a
+/// shared eventcount needs no registration: a wrapper that forwards only the
+/// trait's required methods still wakes its readers through the exposure of
 /// the replica it wraps. Each waiter re-checks its own condition, so an
-/// unrelated notification costs a parked waiter one re-evaluation. Nothing
-/// ever calls [`ProgressSignal::fail`] on it.
+/// unrelated notification costs a parked waiter one re-evaluation.
 pub static FLEET_PROGRESS: ProgressSignal = ProgressSignal::new();
 
 /// The interface shared by C5 and every baseline cloned concurrency control
@@ -248,7 +253,7 @@ const DISPATCH_BATCH: usize = 64;
 /// C5 on the shared pipeline runtime: the row-granularity ordering
 /// (Sections 4.1 and 7.2) — `prev_seq` stamps on the schedule side, the
 /// per-row wait list on the apply side — in the mode's dispatch form, over
-/// the prefix exposure with the mode's cursor.
+/// the prefix exposure in the mode's form.
 pub(crate) struct C5Policy {
     mode: C5Mode,
     exposure: PrefixExposure,
@@ -265,10 +270,10 @@ pub(crate) struct C5Policy {
     /// `s * workers .. (s + 1) * workers`.
     router: ShardRouter,
     workers: usize,
-    /// Above one shard, the split's carried masks and scratch buffers, and
+    /// Above one shard, the split's scratch buffers, and
     /// each shard's round-robin cursor over its lanes. Only `schedule` locks
     /// it, and the runtime runs one `schedule` at a time.
-    route: Mutex<(TxnShardTracker, Vec<usize>)>,
+    route: Mutex<(RouteScratch, Vec<usize>)>,
 }
 
 impl C5Policy {
@@ -370,8 +375,8 @@ impl PipelinePolicy for C5Policy {
             C5Mode::Faithful if self.router.shards() == 1 => sink.send(segment.records),
             C5Mode::Faithful => {
                 let mut route = self.route.lock();
-                let (tracker, next_lane) = &mut *route;
-                let routed = route_segment_with(segment.records, &self.router, tracker);
+                let (scratch, next_lane) = &mut *route;
+                let routed = route_segment_with(segment.records, &self.router, scratch);
                 self.exposure.count_cross_shard(routed.cross_shard_txns);
                 for (shard, records) in routed.parts.into_iter().enumerate() {
                     if records.is_empty() {
@@ -411,7 +416,6 @@ impl PipelinePolicy for C5Policy {
                     }
                 }
                 if let Some(last) = batch.last() {
-                    debug_assert!(last.is_txn_last(), "segments never split transactions");
                     self.exposure.note_dispatched(last.seq);
                     sink.send(batch);
                 }
@@ -533,7 +537,7 @@ impl C5Replica {
             dispatch_batch,
             router,
             workers: config.workers,
-            route: Mutex::new((TxnShardTracker::default(), vec![0; router.shards()])),
+            route: Mutex::new((RouteScratch::default(), vec![0; router.shards()])),
         });
         let options = PipelineOptions {
             workers: router.shards() * config.workers,
@@ -851,42 +855,51 @@ mod tests {
     }
 
     /// `C5Replica::wait_until_exposed` reaches the runtime's blocking wait:
-    /// the caller parks on the progress signal (the only thread asleep on
-    /// it: a replica has no thread but its workers) and is woken by the
-    /// notification of the worker that took the cut — with an hour-long
-    /// timeout and an hour-long interval there is nothing else to wake it.
+    /// the caller parks on [`FLEET_PROGRESS`] and is woken by the
+    /// announcement of the cut a worker took — with an hour-long timeout and
+    /// an hour-long interval there is no timer to wake it, so a cut that is
+    /// not announced fails the test at its deadline. (Other tests park on
+    /// and notify the same signal, so this one asserts only what they
+    /// cannot change, and alone it also shows the missing announcement.)
     #[test]
     fn wait_until_exposed_blocks_on_the_progress_signal() {
-        let (replica, _obs) = observed_replica(C5Mode::Faithful, HOUR);
+        let (replica, obs) = observed_replica(C5Mode::Faithful, HOUR);
         let segments = adversarial_log(10, 2, 8);
         let last = segments.last().unwrap().last_seq().unwrap();
-        let progress = Arc::clone(replica.runtime.signals().progress());
-        let generation = progress.generation();
+        let generation = FLEET_PROGRESS.generation();
 
-        let waiter = {
+        let (done, woken) = std::sync::mpsc::channel();
+        {
             let replica = Arc::clone(&replica);
-            std::thread::spawn(move || replica.wait_until_exposed(last, HOUR))
-        };
-        // The trait's default sleeps on `FLEET_PROGRESS`, not on this
-        // signal; this would spin forever.
-        while progress.parked() < 1 {
+            std::thread::spawn(move || done.send(replica.wait_until_exposed(last, HOUR)));
+        }
+        while FLEET_PROGRESS.parked() < 1 {
             std::thread::yield_now();
         }
-        assert_eq!(progress.generation(), generation, "idle: nothing notified");
-
         for segment in segments {
             replica.apply_segment(segment);
         }
-        assert!(waiter.join().unwrap());
-        assert!(progress.generation() > generation);
-        assert!(replica.freshness_commit_nanos().is_some());
+        let reached = woken
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the waiter was not woken within its deadline");
+        assert!(reached);
         replica.finish();
+        // Every cut the workers took was announced, and was counted, and
+        // the last one covers every transaction.
+        let cuts = obs
+            .metrics
+            .counter("stage_items_total{stage=\"expose\"}")
+            .get();
+        assert!(cuts >= 1);
+        assert!(FLEET_PROGRESS.generation() >= generation + cuts);
+        assert_eq!(replica.lag().len(), 10);
+        assert!(replica.freshness_commit_nanos().is_some());
     }
 
-    /// The whole-database cursor's cuts gate the workers, so they stay
-    /// `snapshot_interval` apart however often progress is notified — and
-    /// the prefix, once whole, is still cut at once. A per-write cost keeps
-    /// the workers busy for a dozen intervals, notifying after every
+    /// Whole-database cuts gate the workers, so they stay
+    /// `snapshot_interval` apart however often a worker finishes an item —
+    /// and the prefix, once whole, is still cut at once. A per-write cost
+    /// keeps the workers busy for a dozen intervals, finishing an item per
     /// transaction; per-transaction dispatch keeps the scheduler (and so each
     /// cut's target) within a queue's length of the workers, so one cut
     /// cannot swallow the whole log.
@@ -925,11 +938,11 @@ mod tests {
             cuts >= 1 && u128::from(cuts) <= allowed,
             "{cuts} cuts, but the spacing allows {allowed}"
         );
-        let notified = obs.metrics.counter("stage_items_total{stage=\"apply\"}");
+        let items = obs.metrics.counter("stage_items_total{stage=\"apply\"}");
         assert!(
-            notified.get() > 100 * cuts,
-            "progress must be notified far more often than it is cut: {} vs {cuts}",
-            notified.get()
+            items.get() > 100 * cuts,
+            "items must finish far more often than the prefix is cut: {} vs {cuts}",
+            items.get()
         );
         replica.finish();
         assert_eq!(replica.exposed_seq(), last);

@@ -11,17 +11,15 @@
 //!
 //! The split runs once per segment on the feeder, so it amortizes its
 //! allocations: the per-record shard assignments and per-shard counts live
-//! in scratch buffers inside a persistent [`TxnShardTracker`] (they grow to
+//! in scratch buffers inside a persistent [`RouteScratch`] (they grow to
 //! one segment's size once and are reused after), and each shard's run of
 //! records is allocated once, at its final size — a shard that owns nothing
-//! in a segment allocates nothing and is sent nothing. One tracker serves
-//! the whole stream because it sees every segment in order: it also carries
-//! the open-transaction masks that classify a transaction straddling a
-//! segment boundary as cross-shard.
+//! in a segment allocates nothing and is sent nothing. A segment holds whole
+//! transactions (the exposure's `note_segment` refuses one that does not),
+//! so the split judges each transaction cross-shard or not within the one
+//! segment that holds it.
 
-use std::collections::HashMap;
-
-use c5_common::{ShardRouter, TxnId};
+use c5_common::ShardRouter;
 use c5_log::LogRecord;
 
 /// The result of splitting one segment's records by key range.
@@ -35,64 +33,48 @@ pub(crate) struct RoutedRecords {
     pub(crate) cross_shard_txns: u64,
 }
 
-/// Shard membership of transactions whose last write has not been seen yet,
-/// keyed by transaction id. Carrying this state across
-/// [`route_segment_with`] calls makes the cross-shard count *per
-/// transaction*: a transaction whose records straddle a segment boundary
-/// accumulates one mask and is judged once, at its last write — instead of
-/// being judged per segment, which either double-counts a transaction whose
-/// every fragment spans shards or misses one that only spans shards across
-/// the boundary.
+/// [`route_segment_with`]'s scratch buffers, kept across calls.
 #[derive(Debug, Default)]
-pub(crate) struct TxnShardTracker {
-    open: HashMap<TxnId, u64>,
-    /// Routing scratch, reused across calls: the shard assignment of each
-    /// record in the segment currently being routed.
+pub(crate) struct RouteScratch {
+    /// The shard assignment of each record in the segment being routed.
     shard_of: Vec<u8>,
-    /// Routing scratch, reused across calls: per-shard record counts of the
-    /// segment currently being routed, so each shard's buffer can be
-    /// allocated exactly once at its final size (and empty shards allocate
-    /// nothing).
+    /// Per-shard record counts of the segment being routed, so each shard's
+    /// buffer can be allocated exactly once at its final size (and empty
+    /// shards allocate nothing).
     counts: Vec<u32>,
 }
 
 /// Splits one segment's records by key range under `router`. Each record
 /// moves to the shard owning its row; within a shard, records keep their log
-/// order. Shard masks of transactions still open at the segment boundary are
-/// carried in `tracker`, so each transaction is judged exactly once, by id,
-/// at its last write.
+/// order. A transaction's records are consecutive in the log and whole in
+/// the segment, so one running shard mask judges each transaction exactly
+/// once, at its last write.
 pub(crate) fn route_segment_with(
     records: Vec<LogRecord>,
     router: &ShardRouter,
-    tracker: &mut TxnShardTracker,
+    scratch: &mut RouteScratch,
 ) -> RoutedRecords {
     let mut cross_shard_txns = 0u64;
     // First pass, by reference: route every record (shards fit in a u8 —
-    // `ShardRouter` caps at 64), count per shard, and settle the cross-shard
-    // masks. The scratch buffers persist in the tracker, so after the first
-    // segment this pass allocates nothing.
-    let TxnShardTracker {
-        open,
-        shard_of,
-        counts,
-    } = tracker;
+    // `ShardRouter` caps at 64), count per shard, and judge each
+    // transaction's shard mask. The scratch buffers persist across calls,
+    // so after the first segment this pass allocates nothing.
+    let RouteScratch { shard_of, counts } = scratch;
     shard_of.clear();
     shard_of.reserve(records.len());
     counts.clear();
     counts.resize(router.shards(), 0);
+    let mut mask = 0u64;
     for record in &records {
         let shard = router.route(record.write.row);
         shard_of.push(shard as u8);
         counts[shard] += 1;
+        mask |= 1u64 << shard;
         if record.is_txn_last() {
-            // The complete mask: fragments from earlier segments, if any,
-            // plus this final write's shard.
-            let mask = open.remove(&record.txn).unwrap_or(0) | (1u64 << shard);
             if !mask.is_power_of_two() {
                 cross_shard_txns += 1;
             }
-        } else {
-            *open.entry(record.txn).or_insert(0) |= 1u64 << shard;
+            mask = 0;
         }
     }
     // Second pass, by value: move each record into its shard's buffer, every
@@ -121,8 +103,10 @@ pub(crate) fn route_segment_with(
 mod tests {
     use super::*;
     use crate::mpc::MpcChecker;
-    use crate::replica::{drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl};
-    use c5_common::{ReplicaConfig, RowRef, RowWrite, SeqNo, Timestamp, Value, WriteKind};
+    use crate::replica::{
+        drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, FLEET_PROGRESS,
+    };
+    use c5_common::{ReplicaConfig, RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value, WriteKind};
     use c5_log::{explode_txn, segments_from_entries, Segment, TxnEntry};
     use c5_storage::MvStore;
     use std::sync::Arc;
@@ -363,9 +347,9 @@ mod tests {
     }
 
     /// Mid-stream, with no `finish()` to force a cut and an hour-long
-    /// interval: the cut follows the applied prefix on the progress signal
-    /// alone — while three of four shards own nothing — and the caller
-    /// blocks on that signal.
+    /// interval: the cut follows the applied prefix alone — while three of
+    /// four shards own nothing — and the caller blocks on
+    /// [`FLEET_PROGRESS`] until the cut is announced.
     #[test]
     fn spanning_cut_is_event_driven_across_busy_and_quiet_shards() {
         let hour = Duration::from_secs(3600);
@@ -392,9 +376,9 @@ mod tests {
             let replica = Arc::clone(&replica);
             std::thread::spawn(move || replica.wait_until_exposed(last, hour))
         };
-        // The waiter, alone: the workers take the cut themselves.
-        let signal = Arc::clone(replica.runtime.signals().progress());
-        while signal.parked() < 1 {
+        // The waiter asleep (or another test's: the cut holds either way);
+        // the workers take the cut themselves.
+        while FLEET_PROGRESS.parked() < 1 {
             std::thread::yield_now();
         }
         for segment in segments {
@@ -467,8 +451,8 @@ mod tests {
     #[test]
     fn route_segment_moves_each_record_to_its_shard() {
         let router = ShardRouter::new(2, 8);
-        let mut tracker = TxnShardTracker::default();
-        let routed = route_segment_with(multi_shard_records(), &router, &mut tracker);
+        let mut scratch = RouteScratch::default();
+        let routed = route_segment_with(multi_shard_records(), &router, &mut scratch);
         assert_eq!(routed.cross_shard_txns, 1);
         assert_eq!(routed.parts.len(), 2);
 
@@ -488,49 +472,42 @@ mod tests {
             vec![RowWrite::insert(row(7), Value::from_u64(8))],
         );
         let (records, _) = explode_txn(entry, SeqNo(5));
-        let routed = route_segment_with(records, &router, &mut tracker);
+        let routed = route_segment_with(records, &router, &mut scratch);
         assert_eq!(routed.cross_shard_txns, 0);
         assert!(routed.parts[0].is_empty(), "shard 0 owns nothing here");
         assert_eq!(routed.parts[1].len(), 1);
     }
 
+    /// No producer splits a transaction across segments (Section 7.1), so
+    /// the key-range split judges each transaction inside one segment. A
+    /// segment that splits one — here a cross-shard transaction's first
+    /// write alone — stops the schedule stage at `note_segment`, before
+    /// anything is noted or routed.
     #[test]
-    fn txn_straddling_segments_is_counted_once_by_id() {
-        // One cross-shard transaction (keys 1 and 5 under a 2-shard router
-        // over [0, 8)) whose two records are deliberately split across two
-        // segments — the shape a segment-splitting producer would emit.
+    fn a_txn_split_across_segments_panics_at_note_segment() {
         let entry = TxnEntry::new(
             TxnId(1),
             Timestamp(1),
             vec![
                 RowWrite::insert(row(1), Value::from_u64(1)),
-                RowWrite::insert(row(5), Value::from_u64(5)),
+                RowWrite::insert(row(40), Value::from_u64(40)),
             ],
         );
         let (mut records, _) = explode_txn(entry, SeqNo::ZERO);
-        let second = records.split_off(1);
-        let router = ShardRouter::new(2, 8);
-        let mut tracker = TxnShardTracker::default();
-
-        let first = route_segment_with(records, &router, &mut tracker);
-        // No last write seen yet: nothing is counted, the mask stays open.
-        assert_eq!(first.cross_shard_txns, 0);
-        assert_eq!(tracker.open.len(), 1);
-
-        let second = route_segment_with(second, &router, &mut tracker);
-        // The final write completes the mask {shard 0, shard 1}: counted as
-        // cross-shard exactly once. Without the carried mask the second
-        // segment only sees shard 1 and the transaction would be
-        // misclassified as single-shard.
-        assert_eq!(second.cross_shard_txns, 1);
-        assert!(tracker.open.is_empty());
-        // Both records still arrive, each on its own shard.
-        let parts: Vec<usize> = first
-            .parts
-            .iter()
-            .chain(&second.parts)
-            .map(Vec::len)
-            .collect();
-        assert_eq!(parts, vec![1, 0, 0, 1]);
+        records.truncate(1);
+        let replica = C5Replica::new(C5Mode::Faithful, preloaded(&[]), config(2, 1));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            replica.apply_segment(Segment::new(0, records))
+        }));
+        replica.finish();
+        let message = outcome
+            .expect_err("a split transaction must panic")
+            .downcast::<String>()
+            .map_or_else(|_| String::new(), |message| *message);
+        assert!(
+            message.contains("segments must hold whole transactions"),
+            "{message}"
+        );
+        assert_eq!(replica.metrics(), Default::default(), "nothing noted");
     }
 }

@@ -11,23 +11,29 @@
 //! As Section 7.2 observes, a multi-version store in which workers install
 //! versions at explicit positions *is* those three snapshots: reading at
 //! timestamp `c` is the current snapshot, writes between `c` and `n` are the
-//! next, and writes beyond `n` the future. [`SnapshotCursor::Timestamped`]
-//! implements that faithful form — advancing `c` is a single atomic store and
-//! never blocks workers.
+//! next, and writes beyond `n` the future. The faithful form therefore needs
+//! nothing here but the cut `c` itself, which the
+//! [`PrefixExposure`](crate::exposure::PrefixExposure) holds and advances by
+//! one atomic store, and a [`StoreView`] that reads the store at it.
 //!
-//! Section 5.2's backward-compatible form ([`SnapshotCursor::WholeDatabase`])
-//! has to live with a storage engine that can only snapshot "the current
-//! state". A cut takes two steps, neither of which waits:
-//! [`close`](SnapshotCursor::close) the gate at a cut `n` at or beyond
-//! everything installed so far, holding back writes past `n`; and, once the
-//! prefix up to `n` is applied, [`complete`](SnapshotCursor::complete) it:
-//! materialize a whole-database snapshot, publish `n` and reopen the gate.
+//! Section 5.2's backward-compatible form has to live with a storage engine
+//! that can only snapshot "the current state": a [`WholeDatabaseGate`], which
+//! the exposure holds beside the cut when it runs that form. A cut takes two
+//! steps, neither of which waits: [`close`](WholeDatabaseGate::close) the
+//! gate at a cut `n` at or beyond everything installed so far, holding back
+//! writes past `n`; and, once the prefix up to `n` is applied,
+//! [`complete`](WholeDatabaseGate::complete) it: take
+//! [`DbSnapshot::of_current`], publish `n` as the cut and reopen the gate.
 //! The gate is a reader-writer lock: workers hold it shared for the instant
-//! it takes to install one write, and the cursor takes it exclusively only
-//! to close, complete or [`abandon`](SnapshotCursor::abandon) a cut.
+//! it takes to install one write, and the exposure takes it exclusively only
+//! to close, complete or [`abandon`](WholeDatabaseGate::abandon) a cut. The
+//! same lock pairs the exposed cut with the timestamp `of_current` returned
+//! for it, so a view reads the store where the engine's snapshot did, never
+//! at a timestamp of its own choosing.
 //!
-//! Every exposed cut changes here, so the cursor is what announces a moved
-//! cut, and a reopened gate, on [`FLEET_PROGRESS`].
+//! The exposure announces a moved cut on [`FLEET_PROGRESS`]; the gate
+//! announces only an abandoned cut, whose reopening is what writers held at
+//! it wait for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,198 +46,90 @@ use c5_storage::{DbSnapshot, MvStore};
 
 use crate::replica::{ReadView, FLEET_PROGRESS};
 
-/// The exposed-state cursor: what read-only transactions may observe.
-pub enum SnapshotCursor {
-    /// Faithful (C5-Cicada) form: the exposed prefix is a timestamp into the
-    /// multi-version store.
-    Timestamped {
-        /// The backup's store.
-        store: Arc<MvStore>,
-        /// The exposed cut `c` (a log position).
-        exposed: AtomicU64,
-    },
-    /// Backward-compatible (C5-MyRocks) form: the exposed prefix is a
-    /// materialized whole-database snapshot, refreshed at each cut.
-    WholeDatabase {
-        /// The backup's store.
-        store: Arc<MvStore>,
-        /// The exposed cut `c`.
-        exposed: AtomicU64,
-        /// Holds back writes past a pending cut.
-        gate: RwLock<Gate>,
-        /// The snapshot currently serving read-only transactions.
-        current: RwLock<DbSnapshot>,
-        /// Minimum time from one completed cut to the next close: the
-        /// paper's `I`.
-        spacing: Duration,
-    },
+/// Section 5.2's whole-database snapshotter: the gate that holds back writes
+/// past a pending cut, and the snapshot of the last completed one.
+pub struct WholeDatabaseGate {
+    state: RwLock<GateState>,
+    /// Minimum time from one completed cut to the next close: the paper's
+    /// `I`.
+    spacing: Duration,
 }
 
-/// A whole-database cursor's gate.
-#[derive(Debug)]
-pub struct Gate {
+struct GateState {
     /// The pending cut, past which writes wait; [`OPEN`] if there is none.
     at: u64,
     /// When the last cut completed.
     last_cut: Option<Instant>,
+    /// The timestamp [`DbSnapshot::of_current`] captured when the exposed
+    /// cut completed: where its read views read the store.
+    snapshot: Timestamp,
 }
 
-/// The gate position of a cursor with no cut pending.
+/// The gate position with no cut pending.
 const OPEN: u64 = u64::MAX;
 
-impl std::fmt::Debug for SnapshotCursor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self {
-            SnapshotCursor::Timestamped { .. } => "SnapshotCursor::Timestamped",
-            SnapshotCursor::WholeDatabase { .. } => "SnapshotCursor::WholeDatabase",
-        };
-        f.debug_struct(kind)
-            .field("exposed", &self.exposed())
-            .finish()
-    }
-}
-
-impl SnapshotCursor {
-    /// Creates the faithful, timestamped cursor exposed at `cut` (zero, or a
-    /// checkpoint's cut: the store already holds, and may expose, everything
-    /// at or below it).
-    pub fn timestamped_at(store: Arc<MvStore>, cut: SeqNo) -> Self {
-        SnapshotCursor::Timestamped {
-            store,
-            exposed: AtomicU64::new(cut.as_u64()),
-        }
-    }
-
-    /// Creates the whole-database cursor exposed at `cut`, whose cuts close
-    /// at least `spacing` after the last one completed (unless the prefix is
-    /// already whole, see [`close`](Self::close)); the initial snapshot
-    /// captures the store's current (preloaded or checkpoint-installed)
+impl WholeDatabaseGate {
+    /// An open gate whose cuts close at least `spacing` after the last one
+    /// completed (unless the prefix is already whole, see
+    /// [`close`](Self::close)); the snapshot serving the cut the store starts
+    /// exposed at captures its current (preloaded or checkpoint-installed)
     /// state.
-    pub fn whole_database_at(store: Arc<MvStore>, cut: SeqNo, spacing: Duration) -> Self {
-        let current = DbSnapshot::of_current(&store);
-        SnapshotCursor::WholeDatabase {
-            store,
-            exposed: AtomicU64::new(cut.as_u64()),
-            gate: RwLock::new(Gate {
+    pub fn new(store: &Arc<MvStore>, spacing: Duration) -> Self {
+        Self {
+            state: RwLock::new(GateState {
                 at: OPEN,
                 last_cut: None,
+                snapshot: DbSnapshot::of_current(store).as_of(),
             }),
-            current: RwLock::new(current),
             spacing,
         }
     }
 
-    /// The exposed cut `c`.
-    pub fn exposed(&self) -> SeqNo {
-        match self {
-            SnapshotCursor::Timestamped { exposed, .. }
-            | SnapshotCursor::WholeDatabase { exposed, .. } => {
-                SeqNo(exposed.load(Ordering::Acquire))
-            }
-        }
-    }
-
-    /// A read view pinned at the current snapshot. Successive views observe
-    /// monotonically advancing cuts (monotonic prefix consistency's second
-    /// half); an individual view never changes after creation.
-    pub fn read_view(&self) -> Box<dyn ReadView> {
-        match self {
-            SnapshotCursor::Timestamped { store, exposed } => Box::new(TimestampedView {
-                store: Arc::clone(store),
-                as_of: SeqNo(exposed.load(Ordering::Acquire)),
-            }),
-            SnapshotCursor::WholeDatabase {
-                current, exposed, ..
-            } => Box::new(WholeDbView {
-                snapshot: current.read().clone(),
-                as_of: SeqNo(exposed.load(Ordering::Acquire)),
-            }),
-        }
-    }
-
-    /// Advances the exposed cut to `n` (faithful form only; the
-    /// whole-database form advances through [`close`](Self::close) and
-    /// [`complete`](Self::complete)).
-    ///
-    /// The cut is monotonic by construction: an `n` below the current cut is
-    /// ignored, so concurrent advancers can never move the exposed prefix
-    /// backwards. Returns whether this call moved the cut; a cut that moved
-    /// is announced on [`FLEET_PROGRESS`].
-    ///
-    /// # Panics
-    /// Panics if called on a whole-database cursor.
-    pub fn advance(&self, n: SeqNo) -> bool {
-        match self {
-            SnapshotCursor::Timestamped { exposed, .. } => {
-                let moved = exposed.fetch_max(n.as_u64(), Ordering::Release) < n.as_u64();
-                if moved {
-                    FLEET_PROGRESS.notify();
-                }
-                moved
-            }
-            SnapshotCursor::WholeDatabase { .. } => {
-                panic!("whole-database cursors advance through close() and complete()")
-            }
-        }
-    }
-
-    /// Executes one write installation under the gate (whole-database form).
-    /// The closure runs while the gate is held shared, so a concurrent close
-    /// cannot slice the database between this write and the cut's chosen
-    /// boundary. A write past a pending cut sleeps on [`FLEET_PROGRESS`]
-    /// until [`complete`](Self::complete) or [`abandon`](Self::abandon)
-    /// reopens the gate and notifies it. For the timestamped form the
-    /// closure simply runs — the faithful design never blocks workers.
+    /// Executes one write installation under the gate. The closure runs
+    /// while the gate is held shared, so a concurrent close cannot slice the
+    /// database between this write and the cut's chosen boundary. A write
+    /// past a pending cut sleeps on [`FLEET_PROGRESS`] until the cut is
+    /// completed or abandoned and that is announced.
     pub fn install_gated<R>(&self, seq: SeqNo, install: impl FnOnce() -> R) -> R {
-        match self {
-            SnapshotCursor::Timestamped { .. } => install(),
-            SnapshotCursor::WholeDatabase { gate, .. } => loop {
-                let g = gate.read();
-                if seq.as_u64() <= g.at {
-                    let out = install();
-                    drop(g);
-                    return out;
-                }
+        loop {
+            let g = self.state.read();
+            if seq.as_u64() <= g.at {
+                let out = install();
                 drop(g);
-                // Another cut may close the gate again before this write
-                // takes it shared: hence the loop.
-                FLEET_PROGRESS.wait_until(None, || seq.as_u64() <= gate.read().at);
-            },
+                return out;
+            }
+            drop(g);
+            // Another cut may close the gate again before this write takes
+            // it shared: hence the loop.
+            FLEET_PROGRESS.wait_until(None, || seq.as_u64() <= self.state.read().at);
         }
     }
 
-    /// The cut a whole-database gate is closed at, if one is pending.
-    ///
-    /// # Panics
-    /// Panics if called on a timestamped cursor.
+    /// The cut the gate is closed at, if one is pending.
     pub fn pending_cut(&self) -> Option<SeqNo> {
-        let at = self.gate().0.read().at;
+        let at = self.state.read().at;
         (at != OPEN).then_some(SeqNo(at))
     }
 
-    /// Closes the gate of a whole-database cut (Section 5.2's first step) at
-    /// the position `choose_n` returns, if no cut is pending and either the
-    /// spacing has passed since the last cut completed or the prefix is
-    /// already `whole` (everything dispatched is applied, so the cut holds
-    /// no writer back). Returns whether it closed.
+    /// Closes the gate (Section 5.2's first step) at the position `choose_n`
+    /// returns, if no cut is pending and either the spacing has passed since
+    /// the last cut completed or the prefix is already `whole` (everything
+    /// dispatched is applied, so the cut holds no writer back). Returns
+    /// whether it closed.
     ///
     /// `choose_n` runs with the gate held exclusively — no install is in
     /// flight — and must return a transaction-aligned position at or beyond
     /// every write dispatched so far, so nothing past it can already be in
     /// the store; or `None` to leave the gate open.
-    ///
-    /// # Panics
-    /// Panics if called on a timestamped cursor.
     pub fn close(&self, whole: bool, choose_n: impl FnOnce() -> Option<SeqNo>) -> bool {
-        let (gate, spacing) = self.gate();
-        let due = |g: &Gate| {
-            g.at == OPEN && (whole || g.last_cut.map_or(true, |at| at.elapsed() >= spacing))
+        let due = |g: &GateState| {
+            g.at == OPEN && (whole || g.last_cut.map_or(true, |at| at.elapsed() >= self.spacing))
         };
         // Most calls find a cut pending or not yet due: a shared look first.
-        if !due(&gate.read()) {
+        if !due(&self.state.read()) {
             return false;
         }
-        let mut g = gate.write();
+        let mut g = self.state.write();
         let Some(n) = due(&g).then(choose_n).flatten() else {
             return false;
         };
@@ -240,46 +138,29 @@ impl SnapshotCursor {
     }
 
     /// Completes the cut pending at `n`, whose prefix the caller has seen
-    /// applied: takes the snapshot of the current state — by construction
-    /// exactly the writes up to `n` — publishes `n` and reopens the gate,
-    /// waking blocked writers and whoever waits for the cut. Returns whether
-    /// it did; `false` means the cut is no longer pending (another caller
-    /// completed it), so each closed cut completes exactly once.
-    ///
-    /// # Panics
-    /// Panics if called on a timestamped cursor.
-    pub fn complete(&self, n: SeqNo) -> bool {
-        let SnapshotCursor::WholeDatabase {
-            store,
-            exposed,
-            gate,
-            current,
-            ..
-        } = self
-        else {
-            panic!("timestamped cursors advance through advance()")
-        };
-        let mut g = gate.write();
+    /// applied: snapshots the current state — by construction exactly the
+    /// writes up to `n` — publishes `n` as the `exposed` cut and reopens the
+    /// gate. Returns whether it did; `false` means the cut is no longer
+    /// pending (another caller completed it), so each closed cut completes
+    /// exactly once. The caller announces the moved cut, which also wakes
+    /// the writers held at the gate.
+    pub fn complete(&self, n: SeqNo, store: &Arc<MvStore>, exposed: &AtomicU64) -> bool {
+        let mut g = self.state.write();
         if g.at != n.as_u64() {
             return false;
         }
-        *current.write() = DbSnapshot::of_current(store);
+        g.snapshot = DbSnapshot::of_current(store).as_of();
         exposed.store(n.as_u64(), Ordering::Release);
         g.at = OPEN;
         g.last_cut = Some(Instant::now());
-        drop(g);
-        FLEET_PROGRESS.notify();
         true
     }
 
-    /// Abandons a pending whole-database cut (shutdown, a dead stage
-    /// thread): reopens the gate so blocked writers proceed, and leaves the
+    /// Abandons a pending cut (shutdown, a dead stage thread): reopens the
+    /// gate and announces it so blocked writers proceed, and leaves the
     /// exposed cut where it was, never on a prefix with holes in it.
-    ///
-    /// # Panics
-    /// Panics if called on a timestamped cursor.
     pub fn abandon(&self) {
-        let mut g = self.gate().0.write();
+        let mut g = self.state.write();
         if g.at != OPEN {
             g.at = OPEN;
             drop(g);
@@ -287,25 +168,42 @@ impl SnapshotCursor {
         }
     }
 
-    fn gate(&self) -> (&RwLock<Gate>, Duration) {
-        match self {
-            SnapshotCursor::WholeDatabase { gate, spacing, .. } => (gate, *spacing),
-            SnapshotCursor::Timestamped { .. } => {
-                panic!("a timestamped cursor has no gate")
-            }
+    /// A view of the `exposed` cut, read with its snapshot's timestamp under
+    /// the lock that [`complete`](Self::complete) writes both under.
+    pub fn view(&self, store: &Arc<MvStore>, exposed: &AtomicU64) -> StoreView {
+        let g = self.state.read();
+        StoreView {
+            store: Arc::clone(store),
+            at: g.snapshot,
+            as_of: SeqNo(exposed.load(Ordering::Acquire)),
         }
     }
 }
 
-/// Read view over the multi-version store at a fixed cut (faithful form).
-struct TimestampedView {
+/// A read view: the multi-version store read at one timestamp, pinned at
+/// creation. Successive views observe monotonically advancing cuts
+/// (monotonic prefix consistency's second half); an individual view never
+/// changes.
+pub struct StoreView {
     store: Arc<MvStore>,
+    at: Timestamp,
     as_of: SeqNo,
 }
 
-impl ReadView for TimestampedView {
+impl StoreView {
+    /// A view at `cut` itself (the faithful form).
+    pub fn at_cut(store: &Arc<MvStore>, cut: SeqNo) -> Self {
+        Self {
+            store: Arc::clone(store),
+            at: Timestamp(cut.as_u64()),
+            as_of: cut,
+        }
+    }
+}
+
+impl ReadView for StoreView {
     fn get(&self, row: RowRef) -> Option<Value> {
-        self.store.read_at(row, Timestamp(self.as_of.as_u64()))
+        self.store.read_at(row, self.at)
     }
 
     fn as_of(&self) -> SeqNo {
@@ -313,36 +211,11 @@ impl ReadView for TimestampedView {
     }
 
     fn scan_table(&self, table: TableId) -> Vec<(RowRef, Value)> {
-        self.store
-            .scan_table_at(table, Timestamp(self.as_of.as_u64()))
+        self.store.scan_table_at(table, self.at)
     }
 
     fn scan_all(&self) -> Vec<(RowRef, Value)> {
-        self.store.scan_all_at(Timestamp(self.as_of.as_u64()))
-    }
-}
-
-/// Read view over a materialized whole-database snapshot (MyRocks form).
-struct WholeDbView {
-    snapshot: DbSnapshot,
-    as_of: SeqNo,
-}
-
-impl ReadView for WholeDbView {
-    fn get(&self, row: RowRef) -> Option<Value> {
-        self.snapshot.read(row)
-    }
-
-    fn as_of(&self) -> SeqNo {
-        self.as_of
-    }
-
-    fn scan_table(&self, table: TableId) -> Vec<(RowRef, Value)> {
-        self.snapshot.scan_table(table)
-    }
-
-    fn scan_all(&self) -> Vec<(RowRef, Value)> {
-        self.snapshot.scan_all()
+        self.store.scan_all_at(self.at)
     }
 }
 
@@ -367,123 +240,133 @@ mod tests {
     #[test]
     fn timestamped_views_only_see_the_exposed_prefix() {
         let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::timestamped_at(Arc::clone(&store), SeqNo::ZERO);
         install(&store, 1, 1, 10);
         install(&store, 2, 2, 20);
 
         // Nothing exposed yet.
-        assert_eq!(cursor.read_view().get(row(1)), None);
+        assert_eq!(StoreView::at_cut(&store, SeqNo::ZERO).get(row(1)), None);
 
-        cursor.advance(SeqNo(1));
-        let view = cursor.read_view();
+        let view = StoreView::at_cut(&store, SeqNo(1));
         assert_eq!(view.get(row(1)).unwrap().as_u64(), Some(10));
         assert_eq!(view.get(row(2)), None);
         assert_eq!(view.as_of(), SeqNo(1));
 
-        // A previously created view does not move when the cut advances.
-        cursor.advance(SeqNo(2));
-        assert_eq!(view.get(row(2)), None);
-        assert_eq!(cursor.read_view().get(row(2)).unwrap().as_u64(), Some(20));
+        // A view taken earlier does not move when the store does.
+        install(&store, 3, 1, 30);
+        assert_eq!(view.get(row(1)).unwrap().as_u64(), Some(10));
+        let later = StoreView::at_cut(&store, SeqNo(3));
+        assert_eq!(later.get(row(1)).unwrap().as_u64(), Some(30));
     }
 
-    #[test]
-    fn timestamped_cut_never_regresses() {
-        let store = Arc::new(MvStore::default());
-        let cursor = SnapshotCursor::timestamped_at(store, SeqNo::ZERO);
-        assert!(cursor.advance(SeqNo(5)));
-        assert!(!cursor.advance(SeqNo(3)), "a lower advance moves nothing");
-        assert_eq!(
-            cursor.exposed(),
-            SeqNo(5),
-            "a lower advance must be ignored"
-        );
-        assert!(cursor.advance(SeqNo(8)));
-        assert_eq!(cursor.exposed(), SeqNo(8));
+    /// A gate with the cut it publishes, as the exposure holds them.
+    struct Gated {
+        store: Arc<MvStore>,
+        gate: WholeDatabaseGate,
+        exposed: AtomicU64,
     }
 
-    fn whole_database(store: &Arc<MvStore>) -> SnapshotCursor {
-        SnapshotCursor::whole_database_at(Arc::clone(store), SeqNo::ZERO, Duration::ZERO)
+    impl Gated {
+        fn new(store: &Arc<MvStore>, spacing: Duration) -> Self {
+            Self {
+                store: Arc::clone(store),
+                gate: WholeDatabaseGate::new(store, spacing),
+                exposed: AtomicU64::new(0),
+            }
+        }
+
+        fn install(&self, seq: u64, key: u64, value: u64) {
+            self.gate
+                .install_gated(SeqNo(seq), || install(&self.store, seq, key, value));
+        }
+
+        fn complete(&self, n: u64) -> bool {
+            self.gate.complete(SeqNo(n), &self.store, &self.exposed)
+        }
+
+        fn exposed(&self) -> SeqNo {
+            SeqNo(self.exposed.load(Ordering::Acquire))
+        }
+
+        fn view(&self) -> StoreView {
+            self.gate.view(&self.store, &self.exposed)
+        }
     }
 
     #[test]
     fn whole_database_cut_exposes_exactly_the_prefix() {
         let store = Arc::new(MvStore::default());
-        let hour = Duration::from_secs(3600);
-        let cursor = SnapshotCursor::whole_database_at(Arc::clone(&store), SeqNo::ZERO, hour);
+        let gated = Gated::new(&store, Duration::from_secs(3600));
 
         // Install writes 1..=3 through the gate (all allowed: gate open).
         for seq in 1..=3u64 {
-            cursor.install_gated(SeqNo(seq), || install(&store, seq, seq, seq * 10));
+            gated.install(seq, seq, seq * 10);
         }
-        assert!(
-            cursor.close(false, || Some(SeqNo(3))),
-            "the first cut is due"
-        );
-        assert_eq!(cursor.pending_cut(), Some(SeqNo(3)));
-        assert!(!cursor.close(true, || Some(SeqNo(5))), "one cut at a time");
-        assert_eq!(cursor.exposed(), SeqNo::ZERO, "closing exposes nothing");
-        assert!(cursor.complete(SeqNo(3)));
-        assert!(!cursor.complete(SeqNo(3)), "a cut completes once");
-        assert_eq!(cursor.pending_cut(), None);
-        assert_eq!(cursor.exposed(), SeqNo(3));
+        let gate = &gated.gate;
+        assert!(gate.close(false, || Some(SeqNo(3))), "the first cut is due");
+        assert_eq!(gate.pending_cut(), Some(SeqNo(3)));
+        assert!(!gate.close(true, || Some(SeqNo(5))), "one cut at a time");
+        assert_eq!(gated.exposed(), SeqNo::ZERO, "closing exposes nothing");
+        assert!(gated.complete(3));
+        assert!(!gated.complete(3), "a cut completes once");
+        assert_eq!(gate.pending_cut(), None);
+        assert_eq!(gated.exposed(), SeqNo(3));
 
-        let view = cursor.read_view();
+        let view = gated.view();
+        assert_eq!(view.as_of(), SeqNo(3));
         assert_eq!(view.get(row(3)).unwrap().as_u64(), Some(30));
 
         // Writes installed after the cut are invisible until the next cut,
         // which is spaced an hour after this one unless its prefix is whole.
-        cursor.install_gated(SeqNo(4), || install(&store, 4, 4, 40));
-        assert_eq!(cursor.read_view().get(row(4)), None);
+        gated.install(4, 4, 40);
+        assert_eq!(gated.view().get(row(4)), None);
         assert!(
-            !cursor.close(false, || Some(SeqNo(4))),
+            !gate.close(false, || Some(SeqNo(4))),
             "an hour has not passed"
         );
-        assert!(cursor.close(true, || Some(SeqNo(4))));
-        assert!(cursor.complete(SeqNo(4)));
-        assert_eq!(cursor.read_view().get(row(4)).unwrap().as_u64(), Some(40));
+        assert!(gate.close(true, || Some(SeqNo(4))));
+        assert!(gated.complete(4));
+        assert_eq!(gated.view().get(row(4)).unwrap().as_u64(), Some(40));
     }
 
     #[test]
     fn an_abandoned_cut_exposes_nothing_and_reopens_the_gate() {
         let store = Arc::new(MvStore::default());
-        let cursor = whole_database(&store);
-        cursor.install_gated(SeqNo(1), || install(&store, 1, 1, 10));
-        assert!(cursor.close(true, || Some(SeqNo(1))));
-        assert!(cursor.complete(SeqNo(1)));
+        let gated = Gated::new(&store, Duration::ZERO);
+        let gate = &gated.gate;
+        gated.install(1, 1, 10);
+        assert!(gate.close(true, || Some(SeqNo(1))));
+        assert!(gated.complete(1));
 
         // Position 2 is missing when the cut at 3 is given up.
-        cursor.install_gated(SeqNo(3), || install(&store, 3, 3, 30));
-        assert!(cursor.close(false, || Some(SeqNo(3))));
-        cursor.abandon();
-        assert_eq!(cursor.pending_cut(), None);
+        gated.install(3, 3, 30);
+        assert!(gate.close(false, || Some(SeqNo(3))));
+        gate.abandon();
+        assert_eq!(gate.pending_cut(), None);
         assert!(
-            !cursor.close(true, || None),
+            !gate.close(true, || None),
             "a chooser that says stop closes nothing"
         );
-        assert!(
-            !cursor.complete(SeqNo(3)),
-            "an abandoned cut never completes"
-        );
+        assert!(!gated.complete(3), "an abandoned cut never completes");
         assert_eq!(
-            cursor.exposed(),
+            gated.exposed(),
             SeqNo(1),
             "the cut stays on the last whole prefix"
         );
-        assert_eq!(cursor.read_view().get(row(3)), None);
+        assert_eq!(gated.view().get(row(3)), None);
         // The gate is open again: a write past the abandoned cut installs.
-        cursor.install_gated(SeqNo(4), || install(&store, 4, 4, 40));
+        gated.install(4, 4, 40);
     }
 
     #[test]
     fn gate_blocks_writes_past_the_cut_until_reopened() {
         let store = Arc::new(MvStore::default());
-        let cursor = Arc::new(whole_database(&store));
-        cursor.install_gated(SeqNo(1), || install(&store, 1, 1, 1));
-        assert!(cursor.close(true, || Some(SeqNo(1))));
+        let gated = Arc::new(Gated::new(&store, Duration::ZERO));
+        gated.install(1, 1, 1);
+        assert!(gated.gate.close(true, || Some(SeqNo(1))));
 
         let installer = {
-            let (store, cursor) = (Arc::clone(&store), Arc::clone(&cursor));
-            std::thread::spawn(move || cursor.install_gated(SeqNo(2), || install(&store, 2, 2, 2)))
+            let gated = Arc::clone(&gated);
+            std::thread::spawn(move || gated.install(2, 2, 2))
         };
         // The installer sleeps on the fleet signal until the gate reopens.
         // (Another test's waiter may count here too; the gate holds either
@@ -496,11 +379,13 @@ mod tests {
             None,
             "position 2 is past the cut"
         );
-        assert!(cursor.complete(SeqNo(1)));
+        assert!(gated.complete(1));
+        // The exposure announces every cut it moves.
+        FLEET_PROGRESS.notify();
         installer.join().unwrap();
         assert_eq!(store.read_latest(row(2)).unwrap().as_u64(), Some(2));
         // The snapshot was taken before the held-back write.
-        assert_eq!(cursor.read_view().get(row(2)), None);
+        assert_eq!(gated.view().get(row(2)), None);
     }
 
     #[test]
@@ -512,8 +397,9 @@ mod tests {
             WriteKind::Insert,
             Some(Value::from_u64(7)),
         );
-        let cursor = whole_database(&store);
-        assert_eq!(cursor.read_view().get(row(7)).unwrap().as_u64(), Some(7));
-        assert_eq!(cursor.exposed(), SeqNo::ZERO);
+        let gated = Gated::new(&store, Duration::ZERO);
+        let view = gated.view();
+        assert_eq!(view.get(row(7)).unwrap().as_u64(), Some(7));
+        assert_eq!(view.as_of(), SeqNo::ZERO);
     }
 }
