@@ -17,9 +17,9 @@
 //!    retained log (the child never truncates, so the archive itself is the
 //!    ground truth);
 //! 3. corrupts one byte inside the log's last frame and recovers **again**,
-//!    asserting the damaged tail is truncated back to a transaction
-//!    boundary — never a panic, and never a state that diverges from a
-//!    prefix of the log.
+//!    asserting the damaged frame is dropped whole, so the log ends at the
+//!    segment boundary before it (a transaction boundary) — never a panic,
+//!    and never a state that diverges from a prefix of the log.
 //!
 //! Built-in assertions (also exercised by the CI smoke step): the child
 //! committed real transactions before dying, recovery replays them, the
@@ -101,7 +101,8 @@ pub fn run(scale: &Scale) {
         .expect("the recovered state must equal the serial replay of the retained log");
 
     // 4. Corrupt one byte inside the last frame and recover again: the
-    // damaged tail must be truncated at a transaction boundary, not panic.
+    // damaged frame must be dropped whole, ending the log at the segment
+    // boundary before it, not panic.
     flip_one_byte_in_the_last_frame(&state_dir);
     let restarted = Instant::now();
     let rerecovered = recover_first_pass(&state_dir);

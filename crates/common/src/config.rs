@@ -38,23 +38,23 @@ impl PrimaryConfig {
     }
 }
 
-/// Whether a durable log forces each append to the device.
+/// How a durable log forces its appends to the device: always, one sync per
+/// appended segment.
 ///
 /// The paper's protocols are described over an always-durable log; the
 /// reproduction makes the cost explicit. The components that actually write
 /// to disk (a disk-backed `LogArchive`, replica recovery) take the policy as
 /// an argument; the in-memory pipeline has no use for it. There is no
 /// "every n segments": the wire closes a segment when the backup is idle, so
-/// a segment is already whatever committed during the previous sync.
+/// a segment is already whatever committed during the previous sync. Nor is
+/// there a "never": the wire delivers a segment only once it is synced, which
+/// is what lets recovery drop a torn frame whole.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DurabilityPolicy {
     /// `sync_data` after every appended segment. A `kill -9` (or a power
     /// cut) loses at most the segment being written when the process died.
     #[default]
     EverySegment,
-    /// Never sync: the OS flushes at its leisure. Survives process crashes
-    /// (the page cache persists) but not host crashes.
-    Never,
 }
 
 /// Configuration for a backup replica (any cloned concurrency control

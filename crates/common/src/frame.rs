@@ -5,18 +5,20 @@
 //! the backup and never describes a format; this module supplies the smallest
 //! one that supports the recovery contract the durable layers need:
 //!
-//! * each frame is `[len: u32 LE][crc: u32 LE][payload; len bytes]`, where
-//!   the CRC-32 (IEEE, the zlib/PNG polynomial) covers the payload only;
-//! * a reader consumes frames until the buffer ends exactly, and reports a
-//!   **truncation** — not a panic — on a short header, a short payload, or a
-//!   checksum mismatch, returning every frame that validated before the
-//!   damage.
+//! * a frame is `[len: u32 LE][crc: u32 LE][payload; len bytes]`, where the
+//!   CRC-32 (IEEE, the zlib/PNG polynomial) covers the payload only;
+//! * every durable unit is exactly one frame — an archived segment, the
+//!   archive's manifest, a checkpoint's cut and rows — so each payload byte
+//!   is covered by exactly one checksum;
+//! * [`read_frame`] reads the frame at the head of a buffer and reports a
+//!   short header, a short payload or a checksum mismatch as `None`, never a
+//!   panic.
 //!
 //! "Truncate at the first bad frame" is what makes a torn tail (a process
-//! killed mid-write, a half-synced page) recoverable: the valid prefix is
-//! trusted, the rest is discarded, and the caller re-aligns the prefix to
-//! its own unit of atomicity (the log layers trim to a transaction
-//! boundary on top of this).
+//! killed mid-write, a half-synced page) recoverable: a reader walking a run
+//! of frames trusts the ones before the damage and discards the rest, and
+//! since each frame is one whole unit of atomicity (a segment never splits
+//! a transaction) there is nothing to re-align.
 
 /// The CRC-32 (IEEE 802.3) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -48,76 +50,31 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// `[len: u32][crc: u32]`: the bytes in front of every frame's payload.
+pub const HEADER_BYTES: usize = 8;
+
 /// Appends one frame (`len`, `crc`, payload) to `out`.
+///
+/// # Panics
+/// Panics if `payload` is 4 GiB or longer: a frame's length is a `u32`, and
+/// a wrapped one would only be found when the frame is read back.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let len = u32::try_from(payload.len()).expect("a frame's payload is under 4 GiB");
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
-/// Why a frame scan stopped before the end of the buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameDamage {
-    /// The buffer ended inside a frame header or payload (a torn write).
-    ShortRead,
-    /// A payload's checksum did not match its header (bit rot or a torn
-    /// write that happened to leave the length plausible).
-    BadChecksum,
-}
-
-/// The result of scanning a buffer of frames: the payloads that validated,
-/// plus what (if anything) stopped the scan early.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameScan {
-    /// Every payload up to (not including) the first damaged frame.
-    pub frames: Vec<Vec<u8>>,
-    /// `None` when the buffer ended exactly on a frame boundary; otherwise
-    /// the damage that truncated the scan.
-    pub damage: Option<FrameDamage>,
-}
-
-impl FrameScan {
-    /// Whether every byte of the buffer validated.
-    pub fn is_clean(&self) -> bool {
-        self.damage.is_none()
-    }
-}
-
-/// Scans `bytes` as a sequence of frames, stopping (never panicking) at the
-/// first short read or checksum mismatch.
-pub fn read_frames(bytes: &[u8]) -> FrameScan {
-    let mut frames = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        if bytes.len() - at < 8 {
-            return FrameScan {
-                frames,
-                damage: Some(FrameDamage::ShortRead),
-            };
-        }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        let start = at + 8;
-        let Some(end) = start.checked_add(len).filter(|&end| end <= bytes.len()) else {
-            return FrameScan {
-                frames,
-                damage: Some(FrameDamage::ShortRead),
-            };
-        };
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            return FrameScan {
-                frames,
-                damage: Some(FrameDamage::BadChecksum),
-            };
-        }
-        frames.push(payload.to_vec());
-        at = end;
-    }
-    FrameScan {
-        frames,
-        damage: None,
-    }
+/// The payload of the frame at the head of `bytes`, or `None` (never a
+/// panic) when the buffer ends inside its header or payload or the payload
+/// does not match its checksum. The frame ends at `HEADER_BYTES +
+/// payload.len()`; whatever follows is the caller's.
+pub fn read_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let header = bytes.get(..HEADER_BYTES)?;
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let payload = bytes.get(HEADER_BYTES..HEADER_BYTES.checked_add(len)?)?;
+    (crc32(payload) == crc).then_some(payload)
 }
 
 /// A little-endian cursor over a validated payload, for decoding the fields
@@ -184,6 +141,13 @@ impl PayloadWriter {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.bytes.push(v);
@@ -226,18 +190,30 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Every frame of a run of frames in `buf`, up to the first damaged
+    /// one: the walk the archive's chunk scanner makes.
+    fn frames(mut buf: &[u8]) -> Vec<&[u8]> {
+        let mut out = Vec::new();
+        while let Some(payload) = read_frame(buf) {
+            out.push(payload);
+            buf = &buf[HEADER_BYTES + payload.len()..];
+        }
+        out
+    }
+
     #[test]
     fn frames_round_trip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello");
-        write_frame(&mut buf, b"");
         write_frame(&mut buf, &[0xFFu8; 300]);
-        let scan = read_frames(&buf);
-        assert!(scan.is_clean());
-        assert_eq!(scan.frames.len(), 3);
-        assert_eq!(scan.frames[0], b"hello");
-        assert!(scan.frames[1].is_empty());
-        assert_eq!(scan.frames[2].len(), 300);
+        write_frame(&mut buf, b"");
+        assert_eq!(read_frame(&buf), Some(&b"hello"[..]));
+        let payloads = frames(&buf);
+        assert_eq!(payloads.len(), 3);
+        assert_eq!(payloads[1].len(), 300);
+        assert!(payloads[2].is_empty());
+        // A header of zeros is a valid empty frame: `crc32(&[]) == 0`.
+        assert_eq!(read_frame(&[0u8; HEADER_BYTES]), Some(&[][..]));
     }
 
     #[test]
@@ -245,11 +221,12 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"keep me");
         write_frame(&mut buf, b"torn");
-        // Lose the last two bytes, as a crash mid-write would.
+        // Lose the last two bytes, as a crash mid-write would; then lose the
+        // second frame's header too.
         buf.truncate(buf.len() - 2);
-        let scan = read_frames(&buf);
-        assert_eq!(scan.damage, Some(FrameDamage::ShortRead));
-        assert_eq!(scan.frames, vec![b"keep me".to_vec()]);
+        assert_eq!(frames(&buf), [&b"keep me"[..]]);
+        buf.truncate(HEADER_BYTES + 7 + 3);
+        assert_eq!(frames(&buf), [&b"keep me"[..]]);
     }
 
     #[test]
@@ -259,9 +236,8 @@ mod tests {
         let second_at = buf.len();
         write_frame(&mut buf, b"bad!");
         buf[second_at + 8] ^= 0x01; // first payload byte of the second frame
-        let scan = read_frames(&buf);
-        assert_eq!(scan.damage, Some(FrameDamage::BadChecksum));
-        assert_eq!(scan.frames, vec![b"good".to_vec()]);
+        assert_eq!(read_frame(&buf[second_at..]), None);
+        assert_eq!(frames(&buf), [&b"good"[..]]);
     }
 
     #[test]
@@ -270,9 +246,7 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(b"tiny");
-        let scan = read_frames(&buf);
-        assert_eq!(scan.damage, Some(FrameDamage::ShortRead));
-        assert!(scan.frames.is_empty());
+        assert_eq!(read_frame(&buf), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   on hosts with very different core counts than the paper's testbed.
 //! * [`frame`] is the checksummed length-prefixed frame codec the durable
 //!   layers (disk-backed log archive, checkpoint files) build their on-disk
-//!   formats from, [`DurabilityPolicy`] is their shared sync knob, and [`fs`]
+//!   formats from, [`DurabilityPolicy`] names their one sync rule, and [`fs`]
 //!   is the file-system seam the log archive's syscalls go through, with a
 //!   double that fails any one of them.
 //! * [`ProgressSignal`] ([`signal`]) is the one way a thread waits for

@@ -336,7 +336,7 @@ mod proptests {
                 next = n;
                 records.extend(recs);
             }
-            let mut segment = Segment::new(0, records);
+            let mut segment = Segment::new(records);
             SchedulerState::new().process_segment(&mut segment);
             let records = segment.records;
 

@@ -738,9 +738,13 @@ mod proptests {
         /// and every kept view the GC horizon (at a trail drawn as above)
         /// still covers, read exactly the reference replay at their cut;
         /// and unless no lane holds work, some lane can move: all runnable
-        /// work gated behind a cut that cannot complete is a deadlock. Once
-        /// every lane is empty, the cut is the log's last boundary, with the
-        /// spacing at 1 ns and at an hour alike.
+        /// work gated behind a cut that cannot complete is a deadlock. A cut
+        /// left pending at the end of a step is one the applied prefix has
+        /// not reached: a cut on a whole prefix closes and completes in one
+        /// call. Under the hourly spacing only the first cut may close on a
+        /// prefix that is not whole, so at most one cut ever holds writers
+        /// back. Once every lane is empty, the cut is the log's last
+        /// boundary, with the spacing at 1 ns and at an hour alike.
         #[test]
         fn a_whole_database_cut_closes_at_the_dispatched_boundary_and_always_completes(
             txn_lens in prop::collection::vec(1u64..5, 1..48),
@@ -792,6 +796,9 @@ mod proptests {
             let mut views: Vec<Box<dyn ReadView>> = Vec::new();
             let mut state = seed | 1;
             let mut cut = SeqNo::ZERO;
+            // Cuts that were left pending at the end of a step, and the
+            // last one seen.
+            let (mut held_cuts, mut last_pending) = (0, None);
             enum Step { Feed, Take(usize), Write(usize), Read }
             loop {
                 let pending = exposure.gate.as_ref().unwrap().pending_cut();
@@ -879,6 +886,16 @@ mod proptests {
                 prop_assert!(exposed >= cut, "cut moved back from {} to {}", cut, exposed);
                 prop_assert_eq!(exposure.lag().len(), boundaries.partition_point(|&b| b <= exposed));
                 cut = exposed;
+                let pending = exposure.gate.as_ref().unwrap().pending_cut();
+                prop_assert!(
+                    pending.map_or(true, |n| n > exposure.applied_seq()),
+                    "cut {:?} left pending on an applied prefix {}", pending, exposure.applied_seq()
+                );
+                if pending.is_some() && pending != last_pending {
+                    held_cuts += 1;
+                }
+                last_pending = pending;
+                prop_assert!(!hourly || held_cuts <= 1, "{} cuts held writers back inside one spacing", held_cuts);
                 let horizon = store.gc_horizon().as_u64();
                 views.retain(|v| {
                     let at = v.as_of().as_u64();

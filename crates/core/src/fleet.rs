@@ -601,7 +601,7 @@ mod tests {
             )],
         );
         let (records, next) = explode_txn(entry, start);
-        (Segment::new(id, records), next)
+        (Segment::new(records), next)
     }
 
     fn controller_over(

@@ -687,8 +687,8 @@ impl BoundaryLedger {
         }
         assert!(
             segment.transactions_are_whole(),
-            "segments must hold whole transactions: segment {} splits one",
-            segment.header.id
+            "segments must hold whole transactions: the segment starting at {} splits one",
+            segment.first_seq().map_or(0, SeqNo::as_u64)
         );
         let mut boundaries = self.boundaries.lock();
         for record in &segment.records {
@@ -1284,8 +1284,8 @@ mod tests {
             let poisoned = |seq| self.poison == Poison::Schedule(seq);
             assert!(
                 !segment.records.iter().any(|r| poisoned(r.seq.as_u64())),
-                "poisoned segment {}",
-                segment.header.id
+                "poisoned segment starting at {}",
+                segment.first_seq().map_or(0, SeqNo::as_u64)
             );
             self.exposure.note_segment(&segment);
             let mut txn = Vec::new();
@@ -1363,7 +1363,7 @@ mod tests {
                         })
                     })
                     .collect();
-                Segment::new(id, records)
+                Segment::new(records)
             })
             .collect()
     }

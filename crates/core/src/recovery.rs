@@ -7,8 +7,8 @@
 //! the one operation a restarted process actually wants:
 //!
 //! 1. load the newest published checkpoint (the highest-cut `ckpt-*.c5c`);
-//! 2. reopen the durable log archive, truncating any torn or corrupt tail
-//!    back to a transaction boundary;
+//! 2. reopen the durable log archive, ending the log before any torn or
+//!    corrupt frame (a segment, hence transaction, boundary);
 //! 3. replay the retained records above the checkpoint cut into a replica
 //!    resumed from the checkpoint ([`C5Replica::resume_from_checkpoint`]).
 //!
@@ -46,8 +46,8 @@ pub struct RecoveredReplica {
     pub replayed_records: usize,
     /// The position the recovered replica is complete through.
     pub recovered_through: SeqNo,
-    /// Whether the archive's tail was torn or corrupt and had to be
-    /// truncated back to a transaction boundary.
+    /// Whether the archive's tail was torn or corrupt and the log was ended
+    /// before the damaged frame.
     pub torn_tail: bool,
 }
 

@@ -8,8 +8,7 @@
 //! per-row FIFOs in the log by stamping every record with the position of the
 //! previous write to the same row (`prev_seq` here, `prev_timestamp` in the
 //! paper), maintained in a single map from row to last-write position. Once a
-//! segment's records are all stamped, its `preprocessed` flag is set and the
-//! segment is handed to the workers.
+//! segment's records are all stamped, the segment is handed to the workers.
 //!
 //! The scheduler is deliberately single-threaded (one [`SchedulerState`]
 //! instance processed by one thread); Section 6.2's offline experiment checks
@@ -34,7 +33,7 @@ pub struct SchedulerState {
 pub struct SchedulerStats {
     /// Log records stamped.
     pub records: u64,
-    /// Segments preprocessed.
+    /// Segments stamped.
     pub segments: u64,
     /// Transactions whose final write has been processed.
     pub txns: u64,
@@ -76,13 +75,11 @@ impl SchedulerState {
         }
     }
 
-    /// Preprocesses a whole segment: stamps every record and sets the
-    /// header's `preprocessed` flag.
+    /// Preprocesses a whole segment: stamps every record.
     pub fn process_segment(&mut self, segment: &mut Segment) {
         for record in &mut segment.records {
             self.process_record(record);
         }
-        segment.header.preprocessed = true;
         self.processed_segments += 1;
     }
 
@@ -127,7 +124,7 @@ mod tests {
             next = n;
             records.extend(recs);
         }
-        Segment::new(0, records)
+        Segment::new(records)
     }
 
     #[test]
@@ -138,7 +135,6 @@ mod tests {
         state.process_segment(&mut seg);
         let stats = state.stats();
 
-        assert!(seg.header.preprocessed);
         assert_eq!(stats.records, 5);
         assert_eq!(stats.txns, 3);
         assert_eq!(stats.distinct_rows, 3);
@@ -233,7 +229,7 @@ mod proptests {
                 next = n;
                 records.extend(recs);
             }
-            let mut seg = Segment::new(0, records);
+            let mut seg = Segment::new(records);
             SchedulerState::new().process_segment(&mut seg);
 
             let mut last: StdHashMap<RowRef, SeqNo> = StdHashMap::new();

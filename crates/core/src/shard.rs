@@ -497,7 +497,7 @@ mod tests {
         records.truncate(1);
         let replica = C5Replica::new(C5Mode::Faithful, preloaded(&[]), config(2, 1));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            replica.apply_segment(Segment::new(0, records))
+            replica.apply_segment(Segment::new(records))
         }));
         replica.finish();
         let message = outcome

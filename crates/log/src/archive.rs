@@ -26,9 +26,9 @@
 //!
 //! The directory holds a one-frame manifest (`archive.meta`, the truncation
 //! point, replaced by [`c5_common::fs::publish`]) and a few **chunk** files
-//! `log-<first_seq>.c5a`, zero-padded so name order is log order; any other
+//! `log-<first_seq>.c5l`, zero-padded so name order is log order; any other
 //! name (a checkpoint sharing the directory) is not the archive's. A chunk is
-//! a run of outer frames and then zeros:
+//! a run of frames ([`c5_common::frame`]), one per segment, and then zeros:
 //!
 //! ```text
 //! [len: u32][crc: u32][wal::encode_segment(segment)]   one per append
@@ -36,9 +36,12 @@
 //! 00 00 00 00 00 00 00 00 ...                          written ahead
 //! ```
 //!
+//! The frame's one CRC is the only checksum a segment's bytes carry: the
+//! payload is its records back to back ([`crate::wal`]).
+//!
 //! An append is **one positioned write at the tail and one `sync_data`**
-//! (under [`DurabilityPolicy::EverySegment`]) on a file that is already open:
-//! no create, no reopen, no directory operation. Only creating a chunk (the
+//! on a file that is already open: no create, no reopen, no directory
+//! operation. Only creating a chunk (the
 //! first append, and each rotation at [`CHUNK_BYTES`]) and unlinking one
 //! touch the directory, and there the directory sync is checked.
 //!
@@ -53,19 +56,22 @@
 //! per chunk as a thousand appends, at creation.
 //!
 //! **Reading it back.** An all-zero header is a *valid* empty frame
-//! (`crc32(&[]) == 0`), so the scanner ([`scan_chunk`]) treats `len == 0` as
-//! end of log. It also stops at a bad checksum, a frame the file ends inside,
-//! or a segment whose first position does not continue the log. What the
-//! damaged frame still holds is decoded with [`crate::wal::decode_segment`]'s
-//! rule — the longest prefix of whole transactions — and
-//! [`LogArchive::open`] re-frames that prefix and re-zeroes everything
-//! behind it, so a second open finds nothing to repair and leaves the file
+//! (`crc32(&[]) == 0`), so the scanner ([`scan_chunk`]) treats an empty
+//! payload as end of log. It also stops at a bad checksum, a frame the file
+//! ends inside, or a segment that does not decode or whose first position
+//! does not continue the log. [`LogArchive::open`] ends the log before that
+//! frame — a segment is lost whole or kept whole, and it never splits a
+//! transaction — and zeroes everything from there to the end of the file,
+//! so a second open finds nothing to repair and leaves the file
 //! byte-identical, and the remnant of a torn write can never be taken for a
-//! frame once later appends have grown the log past it. Damage in the middle
-//! of the log drops everything after it, later chunks included: recovery
-//! yields a contiguous prefix, never a log with a hole. There is no reader
-//! for the older one-file-per-segment layout (`seg-*.c5w`); a directory that
-//! holds one is refused.
+//! frame once later appends have grown the log past it. Dropping a torn
+//! frame loses nothing a subscriber saw: the wire delivers a segment only
+//! after its append and sync have returned. Damage in the middle of the log
+//! drops everything after it, later chunks included: recovery yields a
+//! contiguous prefix, never a log with a hole. There is no reader for the
+//! older layouts — one file per segment (`seg-*.c5w`), or chunks of
+//! twice-checksummed segments (`log-*.c5a`) — and a directory that holds
+//! either is refused.
 
 use std::collections::VecDeque;
 use std::io;
@@ -75,7 +81,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use c5_common::frame::{crc32, read_frames, write_frame, PayloadReader, PayloadWriter};
+use c5_common::frame::{read_frame, write_frame, PayloadReader, PayloadWriter, HEADER_BYTES};
 use c5_common::fs::{publish, Fs, FsFile, StdFs};
 use c5_common::{DurabilityPolicy, Error, Result, SeqNo};
 
@@ -92,28 +98,31 @@ pub const CHUNK_BYTES: u64 = 16 << 20;
 /// module docs): at the benchmark's 1–2 KiB frames, one append in a hundred
 /// or two allocates blocks.
 pub const ZERO_AHEAD_BYTES: u64 = 256 << 10;
-/// `[len: u32][crc: u32]` in front of every encoded segment.
-const FRAME_HEADER: usize = 8;
 
 fn chunk_file_name(first: SeqNo) -> String {
     // Zero-padded so lexicographic directory order is log order.
-    format!("log-{:020}.c5a", first.as_u64())
+    format!("log-{:020}.c5l", first.as_u64())
 }
 
 /// The first position a chunk file's name promises, if it is a chunk file.
 fn chunk_first_seq(name: &str) -> Option<SeqNo> {
-    let digits = name.strip_prefix("log-")?.strip_suffix(".c5a")?;
+    let digits = name.strip_prefix("log-")?.strip_suffix(".c5l")?;
     digits.parse().ok().map(SeqNo)
 }
 
 /// The chunk files among `names`, in log order. Fails if the directory holds
-/// the one-file-per-segment layout this archive no longer reads.
+/// a layout this archive no longer reads: one file per segment
+/// (`seg-*.c5w`), or chunks of twice-checksummed segments (`log-*.c5a`).
 fn chunk_files(dir: &Path, names: &[String]) -> io::Result<Vec<(SeqNo, PathBuf)>> {
-    if let Some(old) = (names.iter()).find(|n| n.starts_with("seg-") && n.ends_with(".c5w")) {
+    let old_layout = |n: &String| {
+        (n.starts_with("seg-") && n.ends_with(".c5w"))
+            || (n.starts_with("log-") && n.ends_with(".c5a"))
+    };
+    if let Some(old) = names.iter().find(|n| old_layout(n)) {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
             format!(
-                "{} holds {old}: the one-file-per-segment archive layout is not readable",
+                "{} holds {old}: an older archive layout, which is not readable",
                 dir.display()
             ),
         ));
@@ -131,14 +140,6 @@ pub fn chunk_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(chunks.into_iter().map(|(_, path)| path).collect())
 }
 
-/// `segment` as one outer frame: `[len][crc][wal::encode_segment(segment)]`.
-fn frame_segment(segment: &Segment) -> Vec<u8> {
-    let payload = encode_segment(segment);
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    write_frame(&mut frame, &payload);
-    frame
-}
-
 /// What a chunk holds, as [`scan_chunk`] read it.
 #[derive(Debug)]
 pub struct ChunkScan {
@@ -147,9 +148,6 @@ pub struct ChunkScan {
     /// Bytes those frames occupy from the start of the file: the written
     /// extent. Everything at or beyond it is zeros, or damage.
     pub valid_len: u64,
-    /// The whole transactions that could still be decoded out of the damaged
-    /// frame at `valid_len`, when they continue the log.
-    pub salvaged: Option<Segment>,
     /// Whether anything but zeros lies at or beyond `valid_len`: a torn or
     /// corrupt frame, a segment that does not continue the log, or stale
     /// bytes in the zeroed tail.
@@ -157,44 +155,27 @@ pub struct ChunkScan {
 }
 
 /// Scans `bytes` as a chunk whose first segment must start at `expected`
-/// (when given) and each later one right after its predecessor's coverage.
+/// (when given) and each later one right after its predecessor.
 fn scan_frames(bytes: &[u8], mut expected: Option<SeqNo>) -> ChunkScan {
     let mut segments = Vec::new();
-    let mut salvaged = None;
     let mut at = 0usize;
-    while let Some(header) = bytes.get(at..at + FRAME_HEADER) {
-        let len = u32::from_le_bytes(header[..4].try_into().expect("four bytes")) as usize;
-        if len == 0 {
-            // End of log: an all-zero header would also pass as an empty
-            // frame, which no append ever writes.
-            break;
-        }
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("four bytes"));
-        let start = at + FRAME_HEADER;
-        let end = start.saturating_add(len).min(bytes.len());
-        let payload = &bytes[start..end];
-        let intact = payload.len() == len && crc32(payload) == crc;
-        let (decoded, clean) = decode_segment(payload).into_segment();
-        // Something decoded, and it is the log's next segment.
-        let Some(segment) = decoded.filter(|s| match (s.first_seq(), expected) {
-            (Some(first), Some(expected)) => first == expected,
-            (first, None) => first.is_some(),
-            (None, Some(_)) => false,
-        }) else {
+    // An empty payload is the end of the log: the zeros written ahead read
+    // as empty frames, and no append writes one.
+    while let Some(payload) = read_frame(&bytes[at..]).filter(|p| !p.is_empty()) {
+        // It decodes, and it is the log's next segment.
+        let next = |s: &Segment| {
+            (s.first_seq()).is_some_and(|first| expected.map_or(true, |e| first == e))
+        };
+        let Some(segment) = decode_segment(payload).filter(next) else {
             break;
         };
-        if !(intact && clean) {
-            salvaged = Some(segment);
-            break;
-        }
         expected = Some(SeqNo(segment.covered_through().as_u64() + 1));
         segments.push(segment);
-        at = end;
+        at += HEADER_BYTES + payload.len();
     }
     ChunkScan {
         segments,
         valid_len: at as u64,
-        salvaged,
         damaged: bytes[at..].iter().any(|&b| b != 0),
     }
 }
@@ -219,8 +200,7 @@ fn write_meta(fs: &dyn Fs, dir: &Path, truncated_through: SeqNo) -> io::Result<(
 /// Decodes the truncation manifest; a damaged one degrades to "nothing
 /// recorded" (the opener re-infers the floor from the first chunk's name).
 fn parse_meta(bytes: &[u8]) -> SeqNo {
-    let scan = read_frames(bytes);
-    (scan.frames.first())
+    read_frame(bytes)
         .and_then(|payload| PayloadReader::new(payload).u64())
         .map_or(SeqNo::ZERO, SeqNo)
 }
@@ -248,12 +228,7 @@ impl ActiveChunk {
     /// zeroed frontier — and syncs. The chunk moves only if both succeed, so
     /// a retry overwrites whatever a failed attempt left. Returns the time
     /// spent in the sync.
-    fn append(
-        &mut self,
-        frame: &mut Vec<u8>,
-        sync: bool,
-        chunk_bytes: u64,
-    ) -> io::Result<Duration> {
+    fn append(&mut self, frame: &mut Vec<u8>, chunk_bytes: u64) -> io::Result<Duration> {
         let end = self.tail + frame.len() as u64;
         let mut zeroed_through = self.zeroed_through;
         if end > zeroed_through {
@@ -262,9 +237,7 @@ impl ActiveChunk {
         }
         self.file.write_all_at(frame, self.tail)?;
         let started = Instant::now();
-        if sync {
-            self.file.sync_data()?;
-        }
+        self.file.sync_data()?;
         let synced = started.elapsed();
         self.tail = end;
         self.zeroed_through = zeroed_through;
@@ -277,7 +250,6 @@ impl ActiveChunk {
 struct DiskBacking {
     fs: Arc<dyn Fs>,
     dir: PathBuf,
-    policy: DurabilityPolicy,
     /// [`CHUNK_BYTES`], except in this crate's rotation tests.
     chunk_bytes: u64,
     /// The chunk files, in log order; appends go to the last.
@@ -289,15 +261,16 @@ struct DiskBacking {
 
 impl DiskBacking {
     fn persist_segment(&mut self, segment: &Segment, first: SeqNo) -> io::Result<AppendReport> {
-        let mut frame = frame_segment(segment);
+        let payload = encode_segment(segment);
+        let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+        write_frame(&mut frame, &payload);
         let bytes = frame.len() as u64;
-        let sync = self.policy == DurabilityPolicy::EverySegment;
         let last_seq = segment.covered_through();
 
         let fits = |chunk: &ActiveChunk| chunk.tail == 0 || chunk.tail + bytes <= self.chunk_bytes;
         let (synced, rotated) = match self.active.as_mut().filter(|chunk| fits(chunk)) {
             Some(chunk) => {
-                let synced = chunk.append(&mut frame, sync, self.chunk_bytes)?;
+                let synced = chunk.append(&mut frame, self.chunk_bytes)?;
                 self.chunks.back_mut().expect("the active chunk").last_seq = last_seq;
                 (synced, false)
             }
@@ -312,7 +285,7 @@ impl DiskBacking {
                     tail: 0,
                     zeroed_through: 0,
                 };
-                let synced = chunk.append(&mut frame, sync, self.chunk_bytes)?;
+                let synced = chunk.append(&mut frame, self.chunk_bytes)?;
                 self.fs.sync_dir(&self.dir)?;
                 self.chunks.push_back(Chunk { path, last_seq });
                 self.active = Some(chunk);
@@ -390,7 +363,7 @@ struct ArchiveInner {
     /// Largest position dropped by truncation; records at or below it are
     /// gone and cannot be replayed.
     truncated_through: SeqNo,
-    /// Largest position appended so far (record or coverage watermark).
+    /// Largest position appended so far.
     last_seq: SeqNo,
     /// Present when the archive is disk-backed.
     disk: Option<DiskBacking>,
@@ -415,11 +388,11 @@ impl LogArchive {
     /// Creates a fresh disk-backed archive in `dir` (created if absent):
     /// one manifest file, one sync, one directory sync — the first chunk is
     /// created by the first append. Every appended segment becomes one frame
-    /// of the append-only log and is synced according to `policy`;
-    /// truncation is recorded in the manifest. Fails if `dir` already holds
-    /// chunk files — recover those with [`LogArchive::open`] instead of
-    /// silently shadowing them — or the unreadable `seg-*.c5w` layout
-    /// ([`io::ErrorKind::Unsupported`]).
+    /// of the append-only log and is synced before the append returns
+    /// ([`DurabilityPolicy::EverySegment`], the one policy); truncation is
+    /// recorded in the manifest. Fails if `dir` already holds chunk files —
+    /// recover those with [`LogArchive::open`] instead of silently shadowing
+    /// them — or an older, unreadable layout ([`io::ErrorKind::Unsupported`]).
     pub fn durable(dir: impl AsRef<Path>, policy: DurabilityPolicy) -> io::Result<Self> {
         Self::durable_on(Arc::new(StdFs), dir, policy)
     }
@@ -429,17 +402,12 @@ impl LogArchive {
     pub fn durable_on(
         fs: Arc<dyn Fs>,
         dir: impl AsRef<Path>,
-        policy: DurabilityPolicy,
+        _policy: DurabilityPolicy,
     ) -> io::Result<Self> {
-        Self::create_in(fs, dir.as_ref(), policy, CHUNK_BYTES)
+        Self::create_in(fs, dir.as_ref(), CHUNK_BYTES)
     }
 
-    pub(crate) fn create_in(
-        fs: Arc<dyn Fs>,
-        dir: &Path,
-        policy: DurabilityPolicy,
-        chunk_bytes: u64,
-    ) -> io::Result<Self> {
+    pub(crate) fn create_in(fs: Arc<dyn Fs>, dir: &Path, chunk_bytes: u64) -> io::Result<Self> {
         fs.create_dir_all(dir)?;
         if !chunk_files(dir, &fs.list(dir)?)?.is_empty() {
             return Err(io::Error::new(
@@ -455,7 +423,6 @@ impl LogArchive {
         archive.inner.lock().disk = Some(DiskBacking {
             fs,
             dir: dir.to_path_buf(),
-            policy,
             chunk_bytes,
             chunks: VecDeque::new(),
             active: None,
@@ -466,14 +433,15 @@ impl LogArchive {
     /// Recovers a disk-backed archive from `dir` after a crash or restart.
     ///
     /// Recovery scans the chunks in log order and keeps the longest valid
-    /// prefix: a torn tail (a `kill -9` mid-write), a corrupt frame, or a
-    /// sequence gap truncates the recovered log at that point — trimmed back
-    /// to a transaction boundary — re-zeroes the rest of that chunk and
-    /// unlinks the chunks after it, so a second open finds a clean archive
-    /// and changes nothing. A missing or damaged manifest degrades to
-    /// re-inferring the truncation floor from the first surviving chunk. This
-    /// path never panics on damaged input; it fails on an I/O error, and with
-    /// [`io::ErrorKind::Unsupported`] on the `seg-*.c5w` layout.
+    /// run of whole frames: a torn tail (a `kill -9` mid-write), a corrupt
+    /// frame, or a sequence gap ends the recovered log before that frame —
+    /// on a segment, hence transaction, boundary — zeroes the rest of that
+    /// chunk and unlinks the chunks after it, so a second open finds a clean
+    /// archive and changes nothing. A missing or damaged manifest degrades
+    /// to re-inferring the truncation floor from the first surviving chunk.
+    /// This path never panics on damaged input; it fails on an I/O error,
+    /// and with [`io::ErrorKind::Unsupported`] on an older layout
+    /// (`seg-*.c5w`, `log-*.c5a`).
     pub fn open(dir: impl AsRef<Path>, policy: DurabilityPolicy) -> io::Result<DurableRecovery> {
         Self::open_on(Arc::new(StdFs), dir, policy)
     }
@@ -482,15 +450,14 @@ impl LogArchive {
     pub fn open_on(
         fs: Arc<dyn Fs>,
         dir: impl AsRef<Path>,
-        policy: DurabilityPolicy,
+        _policy: DurabilityPolicy,
     ) -> io::Result<DurableRecovery> {
-        Self::open_in(fs, dir.as_ref(), policy, CHUNK_BYTES)
+        Self::open_in(fs, dir.as_ref(), CHUNK_BYTES)
     }
 
     pub(crate) fn open_in(
         fs: Arc<dyn Fs>,
         dir: &Path,
-        policy: DurabilityPolicy,
         chunk_bytes: u64,
     ) -> io::Result<DurableRecovery> {
         fs.create_dir_all(dir)?;
@@ -521,33 +488,24 @@ impl LogArchive {
                 continue;
             }
             let bytes = fs.read(&path)?;
-            let mut scan = scan_frames(&bytes, Some(named_first));
+            let scan = scan_frames(&bytes, Some(named_first));
             torn_tail |= scan.damaged;
-            if scan.segments.is_empty() && scan.salvaged.is_none() {
+            let Some(last) = scan.segments.last() else {
                 // Nothing replayable in it: a rotation that never finished,
-                // or a chunk damaged from its first byte.
+                // or a chunk damaged from its first frame.
                 fs.remove(&path)?;
                 unlinked = true;
                 continue;
-            }
-            let (mut tail, mut len) = (scan.valid_len, bytes.len() as u64);
+            };
+            let last_seq = last.covered_through();
+            let (tail, len) = (scan.valid_len, bytes.len() as u64);
             if scan.damaged {
-                // Re-frame what the damaged frame still held and zero the
-                // rest, so the damage is not there to be found again.
-                let mut patch = Vec::new();
-                if let Some(segment) = scan.salvaged.take() {
-                    patch = frame_segment(&segment);
-                    scan.segments.push(segment);
-                }
-                tail += patch.len() as u64;
-                len = len.max(tail);
-                patch.resize((len - scan.valid_len) as usize, 0);
+                // Zero from the damaged frame on, so the damage is not there
+                // to be found again.
                 let mut file = fs.open(&path)?;
-                file.write_all_at(&patch, scan.valid_len)?;
+                file.write_all_at(&vec![0; (len - tail) as usize], tail)?;
                 file.sync_data()?;
             }
-            let last = (scan.segments.last()).expect("a segment, valid or salvaged");
-            let last_seq = last.covered_through();
             if covered.is_none() {
                 // Records below the first surviving chunk are gone no matter
                 // what the manifest says.
@@ -589,7 +547,6 @@ impl LogArchive {
             inner.disk = Some(DiskBacking {
                 fs,
                 dir: dir.to_path_buf(),
-                policy,
                 chunk_bytes,
                 chunks,
                 active,
@@ -603,17 +560,10 @@ impl LogArchive {
         })
     }
 
-    /// Retains a copy of one shipped segment.
-    ///
-    /// An **empty** segment carries no replayable records and is not
-    /// retained, but its coverage claim still advances the archive's
-    /// watermark: key-range routing legitimately produces coverage-only
-    /// sub-segments (`covers_through` beyond an empty record slice) for
-    /// shards a parent segment skipped, and the next non-empty segment for
-    /// that shard starts *after* the covered gap. Skipping the empty segment
-    /// without advancing would make that next append look discontiguous.
-    /// (Disk-backed archives do not persist coverage-only advances; after a
-    /// reopen the watermark regresses to what the retained records show.)
+    /// Retains a copy of one shipped segment, and in a disk-backed archive
+    /// writes it as one frame at the log's tail and syncs it before
+    /// returning. An **empty** segment carries nothing to replay: it is
+    /// neither retained nor written, and moves nothing.
     ///
     /// Fails with [`Error::ArchiveIo`] when the disk backing cannot persist
     /// the segment. The archive is then exactly what it was before the call —
@@ -634,7 +584,6 @@ impl LogArchive {
     pub fn try_append(&self, segment: &Segment) -> Result<AppendReport> {
         let mut inner = self.inner.lock();
         let Some(first) = segment.first_seq() else {
-            inner.last_seq = inner.last_seq.max(segment.covered_through());
             return Ok(AppendReport::default());
         };
         let expected = inner.last_seq.max(inner.truncated_through);
@@ -752,27 +701,10 @@ impl LogArchive {
                         "replay cut {from} splits a transaction"
                     );
                 }
-                out.push(Segment::sub_segment(
-                    segment.header.id,
-                    records,
-                    segment.covered_through(),
-                ));
+                out.push(Segment::new(records));
             }
         }
         Ok(out)
-    }
-
-    /// One `sync_data` on the chunk appends go to, whatever the policy (a
-    /// no-op for in-memory archives): under [`DurabilityPolicy::Never`] it
-    /// forces down what that chunk holds; a chunk an earlier rotation closed
-    /// was left to the OS. Call before handing the directory to another
-    /// process.
-    pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        match inner.disk.as_mut().and_then(|disk| disk.active.as_mut()) {
-            Some(chunk) => chunk.file.sync_data(),
-            None => Ok(()),
-        }
     }
 
     /// Number of segments currently retained.
@@ -847,9 +779,9 @@ mod tests {
         records.iter().map(|r| r.seq.as_u64()).collect()
     }
 
-    /// A chunk size that holds two of `test_log_of`'s ~410-byte frames and
+    /// A chunk size that holds two of `test_log_of`'s 304-byte frames and
     /// not a third.
-    const TWO_FRAME_CHUNK: u64 = 1000;
+    const TWO_FRAME_CHUNK: u64 = 800;
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -1013,7 +945,7 @@ mod tests {
         );
         let (records, _) = crate::record::explode_txn(entry, SeqNo(10));
         let archive = LogArchive::starting_at(SeqNo(10));
-        archive.append(&Segment::new(0, records));
+        archive.append(&Segment::new(records));
         let replay = archive.replay_from(SeqNo(10)).unwrap();
         assert_eq!(crate::logger::flatten(&replay)[0].seq, SeqNo(11));
         assert!(matches!(
@@ -1025,42 +957,9 @@ mod tests {
     #[test]
     fn empty_segments_are_not_retained() {
         let archive = LogArchive::new();
-        archive.append(&Segment::new(0, vec![]));
+        archive.append(&Segment::new(vec![]));
         assert_eq!(archive.retained_segments(), 0);
         assert_eq!(archive.last_seq(), SeqNo::ZERO);
-    }
-
-    /// Regression test: a quiet shard's stream is a coverage-only empty
-    /// sub-segment followed by a non-empty one starting after the covered
-    /// gap. The empty segment must advance the watermark (without being
-    /// retained) or the follow-up append trips the contiguity assert.
-    #[test]
-    fn empty_segments_advance_coverage_for_the_next_append() {
-        let segments = test_log();
-        let archive = LogArchive::new();
-        archive.append(&segments[0]); // seqs 1..=4
-
-        // The shard saw nothing of the parent covering 5..=8.
-        archive.append(&Segment::sub_segment(1, vec![], SeqNo(8)));
-        assert_eq!(archive.retained_segments(), 1);
-        assert_eq!(archive.last_seq(), SeqNo(8));
-
-        // Its next records start at 9 — contiguous with the coverage, not
-        // with the last retained record.
-        archive.append(&segments[2]);
-        assert_eq!(archive.retained_segments(), 2);
-        assert_eq!(archive.last_seq(), SeqNo(12));
-
-        // A stale or duplicate coverage claim never regresses the watermark.
-        archive.append(&Segment::sub_segment(3, vec![], SeqNo(6)));
-        assert_eq!(archive.last_seq(), SeqNo(12));
-
-        let replay = archive.replay_from(SeqNo(4)).unwrap();
-        let seqs: Vec<u64> = crate::logger::flatten(&replay)
-            .iter()
-            .map(|r| r.seq.as_u64())
-            .collect();
-        assert_eq!(seqs, (9..=12).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1095,7 +994,7 @@ mod tests {
             vec![RowWrite::update(RowRef::new(0, 7), Value::from_u64(7))],
         );
         let (records, _) = crate::record::explode_txn(entry, SeqNo(12));
-        archive.append(&Segment::new(3, records));
+        archive.append(&Segment::new(records));
         assert_eq!(archive.last_seq(), SeqNo(13));
 
         fs::remove_dir_all(&dir).expect("cleanup");
@@ -1106,13 +1005,11 @@ mod tests {
         let dir = scratch_dir("truncate");
         let segments = test_log();
         {
-            let archive = LogArchive::durable(&dir, DurabilityPolicy::Never).expect("create");
+            let archive =
+                LogArchive::durable(&dir, DurabilityPolicy::EverySegment).expect("create");
             for segment in &segments {
                 archive.append(segment);
             }
-            archive
-                .sync()
-                .expect("force down what the policy left to the OS");
             assert_eq!(archive.truncate_through(SeqNo(6)), Ok(1));
         }
 
@@ -1161,17 +1058,15 @@ mod tests {
         let scan = scan_chunk(&chunk).unwrap();
         assert_eq!(seqs(&scan.segments), seqs(&segments));
         assert_eq!(scan.segments.len(), segments.len());
-        assert!(!scan.damaged && scan.salvaged.is_none());
+        assert!(!scan.damaged);
         // The first append carried the zero stride; the other two landed in
         // it without growing the file.
         let first_frame = scan.valid_len / 3;
         assert_eq!(bytes.len() as u64, first_frame + ZERO_AHEAD_BYTES);
         let tail = &bytes[scan.valid_len as usize..];
         assert!(tail.iter().all(|&b| b == 0));
-        // The premise: the generic frame reader takes that tail for frames.
-        let as_frames = read_frames(&tail[..64]);
-        assert!(as_frames.is_clean());
-        assert_eq!(as_frames.frames, vec![Vec::<u8>::new(); 8]);
+        // The premise: the generic frame reader takes that tail for a frame.
+        assert_eq!(read_frame(tail), Some(&[][..]));
 
         fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -1183,12 +1078,11 @@ mod tests {
     fn rotation_round_trips_and_truncation_unlinks_whole_chunks() {
         let dir = scratch_dir("rotate");
         let fs_: Arc<dyn Fs> = Arc::new(StdFs);
-        let policy = DurabilityPolicy::EverySegment;
         let segments = test_log_of(12); // six segments, ending at 4, 8, .. 24
         let reference = LogArchive::new();
         {
             let archive =
-                LogArchive::create_in(fs_.clone(), &dir, policy, TWO_FRAME_CHUNK).expect("create");
+                LogArchive::create_in(fs_.clone(), &dir, TWO_FRAME_CHUNK).expect("create");
             let rotated: Vec<bool> = (segments.iter())
                 .map(|s| archive.try_append(s).expect("append").rotated)
                 .collect();
@@ -1208,7 +1102,7 @@ mod tests {
             [SeqNo(1), SeqNo(9), SeqNo(17)].map(chunk_file_name)
         );
 
-        let opened = LogArchive::open_in(fs_.clone(), &dir, policy, TWO_FRAME_CHUNK).expect("open");
+        let opened = LogArchive::open_in(fs_.clone(), &dir, TWO_FRAME_CHUNK).expect("open");
         assert!(!opened.torn_tail);
         assert_eq!(opened.recovered_segments, 6);
         let archive = opened.archive;
@@ -1234,7 +1128,7 @@ mod tests {
 
         // The segment at 9..=12 is still in its chunk; the manifest keeps it
         // out of the reopened archive, and appends go on into the last chunk.
-        let opened = LogArchive::open_in(fs_, &dir, policy, TWO_FRAME_CHUNK).expect("reopen");
+        let opened = LogArchive::open_in(fs_, &dir, TWO_FRAME_CHUNK).expect("reopen");
         assert_eq!(opened.recovered_segments, 3);
         assert_eq!(opened.archive.truncated_through(), SeqNo(12));
         assert_eq!(
@@ -1271,8 +1165,9 @@ mod tests {
             assert!(recovery.torn_tail);
             let archive = recovery.archive;
             let records = crate::logger::flatten(&archive.replay_from(SeqNo::ZERO).unwrap());
-            // The torn frame's first transaction is still whole.
-            assert_eq!(records.len(), 10);
+            // The torn frame goes whole: the log ends with the segment
+            // before it, on a transaction boundary.
+            assert_eq!(records.len(), 8);
             assert!(records.last().unwrap().is_txn_last(), "txn-aligned tail");
 
             // The damage was repaired in place: a second open finds none,
@@ -1281,7 +1176,7 @@ mod tests {
             let repaired = fs::read(&chunk).unwrap();
             let again = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("reopen");
             assert!(!again.torn_tail);
-            assert_eq!(again.archive.last_seq(), SeqNo(10));
+            assert_eq!(again.archive.last_seq(), SeqNo(8));
             assert_eq!(fs::read(&chunk).unwrap(), repaired);
         }
 
@@ -1299,29 +1194,29 @@ mod tests {
         let chunk = persisted(&dir, &segments[..3]);
 
         // First tear: the third frame (9..=12) loses its last bytes, which
-        // keeps its header and its first transaction on disk.
+        // leaves its header and most of its records on disk.
         let written = scan_chunk(&chunk).unwrap().valid_len as usize;
         let mut bytes = fs::read(&chunk).unwrap();
         bytes[written - 30..written].fill(0);
         fs::write(&chunk, &bytes).unwrap();
         let archive = LogArchive::open(&dir, policy).expect("open").archive;
-        assert_eq!(archive.last_seq(), SeqNo(10));
+        assert_eq!(archive.last_seq(), SeqNo(8));
 
-        // The log goes on from 11 with different, shorter transactions, so
-        // its frames end inside what the torn frame used to occupy.
+        // The log goes on from 9 with different, shorter transactions, so
+        // its first frames end inside what the torn frame used to occupy.
         let entries: Vec<TxnEntry> = (0..4u64)
             .map(|t| {
                 let write = RowWrite::update(RowRef::new(0, 500 + t), Value::from_u64(t));
                 TxnEntry::new(TxnId(100 + t), Timestamp(100 + t), vec![write])
             })
             .collect();
-        let mut next = SeqNo(10);
+        let mut next = SeqNo(8);
         for entry in entries {
             let (records, end) = crate::record::explode_txn(entry, next);
-            archive.append(&Segment::new(next.as_u64(), records));
+            archive.append(&Segment::new(records));
             next = end;
         }
-        assert_eq!(archive.last_seq(), SeqNo(14));
+        assert_eq!(archive.last_seq(), SeqNo(12));
         drop(archive);
 
         // Second tear, inside the last of those frames.
@@ -1333,8 +1228,8 @@ mod tests {
         let second = LogArchive::open(&dir, policy).expect("second open");
         assert!(second.torn_tail);
         let replay = second.archive.replay_from(SeqNo::ZERO).unwrap();
-        assert_eq!(seqs(&replay), (1..=13).collect::<Vec<_>>());
-        let rows: Vec<u64> = crate::logger::flatten(&replay)[10..]
+        assert_eq!(seqs(&replay), (1..=11).collect::<Vec<_>>());
+        let rows: Vec<u64> = crate::logger::flatten(&replay)[8..]
             .iter()
             .map(|r| r.write.row.key.as_u64())
             .collect();
@@ -1344,7 +1239,7 @@ mod tests {
         let after_second = fs::read(&chunk).unwrap();
         let third = LogArchive::open(&dir, policy).expect("third open");
         assert!(!third.torn_tail);
-        assert_eq!(third.archive.last_seq(), SeqNo(13));
+        assert_eq!(third.archive.last_seq(), SeqNo(11));
         assert_eq!(fs::read(&chunk).unwrap(), after_second, "byte-identical");
 
         fs::remove_dir_all(&dir).expect("cleanup");
@@ -1357,7 +1252,7 @@ mod tests {
         let fs_: Arc<dyn Fs> = Arc::new(StdFs);
         {
             let archive =
-                LogArchive::create_in(fs_.clone(), &dir, policy, TWO_FRAME_CHUNK).expect("create");
+                LogArchive::create_in(fs_.clone(), &dir, TWO_FRAME_CHUNK).expect("create");
             for segment in &test_log_of(12) {
                 archive.append(segment);
             }
@@ -1370,14 +1265,15 @@ mod tests {
         bytes[at] ^= 0x20;
         fs::write(&chunks[0], &bytes).unwrap();
 
-        let recovery = LogArchive::open_in(fs_, &dir, policy, TWO_FRAME_CHUNK).expect("open");
+        let recovery = LogArchive::open_in(fs_, &dir, TWO_FRAME_CHUNK).expect("open");
         assert!(recovery.torn_tail);
         let archive = recovery.archive;
         let records = crate::logger::flatten(&archive.replay_from(SeqNo::ZERO).unwrap());
-        // Everything after the damage — the two intact chunks included — is
-        // discarded: a log with a hole cannot be replayed.
+        // The damaged frame goes whole, and everything after it — the two
+        // intact chunks included — is discarded: a log with a hole cannot
+        // be replayed.
         let last = records.last().expect("the first frame survives");
-        assert!((4..8).contains(&last.seq.as_u64()) && last.is_txn_last());
+        assert_eq!(last.seq, SeqNo(4));
         assert_eq!(chunk_paths(&dir).unwrap(), chunks[..1]);
         // Appends go on from the recovered end, over the re-zeroed remainder.
         let (resumed, _) = crate::record::explode_txn(
@@ -1388,7 +1284,7 @@ mod tests {
             ),
             last.seq,
         );
-        archive.append(&Segment::new(9, resumed));
+        archive.append(&Segment::new(resumed));
         drop(archive);
         let again = LogArchive::open(&dir, policy).expect("reopen");
         assert!(!again.torn_tail);
@@ -1402,7 +1298,6 @@ mod tests {
     /// that failed (the fault is one call), and the log on disk is whole.
     #[test]
     fn any_one_failed_call_leaves_a_log_a_retry_completes() {
-        let policy = DurabilityPolicy::EverySegment;
         let segments = test_log_of(12);
         // Failed truncations out of one attempt and, if it failed, its retry:
         // either the manifest failed (nothing changed) or only the unlink
@@ -1422,7 +1317,7 @@ mod tests {
         let run = |faulty: Arc<FaultyFs>, dir: &Path| -> usize {
             let mut failures = 0;
             let archive = loop {
-                match LogArchive::create_in(faulty.clone(), dir, policy, TWO_FRAME_CHUNK) {
+                match LogArchive::create_in(faulty.clone(), dir, TWO_FRAME_CHUNK) {
                     Ok(archive) => break archive,
                     Err(_) => failures += 1,
                 }
@@ -1456,7 +1351,7 @@ mod tests {
             let failures = run(Arc::new(FaultyFs::new(fail, Some(fail))), &dir);
             assert_eq!(failures, 1, "call {fail} failed exactly one operation");
             let fs_: Arc<dyn Fs> = Arc::new(StdFs);
-            let opened = LogArchive::open_in(fs_, &dir, policy, TWO_FRAME_CHUNK).expect("open");
+            let opened = LogArchive::open_in(fs_, &dir, TWO_FRAME_CHUNK).expect("open");
             assert!(!opened.torn_tail, "call {fail}");
             assert_eq!(opened.archive.truncated_through(), SeqNo(16));
             assert_eq!(
@@ -1474,7 +1369,7 @@ mod tests {
     #[test]
     fn opening_an_empty_directory_yields_a_fresh_archive() {
         let dir = scratch_dir("fresh");
-        let recovery = LogArchive::open(&dir, DurabilityPolicy::Never).expect("open");
+        let recovery = LogArchive::open(&dir, DurabilityPolicy::EverySegment).expect("open");
         assert!(!recovery.torn_tail);
         assert_eq!(recovery.recovered_segments, 0);
         let archive = recovery.archive;
@@ -1487,13 +1382,12 @@ mod tests {
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    /// Format pin (e): there is no reader for the one-file-per-segment
-    /// layout, and neither constructor pretends the directory is empty.
-    #[test]
-    fn the_old_one_file_per_segment_layout_is_refused_not_read() {
+    /// A directory holding `name` (with `bytes` in it) is refused by both
+    /// constructors, with the name in the error, and left as it was.
+    fn assert_refused(name: &str, bytes: &[u8]) {
         let dir = scratch_dir("old-layout");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("seg-00000000000000000001.c5w"), b"C5WSEG1\n").unwrap();
+        fs::write(dir.join(name), bytes).unwrap();
         let policy = DurabilityPolicy::EverySegment;
         let refused = [
             LogArchive::durable(&dir, policy).map(drop),
@@ -1502,9 +1396,26 @@ mod tests {
         for result in refused {
             let err = result.expect_err("must not shadow or skip an old archive");
             assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-            assert!(err.to_string().contains("seg-00000000000000000001.c5w"));
+            assert!(err.to_string().contains(name));
         }
+        assert_eq!(fs::read(dir.join(name)).unwrap(), bytes);
         fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Format pin (e): there is no reader for the one-file-per-segment
+    /// layout, and neither constructor pretends the directory is empty.
+    #[test]
+    fn the_old_one_file_per_segment_layout_is_refused_not_read() {
+        assert_refused("seg-00000000000000000001.c5w", b"C5WSEG1\n");
+    }
+
+    /// Nor for chunks whose segments carried their own magic, header frame
+    /// and per-record frames inside the chunk's frame.
+    #[test]
+    fn an_old_twice_checksummed_chunk_is_refused_not_read() {
+        let mut chunk = Vec::new();
+        write_frame(&mut chunk, b"C5WSEG1\n");
+        assert_refused("log-00000000000000000001.c5a", &chunk);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! concurrency control protocol consumes this log.
 //!
 //! Section 7.1 adds the details of the Cicada prototype logger this crate
-//! also reproduces: the log is divided into fixed-size segments, each with a
-//! header holding a `preprocessed` flag, transactions never span segment
-//! boundaries, and each record carries an initially-unused `prev_timestamp`
+//! also reproduces: the log is divided into fixed-size segments,
+//! transactions never span segment boundaries, and each record carries an initially-unused `prev_timestamp`
 //! field that C5's scheduler later fills with the position of the previous
 //! write to the same row.
 //!
@@ -39,13 +38,13 @@
 //! at its cut, and a cold replica bootstraps by installing the checkpoint
 //! and replaying the retained tail from the cut. The archive can be
 //! disk-backed ([`archive::LogArchive::durable`]): one append-only log of
-//! CRC-framed segments (each frame's payload is the checksummed encoding of
-//! [`wal`]) in a few chunk files, where an append is one positioned write
-//! and — per [`c5_common::DurabilityPolicy`] — one `sync_data` into blocks
-//! that already exist, and [`archive::LogArchive::open`] recovers the
-//! retained log across a real process restart by scanning the frames,
-//! truncating a torn or corrupt tail back to a transaction boundary instead
-//! of panicking. Its syscalls go through [`c5_common::fs::Fs`], so any one of
+//! CRC-framed segments (each frame's payload is the segment's records,
+//! encoded by [`wal`]) in a few chunk files, where an append is one
+//! positioned write and one `sync_data` into blocks that already exist, and
+//! [`archive::LogArchive::open`] recovers the retained log across a real
+//! process restart by scanning the frames, ending the log before a torn or
+//! corrupt frame — on a segment, hence transaction, boundary — instead of
+//! panicking. Its syscalls go through [`c5_common::fs::Fs`], so any one of
 //! them can be made to fail.
 
 #![warn(missing_docs)]
@@ -61,5 +60,5 @@ pub mod wal;
 pub use archive::{DurableRecovery, LogArchive};
 pub use logger::{coalesce, flatten, segments_from_entries, StreamingLogger, ThreadLog};
 pub use record::{explode_txn, now_nanos, LogRecord, TxnEntry};
-pub use segment::{Segment, SegmentHeader};
+pub use segment::Segment;
 pub use ship::{LogReceiver, LogShipper, Subscription, SubscriptionId, SUBSCRIPTION_SEGMENTS};

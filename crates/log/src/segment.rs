@@ -3,37 +3,16 @@
 //! Section 7.1: "The log is divided into fixed-size segments ... Each
 //! segment's header indicates the number of log records it contains. For
 //! simplicity, the logger ensures transactions never span segment
-//! boundaries." The `preprocessed` flag in the header is set by the C5
-//! scheduler once it has filled in every record's previous-write pointer.
+//! boundaries." Here a segment is just its records: the count is the
+//! vector's length, and its first and last positions are its records'.
 
 use c5_common::SeqNo;
 
 use crate::record::LogRecord;
 
-/// Metadata at the head of a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentHeader {
-    /// Monotonically increasing segment id, starting at 0.
-    pub id: u64,
-    /// Number of records in the segment.
-    pub record_count: usize,
-    /// Set by the C5 scheduler once every record's `prev_seq` has been
-    /// computed. Workers only execute preprocessed segments.
-    pub preprocessed: bool,
-    /// The log position this segment's stream is complete through. For a
-    /// whole-log segment this is simply its last record's position; for a
-    /// per-shard sub-segment produced by key-ranged routing it is the *parent*
-    /// segment's last position — the shard has seen every record it owns up
-    /// to there, even when none of them landed in its range. Shard progress
-    /// tracking depends on this to advance through gaps.
-    pub covers_through: SeqNo,
-}
-
 /// A batch of log records that never splits a transaction.
 #[derive(Debug, Clone)]
 pub struct Segment {
-    /// The segment header.
-    pub header: SegmentHeader,
     /// The records, in log order.
     pub records: Vec<LogRecord>,
 }
@@ -41,25 +20,8 @@ pub struct Segment {
 impl Segment {
     /// Creates a segment from records. The caller is responsible for keeping
     /// transactions whole; [`SegmentBuilder`] does this automatically.
-    pub fn new(id: u64, records: Vec<LogRecord>) -> Self {
-        let covers_through = records.last().map(|r| r.seq).unwrap_or(SeqNo::ZERO);
-        Self {
-            header: SegmentHeader {
-                id,
-                record_count: records.len(),
-                preprocessed: false,
-                covers_through,
-            },
-            records,
-        }
-    }
-
-    /// Creates a per-shard sub-segment: `records` are the shard's slice of a
-    /// parent segment whose stream is complete through `covers_through`.
-    pub fn sub_segment(id: u64, records: Vec<LogRecord>, covers_through: SeqNo) -> Self {
-        let mut seg = Self::new(id, records);
-        seg.header.covers_through = covers_through;
-        seg
+    pub fn new(records: Vec<LogRecord>) -> Self {
+        Self { records }
     }
 
     /// First sequence number in the segment, if any.
@@ -72,12 +34,10 @@ impl Segment {
         self.records.last().map(|r| r.seq)
     }
 
-    /// The log position this segment's stream is complete through (see
-    /// [`SegmentHeader::covers_through`]). Never below the last record.
+    /// The log position this segment's stream is complete through: its last
+    /// record's, or zero when it is empty.
     pub fn covered_through(&self) -> SeqNo {
-        self.last_seq()
-            .unwrap_or(SeqNo::ZERO)
-            .max(self.header.covers_through)
+        self.last_seq().unwrap_or(SeqNo::ZERO)
     }
 
     /// Number of records.
@@ -113,7 +73,6 @@ impl Segment {
 #[derive(Debug)]
 pub struct SegmentBuilder {
     target_records: usize,
-    next_id: u64,
     current: Vec<LogRecord>,
 }
 
@@ -125,7 +84,6 @@ impl SegmentBuilder {
     pub fn new(target_records: usize) -> Self {
         Self {
             target_records: target_records.max(1),
-            next_id: 0,
             current: Vec::new(),
         }
     }
@@ -135,7 +93,7 @@ impl SegmentBuilder {
     pub fn push_txn(&mut self, records: Vec<LogRecord>) -> Option<Segment> {
         self.current.extend(records);
         if self.current.len() >= self.target_records {
-            Some(self.flush_inner())
+            self.flush()
         } else {
             None
         }
@@ -147,15 +105,8 @@ impl SegmentBuilder {
         if self.current.is_empty() {
             None
         } else {
-            Some(self.flush_inner())
+            Some(Segment::new(std::mem::take(&mut self.current)))
         }
-    }
-
-    fn flush_inner(&mut self) -> Segment {
-        let records = std::mem::take(&mut self.current);
-        let seg = Segment::new(self.next_id, records);
-        self.next_id += 1;
-        seg
     }
 
     /// Number of records currently buffered.
@@ -204,7 +155,7 @@ mod tests {
         assert!(b.push_txn(r3).is_none());
         let tail = b.flush().expect("flush returns the tail");
         assert_eq!(tail.len(), 1);
-        assert_eq!(tail.header.id, 1);
+        assert_eq!(tail.first_seq(), Some(SeqNo(7)));
         assert!(b.flush().is_none());
     }
 
@@ -220,36 +171,19 @@ mod tests {
     #[test]
     fn segment_seq_accessors() {
         let (r, _) = txn_records(1, 3, SeqNo::ZERO);
-        let seg = Segment::new(0, r);
+        let seg = Segment::new(r);
         assert_eq!(seg.first_seq(), Some(SeqNo(1)));
         assert_eq!(seg.last_seq(), Some(SeqNo(3)));
+        assert_eq!(seg.covered_through(), SeqNo(3));
         assert!(!seg.is_empty());
-        assert!(!seg.header.preprocessed);
     }
 
     #[test]
     fn empty_segment_is_whole() {
-        let seg = Segment::new(0, vec![]);
+        let seg = Segment::new(vec![]);
         assert!(seg.transactions_are_whole());
         assert!(seg.is_empty());
         assert_eq!(seg.first_seq(), None);
         assert_eq!(seg.covered_through(), SeqNo::ZERO);
-    }
-
-    #[test]
-    fn coverage_defaults_to_last_record_and_sub_segments_extend_it() {
-        let (r, _) = txn_records(1, 3, SeqNo::ZERO);
-        let seg = Segment::new(0, r.clone());
-        assert_eq!(seg.covered_through(), SeqNo(3));
-
-        // A shard's slice of a larger parent covers the parent's whole span.
-        let sub = Segment::sub_segment(0, vec![r[0].clone()], SeqNo(3));
-        assert_eq!(sub.last_seq(), Some(SeqNo(1)));
-        assert_eq!(sub.covered_through(), SeqNo(3));
-
-        // An empty slice still carries the coverage.
-        let empty = Segment::sub_segment(0, vec![], SeqNo(3));
-        assert!(empty.is_empty());
-        assert_eq!(empty.covered_through(), SeqNo(3));
     }
 }

@@ -727,7 +727,7 @@ mod tests {
             vec![RowWrite::insert(RowRef::new(0, id), Value::from_u64(id))],
         );
         let (records, _) = explode_txn(entry, SeqNo(id * 10));
-        Segment::new(id, records)
+        Segment::new(records)
     }
 
     #[test]
@@ -738,8 +738,8 @@ mod tests {
         drop(tx);
         let got = rx.drain();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].header.id, 1);
-        assert_eq!(got[1].header.id, 2);
+        assert_eq!(got[0].first_seq(), Some(SeqNo(11)));
+        assert_eq!(got[1].first_seq(), Some(SeqNo(21)));
     }
 
     #[test]
@@ -779,8 +779,8 @@ mod tests {
         for rx in &receivers {
             let got = rx.drain();
             assert_eq!(got.len(), 2);
-            assert_eq!(got[0].header.id, 1);
-            assert_eq!(got[1].header.id, 2);
+            assert_eq!(got[0].first_seq(), Some(SeqNo(11)));
+            assert_eq!(got[1].first_seq(), Some(SeqNo(21)));
         }
     }
 
@@ -822,7 +822,7 @@ mod tests {
             vec![RowWrite::insert(RowRef::new(0, id), Value::from_u64(id))],
         );
         let (records, next) = explode_txn(entry, start);
-        (Segment::new(id, records), next)
+        (Segment::new(records), next)
     }
 
     #[test]
@@ -1166,13 +1166,14 @@ mod tests {
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("ship_archive_failures_total"), Some(1));
         // The five appends that succeeded, from the sink alone: one created
-        // the chunk, each was one sync, and together they grew the log.
+        // the chunk, each was one sync, and each grew the log by one frame:
+        // an 8-byte frame header and one 74-byte record (a `u64` value).
         assert_eq!(snap.counter("archive_rotations_total"), Some(1));
         assert_eq!(
             snap.histogram("archive_sync_ns").map(|h| h.count()),
             Some(5)
         );
-        assert!(snap.counter("archive_bytes_total") > Some(5 * 100));
+        assert_eq!(snap.counter("archive_bytes_total"), Some(5 * (8 + 74)));
         assert!(obs.trace.merged().iter().any(|r| matches!(
             r.event,
             TraceEvent::Span {
@@ -1224,7 +1225,7 @@ mod tests {
             vec![RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))],
         );
         let (records, next) = explode_txn(entry, SeqNo::ZERO);
-        tx.ship(Segment::new(0, records));
+        tx.ship(Segment::new(records));
         tx.close();
         // A segment shipped after close never reached the wire, so the
         // archive must not retain it either.
@@ -1234,7 +1235,7 @@ mod tests {
             vec![RowWrite::insert(RowRef::new(0, 2), Value::from_u64(2))],
         );
         let (records2, _) = explode_txn(entry2, next);
-        tx.ship(Segment::new(1, records2));
+        tx.ship(Segment::new(records2));
 
         assert_eq!(rx.drain().len(), 1);
         assert_eq!(archive.retained_records(), 1);

@@ -1,64 +1,33 @@
 //! The on-disk segment format.
 //!
 //! A durable [`crate::archive::LogArchive`] persists each retained segment as
-//! the payload of one outer frame in its append-only log (see
+//! the payload of one [`c5_common::frame`] frame in its append-only log (see
 //! [`crate::archive`] for the chunk layout around it), and recovery reads
-//! them back after a crash. The encoding of one segment is the smallest one
-//! that supports the corrupt-tail contract ("truncate at the first bad
-//! frame, never panic"):
+//! them back after a crash. That frame's one CRC covers every byte below, so
+//! the encoding itself is just the segment's records back to back, in log
+//! order:
 //!
 //! ```text
-//! +--------------------------+
-//! | magic  "C5WSEG1\n"       |  8 bytes
-//! | header frame             |  id, record count, preprocessed,
-//! |                          |  covers_through, first/last SeqNo,
-//! |                          |  commit-timestamp range
-//! | record frame             |  one per LogRecord, in log order
-//! | ...                      |
-//! +--------------------------+
+//! txn u64 | seq u64 | commit_ts u64 | commit_wall_nanos u64 | prev_seq u64
+//! | idx_in_txn u32 | txn_len u32 | table u32 | key u64 | kind u8
+//! | has_value u8 | [value: u32 length, bytes]                  one per record
 //! ```
 //!
-//! Every frame is length-prefixed and CRC-32-checksummed
-//! ([`c5_common::frame`]). Decoding validates the magic, the header, every
-//! record frame, and the header's cross-checks (count, first/last position);
-//! any damage — a torn tail from `kill -9` mid-write, a flipped bit — yields
-//! the longest valid prefix **trimmed back to a transaction boundary**, so
-//! the recovered log never ends inside a transaction (segments keep
-//! transactions whole, which makes the trim local to one segment).
+//! All integers are little-endian. Decoding is all-or-nothing: a payload
+//! that does not parse as whole records to its last byte, or holds a write
+//! whose kind and value disagree, decodes to `None`. The archive reads only
+//! payloads whose checksum matched, so that is a writer bug, never a torn
+//! write; a torn or corrupt frame is dropped whole before it gets here, and
+//! since segments keep transactions whole the log still ends at a
+//! transaction boundary.
 
-use c5_common::frame::{read_frames, write_frame, PayloadReader, PayloadWriter};
+use c5_common::frame::{PayloadReader, PayloadWriter};
 use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value, WriteKind};
 
 use crate::record::LogRecord;
 use crate::segment::Segment;
 
-/// Magic bytes at the head of every encoded segment.
-pub const WAL_MAGIC: &[u8; 8] = b"C5WSEG1\n";
-
-/// The result of decoding an encoded segment.
-#[derive(Debug)]
-pub enum DecodedWal {
-    /// Every byte validated and the header's cross-checks held.
-    Clean(Segment),
-    /// The bytes were damaged (torn tail, checksum mismatch, or a header that
-    /// disagrees with the records). The payload is the longest valid prefix
-    /// of whole transactions — `None` when not even one transaction
-    /// survived.
-    Torn(Option<Segment>),
-}
-
-impl DecodedWal {
-    /// The recovered segment, if any survived, plus whether it was clean.
-    pub fn into_segment(self) -> (Option<Segment>, bool) {
-        match self {
-            DecodedWal::Clean(segment) => (Some(segment), true),
-            DecodedWal::Torn(segment) => (segment, false),
-        }
-    }
-}
-
-fn encode_record(record: &LogRecord) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
+fn encode_record(w: &mut PayloadWriter, record: &LogRecord) {
     w.u64(record.txn.0)
         .u64(record.seq.as_u64())
         .u64(record.commit_ts.as_u64())
@@ -82,11 +51,9 @@ fn encode_record(record: &LogRecord) -> Vec<u8> {
             w.u8(0);
         }
     }
-    w.finish()
 }
 
-fn decode_record(payload: &[u8]) -> Option<LogRecord> {
-    let mut r = PayloadReader::new(payload);
+fn decode_record(r: &mut PayloadReader<'_>) -> Option<LogRecord> {
     let txn = TxnId(r.u64()?);
     let seq = SeqNo(r.u64()?);
     let commit_ts = Timestamp(r.u64()?);
@@ -106,9 +73,9 @@ fn decode_record(payload: &[u8]) -> Option<LogRecord> {
         1 => Some(Value::from(r.bytes()?)),
         _ => return None,
     };
-    // A delete is exactly a write without a value: a frame that says
+    // A delete is exactly a write without a value: a record that says
     // otherwise is damage.
-    if !r.is_exhausted() || kind.carries_value() != value.is_some() {
+    if kind.carries_value() != value.is_some() {
         return None;
     }
     Some(LogRecord {
@@ -125,100 +92,23 @@ fn decode_record(payload: &[u8]) -> Option<LogRecord> {
 
 /// Encodes one segment into its on-disk byte representation.
 pub fn encode_segment(segment: &Segment) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + segment.records.len() * 96);
-    out.extend_from_slice(WAL_MAGIC);
-
-    let (ts_min, ts_max) = segment
-        .records
-        .iter()
-        .fold((u64::MAX, 0u64), |(lo, hi), r| {
-            (lo.min(r.commit_ts.as_u64()), hi.max(r.commit_ts.as_u64()))
-        });
-    let mut header = PayloadWriter::new();
-    header
-        .u64(segment.header.id)
-        .u64(segment.records.len() as u64)
-        .u8(segment.header.preprocessed as u8)
-        .u64(segment.header.covers_through.as_u64())
-        .u64(segment.first_seq().unwrap_or(SeqNo::ZERO).as_u64())
-        .u64(segment.last_seq().unwrap_or(SeqNo::ZERO).as_u64())
-        .u64(if segment.is_empty() { 0 } else { ts_min })
-        .u64(ts_max);
-    write_frame(&mut out, &header.finish());
-
+    // 62 bytes of fields per record, plus a 64-byte value and its length.
+    let mut w = PayloadWriter::with_capacity(segment.records.len() * 130);
     for record in &segment.records {
-        write_frame(&mut out, &encode_record(record));
+        encode_record(&mut w, record);
     }
-    out
+    w.finish()
 }
 
-/// Drops trailing records of an incomplete transaction, so a torn prefix
-/// still ends at a commit boundary.
-fn trim_to_txn_boundary(records: &mut Vec<LogRecord>) {
-    while let Some(last) = records.last() {
-        if last.is_txn_last() {
-            break;
-        }
-        records.pop();
-    }
-}
-
-/// Decodes an encoded segment's bytes, truncating (never panicking) on damage.
-pub fn decode_segment(bytes: &[u8]) -> DecodedWal {
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return DecodedWal::Torn(None);
-    }
-    let scan = read_frames(&bytes[WAL_MAGIC.len()..]);
-    let scan_clean = scan.is_clean();
-    let mut frames = scan.frames.into_iter();
-    let Some(header_payload) = frames.next() else {
-        return DecodedWal::Torn(None);
-    };
-    let mut h = PayloadReader::new(&header_payload);
-    let (Some(id), Some(count), Some(preprocessed), Some(covers_through)) =
-        (h.u64(), h.u64(), h.u8(), h.u64())
-    else {
-        return DecodedWal::Torn(None);
-    };
-    let (Some(first), Some(last), Some(_ts_min), Some(_ts_max)) =
-        (h.u64(), h.u64(), h.u64(), h.u64())
-    else {
-        return DecodedWal::Torn(None);
-    };
-
+/// Decodes an encoded segment's bytes: the whole segment, or `None` (never a
+/// panic) if they are not exactly a run of well-formed records.
+pub fn decode_segment(bytes: &[u8]) -> Option<Segment> {
+    let mut r = PayloadReader::new(bytes);
     let mut records = Vec::new();
-    let mut record_damage = false;
-    for payload in frames {
-        match decode_record(&payload) {
-            Some(record) => records.push(record),
-            None => {
-                record_damage = true;
-                break;
-            }
-        }
+    while !r.is_exhausted() {
+        records.push(decode_record(&mut r)?);
     }
-
-    let clean = scan_clean
-        && !record_damage
-        && records.len() as u64 == count
-        && records.first().map(|r| r.seq.as_u64()).unwrap_or(0) == first
-        && records.last().map(|r| r.seq.as_u64()).unwrap_or(0) == last;
-
-    if clean {
-        let mut segment = Segment::sub_segment(id, records, SeqNo(covers_through));
-        segment.header.preprocessed = preprocessed != 0;
-        return DecodedWal::Clean(segment);
-    }
-
-    trim_to_txn_boundary(&mut records);
-    if records.is_empty() {
-        return DecodedWal::Torn(None);
-    }
-    // A torn segment's coverage claim is no longer trustworthy beyond its
-    // last surviving record: Segment::new pins covers_through there.
-    let mut segment = Segment::new(id, records);
-    segment.header.preprocessed = preprocessed != 0;
-    DecodedWal::Torn(Some(segment))
+    Some(Segment::new(records))
 }
 
 #[cfg(test)]
@@ -248,10 +138,7 @@ mod tests {
     fn segments_round_trip_exactly() {
         for segment in log_segments() {
             let bytes = encode_segment(&segment);
-            let DecodedWal::Clean(decoded) = decode_segment(&bytes) else {
-                panic!("round trip must be clean");
-            };
-            assert_eq!(decoded.header, segment.header);
+            let decoded = decode_segment(&bytes).expect("round trip must be clean");
             assert_eq!(decoded.len(), segment.len());
             for (a, b) in decoded.records.iter().zip(&segment.records) {
                 assert_eq!(a.txn, b.txn);
@@ -266,30 +153,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sub_segment_coverage_and_preprocessed_flag_survive() {
-        let parent = &log_segments()[0];
-        let mut sub = Segment::sub_segment(7, parent.records[..3].to_vec(), SeqNo(99));
-        sub.header.preprocessed = true;
-        let DecodedWal::Clean(decoded) = decode_segment(&encode_segment(&sub)) else {
-            panic!("clean");
-        };
-        assert_eq!(decoded.header.covers_through, SeqNo(99));
-        assert!(decoded.header.preprocessed);
+    /// Where each record of `segment` ends in its encoding.
+    fn record_ends(segment: &Segment) -> Vec<usize> {
+        (1..=segment.len())
+            .map(|n| encode_segment(&Segment::new(segment.records[..n].to_vec())).len())
+            .collect()
     }
 
+    /// The decoder has no torn-tail rule of its own: a segment whose bytes
+    /// end inside a record decodes to nothing, so the log recovered around
+    /// it ends with the segment before, on a transaction boundary.
     #[test]
     fn torn_tail_trims_to_a_transaction_boundary() {
-        let segment = &log_segments()[0]; // 2 txns x 3 writes
+        let segments = log_segments(); // 2 txns x 3 writes, then 2 more
+        let first = decode_segment(&encode_segment(&segments[0])).expect("intact");
+        assert!(first.records.last().unwrap().is_txn_last());
+        let bytes = encode_segment(&segments[1]);
+        let ends = record_ends(&segments[1]);
+        for cut in 1..bytes.len() {
+            let decoded = decode_segment(&bytes[..cut]).map(|s| s.len());
+            let whole = ends.iter().position(|&end| end == cut).map(|n| n + 1);
+            assert_eq!(decoded, whole, "cut at {cut}");
+        }
+    }
+
+    /// Bytes that are not exactly a run of records: cut short, padded, or
+    /// with a kind byte no writer emits. A cut on a record boundary still
+    /// parses; only the frame's length and checksum around it can tell.
+    #[test]
+    fn a_payload_cut_short_or_padded_is_damage() {
+        let segment = &log_segments()[0];
         let bytes = encode_segment(segment);
-        // Cut the bytes mid-way through the last transaction's frames.
-        let cut = bytes.len() - 40;
-        let (recovered, clean) = decode_segment(&bytes[..cut]).into_segment();
-        assert!(!clean);
-        let recovered = recovered.expect("the first transaction survives");
-        assert!(recovered.transactions_are_whole());
-        assert_eq!(recovered.len(), 3, "trimmed back to txn 1's boundary");
-        assert_eq!(recovered.covered_through(), SeqNo(3));
+        let first_end = record_ends(segment)[0];
+        assert!(decode_segment(&bytes[..first_end - 1]).is_none());
+        assert_eq!(
+            decode_segment(&bytes[..first_end]).map(|s| s.len()),
+            Some(1)
+        );
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(decode_segment(&padded).is_none());
+        let mut bad_kind = bytes.clone();
+        bad_kind[60] = 3; // the first record's kind byte
+        assert!(decode_segment(&bad_kind).is_none());
     }
 
     #[test]
@@ -297,43 +203,14 @@ mod tests {
         let segment = &log_segments()[0];
         let clean_bytes = encode_segment(segment);
         // Flip every byte position in turn; decoding must never panic, and
-        // whatever survives must be a transaction-aligned prefix.
+        // whatever still decodes is whole records.
         for i in 0..clean_bytes.len() {
             let mut bytes = clean_bytes.clone();
             bytes[i] ^= 0x40;
-            let (recovered, _) = decode_segment(&bytes).into_segment();
-            if let Some(seg) = recovered {
-                assert!(seg.transactions_are_whole());
+            if let Some(seg) = decode_segment(&bytes) {
                 assert!(seg.len() <= segment.len());
             }
         }
-    }
-
-    #[test]
-    fn bad_magic_recovers_nothing() {
-        let bytes = encode_segment(&log_segments()[0]);
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(decode_segment(&bad), DecodedWal::Torn(None)));
-        assert!(matches!(decode_segment(&[]), DecodedWal::Torn(None)));
-        assert!(matches!(
-            decode_segment(&bytes[..4]),
-            DecodedWal::Torn(None)
-        ));
-    }
-
-    #[test]
-    fn header_record_count_mismatch_is_damage() {
-        let segment = &log_segments()[0];
-        let mut bytes = encode_segment(segment);
-        // Drop the last record's frame entirely: frames all validate but the
-        // header's count no longer matches.
-        let record_frames = encode_record(&segment.records[segment.len() - 1]);
-        bytes.truncate(bytes.len() - record_frames.len() - 8);
-        let (recovered, clean) = decode_segment(&bytes).into_segment();
-        assert!(!clean);
-        let seg = recovered.expect("first txn survives");
-        assert!(seg.transactions_are_whole());
     }
 
     #[test]
@@ -342,21 +219,16 @@ mod tests {
         for (idx, value) in [(3, None), (4, Some(Value::from_u64(9)))] {
             let mut segment = log_segments()[0].clone();
             segment.records[idx].write.value = value;
-            let (recovered, clean) = decode_segment(&encode_segment(&segment)).into_segment();
-            assert!(!clean);
-            let recovered = recovered.expect("the first transaction survives");
-            assert_eq!(recovered.len(), 3, "trimmed back to txn 1's boundary");
+            assert!(decode_segment(&encode_segment(&segment)).is_none());
         }
     }
 
     #[test]
     fn empty_segment_round_trips() {
-        let empty = Segment::sub_segment(3, vec![], SeqNo(17));
-        let DecodedWal::Clean(decoded) = decode_segment(&encode_segment(&empty)) else {
-            panic!("clean");
-        };
+        let empty = Segment::new(vec![]);
+        assert!(encode_segment(&empty).is_empty());
+        let decoded = decode_segment(&encode_segment(&empty)).expect("clean");
         assert!(decoded.is_empty());
-        assert_eq!(decoded.header.covers_through, SeqNo(17));
-        assert_eq!(decoded.header.id, 3);
+        assert_eq!(decoded.covered_through(), SeqNo::ZERO);
     }
 }

@@ -7,29 +7,33 @@
 //!
 //! ```text
 //! ckpt-<cut>.c5c
-//! +--------------------+
-//! | magic "C5CKPT1\n"  |
-//! | header frame: cut, |
-//! |   row count        |
-//! | row frame          |
-//! | ...                |
-//! +--------------------+
+//! +-----------------------------------+
+//! | magic "C5CKPT2\n"                 |
+//! | [len: u32][crc: u32]              |  one frame ([`c5_common::frame`])
+//! | cut: u64                          |
+//! | table u32 | key u64 | write_ts u64 |
+//! |   | deleted u8 | has_value u8     |
+//! |   | [value: u32 length, bytes]    |  one per row
+//! | ...                               |
+//! +-----------------------------------+
 //! ```
 //!
-//! Every frame is checksummed ([`c5_common::frame`]), and every byte goes
-//! through the [`Fs`] seam. The file is published with
+//! The frame's one CRC covers the cut and every row (so a checkpoint's
+//! encoding is under 4 GiB), and every byte goes through the [`Fs`] seam. The file is published with
 //! [`c5_common::fs::publish`] — written to a scratch name, synced, renamed
 //! over `ckpt-<cut>.c5c` — so a crash at any point leaves every
 //! `ckpt-*.c5c` complete, a re-save at the same cut included. Loading picks
 //! the highest cut: one directory checkpoints one log, whose cuts only grow.
-//! It still validates every frame and fails with a clean error (never a
+//! It still validates the frame and fails with a clean error (never a
 //! panic) if bit rot got to the file, so crash recovery reports it instead
-//! of resuming on a corrupt state.
+//! of resuming on a corrupt state. There is no reader for the older
+//! `C5CKPT1` files, whose header and rows were each a frame of their own:
+//! loading one is an [`io::ErrorKind::InvalidData`] error.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use c5_common::frame::{read_frames, write_frame, PayloadReader, PayloadWriter};
+use c5_common::frame::{read_frame, write_frame, PayloadReader, PayloadWriter, HEADER_BYTES};
 use c5_common::fs::{publish, Fs};
 use c5_common::{RowRef, SeqNo, Timestamp, Value};
 
@@ -37,7 +41,7 @@ use crate::checkpoint::{Checkpoint, CheckpointInstaller, CheckpointWriter};
 use crate::mvstore::VersionExport;
 
 /// Magic bytes at the head of a checkpoint file.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"C5CKPT1\n";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"C5CKPT2\n";
 
 fn checkpoint_file_name(cut: SeqNo) -> String {
     format!("ckpt-{:020}.c5c", cut.as_u64())
@@ -53,8 +57,7 @@ fn invalid<T>(what: impl Into<String>) -> io::Result<T> {
     Err(io::Error::new(io::ErrorKind::InvalidData, what.into()))
 }
 
-fn encode_row(row: &VersionExport) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
+fn encode_row(w: &mut PayloadWriter, row: &VersionExport) {
     w.u32(row.row.table.as_u32())
         .u64(row.row.key.as_u64())
         .u64(row.write_ts.as_u64())
@@ -67,15 +70,13 @@ fn encode_row(row: &VersionExport) -> Vec<u8> {
             w.u8(0);
         }
     }
-    w.finish()
 }
 
-/// Decodes a row frame. Its delete byte is redundant with its value flag (a
-/// delete is a version without a value), and a frame where they disagree is
-/// an error like any other malformed frame.
-fn decode_row(payload: &[u8]) -> io::Result<VersionExport> {
-    let malformed = || invalid("checkpoint row frame is malformed");
-    let mut r = PayloadReader::new(payload);
+/// Decodes the row at `r`. Its delete byte is redundant with its value flag
+/// (a delete is a version without a value), and a row where they disagree is
+/// an error like any other malformed row.
+fn decode_row(r: &mut PayloadReader<'_>) -> io::Result<VersionExport> {
+    let malformed = || invalid("checkpoint row is malformed");
     let (Some(table), Some(key), Some(write_ts), Some(deleted), Some(has_value)) =
         (r.u32(), r.u64(), r.u64(), r.u8(), r.u8())
     else {
@@ -89,9 +90,6 @@ fn decode_row(payload: &[u8]) -> io::Result<VersionExport> {
         },
         _ => return malformed(),
     };
-    if !r.is_exhausted() {
-        return malformed();
-    }
     let row = RowRef::new(table, key);
     if deleted != u8::from(value.is_none()) {
         return invalid(format!(
@@ -107,49 +105,38 @@ fn decode_row(payload: &[u8]) -> io::Result<VersionExport> {
 
 /// Encodes a checkpoint into its file's bytes.
 fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + checkpoint.len() * 48);
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    let mut header = PayloadWriter::new();
-    header
-        .u64(checkpoint.cut().as_u64())
-        .u64(checkpoint.len() as u64);
-    write_frame(&mut out, &header.finish());
+    let mut payload = PayloadWriter::with_capacity(8 + checkpoint.len() * 40);
+    payload.u64(checkpoint.cut().as_u64());
     for row in checkpoint.rows() {
-        write_frame(&mut out, &encode_row(row));
+        encode_row(&mut payload, row);
     }
+    let payload = payload.finish();
+    let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + HEADER_BYTES + payload.len());
+    out.extend_from_slice(CHECKPOINT_MAGIC);
+    write_frame(&mut out, &payload);
     out
 }
 
 /// Decodes a checkpoint file. Unlike log recovery there is no "valid
-/// prefix" to salvage — a checkpoint is all-or-nothing (installing half the
+/// prefix" to keep — a checkpoint is all-or-nothing (installing half the
 /// rows would fabricate a state no cut ever had) — so any damage is an
-/// error, but never a panic. A row versioned above the header's cut is
-/// damage too: no capture at that cut can hold it, and replaying the log
-/// from the cut would re-deliver writes its chain head is already past.
+/// error, but never a panic. A row versioned above the cut is damage too:
+/// no capture at that cut can hold it, and replaying the log from the cut
+/// would re-deliver writes its chain head is already past.
 fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
-    if bytes.len() < CHECKPOINT_MAGIC.len() || &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
-    {
-        return invalid("checkpoint file lacks the C5CKPT1 magic");
-    }
-    let scan = read_frames(&bytes[CHECKPOINT_MAGIC.len()..]);
-    if !scan.is_clean() {
-        return invalid(format!(
-            "checkpoint file is damaged after {} valid frames: {:?}",
-            scan.frames.len(),
-            scan.damage
-        ));
-    }
-    let mut frames = scan.frames.into_iter();
-    let Some(header) = frames.next() else {
-        return invalid("checkpoint file has no header frame");
+    let Some(body) = bytes.strip_prefix(CHECKPOINT_MAGIC) else {
+        return invalid("checkpoint file lacks the C5CKPT2 magic (C5CKPT1 is not readable)");
     };
-    let mut h = PayloadReader::new(&header);
-    let (Some(cut), Some(count)) = (h.u64(), h.u64()) else {
-        return invalid("checkpoint header frame is short");
+    let Some(payload) = read_frame(body).filter(|p| HEADER_BYTES + p.len() == body.len()) else {
+        return invalid("checkpoint file is torn or damaged: its frame does not check out");
     };
-    let mut rows = Vec::with_capacity(count.min(1 << 20) as usize);
-    for payload in frames {
-        let row = decode_row(&payload)?;
+    let mut r = PayloadReader::new(payload);
+    let Some(cut) = r.u64() else {
+        return invalid("checkpoint frame is too short to hold its cut");
+    };
+    let mut rows = Vec::new();
+    while !r.is_exhausted() {
+        let row = decode_row(&mut r)?;
         if row.write_ts.as_u64() > cut {
             return invalid(format!(
                 "checkpoint row {} is versioned at {} above the cut {cut}",
@@ -158,12 +145,6 @@ fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
             ));
         }
         rows.push(row);
-    }
-    if rows.len() as u64 != count {
-        return invalid(format!(
-            "checkpoint header promises {count} rows but the file holds {}",
-            rows.len()
-        ));
     }
     Ok(Checkpoint::from_parts(SeqNo(cut), rows))
 }
@@ -444,20 +425,34 @@ mod tests {
         // checksums, but the row contradicts itself.
         for (deleted, value) in [(1u8, Some(Value::from_u64(5))), (0, None)] {
             let mut bytes = CHECKPOINT_MAGIC.to_vec();
-            let mut header = PayloadWriter::new();
-            header.u64(2).u64(1);
-            write_frame(&mut bytes, &header.finish());
-            let mut row = PayloadWriter::new();
-            row.u32(0).u64(1).u64(1).u8(deleted);
+            let mut payload = PayloadWriter::new();
+            payload.u64(2).u32(0).u64(1).u64(1).u8(deleted);
             match &value {
-                Some(value) => row.u8(1).bytes(value.as_bytes()),
-                None => row.u8(0),
+                Some(value) => payload.u8(1).bytes(value.as_bytes()),
+                None => payload.u8(0),
             };
-            write_frame(&mut bytes, &row.finish());
+            write_frame(&mut bytes, &payload.finish());
             let err = decode_checkpoint(&bytes).expect_err("flag and value disagree");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("delete flag"), "{err}");
         }
+    }
+
+    /// A checkpoint in the older format — magic `C5CKPT1`, then a header
+    /// frame and one frame per row — is refused, never read.
+    #[test]
+    fn an_old_checkpoint_is_refused_not_read() {
+        let dir = scratch_dir("old-format");
+        fs::create_dir_all(&dir).unwrap();
+        let mut bytes = b"C5CKPT1\n".to_vec();
+        let mut header = PayloadWriter::new();
+        header.u64(3).u64(0);
+        write_frame(&mut bytes, &header.finish());
+        fs::write(dir.join(checkpoint_file_name(SeqNo(3))), &bytes).unwrap();
+        let err = CheckpointInstaller::load(&StdFs, &dir).expect_err("an old checkpoint");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("C5CKPT1"), "{err}");
+        fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
@@ -472,13 +467,14 @@ mod tests {
         let err = CheckpointInstaller::load(&StdFs, &dir).expect_err("torn file");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        // Every single-byte corruption either errors cleanly or (for bytes
-        // the checksums do not cover, like the length prefix's padding) still
-        // decodes to a consistent checkpoint; it must never panic.
+        // Every single-byte corruption is an error, never a panic: the
+        // magic and the frame's length are checked, and the one CRC covers
+        // everything else.
         for i in 0..clean.len() {
             let mut bytes = clean.clone();
             bytes[i] ^= 0x10;
-            let _ = decode_checkpoint(&bytes);
+            let err = decode_checkpoint(&bytes).expect_err("a flipped byte");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {i}");
         }
 
         // An intact file under a name that promises another cut.

@@ -11,12 +11,14 @@
 //! replay at every timestamp at or above the cut — up to the transaction
 //! boundary the torn tail was truncated back to — and its chain heads must
 //! agree so ordered apply could resume on it, whatever torn scratch file a
-//! later checkpoint's publication left beside the published one. A separate
-//! property flips one arbitrary byte
-//! anywhere in the written extent (recovery truncates instead of panicking)
-//! and one in the zeros written ahead of it (recovery loses nothing). The
-//! last test goes through the file-system seam instead of damaging files
-//! afterwards: it fails every call the archive makes, one per run.
+//! later checkpoint's publication left beside the published one. Each
+//! archived segment is one checksummed frame, so a tear keeps exactly the
+//! frames that end before it. A separate property flips one arbitrary byte
+//! anywhere in the written extent (recovery keeps exactly the segments
+//! before the frame that holds it, instead of panicking) and one in the
+//! zeros written ahead of it (recovery loses nothing). The last test goes
+//! through the file-system seam instead of damaging files afterwards: it
+//! fails every call the archive makes, one per run.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,9 +27,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use c5_repro::common::frame::HEADER_BYTES;
 use c5_repro::common::fs::{FaultyFs, StdFs};
 use c5_repro::log::archive::{chunk_paths, scan_chunk};
-use c5_repro::log::LogRecord;
+use c5_repro::log::{wal, LogRecord};
 use c5_repro::prelude::*;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -111,6 +114,20 @@ fn tail_chunk(dir: &Path) -> (PathBuf, Vec<u8>, usize) {
     let written = scan_chunk(&chunk).expect("scan the chunk").valid_len as usize;
     let bytes = fs::read(&chunk).expect("read the chunk");
     (chunk, bytes, written)
+}
+
+/// Where each segment's frame ends in a chunk that holds them all from its
+/// first byte.
+fn frame_ends(segments: &[Segment]) -> Vec<usize> {
+    let sizes = segments
+        .iter()
+        .map(|s| HEADER_BYTES + wal::encode_segment(s).len());
+    sizes
+        .scan(0, |end, size| {
+            *end += size;
+            Some(*end)
+        })
+        .collect()
 }
 
 /// `(position, write)` of every record, the projection prefixes are compared
@@ -204,9 +221,13 @@ proptest! {
         }
 
         // The surviving prefix ends at a transaction boundary, and the
-        // checkpoint means recovery never lands below the cut.
+        // checkpoint means recovery never lands below the cut. Exactly: the
+        // frames that end before the tear survive whole, and none after.
         prop_assert!(bounds.contains(&recovered_through), "torn tail must end at a txn boundary");
         prop_assert!(recovered_through >= cut);
+        let whole = frame_ends(&segments).iter().filter(|&&end| end <= keep).count();
+        let last_whole = whole.checked_sub(1).map_or(SeqNo::ZERO, |i| segments[i].covered_through());
+        prop_assert_eq!(recovered_through, last_whole.max(cut));
 
         // Equivalence with the full replay at every timestamp from the cut
         // to the recovered boundary (beyond it, the torn records are gone by
@@ -229,9 +250,8 @@ proptest! {
 
     /// Flip one arbitrary byte in the zeros written ahead of the log:
     /// recovery loses nothing. Then flip one anywhere in the written extent:
-    /// recovery truncates at the damage (or drops the damaged suffix) and
-    /// never panics, and what it does recover is a prefix of the original
-    /// records.
+    /// recovery never panics, and returns exactly the segments before the
+    /// frame that holds the flipped byte.
     #[test]
     fn one_corrupt_byte_truncates_instead_of_panicking(
         txn_specs in prop::collection::vec(prop::collection::vec((0u64..10, 0u64..1000, 0usize..8), 1..5), 1..20),
@@ -264,11 +284,13 @@ proptest! {
         prop_assert_eq!(&recover(), &originals);
 
         let (target, mut bytes, written) = tail_chunk(&dir);
-        bytes[(byte_pick as usize) % written] ^= mask;
+        let ends = frame_ends(&segments);
+        prop_assert_eq!(ends.last(), Some(&written), "one chunk holds every frame");
+        let at = (byte_pick as usize) % written;
+        bytes[at] ^= mask;
         fs::write(&target, &bytes).expect("write corruption");
-        let recovered = recover();
-        prop_assert!(recovered.len() <= originals.len());
-        prop_assert_eq!(&recovered[..], &originals[..recovered.len()]);
+        let damaged = ends.iter().filter(|&&end| end <= at).count();
+        prop_assert_eq!(recover(), project(&segments[..damaged]));
 
         fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -278,8 +300,8 @@ proptest! {
 /// write or `ENOSPC`, `EIO` from a sync, a rename that does not happen, ...).
 /// Whichever call fails: appending and truncating report a typed
 /// [`Error::ArchiveIo`] and leave the archive's watermark and retention
-/// where they were (creating the archive and the explicit `sync` report the
-/// `io::Error` itself); the scenario stops there, as the wire does; and a
+/// where they were (creating the archive reports the `io::Error` itself);
+/// the scenario stops there, as the wire does; and a
 /// reopen on the real file system recovers a transaction-aligned prefix of
 /// the log that holds at least everything that was acknowledged.
 #[test]
@@ -317,8 +339,7 @@ fn every_failing_call_is_a_typed_error_and_leaves_a_recoverable_prefix() {
                 }
             }
         }
-        let failed = archive.sync().is_err();
-        (failed, archive.last_seq(), archive.truncated_through())
+        (false, archive.last_seq(), archive.truncated_through())
     };
 
     let probe_dir = scratch_dir("each-call-probe");
