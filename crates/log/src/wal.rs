@@ -198,6 +198,48 @@ mod tests {
         assert!(decode_segment(&bad_kind).is_none());
     }
 
+    /// The encoding has no magic of its own, but bytes that do not start
+    /// with a record still recover nothing: a payload led by the old
+    /// segment magic (`C5WSEG1\n`), or a stub shorter than one record.
+    #[test]
+    fn bad_magic_recovers_nothing() {
+        let bytes = encode_segment(&log_segments()[0]);
+        let mut led_by_magic = b"C5WSEG1\n".to_vec();
+        led_by_magic.extend_from_slice(&bytes);
+        assert!(decode_segment(&led_by_magic).is_none());
+        assert!(decode_segment(&bytes[..4]).is_none());
+    }
+
+    /// A segment's record count is fixed by the length of the frame it is
+    /// archived in: a frame that lost its last record's bytes is damage,
+    /// whether or not its length prefix was rewritten to match.
+    #[test]
+    fn header_record_count_mismatch_is_damage() {
+        use c5_common::frame::{read_frame, write_frame, HEADER_BYTES};
+
+        let segment = &log_segments()[0];
+        let payload = encode_segment(segment);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &payload);
+        let whole = read_frame(&frame).and_then(decode_segment).expect("intact");
+        assert_eq!(whole.len(), segment.len());
+
+        let last_record = payload.len() - record_ends(segment)[segment.len() - 2];
+        let mut short = frame.clone();
+        short.truncate(frame.len() - last_record);
+        assert!(
+            read_frame(&short).is_none(),
+            "payload shorter than its length"
+        );
+        let kept = (payload.len() - last_record) as u32;
+        short[..4].copy_from_slice(&kept.to_le_bytes());
+        assert_eq!(short.len(), HEADER_BYTES + kept as usize);
+        assert!(
+            read_frame(&short).is_none(),
+            "checksum of the whole payload"
+        );
+    }
+
     #[test]
     fn flipped_byte_truncates_and_never_panics() {
         let segment = &log_segments()[0];
