@@ -111,8 +111,12 @@ impl fmt::Display for RowRef {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RowHasher(u64);
 
+/// A map keyed by a fixed-width id (a table, a log position), hashed with
+/// [`RowHasher`] like a row.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<RowHasher>>;
+
 /// A map keyed by [`RowRef`], hashed with [`RowHasher`].
-pub type RowMap<V> = HashMap<RowRef, V, BuildHasherDefault<RowHasher>>;
+pub type RowMap<V> = IdMap<RowRef, V>;
 
 impl RowHasher {
     /// An odd constant with well-spread bits (2^64 divided by the golden

@@ -14,7 +14,8 @@
 //! * [`TableId`] / [`Key`] / [`RowRef`] identify a row ("row" in the paper's
 //!   sense — the unit at which C5 serializes conflicting writes).
 //!   [`RowHasher`] is the one way a row is hashed (row-keyed maps are
-//!   [`RowMap`]s, and store and lock shards come from the same hash).
+//!   [`RowMap`]s, maps keyed by a table or a log position [`IdMap`]s, and
+//!   store and lock shards come from the same hash).
 //! * [`Value`] is an opaque byte payload.
 //! * [`Timestamp`] is a Cicada-style write timestamp; [`SeqNo`] is a position
 //!   in the primary's replication log. The two are kept as distinct newtypes
@@ -52,7 +53,7 @@ pub use config::{DurabilityPolicy, PrimaryConfig, ReadConfig, ReplicaConfig};
 pub use cost::OpCost;
 pub use error::{Error, Result};
 pub use ids::{
-    Key, RowHasher, RowMap, RowRef, SeqNo, SessionId, TableId, Timestamp, TxnId, WorkerId,
+    IdMap, Key, RowHasher, RowMap, RowRef, SeqNo, SessionId, TableId, Timestamp, TxnId, WorkerId,
 };
 pub use shard::ShardRouter;
 pub use signal::ProgressSignal;

@@ -244,7 +244,7 @@ mod proptests {
     use std::collections::{BTreeSet, HashSet};
 
     use c5_common::{RowWrite, SeqNo, Timestamp, TxnId, Value};
-    use c5_log::{explode_txn, Segment, TxnEntry};
+    use c5_log::SegmentBuilder;
     use c5_storage::MvStore;
     use proptest::prelude::*;
 
@@ -322,21 +322,18 @@ mod proptests {
             txns in prop::collection::vec(prop::collection::vec(0u64..4, 1..4), 1..25),
             steps in prop::collection::vec((any::<bool>(), any::<usize>()), 0..300),
         ) {
-            let mut next = SeqNo::ZERO;
-            let mut records = Vec::new();
+            let mut log = SegmentBuilder::new(1024);
             for (i, keys) in txns.iter().enumerate() {
                 let mut seen = HashSet::new();
-                let writes = keys
+                let writes: Vec<RowWrite> = keys
                     .iter()
                     .filter(|k| seen.insert(**k))
                     .map(|&k| RowWrite::update(RowRef::new(0, k), Value::from_u64(k)))
                     .collect();
-                let entry = TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes);
-                let (recs, n) = explode_txn(entry, next);
-                next = n;
-                records.extend(recs);
+                let t = i as u64 + 1;
+                prop_assert!(log.push_txn(TxnId(t), Timestamp(t), 0, &writes).is_none());
             }
-            let mut segment = Segment::new(records);
+            let mut segment = log.flush().expect("every transaction writes");
             SchedulerState::new().process_segment(&mut segment);
             let records = segment.records;
 

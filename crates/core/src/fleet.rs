@@ -523,7 +523,7 @@ impl FleetController {
 mod tests {
     use super::*;
     use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
-    use c5_log::{explode_txn, Segment, TxnEntry};
+    use c5_log::{now_nanos, Segment, SegmentBuilder};
 
     #[test]
     fn lifecycle_edges() {
@@ -592,16 +592,10 @@ mod tests {
     }
 
     fn segment_at(id: u64, start: SeqNo) -> (Segment, SeqNo) {
-        let entry = TxnEntry::new(
-            TxnId(id),
-            Timestamp(id),
-            vec![RowWrite::insert(
-                RowRef::new(0, id),
-                Value::from_u64(id * 100),
-            )],
-        );
-        let (records, next) = explode_txn(entry, start);
-        (Segment::new(records), next)
+        let write = RowWrite::insert(RowRef::new(0, id), Value::from_u64(id * 100));
+        let mut log = SegmentBuilder::resume_at(1, start);
+        let segment = log.push_txn(TxnId(id), Timestamp(id), now_nanos(), &[write]);
+        (segment.expect("one write fills a segment"), log.last_seq())
     }
 
     fn controller_over(

@@ -85,7 +85,6 @@
 //! its segment. Version GC is not here: installs trim their own chains (see
 //! [`c5_storage::mvstore`]).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -94,7 +93,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use c5_common::{ProgressSignal, SeqNo};
+use c5_common::{IdMap, ProgressSignal, SeqNo};
 use c5_log::{LogRecord, Segment};
 use c5_obs::{Counter, Histogram, Obs, PipelineStage, TraceEvent};
 
@@ -742,8 +741,9 @@ pub enum BlockingInstall {
 struct WaitShard {
     /// Parked writes keyed by the log position of the predecessor they wait
     /// for. A row's successor is unique, so each key holds at most one
-    /// record.
-    parked: Mutex<HashMap<u64, LogRecord>>,
+    /// record. Hashed with `RowHasher`, whose `finish` mixes, so a shard's
+    /// positions (all congruent modulo the shard count) still spread.
+    parked: Mutex<IdMap<u64, LogRecord>>,
     /// Writes in `parked`, plus any parker between raising it and its
     /// re-check. Lets an installer skip the lock when it reads zero; see
     /// [`RowWaitList::install_or_park`] for why that is safe.
@@ -793,7 +793,7 @@ impl RowWaitList {
         Self {
             shards: (0..shards)
                 .map(|_| WaitShard {
-                    parked: Mutex::new(HashMap::new()),
+                    parked: Mutex::new(IdMap::default()),
                     count: AtomicUsize::new(0),
                     installed: ProgressSignal::new(),
                 })
@@ -964,6 +964,7 @@ mod tests {
     use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
     use c5_storage::MvStore;
     use parking_lot::{Condvar, Mutex as PlMutex};
+    use std::collections::HashMap;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
 

@@ -104,7 +104,7 @@ impl SchedulerState {
 mod tests {
     use super::*;
     use c5_common::{RowWrite, Timestamp, TxnId, Value};
-    use c5_log::{explode_txn, TxnEntry};
+    use c5_log::SegmentBuilder;
 
     fn row(k: u64) -> RowRef {
         RowRef::new(0, k)
@@ -112,19 +112,16 @@ mod tests {
 
     fn make_segment(txns: &[Vec<u64>]) -> Segment {
         // Each inner vec lists the row keys written by one transaction.
-        let mut next = SeqNo::ZERO;
-        let mut records = Vec::new();
+        let mut log = SegmentBuilder::new(1024);
         for (i, keys) in txns.iter().enumerate() {
-            let writes = keys
+            let writes: Vec<RowWrite> = keys
                 .iter()
                 .map(|&k| RowWrite::update(row(k), Value::from_u64(k)))
                 .collect();
-            let entry = TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes);
-            let (recs, n) = explode_txn(entry, next);
-            next = n;
-            records.extend(recs);
+            let t = i as u64 + 1;
+            assert!(log.push_txn(TxnId(t), Timestamp(t), 0, &writes).is_none());
         }
-        Segment::new(records)
+        log.flush().unwrap_or_else(|| Segment::new(Vec::new()))
     }
 
     #[test]
@@ -202,7 +199,7 @@ mod tests {
 mod proptests {
     use super::*;
     use c5_common::{RowWrite, Timestamp, TxnId, Value};
-    use c5_log::{explode_txn, TxnEntry};
+    use c5_log::SegmentBuilder;
     use proptest::prelude::*;
     use std::collections::HashMap as StdHashMap;
 
@@ -214,8 +211,7 @@ mod proptests {
         fn embedded_fifos_match_per_row_log_order(
             keys in prop::collection::vec(prop::collection::vec(0u64..8, 1..5), 1..20)
         ) {
-            let mut next = SeqNo::ZERO;
-            let mut records = Vec::new();
+            let mut log = SegmentBuilder::new(1024);
             for (i, txn_keys) in keys.iter().enumerate() {
                 // Dedup within a transaction (the write-set invariant).
                 let mut seen = std::collections::HashSet::new();
@@ -224,12 +220,10 @@ mod proptests {
                     .filter(|k| seen.insert(**k))
                     .map(|&k| RowWrite::update(RowRef::new(0, k), Value::from_u64(k)))
                     .collect();
-                let entry = TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes);
-                let (recs, n) = explode_txn(entry, next);
-                next = n;
-                records.extend(recs);
+                let t = i as u64 + 1;
+                prop_assert!(log.push_txn(TxnId(t), Timestamp(t), 0, &writes).is_none());
             }
-            let mut seg = Segment::new(records);
+            let mut seg = log.flush().expect("every transaction writes");
             SchedulerState::new().process_segment(&mut seg);
 
             let mut last: StdHashMap<RowRef, SeqNo> = StdHashMap::new();

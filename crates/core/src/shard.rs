@@ -107,7 +107,7 @@ mod tests {
         drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, FLEET_PROGRESS,
     };
     use c5_common::{ReplicaConfig, RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value, WriteKind};
-    use c5_log::{explode_txn, segments_from_entries, Segment, TxnEntry};
+    use c5_log::{segments_from_entries, Segment, SegmentBuilder, TxnEntry};
     use c5_storage::MvStore;
     use std::sync::Arc;
     use std::time::Duration;
@@ -438,14 +438,7 @@ mod tests {
                 ],
             ),
         ];
-        let mut records = Vec::new();
-        let mut next = SeqNo::ZERO;
-        for entry in entries {
-            let (recs, n) = explode_txn(entry, next);
-            next = n;
-            records.extend(recs);
-        }
-        records
+        segments_from_entries(&entries, 1024).remove(0).records
     }
 
     #[test]
@@ -466,13 +459,10 @@ mod tests {
         }
 
         // A segment owned wholly by shard 1 leaves shard 0 an empty run.
-        let entry = TxnEntry::new(
-            TxnId(4),
-            Timestamp(4),
-            vec![RowWrite::insert(row(7), Value::from_u64(8))],
-        );
-        let (records, _) = explode_txn(entry, SeqNo(5));
-        let routed = route_segment_with(records, &router, &mut scratch);
+        let write = RowWrite::insert(row(7), Value::from_u64(8));
+        let segment =
+            SegmentBuilder::resume_at(1, SeqNo(5)).push_txn(TxnId(4), Timestamp(4), 0, &[write]);
+        let routed = route_segment_with(segment.unwrap().records, &router, &mut scratch);
         assert_eq!(routed.cross_shard_txns, 0);
         assert!(routed.parts[0].is_empty(), "shard 0 owns nothing here");
         assert_eq!(routed.parts[1].len(), 1);
@@ -485,15 +475,12 @@ mod tests {
     /// anything is noted or routed.
     #[test]
     fn a_txn_split_across_segments_panics_at_note_segment() {
-        let entry = TxnEntry::new(
-            TxnId(1),
-            Timestamp(1),
-            vec![
-                RowWrite::insert(row(1), Value::from_u64(1)),
-                RowWrite::insert(row(40), Value::from_u64(40)),
-            ],
-        );
-        let (mut records, _) = explode_txn(entry, SeqNo::ZERO);
+        let writes = [
+            RowWrite::insert(row(1), Value::from_u64(1)),
+            RowWrite::insert(row(40), Value::from_u64(40)),
+        ];
+        let segment = SegmentBuilder::new(2).push_txn(TxnId(1), Timestamp(1), 0, &writes);
+        let mut records = segment.unwrap().records;
         records.truncate(1);
         let replica = C5Replica::new(C5Mode::Faithful, preloaded(&[]), config(2, 1));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

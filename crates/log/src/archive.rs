@@ -765,6 +765,13 @@ mod tests {
         segments_from_entries(&entries, 4)
     }
 
+    /// A one-write transaction's segment, its record at `last + 1`.
+    fn segment_after(last: SeqNo, txn: u64, ts: u64, write: RowWrite) -> Segment {
+        let mut builder = crate::segment::SegmentBuilder::resume_at(1, last);
+        let segment = builder.push_txn(TxnId(txn), Timestamp(ts), crate::now_nanos(), &[write]);
+        segment.expect("one write fills a segment")
+    }
+
     fn archive_with_log() -> (LogArchive, Vec<Segment>) {
         let segments = test_log();
         let archive = LogArchive::new();
@@ -938,14 +945,9 @@ mod tests {
     fn starting_at_accepts_a_continuation_log() {
         // A promoted primary's log resumes at cut + 1; its archive must
         // accept that as the first segment and replay from the cut.
-        let entry = TxnEntry::new(
-            TxnId(1),
-            Timestamp(11),
-            vec![RowWrite::update(RowRef::new(0, 1), Value::from_u64(1))],
-        );
-        let (records, _) = crate::record::explode_txn(entry, SeqNo(10));
+        let write = RowWrite::update(RowRef::new(0, 1), Value::from_u64(1));
         let archive = LogArchive::starting_at(SeqNo(10));
-        archive.append(&Segment::new(records));
+        archive.append(&segment_after(SeqNo(10), 1, 11, write));
         let replay = archive.replay_from(SeqNo(10)).unwrap();
         assert_eq!(crate::logger::flatten(&replay)[0].seq, SeqNo(11));
         assert!(matches!(
@@ -988,13 +990,8 @@ mod tests {
         assert_eq!(seqs, (1..=12).collect::<Vec<_>>());
 
         // Appends continue where the recovered log ends.
-        let entry = TxnEntry::new(
-            TxnId(7),
-            Timestamp(7),
-            vec![RowWrite::update(RowRef::new(0, 7), Value::from_u64(7))],
-        );
-        let (records, _) = crate::record::explode_txn(entry, SeqNo(12));
-        archive.append(&Segment::new(records));
+        let write = RowWrite::update(RowRef::new(0, 7), Value::from_u64(7));
+        archive.append(&segment_after(SeqNo(12), 7, 7, write));
         assert_eq!(archive.last_seq(), SeqNo(13));
 
         fs::remove_dir_all(&dir).expect("cleanup");
@@ -1204,17 +1201,9 @@ mod tests {
 
         // The log goes on from 9 with different, shorter transactions, so
         // its first frames end inside what the torn frame used to occupy.
-        let entries: Vec<TxnEntry> = (0..4u64)
-            .map(|t| {
-                let write = RowWrite::update(RowRef::new(0, 500 + t), Value::from_u64(t));
-                TxnEntry::new(TxnId(100 + t), Timestamp(100 + t), vec![write])
-            })
-            .collect();
-        let mut next = SeqNo(8);
-        for entry in entries {
-            let (records, end) = crate::record::explode_txn(entry, next);
-            archive.append(&Segment::new(records));
-            next = end;
+        for t in 0..4u64 {
+            let write = RowWrite::update(RowRef::new(0, 500 + t), Value::from_u64(t));
+            archive.append(&segment_after(SeqNo(8 + t), 100 + t, 100 + t, write));
         }
         assert_eq!(archive.last_seq(), SeqNo(12));
         drop(archive);
@@ -1276,15 +1265,8 @@ mod tests {
         assert_eq!(last.seq, SeqNo(4));
         assert_eq!(chunk_paths(&dir).unwrap(), chunks[..1]);
         // Appends go on from the recovered end, over the re-zeroed remainder.
-        let (resumed, _) = crate::record::explode_txn(
-            TxnEntry::new(
-                TxnId(99),
-                Timestamp(99),
-                vec![RowWrite::update(RowRef::new(0, 9), Value::from_u64(9))],
-            ),
-            last.seq,
-        );
-        archive.append(&Segment::new(resumed));
+        let write = RowWrite::update(RowRef::new(0, 9), Value::from_u64(9));
+        archive.append(&segment_after(last.seq, 99, 99, write));
         drop(archive);
         let again = LogArchive::open(&dir, policy).expect("reopen");
         assert!(!again.torn_tail);

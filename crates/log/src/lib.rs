@@ -59,6 +59,6 @@ pub mod wal;
 
 pub use archive::{DurableRecovery, LogArchive};
 pub use logger::{coalesce, flatten, segments_from_entries, StreamingLogger, ThreadLog};
-pub use record::{explode_txn, now_nanos, LogRecord, TxnEntry};
-pub use segment::Segment;
+pub use record::{now_nanos, LogRecord, TxnEntry};
+pub use segment::{Segment, SegmentBuilder};
 pub use ship::{LogReceiver, LogShipper, Subscription, SubscriptionId, SUBSCRIPTION_SEGMENTS};

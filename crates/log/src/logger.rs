@@ -38,9 +38,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use c5_common::{SeqNo, Timestamp, TxnId};
+use c5_common::{RowWrite, SeqNo, Timestamp, TxnId};
 
-use crate::record::{explode_txn, LogRecord, TxnEntry};
+use crate::record::{now_nanos, LogRecord, TxnEntry};
 use crate::segment::{Segment, SegmentBuilder};
 use crate::ship::LogShipper;
 
@@ -54,8 +54,9 @@ use crate::ship::LogShipper;
 pub struct StreamingLogger {
     inner: Mutex<StreamingInner>,
     shipper: LogShipper,
-    /// `inner.next_seq`, mirrored so the log end can be sampled while a
-    /// committer is parked inside a backpressured `ship()` holding `inner`.
+    /// The builder's last position, mirrored so the log end can be sampled
+    /// while a committer is parked inside a backpressured `ship()` holding
+    /// `inner`.
     /// Stored (`Release`) under the lock, loaded (`Acquire`) without it: a
     /// sampler that sees a position also sees everything the committer did
     /// before assigning it.
@@ -64,7 +65,6 @@ pub struct StreamingLogger {
 
 struct StreamingInner {
     builder: SegmentBuilder,
-    next_seq: SeqNo,
     next_commit_ts: Timestamp,
 }
 
@@ -86,8 +86,7 @@ impl StreamingLogger {
     pub fn resume_at(segment_records: usize, shipper: LogShipper, cut: SeqNo) -> Self {
         Self {
             inner: Mutex::new(StreamingInner {
-                builder: SegmentBuilder::new(segment_records),
-                next_seq: cut,
+                builder: SegmentBuilder::resume_at(segment_records, cut),
                 next_commit_ts: Timestamp(cut.as_u64()),
             }),
             shipper,
@@ -99,7 +98,7 @@ impl StreamingLogger {
     /// (commit order = log order for the 2PL engine) and returned.
     ///
     /// Returns the assigned commit timestamp.
-    pub fn append(&self, txn: TxnId, writes: Vec<c5_common::RowWrite>) -> Timestamp {
+    pub fn append(&self, txn: TxnId, writes: &[RowWrite]) -> Timestamp {
         self.append_tokened(txn, writes).0
     }
 
@@ -110,24 +109,17 @@ impl StreamingLogger {
     /// read-your-writes from the replica fleet. A write-free transaction's
     /// token is the boundary of the previous transaction (nothing new to
     /// wait for).
-    pub fn append_tokened(
-        &self,
-        txn: TxnId,
-        writes: Vec<c5_common::RowWrite>,
-    ) -> (Timestamp, SeqNo) {
+    ///
+    /// The writes are copied into their records in the open segment (a
+    /// refcount bump per payload); the caller keeps them, to install.
+    pub fn append_tokened(&self, txn: TxnId, writes: &[RowWrite]) -> (Timestamp, SeqNo) {
         let mut inner = self.inner.lock();
         inner.next_commit_ts = inner.next_commit_ts.next();
         let commit_ts = inner.next_commit_ts;
-        let entry = TxnEntry::new(txn, commit_ts, writes);
-        let (records, next_seq) = explode_txn(entry, inner.next_seq);
-        inner.next_seq = next_seq;
+        let full = inner.builder.push_txn(txn, commit_ts, now_nanos(), writes);
+        let last_seq = inner.builder.last_seq();
         // Published before the ship, which may park on a full wire.
-        self.last_seq.store(next_seq.as_u64(), Ordering::Release);
-        let full = if records.is_empty() {
-            None
-        } else {
-            inner.builder.push_txn(records)
-        };
+        self.last_seq.store(last_seq.as_u64(), Ordering::Release);
         // Size is the bound; below it, demand decides: an idle wire takes
         // what there is, a busy one lets the segment keep filling.
         let segment = match full {
@@ -144,7 +136,7 @@ impl StreamingLogger {
             // from a bounded shipper deliberately propagates to committers.
             self.ship(&inner, segment);
         }
-        (commit_ts, next_seq)
+        (commit_ts, last_seq)
     }
 
     /// Puts one cut segment on the wire. Takes the held lock's guard as the
@@ -257,24 +249,15 @@ pub fn coalesce(thread_logs: Vec<ThreadLog>, segment_records: usize) -> Vec<Segm
     segments_from_entries(&entries, segment_records)
 }
 
-/// Packs already-ordered transaction entries into segments.
+/// Packs already-ordered transaction entries into segments, skipping
+/// entries without writes.
 pub fn segments_from_entries(entries: &[TxnEntry], segment_records: usize) -> Vec<Segment> {
     let mut builder = SegmentBuilder::new(segment_records);
-    let mut next_seq = SeqNo::ZERO;
-    let mut segments = Vec::new();
-    for entry in entries {
-        if entry.is_empty() {
-            continue;
-        }
-        let (records, seq) = explode_txn(entry.clone(), next_seq);
-        next_seq = seq;
-        if let Some(seg) = builder.push_txn(records) {
-            segments.push(seg);
-        }
-    }
-    if let Some(seg) = builder.flush() {
-        segments.push(seg);
-    }
+    let mut segments: Vec<Segment> = entries
+        .iter()
+        .filter_map(|e| builder.push_txn(e.txn, e.commit_ts, e.commit_wall_nanos, &e.writes))
+        .collect();
+    segments.extend(builder.flush());
     segments
 }
 
@@ -302,8 +285,8 @@ mod tests {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(2, shipper);
 
-        let ts1 = logger.append(TxnId(1), vec![write(1, 1)]);
-        let ts2 = logger.append(TxnId(2), vec![write(2, 2)]);
+        let ts1 = logger.append(TxnId(1), &[write(1, 1)]);
+        let ts2 = logger.append(TxnId(2), &[write(2, 2)]);
         assert!(ts2 > ts1);
         logger.close();
 
@@ -319,14 +302,14 @@ mod tests {
     fn append_tokened_returns_the_txn_boundary() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(4, shipper);
-        let (ts1, tok1) = logger.append_tokened(TxnId(1), vec![write(1, 1), write(2, 1)]);
-        let (ts2, tok2) = logger.append_tokened(TxnId(2), vec![write(3, 2)]);
+        let (ts1, tok1) = logger.append_tokened(TxnId(1), &[write(1, 1), write(2, 1)]);
+        let (ts2, tok2) = logger.append_tokened(TxnId(2), &[write(3, 2)]);
         assert_eq!(tok1, SeqNo(2), "token is the seq of the txn's last write");
         assert_eq!(tok2, SeqNo(3));
         assert!(ts2 > ts1);
         // A write-free transaction carries the previous boundary: nothing new
         // for a session to wait on.
-        let (_, tok3) = logger.append_tokened(TxnId(3), vec![]);
+        let (_, tok3) = logger.append_tokened(TxnId(3), &[]);
         assert_eq!(tok3, tok2);
         logger.close();
         drop(receiver);
@@ -337,11 +320,11 @@ mod tests {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(100, shipper);
         // The wire is idle, so the first commit leaves at once...
-        logger.append(TxnId(1), vec![write(1, 1)]);
+        logger.append(TxnId(1), &[write(1, 1)]);
         assert_eq!(receiver.try_len(), 1);
         // ...and while that segment sits undrained the wire is busy: the
         // next commit, far below the bound, stays buffered.
-        logger.append(TxnId(2), vec![write(2, 2)]);
+        logger.append(TxnId(2), &[write(2, 2)]);
         assert_eq!(receiver.try_len(), 1);
         // A flush ships it whatever the wire is doing.
         logger.flush();
@@ -356,12 +339,12 @@ mod tests {
         // empty segment on the wire.
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(100, shipper);
-        logger.append(TxnId(1), vec![write(1, 1)]);
+        logger.append(TxnId(1), &[write(1, 1)]);
         logger.flush(); // already shipped: must ship nothing
-        logger.append(TxnId(2), vec![write(2, 2)]); // wire busy: buffered
+        logger.append(TxnId(2), &[write(2, 2)]); // wire busy: buffered
         logger.flush();
         logger.flush(); // nothing buffered: must ship nothing
-        logger.append(TxnId(3), vec![write(3, 3)]);
+        logger.append(TxnId(3), &[write(3, 3)]);
         logger.close();
         logger.close(); // idempotent: no duplicate tail, no empty segment
 
@@ -380,7 +363,7 @@ mod tests {
         let (shipper, receiver) = LogShipper::bounded(4);
         let logger = StreamingLogger::new(256, shipper);
         for t in 1..=50u64 {
-            logger.append(TxnId(t), vec![write(t, t), write(1_000 + t, t)]);
+            logger.append(TxnId(t), &[write(t, t), write(1_000 + t, t)]);
             // The receiver drains each segment before the next append, so
             // the wire is idle every time: the commit is already on it.
             let segment = receiver.try_recv().expect("shipped when append returned");
@@ -400,7 +383,7 @@ mod tests {
         let (shipper, receiver) = LogShipper::unbounded();
         let logger = StreamingLogger::new(8, shipper);
         for t in 1..=41u64 {
-            logger.append(TxnId(t), vec![write(t, t), write(1_000 + t, t)]);
+            logger.append(TxnId(t), &[write(t, t), write(1_000 + t, t)]);
         }
         logger.close();
         let sizes: Vec<usize> = receiver.drain().iter().map(Segment::len).collect();
@@ -414,12 +397,12 @@ mod tests {
         assert!(receivers.is_empty());
         let logger = StreamingLogger::new(4, shipper.clone());
         for t in 1..=3u64 {
-            logger.append(TxnId(t), vec![write(t, t)]);
+            logger.append(TxnId(t), &[write(t, t)]);
             assert_eq!(shipper.shipped_through(), SeqNo::ZERO, "nobody is waiting");
         }
-        logger.append(TxnId(4), vec![write(4, 4)]);
+        logger.append(TxnId(4), &[write(4, 4)]);
         assert_eq!(shipper.shipped_through(), SeqNo(4));
-        logger.append(TxnId(5), vec![write(5, 5)]);
+        logger.append(TxnId(5), &[write(5, 5)]);
         assert_eq!(shipper.shipped_through(), SeqNo(4));
     }
 
@@ -430,10 +413,10 @@ mod tests {
         // fills it, the second parks inside `ship` holding the logger lock.
         let (shipper, receiver) = LogShipper::bounded(1);
         let logger = Arc::new(StreamingLogger::new(1, shipper));
-        logger.append(TxnId(1), vec![write(1, 1)]);
+        logger.append(TxnId(1), &[write(1, 1)]);
         let parked = {
             let logger = Arc::clone(&logger);
-            std::thread::spawn(move || logger.append(TxnId(2), vec![write(2, 2)]))
+            std::thread::spawn(move || logger.append(TxnId(2), &[write(2, 2)]))
         };
         // The committer publishes position 2 under the logger lock and keeps
         // that lock until the channel has room, which only this thread can
@@ -493,10 +476,10 @@ mod tests {
                     scope.spawn(move || {
                         for i in 0..TXNS {
                             // One to three writes, a function of (c, i) only.
-                            let writes = (0..=(c + i) % 3)
+                            let writes: Vec<RowWrite> = (0..=(c + i) % 3)
                                 .map(|w| write(c * 100_000 + i * 10 + w, i))
                                 .collect();
-                            logger.append(TxnId(1 + c * TXNS + i), writes);
+                            logger.append(TxnId(1 + c * TXNS + i), &writes);
                             if i % 17 == 0 {
                                 logger.flush();
                             }
@@ -540,7 +523,7 @@ mod tests {
         let shipper = shipper.with_archive(std::sync::Arc::clone(&archive));
         let logger = StreamingLogger::new(4, shipper);
         for t in 1..=11u64 {
-            logger.append(TxnId(t), vec![write(t, t)]);
+            logger.append(TxnId(t), &[write(t, t)]);
         }
         logger.crash();
         let wire: Vec<u64> = flatten(&receiver.drain())
@@ -571,7 +554,7 @@ mod tests {
                 let logger = Arc::clone(&logger);
                 scope.spawn(move || {
                     for i in 0..25u64 {
-                        logger.append(TxnId(1 + t * 100 + i), vec![write(t * 1000 + i, i)]);
+                        logger.append(TxnId(1 + t * 100 + i), &[write(t * 1000 + i, i)]);
                     }
                 });
             }
@@ -590,8 +573,8 @@ mod tests {
     fn crash_loses_the_buffered_tail() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(2, shipper);
-        logger.append(TxnId(1), vec![write(1, 1), write(2, 1)]); // ships: fills a segment
-        logger.append(TxnId(2), vec![write(3, 2)]); // buffered: the wire is busy
+        logger.append(TxnId(1), &[write(1, 1), write(2, 1)]); // ships: fills a segment
+        logger.append(TxnId(2), &[write(3, 2)]); // buffered: the wire is busy
         logger.crash();
         // Only the shipped segment survives; the buffered tail is lost even
         // though its sequence numbers were assigned.
@@ -606,7 +589,7 @@ mod tests {
     fn resume_at_continues_seq_and_commit_order() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::resume_at(1, shipper, SeqNo(10));
-        let ts = logger.append(TxnId(1), vec![write(5, 5)]);
+        let ts = logger.append(TxnId(1), &[write(5, 5)]);
         assert_eq!(ts, Timestamp(11));
         logger.close();
         let records = flatten(&receiver.drain());
@@ -619,7 +602,7 @@ mod tests {
     fn read_only_transactions_are_not_logged() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(1, shipper);
-        logger.append(TxnId(1), vec![]);
+        logger.append(TxnId(1), &[]);
         logger.close();
         assert!(flatten(&receiver.drain()).is_empty());
         assert_eq!(logger.last_seq(), SeqNo::ZERO);

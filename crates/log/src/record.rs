@@ -1,4 +1,10 @@
 //! Log records and transaction entries.
+//!
+//! A [`LogRecord`] is one write at one log position. Records are made in
+//! one place, [`SegmentBuilder::push_txn`](crate::SegmentBuilder::push_txn),
+//! which writes a committed transaction's records straight into the open
+//! segment; a [`TxnEntry`] is how a per-thread log (the MVTSO primary's)
+//! holds a transaction until it is coalesced into that builder.
 
 use c5_common::{RowWrite, SeqNo, Timestamp, TxnId};
 
@@ -31,17 +37,6 @@ impl TxnEntry {
             commit_wall_nanos: now_nanos(),
             writes,
         }
-    }
-
-    /// Number of writes in the transaction.
-    pub fn len(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Whether the transaction wrote nothing (read-only transactions are not
-    /// logged, but empty entries can appear in tests).
-    pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
     }
 }
 
@@ -100,34 +95,10 @@ impl LogRecord {
     }
 }
 
-/// Expands a transaction entry into per-write log records, assigning
-/// sequence numbers starting from `next_seq`. Returns the records and the
-/// next unused sequence number.
-///
-/// The writes move into the records; a caller that must keep the entry
-/// clones it first.
-pub fn explode_txn(entry: TxnEntry, mut next_seq: SeqNo) -> (Vec<LogRecord>, SeqNo) {
-    let txn_len = entry.writes.len() as u32;
-    let mut records = Vec::with_capacity(entry.writes.len());
-    for (idx, write) in entry.writes.into_iter().enumerate() {
-        next_seq = next_seq.next();
-        records.push(LogRecord {
-            txn: entry.txn,
-            seq: next_seq,
-            commit_ts: entry.commit_ts,
-            commit_wall_nanos: entry.commit_wall_nanos,
-            prev_seq: SeqNo::ZERO,
-            write,
-            idx_in_txn: idx as u32,
-            txn_len,
-        });
-    }
-    (records, next_seq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SegmentBuilder;
     use c5_common::{RowRef, Value};
 
     fn entry(txn: u64, n: usize) -> TxnEntry {
@@ -137,10 +108,18 @@ mod tests {
         TxnEntry::new(TxnId(txn), Timestamp(txn), writes)
     }
 
+    /// The records of `e`, pushed alone into a builder resumed at `last`,
+    /// and the position the builder ends at.
+    fn records(e: &TxnEntry, last: SeqNo) -> (Vec<LogRecord>, SeqNo) {
+        let mut b = SegmentBuilder::resume_at(1, last);
+        let segment = b.push_txn(e.txn, e.commit_ts, e.commit_wall_nanos, &e.writes);
+        (segment.map(|s| s.records).unwrap_or_default(), b.last_seq())
+    }
+
     #[test]
     fn explode_assigns_contiguous_seq_numbers() {
         let e = entry(1, 3);
-        let (records, next) = explode_txn(e, SeqNo::ZERO);
+        let (records, next) = records(&e, SeqNo::ZERO);
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].seq, SeqNo(1));
         assert_eq!(records[2].seq, SeqNo(3));
@@ -149,14 +128,17 @@ mod tests {
         assert!(!records[0].is_txn_last());
         assert!(records[2].is_txn_last());
         assert!(records.iter().all(|r| r.prev_seq == SeqNo::ZERO));
+        assert!(records.iter().all(|r| r.txn == e.txn
+            && r.commit_ts == e.commit_ts
+            && r.commit_wall_nanos == e.commit_wall_nanos));
+        let written: Vec<&RowWrite> = records.iter().map(|r| &r.write).collect();
+        assert_eq!(written, e.writes.iter().collect::<Vec<_>>());
     }
 
     #[test]
     fn explode_continues_from_given_seq() {
-        let e1 = entry(1, 2);
-        let e2 = entry(2, 2);
-        let (_, next) = explode_txn(e1, SeqNo::ZERO);
-        let (records, next2) = explode_txn(e2, next);
+        let (_, next) = records(&entry(1, 2), SeqNo::ZERO);
+        let (records, next2) = records(&entry(2, 2), next);
         assert_eq!(records[0].seq, SeqNo(3));
         assert_eq!(next2, SeqNo(4));
     }
@@ -164,8 +146,7 @@ mod tests {
     #[test]
     fn empty_txn_produces_no_records() {
         let e = TxnEntry::new(TxnId(9), Timestamp(9), vec![]);
-        assert!(e.is_empty());
-        let (records, next) = explode_txn(e, SeqNo(10));
+        let (records, next) = records(&e, SeqNo(10));
         assert!(records.is_empty());
         assert_eq!(next, SeqNo(10));
     }

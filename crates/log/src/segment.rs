@@ -5,8 +5,11 @@
 //! simplicity, the logger ensures transactions never span segment
 //! boundaries." Here a segment is just its records: the count is the
 //! vector's length, and its first and last positions are its records'.
+//!
+//! [`SegmentBuilder`] writes a committed transaction's records straight
+//! into the open segment, sized by the last segment it closed.
 
-use c5_common::SeqNo;
+use c5_common::{RowWrite, SeqNo, Timestamp, TxnId};
 
 use crate::record::LogRecord;
 
@@ -69,29 +72,64 @@ impl Segment {
 }
 
 /// Packs transactions into segments of a target size without ever splitting
-/// a transaction across segments.
+/// a transaction across segments, assigning each write its log position.
 #[derive(Debug)]
 pub struct SegmentBuilder {
     target_records: usize,
     current: Vec<LogRecord>,
+    /// Length of the last segment closed; the next opens with room for as
+    /// many (the target, while segments close on size).
+    last_len: usize,
+    last_seq: SeqNo,
 }
 
 impl SegmentBuilder {
     /// Creates a builder that closes a segment once it holds at least
     /// `target_records` records (a whole transaction is always admitted, so
     /// segments may exceed the target when a single transaction is larger
-    /// than it).
+    /// than it). Positions start at 1.
     pub fn new(target_records: usize) -> Self {
+        Self::resume_at(target_records, SeqNo::ZERO)
+    }
+
+    /// [`SegmentBuilder::new`], continuing a log that ends at `last`: the
+    /// first record pushed takes position `last + 1`.
+    pub fn resume_at(target_records: usize, last: SeqNo) -> Self {
         Self {
             target_records: target_records.max(1),
             current: Vec::new(),
+            last_len: target_records.max(1),
+            last_seq: last,
         }
     }
 
-    /// Adds a whole transaction's records. Returns a completed segment if the
-    /// addition filled one.
-    pub fn push_txn(&mut self, records: Vec<LogRecord>) -> Option<Segment> {
-        self.current.extend(records);
+    /// Adds a whole transaction: one record per write, at the next
+    /// positions, in the open segment. Returns a completed segment if the
+    /// addition filled one. A transaction without writes adds nothing.
+    pub fn push_txn(
+        &mut self,
+        txn: TxnId,
+        commit_ts: Timestamp,
+        commit_wall_nanos: u64,
+        writes: &[RowWrite],
+    ) -> Option<Segment> {
+        if self.current.is_empty() {
+            self.current.reserve(self.last_len.max(writes.len()));
+        }
+        let first = self.last_seq.as_u64() + 1;
+        let txn_len = writes.len() as u32;
+        self.current
+            .extend(writes.iter().zip(0..).map(|(write, idx)| LogRecord {
+                txn,
+                seq: SeqNo(first + u64::from(idx)),
+                commit_ts,
+                commit_wall_nanos,
+                prev_seq: SeqNo::ZERO,
+                write: write.clone(),
+                idx_in_txn: idx,
+                txn_len,
+            }));
+        self.last_seq = SeqNo(first + u64::from(txn_len) - 1);
         if self.current.len() >= self.target_records {
             self.flush()
         } else {
@@ -105,6 +143,7 @@ impl SegmentBuilder {
         if self.current.is_empty() {
             None
         } else {
+            self.last_len = self.current.len();
             Some(Segment::new(std::mem::take(&mut self.current)))
         }
     }
@@ -118,16 +157,21 @@ impl SegmentBuilder {
     pub fn target_records(&self) -> usize {
         self.target_records
     }
+
+    /// The position of the last record pushed (or the one resumed at).
+    pub fn last_seq(&self) -> SeqNo {
+        self.last_seq
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{explode_txn, TxnEntry};
-    use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, Value};
 
-    fn txn_records(txn: u64, n: usize, start: SeqNo) -> (Vec<LogRecord>, SeqNo) {
-        let writes = (0..n)
+    /// Pushes a transaction of `n` inserts into `b`.
+    fn push(b: &mut SegmentBuilder, txn: u64, n: usize) -> Option<Segment> {
+        let writes: Vec<RowWrite> = (0..n)
             .map(|i| {
                 RowWrite::insert(
                     RowRef::new(0, txn * 100 + i as u64),
@@ -135,24 +179,19 @@ mod tests {
                 )
             })
             .collect();
-        let entry = TxnEntry::new(TxnId(txn), Timestamp(txn), writes);
-        explode_txn(entry, start)
+        b.push_txn(TxnId(txn), Timestamp(txn), 0, &writes)
     }
 
     #[test]
     fn builder_packs_transactions_without_splitting() {
         let mut b = SegmentBuilder::new(4);
-        let (r1, next) = txn_records(1, 3, SeqNo::ZERO);
-        let (r2, next) = txn_records(2, 3, next);
-        let (r3, _) = txn_records(3, 1, next);
-
-        assert!(b.push_txn(r1).is_none());
-        let seg = b.push_txn(r2).expect("second txn fills the segment");
+        assert!(push(&mut b, 1, 3).is_none());
+        let seg = push(&mut b, 2, 3).expect("second txn fills the segment");
         assert_eq!(seg.len(), 6);
         assert!(seg.transactions_are_whole());
         assert_eq!(seg.committed_txns(), 2);
 
-        assert!(b.push_txn(r3).is_none());
+        assert!(push(&mut b, 3, 1).is_none());
         let tail = b.flush().expect("flush returns the tail");
         assert_eq!(tail.len(), 1);
         assert_eq!(tail.first_seq(), Some(SeqNo(7)));
@@ -162,16 +201,15 @@ mod tests {
     #[test]
     fn oversized_transaction_gets_its_own_segment() {
         let mut b = SegmentBuilder::new(2);
-        let (r, _) = txn_records(1, 10, SeqNo::ZERO);
-        let seg = b.push_txn(r).expect("oversized txn closes immediately");
+        let seg = push(&mut b, 1, 10).expect("oversized txn closes immediately");
         assert_eq!(seg.len(), 10);
         assert!(seg.transactions_are_whole());
     }
 
     #[test]
     fn segment_seq_accessors() {
-        let (r, _) = txn_records(1, 3, SeqNo::ZERO);
-        let seg = Segment::new(r);
+        let mut b = SegmentBuilder::new(3);
+        let seg = push(&mut b, 1, 3).expect("a full segment");
         assert_eq!(seg.first_seq(), Some(SeqNo(1)));
         assert_eq!(seg.last_seq(), Some(SeqNo(3)));
         assert_eq!(seg.covered_through(), SeqNo(3));

@@ -717,17 +717,11 @@ impl LogReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{explode_txn, TxnEntry};
+    use crate::segment::SegmentBuilder;
     use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value};
 
     fn segment(id: u64) -> Segment {
-        let entry = TxnEntry::new(
-            TxnId(id),
-            Timestamp(id),
-            vec![RowWrite::insert(RowRef::new(0, id), Value::from_u64(id))],
-        );
-        let (records, _) = explode_txn(entry, SeqNo(id * 10));
-        Segment::new(records)
+        contiguous_segment(id, SeqNo(id * 10)).0
     }
 
     #[test]
@@ -816,13 +810,13 @@ mod tests {
     /// A one-write segment starting exactly at `start` (archive-contiguous,
     /// unlike [`segment`] which jumps to `id * 10`).
     fn contiguous_segment(id: u64, start: SeqNo) -> (Segment, SeqNo) {
-        let entry = TxnEntry::new(
-            TxnId(id),
-            Timestamp(id),
-            vec![RowWrite::insert(RowRef::new(0, id), Value::from_u64(id))],
-        );
-        let (records, next) = explode_txn(entry, start);
-        (Segment::new(records), next)
+        let write = RowWrite::insert(RowRef::new(0, id), Value::from_u64(id));
+        let mut builder = SegmentBuilder::resume_at(1, start);
+        let segment = builder.push_txn(TxnId(id), Timestamp(id), crate::now_nanos(), &[write]);
+        (
+            segment.expect("one write fills a segment"),
+            builder.last_seq(),
+        )
     }
 
     #[test]
@@ -1137,7 +1131,7 @@ mod tests {
         // so the next commit ships as a segment of its own.
         let mut delivered = Vec::new();
         for t in 1..=5u64 {
-            logger.append(TxnId(t), write(t));
+            logger.append(TxnId(t), &write(t));
             delivered.push(rx.recv().unwrap());
         }
         // Committers keep committing — far more than the wire queue holds —
@@ -1147,7 +1141,7 @@ mod tests {
                 let logger = Arc::clone(&logger);
                 scope.spawn(move || {
                     for i in 0..50 {
-                        logger.append(TxnId(c * 100 + i), write(c * 100 + i));
+                        logger.append(TxnId(c * 100 + i), &write(c * 100 + i));
                     }
                 });
             }
@@ -1219,23 +1213,12 @@ mod tests {
         let archive = Arc::new(crate::archive::LogArchive::new());
         let (tx, rx) = LogShipper::bounded(8);
         let tx = tx.with_archive(Arc::clone(&archive));
-        let entry = TxnEntry::new(
-            TxnId(1),
-            Timestamp(1),
-            vec![RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))],
-        );
-        let (records, next) = explode_txn(entry, SeqNo::ZERO);
-        tx.ship(Segment::new(records));
+        let (first, next) = contiguous_segment(1, SeqNo::ZERO);
+        tx.ship(first);
         tx.close();
         // A segment shipped after close never reached the wire, so the
         // archive must not retain it either.
-        let entry2 = TxnEntry::new(
-            TxnId(2),
-            Timestamp(2),
-            vec![RowWrite::insert(RowRef::new(0, 2), Value::from_u64(2))],
-        );
-        let (records2, _) = explode_txn(entry2, next);
-        tx.ship(Segment::new(records2));
+        tx.ship(contiguous_segment(2, next).0);
 
         assert_eq!(rx.drain().len(), 1);
         assert_eq!(archive.retained_records(), 1);

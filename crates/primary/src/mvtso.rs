@@ -161,7 +161,7 @@ impl MvtsoEngine {
         let mut ctx = MvtsoCtx {
             engine: self,
             ts,
-            writes: WriteSet::new(),
+            writes: WriteSet::default(),
         };
         proc.execute(&mut ctx)?;
         self.commit(thread, txn, ts, ctx.writes)
@@ -327,7 +327,7 @@ mod tests {
     /// Commits `writes` at `ts`, bypassing the clocks: the admission rule at
     /// chosen timestamps.
     fn commit_at(e: &MvtsoEngine, ts: u64, writes: &[RowWrite]) -> bool {
-        let mut set = WriteSet::new();
+        let mut set = WriteSet::default();
         for w in writes {
             set.push(w.clone());
         }

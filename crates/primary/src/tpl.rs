@@ -158,8 +158,8 @@ impl TplEngine {
         let mut ctx = TplCtx {
             engine: self,
             txn,
-            held: Vec::new(),
-            writes: WriteSet::new(),
+            held: Vec::with_capacity(TXN_ROWS),
+            writes: WriteSet::with_capacity(TXN_ROWS),
         };
         match proc.execute(&mut ctx) {
             Ok(()) => {
@@ -187,6 +187,9 @@ impl std::fmt::Debug for TplEngine {
             .finish()
     }
 }
+
+/// Rows a transaction's lock and write lists hold before they first grow.
+const TXN_ROWS: usize = 16;
 
 /// Transaction context handed to stored procedures by [`TplEngine`].
 struct TplCtx<'e> {
@@ -218,9 +221,10 @@ impl TplCtx<'_> {
         // property the backup protocols depend on. The append may hand a
         // segment to the wire, which is a channel send or an enqueue — the
         // durable archive's fsync runs on the shipper's wire thread, never
-        // here under the row locks. The log gets a copy of the write list (a
-        // refcount bump per payload) and the store the originals.
-        let (commit_ts, token) = self.engine.logger.append_tokened(self.txn, writes.clone());
+        // here under the row locks. The logger reads the write list and
+        // builds its records in the open segment (a refcount bump per
+        // payload); the store installs the originals.
+        let (commit_ts, token) = self.engine.logger.append_tokened(self.txn, &writes);
         for w in writes {
             self.engine.store.install(w.row, commit_ts, w.kind, w.value);
         }

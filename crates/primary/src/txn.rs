@@ -90,9 +90,11 @@ pub struct WriteSet {
 }
 
 impl WriteSet {
-    /// Creates an empty write set.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty write set with room for `rows` writes.
+    pub fn with_capacity(rows: usize) -> Self {
+        Self {
+            writes: Vec::with_capacity(rows),
+        }
     }
 
     /// Buffers a write, replacing any previous write to the same row in
@@ -142,7 +144,7 @@ mod tests {
     /// `is_empty` after every push and `into_writes` at the end.
     fn check_against_model(pushes: &[(u64, u8, u64)]) {
         const KEYS: u64 = 6;
-        let mut ws = WriteSet::new();
+        let mut ws = WriteSet::default();
         let mut model: Vec<(RowRef, RowWrite)> = Vec::new();
         for &(key, kind, value) in pushes {
             let write = match kind {
@@ -170,7 +172,7 @@ mod tests {
     fn write_set_is_last_writer_wins_per_row() {
         // Row 1 is overwritten by an update and keeps its first position.
         check_against_model(&[(1, 0, 1), (2, 0, 2), (1, 1, 10)]);
-        let mut ws = WriteSet::new();
+        let mut ws = WriteSet::default();
         ws.push(RowWrite::insert(row(1), Value::from_u64(1)));
         ws.push(RowWrite::insert(row(2), Value::from_u64(2)));
         ws.push(RowWrite::update(row(1), Value::from_u64(10)));

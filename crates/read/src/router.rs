@@ -758,11 +758,11 @@ mod tests {
         );
         logger.append(
             c5_common::TxnId(1),
-            vec![RowWrite::update(row(1), Value::from_u64(6))],
+            &[RowWrite::update(row(1), Value::from_u64(6))],
         );
         let (_, token) = logger.append_tokened(
             c5_common::TxnId(2),
-            vec![RowWrite::update(row(1), Value::from_u64(7))],
+            &[RowWrite::update(row(1), Value::from_u64(7))],
         );
         assert!(token > SeqNo::ZERO);
         assert_eq!(

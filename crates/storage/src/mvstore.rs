@@ -30,12 +30,11 @@
 //! [`gc`](MvStore::gc) is the full vacuum, for rows not written again.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use c5_common::{Key, RowHasher, RowMap, RowRef, TableId, Timestamp, Value, WriteKind};
+use c5_common::{IdMap, Key, RowHasher, RowMap, RowRef, TableId, Timestamp, Value, WriteKind};
 
 /// Number of shards. More shards means less lock contention between workers
 /// touching unrelated rows.
@@ -137,7 +136,7 @@ impl VersionChain {
 #[derive(Debug, Default)]
 struct ShardState {
     rows: RowMap<VersionChain>,
-    tables: HashMap<TableId, Vec<Key>>,
+    tables: IdMap<TableId, Vec<Key>>,
 }
 
 type Shard = RwLock<ShardState>;
