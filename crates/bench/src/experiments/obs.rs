@@ -12,7 +12,7 @@
 //! 1. Prometheus-style text ([`c5_obs::MetricsSnapshot::to_prometheus`]),
 //!    followed by a digest of the log shipper's batching series
 //!    (`ship_segment_records`, `ship_partial_segments_total`,
-//!    `wire_queue_wait_ns`, `archive_append_ns`),
+//!    `ship_drain_tails_total`, `wire_queue_wait_ns`, `archive_append_ns`),
 //! 2. the merged trace timeline, counted by kind and shown head-first.
 //!
 //! The acceptance criterion of the observability layer is hard-asserted
@@ -77,14 +77,16 @@ pub fn run(scale: &Scale) {
     print!("{}", obs.metrics.snapshot().to_prometheus());
 
     // The wire's natural batching, from the sink alone: how big the
-    // segments the idle rule cut were, how many left below the size bound,
-    // and what the wire thread spent queueing and archiving them (the
+    // segments the idle rule cut were, how many left below the size bound
+    // (and of those, how many a receiver's drain edge cut), and what the
+    // wire thread spent queueing and archiving them (the
     // sync, bytes and rotations only move over a durable archive).
     println!("\n== log shipping: batch sizes and the wire thread ==");
     let snap = obs.metrics.snapshot();
     println!(
-        "ship_partial_segments_total {} of ship_segments_total {}",
+        "ship_partial_segments_total {} (ship_drain_tails_total {}) of ship_segments_total {}",
         snap.counter("ship_partial_segments_total").unwrap_or(0),
+        snap.counter("ship_drain_tails_total").unwrap_or(0),
         snap.counter("ship_segments_total").unwrap_or(0)
     );
     for series in [

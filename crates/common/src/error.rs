@@ -58,6 +58,16 @@ pub enum Error {
         /// The archive directory and the operating system's error.
         message: String,
     },
+    /// A component could not start one of its threads (the operating
+    /// system refused the spawn). The component fails as a whole instead of
+    /// panicking: a log shipper's wire ends before anything is shipped
+    /// (`LogShipper::failure` reports this error).
+    ThreadSpawn {
+        /// The name of the thread that could not be started.
+        thread: &'static str,
+        /// The operating system's error.
+        message: String,
+    },
     /// Crash recovery could not read durable state back: the checkpoint
     /// directory (manifest, checkpoint file, or a damaged checkpoint that
     /// failed validation) or the log-archive directory.
@@ -139,6 +149,9 @@ impl fmt::Display for Error {
                 f,
                 "durable archive I/O failed at the segment starting at {first} under {message}"
             ),
+            Error::ThreadSpawn { thread, message } => {
+                write!(f, "could not start the {thread} thread: {message}")
+            }
             Error::RecoveryIo { what, message } => {
                 write!(f, "recovery could not read the {what} under {message}")
             }

@@ -3,15 +3,21 @@
 //!
 //! # When the streaming logger ships
 //!
-//! [`StreamingLogger`] is the one place that decides "ship now". Every
-//! append adds a whole transaction to the open segment and then ships that
-//! segment if either
+//! [`StreamingLogger`] is the one place that decides "ship now". It asks on
+//! both edges of the wire's idleness:
 //!
-//! * it has reached `segment_records` — the **upper bound**, and the point
-//!   where a bounded wire pushes back on committers; or
-//! * the wire is **idle** ([`LogShipper`]'s rule: at least one subscriber,
-//!   every subscriber's queue empty, and on an archived wire no archive
-//!   append queued or in flight).
+//! * **On append.** Every append adds a whole transaction to the open
+//!   segment and then ships that segment if it has reached
+//!   `segment_records` — the **upper bound**, and the point where a bounded
+//!   wire pushes back on committers — or if the wire is **idle**
+//!   ([`LogShipper`]'s rule: at least one subscriber, every subscriber's
+//!   queue empty, and on an archived wire no archive append queued or in
+//!   flight).
+//! * **On drain.** When a [`LogReceiver`](crate::ship::LogReceiver) receive
+//!   takes the last segment queued to it, the receiving thread ships the
+//!   open segment if the wire is now idle. A commit made while the wire was
+//!   busy therefore leaves when the wire frees up, not when the next commit
+//!   comes.
 //!
 //! That is natural batching: an idle backup sees each commit one hand-off
 //! after it happened, a busy one gets whatever accumulated while it was busy
@@ -19,10 +25,26 @@
 //! tune — the batch size is set by how fast the consumers drain. A shipper
 //! with no subscribers is never idle, so it cuts on size alone.
 //!
-//! The rule is evaluated only when something is appended. A primary that
-//! goes quiet while the wire is busy therefore keeps its last transactions
-//! buffered until the next append, [`StreamingLogger::flush`] (the read
-//! router's tail-flush hook) or [`StreamingLogger::close`].
+//! A primary that goes quiet keeps its last transactions buffered only while
+//! some subscriber is not draining (a stalled fan-out member, or a replica
+//! whose workers are behind): then the tail waits for the next append,
+//! [`StreamingLogger::flush`] (the read router's tail-flush hook) or
+//! [`StreamingLogger::close`].
+//!
+//! The drain edge never blocks. It ships only onto an idle wire, so every
+//! subscriber channel is empty and the archive queue has room. And it never
+//! waits for the logger lock: the holder may be a committer parked in a
+//! backpressured ship, waiting for this very receiver to drain (or `close`
+//! waiting for the wire thread, which waits for it). A receiver that finds
+//! records buffered raises a drain request and tries the lock; if it is
+//! taken, its holder serves the request when it lets go (every release of
+//! the logger lock does), so no tail is stranded either way. It is cheap
+//! when there is nothing to ship: the receiver compares the logger's last
+//! assigned position with the last one it shipped, two atomic loads, and
+//! goes no further. After [`StreamingLogger::crash`] or
+//! [`StreamingLogger::close`] the shipper has no registry, so the wire is
+//! never idle and the drain edge ships nothing: a crash still loses exactly
+//! the buffered tail.
 //!
 //! # Lock order and threads
 //!
@@ -31,10 +53,13 @@
 //! segments on the wire must equal log order. What `ship` does under that
 //! lock is a channel send per subscriber (un-archived wire) or one bounded
 //! enqueue to the wire thread (archived wire); the archive write and its
-//! fsync never run on a committing thread. Sampling the log end
+//! fsync never run on a committing thread. A receiving thread only ever
+//! *tries* the logger lock, holding no other lock, and ships under it like a
+//! committer, so wire order is still log order. Sampling the log end
 //! ([`StreamingLogger::last_seq`]) takes no lock at all.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -52,6 +77,14 @@ use crate::ship::LogShipper;
 /// rely on. Segments are cut on demand (see the [module docs](self)) and
 /// pushed to the attached [`LogShipper`].
 pub struct StreamingLogger {
+    /// Shared with the shipper's receivers, which hold it weakly to ship
+    /// the open segment on the drain edge.
+    state: Arc<LoggerState>,
+}
+
+/// The logger proper: what [`StreamingLogger`] owns and its shipper's
+/// receivers reach through a `Weak`.
+pub(crate) struct LoggerState {
     inner: Mutex<StreamingInner>,
     shipper: LogShipper,
     /// The builder's last position, mirrored so the log end can be sampled
@@ -59,8 +92,22 @@ pub struct StreamingLogger {
     /// `inner`.
     /// Stored (`Release`) under the lock, loaded (`Acquire`) without it: a
     /// sampler that sees a position also sees everything the committer did
-    /// before assigning it.
+    /// before assigning it. The drain edge's liveness needs more: a receiver
+    /// that takes the last queued segment and then reads an old position
+    /// must be ordered before the committer's idle check, so that the check
+    /// sees the wire idle. The subscriber channel's mutex orders the two on
+    /// an un-archived wire; on an archived one, a `SeqCst` fence in
+    /// `LogShipper::is_idle` and one in `ship_on_drain` do.
     last_seq: AtomicU64,
+    /// The last position put on the wire, stored under the lock before the
+    /// ship. A receiver that finds it equal to `last_seq` has nothing to
+    /// ship and goes no further; a stale read only costs it a lock attempt.
+    shipped_seq: AtomicU64,
+    /// Raised by a drain edge that found records buffered, cleared by
+    /// whoever then evaluates the idle rule under the lock. A drain edge
+    /// that cannot get the lock leaves it raised for the holder, which
+    /// checks it after every release (see `LoggerState::serve_drains`).
+    drain_requested: AtomicBool,
 }
 
 struct StreamingInner {
@@ -83,15 +130,25 @@ impl StreamingLogger {
     /// consuming this logger's segments without a gap, and every new commit
     /// timestamp exceeds every version the promoted store holds (the backup
     /// installs versions at log positions, all `<= cut`).
+    ///
+    /// The shipper's receivers get a weak handle to this logger, for the
+    /// drain edge. A wire is fed by one logger: a second logger over the
+    /// same shipper ships on append only.
     pub fn resume_at(segment_records: usize, shipper: LogShipper, cut: SeqNo) -> Self {
-        Self {
-            inner: Mutex::new(StreamingInner {
-                builder: SegmentBuilder::resume_at(segment_records, cut),
-                next_commit_ts: Timestamp(cut.as_u64()),
-            }),
-            shipper,
-            last_seq: AtomicU64::new(cut.as_u64()),
-        }
+        let state = Arc::new_cyclic(|this| {
+            shipper.attach_logger(this.clone());
+            LoggerState {
+                inner: Mutex::new(StreamingInner {
+                    builder: SegmentBuilder::resume_at(segment_records, cut),
+                    next_commit_ts: Timestamp(cut.as_u64()),
+                }),
+                shipper,
+                last_seq: AtomicU64::new(cut.as_u64()),
+                shipped_seq: AtomicU64::new(cut.as_u64()),
+                drain_requested: AtomicBool::new(false),
+            }
+        });
+        Self { state }
     }
 
     /// Appends a committed transaction. The commit timestamp is assigned here
@@ -113,52 +170,47 @@ impl StreamingLogger {
     /// The writes are copied into their records in the open segment (a
     /// refcount bump per payload); the caller keeps them, to install.
     pub fn append_tokened(&self, txn: TxnId, writes: &[RowWrite]) -> (Timestamp, SeqNo) {
-        let mut inner = self.inner.lock();
-        inner.next_commit_ts = inner.next_commit_ts.next();
-        let commit_ts = inner.next_commit_ts;
-        let full = inner.builder.push_txn(txn, commit_ts, now_nanos(), writes);
-        let last_seq = inner.builder.last_seq();
-        // Published before the ship, which may park on a full wire.
-        self.last_seq.store(last_seq.as_u64(), Ordering::Release);
-        // Size is the bound; below it, demand decides: an idle wire takes
-        // what there is, a busy one lets the segment keep filling.
-        let segment = match full {
-            Some(segment) => Some(segment),
-            None if inner.builder.buffered() > 0 && self.shipper.is_idle() => inner.builder.flush(),
-            None => None,
-        };
-        if let Some(segment) = segment {
-            // Ship while still holding the logger lock: the order of segments
-            // on the wire must equal log order, and releasing the lock first
-            // would let a concurrent append overtake between building a
-            // segment and shipping it (the backup's per-row `prev_seq`
-            // stamping silently corrupts on reordered segments). Backpressure
-            // from a bounded shipper deliberately propagates to committers.
-            self.ship(&inner, segment);
-        }
-        (commit_ts, last_seq)
-    }
-
-    /// Puts one cut segment on the wire. Takes the held lock's guard as the
-    /// proof that the caller is the one thread allowed to ship right now.
-    fn ship(&self, inner: &StreamingInner, segment: Segment) {
-        if segment.len() < inner.builder.target_records() {
-            self.shipper.note_partial_segment();
-        }
-        self.shipper.ship(segment);
+        let state = &*self.state;
+        state.locked(|inner| {
+            inner.next_commit_ts = inner.next_commit_ts.next();
+            let commit_ts = inner.next_commit_ts;
+            let full = inner.builder.push_txn(txn, commit_ts, now_nanos(), writes);
+            let last_seq = inner.builder.last_seq();
+            // Published before the ship, which may park on a full wire, and
+            // before the idle check, which the drain edge pairs with.
+            state.last_seq.store(last_seq.as_u64(), Ordering::Release);
+            // Size is the bound; below it, demand decides: an idle wire takes
+            // what there is, a busy one lets the segment keep filling.
+            let segment = match full {
+                Some(segment) => Some(segment),
+                None => state.flush_if_idle(inner),
+            };
+            if let Some(segment) = segment {
+                // Ship while still holding the logger lock: the order of
+                // segments on the wire must equal log order, and releasing
+                // the lock first would let a concurrent append overtake
+                // between building a segment and shipping it (the backup's
+                // per-row `prev_seq` stamping silently corrupts on reordered
+                // segments). Backpressure from a bounded shipper
+                // deliberately propagates to committers.
+                state.ship(inner, segment);
+            }
+            (commit_ts, last_seq)
+        })
     }
 
     /// Ships any buffered records as a final, undersized segment, whatever
     /// the wire is doing. Call this when the workload ends — or when a reader
-    /// is waiting on the tail of a primary that has gone quiet — so the
-    /// backup sees every write.
+    /// is waiting on the tail of a primary that has gone quiet while a
+    /// subscriber is not draining — so the backup sees every write.
     pub fn flush(&self) {
         // Hold the logger lock across the ship, for the same ordering reason
         // as `append`.
-        let mut inner = self.inner.lock();
-        if let Some(segment) = inner.builder.flush() {
-            self.ship(&inner, segment);
-        }
+        self.state.locked(|inner| {
+            if let Some(segment) = inner.builder.flush() {
+                self.state.ship(inner, segment);
+            }
+        });
     }
 
     /// Highest write sequence number assigned so far. Includes records still
@@ -166,26 +218,27 @@ impl StreamingLogger {
     /// Lock-free: it returns while a committer is parked inside a
     /// backpressured ship.
     pub fn last_seq(&self) -> SeqNo {
-        SeqNo(self.last_seq.load(Ordering::Acquire))
+        SeqNo(self.state.last_seq.load(Ordering::Acquire))
     }
 
     /// Flushes the buffered tail and closes the shipping channel, signalling
     /// end-of-log to the replica.
     ///
     /// The final flush and the channel close happen under one logger lock:
-    /// the flushed tail is shipped exactly once, and no concurrent `append`
-    /// or `flush` can slip another segment onto the wire after it (the
-    /// replica's `BoundaryLedger` hard-asserts segment contiguity, so a
+    /// the flushed tail is shipped exactly once, and no concurrent `append`,
+    /// `flush` or drain edge can slip another segment onto the wire after it
+    /// (the replica's `BoundaryLedger` hard-asserts segment contiguity, so a
     /// post-tail segment would fail loudly there). On an archived wire the
     /// close returns once the wire thread has archived and delivered
     /// everything shipped before it. Idempotent — a second close finds an
     /// empty builder and an already-closed shipper.
     pub fn close(&self) {
-        let mut inner = self.inner.lock();
-        if let Some(segment) = inner.builder.flush() {
-            self.ship(&inner, segment);
-        }
-        self.shipper.close();
+        self.state.locked(|inner| {
+            if let Some(segment) = inner.builder.flush() {
+                self.state.ship(inner, segment);
+            }
+            self.state.shipper.close();
+        });
     }
 
     /// Simulates a primary crash: closes the shipping channel *without*
@@ -195,10 +248,80 @@ impl StreamingLogger {
     /// archived and delivered, so the archive equals the wire. The failover
     /// experiments use this to kill the primary mid-workload.
     pub fn crash(&self) {
-        // Take the logger lock so no append is mid-ship while the wire
-        // closes (the wire sees a clean, segment-aligned prefix).
-        let _inner = self.inner.lock();
-        self.shipper.close();
+        // Take the logger lock so no append or drain edge is mid-ship while
+        // the wire closes (the wire sees a clean, segment-aligned prefix).
+        self.state.locked(|_| self.state.shipper.close());
+    }
+}
+
+impl LoggerState {
+    /// Runs `f` under the logger lock, then serves any drain edge that found
+    /// the lock taken meanwhile. Every holder but a drain edge itself takes
+    /// the lock here.
+    fn locked<R>(&self, f: impl FnOnce(&mut StreamingInner) -> R) -> R {
+        let result = f(&mut self.inner.lock());
+        self.serve_drains();
+        result
+    }
+
+    /// Cuts the open segment if it holds records and the wire is idle.
+    fn flush_if_idle(&self, inner: &mut StreamingInner) -> Option<Segment> {
+        if inner.builder.buffered() > 0 && self.shipper.is_idle() {
+            inner.builder.flush()
+        } else {
+            None
+        }
+    }
+
+    /// Puts one cut segment on the wire. Takes the held lock's guard as the
+    /// proof that the caller is the one thread allowed to ship right now.
+    fn ship(&self, inner: &StreamingInner, segment: Segment) {
+        if segment.len() < inner.builder.target_records() {
+            self.shipper.note_partial_segment();
+        }
+        self.shipped_seq
+            .store(segment.covered_through().as_u64(), Ordering::Relaxed);
+        self.shipper.ship(segment);
+    }
+
+    /// The drain edge: a receiver has just taken the last segment queued to
+    /// it, so the wire may have gone idle with records still buffered. Ships
+    /// them if it has — here, or, if the logger lock is taken, by its holder
+    /// on release. Called with no lock held; never blocks.
+    pub(crate) fn ship_on_drain(&self) {
+        // Pairs with the fence in `LogShipper::is_idle` (see `last_seq`).
+        fence(Ordering::SeqCst);
+        if self.last_seq.load(Ordering::Acquire) <= self.shipped_seq.load(Ordering::Relaxed) {
+            return;
+        }
+        self.drain_requested.store(true, Ordering::SeqCst);
+        self.serve_drains();
+    }
+
+    /// Evaluates the idle rule for every raised drain request, shipping the
+    /// open segment onto an idle wire, for as long as requests come and the
+    /// lock is free. Never waits for the lock: a request that finds it taken
+    /// stays raised, and the holder runs this after releasing it.
+    ///
+    /// The fences make that hand-off exact. A drain edge raises the request,
+    /// fences, tries the lock; a holder releases, fences, reads the request.
+    /// If the try saw the lock held, the holder's release comes after it, so
+    /// the holder's read sees the request.
+    fn serve_drains(&self) {
+        loop {
+            fence(Ordering::SeqCst);
+            if !self.drain_requested.load(Ordering::SeqCst) {
+                return;
+            }
+            let Some(mut inner) = self.inner.try_lock() else {
+                return;
+            };
+            self.drain_requested.store(false, Ordering::SeqCst);
+            if let Some(segment) = self.flush_if_idle(&mut inner) {
+                self.shipper.note_drain_tail();
+                self.ship(&inner, segment);
+            }
+        }
     }
 }
 
@@ -583,6 +706,169 @@ mod tests {
         // A close after the crash must not resurrect the tail.
         logger.close();
         assert!(receiver.drain().is_empty());
+    }
+
+    /// One one-write transaction per position: `seqs` of what was received.
+    fn seqs(segments: &[Segment]) -> Vec<u64> {
+        flatten(segments).iter().map(|r| r.seq.as_u64()).collect()
+    }
+
+    /// A commit buffered behind a busy wire: A left on the idle wire, B found
+    /// A still queued. Returns the logger; B is position 2.
+    fn a_shipped_b_buffered(shipper: LogShipper) -> StreamingLogger {
+        let logger = StreamingLogger::new(100, shipper);
+        logger.append(TxnId(1), &[write(1, 1)]);
+        logger.append(TxnId(2), &[write(2, 2)]);
+        logger
+    }
+
+    #[test]
+    fn draining_the_last_segment_ships_the_buffered_commit() {
+        let (shipper, receiver) = LogShipper::bounded(4);
+        let logger = a_shipped_b_buffered(shipper);
+        assert_eq!(receiver.try_len(), 1, "B waits behind A");
+        assert_eq!(seqs(&[receiver.recv().unwrap()]), vec![1]);
+        // No append, flush or close since: taking A freed the wire, and the
+        // receive itself put B on it.
+        assert_eq!(seqs(&[receiver.try_recv().expect("B shipped")]), vec![2]);
+        assert!(receiver.try_recv().is_none());
+        drop(logger);
+    }
+
+    #[test]
+    fn a_fan_out_ships_the_tail_only_when_its_last_busy_member_drains() {
+        let (shipper, receivers) = LogShipper::fan_out(2, 4);
+        let logger = a_shipped_b_buffered(shipper);
+        assert_eq!(seqs(&[receivers[0].recv().unwrap()]), vec![1]);
+        assert!(
+            receivers[0].try_recv().is_none(),
+            "the second member still holds A: the wire is busy"
+        );
+        assert_eq!(seqs(&[receivers[1].recv().unwrap()]), vec![1]);
+        for receiver in &receivers {
+            assert_eq!(seqs(&[receiver.try_recv().expect("B shipped")]), vec![2]);
+        }
+        drop(logger);
+    }
+
+    #[test]
+    fn draining_after_a_crash_ships_nothing() {
+        let (shipper, receiver) = LogShipper::bounded(4);
+        let logger = a_shipped_b_buffered(shipper);
+        logger.crash();
+        // The wire has no registry after a crash, so it is never idle: the
+        // drain edge leaves B where the crash left it, lost.
+        assert_eq!(seqs(&receiver.drain()), vec![1]);
+        assert_eq!(logger.last_seq(), SeqNo(2));
+    }
+
+    #[test]
+    fn draining_after_close_ships_nothing() {
+        let (shipper, receiver) = LogShipper::bounded(4);
+        let logger = a_shipped_b_buffered(shipper);
+        logger.close();
+        // An append after the close is buffered and never shipped, however
+        // the receiver drains.
+        logger.append(TxnId(3), &[write(3, 3)]);
+        assert_eq!(seqs(&[receiver.recv().unwrap()]), vec![1]);
+        assert_eq!(seqs(&[receiver.recv().unwrap()]), vec![2]);
+        assert!(receiver.recv().is_none());
+        assert!(receiver.try_recv().is_none());
+    }
+
+    /// The drain edge never waits for the logger lock (its holder may be a
+    /// committer waiting for this very receiver), and a drain that found the
+    /// lock taken is not lost: the holder ships the tail when it lets go.
+    #[test]
+    fn a_drain_that_finds_the_logger_lock_taken_leaves_the_tail_to_its_holder() {
+        let (shipper, receiver) = LogShipper::bounded(4);
+        let logger = a_shipped_b_buffered(shipper);
+        let (a, b) = logger.state.locked(|_| {
+            let drainer = {
+                let receiver = receiver.clone();
+                std::thread::spawn(move || (receiver.recv(), receiver.try_recv()))
+            };
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !drainer.is_finished() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the drain edge waited for the logger lock"
+                );
+                std::thread::yield_now();
+            }
+            drainer.join().unwrap()
+        });
+        assert_eq!(seqs(&[a.unwrap()]), vec![1]);
+        assert!(b.is_none(), "the lock was taken: B waited for its holder");
+        assert_eq!(
+            seqs(&[receiver.try_recv().expect("the holder shipped B")]),
+            vec![2]
+        );
+    }
+
+    /// Liveness of the drain edge under contention: committers race each
+    /// other and two drainers, one slowed, over one-segment channels. No
+    /// flush or close comes until both drainers have seen the whole log, so
+    /// a tail the drain edge failed to ship hangs them, and the deadline
+    /// turns that into a failure.
+    #[test]
+    fn every_commit_reaches_every_drainer_without_a_flush() {
+        use std::sync::mpsc;
+        use std::sync::Arc;
+        use std::time::Duration;
+        const COMMITTERS: u64 = 4;
+        const TXNS: u64 = 150;
+        let writes = |c: u64, i: u64| (c + i) % 3 + 1;
+        let total: u64 = (0..COMMITTERS)
+            .flat_map(|c| (0..TXNS).map(move |i| writes(c, i)))
+            .sum();
+
+        // Threads are not scoped: on a hang the test fails at its deadline
+        // and leaves them parked, rather than joining them forever.
+        let (shipper, receivers) = LogShipper::fan_out(2, 1);
+        let logger = Arc::new(StreamingLogger::new(8, shipper));
+        let (done, finished) = mpsc::channel();
+        let mut threads = Vec::new();
+        for (slow, receiver) in receivers.into_iter().enumerate() {
+            let done = done.clone();
+            threads.push(std::thread::spawn(move || {
+                let mut got = Vec::new();
+                while got.last().copied() != Some(total) {
+                    let Some(segment) = receiver.recv() else {
+                        break;
+                    };
+                    assert!(segment.transactions_are_whole());
+                    got.extend(seqs(&[segment]));
+                    for _ in 0..slow * 50 {
+                        std::thread::yield_now();
+                    }
+                }
+                let _ = done.send(got);
+            }));
+        }
+        for c in 0..COMMITTERS {
+            let logger = Arc::clone(&logger);
+            threads.push(std::thread::spawn(move || {
+                for i in 0..TXNS {
+                    let txn: Vec<RowWrite> = (0..writes(c, i))
+                        .map(|w| write(c * 100_000 + i * 10 + w, i))
+                        .collect();
+                    logger.append(TxnId(1 + c * TXNS + i), &txn);
+                }
+            }));
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        for _ in 0..2 {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let got = (finished.recv_timeout(left))
+                .expect("every commit reaches both drainers before the deadline");
+            assert_eq!(got, (1..=total).collect::<Vec<_>>());
+        }
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert_eq!(logger.last_seq(), SeqNo(total));
+        logger.close();
     }
 
     #[test]

@@ -11,14 +11,24 @@
 //!
 //! The shipper does not decide when a segment closes; the
 //! [`StreamingLogger`](crate::logger::StreamingLogger) does, by asking the
-//! shipper on every append whether it is idle. The wire is **idle** when it
-//! has at least one subscriber, every subscriber's queue is empty, and — on
-//! an archived wire — no archive append is queued or in flight. An idle wire is
-//! handed the open segment at once, however small; a busy one lets it fill
-//! to the logger's bound. Batch size therefore follows demand (what
-//! accumulated while the consumers were busy) and there is no linger,
-//! timeout or minimum-size setting. A wire with no subscribers is never
-//! idle: with nobody waiting, segments are cut on size.
+//! shipper whether it is idle on both edges: on every append, and whenever
+//! a [`LogReceiver`] receive takes the last segment queued to it (the
+//! **drain edge**). The wire is **idle** when it has at least one
+//! subscriber, every subscriber's queue is empty, and — on an archived wire
+//! — no archive append is queued or in flight. An idle wire is handed the
+//! open segment at once, however small; a busy one lets it fill to the
+//! logger's bound, and hands it over the moment the last busy queue
+//! drains. Batch size therefore follows demand (what accumulated while the
+//! consumers were busy) and there is no linger, timeout or minimum-size
+//! setting. A wire with no subscribers is never idle: with nobody waiting,
+//! segments are cut on size.
+//!
+//! For the drain edge every handle of a shipper, and every receiver it
+//! hands out, shares a `Weak` to the one logger that ships into it
+//! ([`StreamingLogger::new`](crate::logger::StreamingLogger::new) attaches
+//! it). A receive that empties its queue asks that logger to ship, under
+//! the logger lock as an append would; with no logger attached (or the
+//! logger gone) a receive is only a receive.
 //!
 //! # What runs on which thread
 //!
@@ -38,14 +48,18 @@
 //!
 //! Lock order, outermost first: a committer's row locks → the logger lock →
 //! (archived) the wire queue's own lock / (un-archived) the registry lock →
-//! a subscriber channel's lock. The wire thread takes the archive lock, the
-//! registry lock and the channel locks one at a time, never nested, and
-//! never takes the logger lock.
+//! a subscriber channel's lock. A receiving thread on the drain edge holds
+//! no lock and only *tries* the logger lock: if it is taken, its holder
+//! ships for the receiver after releasing it (see the logger's module
+//! docs). Under it, the drain edge takes the locks below the logger lock as
+//! a committer does. The wire thread takes the archive lock, the registry
+//! lock and the channel locks one at a time, never nested, and never takes
+//! the logger lock.
 //!
 //! # Invariants
 //!
-//! 1. **Wire order = log order.** The logger ships under its lock, the wire
-//!    queue is FIFO, and one thread drains it.
+//! 1. **Wire order = log order.** The logger ships under its lock — on the
+//!    drain edge too — the wire queue is FIFO, and one thread drains it.
 //! 2. **Archive = wire.** A segment is archived if and only if it is
 //!    delivered: both happen on the wire thread, in that order, and a
 //!    segment shipped after [`LogShipper::close`] (or after the wire failed)
@@ -60,7 +74,9 @@
 //! An archive I/O failure ends the wire instead of killing a thread: the
 //! wire thread closes the shipper (subscribers see end-of-log after a
 //! contiguous prefix that the archive also holds), later ships are
-//! discarded, and [`LogShipper::failure`] reports the typed error.
+//! discarded, and [`LogShipper::failure`] reports the typed error. A wire
+//! thread that cannot be started fails the wire the same way, before
+//! anything is shipped (`Error::ThreadSpawn`).
 //!
 //! One shipper can feed **several replicas at once**
 //! ([`LogShipper::fan_out`]): each replica gets its own bounded channel, so
@@ -88,8 +104,8 @@
 //! any other subscriber and splits it by key range itself (`c5-core`'s
 //! `shard` module).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -100,6 +116,7 @@ use c5_common::{Error, Result, SeqNo};
 use c5_obs::{Counter, Histogram, Obs, TraceEvent};
 
 use crate::archive::LogArchive;
+use crate::logger::LoggerState;
 use crate::segment::Segment;
 
 /// Segments a live subscription buffers before `ship` blocks on it: the
@@ -157,6 +174,12 @@ impl Registry {
     }
 }
 
+/// The logger that ships into a wire, shared by every handle of the shipper
+/// and every receiver it hands out, for the drain edge. Set once, by
+/// [`LogShipper::attach_logger`]; weak, so a receiver never keeps a logger
+/// (and through it the shipper) alive.
+type LoggerSlot = Arc<OnceLock<Weak<LoggerState>>>;
+
 /// Sending half of the replication channel (owned by the primary's logger).
 ///
 /// Cloning a shipper clones the underlying senders; the receivers observe
@@ -164,6 +187,7 @@ impl Registry {
 #[derive(Clone)]
 pub struct LogShipper {
     registry: Arc<Mutex<Option<Registry>>>,
+    logger: LoggerSlot,
     /// Retention: when set, every segment that goes on the wire is first
     /// recorded in the wire's archive by the wire's own thread, enabling
     /// checkpoint truncation and cold-replica replay.
@@ -184,6 +208,8 @@ struct ShipObs {
     segment_records: Arc<Histogram>,
     /// Segments the logger shipped below its size bound.
     partial_segments: Arc<Counter>,
+    /// Of those, the segments a receiver's drain edge shipped.
+    drain_tails: Arc<Counter>,
     /// Wire thread only: one `LogArchive::try_append`.
     archive_append_ns: Arc<Histogram>,
     /// Wire thread, durable archive only: the `sync_data` inside it, the
@@ -218,7 +244,11 @@ struct WireState {
     /// Segments enqueued and not yet through the archive append. Only the
     /// idle rule reads it, as a batching hint: whatever it answers, shipping
     /// or not shipping is correct, so `Relaxed` everywhere — it publishes
-    /// nothing.
+    /// nothing. The drain edge's liveness rests on two fences instead: a
+    /// receiver gets a segment after its count-down, fences and reads the
+    /// logger's last position; a committer publishes that position, fences
+    /// (in `is_idle`) and reads this count; so one of the two sees the other
+    /// and ships what is buffered.
     pending: AtomicUsize,
     /// The archive error that ended the wire, if one did.
     failure: Mutex<Option<Error>>,
@@ -265,15 +295,21 @@ impl Drop for Wire {
 }
 
 /// Receiving half of the replication channel (owned by a backup replica).
+///
+/// A receive that takes the last segment queued to it runs the drain edge
+/// (see the [module docs](self)): the logger feeding the wire ships its open
+/// segment if the wire went idle. It never blocks the receiver.
 #[derive(Clone)]
 pub struct LogReceiver {
     rx: Receiver<Segment>,
+    logger: LoggerSlot,
 }
 
 impl LogShipper {
     fn empty() -> LogShipper {
         LogShipper {
             registry: Arc::new(Mutex::new(Some(Registry::new()))),
+            logger: LoggerSlot::default(),
             wire: None,
             obs: None,
         }
@@ -307,6 +343,8 @@ impl LogShipper {
         let shipper = Self::empty();
         let receivers = (0..replicas)
             .map(|_| {
+                // Invariant: `subscribe` fails only on a closed shipper, and
+                // nothing can have closed this one yet.
                 shipper
                     .subscribe(capacity)
                     .expect("a fresh shipper accepts subscribers")
@@ -323,6 +361,7 @@ impl LogShipper {
         let shipper = Self::empty();
         let receivers = (0..replicas)
             .map(|_| {
+                // Invariant: as in `fan_out`, nothing has closed it yet.
                 shipper
                     .subscribe_unbounded()
                     .expect("a fresh shipper accepts subscribers")
@@ -371,7 +410,10 @@ impl LogShipper {
         registry.members = Arc::new(members);
         Ok(Subscription {
             id,
-            receiver: LogReceiver { rx },
+            receiver: LogReceiver {
+                rx,
+                logger: Arc::clone(&self.logger),
+            },
             starts_after: registry.shipped_through,
         })
     }
@@ -431,7 +473,26 @@ impl LogShipper {
     /// the shipped-through watermark is raised to cover it, so a subscriber's
     /// `starts_after` reports the true wire position rather than this
     /// handle's lifetime position.
-    pub fn with_archive(mut self, archive: Arc<LogArchive>) -> Self {
+    ///
+    /// If the wire thread cannot be started, the wire fails as after an
+    /// archive I/O failure: [`LogShipper::failure`] reports
+    /// `Error::ThreadSpawn`, subscribers see end-of-log, and every ship is
+    /// discarded.
+    pub fn with_archive(self, archive: Arc<LogArchive>) -> Self {
+        self.attach_wire(archive, |run| {
+            std::thread::Builder::new()
+                .name("c5-wire".into())
+                .spawn(run)
+        })
+    }
+
+    /// [`LogShipper::with_archive`], starting the wire thread through
+    /// `spawn`.
+    fn attach_wire(
+        mut self,
+        archive: Arc<LogArchive>,
+        spawn: impl FnOnce(Box<dyn FnOnce() + Send>) -> std::io::Result<JoinHandle<()>>,
+    ) -> Self {
         if let Some(registry) = self.registry.lock().as_mut() {
             registry.shipped_through = registry.shipped_through.max(archive.last_seq());
         }
@@ -443,17 +504,27 @@ impl LogShipper {
             wire: None,
             ..self.clone()
         };
-        let thread = {
+        let run = {
             let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("c5-wire".into())
-                .spawn(move || deliverer.run_wire(&archive, &state, &inbox))
-                .expect("spawn the wire thread")
+            Box::new(move || deliverer.run_wire(&archive, &state, &inbox))
+        };
+        let thread = match spawn(run) {
+            Ok(thread) => Some(thread),
+            Err(error) => {
+                // The unstarted closure is dropped with its inbox, so every
+                // ship discards; end the log for the subscribers too.
+                *state.failure.lock() = Some(Error::ThreadSpawn {
+                    thread: "c5-wire",
+                    message: error.to_string(),
+                });
+                self.registry.lock().take();
+                None
+            }
         };
         self.wire = Some(Arc::new(Wire {
             queue,
             state,
-            thread: Mutex::new(Some(thread)),
+            thread: Mutex::new(thread),
         }));
         self
     }
@@ -464,7 +535,8 @@ impl LogShipper {
     /// `ship_segments_total` / `ship_records_total` counters, the
     /// `ship_segment_records` histogram of batch sizes and the
     /// `ship_partial_segments_total` counter of segments the logger cut
-    /// below its bound; a wire thread adds `archive_append_ns`,
+    /// below its bound, of which `ship_drain_tails_total` counts those a
+    /// receiver's drain edge cut; a wire thread adds `archive_append_ns`,
     /// `wire_queue_wait_ns` and `ship_archive_failures_total`, and over a
     /// durable archive `archive_sync_ns` (the `sync_data` alone),
     /// `archive_bytes_total` and `archive_rotations_total`. Metric
@@ -479,6 +551,7 @@ impl LogShipper {
             records: metrics.counter("ship_records_total"),
             segment_records: metrics.histogram("ship_segment_records"),
             partial_segments: metrics.counter("ship_partial_segments_total"),
+            drain_tails: metrics.counter("ship_drain_tails_total"),
             archive_append_ns: metrics.histogram("archive_append_ns"),
             archive_sync_ns: metrics.histogram("archive_sync_ns"),
             archive_bytes: metrics.counter("archive_bytes_total"),
@@ -490,10 +563,11 @@ impl LogShipper {
         self
     }
 
-    /// The archive error that ended this shipper's wire, if one did. After
-    /// it, the shipper behaves as after [`LogShipper::close`]: subscribers
-    /// have seen end-of-log behind a contiguous prefix the archive also
-    /// holds, and `ship` discards.
+    /// The error that ended this shipper's wire, if one did: an archive I/O
+    /// failure, or a wire thread that could not be started. After it, the
+    /// shipper behaves as after [`LogShipper::close`]: subscribers have seen
+    /// end-of-log behind a contiguous prefix the archive also holds, and
+    /// `ship` discards.
     pub fn failure(&self) -> Option<Error> {
         self.wire.as_ref()?.state.failure.lock().clone()
     }
@@ -506,6 +580,8 @@ impl LogShipper {
     /// replica that cannot keep up shows here as a non-empty queue.
     pub fn is_idle(&self) -> bool {
         if let Some(wire) = &self.wire {
+            // Pairs with the fence in the logger's drain edge.
+            fence(Ordering::SeqCst);
             if wire.state.pending.load(Ordering::Relaxed) != 0 {
                 return false;
             }
@@ -521,6 +597,20 @@ impl LogShipper {
         if let Some(ship_obs) = &self.obs {
             ship_obs.partial_segments.inc();
         }
+    }
+
+    /// Counts one segment a receiver's drain edge cut.
+    pub(crate) fn note_drain_tail(&self) {
+        if let Some(ship_obs) = &self.obs {
+            ship_obs.drain_tails.inc();
+        }
+    }
+
+    /// Makes `logger` the one logger that ships into this wire, so every
+    /// receiver of every handle can reach it on the drain edge. A second
+    /// logger is not attached (it still ships on append).
+    pub(crate) fn attach_logger(&self, logger: Weak<LoggerState>) {
+        let _ = self.logger.set(logger);
     }
 
     /// Ships a segment to every replica. Un-archived, it delivers on the
@@ -679,14 +769,35 @@ impl LogShipper {
 impl LogReceiver {
     /// Blocks until the next segment arrives or the log ends.
     pub fn recv(&self) -> Option<Segment> {
-        self.rx.recv().ok()
+        let segment = self.rx.recv().ok()?;
+        self.drained();
+        Some(segment)
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Segment> {
         match self.rx.try_recv() {
-            Ok(seg) => Some(seg),
+            Ok(segment) => {
+                self.drained();
+                Some(segment)
+            }
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
+        }
+    }
+
+    /// The drain edge, after a receive: if that took the last queued
+    /// segment, the logger ships its open segment should the wire be idle.
+    ///
+    /// The upgrade holds the logger for a moment; if its owner drops it
+    /// meanwhile, the logger (and its shipper handle) is dropped here, which
+    /// on an archived wire may join the wire thread. A logger closed before
+    /// it is dropped leaves that join nothing to wait for.
+    fn drained(&self) {
+        if !self.rx.is_empty() {
+            return;
+        }
+        if let Some(logger) = self.logger.get().and_then(Weak::upgrade) {
+            logger.ship_on_drain();
         }
     }
 
@@ -1175,6 +1286,83 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// The drain edge on an archived wire: a commit held back while the
+    /// archive append of the one before it was in flight is shipped by the
+    /// receive that drains that one, archived, then delivered.
+    #[test]
+    fn an_archived_wire_archives_and_delivers_the_tail_its_drain_ships() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, rx) = LogShipper::bounded(4);
+        let tx = tx.with_archive(Arc::clone(&archive));
+        let (entered, release) = park_between_archive_and_watermark(&tx);
+        let logger = crate::logger::StreamingLogger::new(100, tx);
+        let write = |k: u64| [RowWrite::insert(RowRef::new(0, k), Value::from_u64(k))];
+        logger.append(TxnId(1), &write(1));
+        entered.recv().unwrap();
+        // A is in the archive path, so the wire is busy: B is buffered.
+        logger.append(TxnId(2), &write(2));
+        assert_eq!(archive.last_seq(), SeqNo(1));
+        release.send(()).unwrap();
+        let a = rx.recv().unwrap();
+        // That receive shipped B: the wire thread is archiving it now, with
+        // no append, flush or close since.
+        entered.recv().unwrap();
+        assert_eq!(archive.last_seq(), SeqNo(2));
+        release.send(()).unwrap();
+        let b = rx.recv().unwrap();
+        assert_eq!(seqs(&[a, b]), vec![1, 2]);
+        logger.close();
+        assert!(rx.drain().is_empty());
+        assert_eq!(seqs(&archive.replay_from(SeqNo::ZERO).unwrap()), vec![1, 2]);
+    }
+
+    #[test]
+    fn the_sink_counts_the_segments_the_drain_edge_cut() {
+        let obs = Arc::new(c5_obs::Obs::new());
+        let (tx, rx) = LogShipper::bounded(4);
+        let logger = crate::logger::StreamingLogger::new(100, tx.with_obs(Arc::clone(&obs)));
+        let write = |k: u64| [RowWrite::insert(RowRef::new(0, k), Value::from_u64(k))];
+        logger.append(TxnId(1), &write(1)); // idle: cut on append
+        logger.append(TxnId(2), &write(2)); // busy: buffered
+        rx.recv().unwrap(); // drained: cut on drain
+        rx.recv().unwrap();
+        let snap = obs.metrics.snapshot();
+        assert_eq!(snap.counter("ship_partial_segments_total"), Some(2));
+        assert_eq!(snap.counter("ship_drain_tails_total"), Some(1));
+        logger.close();
+    }
+
+    /// A wire thread that cannot be started fails the wire, as an archive
+    /// I/O failure does: a typed error, end-of-log, and ships discarded.
+    #[test]
+    fn a_wire_thread_that_cannot_start_fails_the_wire_not_the_caller() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, rx) = LogShipper::bounded(4);
+        let tx = tx.attach_wire(Arc::clone(&archive), |_| {
+            Err(std::io::Error::other("no threads left"))
+        });
+        assert!(
+            matches!(
+                tx.failure(),
+                Some(Error::ThreadSpawn {
+                    thread: "c5-wire",
+                    ..
+                })
+            ),
+            "{:?}",
+            tx.failure()
+        );
+        assert!(rx.recv().is_none(), "subscribers see end-of-log");
+        let logger = crate::logger::StreamingLogger::new(1, tx.clone());
+        logger.append(
+            TxnId(1),
+            &[RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))],
+        );
+        logger.close();
+        assert_eq!(archive.last_seq(), SeqNo::ZERO, "nothing archived");
+        assert!(matches!(tx.subscribe(4), Err(Error::Shutdown(_))));
     }
 
     #[test]

@@ -85,7 +85,10 @@ impl TplEngine {
 
     /// Ships the log's buffered tail without closing it. Read routers use
     /// this so strong and causal reads never wait on records that are
-    /// committed but still sitting in a partially filled segment.
+    /// committed but still sitting in a partially filled segment. The
+    /// logger ships such a tail itself once every subscriber has drained;
+    /// this is for a quiet primary whose wire stays busy because some
+    /// fan-out member is not draining.
     pub fn flush_log(&self) {
         self.logger.flush();
     }

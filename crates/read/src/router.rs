@@ -316,8 +316,10 @@ impl ReadRouter {
     /// `TplEngine::flush_log`), called once whenever a read must block: a
     /// causal token or strong frontier can name a committed transaction
     /// whose records still sit in the logger's partially filled segment
-    /// (the wire was busy when it committed), and on a primary that has
-    /// gone quiet since, no later append comes to ship that segment —
+    /// (the wire was busy when it committed). The logger ships that segment
+    /// by itself once every subscriber has drained, but while one fan-out
+    /// member is not draining (stalled, or its replica behind), a primary
+    /// that has gone quiet sends no later append to ship it either —
     /// wedging the read until its wait bound expires. One flush
     /// puts everything at or below the read's requirement on the wire
     /// (sequence numbers are assigned at append, so the requirement's
@@ -741,12 +743,15 @@ mod tests {
     #[test]
     fn blocked_reads_flush_the_primary_tail_instead_of_wedging() {
         use c5_log::{LogShipper, StreamingLogger};
-        // A write-light primary whose backup was busy when it last
-        // committed: the first transaction left on the idle wire, the second
-        // found that segment still undrained and sits buffered below the
-        // size bound, and nothing commits after it. The causal read's
-        // block-time flush must put it on the wire.
-        let (shipper, receiver) = LogShipper::unbounded();
+        // A write-light primary fanned out to this backup and to a second
+        // member that has stopped draining: the first transaction left on
+        // the idle wire, the second found that segment still queued and sits
+        // buffered below the size bound, and nothing commits after it. The
+        // backup draining its own queue does not free the wire (the stalled
+        // member still holds the first segment), so only the causal read's
+        // block-time flush can put the token on the wire.
+        let (shipper, mut receivers) = LogShipper::fan_out_unbounded(2);
+        let (receiver, stalled) = (receivers.remove(0), receivers.remove(0));
         let logger = Arc::new(StreamingLogger::new(1_000, shipper));
         let store = Arc::new(MvStore::default());
         let replica = C5Replica::new(
@@ -798,6 +803,7 @@ mod tests {
         logger.close();
         driver.join().unwrap();
         replica.finish();
+        assert_eq!(stalled.drain().len(), 2, "the stalled member got both");
     }
 
     #[test]
