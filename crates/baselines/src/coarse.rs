@@ -82,9 +82,6 @@ impl PipelinePolicy for CoarsePolicy {
             // Routing every write of a group to the same lane preserves the
             // group's log order; sending in log order preserves it per queue.
             sink.send_to((group % lanes) as usize, record);
-            if sink.workers_gone() {
-                return;
-            }
         }
     }
 
@@ -113,7 +110,7 @@ impl CoarseGrainReplica {
         });
         let options = PipelineOptions {
             workers: config.workers,
-            queue: QueuePlan::PerWorker { capacity: 4096 },
+            queue: QueuePlan::PerWorker,
         };
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),

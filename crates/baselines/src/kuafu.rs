@@ -168,9 +168,6 @@ impl PipelinePolicy for KuaFuPolicy {
                     deps,
                     records,
                 });
-                if sink.workers_gone() {
-                    return;
-                }
             }
         }
     }
@@ -219,7 +216,7 @@ impl KuaFuReplica {
         });
         let options = PipelineOptions {
             workers: replica_config.workers,
-            queue: QueuePlan::Shared { capacity: 4096 },
+            queue: QueuePlan::Shared,
         };
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),

@@ -67,7 +67,7 @@ impl SingleThreadedReplica {
         });
         let options = PipelineOptions {
             workers: 1,
-            queue: QueuePlan::Shared { capacity: 1024 },
+            queue: QueuePlan::Shared,
         };
         Arc::new(Self {
             runtime: PipelineRuntime::start(policy, options),

@@ -250,6 +250,16 @@ impl PrefixExposure {
         self.ledger.shipped_seq()
     }
 
+    /// Records handed to the schedule stage and not yet applied
+    /// (`shipped_seq − applied_seq`): what the runtime's in-flight window
+    /// bounds.
+    pub fn in_flight_records(&self) -> u64 {
+        // Applied first: it never passes shipped, so the difference of the
+        // two loads never wraps.
+        let applied = self.applied_seq().as_u64();
+        self.shipped_seq().as_u64() - applied
+    }
+
     /// A read view pinned at the exposed cut.
     pub fn read_view(&self) -> Box<dyn ReadView> {
         Box::new(match &self.gate {

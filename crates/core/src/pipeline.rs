@@ -9,11 +9,14 @@
 //! ordering constraints (**apply**); and the transaction-aligned cut that
 //! read-only transactions may observe advances (**expose**) on the worker
 //! that finished an item. There is no stage, thread or buffer between the
-//! shipper's subscription queue and the worker queues: a full worker queue
-//! blocks the feeder, the subscription queue behind it fills, and that one
-//! queue is what the wire's idle rule and an operator look at. This module owns the
-//! machine once — the threads, the queues, the shutdown/drain protocol — and
-//! splits what it runs along the paper's own line:
+//! shipper's subscription queue and the worker queues, and the worker queues
+//! have no capacity of their own: the feeder dispatches a segment only while
+//! fewer than [`IN_FLIGHT_WINDOW`] records are in flight, so a replica that
+//! falls behind blocks the feeder at the window, the subscription queue
+//! behind it fills, and that one queue is what the wire's idle rule and an
+//! operator look at. This module owns the machine once — the threads, the
+//! queues, the window, the shutdown/drain protocol — and splits what it runs
+//! along the paper's own line:
 //!
 //! * an **ordering**, the [`PipelinePolicy`]: what a work item is, how
 //!   segments become items, what "apply one item" means. That is all a
@@ -85,12 +88,13 @@
 //! its segment. Version GC is not here: installs trim their own chains (see
 //! [`c5_storage::mvstore`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use c5_common::{IdMap, ProgressSignal, SeqNo};
@@ -103,13 +107,16 @@ use crate::replica::{
     ClonedConcurrencyControl, Promotion, ReadView, ReplicaMetrics, FLEET_PROGRESS,
 };
 
-/// Cross-stage flags shared by every thread of one pipeline instance. Each
-/// is set once and announced on [`FLEET_PROGRESS`], which every wait for
-/// this pipeline's progress sleeps on.
+/// Cross-stage flags shared by every thread of one pipeline instance.
+/// Shutdown and failure are each set once and announced on
+/// [`FLEET_PROGRESS`], which every wait for this pipeline's progress sleeps
+/// on.
 #[derive(Debug, Default)]
 pub struct PipelineSignals {
     shutdown: AtomicBool,
     failed: AtomicBool,
+    /// Whether a feeder sleeps at the in-flight window.
+    feeder_waiting: AtomicBool,
 }
 
 impl PipelineSignals {
@@ -135,23 +142,51 @@ impl PipelineSignals {
         self.shutdown.store(true, Ordering::Release);
         FLEET_PROGRESS.notify();
     }
+
+    /// Wakes a feeder asleep at the window once `in_flight` is below it:
+    /// for a worker whose item moved no cut, so notified nobody. Call it
+    /// after the item's marks are flushed; the fences pair with
+    /// [`PipelineRuntime::wait_for_window`]'s, so either the feeder's check
+    /// sees the marks or this sees the feeder waiting.
+    fn wake_feeder_below(&self, window: u64, in_flight: impl FnOnce() -> u64) {
+        fence(Ordering::SeqCst);
+        if self.feeder_waiting.load(Ordering::Relaxed) && in_flight() < window {
+            FLEET_PROGRESS.notify();
+        }
+    }
 }
 
-/// Where the schedule stage's work items are queued.
+/// The in-flight window, in records, the same for every protocol: how far a
+/// replica's feeder may dispatch past its applied prefix. In-flight is
+/// `shipped_seq − applied_seq` ([`PrefixExposure::in_flight_records`]).
+/// Before it schedules a segment the feeder sleeps on [`FLEET_PROGRESS`]
+/// while in-flight is at least `W`; it then dispatches the whole segment, so
+/// in-flight stays at most `W` plus one segment. Worker queues are unbounded.
+///
+/// Why the wait cannot deadlock:
+/// - every dispatched write's predecessor sits at a lower position, which was
+///   dispatched before it;
+/// - a pending whole-database cut sits at or below the dispatched boundary;
+/// - so the applied watermark always reaches what is dispatched, and the
+///   worker whose marks take in-flight below `W` notifies [`FLEET_PROGRESS`]:
+///   through the cut those marks moved, or itself when they moved none (in
+///   the gated form, C5-MyRocks, only completed cuts notify, and a feeder
+///   left for the next one would let the workers drain dry first).
+///
+/// Sized by measurement (DESIGN.md, "One in-flight window"): a smaller `W`
+/// makes every whole-database cut a barrier for C5-MyRocks' workers.
+pub const IN_FLIGHT_WINDOW: u64 = 1 << 13;
+
+/// Where the schedule stage's work items are queued. Queues are unbounded;
+/// [`IN_FLIGHT_WINDOW`] bounds what is in them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueuePlan {
     /// One queue shared by every worker; workers pick up items in dispatch
     /// order (C5's one-worker-per-transaction mode, KuaFu, single-threaded).
-    Shared {
-        /// Queue capacity (items).
-        capacity: usize,
-    },
+    Shared,
     /// One queue per worker; the policy routes each item to a lane
     /// (C5-Cicada's round-robin segments, coarse-grain conflict groups).
-    PerWorker {
-        /// Per-queue capacity (items).
-        capacity: usize,
-    },
+    PerWorker,
 }
 
 /// Construction-time options for a [`PipelineRuntime`].
@@ -159,9 +194,7 @@ pub enum QueuePlan {
 pub struct PipelineOptions {
     /// Number of apply-stage worker threads.
     pub workers: usize,
-    /// Queue topology between the schedule and apply stages. The queues are
-    /// bounded: a full one blocks the feeder, which is the backpressure a
-    /// hopelessly slow replica exerts on the shipper.
+    /// Queue topology between the schedule and apply stages.
     pub queue: QueuePlan,
 }
 
@@ -190,7 +223,7 @@ impl<T> WorkSink<T> {
     }
 
     /// Sends an item to the next lane round-robin (equivalently: to the
-    /// shared queue). Blocks for backpressure when the lane is full.
+    /// shared queue). Never blocks.
     pub fn send(&mut self, item: T) {
         let lane = self.next % self.lanes.len();
         self.next = self.next.wrapping_add(1);
@@ -198,22 +231,18 @@ impl<T> WorkSink<T> {
     }
 
     /// Sends an item to a specific lane (taken modulo the lane count).
-    /// Blocks for backpressure when the lane is full.
+    /// Never blocks.
     pub fn send_to(&mut self, lane: usize, item: T) {
         if self.lanes[lane % self.lanes.len()].send(item).is_err() {
             self.gone = true;
         }
     }
 
-    /// Whether a send failed because the workers exited (shutdown).
-    pub fn workers_gone(&self) -> bool {
+    /// Whether a send failed because the lane's worker is gone (it died, or
+    /// was never started). Such a send fails at once, so `schedule` need
+    /// not stop on it; the runtime closes the sink after `schedule`.
+    fn workers_gone(&self) -> bool {
         self.gone
-    }
-
-    /// Total items currently queued across every lane (the schedule stage's
-    /// output backlog).
-    pub fn queued(&self) -> usize {
-        self.lanes.iter().map(|lane| lane.len()).sum()
     }
 }
 
@@ -275,6 +304,20 @@ impl<P: PipelinePolicy> DeathWatch<P> {
     fn armed(&self) -> ArmedDeathWatch<'_, P> {
         ArmedDeathWatch(self)
     }
+
+    /// Fails the pipeline for a thread it lost, counted as a death and
+    /// traced as a `span`.
+    fn lost_thread(&self, span: &'static str) {
+        let exposure = self.policy.exposure();
+        self.deaths.inc();
+        exposure.obs().trace.record(TraceEvent::Span {
+            name: span,
+            elapsed_ns: 0,
+        });
+        self.signals.fail();
+        // Failed first: from here on no gate closes.
+        exposure.expose(&self.signals);
+    }
 }
 
 struct ArmedDeathWatch<'a, P: PipelinePolicy>(&'a DeathWatch<P>);
@@ -282,18 +325,14 @@ struct ArmedDeathWatch<'a, P: PipelinePolicy>(&'a DeathWatch<P>);
 impl<P: PipelinePolicy> Drop for ArmedDeathWatch<'_, P> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let watch = self.0;
-            let exposure = watch.policy.exposure();
-            watch.deaths.inc();
-            exposure.obs().trace.record(TraceEvent::Span {
-                name: "pipeline_thread_death",
-                elapsed_ns: 0,
-            });
-            watch.signals.fail();
-            // Failed first: from here on no gate closes.
-            exposure.expose(&watch.signals);
+            self.0.lost_thread("pipeline_thread_death");
         }
     }
+}
+
+/// Starts one named pipeline thread; `PipelineRuntime::start`'s spawn.
+fn spawn_thread(name: String, run: Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(run)
 }
 
 /// A backup protocol's ordering, run by a [`PipelineRuntime`].
@@ -312,9 +351,8 @@ pub trait PipelinePolicy: Send + Sync + 'static {
 
     /// Turns one segment into work items, in log order. The policy owns the
     /// segment: records should *move* into items, never be cloned. Runs
-    /// inside `apply_segment`, so a blocking `sink` send is the feeder's
-    /// backpressure and a panic unwinds into the feeder (and fails the
-    /// pipeline).
+    /// inside `apply_segment`, once the in-flight window has room, so a
+    /// panic unwinds into the feeder (and fails the pipeline).
     fn schedule(&self, segment: Segment, sink: &mut WorkSink<Self::Item>);
 
     /// Executes one work item under the protocol's ordering constraints.
@@ -331,8 +369,8 @@ pub trait PipelinePolicy: Send + Sync + 'static {
 }
 
 /// The shared runtime: the feeder-run schedule stage, `workers` worker
-/// threads and nothing else, queues, and the drain/shutdown protocol,
-/// generic over a [`PipelinePolicy`].
+/// threads and nothing else, queues, the in-flight window, and the
+/// drain/shutdown protocol, generic over a [`PipelinePolicy`].
 ///
 /// Implements [`ClonedConcurrencyControl`] directly, so a protocol wrapper
 /// only has to construct its policy, pick [`PipelineOptions`], and delegate
@@ -345,7 +383,13 @@ pub struct PipelineRuntime<P: PipelinePolicy> {
     /// feeder holding it is the scheduler, and concurrent feeders take turns
     /// in lock order.
     sink: Mutex<Option<WorkSink<P::Item>>>,
+    /// Records in flight at which the feeder waits: [`IN_FLIGHT_WINDOW`].
+    window: u64,
     schedule_obs: StageObs,
+    /// In-flight records after each dispatched segment.
+    in_flight: Arc<Histogram>,
+    /// How long each segment's feeder waited at the window.
+    window_wait: Arc<Histogram>,
     watch: Arc<DeathWatch<P>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     finished: AtomicBool,
@@ -353,8 +397,23 @@ pub struct PipelineRuntime<P: PipelinePolicy> {
 }
 
 impl<P: PipelinePolicy> PipelineRuntime<P> {
-    /// Starts the pipeline: spawns `options.workers` workers.
+    /// Starts the pipeline: spawns `options.workers` workers. A worker that
+    /// cannot be spawned fails the pipeline, as a dead one does: the death
+    /// is counted (`pipeline_thread_deaths_total`), traced as a
+    /// `pipeline_thread_spawn_failed` span (the `Error::ThreadSpawn` case),
+    /// and every wait for the cut returns.
     pub fn start(policy: Arc<P>, options: PipelineOptions) -> Self {
+        Self::start_with(policy, options, IN_FLIGHT_WINDOW, spawn_thread)
+    }
+
+    /// [`start`](Self::start) with a window of `window` records, starting
+    /// each worker through `spawn`.
+    fn start_with(
+        policy: Arc<P>,
+        options: PipelineOptions,
+        window: u64,
+        mut spawn: impl FnMut(String, Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>,
+    ) -> Self {
         assert!(options.workers > 0, "pipeline requires at least one worker");
         let label = policy.name(); // names the threads
         let signals = Arc::new(PipelineSignals::default());
@@ -369,46 +428,38 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         let apply_obs = Arc::new(StageObs::new(&obs, PipelineStage::Apply));
 
         // Apply stage.
-        let mut lane_txs: Vec<Sender<P::Item>> = Vec::new();
-        {
-            let mut spawn_worker = |worker: usize, rx: Receiver<P::Item>| {
-                let policy = Arc::clone(&policy);
-                let signals = Arc::clone(&signals);
-                let apply_obs = Arc::clone(&apply_obs);
-                let watch = Arc::clone(&watch);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("{label}-worker-{worker}"))
-                        .spawn(move || {
-                            let _armed = watch.armed();
-                            let exposure = policy.exposure();
-                            while let Ok(item) = rx.recv() {
-                                let started = Instant::now();
-                                policy.apply(worker, item, &signals);
-                                apply_obs.record(started.elapsed(), rx.len());
-                                // The item's marks are flushed: move the cut
-                                // they let move (which announces it).
-                                exposure.expose(&signals);
-                            }
-                        })
-                        .expect("spawn worker"),
-                );
-            };
-            match options.queue {
-                QueuePlan::Shared { capacity } => {
-                    let (tx, rx) = bounded::<P::Item>(capacity);
-                    lane_txs.push(tx);
-                    for worker in 0..options.workers {
-                        spawn_worker(worker, rx.clone());
+        let lanes = match options.queue {
+            QueuePlan::Shared => 1,
+            QueuePlan::PerWorker => options.workers,
+        };
+        let (lane_txs, lane_rxs): (Vec<_>, Vec<_>) =
+            (0..lanes).map(|_| unbounded::<P::Item>()).unzip();
+        for worker in 0..options.workers {
+            let rx = lane_rxs[worker % lanes].clone();
+            let policy = Arc::clone(&policy);
+            let signals = Arc::clone(&signals);
+            let apply_obs = Arc::clone(&apply_obs);
+            let worker_watch = Arc::clone(&watch);
+            let run = Box::new(move || {
+                let _armed = worker_watch.armed();
+                let exposure = policy.exposure();
+                while let Ok(item) = rx.recv() {
+                    let started = Instant::now();
+                    policy.apply(worker, item, &signals);
+                    apply_obs.record(started.elapsed(), exposure.in_flight_records() as usize);
+                    // The item's marks are flushed: move the cut they let
+                    // move (which announces it), or else wake a feeder the
+                    // marks let past the window.
+                    if !exposure.expose(&signals) {
+                        signals.wake_feeder_below(window, || exposure.in_flight_records());
                     }
                 }
-                QueuePlan::PerWorker { capacity } => {
-                    for worker in 0..options.workers {
-                        let (tx, rx) = bounded::<P::Item>(capacity);
-                        lane_txs.push(tx);
-                        spawn_worker(worker, rx);
-                    }
-                }
+            });
+            match spawn(format!("{label}-worker-{worker}"), run) {
+                Ok(thread) => threads.push(thread),
+                // The unstarted closure is dropped with its receiver, so a
+                // lane of its own closes and a send to it fails.
+                Err(_) => watch.lost_thread("pipeline_thread_spawn_failed"),
             }
         }
 
@@ -416,7 +467,10 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             policy,
             signals,
             sink: Mutex::new(Some(WorkSink::new(lane_txs))),
+            window,
             schedule_obs: StageObs::new(&obs, PipelineStage::Schedule),
+            in_flight: obs.metrics.histogram("in_flight_records"),
+            window_wait: obs.metrics.histogram("feeder_window_wait_ns"),
             watch,
             threads: Mutex::new(threads),
             finished: AtomicBool::new(false),
@@ -452,6 +506,29 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         });
     }
 
+    /// Sleeps on [`FLEET_PROGRESS`] until fewer than `window` records are
+    /// in flight, and records how long that took. Returns whether they are:
+    /// `false` only if the pipeline stopped (shutdown, or a dead thread)
+    /// first, with the window full.
+    fn wait_for_window(&self) -> bool {
+        let exposure = self.policy.exposure();
+        let open = || exposure.in_flight_records() < self.window;
+        if open() {
+            self.window_wait.record(0);
+            return true;
+        }
+        let started = Instant::now();
+        let signals = &self.signals;
+        signals.feeder_waiting.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        FLEET_PROGRESS.wait_until(None, || {
+            open() || signals.shutdown_requested() || signals.failed()
+        });
+        signals.feeder_waiting.store(false, Ordering::Relaxed);
+        self.window_wait.record_duration(started.elapsed());
+        open()
+    }
+
     fn stop_threads(&self) {
         self.signals.request_shutdown();
         // Shutdown first: this abandons a pending whole-database cut, and no
@@ -477,8 +554,11 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         // only if `schedule` does: should the policy panic, unwinding drops
         // the sink (closing the worker queues) and leaves the slot empty
         // (later segments count as dropped), and the armed watch fails the
-        // pipeline so nothing waits for the prefix this call held.
-        let Some(mut sink) = slot.take() else {
+        // pipeline so nothing waits for the prefix this call held. A feeder
+        // whose wait at the window ends because the pipeline stopped drops
+        // the sink too: a window full of records a stopped pipeline will
+        // not apply never empties.
+        let Some(mut sink) = slot.take().filter(|_| self.wait_for_window()) else {
             drop(slot);
             self.note_dropped_segment();
             return;
@@ -486,7 +566,10 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         let _armed = self.watch.armed();
         let started = Instant::now();
         self.policy.schedule(segment, &mut sink);
-        self.schedule_obs.record(started.elapsed(), sink.queued());
+        let in_flight = self.policy.exposure().in_flight_records();
+        self.in_flight.record(in_flight);
+        self.schedule_obs
+            .record(started.elapsed(), in_flight as usize);
         if !sink.workers_gone() {
             *slot = Some(sink);
         }
@@ -496,11 +579,11 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Take the sink — behind any feeder still inside `schedule` — which
-        // closes the worker queues, so the workers drain what was dispatched
-        // and exit; then wait for every shipped write to be applied and
-        // exposed (the worker that completes the prefix cuts it at once,
-        // spaced or not, and announces it). The wait gives up if a stage
+        // Take the sink — behind any feeder still inside `apply_segment` —
+        // which closes the worker queues, so the workers drain what was
+        // dispatched and exit; then wait for every shipped write to be
+        // applied and exposed (the worker that completes the prefix cuts it
+        // at once, spaced or not, and announces it). The wait gives up if a stage
         // thread died: the prefix that thread held will never complete, so
         // the pipeline seals at whatever cut it reached.
         self.sink.lock().take();
@@ -1233,8 +1316,7 @@ mod tests {
     /// A minimal ordering that can be made to panic on either side of the
     /// hand-off and whose workers 0 and 1 can each be wedged behind a gate.
     /// `schedule` stamps and dispatches one transaction at a time,
-    /// round-robin, publishing the dispatched boundary first, so a feeder
-    /// blocked on a full queue holds records it has not stamped yet; `apply`
+    /// round-robin, publishing the dispatched boundary first; `apply`
     /// installs a transaction's records into the real prefix exposure,
     /// through its gate.
     struct PoisonedPolicy {
@@ -1329,22 +1411,24 @@ mod tests {
         }
     }
 
-    /// Two workers with a queue of `capacity` transactions each.
+    /// Two workers over `queue`, with a window of `window` records.
     fn poisoned_runtime_with(
         policy: Arc<PoisonedPolicy>,
-        capacity: usize,
+        queue: QueuePlan,
+        window: u64,
     ) -> PipelineRuntime<PoisonedPolicy> {
-        PipelineRuntime::start(
-            policy,
-            PipelineOptions {
-                workers: 2,
-                queue: QueuePlan::PerWorker { capacity },
-            },
-        )
+        let options = PipelineOptions { workers: 2, queue };
+        PipelineRuntime::start_with(policy, options, window, spawn_thread)
     }
 
     fn poisoned_runtime(poison: Poison) -> PipelineRuntime<PoisonedPolicy> {
-        poisoned_runtime_with(PoisonedPolicy::new(poison), 16)
+        PipelineRuntime::start(
+            PoisonedPolicy::new(poison),
+            PipelineOptions {
+                workers: 2,
+                queue: QueuePlan::PerWorker,
+            },
+        )
     }
 
     /// Transactions of two writes each — the first to the hot row 0, the
@@ -1406,6 +1490,10 @@ mod tests {
         let metrics = runtime.policy().metrics();
         assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(0));
         assert_eq!(metrics.counter("dropped_segments_total"), Some(0));
+        // One in-flight sample and one window wait per segment.
+        for series in ["in_flight_records", "feeder_window_wait_ns"] {
+            assert_eq!(metrics.histogram(series).map(|h| h.count()), Some(8));
+        }
         // The workers took every cut, and each one that advanced was
         // counted, timed and traced as an expose stage item.
         let cuts = metrics
@@ -1442,7 +1530,11 @@ mod tests {
         for cursor in cursors {
             let policy = PoisonedPolicy::with_cursor(Poison::Apply(21), cursor);
             policy.gates.iter().for_each(|gate| gate.set_closed(true));
-            let runtime = Arc::new(poisoned_runtime_with(policy, 32));
+            let runtime = Arc::new(poisoned_runtime_with(
+                policy,
+                QueuePlan::PerWorker,
+                IN_FLIGHT_WINDOW,
+            ));
             let mut segments = two_write_txn_segments(8, 5);
             let late = segments.split_off(3);
             // Worker 0 takes the even transactions, worker 1 the odd ones.
@@ -1534,10 +1626,7 @@ mod tests {
         let cursors: [Cursor; 2] = [PrefixExposure::timestamped, PrefixExposure::whole_database];
         for cursor in cursors {
             for workers in 1..=3 {
-                for queue in [
-                    QueuePlan::Shared { capacity: 4 },
-                    QueuePlan::PerWorker { capacity: 4 },
-                ] {
+                for queue in [QueuePlan::Shared, QueuePlan::PerWorker] {
                     let runtime = PipelineRuntime::start(
                         PoisonedPolicy::with_cursor(Poison::None, cursor),
                         PipelineOptions { workers, queue },
@@ -1548,18 +1637,20 @@ mod tests {
         }
     }
 
-    /// Backpressure is bounded and the wire sees it: a wedged worker fills
-    /// its queue, the full queue blocks the feeder inside `apply_segment`,
-    /// and from there on segments pile up in the subscription queue — the one
-    /// buffer the shipper's idle rule looks at — and nowhere else.
+    /// Backpressure is bounded and the wire sees it: a wedged worker holds
+    /// the applied prefix back, the in-flight window fills and blocks the
+    /// feeder inside `apply_segment`, and from there on segments pile up in
+    /// the subscription queue — the one buffer the shipper's idle rule looks
+    /// at — and nowhere else.
     #[test]
     fn a_wedged_worker_backs_up_into_the_subscription_queue_and_no_further() {
-        const LANE: usize = 2;
+        const WINDOW: u64 = 6;
         const SUBSCRIPTION: usize = 4;
         let policy = PoisonedPolicy::new(Poison::None);
         policy.gates[0].set_closed(true);
-        let runtime = Arc::new(poisoned_runtime_with(policy, LANE));
-        // One transaction to a segment, so segment `i` is worker `i % 2`'s.
+        let runtime = Arc::new(poisoned_runtime_with(policy, QueuePlan::PerWorker, WINDOW));
+        // One transaction of two records to a segment, so segment `i` is
+        // worker `i % 2`'s.
         let segments = two_write_txn_segments(12, 1);
         let (shipper, receiver) = c5_log::LogShipper::bounded(SUBSCRIPTION);
         let feeder = {
@@ -1569,16 +1660,18 @@ mod tests {
             })
         };
 
-        // Worker 0 holds segment 0 at the gate with 2 and 4 queued behind it,
-        // so the feeder blocks dispatching segment 6 (positions 13-14); 7..=10
+        // Worker 0 holds segment 0 at the gate, so the applied prefix stays
+        // empty: with segments 1 and 2 dispatched, six records in flight
+        // fill the window and the feeder blocks holding segment 3; 4..=7
         // fit in the subscription queue and every `ship` returns.
-        for segment in &segments[..11] {
+        for segment in &segments[..8] {
             shipper.ship(segment.clone());
         }
-        wait_for("the feeder blocked on segment 6, the queue full", || {
-            runtime.metrics().shipped_seq == SeqNo(14) && receiver.try_len() == SUBSCRIPTION
+        wait_for("the feeder blocked at the window, the queue full", || {
+            runtime.metrics().shipped_seq == SeqNo(6) && receiver.try_len() == SUBSCRIPTION
         });
         assert!(!shipper.is_idle(), "the wire must see the backlog");
+        assert_eq!(runtime.policy().exposure.in_flight_records(), WINDOW);
         let metrics = runtime.metrics();
         assert_eq!(
             (metrics.applied_seq, metrics.exposed_seq),
@@ -1589,7 +1682,9 @@ mod tests {
         // Released, everything drains: the queue empties (the wire is idle
         // again), the log ends, and the feeder's `finish` returns.
         runtime.policy().gates[0].set_closed(false);
-        shipper.ship(segments[11].clone());
+        for segment in &segments[8..] {
+            shipper.ship(segment.clone());
+        }
         wait_for("an idle wire", || shipper.is_idle());
         shipper.close();
         within_deadline("the feeder, once the worker is released", move || {
@@ -1602,12 +1697,195 @@ mod tests {
         let metrics = runtime.policy().metrics();
         assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(0));
         assert_eq!(metrics.counter("dropped_segments_total"), Some(0));
+        let in_flight = metrics.histogram("in_flight_records").unwrap();
+        assert!(in_flight.max() <= WINDOW + 2, "{}", in_flight.max());
+    }
+
+    /// Whatever the exposure's form and the queue topology, a feeder never
+    /// dispatches while the window is full, and always dispatches a whole
+    /// segment: with wedged workers, in-flight stays within the window plus
+    /// one segment after every feed, also with a window smaller than one
+    /// segment. Released, the workers drain it all to the last boundary.
+    #[test]
+    fn in_flight_stays_within_the_window_plus_one_segment() {
+        const SEGMENT: u64 = 8;
+        let cursors: [Cursor; 2] = [PrefixExposure::timestamped, PrefixExposure::whole_database];
+        for cursor in cursors {
+            for queue in [QueuePlan::Shared, QueuePlan::PerWorker] {
+                // (window, where the feeder stops): below one segment it
+                // still moves the first whole; above, it crosses the window
+                // with the second.
+                for (window, blocked_at) in [(4, 8), (12, 16)] {
+                    let policy = PoisonedPolicy::with_cursor(Poison::None, cursor);
+                    policy.gates.iter().for_each(|gate| gate.set_closed(true));
+                    let runtime = Arc::new(poisoned_runtime_with(policy, queue, window));
+                    let segments = two_write_txn_segments(6, SEGMENT / 2);
+                    let feeder = {
+                        let (runtime, segments) = (Arc::clone(&runtime), segments.clone());
+                        std::thread::spawn(move || {
+                            segments.into_iter().for_each(|s| runtime.apply_segment(s))
+                        })
+                    };
+                    // Nothing is applied, so everything shipped is in flight.
+                    wait_for("the feeder at the window", || {
+                        runtime.metrics().shipped_seq == SeqNo(blocked_at)
+                    });
+                    assert_eq!(runtime.policy().exposure.in_flight_records(), blocked_at);
+
+                    runtime.policy().interrupt();
+                    within_deadline("the released feeder", move || {
+                        feeder.join().expect("feeder")
+                    });
+                    runtime.finish();
+                    assert_eq!(runtime.exposed_seq(), SeqNo(48));
+                    crate::mpc::MpcChecker::new(&[], &segments)
+                        .verify_view(runtime.read_view().as_ref())
+                        .expect("MPC holds");
+                    let metrics = runtime.policy().metrics();
+                    let in_flight = metrics.histogram("in_flight_records").unwrap();
+                    assert_eq!(in_flight.count(), 6, "one sample per feed");
+                    assert!(
+                        in_flight.max() <= window + SEGMENT,
+                        "window {window}: {} records in flight",
+                        in_flight.max()
+                    );
+                    let waits = metrics.histogram("feeder_window_wait_ns").unwrap();
+                    assert!(waits.max() > 0, "the feeder waited at the window");
+                }
+            }
+        }
+    }
+
+    /// A feeder at the window wakes as soon as applies take in-flight below
+    /// it, in either form. In the gated one no cut moves here: the first
+    /// cut, closed at the dispatched boundary, waits for worker 1's
+    /// transaction, so the worker whose applies opened the window wakes the
+    /// feeder itself.
+    #[test]
+    fn a_feeder_at_the_window_wakes_when_applies_open_it_without_a_cut() {
+        let cursors: [Cursor; 2] = [PrefixExposure::timestamped, PrefixExposure::whole_database];
+        for cursor in cursors {
+            let policy = PoisonedPolicy::with_cursor(Poison::None, cursor);
+            policy.gates.iter().for_each(|gate| gate.set_closed(true));
+            let runtime = Arc::new(poisoned_runtime_with(policy, QueuePlan::PerWorker, 8));
+            let feeder = {
+                let runtime = Arc::clone(&runtime);
+                std::thread::spawn(move || {
+                    (two_write_txn_segments(2, 4).into_iter())
+                        .for_each(|s| runtime.apply_segment(s))
+                })
+            };
+            wait_for("the feeder at the window", || {
+                runtime.metrics().shipped_seq == SeqNo(8)
+            });
+            // Worker 0 applies transactions 1 and 3: positions 1-2 leave
+            // the window, and the hole at 3-4 keeps the prefix from whole.
+            runtime.policy().gates[0].set_closed(false);
+            wait_for("the feeder past the window", || {
+                runtime.metrics().shipped_seq == SeqNo(16)
+            });
+            runtime.policy().gates[1].set_closed(false);
+            within_deadline("the feeder", move || feeder.join().expect("feeder"));
+            runtime.finish();
+            assert_eq!(runtime.exposed_seq(), SeqNo(16));
+        }
+    }
+
+    /// A feeder asleep at a full window wakes when the pipeline stops: on
+    /// shutdown (requested as `finish` and drop request it), and when a
+    /// worker dies. The window will not empty, so its segment and every
+    /// later one are counted as dropped.
+    #[test]
+    fn a_feeder_at_the_window_returns_on_shutdown_and_on_a_dead_worker() {
+        for dies in [false, true] {
+            // Position 1 is worker 0's first transaction.
+            let poison = if dies { Poison::Apply(1) } else { Poison::None };
+            let policy = PoisonedPolicy::new(poison);
+            policy.gates[0].set_closed(true);
+            let runtime = Arc::new(poisoned_runtime_with(policy, QueuePlan::PerWorker, 4));
+            let feeder = {
+                let runtime = Arc::clone(&runtime);
+                std::thread::spawn(move || {
+                    (two_write_txn_segments(6, 4).into_iter())
+                        .for_each(|s| runtime.apply_segment(s))
+                })
+            };
+            wait_for("the feeder at the window", || {
+                runtime.metrics().shipped_seq == SeqNo(8)
+            });
+            if dies {
+                runtime.policy().gates[0].set_closed(false);
+            } else {
+                runtime.signals().request_shutdown();
+            }
+            within_deadline("the feeder at the window", move || {
+                feeder.join().expect("feeder")
+            });
+            let metrics = runtime.policy().metrics();
+            assert_eq!(metrics.counter("dropped_segments_total"), Some(5));
+            assert_eq!(
+                metrics.counter("pipeline_thread_deaths_total"),
+                Some(u64::from(dies))
+            );
+            let finishing = Arc::clone(&runtime);
+            within_deadline("finish() after the feeder gave up", move || {
+                finishing.finish()
+            });
+            assert!(
+                runtime.exposed_seq() <= SeqNo(8),
+                "only what was dispatched"
+            );
+        }
+    }
+
+    /// A worker the operating system will not start fails the pipeline as
+    /// a dead one does; `start` returns, and nothing waits for the prefix.
+    #[test]
+    fn a_worker_that_cannot_be_spawned_fails_the_pipeline_instead_of_start() {
+        let runtime = Arc::new(PipelineRuntime::start_with(
+            PoisonedPolicy::new(Poison::None),
+            PipelineOptions {
+                workers: 2,
+                queue: QueuePlan::PerWorker,
+            },
+            IN_FLIGHT_WINDOW,
+            |name, run| {
+                if name == "poisoned-worker-1" {
+                    Err(io::Error::other("no threads left"))
+                } else {
+                    spawn_thread(name, run)
+                }
+            },
+        ));
+        assert!(runtime.signals().failed());
+        assert_eq!(runtime.thread_count(), 1);
+        let metrics = runtime.policy().metrics();
+        assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(1));
+        let trace = runtime.policy().exposure.obs().trace.merged();
+        assert!(trace.iter().any(|r| matches!(
+            r.event,
+            TraceEvent::Span {
+                name: "pipeline_thread_spawn_failed",
+                ..
+            }
+        )));
+        assert!(!runtime.wait_until_exposed(SeqNo(2), Duration::from_secs(3600)));
+
+        // Worker 1's lane is closed: the first segment's send to it fails
+        // the sink, and the second segment is dropped.
+        for segment in two_write_txn_segments(2, 4) {
+            runtime.apply_segment(segment);
+        }
+        let metrics = runtime.policy().metrics();
+        assert_eq!(metrics.counter("dropped_segments_total"), Some(1));
+        let finishing = Arc::clone(&runtime);
+        within_deadline("finish() without worker 1", move || finishing.finish());
     }
 
     /// Two threads in `apply_segment` at once take turns in call order: the
-    /// second schedules nothing until the first — blocked mid-segment, with
-    /// records it has not stamped yet — is done. The `prev_seq` stamps are a
-    /// single feeder's.
+    /// second schedules nothing until the first — blocked at the in-flight
+    /// window, with a segment it has not stamped yet — is done. The
+    /// `prev_seq` stamps are a single feeder's.
     #[test]
     fn concurrent_feeders_are_serialised_in_call_order() {
         let segments = two_write_txn_segments(6, 4);
@@ -1619,7 +1897,7 @@ mod tests {
 
         let policy = PoisonedPolicy::new(Poison::None);
         policy.gates[0].set_closed(true);
-        let runtime = Arc::new(poisoned_runtime_with(policy, 2));
+        let runtime = Arc::new(poisoned_runtime_with(policy, QueuePlan::PerWorker, 8));
         let mut log = segments.clone().into_iter();
         let mut feed = |count: usize, called: Arc<AtomicBool>| {
             let runtime = Arc::clone(&runtime);
@@ -1629,19 +1907,19 @@ mod tests {
                 batch.into_iter().for_each(|s| runtime.apply_segment(s));
             })
         };
-        // Worker 0 takes the even transactions: it holds the first with the
-        // third and fifth queued, so the first feeder blocks sending the
-        // seventh — the third of segment 1, whose fourth is still unstamped.
+        // Worker 0 holds the first transaction, so the first segment's eight
+        // records fill the window and the first feeder blocks before
+        // stamping its second segment.
         let first = feed(2, Arc::default());
-        wait_for("the first feeder blocked mid-segment", || {
-            runtime.policy().stamps().len() == 14
+        wait_for("the first feeder at the window", || {
+            runtime.policy().stamps().len() == 8
         });
         let called = Arc::new(AtomicBool::new(false));
         let second = feed(1, Arc::clone(&called));
         wait_for("the second feeder's call", || called.load(Ordering::SeqCst));
         assert_eq!(
             runtime.policy().stamps().len(),
-            14,
+            8,
             "the second feeder waits"
         );
         runtime.policy().gates[0].set_closed(false);

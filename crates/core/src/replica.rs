@@ -87,8 +87,10 @@ pub struct ReplicaMetrics {
     /// Last log position handed to the schedule stage. `apply_segment`
     /// raises it when it notes a segment, before any of the segment's items
     /// are sent, so positions at or below it may still be in the feeder's
-    /// hands (a send blocks while a lane is full), queued or applying. Every
-    /// one of them will be applied unless the pipeline fails.
+    /// hands, queued or applying. Every one of them will be applied unless
+    /// the pipeline fails. `shipped_seq − applied_seq` is what the runtime's
+    /// in-flight window bounds
+    /// ([`IN_FLIGHT_WINDOW`](crate::pipeline::IN_FLIGHT_WINDOW)).
     pub shipped_seq: SeqNo,
     /// Number of writes that had to wait for their per-row predecessor
     /// before executing (each such write is counted once, however long it
@@ -143,8 +145,8 @@ pub trait ClonedConcurrencyControl: Send + Sync {
 
     /// Feeds one log segment: the calling thread schedules it. Returns once
     /// its work is dispatched to the workers (`metrics().shipped_seq` covers
-    /// it); blocks while the worker queues are full. Concurrent callers are
-    /// serialised; segments must be fed in log order.
+    /// it); blocks first while the in-flight window is full. Concurrent
+    /// callers are serialised; segments must be fed in log order.
     fn apply_segment(&self, segment: Segment);
 
     /// Signals end-of-log, waits for every shipped write to be applied and
@@ -385,9 +387,6 @@ impl PipelinePolicy for C5Policy {
                     let lane = shard * self.workers + next_lane[shard] % self.workers;
                     next_lane[shard] = next_lane[shard].wrapping_add(1);
                     sink.send_to(lane, records);
-                    if sink.workers_gone() {
-                        return;
-                    }
                 }
             }
             C5Mode::OneWorkerPerTxn => {
@@ -409,9 +408,6 @@ impl PipelinePolicy for C5Policy {
                         if batch.len() >= self.dispatch_batch {
                             self.exposure.note_dispatched(boundary);
                             sink.send(std::mem::take(&mut batch));
-                            if sink.workers_gone() {
-                                return;
-                            }
                         }
                     }
                 }
@@ -512,13 +508,13 @@ impl C5Replica {
             // (Section 7.2), within a shard's lane group.
             C5Mode::Faithful => (
                 PrefixExposure::timestamped(store, &config, cut),
-                QueuePlan::PerWorker { capacity: 256 },
+                QueuePlan::PerWorker,
             ),
             // Workers pick up whole transactions from a shared queue in
             // commit order (Section 5.1).
             C5Mode::OneWorkerPerTxn => (
                 PrefixExposure::whole_database(store, &config, cut),
-                QueuePlan::Shared { capacity: 1024 },
+                QueuePlan::Shared,
             ),
         };
         assert!(

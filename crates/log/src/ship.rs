@@ -121,8 +121,9 @@ use crate::segment::Segment;
 
 /// Segments a live subscription buffers before `ship` blocks on it: the
 /// capacity the fleet controller and the scenario harness subscribe with.
-/// It is the one `Segment` buffer between the shipper and a replica's worker
-/// queues, so it bounds how far a slow replica may fall behind before it
+/// It is the one `Segment` buffer between the shipper and a replica, whose
+/// feeder stops taking segments while the replica's in-flight window is
+/// full, so it bounds how far a slow replica may fall behind before it
 /// holds the wire back.
 pub const SUBSCRIPTION_SEGMENTS: usize = 1024;
 

@@ -36,7 +36,8 @@ pub fn now_nanos() -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineStage {
     /// Dependency stamping and dispatch to workers, on the thread that feeds
-    /// the replica; includes any wait for room in a full worker queue.
+    /// the replica. Service time only: the feeder's wait at the in-flight
+    /// window comes before it and is timed apart.
     Schedule,
     /// Applying one unit of work (a segment or a transaction) to the store.
     Apply,
