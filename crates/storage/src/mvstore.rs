@@ -20,16 +20,26 @@
 //! a row's chain is created, so a table scan visits only that table's rows;
 //! scans sort what they collect, which is what makes their output key-sorted.
 //!
+//! Every version below a chain's head lives in its shard's slab, one
+//! `Vec` of 32-byte slots with a free list threaded through it, so a row's
+//! versions cost no heap block of their own: an install takes a slot (a
+//! freed one first), a trim returns slots, and dropping the store frees one
+//! block per shard. `VersionChain` explains the links.
+//!
 //! Version garbage is collected where it is written. The store holds one GC
 //! horizon, raised by whoever exposes a prefix of the installs
 //! ([`raise_gc_horizon`](MvStore::raise_gc_horizon)); every install trims
 //! its own chain to that horizon while it holds the row's shard lock, so a
 //! chain never outgrows the writes above the horizon at its last install
-//! plus one version at or below it. The horizon starts at zero, which never
-//! trims: a store nobody raises it on (a primary's) keeps every version.
-//! [`gc`](MvStore::gc) is the full vacuum, for rows not written again.
+//! plus one version at or below it. The trim runs before the new version
+//! goes in, so a replica's steady-state rewrite hands the slot it frees
+//! straight to the head it displaces and allocates nothing. The horizon
+//! starts at zero, which never trims: a store nobody raises it on (a
+//! primary's) keeps every version. [`gc`](MvStore::gc) is the full vacuum,
+//! for rows not written again.
 
 use std::collections::hash_map::Entry;
+use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -40,8 +50,15 @@ use c5_common::{IdMap, Key, RowHasher, RowMap, RowRef, TableId, Timestamp, Value
 /// touching unrelated rows.
 const SHARDS: usize = 256;
 
+/// A slab index that names no slot: past a chain's oldest version, or the
+/// end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A [`Slot::newer`] link not recorded yet.
+const UNKNOWN: u32 = u32::MAX - 1;
+
 /// A single row version.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Version {
     /// Commit timestamp of the transaction that produced this version.
     write_ts: Timestamp,
@@ -49,82 +66,252 @@ struct Version {
     value: Option<Value>,
 }
 
-/// A row's versions: the newest inline in the map slot, older ones beside it.
+/// A version below its chain's head, in its shard's [`Slab`].
+#[derive(Debug)]
+struct Slot {
+    version: Version,
+    /// The next older version of the chain, `NIL` below its oldest. A free
+    /// slot's `older` is the next free slot instead.
+    older: u32,
+    /// The next newer version of the chain, or `UNKNOWN`. An in-order
+    /// install writes only the slot it fills, so it cannot record this link
+    /// on the slot below; the first trim that needs a link records every one
+    /// it walks past (see [`VersionChain`]). A chain's newest slot's link is
+    /// always `UNKNOWN`: the version above it is the head.
+    newer: u32,
+}
+
+/// One shard's versions below their chains' heads, with a free list threaded
+/// through the free slots' `older` links.
+///
+/// A slab never shrinks while its store lives: it is as long as the most
+/// non-head versions its shard ever held at once, and the store's drop frees
+/// it as one block. Indices are `u32`, so a shard holds at most 2³²−2
+/// non-head versions (the two largest values are `NIL` and `UNKNOWN`);
+/// [`alloc`](Self::alloc) asserts it.
+#[derive(Debug)]
+struct Slab {
+    slots: Vec<Slot>,
+    /// The first free slot, `NIL` when none is.
+    free: u32,
+}
+
+impl Default for Slab {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl Index<u32> for Slab {
+    type Output = Slot;
+
+    fn index(&self, slot: u32) -> &Slot {
+        &self.slots[slot as usize]
+    }
+}
+
+impl IndexMut<u32> for Slab {
+    fn index_mut(&mut self, slot: u32) -> &mut Slot {
+        &mut self.slots[slot as usize]
+    }
+}
+
+impl Slab {
+    /// Stores `version` in a free slot, or in a new one when none is free.
+    fn alloc(&mut self, version: Version, older: u32, newer: u32) -> u32 {
+        let filled = Slot {
+            version,
+            older,
+            newer,
+        };
+        if self.free != NIL {
+            let slot = self.free;
+            self.free = self[slot].older;
+            self[slot] = filled;
+            return slot;
+        }
+        assert!(
+            self.slots.len() < UNKNOWN as usize,
+            "a store shard holds at most 2^32 - 2 versions below its heads"
+        );
+        self.slots.push(filled);
+        self.slots.len() as u32 - 1
+    }
+
+    /// Puts `slot` on the free list and hands back its value.
+    fn release(&mut self, slot: u32) -> Option<Value> {
+        self[slot].older = self.free;
+        self.free = slot;
+        self[slot].version.value.take()
+    }
+}
+
+/// The values a trim took out of the slab, dropped once the shard lock is
+/// released. Most trims free one version, which needs no allocation.
+#[derive(Default)]
+struct Garbage {
+    first: Option<Value>,
+    rest: Vec<Value>,
+}
+
+impl Garbage {
+    fn push(&mut self, value: Option<Value>) {
+        match (value, &self.first) {
+            (None, _) => {}
+            (Some(value), None) => self.first = Some(value),
+            (Some(value), Some(_)) => self.rest.push(value),
+        }
+    }
+}
+
+/// A row's versions: the newest inline in the map slot, older ones in the
+/// shard's [`Slab`], linked from `newest` down to `oldest`.
 ///
 /// A chain exists only once its first version is installed, so it always has
 /// a head. Most rows only ever have one version, so keeping the head inline
 /// means creating a row allocates nothing, and the common read and
 /// `install_if_prev`'s `prev == head` check touch only the slot the hash
-/// lookup already fetched. Three words of `older` cost nothing until a
-/// second version arrives.
+/// lookup already fetched. A read below the head walks the `older` links
+/// down from `newest`, as does an out-of-order install looking for its
+/// place. A trim frees from `oldest` up, along the `newer` links. Those are
+/// recorded lazily: known links always form a run from `oldest` up, and the
+/// first trim to need an unknown one walks down from `newest` once and
+/// records every link it passes, so each link is recorded about once.
 #[derive(Debug)]
 struct VersionChain {
     /// The version with the largest write timestamp.
     head: Version,
-    /// Every other version, ordered by ascending write timestamp, none
-    /// newer than `head`.
-    older: Vec<Version>,
+    /// The slot of the newest version below `head`, `NIL` when none is.
+    newest: u32,
+    /// The slot of the oldest version, `NIL` when only the head is left.
+    oldest: u32,
 }
 
 impl VersionChain {
+    fn new(head: Version) -> Self {
+        Self {
+            head,
+            newest: NIL,
+            oldest: NIL,
+        }
+    }
+
     /// Returns the newest version with `write_ts <= ts`.
-    fn version_at(&self, ts: Timestamp) -> Option<&Version> {
+    fn version_at<'a>(&'a self, slab: &'a Slab, ts: Timestamp) -> Option<&'a Version> {
         if self.head.write_ts <= ts {
             return Some(&self.head);
         }
-        // Search from the end because reads overwhelmingly target recent
-        // versions.
-        self.older.iter().rev().find(|v| v.write_ts <= ts)
+        // Search from the newest end because reads overwhelmingly target
+        // recent versions.
+        self.below(slab)
+            .map(|slot| &slab[slot].version)
+            .find(|v| v.write_ts <= ts)
+    }
+
+    /// The slots of the versions below the head, newest first.
+    fn below<'a>(&self, slab: &'a Slab) -> impl Iterator<Item = u32> + 'a {
+        let linked = |slot: u32| (slot != NIL).then_some(slot);
+        std::iter::successors(linked(self.newest), move |&slot| linked(slab[slot].older))
     }
 
     /// Number of versions held.
-    fn len(&self) -> usize {
-        self.older.len() + 1
+    fn len(&self, slab: &Slab) -> usize {
+        1 + self.below(slab).count()
     }
 
     /// Inserts a version, keeping the ascending order; a version whose
     /// timestamp equals an existing one's goes after it. The common case
     /// replaces the head (per-row writes arrive in timestamp order on both
-    /// the primary and, thanks to the C5 scheduler, the backup); out-of-order
-    /// installs are still handled correctly because the MVTSO primary may
-    /// commit transactions whose timestamps interleave across threads.
-    fn insert(&mut self, version: Version) {
-        if self.head.write_ts > version.write_ts {
-            let pos = self
-                .older
-                .partition_point(|v| v.write_ts <= version.write_ts);
-            self.older.insert(pos, version);
+    /// the primary and, thanks to the C5 scheduler, the backup) and writes
+    /// one slot; out-of-order installs are still handled correctly because
+    /// the MVTSO primary may commit transactions whose timestamps interleave
+    /// across threads.
+    fn insert(&mut self, slab: &mut Slab, version: Version) {
+        if self.head.write_ts <= version.write_ts {
+            let displaced = std::mem::replace(&mut self.head, version);
+            let slot = slab.alloc(displaced, self.newest, UNKNOWN);
+            if self.oldest == NIL {
+                self.oldest = slot;
+            }
+            self.newest = slot;
+            return;
+        }
+        // Walk down to the first version at or below the new one; it goes
+        // between `lower` and `upper` (`NIL`: the head).
+        let (mut upper, mut lower) = (NIL, self.newest);
+        while lower != NIL && slab[lower].version.write_ts > version.write_ts {
+            upper = lower;
+            lower = slab[lower].older;
+        }
+        // The new slot's link up is known where its lower neighbour's was
+        // (or where it becomes the oldest), which keeps the known links a
+        // run from the oldest; the newest slot's link is never known.
+        let linked = upper != NIL && (lower == NIL || slab[lower].newer != UNKNOWN);
+        let slot = slab.alloc(version, lower, if linked { upper } else { UNKNOWN });
+        if lower == NIL {
+            self.oldest = slot;
+        } else if linked {
+            slab[lower].newer = slot;
+        }
+        if upper == NIL {
+            self.newest = slot;
         } else {
-            self.older.push(std::mem::replace(&mut self.head, version));
+            slab[upper].older = slot;
         }
     }
 
-    /// How many of the oldest versions no read at or after `horizon` can
-    /// observe: everything before the newest version with
-    /// `write_ts <= horizon`. They all sit in `older`, so the head always
-    /// stays.
-    fn reclaimable(&self, horizon: Timestamp) -> usize {
+    /// The slot above `slot`, a slot below `newest`, recording the `newer`
+    /// links from `newest` down to it if they are not known yet.
+    fn newer(&self, slab: &mut Slab, slot: u32) -> u32 {
+        if slab[slot].newer == UNKNOWN {
+            // Every slot between `newest` and `slot` is unknown too: known
+            // links run from the oldest up.
+            let mut upper = self.newest;
+            while upper != slot {
+                let lower = slab[upper].older;
+                slab[lower].newer = upper;
+                upper = lower;
+            }
+        }
+        slab[slot].newer
+    }
+
+    /// Frees every version no read at or after `horizon` can observe: all
+    /// below the newest version with `write_ts <= horizon`, so the head
+    /// always stays. Their values go to `garbage`; returns how many went.
+    fn trim(&mut self, slab: &mut Slab, horizon: Timestamp, garbage: &mut Garbage) -> usize {
+        let mut freed = 0;
         if self.head.write_ts <= horizon {
-            return self.older.len();
+            while self.newest != NIL {
+                let slot = self.newest;
+                self.newest = slab[slot].older;
+                garbage.push(slab.release(slot));
+                freed += 1;
+            }
+            self.oldest = NIL;
+            return freed;
         }
-        self.older
-            .partition_point(|v| v.write_ts <= horizon)
-            .saturating_sub(1)
-    }
-
-    /// Drops the versions [`reclaimable`](Self::reclaimable) at `horizon`.
-    fn gc(&mut self, horizon: Timestamp) -> usize {
-        let reclaimable = self.reclaimable(horizon);
-        // The sweep visits every chain and most have nothing to drop: keep
-        // their cost to the check above.
-        if reclaimable == 0 {
-            return 0;
+        // The head is above the horizon, so the newest slot is the last
+        // that can go, and only when the slot above it is at or below.
+        while self.oldest != self.newest {
+            let next = self.newer(slab, self.oldest);
+            if slab[next].version.write_ts > horizon {
+                break;
+            }
+            garbage.push(slab.release(self.oldest));
+            slab[next].older = NIL;
+            self.oldest = next;
+            freed += 1;
         }
-        self.older.drain(..reclaimable).count()
+        freed
     }
 }
 
-/// One shard's state: the row chains plus a per-table key index.
+/// One shard's state: the row chains, their older versions' slab, and a
+/// per-table key index.
 ///
 /// The index makes table scans proportional to the *table's* rows in the
 /// shard instead of every row of every table. It is append-only and in
@@ -136,6 +323,7 @@ impl VersionChain {
 #[derive(Debug, Default)]
 struct ShardState {
     rows: RowMap<VersionChain>,
+    slab: Slab,
     tables: IdMap<TableId, Vec<Key>>,
 }
 
@@ -238,7 +426,12 @@ impl MvStore {
     /// deleted there.
     pub fn read_at(&self, row: RowRef, ts: Timestamp) -> Option<Value> {
         let shard = self.shard_for(row).read();
-        shard.rows.get(&row)?.version_at(ts)?.value.clone()
+        shard
+            .rows
+            .get(&row)?
+            .version_at(&shard.slab, ts)?
+            .value
+            .clone()
     }
 
     /// Reads the newest committed version of `row`.
@@ -288,9 +481,12 @@ impl MvStore {
     /// never written). A row's first version creates (and indexes) its
     /// chain; a refused version creates nothing. A write of `kind` carries a
     /// value exactly when it is not a delete, so the version keeps only the
-    /// value. An installed version trims its chain to the GC horizon (see the
-    /// [module docs](self)); what it trims is freed after the shard lock is
-    /// released, so freeing never holds up another install.
+    /// value. On a store with a GC horizon, an install trims its chain to it
+    /// before the version goes in, so the slot a trim frees takes the
+    /// displaced head, and again after when the version itself is at or
+    /// below the horizon (see the [module docs](self)); the trimmed values
+    /// are dropped after the shard lock is released, so freeing never holds
+    /// up another install.
     fn install_if(
         &self,
         row: RowRef,
@@ -308,18 +504,24 @@ impl MvStore {
         // trims less.
         let horizon = self.gc_horizon();
         let mut shard = self.shard_for(row).write();
-        let ShardState { rows, tables } = &mut *shard;
-        let mut garbage = Vec::new();
+        let ShardState { rows, slab, tables } = &mut *shard;
+        let mut garbage = Garbage::default();
         match rows.entry(row) {
             Entry::Occupied(chain) => {
                 if !admit(chain.get().head.write_ts) {
                     return false;
                 }
                 let chain = chain.into_mut();
-                chain.insert(version);
-                if horizon > Timestamp::ZERO {
-                    let reclaimable = chain.reclaimable(horizon);
-                    garbage.extend(chain.older.drain(..reclaimable));
+                let trims = horizon > Timestamp::ZERO;
+                if trims {
+                    chain.trim(slab, horizon, &mut garbage);
+                }
+                chain.insert(slab, version);
+                // A version above the horizon leaves the newest version at
+                // or below it where it was, so only one at or below trims
+                // more.
+                if trims && ts <= horizon {
+                    chain.trim(slab, horizon, &mut garbage);
                 }
             }
             Entry::Vacant(slot) => {
@@ -327,10 +529,7 @@ impl MvStore {
                     return false;
                 }
                 tables.entry(row.table).or_default().push(row.key);
-                slot.insert(VersionChain {
-                    head: version,
-                    older: Vec::new(),
-                });
+                slot.insert(VersionChain::new(version));
             }
         }
         drop(shard);
@@ -346,10 +545,14 @@ impl MvStore {
     pub fn gc(&self, horizon: Timestamp) -> usize {
         let mut reclaimed = 0;
         for shard in &self.shards {
+            let mut garbage = Garbage::default();
             let mut shard = shard.write();
-            for chain in shard.rows.values_mut() {
-                reclaimed += chain.gc(horizon);
+            let ShardState { rows, slab, .. } = &mut *shard;
+            for chain in rows.values_mut() {
+                reclaimed += chain.trim(slab, horizon, &mut garbage);
             }
+            drop(shard);
+            drop(garbage);
         }
         reclaimed
     }
@@ -370,7 +573,10 @@ impl MvStore {
             for &key in keys {
                 let row = RowRef { table, key };
                 let chain = &shard.rows[&row];
-                if let Some(value) = chain.version_at(ts).and_then(|v| v.value.as_ref()) {
+                if let Some(value) = chain
+                    .version_at(&shard.slab, ts)
+                    .and_then(|v| v.value.as_ref())
+                {
                     out.push((row, value.clone()));
                 }
             }
@@ -387,7 +593,10 @@ impl MvStore {
         for shard in &self.shards {
             let shard = shard.read();
             for (row, chain) in shard.rows.iter() {
-                if let Some(value) = chain.version_at(ts).and_then(|v| v.value.as_ref()) {
+                if let Some(value) = chain
+                    .version_at(&shard.slab, ts)
+                    .and_then(|v| v.value.as_ref())
+                {
                     out.push((*row, value.clone()));
                 }
             }
@@ -413,7 +622,7 @@ impl MvStore {
         for shard in &self.shards {
             let shard = shard.read();
             for (row, chain) in shard.rows.iter() {
-                if let Some(v) = chain.version_at(ts) {
+                if let Some(v) = chain.version_at(&shard.slab, ts) {
                     out.push(VersionExport {
                         row: *row,
                         write_ts: v.write_ts,
@@ -432,7 +641,11 @@ impl MvStore {
         for shard in &self.shards {
             let shard = shard.read();
             rows += shard.rows.len();
-            versions += shard.rows.values().map(VersionChain::len).sum::<usize>();
+            versions += shard
+                .rows
+                .values()
+                .map(|chain| chain.len(&shard.slab))
+                .sum::<usize>();
         }
         MvStoreStats { rows, versions }
     }
@@ -749,11 +962,112 @@ mod tests {
 
     /// The chain sits in every row's map slot beside its 16-byte key, so its
     /// size is the store's per-row cost: a 24-byte head (timestamp and the
-    /// value, whose absence is a delete) and a 24-byte side vector, a 64-byte
-    /// slot in all. A wider version or value type shows here first.
+    /// value, whose absence is a delete) and two slab indices, a 48-byte slot
+    /// in all. Each older version takes one 32-byte slab slot (the version
+    /// and two links). A wider version or value type shows here first.
     #[test]
-    fn a_chain_is_at_most_48_bytes() {
-        assert!(std::mem::size_of::<VersionChain>() <= 48);
+    fn a_chain_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<VersionChain>() <= 32);
+        assert!(std::mem::size_of::<Slot>() <= 32);
+    }
+
+    /// Every shard's slab, checked: each chain's `older` links run from
+    /// `newest` to `oldest`, its known `newer` links mirror them and run
+    /// from the oldest up, and its newest slot's is unknown. Returns the
+    /// slots the chains hold, the slots on the free lists, and the slabs'
+    /// total length.
+    fn slab_use(s: &MvStore) -> (usize, usize, usize) {
+        let (mut in_use, mut free, mut len) = (0, 0, 0);
+        for shard in &s.shards {
+            let shard = shard.read();
+            let slab = &shard.slab;
+            for chain in shard.rows.values() {
+                let (mut upper, mut known) = (NIL, false);
+                for slot in chain.below(slab) {
+                    let newer = slab[slot].newer;
+                    if upper == NIL {
+                        assert_eq!(newer, UNKNOWN, "the newest slot's link is never known");
+                    } else if newer != UNKNOWN {
+                        assert_eq!(newer, upper, "a known link names the slot above");
+                        known = true;
+                    } else {
+                        assert!(!known, "known links run from the oldest up");
+                    }
+                    in_use += 1;
+                    upper = slot;
+                }
+                assert_eq!(upper, chain.oldest, "the links down end at the oldest");
+            }
+            let mut slot = slab.free;
+            while slot != NIL && free <= len + slab.slots.len() {
+                free += 1;
+                slot = slab[slot].older;
+            }
+            len += slab.slots.len();
+        }
+        (in_use, free, len)
+    }
+
+    /// The write timestamps `row`'s chain holds, newest first.
+    fn write_timestamps(s: &MvStore, row: RowRef) -> Vec<Timestamp> {
+        let shard = s.shard_for(row).read();
+        let Some(chain) = shard.rows.get(&row) else {
+            return Vec::new();
+        };
+        let below = chain.below(&shard.slab);
+        let older = below.map(|slot| shard.slab[slot].version.write_ts);
+        std::iter::once(chain.head.write_ts).chain(older).collect()
+    }
+
+    #[test]
+    fn a_rewritten_row_reuses_the_slots_its_trims_free() {
+        let s = store();
+        let row = RowRef::new(1, 1);
+        for ts in 1..=10_000u64 {
+            s.raise_gc_horizon(Timestamp(ts.saturating_sub(3)));
+            s.install(
+                row,
+                Timestamp(ts),
+                WriteKind::Update,
+                Some(Value::from_u64(ts)),
+            );
+            let slots = s.shard_for(row).read().slab.slots.len();
+            assert!(slots <= 4, "{slots} slots after the write at {ts}");
+        }
+        assert_eq!(slab_use(&s), (3, 0, 3));
+        assert_eq!(
+            s.read_at(row, Timestamp(9_997)).unwrap().as_u64(),
+            Some(9_997)
+        );
+    }
+
+    #[test]
+    fn an_out_of_order_install_is_trimmed_in_its_place() {
+        let s = store();
+        let row = RowRef::new(1, 1);
+        let install = |ts: u64| {
+            s.install(
+                row,
+                Timestamp(ts),
+                WriteKind::Update,
+                Some(Value::from_u64(ts)),
+            )
+        };
+        for ts in [10, 20, 30, 40] {
+            install(ts);
+        }
+        // This install's trim records the links from 10 up and frees nothing.
+        s.raise_gc_horizon(Timestamp(15));
+        install(50);
+        assert_eq!(s.stats().versions, 5);
+        // 12 goes between 10 and 20, and makes 10 unreadable at 15.
+        install(12);
+        assert_eq!(s.stats().versions, 5);
+        assert_eq!(s.read_at(row, Timestamp(15)).unwrap().as_u64(), Some(12));
+        assert_eq!(s.read_at(row, Timestamp(25)).unwrap().as_u64(), Some(20));
+        assert_eq!(s.gc(Timestamp(25)), 1);
+        assert_eq!(s.read_at(row, Timestamp(25)).unwrap().as_u64(), Some(20));
+        assert_eq!(slab_use(&s), (3, 2, 5));
     }
 
     /// A chain as one ascending vector, the reference the inline-head layout
@@ -801,7 +1115,9 @@ mod tests {
         /// heads, counts and reclaims exactly what the one-vector model does,
         /// installs trimming as the model's GC does. Its row count is
         /// the rows the model wrote, so a refused `install_if_prev` on a row
-        /// never written creates nothing.
+        /// never written creates nothing, and its slabs hold one slot per
+        /// version below a head, every other slot free: none leaked, none
+        /// freed twice.
         #[test]
         fn chains_behave_as_one_ascending_vector(
             ops in prop::collection::vec(
@@ -855,13 +1171,12 @@ mod tests {
                         prop_assert_eq!(got, chain.read_at(t), "row {} at {}", r, t);
                     }
                 }
-                prop_assert_eq!(
-                    s.stats(),
-                    MvStoreStats {
-                        rows: model.iter().filter(|c| !c.0.is_empty()).count(),
-                        versions: model.iter().map(|c| c.0.len()).sum(),
-                    }
-                );
+                let rows = model.iter().filter(|c| !c.0.is_empty()).count();
+                let versions = model.iter().map(|c| c.0.len()).sum();
+                prop_assert_eq!(s.stats(), MvStoreStats { rows, versions });
+                let (in_use, free, len) = slab_use(&s);
+                prop_assert_eq!(in_use, versions - rows);
+                prop_assert_eq!(free + in_use, len);
             }
         }
 
@@ -893,13 +1208,11 @@ mod tests {
                     for t in (horizon.as_u64()..=MODEL_MAX_TS).map(Timestamp) {
                         prop_assert_eq!(trimmed.read_at(row(r), t), twin.read_at(row(r), t));
                     }
-                    let shard = trimmed.shard_for(row(r)).read();
-                    if let Some(chain) = shard.rows.get(&row(r)) {
-                        let at_or_below = chain.older.iter().chain([&chain.head])
-                            .filter(|v| v.write_ts <= last_install_horizon[r as usize])
-                            .count();
-                        prop_assert!(at_or_below <= 1, "row {} keeps {} versions at or below its install horizon", r, at_or_below);
-                    }
+                    let at_or_below = write_timestamps(&trimmed, row(r))
+                        .into_iter()
+                        .filter(|&ts| ts <= last_install_horizon[r as usize])
+                        .count();
+                    prop_assert!(at_or_below <= 1, "row {} keeps {} versions at or below its install horizon", r, at_or_below);
                 }
             }
         }
