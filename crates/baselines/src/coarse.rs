@@ -86,7 +86,7 @@ impl PipelinePolicy for CoarsePolicy {
     }
 
     fn apply(&self, _worker: usize, record: LogRecord, _signals: &PipelineSignals) {
-        self.exposure.install(&record);
+        self.exposure.install_all(std::slice::from_ref(&record));
     }
 
     fn exposure(&self) -> &PrefixExposure {

@@ -8,10 +8,14 @@
 //! sets apply concurrently, each on a single worker.
 //!
 //! On the shared pipeline runtime, the schedule stage tracks, per row, the
-//! last transaction that wrote it, so every incoming transaction knows
-//! exactly which earlier transactions it must wait for. Workers pull
-//! transactions from the shared queue in commit order, wait until every
-//! dependency has finished, then apply the transaction's writes.
+//! last position of the last transaction that wrote it, so every incoming
+//! transaction knows exactly which earlier transactions it must wait for:
+//! a dependency is that transaction's last position. Workers pull
+//! transactions from the shared queue in commit order and wait until the
+//! exposure's applied tracker holds every dependency — each transaction is
+//! installed and published as one item, so its last position being applied
+//! means all of it is — then apply the transaction's writes. The wait
+//! sleeps on the replica's own signal, notified after every transaction.
 //!
 //! Section 7.3's ablation ("we re-ran the experiment but disabled its
 //! scheduler's calculation of transaction-granularity constraints") is the
@@ -20,7 +24,6 @@
 //! serves purely to show that the constraints — not implementation overhead —
 //! are what make KuaFu lag.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -44,89 +47,21 @@ pub struct KuaFuConfig {
 
 /// A transaction handed to the workers.
 struct TxnWork {
-    /// Dense transaction index in commit order (1-based).
-    index: u64,
-    /// Indices of earlier transactions whose write sets intersect this one's.
-    deps: Vec<u64>,
+    /// The last positions of earlier transactions whose write sets
+    /// intersect this one's.
+    deps: Vec<SeqNo>,
     records: Vec<LogRecord>,
-}
-
-/// Tracks which transaction indices have finished applying. Indices are
-/// dense and start at 1, so the board keeps the contiguous prefix of done
-/// indices as one number and only the done indices above it as a set: its
-/// size is bounded by how far the workers run ahead of the oldest
-/// unfinished transaction, not by how many transactions have ever applied.
-#[derive(Default)]
-struct CompletionBoard {
-    done: Mutex<DoneSet>,
-    /// Notified after every index marked done, and on abort.
-    finished: ProgressSignal,
-}
-
-#[derive(Default)]
-struct DoneSet {
-    /// Every index `<= through` is done.
-    through: u64,
-    /// Done indices above `through`.
-    above: HashSet<u64>,
-}
-
-impl DoneSet {
-    fn contains(&self, index: u64) -> bool {
-        index <= self.through || self.above.contains(&index)
-    }
-
-    fn insert(&mut self, index: u64) {
-        if index != self.through + 1 {
-            self.above.insert(index);
-            return;
-        }
-        self.through = index;
-        while self.above.remove(&(self.through + 1)) {
-            self.through += 1;
-        }
-    }
-}
-
-impl CompletionBoard {
-    fn mark_done(&self, index: u64) {
-        self.done.lock().insert(index);
-        self.finished.notify();
-    }
-
-    /// Waits until every index in `deps` is done; returns `false` if
-    /// `should_abort` fires first. Sleeps on the board's signal with no
-    /// timeout: whoever makes `should_abort` true must call
-    /// [`wake_all`](Self::wake_all) afterwards.
-    fn wait_for(&self, deps: &[u64], should_abort: &impl Fn() -> bool) -> bool {
-        let mut ready = false;
-        self.finished.wait_until(None, || {
-            let done = self.done.lock();
-            ready = deps.iter().all(|&d| done.contains(d));
-            ready || should_abort()
-        });
-        ready
-    }
-
-    fn wake_all(&self) {
-        self.finished.notify();
-    }
-}
-
-/// Schedule-stage state: which transaction last wrote each row.
-#[derive(Default)]
-struct DispatchState {
-    last_writer: RowMap<u64>,
-    next_index: u64,
 }
 
 /// KuaFu's ordering on the shared pipeline runtime.
 struct KuaFuPolicy {
     config: KuaFuConfig,
     exposure: PrefixExposure,
-    board: CompletionBoard,
+    /// Notified after every applied transaction, and on interrupt.
+    finished: ProgressSignal,
+    /// Per row, the last position of the last transaction that wrote it.
     /// Only the schedule stage locks this.
-    dispatch: Mutex<DispatchState>,
+    last_writer: Mutex<RowMap<SeqNo>>,
 }
 
 impl PipelinePolicy for KuaFuPolicy {
@@ -145,49 +80,47 @@ impl PipelinePolicy for KuaFuPolicy {
         // Group records into whole transactions (a segment holds only whole
         // ones) and compute, per transaction, the set of earlier transactions
         // it conflicts with.
-        let mut dispatch = self.dispatch.lock();
+        let mut last_writer = self.last_writer.lock();
         let mut txn = Vec::new();
         for record in segment.records {
             let is_last = record.is_txn_last();
             txn.push(record);
             if is_last {
                 let records = std::mem::take(&mut txn);
-                dispatch.next_index += 1;
-                let index = dispatch.next_index;
-                let mut deps: Vec<u64> = Vec::new();
+                let last = records[records.len() - 1].seq;
+                let mut deps = Vec::new();
                 for r in &records {
-                    if let Some(&writer) = dispatch.last_writer.get(&r.write.row) {
-                        if writer != index && !deps.contains(&writer) {
+                    if let Some(&writer) = last_writer.get(&r.write.row) {
+                        if writer != last && !deps.contains(&writer) {
                             deps.push(writer);
                         }
                     }
-                    dispatch.last_writer.insert(r.write.row, index);
+                    last_writer.insert(r.write.row, last);
                 }
-                sink.send(TxnWork {
-                    index,
-                    deps,
-                    records,
-                });
+                sink.send(TxnWork { deps, records });
             }
         }
     }
 
     fn apply(&self, _worker: usize, work: TxnWork, signals: &PipelineSignals) {
-        if !self.config.ignore_constraints
-            && !self
-                .board
-                .wait_for(&work.deps, &|| signals.shutdown_requested())
-        {
-            return;
+        if !self.config.ignore_constraints {
+            // Sleeps with no timeout: `interrupt` notifies once shutdown is
+            // requested.
+            let mut ready = false;
+            self.finished.wait_until(None, || {
+                ready = work.deps.iter().all(|&d| self.exposure.is_applied(d));
+                ready || signals.shutdown_requested()
+            });
+            if !ready {
+                return;
+            }
         }
-        for record in &work.records {
-            self.exposure.install(record);
-        }
-        self.board.mark_done(work.index);
+        self.exposure.install_all(&work.records);
+        self.finished.notify();
     }
 
     fn interrupt(&self) {
-        self.board.wake_all();
+        self.finished.notify();
     }
 
     fn exposure(&self) -> &PrefixExposure {
@@ -211,8 +144,8 @@ impl KuaFuReplica {
         let policy = Arc::new(KuaFuPolicy {
             config,
             exposure: PrefixExposure::timestamped(store, &replica_config, SeqNo::ZERO),
-            board: CompletionBoard::default(),
-            dispatch: Mutex::new(DispatchState::default()),
+            finished: ProgressSignal::new(),
+            last_writer: Mutex::new(RowMap::default()),
         });
         let options = PipelineOptions {
             workers: replica_config.workers,
@@ -302,10 +235,11 @@ mod tests {
         assert_eq!(metrics.applied_writes, 200);
     }
 
-    /// The board forgets finished transactions: once everything has
-    /// applied, only the contiguous prefix is left.
+    /// A long replay whose every transaction waits on a recent one drains
+    /// completely, within a deadline (a missing wake-up hangs it): everything
+    /// applies and is exposed.
     #[test]
-    fn the_completion_board_keeps_only_the_done_indices_above_the_prefix() {
+    fn a_drained_replay_over_64_hot_rows_applies_and_exposes_every_position() {
         let (_store, replica) = replica(4, KuaFuConfig::default());
         let entries: Vec<TxnEntry> = (1..=10_000u64)
             .map(|t| {
@@ -316,10 +250,19 @@ mod tests {
                 )
             })
             .collect();
-        drive_segments(replica.as_ref(), segments_from_entries(&entries, 64));
-        let done = replica.runtime.policy().board.done.lock();
-        assert_eq!(done.through, 10_000);
-        assert!(done.above.is_empty(), "{} indices kept", done.above.len());
+        let (driven, (done, drained)) = (Arc::clone(&replica), std::sync::mpsc::channel());
+        let driver = std::thread::spawn(move || {
+            drive_segments(driven.as_ref(), segments_from_entries(&entries, 64));
+            let _ = done.send(());
+        });
+        drained
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the replay did not drain within 30 s");
+        driver.join().expect("the driver thread panicked");
+        let metrics = replica.metrics();
+        assert_eq!(metrics.applied_txns, 10_000);
+        assert_eq!(metrics.applied_seq, SeqNo(10_000));
+        assert_eq!(metrics.exposed_seq, SeqNo(10_000));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use c5_core::exposure::PrefixExposure;
 use c5_core::pipeline::{
     PipelineOptions, PipelinePolicy, PipelineRuntime, PipelineSignals, QueuePlan, WorkSink,
 };
-use c5_log::Segment;
+use c5_log::{LogRecord, Segment};
 use c5_storage::MvStore;
 
 /// The single-threaded ordering: whole segments, one worker, log order.
@@ -36,14 +36,12 @@ impl PipelinePolicy for SinglePolicy {
     }
 
     fn apply(&self, _worker: usize, segment: Segment, signals: &PipelineSignals) {
-        for record in &segment.records {
-            self.exposure.install(record);
-            // Expose at every transaction boundary, so lag is sampled the
-            // moment a transaction applies rather than when the segment
-            // ends (the runtime exposes once more per item).
-            if record.is_txn_last() {
-                self.exposure.expose(signals);
-            }
+        // One publish and one cut per transaction, so lag is sampled the
+        // moment a transaction applies rather than when the segment ends
+        // (the runtime exposes once more per item).
+        for txn in segment.records.split_inclusive(LogRecord::is_txn_last) {
+            self.exposure.install_all(txn);
+            self.exposure.expose(signals);
         }
     }
 

@@ -36,8 +36,9 @@
 //! [`note_segment`](PrefixExposure::note_segment),
 //! [`note_dispatched`](PrefixExposure::note_dispatched),
 //! [`install_gated`](PrefixExposure::install_gated),
-//! [`count_applied`](PrefixExposure::count_applied) and
-//! [`mark_applied_batch`](PrefixExposure::mark_applied_batch).
+//! [`charge_install`](PrefixExposure::charge_install), and one publish per
+//! finished item: [`mark_applied_batch`](PrefixExposure::mark_applied_batch)
+//! or, installing the item first, [`install_all`](PrefixExposure::install_all).
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -282,10 +283,10 @@ impl PrefixExposure {
         // Read downstream-first — exposed before applied before shipped,
         // positions before counters, transactions before writes — so the
         // documented invariants hold while workers race ahead between the
-        // loads. The
-        // applied watermark's Acquire load makes visible every counter bump
-        // that preceded the marks it covers; `applied_txns`' pairs with
-        // `count_applied`'s Release.
+        // loads. An item's counters are bumped before its marks publish, so
+        // the applied watermark's Acquire load makes visible every counter
+        // bump of the marks it covers; `applied_txns`' pairs with `publish`'s
+        // Release.
         // (Fields are evaluated in the order written.)
         ReplicaMetrics {
             exposed_seq: self.exposed_seq(),
@@ -327,29 +328,25 @@ impl PrefixExposure {
         }
     }
 
-    /// Installs one record unconditionally and marks it applied: for
-    /// orderings that only dispatch a write once it may run (the baselines).
-    pub fn install(&self, record: &LogRecord) {
-        self.store.install(
-            record.write.row,
-            Timestamp(record.seq.as_u64()),
-            record.write.kind,
-            record.write.value.clone(),
-        );
-        self.count_applied(record);
-        self.tracker.mark_applied(record.seq, record.is_txn_last());
+    /// Installs `records` unconditionally, then publishes them as one item:
+    /// for orderings that only dispatch a write once it may run.
+    pub fn install_all(&self, records: &[LogRecord]) {
+        for record in records {
+            self.store.install(
+                record.write.row,
+                Timestamp(record.seq.as_u64()),
+                record.write.kind,
+                record.write.value.clone(),
+            );
+            self.charge_install();
+        }
+        self.publish(records.iter().map(|r| (r.seq, r.is_txn_last())));
     }
 
-    /// Accounts for one installed record: operation cost and counters. Its
-    /// watermark mark is the ordering's to buffer and flush.
-    pub fn count_applied(&self, record: &LogRecord) {
+    /// Charges the simulated backup cost of one installed write (see
+    /// [`OpCost`]).
+    pub fn charge_install(&self) {
         self.op_cost.charge_backup();
-        self.applied_writes.fetch_add(1, Ordering::Relaxed);
-        if record.is_txn_last() {
-            // Release: a reader that sees this transaction counted sees its
-            // final write counted (see `metrics`).
-            self.applied_txns.fetch_add(1, Ordering::Release);
-        }
     }
 
     /// Accounts for one write that waited for its per-row predecessor.
@@ -365,7 +362,27 @@ impl PrefixExposure {
 
     /// Publishes the `(position, is boundary)` marks of one finished item.
     pub fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
-        self.tracker.mark_applied_batch(marks);
+        self.publish(marks.iter().copied());
+    }
+
+    /// Whether `seq` has been applied and published, gap or no gap.
+    pub fn is_applied(&self, seq: SeqNo) -> bool {
+        self.tracker.is_applied(seq)
+    }
+
+    /// Counts one item's writes, then its transactions (Release on both: a
+    /// reader that sees a transaction counted sees its final write counted),
+    /// then marks it, so `metrics()`' invariants hold at every instant.
+    fn publish(&self, marks: impl Iterator<Item = (SeqNo, bool)> + Clone) {
+        let (writes, txns) = marks
+            .clone()
+            .fold((0, 0), |(w, t), (_, last)| (w + 1, t + u64::from(last)));
+        if writes == 0 {
+            return;
+        }
+        self.applied_writes.fetch_add(writes, Ordering::Release);
+        self.applied_txns.fetch_add(txns, Ordering::Release);
+        self.tracker.mark_all(marks);
     }
 
     /// Publishes the dispatched boundary. Call *before* enqueueing the item
@@ -479,9 +496,7 @@ mod tests {
         let (exposure, signals) = exposure(&ReplicaConfig::default());
         let seg = segment();
         exposure.note_segment(&seg);
-        for record in &seg.records {
-            exposure.install(record);
-        }
+        exposure.install_all(&seg.records);
         exposure.expose(&signals);
 
         let metrics = exposure.metrics();
@@ -502,7 +517,7 @@ mod tests {
         let seg = segment();
         exposure.note_segment(&seg);
         // Apply only the first write of txn 1.
-        exposure.install(&seg.records[0]);
+        exposure.install_all(&seg.records[..1]);
         exposure.expose(&signals);
         assert_eq!(exposure.metrics().exposed_seq, SeqNo::ZERO);
         assert_eq!(exposure.lag().len(), 0);
@@ -538,9 +553,7 @@ mod tests {
         // Each segment installed, then exposed, as a worker does.
         for seg in segments_from_entries(&entries, 16) {
             exposure.note_segment(&seg);
-            for record in &seg.records {
-                exposure.install(record);
-            }
+            exposure.install_all(&seg.records);
             exposure.expose(&signals);
         }
         assert_eq!(exposure.store().gc_horizon(), Timestamp(64));
@@ -567,7 +580,9 @@ mod tests {
         let signals = PipelineSignals::default();
         let seg = segment();
         let install = |exposure: &PrefixExposure, record: &LogRecord| {
-            exposure.install_gated(record.seq, || exposure.install(record));
+            exposure.install_gated(record.seq, || {
+                exposure.install_all(std::slice::from_ref(record))
+            });
             exposure.expose(&signals);
         };
         // Both transactions dispatched, only the first applied.

@@ -68,12 +68,14 @@
 //!   batch, so a cut chosen from that watermark can never land mid-item.
 //! * **Publish watermarks per item, not per record.** Workers buffer the
 //!   applied-marks of one work item and flush them in a single batched
-//!   watermark update when the item completes. This is safe because nothing
-//!   *waits* on a watermark — a worker's cut reads one and moves on; a
-//!   pending whole-database cut holds writers past it at the gate, but it
-//!   covers only items dispatched before it closed, none of which can block
-//!   on that gate, and each flushes when it finishes. The publication
-//!   *order* inside a flush still matters; see
+//!   watermark update when the item completes. This is safe because a wait
+//!   on a watermark only ever waits for items ahead of the waiter — a
+//!   worker's cut reads one and moves on; a pending whole-database cut
+//!   holds writers past it at the gate, but it covers only items dispatched
+//!   before it closed, none of which can block on that gate, and each
+//!   flushes when it finishes; a KuaFu worker waits for earlier
+//!   transactions, each one item that other workers already hold. The
+//!   publication *order* inside a flush still matters; see
 //!   [`crate::progress::WatermarkTracker::mark_applied_batch`].
 //!
 //! Beside the prefix exposure's [`BoundaryLedger`], one piece of shared
@@ -1398,7 +1400,7 @@ mod tests {
                     r.seq
                 );
                 self.exposure
-                    .install_gated(r.seq, || self.exposure.install(r));
+                    .install_gated(r.seq, || self.exposure.install_all(std::slice::from_ref(r)));
             }
         }
 

@@ -7,15 +7,14 @@
 //! with a commit boundary and transactions appear atomically).
 //!
 //! The paper's C5-Cicada derives the first quantity from per-worker `c'`
-//! counters (Section 7.2); this reproduction instead tracks the contiguous
-//! prefix directly in a [`WatermarkTracker`], which every worker marks as it
-//! installs a write. The tracker is shared by C5 and by all baseline
-//! protocols so that "applied" and "exposed" mean exactly the same thing in
-//! every experiment. The substitution is documented in `DESIGN.md` at the
-//! repository root; it changes a per-worker counter into a small shared
-//! structure but not the protocol's observable behaviour.
+//! counters (Section 7.2); this reproduction tracks the prefix directly in
+//! one [`WatermarkTracker`] per replica, marked once per finished item and
+//! shared by C5 and every baseline (KuaFu's dependency waits read it too),
+//! so "applied" and "exposed" mean the same in every experiment. What is
+//! applied above a gap is kept as runs of consecutive positions, so marks
+//! that arrive in order touch no map. `DESIGN.md` documents the substitution.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -27,18 +26,14 @@ use c5_common::SeqNo;
 #[derive(Debug, Default)]
 pub struct WatermarkTracker {
     /// Largest `w` such that all sequence numbers in `1..=w` are applied.
+    /// Written only under `runs`' lock.
     applied: AtomicU64,
     /// Largest transaction-boundary sequence number `<=` applied.
     boundary: AtomicU64,
-    inner: Mutex<Pending>,
-}
-
-#[derive(Debug, Default)]
-struct Pending {
-    /// Applied sequence numbers above the watermark (out-of-order arrivals).
-    out_of_order: BTreeSet<u64>,
-    /// Transaction-boundary sequence numbers above the boundary watermark.
-    pending_boundaries: BTreeSet<u64>,
+    /// The applied runs above the prefix, keyed by their first position:
+    /// `first -> (last, the last boundary in the run or 0)`. A run never
+    /// touches another run or the prefix; one that would is merged into it.
+    runs: Mutex<BTreeMap<u64, (u64, u64)>>,
 }
 
 impl WatermarkTracker {
@@ -58,52 +53,44 @@ impl WatermarkTracker {
         tracker
     }
 
-    /// Marks `seq` as applied. `is_txn_boundary` is true when `seq` is the
-    /// last write of its transaction.
-    pub fn mark_applied(&self, seq: SeqNo, is_txn_boundary: bool) {
-        self.mark_applied_batch(&[(seq, is_txn_boundary)]);
+    /// Marks a batch of applied `(position, is the last write of its
+    /// transaction)` pairs under one lock acquisition and one publication of
+    /// each watermark. The result is the same as marking the positions one
+    /// at a time — the watermarks just become visible once, after the whole
+    /// batch — so workers that buffer the marks of an already-installed item
+    /// trade publication latency (bounded by one queue item) for an N-fold
+    /// cut in lock and cache-line traffic on the apply hot path.
+    pub fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
+        self.mark_all(marks.iter().copied());
     }
 
-    /// Marks a batch of applied positions under one lock acquisition and one
-    /// publication of each watermark. Equivalent to calling
-    /// [`WatermarkTracker::mark_applied`] for every element in order — the
-    /// watermarks just become visible once, after the whole batch — so
-    /// workers that buffer the marks of an already-installed item trade
-    /// publication latency (bounded by one queue item) for an N-fold cut in
-    /// lock and cache-line traffic on the apply hot path.
-    pub fn mark_applied_batch(&self, marks: &[(SeqNo, bool)]) {
-        if marks.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let mut applied = self.applied.load(Ordering::Relaxed);
-        let mut advanced = false;
-        for &(seq, is_txn_boundary) in marks {
-            let seq = seq.as_u64();
-            if is_txn_boundary {
-                inner.pending_boundaries.insert(seq);
-            }
-            if seq == applied + 1 {
-                applied = seq;
-                // Absorb any directly-following out-of-order arrivals.
-                while inner.out_of_order.remove(&(applied + 1)) {
-                    applied += 1;
+    /// [`mark_applied_batch`](Self::mark_applied_batch) over marks produced
+    /// on the fly, so a caller holding the records collects nothing. The
+    /// marks are cut into runs of consecutive positions: a run that
+    /// continues the prefix extends it and absorbs the run it then touches;
+    /// any other run is kept, merged with its neighbours.
+    pub(crate) fn mark_all(&self, marks: impl IntoIterator<Item = (SeqNo, bool)>) {
+        let mut runs = self.runs.lock();
+        let before = self.applied.load(Ordering::Relaxed);
+        let mut prefix = (before, self.boundary.load(Ordering::Relaxed));
+        // The run being cut: its first and last position and last boundary.
+        let mut run = None;
+        for (seq, is_boundary) in marks {
+            let (seq, bound) = (seq.as_u64(), if is_boundary { seq.as_u64() } else { 0 });
+            run = match run {
+                Some((first, last, b)) if seq == last + 1 => Some((first, seq, bound.max(b))),
+                done => {
+                    if let Some(done) = done {
+                        place(&mut runs, &mut prefix, done);
+                    }
+                    Some((seq, seq, bound))
                 }
-                advanced = true;
-            } else if seq > applied {
-                inner.out_of_order.insert(seq);
-            }
+            };
         }
-        // Advance the boundary watermark to the largest boundary <= applied.
-        let mut boundary = self.boundary.load(Ordering::Relaxed);
-        while let Some(&b) = inner.pending_boundaries.iter().next() {
-            if b <= applied {
-                inner.pending_boundaries.remove(&b);
-                boundary = boundary.max(b);
-            } else {
-                break;
-            }
-        }
+        let Some(run) = run else {
+            return;
+        };
+        place(&mut runs, &mut prefix, run);
         // Publish the boundary BEFORE the applied prefix. A reader that
         // pairs the two watermarks — the runtime's drain protocol reads
         // "applied caught up, now wait for the exposed cut to reach the
@@ -115,8 +102,9 @@ impl WatermarkTracker {
         // transactions applied but never exposed. Release on `applied`
         // after Release on `boundary` means an Acquire load of `applied`
         // makes the matching boundary visible.
+        let (applied, boundary) = prefix;
         self.boundary.store(boundary, Ordering::Release);
-        if advanced {
+        if applied != before {
             self.applied.store(applied, Ordering::Release);
         }
     }
@@ -137,10 +125,58 @@ impl WatermarkTracker {
         SeqNo(self.boundary.load(Ordering::Acquire))
     }
 
-    /// Number of writes applied out of order and still waiting for a
+    /// Whether `seq` has been marked: inside the prefix, or inside a run
+    /// above it.
+    pub(crate) fn is_applied(&self, seq: SeqNo) -> bool {
+        let seq = seq.as_u64();
+        if seq <= self.applied.load(Ordering::Acquire) {
+            return true;
+        }
+        let runs = self.runs.lock();
+        // Read the prefix again under the lock: a run it absorbed since the
+        // first read is no longer in the map.
+        seq <= self.applied.load(Ordering::Relaxed)
+            || runs
+                .range(..=seq)
+                .next_back()
+                .is_some_and(|(_, &(last, _))| seq <= last)
+    }
+
+    /// Number of positions applied out of order and still waiting for a
     /// predecessor (diagnostic).
     pub fn out_of_order_backlog(&self) -> usize {
-        self.inner.lock().out_of_order.len()
+        let runs = self.runs.lock();
+        runs.iter()
+            .map(|(first, (last, _))| last - first + 1)
+            .sum::<u64>() as usize
+    }
+}
+
+/// Adds the applied run `first..=last`, whose last boundary is `bound` (0 if
+/// it has none), to the prefix `(applied, boundary)` if it continues it, and
+/// to `runs` otherwise.
+fn place(
+    runs: &mut BTreeMap<u64, (u64, u64)>,
+    (applied, boundary): &mut (u64, u64),
+    (first, mut last, mut bound): (u64, u64, u64),
+) {
+    if first <= *applied + 1 {
+        *applied = (*applied).max(last);
+        *boundary = (*boundary).max(bound);
+        while let Some((last, bound)) = runs.remove(&(*applied + 1)) {
+            *applied = last;
+            *boundary = (*boundary).max(bound);
+        }
+        return;
+    }
+    if let Some((next_last, next_bound)) = runs.remove(&(last + 1)) {
+        (last, bound) = (next_last, next_bound.max(bound));
+    }
+    match runs.range_mut(..first).next_back() {
+        Some((_, before)) if before.0 + 1 == first => *before = (last, bound.max(before.1)),
+        _ => {
+            runs.insert(first, (last, bound));
+        }
     }
 }
 
@@ -151,9 +187,9 @@ mod tests {
     #[test]
     fn in_order_marks_advance_both_watermarks() {
         let t = WatermarkTracker::new();
-        t.mark_applied(SeqNo(1), false);
-        t.mark_applied(SeqNo(2), true);
-        t.mark_applied(SeqNo(3), false);
+        t.mark_applied_batch(&[(SeqNo(1), false)]);
+        t.mark_applied_batch(&[(SeqNo(2), true)]);
+        t.mark_applied_batch(&[(SeqNo(3), false)]);
         assert_eq!(t.applied_watermark(), SeqNo(3));
         assert_eq!(t.boundary_watermark(), SeqNo(2));
     }
@@ -161,26 +197,38 @@ mod tests {
     #[test]
     fn out_of_order_marks_wait_for_the_gap() {
         let t = WatermarkTracker::new();
-        t.mark_applied(SeqNo(2), true);
-        t.mark_applied(SeqNo(3), true);
+        t.mark_applied_batch(&[(SeqNo(2), true)]);
+        t.mark_applied_batch(&[(SeqNo(3), true)]);
         assert_eq!(t.applied_watermark(), SeqNo::ZERO);
         assert_eq!(t.boundary_watermark(), SeqNo::ZERO);
         assert_eq!(t.out_of_order_backlog(), 2);
 
-        t.mark_applied(SeqNo(1), false);
+        t.mark_applied_batch(&[(SeqNo(1), false)]);
         assert_eq!(t.applied_watermark(), SeqNo(3));
         assert_eq!(t.boundary_watermark(), SeqNo(3));
         assert_eq!(t.out_of_order_backlog(), 0);
     }
 
     #[test]
+    fn is_applied_holds_inside_the_prefix_and_inside_a_run() {
+        let t = WatermarkTracker::new();
+        t.mark_applied_batch(&[(SeqNo(1), false), (SeqNo(2), true)]);
+        t.mark_applied_batch(&[(SeqNo(5), false), (SeqNo(6), true)]);
+        assert!(t.is_applied(SeqNo(2)), "inside the prefix");
+        assert!(t.is_applied(SeqNo(5)), "inside a run");
+        assert!(!t.is_applied(SeqNo(3)), "in the gap");
+        assert!(!t.is_applied(SeqNo(7)), "above every run");
+        assert_eq!(t.out_of_order_backlog(), 2);
+    }
+
+    #[test]
     fn boundary_never_exceeds_applied() {
         let t = WatermarkTracker::new();
-        t.mark_applied(SeqNo(1), false);
-        t.mark_applied(SeqNo(3), true); // boundary at 3, but 2 missing
+        t.mark_applied_batch(&[(SeqNo(1), false)]);
+        t.mark_applied_batch(&[(SeqNo(3), true)]); // boundary at 3, but 2 missing
         assert_eq!(t.applied_watermark(), SeqNo(1));
         assert_eq!(t.boundary_watermark(), SeqNo::ZERO);
-        t.mark_applied(SeqNo(2), false);
+        t.mark_applied_batch(&[(SeqNo(2), false)]);
         assert_eq!(t.applied_watermark(), SeqNo(3));
         assert_eq!(t.boundary_watermark(), SeqNo(3));
     }
@@ -230,7 +278,7 @@ mod tests {
                     // single calls.
                     let mut seq = t + 1;
                     while seq <= total {
-                        tracker.mark_applied(SeqNo(seq), true);
+                        tracker.mark_applied_batch(&[(SeqNo(seq), true)]);
                         seq += 2;
                     }
                 });
@@ -252,7 +300,7 @@ mod tests {
             .collect();
         let per_record = WatermarkTracker::new();
         for &(seq, boundary) in &marks {
-            per_record.mark_applied(seq, boundary);
+            per_record.mark_applied_batch(&[(seq, boundary)]);
         }
         for chunk in [1, 2, 4, marks.len()] {
             let batched = WatermarkTracker::new();
@@ -274,12 +322,12 @@ mod tests {
         assert_eq!(t.applied_watermark(), SeqNo(10));
         assert_eq!(t.boundary_watermark(), SeqNo(10));
         // The first live mark continues the prefix...
-        t.mark_applied(SeqNo(11), false);
-        t.mark_applied(SeqNo(12), true);
+        t.mark_applied_batch(&[(SeqNo(11), false)]);
+        t.mark_applied_batch(&[(SeqNo(12), true)]);
         assert_eq!(t.applied_watermark(), SeqNo(12));
         assert_eq!(t.boundary_watermark(), SeqNo(12));
         // ...and gaps still hold it back.
-        t.mark_applied(SeqNo(14), true);
+        t.mark_applied_batch(&[(SeqNo(14), true)]);
         assert_eq!(t.applied_watermark(), SeqNo(12));
     }
 
@@ -295,7 +343,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut seq = i + 1;
                 while seq <= total {
-                    t.mark_applied(SeqNo(seq), seq % 5 == 0);
+                    t.mark_applied_batch(&[(SeqNo(seq), seq % 5 == 0)]);
                     seq += threads;
                 }
             }));
@@ -329,7 +377,7 @@ mod proptests {
             let cut = cut.min(order.len());
             let tracker = WatermarkTracker::new();
             for &seq in &order[..cut] {
-                tracker.mark_applied(SeqNo(seq), true);
+                tracker.mark_applied_batch(&[(SeqNo(seq), true)]);
             }
             let marked: std::collections::HashSet<u64> = order[..cut].iter().copied().collect();
             let mut expect = 0;
@@ -340,7 +388,7 @@ mod proptests {
             prop_assert_eq!(tracker.boundary_watermark(), SeqNo(expect));
         }
 
-        /// For any permutation of `mark_applied` calls with arbitrary
+        /// For any permutation of single-position marks with arbitrary
         /// transaction-boundary flags, after *every* step:
         /// * the applied watermark is exactly the largest contiguous prefix
         ///   of the sequence numbers marked so far, and
@@ -370,7 +418,7 @@ mod proptests {
             let mut prefix = 0u64;
             for &seq in &order {
                 let is_boundary = boundary_bits[(seq - 1) as usize];
-                tracker.mark_applied(SeqNo(seq), is_boundary);
+                tracker.mark_applied_batch(&[(SeqNo(seq), is_boundary)]);
                 marked.insert(seq);
                 while marked.contains(&(prefix + 1)) {
                     prefix += 1;
@@ -384,6 +432,80 @@ mod proptests {
                 prop_assert!(tracker.boundary_watermark() <= tracker.applied_watermark());
             }
             // The full permutation always converges to the complete prefix.
+            prop_assert_eq!(tracker.applied_watermark(), SeqNo(n));
+            prop_assert_eq!(tracker.out_of_order_backlog(), 0);
+        }
+
+        /// The same single-position model, fed in batches shaped like a
+        /// cascading worker's buffer: `1..=n` is cut into stretches of
+        /// consecutive positions, about one position in eight is pulled out
+        /// as a stray, the stretches are shuffled, and each batch is one
+        /// stretch followed by up to two strays from anywhere in the log.
+        /// After every batch, both watermarks, the backlog and `is_applied`
+        /// of every position agree with the model.
+        #[test]
+        fn batches_of_runs_and_strays_match_the_single_position_model(
+            n in 1u64..96,
+            seed in proptest::prelude::any::<u64>(),
+            boundary_bits in prop::collection::vec(proptest::prelude::any::<bool>(), 96..97),
+        ) {
+            let mut state = seed | 1;
+            let mut next = |bound: usize| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as usize) % bound
+            };
+            let (mut stretches, mut strays) = (Vec::new(), Vec::new());
+            let mut seq = 1;
+            while seq <= n {
+                let end = (seq + next(8) as u64).min(n);
+                let (kept, pulled): (Vec<u64>, Vec<u64>) = (seq..=end).partition(|_| next(8) != 0);
+                stretches.push(kept);
+                strays.extend(pulled);
+                seq = end + 1;
+            }
+            for i in (1..stretches.len()).rev() {
+                let j = next(i + 1);
+                stretches.swap(i, j);
+            }
+            for i in (1..strays.len()).rev() {
+                let j = next(i + 1);
+                strays.swap(i, j);
+            }
+            let mut batches = Vec::new();
+            for mut batch in stretches {
+                for _ in 0..next(3) {
+                    batch.extend(strays.pop());
+                }
+                batches.push(batch);
+            }
+            batches.extend(strays.into_iter().map(|s| vec![s]));
+
+            let tracker = WatermarkTracker::new();
+            let mut marked = std::collections::HashSet::new();
+            let mut prefix = 0u64;
+            for batch in &batches {
+                let marks: Vec<(SeqNo, bool)> = batch
+                    .iter()
+                    .map(|&s| (SeqNo(s), boundary_bits[(s - 1) as usize]))
+                    .collect();
+                tracker.mark_applied_batch(&marks);
+                marked.extend(batch.iter().copied());
+                while marked.contains(&(prefix + 1)) {
+                    prefix += 1;
+                }
+                let expect_boundary = (1..=prefix)
+                    .rev()
+                    .find(|&s| boundary_bits[(s - 1) as usize])
+                    .unwrap_or(0);
+                prop_assert_eq!(tracker.applied_watermark(), SeqNo(prefix));
+                prop_assert_eq!(tracker.boundary_watermark(), SeqNo(expect_boundary));
+                prop_assert_eq!(tracker.out_of_order_backlog(), marked.len() - prefix as usize);
+                for s in 1..=n + 1 {
+                    prop_assert_eq!(tracker.is_applied(SeqNo(s)), marked.contains(&s), "position {}", s);
+                }
+            }
             prop_assert_eq!(tracker.applied_watermark(), SeqNo(n));
             prop_assert_eq!(tracker.out_of_order_backlog(), 0);
         }

@@ -76,9 +76,10 @@ pub trait ReadView: Send {
 /// protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaMetrics {
-    /// Row writes applied to the backup's store.
+    /// Row writes applied to the backup's store, counted as their item's
+    /// marks publish, before the applied prefix can move over them.
     pub applied_writes: u64,
-    /// Transactions whose final write has been applied.
+    /// Transactions whose final write has been applied (counted likewise).
     pub applied_txns: u64,
     /// Largest contiguous applied log position.
     pub applied_seq: SeqNo,
@@ -313,7 +314,7 @@ impl C5Policy {
             )
         });
         if applied {
-            self.exposure.count_applied(record);
+            self.exposure.charge_install();
             marks.borrow_mut().push((record.seq, record.is_txn_last()));
         }
         applied
