@@ -186,6 +186,23 @@ mod tests {
         segments_from_entries(&entries, 32)
     }
 
+    /// `drive_segments` on its own thread, failing the test if the replay
+    /// has not drained within 30 s (a lost boundary or a missing wake-up
+    /// leaves `finish` waiting for a cut) instead of hanging the suite.
+    fn drive_within_deadline(replica: &Arc<KuaFuReplica>, segments: Vec<Segment>) {
+        let (driven, (done, drained)) = (Arc::clone(replica), std::sync::mpsc::channel());
+        let replay = std::thread::spawn(move || {
+            drive_segments(driven.as_ref(), segments);
+            let _ = done.send(());
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            drained.recv_timeout(std::time::Duration::from_secs(30))
+        {
+            panic!("the replay did not drain within 30 s");
+        }
+        replay.join().expect("the replay thread panicked");
+    }
+
     fn replica(workers: usize, config: KuaFuConfig) -> (Arc<MvStore>, Arc<KuaFuReplica>) {
         let store = Arc::new(MvStore::default());
         store.install(
@@ -205,7 +222,7 @@ mod tests {
     #[test]
     fn conflicting_transactions_serialize_correctly() {
         let (_store, replica) = replica(4, KuaFuConfig::default());
-        drive_segments(replica.as_ref(), conflicting_log(100, 3));
+        drive_within_deadline(&replica, conflicting_log(100, 3));
 
         let metrics = replica.metrics();
         assert_eq!(metrics.applied_txns, 100);
@@ -229,7 +246,7 @@ mod tests {
                 )
             })
             .collect();
-        drive_segments(replica.as_ref(), segments_from_entries(&entries, 16));
+        drive_within_deadline(&replica, segments_from_entries(&entries, 16));
         let metrics = replica.metrics();
         assert_eq!(metrics.applied_txns, 200);
         assert_eq!(metrics.applied_writes, 200);
@@ -250,15 +267,7 @@ mod tests {
                 )
             })
             .collect();
-        let (driven, (done, drained)) = (Arc::clone(&replica), std::sync::mpsc::channel());
-        let driver = std::thread::spawn(move || {
-            drive_segments(driven.as_ref(), segments_from_entries(&entries, 64));
-            let _ = done.send(());
-        });
-        drained
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("the replay did not drain within 30 s");
-        driver.join().expect("the driver thread panicked");
+        drive_within_deadline(&replica, segments_from_entries(&entries, 64));
         let metrics = replica.metrics();
         assert_eq!(metrics.applied_txns, 10_000);
         assert_eq!(metrics.applied_seq, SeqNo(10_000));
@@ -273,7 +282,7 @@ mod tests {
                 ignore_constraints: true,
             },
         );
-        drive_segments(replica.as_ref(), conflicting_log(50, 2));
+        drive_within_deadline(&replica, conflicting_log(50, 2));
         assert_eq!(replica.metrics().applied_txns, 50);
         assert_eq!(replica.name(), "kuafu-unconstrained");
     }
@@ -290,7 +299,7 @@ mod tests {
                 .with_obs(Arc::clone(&used)),
             KuaFuConfig::default(),
         );
-        drive_segments(replica.as_ref(), conflicting_log(20, 1));
+        drive_within_deadline(&replica, conflicting_log(20, 1));
         let applied = |obs: &c5_obs::Obs| {
             let snapshot = obs.metrics.snapshot();
             snapshot.counter("stage_items_total{stage=\"apply\"}")
@@ -325,7 +334,7 @@ mod tests {
                 ],
             ),
         ];
-        drive_segments(replica.as_ref(), segments_from_entries(&entries, 16));
+        drive_within_deadline(&replica, segments_from_entries(&entries, 16));
         let view = replica.read_view();
         assert_eq!(view.get(row(1)).unwrap().as_u64(), Some(31));
         assert_eq!(view.get(row(2)).unwrap().as_u64(), Some(32));

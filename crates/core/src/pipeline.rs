@@ -1046,6 +1046,7 @@ impl Default for RowWaitList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::within_deadline;
     use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
     use c5_storage::MvStore;
     use parking_lot::{Condvar, Mutex as PlMutex};
@@ -1463,18 +1464,6 @@ mod tests {
             assert!(Instant::now() < deadline, "never reached: {what}");
             std::thread::yield_now();
         }
-    }
-
-    /// Runs `f` on its own thread and panics if it has not returned within
-    /// the deadline: how a test states "this must not hang".
-    fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (done, outcome) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = done.send(f());
-        });
-        outcome
-            .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|_| panic!("{what} did not return within its deadline"))
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub fn recover_replica(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::ClonedConcurrencyControl;
+    use crate::replica::{drive_within_deadline, within_deadline, ClonedConcurrencyControl};
     use c5_common::fs::{FaultyFs, StdFs};
     use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value, WriteKind};
     use c5_log::{segments_from_entries, TxnEntry};
@@ -194,14 +194,19 @@ mod tests {
         store
     }
 
+    /// Recovers from `dir` within the test deadline: the replay drains the
+    /// replica, so a lost boundary fails the test instead of hanging it.
     fn recover(fs: Arc<dyn Fs>, dir: &Path) -> Result<RecoveredReplica> {
-        recover_replica(
-            fs,
-            dir,
-            C5Mode::Faithful,
-            ReplicaConfig::default().with_workers(2),
-            DurabilityPolicy::EverySegment,
-        )
+        let dir = dir.to_path_buf();
+        within_deadline("recover_replica", move || {
+            recover_replica(
+                fs,
+                &dir,
+                C5Mode::Faithful,
+                ReplicaConfig::default().with_workers(2),
+                DurabilityPolicy::EverySegment,
+            )
+        })
     }
 
     fn sorted_scan(replica: &C5Replica) -> Vec<(RowRef, Value)> {
@@ -238,7 +243,7 @@ mod tests {
         // The recovered replica reads identically to an in-memory one fed
         // the same log.
         let reference = C5Replica::new(C5Mode::Faithful, population, config);
-        drive_segments(reference.as_ref(), segments);
+        drive_within_deadline(&reference, segments);
         assert_eq!(sorted_scan(&reference), sorted_scan(&recovered.replica));
 
         fs::remove_dir_all(&dir).expect("cleanup");
@@ -327,7 +332,7 @@ mod tests {
             population(),
             ReplicaConfig::default().with_workers(2),
         );
-        drive_segments(reference.as_ref(), segments.clone());
+        drive_within_deadline(&reference, segments.clone());
         let expect = sorted_scan(&reference);
 
         let probe_dir = scratch_dir("each-call-probe");

@@ -104,7 +104,7 @@ mod tests {
     use super::*;
     use crate::mpc::MpcChecker;
     use crate::replica::{
-        drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl, FLEET_PROGRESS,
+        drive_within_deadline, C5Mode, C5Replica, ClonedConcurrencyControl, FLEET_PROGRESS,
     };
     use c5_common::{ReplicaConfig, RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value, WriteKind};
     use c5_log::{segments_from_entries, Segment, SegmentBuilder, TxnEntry};
@@ -171,7 +171,7 @@ mod tests {
             let mut checker = MpcChecker::new(&population, &segments);
             let last = segments.last().unwrap().last_seq().unwrap();
 
-            drive_segments(replica.as_ref(), segments);
+            drive_within_deadline(&replica, segments);
 
             let metrics = replica.metrics();
             assert_eq!(metrics.applied_txns, 120, "{shards} shards");
@@ -214,7 +214,7 @@ mod tests {
             let (population, segments) = spanning_log(120);
             let replica =
                 C5Replica::new(C5Mode::Faithful, preloaded(&population), config(shards, 1));
-            drive_segments(replica.as_ref(), segments);
+            drive_within_deadline(&replica, segments);
             let metrics = replica.metrics();
             assert_eq!(metrics.applied_txns, 120, "{shards} shards");
             assert_eq!(metrics.deferred_writes, 0, "{shards} shards");
@@ -296,7 +296,7 @@ mod tests {
                 )
             })
             .collect();
-        drive_segments(replica.as_ref(), segments_from_entries(&entries, 16));
+        drive_within_deadline(&replica, segments_from_entries(&entries, 16));
         assert_eq!(replica.metrics().applied_txns, 400);
         let view = replica.read_view();
         assert_eq!(view.get(row(0)).unwrap().as_u64(), Some(400));
@@ -319,7 +319,7 @@ mod tests {
     fn finish_is_idempotent_and_drop_is_safe() {
         let (population, segments) = spanning_log(10);
         let replica = C5Replica::new(C5Mode::Faithful, preloaded(&population), config(4, 1));
-        drive_segments(replica.as_ref(), segments);
+        drive_within_deadline(&replica, segments);
         replica.finish();
         replica.finish();
         drop(replica);
@@ -337,7 +337,7 @@ mod tests {
             preloaded(&population),
             config(4, 1).with_obs(Arc::clone(&obs)),
         );
-        drive_segments(replica.as_ref(), segments);
+        drive_within_deadline(&replica, segments);
         let before = replica.metrics();
         assert!(before.cross_shard_txns > 0);
 
@@ -407,7 +407,7 @@ mod tests {
             .collect();
         let segments = segments_from_entries(&entries, 8);
         let last = segments.last().unwrap().last_seq().unwrap();
-        drive_segments(replica.as_ref(), segments);
+        drive_within_deadline(&replica, segments);
         assert_eq!(replica.exposed_seq(), last);
     }
 

@@ -4,20 +4,26 @@
 //! # When the streaming logger ships
 //!
 //! [`StreamingLogger`] is the one place that decides "ship now". It asks on
-//! both edges of the wire's idleness:
+//! every edge where the wire may have gone idle:
 //!
 //! * **On append.** Every append adds a whole transaction to the open
 //!   segment and then ships that segment if it has reached
 //!   `segment_records` — the **upper bound**, and the point where a bounded
 //!   wire pushes back on committers — or if the wire is **idle**
-//!   ([`LogShipper`]'s rule: at least one subscriber, every subscriber's
-//!   queue empty, and on an archived wire no archive append queued or in
-//!   flight).
+//!   ([`LogShipper`]'s rule: at least one subscriber, and every subscriber's
+//!   queue empty on an un-archived wire, or no archive append queued or in
+//!   flight on an archived one).
 //! * **On drain.** When a [`LogReceiver`](crate::ship::LogReceiver) receive
 //!   takes the last segment queued to it, the receiving thread ships the
-//!   open segment if the wire is now idle. A commit made while the wire was
-//!   busy therefore leaves when the wire frees up, not when the next commit
-//!   comes.
+//!   open segment if the wire is now idle.
+//! * **On the wire thread's drain.** On an archived wire, when the wire
+//!   thread has archived and delivered a segment and finds nothing queued
+//!   behind it, it ships the open segment the same way: what committed
+//!   during that fsync is the next segment, cut as soon as the fsync
+//!   returns.
+//!
+//! A commit made while the wire was busy therefore leaves when the wire
+//! frees up, not when the next commit comes.
 //!
 //! That is natural batching: an idle backup sees each commit one hand-off
 //! after it happened, a busy one gets whatever accumulated while it was busy
@@ -27,21 +33,23 @@
 //!
 //! A primary that goes quiet keeps its last transactions buffered only while
 //! some subscriber is not draining (a stalled fan-out member, or a replica
-//! whose workers are behind): then the tail waits for the next append,
-//! [`StreamingLogger::flush`] (the read router's tail-flush hook) or
-//! [`StreamingLogger::close`].
+//! whose workers are behind): on an un-archived wire the tail then waits for
+//! the next append, [`StreamingLogger::flush`] (the read router's
+//! tail-flush hook) or [`StreamingLogger::close`]; on an archived wire, for
+//! the wire thread's blocked send to that subscriber to complete.
 //!
 //! The drain edge never blocks. It ships only onto an idle wire, so every
-//! subscriber channel is empty and the archive queue has room. And it never
-//! waits for the logger lock: the holder may be a committer parked in a
-//! backpressured ship, waiting for this very receiver to drain (or `close`
-//! waiting for the wire thread, which waits for it). A receiver that finds
+//! subscriber channel is empty (un-archived) or the archive queue is
+//! (archived). And it never waits for the logger lock: the holder may be a
+//! committer parked in a backpressured ship, waiting for this very receiver
+//! to drain or for the wire thread to make room (or `close` waiting for the
+//! wire thread, which may wait for the receiver). A drain edge that finds
 //! records buffered raises a drain request and tries the lock; if it is
 //! taken, its holder serves the request when it lets go (every release of
 //! the logger lock does), so no tail is stranded either way. It is cheap
-//! when there is nothing to ship: the receiver compares the logger's last
-//! assigned position with the last one it shipped, two atomic loads, and
-//! goes no further. After [`StreamingLogger::crash`] or
+//! when there is nothing to ship: it compares the logger's last assigned
+//! position with the last one shipped, two atomic loads, and goes no
+//! further. After [`StreamingLogger::crash`] or
 //! [`StreamingLogger::close`] the shipper has no registry, so the wire is
 //! never idle and the drain edge ships nothing: a crash still loses exactly
 //! the buffered tail.
@@ -53,10 +61,10 @@
 //! segments on the wire must equal log order. What `ship` does under that
 //! lock is a channel send per subscriber (un-archived wire) or one bounded
 //! enqueue to the wire thread (archived wire); the archive write and its
-//! fsync never run on a committing thread. A receiving thread only ever
-//! *tries* the logger lock, holding no other lock, and ships under it like a
-//! committer, so wire order is still log order. Sampling the log end
-//! ([`StreamingLogger::last_seq`]) takes no lock at all.
+//! fsync never run on a committing thread. A receiving thread, and the wire
+//! thread, only ever *try* the logger lock, holding no other lock, and ship
+//! under it like a committer, so wire order is still log order. Sampling the
+//! log end ([`StreamingLogger::last_seq`]) takes no lock at all.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,12 +100,15 @@ pub(crate) struct LoggerState {
     /// `inner`.
     /// Stored (`Release`) under the lock, loaded (`Acquire`) without it: a
     /// sampler that sees a position also sees everything the committer did
-    /// before assigning it. The drain edge's liveness needs more: a receiver
-    /// that takes the last queued segment and then reads an old position
-    /// must be ordered before the committer's idle check, so that the check
-    /// sees the wire idle. The subscriber channel's mutex orders the two on
-    /// an un-archived wire; on an archived one, a `SeqCst` fence in
-    /// `LogShipper::is_idle` and one in `ship_on_drain` do.
+    /// before assigning it. The drain edge's liveness needs more: a drain
+    /// edge that reads an old position must be ordered before the
+    /// committer's idle check, so that the check sees the wire idle. On an
+    /// un-archived wire the subscriber channel's mutex orders a receiver's
+    /// receive and the committer's check. On an archived one the wire thread
+    /// (and a receiver after it) counts the segment down before the
+    /// `SeqCst` fence in `ship_on_drain`, and the committer stores this
+    /// position before the one in `LogShipper::is_idle`: of the three
+    /// parties, the committer or a drain edge sees the other.
     last_seq: AtomicU64,
     /// The last position put on the wire, stored under the lock before the
     /// ship. A receiver that finds it equal to `last_seq` has nothing to
@@ -285,9 +296,11 @@ impl LoggerState {
     }
 
     /// The drain edge: a receiver has just taken the last segment queued to
-    /// it, so the wire may have gone idle with records still buffered. Ships
+    /// it, or the wire thread has delivered the last segment in its inbox,
+    /// so the wire may have gone idle with records still buffered. Ships
     /// them if it has — here, or, if the logger lock is taken, by its holder
-    /// on release. Called with no lock held; never blocks.
+    /// on release. Every segment it ships is counted as a drain tail. Called
+    /// with no lock held; never blocks.
     pub(crate) fn ship_on_drain(&self) {
         // Pairs with the fence in `LogShipper::is_idle` (see `last_seq`).
         fence(Ordering::SeqCst);
@@ -641,26 +654,37 @@ mod tests {
     /// shipped is archived and delivered, the buffered tail is in neither.
     #[test]
     fn crash_on_an_archived_wire_leaves_the_archive_equal_to_the_wire() {
-        let archive = std::sync::Arc::new(crate::archive::LogArchive::new());
+        use std::sync::Arc;
+        let archive = Arc::new(crate::archive::LogArchive::new());
         let (shipper, receiver) = LogShipper::unbounded();
-        let shipper = shipper.with_archive(std::sync::Arc::clone(&archive));
+        let shipper = shipper.with_archive(Arc::clone(&archive));
+        // The first segment's append parks until the crash holds the logger
+        // lock, so the wire stays busy: 1 leaves alone, 2–5 and 6–9 on size,
+        // and 10–11 stay buffered, for the wire thread's drain edge too.
+        let (entered, release) = shipper.park_between_archive_and_watermark();
         let logger = StreamingLogger::new(4, shipper);
         for t in 1..=11u64 {
             logger.append(TxnId(t), &[write(t, t)]);
         }
-        logger.crash();
-        let wire: Vec<u64> = flatten(&receiver.drain())
-            .iter()
-            .map(|r| r.seq.as_u64())
-            .collect();
-        let archived: Vec<u64> = flatten(&archive.replay_from(SeqNo::ZERO).unwrap())
-            .iter()
-            .map(|r| r.seq.as_u64())
-            .collect();
-        assert_eq!(archived, wire);
-        assert_eq!(wire, (1..=wire.len() as u64).collect::<Vec<_>>());
-        assert!(wire.len() < 11, "the buffered tail is lost");
-        assert_eq!(archive.last_seq().as_u64(), wire.len() as u64);
+        entered.recv().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while logger.state.inner.try_lock().is_some() {
+                    std::thread::yield_now();
+                }
+                for _ in 0..3 {
+                    release.send(()).unwrap();
+                }
+            });
+            logger.crash();
+        });
+        let wire = seqs(&receiver.drain());
+        assert_eq!(seqs(&archive.replay_from(SeqNo::ZERO).unwrap()), wire);
+        assert_eq!(
+            wire,
+            (1..=9).collect::<Vec<_>>(),
+            "the buffered tail is lost"
+        );
         assert_eq!(logger.last_seq(), SeqNo(11));
     }
 

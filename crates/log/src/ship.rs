@@ -11,24 +11,29 @@
 //!
 //! The shipper does not decide when a segment closes; the
 //! [`StreamingLogger`](crate::logger::StreamingLogger) does, by asking the
-//! shipper whether it is idle on both edges: on every append, and whenever
-//! a [`LogReceiver`] receive takes the last segment queued to it (the
-//! **drain edge**). The wire is **idle** when it has at least one
-//! subscriber, every subscriber's queue is empty, and — on an archived wire
-//! — no archive append is queued or in flight. An idle wire is handed the
-//! open segment at once, however small; a busy one lets it fill to the
-//! logger's bound, and hands it over the moment the last busy queue
-//! drains. Batch size therefore follows demand (what accumulated while the
-//! consumers were busy) and there is no linger, timeout or minimum-size
+//! shipper whether it is idle on every append and on every **drain edge**:
+//! whenever a [`LogReceiver`] receive takes the last segment queued to it,
+//! and, on an archived wire, whenever the wire thread has delivered a
+//! segment and finds nothing queued behind it. An un-archived wire is
+//! **idle** when it has at least one subscriber and every subscriber's
+//! queue is empty. An archived wire is idle when it has at least one
+//! subscriber and no archive append is queued or in flight; it does not
+//! look at the subscriber queues, because a subscriber's backlog waits in
+//! that subscriber's own channel, behind nothing the wire does. An idle wire
+//! is handed the open segment at once, however small; a busy one lets it
+//! fill to the logger's bound, and hands it over the moment it frees up.
+//! Batch size therefore follows demand (what accumulated while the wire or
+//! the consumers were busy) and there is no linger, timeout or minimum-size
 //! setting. A wire with no subscribers is never idle: with nobody waiting,
 //! segments are cut on size.
 //!
-//! For the drain edge every handle of a shipper, and every receiver it
-//! hands out, shares a `Weak` to the one logger that ships into it
-//! ([`StreamingLogger::new`](crate::logger::StreamingLogger::new) attaches
-//! it). A receive that empties its queue asks that logger to ship, under
-//! the logger lock as an append would; with no logger attached (or the
-//! logger gone) a receive is only a receive.
+//! For the drain edge every handle of a shipper, every receiver it hands
+//! out and its wire thread share a `Weak` to the one logger that ships into
+//! it ([`StreamingLogger::new`](crate::logger::StreamingLogger::new)
+//! attaches it). A receive that empties its queue, or a wire thread that
+//! empties its inbox, asks that logger to ship, under the logger lock as an
+//! append would; with no logger attached (or the logger gone) a receive is
+//! only a receive.
 //!
 //! # What runs on which thread
 //!
@@ -40,21 +45,23 @@
 //!   bounded enqueue to the shipper's **wire thread**, which alone runs, per
 //!   segment and in queue order: `LogArchive::try_append` (the fsync; no
 //!   shipper or logger lock held), then the watermark advance and member
-//!   snapshot under the registry lock, then the fan-out. Whatever commits
-//!   during one fsync is the next segment — group commit, by the idle rule,
-//!   without a setting. [`LogShipper::close`] is a message on the same
+//!   snapshot under the registry lock, then the fan-out, then — if its
+//!   inbox is empty — the drain edge. Whatever commits during one fsync is
+//!   the next segment, cut by the wire thread as soon as the fsync's
+//!   segment is delivered — group commit, by the idle rule, without a
+//!   setting. [`LogShipper::close`] is a message on the same
 //!   queue: the thread archives and delivers everything enqueued before it,
 //!   then ends the log, and `close` returns once the thread has exited.
 //!
 //! Lock order, outermost first: a committer's row locks → the logger lock →
 //! (archived) the wire queue's own lock / (un-archived) the registry lock →
-//! a subscriber channel's lock. A receiving thread on the drain edge holds
-//! no lock and only *tries* the logger lock: if it is taken, its holder
-//! ships for the receiver after releasing it (see the logger's module
-//! docs). Under it, the drain edge takes the locks below the logger lock as
-//! a committer does. The wire thread takes the archive lock, the registry
-//! lock and the channel locks one at a time, never nested, and never takes
-//! the logger lock.
+//! a subscriber channel's lock. A thread on the drain edge — a receiver, or
+//! the wire thread — holds no lock and only *tries* the logger lock: if it
+//! is taken, its holder ships for it after releasing it (see the logger's
+//! module docs). Under it, the drain edge takes the locks below the logger
+//! lock as a committer does. Otherwise the wire thread takes the archive
+//! lock, the registry lock and the channel locks one at a time, never
+//! nested.
 //!
 //! # Invariants
 //!
@@ -228,6 +235,12 @@ struct ShipObs {
 /// in steady state the queue holds at most one segment; the bound matters
 /// when full segments arrive faster than the archive persists them, and
 /// then it is where committers feel the disk.
+///
+/// The wire thread's own drain edge ships into this queue, which only the
+/// wire thread empties, and yet cannot block on it: it ships only when
+/// `pending` is 0, read under the logger lock, and every other ship into a
+/// logger's wire also happens under that lock, so at that moment nothing
+/// is queued.
 const WIRE_QUEUE_SEGMENTS: usize = 16;
 
 /// The handle side of an archived shipper's wire thread.
@@ -245,11 +258,13 @@ struct WireState {
     /// Segments enqueued and not yet through the archive append. Only the
     /// idle rule reads it, as a batching hint: whatever it answers, shipping
     /// or not shipping is correct, so `Relaxed` everywhere — it publishes
-    /// nothing. The drain edge's liveness rests on two fences instead: a
-    /// receiver gets a segment after its count-down, fences and reads the
-    /// logger's last position; a committer publishes that position, fences
-    /// (in `is_idle`) and reads this count; so one of the two sees the other
-    /// and ships what is buffered.
+    /// nothing. The drain edge's liveness rests on two fences instead: the
+    /// wire thread counts a segment down, delivers it, fences (in the
+    /// logger's `ship_on_drain`) and reads the logger's last position, and a
+    /// receiver that got the segment does the same after it; a committer
+    /// publishes that position, fences (in `is_idle`) and reads this count.
+    /// So the committer or the drain edge sees the other, and what is
+    /// buffered ships.
     pending: AtomicUsize,
     /// The archive error that ended the wire, if one did.
     failure: Mutex<Option<Error>>,
@@ -257,6 +272,10 @@ struct WireState {
     /// advance, so a test can act inside that window deterministically.
     #[cfg(test)]
     between_archive_and_watermark: Mutex<Option<Box<dyn FnMut() + Send>>>,
+    /// Runs on the wire thread inside its drain edge, holding the logger it
+    /// upgraded.
+    #[cfg(test)]
+    in_drain_edge: Mutex<Option<Box<dyn FnMut() + Send>>>,
 }
 
 enum WireMessage {
@@ -271,12 +290,24 @@ enum WireMessage {
 impl Wire {
     /// Ends the wire: everything enqueued before this call is archived and
     /// delivered, then subscribers see end-of-log. Returns once the wire
-    /// thread has exited.
+    /// thread has exited, or at once on the wire thread itself.
     fn close(&self) {
+        let mut thread = self.thread.lock();
+        // On the wire thread itself this is the drop of the last handle:
+        // the logger it upgraded on its drain edge was the last one. The
+        // queue's one sender goes with this handle, so the thread ends once
+        // its inbox drains; it must not join itself, nor send into an inbox
+        // only it empties.
+        let own_thread = std::thread::current().id();
+        if thread
+            .as_ref()
+            .is_some_and(|handle| handle.thread().id() == own_thread)
+        {
+            return;
+        }
         // A wire that already ended (closed, or failed) has dropped its
         // receiver; there is nothing left to tell it.
         let _ = self.queue.send(WireMessage::Close);
-        let mut thread = self.thread.lock();
         if let Some(handle) = thread.take() {
             // The thread only panics on a broken invariant (a misordered
             // producer tripping the archive's contiguity assert); that
@@ -574,11 +605,14 @@ impl LogShipper {
     }
 
     /// Whether the wire would deliver a segment shipped now without it
-    /// waiting behind anything: at least one subscriber, every subscriber's
-    /// queue empty and, on an archived wire, nothing queued for or inside
-    /// the archive. The logger's ship-now rule (see the module docs). A
-    /// replica schedules on the thread that drains its subscription, so a
-    /// replica that cannot keep up shows here as a non-empty queue.
+    /// waiting behind anything: at least one subscriber and, un-archived,
+    /// every subscriber's queue empty, or, archived, nothing queued for or
+    /// inside the archive. The logger's ship-now rule (see the module docs).
+    /// On an un-archived wire a replica that cannot keep up shows here as a
+    /// non-empty queue (a replica schedules on the thread that drains its
+    /// subscription). On an archived wire it shows only once its full
+    /// channel blocks the wire thread's send: the next segment then waits
+    /// in the inbox, and the logger cuts on size again.
     pub fn is_idle(&self) -> bool {
         if let Some(wire) = &self.wire {
             // Pairs with the fence in the logger's drain edge.
@@ -589,7 +623,8 @@ impl LogShipper {
         }
         let guard = self.registry.lock();
         guard.as_ref().is_some_and(|registry| {
-            !registry.members.is_empty() && registry.members.iter().all(|m| m.tx.is_empty())
+            !registry.members.is_empty()
+                && (self.wire.is_some() || registry.members.iter().all(|m| m.tx.is_empty()))
         })
     }
 
@@ -684,6 +719,20 @@ impl LogShipper {
             // idle again if nothing else was queued meanwhile.
             state.pending.fetch_sub(1, Ordering::Relaxed);
             self.deliver(segment);
+            // The wire's own drain edge: with nothing queued behind this
+            // segment the wire is idle, so what committed during its append
+            // is cut now, as the next segment, without waiting for a
+            // receiver or the next commit. The upgrade may make this thread
+            // the last holder of the logger (see `Wire::close`).
+            if inbox.is_empty() {
+                if let Some(logger) = self.logger.get().and_then(Weak::upgrade) {
+                    #[cfg(test)]
+                    if let Some(hook) = state.in_drain_edge.lock().as_mut() {
+                        hook();
+                    }
+                    logger.ship_on_drain();
+                }
+            }
         }
         // End of log. Dropping the inbox on return wakes any `ship` parked
         // on the full queue and makes every later one discard.
@@ -764,6 +813,25 @@ impl LogShipper {
                 self.registry.lock().take();
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl LogShipper {
+    /// Makes this archived shipper's wire thread stop after each archive
+    /// append, before the watermark moves: it signals the first channel,
+    /// then waits on the second for the test to let it go.
+    pub(crate) fn park_between_archive_and_watermark(
+        &self,
+    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel();
+        let wire = self.wire.as_ref().expect("an archived shipper");
+        *wire.state.between_archive_and_watermark.lock() = Some(Box::new(move || {
+            entered_tx.send(()).unwrap();
+            released.recv().unwrap();
+        }));
+        (entered, release)
     }
 }
 
@@ -1016,22 +1084,6 @@ mod tests {
             .collect()
     }
 
-    /// Makes `tx`'s wire thread stop after each archive append, before the
-    /// watermark moves: it signals the first channel, then waits on the
-    /// second for the test to let it go.
-    fn park_between_archive_and_watermark(
-        tx: &LogShipper,
-    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
-        let (entered_tx, entered) = std::sync::mpsc::channel();
-        let (release, released) = std::sync::mpsc::channel();
-        let wire = tx.wire.as_ref().expect("an archived shipper");
-        *wire.state.between_archive_and_watermark.lock() = Some(Box::new(move || {
-            entered_tx.send(()).unwrap();
-            released.recv().unwrap();
-        }));
-        (entered, release)
-    }
-
     fn seqs(segments: &[Segment]) -> Vec<u64> {
         segments
             .iter()
@@ -1072,7 +1124,7 @@ mod tests {
         let archive = Arc::new(crate::archive::LogArchive::new());
         let (tx, rx) = LogShipper::bounded(4);
         let tx = tx.with_archive(Arc::clone(&archive));
-        let (entered, release) = park_between_archive_and_watermark(&tx);
+        let (entered, release) = tx.park_between_archive_and_watermark();
         assert!(tx.is_idle());
         let mut log = contiguous_log(2).into_iter();
         tx.ship(log.next().unwrap());
@@ -1100,7 +1152,7 @@ mod tests {
         let archive = Arc::new(crate::archive::LogArchive::new());
         let (tx, _) = LogShipper::fan_out(0, 16);
         let tx = tx.with_archive(Arc::clone(&archive));
-        let (entered, release) = park_between_archive_and_watermark(&tx);
+        let (entered, release) = tx.park_between_archive_and_watermark();
         let mut joiners = Vec::new();
         for segment in contiguous_log(4) {
             let through = segment.covered_through();
@@ -1289,15 +1341,29 @@ mod tests {
         )));
     }
 
-    /// The drain edge on an archived wire: a commit held back while the
-    /// archive append of the one before it was in flight is shipped by the
-    /// receive that drains that one, archived, then delivered.
-    #[test]
-    fn an_archived_wire_archives_and_delivers_the_tail_its_drain_ships() {
-        let archive = Arc::new(crate::archive::LogArchive::new());
-        let (tx, rx) = LogShipper::bounded(4);
-        let tx = tx.with_archive(Arc::clone(&archive));
-        let (entered, release) = park_between_archive_and_watermark(&tx);
+    /// Spins until `ready`, failing the test after a deadline rather than
+    /// hanging it.
+    fn wait_for(what: &str, mut ready: impl FnMut() -> bool) {
+        let deadline = Instant::now() + DEADLINE;
+        while !ready() {
+            assert!(Instant::now() < deadline, "never reached: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
+
+    /// Commits A onto an idle archived wire, commits B while A's append is
+    /// parked, and releases A. Nothing else happens: no receive, append,
+    /// flush or close. The wire thread must then cut B itself, on its own
+    /// drain edge, and archive and deliver it. Returns the logger once both
+    /// segments are queued to `rx`.
+    fn the_wire_thread_cuts_what_committed_during_an_append(
+        tx: LogShipper,
+        archive: &crate::archive::LogArchive,
+        rx: &LogReceiver,
+    ) -> crate::logger::StreamingLogger {
+        let (entered, release) = tx.park_between_archive_and_watermark();
         let logger = crate::logger::StreamingLogger::new(100, tx);
         let write = |k: u64| [RowWrite::insert(RowRef::new(0, k), Value::from_u64(k))];
         logger.append(TxnId(1), &write(1));
@@ -1306,17 +1372,81 @@ mod tests {
         logger.append(TxnId(2), &write(2));
         assert_eq!(archive.last_seq(), SeqNo(1));
         release.send(()).unwrap();
-        let a = rx.recv().unwrap();
-        // That receive shipped B: the wire thread is archiving it now, with
-        // no append, flush or close since.
-        entered.recv().unwrap();
+        (entered.recv_timeout(DEADLINE)).expect("the wire thread cut B after delivering A");
         assert_eq!(archive.last_seq(), SeqNo(2));
         release.send(()).unwrap();
-        let b = rx.recv().unwrap();
-        assert_eq!(seqs(&[a, b]), vec![1, 2]);
+        wait_for("A and B delivered", || rx.try_len() == 2);
+        logger
+    }
+
+    /// The wire thread's drain edge: a commit held back while the archive
+    /// append of the one before it was in flight is cut by the wire thread
+    /// as soon as that append returns, archived, then delivered.
+    #[test]
+    fn an_archived_wire_archives_and_delivers_the_tail_its_drain_ships() {
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, rx) = LogShipper::bounded(4);
+        let tx = tx.with_archive(Arc::clone(&archive));
+        let logger = the_wire_thread_cuts_what_committed_during_an_append(tx, &archive, &rx);
+        assert_eq!(seqs(&rx.drain_available()), vec![1, 2]);
         logger.close();
         assert!(rx.drain().is_empty());
         assert_eq!(seqs(&archive.replay_from(SeqNo::ZERO).unwrap()), vec![1, 2]);
+    }
+
+    /// An archived wire's idle rule looks at the archive path only: a
+    /// subscriber's backlog waits in its own channel, behind nothing the
+    /// wire does, and the wire thread's drain edge follows every delivery.
+    #[test]
+    fn an_archived_wire_is_idle_while_a_subscriber_still_holds_a_segment() {
+        let empty = LogShipper::fan_out(0, 4).0;
+        let empty = empty.with_archive(Arc::new(crate::archive::LogArchive::new()));
+        assert!(!empty.is_idle(), "no subscriber: cut on size");
+        let (tx, receivers) = LogShipper::fan_out(2, 4);
+        let tx = tx.with_archive(Arc::new(crate::archive::LogArchive::new()));
+        tx.ship(contiguous_segment(1, SeqNo::ZERO).0);
+        wait_for("delivered to both", || {
+            receivers.iter().all(|rx| rx.try_len() == 1)
+        });
+        assert!(tx.is_idle(), "both subscribers still hold the segment");
+        tx.close();
+        assert!(!tx.is_idle(), "a closed wire takes nothing");
+    }
+
+    /// The wire thread's drain edge holds the logger it upgraded. If every
+    /// other handle goes meanwhile, the wire thread drops the last logger,
+    /// and with it the last wire handle: the wire must still end, cleanly.
+    #[test]
+    fn the_wire_ends_when_its_drain_edge_drops_the_last_logger() {
+        let (tx, rx) = LogShipper::bounded(4);
+        let tx = tx.with_archive(Arc::new(crate::archive::LogArchive::new()));
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel();
+        let wire = tx.wire.as_ref().expect("an archived shipper");
+        *wire.state.in_drain_edge.lock() = Some(Box::new(move || {
+            let _ = entered_tx.send(());
+            let _ = released.recv();
+        }));
+        // Held to tell a clean end from a panic: a wire thread that ends
+        // takes the registry (and so ends the log); one that panics leaves
+        // it, and the subscriber never sees end-of-log.
+        let registry = Arc::clone(&tx.registry);
+        let logger = crate::logger::StreamingLogger::new(100, tx);
+        let write = [RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))];
+        logger.append(TxnId(1), &write);
+        (entered.recv_timeout(DEADLINE)).expect("the wire thread's drain edge");
+        drop(logger);
+        release.send(()).unwrap();
+        // Not scoped: on a hang the test fails at its deadline and leaves
+        // the drainer parked, rather than joining it forever.
+        let (done, drained) = std::sync::mpsc::channel();
+        let drainer = std::thread::spawn(move || {
+            let _ = done.send(rx.drain());
+        });
+        let delivered = (drained.recv_timeout(DEADLINE)).expect("the wire ended");
+        drainer.join().unwrap();
+        assert_eq!(seqs(&delivered), vec![1]);
+        assert!(registry.lock().is_none());
     }
 
     #[test]
@@ -1330,6 +1460,20 @@ mod tests {
         rx.recv().unwrap(); // drained: cut on drain
         rx.recv().unwrap();
         let snap = obs.metrics.snapshot();
+        assert_eq!(snap.counter("ship_partial_segments_total"), Some(2));
+        assert_eq!(snap.counter("ship_drain_tails_total"), Some(1));
+        logger.close();
+    }
+
+    #[test]
+    fn the_sink_counts_the_segments_the_wire_threads_drain_edge_cut() {
+        let obs = Arc::new(c5_obs::Obs::new());
+        let archive = Arc::new(crate::archive::LogArchive::new());
+        let (tx, rx) = LogShipper::bounded(4);
+        let tx = (tx.with_obs(Arc::clone(&obs))).with_archive(Arc::clone(&archive));
+        let logger = the_wire_thread_cuts_what_committed_during_an_append(tx, &archive, &rx);
+        let snap = obs.metrics.snapshot();
+        // A was cut on append, B by the wire thread.
         assert_eq!(snap.counter("ship_partial_segments_total"), Some(2));
         assert_eq!(snap.counter("ship_drain_tails_total"), Some(1));
         logger.close();

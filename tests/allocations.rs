@@ -11,6 +11,11 @@
 //! write that finds its predecessor missing parks), so each bound has some
 //! head room above the counts seen.
 //!
+//! The primary's side is counted too: a seeded stream of the same
+//! two-update transactions committed through the 2PL engine into a logger
+//! whose one subscriber never drains, per committed transaction, after a
+//! warm-up.
+//!
 //! Everything is one test function, so no other test in this binary
 //! allocates while a count runs. Run it alone with `cargo test --test
 //! allocations`; `-- --nocapture` prints the counts.
@@ -22,11 +27,14 @@ use std::sync::Arc;
 use c5_bench::harness::{materialize_log, replay_log};
 use c5_bench::{ReplicaSpec, Scale};
 use c5_obs::Obs;
-use c5_repro::common::SeqNo;
+use c5_repro::common::{PrimaryConfig, Result, RowRef, SeqNo, Value};
 use c5_repro::core::progress::WatermarkTracker;
-use c5_repro::log::Segment;
-use c5_repro::primary::TxnFactory;
-use c5_repro::workloads::synthetic::{shard_span_population, ShardSpanWorkload};
+use c5_repro::log::{LogShipper, Segment, StreamingLogger};
+use c5_repro::primary::{StoredProcedure, TplEngine, TxnCtx, TxnFactory};
+use c5_repro::storage::MvStore;
+use c5_repro::workloads::synthetic::{shard_span_population, ShardSpanWorkload, SYNTHETIC_TABLE};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Counts every allocation and reallocation, on any thread.
 struct Counting;
@@ -98,6 +106,43 @@ const REPLICAS: [(&str, ReplicaSpec, f64); 4] = [
     ),
 ];
 
+/// Transactions the 2PL loop commits before it counts, and while it counts.
+const COMMIT_WARM_UP: usize = 2_000;
+const COMMITS: usize = 20_000;
+
+/// The 2PL commit loop's bound on allocations per committed transaction:
+/// the count seen (2.076, the same in debug and release), rounded up. Two
+/// of them are `TplEngine::try_execute`'s own, made per attempt: the `held`
+/// row-lock list and the write set's vector. The rest is shared out over
+/// many commits: the segment the logger cuts every 128 transactions, and
+/// the growth of the primary store's version slabs, which nothing trims.
+const COMMIT_BOUND: f64 = 2.08;
+
+/// Two read-for-update-then-update writes to distinct uniform keys, in key
+/// order (the shard-span transaction), whose values are made when the
+/// transaction is drawn: making a value, like making the procedure, is the
+/// client's allocation, not the commit's.
+struct TwoUpdates([(RowRef, Value); 2]);
+
+impl TwoUpdates {
+    fn draw(rng: &mut StdRng, value: u64) -> Self {
+        let first = rng.gen_range(0..KEY_SPACE);
+        let second = (first + rng.gen_range(1..KEY_SPACE)) % KEY_SPACE;
+        let write = |key| (RowRef::new(SYNTHETIC_TABLE, key), Value::from_u64(value));
+        TwoUpdates([write(first.min(second)), write(first.max(second))])
+    }
+}
+
+impl StoredProcedure for TwoUpdates {
+    fn execute(&self, ctx: &mut dyn TxnCtx) -> Result<()> {
+        for (row, value) in &self.0 {
+            ctx.read_for_update(*row)?;
+            ctx.update(*row, value.clone())?;
+        }
+        Ok(())
+    }
+}
+
 #[test]
 fn the_tracker_allocates_nothing_and_replay_stays_under_its_bounds() {
     let scale = Scale::smoke();
@@ -155,4 +200,33 @@ fn the_tracker_allocates_nothing_and_replay_stays_under_its_bounds() {
         );
     }
     println!("allocations per record: {}", counts.join(", "));
+
+    // The 2PL commit loop, on this thread alone.
+    let (shipper, _undrained) = LogShipper::unbounded();
+    let logger = StreamingLogger::new(scale.segment_records, shipper);
+    let engine = TplEngine::new(
+        Arc::new(MvStore::default()),
+        PrimaryConfig::default(),
+        logger,
+    );
+    for (row, value) in &population {
+        engine.load_row(*row, value.clone());
+    }
+    let mut rng = StdRng::seed_from_u64(42);
+    let procedures: Vec<TwoUpdates> = (0..COMMIT_WARM_UP + COMMITS)
+        .map(|t| TwoUpdates::draw(&mut rng, t as u64))
+        .collect();
+    let (warm_up, counted) = procedures.split_at(COMMIT_WARM_UP);
+    let commit = |procedure: &TwoUpdates| {
+        engine.execute(procedure).expect("one client never aborts");
+    };
+    warm_up.iter().for_each(commit);
+    let per_txn = allocations(|| counted.iter().for_each(commit)) as f64 / COMMITS as f64;
+    println!("allocations per committed 2PL transaction: {per_txn:.3}");
+    assert_eq!(engine.committed(), (COMMIT_WARM_UP + COMMITS) as u64);
+    assert!(
+        per_txn <= COMMIT_BOUND,
+        "a 2PL commit allocated {per_txn:.3} times, above its bound {COMMIT_BOUND}"
+    );
+    engine.close_log();
 }
