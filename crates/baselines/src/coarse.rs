@@ -128,7 +128,7 @@ c5_core::delegate_replica_to_pipeline!(CoarseGrainReplica, runtime);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowWrite, SeqNo, TableId, Timestamp, TxnId, Value};
+    use c5_common::{RowWrite, SeqNo, TableId, Timestamp, Value};
     use c5_core::replica::{drive_segments, ClonedConcurrencyControl};
     use c5_log::{segments_from_entries, TxnEntry};
 
@@ -137,7 +137,6 @@ mod tests {
             .map(|i| {
                 let table = (i % tables as u64) as u32;
                 TxnEntry::new(
-                    TxnId(i),
                     Timestamp(i),
                     vec![RowWrite::update(RowRef::new(table, i), Value::from_u64(i))],
                 )
@@ -190,7 +189,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=200u64)
             .map(|i| {
                 TxnEntry::new(
-                    TxnId(i),
                     Timestamp(i),
                     vec![RowWrite::update(RowRef::new(0, 3), Value::from_u64(i))],
                 )

@@ -162,7 +162,7 @@ c5_core::delegate_replica_to_pipeline!(KuaFuReplica, runtime);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, Timestamp, Value};
     use c5_core::replica::{drive_segments, ClonedConcurrencyControl};
     use c5_log::{segments_from_entries, TxnEntry};
 
@@ -180,7 +180,7 @@ mod tests {
                     .map(|i| RowWrite::insert(row(1 + t * inserts + i), Value::from_u64(i)))
                     .collect();
                 writes.push(RowWrite::update(row(0), Value::from_u64(t)));
-                TxnEntry::new(TxnId(t), Timestamp(t), writes)
+                TxnEntry::new(Timestamp(t), writes)
             })
             .collect();
         segments_from_entries(&entries, 32)
@@ -195,11 +195,11 @@ mod tests {
             drive_segments(driven.as_ref(), segments);
             let _ = done.send(());
         });
-        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
-            drained.recv_timeout(std::time::Duration::from_secs(30))
-        {
-            panic!("the replay did not drain within 30 s");
-        }
+        // A replay thread that panicked has printed its panic and dropped
+        // `done`, which also ends the wait.
+        drained
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("the replay did not drain within 30 s"));
         replay.join().expect("the replay thread panicked");
     }
 
@@ -240,7 +240,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=200u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::insert(row(t), Value::from_u64(t))],
                 )
@@ -261,7 +260,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=10_000u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::update(row(t % 64), Value::from_u64(t))],
                 )
@@ -316,17 +314,14 @@ mod tests {
         let (_store, replica) = replica(4, KuaFuConfig::default());
         let entries = vec![
             TxnEntry::new(
-                TxnId(1),
                 Timestamp(1),
                 vec![RowWrite::update(row(1), Value::from_u64(1))],
             ),
             TxnEntry::new(
-                TxnId(2),
                 Timestamp(2),
                 vec![RowWrite::update(row(2), Value::from_u64(2))],
             ),
             TxnEntry::new(
-                TxnId(3),
                 Timestamp(3),
                 vec![
                     RowWrite::update(row(1), Value::from_u64(31)),

@@ -78,7 +78,7 @@ c5_core::delegate_replica_to_pipeline!(SingleThreadedReplica, runtime);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, Value};
     use c5_core::replica::{drive_segments, ClonedConcurrencyControl};
     use c5_log::{segments_from_entries, TxnEntry};
 
@@ -90,7 +90,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=20u64)
             .map(|i| {
                 TxnEntry::new(
-                    TxnId(i),
                     Timestamp(i),
                     vec![RowWrite::update(RowRef::new(0, 0), Value::from_u64(i))],
                 )

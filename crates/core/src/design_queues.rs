@@ -128,18 +128,16 @@ impl RowQueueScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowWrite, SeqNo, Timestamp, TxnId, Value};
+    use c5_common::{RowWrite, SeqNo, Value};
 
     fn record(seq: u64, key: u64) -> LogRecord {
         LogRecord {
-            txn: TxnId(seq),
             seq: SeqNo(seq),
-            commit_ts: Timestamp(seq),
             commit_wall_nanos: 0,
             prev_seq: SeqNo::ZERO,
             write: RowWrite::update(RowRef::new(0, key), Value::from_u64(seq)),
-            idx_in_txn: 0,
-            txn_len: 1,
+            txn_first: true,
+            txn_last: true,
         }
     }
 
@@ -243,7 +241,7 @@ mod proptests {
     use super::*;
     use std::collections::{BTreeSet, HashSet};
 
-    use c5_common::{RowWrite, SeqNo, Timestamp, TxnId, Value};
+    use c5_common::{RowWrite, SeqNo, Timestamp, Value};
     use c5_log::SegmentBuilder;
     use c5_storage::MvStore;
     use proptest::prelude::*;
@@ -252,14 +250,12 @@ mod proptests {
 
     fn record(seq: u64, key: u64) -> LogRecord {
         LogRecord {
-            txn: TxnId(seq),
             seq: SeqNo(seq),
-            commit_ts: Timestamp(seq),
             commit_wall_nanos: 0,
             prev_seq: SeqNo::ZERO,
             write: RowWrite::update(RowRef::new(0, key), Value::from_u64(seq)),
-            idx_in_txn: 0,
-            txn_len: 1,
+            txn_first: true,
+            txn_last: true,
         }
     }
 
@@ -323,15 +319,14 @@ mod proptests {
             steps in prop::collection::vec((any::<bool>(), any::<usize>()), 0..300),
         ) {
             let mut log = SegmentBuilder::new(1024);
-            for (i, keys) in txns.iter().enumerate() {
+            for keys in txns {
                 let mut seen = HashSet::new();
                 let writes: Vec<RowWrite> = keys
                     .iter()
                     .filter(|k| seen.insert(**k))
                     .map(|&k| RowWrite::update(RowRef::new(0, k), Value::from_u64(k)))
                     .collect();
-                let t = i as u64 + 1;
-                prop_assert!(log.push_txn(TxnId(t), Timestamp(t), 0, &writes).is_none());
+                prop_assert!(log.push_txn(0, &writes).is_none());
             }
             let mut segment = log.flush().expect("every transaction writes");
             SchedulerState::new().process_segment(&mut segment);

@@ -462,7 +462,7 @@ impl Drop for GcCap<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowRef, RowWrite, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, Value};
     use c5_log::{segments_from_entries, TxnEntry};
 
     fn exposure(config: &ReplicaConfig) -> (PrefixExposure, PipelineSignals) {
@@ -475,7 +475,6 @@ mod tests {
     fn segment() -> Segment {
         let entries = vec![
             TxnEntry::new(
-                TxnId(1),
                 Timestamp(1),
                 vec![
                     RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1)),
@@ -483,7 +482,6 @@ mod tests {
                 ],
             ),
             TxnEntry::new(
-                TxnId(2),
                 Timestamp(2),
                 vec![RowWrite::update(RowRef::new(0, 1), Value::from_u64(10))],
             ),
@@ -544,7 +542,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=64u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::update(RowRef::new(0, 1), Value::from_u64(t))],
                 )
@@ -605,7 +602,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::shard::{route_segment_with, RouteScratch};
-    use c5_common::{RowRef, RowWrite, ShardRouter, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, ShardRouter, Value};
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::ReferenceStore;
     use proptest::prelude::*;
@@ -647,7 +644,7 @@ mod proptests {
                     let writes = (0..len)
                         .map(|w| RowWrite::update(RowRef::new(0, (t * 7 + w * 3) % KEYS), Value::from_u64(t)))
                         .collect();
-                    TxnEntry::new(TxnId(t), Timestamp(t), writes)
+                    TxnEntry::new(Timestamp(t), writes)
                 })
                 .collect();
             let mut segments: VecDeque<Segment> = segments_from_entries(&entries, segment_records).into();
@@ -788,7 +785,7 @@ mod proptests {
                     let writes = (0..len)
                         .map(|w| RowWrite::update(RowRef::new(0, (t * 7 + w * 3) % KEYS), Value::from_u64(t)))
                         .collect();
-                    TxnEntry::new(TxnId(t), Timestamp(t), writes)
+                    TxnEntry::new(Timestamp(t), writes)
                 })
                 .collect();
             let mut segments: VecDeque<Segment> = segments_from_entries(&entries, segment_records).into();

@@ -522,7 +522,7 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, Value};
     use c5_log::{now_nanos, Segment, SegmentBuilder};
 
     #[test]
@@ -594,7 +594,7 @@ mod tests {
     fn segment_at(id: u64, start: SeqNo) -> (Segment, SeqNo) {
         let write = RowWrite::insert(RowRef::new(0, id), Value::from_u64(id * 100));
         let mut log = SegmentBuilder::resume_at(1, start);
-        let segment = log.push_txn(TxnId(id), Timestamp(id), now_nanos(), &[write]);
+        let segment = log.push_txn(now_nanos(), &[write]);
         (segment.expect("one write fills a segment"), log.last_seq())
     }
 

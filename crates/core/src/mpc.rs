@@ -150,7 +150,7 @@ impl MpcChecker {
 mod tests {
     use super::*;
     use crate::replica::ReadView;
-    use c5_common::{RowWrite, TableId, Timestamp, TxnId};
+    use c5_common::{RowWrite, TableId, Timestamp};
     use c5_log::{segments_from_entries, TxnEntry};
 
     fn row(k: u64) -> RowRef {
@@ -189,7 +189,6 @@ mod tests {
     fn log() -> Vec<Segment> {
         let entries = vec![
             TxnEntry::new(
-                TxnId(1),
                 Timestamp(1),
                 vec![
                     RowWrite::insert(row(1), Value::from_u64(10)),
@@ -197,11 +196,10 @@ mod tests {
                 ],
             ),
             TxnEntry::new(
-                TxnId(2),
                 Timestamp(2),
                 vec![RowWrite::update(row(1), Value::from_u64(11))],
             ),
-            TxnEntry::new(TxnId(3), Timestamp(3), vec![RowWrite::delete(row(2))]),
+            TxnEntry::new(Timestamp(3), vec![RowWrite::delete(row(2))]),
         ];
         segments_from_entries(&entries, 2)
     }

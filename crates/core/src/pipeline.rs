@@ -1047,7 +1047,7 @@ impl Default for RowWaitList {
 mod tests {
     use super::*;
     use crate::replica::within_deadline;
-    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, Value};
     use c5_storage::MvStore;
     use parking_lot::{Condvar, Mutex as PlMutex};
     use std::collections::HashMap;
@@ -1056,14 +1056,12 @@ mod tests {
 
     fn record(seq: u64, prev: u64, key: u64) -> LogRecord {
         LogRecord {
-            txn: TxnId(seq),
             seq: SeqNo(seq),
-            commit_ts: Timestamp(seq),
             commit_wall_nanos: 0,
             prev_seq: SeqNo(prev),
             write: RowWrite::update(RowRef::new(0, key), Value::from_u64(seq)),
-            idx_in_txn: 0,
-            txn_len: 1,
+            txn_first: true,
+            txn_last: true,
         }
     }
 
@@ -1444,9 +1442,8 @@ mod tests {
                 let records = (first_txn..first_txn + per_segment)
                     .flat_map(|txn| {
                         (0..2u32).map(move |idx| LogRecord {
-                            txn: TxnId(txn + 1),
-                            idx_in_txn: idx,
-                            txn_len: 2,
+                            txn_first: idx == 0,
+                            txn_last: idx == 1,
                             ..record(txn * 2 + 1 + u64::from(idx), 0, u64::from(idx) * (txn + 1))
                         })
                     })

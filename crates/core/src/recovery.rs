@@ -145,7 +145,7 @@ mod tests {
     use super::*;
     use crate::replica::{drive_within_deadline, within_deadline, ClonedConcurrencyControl};
     use c5_common::fs::{FaultyFs, StdFs};
-    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value, WriteKind};
+    use c5_common::{RowRef, RowWrite, Timestamp, Value, WriteKind};
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::{CheckpointWriter, MvStore};
     use std::fs;
@@ -168,7 +168,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=6u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![
                         RowWrite::update(RowRef::new(0, t % 3), Value::from_u64(t)),

@@ -221,37 +221,6 @@ pub fn drive_segments(replica: &dyn ClonedConcurrencyControl, segments: Vec<Segm
     start.elapsed()
 }
 
-/// Runs `f` on its own thread and panics if it has not returned within
-/// 30 s: how a test states "this must not hang". On a timeout the thread is
-/// left behind, parked wherever it hung.
-#[cfg(test)]
-pub(crate) fn within_deadline<T: Send + 'static>(
-    what: &str,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (done, outcome) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = done.send(f());
-    });
-    outcome
-        .recv_timeout(Duration::from_secs(30))
-        .unwrap_or_else(|_| panic!("{what} did not return within its deadline"))
-}
-
-/// [`drive_segments`] within the deadline: a replay whose drain never ends
-/// (a lost boundary leaves `finish` waiting for a cut) fails the test
-/// instead of hanging the suite.
-#[cfg(test)]
-pub(crate) fn drive_within_deadline<R>(replica: &Arc<R>, segments: Vec<Segment>)
-where
-    R: ClonedConcurrencyControl + Send + Sync + 'static,
-{
-    let replica = Arc::clone(replica);
-    within_deadline("drive_segments", move || {
-        drive_segments(replica.as_ref(), segments);
-    });
-}
-
 /// Which of the paper's two implementations to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum C5Mode {
@@ -602,11 +571,42 @@ impl C5Replica {
 
 crate::delegate_replica_to_pipeline!(C5Replica, runtime);
 
+/// Runs `f` on its own thread and panics if it has not returned within
+/// 30 s: how a test states "this must not hang". On a timeout the thread is
+/// left behind, parked wherever it hung.
+#[cfg(test)]
+pub(crate) fn within_deadline<T: Send + 'static>(
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(f());
+    });
+    outcome
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what} did not return within its deadline"))
+}
+
+/// [`drive_segments`] within the deadline: a replay whose drain never ends
+/// (a lost boundary leaves `finish` waiting for a cut) fails the test
+/// instead of hanging the suite.
+#[cfg(test)]
+pub(crate) fn drive_within_deadline<R>(replica: &Arc<R>, segments: Vec<Segment>)
+where
+    R: ClonedConcurrencyControl + Send + Sync + 'static,
+{
+    let replica = Arc::clone(replica);
+    within_deadline("drive_segments", move || {
+        drive_segments(replica.as_ref(), segments);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mpc::MpcChecker;
-    use c5_common::{OpCost, RowWrite, TxnId};
+    use c5_common::{OpCost, RowWrite};
     use c5_log::{segments_from_entries, TxnEntry};
 
     fn row(k: u64) -> RowRef {
@@ -627,7 +627,7 @@ mod tests {
                 ));
             }
             writes.push(RowWrite::update(row(0), Value::from_u64(t + 1)));
-            entries.push(TxnEntry::new(TxnId(t + 1), Timestamp(t + 1), writes));
+            entries.push(TxnEntry::new(Timestamp(t + 1), writes));
         }
         segments_from_entries(&entries, segment_records)
     }
@@ -828,7 +828,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=500u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::update(row(0), Value::from_u64(t))],
                 )

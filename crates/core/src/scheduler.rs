@@ -103,7 +103,7 @@ impl SchedulerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{RowWrite, Value};
     use c5_log::SegmentBuilder;
 
     fn row(k: u64) -> RowRef {
@@ -113,13 +113,12 @@ mod tests {
     fn make_segment(txns: &[Vec<u64>]) -> Segment {
         // Each inner vec lists the row keys written by one transaction.
         let mut log = SegmentBuilder::new(1024);
-        for (i, keys) in txns.iter().enumerate() {
+        for keys in txns {
             let writes: Vec<RowWrite> = keys
                 .iter()
                 .map(|&k| RowWrite::update(row(k), Value::from_u64(k)))
                 .collect();
-            let t = i as u64 + 1;
-            assert!(log.push_txn(TxnId(t), Timestamp(t), 0, &writes).is_none());
+            assert!(log.push_txn(0, &writes).is_none());
         }
         log.flush().unwrap_or_else(|| Segment::new(Vec::new()))
     }
@@ -198,7 +197,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use c5_common::{RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{RowWrite, Value};
     use c5_log::SegmentBuilder;
     use proptest::prelude::*;
     use std::collections::HashMap as StdHashMap;
@@ -212,7 +211,7 @@ mod proptests {
             keys in prop::collection::vec(prop::collection::vec(0u64..8, 1..5), 1..20)
         ) {
             let mut log = SegmentBuilder::new(1024);
-            for (i, txn_keys) in keys.iter().enumerate() {
+            for txn_keys in keys {
                 // Dedup within a transaction (the write-set invariant).
                 let mut seen = std::collections::HashSet::new();
                 let writes: Vec<_> = txn_keys
@@ -220,8 +219,7 @@ mod proptests {
                     .filter(|k| seen.insert(**k))
                     .map(|&k| RowWrite::update(RowRef::new(0, k), Value::from_u64(k)))
                     .collect();
-                let t = i as u64 + 1;
-                prop_assert!(log.push_txn(TxnId(t), Timestamp(t), 0, &writes).is_none());
+                prop_assert!(log.push_txn(0, &writes).is_none());
             }
             let mut seg = log.flush().expect("every transaction writes");
             SchedulerState::new().process_segment(&mut seg);

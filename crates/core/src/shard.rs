@@ -106,7 +106,7 @@ mod tests {
     use crate::replica::{
         drive_within_deadline, C5Mode, C5Replica, ClonedConcurrencyControl, FLEET_PROGRESS,
     };
-    use c5_common::{ReplicaConfig, RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value, WriteKind};
+    use c5_common::{ReplicaConfig, RowRef, RowWrite, SeqNo, Timestamp, Value, WriteKind};
     use c5_log::{segments_from_entries, Segment, SegmentBuilder, TxnEntry};
     use c5_storage::MvStore;
     use std::sync::Arc;
@@ -144,7 +144,7 @@ mod tests {
                 ),
                 RowWrite::insert(RowRef::new(1, KEY_SPACE + t), Value::from_u64(t)),
             ];
-            entries.push(TxnEntry::new(TxnId(t), Timestamp(t), writes));
+            entries.push(TxnEntry::new(Timestamp(t), writes));
         }
         (population, segments_from_entries(&entries, 16))
     }
@@ -287,7 +287,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=400u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![
                         RowWrite::update(row(0), Value::from_u64(t)),
@@ -363,7 +362,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=40u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::update(row(t % 16), Value::from_u64(t))],
                 )
@@ -399,7 +397,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=50u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::update(row(t % 16), Value::from_u64(t))],
                 )
@@ -417,7 +414,6 @@ mod tests {
     fn multi_shard_records() -> Vec<LogRecord> {
         let entries = vec![
             TxnEntry::new(
-                TxnId(1),
                 Timestamp(1),
                 vec![
                     RowWrite::insert(row(1), Value::from_u64(1)),
@@ -425,12 +421,10 @@ mod tests {
                 ],
             ),
             TxnEntry::new(
-                TxnId(2),
                 Timestamp(2),
                 vec![RowWrite::insert(row(2), Value::from_u64(2))],
             ),
             TxnEntry::new(
-                TxnId(3),
                 Timestamp(3),
                 vec![
                     RowWrite::insert(row(6), Value::from_u64(6)),
@@ -460,8 +454,7 @@ mod tests {
 
         // A segment owned wholly by shard 1 leaves shard 0 an empty run.
         let write = RowWrite::insert(row(7), Value::from_u64(8));
-        let segment =
-            SegmentBuilder::resume_at(1, SeqNo(5)).push_txn(TxnId(4), Timestamp(4), 0, &[write]);
+        let segment = SegmentBuilder::resume_at(1, SeqNo(5)).push_txn(0, &[write]);
         let routed = route_segment_with(segment.unwrap().records, &router, &mut scratch);
         assert_eq!(routed.cross_shard_txns, 0);
         assert!(routed.parts[0].is_empty(), "shard 0 owns nothing here");
@@ -479,7 +472,7 @@ mod tests {
             RowWrite::insert(row(1), Value::from_u64(1)),
             RowWrite::insert(row(40), Value::from_u64(40)),
         ];
-        let segment = SegmentBuilder::new(2).push_txn(TxnId(1), Timestamp(1), 0, &writes);
+        let segment = SegmentBuilder::new(2).push_txn(0, &writes);
         let mut records = segment.unwrap().records;
         records.truncate(1);
         let replica = C5Replica::new(C5Mode::Faithful, preloaded(&[]), config(2, 1));

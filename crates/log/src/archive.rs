@@ -26,7 +26,7 @@
 //!
 //! The directory holds a one-frame manifest (`archive.meta`, the truncation
 //! point, replaced by [`c5_common::fs::publish`]) and a few **chunk** files
-//! `log-<first_seq>.c5l`, zero-padded so name order is log order; any other
+//! `log-<first_seq>.c5r`, zero-padded so name order is log order; any other
 //! name (a checkpoint sharing the directory) is not the archive's. A chunk is
 //! a run of frames ([`c5_common::frame`]), one per segment, and then zeros:
 //!
@@ -101,22 +101,24 @@ pub const ZERO_AHEAD_BYTES: u64 = 256 << 10;
 
 fn chunk_file_name(first: SeqNo) -> String {
     // Zero-padded so lexicographic directory order is log order.
-    format!("log-{:020}.c5l", first.as_u64())
+    format!("log-{:020}.c5r", first.as_u64())
 }
 
 /// The first position a chunk file's name promises, if it is a chunk file.
 fn chunk_first_seq(name: &str) -> Option<SeqNo> {
-    let digits = name.strip_prefix("log-")?.strip_suffix(".c5l")?;
+    let digits = name.strip_prefix("log-")?.strip_suffix(".c5r")?;
     digits.parse().ok().map(SeqNo)
 }
 
 /// The chunk files among `names`, in log order. Fails if the directory holds
 /// a layout this archive no longer reads: one file per segment
-/// (`seg-*.c5w`), or chunks of twice-checksummed segments (`log-*.c5a`).
+/// (`seg-*.c5w`), chunks of twice-checksummed segments (`log-*.c5a`), or
+/// chunks of records that still carried their transaction's id, commit
+/// timestamp and index pair (`log-*.c5l`).
 fn chunk_files(dir: &Path, names: &[String]) -> io::Result<Vec<(SeqNo, PathBuf)>> {
     let old_layout = |n: &String| {
         (n.starts_with("seg-") && n.ends_with(".c5w"))
-            || (n.starts_with("log-") && n.ends_with(".c5a"))
+            || (n.starts_with("log-") && (n.ends_with(".c5a") || n.ends_with(".c5l")))
     };
     if let Some(old) = names.iter().find(|n| old_layout(n)) {
         return Err(io::Error::new(
@@ -738,7 +740,7 @@ mod tests {
     use crate::logger::segments_from_entries;
     use crate::record::TxnEntry;
     use c5_common::fs::FaultyFs;
-    use c5_common::{RowRef, RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, Timestamp, Value};
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -753,7 +755,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=txns)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![
                         RowWrite::update(RowRef::new(0, t), Value::from_u64(t)),
@@ -766,9 +767,9 @@ mod tests {
     }
 
     /// A one-write transaction's segment, its record at `last + 1`.
-    fn segment_after(last: SeqNo, txn: u64, ts: u64, write: RowWrite) -> Segment {
+    fn segment_after(last: SeqNo, write: RowWrite) -> Segment {
         let mut builder = crate::segment::SegmentBuilder::resume_at(1, last);
-        let segment = builder.push_txn(TxnId(txn), Timestamp(ts), crate::now_nanos(), &[write]);
+        let segment = builder.push_txn(crate::now_nanos(), &[write]);
         segment.expect("one write fills a segment")
     }
 
@@ -786,9 +787,9 @@ mod tests {
         records.iter().map(|r| r.seq.as_u64()).collect()
     }
 
-    /// A chunk size that holds two of `test_log_of`'s 304-byte frames and
+    /// A chunk size that holds two of `test_log_of`'s 172-byte frames and
     /// not a third.
-    const TWO_FRAME_CHUNK: u64 = 800;
+    const TWO_FRAME_CHUNK: u64 = 450;
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -947,7 +948,7 @@ mod tests {
         // accept that as the first segment and replay from the cut.
         let write = RowWrite::update(RowRef::new(0, 1), Value::from_u64(1));
         let archive = LogArchive::starting_at(SeqNo(10));
-        archive.append(&segment_after(SeqNo(10), 1, 11, write));
+        archive.append(&segment_after(SeqNo(10), write));
         let replay = archive.replay_from(SeqNo(10)).unwrap();
         assert_eq!(crate::logger::flatten(&replay)[0].seq, SeqNo(11));
         assert!(matches!(
@@ -991,7 +992,7 @@ mod tests {
 
         // Appends continue where the recovered log ends.
         let write = RowWrite::update(RowRef::new(0, 7), Value::from_u64(7));
-        archive.append(&segment_after(SeqNo(12), 7, 7, write));
+        archive.append(&segment_after(SeqNo(12), write));
         assert_eq!(archive.last_seq(), SeqNo(13));
 
         fs::remove_dir_all(&dir).expect("cleanup");
@@ -1203,7 +1204,7 @@ mod tests {
         // its first frames end inside what the torn frame used to occupy.
         for t in 0..4u64 {
             let write = RowWrite::update(RowRef::new(0, 500 + t), Value::from_u64(t));
-            archive.append(&segment_after(SeqNo(8 + t), 100 + t, 100 + t, write));
+            archive.append(&segment_after(SeqNo(8 + t), write));
         }
         assert_eq!(archive.last_seq(), SeqNo(12));
         drop(archive);
@@ -1266,7 +1267,7 @@ mod tests {
         assert_eq!(chunk_paths(&dir).unwrap(), chunks[..1]);
         // Appends go on from the recovered end, over the re-zeroed remainder.
         let write = RowWrite::update(RowRef::new(0, 9), Value::from_u64(9));
-        archive.append(&segment_after(last.seq, 99, 99, write));
+        archive.append(&segment_after(last.seq, write));
         drop(archive);
         let again = LogArchive::open(&dir, policy).expect("reopen");
         assert!(!again.torn_tail);
@@ -1398,6 +1399,15 @@ mod tests {
         let mut chunk = Vec::new();
         write_frame(&mut chunk, b"C5WSEG1\n");
         assert_refused("log-00000000000000000001.c5a", &chunk);
+    }
+
+    /// Nor for chunks of records in the 62-byte-field format, which would
+    /// misparse as the current one.
+    #[test]
+    fn an_old_wide_record_chunk_is_refused_not_read() {
+        let mut chunk = Vec::new();
+        write_frame(&mut chunk, &[0u8; 130]);
+        assert_refused("log-00000000000000000001.c5l", &chunk);
     }
 
     #[test]

@@ -71,7 +71,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use c5_common::{RowWrite, SeqNo, Timestamp, TxnId};
+use c5_common::{RowWrite, SeqNo, Timestamp};
 
 use crate::record::{now_nanos, LogRecord, TxnEntry};
 use crate::segment::{Segment, SegmentBuilder};
@@ -166,8 +166,8 @@ impl StreamingLogger {
     /// (commit order = log order for the 2PL engine) and returned.
     ///
     /// Returns the assigned commit timestamp.
-    pub fn append(&self, txn: TxnId, writes: &[RowWrite]) -> Timestamp {
-        self.append_tokened(txn, writes).0
+    pub fn append(&self, writes: &[RowWrite]) -> Timestamp {
+        self.append_tokened(writes).0
     }
 
     /// Appends a committed transaction and also returns its **causal token**:
@@ -180,12 +180,12 @@ impl StreamingLogger {
     ///
     /// The writes are copied into their records in the open segment (a
     /// refcount bump per payload); the caller keeps them, to install.
-    pub fn append_tokened(&self, txn: TxnId, writes: &[RowWrite]) -> (Timestamp, SeqNo) {
+    pub fn append_tokened(&self, writes: &[RowWrite]) -> (Timestamp, SeqNo) {
         let state = &*self.state;
         state.locked(|inner| {
             inner.next_commit_ts = inner.next_commit_ts.next();
             let commit_ts = inner.next_commit_ts;
-            let full = inner.builder.push_txn(txn, commit_ts, now_nanos(), writes);
+            let full = inner.builder.push_txn(now_nanos(), writes);
             let last_seq = inner.builder.last_seq();
             // Published before the ship, which may park on a full wire, and
             // before the idle check, which the drain edge pairs with.
@@ -391,7 +391,7 @@ pub fn segments_from_entries(entries: &[TxnEntry], segment_records: usize) -> Ve
     let mut builder = SegmentBuilder::new(segment_records);
     let mut segments: Vec<Segment> = entries
         .iter()
-        .filter_map(|e| builder.push_txn(e.txn, e.commit_ts, e.commit_wall_nanos, &e.writes))
+        .filter_map(|e| builder.push_txn(e.commit_wall_nanos, &e.writes))
         .collect();
     segments.extend(builder.flush());
     segments
@@ -421,16 +421,22 @@ mod tests {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(2, shipper);
 
-        let ts1 = logger.append(TxnId(1), &[write(1, 1)]);
-        let ts2 = logger.append(TxnId(2), &[write(2, 2)]);
+        let ts1 = logger.append(&[write(1, 1)]);
+        let ts2 = logger.append(&[write(2, 2)]);
         assert!(ts2 > ts1);
         logger.close();
 
+        // The commit timestamp of each record, keyed by the row it writes:
+        // log order is commit order.
+        let commit_ts = |k: u64| [ts1, ts2][k as usize - 1];
         let segments = receiver.drain();
         let records = flatten(&segments);
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].txn, TxnId(1));
-        assert_eq!(records[1].txn, TxnId(2));
+        let in_log_order: Vec<Timestamp> = records
+            .iter()
+            .map(|r| commit_ts(r.write.row.key.as_u64()))
+            .collect();
+        assert_eq!(in_log_order, vec![ts1, ts2]);
         assert!(records[0].seq < records[1].seq);
     }
 
@@ -438,14 +444,14 @@ mod tests {
     fn append_tokened_returns_the_txn_boundary() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(4, shipper);
-        let (ts1, tok1) = logger.append_tokened(TxnId(1), &[write(1, 1), write(2, 1)]);
-        let (ts2, tok2) = logger.append_tokened(TxnId(2), &[write(3, 2)]);
+        let (ts1, tok1) = logger.append_tokened(&[write(1, 1), write(2, 1)]);
+        let (ts2, tok2) = logger.append_tokened(&[write(3, 2)]);
         assert_eq!(tok1, SeqNo(2), "token is the seq of the txn's last write");
         assert_eq!(tok2, SeqNo(3));
         assert!(ts2 > ts1);
         // A write-free transaction carries the previous boundary: nothing new
         // for a session to wait on.
-        let (_, tok3) = logger.append_tokened(TxnId(3), &[]);
+        let (_, tok3) = logger.append_tokened(&[]);
         assert_eq!(tok3, tok2);
         logger.close();
         drop(receiver);
@@ -456,11 +462,11 @@ mod tests {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(100, shipper);
         // The wire is idle, so the first commit leaves at once...
-        logger.append(TxnId(1), &[write(1, 1)]);
+        logger.append(&[write(1, 1)]);
         assert_eq!(receiver.try_len(), 1);
         // ...and while that segment sits undrained the wire is busy: the
         // next commit, far below the bound, stays buffered.
-        logger.append(TxnId(2), &[write(2, 2)]);
+        logger.append(&[write(2, 2)]);
         assert_eq!(receiver.try_len(), 1);
         // A flush ships it whatever the wire is doing.
         logger.flush();
@@ -475,12 +481,12 @@ mod tests {
         // empty segment on the wire.
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(100, shipper);
-        logger.append(TxnId(1), &[write(1, 1)]);
+        logger.append(&[write(1, 1)]);
         logger.flush(); // already shipped: must ship nothing
-        logger.append(TxnId(2), &[write(2, 2)]); // wire busy: buffered
+        logger.append(&[write(2, 2)]); // wire busy: buffered
         logger.flush();
         logger.flush(); // nothing buffered: must ship nothing
-        logger.append(TxnId(3), &[write(3, 3)]);
+        logger.append(&[write(3, 3)]);
         logger.close();
         logger.close(); // idempotent: no duplicate tail, no empty segment
 
@@ -499,7 +505,7 @@ mod tests {
         let (shipper, receiver) = LogShipper::bounded(4);
         let logger = StreamingLogger::new(256, shipper);
         for t in 1..=50u64 {
-            logger.append(TxnId(t), &[write(t, t), write(1_000 + t, t)]);
+            logger.append(&[write(t, t), write(1_000 + t, t)]);
             // The receiver drains each segment before the next append, so
             // the wire is idle every time: the commit is already on it.
             let segment = receiver.try_recv().expect("shipped when append returned");
@@ -519,7 +525,7 @@ mod tests {
         let (shipper, receiver) = LogShipper::unbounded();
         let logger = StreamingLogger::new(8, shipper);
         for t in 1..=41u64 {
-            logger.append(TxnId(t), &[write(t, t), write(1_000 + t, t)]);
+            logger.append(&[write(t, t), write(1_000 + t, t)]);
         }
         logger.close();
         let sizes: Vec<usize> = receiver.drain().iter().map(Segment::len).collect();
@@ -533,12 +539,12 @@ mod tests {
         assert!(receivers.is_empty());
         let logger = StreamingLogger::new(4, shipper.clone());
         for t in 1..=3u64 {
-            logger.append(TxnId(t), &[write(t, t)]);
+            logger.append(&[write(t, t)]);
             assert_eq!(shipper.shipped_through(), SeqNo::ZERO, "nobody is waiting");
         }
-        logger.append(TxnId(4), &[write(4, 4)]);
+        logger.append(&[write(4, 4)]);
         assert_eq!(shipper.shipped_through(), SeqNo(4));
-        logger.append(TxnId(5), &[write(5, 5)]);
+        logger.append(&[write(5, 5)]);
         assert_eq!(shipper.shipped_through(), SeqNo(4));
     }
 
@@ -549,10 +555,10 @@ mod tests {
         // fills it, the second parks inside `ship` holding the logger lock.
         let (shipper, receiver) = LogShipper::bounded(1);
         let logger = Arc::new(StreamingLogger::new(1, shipper));
-        logger.append(TxnId(1), &[write(1, 1)]);
+        logger.append(&[write(1, 1)]);
         let parked = {
             let logger = Arc::clone(&logger);
-            std::thread::spawn(move || logger.append(TxnId(2), &[write(2, 2)]))
+            std::thread::spawn(move || logger.append(&[write(2, 2)]))
         };
         // The committer publishes position 2 under the logger lock and keeps
         // that lock until the channel has room, which only this thread can
@@ -615,7 +621,7 @@ mod tests {
                             let writes: Vec<RowWrite> = (0..=(c + i) % 3)
                                 .map(|w| write(c * 100_000 + i * 10 + w, i))
                                 .collect();
-                            logger.append(TxnId(1 + c * TXNS + i), &writes);
+                            logger.append(&writes);
                             if i % 17 == 0 {
                                 logger.flush();
                             }
@@ -664,7 +670,7 @@ mod tests {
         let (entered, release) = shipper.park_between_archive_and_watermark();
         let logger = StreamingLogger::new(4, shipper);
         for t in 1..=11u64 {
-            logger.append(TxnId(t), &[write(t, t)]);
+            logger.append(&[write(t, t)]);
         }
         entered.recv().unwrap();
         std::thread::scope(|scope| {
@@ -701,7 +707,7 @@ mod tests {
                 let logger = Arc::clone(&logger);
                 scope.spawn(move || {
                     for i in 0..25u64 {
-                        logger.append(TxnId(1 + t * 100 + i), &[write(t * 1000 + i, i)]);
+                        logger.append(&[write(t * 1000 + i, i)]);
                     }
                 });
             }
@@ -720,8 +726,8 @@ mod tests {
     fn crash_loses_the_buffered_tail() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(2, shipper);
-        logger.append(TxnId(1), &[write(1, 1), write(2, 1)]); // ships: fills a segment
-        logger.append(TxnId(2), &[write(3, 2)]); // buffered: the wire is busy
+        logger.append(&[write(1, 1), write(2, 1)]); // ships: fills a segment
+        logger.append(&[write(3, 2)]); // buffered: the wire is busy
         logger.crash();
         // Only the shipped segment survives; the buffered tail is lost even
         // though its sequence numbers were assigned.
@@ -741,8 +747,8 @@ mod tests {
     /// A still queued. Returns the logger; B is position 2.
     fn a_shipped_b_buffered(shipper: LogShipper) -> StreamingLogger {
         let logger = StreamingLogger::new(100, shipper);
-        logger.append(TxnId(1), &[write(1, 1)]);
-        logger.append(TxnId(2), &[write(2, 2)]);
+        logger.append(&[write(1, 1)]);
+        logger.append(&[write(2, 2)]);
         logger
     }
 
@@ -793,7 +799,7 @@ mod tests {
         logger.close();
         // An append after the close is buffered and never shipped, however
         // the receiver drains.
-        logger.append(TxnId(3), &[write(3, 3)]);
+        logger.append(&[write(3, 3)]);
         assert_eq!(seqs(&[receiver.recv().unwrap()]), vec![1]);
         assert_eq!(seqs(&[receiver.recv().unwrap()]), vec![2]);
         assert!(receiver.recv().is_none());
@@ -877,7 +883,7 @@ mod tests {
                     let txn: Vec<RowWrite> = (0..writes(c, i))
                         .map(|w| write(c * 100_000 + i * 10 + w, i))
                         .collect();
-                    logger.append(TxnId(1 + c * TXNS + i), &txn);
+                    logger.append(&txn);
                 }
             }));
         }
@@ -899,7 +905,7 @@ mod tests {
     fn resume_at_continues_seq_and_commit_order() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::resume_at(1, shipper, SeqNo(10));
-        let ts = logger.append(TxnId(1), &[write(5, 5)]);
+        let ts = logger.append(&[write(5, 5)]);
         assert_eq!(ts, Timestamp(11));
         logger.close();
         let records = flatten(&receiver.drain());
@@ -912,7 +918,7 @@ mod tests {
     fn read_only_transactions_are_not_logged() {
         let (shipper, receiver) = LogShipper::bounded(16);
         let logger = StreamingLogger::new(1, shipper);
-        logger.append(TxnId(1), &[]);
+        logger.append(&[]);
         logger.close();
         assert!(flatten(&receiver.drain()).is_empty());
         assert_eq!(logger.last_seq(), SeqNo::ZERO);
@@ -922,13 +928,18 @@ mod tests {
     fn coalesce_orders_by_commit_timestamp() {
         let mut t1 = ThreadLog::new();
         let mut t2 = ThreadLog::new();
-        t1.append(TxnEntry::new(TxnId(1), Timestamp(30), vec![write(1, 1)]));
-        t1.append(TxnEntry::new(TxnId(2), Timestamp(10), vec![write(2, 2)]));
-        t2.append(TxnEntry::new(TxnId(3), Timestamp(20), vec![write(3, 3)]));
+        t1.append(TxnEntry::new(Timestamp(30), vec![write(1, 1)]));
+        t1.append(TxnEntry::new(Timestamp(10), vec![write(2, 2)]));
+        t2.append(TxnEntry::new(Timestamp(20), vec![write(3, 3)]));
 
         let segments = coalesce(vec![t1, t2], 2);
         let records = flatten(&segments);
-        let commit_order: Vec<u64> = records.iter().map(|r| r.commit_ts.as_u64()).collect();
+        // Each entry writes its own row, so the row names its timestamp.
+        let commit_ts = |k: u64| [30, 10, 20][k as usize - 1];
+        let commit_order: Vec<u64> = records
+            .iter()
+            .map(|r| commit_ts(r.write.row.key.as_u64()))
+            .collect();
         assert_eq!(commit_order, vec![10, 20, 30]);
         // Sequence numbers are contiguous from 1.
         let seqs: Vec<u64> = records.iter().map(|r| r.seq.as_u64()).collect();
@@ -940,8 +951,8 @@ mod tests {
     #[test]
     fn segments_from_entries_skips_empty_transactions() {
         let entries = vec![
-            TxnEntry::new(TxnId(1), Timestamp(1), vec![]),
-            TxnEntry::new(TxnId(2), Timestamp(2), vec![write(1, 1)]),
+            TxnEntry::new(Timestamp(1), vec![]),
+            TxnEntry::new(Timestamp(2), vec![write(1, 1)]),
         ];
         let segments = segments_from_entries(&entries, 8);
         assert_eq!(flatten(&segments).len(), 1);

@@ -6,16 +6,15 @@
 //! segment; a [`TxnEntry`] is how a per-thread log (the MVTSO primary's)
 //! holds a transaction until it is coalesced into that builder.
 
-use c5_common::{RowWrite, SeqNo, Timestamp, TxnId};
+use c5_common::{RowWrite, SeqNo, Timestamp};
 
 /// A committed transaction as produced by a primary engine, before it is
 /// broken into per-write log records.
 #[derive(Debug, Clone)]
 pub struct TxnEntry {
-    /// The transaction's id.
-    pub txn: TxnId,
     /// The primary's commit timestamp (the MVTSO timestamp, or the commit
-    /// sequence number for the 2PL engine).
+    /// sequence number for the 2PL engine). [`crate::coalesce`] orders the
+    /// per-thread logs by it; it does not travel in the records.
     pub commit_ts: Timestamp,
     /// Wall-clock commit time on the primary, in nanoseconds since the Unix
     /// epoch. Used by the replication-lag metrics ("the time between when a
@@ -30,9 +29,8 @@ pub struct TxnEntry {
 impl TxnEntry {
     /// Creates an entry, stamping the commit wall-clock time with the current
     /// system time.
-    pub fn new(txn: TxnId, commit_ts: Timestamp, writes: Vec<RowWrite>) -> Self {
+    pub fn new(commit_ts: Timestamp, writes: Vec<RowWrite>) -> Self {
         Self {
-            txn,
             commit_ts,
             commit_wall_nanos: now_nanos(),
             writes,
@@ -54,44 +52,40 @@ pub fn now_nanos() -> u64 {
 /// This is the unit the C5 scheduler sequences and the workers execute. The
 /// record layout mirrors Section 7.1's description: table and row identity
 /// plus a full copy of the new row version (inside [`RowWrite`]), the write's
-/// timestamp, and the initially-unused `prev_timestamp`/`prev_seq` field the
-/// scheduler fills in during preprocessing.
+/// position, and the initially-unused `prev_seq` field the scheduler fills
+/// in during preprocessing. Two flags mark the transaction's edges, which is
+/// all the backup needs of the transaction: the snapshotter aligns its cuts
+/// with commit boundaries (Section 4.2), and a segment's first record must
+/// start one.
 #[derive(Debug, Clone)]
 pub struct LogRecord {
-    /// The transaction this write belongs to.
-    pub txn: TxnId,
     /// Global position of this write in the log. Strictly increasing,
     /// starting at 1. Doubles as the version timestamp the backup installs.
     pub seq: SeqNo,
-    /// The primary's commit timestamp for the owning transaction.
-    pub commit_ts: Timestamp,
     /// Wall-clock commit time of the owning transaction on the primary
     /// (nanoseconds since the Unix epoch).
     pub commit_wall_nanos: u64,
     /// Position of the previous write *to the same row* in the log, or
     /// [`SeqNo::ZERO`] if this is the row's first write. Unused (zero) until
-    /// the C5 scheduler preprocesses the record.
+    /// the C5 scheduler preprocesses the record; never encoded.
     pub prev_seq: SeqNo,
     /// The write itself (row, kind, payload).
     pub write: RowWrite,
-    /// Index of this write within its transaction (0-based).
-    pub idx_in_txn: u32,
-    /// Total number of writes in the owning transaction. Together with
-    /// `idx_in_txn` this demarcates transaction boundaries in the log, which
-    /// the snapshotter needs in order to align its cuts with commit
-    /// boundaries (Section 4.2).
-    pub txn_len: u32,
+    /// Whether this is the first write of its transaction.
+    pub txn_first: bool,
+    /// Whether this is the last write of its transaction.
+    pub txn_last: bool,
 }
 
 impl LogRecord {
     /// Whether this is the last write of its transaction.
     pub fn is_txn_last(&self) -> bool {
-        self.idx_in_txn + 1 == self.txn_len
+        self.txn_last
     }
 
     /// Whether this is the first write of its transaction.
     pub fn is_txn_first(&self) -> bool {
-        self.idx_in_txn == 0
+        self.txn_first
     }
 }
 
@@ -105,14 +99,14 @@ mod tests {
         let writes = (0..n)
             .map(|i| RowWrite::insert(RowRef::new(0, i as u64), Value::from_u64(i as u64)))
             .collect();
-        TxnEntry::new(TxnId(txn), Timestamp(txn), writes)
+        TxnEntry::new(Timestamp(txn), writes)
     }
 
     /// The records of `e`, pushed alone into a builder resumed at `last`,
     /// and the position the builder ends at.
     fn records(e: &TxnEntry, last: SeqNo) -> (Vec<LogRecord>, SeqNo) {
         let mut b = SegmentBuilder::resume_at(1, last);
-        let segment = b.push_txn(e.txn, e.commit_ts, e.commit_wall_nanos, &e.writes);
+        let segment = b.push_txn(e.commit_wall_nanos, &e.writes);
         (segment.map(|s| s.records).unwrap_or_default(), b.last_seq())
     }
 
@@ -128,9 +122,11 @@ mod tests {
         assert!(!records[0].is_txn_last());
         assert!(records[2].is_txn_last());
         assert!(records.iter().all(|r| r.prev_seq == SeqNo::ZERO));
-        assert!(records.iter().all(|r| r.txn == e.txn
-            && r.commit_ts == e.commit_ts
-            && r.commit_wall_nanos == e.commit_wall_nanos));
+        assert!(records[1..].iter().all(|r| !r.is_txn_first()));
+        assert!(records[..2].iter().all(|r| !r.is_txn_last()));
+        assert!(records
+            .iter()
+            .all(|r| r.commit_wall_nanos == e.commit_wall_nanos));
         let written: Vec<&RowWrite> = records.iter().map(|r| &r.write).collect();
         assert_eq!(written, e.writes.iter().collect::<Vec<_>>());
     }
@@ -145,10 +141,17 @@ mod tests {
 
     #[test]
     fn empty_txn_produces_no_records() {
-        let e = TxnEntry::new(TxnId(9), Timestamp(9), vec![]);
+        let e = TxnEntry::new(Timestamp(9), vec![]);
         let (records, next) = records(&e, SeqNo(10));
         assert!(records.is_empty());
         assert_eq!(next, SeqNo(10));
+    }
+
+    /// The record is the hottest struct in the system: every stage from the
+    /// segment builder to the wait list moves it.
+    #[test]
+    fn a_record_fits_in_72_bytes() {
+        assert!(std::mem::size_of::<LogRecord>() <= 72);
     }
 
     #[test]

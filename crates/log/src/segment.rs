@@ -9,7 +9,7 @@
 //! [`SegmentBuilder`] writes a committed transaction's records straight
 //! into the open segment, sized by the last segment it closed.
 
-use c5_common::{RowWrite, SeqNo, Timestamp, TxnId};
+use c5_common::{RowWrite, SeqNo};
 
 use crate::record::LogRecord;
 
@@ -106,30 +106,22 @@ impl SegmentBuilder {
     /// Adds a whole transaction: one record per write, at the next
     /// positions, in the open segment. Returns a completed segment if the
     /// addition filled one. A transaction without writes adds nothing.
-    pub fn push_txn(
-        &mut self,
-        txn: TxnId,
-        commit_ts: Timestamp,
-        commit_wall_nanos: u64,
-        writes: &[RowWrite],
-    ) -> Option<Segment> {
+    pub fn push_txn(&mut self, commit_wall_nanos: u64, writes: &[RowWrite]) -> Option<Segment> {
         if self.current.is_empty() {
             self.current.reserve(self.last_len.max(writes.len()));
         }
         let first = self.last_seq.as_u64() + 1;
-        let txn_len = writes.len() as u32;
+        let last = first + writes.len() as u64 - 1;
         self.current
-            .extend(writes.iter().zip(0..).map(|(write, idx)| LogRecord {
-                txn,
-                seq: SeqNo(first + u64::from(idx)),
-                commit_ts,
+            .extend(writes.iter().zip(first..).map(|(write, seq)| LogRecord {
+                seq: SeqNo(seq),
                 commit_wall_nanos,
                 prev_seq: SeqNo::ZERO,
                 write: write.clone(),
-                idx_in_txn: idx,
-                txn_len,
+                txn_first: seq == first,
+                txn_last: seq == last,
             }));
-        self.last_seq = SeqNo(first + u64::from(txn_len) - 1);
+        self.last_seq = SeqNo(last);
         if self.current.len() >= self.target_records {
             self.flush()
         } else {
@@ -179,7 +171,7 @@ mod tests {
                 )
             })
             .collect();
-        b.push_txn(TxnId(txn), Timestamp(txn), 0, &writes)
+        b.push_txn(0, &writes)
     }
 
     #[test]

@@ -816,25 +816,6 @@ impl LogShipper {
     }
 }
 
-#[cfg(test)]
-impl LogShipper {
-    /// Makes this archived shipper's wire thread stop after each archive
-    /// append, before the watermark moves: it signals the first channel,
-    /// then waits on the second for the test to let it go.
-    pub(crate) fn park_between_archive_and_watermark(
-        &self,
-    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
-        let (entered_tx, entered) = std::sync::mpsc::channel();
-        let (release, released) = std::sync::mpsc::channel();
-        let wire = self.wire.as_ref().expect("an archived shipper");
-        *wire.state.between_archive_and_watermark.lock() = Some(Box::new(move || {
-            entered_tx.send(()).unwrap();
-            released.recv().unwrap();
-        }));
-        (entered, release)
-    }
-}
-
 impl LogReceiver {
     /// Blocks until the next segment arrives or the log ends.
     pub fn recv(&self) -> Option<Segment> {
@@ -895,10 +876,29 @@ impl LogReceiver {
 }
 
 #[cfg(test)]
+impl LogShipper {
+    /// Makes this archived shipper's wire thread stop after each archive
+    /// append, before the watermark moves: it signals the first channel,
+    /// then waits on the second for the test to let it go.
+    pub(crate) fn park_between_archive_and_watermark(
+        &self,
+    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel();
+        let wire = self.wire.as_ref().expect("an archived shipper");
+        *wire.state.between_archive_and_watermark.lock() = Some(Box::new(move || {
+            entered_tx.send(()).unwrap();
+            released.recv().unwrap();
+        }));
+        (entered, release)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::segment::SegmentBuilder;
-    use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value};
+    use c5_common::{RowRef, RowWrite, SeqNo, Value};
 
     fn segment(id: u64) -> Segment {
         contiguous_segment(id, SeqNo(id * 10)).0
@@ -992,7 +992,7 @@ mod tests {
     fn contiguous_segment(id: u64, start: SeqNo) -> (Segment, SeqNo) {
         let write = RowWrite::insert(RowRef::new(0, id), Value::from_u64(id));
         let mut builder = SegmentBuilder::resume_at(1, start);
-        let segment = builder.push_txn(TxnId(id), Timestamp(id), crate::now_nanos(), &[write]);
+        let segment = builder.push_txn(crate::now_nanos(), &[write]);
         (
             segment.expect("one write fills a segment"),
             builder.last_seq(),
@@ -1295,7 +1295,7 @@ mod tests {
         // so the next commit ships as a segment of its own.
         let mut delivered = Vec::new();
         for t in 1..=5u64 {
-            logger.append(TxnId(t), &write(t));
+            logger.append(&write(t));
             delivered.push(rx.recv().unwrap());
         }
         // Committers keep committing — far more than the wire queue holds —
@@ -1305,7 +1305,7 @@ mod tests {
                 let logger = Arc::clone(&logger);
                 scope.spawn(move || {
                     for i in 0..50 {
-                        logger.append(TxnId(c * 100 + i), &write(c * 100 + i));
+                        logger.append(&write(c * 100 + i));
                     }
                 });
             }
@@ -1325,13 +1325,13 @@ mod tests {
         assert_eq!(snap.counter("ship_archive_failures_total"), Some(1));
         // The five appends that succeeded, from the sink alone: one created
         // the chunk, each was one sync, and each grew the log by one frame:
-        // an 8-byte frame header and one 74-byte record (a `u64` value).
+        // an 8-byte frame header and one 41-byte record (a `u64` value).
         assert_eq!(snap.counter("archive_rotations_total"), Some(1));
         assert_eq!(
             snap.histogram("archive_sync_ns").map(|h| h.count()),
             Some(5)
         );
-        assert_eq!(snap.counter("archive_bytes_total"), Some(5 * (8 + 74)));
+        assert_eq!(snap.counter("archive_bytes_total"), Some(5 * (8 + 41)));
         assert!(obs.trace.merged().iter().any(|r| matches!(
             r.event,
             TraceEvent::Span {
@@ -1366,10 +1366,10 @@ mod tests {
         let (entered, release) = tx.park_between_archive_and_watermark();
         let logger = crate::logger::StreamingLogger::new(100, tx);
         let write = |k: u64| [RowWrite::insert(RowRef::new(0, k), Value::from_u64(k))];
-        logger.append(TxnId(1), &write(1));
+        logger.append(&write(1));
         entered.recv().unwrap();
         // A is in the archive path, so the wire is busy: B is buffered.
-        logger.append(TxnId(2), &write(2));
+        logger.append(&write(2));
         assert_eq!(archive.last_seq(), SeqNo(1));
         release.send(()).unwrap();
         (entered.recv_timeout(DEADLINE)).expect("the wire thread cut B after delivering A");
@@ -1433,7 +1433,7 @@ mod tests {
         let registry = Arc::clone(&tx.registry);
         let logger = crate::logger::StreamingLogger::new(100, tx);
         let write = [RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))];
-        logger.append(TxnId(1), &write);
+        logger.append(&write);
         (entered.recv_timeout(DEADLINE)).expect("the wire thread's drain edge");
         drop(logger);
         release.send(()).unwrap();
@@ -1455,8 +1455,8 @@ mod tests {
         let (tx, rx) = LogShipper::bounded(4);
         let logger = crate::logger::StreamingLogger::new(100, tx.with_obs(Arc::clone(&obs)));
         let write = |k: u64| [RowWrite::insert(RowRef::new(0, k), Value::from_u64(k))];
-        logger.append(TxnId(1), &write(1)); // idle: cut on append
-        logger.append(TxnId(2), &write(2)); // busy: buffered
+        logger.append(&write(1)); // idle: cut on append
+        logger.append(&write(2)); // busy: buffered
         rx.recv().unwrap(); // drained: cut on drain
         rx.recv().unwrap();
         let snap = obs.metrics.snapshot();
@@ -1501,10 +1501,7 @@ mod tests {
         );
         assert!(rx.recv().is_none(), "subscribers see end-of-log");
         let logger = crate::logger::StreamingLogger::new(1, tx.clone());
-        logger.append(
-            TxnId(1),
-            &[RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))],
-        );
+        logger.append(&[RowWrite::insert(RowRef::new(0, 1), Value::from_u64(1))]);
         logger.close();
         assert_eq!(archive.last_seq(), SeqNo::ZERO, "nothing archived");
         assert!(matches!(tx.subscribe(4), Err(Error::Shutdown(_))));

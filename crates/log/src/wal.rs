@@ -8,70 +8,76 @@
 //! order:
 //!
 //! ```text
-//! txn u64 | seq u64 | commit_ts u64 | commit_wall_nanos u64 | prev_seq u64
-//! | idx_in_txn u32 | txn_len u32 | table u32 | key u64 | kind u8
-//! | has_value u8 | [value: u32 length, bytes]                  one per record
+//! seq u64 | commit_wall_nanos u64 | table u32 | key u64 | flags u8
+//! | [value: u32 length, bytes]                                one per record
 //! ```
 //!
+//! That is 29 bytes of fields, then the value if the write carries one. The
+//! `flags` byte holds the write's kind in its low two bits (insert 0,
+//! update 1, delete 2), then "has a value", "first write of its
+//! transaction" and "last write of its transaction"; the upper three bits
+//! are always zero. A record's `prev_seq` is the backup's own bookkeeping,
+//! filled in by its scheduler, so it is not written: every record decodes
+//! with `prev_seq` zero.
+//!
 //! All integers are little-endian. Decoding is all-or-nothing: a payload
-//! that does not parse as whole records to its last byte, or holds a write
-//! whose kind and value disagree, decodes to `None`. The archive reads only
+//! that does not parse as whole records to its last byte, holds a flags
+//! byte no writer emits (kind 3, an upper bit set), or holds a write whose
+//! kind and value disagree, decodes to `None`. The archive reads only
 //! payloads whose checksum matched, so that is a writer bug, never a torn
 //! write; a torn or corrupt frame is dropped whole before it gets here, and
 //! since segments keep transactions whole the log still ends at a
 //! transaction boundary.
 
 use c5_common::frame::{PayloadReader, PayloadWriter};
-use c5_common::{RowRef, RowWrite, SeqNo, Timestamp, TxnId, Value, WriteKind};
+use c5_common::{RowRef, RowWrite, SeqNo, Value, WriteKind};
 
 use crate::record::LogRecord;
 use crate::segment::Segment;
 
+/// The `flags` byte: the write's kind in the low two bits, then these.
+const KIND: u8 = 0b11;
+const HAS_VALUE: u8 = 1 << 2;
+const TXN_FIRST: u8 = 1 << 3;
+const TXN_LAST: u8 = 1 << 4;
+
 fn encode_record(w: &mut PayloadWriter, record: &LogRecord) {
-    w.u64(record.txn.0)
-        .u64(record.seq.as_u64())
-        .u64(record.commit_ts.as_u64())
-        .u64(record.commit_wall_nanos)
-        .u64(record.prev_seq.as_u64())
-        .u32(record.idx_in_txn)
-        .u32(record.txn_len)
-        .u32(record.write.row.table.as_u32())
-        .u64(record.write.row.key.as_u64());
     let kind = match record.write.kind {
         WriteKind::Insert => 0u8,
         WriteKind::Update => 1,
         WriteKind::Delete => 2,
     };
-    w.u8(kind);
-    match &record.write.value {
-        Some(value) => {
-            w.u8(1).bytes(value.as_bytes());
-        }
-        None => {
-            w.u8(0);
-        }
+    let flags = kind
+        | (HAS_VALUE * u8::from(record.write.value.is_some()))
+        | (TXN_FIRST * u8::from(record.txn_first))
+        | (TXN_LAST * u8::from(record.txn_last));
+    w.u64(record.seq.as_u64())
+        .u64(record.commit_wall_nanos)
+        .u32(record.write.row.table.as_u32())
+        .u64(record.write.row.key.as_u64())
+        .u8(flags);
+    if let Some(value) = &record.write.value {
+        w.bytes(value.as_bytes());
     }
 }
 
 fn decode_record(r: &mut PayloadReader<'_>) -> Option<LogRecord> {
-    let txn = TxnId(r.u64()?);
     let seq = SeqNo(r.u64()?);
-    let commit_ts = Timestamp(r.u64()?);
     let commit_wall_nanos = r.u64()?;
-    let prev_seq = SeqNo(r.u64()?);
-    let idx_in_txn = r.u32()?;
-    let txn_len = r.u32()?;
     let row = RowRef::new(r.u32()?, r.u64()?);
-    let kind = match r.u8()? {
+    let flags = r.u8()?;
+    if flags & !(KIND | HAS_VALUE | TXN_FIRST | TXN_LAST) != 0 {
+        return None;
+    }
+    let kind = match flags & KIND {
         0 => WriteKind::Insert,
         1 => WriteKind::Update,
         2 => WriteKind::Delete,
         _ => return None,
     };
-    let value = match r.u8()? {
+    let value = match flags & HAS_VALUE {
         0 => None,
-        1 => Some(Value::from(r.bytes()?)),
-        _ => return None,
+        _ => Some(Value::from(r.bytes()?)),
     };
     // A delete is exactly a write without a value: a record that says
     // otherwise is damage.
@@ -79,21 +85,19 @@ fn decode_record(r: &mut PayloadReader<'_>) -> Option<LogRecord> {
         return None;
     }
     Some(LogRecord {
-        txn,
         seq,
-        commit_ts,
         commit_wall_nanos,
-        prev_seq,
+        prev_seq: SeqNo::ZERO,
         write: RowWrite { row, kind, value },
-        idx_in_txn,
-        txn_len,
+        txn_first: flags & TXN_FIRST != 0,
+        txn_last: flags & TXN_LAST != 0,
     })
 }
 
 /// Encodes one segment into its on-disk byte representation.
 pub fn encode_segment(segment: &Segment) -> Vec<u8> {
-    // 62 bytes of fields per record, plus a 64-byte value and its length.
-    let mut w = PayloadWriter::with_capacity(segment.records.len() * 130);
+    // 29 bytes of fields per record, plus a 64-byte value and its length.
+    let mut w = PayloadWriter::with_capacity(segment.records.len() * 97);
     for record in &segment.records {
         encode_record(&mut w, record);
     }
@@ -116,12 +120,12 @@ mod tests {
     use super::*;
     use crate::logger::segments_from_entries;
     use crate::record::TxnEntry;
+    use c5_common::Timestamp;
 
     fn log_segments() -> Vec<Segment> {
         let entries: Vec<TxnEntry> = (1..=4u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(10 + t),
                     vec![
                         RowWrite::update(RowRef::new(0, t), Value::from_u64(t)),
@@ -141,16 +145,30 @@ mod tests {
             let decoded = decode_segment(&bytes).expect("round trip must be clean");
             assert_eq!(decoded.len(), segment.len());
             for (a, b) in decoded.records.iter().zip(&segment.records) {
-                assert_eq!(a.txn, b.txn);
                 assert_eq!(a.seq, b.seq);
-                assert_eq!(a.commit_ts, b.commit_ts);
                 assert_eq!(a.commit_wall_nanos, b.commit_wall_nanos);
                 assert_eq!(a.prev_seq, b.prev_seq);
                 assert_eq!(a.write, b.write);
-                assert_eq!(a.idx_in_txn, b.idx_in_txn);
-                assert_eq!(a.txn_len, b.txn_len);
+                assert_eq!(a.txn_first, b.txn_first);
+                assert_eq!(a.txn_last, b.txn_last);
             }
         }
+    }
+
+    /// `prev_seq` is the backup's own bookkeeping: a segment its scheduler
+    /// has stamped encodes to the same bytes as the one the primary cut, and
+    /// both decode unstamped.
+    #[test]
+    fn prev_seq_is_not_encoded() {
+        let segment = log_segments()[0].clone();
+        let mut stamped = segment.clone();
+        for (n, record) in stamped.records.iter_mut().enumerate() {
+            record.prev_seq = SeqNo(n as u64 + 1);
+        }
+        let bytes = encode_segment(&segment);
+        assert_eq!(encode_segment(&stamped), bytes);
+        let decoded = decode_segment(&bytes).expect("clean");
+        assert!(decoded.records.iter().all(|r| r.prev_seq == SeqNo::ZERO));
     }
 
     /// Where each record of `segment` ends in its encoding.
@@ -178,8 +196,9 @@ mod tests {
     }
 
     /// Bytes that are not exactly a run of records: cut short, padded, or
-    /// with a kind byte no writer emits. A cut on a record boundary still
-    /// parses; only the frame's length and checksum around it can tell.
+    /// with a flags byte no writer emits (kind 3, or an upper bit set). A cut
+    /// on a record boundary still parses; only the frame's length and
+    /// checksum around it can tell.
     #[test]
     fn a_payload_cut_short_or_padded_is_damage() {
         let segment = &log_segments()[0];
@@ -193,9 +212,20 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_segment(&padded).is_none());
+        let flags = 28; // the first record's flags byte
+        assert_eq!(
+            first_end,
+            flags + 1 + 4 + 8,
+            "an update's flags, then its value"
+        );
         let mut bad_kind = bytes.clone();
-        bad_kind[60] = 3; // the first record's kind byte
+        bad_kind[flags] |= 3;
         assert!(decode_segment(&bad_kind).is_none());
+        for bit in 5..8 {
+            let mut upper = bytes.clone();
+            upper[flags] |= 1 << bit;
+            assert!(decode_segment(&upper).is_none(), "bit {bit}");
+        }
     }
 
     /// The encoding has no magic of its own, but bytes that do not start

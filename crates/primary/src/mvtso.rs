@@ -231,7 +231,7 @@ impl MvtsoEngine {
         drop(held);
         self.thread_logs[thread]
             .lock()
-            .append(TxnEntry::new(txn, ts, writes));
+            .append(TxnEntry::new(ts, writes));
         Ok(ts)
     }
 
@@ -549,18 +549,23 @@ mod tests {
     #[test]
     fn take_segments_produces_a_timestamp_ordered_log() {
         let e = engine(2);
+        // Each transaction inserts its own row: the row names its timestamp.
+        let mut ts_by_row = std::collections::HashMap::new();
         for t in 0..2usize {
             for i in 0..10u64 {
-                e.execute_on(t, &|ctx: &mut dyn TxnCtx| {
-                    ctx.insert(row(1000 + t as u64 * 100 + i), Value::from_u64(i))
-                })
-                .unwrap();
+                let key = 1000 + t as u64 * 100 + i;
+                let ts = e
+                    .execute_on(t, &|ctx: &mut dyn TxnCtx| {
+                        ctx.insert(row(key), Value::from_u64(i))
+                    })
+                    .unwrap();
+                ts_by_row.insert(row(key), ts);
             }
         }
         let segments = e.take_segments(8);
         let records = flatten(&segments);
         assert_eq!(records.len(), 20);
-        let commit_ts: Vec<u64> = records.iter().map(|r| r.commit_ts.as_u64()).collect();
+        let commit_ts: Vec<Timestamp> = records.iter().map(|r| ts_by_row[&r.write.row]).collect();
         assert!(
             commit_ts.windows(2).all(|w| w[0] <= w[1]),
             "log must be timestamp ordered"

@@ -227,7 +227,7 @@ impl TplCtx<'_> {
         // here under the row locks. The logger reads the write list and
         // builds its records in the open segment (a refcount bump per
         // payload); the store installs the originals.
-        let (commit_ts, token) = self.engine.logger.append_tokened(self.txn, &writes);
+        let (commit_ts, token) = self.engine.logger.append_tokened(&writes);
         for w in writes {
             self.engine.store.install(w.row, commit_ts, w.kind, w.value);
         }
@@ -344,13 +344,13 @@ mod tests {
     #[test]
     fn committed_writes_are_visible_and_logged() {
         let (engine, receiver) = engine_with_receiver(1);
-        engine
+        let ts1 = engine
             .execute(&|ctx: &mut dyn TxnCtx| {
                 ctx.insert(row(1), Value::from_u64(10))?;
                 ctx.insert(row(2), Value::from_u64(20))
             })
             .unwrap();
-        engine
+        let ts2 = engine
             .execute(&|ctx: &mut dyn TxnCtx| {
                 let v = ctx.read_expected(row(1))?.as_u64().unwrap();
                 ctx.update(row(1), Value::from_u64(v + 1))
@@ -366,8 +366,19 @@ mod tests {
 
         let records = flatten(&receiver.drain());
         assert_eq!(records.len(), 3);
-        // Log order matches commit order: txn 1's two inserts, then txn 2's update.
-        assert!(records[0].commit_ts < records[2].commit_ts);
+        // Log order matches commit order: txn 1's two inserts, then txn 2's
+        // update, each record's commit timestamp named by what it writes.
+        assert!(ts1 < ts2);
+        let commit_ts = |r: &c5_log::LogRecord| {
+            let value = r.write.value.as_ref().and_then(Value::as_u64);
+            match (r.write.row.key.as_u64(), value) {
+                (1, Some(10)) | (2, Some(20)) => ts1,
+                (1, Some(11)) => ts2,
+                other => panic!("a write no transaction made: {other:?}"),
+            }
+        };
+        let in_log_order: Vec<Timestamp> = records.iter().map(commit_ts).collect();
+        assert_eq!(in_log_order, vec![ts1, ts1, ts2]);
     }
 
     #[test]

@@ -591,7 +591,7 @@ impl FleetRoutingSink for ReadRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{ReplicaConfig, RowRef, RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{ReplicaConfig, RowRef, RowWrite, Timestamp, Value};
     use c5_core::replica::{drive_segments, C5Mode, C5Replica};
     use c5_log::{segments_from_entries, Segment, TxnEntry};
     use c5_storage::MvStore;
@@ -604,7 +604,6 @@ mod tests {
         let entries: Vec<TxnEntry> = txns
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::update(row(t % 8), Value::from_u64(t))],
                 )
@@ -761,14 +760,8 @@ mod tests {
                 .with_workers(2)
                 .with_snapshot_interval(Duration::from_micros(200)),
         );
-        logger.append(
-            c5_common::TxnId(1),
-            &[RowWrite::update(row(1), Value::from_u64(6))],
-        );
-        let (_, token) = logger.append_tokened(
-            c5_common::TxnId(2),
-            &[RowWrite::update(row(1), Value::from_u64(7))],
-        );
+        logger.append(&[RowWrite::update(row(1), Value::from_u64(6))]);
+        let (_, token) = logger.append_tokened(&[RowWrite::update(row(1), Value::from_u64(7))]);
         assert!(token > SeqNo::ZERO);
         assert_eq!(
             receiver.try_len(),

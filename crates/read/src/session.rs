@@ -162,7 +162,7 @@ impl ReadSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c5_common::{ReadConfig, ReplicaConfig, RowWrite, Timestamp, TxnId, WriteKind};
+    use c5_common::{ReadConfig, ReplicaConfig, RowWrite, Timestamp, WriteKind};
     use c5_core::replica::{drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl};
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::MvStore;
@@ -187,7 +187,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=txns)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![RowWrite::update(row(0), Value::from_u64(t))],
                 )

@@ -94,7 +94,7 @@ impl ReadOnlyTxn {
 mod tests {
     use super::*;
     use crate::consistency::ConsistencyClass;
-    use c5_common::{ReadConfig, ReplicaConfig, RowWrite, Timestamp, TxnId, WriteKind};
+    use c5_common::{ReadConfig, ReplicaConfig, RowWrite, Timestamp, WriteKind};
     use c5_core::replica::{drive_segments, C5Mode, C5Replica, ClonedConcurrencyControl};
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::MvStore;
@@ -120,7 +120,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=20u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![
                         RowWrite::update(row(0), Value::from_u64(t)),
@@ -174,7 +173,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (1..=60u64)
             .map(|t| {
                 TxnEntry::new(
-                    TxnId(t),
                     Timestamp(t),
                     vec![
                         RowWrite::update(row(t % 16), Value::from_u64(t)),

@@ -122,7 +122,7 @@ pub fn run_point_read_clients(
 mod tests {
     use super::*;
     use crate::synthetic::SYNTHETIC_TABLE;
-    use c5_common::{ReplicaConfig, RowWrite, Timestamp, TxnId, Value};
+    use c5_common::{ReplicaConfig, RowWrite, Timestamp, Value};
     use c5_core::replica::{drive_segments, C5Mode, C5Replica};
     use c5_log::{segments_from_entries, TxnEntry};
     use c5_storage::MvStore;
@@ -156,7 +156,6 @@ mod tests {
         let entries: Vec<TxnEntry> = (0..50u64)
             .map(|k| {
                 TxnEntry::new(
-                    TxnId(k + 1),
                     Timestamp(k + 1),
                     vec![RowWrite::insert(
                         RowRef::new(SYNTHETIC_TABLE, k),

@@ -64,11 +64,7 @@ fn entries_from_specs(txn_specs: &[Vec<(u64, u64, usize)>]) -> Vec<TxnEntry> {
                 }
             })
             .collect();
-        entries.push(TxnEntry::new(
-            TxnId(i as u64 + 1),
-            Timestamp(i as u64 + 1),
-            writes,
-        ));
+        entries.push(TxnEntry::new(Timestamp(i as u64 + 1), writes));
     }
     entries
 }

@@ -102,7 +102,7 @@ proptest! {
                     }
                 })
                 .collect();
-            entries.push(TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes));
+            entries.push(TxnEntry::new(Timestamp(i as u64 + 1), writes));
         }
         let segments = segments_from_entries(&entries, 8);
 
@@ -148,14 +148,12 @@ proptest! {
             let seq = i as u64 + 1;
             let prev = last_write.insert(row, seq).unwrap_or(0);
             records.push(LogRecord {
-                txn: TxnId(seq),
                 seq: SeqNo(seq),
-                commit_ts: Timestamp(seq),
                 commit_wall_nanos: 0,
                 prev_seq: SeqNo(prev),
                 write: RowWrite::update(RowRef::new(0, row), Value::from_u64(seq)),
-                idx_in_txn: 0,
-                txn_len: 1,
+                txn_first: true,
+                txn_last: true,
             });
         }
         let total = records.len();
@@ -244,7 +242,7 @@ proptest! {
                     }
                 })
                 .collect();
-            entries.push(TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes));
+            entries.push(TxnEntry::new(Timestamp(i as u64 + 1), writes));
         }
         let segments = segments_from_entries(&entries, 8);
         let archive = LogArchive::new();
@@ -373,7 +371,7 @@ proptest! {
                         Value::from_u64(i as u64 + 1_000),
                     ));
                 }
-                TxnEntry::new(TxnId(i as u64 + 1), Timestamp(i as u64 + 1), writes)
+                TxnEntry::new(Timestamp(i as u64 + 1), writes)
             })
             .collect();
         let segments = segments_from_entries(&entries, 4);

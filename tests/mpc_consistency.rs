@@ -59,7 +59,7 @@ fn contended_log(txns: u64) -> (Vec<(RowRef, Value)>, Vec<Segment>) {
             // Occasionally delete a previously inserted row.
             writes.push(RowWrite::delete(RowRef::new(1, 100 + t / 2)));
         }
-        entries.push(TxnEntry::new(TxnId(t), Timestamp(t), writes));
+        entries.push(TxnEntry::new(Timestamp(t), writes));
     }
     (population, segments_from_entries(&entries, 16))
 }
@@ -326,7 +326,7 @@ fn sharded_log(txns: u64, key_space: u64) -> (Vec<(RowRef, Value)>, Vec<Segment>
             ),
             RowWrite::insert(RowRef::new(1, key_space + t), Value::from_u64(t)),
         ];
-        entries.push(TxnEntry::new(TxnId(t), Timestamp(t), writes));
+        entries.push(TxnEntry::new(Timestamp(t), writes));
     }
     (population, segments_from_entries(&entries, 16))
 }

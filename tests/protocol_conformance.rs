@@ -35,7 +35,7 @@ fn mixed_log() -> (Vec<(RowRef, Value)>, Vec<Segment>) {
             if t % 5 == 0 {
                 writes.push(RowWrite::delete(RowRef::new(1, KEY_SPACE + t / 2)));
             }
-            TxnEntry::new(TxnId(t), Timestamp(t), writes)
+            TxnEntry::new(Timestamp(t), writes)
         })
         .collect();
     (population, segments_from_entries(&entries, 16))
