@@ -85,7 +85,7 @@ impl PipelinePolicy for CoarsePolicy {
         }
     }
 
-    fn apply(&self, _worker: usize, record: LogRecord, _signals: &PipelineSignals) {
+    fn apply(&self, record: LogRecord, _signals: &PipelineSignals) {
         self.exposure.install_all(std::slice::from_ref(&record));
     }
 

@@ -102,7 +102,7 @@ impl PipelinePolicy for KuaFuPolicy {
         }
     }
 
-    fn apply(&self, _worker: usize, work: TxnWork, signals: &PipelineSignals) {
+    fn apply(&self, work: TxnWork, signals: &PipelineSignals) {
         if !self.config.ignore_constraints {
             // Sleeps with no timeout: `interrupt` notifies once shutdown is
             // requested.

@@ -35,7 +35,7 @@ impl PipelinePolicy for SinglePolicy {
         sink.send(segment);
     }
 
-    fn apply(&self, _worker: usize, segment: Segment, signals: &PipelineSignals) {
+    fn apply(&self, segment: Segment, signals: &PipelineSignals) {
         // One publish and one cut per transaction, so lag is sampled the
         // moment a transaction applies rather than when the segment ends
         // (the runtime exposes once more per item).

@@ -12,7 +12,9 @@
 //! 1. Prometheus-style text ([`c5_obs::MetricsSnapshot::to_prometheus`]),
 //!    followed by a digest of the log shipper's batching series
 //!    (`ship_segment_records`, `ship_partial_segments_total`,
-//!    `ship_drain_tails_total`, `wire_queue_wait_ns`, `archive_append_ns`),
+//!    `ship_drain_tails_total`, `wire_queue_wait_ns`, `archive_append_ns`)
+//!    and the share of apply-stage items the feeders applied themselves
+//!    (`feeder_applied_items_total`),
 //! 2. the merged trace timeline, counted by kind and shown head-first.
 //!
 //! The acceptance criterion of the observability layer is hard-asserted
@@ -110,6 +112,20 @@ pub fn run(scale: &Scale) {
         let n = (snap.counter(series)).unwrap_or_else(|| panic!("{series} is registered"));
         println!("{series:<22} {n}");
     }
+
+    // How many items skipped the hand-off: a feeder caught up with the wire,
+    // on a drained pipeline, applies a lone item itself.
+    println!("\n== apply stage: items the feeders applied themselves ==");
+    let items =
+        |series: &str| (snap.counter(series)).unwrap_or_else(|| panic!("{series} is registered"));
+    let (feeder, all) = (
+        items("feeder_applied_items_total"),
+        items("stage_items_total{stage=\"apply\"}"),
+    );
+    println!(
+        "feeder_applied_items_total {feeder} of {all} apply-stage items ({:.1} %)",
+        100.0 * feeder as f64 / all.max(1) as f64
+    );
 
     let merged = obs.trace.merged();
     println!(

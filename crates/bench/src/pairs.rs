@@ -12,10 +12,11 @@
 //! minutes drifts under both sides equally. The printed table — one row per
 //! workload and metric — is the one CHANGES.md entries carry: each side's
 //! median and quartiles, the change of the median, how many pairs the change
-//! won (ties count for neither side), and whether the change's median lies
-//! inside or outside the parent's interquartile range. A gain may be claimed
-//! when the change wins at least nine tenths of the pairs and its median is
-//! outside that range.
+//! won (ties count for neither side), and whether the medians differ by more
+//! than the parent's interquartile range (`q3 − q1`). A gain may be claimed
+//! when the change wins at least nine tenths of all pairs run and that
+//! column reads `above`; a change median merely outside the parent's
+//! `[q1, q3]` is not enough.
 //!
 //! Which direction is better, and which workloads exist, comes from the
 //! `BENCHMARK.json` in the current directory — run it from the repository
@@ -227,10 +228,10 @@ impl Row {
         } else {
             format!("{:+.1} %", (c2 - p2) / p2.abs() * 100.0)
         };
-        let spread = if (p1..=p3).contains(&c2) {
-            "inside"
+        let spread = if (c2 - p2).abs() > p3 - p1 {
+            "above"
         } else {
-            "outside"
+            "within"
         };
         format!(
             "| {workload} | {} | {p2:.3} [{p1:.3}, {p3:.3}] | {c2:.3} [{c1:.3}, {c3:.3}] | \
@@ -292,7 +293,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
     println!(
         "| workload | metric | parent median [q1, q3] | change median [q1, q3] | Δ median \
-         | pairs won | vs parent IQR |\n|---|---|---|---|---|---|---|"
+         | pairs won | Δ vs parent IQR |\n|---|---|---|---|---|---|---|"
     );
     for workload in &workloads {
         let mut pairs = Vec::with_capacity(args.pairs);
@@ -439,9 +440,18 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!((rows[0].won(), rows[1].won()), (2, 1));
         let lag = rows[0].render("w");
-        assert!(lag.contains("| 2/3 | outside |"), "{lag}");
+        assert!(lag.contains("| 2/3 | above |"), "{lag}");
         assert!(lag.contains("-88.0 %"), "{lag}");
         let replay = rows[1].render("w");
-        assert!(replay.contains("| 1/3 | inside |"), "{replay}");
+        assert!(replay.contains("| 1/3 | within |"), "{replay}");
+
+        // Below the parent's q1 on every pair, but by less than its IQR.
+        let narrow = Row {
+            metric: "lag_p50_ms".to_string(),
+            parent: vec![1.0, 1.1, 1.3],
+            change: vec![0.95, 0.96, 0.97],
+            higher_is_better: false,
+        };
+        assert!(narrow.render("w").contains("| 3/3 | within |"));
     }
 }

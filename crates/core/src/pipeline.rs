@@ -29,9 +29,11 @@
 //!
 //! ## Event-driven exposure
 //!
-//! Nothing in the runtime runs on a timer, and no thread but the workers
-//! exposes. When a worker finishes an item (its watermark marks are flushed
-//! by then) it calls [`PrefixExposure::expose`], which never waits. In the
+//! Nothing in the runtime runs on a timer, and no thread but the one that
+//! applied an item exposes. When a worker finishes an item (its watermark
+//! marks are flushed by then) it calls [`PrefixExposure::expose`], which
+//! never waits. A feeder that applies an item itself (below) runs the same
+//! body, so it exposes the same way. In the
 //! faithful form that is the cut itself, one `fetch_max` (Section 7.2): the
 //! worker whose marks extended the prefix publishes it in place, so an
 //! applied transaction is visible as soon as its last item's marks are,
@@ -46,17 +48,25 @@
 //! There is one way to wait for a cut: sleep on [`FLEET_PROGRESS`]. `finish`'s
 //! drain wait and [`ClonedConcurrencyControl::wait_until_exposed`] do, as do
 //! the read router and a write held at the whole-database gate. Shutdown and
-//! the death of a stage thread (or of a feeder inside `schedule`) set their
-//! flag in [`PipelineSignals`] and notify it too; both also abandon a pending
+//! the death of a stage thread (or of a feeder inside `apply_segment`) set
+//! their flag in [`PipelineSignals`] and notify it too; both also abandon a pending
 //! whole-database cut, so no writer stays held at its gate. An idle replica
 //! makes no wake-ups at all. The one wait below the pipeline that sleeps
 //! elsewhere is a blocking install, on its wait-list shard's signal.
 //!
-//! ## Batched hand-off
+//! ## Batched hand-off, and none when idle
 //!
 //! The feeder→worker and worker→watermark edges are the backup's hottest
-//! path: every log record crosses both. Two disciplines keep their per-record
-//! cost amortized, and policies are expected to follow them:
+//! path: every log record crosses both. When the backup keeps up, a segment
+//! reaches a drained pipeline with nothing queued behind it on the wire
+//! ([`Segment::nothing_queued_behind`]); a hand-off then buys no parallelism
+//! and costs a thread wake-up on every commit's lag path. So if such a
+//! segment schedules to exactly one item, the feeder runs that item itself,
+//! through the workers' own body, before `apply_segment` returns; in every
+//! other case — a backlog, a pipeline still applying, a segment split into
+//! several items, a segment not taken from a wire — the items go to the
+//! workers. Two disciplines keep the hand-off's per-record cost amortized,
+//! and policies are expected to follow them:
 //!
 //! * **Dispatch in batches.** A work item should carry a *run* of records —
 //!   a whole segment, one shard's part of one, or a run of consecutive whole
@@ -177,6 +187,17 @@ impl PipelineSignals {
 ///
 /// Sized by measurement (DESIGN.md, "One in-flight window"): a smaller `W`
 /// makes every whole-database cut a barrier for C5-MyRocks' workers.
+///
+/// Why a feeder that applies a segment's lone item itself never waits on
+/// another thread ([`PipelineRuntime::apply_segment`]): it does so only if
+/// the pipeline was drained before `schedule` — everything shipped applied
+/// and the cut at the exposure target, what `finish` waits for. Then
+/// - every per-row predecessor of the segment's writes, and every earlier
+///   transaction a KuaFu item waits for, is applied or earlier in the item,
+///   which the feeder runs in dispatch order;
+/// - no whole-database cut is pending, and one that a worker still inside
+///   `expose` closes now sits at the dispatched boundary, which the item
+///   does not pass, so its installs are not held at the gate.
 pub const IN_FLIGHT_WINDOW: u64 = 1 << 13;
 
 /// Where the schedule stage's work items are queued. Queues are unbounded;
@@ -203,10 +224,25 @@ pub struct PipelineOptions {
 /// The schedule stage's outlet: routes work items into the apply stage's
 /// queues. One sink lives as long as the pipeline accepts segments, so
 /// policies that route round-robin get a persistent cursor for free.
+///
+/// For a segment the feeder may apply itself (see
+/// [`PipelineRuntime::apply_segment`]) the sink holds the first item back,
+/// with its lane. A second item sends both, in order, to their lanes, so a
+/// segment that schedules to more than one item stays parallel; a lone
+/// item stays held, and the feeder runs it.
 pub struct WorkSink<T> {
     lanes: Vec<Sender<T>>,
     next: usize,
     gone: bool,
+    hold: Hold<T>,
+}
+
+/// Whether a [`WorkSink`] holds back the first item of the segment being
+/// scheduled.
+enum Hold<T> {
+    Off,
+    Armed,
+    Held(usize, T),
 }
 
 impl<T> WorkSink<T> {
@@ -215,6 +251,7 @@ impl<T> WorkSink<T> {
             lanes,
             next: 0,
             gone: false,
+            hold: Hold::Off,
         }
     }
 
@@ -235,8 +272,34 @@ impl<T> WorkSink<T> {
     /// Sends an item to a specific lane (taken modulo the lane count).
     /// Never blocks.
     pub fn send_to(&mut self, lane: usize, item: T) {
+        match std::mem::replace(&mut self.hold, Hold::Off) {
+            Hold::Armed => {
+                self.hold = Hold::Held(lane, item);
+                return;
+            }
+            Hold::Held(first_lane, first) => self.deliver(first_lane, first),
+            Hold::Off => {}
+        }
+        self.deliver(lane, item);
+    }
+
+    fn deliver(&mut self, lane: usize, item: T) {
         if self.lanes[lane % self.lanes.len()].send(item).is_err() {
             self.gone = true;
+        }
+    }
+
+    /// Holds back the first item sent from here on if `hold`.
+    fn hold_first(&mut self, hold: bool) {
+        self.hold = if hold { Hold::Armed } else { Hold::Off };
+    }
+
+    /// The item held back, if it was the only one sent since
+    /// [`hold_first`](Self::hold_first).
+    fn take_held(&mut self) -> Option<T> {
+        match std::mem::replace(&mut self.hold, Hold::Off) {
+            Hold::Held(_, item) => Some(item),
+            Hold::Off | Hold::Armed => None,
         }
     }
 
@@ -289,8 +352,35 @@ impl StageObs {
     }
 }
 
+/// The apply stage's one step, the body every worker thread runs for each
+/// item it dequeues and a feeder runs for the lone item of a segment it
+/// applies itself ([`PipelineRuntime::apply_segment`]): apply the item,
+/// record its dwell, then move the cut its marks let move (which announces
+/// it), or else wake a feeder those marks let past the window.
+struct ApplyStage<P: PipelinePolicy> {
+    policy: Arc<P>,
+    signals: Arc<PipelineSignals>,
+    obs: StageObs,
+    window: u64,
+}
+
+impl<P: PipelinePolicy> ApplyStage<P> {
+    fn run(&self, item: P::Item) {
+        let exposure = self.policy.exposure();
+        let started = Instant::now();
+        self.policy.apply(item, &self.signals);
+        self.obs
+            .record(started.elapsed(), exposure.in_flight_records() as usize);
+        // The item's marks are flushed by now.
+        if !exposure.expose(&self.signals) {
+            self.signals
+                .wake_feeder_below(self.window, || exposure.in_flight_records());
+        }
+    }
+}
+
 /// What a thread running pipeline code — a stage thread for its lifetime, a
-/// feeder while it is inside `schedule` — arms: if the thread unwinds past
+/// feeder while it schedules a segment and applies an item itself — arms: if the thread unwinds past
 /// the [`armed`](Self::armed) guard, the pipeline is marked failed (which
 /// wakes every wait for its cut), a pending whole-database cut is
 /// abandoned (the dead thread may have held part of its prefix, and writers
@@ -341,7 +431,7 @@ fn spawn_thread(name: String, run: Box<dyn FnOnce() + Send>) -> io::Result<JoinH
 ///
 /// The runtime calls [`schedule`](Self::schedule) on the thread that feeds it
 /// — one call at a time, in log order — and [`apply`](Self::apply) on worker
-/// threads.
+/// threads, or on the feeder for a segment it applies itself.
 /// Everything else the runtime needs — the cut, the probes, the store — it
 /// asks of the policy's [`exposure`](Self::exposure).
 pub trait PipelinePolicy: Send + Sync + 'static {
@@ -359,8 +449,10 @@ pub trait PipelinePolicy: Send + Sync + 'static {
 
     /// Executes one work item under the protocol's ordering constraints.
     /// Long waits must re-check [`PipelineSignals::shutdown_requested`] on
-    /// every wake-up and abandon the item on shutdown.
-    fn apply(&self, worker: usize, item: Self::Item, signals: &PipelineSignals);
+    /// every wake-up and abandon the item on shutdown. The thread running it
+    /// is a worker, or the feeder inside `apply_segment`; an ordering must
+    /// not depend on which.
+    fn apply(&self, item: Self::Item, signals: &PipelineSignals);
 
     /// Wakes any worker blocked inside [`apply`](Self::apply); called once
     /// when shutdown is signalled.
@@ -385,8 +477,10 @@ pub struct PipelineRuntime<P: PipelinePolicy> {
     /// feeder holding it is the scheduler, and concurrent feeders take turns
     /// in lock order.
     sink: Mutex<Option<WorkSink<P::Item>>>,
-    /// Records in flight at which the feeder waits: [`IN_FLIGHT_WINDOW`].
-    window: u64,
+    /// The workers' body, which the feeder also runs.
+    apply: Arc<ApplyStage<P>>,
+    /// Items the feeder applied itself.
+    feeder_items: Arc<Counter>,
     schedule_obs: StageObs,
     /// In-flight records after each dispatched segment.
     in_flight: Arc<Histogram>,
@@ -427,7 +521,12 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             signals: Arc::clone(&signals),
             deaths: obs.metrics.counter("pipeline_thread_deaths_total"),
         });
-        let apply_obs = Arc::new(StageObs::new(&obs, PipelineStage::Apply));
+        let apply = Arc::new(ApplyStage {
+            policy: Arc::clone(&policy),
+            signals: Arc::clone(&signals),
+            obs: StageObs::new(&obs, PipelineStage::Apply),
+            window,
+        });
 
         // Apply stage.
         let lanes = match options.queue {
@@ -438,23 +537,12 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             (0..lanes).map(|_| unbounded::<P::Item>()).unzip();
         for worker in 0..options.workers {
             let rx = lane_rxs[worker % lanes].clone();
-            let policy = Arc::clone(&policy);
-            let signals = Arc::clone(&signals);
-            let apply_obs = Arc::clone(&apply_obs);
+            let apply = Arc::clone(&apply);
             let worker_watch = Arc::clone(&watch);
             let run = Box::new(move || {
                 let _armed = worker_watch.armed();
-                let exposure = policy.exposure();
                 while let Ok(item) = rx.recv() {
-                    let started = Instant::now();
-                    policy.apply(worker, item, &signals);
-                    apply_obs.record(started.elapsed(), exposure.in_flight_records() as usize);
-                    // The item's marks are flushed: move the cut they let
-                    // move (which announces it), or else wake a feeder the
-                    // marks let past the window.
-                    if !exposure.expose(&signals) {
-                        signals.wake_feeder_below(window, || exposure.in_flight_records());
-                    }
+                    apply.run(item);
                 }
             });
             match spawn(format!("{label}-worker-{worker}"), run) {
@@ -469,7 +557,8 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
             policy,
             signals,
             sink: Mutex::new(Some(WorkSink::new(lane_txs))),
-            window,
+            apply,
+            feeder_items: obs.metrics.counter("feeder_applied_items_total"),
             schedule_obs: StageObs::new(&obs, PipelineStage::Schedule),
             in_flight: obs.metrics.histogram("in_flight_records"),
             window_wait: obs.metrics.histogram("feeder_window_wait_ns"),
@@ -514,7 +603,7 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
     /// first, with the window full.
     fn wait_for_window(&self) -> bool {
         let exposure = self.policy.exposure();
-        let open = || exposure.in_flight_records() < self.window;
+        let open = || exposure.in_flight_records() < self.apply.window;
         if open() {
             self.window_wait.record(0);
             return true;
@@ -529,6 +618,14 @@ impl<P: PipelinePolicy> PipelineRuntime<P> {
         signals.feeder_waiting.store(false, Ordering::Relaxed);
         self.window_wait.record_duration(started.elapsed());
         open()
+    }
+
+    /// Whether everything shipped is applied and exposed: what `finish`
+    /// waits for, and what lets a feeder apply a segment itself.
+    fn drained(&self) -> bool {
+        let exposure = self.policy.exposure();
+        exposure.applied_seq() >= exposure.shipped_seq()
+            && exposure.exposed_seq() >= exposure.exposure_target()
     }
 
     fn stop_threads(&self) {
@@ -567,11 +664,19 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         };
         let _armed = self.watch.armed();
         let started = Instant::now();
+        // Caught up with the wire, on a drained pipeline: a lone item is
+        // the feeder's to apply (see `IN_FLIGHT_WINDOW` for why that never
+        // waits on another thread).
+        sink.hold_first(segment.nothing_queued_behind() && self.drained());
         self.policy.schedule(segment, &mut sink);
         let in_flight = self.policy.exposure().in_flight_records();
         self.in_flight.record(in_flight);
         self.schedule_obs
             .record(started.elapsed(), in_flight as usize);
+        if let Some(item) = sink.take_held() {
+            self.feeder_items.inc();
+            self.apply.run(item);
+        }
         if !sink.workers_gone() {
             *slot = Some(sink);
         }
@@ -589,13 +694,9 @@ impl<P: PipelinePolicy> ClonedConcurrencyControl for PipelineRuntime<P> {
         // thread died: the prefix that thread held will never complete, so
         // the pipeline seals at whatever cut it reached.
         self.sink.lock().take();
-        let exposure = self.policy.exposure();
-        let target = exposure.shipped_seq();
         let signals = &self.signals;
         FLEET_PROGRESS.wait_until(None, || {
-            let drained = exposure.applied_seq() >= target
-                && exposure.exposed_seq() >= exposure.exposure_target();
-            drained || signals.shutdown_requested() || signals.failed()
+            self.drained() || signals.shutdown_requested() || signals.failed()
         });
         self.stop_threads();
     }
@@ -1327,6 +1428,24 @@ mod tests {
         /// The per-row stamping state, and every `(seq, prev_seq)` it
         /// stamped, in schedule order.
         stamped: PlMutex<(crate::scheduler::SchedulerState, Vec<(SeqNo, SeqNo)>)>,
+        /// Which thread ran every `apply` call, in call order.
+        appliers: PlMutex<Vec<Applier>>,
+    }
+
+    /// The thread that ran an item: worker `i`'s index, or `None` for the
+    /// feeder inside `apply_segment`.
+    type Applier = Option<usize>;
+    const FEEDER: Applier = None;
+
+    /// The calling thread as an [`Applier`], read off the name
+    /// `PipelineRuntime::start` gives its workers.
+    fn current_applier() -> Applier {
+        let thread = std::thread::current();
+        thread
+            .name()?
+            .strip_prefix("poisoned-worker-")?
+            .parse()
+            .ok()
     }
 
     /// How a [`PoisonedPolicy`]'s exposure is built: with a whole-database
@@ -1345,6 +1464,7 @@ mod tests {
                 poison,
                 gates: Default::default(),
                 stamped: PlMutex::default(),
+                appliers: PlMutex::default(),
             })
         }
 
@@ -1354,6 +1474,10 @@ mod tests {
 
         fn stamps(&self) -> Vec<(SeqNo, SeqNo)> {
             self.stamped.lock().1.clone()
+        }
+
+        fn appliers(&self) -> Vec<Applier> {
+            self.appliers.lock().clone()
         }
     }
 
@@ -1388,8 +1512,10 @@ mod tests {
             }
         }
 
-        fn apply(&self, worker: usize, txn: Vec<LogRecord>, _signals: &PipelineSignals) {
-            if let Some(gate) = self.gates.get(worker) {
+        fn apply(&self, txn: Vec<LogRecord>, _signals: &PipelineSignals) {
+            let applier = current_applier();
+            self.appliers.lock().push(applier);
+            if let Some(gate) = applier.and_then(|worker| self.gates.get(worker)) {
                 gate.pass();
             }
             for r in &txn {
@@ -1944,5 +2070,157 @@ mod tests {
             }
         )));
         assert_eq!(runtime.exposed_seq(), SeqNo(8), "nothing was applied");
+    }
+
+    /// Takes each segment from a wire with nothing shipped behind it, as a
+    /// feeder that keeps up does.
+    fn received_alone(segments: Vec<Segment>) -> impl Iterator<Item = Segment> {
+        let (shipper, receiver) = c5_log::LogShipper::unbounded();
+        segments.into_iter().map(move |segment| {
+            shipper.ship(segment);
+            let segment = receiver.recv().expect("the segment just shipped");
+            assert!(segment.nothing_queued_behind());
+            segment
+        })
+    }
+
+    /// How many items the feeder applied itself, and how many the apply
+    /// stage recorded in all.
+    fn feeder_and_all_items(runtime: &PipelineRuntime<PoisonedPolicy>) -> (u64, u64) {
+        let metrics = runtime.policy().metrics();
+        let counter = |name| metrics.counter(name).unwrap();
+        let dwell = metrics
+            .histogram("stage_dwell_ns{stage=\"apply\"}")
+            .unwrap();
+        let all = counter("stage_items_total{stage=\"apply\"}");
+        assert_eq!(dwell.count(), all, "one dwell sample per item");
+        (counter("feeder_applied_items_total"), all)
+    }
+
+    /// A feeder caught up with the wire, on a drained pipeline, applies a
+    /// segment that schedules to one item itself: the item is applied and
+    /// exposed when `apply_segment` returns, on the feeder's thread, and
+    /// counted and timed as an apply-stage item.
+    #[test]
+    fn a_drained_pipeline_applies_a_lone_received_segment_on_the_feeder() {
+        let runtime = poisoned_runtime(Poison::None);
+        for (fed, segment) in received_alone(two_write_txn_segments(3, 1)).enumerate() {
+            runtime.apply_segment(segment);
+            let through = SeqNo(2 * (fed as u64 + 1));
+            assert_eq!(runtime.exposed_seq(), through, "exposed on return");
+        }
+        assert_eq!(
+            runtime.policy().appliers(),
+            vec![FEEDER; 3],
+            "no worker ran one"
+        );
+        assert_eq!(feeder_and_all_items(&runtime), (3, 3));
+        runtime.finish();
+        assert_eq!(runtime.exposed_seq(), SeqNo(6));
+    }
+
+    /// Each of the feeder's three conditions, turned off alone, sends the
+    /// item to a worker: a segment not taken from a wire; one received
+    /// with another queued behind it; one received after the drain edge
+    /// shipped the logger's tail behind it; a pipeline whose worker still
+    /// holds an item; a segment that schedules to two items.
+    #[test]
+    fn each_condition_turned_off_sends_the_item_to_a_worker() {
+        let applied = |runtime: &PipelineRuntime<PoisonedPolicy>, through: u64| {
+            assert!(runtime.wait_until_exposed(SeqNo(through), Duration::from_secs(30)));
+        };
+
+        // Built, not received.
+        let runtime = poisoned_runtime(Poison::None);
+        runtime.apply_segment(two_write_txn_segments(1, 1).remove(0));
+        applied(&runtime, 2);
+        assert_eq!(runtime.policy().appliers(), vec![Some(0)]);
+
+        // Received with the next segment queued behind it; the next one,
+        // received alone on a drained pipeline, is the feeder's.
+        let runtime = poisoned_runtime(Poison::None);
+        let (shipper, receiver) = c5_log::LogShipper::unbounded();
+        two_write_txn_segments(2, 1)
+            .into_iter()
+            .for_each(|s| shipper.ship(s));
+        runtime.apply_segment(receiver.recv().unwrap());
+        applied(&runtime, 2);
+        runtime.apply_segment(receiver.recv().unwrap());
+        assert_eq!(runtime.exposed_seq(), SeqNo(4));
+        assert_eq!(runtime.policy().appliers(), vec![Some(0), FEEDER]);
+
+        // Received after the drain edge shipped the logger's tail: a commit
+        // made while the wire was busy is queued behind it.
+        let runtime = poisoned_runtime(Poison::None);
+        let (shipper, receiver) = c5_log::LogShipper::unbounded();
+        let logger = c5_log::StreamingLogger::new(100, shipper);
+        let write = |k: u64| [RowWrite::update(RowRef::new(0, k), Value::from_u64(k))];
+        logger.append(&write(1)); // the wire is idle: shipped at once
+        logger.append(&write(2)); // the wire is busy: buffered
+        runtime.apply_segment(receiver.recv().unwrap());
+        applied(&runtime, 1);
+        runtime.apply_segment(receiver.recv().unwrap());
+        assert_eq!(runtime.exposed_seq(), SeqNo(2));
+        assert_eq!(runtime.policy().appliers(), vec![Some(0), FEEDER]);
+        logger.close();
+
+        // A worker still holds an item: the received segment goes to the
+        // next lane, and only the held item keeps the cut back.
+        let runtime = poisoned_runtime(Poison::None);
+        runtime.policy().gates[0].set_closed(true);
+        let mut segments = two_write_txn_segments(2, 1);
+        let late = received_alone(segments.split_off(1)).next().unwrap();
+        runtime.apply_segment(segments.remove(0));
+        wait_for("worker 0 holding its item", || {
+            runtime.policy().appliers() == [Some(0)]
+        });
+        runtime.apply_segment(late);
+        wait_for("worker 1 through its item", || {
+            runtime.policy().exposure.metrics().applied_writes == 2
+        });
+        assert_eq!(runtime.exposed_seq(), SeqNo::ZERO);
+        runtime.policy().gates[0].set_closed(false);
+        applied(&runtime, 4);
+        assert_eq!(runtime.policy().appliers(), vec![Some(0), Some(1)]);
+
+        // Two transactions, two items: both go to the workers, in order.
+        let runtime = poisoned_runtime(Poison::None);
+        let segment = received_alone(two_write_txn_segments(1, 2)).next().unwrap();
+        runtime.apply_segment(segment);
+        applied(&runtime, 4);
+        let mut appliers = runtime.policy().appliers();
+        appliers.sort_unstable();
+        assert_eq!(appliers, vec![Some(0), Some(1)]);
+        assert_eq!(feeder_and_all_items(&runtime), (0, 2));
+    }
+
+    /// A panic in an item the feeder applies itself unwinds into the feeder
+    /// and fails the pipeline as one in `schedule` does: the death is
+    /// counted, every wait returns, later segments are dropped, and
+    /// `finish` returns.
+    #[test]
+    fn a_panic_in_an_item_on_the_feeders_path_fails_the_pipeline() {
+        let runtime = Arc::new(poisoned_runtime(Poison::Apply(3)));
+        let mut segments = received_alone(two_write_txn_segments(4, 1));
+        let first_two: Vec<Segment> = segments.by_ref().take(2).collect();
+        let feeder = {
+            let runtime = Arc::clone(&runtime);
+            std::thread::spawn(move || first_two.into_iter().for_each(|s| runtime.apply_segment(s)))
+        };
+        assert!(feeder.join().is_err(), "the panic is the feeder's");
+        assert_eq!(runtime.policy().appliers(), vec![FEEDER; 2]);
+
+        assert!(runtime.signals().failed());
+        assert!(!runtime.wait_until_exposed(SeqNo(8), Duration::from_secs(3600)));
+        assert_eq!(runtime.exposed_seq(), SeqNo(2));
+        segments.for_each(|s| runtime.apply_segment(s));
+        let metrics = runtime.policy().metrics();
+        assert_eq!(metrics.counter("pipeline_thread_deaths_total"), Some(1));
+        assert_eq!(metrics.counter("dropped_segments_total"), Some(2));
+        let finishing = Arc::clone(&runtime);
+        within_deadline("finish() after a failed inline apply", move || {
+            finishing.finish()
+        });
+        assert_eq!(runtime.exposed_seq(), SeqNo(2));
     }
 }

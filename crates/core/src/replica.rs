@@ -146,8 +146,12 @@ pub trait ClonedConcurrencyControl: Send + Sync {
 
     /// Feeds one log segment: the calling thread schedules it. Returns once
     /// its work is dispatched to the workers (`metrics().shipped_seq` covers
-    /// it); blocks first while the in-flight window is full. Concurrent
-    /// callers are serialised; segments must be fed in log order.
+    /// it); blocks first while the in-flight window is full. A segment
+    /// received with nothing queued behind it
+    /// ([`Segment::nothing_queued_behind`]) that reaches a drained replica
+    /// and schedules to one work item is applied by the calling thread
+    /// itself, and exposed, before this returns. Concurrent callers are
+    /// serialised; segments must be fed in log order.
     fn apply_segment(&self, segment: Segment);
 
     /// Signals end-of-log, waits for every shipped write to be applied and
@@ -420,7 +424,7 @@ impl PipelinePolicy for C5Policy {
         }
     }
 
-    fn apply(&self, _worker: usize, records: Vec<LogRecord>, signals: &PipelineSignals) {
+    fn apply(&self, records: Vec<LogRecord>, signals: &PipelineSignals) {
         match self.mode {
             C5Mode::Faithful => self.apply_segment(records),
             C5Mode::OneWorkerPerTxn => self.apply_txns(&records, signals),
@@ -606,8 +610,8 @@ where
 mod tests {
     use super::*;
     use crate::mpc::MpcChecker;
-    use c5_common::{OpCost, RowWrite};
-    use c5_log::{segments_from_entries, TxnEntry};
+    use c5_common::{OpCost, RowWrite, WriteKind};
+    use c5_log::{segments_from_entries, LogShipper, TxnEntry};
 
     fn row(k: u64) -> RowRef {
         RowRef::new(0, k)
@@ -995,5 +999,101 @@ mod tests {
             metrics.deferred_writes,
             metrics.applied_writes
         );
+    }
+
+    /// Feeds one replica what its subscription holds, as its feeder would.
+    fn feed_available(replica: &C5Replica, receiver: &LogReceiver) {
+        receiver
+            .drain_available()
+            .into_iter()
+            .for_each(|segment| replica.apply_segment(segment));
+    }
+
+    /// A fleet over one live wire, its rounds alternating between a single
+    /// segment that finds every replica idle and a backlog of four, with
+    /// the test thread as every replica's feeder. Idle, a one-shard replica
+    /// applies the segment on its feeder and has exposed it on return;
+    /// backlogged, the segments with one queued behind them go to the
+    /// workers. Every replica converges and its final view passes the MPC
+    /// checker.
+    #[test]
+    fn a_live_wire_fleet_alternating_idle_and_backlogged_segments_converges() {
+        const BACKLOG: usize = 4;
+        let segments = adversarial_log(300, 2, 4);
+        let population = vec![(row(0), Value::from_u64(0))];
+        let fleet: Vec<(C5Mode, usize, Arc<c5_obs::Obs>)> = vec![
+            (C5Mode::Faithful, 1, c5_obs::Obs::new()),
+            (C5Mode::OneWorkerPerTxn, 1, c5_obs::Obs::new()),
+            (C5Mode::Faithful, 2, c5_obs::Obs::new()),
+        ];
+        let (shipper, receivers) = LogShipper::fan_out_unbounded(fleet.len());
+        let replicas: Vec<Arc<C5Replica>> = fleet
+            .iter()
+            .map(|(mode, shards, obs)| {
+                let store = Arc::new(MvStore::default());
+                store.install(
+                    row(0),
+                    Timestamp::ZERO,
+                    WriteKind::Insert,
+                    Some(Value::from_u64(0)),
+                );
+                let config = ReplicaConfig::default()
+                    .with_workers(2)
+                    .with_shards(*shards)
+                    .with_shard_key_space(64)
+                    .with_obs(Arc::clone(obs));
+                C5Replica::new(*mode, store, config)
+            })
+            .collect();
+
+        let mut log = segments.iter().cloned().peekable();
+        let mut round = 0u64;
+        while log.peek().is_some() {
+            let idle = round % 2 == 0;
+            let shipped: Vec<Segment> = log.by_ref().take(if idle { 1 } else { BACKLOG }).collect();
+            let through = shipped.last().unwrap().last_seq().unwrap();
+            shipped
+                .into_iter()
+                .for_each(|segment| shipper.ship(segment));
+            for ((replica, receiver), (_, shards, _)) in replicas.iter().zip(&receivers).zip(&fleet)
+            {
+                feed_available(replica, receiver);
+                if idle && *shards == 1 {
+                    assert_eq!(replica.exposed_seq(), through, "exposed on return");
+                }
+                assert!(replica.wait_until_exposed(through, Duration::from_secs(30)));
+            }
+            round += 1;
+        }
+        assert!(round > 2, "{round} rounds");
+        shipper.close();
+
+        let last = segments.last().unwrap().last_seq().unwrap();
+        let (idle_rounds, backlogs) = (round.div_ceil(2), round / 2);
+        for ((replica, receiver), (mode, shards, obs)) in
+            replicas.iter().zip(&receivers).zip(&fleet)
+        {
+            assert!(receiver.recv().is_none(), "the log ended");
+            replica.finish();
+            assert_eq!(replica.exposed_seq(), last, "{mode:?} at {shards} shards");
+            MpcChecker::new(&population, &segments)
+                .verify_view(replica.read_view().as_ref())
+                .unwrap_or_else(|e| panic!("{mode:?} at {shards} shards: {e:?}"));
+            let counter = |name: &str| obs.metrics.counter(name).get();
+            let (feeder, all) = (
+                counter("feeder_applied_items_total"),
+                counter("stage_items_total{stage=\"apply\"}"),
+            );
+            assert!(
+                all - feeder >= backlogs * (BACKLOG as u64 - 1),
+                "{mode:?} at {shards} shards"
+            );
+            if *shards == 1 {
+                assert!(
+                    feeder >= idle_rounds,
+                    "{mode:?}: {feeder} of {all} on the feeder"
+                );
+            }
+        }
     }
 }

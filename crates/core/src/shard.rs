@@ -490,4 +490,46 @@ mod tests {
         );
         assert_eq!(replica.metrics(), Default::default(), "nothing noted");
     }
+
+    /// A received segment on a drained two-shard replica is the feeder's
+    /// only if it schedules to one item: a transaction inside one shard is
+    /// applied before `apply_segment` returns, one spanning both shards
+    /// splits into two items, which go to the shards' workers.
+    #[test]
+    fn a_segment_split_into_two_shards_goes_to_the_workers() {
+        let obs = c5_obs::Obs::new();
+        let population = [(row(1), Value::from_u64(0)), (row(40), Value::from_u64(0))];
+        let replica = C5Replica::new(
+            C5Mode::Faithful,
+            preloaded(&population),
+            config(2, 1).with_obs(Arc::clone(&obs)),
+        );
+        let update = |key, value| RowWrite::update(row(key), Value::from_u64(value));
+        let entries = [
+            TxnEntry::new(Timestamp(1), vec![update(1, 1)]),
+            TxnEntry::new(Timestamp(2), vec![update(1, 2), update(40, 2)]),
+        ];
+        let segments = segments_from_entries(&entries, 1);
+        assert_eq!(segments.len(), 2);
+        let (shipper, receiver) = c5_log::LogShipper::unbounded();
+        let counter = |name: &str| obs.metrics.counter(name).get();
+        let (feeder, all) = (
+            "feeder_applied_items_total",
+            "stage_items_total{stage=\"apply\"}",
+        );
+
+        shipper.ship(segments[0].clone());
+        replica.apply_segment(receiver.recv().unwrap());
+        assert_eq!(replica.exposed_seq(), SeqNo(1), "exposed on return");
+        assert_eq!((counter(feeder), counter(all)), (1, 1));
+
+        shipper.ship(segments[1].clone());
+        replica.apply_segment(receiver.recv().unwrap());
+        assert!(replica.wait_until_exposed(SeqNo(3), Duration::from_secs(30)));
+        replica.finish();
+        assert_eq!((counter(feeder), counter(all)), (1, 3));
+        MpcChecker::new(&population, &segments)
+            .verify_view(replica.read_view().as_ref())
+            .expect("MPC holds");
+    }
 }

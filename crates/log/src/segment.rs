@@ -18,13 +18,29 @@ use crate::record::LogRecord;
 pub struct Segment {
     /// The records, in log order.
     pub records: Vec<LogRecord>,
+    /// See [`nothing_queued_behind`](Self::nothing_queued_behind). Not
+    /// encoded, like a record's `prev_seq`.
+    pub(crate) nothing_queued_behind: bool,
 }
 
 impl Segment {
     /// Creates a segment from records. The caller is responsible for keeping
     /// transactions whole; [`SegmentBuilder`] does this automatically.
     pub fn new(records: Vec<LogRecord>) -> Self {
-        Self { records }
+        Self {
+            records,
+            nothing_queued_behind: false,
+        }
+    }
+
+    /// Whether the [`LogReceiver`](crate::ship::LogReceiver) receive that
+    /// took this segment found its queue empty behind it, asked after the
+    /// receive's drain edge ran (so a tail that edge shipped counts as
+    /// queued). A feeder that sees it is caught up with the wire. `false`
+    /// for a segment built any other way — by a builder, a replay from the
+    /// archive, [`Segment::new`] — and kept by a clone.
+    pub fn nothing_queued_behind(&self) -> bool {
+        self.nothing_queued_behind
     }
 
     /// First sequence number in the segment, if any.

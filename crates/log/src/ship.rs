@@ -330,7 +330,10 @@ impl Drop for Wire {
 ///
 /// A receive that takes the last segment queued to it runs the drain edge
 /// (see the [module docs](self)): the logger feeding the wire ships its open
-/// segment if the wire went idle. It never blocks the receiver.
+/// segment if the wire went idle. It never blocks the receiver. Every
+/// received segment then records whether the queue is still empty
+/// ([`Segment::nothing_queued_behind`]), which a replica's feeder reads to
+/// tell that it is caught up with the wire.
 #[derive(Clone)]
 pub struct LogReceiver {
     rx: Receiver<Segment>,
@@ -817,22 +820,32 @@ impl LogShipper {
 }
 
 impl LogReceiver {
-    /// Blocks until the next segment arrives or the log ends.
+    /// Blocks until the next segment arrives or the log ends. The segment
+    /// says whether anything was queued behind it
+    /// ([`Segment::nothing_queued_behind`]).
     pub fn recv(&self) -> Option<Segment> {
         let segment = self.rx.recv().ok()?;
-        self.drained();
-        Some(segment)
+        Some(self.received(segment))
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive; marks the segment as [`recv`](Self::recv)
+    /// does.
     pub fn try_recv(&self) -> Option<Segment> {
         match self.rx.try_recv() {
-            Ok(segment) => {
-                self.drained();
-                Some(segment)
-            }
+            Ok(segment) => Some(self.received(segment)),
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
+    }
+
+    /// After a receive: runs the drain edge, then records on the segment
+    /// whether its queue is empty. Asked after the edge, so a tail the edge
+    /// shipped counts as queued: on an un-archived wire a feeder that
+    /// cannot keep up shows as records buffered in the logger, not as
+    /// queued segments, and the edge is what turns them into one.
+    fn received(&self, mut segment: Segment) -> Segment {
+        self.drained();
+        segment.nothing_queued_behind = self.rx.is_empty();
+        segment
     }
 
     /// The drain edge, after a receive: if that took the last queued
@@ -1462,6 +1475,37 @@ mod tests {
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("ship_partial_segments_total"), Some(2));
         assert_eq!(snap.counter("ship_drain_tails_total"), Some(1));
+        logger.close();
+    }
+
+    /// A received segment says whether anything was queued behind it, asked
+    /// after the drain edge: a tail the edge shipped counts. A segment built
+    /// any other way says nothing was received.
+    #[test]
+    fn a_received_segment_says_whether_anything_is_queued_behind_it() {
+        assert!(!segment(1).nothing_queued_behind(), "built, not received");
+        let (tx, rx) = LogShipper::unbounded();
+        tx.ship(segment(1));
+        tx.ship(segment(2));
+        let first = rx.recv().unwrap();
+        assert!(!first.nothing_queued_behind(), "segment 2 is behind it");
+        let last = rx.try_recv().unwrap();
+        assert!(last.nothing_queued_behind());
+        assert!(last.clone().nothing_queued_behind(), "a clone keeps it");
+
+        let (tx, rx) = LogShipper::unbounded();
+        let logger = crate::logger::StreamingLogger::new(100, tx);
+        let write = |k: u64| [RowWrite::insert(RowRef::new(0, k), Value::from_u64(k))];
+        logger.append(&write(1)); // idle: cut on append
+        logger.append(&write(2)); // busy: buffered
+        let first = rx.recv().unwrap();
+        assert!(
+            !first.nothing_queued_behind(),
+            "the drain edge shipped the buffered commit behind it"
+        );
+        let tail = rx.recv().unwrap();
+        assert!(tail.nothing_queued_behind());
+        assert_eq!(seqs(&[first, tail]), vec![1, 2]);
         logger.close();
     }
 
