@@ -6,10 +6,7 @@
 //! coarser conflict key. This module implements exactly that on the shared
 //! pipeline runtime: the schedule stage routes every write to the worker lane
 //! owning its *conflict group*, so writes within a group apply strictly in
-//! log order while different groups proceed in parallel. With
-//! [`Granularity::Row`] the very same machinery becomes a (simplified)
-//! row-granularity protocol, which the ablation benchmarks use as a sanity
-//! point.
+//! log order while different groups proceed in parallel.
 
 use std::sync::Arc;
 
@@ -32,9 +29,6 @@ pub enum Granularity {
         /// Rows per page.
         rows_per_page: u64,
     },
-    /// Writes to the same row serialize (the C5 constraint, provided here for
-    /// ablations that want the coarse-grain machinery with the finest key).
-    Row,
 }
 
 impl Granularity {
@@ -46,7 +40,6 @@ impl Granularity {
                 let page = row.key.as_u64() / rows_per_page.max(1);
                 ((row.table.as_u32() as u128) << 64) | page as u128
             }
-            Granularity::Row => row.packed(),
         }
     }
 
@@ -55,7 +48,6 @@ impl Granularity {
         match self {
             Granularity::Table => "table-granularity",
             Granularity::Page { .. } => "page-granularity",
-            Granularity::Row => "row-granularity",
         }
     }
 }
@@ -172,11 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn row_granularity_applies_everything() {
-        run(Granularity::Row);
-    }
-
-    #[test]
     fn per_group_order_is_preserved() {
         // Many conflicting updates to a single row spread over four workers:
         // the final value must be the last transaction's.
@@ -219,10 +206,6 @@ mod tests {
         assert_ne!(
             page.conflict_group(row_a),
             page.conflict_group(RowRef::new(1, 100))
-        );
-        assert_ne!(
-            Granularity::Row.conflict_group(row_a),
-            Granularity::Row.conflict_group(row_b)
         );
         assert_eq!(Granularity::Table.name(), "table-granularity");
         let _ = TableId(0);

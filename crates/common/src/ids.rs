@@ -74,13 +74,6 @@ impl RowRef {
             key: Key(key),
         }
     }
-
-    /// Packs the reference into a single `u128` suitable for hashing or map
-    /// keys where a single integer is more convenient.
-    #[inline]
-    pub const fn packed(self) -> u128 {
-        ((self.table.0 as u128) << 64) | self.key.0 as u128
-    }
 }
 
 impl fmt::Display for RowRef {
@@ -274,16 +267,6 @@ impl fmt::Display for SessionId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn row_ref_packing_is_injective_for_distinct_refs() {
-        let a = RowRef::new(1, 42);
-        let b = RowRef::new(2, 42);
-        let c = RowRef::new(1, 43);
-        let set: HashSet<u128> = [a, b, c].iter().map(|r| r.packed()).collect();
-        assert_eq!(set.len(), 3);
-    }
 
     #[test]
     fn timestamp_ordering_matches_raw_ordering() {

@@ -13,8 +13,9 @@
 //! log), and every baseline. It holds the one exposed cut `c`, an atomic
 //! position, in both of the paper's forms. The backward-compatible form
 //! (Section 5.2) adds a [`WholeDatabaseGate`] beside it, which holds writers
-//! back while a cut is taken and remembers the engine's snapshot of it; the
-//! faithful form has none, and reads the store at the cut itself.
+//! back while a cut is taken, so that the store's current state at the
+//! cut's completion is the prefix up to it; the faithful form has none.
+//! Both read the store at the cut itself.
 //!
 //! The runtime calls [`expose`](PrefixExposure::expose) on the worker that
 //! finished an item, after its marks are flushed, and once more on shutdown
@@ -102,7 +103,7 @@ impl PrefixExposure {
     /// they stay `config.snapshot_interval` (the paper's `I`) apart unless
     /// the prefix is already whole.
     pub fn whole_database(store: Arc<MvStore>, config: &ReplicaConfig, cut: SeqNo) -> Self {
-        let gate = WholeDatabaseGate::new(&store, config.snapshot_interval);
+        let gate = WholeDatabaseGate::new(config.snapshot_interval);
         Self::new(Some(gate), store, config, cut)
     }
 
@@ -197,7 +198,7 @@ impl PrefixExposure {
         match gate.pending_cut() {
             Some(n) if n <= self.tracker.applied_watermark() => {
                 let (before, started) = (self.exposed_seq(), Instant::now());
-                gate.complete(n, &self.store, &self.exposed) && self.exposed_to(before, n, started)
+                gate.complete(n, &self.exposed) && self.exposed_to(before, n, started)
             }
             _ => false,
         }
@@ -261,12 +262,11 @@ impl PrefixExposure {
         self.shipped_seq().as_u64() - applied
     }
 
-    /// A read view pinned at the exposed cut.
+    /// A read view pinned at the exposed cut, in both forms (the gate is
+    /// what makes the whole-database form's cut the engine's current state;
+    /// see [`WholeDatabaseGate::complete`]).
     pub fn read_view(&self) -> Box<dyn ReadView> {
-        Box::new(match &self.gate {
-            None => StoreView::at_cut(&self.store, self.exposed_seq()),
-            Some(gate) => gate.view(&self.store, &self.exposed),
-        })
+        Box::new(StoreView::at_cut(&self.store, self.exposed_seq()))
     }
 
     /// Replication-lag samples collected so far.
@@ -756,17 +756,21 @@ mod proptests {
         /// installed and while it is not past a pending cut; the write that
         /// ends a run flushes the run's marks and exposes, as a worker does.
         /// After every step the cut is at most the applied prefix, on a
-        /// transaction boundary and never lower than before; a fresh view,
-        /// and every kept view the GC horizon (at a trail drawn as above)
-        /// still covers, read exactly the reference replay at their cut;
-        /// and unless no lane holds work, some lane can move: all runnable
-        /// work gated behind a cut that cannot complete is a deadlock. A cut
-        /// left pending at the end of a step is one the applied prefix has
-        /// not reached: a cut on a whole prefix closes and completes in one
-        /// call. Under the hourly spacing only the first cut may close on a
-        /// prefix that is not whole, so at most one cut ever holds writers
-        /// back. Once every lane is empty, the cut is the log's last
-        /// boundary, with the spacing at 1 ns and at an hour alike.
+        /// transaction boundary and never lower than before; a step that
+        /// moved it leaves the store's current state (read at
+        /// `Timestamp::MAX`) exactly the reference replay at the new cut, so
+        /// reading at the cut reads the engine's one kind of snapshot; a
+        /// fresh view, and every kept view the GC horizon (at a trail drawn
+        /// as above) still covers, read exactly the reference replay at
+        /// their cut; and unless no lane holds work, some lane can move: all
+        /// runnable work gated behind a cut that cannot complete is a
+        /// deadlock. A cut left pending at the end of a step is one the
+        /// applied prefix has not reached: a cut on a whole prefix closes
+        /// and completes in one call. Under the hourly spacing only the
+        /// first cut may close on a prefix that is not whole, so at most one
+        /// cut ever holds writers back. Once every lane is empty, the cut is
+        /// the log's last boundary, with the spacing at 1 ns and at an hour
+        /// alike.
         #[test]
         fn a_whole_database_cut_closes_at_the_dispatched_boundary_and_always_completes(
             txn_lens in prop::collection::vec(1u64..5, 1..48),
@@ -907,6 +911,13 @@ mod proptests {
                 prop_assert!(exposed == SeqNo::ZERO || boundaries.binary_search(&exposed).is_ok(), "cut {} is not a boundary", exposed);
                 prop_assert!(exposed >= cut, "cut moved back from {} to {}", cut, exposed);
                 prop_assert_eq!(exposure.lag().len(), boundaries.partition_point(|&b| b <= exposed));
+                if exposed > cut {
+                    // The engine's current state is the prefix up to the new
+                    // cut (no install follows a completion within a step):
+                    // nothing past it was installed before it completed.
+                    let current: BTreeMap<RowRef, Value> = store.scan_all_at(Timestamp::MAX).into_iter().collect();
+                    prop_assert_eq!(&current, &states[&exposed], "current state when the cut moved to {}", exposed);
+                }
                 cut = exposed;
                 let pending = exposure.gate.as_ref().unwrap().pending_cut();
                 prop_assert!(

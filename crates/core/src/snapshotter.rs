@@ -22,14 +22,14 @@
 //! steps, neither of which waits: [`close`](WholeDatabaseGate::close) the
 //! gate at a cut `n` at or beyond everything installed so far, holding back
 //! writes past `n`; and, once the prefix up to `n` is applied,
-//! [`complete`](WholeDatabaseGate::complete) it: take
-//! [`DbSnapshot::of_current`], publish `n` as the cut and reopen the gate.
-//! The gate is a reader-writer lock: workers hold it shared for the instant
-//! it takes to install one write, and the exposure takes it exclusively only
-//! to close, complete or [`abandon`](WholeDatabaseGate::abandon) a cut. The
-//! same lock pairs the exposed cut with the timestamp `of_current` returned
-//! for it, so a view reads the store where the engine's snapshot did, never
-//! at a timestamp of its own choosing.
+//! [`complete`](WholeDatabaseGate::complete) it: publish `n` as the cut and
+//! reopen the gate. At that instant the current state *is* the prefix up to
+//! `n`, so a view reads the store at the cut, exactly as the faithful form
+//! does; the gate is what makes the engine's one kind of snapshot land
+//! there. It is a reader-writer lock: workers hold it shared for the
+//! instant it takes to install one write, and the exposure takes it
+//! exclusively only to close, complete or
+//! [`abandon`](WholeDatabaseGate::abandon) a cut.
 //!
 //! The exposure announces a moved cut on [`FLEET_PROGRESS`]; the gate
 //! announces only an abandoned cut, whose reopening is what writers held at
@@ -42,12 +42,12 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use c5_common::{RowRef, SeqNo, TableId, Timestamp, Value};
-use c5_storage::{DbSnapshot, MvStore};
+use c5_storage::MvStore;
 
 use crate::replica::{ReadView, FLEET_PROGRESS};
 
 /// Section 5.2's whole-database snapshotter: the gate that holds back writes
-/// past a pending cut, and the snapshot of the last completed one.
+/// past a pending cut.
 pub struct WholeDatabaseGate {
     state: RwLock<GateState>,
     /// Minimum time from one completed cut to the next close: the paper's
@@ -60,9 +60,6 @@ struct GateState {
     at: u64,
     /// When the last cut completed.
     last_cut: Option<Instant>,
-    /// The timestamp [`DbSnapshot::of_current`] captured when the exposed
-    /// cut completed: where its read views read the store.
-    snapshot: Timestamp,
 }
 
 /// The gate position with no cut pending.
@@ -71,15 +68,12 @@ const OPEN: u64 = u64::MAX;
 impl WholeDatabaseGate {
     /// An open gate whose cuts close at least `spacing` after the last one
     /// completed (unless the prefix is already whole, see
-    /// [`close`](Self::close)); the snapshot serving the cut the store starts
-    /// exposed at captures its current (preloaded or checkpoint-installed)
-    /// state.
-    pub fn new(store: &Arc<MvStore>, spacing: Duration) -> Self {
+    /// [`close`](Self::close)).
+    pub fn new(spacing: Duration) -> Self {
         Self {
             state: RwLock::new(GateState {
                 at: OPEN,
                 last_cut: None,
-                snapshot: DbSnapshot::of_current(store).as_of(),
             }),
             spacing,
         }
@@ -138,18 +132,25 @@ impl WholeDatabaseGate {
     }
 
     /// Completes the cut pending at `n`, whose prefix the caller has seen
-    /// applied: snapshots the current state — by construction exactly the
-    /// writes up to `n` — publishes `n` as the `exposed` cut and reopens the
-    /// gate. Returns whether it did; `false` means the cut is no longer
-    /// pending (another caller completed it), so each closed cut completes
-    /// exactly once. The caller announces the moved cut, which also wakes
-    /// the writers held at the gate.
-    pub fn complete(&self, n: SeqNo, store: &Arc<MvStore>, exposed: &AtomicU64) -> bool {
+    /// applied: publishes `n` as the `exposed` cut and reopens the gate.
+    /// Returns whether it did; `false` means the cut is no longer pending
+    /// (another caller completed it), so each closed cut completes exactly
+    /// once. The caller announces the moved cut, which also wakes the
+    /// writers held at the gate.
+    ///
+    /// Why reading the store at `n` reads the engine's "current state" at
+    /// this instant, the only snapshot Section 5.2 allows:
+    /// - every write at or below `n` is installed, because the applied
+    ///   prefix the caller saw reached `n`;
+    /// - no write above `n` is installed, because
+    ///   [`close`](Self::close) chose `n` at or beyond every write dispatched
+    ///   while no install was in flight, and since then the gate has held
+    ///   back every write past `n`.
+    pub fn complete(&self, n: SeqNo, exposed: &AtomicU64) -> bool {
         let mut g = self.state.write();
         if g.at != n.as_u64() {
             return false;
         }
-        g.snapshot = DbSnapshot::of_current(store).as_of();
         exposed.store(n.as_u64(), Ordering::Release);
         g.at = OPEN;
         g.last_cut = Some(Instant::now());
@@ -167,55 +168,47 @@ impl WholeDatabaseGate {
             FLEET_PROGRESS.notify();
         }
     }
-
-    /// A view of the `exposed` cut, read with its snapshot's timestamp under
-    /// the lock that [`complete`](Self::complete) writes both under.
-    pub fn view(&self, store: &Arc<MvStore>, exposed: &AtomicU64) -> StoreView {
-        let g = self.state.read();
-        StoreView {
-            store: Arc::clone(store),
-            at: g.snapshot,
-            as_of: SeqNo(exposed.load(Ordering::Acquire)),
-        }
-    }
 }
 
-/// A read view: the multi-version store read at one timestamp, pinned at
+/// A read view: the multi-version store read at one cut, pinned at
 /// creation. Successive views observe monotonically advancing cuts
 /// (monotonic prefix consistency's second half); an individual view never
 /// changes.
 pub struct StoreView {
     store: Arc<MvStore>,
-    at: Timestamp,
-    as_of: SeqNo,
+    cut: SeqNo,
 }
 
 impl StoreView {
-    /// A view at `cut` itself (the faithful form).
+    /// A view at `cut`: every write at or below it, nothing above.
     pub fn at_cut(store: &Arc<MvStore>, cut: SeqNo) -> Self {
         Self {
             store: Arc::clone(store),
-            at: Timestamp(cut.as_u64()),
-            as_of: cut,
+            cut,
         }
+    }
+
+    /// Versions are installed at their log position.
+    fn at(&self) -> Timestamp {
+        Timestamp(self.cut.as_u64())
     }
 }
 
 impl ReadView for StoreView {
     fn get(&self, row: RowRef) -> Option<Value> {
-        self.store.read_at(row, self.at)
+        self.store.read_at(row, self.at())
     }
 
     fn as_of(&self) -> SeqNo {
-        self.as_of
+        self.cut
     }
 
     fn scan_table(&self, table: TableId) -> Vec<(RowRef, Value)> {
-        self.store.scan_table_at(table, self.at)
+        self.store.scan_table_at(table, self.at())
     }
 
     fn scan_all(&self) -> Vec<(RowRef, Value)> {
-        self.store.scan_all_at(self.at)
+        self.store.scan_all_at(self.at())
     }
 }
 
@@ -269,7 +262,7 @@ mod tests {
         fn new(store: &Arc<MvStore>, spacing: Duration) -> Self {
             Self {
                 store: Arc::clone(store),
-                gate: WholeDatabaseGate::new(store, spacing),
+                gate: WholeDatabaseGate::new(spacing),
                 exposed: AtomicU64::new(0),
             }
         }
@@ -280,7 +273,7 @@ mod tests {
         }
 
         fn complete(&self, n: u64) -> bool {
-            self.gate.complete(SeqNo(n), &self.store, &self.exposed)
+            self.gate.complete(SeqNo(n), &self.exposed)
         }
 
         fn exposed(&self) -> SeqNo {
@@ -288,7 +281,7 @@ mod tests {
         }
 
         fn view(&self) -> StoreView {
-            self.gate.view(&self.store, &self.exposed)
+            StoreView::at_cut(&self.store, self.exposed())
         }
     }
 
@@ -370,8 +363,8 @@ mod tests {
         };
         // The installer sleeps on the fleet signal until the gate reopens.
         // (Another test's waiter may count here too; the gate holds either
-        // way.)
-        while FLEET_PROGRESS.parked() < 1 {
+        // way.) A gate that lets it through fails below instead of hanging.
+        while FLEET_PROGRESS.parked() < 1 && !installer.is_finished() {
             std::thread::yield_now();
         }
         assert_eq!(
@@ -384,7 +377,7 @@ mod tests {
         FLEET_PROGRESS.notify();
         installer.join().unwrap();
         assert_eq!(store.read_latest(row(2)).unwrap().as_u64(), Some(2));
-        // The snapshot was taken before the held-back write.
+        // The cut was completed before the held-back write.
         assert_eq!(gated.view().get(row(2)), None);
     }
 

@@ -216,7 +216,8 @@ struct ShipObs {
     segment_records: Arc<Histogram>,
     /// Segments the logger shipped below its size bound.
     partial_segments: Arc<Counter>,
-    /// Of those, the segments a receiver's drain edge shipped.
+    /// Of those, the segments a drain edge shipped: a receiver's, or an
+    /// archived wire thread's.
     drain_tails: Arc<Counter>,
     /// Wire thread only: one `LogArchive::try_append`.
     archive_append_ns: Arc<Histogram>,
@@ -571,7 +572,8 @@ impl LogShipper {
     /// `ship_segment_records` histogram of batch sizes and the
     /// `ship_partial_segments_total` counter of segments the logger cut
     /// below its bound, of which `ship_drain_tails_total` counts those a
-    /// receiver's drain edge cut; a wire thread adds `archive_append_ns`,
+    /// drain edge cut (a receiver's, or the wire thread's); a wire thread
+    /// adds `archive_append_ns`,
     /// `wire_queue_wait_ns` and `ship_archive_failures_total`, and over a
     /// durable archive `archive_sync_ns` (the `sync_data` alone),
     /// `archive_bytes_total` and `archive_rotations_total`. Metric
@@ -638,7 +640,8 @@ impl LogShipper {
         }
     }
 
-    /// Counts one segment a receiver's drain edge cut.
+    /// Counts one segment a drain edge cut, a receiver's or the wire
+    /// thread's.
     pub(crate) fn note_drain_tail(&self) {
         if let Some(ship_obs) = &self.obs {
             ship_obs.drain_tails.inc();

@@ -385,14 +385,16 @@ mod tests {
         assert!(commit_at(&e, 25, &writes));
         assert_eq!(e.store().read_latest(a).unwrap().as_u64(), Some(1));
         assert_eq!(e.store().read_latest(b).unwrap().as_u64(), Some(1));
-        assert_eq!(e.store().max_installed_ts(), Timestamp(25));
+        for r in [a, b] {
+            assert_eq!(e.store().latest_write_ts(r), Timestamp(25));
+        }
     }
 
     #[test]
     fn an_empty_write_set_commits_without_a_trace() {
         let e = engine(1);
         assert!(commit_at(&e, 5, &[]));
-        assert_eq!(e.store().max_installed_ts(), Timestamp::ZERO);
+        assert_eq!(e.store().stats().versions, 0);
         assert!(e.take_segments(4).is_empty());
     }
 

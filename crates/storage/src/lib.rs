@@ -17,12 +17,13 @@
 //! versions and nothing else: every chain has a head, a delete is a version
 //! without a value, and concurrency control (the MVTSO primary's read
 //! timestamps and admission rule, the 2PL primary's locks) lives in the
-//! primary that uses it. It also supports the restricted MyRocks-style
-//! usage through
-//! [`snapshot::DbSnapshot`], which can only capture the *currently committed*
-//! state. [`reference::ReferenceStore`] is a deliberately simple
-//! single-threaded store used by the monotonic-prefix-consistency checker and
-//! by property tests as the oracle.
+//! primary that uses it. The MyRocks-style restriction is not a type here:
+//! a C5-MyRocks backup holds writes past a pending cut back until the
+//! applied prefix reaches it, so the store's current state at that instant
+//! is the cut, and its views read the store at the cut as the faithful
+//! form's do (`c5_core::snapshotter`). [`reference::ReferenceStore`] is a
+//! deliberately simple single-threaded store used by the
+//! monotonic-prefix-consistency checker and by property tests as the oracle.
 
 //! For failover, [`checkpoint`] adds transplantable snapshots: a
 //! [`checkpoint::CheckpointWriter`] exports every row's newest version at a
@@ -42,9 +43,7 @@ pub mod checkpoint;
 pub mod durable;
 pub mod mvstore;
 pub mod reference;
-pub mod snapshot;
 
 pub use checkpoint::{Checkpoint, CheckpointInstaller, CheckpointWriter};
 pub use mvstore::{MvStore, MvStoreStats, VersionExport};
 pub use reference::ReferenceStore;
-pub use snapshot::DbSnapshot;

@@ -354,9 +354,6 @@ pub struct MvStoreStats {
 /// The sharded multi-version store.
 pub struct MvStore {
     shards: Vec<Shard>,
-    /// Largest write timestamp ever installed. `DbSnapshot::of_current` uses
-    /// this to model RocksDB's "snapshot of the current state".
-    max_installed: AtomicU64,
     /// The GC horizon installs trim to; zero trims nothing (see the
     /// [module docs](self)). It guards no other data: a stale load is a
     /// lower horizon, which only trims less.
@@ -381,7 +378,6 @@ impl Default for MvStore {
             shards: (0..SHARDS)
                 .map(|_| RwLock::new(ShardState::default()))
                 .collect(),
-            max_installed: AtomicU64::new(0),
             gc_horizon: AtomicU64::new(0),
         }
     }
@@ -396,15 +392,6 @@ impl MvStore {
 
     fn shard_for(&self, row: RowRef) -> &Shard {
         &self.shards[self.shard_index(row)]
-    }
-
-    fn bump_max_installed(&self, ts: Timestamp) {
-        self.max_installed.fetch_max(ts.as_u64(), Ordering::Release);
-    }
-
-    /// Largest write timestamp installed so far.
-    pub fn max_installed_ts(&self) -> Timestamp {
-        Timestamp(self.max_installed.load(Ordering::Acquire))
     }
 
     /// Raises the GC horizon to `horizon` (never lowers it). From then on an
@@ -534,7 +521,6 @@ impl MvStore {
         }
         drop(shard);
         drop(garbage);
-        self.bump_max_installed(ts);
         true
     }
 
@@ -762,25 +748,6 @@ mod tests {
             Some(Value::from_u64(3))
         ));
         assert_eq!(s.read_latest(row).unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn max_installed_tracks_highest_timestamp() {
-        let s = store();
-        assert_eq!(s.max_installed_ts(), Timestamp::ZERO);
-        s.install(
-            RowRef::new(1, 1),
-            Timestamp(5),
-            WriteKind::Insert,
-            Some(Value::from_u64(1)),
-        );
-        s.install(
-            RowRef::new(1, 2),
-            Timestamp(3),
-            WriteKind::Insert,
-            Some(Value::from_u64(1)),
-        );
-        assert_eq!(s.max_installed_ts(), Timestamp(5));
     }
 
     #[test]

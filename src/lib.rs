@@ -106,7 +106,7 @@ pub mod prelude {
         ReplicaStatus, SessionRead,
     };
     pub use c5_storage::{
-        Checkpoint, CheckpointInstaller, CheckpointWriter, DbSnapshot, MvStore, ReferenceStore,
+        Checkpoint, CheckpointInstaller, CheckpointWriter, MvStore, ReferenceStore,
     };
     pub use c5_workloads::{
         AdversarialWorkload, InsertOnlyWorkload, SpikeTrace, TpccConfig, TpccMix, SYNTHETIC_TABLE,

@@ -58,7 +58,7 @@ fn config(shards: usize) -> ReplicaConfig {
 type Build = fn(Arc<MvStore>) -> Arc<dyn ClonedConcurrencyControl>;
 
 /// Every protocol, by report name (faithful C5 at one and at four shards).
-const PROTOCOLS: [(&str, Build); 8] = [
+const PROTOCOLS: [(&str, Build); 7] = [
     ("c5", |s| C5Replica::new(C5Mode::Faithful, s, config(1))),
     ("c5", |s| C5Replica::new(C5Mode::Faithful, s, config(4))),
     ("c5-myrocks", |s| {
@@ -75,9 +75,6 @@ const PROTOCOLS: [(&str, Build); 8] = [
     }),
     ("page-granularity", |s| {
         CoarseGrainReplica::new(Granularity::Page { rows_per_page: 8 }, s, config(1))
-    }),
-    ("row-granularity", |s| {
-        CoarseGrainReplica::new(Granularity::Row, s, config(1))
     }),
 ];
 
