@@ -82,7 +82,7 @@ pub fn run(scale: &Scale) {
     // segments the idle rule cut were, how many left below the size bound
     // (and of those, how many a receiver's drain edge cut), and what the
     // wire thread spent queueing and archiving them (the
-    // sync, bytes and rotations only move over a durable archive).
+    // sync takes next to no time over an in-memory archive).
     println!("\n== log shipping: batch sizes and the wire thread ==");
     let snap = obs.metrics.snapshot();
     println!(

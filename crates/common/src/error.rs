@@ -45,15 +45,17 @@ pub enum Error {
         /// The largest position truncation has dropped.
         truncated_through: SeqNo,
     },
-    /// A durable log archive could not persist a segment. The archive holds
+    /// A log archive could not persist a segment. The archive holds
     /// exactly what it held before the failed append; the wire that was
     /// feeding it ends there (`LogShipper::failure` reports this error), so
     /// the archive stays equal to what subscribers were sent. Also what
     /// `LogArchive::truncate_through` reports when it cannot record the
-    /// truncation or unlink what it covers.
+    /// truncation or unlink what it covers, and what it and
+    /// `LogArchive::replay_from` report when a chunk cannot be read back.
     ArchiveIo {
         /// First position of the segment that could not be persisted (for a
-        /// failed truncation, the first position still retained).
+        /// failed truncation, the first position still retained; for a
+        /// failed replay, the first position asked for).
         first: SeqNo,
         /// The archive directory and the operating system's error.
         message: String,

@@ -5,21 +5,23 @@
 //! [`FsFile`] (an open file: positioned write and `sync_data`), so that each
 //! of them can be made to fail; [`publish`] is the one way a file is
 //! replaced atomically. [`StdFs`] is the real thing, a thin pass-through to
-//! `std::fs`. [`FaultyFs`] wraps it and fails exactly one call, chosen by
-//! index, the way that kind of call fails on a real machine — a short write
-//! or `ENOSPC`, `EIO` from a sync, a rename that does not happen — which is
-//! what lets a test walk a scenario failing *each call in turn* instead of
-//! damaging files afterwards. An open append-only file survives the deletion
-//! of its directory, so pulling the directory away injects nothing; this
-//! seam is the only way in.
+//! `std::fs`. [`MemFs`] keeps its files in memory, for a log archive that
+//! need not outlive its process. [`FaultyFs`] wraps `StdFs` and fails
+//! exactly one call, chosen by index, the way that kind of call fails on a
+//! real machine — a short write or `ENOSPC`, `EIO` from a sync, a rename
+//! that does not happen — which is what lets a test walk a scenario failing
+//! *each call in turn* instead of damaging files afterwards. An open
+//! append-only file survives the deletion of its directory, so pulling the
+//! directory away injects nothing; this seam is the only way in.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Directory and whole-file operations of a durable layer.
 pub trait Fs: fmt::Debug + Send + Sync {
@@ -120,6 +122,111 @@ impl FsFile for fs::File {
 
     fn sync_data(&mut self) -> io::Result<()> {
         fs::File::sync_data(self)
+    }
+}
+
+/// A file system held in memory: each file is a byte vector, and
+/// `sync_data` and `sync_dir` do nothing. An open file keeps its bytes when
+/// its name is renamed or removed, as it does on a real one. There are no
+/// directories to create (every one exists), and nothing written is ever
+/// lost: there is no crash model.
+#[derive(Default)]
+pub struct MemFs {
+    files: Mutex<BTreeMap<PathBuf, MemBytes>>,
+}
+
+/// One [`MemFs`] file's bytes, shared by its name and its open handles.
+type MemBytes = Arc<Mutex<Vec<u8>>>;
+
+/// Locks `mutex`; a panic elsewhere cannot leave a byte vector or a name
+/// map half-changed, so a poisoned lock is taken as it is.
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn not_found(path: &Path) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, path.display().to_string())
+}
+
+impl MemFs {
+    fn file(&self, path: &Path) -> io::Result<MemBytes> {
+        let file = locked(&self.files).get(path).cloned();
+        file.ok_or_else(|| not_found(path))
+    }
+}
+
+impl fmt::Debug for MemFs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let files = locked(&self.files).len();
+        f.debug_struct("MemFs").field("files", &files).finish()
+    }
+}
+
+impl Fs for MemFs {
+    fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        let files = locked(&self.files);
+        let inside = files.keys().filter(|path| path.parent() == Some(dir));
+        Ok((inside.filter_map(|path| path.file_name()?.to_str().map(str::to_owned))).collect())
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let bytes = locked(&*self.file(path)?).clone();
+        Ok(bytes)
+    }
+
+    fn create(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
+        let file = MemBytes::default();
+        locked(&self.files).insert(path.to_path_buf(), Arc::clone(&file));
+        Ok(Box::new(MemFile(file)))
+    }
+
+    fn open(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
+        Ok(Box::new(MemFile(self.file(path)?)))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let mut files = locked(&self.files);
+        let file = files.remove(from).ok_or_else(|| not_found(from))?;
+        files.insert(to.to_path_buf(), file);
+        Ok(())
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        let removed = locked(&self.files).remove(path);
+        removed.map(drop).ok_or_else(|| not_found(path))
+    }
+
+    fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// An open file of a [`MemFs`].
+struct MemFile(MemBytes);
+
+impl fmt::Debug for MemFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("MemFile")
+    }
+}
+
+impl FsFile for MemFile {
+    fn write_all_at(&mut self, bytes: &[u8], offset: u64) -> io::Result<()> {
+        let mut file = locked(&self.0);
+        let (at, end) = (offset as usize, offset as usize + bytes.len());
+        if file.len() < end {
+            file.resize(end, 0);
+        }
+        file[at..end].copy_from_slice(bytes);
+        Ok(())
+    }
+
+    fn sync_data(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -286,23 +393,66 @@ mod tests {
         dir
     }
 
+    /// The same calls on the real file system and the in-memory one read
+    /// back the same bytes.
     #[test]
     fn positioned_writes_extend_and_overwrite() {
         let dir = scratch("std");
-        let path = dir.join("f");
-        let mut file = StdFs.create(&path).unwrap();
-        file.write_all_at(b"abcdef", 0).unwrap();
-        file.write_all_at(b"XY", 2).unwrap();
-        file.write_all_at(b"!", 8).unwrap();
-        file.sync_data().unwrap();
-        assert_eq!(StdFs.read(&path).unwrap(), b"abXYef\0\0!");
-        // Reopening keeps the contents; creating again does not.
-        StdFs.open(&path).unwrap().write_all_at(b"z", 0).unwrap();
-        assert_eq!(StdFs.read(&path).unwrap()[..2], *b"zb");
-        drop(StdFs.create(&path).unwrap());
-        assert!(StdFs.read(&path).unwrap().is_empty());
-        assert_eq!(StdFs.list(&dir).unwrap(), vec!["f".to_string()]);
-        StdFs.sync_dir(&dir).unwrap();
+        for fs in [&StdFs as &dyn Fs, &MemFs::default()] {
+            fs.create_dir_all(&dir).unwrap();
+            let path = dir.join("f");
+            let mut file = fs.create(&path).unwrap();
+            file.write_all_at(b"abcdef", 0).unwrap();
+            file.write_all_at(b"XY", 2).unwrap();
+            file.write_all_at(b"!", 8).unwrap();
+            file.sync_data().unwrap();
+            assert_eq!(fs.read(&path).unwrap(), b"abXYef\0\0!", "{fs:?}");
+            // Reopening keeps the contents; creating again does not.
+            fs.open(&path).unwrap().write_all_at(b"z", 0).unwrap();
+            assert_eq!(fs.read(&path).unwrap()[..2], *b"zb");
+            drop(fs.create(&path).unwrap());
+            assert!(fs.read(&path).unwrap().is_empty());
+            assert_eq!(fs.list(&dir).unwrap(), vec!["f".to_string()]);
+            fs.sync_dir(&dir).unwrap();
+            fs.remove(&path).unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Listing, renaming and removing, and `NotFound` for a name that is
+    /// not there, on both file systems alike.
+    #[test]
+    fn names_list_rename_and_remove_alike_on_both_file_systems() {
+        let dir = scratch("names");
+        for fs in [&StdFs as &dyn Fs, &MemFs::default()] {
+            let sub = dir.join("sub");
+            fs.create_dir_all(&sub).unwrap();
+            let (f, g) = (sub.join("f"), sub.join("g"));
+            fs.create(&f).unwrap().write_all_at(b"one", 0).unwrap();
+            assert_eq!(fs.list(&sub).unwrap(), ["f"], "{fs:?}");
+
+            // A rename replaces its target, and a file open under the old
+            // name writes to the renamed one.
+            fs.create(&g).unwrap().write_all_at(b"replaced", 0).unwrap();
+            let mut open = fs.open(&f).unwrap();
+            fs.rename(&f, &g).unwrap();
+            open.write_all_at(b"!", 3).unwrap();
+            assert_eq!(fs.read(&g).unwrap(), b"one!");
+            assert_eq!(fs.list(&sub).unwrap(), ["g"]);
+
+            fs.remove(&g).unwrap();
+            assert!(fs.list(&sub).unwrap().is_empty());
+            let missing = [
+                fs.read(&g).map(drop),
+                fs.open(&g).map(drop),
+                fs.remove(&g),
+                fs.rename(&f, &g),
+            ];
+            for (call, result) in missing.into_iter().enumerate() {
+                let kind = result.expect_err("the name is not there").kind();
+                assert_eq!(kind, io::ErrorKind::NotFound, "{fs:?}, call {call}");
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

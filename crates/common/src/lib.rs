@@ -29,8 +29,8 @@
 //! * [`frame`] is the checksummed length-prefixed frame codec the durable
 //!   layers (disk-backed log archive, checkpoint files) build their on-disk
 //!   formats from, [`DurabilityPolicy`] names their one sync rule, and [`fs`]
-//!   is the file-system seam the log archive's syscalls go through, with a
-//!   double that fails any one of them.
+//!   is the file-system seam the log archive's syscalls go through, with an
+//!   in-memory one and a double that fails any one of them.
 //! * [`ProgressSignal`] ([`signal`]) is the one way a thread waits for
 //!   another's progress: an eventcount every waiter blocks on with its own
 //!   condition, notified by whoever changed the state. Nothing waits on a

@@ -752,9 +752,12 @@ mod proptests {
         /// published before it is queued. Each step, a PRNG picks the feeder
         /// (stamp and note the next segment, queue its runs), an idle lane
         /// taking the queue's head, a lane installing its run's next write,
-        /// or a reader. A write may run only once its per-row predecessor is
-        /// installed and while it is not past a pending cut; the write that
-        /// ends a run flushes the run's marks and exposes, as a worker does.
+        /// or a reader. A write is offered once its per-row predecessor is
+        /// installed, past a pending cut or not, and the gate's one
+        /// non-sleeping attempt must refuse it exactly when it is past one
+        /// (a refused write changes nothing and is offered again later); the
+        /// write that ends a run flushes the run's marks and exposes, as a
+        /// worker does.
         /// After every step the cut is at most the applied prefix, on a
         /// transaction boundary and never lower than before; a step that
         /// moved it leaves the store's current state (read at
@@ -827,19 +830,20 @@ mod proptests {
             let (mut held_cuts, mut last_pending) = (0, None);
             enum Step { Feed, Take(usize), Write(usize), Read }
             loop {
-                let pending = exposure.gate.as_ref().unwrap().pending_cut();
-                let runnable = |r: &LogRecord| {
-                    installed.contains(&r.prev_seq) && pending.map_or(true, |n| r.seq <= n)
-                };
+                let gate = exposure.gate.as_ref().unwrap();
+                let pending = gate.pending_cut();
+                let gated = |r: &LogRecord| pending.is_some_and(|n| r.seq > n);
+                let next_write = |l: usize| held[l].as_ref().map(|(run, next)| &run[*next]);
                 let moves: Vec<Step> = (0..lanes)
-                    .filter_map(|l| match &held[l] {
+                    .filter_map(|l| match next_write(l) {
                         None => (!queue.is_empty()).then_some(Step::Take(l)),
-                        Some((run, next)) => runnable(&run[*next]).then_some(Step::Write(l)),
+                        Some(r) => installed.contains(&r.prev_seq).then_some(Step::Write(l)),
                     })
                     .collect();
                 let working = held.iter().any(Option::is_some);
+                let admitted = |step: &Step| !matches!(step, Step::Write(l) if gated(next_write(*l).unwrap()));
                 prop_assert!(
-                    !moves.is_empty() || !working,
+                    moves.iter().any(admitted) || !working,
                     "deadlock: every held write is gated or waits, pending cut {:?}, applied {}",
                     pending, exposure.applied_seq()
                 );
@@ -886,7 +890,7 @@ mod proptests {
                     Step::Write(lane) => {
                         let (run, next) = held[lane].as_mut().unwrap();
                         let r = &run[*next];
-                        let ok = exposure.install_gated(r.seq, || {
+                        let attempt = gate.try_install_gated(r.seq, || {
                             store.install_if_prev(
                                 r.write.row,
                                 Timestamp(r.prev_seq.as_u64()),
@@ -895,14 +899,17 @@ mod proptests {
                                 r.write.value.clone(),
                             )
                         });
-                        prop_assert!(ok, "write {} found its predecessor {} missing", r.seq, r.prev_seq);
-                        installed.insert(r.seq);
-                        *next += 1;
-                        if *next == run.len() {
-                            let marks: Vec<(SeqNo, bool)> = run.iter().map(|r| (r.seq, r.is_txn_last())).collect();
-                            exposure.mark_applied_batch(&marks);
-                            held[lane] = None;
-                            exposure.expose(&signals);
+                        prop_assert_eq!(attempt.is_err(), gated(r), "write {} at pending cut {:?}", r.seq, pending);
+                        if let Ok(ok) = attempt {
+                            prop_assert!(ok, "write {} found its predecessor {} missing", r.seq, r.prev_seq);
+                            installed.insert(r.seq);
+                            *next += 1;
+                            if *next == run.len() {
+                                let marks: Vec<(SeqNo, bool)> = run.iter().map(|r| (r.seq, r.is_txn_last())).collect();
+                                exposure.mark_applied_batch(&marks);
+                                held[lane] = None;
+                                exposure.expose(&signals);
+                            }
                         }
                     }
                 }

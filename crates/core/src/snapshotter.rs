@@ -84,18 +84,30 @@ impl WholeDatabaseGate {
     /// database between this write and the cut's chosen boundary. A write
     /// past a pending cut sleeps on [`FLEET_PROGRESS`] until the cut is
     /// completed or abandoned and that is announced.
-    pub fn install_gated<R>(&self, seq: SeqNo, install: impl FnOnce() -> R) -> R {
+    pub fn install_gated<R, F: FnOnce() -> R>(&self, seq: SeqNo, mut install: F) -> R {
         loop {
-            let g = self.state.read();
-            if seq.as_u64() <= g.at {
-                let out = install();
-                drop(g);
-                return out;
+            match self.try_install_gated(seq, install) {
+                Ok(out) => return out,
+                Err(refused) => install = refused,
             }
-            drop(g);
             // Another cut may close the gate again before this write takes
             // it shared: hence the loop.
             FLEET_PROGRESS.wait_until(None, || seq.as_u64() <= self.state.read().at);
+        }
+    }
+
+    /// One attempt of [`install_gated`](Self::install_gated), which never
+    /// sleeps: runs `install` under the gate, or hands it back if `seq` is
+    /// past a pending cut.
+    pub(crate) fn try_install_gated<R, F: FnOnce() -> R>(
+        &self,
+        seq: SeqNo,
+        install: F,
+    ) -> Result<R, F> {
+        let g = self.state.read();
+        match seq.as_u64() <= g.at {
+            true => Ok(install()),
+            false => Err(install),
         }
     }
 

@@ -14,15 +14,14 @@
 //! one segment the cut may land inside, so the replayed stream still starts
 //! at a transaction boundary and stays contiguous with the checkpoint.
 //!
-//! Two retention modes share this protocol:
+//! The archive is **one append-only log** of encoded segments, described
+//! next, on disk ([`LogArchive::durable`] / [`LogArchive::open`]) or in a
+//! [`MemFs`] ([`LogArchive::new`], for in-process failover, where "durable"
+//! means "outlives the shipping channel"): the same code over another file
+//! system. It keeps no decoded copy; a replay decodes the chunks it reads,
+//! under the archive's one lock, so it never overlaps an append.
 //!
-//! * **in-memory** ([`LogArchive::new`]) — "durable" means "outlives the
-//!   shipping channel". This is all the in-process failover experiments need.
-//! * **disk-backed** ([`LogArchive::durable`] / [`LogArchive::open`]) — every
-//!   retained segment is additionally appended to **one append-only log**,
-//!   described next.
-//!
-//! # The on-disk log
+//! # The log
 //!
 //! The directory holds a one-frame manifest (`archive.meta`, the truncation
 //! point, replaced by [`c5_common::fs::publish`]) and a few **chunk** files
@@ -82,7 +81,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use c5_common::frame::{read_frame, write_frame, PayloadReader, PayloadWriter, HEADER_BYTES};
-use c5_common::fs::{publish, Fs, FsFile, StdFs};
+use c5_common::fs::{publish, Fs, FsFile, MemFs, StdFs};
 use c5_common::{DurabilityPolicy, Error, Result, SeqNo};
 
 use crate::segment::Segment;
@@ -207,15 +206,16 @@ fn parse_meta(bytes: &[u8]) -> SeqNo {
         .map_or(SeqNo::ZERO, SeqNo)
 }
 
-/// One chunk file of a durable archive.
+/// One chunk file of the log.
 #[derive(Debug)]
 struct Chunk {
-    path: PathBuf,
+    /// The position its name promises: its first segment starts there.
+    first: SeqNo,
     /// Coverage of the last segment appended to it.
     last_seq: SeqNo,
 }
 
-/// The chunk appends go to: the last of `DiskBacking::chunks`, held open.
+/// The chunk appends go to: the last of `ArchiveInner::chunks`, held open.
 #[derive(Debug)]
 struct ActiveChunk {
     file: Box<dyn FsFile>,
@@ -247,85 +247,9 @@ impl ActiveChunk {
     }
 }
 
-/// The disk half of a durable archive.
-#[derive(Debug)]
-struct DiskBacking {
-    fs: Arc<dyn Fs>,
-    dir: PathBuf,
-    /// [`CHUNK_BYTES`], except in this crate's rotation tests.
-    chunk_bytes: u64,
-    /// The chunk files, in log order; appends go to the last.
-    chunks: VecDeque<Chunk>,
-    /// `None` until the first append after creation (or after an open that
-    /// found no chunk worth keeping).
-    active: Option<ActiveChunk>,
-}
-
-impl DiskBacking {
-    fn persist_segment(&mut self, segment: &Segment, first: SeqNo) -> io::Result<AppendReport> {
-        let payload = encode_segment(segment);
-        let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
-        write_frame(&mut frame, &payload);
-        let bytes = frame.len() as u64;
-        let last_seq = segment.covered_through();
-
-        let fits = |chunk: &ActiveChunk| chunk.tail == 0 || chunk.tail + bytes <= self.chunk_bytes;
-        let (synced, rotated) = match self.active.as_mut().filter(|chunk| fits(chunk)) {
-            Some(chunk) => {
-                let synced = chunk.append(&mut frame, self.chunk_bytes)?;
-                self.chunks.back_mut().expect("the active chunk").last_seq = last_seq;
-                (synced, false)
-            }
-            None => {
-                // A new chunk: the one place an append touches the
-                // directory. The archive switches to it only once its name
-                // is durable; a file a failed attempt leaves is truncated by
-                // the retry.
-                let path = self.dir.join(chunk_file_name(first));
-                let mut chunk = ActiveChunk {
-                    file: self.fs.create(&path)?,
-                    tail: 0,
-                    zeroed_through: 0,
-                };
-                let synced = chunk.append(&mut frame, self.chunk_bytes)?;
-                self.fs.sync_dir(&self.dir)?;
-                self.chunks.push_back(Chunk { path, last_seq });
-                self.active = Some(chunk);
-                (synced, true)
-            }
-        };
-        Ok(AppendReport {
-            bytes,
-            sync: synced,
-            rotated,
-        })
-    }
-
-    /// Unlinks every chunk wholly at or below `through`, except the one
-    /// appends go to.
-    fn unlink_through(&mut self, through: SeqNo) -> io::Result<()> {
-        let mut unlinked = false;
-        while self.chunks.len() > 1 && self.chunks[0].last_seq <= through {
-            self.fs.remove(&self.chunks[0].path)?;
-            self.chunks.pop_front();
-            unlinked = true;
-        }
-        if unlinked {
-            self.fs.sync_dir(&self.dir)?;
-        }
-        Ok(())
-    }
-
-    fn error(&self, first: SeqNo, e: io::Error) -> Error {
-        Error::ArchiveIo {
-            first,
-            message: format!("{}: {e}", self.dir.display()),
-        }
-    }
-}
-
-/// What one [`LogArchive::try_append`] did on disk (all zero for an
-/// in-memory archive or an empty segment).
+/// What one [`LogArchive::try_append`] did to the log (all zero for an
+/// empty segment). Over a [`MemFs`] the sync does nothing, so `sync` reads
+/// as next to no time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppendReport {
     /// Bytes the segment's frame added to the log (zero-ahead not counted).
@@ -353,38 +277,129 @@ pub struct DurableRecovery {
 /// Retained log segments with truncation at a checkpoint cut and tail replay
 /// for cold replicas. All methods are thread-safe; the shipper appends while
 /// checkpointers truncate and cold replicas replay.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LogArchive {
     inner: Mutex<ArchiveInner>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ArchiveInner {
-    /// Retained segments, in log order.
-    segments: VecDeque<Segment>,
+    fs: Arc<dyn Fs>,
+    dir: PathBuf,
+    /// [`CHUNK_BYTES`], except in this crate's rotation tests.
+    chunk_bytes: u64,
+    /// The chunk files, in log order; appends go to the last.
+    chunks: VecDeque<Chunk>,
+    /// `None` until the first append after creation (or after an open that
+    /// found no chunk worth keeping).
+    active: Option<ActiveChunk>,
     /// Largest position dropped by truncation; records at or below it are
     /// gone and cannot be replayed.
     truncated_through: SeqNo,
-    /// Largest position appended so far.
+    /// Largest position appended so far, and at least `truncated_through`.
     last_seq: SeqNo,
-    /// Present when the archive is disk-backed.
-    disk: Option<DiskBacking>,
+    /// Segments above `truncated_through` (the first chunk may hold more).
+    retained_segments: usize,
+}
+
+impl ArchiveInner {
+    fn persist_segment(&mut self, segment: &Segment, first: SeqNo) -> io::Result<AppendReport> {
+        let payload = encode_segment(segment);
+        let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+        write_frame(&mut frame, &payload);
+        let bytes = frame.len() as u64;
+        let last_seq = segment.covered_through();
+
+        let fits = |chunk: &ActiveChunk| chunk.tail == 0 || chunk.tail + bytes <= self.chunk_bytes;
+        let (synced, rotated) = match self.active.as_mut().filter(|chunk| fits(chunk)) {
+            Some(chunk) => {
+                let synced = chunk.append(&mut frame, self.chunk_bytes)?;
+                self.chunks.back_mut().expect("the active chunk").last_seq = last_seq;
+                (synced, false)
+            }
+            None => {
+                // A new chunk: the one place an append touches the
+                // directory. The archive switches to it only once its name
+                // is durable; a file a failed attempt leaves is truncated by
+                // the retry.
+                let path = self.dir.join(chunk_file_name(first));
+                let mut chunk = ActiveChunk {
+                    file: self.fs.create(&path)?,
+                    tail: 0,
+                    zeroed_through: 0,
+                };
+                let synced = chunk.append(&mut frame, self.chunk_bytes)?;
+                self.fs.sync_dir(&self.dir)?;
+                self.chunks.push_back(Chunk { first, last_seq });
+                self.active = Some(chunk);
+                (synced, true)
+            }
+        };
+        Ok(AppendReport {
+            bytes,
+            sync: synced,
+            rotated,
+        })
+    }
+
+    /// The segments of `chunk`, decoded, through its last append (a failed
+    /// append may have left a whole frame behind it).
+    fn read_chunk(&self, chunk: &Chunk) -> io::Result<Vec<Segment>> {
+        let name = chunk_file_name(chunk.first);
+        let mut segments =
+            scan_frames(&self.fs.read(&self.dir.join(&name))?, Some(chunk.first)).segments;
+        segments.truncate(segments.partition_point(|s| s.covered_through() <= chunk.last_seq));
+        match segments.last().map(Segment::covered_through) == Some(chunk.last_seq) {
+            true => Ok(segments),
+            false => Err(io::Error::other(format!("{name} is damaged"))),
+        }
+    }
+
+    /// Unlinks every chunk wholly at or below `through`, except the one
+    /// appends go to.
+    fn unlink_through(&mut self, through: SeqNo) -> io::Result<()> {
+        let mut unlinked = false;
+        while self.chunks.len() > 1 && self.chunks[0].last_seq <= through {
+            self.fs
+                .remove(&self.dir.join(chunk_file_name(self.chunks[0].first)))?;
+            self.chunks.pop_front();
+            unlinked = true;
+        }
+        if unlinked {
+            self.fs.sync_dir(&self.dir)?;
+        }
+        Ok(())
+    }
+
+    fn error(&self, first: SeqNo, e: io::Error) -> Error {
+        Error::ArchiveIo {
+            first,
+            message: format!("{}: {e}", self.dir.display()),
+        }
+    }
+}
+
+impl Default for LogArchive {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LogArchive {
     /// Creates an empty in-memory archive.
     pub fn new() -> Self {
-        Self::default()
+        Self::starting_at(SeqNo::ZERO)
     }
 
-    /// Creates an archive for a log resuming at `cut` — a promoted primary's
-    /// continuation log, whose first segment starts at `cut + 1`. Everything
-    /// at or below the cut is covered by the promotion checkpoint, so the
-    /// archive treats it as already truncated.
+    /// Creates an in-memory archive for a log resuming at `cut` — a promoted
+    /// primary's continuation log, whose first segment starts at `cut + 1`.
+    /// Everything at or below the cut is covered by the promotion
+    /// checkpoint, so the archive treats it as already truncated.
     pub fn starting_at(cut: SeqNo) -> Self {
-        let archive = Self::default();
-        archive.inner.lock().truncated_through = cut;
-        archive
+        let fs = Arc::new(MemFs::default());
+        // A new `MemFs` fails no call the creation makes.
+        Self::create_in(fs, Path::new("mem"), CHUNK_BYTES, cut)
+            .expect("an archive in a new in-memory file system")
     }
 
     /// Creates a fresh disk-backed archive in `dir` (created if absent):
@@ -406,10 +421,16 @@ impl LogArchive {
         dir: impl AsRef<Path>,
         _policy: DurabilityPolicy,
     ) -> io::Result<Self> {
-        Self::create_in(fs, dir.as_ref(), CHUNK_BYTES)
+        Self::create_in(fs, dir.as_ref(), CHUNK_BYTES, SeqNo::ZERO)
     }
 
-    pub(crate) fn create_in(fs: Arc<dyn Fs>, dir: &Path, chunk_bytes: u64) -> io::Result<Self> {
+    /// A fresh archive in `dir`: a manifest truncated through `floor`, opened.
+    pub(crate) fn create_in(
+        fs: Arc<dyn Fs>,
+        dir: &Path,
+        chunk_bytes: u64,
+        floor: SeqNo,
+    ) -> io::Result<Self> {
         fs.create_dir_all(dir)?;
         if !chunk_files(dir, &fs.list(dir)?)?.is_empty() {
             return Err(io::Error::new(
@@ -420,16 +441,8 @@ impl LogArchive {
                 ),
             ));
         }
-        write_meta(fs.as_ref(), dir, SeqNo::ZERO)?;
-        let archive = Self::default();
-        archive.inner.lock().disk = Some(DiskBacking {
-            fs,
-            dir: dir.to_path_buf(),
-            chunk_bytes,
-            chunks: VecDeque::new(),
-            active: None,
-        });
-        Ok(archive)
+        write_meta(fs.as_ref(), dir, floor)?;
+        Ok(Self::open_in(fs, dir, chunk_bytes)?.archive)
     }
 
     /// Recovers a disk-backed archive from `dir` after a crash or restart.
@@ -439,7 +452,8 @@ impl LogArchive {
     /// frame, or a sequence gap ends the recovered log before that frame —
     /// on a segment, hence transaction, boundary — zeroes the rest of that
     /// chunk and unlinks the chunks after it, so a second open finds a clean
-    /// archive and changes nothing. A missing or damaged manifest degrades
+    /// archive and changes nothing. It decodes every frame to check it, and
+    /// keeps only counts. A missing or damaged manifest degrades
     /// to re-inferring the truncation floor from the first surviving chunk.
     /// This path never panics on damaged input; it fails on an I/O error,
     /// and with [`io::ErrorKind::Unsupported`] on an older layout
@@ -470,7 +484,7 @@ impl LogArchive {
             false => SeqNo::ZERO,
         };
 
-        let mut segments: VecDeque<Segment> = VecDeque::new();
+        let mut retained_segments = 0;
         let mut chunks: VecDeque<Chunk> = VecDeque::new();
         let mut torn_tail = false;
         let mut unlinked = false;
@@ -479,8 +493,8 @@ impl LogArchive {
         // Tail and length of the last chunk kept.
         let mut tail_and_len = (0, 0);
 
-        for (named_first, path) in on_disk {
-            let gap = covered.is_some_and(|c| named_first.as_u64() != c.as_u64() + 1);
+        for (first, path) in on_disk {
+            let gap = covered.is_some_and(|c| first.as_u64() != c.as_u64() + 1);
             if torn_tail || gap {
                 // Past damage or a gap mid-log: nothing from here on can be
                 // replayed safely.
@@ -490,7 +504,7 @@ impl LogArchive {
                 continue;
             }
             let bytes = fs.read(&path)?;
-            let scan = scan_frames(&bytes, Some(named_first));
+            let scan = scan_frames(&bytes, Some(first));
             torn_tail |= scan.damaged;
             let Some(last) = scan.segments.last() else {
                 // Nothing replayable in it: a rotation that never finished,
@@ -511,12 +525,15 @@ impl LogArchive {
             if covered.is_none() {
                 // Records below the first surviving chunk are gone no matter
                 // what the manifest says.
-                truncated_through =
-                    truncated_through.max(SeqNo(named_first.as_u64().saturating_sub(1)));
+                truncated_through = truncated_through.max(SeqNo(first.as_u64().saturating_sub(1)));
             }
+            // Segments the manifest says a checkpoint has covered stay in
+            // their chunk until the chunk goes, but are not retained.
+            retained_segments += (scan.segments.iter())
+                .filter(|s| s.covered_through() > truncated_through)
+                .count();
             covered = Some(last_seq);
-            chunks.push_back(Chunk { path, last_seq });
-            segments.extend(scan.segments);
+            chunks.push_back(Chunk { first, last_seq });
             tail_and_len = (tail, len);
         }
         if unlinked {
@@ -524,58 +541,45 @@ impl LogArchive {
         }
         let active = match chunks.back() {
             Some(chunk) => Some(ActiveChunk {
-                file: fs.open(&chunk.path)?,
+                file: fs.open(&dir.join(chunk_file_name(chunk.first)))?,
                 tail: tail_and_len.0,
                 zeroed_through: tail_and_len.1,
             }),
             None => None,
         };
-        // Segments the manifest says a checkpoint has covered stay in their
-        // chunk until the chunk goes, but are not retained.
-        while (segments.front()).is_some_and(|s| s.last_seq() <= Some(truncated_through)) {
-            segments.pop_front();
-        }
 
-        let recovered_segments = segments.len();
-        let recovered_records = segments.iter().map(Segment::len).sum();
-        let last_seq = covered.unwrap_or(SeqNo::ZERO).max(truncated_through);
-
-        let archive = Self::default();
-        {
-            let mut inner = archive.inner.lock();
-            inner.segments = segments;
-            inner.truncated_through = truncated_through;
-            inner.last_seq = last_seq;
-            inner.disk = Some(DiskBacking {
+        let archive = Self {
+            inner: Mutex::new(ArchiveInner {
                 fs,
                 dir: dir.to_path_buf(),
                 chunk_bytes,
                 chunks,
                 active,
-            });
-        }
+                truncated_through,
+                last_seq: covered.unwrap_or(SeqNo::ZERO).max(truncated_through),
+                retained_segments,
+            }),
+        };
         Ok(DurableRecovery {
+            recovered_segments: retained_segments,
+            recovered_records: archive.retained_records(),
             archive,
-            recovered_segments,
-            recovered_records,
             torn_tail,
         })
     }
 
-    /// Retains a copy of one shipped segment, and in a disk-backed archive
-    /// writes it as one frame at the log's tail and syncs it before
-    /// returning. An **empty** segment carries nothing to replay: it is
-    /// neither retained nor written, and moves nothing.
+    /// Writes one shipped segment as one frame at the log's tail and syncs
+    /// it before returning. An **empty** segment carries nothing to replay:
+    /// it is not written, and moves nothing.
     ///
-    /// Fails with [`Error::ArchiveIo`] when the disk backing cannot persist
+    /// Fails with [`Error::ArchiveIo`] when the file system cannot persist
     /// the segment. The archive is then exactly what it was before the call —
     /// the watermark has not moved, the segment is not retained and the log's
-    /// tail is where it was — so the in-memory and on-disk logs stay the same
-    /// log; bytes the failed write left behind the tail are overwritten by a
-    /// retry or re-zeroed by the next [`LogArchive::open`]. (A failed append
-    /// is never acknowledged, but like any failed commit it may still be
-    /// found on disk after a restart, if the write landed and only the sync
-    /// failed.)
+    /// tail is where it was; bytes the failed write left behind the tail are
+    /// overwritten by a retry or re-zeroed by the next [`LogArchive::open`].
+    /// (A failed append is never acknowledged, but like any failed commit it
+    /// may still be found on disk after a restart, if the write landed and
+    /// only the sync failed.)
     ///
     /// # Panics
     /// Panics if a non-empty segment does not directly follow the archive's
@@ -588,29 +592,24 @@ impl LogArchive {
         let Some(first) = segment.first_seq() else {
             return Ok(AppendReport::default());
         };
-        let expected = inner.last_seq.max(inner.truncated_through);
+        let expected = inner.last_seq;
         assert_eq!(
             first.as_u64(),
             expected.as_u64() + 1,
             "archived segments must arrive in log order: got a segment \
              starting at {first} when the archive holds through {expected}"
         );
-        let report = match inner.disk.as_mut() {
-            Some(disk) => {
-                (disk.persist_segment(segment, first)).map_err(|e| disk.error(first, e))?
-            }
-            None => AppendReport::default(),
-        };
+        let report = (inner.persist_segment(segment, first)).map_err(|e| inner.error(first, e))?;
         inner.last_seq = segment.covered_through();
-        inner.segments.push_back(segment.clone());
+        inner.retained_segments += 1;
         Ok(report)
     }
 
     /// [`LogArchive::try_append`] for callers with nowhere to send an error.
     ///
     /// # Panics
-    /// Panics where `try_append` does, and on an I/O failure of the disk
-    /// backing: continuing past a failed persist would desynchronize the
+    /// Panics where `try_append` does, and on an I/O failure of the file
+    /// system: continuing past a failed persist would desynchronize the
     /// archive from whatever the caller does with the segment next.
     pub fn append(&self, segment: &Segment) {
         if let Err(e) = self.try_append(segment) {
@@ -619,52 +618,58 @@ impl LogArchive {
     }
 
     /// Drops every retained segment that lies entirely at or below `cut`
-    /// (a checkpoint at `cut` has made them redundant). A segment straddling
-    /// the cut is kept whole — [`replay_from`](Self::replay_from) trims it.
-    /// A disk-backed archive first records the new truncation point in the
-    /// manifest ([`c5_common::fs::publish`]), then unlinks the chunks that lie
-    /// wholly at or below it; segments in a chunk that stays are skipped by
-    /// the next open. Returns the number of segments dropped.
+    /// (a checkpoint at `cut` has made them redundant), found by decoding
+    /// the chunks that can hold one. A segment straddling the cut is kept
+    /// whole — [`replay_from`](Self::replay_from) trims it. The new
+    /// truncation point is recorded in the manifest
+    /// ([`c5_common::fs::publish`]) first; then the chunks that lie wholly at
+    /// or below it are unlinked, and segments in a chunk that stays are
+    /// skipped by the next open. Returns the number of segments dropped.
     ///
     /// Fails with [`Error::ArchiveIo`] (`first` is the first position still
-    /// retained) when the disk backing cannot do either. If the manifest
-    /// could not be rewritten nothing has changed; if only an unlink or the
-    /// directory sync failed the truncation is recorded and in effect, and
-    /// any later call retries the unlink.
+    /// retained) when the file system cannot read a chunk or do either. If
+    /// the manifest could not be rewritten nothing has changed; if only an
+    /// unlink or the directory sync failed the truncation is recorded and in
+    /// effect, and any later call retries the unlink.
     pub fn truncate_through(&self, cut: SeqNo) -> Result<usize> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let dropped = (inner.segments.iter())
-            .take_while(|s| s.last_seq().is_some_and(|last| last <= cut))
-            .count();
+        let floor = inner.truncated_through;
         let first_retained = |through: SeqNo| SeqNo(through.as_u64() + 1);
-        if let Some(last) = dropped
-            .checked_sub(1)
-            .and_then(|i| inner.segments[i].last_seq())
-        {
-            let through = last.max(inner.truncated_through);
-            if let Some(disk) = inner.disk.as_ref() {
-                write_meta(disk.fs.as_ref(), &disk.dir, through)
-                    .map_err(|e| disk.error(first_retained(through), e))?;
+        let (mut dropped, mut through) = (0, floor);
+        let above_floor = inner.chunks.iter().filter(|chunk| chunk.last_seq > floor);
+        for chunk in above_floor.take_while(|_| floor < cut) {
+            let segments =
+                (inner.read_chunk(chunk)).map_err(|e| inner.error(first_retained(floor), e))?;
+            let ends = segments.iter().map(Segment::covered_through);
+            for last in ends.filter(|&last| last > floor && last <= cut) {
+                (dropped, through) = (dropped + 1, last);
             }
-            inner.segments.drain(..dropped);
+            if chunk.last_seq >= cut {
+                break;
+            }
+        }
+        if dropped > 0 {
+            write_meta(inner.fs.as_ref(), &inner.dir, through)
+                .map_err(|e| inner.error(first_retained(through), e))?;
             inner.truncated_through = through;
+            inner.retained_segments -= dropped;
         }
-        if let Some(disk) = inner.disk.as_mut() {
-            let through = inner.truncated_through;
-            (disk.unlink_through(through)).map_err(|e| disk.error(first_retained(through), e))?;
-        }
+        let through = inner.truncated_through;
+        (inner.unlink_through(through)).map_err(|e| inner.error(first_retained(through), e))?;
         Ok(dropped)
     }
 
     /// The records above `from`, packed into segments a replica can consume
     /// directly after installing a checkpoint at `from`: the first returned
     /// segment starts at `from + 1`, and a retained segment the cut lands
-    /// inside is trimmed to its suffix. Fails with
+    /// inside is trimmed to its suffix. Each is decoded from the chunks that
+    /// reach above `from` (`prev_seq` reads zero). Fails with
     /// [`Error::ArchiveTruncated`] when truncation has already dropped
     /// records above `from` — the caller's checkpoint is too old for this
     /// archive and must be replaced by one at or above the truncation point;
-    /// silently starting cold would replay a log with a hole in it.
+    /// silently starting cold would replay a log with a hole in it — and
+    /// with [`Error::ArchiveIo`] when a chunk cannot be read back.
     ///
     /// # Panics
     /// Panics if `from` splits a transaction: checkpoint cuts are transaction
@@ -679,31 +684,22 @@ impl LogArchive {
             });
         }
         let mut out = Vec::new();
-        for segment in &inner.segments {
-            match segment.last_seq() {
-                Some(last) if last > from => {}
-                _ => continue,
-            }
-            let first = segment.first_seq().expect("non-empty segment");
-            if first > from {
-                out.push(segment.clone());
-            } else {
-                // The cut lands inside this segment: replay its suffix. The
-                // suffix starts right after a transaction's last write
+        for chunk in inner.chunks.iter().filter(|chunk| chunk.last_seq > from) {
+            let segments =
+                (inner.read_chunk(chunk)).map_err(|e| inner.error(SeqNo(from.as_u64() + 1), e))?;
+            for mut segment in segments.into_iter().filter(|s| s.covered_through() > from) {
+                // The cut may land inside this segment: replay its suffix,
+                // which starts right after a transaction's last write
                 // because cuts are transaction boundaries.
-                let records: Vec<_> = segment
-                    .records
-                    .iter()
-                    .filter(|r| r.seq > from)
-                    .cloned()
-                    .collect();
-                if let Some(first) = records.first() {
+                let replayed = segment.records.partition_point(|r| r.seq <= from);
+                if replayed > 0 {
+                    segment.records.drain(..replayed);
                     assert!(
-                        first.is_txn_first(),
+                        segment.records[0].is_txn_first(),
                         "replay cut {from} splits a transaction"
                     );
                 }
-                out.push(Segment::new(records));
+                out.push(segment);
             }
         }
         Ok(out)
@@ -711,18 +707,20 @@ impl LogArchive {
 
     /// Number of segments currently retained.
     pub fn retained_segments(&self) -> usize {
-        self.inner.lock().segments.len()
+        self.inner.lock().retained_segments
     }
 
-    /// Number of records currently retained.
+    /// Number of records currently retained: one per position above the
+    /// truncation point.
     pub fn retained_records(&self) -> usize {
-        self.inner.lock().segments.iter().map(Segment::len).sum()
+        let inner = self.inner.lock();
+        (inner.last_seq.as_u64() - inner.truncated_through.as_u64()) as usize
     }
 
-    /// Largest position appended so far — exactly what has gone over the
-    /// wire when the archive is attached to a shipper, which makes it the
-    /// survivable log end after a primary crash (the crashed primary's
-    /// buffered-but-unshipped tail is not in here).
+    /// Largest position appended so far (at least the truncation point) —
+    /// exactly what has gone over the wire when the archive is attached to a
+    /// shipper, which makes it the survivable log end after a primary crash
+    /// (the crashed primary's buffered-but-unshipped tail is not in here).
     pub fn last_seq(&self) -> SeqNo {
         self.inner.lock().last_seq
     }
@@ -871,6 +869,49 @@ mod tests {
             assert_eq!(seqs(&replay), (1..=12).collect::<Vec<_>>());
             fs::remove_dir_all(&dir).expect("cleanup");
         }
+    }
+
+    /// Replay and truncation read chunks back; a read that fails is a typed
+    /// error that changes nothing, and the call can be repeated.
+    #[test]
+    fn a_chunk_that_cannot_be_read_fails_replay_and_truncation_alike() {
+        let segments = test_log();
+        let policy = DurabilityPolicy::EverySegment;
+        let appended = |fs: Arc<FaultyFs>, dir: &Path| {
+            let archive = LogArchive::durable_on(fs, dir, policy).expect("create");
+            segments.iter().for_each(|s| archive.append(s));
+            archive
+        };
+        let probe_dir = scratch_dir("read-probe");
+        let probe = Arc::new(FaultyFs::new(0, None));
+        drop(appended(probe.clone(), &probe_dir));
+        let read = probe.calls();
+        fs::remove_dir_all(&probe_dir).expect("cleanup");
+
+        let dir = scratch_dir("read-failure");
+        let archive = appended(Arc::new(FaultyFs::new(0, Some(read))), &dir);
+        match archive.replay_from(SeqNo(4)) {
+            Err(Error::ArchiveIo { first, .. }) => assert_eq!(first, SeqNo(5)),
+            other => panic!("expected ArchiveIo, got {other:?}"),
+        }
+        assert_eq!(
+            seqs(&archive.replay_from(SeqNo(4)).unwrap()),
+            (5..=12).collect::<Vec<_>>()
+        );
+        fs::remove_dir_all(&dir).expect("cleanup");
+
+        let dir = scratch_dir("read-failure");
+        let archive = appended(Arc::new(FaultyFs::new(0, Some(read))), &dir);
+        match archive.truncate_through(SeqNo(6)) {
+            Err(Error::ArchiveIo { first, .. }) => assert_eq!(first, SeqNo(1)),
+            other => panic!("expected ArchiveIo, got {other:?}"),
+        }
+        assert_eq!(
+            (archive.truncated_through(), archive.retained_segments()),
+            (SeqNo::ZERO, 3)
+        );
+        assert_eq!(archive.truncate_through(SeqNo(6)), Ok(1));
+        fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
@@ -1079,8 +1120,8 @@ mod tests {
         let segments = test_log_of(12); // six segments, ending at 4, 8, .. 24
         let reference = LogArchive::new();
         {
-            let archive =
-                LogArchive::create_in(fs_.clone(), &dir, TWO_FRAME_CHUNK).expect("create");
+            let archive = LogArchive::create_in(fs_.clone(), &dir, TWO_FRAME_CHUNK, SeqNo::ZERO)
+                .expect("create");
             let rotated: Vec<bool> = (segments.iter())
                 .map(|s| archive.try_append(s).expect("append").rotated)
                 .collect();
@@ -1137,6 +1178,66 @@ mod tests {
         assert_eq!(opened.archive.truncate_through(SeqNo(24)), Ok(3));
         assert_eq!(names(&dir), [chunk_file_name(SeqNo(17))]);
 
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// One log over the in-memory and the real file system: the same
+    /// appends, the same replay from every transaction boundary, the same
+    /// truncations and unlinks, and the same recovery when reopened.
+    #[test]
+    fn one_log_behaves_alike_in_memory_and_on_disk() {
+        let dir = scratch_dir("alike");
+        let file_systems: [(Arc<dyn Fs>, &Path); 2] = [
+            (Arc::new(StdFs), &dir),
+            (Arc::new(MemFs::default()), Path::new("mem")),
+        ];
+        let segments = test_log_of(12); // six segments, ending at 4, 8, .. 24
+                                        // Every boundary's replay, as encoded bytes, or the error.
+        let replays = |archive: &LogArchive| -> Vec<Result<Vec<Vec<u8>>>> {
+            (0..=12u64)
+                .map(|t| archive.replay_from(SeqNo(2 * t)))
+                .map(|replay| replay.map(|segments| segments.iter().map(encode_segment).collect()))
+                .collect()
+        };
+        let chunk_names = |fs: &Arc<dyn Fs>, dir: &Path| {
+            let names = fs.list(dir).unwrap();
+            chunk_files(dir, &names).unwrap().len()
+        };
+        let runs = file_systems.map(|(fs, dir)| {
+            let archive = LogArchive::create_in(fs.clone(), dir, TWO_FRAME_CHUNK, SeqNo::ZERO)
+                .expect("create");
+            let appends: Vec<(u64, bool)> = (segments.iter())
+                .map(|s| archive.try_append(s).expect("append"))
+                .map(|report| (report.bytes, report.rotated))
+                .collect();
+            let before = replays(&archive);
+            let dropped = [6, 14, 16].map(|cut| archive.truncate_through(SeqNo(cut)));
+            let counts = (archive.retained_segments(), archive.retained_records());
+            let after = replays(&archive);
+            let chunks = chunk_names(&fs, dir);
+            drop(archive);
+            let opened = LogArchive::open_in(fs.clone(), dir, TWO_FRAME_CHUNK).expect("reopen");
+            let recovery = (
+                opened.recovered_segments,
+                opened.recovered_records,
+                opened.torn_tail,
+                opened.archive.last_seq(),
+                opened.archive.truncated_through(),
+            );
+            let reopened = replays(&opened.archive);
+            (
+                appends, before, dropped, counts, after, chunks, recovery, reopened,
+            )
+        });
+        let [on_disk, in_memory] = &runs;
+        assert_eq!(on_disk, in_memory);
+        // And the log did rotate, truncate and unlink.
+        let (appends, _, dropped, counts, _, chunks, recovery, _) = on_disk;
+        assert_eq!(appends.iter().filter(|(_, rotated)| *rotated).count(), 3);
+        assert_eq!(*dropped, [Ok(1), Ok(2), Ok(1)]);
+        assert_eq!(*counts, (2, 8));
+        assert_eq!(*chunks, 1);
+        assert_eq!(*recovery, (2, 8, false, SeqNo(24), SeqNo(16)));
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -1241,8 +1342,8 @@ mod tests {
         let policy = DurabilityPolicy::EverySegment;
         let fs_: Arc<dyn Fs> = Arc::new(StdFs);
         {
-            let archive =
-                LogArchive::create_in(fs_.clone(), &dir, TWO_FRAME_CHUNK).expect("create");
+            let archive = LogArchive::create_in(fs_.clone(), &dir, TWO_FRAME_CHUNK, SeqNo::ZERO)
+                .expect("create");
             for segment in &test_log_of(12) {
                 archive.append(segment);
             }
@@ -1300,7 +1401,7 @@ mod tests {
         let run = |faulty: Arc<FaultyFs>, dir: &Path| -> usize {
             let mut failures = 0;
             let archive = loop {
-                match LogArchive::create_in(faulty.clone(), dir, TWO_FRAME_CHUNK) {
+                match LogArchive::create_in(faulty.clone(), dir, TWO_FRAME_CHUNK, SeqNo::ZERO) {
                     Ok(archive) => break archive,
                     Err(_) => failures += 1,
                 }

@@ -36,16 +36,18 @@
 //! ([`archive::LogArchive`]): a shipper with an attached archive records
 //! every segment that goes on the wire, a checkpoint truncates the archive
 //! at its cut, and a cold replica bootstraps by installing the checkpoint
-//! and replaying the retained tail from the cut. The archive can be
-//! disk-backed ([`archive::LogArchive::durable`]): one append-only log of
-//! CRC-framed segments (each frame's payload is the segment's records,
-//! encoded by [`wal`]) in a few chunk files, where an append is one
-//! positioned write and one `sync_data` into blocks that already exist, and
+//! and replaying the retained tail from the cut. The archive is one
+//! append-only log of CRC-framed segments (each frame's payload is the
+//! segment's records, encoded by [`wal`]) in a few chunk files, and keeps no
+//! other copy of them: a replay decodes the chunks it reads. An append is one
+//! positioned write and one `sync_data` into blocks that already exist.
+//! Its calls go through [`c5_common::fs::Fs`]: on disk
+//! ([`archive::LogArchive::durable`]), where
 //! [`archive::LogArchive::open`] recovers the retained log across a real
 //! process restart by scanning the frames, ending the log before a torn or
 //! corrupt frame — on a segment, hence transaction, boundary — instead of
-//! panicking. Its syscalls go through [`c5_common::fs::Fs`], so any one of
-//! them can be made to fail.
+//! panicking, and any one call can be made to fail; or in memory
+//! ([`archive::LogArchive::new`], over [`c5_common::fs::MemFs`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -221,8 +221,9 @@ struct ShipObs {
     drain_tails: Arc<Counter>,
     /// Wire thread only: one `LogArchive::try_append`.
     archive_append_ns: Arc<Histogram>,
-    /// Wire thread, durable archive only: the `sync_data` inside it, the
-    /// frame bytes it added to the log, and the chunk files it created.
+    /// Wire thread only: the `sync_data` inside it (next to no time over an
+    /// in-memory archive), the frame bytes it added to the log, and the
+    /// chunk files it created.
     archive_sync_ns: Arc<Histogram>,
     archive_bytes: Arc<Counter>,
     archive_rotations: Arc<Counter>,
@@ -574,9 +575,10 @@ impl LogShipper {
     /// below its bound, of which `ship_drain_tails_total` counts those a
     /// drain edge cut (a receiver's, or the wire thread's); a wire thread
     /// adds `archive_append_ns`,
-    /// `wire_queue_wait_ns` and `ship_archive_failures_total`, and over a
-    /// durable archive `archive_sync_ns` (the `sync_data` alone),
-    /// `archive_bytes_total` and `archive_rotations_total`. Metric
+    /// `wire_queue_wait_ns`, `ship_archive_failures_total`,
+    /// `archive_sync_ns` (the `sync_data` alone, which does nothing over an
+    /// in-memory archive), `archive_bytes_total` and
+    /// `archive_rotations_total`. Metric
     /// handles are resolved here, once, so the per-segment path stays off the
     /// registry lock. Shared across clones like the wire itself; attach it
     /// before [`LogShipper::with_archive`].

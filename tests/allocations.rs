@@ -11,6 +11,10 @@
 //! write that finds its predecessor missing parks), so each bound has some
 //! head room above the counts seen.
 //!
+//! The same log is appended to an in-memory `LogArchive` and replayed from
+//! it whole, per replayed record: the archive keeps frames, not segments,
+//! so a replay decodes.
+//!
 //! The primary's side is counted too: a seeded stream of the same
 //! two-update transactions committed through the 2PL engine into a logger
 //! whose one subscriber never drains, per committed transaction, after a
@@ -29,7 +33,7 @@ use c5_bench::{ReplicaSpec, Scale};
 use c5_obs::Obs;
 use c5_repro::common::{PrimaryConfig, Result, RowRef, SeqNo, Value};
 use c5_repro::core::progress::WatermarkTracker;
-use c5_repro::log::{LogShipper, Segment, StreamingLogger};
+use c5_repro::log::{LogArchive, LogShipper, Segment, StreamingLogger};
 use c5_repro::primary::{StoredProcedure, TplEngine, TxnCtx, TxnFactory};
 use c5_repro::storage::MvStore;
 use c5_repro::workloads::synthetic::{shard_span_population, ShardSpanWorkload, SYNTHETIC_TABLE};
@@ -105,6 +109,12 @@ const REPLICAS: [(&str, ReplicaSpec, f64); 4] = [
         1.10,
     ),
 ];
+
+/// The archive replay's bound on allocations per replayed record: the count
+/// seen (1.080, the same in debug and release), rounded up. One is the
+/// record's value, copied out of the frame; the rest is each segment's
+/// record vector growing as it decodes, and one copy of the chunk read.
+const ARCHIVE_REPLAY_BOUND: f64 = 1.09;
 
 /// Transactions the 2PL loop commits before it counts, and while it counts.
 const COMMIT_WARM_UP: usize = 2_000;
@@ -200,6 +210,22 @@ fn the_tracker_allocates_nothing_and_replay_stays_under_its_bounds() {
         );
     }
     println!("allocations per record: {}", counts.join(", "));
+
+    // A whole-log replay from an in-memory archive, after one to warm up.
+    let archive = LogArchive::new();
+    segments.iter().for_each(|segment| archive.append(segment));
+    let replay_all = || {
+        let replayed = archive.replay_from(SeqNo::ZERO).expect("nothing truncated");
+        assert_eq!(replayed.iter().map(Segment::len).sum::<usize>(), records);
+    };
+    replay_all();
+    let per_record = allocations(replay_all) as f64 / records as f64;
+    println!("allocations per record replayed from the archive: {per_record:.3}");
+    assert!(
+        per_record <= ARCHIVE_REPLAY_BOUND,
+        "an archive replay allocated {per_record:.3} times per record, above its bound \
+         {ARCHIVE_REPLAY_BOUND}"
+    );
 
     // The 2PL commit loop, on this thread alone.
     let (shipper, _undrained) = LogShipper::unbounded();

@@ -568,7 +568,7 @@ fn checkpoint_and_replay_bootstrap_an_mpc_clean_standby() {
     assert_eq!(checkpoint.cut(), view.as_of());
     let dropped = archive
         .truncate_through(checkpoint.cut())
-        .expect("an in-memory archive has no I/O to fail");
+        .expect("an in-memory file system fails no call");
     assert_eq!(dropped, fed, "every fully covered segment is reclaimed");
 
     // Bootstrap the standby: install the checkpoint, replay the tail, and
